@@ -271,6 +271,10 @@ fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String
         snap.scheduler.flush_latency_p99_us,
     ));
     out.push_str(&format!(
+        "  codec: {} RAW bytes read by the encoder, {} resolved without it\n",
+        snap.scheduler.codec_input_bytes, snap.scheduler.codec_skipped_bytes,
+    ));
+    out.push_str(&format!(
         "  translator: {} raw fallbacks ({} bytes), {} offscreen-queued, {} queues executed\n",
         snap.translator.raw_fallbacks,
         snap.translator.raw_fallback_bytes,

@@ -216,8 +216,25 @@ pub fn apply_into(data: &[u8], bpp: usize, stride: usize, out: &mut Vec<u8>) {
     assert!(bpp > 0 && stride > 0, "bad geometry");
     out.clear();
     out.reserve(data.len() + data.len() / stride + 1);
-    let mut prev: &[u8] = &[];
-    for row in data.chunks(stride) {
+    append_rows(data, bpp, stride, 0..data.len().div_ceil(stride), out);
+}
+
+/// Filters rows `rows` of `data` and appends them to `out`: the band
+/// step of [`apply_into`], for a consumer that wants the filtered
+/// stream in pieces. Appending consecutive bands from row 0 builds
+/// exactly the [`apply`] output (each row's predictor reads only the
+/// unfiltered row above it).
+pub(crate) fn append_rows(
+    data: &[u8],
+    bpp: usize,
+    stride: usize,
+    rows: std::ops::Range<usize>,
+    out: &mut Vec<u8>,
+) {
+    let start = rows.start * stride;
+    let end = (rows.end * stride).min(data.len());
+    let mut prev: &[u8] = &data[start.saturating_sub(stride)..start];
+    for row in data[start..end].chunks(stride) {
         let p = if prev.len() == row.len() { prev } else { &[] };
         let b = bpp.min(row.len());
         // Candidate scores in tag order; Up without a previous row

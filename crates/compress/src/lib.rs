@@ -65,6 +65,7 @@ pub(crate) fn eq_len(data: &[u8], a: usize, b: usize, max: usize) -> usize {
 pub struct Scratch {
     filtered: Vec<u8>,
     out: Vec<u8>,
+    consumed: usize,
 }
 
 impl Scratch {
@@ -73,9 +74,10 @@ impl Scratch {
         Self::default()
     }
 
-    /// The filter intermediate and output buffers, for staged pipelines.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<u8>, &mut Vec<u8>) {
-        (&mut self.filtered, &mut self.out)
+    /// Input bytes the last [`pnglike::compress_bounded`] read before
+    /// it finished or gave up (whole rows, through the filter stage).
+    pub fn consumed(&self) -> usize {
+        self.consumed
     }
 
     /// Read access to the last encoded stream.

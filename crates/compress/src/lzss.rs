@@ -26,6 +26,11 @@ fn hash(data: &[u8], i: usize) -> usize {
     (h as usize) & ((1 << HASH_BITS) - 1)
 }
 
+/// Bytes past a position that a non-final [`Encoder::feed`] must hold
+/// before it parses that position: the longest match it can emit there
+/// plus the hash reads of that match's last covered positions.
+const LOOKAHEAD: usize = MAX_MATCH + MIN_MATCH - 1;
+
 /// Compresses `data` with LZSS.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
@@ -36,91 +41,152 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// Compresses `data` with LZSS into a caller-owned buffer (cleared
 /// first) so repeated encodes reuse the allocation.
 ///
-/// Match candidates come from the hash-chain finder; candidate match
-/// lengths are extended a machine word at a time ([`crate::eq_len`]),
-/// which is where the encoder spends most of its cycles. Output bytes
-/// are identical to [`crate::reference::lzss_compress`].
+/// Output bytes are identical to [`crate::reference::lzss_compress`].
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     out.clear();
-    // head[h] = most recent position with hash h; prev[i % WINDOW] = chain.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; WINDOW];
-    let mut i = 0;
-    let mut flags_pos = usize::MAX;
-    let mut flag_bit = 8;
+    let fits = Encoder::new().feed(data, true, usize::MAX, out);
+    debug_assert!(fits, "an unbounded encode cannot pass its bound");
+}
 
-    let mut push_item = |out: &mut Vec<u8>, is_match: bool, payload: &[u8]| {
-        if flag_bit == 8 {
-            flags_pos = out.len();
-            out.push(0);
-            flag_bit = 0;
-        }
-        if is_match {
-            out[flags_pos] |= 1 << flag_bit;
-        }
-        flag_bit += 1;
-        out.extend_from_slice(payload);
-    };
+/// The LZSS encoder as a resumable parse over a growing input.
+///
+/// A producer that makes its input in pieces (the PNG-like pipeline
+/// filters rows in bands) calls [`feed`](Self::feed) with every
+/// longer prefix; each call parses only the positions whose match
+/// cannot depend on bytes not yet present, so the stream is the
+/// one-shot stream whatever the prefix schedule. An output bound lets
+/// the caller stop paying as soon as the stream is known to be too
+/// long to be of use.
+///
+/// Match candidates come from the hash-chain finder; candidate match
+/// lengths are extended a machine word at a time (`eq_len`),
+/// which is where the encoder spends most of its cycles.
+#[derive(Debug)]
+pub struct Encoder {
+    /// `head[h]` = most recent position with hash `h`.
+    head: Vec<usize>,
+    /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
+    prev: Vec<usize>,
+    /// Next input position to parse.
+    pos: usize,
+    flags_pos: usize,
+    flag_bit: u8,
+}
 
-    while i < data.len() {
-        let mut best_len = 0;
-        let mut best_dist = 0;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash(data, i);
-            let mut cand = head[h];
-            let mut chain = 0;
-            while cand != usize::MAX && cand + WINDOW > i && chain < 32 {
-                if cand < i {
-                    let max = MAX_MATCH.min(data.len() - i);
-                    let l = crate::eq_len(data, cand, i, max);
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
-                        if l == MAX_MATCH {
+impl Default for Encoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Encoder {
+    /// A fresh encoder at input position 0.
+    pub fn new() -> Self {
+        Self {
+            head: vec![usize::MAX; 1 << HASH_BITS],
+            prev: vec![usize::MAX; WINDOW],
+            pos: 0,
+            flags_pos: usize::MAX,
+            flag_bit: 8,
+        }
+    }
+
+    /// Input bytes parsed so far.
+    pub fn consumed(&self) -> usize {
+        self.pos
+    }
+
+    /// Parses as much of `data` as is decidable and appends the items
+    /// to `out`. `data` is the whole input so far — every earlier call
+    /// must have passed a prefix of it — and `last` says no more will
+    /// follow, so the tail is parsed too. `out` must not be touched
+    /// between calls (the open flag byte lives in it).
+    ///
+    /// Returns `false`, leaving the parse where it stopped, as soon as
+    /// `out` is longer than `limit`: the finished stream can only be
+    /// longer still.
+    pub fn feed(&mut self, data: &[u8], last: bool, limit: usize, out: &mut Vec<u8>) -> bool {
+        let stop = if last {
+            data.len()
+        } else {
+            (data.len() + 1).saturating_sub(LOOKAHEAD)
+        };
+        let mut i = self.pos;
+        while i < stop {
+            if out.len() > limit {
+                break;
+            }
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if i + MIN_MATCH <= data.len() {
+                let mut cand = self.head[hash(data, i)];
+                let mut chain = 0;
+                while cand != usize::MAX && cand + WINDOW > i && chain < 32 {
+                    if cand < i {
+                        let max = MAX_MATCH.min(data.len() - i);
+                        let l = crate::eq_len(data, cand, i, max);
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = i - cand;
+                            if l == MAX_MATCH {
+                                break;
+                            }
+                        }
+                    }
+                    cand = self.prev[cand % WINDOW];
+                    chain += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                let mut extra = best_len - MIN_MATCH;
+                let code = extra.min(LEN_EXT);
+                let token = (((best_dist - 1) as u16) << 4) | (code as u16);
+                self.open_item(true, out);
+                out.extend_from_slice(&token.to_le_bytes());
+                if code == LEN_EXT {
+                    extra -= LEN_EXT;
+                    loop {
+                        let b = extra.min(255);
+                        out.push(b as u8);
+                        extra -= b;
+                        if b < 255 {
                             break;
                         }
                     }
                 }
-                cand = prev[cand % WINDOW];
-                chain += 1;
+            } else {
+                best_len = 1;
+                self.open_item(false, out);
+                out.push(data[i]);
             }
-        }
-        if best_len >= MIN_MATCH {
-            let mut extra = best_len - MIN_MATCH;
-            let code = extra.min(LEN_EXT);
-            let token = (((best_dist - 1) as u16) << 4) | (code as u16);
-            let mut payload = token.to_le_bytes().to_vec();
-            if code == LEN_EXT {
-                extra -= LEN_EXT;
-                loop {
-                    let b = extra.min(255);
-                    payload.push(b as u8);
-                    extra -= b;
-                    if b < 255 {
-                        break;
-                    }
-                }
-            }
-            push_item(out, true, &payload);
             // Insert hash entries for every covered position.
             let end = i + best_len;
             while i < end {
                 if i + MIN_MATCH <= data.len() {
                     let h = hash(data, i);
-                    prev[i % WINDOW] = head[h];
-                    head[h] = i;
+                    self.prev[i % WINDOW] = self.head[h];
+                    self.head[h] = i;
                 }
                 i += 1;
             }
-        } else {
-            push_item(out, false, &data[i..i + 1]);
-            if i + MIN_MATCH <= data.len() {
-                let h = hash(data, i);
-                prev[i % WINDOW] = head[h];
-                head[h] = i;
-            }
-            i += 1;
         }
+        self.pos = i;
+        out.len() <= limit
+    }
+
+    /// Claims the next flag bit for an item, opening a new flag byte
+    /// every eighth item.
+    #[inline]
+    fn open_item(&mut self, is_match: bool, out: &mut Vec<u8>) {
+        if self.flag_bit == 8 {
+            self.flags_pos = out.len();
+            out.push(0);
+            self.flag_bit = 0;
+        }
+        if is_match {
+            out[self.flags_pos] |= 1 << self.flag_bit;
+        }
+        self.flag_bit += 1;
     }
 }
 
@@ -226,6 +292,41 @@ mod tests {
             })
             .collect();
         assert_eq!(decompress(&compress(&data)).unwrap(), data);
+    }
+
+    #[test]
+    fn every_two_step_feed_of_a_long_run_is_the_one_shot_stream() {
+        // Maximum-length matches end to end: the case where a parse
+        // made too close to the end of a prefix would see a shorter
+        // match than the one-shot encoder does.
+        let mut data = vec![0u8; 2 * MAX_MATCH + 40];
+        data[MAX_MATCH + 7] = 1;
+        let want = compress(&data);
+        for cut in 0..=data.len() {
+            let mut coder = Encoder::new();
+            let mut out = Vec::new();
+            assert!(coder.feed(&data[..cut], false, usize::MAX, &mut out));
+            assert!(coder.feed(&data, true, usize::MAX, &mut out));
+            assert_eq!(out, want, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn feed_stops_once_the_stream_passes_its_limit() {
+        let data: Vec<u8> = (0..4000u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        let full = compress(&data).len();
+        let mut out = Vec::new();
+        let mut coder = Encoder::new();
+        assert!(!coder.feed(&data, true, full - 1, &mut out));
+        assert!(coder.consumed() <= data.len());
+        let mut coder = Encoder::new();
+        out.clear();
+        assert!(!coder.feed(&data, true, 100, &mut out));
+        assert!(coder.consumed() < 200, "gave up after {} bytes", coder.consumed());
+        let mut coder = Encoder::new();
+        out.clear();
+        assert!(coder.feed(&data, true, full, &mut out));
+        assert_eq!(out.len(), full);
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub fn compress(data: &[u8], bpp: usize, stride: usize) -> Vec<u8> {
 
 /// [`compress`] through caller-owned scratch buffers: the filtered
 /// intermediate goes into `scratch.filtered`, the encoded stream into
-/// `scratch.out` (returned as a slice). Encoding many commands with
-/// one [`crate::Scratch`] does no per-command allocation once the
-/// buffers have grown to the working-set size.
+/// `scratch.out` (returned as a slice), so encoding many commands with
+/// one [`crate::Scratch`] reuses both once they have grown to the
+/// working-set size. This is [`compress_bounded`] with no bound.
 ///
 /// # Panics
 ///
@@ -36,10 +36,58 @@ pub fn compress_with<'a>(
     stride: usize,
     scratch: &'a mut crate::Scratch,
 ) -> &'a [u8] {
-    let (filtered, out) = scratch.parts_mut();
-    filter::apply_into(data, bpp, stride, filtered);
-    lzss::compress_into(filtered, out);
-    out
+    compress_bounded(data, bpp, stride, usize::MAX, scratch)
+        .expect("an unbounded encode cannot pass its bound")
+}
+
+/// Filtered bytes handed to the dictionary coder at a time: enough
+/// rows to keep its lookahead fed, few enough that the band is still
+/// in cache when it is parsed and that a bail-out has filtered little
+/// it did not parse.
+const BAND_BYTES: usize = 16 * 1024;
+
+/// [`compress_with`] that gives up once the encoded stream is longer
+/// than `limit` bytes: `Some(stream)` exactly when the full encoding
+/// is at most `limit` long, and then byte-identical to it.
+///
+/// Rows are filtered in bands just ahead of the dictionary coder, so
+/// giving up costs only the input consumed up to that point in both
+/// stages; [`crate::Scratch::consumed`] reports how much that was. A
+/// caller that can only use an encoding shorter than some size (one
+/// that beats the raw payload, one that fits a socket buffer) passes
+/// that size and stops paying for the rest.
+///
+/// # Panics
+///
+/// Panics if `bpp` or `stride` is zero.
+pub fn compress_bounded<'a>(
+    data: &[u8],
+    bpp: usize,
+    stride: usize,
+    limit: usize,
+    scratch: &'a mut crate::Scratch,
+) -> Option<&'a [u8]> {
+    assert!(bpp > 0 && stride > 0, "bad geometry");
+    let rows = data.len().div_ceil(stride);
+    let band = (BAND_BYTES / (stride + 1)).max(1);
+    scratch.filtered.clear();
+    scratch.filtered.reserve(data.len() + rows);
+    scratch.out.clear();
+    let mut coder = lzss::Encoder::new();
+    let mut row = 0;
+    loop {
+        let end = (row + band).min(rows);
+        filter::append_rows(data, bpp, stride, row..end, &mut scratch.filtered);
+        row = end;
+        let last = row == rows;
+        scratch.consumed = (row * stride).min(data.len());
+        if !coder.feed(&scratch.filtered, last, limit, &mut scratch.out) {
+            return None;
+        }
+        if last {
+            return Some(&scratch.out);
+        }
+    }
 }
 
 /// Reverses [`compress`]; returns `None` on malformed input.

@@ -1,8 +1,10 @@
 //! Encoder equality: the word-scanning RLE/LZSS encoders must emit
 //! **identical bytes** to the retained byte-at-a-time references in
 //! `thinc_compress::reference` (not merely a stream that decodes to
-//! the same input), and the scratch-buffer API must match the
-//! allocating API for every codec.
+//! the same input), the scratch-buffer API must match the allocating
+//! API for every codec, and the bounded and incremental forms of the
+//! RAW pipeline must be the one-shot encoders cut short or fed in
+//! pieces — never a different stream.
 
 use proptest::prelude::*;
 use thinc_compress::{lzss, pnglike, reference, rle, Codec, Scratch};
@@ -31,7 +33,72 @@ fn runny_bytes() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// Image-sized mixed content: long enough to span several filter
+/// bands and many times the LZSS lookahead, with runs (compressible)
+/// beside noise (not).
+fn image_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((any::<u8>(), 1usize..3000, any::<bool>()), 0..24).prop_map(|chunks| {
+        let mut out = Vec::new();
+        let mut x = 0xD1B54A32D192ED03u64;
+        for (b, n, run) in chunks {
+            for i in 0..n {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Even seeds make one flat run (matches of the maximum
+                // length), odd ones a staircase of short runs.
+                let step = if b % 2 == 0 { 0 } else { (i / 97) as u8 };
+                out.push(if run { b.wrapping_add(step) } else { (x >> 33) as u8 });
+            }
+        }
+        out
+    })
+}
+
 proptest! {
+    #[test]
+    fn bounded_pnglike_is_the_unbounded_encode_or_nothing(
+        data in image_bytes(),
+        bpp in 1usize..5,
+        width in 1usize..400,
+        bound_permille in 0usize..1300,
+    ) {
+        let stride = bpp * width;
+        let full = reference::pnglike_compress(&data, bpp, stride);
+        // Around the true length most of the time, so both outcomes
+        // and the exact boundary are hit.
+        let bound = (full.len() * bound_permille / 1000).max(bound_permille % 7);
+        let mut scratch = Scratch::new();
+        for limit in [bound, full.len(), full.len().saturating_sub(1)] {
+            let got = pnglike::compress_bounded(&data, bpp, stride, limit, &mut scratch)
+                .map(<[u8]>::to_vec);
+            let want = (full.len() <= limit).then(|| full.clone());
+            prop_assert_eq!(got, want, "limit {} of {}", limit, full.len());
+            prop_assert!(scratch.consumed() <= data.len());
+        }
+        // A give-up leaves the scratch usable: the unbounded call that
+        // follows it is still the reference stream.
+        prop_assert_eq!(pnglike::compress_with(&data, bpp, stride, &mut scratch), &full[..]);
+        prop_assert_eq!(scratch.consumed(), data.len());
+    }
+
+    #[test]
+    fn lzss_fed_any_prefix_schedule_is_the_one_shot_stream(
+        data in image_bytes(),
+        cuts in prop::collection::vec(0usize..1000, 0..12),
+    ) {
+        let want = reference::lzss_compress(&data);
+        let mut ends: Vec<usize> = cuts.iter().map(|c| data.len() * c / 1000).collect();
+        ends.sort_unstable();
+        let mut coder = lzss::Encoder::new();
+        let mut out = Vec::new();
+        for end in ends {
+            prop_assert!(coder.feed(&data[..end], false, usize::MAX, &mut out));
+            prop_assert!(coder.consumed() <= end);
+        }
+        prop_assert!(coder.feed(&data, true, usize::MAX, &mut out));
+        prop_assert_eq!(coder.consumed(), data.len());
+        prop_assert_eq!(out, want);
+    }
+
     #[test]
     fn rle_encoder_matches_reference(data in runny_bytes()) {
         prop_assert_eq!(rle::compress(&data), reference::rle_compress(&data));

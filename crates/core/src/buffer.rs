@@ -19,7 +19,8 @@ use thinc_protocol::wire::encode_message_into;
 use thinc_raster::Region;
 use thinc_telemetry::{ProtocolMetrics, SchedulerMetrics};
 
-use crate::plane::{PlaneCounters, WireForm, WirePlane};
+use crate::memo::EncodeMemo;
+use crate::plane::{plane_key, PlaneCounters, PlaneKey, PlaneSlot, WireForm, WirePlane};
 use crate::queue::{classify, clip_command, OverwriteClass};
 use crate::scheduler::{creates_dependency, place, queue_index, QueueSlot, NUM_QUEUES};
 
@@ -59,6 +60,42 @@ enum CacheCommit {
         key: u64,
     },
 }
+
+/// A command made ready for the wire at flush time.
+#[derive(Debug)]
+struct Wire {
+    /// What goes on the wire: the full form or its `CacheRef`.
+    msg: Message,
+    /// Encoded frame size of `msg`.
+    size: u64,
+    /// Ledger update owed once `msg` is committed to the pipe.
+    commit: CacheCommit,
+    /// Frame size of the full form when a [`WirePlane`] slot stands
+    /// behind it (plane accounting at send time).
+    shared: Option<u64>,
+}
+
+/// The compress attempt owed to an uncompressed RAW at flush time.
+#[derive(Debug, Clone, Copy)]
+struct Attempt {
+    /// Content identity of the payload (memo and plane key).
+    ident: PlaneKey,
+    /// Bytes per pixel of the session format.
+    bpp: usize,
+    /// Payload length.
+    len: u64,
+    /// Longest compressed payload that is of any use: `len - 1` (any
+    /// stream that beats the payload) unless the pipe tightens it.
+    cap: u64,
+}
+
+/// Wire bytes of a RAW frame around its payload: message header, rect,
+/// encoding tag, payload length.
+const RAW_FRAME_OVERHEAD: u64 = thinc_protocol::commands::COMMAND_HEADER_BYTES + 16 + 1 + 4;
+
+/// RAW payloads below this are sent as they are: compressing them
+/// saves less than it costs.
+const COMPRESS_MIN_PAYLOAD: usize = 1024;
 
 /// One command waiting in the buffer.
 #[derive(Debug, Clone)]
@@ -134,6 +171,15 @@ pub struct ClientBuffer {
     /// one command after another reuses the filter intermediate and
     /// the output stream instead of reallocating per command.
     scratch: thinc_compress::Scratch,
+    /// What earlier encodes found out, by content identity, so a
+    /// repeat reaches the same decision without the codec. A pure
+    /// cache like `scratch`: never consulted for *what* to send, not
+    /// checkpointed, empty until a RAW is first compressed.
+    memo: EncodeMemo,
+    /// Test switch: prepare commands the retained compress-everything
+    /// way, the reference the fit-first path must match byte for byte.
+    #[cfg(test)]
+    reference_prepare: bool,
     /// Reusable wire-encoding buffer: sizing and framing one message
     /// after another reuses this allocation instead of building a
     /// fresh `Vec` per message.
@@ -602,49 +648,223 @@ impl ClientBuffer {
         }
     }
 
-    /// Encodes a command into its final wire message, applying RAW
-    /// compression lazily at emission ("commands are not broken up
-    /// [or encoded] in advance ... to adapt to changing conditions").
-    fn emit_message(&mut self, cmd: DisplayCommand) -> Message {
-        if let (Some(bpp), DisplayCommand::Raw { rect, encoding: RawEncoding::None, data }) =
-            (self.raw_compress_bpp, &cmd)
-        {
-            if data.len() >= 1024 {
-                let stride = rect.w as usize * bpp;
-                let packed =
-                    thinc_compress::pnglike::compress_with(data, bpp, stride, &mut self.scratch);
-                if packed.len() < data.len() {
-                    return Message::Display(DisplayCommand::Raw {
-                        rect: *rect,
-                        encoding: RawEncoding::PngLike,
-                        data: packed.to_vec().into(),
-                    });
-                }
-            }
-        }
-        Message::Display(cmd)
-    }
-
-    /// Computes the final wire message, its size, and the cache action
-    /// owed for a command at flush time: either the full payload (with
-    /// a ledger insert owed if cacheable) or, when the ledger says the
-    /// client already holds these exact bytes, a compact
-    /// [`Message::CacheRef`] substitute. Pure lookup — counters and
-    /// LRU order move only in [`Self::cache_commit`] once the frame is
+    /// Makes a command ready for the wire at flush time: the full
+    /// payload (with a ledger insert owed if cacheable) or, when the
+    /// ledger says the client already holds these exact bytes, a
+    /// compact [`Message::CacheRef`] substitute. RAW compression is
+    /// applied lazily here ("commands are not broken up [or encoded] in
+    /// advance ... to adapt to changing conditions").
+    ///
+    /// Returns `None` when no whole form of the command can ship into
+    /// `writable` bytes of socket space — its compressed frame is known
+    /// to be bigger, and bigger than anything the ledger holds, so it
+    /// is not a cache hit either — and the caller must split it.
+    ///
+    /// **Fit first.** The only compressed form ever used is one shorter
+    /// than the payload, and when the uncompressed frame does not fit
+    /// the pipe, only one that does fit (or that the ledger could
+    /// hold) — so the encode is bounded by those sizes and gives up
+    /// the moment its stream passes them, instead of compressing the
+    /// whole payload to learn a size it then discards. What a bounded
+    /// encode finds out is remembered by content identity
+    /// ([`EncodeMemo`]), so a repeat of the content — above all a
+    /// cache hit — reaches the same decision without the codec. The
+    /// decision itself is a pure function of command, pipe space and
+    /// ledger: the memo and the plane only ever skip work.
+    ///
+    /// Pure lookup as far as delivery state goes — counters and LRU
+    /// order move only in [`Self::cache_commit`] once the frame is
     /// actually committed to the pipe, so a blocked flush attempt has
     /// no side effects.
     fn prepare_wire(
         &mut self,
+        cmd: &DisplayCommand,
+        writable: u64,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+    ) -> Option<Wire> {
+        #[cfg(test)]
+        if self.reference_prepare {
+            return Some(self.reference_prepare_wire(cmd.clone(), plane, counters));
+        }
+        let ident = plane_key(cmd);
+        let mut attempt = match (self.raw_compress_bpp, cmd, ident) {
+            (
+                Some(bpp),
+                DisplayCommand::Raw { encoding: RawEncoding::None, data, .. },
+                Some((ident, _)),
+            ) if data.len() >= COMPRESS_MIN_PAYLOAD => {
+                let len = data.len() as u64;
+                Some(Attempt { ident, bpp, len, cap: len - 1 })
+            }
+            _ => None,
+        };
+        // A remembered final form the ledger still holds is a cache
+        // hit found without producing the form.
+        if let (Some(a), Some(cache)) = (&attempt, &self.cache) {
+            if let Some((key, full_size)) = self.memo.encoded(&a.ident) {
+                if cache.ledger.contains(key) {
+                    self.scheduler_metrics.record_codec_skipped(a.len);
+                    let shared = plane.is_some().then_some(full_size);
+                    return Some(self.cache_ref(key, full_size, shared));
+                }
+            }
+        }
+        let slot = match (plane, ident) {
+            (Some(plane), Some((key, data))) => plane.slot_keyed(key, data),
+            _ => None,
+        };
+        let mut fresh = false;
+        let form = match slot.as_deref().and_then(PlaneSlot::form) {
+            Some(form) => {
+                if let Some(a) = &attempt {
+                    self.scheduler_metrics.record_codec_skipped(a.len);
+                }
+                form.clone()
+            }
+            None => {
+                // When the uncompressed frame cannot ship, a compressed
+                // one is of use only if it fits the pipe, or is no
+                // bigger than something the ledger holds (it may be a
+                // hit, which ships as a reference).
+                let mut free = true;
+                if let Some(a) = &mut attempt {
+                    if cmd.wire_size() > writable {
+                        let largest_held =
+                            self.cache.as_ref().map_or(0, |c| c.ledger.max_entry_bytes());
+                        let reach =
+                            writable.max(largest_held).saturating_sub(RAW_FRAME_OVERHEAD);
+                        free = a.cap <= reach;
+                        a.cap = a.cap.min(reach);
+                    }
+                }
+                match slot.as_deref() {
+                    // A bound that does not depend on this client's
+                    // pipe always settles the form, as a pure function
+                    // of the command: produce it inside the slot, so
+                    // it is produced once however many clients race.
+                    Some(slot) if free => slot
+                        .form_or_init(|| {
+                            fresh = true;
+                            self.full_form(cmd, attempt, Some(slot))
+                                .expect("a payload-beating bound always settles the form")
+                        })
+                        .clone(),
+                    Some(slot) => {
+                        let form = self.full_form(cmd, attempt, Some(slot))?;
+                        slot.form_or_init(|| {
+                            fresh = true;
+                            form
+                        })
+                        .clone()
+                    }
+                    None => self.full_form(cmd, attempt, None)?,
+                }
+            }
+        };
+        if fresh {
+            counters.encodes += 1;
+            counters.encoded_bytes += form.size;
+        }
+        let shared = slot.is_some().then_some(form.size);
+        let (Some(cache), Some(key)) = (&self.cache, form.key) else {
+            return Some(Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared });
+        };
+        if let Some(a) = &attempt {
+            let ledger = &cache.ledger;
+            self.memo.learn_encoded(a.ident, key, form.size, |k| ledger.contains(k));
+        }
+        if cache.ledger.contains(key) {
+            Some(self.cache_ref(key, form.size, shared))
+        } else {
+            Some(Wire { msg: form.msg, size: form.size, commit: CacheCommit::Insert { key }, shared })
+        }
+    }
+
+    /// The `CacheRef` standing in for a full form of `full_size` wire
+    /// bytes the client already holds under `key`.
+    fn cache_ref(&mut self, key: u64, full_size: u64, shared: Option<u64>) -> Wire {
+        let msg = Message::CacheRef { hash: key };
+        encode_message_into(&msg, &mut self.encode_buf);
+        let size = self.encode_buf.len() as u64;
+        Wire { msg, size, commit: CacheCommit::Hit { key, saved: full_size - size }, shared }
+    }
+
+    /// The full wire form of a command: emitted message, encoded frame
+    /// size, cache key. With no `attempt` the command ships as it is.
+    /// With one, the payload is compressed within `attempt.cap` bytes:
+    /// a stream that fits is the form; one that does not leaves the
+    /// uncompressed command as the form when the cap was the
+    /// payload-beating bound, and otherwise `None` (nothing whole can
+    /// ship). A pure function of the command and the cap — scratch,
+    /// memo and slot only provide storage and skip work — which is what
+    /// lets a [`WirePlane`] share the result across clients.
+    fn full_form(
+        &mut self,
+        cmd: &DisplayCommand,
+        attempt: Option<Attempt>,
+        slot: Option<&PlaneSlot>,
+    ) -> Option<WireForm> {
+        let mut msg = None;
+        if let (Some(a), DisplayCommand::Raw { rect, data, .. }) = (attempt, cmd) {
+            let known = self.memo.exceeds(&a.ident).max(slot.map_or(0, PlaneSlot::exceeds));
+            if known >= a.cap {
+                self.scheduler_metrics.record_codec_skipped(a.len);
+            } else {
+                let stride = rect.w as usize * a.bpp;
+                let packed = thinc_compress::pnglike::compress_bounded(
+                    data,
+                    a.bpp,
+                    stride,
+                    a.cap as usize,
+                    &mut self.scratch,
+                )
+                .map(|packed| thinc_protocol::Bytes::from(packed.to_vec()));
+                self.scheduler_metrics.record_codec_input(self.scratch.consumed() as u64);
+                match packed {
+                    Some(data) => {
+                        msg = Some(Message::Display(DisplayCommand::Raw {
+                            rect: *rect,
+                            encoding: RawEncoding::PngLike,
+                            data,
+                        }));
+                    }
+                    None => {
+                        self.memo.learn_exceeds(a.ident, a.cap);
+                        if let Some(slot) = slot {
+                            slot.learn_exceeds(a.cap);
+                        }
+                    }
+                }
+            }
+            if msg.is_none() && a.cap < a.len - 1 {
+                return None;
+            }
+        }
+        let msg = msg.unwrap_or_else(|| Message::Display(cmd.clone()));
+        encode_message_into(&msg, &mut self.encode_buf);
+        let size = self.encode_buf.len() as u64;
+        let key = thinc_protocol::cache::cache_key(&msg, &self.encode_buf);
+        Some(WireForm { msg, size, key })
+    }
+
+    /// The retained compress-everything `prepare_wire`: every eligible
+    /// RAW is compressed whole before anything is decided. Kept
+    /// verbatim as the reference the fit-first path is tested against
+    /// (same idiom as `thinc_raster::reference`).
+    #[cfg(test)]
+    fn reference_prepare_wire(
+        &mut self,
         cmd: DisplayCommand,
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
-    ) -> (Message, u64, CacheCommit, Option<u64>) {
+    ) -> Wire {
         let (full, full_size, key, shared) = match plane.and_then(|p| p.slot(&cmd)) {
             Some(slot) => {
                 let mut fresh = false;
                 let form = slot.form_or_init(|| {
                     fresh = true;
-                    self.compute_form(cmd)
+                    self.reference_compute_form(cmd)
                 });
                 let (msg, size, key) = (form.msg.clone(), form.size, form.key);
                 if fresh {
@@ -654,40 +874,39 @@ impl ClientBuffer {
                 (msg, size, key, Some(size))
             }
             None => {
-                let form = self.compute_form(cmd);
+                let form = self.reference_compute_form(cmd);
                 (form.msg, form.size, form.key, None)
             }
         };
-        let Some(cache) = &self.cache else {
-            return (full, full_size, CacheCommit::None, shared);
-        };
-        let Some(key) = key else {
-            return (full, full_size, CacheCommit::None, shared);
+        let (Some(cache), Some(key)) = (&self.cache, key) else {
+            return Wire { msg: full, size: full_size, commit: CacheCommit::None, shared };
         };
         if cache.ledger.contains(key) {
-            let reference = Message::CacheRef { hash: key };
-            encode_message_into(&reference, &mut self.encode_buf);
-            let ref_size = self.encode_buf.len() as u64;
-            (
-                reference,
-                ref_size,
-                CacheCommit::Hit {
-                    key,
-                    saved: full_size - ref_size,
-                },
-                shared,
-            )
+            self.cache_ref(key, full_size, shared)
         } else {
-            (full, full_size, CacheCommit::Insert { key }, shared)
+            Wire { msg: full, size: full_size, commit: CacheCommit::Insert { key }, shared }
         }
     }
 
-    /// The full wire form of a command: emitted message, encoded frame
-    /// size, cache key. A pure function of the command (the scratch
-    /// buffers only provide storage), which is what lets a
-    /// [`WirePlane`] share the result across clients.
-    fn compute_form(&mut self, cmd: DisplayCommand) -> WireForm {
-        let full = self.emit_message(cmd);
+    #[cfg(test)]
+    fn reference_compute_form(&mut self, cmd: DisplayCommand) -> WireForm {
+        let mut full = Message::Display(cmd);
+        if let (Some(bpp), Message::Display(DisplayCommand::Raw { rect, encoding: RawEncoding::None, data })) =
+            (self.raw_compress_bpp, &full)
+        {
+            if data.len() >= COMPRESS_MIN_PAYLOAD {
+                let stride = rect.w as usize * bpp;
+                let packed =
+                    thinc_compress::pnglike::compress_with(data, bpp, stride, &mut self.scratch);
+                if packed.len() < data.len() {
+                    full = Message::Display(DisplayCommand::Raw {
+                        rect: *rect,
+                        encoding: RawEncoding::PngLike,
+                        data: packed.to_vec().into(),
+                    });
+                }
+            }
+        }
         encode_message_into(&full, &mut self.encode_buf);
         let size = self.encode_buf.len() as u64;
         let key = thinc_protocol::cache::cache_key(&full, &self.encode_buf);
@@ -714,6 +933,33 @@ impl ClientBuffer {
                 cache.ledger.insert(key, size, msg.clone());
             }
         }
+    }
+
+    /// Commits a prepared message to the pipe and settles everything
+    /// owed for it: trace, delivery and plane accounting, the ledger.
+    #[allow(clippy::too_many_arguments)]
+    fn ship(
+        &mut self,
+        wire: Wire,
+        now: SimTime,
+        pipe: &mut TcpPipe,
+        trace: &mut PacketTrace,
+        wait_us: u64,
+        counters: &mut PlaneCounters,
+        out: &mut Vec<(SimTime, Message)>,
+    ) {
+        let (_, arrival) = pipe.send(now, wire.size);
+        trace.record(now, arrival, wire.size, Direction::Down, "update");
+        self.stats.sent_messages += 1;
+        self.stats.sent_bytes += wire.size;
+        self.scheduler_metrics.record_flush_latency_us(wait_us);
+        thinc_protocol::telemetry::record_message(&mut self.protocol_metrics, &wire.msg);
+        if let Some(full) = wire.shared {
+            counters.shared_sends += 1;
+            counters.shared_bytes += full;
+        }
+        self.cache_commit(&wire.msg, wire.size, wire.commit);
+        out.push((arrival, wire.msg));
     }
 
     /// Splits `cmd`'s visible output into exactly-clipped sub-commands
@@ -812,54 +1058,32 @@ impl ClientBuffer {
                 let mut sent_all = true;
                 let mut leftover: Vec<DisplayCommand> = Vec::new();
                 for (i, part) in parts.iter().enumerate() {
-                    let (msg, size, commit, shared) =
-                        self.prepare_wire(part.clone(), plane, counters);
-                    if pipe.would_block(now, size) {
-                        // Try splitting an uncompressed RAW to fit.
-                        let writable = pipe.writable_bytes(now);
-                        if let Some((head, tail)) = split_raw(part, writable) {
-                            let (head_msg, head_size, head_commit, head_shared) =
-                                self.prepare_wire(head, plane, counters);
-                            if !pipe.would_block(now, head_size) {
-                                let (_, arrival) = pipe.send(now, head_size);
-                                trace.record(now, arrival, head_size, Direction::Down, "update");
-                                self.stats.sent_messages += 1;
-                                self.stats.sent_bytes += head_size;
-                                self.stats.splits += 1;
-                                self.scheduler_metrics.record_split();
-                                self.scheduler_metrics.record_flush_latency_us(wait_us);
-                                thinc_protocol::telemetry::record_message(
-                                    &mut self.protocol_metrics,
-                                    &head_msg,
-                                );
-                                if let Some(full) = head_shared {
-                                    counters.shared_sends += 1;
-                                    counters.shared_bytes += full;
-                                }
-                                self.cache_commit(&head_msg, head_size, head_commit);
-                                out.push((arrival, head_msg));
-                                leftover.push(tail);
-                                leftover.extend(parts[i + 1..].iter().cloned());
-                                sent_all = false;
-                                break;
-                            }
+                    let writable = pipe.writable_bytes(now);
+                    let whole = self
+                        .prepare_wire(part, writable, plane, counters)
+                        .filter(|wire| wire.size <= writable);
+                    if let Some(wire) = whole {
+                        self.ship(wire, now, pipe, trace, wait_us, counters, &mut out);
+                        continue;
+                    }
+                    // Nothing whole fits: try splitting an uncompressed
+                    // RAW to fill the space there is.
+                    sent_all = false;
+                    if let Some((head, tail)) = split_raw(part, writable) {
+                        let head = self
+                            .prepare_wire(&head, writable, plane, counters)
+                            .filter(|wire| wire.size <= writable);
+                        if let Some(wire) = head {
+                            self.stats.splits += 1;
+                            self.scheduler_metrics.record_split();
+                            self.ship(wire, now, pipe, trace, wait_us, counters, &mut out);
+                            leftover.push(tail);
+                            leftover.extend(parts[i + 1..].iter().cloned());
+                            break;
                         }
-                        leftover.extend(parts[i..].iter().cloned());
-                        sent_all = false;
-                        break;
                     }
-                    let (_, arrival) = pipe.send(now, size);
-                    trace.record(now, arrival, size, Direction::Down, "update");
-                    self.stats.sent_messages += 1;
-                    self.stats.sent_bytes += size;
-                    self.scheduler_metrics.record_flush_latency_us(wait_us);
-                    thinc_protocol::telemetry::record_message(&mut self.protocol_metrics, &msg);
-                    if let Some(full) = shared {
-                        counters.shared_sends += 1;
-                        counters.shared_bytes += full;
-                    }
-                    self.cache_commit(&msg, size, commit);
-                    out.push((arrival, msg));
+                    leftover.extend(parts[i..].iter().cloned());
+                    break;
                 }
                 // Remove the consumed entry and its queue slot.
                 let slot = self.entries[pos].slot;
@@ -933,7 +1157,7 @@ impl ClientBuffer {
     /// Deliberately not serialized (documented losses, identical on
     /// every re-checkpoint): scheduler/protocol telemetry and the
     /// ledger's lifetime eviction count restart at zero; the scratch
-    /// compression buffers are pure caches.
+    /// compression buffers and the encode memo are pure caches.
     pub(crate) fn encode_checkpoint(&self, w: &mut crate::checkpoint::Writer) {
         w.u64(self.next_seq);
         w.u64(self.clock.0);
@@ -1132,11 +1356,10 @@ fn split_raw(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, Displ
     }
     let bpp = data.len() / rect.area() as usize;
     let row_bytes = rect.w as u64 * bpp as u64;
-    let header = thinc_protocol::commands::COMMAND_HEADER_BYTES + 16 + 1 + 4;
-    if budget <= header + row_bytes {
+    if budget <= RAW_FRAME_OVERHEAD + row_bytes {
         return None;
     }
-    let rows = (((budget - header) / row_bytes) as u32).min(rect.h - 1);
+    let rows = (((budget - RAW_FRAME_OVERHEAD) / row_bytes) as u32).min(rect.h - 1);
     if rows == 0 {
         return None;
     }
@@ -1153,6 +1376,9 @@ fn split_raw(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, Displ
     };
     Some((head, tail))
 }
+
+#[cfg(test)]
+mod fit_tests;
 
 #[cfg(test)]
 mod tests {

@@ -42,6 +42,7 @@ pub mod buffer;
 pub mod checkpoint;
 pub mod degradation;
 pub mod liveness;
+mod memo;
 pub mod parallel;
 pub mod plane;
 pub mod queue;

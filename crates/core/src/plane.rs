@@ -28,6 +28,7 @@
 //! [`flush_all`]: crate::session::SharedSession::flush_all
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use thinc_protocol::{Bytes, DisplayCommand, Message};
@@ -39,9 +40,11 @@ pub const PLANE_MIN_PAYLOAD: usize = 64;
 
 /// Identity of one shared-encoding equivalence class: the payload
 /// content (hash + length), plus the geometry and encoding that feed
-/// the compression decision.
+/// the compression decision. A buffer computes it once per command and
+/// keys both its plane lookup and its encode memo with it, so the
+/// payload is hashed once however many tables are consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlaneKey {
+pub(crate) struct PlaneKey {
     /// FNV-1a 64 over the payload bytes.
     content: u64,
     /// Payload length (cuts down same-hash accidents cheaply).
@@ -52,7 +55,7 @@ struct PlaneKey {
     encoding: u8,
 }
 
-fn plane_key(cmd: &DisplayCommand) -> Option<(PlaneKey, &Bytes)> {
+pub(crate) fn plane_key(cmd: &DisplayCommand) -> Option<(PlaneKey, &Bytes)> {
     let DisplayCommand::Raw { rect, encoding, data } = cmd else {
         return None;
     };
@@ -97,17 +100,37 @@ pub struct WireForm {
 pub struct PlaneSlot {
     form: OnceLock<WireForm>,
     pin: Bytes,
+    /// Largest encode bound this payload's compressed stream is known
+    /// to pass (0 = nothing known). A fact about the content, so it is
+    /// shared like the form; a statistic-grade atomic because a stale
+    /// read only costs the reader a bounded encode of its own.
+    exceeds: AtomicU64,
 }
 
 impl PlaneSlot {
     fn pinned(pin: Bytes) -> Self {
-        Self { form: OnceLock::new(), pin }
+        Self { form: OnceLock::new(), pin, exceeds: AtomicU64::new(0) }
     }
 
     /// The slot's wire form, running `init` exactly once across all
     /// clients (and threads) that reach this slot.
     pub fn form_or_init(&self, init: impl FnOnce() -> WireForm) -> &WireForm {
         self.form.get_or_init(init)
+    }
+
+    /// The wire form, if some client has produced it already.
+    pub(crate) fn form(&self) -> Option<&WireForm> {
+        self.form.get()
+    }
+
+    /// The largest bound the compressed payload is known to exceed.
+    pub(crate) fn exceeds(&self) -> u64 {
+        self.exceeds.load(Ordering::Relaxed)
+    }
+
+    /// Records that the compressed payload is longer than `bytes`.
+    pub(crate) fn learn_exceeds(&self, bytes: u64) {
+        self.exceeds.fetch_max(bytes, Ordering::Relaxed);
     }
 }
 
@@ -131,6 +154,13 @@ impl WirePlane {
     /// the bytes right).
     pub fn slot(&self, cmd: &DisplayCommand) -> Option<Arc<PlaneSlot>> {
         let (key, data) = plane_key(cmd)?;
+        self.slot_keyed(key, data)
+    }
+
+    /// [`slot`](Self::slot) for a caller that already holds the
+    /// command's key (`key` must be [`plane_key`] of the command
+    /// carrying `data`).
+    pub(crate) fn slot_keyed(&self, key: PlaneKey, data: &Bytes) -> Option<Arc<PlaneSlot>> {
         let mut slots = self.slots.lock().expect("plane lock poisoned");
         match slots.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {

@@ -145,6 +145,12 @@ impl<V> CacheLru<V> {
         self.evictions
     }
 
+    /// Size of the largest entry held (0 when empty): no message
+    /// bigger than this can be a hit, whatever its key.
+    pub fn max_entry_bytes(&self) -> u64 {
+        self.entries.values().map(|(size, _)| *size).max().unwrap_or(0)
+    }
+
     /// Looks up `key`, bumping it to most-recently-used on a hit.
     pub fn get(&mut self, key: u64) -> Option<&V> {
         if self.entries.contains_key(&key) {
@@ -248,6 +254,8 @@ mod tests {
         assert!(c.contains(2));
         assert_eq!(c.used_bytes(), 80);
         assert_eq!(c.len(), 2);
+        assert_eq!(c.max_entry_bytes(), 40);
+        assert_eq!(CacheLru::<u32>::new(100).max_entry_bytes(), 0);
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! with slice semantics. Equality compares *contents* (so protocol
 //! round-trip tests keep working after decode produces a fresh
 //! allocation), with a pointer-identity fast path. [`Bytes::ptr_id`]
-//! exposes the allocation identity itself; the payload plane uses it
-//! as an O(1) equivalence-class key: two commands whose payloads share
-//! one allocation are, by construction, the same content.
+//! exposes the allocation identity itself, but nothing keys on it: the
+//! payload plane (`thinc_core::plane`) keys equivalence classes by
+//! *content* — FNV-1a 64 over the whole payload on every lookup, plus
+//! length, rect and encoding — because the per-client queues clip and
+//! merge payloads into fresh allocations with identical bytes. That
+//! hash is linear in the payload and paid once per viewer per command.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -48,8 +51,8 @@ impl Bytes {
     /// Two `Bytes` with the same `ptr_id` are clones of one buffer and
     /// therefore bitwise-identical; the converse does not hold. Valid
     /// only while at least one clone is alive (a freed allocation's
-    /// address may be reused), which is why the payload plane scopes
-    /// its identity-keyed maps to a single flush round.
+    /// address may be reused). Currently without a caller: the payload
+    /// plane keys by content hash, not by allocation.
     pub fn ptr_id(&self) -> usize {
         Arc::as_ptr(&self.0) as *const u8 as usize
     }

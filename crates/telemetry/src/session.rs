@@ -136,7 +136,9 @@ pub struct CommandRow {
 }
 
 /// SRSF scheduler and command-buffer instrumentation: per-band queue
-/// depth, merge/eviction counts, and enqueue-to-wire flush latency.
+/// depth, merge/eviction counts, enqueue-to-wire flush latency, and
+/// how much RAW payload the flush path fed to the codec versus
+/// resolved without it.
 ///
 /// ```
 /// use thinc_telemetry::SchedulerMetrics;
@@ -146,7 +148,11 @@ pub struct CommandRow {
 /// m.record_eviction();
 /// m.sample_depth(3, 7, 2); // band 3 holds 7 commands, realtime holds 2
 /// m.record_flush_latency_us(250);
+/// m.record_codec_input(4096); // the encoder read 4 KiB of a RAW payload
+/// m.record_codec_skipped(65536); // a 64 KiB payload needed no encode
 /// assert_eq!(m.merges(), 1);
+/// assert_eq!(m.codec_input_bytes(), 4096);
+/// assert_eq!(m.codec_skipped_bytes(), 65536);
 /// assert_eq!(m.band_depth(3).max(), 7.0);
 /// assert_eq!(m.flush_latency_us().count(), 1);
 /// ```
@@ -158,6 +164,8 @@ pub struct SchedulerMetrics {
     evictions: Counter,
     splits: Counter,
     flush_latency_us: Histogram,
+    codec_input_bytes: Counter,
+    codec_skipped_bytes: Counter,
 }
 
 impl SchedulerMetrics {
@@ -170,6 +178,8 @@ impl SchedulerMetrics {
             evictions: Counter::new(),
             splits: Counter::new(),
             flush_latency_us: latency_histogram(),
+            codec_input_bytes: Counter::new(),
+            codec_skipped_bytes: Counter::new(),
         }
     }
 
@@ -208,6 +218,19 @@ impl SchedulerMetrics {
         self.flush_latency_us.record(us);
     }
 
+    /// Records `bytes` of RAW payload read by the compressor at flush
+    /// time, whether or not the encoding was used.
+    pub fn record_codec_input(&mut self, bytes: u64) {
+        self.codec_input_bytes.add(bytes);
+    }
+
+    /// Records a RAW payload of `bytes` whose wire form was settled
+    /// without running the compressor (a remembered outcome, or a form
+    /// another client already produced).
+    pub fn record_codec_skipped(&mut self, bytes: u64) {
+        self.codec_skipped_bytes.add(bytes);
+    }
+
     /// Commands merged into predecessors.
     pub fn merges(&self) -> u64 {
         self.merges.get()
@@ -244,6 +267,17 @@ impl SchedulerMetrics {
     /// Enqueue-to-wire latency histogram (µs of virtual time).
     pub fn flush_latency_us(&self) -> &Histogram {
         &self.flush_latency_us
+    }
+
+    /// RAW payload bytes the compressor read at flush time. Against
+    /// the RAW bytes that shipped, this is the codec's wasted work.
+    pub fn codec_input_bytes(&self) -> u64 {
+        self.codec_input_bytes.get()
+    }
+
+    /// RAW payload bytes whose wire form needed no compressor run.
+    pub fn codec_skipped_bytes(&self) -> u64 {
+        self.codec_skipped_bytes.get()
     }
 }
 
@@ -523,6 +557,8 @@ impl SessionTelemetry {
                 flush_latency_p50_us: self.scheduler.flush_latency_us().quantile(0.5),
                 flush_latency_p99_us: self.scheduler.flush_latency_us().quantile(0.99),
                 flushed: self.scheduler.flush_latency_us().count(),
+                codec_input_bytes: self.scheduler.codec_input_bytes(),
+                codec_skipped_bytes: self.scheduler.codec_skipped_bytes(),
             },
             translator: TranslatorSnapshot {
                 translated: CommandKind::ALL
@@ -608,6 +644,10 @@ pub struct SchedulerSnapshot {
     pub flush_latency_p99_us: u64,
     /// Commands whose flush latency was recorded.
     pub flushed: u64,
+    /// RAW payload bytes the compressor read at flush time.
+    pub codec_input_bytes: u64,
+    /// RAW payload bytes whose wire form needed no compressor run.
+    pub codec_skipped_bytes: u64,
 }
 
 /// Translator summary inside a [`TelemetrySnapshot`].
@@ -714,6 +754,8 @@ mod tests {
         s.scheduler.record_merge();
         s.scheduler.sample_depth(1, 6, 0);
         s.scheduler.record_flush_latency_us(300);
+        s.scheduler.record_codec_input(2048);
+        s.scheduler.record_codec_skipped(512);
         s.translator.record_translated(CommandKind::Bitmap);
         s.translator.record_raw_fallback(512);
         s.net.sample(4096.0, 0.5);
@@ -725,6 +767,8 @@ mod tests {
         assert_eq!(snap.scheduler.merges, 1);
         assert_eq!(snap.scheduler.band_depth_max[1], 6);
         assert_eq!(snap.scheduler.flushed, 1);
+        assert_eq!(snap.scheduler.codec_input_bytes, 2048);
+        assert_eq!(snap.scheduler.codec_skipped_bytes, 512);
         assert_eq!(snap.translator.raw_fallback_bytes, 512);
         assert_eq!(snap.net.cwnd_bytes, 4096);
         assert_eq!(snap.client.decoded, vec![(CommandKind::Bitmap, 1)]);
