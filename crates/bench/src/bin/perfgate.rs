@@ -4,7 +4,7 @@
 //! Runs two suites and emits machine-readable artifacts at the repo
 //! root:
 //!
-//! - **Micro** (`BENCH_raster.json`): every hot raster/codec kernel
+//! - **Micro** (`BENCH_raster.json`): every hot raster/codec/digest kernel
 //!   timed against its retained byte-exact naive reference (the same
 //!   pairs the equivalence property tests compare), reporting ns/op,
 //!   ops/s, MB/s and the speedup ratio.
@@ -20,8 +20,9 @@
 //! than `--threshold` (default 0.15). Absolute ns/op numbers are
 //! reported but never gated. On top of the relative baseline, the
 //! four rewritten straggler kernels (`bitmap_rect`, `convert`,
-//! `yuv_pack`, `scale_fant`) carry absolute ≥3x speedup floors that
-//! fail the gate outright.
+//! `yuv_pack`, `scale_fant`) and the two delivery-path digests
+//! (`crc32`, `content_id`) carry absolute ≥3x speedup floors that fail
+//! the gate outright.
 //!
 //! Usage:
 //!   perfgate [--quick] [--threshold 0.15] [--write-baseline]
@@ -347,6 +348,34 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
         || drop(black_box(thinc_compress::reference::pnglike_compress(&img, 3, stride))),
         || {
             black_box(pnglike::compress_with(&img, 3, stride, &mut scratch).len());
+        },
+    ));
+
+    // The delivery path's byte-linear digests over one fan-out tile's
+    // worth of payload: the sliced CRC-32 against its retained
+    // byte-serial reference, and the in-process content identity
+    // against the FNV-1a 64 it replaced as the plane/memo key.
+    let tile = noise(54_500, 13);
+    out.push(kernel(
+        quick,
+        "crc32",
+        tile.len(),
+        || {
+            black_box(thinc_protocol::reference::crc32_update(!0, black_box(&tile)));
+        },
+        || {
+            black_box(thinc_protocol::crc::crc32_update(!0, black_box(&tile)));
+        },
+    ));
+    out.push(kernel(
+        quick,
+        "content_id",
+        tile.len(),
+        || {
+            black_box(thinc_protocol::hash::fnv64(black_box(&tile)));
+        },
+        || {
+            black_box(thinc_protocol::hash::content_id(black_box(&tile)));
         },
     ));
     out
@@ -1185,16 +1214,19 @@ fn main() {
         timing_derived: true,
     });
 
-    // The four rewritten straggler kernels carry absolute speedup
-    // floors (the "kernel war" acceptance bar): dropping below 3x
-    // against the retained reference is a hard failure regardless of
+    // The four rewritten straggler kernels and the two digests carry
+    // absolute speedup floors (the "kernel war" acceptance bar):
+    // dropping below 3x against the retained reference (for
+    // `content_id`, against FNV-1a 64) is a hard failure regardless of
     // what the baseline file says. The other kernels gate only
     // relatively, via the baseline.
-    const KERNEL_FLOORS: [(&str, f64); 4] = [
+    const KERNEL_FLOORS: [(&str, f64); 6] = [
         ("bitmap_rect", 3.0),
         ("convert", 3.0),
         ("yuv_pack", 3.0),
         ("scale_fant", 3.0),
+        ("crc32", 3.0),
+        ("content_id", 3.0),
     ];
     for (name, floor) in KERNEL_FLOORS {
         let k = kernels

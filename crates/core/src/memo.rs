@@ -23,8 +23,9 @@
 //! led it to. Emptying the memo at any point leaves the flush output
 //! unchanged, which is why nothing ever needs to invalidate it
 //! (`reset_cache`, eviction, restore) and why it is not checkpointed.
-//! The identity is a 64-bit content hash plus length and geometry, not
-//! a byte comparison; the collision stance is the ledger's own
+//! The identity is a 64-bit content hash (`Bytes::content_id`, which
+//! the payload's allocation memoises) plus length and geometry, not a
+//! byte comparison; the collision stance is the ledger's own
 //! (`docs/CACHE.md` §3).
 
 use std::collections::HashMap;

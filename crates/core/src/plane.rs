@@ -7,12 +7,14 @@
 //! equivalence classes): commands with the same *payload content* at
 //! the same destination and encoding share one compressed wire form,
 //! produced once by whichever flush reaches it first and reused by
-//! everyone else as an `Arc` bump. Content keying (FNV-1a over the
-//! payload, plus length) survives the per-client command queues —
-//! clipping and merging reallocate payloads per client, but on a
-//! same-screen broadcast they reallocate them to identical bytes.
-//! Hashing is linear in the payload but an order of magnitude cheaper
-//! than the compression + encoding it replaces.
+//! everyone else as an `Arc` bump. Content keying
+//! ([`Bytes::content_id`], plus length) survives the per-client
+//! command queues — clipping and merging reallocate payloads per
+//! client, but on a same-screen broadcast they reallocate them to
+//! identical bytes. The id is a property of the payload *allocation*:
+//! viewers holding clones of one buffer hash it once between them, and
+//! a viewer whose queue re-allocated the payload pays one word-wide
+//! pass over its own copy.
 //!
 //! Hash collisions cannot corrupt streams: each slot pins the payload
 //! [`Bytes`] it was keyed on, and a lookup whose content does not
@@ -45,7 +47,8 @@ pub const PLANE_MIN_PAYLOAD: usize = 64;
 /// payload is hashed once however many tables are consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PlaneKey {
-    /// FNV-1a 64 over the payload bytes.
+    /// The payload's in-process content id (never leaves the process,
+    /// so it is not the wire's FNV-1a).
     content: u64,
     /// Payload length (cuts down same-hash accidents cheaply).
     len: usize,
@@ -64,7 +67,7 @@ pub(crate) fn plane_key(cmd: &DisplayCommand) -> Option<(PlaneKey, &Bytes)> {
     }
     Some((
         PlaneKey {
-            content: thinc_protocol::fnv64(data),
+            content: data.content_id(),
             len: data.len(),
             rect: rect_key(rect),
             encoding: *encoding as u8,

@@ -264,9 +264,11 @@ pub struct SharedSession {
     format: PixelFormat,
     auth: SessionAuth,
     translator: Translator,
-    /// Attached clients in id (= attach) order. A `Vec` rather than a
-    /// map: ids are sequential, iteration order is the deterministic
-    /// merge order for parallel fan-out, and sessions hold few clients.
+    /// Attached clients in strictly ascending id (= attach) order: ids
+    /// come from `next_client`, which only grows, and `restore` rejects
+    /// an image that breaks the order. Iteration order is the
+    /// deterministic merge order for parallel fan-out; lookups
+    /// binary-search it.
     clients: Vec<(ClientId, ClientState)>,
     next_client: u32,
     now: SimTime,
@@ -371,18 +373,17 @@ impl SharedSession {
         self
     }
 
+    /// Where `id` sits in the id-ordered roster.
+    fn roster_index(&self, id: ClientId) -> Option<usize> {
+        self.clients.binary_search_by_key(&id, |(cid, _)| *cid).ok()
+    }
+
     fn state(&self, id: ClientId) -> Option<&ClientState> {
-        self.clients
-            .iter()
-            .find(|(cid, _)| *cid == id)
-            .map(|(_, s)| s)
+        self.roster_index(id).map(|at| &self.clients[at].1)
     }
 
     fn state_mut(&mut self, id: ClientId) -> Option<&mut ClientState> {
-        self.clients
-            .iter_mut()
-            .find(|(cid, _)| *cid == id)
-            .map(|(_, s)| s)
+        self.roster_index(id).map(|at| &mut self.clients[at].1)
     }
 
     /// The authentication policy (enable/disable sharing here).
@@ -1124,9 +1125,14 @@ impl SharedSession {
             TileDigests { width: tw, height: th, cols, rows, digests }
         };
         let n_clients = r.u32()?;
-        let mut clients = Vec::new();
+        let mut clients: Vec<(ClientId, ClientState)> = Vec::new();
         for _ in 0..n_clients {
             let id = ClientId(r.u32()?);
+            // Lookups binary-search the roster, and the next attach
+            // takes `next_client`: ids must ascend and stay below it.
+            if clients.last().is_some_and(|(last, _)| *last >= id) || id.0 >= next_client {
+                return Err(CheckpointError::Malformed("client ids not ascending"));
+            }
             let user = r.str()?;
             let vw = r.u32()?.clamp(1, width);
             let vh = r.u32()?.clamp(1, height);

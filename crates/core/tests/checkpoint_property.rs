@@ -124,6 +124,44 @@ proptest! {
         cold_start_works();
     }
 
+    /// A well-sealed image whose roster is out of order is malformed:
+    /// lookups binary-search the roster, so ids must strictly ascend
+    /// and stay below the next id to hand out. The image is re-sealed
+    /// after the edit, so only the roster check can reject it.
+    #[test]
+    fn unordered_rosters_are_malformed(
+        salt in any::<u64>(),
+        pick in 0usize..4,
+        wild in any::<u32>(),
+    ) {
+        // A duplicate of the host's id, the true id, the first id not
+        // yet handed out, anything.
+        let guest_id = [0, 1, 2, wild][pick];
+        let (s, store) = busy_session(salt);
+        let image = s.checkpoint(store.screen());
+        let mut payload = thinc_core::checkpoint::open(&image).unwrap().to_vec();
+        // The guest's record opens with its id (1) and its name.
+        let guest: Vec<u8> = [&1u32.to_le_bytes()[..], &5u32.to_le_bytes(), b"guest"].concat();
+        let at = payload
+            .windows(guest.len())
+            .position(|w| w == guest)
+            .expect("the guest's roster record");
+        payload[at..at + 4].copy_from_slice(&guest_id.to_le_bytes());
+        let edited = thinc_core::checkpoint::seal(payload);
+        match SharedSession::restore(&edited) {
+            // Only the id the session really handed out restores.
+            Ok(_) => prop_assert_eq!(guest_id, 1),
+            Err(e) => {
+                prop_assert_ne!(guest_id, 1);
+                prop_assert!(
+                    matches!(e, thinc_core::checkpoint::CheckpointError::Malformed(_)),
+                    "{:?}", e
+                );
+            }
+        }
+        cold_start_works();
+    }
+
     /// Pure garbage is never a session.
     #[test]
     fn garbage_is_never_a_session(bytes in prop::collection::vec(any::<u8>(), 0..512)) {

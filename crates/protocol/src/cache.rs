@@ -52,20 +52,26 @@ pub const CACHE_MIN_PAYLOAD: usize = 64;
 /// bytes, after any RAW compression, so the server's flush-time view
 /// and the client's receive-time view agree byte-for-byte.
 pub fn cache_key(msg: &Message, encoded: &[u8]) -> Option<u64> {
+    if cacheable_kind(msg) && encoded.len() >= CACHE_MIN_PAYLOAD {
+        Some(crate::hash::fnv64(encoded))
+    } else {
+        None
+    }
+}
+
+/// Whether `msg` is a pixel-bearing display command — the only kind
+/// [`cache_key`] ever keys. Callers that would have to encode the
+/// message just to ask can rule the rest out first.
+pub(crate) fn cacheable_kind(msg: &Message) -> bool {
     use crate::commands::DisplayCommand;
-    let candidate = matches!(
+    matches!(
         msg,
         Message::Display(
             DisplayCommand::Raw { .. }
                 | DisplayCommand::Pfill { .. }
                 | DisplayCommand::Bitmap { .. }
         )
-    );
-    if candidate && encoded.len() >= CACHE_MIN_PAYLOAD {
-        Some(crate::hash::fnv64(encoded))
-    } else {
-        None
-    }
+    )
 }
 
 /// FNV-1a digest over a sorted key set, used by the session-resume

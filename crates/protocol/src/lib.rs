@@ -21,7 +21,13 @@
 //! - [`commands`]: the display command objects and their wire sizes,
 //! - [`message`]: the full protocol message set,
 //! - [`wire`]: binary encoding/decoding with length-prefixed framing,
-//! - [`hash`]: the hand-rolled FNV-1a 64 content hash,
+//! - [`payload`]: [`Bytes`], the shared immutable payload that
+//!   memoises its own digests,
+//! - [`crc`]: the word-wide CRC-32 kernel and its compositional shift,
+//! - [`hash`]: the hand-rolled FNV-1a 64 content hash (wire-visible)
+//!   and the word-at-a-time in-process `content_id`,
+//! - [`mod@reference`]: retained byte-serial kernels the optimized ones
+//!   are tested and timed against,
 //! - [`cache`]: the content-addressed tile cache (revision 3) — the
 //!   shared LRU used as server ledger and client store,
 //! - [`telemetry`]: classification of messages for per-command
@@ -32,9 +38,11 @@
 
 pub mod cache;
 pub mod commands;
+pub mod crc;
 pub mod hash;
 pub mod message;
 pub mod payload;
+pub mod reference;
 pub mod telemetry;
 pub mod wire;
 

@@ -260,11 +260,16 @@ impl Message {
     /// The content-cache key for this message, or `None` if it is not
     /// cacheable (see [`crate::cache::cache_key`] for the rules).
     ///
-    /// Convenience wrapper that encodes the message first; hot paths
-    /// that already hold the encoded bytes call
+    /// Convenience wrapper that encodes the message first — into a
+    /// thread-local scratch, so it does not allocate, and only when
+    /// the message is of a cacheable kind at all; hot paths that
+    /// already hold the encoded bytes call
     /// [`crate::cache::cache_key`] directly.
     pub fn cache_key(&self) -> Option<u64> {
-        crate::cache::cache_key(self, &crate::wire::encode_message(self))
+        if !crate::cache::cacheable_kind(self) {
+            return None;
+        }
+        crate::wire::with_encoded(self, |frame| crate::cache::cache_key(self, frame))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Shared, immutable payload bytes.
+//! Shared, immutable payload bytes that carry their own digests.
 //!
 //! [`Bytes`] is the zero-copy payload container behind the encode-once
 //! broadcast plane: a display command's pixel payload is produced once
@@ -7,72 +7,111 @@
 //! reference-count bump, never a byte copy, so fanning a command out
 //! to a thousand clients costs the same as fanning it to one.
 //!
-//! The container is deliberately minimal — an immutable `Arc<Vec<u8>>`
-//! with slice semantics. Equality compares *contents* (so protocol
+//! The container is an immutable byte vector behind an `Arc`, with
+//! slice semantics. Equality compares *contents* (so protocol
 //! round-trip tests keep working after decode produces a fresh
-//! allocation), with a pointer-identity fast path. [`Bytes::ptr_id`]
-//! exposes the allocation identity itself, but nothing keys on it: the
-//! payload plane (`thinc_core::plane`) keys equivalence classes by
-//! *content* — FNV-1a 64 over the whole payload on every lookup, plus
-//! length, rect and encoding — because the per-client queues clip and
-//! merge payloads into fresh allocations with identical bytes. That
-//! hash is linear in the payload and paid once per viewer per command.
+//! allocation), with a pointer-identity fast path.
+//!
+//! Because the bytes can never change — there is no `get_mut` or
+//! `make_mut`, and there must never be — every pure function of them
+//! is a property of the *allocation*, not of whoever holds a clone.
+//! The allocation memoises the two byte-linear digests the delivery
+//! path needs, each computed by the first holder that asks and read
+//! by every other holder for free:
+//!
+//! - [`Bytes::content_id`], the 64-bit identity the payload plane and
+//!   the encode memo (`thinc_core::plane`, `thinc_core::memo`) key
+//!   equivalence classes by. 256 viewers of one tile hash it once;
+//!   where the per-client queues clip or merge a payload into a fresh
+//!   allocation with identical bytes, that allocation is hashed once
+//!   too, by [`crate::hash::content_id`], and lands on the same id.
+//! - the CRC-32 register of the contents from a zero register, which
+//!   the frame encoder folds into each viewer's frame checksum with
+//!   [`crate::crc::crc32_shift`] instead of re-reading the payload
+//!   (`crate::wire::encode_message_seq_into`).
+//!
+//! The memo costs 24 bytes per allocation and nothing per clone.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One payload allocation: the bytes, and the digests of them that
+/// have been asked for so far.
+#[derive(Default)]
+struct Shared {
+    data: Vec<u8>,
+    content_id: OnceLock<u64>,
+    crc_from_zero: OnceLock<u32>,
+}
 
 /// Immutable, cheaply clonable byte buffer (`Arc`-shared).
 #[derive(Clone, Default)]
-pub struct Bytes(Arc<Vec<u8>>);
+pub struct Bytes(Arc<Shared>);
 
 impl Bytes {
     /// Wraps a byte vector without copying it.
     pub fn new(data: Vec<u8>) -> Self {
-        Bytes(Arc::new(data))
+        Bytes(Arc::new(Shared {
+            data,
+            ..Shared::default()
+        }))
     }
 
     /// The payload as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.0
+        &self.0.data
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.0.data.len()
     }
 
     /// True when the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.0.data.is_empty()
     }
 
-    /// Stable identity of the underlying allocation.
-    ///
-    /// Two `Bytes` with the same `ptr_id` are clones of one buffer and
-    /// therefore bitwise-identical; the converse does not hold. Valid
-    /// only while at least one clone is alive (a freed allocation's
-    /// address may be reused). Currently without a caller: the payload
-    /// plane keys by content hash, not by allocation.
-    pub fn ptr_id(&self) -> usize {
-        Arc::as_ptr(&self.0) as *const u8 as usize
+    /// [`crate::hash::content_id`] of the contents, computed at most
+    /// once per allocation: equal for equal contents wherever they
+    /// live, O(1) for every clone after the first call. In-process
+    /// only — never a wire or checkpoint value.
+    pub fn content_id(&self) -> u64 {
+        *self
+            .0
+            .content_id
+            .get_or_init(|| crate::hash::content_id(&self.0.data))
+    }
+
+    /// `crc32_update(0, contents)`, computed at most once per
+    /// allocation — the term an encoder XORs into a shifted register
+    /// to cover the payload without reading it.
+    pub(crate) fn crc_from_zero(&self) -> u32 {
+        *self
+            .0
+            .crc_from_zero
+            .get_or_init(|| crate::crc::crc32_update(0, &self.0.data))
     }
 
     /// Extracts the bytes, copying only when other clones exist.
     pub fn into_vec(self) -> Vec<u8> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|arc| (*arc).clone())
+        match Arc::try_unwrap(self.0) {
+            Ok(shared) => shared.data,
+            Err(arc) => arc.data.clone(),
+        }
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0
+        &self.0.data
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        &self.0.data
     }
 }
 
@@ -96,7 +135,7 @@ impl FromIterator<u8> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        Arc::ptr_eq(&self.0, &other.0) || self.0.data == other.0.data
     }
 }
 
@@ -104,17 +143,18 @@ impl Eq for Bytes {}
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.0.data.hash(state);
     }
 }
 
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Bytes({} B", self.0.len())?;
-        if !self.0.is_empty() {
-            let head = &self.0[..self.0.len().min(8)];
+        let data = self.as_slice();
+        write!(f, "Bytes({} B", data.len())?;
+        if !data.is_empty() {
+            let head = &data[..data.len().min(8)];
             write!(f, ", {head:02x?}")?;
-            if self.0.len() > 8 {
+            if data.len() > 8 {
                 write!(f, "…")?;
             }
         }
@@ -130,7 +170,7 @@ mod tests {
     fn clone_shares_the_allocation() {
         let a = Bytes::from(vec![1u8, 2, 3]);
         let b = a.clone();
-        assert_eq!(a.ptr_id(), b.ptr_id());
+        assert!(Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(a, b);
     }
 
@@ -138,7 +178,7 @@ mod tests {
     fn equality_is_by_content_across_allocations() {
         let a = Bytes::from(vec![9u8; 64]);
         let b = Bytes::from(vec![9u8; 64]);
-        assert_ne!(a.ptr_id(), b.ptr_id());
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(a, b);
         assert_ne!(a, Bytes::from(vec![8u8; 64]));
     }
@@ -154,17 +194,43 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_avoids_copy_when_unique() {
+    fn into_vec_moves_when_unique_and_copies_when_shared() {
         let a = Bytes::from(vec![1u8, 2, 3]);
-        let before = a.ptr_id();
+        let at = a.as_ptr();
         let v = a.into_vec();
-        assert_eq!(v, vec![1, 2, 3]);
-        // A clone forces a copy instead of a move.
+        assert_eq!(v.as_ptr(), at, "sole owner: the vector itself comes back");
         let b = Bytes::from(v);
-        let _keep = b.clone();
+        let keep = b.clone();
         let copied = b.into_vec();
         assert_eq!(copied, vec![1, 2, 3]);
-        let _ = before;
+        assert_ne!(copied.as_ptr(), keep.as_ptr());
+    }
+
+    #[test]
+    fn digests_are_computed_once_per_allocation_and_seen_by_every_clone() {
+        let a = Bytes::from((0..4096u32).map(|i| (i * 7) as u8).collect::<Vec<u8>>());
+        let b = a.clone();
+        assert!(b.0.content_id.get().is_none() && b.0.crc_from_zero.get().is_none());
+        let id = a.content_id();
+        let crc = a.crc_from_zero();
+        // `OnceLock` runs its initialiser at most once; the clone finds
+        // both cells already filled, so its calls read, not hash.
+        assert_eq!(b.0.content_id.get(), Some(&id));
+        assert_eq!(b.0.crc_from_zero.get(), Some(&crc));
+        assert_eq!((b.content_id(), b.crc_from_zero()), (id, crc));
+        assert_eq!(id, crate::hash::content_id(&a));
+        assert_eq!(crc, crate::reference::crc32_update(0, &a));
+        // A distinct allocation with equal bytes starts cold and lands
+        // on the same values.
+        let c = Bytes::from(a.to_vec());
+        assert!(c.0.content_id.get().is_none());
+        assert_eq!((c.content_id(), c.crc_from_zero()), (id, crc));
+    }
+
+    #[test]
+    fn the_memo_is_three_words() {
+        let bare = std::mem::size_of::<Vec<u8>>();
+        assert!(std::mem::size_of::<Shared>() <= bare + 24);
     }
 
     #[test]

@@ -37,6 +37,8 @@ use bytes::{Buf, BufMut};
 use thinc_raster::{Color, Rect, YuvFormat};
 
 use crate::commands::{DisplayCommand, RawEncoding, Tile};
+pub use crate::crc::crc32;
+use crate::crc::{crc32_shift, crc32_update};
 use crate::message::{Message, ProtocolInput};
 
 /// Upper bound on a frame's declared payload length, in bytes.
@@ -70,39 +72,11 @@ pub const LEGACY_HEADER_LEN: usize = 5;
 /// Size of the revision-2 (integrity) frame header.
 pub const INTEGRITY_HEADER_LEN: usize = 13;
 
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the ubiquity
-// choice: cheap enough for a per-frame check, strong enough to catch
-// the bit-flip damage the fault layer injects. Table-driven, built at
-// compile time; no dependencies.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Streaming CRC32 state update over `data` (raw state; seed with
-/// `!0`, finish by XORing with `!0`).
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
-/// CRC32 (IEEE) of `data` in one shot.
-pub fn crc32(data: &[u8]) -> u32 {
-    crc32_update(!0, data) ^ !0
-}
+/// A RAW payload at least this long contributes to its frame's CRC
+/// through the register its allocation memoises ([`crc32_shift`] and
+/// an XOR) instead of a pass over its bytes. Below it the pass is
+/// cheaper than the shift's handful of GF(2) multiplies.
+pub const CRC_COMPOSE_MIN: usize = 1024;
 
 /// Why decoding failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -551,9 +525,28 @@ fn encode_body(msg: &Message, payload: &mut Vec<u8>) -> u8 {
     }
 }
 
+/// Every message body is one variable-length field plus fixed fields
+/// totalling less than this (the largest, BITMAP with a background,
+/// has 30).
+const MAX_FIXED_BODY: usize = 32;
+
+/// An empty vector that `msg`'s frame fits without growing: header,
+/// fixed fields, and the one variable-length field a message can have.
+fn frame_buffer(msg: &Message, header_len: usize) -> Vec<u8> {
+    let variable = match msg {
+        Message::Display(DisplayCommand::Raw { data, .. }) => data.len(),
+        Message::Display(DisplayCommand::Pfill { tile, .. }) => tile.pixels.len(),
+        Message::Display(DisplayCommand::Bitmap { bits, .. }) => bits.len(),
+        Message::VideoData { data, .. } | Message::Audio { data, .. } => data.len(),
+        Message::CursorShape { pixels, .. } => pixels.len(),
+        _ => 0,
+    };
+    Vec::with_capacity(header_len + MAX_FIXED_BODY + variable)
+}
+
 /// Encodes a message into a framed byte vector.
 pub fn encode_message(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = frame_buffer(msg, LEGACY_HEADER_LEN);
     encode_message_into(msg, &mut out);
     out
 }
@@ -572,31 +565,45 @@ pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
     out[1..5].copy_from_slice(&len.to_le_bytes());
 }
 
+/// Runs `f` on `msg`'s revision-1 frame, encoded into a thread-local
+/// scratch buffer so callers that only measure or hash the frame do
+/// not allocate.
+pub(crate) fn with_encoded<R>(msg: &Message, f: impl FnOnce(&[u8]) -> R) -> R {
+    use std::cell::RefCell;
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        encode_message_into(msg, &mut buf);
+        f(&buf)
+    })
+}
+
 /// The revision-1 encoded length of a message, computed through a
 /// thread-local scratch buffer so sizing loops do not allocate.
 pub fn encoded_len(msg: &Message) -> u64 {
-    use std::cell::RefCell;
-    thread_local! {
-        static SIZER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-    }
-    SIZER.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        encode_message_into(msg, &mut buf);
-        buf.len() as u64
-    })
+    with_encoded(msg, |frame| frame.len() as u64)
 }
 
 /// Encodes a message as a revision-2 integrity frame carrying `seq`:
 /// `[tag][payload_len][seq][crc32][payload]`, where the CRC covers
 /// everything except the CRC field itself.
 pub fn encode_message_seq(msg: &Message, seq: u32) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = frame_buffer(msg, INTEGRITY_HEADER_LEN);
     encode_message_seq_into(msg, seq, &mut out);
     out
 }
 
 /// Encodes a revision-2 integrity frame into `out` (cleared first),
 /// the allocation-free twin of [`encode_message_seq`].
+///
+/// The CRC is the same value over the same bytes however it is
+/// reached: a RAW body ends in its shared payload, so for payloads of
+/// [`CRC_COMPOSE_MIN`] bytes or more the register is run over the
+/// header and the body's fixed fields only, and the payload's share is
+/// composed in from the register its allocation memoises — one pass
+/// per allocation instead of one per viewer.
 pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     out.clear();
     out.resize(INTEGRITY_HEADER_LEN, 0);
@@ -605,8 +612,16 @@ pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     out[0] = tag;
     out[1..5].copy_from_slice(&len.to_le_bytes());
     out[5..9].copy_from_slice(&seq.to_le_bytes());
-    let mut crc = crc32_update(!0, &out[..9]);
-    crc = crc32_update(crc, &out[INTEGRITY_HEADER_LEN..]);
+    let crc = crc32_update(!0, &out[..9]);
+    let body = &out[INTEGRITY_HEADER_LEN..];
+    let crc = match msg {
+        Message::Display(DisplayCommand::Raw { data, .. }) if data.len() >= CRC_COMPOSE_MIN => {
+            let (fixed, payload) = body.split_at(body.len() - data.len());
+            debug_assert_eq!(payload, data.as_slice(), "a RAW body ends in its payload");
+            crc32_shift(crc32_update(crc, fixed), payload.len()) ^ data.crc_from_zero()
+        }
+        _ => crc32_update(crc, body),
+    };
     let crc = crc ^ !0;
     out[9..13].copy_from_slice(&crc.to_le_bytes());
 }
@@ -1335,6 +1350,29 @@ mod tests {
     fn wire_size_matches_encoding() {
         for msg in sample_messages() {
             assert_eq!(msg.wire_size(), encode_message(&msg).len() as u64);
+        }
+    }
+
+    #[test]
+    fn frames_fit_their_first_reservation() {
+        // No growth: the buffer a frame comes back in is the one it
+        // was given, and the bound on fixed fields is not loose.
+        let big = Message::Display(DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 64, 64),
+            encoding: RawEncoding::None,
+            data: vec![3; 64 * 64 * 3].into(),
+        });
+        for msg in sample_messages().iter().chain([&big]) {
+            let legacy = encode_message(msg);
+            let reserved = frame_buffer(msg, LEGACY_HEADER_LEN).capacity();
+            assert_eq!(legacy.capacity(), reserved, "{msg:?}");
+            assert!(reserved - legacy.len() <= MAX_FIXED_BODY, "{msg:?}");
+            let framed = encode_message_seq(msg, 7);
+            assert_eq!(
+                framed.capacity(),
+                frame_buffer(msg, INTEGRITY_HEADER_LEN).capacity(),
+                "{msg:?}"
+            );
         }
     }
 

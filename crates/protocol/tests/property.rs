@@ -6,8 +6,13 @@ use proptest::prelude::*;
 use thinc_protocol::cache::{cache_key, CacheLru};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding, Tile};
 use thinc_protocol::message::{Message, ProtocolInput};
-use thinc_protocol::wire::{decode_message, encode_message, FrameEncoder, FrameReader};
-use thinc_protocol::{fnv64, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET, WIRE_REV_CACHE, WIRE_REV_INTEGRITY};
+use thinc_protocol::wire::{
+    decode_message, encode_message, DecodeError, FrameEncoder, FrameReader, CRC_COMPOSE_MIN,
+    INTEGRITY_HEADER_LEN, LEGACY_HEADER_LEN,
+};
+use thinc_protocol::{
+    fnv64, reference, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET, WIRE_REV_CACHE, WIRE_REV_INTEGRITY,
+};
 use thinc_raster::{Color, Rect, YuvFormat};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -596,6 +601,86 @@ proptest! {
             prop_assert!(reader.pending_bytes() <= bound);
             progress_guard += 1;
             prop_assert!(progress_guard <= bound + 1, "no forward progress");
+        }
+    }
+}
+
+/// RAW messages with payloads on both sides of [`CRC_COMPOSE_MIN`],
+/// the floor above which the encoder composes the frame CRC from the
+/// register the payload's allocation memoises.
+fn arb_shared_raw() -> impl Strategy<Value = Message> {
+    (
+        arb_rect(),
+        any::<bool>(),
+        prop::collection::vec(any::<u8>(), CRC_COMPOSE_MIN - 8..CRC_COMPOSE_MIN * 5),
+    )
+        .prop_map(|(rect, png, data)| {
+            Message::Display(DisplayCommand::Raw {
+                rect,
+                encoding: if png { RawEncoding::PngLike } else { RawEncoding::None },
+                data: data.into(),
+            })
+        })
+}
+
+/// A revision-2 frame built the obvious way: header fields, the
+/// byte-serial reference CRC over header and body, the body as the
+/// legacy encoder lays it out.
+fn straight_line_frame(msg: &Message, seq: u32) -> Vec<u8> {
+    let legacy = encode_message(msg);
+    let body = &legacy[LEGACY_HEADER_LEN..];
+    let mut frame = vec![legacy[0]];
+    frame.extend((body.len() as u32).to_le_bytes());
+    frame.extend(seq.to_le_bytes());
+    let crc = reference::crc32_update(reference::crc32_update(!0, &frame), body) ^ !0;
+    frame.extend(crc.to_le_bytes());
+    frame.extend(body);
+    frame
+}
+
+proptest! {
+    /// However the encoder reaches a frame's CRC — a pass over the
+    /// body, or composed from a payload memo that is cold, warm, or
+    /// was warmed by another encoder at another sequence number — the
+    /// frame is byte-equal to the straight-line encode; and the reader
+    /// checks received bytes, never a memo.
+    #[test]
+    fn integrity_frames_equal_a_straight_line_encode_whatever_the_memo_holds(
+        msg in prop_oneof![arb_message(), arb_shared_raw()],
+        seq_a in any::<u32>(),
+        seq_b in any::<u32>(),
+        flip_at in any::<u32>(),
+        flip_bit in 0u8..8,
+    ) {
+        // Handshake messages keep legacy framing and take no number.
+        let handshake = matches!(msg, Message::ServerHello { .. });
+        let want = |seq: u32| {
+            if handshake { encode_message(&msg) } else { straight_line_frame(&msg, seq) }
+        };
+        let mut a = FrameEncoder::with_revision(WIRE_REV_INTEGRITY);
+        a.set_next_seq(seq_a);
+        let cold = a.encode(&msg);
+        prop_assert_eq!(&cold, &want(seq_a));
+        prop_assert_eq!(a.encode(&msg), want(seq_a.wrapping_add(1)), "memo warm");
+        let shared = msg.clone();
+        let mut b = FrameEncoder::with_revision(WIRE_REV_CACHE);
+        b.set_next_seq(seq_b);
+        prop_assert_eq!(b.encode(&shared), want(seq_b), "memo shared across encoders");
+
+        let mut reader = FrameReader::with_revision(WIRE_REV_INTEGRITY);
+        reader.feed(&cold);
+        prop_assert_eq!(reader.next_message(), Ok(Some(msg.clone())));
+        if !handshake {
+            let mut damaged = cold.clone();
+            let body = damaged.len() - INTEGRITY_HEADER_LEN;
+            damaged[INTEGRITY_HEADER_LEN + flip_at as usize % body] ^= 1 << flip_bit;
+            let mut reader = FrameReader::with_revision(WIRE_REV_INTEGRITY);
+            reader.feed(&damaged);
+            prop_assert!(
+                matches!(reader.next_message(), Err(DecodeError::ChecksumMismatch { .. })),
+                "a flipped body byte got past the reader"
+            );
+            prop_assert_eq!(reader.integrity().crc_fail, 1);
         }
     }
 }
