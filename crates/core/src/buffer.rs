@@ -346,10 +346,18 @@ impl ClientBuffer {
         &self.scheduler_metrics
     }
 
-    /// Per-command wire accounting for display messages sent by this
-    /// buffer.
+    /// Per-command wire accounting: display messages sent by this
+    /// buffer, plus whatever its owner sent beside it
+    /// ([`record_sent`](Self::record_sent)).
     pub fn protocol_metrics(&self) -> &ProtocolMetrics {
         &self.protocol_metrics
+    }
+
+    /// Accounts a message the owner put on the wire beside the display
+    /// queues (audio, video, cursor, control), so one breakdown covers
+    /// the whole stream.
+    pub(crate) fn record_sent(&mut self, msg: &Message) {
+        thinc_protocol::telemetry::record_message(&mut self.protocol_metrics, msg);
     }
 
     /// Number of commands waiting.
@@ -1122,14 +1130,6 @@ impl ClientBuffer {
             }
         }
         out
-    }
-
-    /// Adds `region` to the overflow/refresh debt the owner repays
-    /// from the authoritative screen. Used by the warm-resume path to
-    /// schedule exactly the tiles that changed while the session was
-    /// checkpointed.
-    pub(crate) fn owe_refresh_region(&mut self, region: &Region) {
-        self.overflow_debt.union(region);
     }
 
     /// Drops the cache ledger's entries and any queued miss fallbacks

@@ -35,7 +35,7 @@ use thinc_raster::{Framebuffer, PixelFormat, Rect, Region};
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
 
 /// Layout version written by this build.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Header bytes before the payload: magic + version + length + CRC.
 pub const CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 4 + 4;

@@ -21,26 +21,39 @@
 //!   policy (§6),
 //! - [`video`]: video stream objects and YUV delivery (§4.2),
 //! - [`audio`]: the virtual audio driver (§4.2, §7),
+//! - [`delivery`]: the per-client delivery pipeline — one
+//!   [`delivery::Delivery`] holds everything the server keeps for a
+//!   client (buffer, scale, video streams, A/V queue, liveness,
+//!   degradation ladder, refresh debt) and the operations on it, each
+//!   written once (§2: "the client only contains transient soft
+//!   state"),
 //! - [`session`]: authentication and multi-client screen sharing
-//!   (§7),
-//! - [`server`]: the [`server::ThincServer`] façade tying everything
-//!   together, including RAW compression and RC4 session encryption
-//!   (§7).
+//!   (§7) — a façade over a roster of `Delivery` values,
+//! - [`server`]: the [`server::ThincServer`] façade over exactly one
+//!   `Delivery`, adding the translator, input tracker, audio device
+//!   and RC4 session encryption (§7).
 //!
 //! The hot path is instrumented with `thinc-telemetry`: the command
 //! buffer owns the scheduler metrics (queue depths, merges,
 //! evictions, splits, enqueue-to-wire latency) and the per-command
 //! wire accounting; the translator owns its own translation counters.
-//! [`server::ThincServer::protocol_metrics`] merges the display and
-//! audio/video paths into one per-command breakdown. See
+//! [`delivery::Delivery::protocol_metrics`] covers the display and
+//! audio/video paths in one per-command breakdown. See
 //! `docs/TELEMETRY.md`.
 //!
 //! [`VideoDriver`]: thinc_display::driver::VideoDriver
+
+#[cfg(test)]
+extern crate self as thinc_core;
+#[cfg(test)]
+#[path = "../tests/fixtures/mod.rs"]
+mod fixtures;
 
 pub mod audio;
 pub mod buffer;
 pub mod checkpoint;
 pub mod degradation;
+pub mod delivery;
 pub mod liveness;
 mod memo;
 pub mod parallel;
@@ -59,6 +72,7 @@ pub use checkpoint::{cache_digest, CheckpointError, ResumeOutcome, TileDigests};
 pub use degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
+pub use delivery::{Delivery, DeliveryPolicy};
 pub use liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
 pub use plane::{PlaneCounters, WirePlane};
 pub use queue::{classify, CommandQueue, OverwriteClass};

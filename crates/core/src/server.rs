@@ -3,14 +3,13 @@
 //! [`ThincServer`] is the virtual display driver: it plugs into the
 //! window server below the device abstraction (implementing
 //! [`VideoDriver`]), feeds every operation through the translation
-//! layer, schedules the resulting protocol commands in the per-client
-//! buffer, and flushes them over a (simulated) connection with
-//! server-push, non-blocking delivery. It also owns the video stream
-//! manager, the virtual audio device, the input tracker that marks
-//! real-time updates, server-side scaling state, and the RC4 session
-//! cipher.
-
-use std::collections::VecDeque;
+//! layer, and hands the resulting protocol commands to its client's
+//! [`Delivery`] — the per-client pipeline that scales, schedules and
+//! flushes them over a (simulated) connection with server-push,
+//! non-blocking delivery. Around that one `Delivery` it owns what only
+//! a single-client server has: the virtual audio device, the input
+//! tracker that marks real-time updates, the session cursor, the wire
+//! framer, and the RC4 session cipher.
 
 use thinc_compress::Rc4;
 use thinc_display::drawable::{DrawableId, DrawableStore};
@@ -18,7 +17,7 @@ use thinc_display::driver::VideoDriver;
 use thinc_display::input::{InputEvent, InputTracker};
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
-use thinc_net::trace::{Direction, PacketTrace};
+use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::{Message, ProtocolInput};
 use thinc_protocol::wire::{encode_message, FrameEncoder};
@@ -27,9 +26,9 @@ use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 
 use crate::audio::VirtualAudioDriver;
 use crate::buffer::{BufferStats, ClientBuffer};
-use crate::scaling::ScalePolicy;
+use crate::delivery::{Delivery, DeliveryPolicy};
+use crate::plane::PlaneCounters;
 use crate::translator::{Translator, TranslatorStats};
-use crate::video::VideoStreamManager;
 
 /// Server configuration (the ablation switches map to the paper's
 /// design choices).
@@ -95,6 +94,19 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// The per-client delivery policy this configuration describes.
+    fn delivery_policy(&self) -> DeliveryPolicy {
+        DeliveryPolicy {
+            session: (self.width, self.height),
+            scaling: self.server_side_scaling,
+            av_bound: self.av_bound,
+            liveness: self.liveness,
+            degradation: self.degradation,
+        }
+    }
+}
+
 /// Aggregated server statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
@@ -112,43 +124,17 @@ pub struct ServerStats {
 pub struct ThincServer {
     config: ServerConfig,
     translator: Translator,
-    buffer: ClientBuffer,
-    video: VideoStreamManager,
+    /// Everything held for the attached client: buffer, scale, video
+    /// streams, A/V queue, liveness, degradation, refresh debt.
+    delivery: Delivery,
     audio: Option<VirtualAudioDriver>,
     input: InputTracker,
-    viewport: (u32, u32),
-    scale: ScalePolicy,
-    /// Audio/video messages awaiting flush (FIFO; flushed ahead of the
-    /// normal display queues, behind nothing — A/V is paced real-time).
-    av_fifo: VecDeque<Message>,
     /// Virtual clock used to stamp A/V data.
     now: SimTime,
     cipher: Option<Rc4>,
-    video_messages: u64,
     audio_messages: u64,
     /// Last installed cursor image, resent on resync.
     cursor_shape: Option<Message>,
-    /// Wire accounting for the audio/video/cursor FIFO (the display
-    /// path's accounting lives in the buffer).
-    av_metrics: thinc_telemetry::ProtocolMetrics,
-    /// Liveness tracking for the attached client (when configured).
-    liveness: Option<crate::liveness::LivenessTracker>,
-    /// Resilience accounting: liveness events, resyncs, stale A/V
-    /// drops. Buffer overflow evictions merge in at read time.
-    resilience: thinc_telemetry::ResilienceMetrics,
-    /// Adaptive degradation controller (when configured).
-    degradation: Option<crate::degradation::DegradationController>,
-    /// Session-space screen area owed a fresh-screen refresh because
-    /// overflow evictions dropped commands covering it. The buffer
-    /// records debt in the coordinate space of the commands it holds
-    /// (viewport space while scaling is active); the server unmaps it
-    /// into session space the moment it is taken, so the ledger stays
-    /// valid across scale changes.
-    refresh_debt: thinc_raster::Region,
-    /// A full-view refresh is owed (promotion back to full fidelity
-    /// left the client with low-resolution content). Repaid by the
-    /// next [`enqueue`](Self::enqueue), which has the screen in hand.
-    refresh_owed: bool,
     /// A client [`Message::RefreshRequest`] arrived and awaits a
     /// [`resync`](Self::resync) from the harness (which owns the
     /// screen).
@@ -174,36 +160,17 @@ impl ThincServer {
         if let Some(bound) = config.buffer_bound_bytes {
             buffer = buffer.with_byte_bound(bound);
         }
-        let liveness = config
-            .liveness
-            .map(|c| crate::liveness::LivenessTracker::new(c, SimTime::ZERO));
-        let degradation = config
-            .degradation
-            .map(crate::degradation::DegradationController::new);
         let cipher = config.rc4_key.as_deref().map(Rc4::new);
-        let viewport = (config.width, config.height);
-        let scale = ScalePolicy::new(config.width, config.height, viewport.0, viewport.1);
         Self {
+            delivery: Delivery::new(config.delivery_policy(), buffer, SimTime::ZERO),
             config,
             translator,
-            buffer,
-            video: VideoStreamManager::new(),
             audio: None,
             input: InputTracker::new(),
-            viewport,
-            scale,
-            av_fifo: VecDeque::new(),
             now: SimTime::ZERO,
             cipher,
-            video_messages: 0,
             audio_messages: 0,
             cursor_shape: None,
-            av_metrics: thinc_telemetry::ProtocolMetrics::new(),
-            liveness,
-            resilience: thinc_telemetry::ResilienceMetrics::new(),
-            degradation,
-            refresh_debt: thinc_raster::Region::new(),
-            refresh_owed: false,
             resync_requested: false,
             encoder: FrameEncoder::new(),
         }
@@ -218,8 +185,8 @@ impl ThincServer {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             translator: self.translator.stats(),
-            buffer: self.buffer.stats(),
-            video_messages: self.video_messages,
+            buffer: self.delivery.buffer().stats(),
+            video_messages: self.delivery.video_messages(),
             audio_messages: self.audio_messages,
         }
     }
@@ -254,20 +221,18 @@ impl ThincServer {
     /// display buffer's enqueue-latency accounting).
     pub fn set_time(&mut self, now: SimTime) {
         self.now = now;
-        self.buffer.set_time(now);
+        self.delivery.set_time(now);
     }
 
     /// Scheduler telemetry from the display buffer.
     pub fn scheduler_metrics(&self) -> &thinc_telemetry::SchedulerMetrics {
-        self.buffer.scheduler_metrics()
+        self.delivery.buffer().scheduler_metrics()
     }
 
     /// Combined per-command wire accounting: display messages from the
-    /// buffer plus this server's audio/video/cursor path.
+    /// buffer plus the audio/video/cursor path.
     pub fn protocol_metrics(&self) -> thinc_telemetry::ProtocolMetrics {
-        let mut all = self.buffer.protocol_metrics().clone();
-        all.merge(&self.av_metrics);
-        all
+        self.delivery.protocol_metrics().clone()
     }
 
     /// Translation-layer telemetry.
@@ -277,99 +242,26 @@ impl ThincServer {
 
     /// Current client viewport.
     pub fn viewport(&self) -> (u32, u32) {
-        self.viewport
+        self.delivery.viewport()
     }
 
     /// Whether updates are being scaled server-side right now.
     pub fn scaling_active(&self) -> bool {
-        self.config.server_side_scaling && !self.scale.is_identity()
-    }
-
-    /// The viewport actually targeted by server-side scaling: the
-    /// client's reported viewport, shrunk further by the degradation
-    /// ladder's scale divisor.
-    fn effective_viewport(&self) -> (u32, u32) {
-        let div = self
-            .degradation
-            .as_ref()
-            .map(|c| c.level().scale_divisor())
-            .unwrap_or(1)
-            .max(1);
-        ((self.viewport.0 / div).max(1), (self.viewport.1 / div).max(1))
-    }
-
-    fn set_viewport(&mut self, w: u32, h: u32) {
-        self.viewport = (w.min(self.config.width).max(1), h.min(self.config.height).max(1));
-        let (ew, eh) = self.effective_viewport();
-        let new_scale = ScalePolicy::new(self.config.width, self.config.height, ew, eh);
-        if new_scale != self.scale {
-            self.retire_pending_for_scale_change();
-            self.scale = new_scale;
-        }
-        if self.config.server_side_scaling {
-            self.video.set_scale(ew, self.config.width, eh, self.config.height);
-        }
-    }
-
-    /// Converts everything still buffered — overflow debt *and*
-    /// pending commands — into session-space refresh debt, using the
-    /// scale in force when it was recorded. Must run before the scale
-    /// policy changes: buffered commands target the outgoing
-    /// coordinate space (scaling may even have rewritten their
-    /// overwrite class, e.g. an opaque BITMAP resampled into RAW), so
-    /// flushing or unmapping them under the new scale would hit the
-    /// wrong regions.
-    fn retire_pending_for_scale_change(&mut self) {
-        self.absorb_buffer_debt();
-        let dropped = self.buffer.drop_pending_for_rescale();
-        for rect in dropped.rects() {
-            let session_rect = if self.scaling_active() {
-                self.scale.unmap_rect(rect)
-            } else {
-                *rect
-            };
-            if !session_rect.is_empty() {
-                self.refresh_debt.union_rect(&session_rect);
-            }
-        }
-    }
-
-    /// Rebuilds the scale policy for the current effective viewport
-    /// while preserving the zoom view (unlike
-    /// [`set_viewport`](Self::set_viewport), which resets it). Used by
-    /// degradation transitions, which change the divisor but must not
-    /// discard a client's zoom.
-    fn rebuild_scale(&mut self) {
-        let view = self.scale.view;
-        let (ew, eh) = self.effective_viewport();
-        self.scale =
-            ScalePolicy::new(self.config.width, self.config.height, ew, eh).with_view(view);
-        if self.config.server_side_scaling {
-            self.video.set_scale(ew, self.config.width, eh, self.config.height);
-        }
+        !self.delivery.scale().is_identity()
     }
 
     /// The session-space region currently mapped onto the viewport.
     pub fn view(&self) -> thinc_raster::Rect {
-        self.scale.view
+        self.delivery.scale().view
     }
 
     /// Re-sends the current contents of the view as a (scaled) RAW
-    /// update. Required after a zoom-in: "the server updates are
-    /// necessary when the display size increases, because the client
-    /// has only a small-size version of the display" (§6).
+    /// update, e.g. to settle a zoom before the next draw: "the server
+    /// updates are necessary when the display size increases, because
+    /// the client has only a small-size version of the display" (§6).
     pub fn refresh_view(&mut self, screen: &Framebuffer) {
-        let view = self.scale.view;
-        let (clip, data) = screen.get_raw(&view);
-        if clip.is_empty() {
-            return;
-        }
-        let cmd = DisplayCommand::Raw {
-            rect: clip,
-            encoding: thinc_protocol::commands::RawEncoding::None,
-            data: data.into(),
-        };
-        self.enqueue(vec![cmd], screen);
+        self.delivery.owe_refresh();
+        self.delivery.repay(screen);
     }
 
     /// Handles a message arriving from the client. Input events are
@@ -377,16 +269,12 @@ impl ThincServer {
     pub fn handle_message(&mut self, msg: &Message) -> Option<InputEvent> {
         // Client traffic doubles as the heartbeat — except a Pong,
         // which only proves liveness when it answers the latest
-        // outstanding probe (a delayed pong surfacing from a
-        // recovering link's queue says nothing about the connection
-        // now).
-        if let Some(t) = self.liveness.as_mut() {
-            match msg {
-                Message::Pong { seq, .. } => {
-                    t.note_pong(*seq, self.now);
-                }
-                _ => t.note_activity(self.now),
+        // outstanding probe.
+        match msg {
+            Message::Pong { seq, .. } => {
+                self.delivery.note_pong(*seq, self.now);
             }
+            _ => self.delivery.note_activity(self.now),
         }
         match msg {
             Message::ClientHello {
@@ -404,30 +292,24 @@ impl ThincServer {
                 // the ledger stays off for older peers.
                 if self.encoder.revision() >= thinc_protocol::WIRE_REV_CACHE {
                     if let Some(budget) = self.config.cache_budget_bytes {
-                        self.buffer.enable_cache(budget);
+                        self.delivery.enable_cache(budget);
                     }
                 }
-                self.set_viewport(*viewport_width, *viewport_height);
+                self.delivery.set_viewport(*viewport_width, *viewport_height);
                 None
             }
             Message::Resize {
                 viewport_width,
                 viewport_height,
             } => {
-                self.set_viewport(*viewport_width, *viewport_height);
+                self.delivery.set_viewport(*viewport_width, *viewport_height);
                 None
             }
             Message::SetView { view } => {
-                // Zoom: remap the view; the caller should follow with
-                // [`Self::refresh_view`] so the client gets full-detail
-                // content for the newly magnified region.
-                let (ew, eh) = self.effective_viewport();
-                let new_scale = ScalePolicy::new(self.config.width, self.config.height, ew, eh)
-                    .with_view(*view);
-                if new_scale != self.scale {
-                    self.retire_pending_for_scale_change();
-                    self.scale = new_scale;
-                }
+                // Zoom: the client is owed full-detail content for the
+                // newly magnified region, sent with the next draw or
+                // [`Self::refresh_view`].
+                self.delivery.set_view(*view);
                 None
             }
             Message::RefreshRequest { .. } => {
@@ -438,14 +320,7 @@ impl ThincServer {
                 None
             }
             Message::CacheMiss { hash } => {
-                // The client could not resolve a cache reference.
-                // Normally the ledger still holds the payload and a
-                // byte-exact fallback is queued; if eviction raced the
-                // reference out of both sides, the client skipped an
-                // update and the next draw owes a full-view refresh.
-                if !self.buffer.satisfy_cache_miss(*hash) {
-                    self.refresh_owed = true;
-                }
+                self.delivery.cache_miss(*hash);
                 None
             }
             Message::Input(input) => {
@@ -467,12 +342,8 @@ impl ThincServer {
                 | InputEvent::ButtonPress(p)
                 | InputEvent::ButtonRelease(p) = ev
                 {
-                    let (vx, vy) = if self.scaling_active() {
-                        self.scale.map_point(p.x, p.y)
-                    } else {
-                        (p.x, p.y)
-                    };
-                    self.av_fifo.push_back(Message::CursorMove { x: vx, y: vy });
+                    let (x, y) = self.delivery.scale().map_point(p.x, p.y);
+                    self.delivery.queue_av([Message::CursorMove { x, y }]);
                 }
                 Some(ev)
             }
@@ -480,103 +351,19 @@ impl ThincServer {
         }
     }
 
-    /// Pushes translated commands through scaling into the buffer.
+    /// Pushes translated commands into the delivery pipeline, marking
+    /// those that answer recent input real-time.
     fn enqueue(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
-        if self.refresh_owed {
-            // Promotion back to full fidelity left the client with
-            // low-resolution content; the first draw with the screen
-            // in hand repays the whole view. Clear the flag before
-            // recursing through refresh_view's own enqueue.
-            self.refresh_owed = false;
-            self.refresh_view(screen);
-        }
-        for cmd in cmds {
-            let realtime = self.input.is_realtime(&cmd.dest_rect());
-            if self.scaling_active() {
-                if let Some(scaled) = self.scale.transform(&cmd, screen) {
-                    self.buffer.push(scaled, realtime);
-                }
-            } else {
-                self.buffer.push(cmd, realtime);
-            }
-        }
-        self.repay_overflow_debt(screen);
+        let input = &self.input;
+        self.delivery.push(&cmds, screen, |dest| input.is_realtime(dest));
     }
 
-    /// Moves the buffer's freshly recorded overflow debt into the
-    /// server's session-space refresh ledger. The buffer records debt
-    /// in the coordinate space of the commands it holds — viewport
-    /// space while scaling is active — so the rects are unmapped with
-    /// the scale that produced them. Called immediately after any
-    /// operation that can evict and before any scale change, keeping
-    /// the ledger valid across viewport and degradation transitions.
-    fn absorb_buffer_debt(&mut self) {
-        if !self.buffer.has_overflow_debt() {
-            return;
-        }
-        let debt = self.buffer.take_overflow_debt();
-        for rect in debt.rects() {
-            let session_rect = if self.scaling_active() {
-                self.scale.unmap_rect(rect)
-            } else {
-                *rect
-            };
-            if !session_rect.is_empty() {
-                self.refresh_debt.union_rect(&session_rect);
-            }
-        }
-    }
-
-    /// Converts any overflow-eviction debt into fresh-screen RAW
-    /// refreshes. Evicted commands lose intermediate states, but the
-    /// screen is authoritative: re-reading the debt region now yields
-    /// the final content, so the client converges exactly. The ledger
-    /// is session-space (see [`absorb_buffer_debt`]
-    /// (Self::absorb_buffer_debt)): each piece is read from the
-    /// session-sized screen and then scaled *once* for the viewport —
-    /// reading viewport-space rects straight off the screen and
-    /// scaling them again (the old behaviour) repainted the wrong
-    /// region with doubly-shrunk content whenever scaling was active.
-    /// The refresh bypasses the byte bound (`push_unbounded`) so
-    /// repaying debt can never re-trigger eviction of itself — but a
-    /// piece is only pushed when it fits under the bound (or the
-    /// buffer is empty); the rest stays in the ledger until the link
-    /// drains, so the bound holds even while debt is being repaid.
+    /// Settles what the client is owed against `screen` without
+    /// requiring a draw: an owed full-view refresh, and whatever
+    /// overflow-eviction debt fits under the byte bound (the rest
+    /// waits until the link drains).
     pub fn repay_overflow_debt(&mut self, screen: &Framebuffer) {
-        self.absorb_buffer_debt();
-        if self.refresh_debt.is_empty() {
-            return;
-        }
-        let debt = std::mem::take(&mut self.refresh_debt);
-        for rect in debt.rects() {
-            let (clip, data) = screen.get_raw(rect);
-            if clip.is_empty() {
-                continue;
-            }
-            let cmd = DisplayCommand::Raw {
-                rect: clip,
-                encoding: thinc_protocol::commands::RawEncoding::None,
-                data: data.into(),
-            };
-            let cmd = if self.scaling_active() {
-                match self.scale.transform(&cmd, screen) {
-                    Some(scaled) => scaled,
-                    None => continue,
-                }
-            } else {
-                cmd
-            };
-            let pending = self.buffer.pending_bytes();
-            let fits = match self.buffer.effective_byte_bound() {
-                Some(bound) => pending == 0 || pending + cmd.wire_size() <= bound,
-                None => true,
-            };
-            if fits {
-                self.buffer.push_unbounded(cmd, false);
-            } else {
-                self.refresh_debt.union_rect(rect);
-            }
-        }
+        self.delivery.repay(screen);
     }
 
     /// Installs the session cursor image, forwarded to the client.
@@ -591,84 +378,43 @@ impl ThincServer {
             pixels,
         };
         self.cursor_shape = Some(shape.clone());
-        self.av_fifo.push_back(shape);
+        self.delivery.queue_av([shape]);
     }
 
-    /// Resynchronizes a (re)connecting client: the session's true
-    /// state lives entirely on the server ("the client only contains
-    /// transient soft state", §2), so mobility is a full-view refresh
-    /// plus the session cursor and the live video streams — nothing
-    /// else needs to persist at the client. Revives a client the
-    /// liveness tracker had declared dead, and cancels any pending
-    /// overflow debt (the full refresh repays it wholesale).
+    /// Resynchronizes a (re)connecting client: the session cursor plus
+    /// [`Delivery::resync`] — live video streams re-announced and a
+    /// full-view refresh; nothing else needs to persist at the client
+    /// ("the client only contains transient soft state", §2). Revives
+    /// a client the liveness tracker had declared dead.
     pub fn resync(&mut self, screen: &Framebuffer) {
-        self.resilience.record_resync();
-        if let Some(t) = self.liveness.as_mut() {
-            t.reset(self.now);
-        }
-        if let Some(shape) = self.cursor_shape.clone() {
-            self.av_fifo.push_back(shape);
-        }
-        let reinit = self.video.reannounce();
-        self.video_messages += reinit.len() as u64;
-        self.av_fifo.extend(reinit);
-        // The full-view refresh below covers every debt region.
-        let _ = self.buffer.take_overflow_debt();
-        self.refresh_debt = thinc_raster::Region::new();
-        self.refresh_owed = false;
         self.resync_requested = false;
-        self.refresh_view(screen);
+        self.delivery.queue_av(self.cursor_shape.clone());
+        self.delivery.resync(screen, self.now);
     }
 
-    /// Evaluates client liveness at `now`: a silent client gets a
-    /// [`Message::Ping`] probe queued (at most one per interval), and
-    /// silence past the timeout declares it dead (latched until the
-    /// next [`resync`](Self::resync)). Returns `Alive` when liveness
-    /// tracking is not configured.
+    /// Evaluates client liveness at `now` (see
+    /// [`Delivery::poll_liveness`]).
     pub fn poll_liveness(&mut self, now: SimTime) -> crate::liveness::LivenessVerdict {
-        use crate::liveness::LivenessVerdict;
         self.now = now;
-        let Some(t) = self.liveness.as_mut() else {
-            return LivenessVerdict::Alive;
-        };
-        let was_dead = t.is_dead();
-        let verdict = t.poll(now);
-        match verdict {
-            LivenessVerdict::SendPing { seq } => {
-                self.av_fifo.push_back(Message::Ping {
-                    seq,
-                    timestamp_us: now.as_micros(),
-                });
-                self.resilience.record_ping_sent();
-            }
-            LivenessVerdict::Dead if !was_dead => {
-                self.resilience.record_liveness_timeout();
-            }
-            _ => {}
-        }
-        verdict
+        self.delivery.poll_liveness(now)
     }
 
     /// Whether the liveness tracker has declared the client dead.
     pub fn client_dead(&self) -> bool {
-        self.liveness.as_ref().is_some_and(|t| t.is_dead())
+        self.delivery.is_dead()
     }
 
     /// Resilience accounting: liveness events, resyncs, stale-video
     /// drops, plus the display buffer's overflow evictions and
     /// content-cache counters.
     pub fn resilience_metrics(&self) -> thinc_telemetry::ResilienceMetrics {
-        let mut m = self.resilience.clone();
-        m.add_overflow_evictions(self.buffer.stats().overflow_evicted);
-        let (hits, misses, evictions, saved) = self.buffer.cache_counts();
-        m.add_cache_counts(hits, misses, evictions, saved);
-        m
+        self.delivery.resilience_metrics()
     }
 
     /// Whether the content-addressed cache is active for this client
     /// (requires a revision-3 handshake and a configured budget).
     pub fn cache_enabled(&self) -> bool {
-        self.buffer.cache_enabled()
+        self.delivery.buffer().cache_enabled()
     }
 
     /// Opens the virtual audio device.
@@ -685,98 +431,50 @@ impl ThincServer {
         if let Some(drv) = self.audio.as_mut() {
             let msgs = drv.write(pcm);
             self.audio_messages += msgs.len() as u64;
-            self.av_fifo.extend(msgs);
-            self.enforce_av_bound();
+            self.delivery.queue_av(msgs);
         }
     }
 
     /// Closes the audio device, flushing buffered samples.
     pub fn close_audio(&mut self) {
-        if let Some(mut drv) = self.audio.take() {
-            if let Some(m) = drv.drain() {
-                self.audio_messages += 1;
-                self.av_fifo.push_back(m);
-            }
+        if let Some(m) = self.audio.take().and_then(|mut drv| drv.drain()) {
+            self.audio_messages += 1;
+            self.delivery.queue_av([m]);
         }
     }
 
     /// Ends all video streams (session teardown).
     pub fn end_video(&mut self) {
-        let msgs = self.video.end_all();
-        self.video_messages += msgs.len() as u64;
-        self.av_fifo.extend(msgs);
-    }
-
-    /// Keeps the A/V FIFO under its configured depth: oldest video
-    /// frames go first (a late frame is worthless — the next one
-    /// supersedes it), then oldest audio; control messages (cursor,
-    /// stream lifecycle, pings) are never dropped.
-    fn enforce_av_bound(&mut self) {
-        let Some(bound) = self.config.av_bound else {
-            return;
-        };
-        // The degradation ladder tightens the cap: a struggling link
-        // gets a shallower A/V FIFO so it carries fresher frames.
-        let div = self
-            .degradation
-            .as_ref()
-            .map(|c| c.level().av_divisor())
-            .unwrap_or(1)
-            .max(1);
-        let bound = (bound / div).max(1);
-        while self.av_fifo.len() > bound {
-            if let Some(idx) = self
-                .av_fifo
-                .iter()
-                .position(|m| matches!(m, Message::VideoData { .. }))
-            {
-                self.av_fifo.remove(idx);
-                self.resilience.record_stale_video_drop();
-            } else if let Some(idx) = self
-                .av_fifo
-                .iter()
-                .position(|m| matches!(m, Message::Audio { .. }))
-            {
-                self.av_fifo.remove(idx);
-                self.resilience.record_stale_video_drop();
-            } else {
-                // Only control messages remain: small, and required
-                // for correctness.
-                break;
-            }
-        }
+        self.delivery.end_video();
     }
 
     /// Pending A/V messages not yet flushed.
     pub fn av_backlog(&self) -> usize {
-        self.av_fifo.len()
+        self.delivery.av_backlog()
     }
 
     /// Commands waiting in the display buffer.
     pub fn display_backlog(&self) -> usize {
-        self.buffer.len()
+        self.delivery.buffer().len()
     }
 
     /// Wire bytes waiting in the display buffer (what the byte bound
     /// constrains).
     pub fn display_backlog_bytes(&self) -> u64 {
-        self.buffer.pending_bytes()
+        self.delivery.buffer().pending_bytes()
     }
 
     /// Whether overflow evictions have left screen regions still
     /// owed a refresh (repaid on the next draw with headroom, or by
     /// [`resync`](Self::resync)).
     pub fn overflow_debt_outstanding(&self) -> bool {
-        self.buffer.has_overflow_debt() || !self.refresh_debt.is_empty()
+        self.delivery.has_debt()
     }
 
     /// The fidelity level the degradation ladder is currently at
     /// (`Full` when adaptation is not configured).
     pub fn degradation_level(&self) -> crate::degradation::DegradationLevel {
-        self.degradation
-            .as_ref()
-            .map(|c| c.level())
-            .unwrap_or(crate::degradation::DegradationLevel::Full)
+        self.delivery.degradation_level()
     }
 
     /// Consumes a latched client refresh request (see
@@ -784,51 +482,6 @@ impl ThincServer {
     /// should answer `true` with a [`resync`](Self::resync).
     pub fn take_resync_request(&mut self) -> bool {
         std::mem::take(&mut self.resync_requested)
-    }
-
-    /// Feeds one flush epoch of fault evidence to the degradation
-    /// controller and applies any level change it decides on.
-    fn observe_degradation(&mut self, now: SimTime, pipe: &TcpPipe) {
-        let transition = {
-            let Some(ctrl) = self.degradation.as_mut() else {
-                return;
-            };
-            let fs = pipe.fault_stats();
-            let signals = crate::degradation::EpochSignals {
-                pending_bytes: self.buffer.pending_bytes(),
-                byte_bound: self.buffer.byte_bound(),
-                overflow_evictions: self.buffer.stats().overflow_evicted,
-                outage_defers: fs.outage_defers,
-                collapsed_rounds: fs.collapsed_rounds,
-                stale_av_drops: self.resilience.stale_video_dropped(),
-                corrupt_events: fs.corrupt_events,
-                segments_reordered: fs.segments_reordered,
-                segments_duplicated: fs.segments_duplicated,
-                link_impaired: pipe.fault_window_active(now),
-            };
-            ctrl.observe(&signals)
-        };
-        if let Some(t) = transition {
-            self.apply_degradation_transition(t);
-        }
-    }
-
-    /// Applies a degradation level change: records it in telemetry,
-    /// re-aims the scale and the buffer/A-V knobs, and — on the final
-    /// promotion back to `Full` — schedules the full-view refresh that
-    /// restores byte-exact fidelity.
-    fn apply_degradation_transition(&mut self, t: crate::degradation::DegradationTransition) {
-        self.resilience
-            .record_degradation_step(t.to.index() as u64, t.is_demotion());
-        // Everything buffered under the outgoing scale becomes
-        // refresh debt before the knobs move the scale.
-        self.retire_pending_for_scale_change();
-        self.buffer
-            .set_degradation(t.to.bound_divisor(), t.to.raw_first_eviction());
-        self.rebuild_scale();
-        if !t.is_demotion() && t.to == crate::degradation::DegradationLevel::Full {
-            self.refresh_owed = true;
-        }
     }
 
     /// Flushes queued updates without blocking: A/V first (paced data
@@ -841,39 +494,8 @@ impl ThincServer {
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
         self.now = now;
-        self.observe_degradation(now, pipe);
-        self.enforce_av_bound();
-        let mut out = Vec::new();
-        while let Some(msg) = self.av_fifo.front() {
-            let size = encode_message(msg).len() as u64;
-            if pipe.would_block(now, size) {
-                // A/V data is only useful fresh: drop stale frames
-                // older than ~200 ms instead of letting them pile up
-                // ("if updates are not buffered carefully … outdated
-                // content is sent to the client").
-                let stale = matches!(msg, Message::VideoData { timestamp_us, .. }
-                    if now.as_micros() > timestamp_us + 200_000);
-                if stale {
-                    self.av_fifo.pop_front();
-                    self.resilience.record_stale_video_drop();
-                    continue;
-                }
-                return out;
-            }
-            let msg = self.av_fifo.pop_front().expect("checked front");
-            let tag = match &msg {
-                Message::Audio { .. } => "audio",
-                Message::CursorShape { .. } | Message::CursorMove { .. } => "cursor",
-                Message::Ping { .. } | Message::Pong { .. } => "control",
-                _ => "video",
-            };
-            let (_, arrival) = pipe.send(now, size);
-            trace.record(now, arrival, size, Direction::Down, tag);
-            thinc_protocol::telemetry::record_message(&mut self.av_metrics, &msg);
-            out.push((arrival, msg));
-        }
-        out.extend(self.buffer.flush(now, pipe, trace));
-        out
+        self.delivery
+            .flush(now, pipe, trace, None, &mut PlaneCounters::default())
     }
 
     /// Encrypts bytes with the session cipher (identity when
@@ -896,17 +518,16 @@ impl ThincServer {
 
     /// Serializes this server into a crash-consistent checkpoint
     /// image (see `docs/ROBUSTNESS.md`). The image captures the full
-    /// configuration, the display buffer (raw internal state, down to
-    /// queue positions and cache-ledger LRU order), the scaling and
-    /// degradation posture, the refresh ledgers, the wire framer
-    /// (revision + next sequence number), the installed cursor shape,
-    /// and the queued A/V FIFO — everything a standby needs to resume
-    /// the session byte-exact. Deliberately *not* captured (rebuilt
-    /// fresh at [`restore`](Self::restore)): the translation layer's
-    /// offscreen pixmaps (drawing state lives in the window server),
-    /// live video/audio stream internals (streams re-announce on
-    /// resync), the input halo, telemetry counters, and the liveness
-    /// tracker (restarted from config at the checkpointed clock).
+    /// configuration, the wire framer (revision + next sequence
+    /// number), the installed cursor shape, and the client's
+    /// [`Delivery`] record (viewport and zoom, what it is owed, ladder
+    /// level, queued A/V, the display buffer down to queue positions
+    /// and cache-ledger LRU order) — everything a standby needs to
+    /// resume the session byte-exact. Deliberately *not* captured
+    /// (rebuilt fresh at [`restore`](Self::restore)): the translation
+    /// layer's offscreen pixmaps (drawing state lives in the window
+    /// server), the audio device, the input halo, and what the
+    /// delivery record itself leaves out.
     pub fn checkpoint(&self) -> Vec<u8> {
         use crate::checkpoint::{format_to_u8, seal, Writer};
         let mut w = Writer::new();
@@ -915,60 +536,22 @@ impl ThincServer {
         w.u8(format_to_u8(self.config.format));
         w.bool(self.config.offscreen_awareness);
         w.bool(self.config.compress_raw);
-        w.bool(self.config.server_side_scaling);
-        match &self.config.rc4_key {
-            Some(key) => {
-                w.bool(true);
-                w.bytes(key);
-            }
-            None => w.bool(false),
+        w.bool(self.config.rc4_key.is_some());
+        if let Some(key) = &self.config.rc4_key {
+            w.bytes(key);
         }
         w.opt_u64(self.config.buffer_bound_bytes);
-        w.opt_u64(self.config.av_bound.map(|n| n as u64));
-        match self.config.liveness {
-            Some(cfg) => {
-                w.bool(true);
-                w.u64(cfg.timeout.0);
-                w.u64(cfg.ping_interval.0);
-            }
-            None => w.bool(false),
-        }
-        match self.config.degradation {
-            Some(cfg) => {
-                w.bool(true);
-                w.u32(cfg.degrade_after);
-                w.u32(cfg.promote_after);
-                w.f64(cfg.pressure_fraction);
-                w.u8(cfg.max_level.index() as u8);
-            }
-            None => w.bool(false),
-        }
         w.opt_u64(self.config.cache_budget_bytes);
+        self.config.delivery_policy().encode(&mut w);
         w.u64(self.now.0);
-        w.u32(self.viewport.0);
-        w.u32(self.viewport.1);
-        w.rect(&self.scale.view);
-        w.u8(match &self.degradation {
-            Some(c) => c.level().index() as u8,
-            None => 0xFF,
-        });
-        w.bool(self.refresh_owed);
-        w.region(&self.refresh_debt);
         w.bool(self.resync_requested);
         w.u32(self.encoder.revision() as u32);
         w.u32(self.encoder.next_seq());
-        match &self.cursor_shape {
-            Some(shape) => {
-                w.bool(true);
-                w.bytes(&encode_message(shape));
-            }
-            None => w.bool(false),
+        w.bool(self.cursor_shape.is_some());
+        if let Some(shape) = &self.cursor_shape {
+            w.bytes(&encode_message(shape));
         }
-        w.u32(self.av_fifo.len() as u32);
-        for msg in &self.av_fifo {
-            w.bytes(&encode_message(msg));
-        }
-        self.buffer.encode_checkpoint(&mut w);
+        self.delivery.encode_checkpoint(&mut w);
         seal(w.into_inner())
     }
 
@@ -982,7 +565,6 @@ impl ThincServer {
     /// reconnect).
     pub fn restore(bytes: &[u8]) -> Result<Self, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{format_from_u8, open, CheckpointError, Reader};
-        use crate::session::level_from_u8;
         let payload = open(bytes)?;
         let mut r = Reader::new(payload);
         let width = r.u32()?;
@@ -990,98 +572,39 @@ impl ThincServer {
         let format = format_from_u8(r.u8()?)?;
         let offscreen_awareness = r.bool()?;
         let compress_raw = r.bool()?;
-        let server_side_scaling = r.bool()?;
         let rc4_key = if r.bool()? { Some(r.bytes()?.to_vec()) } else { None };
         let buffer_bound_bytes = r.opt_u64()?;
-        let av_bound = r.opt_u64()?.map(|n| n as usize);
-        let liveness = if r.bool()? {
-            Some(crate::liveness::LivenessConfig {
-                timeout: thinc_net::time::SimDuration(r.u64()?),
-                ping_interval: thinc_net::time::SimDuration(r.u64()?),
-            })
-        } else {
-            None
-        };
-        let degradation = if r.bool()? {
-            Some(crate::degradation::DegradationConfig {
-                degrade_after: r.u32()?,
-                promote_after: r.u32()?,
-                pressure_fraction: r.f64()?,
-                max_level: level_from_u8(r.u8()?)?,
-            })
-        } else {
-            None
-        };
         let cache_budget_bytes = r.opt_u64()?;
-        let config = ServerConfig {
+        let policy = DeliveryPolicy::decode(&mut r, (width, height))?;
+        let mut s = Self::new(ServerConfig {
             width,
             height,
             format,
             offscreen_awareness,
             compress_raw,
-            server_side_scaling,
+            server_side_scaling: policy.scaling,
             rc4_key,
             buffer_bound_bytes,
-            av_bound,
-            liveness,
-            degradation,
+            av_bound: policy.av_bound,
+            liveness: policy.liveness,
+            degradation: policy.degradation,
             cache_budget_bytes,
-        };
-        let mut s = Self::new(config);
+        });
         s.now = SimTime(r.u64()?);
-        let vw = r.u32()?;
-        let vh = r.u32()?;
-        s.viewport = (vw.clamp(1, width.max(1)), vh.clamp(1, height.max(1)));
-        let view = r.rect()?;
-        let level_byte = r.u8()?;
-        s.degradation = match (s.config.degradation, level_byte) {
-            (Some(_), 0xFF) => {
-                return Err(CheckpointError::Malformed("missing degradation level"))
-            }
-            (Some(cfg), b) => Some(crate::degradation::DegradationController::restore(
-                cfg,
-                level_from_u8(b)?,
-            )),
-            (None, 0xFF) => None,
-            (None, _) => {
-                return Err(CheckpointError::Malformed("orphan degradation level"))
-            }
-        };
-        let (ew, eh) = s.effective_viewport();
-        s.scale = ScalePolicy::new(width, height, ew, eh).with_view(view);
-        if s.config.server_side_scaling {
-            s.video.set_scale(ew, width, eh, height);
-        }
-        s.refresh_owed = r.bool()?;
-        s.refresh_debt = r.region()?;
         s.resync_requested = r.bool()?;
-        let revision = r.u32()?;
-        if revision > u16::MAX as u32 {
-            return Err(CheckpointError::Malformed("wire revision"));
-        }
-        s.encoder = FrameEncoder::with_revision(revision as u16);
+        let revision = u16::try_from(r.u32()?)
+            .map_err(|_| CheckpointError::Malformed("wire revision"))?;
+        s.encoder = FrameEncoder::with_revision(revision);
         s.encoder.set_next_seq(r.u32()?);
-        s.cursor_shape = if r.bool()? {
-            Some(crate::buffer::decode_checkpoint_message(r.bytes()?)?)
-        } else {
-            None
-        };
-        let av_len = r.u32()?;
-        let mut av_fifo = VecDeque::new();
-        for _ in 0..av_len {
-            av_fifo.push_back(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
+        if r.bool()? {
+            s.cursor_shape = Some(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
         }
-        s.av_fifo = av_fifo;
-        s.buffer = ClientBuffer::decode_checkpoint(&mut r)?;
+        s.delivery = Delivery::decode_checkpoint(&mut r, policy, s.now)?;
         if !r.exhausted() {
             return Err(CheckpointError::Malformed(
                 "trailing bytes after checkpoint",
             ));
         }
-        s.liveness = s
-            .config
-            .liveness
-            .map(|c| crate::liveness::LivenessTracker::new(c, s.now));
         Ok(s)
     }
 }
@@ -1145,10 +668,7 @@ impl VideoDriver for ThincServer {
     }
 
     fn video_display(&mut self, _store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
-        let msgs = self.video.display_frame(frame, dst, self.now.as_micros());
-        self.video_messages += msgs.len() as u64;
-        self.av_fifo.extend(msgs);
-        self.enforce_av_bound();
+        self.delivery.display_video(frame, dst, self.now.as_micros());
     }
 
     fn composite(
@@ -1167,6 +687,8 @@ impl VideoDriver for ThincServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::checkpointable_server;
+    use crate::scaling::ScalePolicy;
     use thinc_display::request::DrawRequest;
     use thinc_display::server::WindowServer;
     use thinc_display::SCREEN;
@@ -1755,71 +1277,99 @@ mod tests {
         // A miss for a hash the ledger never held (or evicted): the
         // client skipped an update, so a full-view refresh is owed.
         s.handle_message(&Message::CacheMiss { hash: 0xBAD_C0DE });
-        assert!(s.refresh_owed, "unsatisfiable miss owes a refresh");
+        assert!(s.delivery.refresh_owed(), "unsatisfiable miss owes a refresh");
         assert_eq!(s.resilience_metrics().cache_misses(), 1);
     }
 
-    /// A server with every subsystem lit up and mid-flight state:
-    /// negotiated revision-3 framing (integrity + cache), a cursor, a
-    /// queued A/V backlog, partially flushed display traffic, and a
-    /// non-identity scale.
-    fn checkpointable_server() -> WindowServer<ThincServer> {
-        use crate::degradation::DegradationConfig;
-        use crate::liveness::LivenessConfig;
-        use thinc_net::time::SimDuration;
+    /// A 64x64 server behind a revision-3 handshake, its screen painted
+    /// with 64 distinct rows and a stream client converged on it.
+    fn scrollable(config: ServerConfig) -> (WindowServer<ThincServer>, thinc_client::StreamClient) {
         let thinc = ThincServer::new(ServerConfig {
             width: 64,
             height: 64,
-            rc4_key: Some(b"0123456789abcdef".to_vec()),
-            buffer_bound_bytes: Some(512 * 1024),
-            av_bound: Some(8),
-            liveness: Some(LivenessConfig {
-                timeout: SimDuration::from_secs_f64(10.0),
-                ping_interval: SimDuration::from_secs_f64(2.0),
-            }),
-            degradation: Some(DegradationConfig::default()),
-            ..ServerConfig::default()
+            ..config
         });
         let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         ws.driver_mut().handle_message(&Message::ClientHello {
             version: PROTOCOL_VERSION,
-            viewport_width: 48,
-            viewport_height: 48,
+            viewport_width: 64,
+            viewport_height: 64,
         });
-        ws.driver_mut().set_cursor(8, 8, 1, 1, vec![7; 8 * 8 * 4]);
-        ws.driver_mut().open_audio(44_100, 2);
-        ws.driver_mut().play_audio(&vec![1u8; 4096]);
-        // Incompressible noise so the backlog cannot collapse to a
-        // few bytes under the RAW codec.
-        let mut x = 0x2545_F491u32;
-        for i in 0..3 {
-            let data: Vec<u8> = (0..24 * 24 * 3)
-                .map(|_| {
-                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                    (x >> 24) as u8
-                })
-                .collect();
-            ws.process(DrawRequest::PutImage {
+        let mut sc = thinc_client::StreamClient::new(64, 64, PixelFormat::Rgb888);
+        let hello = ws.driver().hello();
+        let bytes = ws.driver_mut().encode_frame(&hello);
+        sc.feed(&bytes);
+        for y in 0..64 {
+            ws.process(DrawRequest::FillRect {
                 target: SCREEN,
-                rect: Rect::new(i * 8, i * 8, 24, 24),
-                data,
+                rect: Rect::new(0, y, 64, 1),
+                color: Color::rgb(y as u8 * 3, 200 - y as u8, 17),
             });
         }
-        // One constrained flush epoch against a narrow pipe: some
-        // traffic goes out, the rest stays buffered (mid-flight
-        // checkpoint state).
-        let mut pipe = TcpPipe::new(thinc_net::tcp::TcpParams {
-            bandwidth_bps: 256_000,
-            sndbuf_bytes: 2 * 1024,
-            ..thinc_net::tcp::TcpParams::default()
+        drain_into(&mut ws, &mut sc);
+        assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
+        (ws, sc)
+    }
+
+    fn drain_into(ws: &mut WindowServer<ThincServer>, sc: &mut thinc_client::StreamClient) {
+        for m in flush_all(ws) {
+            let bytes = ws.driver_mut().encode_frame(&m);
+            sc.feed(&bytes);
+        }
+    }
+
+    /// An 8-row scroll whose source and destination overlap: applied
+    /// on top of a snapshot that already shows it, it scrolls twice.
+    fn scroll_up(ws: &mut WindowServer<ThincServer>) {
+        ws.process(DrawRequest::CopyArea {
+            src: SCREEN,
+            dst: SCREEN,
+            src_rect: Rect::new(0, 8, 64, 56),
+            dst_x: 0,
+            dst_y: 0,
         });
+    }
+
+    #[test]
+    fn copy_after_owed_refresh_converges() {
+        // Regression: the owed refresh is read from a screen that
+        // already shows the round's COPY, so pushing the COPY behind
+        // it left the client's row 0 holding screen row 16, not 8.
+        let (mut ws, mut sc) = scrollable(ServerConfig::default());
+        ws.driver_mut().handle_message(&Message::CacheMiss { hash: 0xBAD_C0DE });
+        scroll_up(&mut ws);
+        drain_into(&mut ws, &mut sc);
+        assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
+    }
+
+    #[test]
+    fn copy_after_ladder_promotion_converges() {
+        use crate::degradation::{DegradationConfig, DegradationLevel};
+        use thinc_net::fault::FaultPlan;
+        use thinc_net::time::SimDuration;
+        let (mut ws, mut sc) = scrollable(ServerConfig {
+            degradation: Some(DegradationConfig {
+                degrade_after: 1,
+                promote_after: 1,
+                ..DegradationConfig::default()
+            }),
+            ..ServerConfig::default()
+        });
+        // A collapsed link walks the ladder down, a clear one back up;
+        // nothing draws meanwhile, so the promotion's refresh is still
+        // owed when the scroll arrives.
+        let plan = FaultPlan::seeded(3).with_collapse(SimTime(0), SimDuration::from_secs(1), 0.05);
+        let mut link = NetworkConfig::lan_desktop().with_faults(plan).connect();
         let mut trace = PacketTrace::new();
-        let _ = ws.driver_mut().flush(SimTime(10_000), &mut pipe, &mut trace);
-        assert!(
-            ws.driver().display_backlog() > 0 || ws.driver().av_backlog() > 0,
-            "checkpoint fixture should carry backlog"
-        );
-        ws
+        for t in [100_000, 200_000, 300_000, 1_500_000, 1_600_000, 1_700_000] {
+            let sent = ws.driver_mut().flush(SimTime(t), &mut link.down, &mut trace);
+            assert!(sent.is_empty());
+        }
+        assert_eq!(ws.driver().degradation_level(), DegradationLevel::Full);
+        assert_eq!(ws.driver().resilience_metrics().promote_steps(), 3);
+        scroll_up(&mut ws);
+        drain_into(&mut ws, &mut sc);
+        assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
     }
 
     #[test]

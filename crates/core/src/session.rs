@@ -10,8 +10,10 @@
 //!
 //! [`SharedSession`] multiplexes one display over any number of
 //! clients: operations are translated once, and the resulting
-//! commands fan out to a per-client buffer with per-client viewport
-//! scaling — so a PDA peer can watch a desktop host's session.
+//! commands fan out to each client's [`Delivery`] — the same
+//! per-client pipeline a [`crate::server::ThincServer`] wraps one of —
+//! with per-client viewport scaling, so a PDA peer can watch a desktop
+//! host's session.
 //!
 //! Per-client work (command scaling, buffering, flush-time RAW
 //! compression) is embarrassingly parallel: every client owns its
@@ -23,7 +25,7 @@
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
 use thinc_net::tcp::TcpPipe;
-use thinc_net::time::{SimDuration, SimTime};
+use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
@@ -34,12 +36,12 @@ use crate::checkpoint::{
     cache_digest, format_from_u8, format_to_u8, CheckpointError, Reader, ResumeOutcome,
     TileDigests, Writer,
 };
-use crate::degradation::{DegradationConfig, DegradationController, DegradationLevel, EpochSignals};
-use crate::liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
+use crate::degradation::{DegradationConfig, DegradationLevel};
+use crate::delivery::{Delivery, DeliveryPolicy, Rendition};
+use crate::liveness::{LivenessConfig, LivenessVerdict};
 use crate::plane::{PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::translator::Translator;
-use crate::video::VideoStreamManager;
 
 /// Credentials presented by a connecting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,33 +126,11 @@ pub struct ClientId(pub u32);
 /// [`SharedSession::flush_all`] and [`SharedSession::flush_subset`].
 pub type FlushOutput = Vec<(ClientId, Vec<(SimTime, Message)>)>;
 
-/// Per-client delivery state.
-struct ClientState {
+/// One attached client: its delivery pipeline plus what only a shared
+/// session tracks about it.
+struct Member {
     user: String,
-    buffer: ClientBuffer,
-    scale: ScalePolicy,
-    video: VideoStreamManager,
-    /// Audio/video messages awaiting this client's next flush.
-    pending_av: Vec<Message>,
-    /// Liveness tracking for this client (when the session enables it).
-    liveness: Option<LivenessTracker>,
-    /// Session geometry (needed to rebuild the scale policy when the
-    /// degradation ladder moves).
-    session: (u32, u32),
-    /// The viewport this client announced at attach.
-    viewport: (u32, u32),
-    /// Per-client adaptive degradation (when the session enables it).
-    /// Per-client — not shared — so parallel flush fan-out stays
-    /// deterministic: each worker only touches its own controller.
-    degradation: Option<DegradationController>,
-    /// This client owes a full-view refresh (fresh attach, explicit
-    /// resync, or a degradation transition re-aimed its scale).
-    /// Repaid by the next broadcast, which has the screen in hand.
-    refresh_owed: bool,
-    /// Per-client resilience accounting (pings, timeouts, resyncs,
-    /// degradation steps) — per-client attribution for shared
-    /// sessions, merged with buffer evictions at read time.
-    resilience: thinc_telemetry::ResilienceMetrics,
+    delivery: Delivery,
     /// Set when this client's flush panicked under the parallel
     /// fan-out: the panic was contained, the client is isolated from
     /// all further broadcast/flush work, and the session keeps
@@ -163,92 +143,25 @@ struct ClientState {
     poison_flush: bool,
 }
 
-impl ClientState {
-    /// The viewport actually targeted: the announced viewport shrunk
-    /// by the degradation ladder's scale divisor.
-    fn effective_viewport(&self) -> (u32, u32) {
-        let div = self
-            .degradation
-            .as_ref()
-            .map(|c| c.level().scale_divisor())
-            .unwrap_or(1)
-            .max(1);
-        ((self.viewport.0 / div).max(1), (self.viewport.1 / div).max(1))
-    }
-
-    /// Rebuilds scale and video resampling for the current effective
-    /// viewport, preserving the zoom view. Pending commands target the
-    /// outgoing coordinate space, so they are dropped and replaced by
-    /// a full-view refresh on the next broadcast.
-    fn rescale_for_degradation(&mut self) {
-        let _ = self.buffer.drop_pending_for_rescale();
-        let view = self.scale.view;
-        let (ew, eh) = self.effective_viewport();
-        self.scale =
-            ScalePolicy::new(self.session.0, self.session.1, ew, eh).with_view(view);
-        self.video.set_scale(ew, self.session.0, eh, self.session.1);
-        self.refresh_owed = true;
-    }
-
-    /// Queues the owed full-view refresh, if any. Scaling runs on the
-    /// current (post-transition) policy, so the client converges to
-    /// the effective viewport's rendition of the screen.
-    fn repay_refresh(&mut self, screen: &Framebuffer) {
-        if !self.refresh_owed {
-            return;
+impl Member {
+    /// The per-client flush body, borrowed one member at a time so the
+    /// parallel fan-out need not hold the session.
+    fn flush(
+        &mut self,
+        now: SimTime,
+        pipe: &mut TcpPipe,
+        trace: &mut PacketTrace,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+    ) -> Vec<(SimTime, Message)> {
+        if self.quarantined {
+            return Vec::new();
         }
-        self.refresh_owed = false;
-        let view = self.scale.view;
-        let (clip, data) = screen.get_raw(&view);
-        if clip.is_empty() {
-            return;
+        if self.poison_flush {
+            self.poison_flush = false;
+            panic!("injected poison: client flush panicked");
         }
-        let cmd = DisplayCommand::Raw {
-            rect: clip,
-            encoding: thinc_protocol::commands::RawEncoding::None,
-            data: data.into(),
-        };
-        if self.scale.is_identity() {
-            self.buffer.push(cmd, false);
-        } else if let Some(scaled) = self.scale.transform(&cmd, screen) {
-            self.buffer.push(scaled, false);
-        }
-    }
-
-    /// Requeues screen content for regions the buffer evicted under
-    /// its byte bound. Debt is recorded in the buffer's (viewport)
-    /// coordinate space, so each rect is unmapped to session space
-    /// before reading the screen and re-scaled exactly once on the
-    /// way back in.
-    fn repay_debt(&mut self, screen: &Framebuffer) {
-        if !self.buffer.has_overflow_debt() {
-            return;
-        }
-        let debt = self.buffer.take_overflow_debt();
-        for rect in debt.rects() {
-            let session_rect = if self.scale.is_identity() {
-                *rect
-            } else {
-                self.scale.unmap_rect(rect)
-            };
-            if session_rect.is_empty() {
-                continue;
-            }
-            let (clip, data) = screen.get_raw(&session_rect);
-            if clip.is_empty() {
-                continue;
-            }
-            let cmd = DisplayCommand::Raw {
-                rect: clip,
-                encoding: thinc_protocol::commands::RawEncoding::None,
-                data: data.into(),
-            };
-            if self.scale.is_identity() {
-                self.buffer.push_unbounded(cmd, false);
-            } else if let Some(scaled) = self.scale.transform(&cmd, screen) {
-                self.buffer.push_unbounded(scaled, false);
-            }
-        }
+        self.delivery.flush(now, pipe, trace, plane, counters)
     }
 }
 
@@ -256,11 +169,9 @@ impl ClientState {
 ///
 /// Implements [`VideoDriver`], so it attaches below a window server
 /// exactly like [`crate::server::ThincServer`] — but fans every
-/// translated command out to each client's buffer, scaled to that
-/// client's viewport.
+/// translated command out to each client's [`Delivery`], scaled to
+/// that client's viewport.
 pub struct SharedSession {
-    width: u32,
-    height: u32,
     format: PixelFormat,
     auth: SessionAuth,
     translator: Translator,
@@ -269,13 +180,12 @@ pub struct SharedSession {
     /// an image that breaks the order. Iteration order is the
     /// deterministic merge order for parallel fan-out; lookups
     /// binary-search it.
-    clients: Vec<(ClientId, ClientState)>,
+    clients: Vec<(ClientId, Member)>,
     next_client: u32,
     now: SimTime,
-    /// Liveness policy applied to every attached client.
-    liveness: Option<LivenessConfig>,
-    /// Degradation policy applied to every attached client.
-    degradation: Option<DegradationConfig>,
+    /// Session geometry plus the liveness and degradation policy
+    /// applied to every client attached from now on.
+    policy: DeliveryPolicy,
     /// Byte bound applied to every client buffer attached from now on.
     buffer_bound: Option<u64>,
     /// Content-cache budget for every client attached from now on
@@ -309,16 +219,13 @@ impl SharedSession {
     /// Creates a session of the given geometry owned by `owner`.
     pub fn new(width: u32, height: u32, format: PixelFormat, owner: &str) -> Self {
         Self {
-            width,
-            height,
             format,
             auth: SessionAuth::new(owner),
             translator: Translator::new(),
             clients: Vec::new(),
             next_client: 0,
             now: SimTime::ZERO,
-            liveness: None,
-            degradation: None,
+            policy: DeliveryPolicy::new(width, height),
             buffer_bound: None,
             cache_budget: None,
             workers: 1,
@@ -331,7 +238,7 @@ impl SharedSession {
     /// Enables liveness tracking: every client attached from now on
     /// is probed when silent and declared dead past the timeout.
     pub fn with_liveness(mut self, config: LivenessConfig) -> Self {
-        self.liveness = Some(config);
+        self.policy.liveness = Some(config);
         self
     }
 
@@ -341,7 +248,7 @@ impl SharedSession {
     /// parallel flush fan-out deterministic — a struggling PDA peer
     /// degrades without touching the desktop owner's fidelity.
     pub fn with_degradation(mut self, config: DegradationConfig) -> Self {
-        self.degradation = Some(config);
+        self.policy.degradation = Some(config);
         self
     }
 
@@ -373,17 +280,26 @@ impl SharedSession {
         self
     }
 
-    /// Where `id` sits in the id-ordered roster.
-    fn roster_index(&self, id: ClientId) -> Option<usize> {
-        self.clients.binary_search_by_key(&id, |(cid, _)| *cid).ok()
+    fn member(&self, id: ClientId) -> Option<&Member> {
+        let at = self.clients.binary_search_by_key(&id, |(cid, _)| *cid).ok()?;
+        Some(&self.clients[at].1)
     }
 
-    fn state(&self, id: ClientId) -> Option<&ClientState> {
-        self.roster_index(id).map(|at| &self.clients[at].1)
+    fn member_mut(&mut self, id: ClientId) -> Option<&mut Member> {
+        let at = self.clients.binary_search_by_key(&id, |(cid, _)| *cid).ok()?;
+        Some(&mut self.clients[at].1)
     }
 
-    fn state_mut(&mut self, id: ClientId) -> Option<&mut ClientState> {
-        self.roster_index(id).map(|at| &mut self.clients[at].1)
+    fn delivery(&self, id: ClientId) -> Option<&Delivery> {
+        self.member(id).map(|m| &m.delivery)
+    }
+
+    /// The delivery pipeline of an attached client that can still be
+    /// served (quarantined state must not be revived or mutated).
+    fn serving(&mut self, id: ClientId) -> Option<&mut Delivery> {
+        self.member_mut(id)
+            .filter(|m| !m.quarantined)
+            .map(|m| &mut m.delivery)
     }
 
     /// The authentication policy (enable/disable sharing here).
@@ -409,10 +325,6 @@ impl SharedSession {
         let user = match creds {
             Credentials::Owner { user } | Credentials::Peer { user, .. } => user.clone(),
         };
-        let vw = viewport_w.clamp(1, self.width);
-        let vh = viewport_h.clamp(1, self.height);
-        let mut video = VideoStreamManager::new();
-        video.set_scale(vw, self.width, vh, self.height);
         let mut buffer = ClientBuffer::new().with_raw_compression(self.format.bytes_per_pixel());
         if let Some(bound) = self.buffer_bound {
             buffer = buffer.with_byte_bound(bound);
@@ -420,22 +332,16 @@ impl SharedSession {
         if let Some(budget) = self.cache_budget {
             buffer.enable_cache(budget);
         }
+        let mut delivery = Delivery::new(self.policy, buffer, self.now);
+        delivery.set_viewport(viewport_w, viewport_h);
+        // A fresh attach owes the full view: the client's framebuffer
+        // starts empty.
+        delivery.owe_refresh();
         self.clients.push((
             id,
-            ClientState {
+            Member {
                 user,
-                buffer,
-                scale: ScalePolicy::new(self.width, self.height, vw, vh),
-                video,
-                pending_av: Vec::new(),
-                liveness: self.liveness.map(|c| LivenessTracker::new(c, self.now)),
-                session: (self.width, self.height),
-                viewport: (vw, vh),
-                degradation: self.degradation.map(DegradationController::new),
-                // A fresh attach owes the full view: the client's
-                // framebuffer starts empty.
-                refresh_owed: true,
-                resilience: thinc_telemetry::ResilienceMetrics::new(),
+                delivery,
                 quarantined: false,
                 poison_flush: false,
             },
@@ -448,8 +354,8 @@ impl SharedSession {
     /// [`note_client_pong`](Self::note_client_pong) so stale ones
     /// can be rejected).
     pub fn note_client_activity(&mut self, id: ClientId, now: SimTime) {
-        if let Some(t) = self.state_mut(id).and_then(|c| c.liveness.as_mut()) {
-            t.note_activity(now);
+        if let Some(m) = self.member_mut(id) {
+            m.delivery.note_activity(now);
         }
     }
 
@@ -457,9 +363,8 @@ impl SharedSession {
     /// latest outstanding probe counts as fresh traffic (returns
     /// `true`); a stale or unsolicited one is ignored.
     pub fn note_client_pong(&mut self, id: ClientId, seq: u32, now: SimTime) -> bool {
-        self.state_mut(id)
-            .and_then(|c| c.liveness.as_mut())
-            .is_some_and(|t| t.note_pong(seq, now))
+        self.member_mut(id)
+            .is_some_and(|m| m.delivery.note_pong(seq, now))
     }
 
     /// Evaluates a client's liveness at `now`: a silent client gets a
@@ -468,40 +373,20 @@ impl SharedSession {
     /// [`reap_dead`](Self::reap_dead)). Returns `Alive` for unknown
     /// clients or when liveness is disabled.
     pub fn poll_client_liveness(&mut self, id: ClientId, now: SimTime) -> LivenessVerdict {
-        let Some(state) = self.state_mut(id) else {
+        let Some(m) = self.member_mut(id) else {
             return LivenessVerdict::Alive;
         };
-        if state.quarantined {
+        if m.quarantined {
             // A quarantined client cannot be served; report it dead
             // without queueing probes its flush would never carry.
             return LivenessVerdict::Dead;
         }
-        let Some(t) = state.liveness.as_mut() else {
-            return LivenessVerdict::Alive;
-        };
-        let was_dead = t.is_dead();
-        let verdict = t.poll(now);
-        match verdict {
-            LivenessVerdict::SendPing { seq } => {
-                state.pending_av.push(Message::Ping {
-                    seq,
-                    timestamp_us: now.as_micros(),
-                });
-                state.resilience.record_ping_sent();
-            }
-            LivenessVerdict::Dead if !was_dead => {
-                state.resilience.record_liveness_timeout();
-            }
-            _ => {}
-        }
-        verdict
+        m.delivery.poll_liveness(now)
     }
 
     /// Whether a client has been declared dead.
     pub fn client_dead(&self, id: ClientId) -> bool {
-        self.state(id)
-            .and_then(|c| c.liveness.as_ref())
-            .is_some_and(|t| t.is_dead())
+        self.delivery(id).is_some_and(|d| d.is_dead())
     }
 
     /// Detaches every dead client, freeing its buffers (a dead
@@ -512,11 +397,10 @@ impl SharedSession {
         let dead: Vec<ClientId> = self
             .clients
             .iter()
-            .filter(|(_, c)| c.liveness.as_ref().is_some_and(|t| t.is_dead()))
+            .filter(|(_, m)| m.delivery.is_dead())
             .map(|(id, _)| *id)
             .collect();
-        self.clients
-            .retain(|(_, c)| !c.liveness.as_ref().is_some_and(|t| t.is_dead()));
+        self.clients.retain(|(_, m)| !m.delivery.is_dead());
         dead
     }
 
@@ -532,109 +416,61 @@ impl SharedSession {
 
     /// The user name of an attached client.
     pub fn client_user(&self, id: ClientId) -> Option<&str> {
-        self.state(id).map(|c| c.user.as_str())
+        self.member(id).map(|m| m.user.as_str())
     }
 
     /// Pending commands for a client.
     pub fn backlog(&self, id: ClientId) -> usize {
-        self.state(id).map(|c| c.buffer.len()).unwrap_or(0)
+        self.delivery(id).map_or(0, |d| d.buffer().len())
     }
 
-    /// Fans translated commands out to every client, scaled. Clients
-    /// are independent, so the scaling/buffering runs on the session's
-    /// worker pool; per-client push order is the command order either
-    /// way.
+    /// Fans translated commands out to every client. Clients at the
+    /// same scale policy receive identical command streams, so a
+    /// serial pre-pass opens each client's round and groups clients
+    /// into scale-equivalence classes, each class is rendered once
+    /// (in parallel across classes), and the per-client pushes share
+    /// the class's [`Rendition`] by reference on the session's worker
+    /// pool. Per-client push order is the command order either way.
     fn broadcast(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
-        // `screen` already reflects the commands being broadcast
-        // (the store is mutated before the driver call). COPY is
-        // the one non-idempotent command: applied on top of a
-        // snapshot that already contains its effect it scrolls
-        // twice wherever source and destination overlap. So a
-        // client owed a refresh — whose snapshot covers the whole
-        // view — must not receive this round's COPYs; and a
-        // client with partial overflow debt cannot soundly take a
-        // COPY either (the debt repaint may cover only part of
-        // the copy's footprint), so its debt escalates to a full
-        // refresh first. Idempotent repaints still flow: redundant
-        // over a snapshot, but they keep the content cache warm.
-        let has_copy = cmds
-            .iter()
-            .any(|c| matches!(c, DisplayCommand::Copy { .. }));
-        // Serial pre-pass: settle the COPY/debt escalation, snapshot
-        // refresh owage, and group clients into scale-equivalence
-        // classes. Clients at the same scale policy receive identical
-        // command streams, so each class is translated once below and
-        // shared by reference (`Bytes` payloads make the per-client
-        // clone an `Arc` bump, not a copy).
-        let mut classes: Vec<BroadcastClass> = Vec::new();
+        struct Class {
+            policy: ScalePolicy,
+            refresh_wanted: bool,
+            rendition: Option<Rendition>,
+        }
+        let mut classes: Vec<Class> = Vec::new();
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
-        let mut repaid: Vec<bool> = Vec::with_capacity(self.clients.len());
-        for (_, state) in self.clients.iter_mut() {
-            if state.quarantined {
+        for (_, m) in self.clients.iter_mut() {
+            if m.quarantined {
                 class_of.push(usize::MAX);
-                repaid.push(false);
                 continue;
             }
-            if has_copy && state.buffer.has_overflow_debt() {
-                state.refresh_owed = true;
-            }
-            repaid.push(state.refresh_owed);
-            let idx = match classes.iter().position(|c| c.policy == state.scale) {
+            let owed = m.delivery.begin_round(&cmds);
+            let policy = m.delivery.scale();
+            let idx = match classes.iter().position(|c| c.policy == policy) {
                 Some(i) => i,
                 None => {
-                    classes.push(BroadcastClass {
-                        policy: state.scale,
-                        transformed: Vec::new(),
-                        refresh: None,
-                        refresh_wanted: false,
-                    });
+                    classes.push(Class { policy, refresh_wanted: false, rendition: None });
                     classes.len() - 1
                 }
             };
-            classes[idx].refresh_wanted |= state.refresh_owed;
+            classes[idx].refresh_wanted |= owed;
             class_of.push(idx);
         }
-        // Translate each class once, in parallel across classes.
         let cmds = &cmds;
         crate::parallel::for_each_mut(&mut classes, self.workers, |_, class| {
-            class.transformed = cmds
-                .iter()
-                .map(|c| {
-                    if class.policy.is_identity() {
-                        Some(c.clone())
-                    } else {
-                        class.policy.transform(c, screen)
-                    }
-                })
-                .collect();
-            if class.refresh_wanted {
-                class.refresh = shared_refresh(&class.policy, screen);
-            }
+            class.rendition = Some(Rendition::render(
+                &class.policy,
+                cmds,
+                screen,
+                class.refresh_wanted,
+            ));
         });
-        // Per-client fan-out: push the class's shared commands.
         let classes = &classes;
         let class_of = &class_of;
-        let repaid = &repaid;
-        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, state)| {
-            let ci = class_of[i];
-            if ci == usize::MAX {
-                return;
-            }
-            let class = &classes[ci];
-            if state.refresh_owed {
-                state.refresh_owed = false;
-                if let Some(r) = &class.refresh {
-                    state.buffer.push(r.clone(), false);
-                }
-            }
-            state.repay_debt(screen);
-            for (cmd, shared) in cmds.iter().zip(&class.transformed) {
-                if repaid[i] && matches!(cmd, DisplayCommand::Copy { .. }) {
-                    continue;
-                }
-                if let Some(sc) = shared {
-                    state.buffer.push(sc.clone(), false);
-                }
+        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, m)| {
+            let rendition = classes.get(class_of[i]).and_then(|c| c.rendition.as_ref());
+            if let Some(rendition) = rendition {
+                m.delivery.push_rendition(cmds, rendition, screen);
             }
         });
     }
@@ -645,67 +481,25 @@ impl SharedSession {
     /// attached or resynced client is owed the full view even if
     /// nothing paints.
     pub fn repay_refreshes(&mut self, screen: &Framebuffer) {
-        // Same class sharing as `broadcast`: one refresh rendition per
-        // scale policy, cloned (= `Arc`-bumped) per owing client.
-        let mut classes: Vec<(ScalePolicy, Option<DisplayCommand>)> = Vec::new();
-        let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
-        for (_, state) in self.clients.iter() {
-            if state.quarantined || !state.refresh_owed {
-                class_of.push(usize::MAX);
-                continue;
-            }
-            let idx = match classes.iter().position(|(p, _)| *p == state.scale) {
-                Some(i) => i,
-                None => {
-                    classes.push((state.scale, None));
-                    classes.len() - 1
-                }
-            };
-            class_of.push(idx);
-        }
-        crate::parallel::for_each_mut(&mut classes, self.workers, |_, (policy, refresh)| {
-            *refresh = shared_refresh(policy, screen);
-        });
-        let classes = &classes;
-        let class_of = &class_of;
-        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, state)| {
-            if state.quarantined {
-                return;
-            }
-            if class_of[i] != usize::MAX {
-                state.refresh_owed = false;
-                if let Some(r) = &classes[class_of[i]].1 {
-                    state.buffer.push(r.clone(), false);
-                }
-            }
-            state.repay_debt(screen);
-        });
+        self.broadcast(Vec::new(), screen);
     }
 
-    /// Handles a client's explicit resync request: drops that
-    /// client's (possibly stale) pending commands and owes it a
-    /// full-view refresh, settled immediately against `screen`.
+    /// Handles a client's explicit resync request (see
+    /// [`Delivery::resync`]): drops that client's (possibly stale)
+    /// pending commands and queues a full-view refresh from `screen`.
     pub fn resync_client(&mut self, id: ClientId, screen: &Framebuffer) {
-        let Some(state) = self.state_mut(id) else {
-            return;
-        };
-        if state.quarantined {
-            return;
+        let now = self.now;
+        if let Some(d) = self.serving(id) {
+            d.resync(screen, now);
         }
-        let _ = state.buffer.drop_pending_for_rescale();
-        let _ = state.buffer.take_overflow_debt();
-        state.refresh_owed = true;
-        state.resilience.record_resync();
-        state.repay_refresh(screen);
     }
 
     /// The degradation ladder level a client currently runs at
     /// ([`DegradationLevel::Full`] when degradation is disabled or
     /// the client is unknown).
     pub fn client_degradation_level(&self, id: ClientId) -> DegradationLevel {
-        self.state(id)
-            .and_then(|s| s.degradation.as_ref().map(|c| c.level()))
-            .unwrap_or(DegradationLevel::Full)
+        self.delivery(id)
+            .map_or(DegradationLevel::Full, |d| d.degradation_level())
     }
 
     /// A snapshot of one client's resilience counters (per-client
@@ -713,34 +507,23 @@ impl SharedSession {
     /// with that client's buffer evictions and content-cache counters
     /// folded in.
     pub fn client_resilience(&self, id: ClientId) -> Option<thinc_telemetry::ResilienceMetrics> {
-        self.state(id).map(|s| {
-            let mut m = s.resilience.clone();
-            m.add_overflow_evictions(s.buffer.stats().overflow_evicted);
-            let (hits, misses, evictions, saved) = s.buffer.cache_counts();
-            m.add_cache_counts(hits, misses, evictions, saved);
-            m
-        })
+        self.delivery(id).map(|d| d.resilience_metrics())
+    }
+
+    /// One client's per-command wire accounting: display messages plus
+    /// its audio/video/control queue.
+    pub fn client_protocol_metrics(&self, id: ClientId) -> Option<&thinc_telemetry::ProtocolMetrics> {
+        self.delivery(id).map(|d| d.protocol_metrics())
     }
 
     /// Handles a [`Message::CacheMiss`] from a client: queues the
     /// byte-exact full payload from that client's ledger. Returns
     /// `false` when the entry was evicted on both sides — the client
-    /// skipped an update, so the caller should follow with
-    /// [`resync_client`](Self::resync_client) (the miss is recorded
-    /// and the client is owed a full-view refresh on the next
-    /// broadcast either way).
+    /// skipped an update, so the miss is recorded and the client is
+    /// owed a full-view refresh on the next broadcast (a caller that
+    /// cannot wait follows with [`resync_client`](Self::resync_client)).
     pub fn client_cache_miss(&mut self, id: ClientId, hash: u64) -> bool {
-        let Some(state) = self.state_mut(id) else {
-            return false;
-        };
-        if state.quarantined {
-            return false;
-        }
-        let satisfied = state.buffer.satisfy_cache_miss(hash);
-        if !satisfied {
-            state.refresh_owed = true;
-        }
-        satisfied
+        self.serving(id).is_some_and(|d| d.cache_miss(hash))
     }
 
     /// Flushes one client's buffer over its own connection.
@@ -751,13 +534,9 @@ impl SharedSession {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        let Some(state) = self.state_mut(id) else {
-            return Vec::new();
-        };
-        if state.quarantined {
-            return Vec::new();
-        }
-        flush_client_state(state, now, pipe, trace, None, &mut PlaneCounters::default())
+        self.member_mut(id).map_or_else(Vec::new, |m| {
+            m.flush(now, pipe, trace, None, &mut PlaneCounters::default())
+        })
     }
 
     /// Flushes **every** client's buffer, each over its own
@@ -833,19 +612,14 @@ impl SharedSession {
             .iter_mut()
             .filter(|(id, _)| ids.binary_search(id).is_ok())
             .zip(links.iter_mut())
-            .map(|((id, state), link)| {
-                (*id, state, link, Vec::new(), PlaneCounters::default())
-            })
+            .map(|((id, m), link)| (*id, m, link, Vec::new(), PlaneCounters::default()))
             .collect();
         assert_eq!(jobs.len(), ids.len(), "every flushed id must be attached");
         let caught = crate::parallel::try_for_each_mut(
             &mut jobs,
             self.workers,
-            |_, (_, state, link, out, counters)| {
-                if state.quarantined {
-                    return;
-                }
-                *out = flush_client_state(state, now, &mut link.0, &mut link.1, plane, counters);
+            |_, (_, m, link, out, counters)| {
+                *out = m.flush(now, &mut link.0, &mut link.1, plane, counters);
             },
         );
         // Panic containment: a client whose flush panicked is
@@ -853,10 +627,10 @@ impl SharedSession {
         // counted in its resilience metrics, and every other client's
         // output is delivered untouched.
         let mut total = PlaneCounters::default();
-        for ((_, state, _, out, counters), panic_msg) in jobs.iter_mut().zip(&caught) {
+        for ((_, m, _, out, counters), panic_msg) in jobs.iter_mut().zip(&caught) {
             if panic_msg.is_some() {
-                state.quarantined = true;
-                state.resilience.record_panic_quarantined();
+                m.quarantined = true;
+                m.delivery.resilience_mut().record_panic_quarantined();
                 out.clear();
             } else {
                 total.merge(counters);
@@ -877,34 +651,31 @@ impl SharedSession {
     /// Total wire bytes sent to a client so far (fairness metric for
     /// the fan-out gate).
     pub fn client_sent_bytes(&self, id: ClientId) -> u64 {
-        self.state(id).map(|s| s.buffer.stats().sent_bytes).unwrap_or(0)
+        self.delivery(id).map_or(0, |d| d.buffer().stats().sent_bytes)
     }
 
     /// A client's enqueue-to-wire flush-latency histogram
     /// (microseconds of virtual time), for cross-client percentile
     /// merging.
     pub fn client_flush_latency(&self, id: ClientId) -> Option<&thinc_telemetry::Histogram> {
-        self.state(id).map(|s| s.buffer.scheduler_metrics().flush_latency_us())
+        self.delivery(id)
+            .map(|d| d.buffer().scheduler_metrics().flush_latency_us())
     }
 
     /// Applies a client's viewport change mid-session (window resize,
-    /// device switch). Pending commands target the outgoing
-    /// coordinate space, so they — and any queued cache-miss
-    /// fallbacks — are dropped, and the client is owed a full-view
-    /// refresh at the new scale (settled by the next broadcast or
+    /// device switch). When the scale changes, pending commands — and
+    /// any queued cache-miss fallbacks — target the outgoing
+    /// coordinate space, so they are dropped; either way the device
+    /// may be a new one with an empty framebuffer, so the client is
+    /// owed a full-view refresh (settled by the next broadcast or
     /// [`repay_refreshes`](Self::repay_refreshes)). Counted as a
     /// resync in the client's resilience metrics.
     pub fn resize_client(&mut self, id: ClientId, viewport_w: u32, viewport_h: u32) {
-        let (sw, sh) = (self.width, self.height);
-        let Some(state) = self.state_mut(id) else {
-            return;
-        };
-        if state.quarantined {
-            return;
+        if let Some(d) = self.serving(id) {
+            d.set_viewport(viewport_w, viewport_h);
+            d.owe_refresh();
+            d.resilience_mut().record_resync();
         }
-        state.viewport = (viewport_w.clamp(1, sw), viewport_h.clamp(1, sh));
-        state.resilience.record_resync();
-        state.rescale_for_degradation();
     }
 
     /// Changes the content-cache budget applied to clients attached
@@ -929,20 +700,20 @@ impl SharedSession {
     /// Whether a client has been quarantined by flush panic
     /// containment.
     pub fn client_quarantined(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.quarantined)
+        self.member(id).is_some_and(|m| m.quarantined)
     }
 
     /// Number of currently quarantined clients.
     pub fn quarantined_count(&self) -> usize {
-        self.clients.iter().filter(|(_, s)| s.quarantined).count()
+        self.clients.iter().filter(|(_, m)| m.quarantined).count()
     }
 
     /// Test/chaos hook: arms a deliberate panic inside `id`'s next
     /// flush, on whatever worker thread the fan-out assigns it —
     /// exercising the quarantine path end to end.
     pub fn poison_next_flush(&mut self, id: ClientId) {
-        if let Some(state) = self.state_mut(id) {
-            state.poison_flush = true;
+        if let Some(m) = self.member_mut(id) {
+            m.poison_flush = true;
         }
     }
 
@@ -950,32 +721,37 @@ impl SharedSession {
     /// when the cache is off or the client is unknown). For coherence
     /// checks against the client store.
     pub fn client_cache_keys(&self, id: ClientId) -> Vec<u64> {
-        self.state(id).map(|s| s.buffer.cache_keys()).unwrap_or_default()
+        self.delivery(id)
+            .map(|d| d.buffer().cache_keys())
+            .unwrap_or_default()
     }
 
     /// Pending buffered bytes for a client.
     pub fn client_pending_bytes(&self, id: ClientId) -> u64 {
-        self.state(id).map(|s| s.buffer.pending_bytes()).unwrap_or(0)
+        self.delivery(id).map_or(0, |d| d.buffer().pending_bytes())
     }
 
     /// The byte bound a client's buffer currently enforces.
     pub fn client_effective_byte_bound(&self, id: ClientId) -> Option<u64> {
-        self.state(id).and_then(|s| s.buffer.effective_byte_bound())
+        self.delivery(id)
+            .and_then(|d| d.buffer().effective_byte_bound())
     }
 
     /// Whether a client is owed a full-view refresh.
     pub fn client_refresh_owed(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.refresh_owed)
+        self.delivery(id).is_some_and(|d| d.refresh_owed())
     }
 
-    /// Whether a client's buffer carries unsettled overflow debt.
+    /// Whether a client is still owed a refresh of regions its buffer
+    /// evicted (or a warm resume found stale).
     pub fn client_has_overflow_debt(&self, id: ClientId) -> bool {
-        self.state(id).is_some_and(|s| s.buffer.has_overflow_debt())
+        self.delivery(id).is_some_and(|d| d.has_debt())
     }
 
     /// Cache-miss fallbacks queued for a client but not yet delivered.
     pub fn client_fallbacks_pending(&self, id: ClientId) -> usize {
-        self.state(id).map(|s| s.buffer.fallbacks_pending()).unwrap_or(0)
+        self.delivery(id)
+            .map_or(0, |d| d.buffer().fallbacks_pending())
     }
 
     /// The session's stable identity, as carried by resume tokens.
@@ -983,9 +759,10 @@ impl SharedSession {
         self.session_id
     }
 
-    /// Serializes the full session — policy, every client's delivery
-    /// state, and per-tile digests of `screen` — into a versioned,
-    /// CRC-guarded checkpoint image ([`crate::checkpoint`]).
+    /// Serializes the full session — policy, every client's
+    /// [`Delivery`] record, and per-tile digests of `screen` — into a
+    /// versioned, CRC-guarded checkpoint image
+    /// ([`crate::checkpoint`]).
     ///
     /// Crash consistency comes from serializing raw internal state at
     /// a quiescent point (between flush epochs), never mid-mutation.
@@ -995,39 +772,20 @@ impl SharedSession {
     ///
     /// Deliberately not captured (all reconstructed or reset at
     /// [`restore`](Self::restore)): the translator's pixmap queues
-    /// (offscreen drawings replay into fresh queues), video stream
-    /// internals (active streams are torn down across a failover and
-    /// re-announced), liveness trackers (restarted from config — a
-    /// restored server must not inherit pre-crash silence), telemetry
-    /// counters, and the encode-once plane accounting.
+    /// (offscreen drawings replay into fresh queues), the encode-once
+    /// plane accounting, and what the delivery record itself leaves
+    /// out (video stream internals, liveness trackers, telemetry).
     pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u32(self.width);
-        w.u32(self.height);
+        w.u32(self.policy.session.0);
+        w.u32(self.policy.session.1);
         w.u8(format_to_u8(self.format));
         w.u64(self.session_id);
         w.str(&self.auth.owner);
         w.opt_str(self.auth.session_password.as_deref());
         w.u32(self.next_client);
         w.u64(self.now.0);
-        match self.liveness {
-            Some(cfg) => {
-                w.bool(true);
-                w.u64(cfg.timeout.0);
-                w.u64(cfg.ping_interval.0);
-            }
-            None => w.bool(false),
-        }
-        match self.degradation {
-            Some(cfg) => {
-                w.bool(true);
-                w.u32(cfg.degrade_after);
-                w.u32(cfg.promote_after);
-                w.f64(cfg.pressure_fraction);
-                w.u8(cfg.max_level.index() as u8);
-            }
-            None => w.bool(false),
-        }
+        self.policy.encode(&mut w);
         w.opt_u64(self.buffer_bound);
         w.opt_u64(self.cache_budget);
         w.u32(self.workers as u32);
@@ -1039,38 +797,12 @@ impl SharedSession {
         for d in &tiles.digests {
             w.u64(*d);
         }
-        let live: Vec<&(ClientId, ClientState)> = self
-            .clients
-            .iter()
-            .filter(|(_, s)| !s.quarantined)
-            .collect();
-        w.u32(live.len() as u32);
-        for (id, state) in live {
+        let live = || self.clients.iter().filter(|(_, m)| !m.quarantined);
+        w.u32(live().count() as u32);
+        for (id, m) in live() {
             w.u32(id.0);
-            w.str(&state.user);
-            w.u32(state.viewport.0);
-            w.u32(state.viewport.1);
-            w.rect(&state.scale.view);
-            w.bool(state.refresh_owed);
-            w.u8(match &state.degradation {
-                Some(c) => c.level().index() as u8,
-                None => 0xFF,
-            });
-            state.buffer.encode_checkpoint(&mut w);
-            // Liveness probes are incarnation-local and never
-            // checkpointed: the restored standby's fresh tracker
-            // issues its own pings, and a carried-over probe would
-            // draw a pong the standby's reset telemetry never
-            // accounted for (breaking pong<=ping conservation).
-            let av: Vec<&Message> = state
-                .pending_av
-                .iter()
-                .filter(|m| !matches!(m, Message::Ping { .. }))
-                .collect();
-            w.u32(av.len() as u32);
-            for msg in av {
-                w.bytes(&thinc_protocol::wire::encode_message(msg));
-            }
+            w.str(&m.user);
+            m.delivery.encode_checkpoint(&mut w);
         }
         crate::checkpoint::seal(w.into_inner())
     }
@@ -1092,24 +824,7 @@ impl SharedSession {
         let session_password = r.opt_str()?;
         let next_client = r.u32()?;
         let now = SimTime(r.u64()?);
-        let liveness = if r.bool()? {
-            Some(LivenessConfig {
-                timeout: SimDuration(r.u64()?),
-                ping_interval: SimDuration(r.u64()?),
-            })
-        } else {
-            None
-        };
-        let degradation = if r.bool()? {
-            Some(DegradationConfig {
-                degrade_after: r.u32()?,
-                promote_after: r.u32()?,
-                pressure_fraction: r.f64()?,
-                max_level: level_from_u8(r.u8()?)?,
-            })
-        } else {
-            None
-        };
+        let policy = DeliveryPolicy::decode(&mut r, (width, height))?;
         let buffer_bound = r.opt_u64()?;
         let cache_budget = r.opt_u64()?;
         let workers = (r.u32()? as usize).max(1);
@@ -1125,7 +840,7 @@ impl SharedSession {
             TileDigests { width: tw, height: th, cols, rows, digests }
         };
         let n_clients = r.u32()?;
-        let mut clients: Vec<(ClientId, ClientState)> = Vec::new();
+        let mut clients: Vec<(ClientId, Member)> = Vec::new();
         for _ in 0..n_clients {
             let id = ClientId(r.u32()?);
             // Lookups binary-search the roster, and the next attach
@@ -1134,49 +849,12 @@ impl SharedSession {
                 return Err(CheckpointError::Malformed("client ids not ascending"));
             }
             let user = r.str()?;
-            let vw = r.u32()?.clamp(1, width);
-            let vh = r.u32()?.clamp(1, height);
-            let view = r.rect()?;
-            let refresh_owed = r.bool()?;
-            let level_byte = r.u8()?;
-            let buffer = ClientBuffer::decode_checkpoint(&mut r)?;
-            let controller = match (degradation, level_byte) {
-                (Some(_), 0xFF) => {
-                    return Err(CheckpointError::Malformed("missing degradation level"))
-                }
-                (Some(cfg), b) => Some(DegradationController::restore(cfg, level_from_u8(b)?)),
-                (None, 0xFF) => None,
-                (None, _) => {
-                    return Err(CheckpointError::Malformed("orphan degradation level"))
-                }
-            };
-            let div = controller
-                .as_ref()
-                .map(|c| c.level().scale_divisor())
-                .unwrap_or(1)
-                .max(1);
-            let (ew, eh) = ((vw / div).max(1), (vh / div).max(1));
-            let mut video = VideoStreamManager::new();
-            video.set_scale(ew, width, eh, height);
-            let n_av = r.u32()?;
-            let mut pending_av = Vec::new();
-            for _ in 0..n_av {
-                pending_av.push(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
-            }
+            let delivery = Delivery::decode_checkpoint(&mut r, policy, now)?;
             clients.push((
                 id,
-                ClientState {
+                Member {
                     user,
-                    buffer,
-                    scale: ScalePolicy::new(width, height, ew, eh).with_view(view),
-                    video,
-                    pending_av,
-                    liveness: liveness.map(|c| LivenessTracker::new(c, now)),
-                    session: (width, height),
-                    viewport: (vw, vh),
-                    degradation: controller,
-                    refresh_owed,
-                    resilience: thinc_telemetry::ResilienceMetrics::new(),
+                    delivery,
                     quarantined: false,
                     poison_flush: false,
                 },
@@ -1186,16 +864,13 @@ impl SharedSession {
             return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
         }
         Ok(Self {
-            width,
-            height,
             format,
             auth: SessionAuth { owner, session_password },
             translator: Translator::new(),
             clients,
             next_client,
             now,
-            liveness,
-            degradation,
+            policy,
             buffer_bound,
             cache_budget,
             workers,
@@ -1212,10 +887,11 @@ impl SharedSession {
     /// ledger digest equal to the client's store digest) ships only
     /// the delta between the checkpointed screen digests and `screen`
     /// — the client's framebuffer and content store are trusted
-    /// as-is. Any mismatch falls back cold: pending state is dropped,
-    /// both cache sides reset, and a full-view refresh is queued —
-    /// the same path a brand-new attach takes, so a stale or
-    /// corrupted token can never do worse than a cold reconnect.
+    /// as-is. A cache mismatch falls back cold
+    /// ([`Delivery::cold_restart`]): pending state is dropped, both
+    /// cache sides reset, and a full-view refresh is queued — the same
+    /// path a brand-new attach takes, so a stale or corrupted token
+    /// can never do worse than a cold reconnect.
     pub fn resume_client(
         &mut self,
         session_id: u64,
@@ -1228,62 +904,34 @@ impl SharedSession {
             // client, so nothing is touched.
             return ResumeOutcome::Cold { reason: "unknown session" };
         }
-        if self.state(id).is_none() {
-            return ResumeOutcome::Cold { reason: "unknown client" };
-        }
-        if self.state(id).is_some_and(|s| s.quarantined) {
-            // Quarantined state is unspecified (the panic may have
-            // struck mid-mutation); it must not be revived or mutated.
-            return ResumeOutcome::Cold { reason: "quarantined" };
-        }
-        let ledger_digest =
-            cache_digest(&self.state(id).map(|s| s.buffer.cache_keys()).unwrap_or_default());
-        if ledger_digest != store_digest {
-            return self.cold_fallback(id, screen, "cache digest mismatch");
-        }
+        let now = self.now;
         let delta = match &self.restored_tiles {
             Some(t) => t.delta(&TileDigests::of(screen)),
             None => Region::new(),
         };
-        let delta_area = delta.area();
-        let state = self.state_mut(id).expect("presence checked above");
-        state.resilience.record_resume();
-        if state.scale.is_identity() {
-            // Debt lives in viewport coordinates; at identity scale
-            // the session-space delta maps one-to-one, so only the
-            // changed tiles are requeued.
-            state.buffer.owe_refresh_region(&delta);
-            state.repay_debt(screen);
+        let Some(m) = self.member_mut(id) else {
+            return ResumeOutcome::Cold { reason: "unknown client" };
+        };
+        if m.quarantined {
+            return ResumeOutcome::Cold { reason: "quarantined" };
+        }
+        let d = &mut m.delivery;
+        if cache_digest(&d.buffer().cache_keys()) != store_digest {
+            d.cold_restart(screen, now);
+            return ResumeOutcome::Cold { reason: "cache digest mismatch" };
+        }
+        d.resilience_mut().record_resume();
+        if d.scale().is_identity() {
+            // Only the changed tiles are requeued.
+            d.owe_region(&delta);
         } else if !delta.is_empty() {
             // A scaled client resamples whole views; re-rendering the
             // full view is both simpler and still far cheaper than a
             // cold restart (no cache reset, no pending-state drop).
-            state.refresh_owed = true;
-            state.repay_refresh(screen);
+            d.owe_refresh();
         }
-        ResumeOutcome::Warm { delta_area }
-    }
-
-    /// The cold half of [`resume_client`](Self::resume_client): drop
-    /// everything mid-flight, clear the cache ledger (the redialing
-    /// client clears its store in the same breath, keeping the
-    /// eviction mirror intact), and queue a full-view refresh.
-    fn cold_fallback(
-        &mut self,
-        id: ClientId,
-        screen: &Framebuffer,
-        reason: &'static str,
-    ) -> ResumeOutcome {
-        if let Some(state) = self.state_mut(id) {
-            state.resilience.record_cold_fallback();
-            let _ = state.buffer.drop_pending_for_rescale();
-            let _ = state.buffer.take_overflow_debt();
-            state.buffer.reset_cache();
-            state.pending_av.clear();
-            state.refresh_owed = true;
-            state.repay_refresh(screen);
-        }
-        ResumeOutcome::Cold { reason }
+        d.repay(screen);
+        ResumeOutcome::Warm { delta_area: delta.area() }
     }
 }
 
@@ -1297,111 +945,6 @@ fn compute_session_id(owner: &str, width: u32, height: u32, format: PixelFormat)
     h = fnv64_update(h, &height.to_le_bytes());
     h = fnv64_update(h, &[format_to_u8(format)]);
     h
-}
-
-/// Decodes a degradation-ladder level from its checkpoint byte.
-pub(crate) fn level_from_u8(b: u8) -> Result<DegradationLevel, CheckpointError> {
-    DegradationLevel::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or(CheckpointError::Malformed("degradation level"))
-}
-
-/// The per-client flush body: A/V first (paced data), then the SRSF
-/// display queues. A free function so the parallel fan-out can borrow
-/// one client's state without holding the session.
-fn flush_client_state(
-    state: &mut ClientState,
-    now: SimTime,
-    pipe: &mut TcpPipe,
-    trace: &mut PacketTrace,
-    plane: Option<&WirePlane>,
-    counters: &mut PlaneCounters,
-) -> Vec<(SimTime, Message)> {
-    if state.poison_flush {
-        state.poison_flush = false;
-        panic!("injected poison: client flush panicked");
-    }
-    observe_client_degradation(state, now, pipe);
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < state.pending_av.len() {
-        let size = thinc_protocol::wire::encoded_len(&state.pending_av[i]);
-        if pipe.would_block(now, size) {
-            break;
-        }
-        let msg = state.pending_av.remove(i);
-        let (_, arrival) = pipe.send(now, size);
-        trace.record(now, arrival, size, thinc_net::trace::Direction::Down, "video");
-        out.push((arrival, msg));
-        // `remove` shifted; keep index at 0 semantics.
-        i = 0;
-    }
-    out.extend(state.buffer.flush_shared(now, pipe, trace, plane, counters));
-    out
-}
-
-/// One scale-equivalence class of a broadcast round: the shared
-/// translation of the round's commands and (when any member owes one)
-/// the shared full-view refresh rendition.
-struct BroadcastClass {
-    policy: ScalePolicy,
-    transformed: Vec<Option<DisplayCommand>>,
-    refresh: Option<DisplayCommand>,
-    refresh_wanted: bool,
-}
-
-/// Renders the full-view refresh a [`ScalePolicy`] class is owed —
-/// the class-shared twin of [`ClientState::repay_refresh`], with the
-/// identical output bytes.
-fn shared_refresh(policy: &ScalePolicy, screen: &Framebuffer) -> Option<DisplayCommand> {
-    let (clip, data) = screen.get_raw(&policy.view);
-    if clip.is_empty() {
-        return None;
-    }
-    let cmd = DisplayCommand::Raw {
-        rect: clip,
-        encoding: thinc_protocol::commands::RawEncoding::None,
-        data: data.into(),
-    };
-    if policy.is_identity() {
-        Some(cmd)
-    } else {
-        policy.transform(&cmd, screen)
-    }
-}
-
-/// Feeds one flush epoch of this client's link telemetry to its
-/// degradation controller and applies any resulting transition. Runs
-/// inside the parallel fan-out: every input is per-client (own
-/// buffer, own pipe, own controller), so worker count cannot change
-/// the outcome.
-fn observe_client_degradation(state: &mut ClientState, now: SimTime, pipe: &TcpPipe) {
-    let transition = {
-        let Some(ctrl) = state.degradation.as_mut() else {
-            return;
-        };
-        let fs = pipe.fault_stats();
-        let signals = EpochSignals {
-            pending_bytes: state.buffer.pending_bytes(),
-            byte_bound: state.buffer.byte_bound(),
-            overflow_evictions: state.buffer.stats().overflow_evicted,
-            outage_defers: fs.outage_defers,
-            collapsed_rounds: fs.collapsed_rounds,
-            stale_av_drops: 0,
-            corrupt_events: fs.corrupt_events,
-            segments_reordered: fs.segments_reordered,
-            segments_duplicated: fs.segments_duplicated,
-            link_impaired: pipe.fault_window_active(now),
-        };
-        ctrl.observe(&signals)
-    };
-    if let Some(t) = transition {
-        state
-            .resilience
-            .record_degradation_step(t.to.index() as u64, t.is_demotion());
-        state.rescale_for_degradation();
-    }
 }
 
 impl VideoDriver for SharedSession {
@@ -1475,23 +1018,12 @@ impl VideoDriver for SharedSession {
     }
 
     fn video_display(&mut self, _store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
+        // Video bypasses the display buffer ordering: each client's
+        // own stream manager resamples for its viewport and the result
+        // rides its A/V queue.
         let ts = self.now.as_micros();
-        for (_, state) in self.clients.iter_mut() {
-            if state.quarantined {
-                continue;
-            }
-            // Video messages bypass the display buffer ordering and go
-            // through each client's own stream manager (which also
-            // resamples for small viewports).
-            let msgs = state.video.display_frame(frame, dst, ts);
-            for m in msgs {
-                // Wrap as display-path content so flushing stays
-                // single-channel per client: the buffer only carries
-                // DisplayCommand, so A/V keeps a side-channel. For
-                // the shared session we deliver video immediately at
-                // flush time via the pending list below.
-                state.pending_av.push(m);
-            }
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+            m.delivery.display_video(frame, dst, ts);
         }
     }
 }
@@ -1499,6 +1031,7 @@ impl VideoDriver for SharedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::checkpointable_session;
 
     #[test]
     fn owner_authenticates() {
@@ -1708,6 +1241,116 @@ mod tests {
     }
 
     #[test]
+    fn ladder_tightens_the_bound_and_evicts_raw_first_on_the_shared_path() {
+        use thinc_display::drawable::SCREEN;
+        use thinc_net::fault::FaultPlan;
+        use thinc_net::link::NetworkConfig;
+        use thinc_net::time::SimDuration;
+
+        const BOUND: u64 = 12 * 1024;
+        for workers in [1, 4] {
+            let mut s = SharedSession::new(256, 256, PixelFormat::Rgb888, "host")
+                .with_buffer_bound(BOUND)
+                .with_degradation(DegradationConfig {
+                    degrade_after: 1,
+                    promote_after: 100,
+                    max_level: DegradationLevel::Degraded,
+                    ..DegradationConfig::default()
+                })
+                .with_workers(workers);
+            let id = s
+                .attach(&Credentials::Owner { user: "host".into() }, 256, 256)
+                .unwrap();
+            let mut store = DrawableStore::new(256, 256, PixelFormat::Rgb888);
+            let plan =
+                FaultPlan::seeded(7).with_collapse(SimTime(0), SimDuration::from_secs(1), 0.05);
+            let mut links = vec![(
+                NetworkConfig::lan_desktop().with_faults(plan).connect().down,
+                PacketTrace::new(),
+            )];
+            for t in [100_000, 200_000] {
+                let _ = s.flush_all(SimTime(t), &mut links);
+            }
+            assert_eq!(s.client_degradation_level(id), DegradationLevel::Degraded);
+            assert_eq!(s.client_effective_byte_bound(id), Some(BOUND / 2));
+
+            // At a quarter of the session's size, a small fill and then
+            // three 28x28 noise tiles of 2.3 KB each: the third overflows
+            // the 6 KB bound. RAW-first eviction sheds the oldest tile and
+            // keeps the fill; oldest-first would shed the fill and then
+            // the tile.
+            let fill = Rect::new(0, 0, 16, 16);
+            store.screen_mut().fill_rect(&fill, Color::rgb(1, 2, 3));
+            s.solid_fill(&store, SCREEN, fill, Color::rgb(1, 2, 3));
+            for (i, (tx, ty)) in [(136, 0), (0, 136), (136, 136)].into_iter().enumerate() {
+                let noise = crate::fixtures::noise(112 * 112 * 3, 7 + i as u32);
+                let rect = Rect::new(tx, ty, 112, 112);
+                store.screen_mut().put_raw(&rect, &noise);
+                s.put_image(&store, SCREEN, rect, &noise);
+            }
+            assert!(s.client_resilience(id).unwrap().overflow_evictions() > 0);
+            assert!(s.client_pending_bytes(id) <= BOUND / 2);
+            let mut clean = (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
+            let sent = s.flush_client(id, SimTime(300_000), &mut clean.0, &mut clean.1);
+            assert!(
+                sent.iter()
+                    .any(|(_, m)| matches!(m, Message::Display(DisplayCommand::Sfill { .. }))),
+                "workers={workers}: the compact fill must outlive the RAW tiles"
+            );
+        }
+    }
+
+    #[test]
+    fn stale_video_is_dropped_behind_a_blocked_pipe_and_the_rest_leaves_in_order() {
+        use thinc_net::tcp::TcpParams;
+        use thinc_raster::YuvFormat;
+
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
+            .with_liveness(LivenessConfig::default());
+        let id = s
+            .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
+            .unwrap();
+        let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        let frame = YuvFrame::new(YuvFormat::Yv12, 32, 32);
+        // Queue: VideoInit, VideoData@0, Ping, VideoData@6s.
+        s.video_display(&store, &frame, Rect::new(0, 0, 32, 32));
+        let t = SimTime(6_000_000);
+        assert!(matches!(
+            s.poll_client_liveness(id, t),
+            LivenessVerdict::SendPing { .. }
+        ));
+        s.set_time(t);
+        s.video_display(&store, &frame, Rect::new(0, 0, 32, 32));
+        // A socket buffer that takes the control messages but never a
+        // whole frame: the frame stamped six seconds ago is stale and
+        // goes; the fresh one waits its turn, and nothing overtakes it.
+        let mut pipe = TcpPipe::new(TcpParams {
+            sndbuf_bytes: 512,
+            ..TcpParams::default()
+        });
+        let mut trace = PacketTrace::new();
+        let sent = s.flush_client(id, SimTime(t.0 + 1), &mut pipe, &mut trace);
+        assert!(
+            matches!(
+                sent.iter().map(|(_, m)| m).collect::<Vec<_>>()[..],
+                [Message::VideoInit { .. }, Message::Ping { .. }]
+            ),
+            "{sent:?}"
+        );
+        assert_eq!(s.client_resilience(id).unwrap().stale_video_dropped(), 1);
+        // A roomier pipe lets the fresh frame out.
+        let mut pipe = TcpPipe::new(TcpParams::default());
+        let sent = s.flush_client(id, SimTime(t.0 + 2), &mut pipe, &mut trace);
+        assert!(matches!(sent[0].1, Message::VideoData { timestamp_us: 6_000_000, .. }));
+        // Every kind is traced under its own tag and counted.
+        for tag in ["video", "control"] {
+            assert!(trace.records().iter().any(|p| p.tag == tag), "no {tag} packet");
+        }
+        let wire = s.client_protocol_metrics(id).unwrap();
+        assert_eq!(wire.count(thinc_telemetry::CommandKind::Video), 2);
+    }
+
+    #[test]
     fn poisoned_flush_quarantines_only_that_client() {
         use thinc_display::drawable::SCREEN;
         use thinc_net::link::NetworkConfig;
@@ -1902,61 +1545,6 @@ mod tests {
     }
 
     // ---- checkpoint / restore / warm failover ----
-
-    /// A fully-featured two-client session with some delivered traffic
-    /// and some backlog, plus the drawable store driving it and the
-    /// per-client messages its internal flush epochs already delivered
-    /// (a client replaying the stream from scratch needs them too).
-    fn checkpointable_session() -> (
-        SharedSession,
-        thinc_display::drawable::DrawableStore,
-        Vec<Vec<Message>>,
-    ) {
-        use thinc_display::drawable::SCREEN;
-        use thinc_net::link::NetworkConfig;
-
-        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-            .with_liveness(LivenessConfig::default())
-            .with_degradation(DegradationConfig::default())
-            .with_buffer_bound(512 * 1024)
-            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET)
-            .with_workers(2);
-        s.auth_mut().enable_sharing("pw");
-        s.attach(&Credentials::Owner { user: "host".into() }, 64, 64)
-            .unwrap();
-        s.attach(
-            &Credentials::Peer { user: "guest".into(), password: "pw".into() },
-            32,
-            32,
-        )
-        .unwrap();
-        let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
-        store
-            .screen_mut()
-            .fill_rect(&Rect::new(0, 0, 64, 64), Color::rgb(40, 80, 120));
-        s.solid_fill(&store, SCREEN, Rect::new(0, 0, 64, 64), Color::rgb(40, 80, 120));
-        let mut links = vec![
-            (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-            (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-        ];
-        // A couple of flush epochs: populates ledgers and stats but
-        // deliberately leaves backlog (mid-flight state).
-        let mut delivered = vec![Vec::new(), Vec::new()];
-        for i in 0..2u64 {
-            for (j, (_, msgs)) in s
-                .flush_all(SimTime((i + 1) * 10_000), &mut links)
-                .into_iter()
-                .enumerate()
-            {
-                delivered[j].extend(msgs.into_iter().map(|(_, m)| m));
-            }
-        }
-        store
-            .screen_mut()
-            .fill_rect(&Rect::new(4, 4, 24, 24), Color::rgb(200, 10, 10));
-        s.solid_fill(&store, SCREEN, Rect::new(4, 4, 24, 24), Color::rgb(200, 10, 10));
-        (s, store, delivered)
-    }
 
     #[test]
     fn restore_re_checkpoints_byte_exact() {
