@@ -20,9 +20,10 @@
 //! than `--threshold` (default 0.15). Absolute ns/op numbers are
 //! reported but never gated. On top of the relative baseline, the
 //! four rewritten straggler kernels (`bitmap_rect`, `convert`,
-//! `yuv_pack`, `scale_fant`) and the two delivery-path digests
-//! (`crc32`, `content_id`) carry absolute ≥3x speedup floors that fail
-//! the gate outright.
+//! `yuv_pack`, `scale_fant`), the RAW path's codec in both directions
+//! (`lzss`, `pnglike`, `pnglike_decode`) and the two delivery-path
+//! digests (`crc32`, `content_id`) carry absolute ≥3x speedup floors
+//! that fail the gate outright.
 //!
 //! Usage:
 //!   perfgate [--quick] [--threshold 0.15] [--write-baseline]
@@ -36,7 +37,7 @@ use std::time::Instant;
 use thinc_baselines::traits::RemoteDisplay;
 use thinc_bench::thinc_system::ThincSystem;
 use thinc_bench::{avbench, webbench};
-use thinc_compress::{lzss, pnglike, rle, Scratch};
+use thinc_compress::{filter, lzss, pnglike, rle, DecodeScratch, Scratch};
 use thinc_core::server::ServerConfig;
 use thinc_core::session::Credentials;
 use thinc_core::SharedSession;
@@ -340,6 +341,14 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
         || drop(black_box(lzss::compress(&img))),
     ));
     let stride = w as usize * 3;
+    let mut filtered = Vec::new();
+    out.push(kernel(
+        quick,
+        "filter",
+        img.len(),
+        || drop(black_box(thinc_compress::reference::filter_apply(&img, 3, stride))),
+        || filter::apply_into(black_box(&img), 3, stride, &mut filtered),
+    ));
     let mut scratch = Scratch::new();
     out.push(kernel(
         quick,
@@ -348,6 +357,48 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
         || drop(black_box(thinc_compress::reference::pnglike_compress(&img, 3, stride))),
         || {
             black_box(pnglike::compress_with(&img, 3, stride, &mut scratch).len());
+        },
+    ));
+
+    // The decoders, on the stream of the desktop-like image above and
+    // on that of a graphic-like tile: flat shapes, whose stream is
+    // nearly all long matches, are what a RAW that ships compressed
+    // mostly looks like. The optimized side of `pnglike_decode` is the
+    // call a viewer makes, with its reused scratch.
+    let tile = thinc_workloads::content::graphic_rgb(2005, 256, 192);
+    let images = [(&img, stride), (&tile, 256 * 3)];
+    let decoded_bytes = img.len() + tile.len();
+    let streams = images.map(|(image, stride)| lzss::compress(&filter::apply(image, 3, stride)));
+    out.push(kernel(
+        quick,
+        "lzss_decode",
+        decoded_bytes,
+        || {
+            for stream in &streams {
+                drop(black_box(thinc_compress::reference::lzss_decompress(black_box(stream))));
+            }
+        },
+        || {
+            for stream in &streams {
+                drop(black_box(lzss::decompress(black_box(stream))));
+            }
+        },
+    ));
+    let packed = images.map(|(image, stride)| (pnglike::compress(image, 3, stride), stride, image.len()));
+    let mut decode = DecodeScratch::new();
+    out.push(kernel(
+        quick,
+        "pnglike_decode",
+        decoded_bytes,
+        || {
+            for (stream, stride, _) in &packed {
+                drop(black_box(thinc_compress::reference::pnglike_decompress(black_box(stream), 3, *stride)));
+            }
+        },
+        || {
+            for (stream, stride, len) in &packed {
+                black_box(pnglike::decompress_into(black_box(stream), 3, *stride, *len, &mut decode));
+            }
         },
     ));
 
@@ -1214,17 +1265,21 @@ fn main() {
         timing_derived: true,
     });
 
-    // The four rewritten straggler kernels and the two digests carry
-    // absolute speedup floors (the "kernel war" acceptance bar):
+    // The four rewritten straggler kernels, the RAW codec (encode and
+    // the viewer's decode) and the two digests carry absolute speedup
+    // floors (the "kernel war" acceptance bar):
     // dropping below 3x against the retained reference (for
     // `content_id`, against FNV-1a 64) is a hard failure regardless of
     // what the baseline file says. The other kernels gate only
     // relatively, via the baseline.
-    const KERNEL_FLOORS: [(&str, f64); 6] = [
+    const KERNEL_FLOORS: [(&str, f64); 9] = [
         ("bitmap_rect", 3.0),
         ("convert", 3.0),
         ("yuv_pack", 3.0),
         ("scale_fant", 3.0),
+        ("lzss", 3.0),
+        ("pnglike", 3.0),
+        ("pnglike_decode", 3.0),
         ("crc32", 3.0),
         ("content_id", 3.0),
     ];

@@ -69,6 +69,8 @@ pub struct ThincClient {
     audio_timestamps: Vec<u64>,
     cursor: crate::cursor::CursorState,
     pending_pong: Option<Message>,
+    /// Decode buffer reused from one compressed `RAW` to the next.
+    decode: thinc_compress::DecodeScratch,
 }
 
 impl ThincClient {
@@ -88,6 +90,7 @@ impl ThincClient {
             audio_timestamps: Vec::new(),
             cursor: crate::cursor::CursorState::new(),
             pending_pong: None,
+            decode: thinc_compress::DecodeScratch::new(),
         }
     }
 
@@ -265,25 +268,27 @@ impl ThincClient {
             } => {
                 let bpp = self.fb.format().bytes_per_pixel();
                 let needed = rect.area() as usize * bpp;
-                let pixels: Vec<u8> = match encoding {
-                    RawEncoding::None => data.to_vec(),
+                let pixels: Option<&[u8]> = match encoding {
+                    RawEncoding::None => Some(data),
                     RawEncoding::PngLike => {
                         self.hw.decompress(data.len() as u64);
                         let stride = rect.w as usize * bpp;
-                        match thinc_compress::pnglike::decompress(data, bpp, stride) {
-                            Some(d) => d,
-                            None => {
-                                self.stats.errors += 1;
-                                return;
-                            }
-                        }
+                        // `needed` bounds the output: a stream that
+                        // asks for more is refused before it is made.
+                        thinc_compress::pnglike::decompress_into(
+                            data,
+                            bpp,
+                            stride,
+                            needed,
+                            &mut self.decode,
+                        )
                     }
                 };
-                if pixels.len() < needed {
+                let Some(pixels) = pixels.filter(|p| p.len() >= needed) else {
                     self.stats.errors += 1;
                     return;
-                }
-                self.fb.put_raw(rect, &pixels);
+                };
+                self.fb.put_raw(rect, pixels);
                 self.hw.put(rect.area());
                 self.stats.raw += 1;
             }
@@ -382,6 +387,24 @@ mod tests {
             data: vec![0xFF, 0x22].into(),
         }));
         assert_eq!(c.stats().errors, 1);
+    }
+
+    #[test]
+    fn compressed_raw_declaring_more_than_its_rectangle_counts_error() {
+        // One literal, then a match whose length extension asks for
+        // 255 bytes per byte of chain: ~250 KB for a 768-byte rectangle.
+        let mut bomb = vec![0b10, 0, 0x0F, 0x00];
+        bomb.extend(std::iter::repeat_n(0xFF, 990));
+        bomb.push(0);
+        let mut c = client();
+        c.apply(&Message::Display(DisplayCommand::Raw {
+            rect: Rect::new(0, 0, 16, 16),
+            encoding: RawEncoding::PngLike,
+            data: bomb.into(),
+        }));
+        assert_eq!(c.stats().errors, 1);
+        assert_eq!(c.stats().raw, 0);
+        assert!(c.decode.capacity() <= 16 * 16 * 3 + 16);
     }
 
     #[test]

@@ -5,15 +5,20 @@
 //! (above), `Average`, and `Paeth`. The encoder picks a filter per row
 //! with the standard minimum-sum-of-absolute-differences heuristic.
 //!
-//! The scoring and writing passes are structured for
-//! autovectorization: each filter gets its own flat loop over the row
-//! with the `i < bpp` prologue split out, so the inner loops carry no
-//! per-byte branching or bounds checks. Two identities remove the
-//! remaining special cases: with no previous row, `Paeth` degenerates
-//! to `Sub` and `Up` to `None`; within the first `bpp` bytes of a row
-//! that has one, `Paeth` degenerates to `Up`. Output is byte-for-byte
-//! identical to the straightforward per-byte formulation (the test
-//! suite keeps that formulation around and checks).
+//! Every loop here is shaped for autovectorization. Scoring is one
+//! pass, `score_run`, over four equal-length slices — the bytes, and
+//! their left, upper and upper-left neighbours — with a branch-free
+//! Paeth and `u32` sums; a neighbour that does not exist (no previous
+//! row, the first `bpp` bytes of a row) is a slice of zeros, which is
+//! how PNG defines it, so the degenerate cases (`Paeth` is `Sub`
+//! without a previous row and `Up` in the prologue, `Up` is `None`
+//! without one) fall out of the arithmetic. The writing and
+//! unfiltering passes are one flat loop per filter type with the
+//! `i < bpp` prologue split out. Output is byte-for-byte that of the
+//! per-byte formulation kept as
+//! [`crate::reference::filter_apply`] / [`crate::reference::filter_unapply`].
+
+use std::cell::Cell;
 
 /// The five PNG filter types, by their PNG tag value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,92 +48,107 @@ impl FilterType {
     }
 }
 
+/// The Paeth predictor (a = left, b = above, c = upper-left) in `u8`
+/// arithmetic and selects, so a loop over it vectorizes at a lane per
+/// byte. With `p = a + b − c` the three distances are
+/// `|p − a| = |b − c|`, `|p − b| = |a − c|` and
+/// `|p − c| = |(a − c) + (b − c)|`; the last is the sum of the first
+/// two when a and b lie on the same side of c and their difference
+/// otherwise. A sum that saturates is still no less than either term,
+/// which is all the comparisons ask of it.
 #[inline(always)]
 fn paeth(a: u8, b: u8, c: u8) -> u8 {
-    // a = left, b = above, c = upper-left.
-    let p = a as i32 + b as i32 - c as i32;
-    let pa = (p - a as i32).abs();
-    let pb = (p - b as i32).abs();
-    let pc = (p - c as i32).abs();
-    if pa <= pb && pa <= pc {
+    // `u8::abs_diff` widens to `i32`, which would take the lanes with it.
+    fn dist(x: u8, y: u8) -> u8 {
+        x.max(y) - x.min(y)
+    }
+    let pa = dist(b, c);
+    let pb = dist(a, c);
+    let pc = if (a >= c) == (b >= c) { pa.saturating_add(pb) } else { dist(pa, pb) };
+    let b_or_c = if pb <= pc { b } else { c };
+    if (pa <= pb) & (pa <= pc) {
         a
-    } else if pb <= pc {
-        b
     } else {
-        c
+        b_or_c
     }
 }
 
+/// `⌊(a + b) / 2⌋` without leaving `u8`.
 #[inline(always)]
-fn abs_residual(x: u8, pred: u8) -> u64 {
-    (x.wrapping_sub(pred) as i8).unsigned_abs() as u64
+fn average(a: u8, b: u8) -> u8 {
+    (a & b) + ((a ^ b) >> 1)
 }
 
-/// Σ |x| — the `None` score, and the `Up` score when there is no
-/// previous row.
-fn score_none(row: &[u8]) -> u64 {
-    row.iter().map(|&x| (x as i8).unsigned_abs() as u64).sum()
-}
+/// Bytes scored per [`score_run`] call: few enough that the sums
+/// (at most 128 a byte) fit `u32` with room to spare and that
+/// [`ZEROS`] can stand in for any missing neighbour.
+const SCORE_RUN: usize = 4096;
 
-/// `Sub` score; also the `Paeth` score when there is no previous row
-/// (with a = left, b = c = 0, Paeth always picks a).
-fn score_sub(row: &[u8], bpp: usize) -> u64 {
-    let head: u64 = row[..bpp].iter().map(|&x| (x as i8).unsigned_abs() as u64).sum();
-    let tail: u64 = row[bpp..]
-        .iter()
-        .zip(row.iter())
-        .map(|(&x, &a)| abs_residual(x, a))
-        .sum();
-    head + tail
-}
+static ZEROS: [u8; SCORE_RUN] = [0; SCORE_RUN];
 
-/// `Up` score (previous row present).
-fn score_up(row: &[u8], prev: &[u8]) -> u64 {
-    row.iter().zip(prev.iter()).map(|(&x, &b)| abs_residual(x, b)).sum()
-}
+/// Bytes [`score_run`] scores per step: the residual magnitudes of a
+/// step are made in `u8` lanes and only their sums widened.
+const LANES: usize = 16;
 
-/// `Average` score; `prev` may be empty (first row), where the
-/// predictor degenerates to `a / 2` (and `0` in the prologue).
-fn score_avg(row: &[u8], prev: &[u8], bpp: usize) -> u64 {
-    if prev.is_empty() {
-        let head: u64 = row[..bpp].iter().map(|&x| (x as i8).unsigned_abs() as u64).sum();
-        let tail: u64 = row[bpp..]
-            .iter()
-            .zip(row.iter())
-            .map(|(&x, &a)| abs_residual(x, a / 2))
-            .sum();
-        head + tail
-    } else {
-        let head: u64 = row[..bpp]
-            .iter()
-            .zip(prev[..bpp].iter())
-            .map(|(&x, &b)| abs_residual(x, b / 2))
-            .sum();
-        let tail: u64 = row[bpp..]
-            .iter()
-            .zip(prev[bpp..].iter())
-            .zip(row.iter())
-            .map(|((&x, &b), &a)| abs_residual(x, ((a as u16 + b as u16) / 2) as u8))
-            .sum();
-        head + tail
+/// Σ |residual as i8| of `x` under each filter, in tag order, given
+/// its left (`a`), upper (`b`) and upper-left (`c`) neighbours.
+fn score_run(x: &[u8], a: &[u8], b: &[u8], c: &[u8]) -> [u32; 5] {
+    #[inline(always)]
+    fn mags(x: u8, a: u8, b: u8, c: u8) -> [u8; 5] {
+        [0, a, b, average(a, b), paeth(a, b, c)]
+            .map(|pred| (x.wrapping_sub(pred) as i8).unsigned_abs())
     }
+    let mut sums = [0u32; 5];
+    let n = x.len() / LANES * LANES;
+    for (((x, a), b), c) in x[..n]
+        .chunks_exact(LANES)
+        .zip(a[..n].chunks_exact(LANES))
+        .zip(b[..n].chunks_exact(LANES))
+        .zip(c[..n].chunks_exact(LANES))
+    {
+        let mut step = [[0u8; LANES]; 5];
+        for (k, (((&x, &a), &b), &c)) in x.iter().zip(a).zip(b).zip(c).enumerate() {
+            for (lanes, m) in step.iter_mut().zip(mags(x, a, b, c)) {
+                lanes[k] = m;
+            }
+        }
+        for (sum, lanes) in sums.iter_mut().zip(&step) {
+            *sum += lanes.iter().map(|&m| m as u32).sum::<u32>();
+        }
+    }
+    for (((&x, &a), &b), &c) in x[n..].iter().zip(&a[n..]).zip(&b[n..]).zip(&c[n..]) {
+        for (sum, m) in sums.iter_mut().zip(mags(x, a, b, c)) {
+            *sum += m as u32;
+        }
+    }
+    sums
 }
 
-/// `Paeth` score (previous row present). In the prologue a = c = 0,
-/// so the predictor is exactly b (`Up`).
-fn score_paeth(row: &[u8], prev: &[u8], bpp: usize) -> u64 {
-    let head: u64 = row[..bpp]
-        .iter()
-        .zip(prev[..bpp].iter())
-        .map(|(&x, &b)| abs_residual(x, b))
-        .sum();
-    let tail: u64 = row[bpp..]
-        .iter()
-        .zip(prev[bpp..].iter())
-        .zip(row.iter().zip(prev.iter()))
-        .map(|((&x, &b), (&a, &c))| abs_residual(x, paeth(a, b, c)))
-        .sum();
-    head + tail
+/// The tag whose filter leaves `row` with the smallest residual sum;
+/// ties go to the lower tag. `prev` is the row above, or empty, and
+/// `bpp` is at most the row's length.
+fn pick_filter(row: &[u8], prev: &[u8], bpp: usize) -> u8 {
+    let mut total = [0u64; 5];
+    let mut at = 0;
+    while at < row.len() {
+        // A run stays on one side of the prologue's edge, so its left
+        // neighbours are all zeros or all bytes of the row.
+        let end = if at < bpp { bpp } else { row.len() }.min(at + SCORE_RUN);
+        let zeros = &ZEROS[..end - at];
+        let above = |from: usize| if prev.is_empty() { zeros } else { &prev[from..] };
+        let (a, c) = if at < bpp { (zeros, zeros) } else { (&row[at - bpp..], above(at - bpp)) };
+        for (t, s) in total.iter_mut().zip(score_run(&row[at..end], a, above(at), c)) {
+            *t += s as u64;
+        }
+        at = end;
+    }
+    let mut best = 0;
+    for (tag, &t) in total.iter().enumerate() {
+        if t < total[best] {
+            best = tag;
+        }
+    }
+    best as u8
 }
 
 fn write_sub(row: &[u8], bpp: usize, dst: &mut [u8]) {
@@ -162,7 +182,7 @@ fn write_avg(row: &[u8], prev: &[u8], bpp: usize, dst: &mut [u8]) {
             .zip(prev[bpp..].iter())
             .zip(row.iter())
         {
-            *d = x.wrapping_sub(((a as u16 + b as u16) / 2) as u8);
+            *d = x.wrapping_sub(average(a, b));
         }
     }
 }
@@ -178,22 +198,6 @@ fn write_paeth(row: &[u8], prev: &[u8], bpp: usize, dst: &mut [u8]) {
         .zip(row.iter().zip(prev.iter()))
     {
         *d = x.wrapping_sub(paeth(a, b, c));
-    }
-}
-
-fn unfilter_row(ftype: FilterType, row: &mut [u8], prev: &[u8], bpp: usize) {
-    for i in 0..row.len() {
-        let a = if i >= bpp { row[i - bpp] } else { 0 };
-        let b = if prev.is_empty() { 0 } else { prev[i] };
-        let c = if i >= bpp && !prev.is_empty() { prev[i - bpp] } else { 0 };
-        let pred = match ftype {
-            FilterType::None => 0,
-            FilterType::Sub => a,
-            FilterType::Up => b,
-            FilterType::Average => ((a as u16 + b as u16) / 2) as u8,
-            FilterType::Paeth => paeth(a, b, c),
-        };
-        row[i] = row[i].wrapping_add(pred);
     }
 }
 
@@ -237,30 +241,12 @@ pub(crate) fn append_rows(
     for row in data[start..end].chunks(stride) {
         let p = if prev.len() == row.len() { prev } else { &[] };
         let b = bpp.min(row.len());
-        // Candidate scores in tag order; Up without a previous row
-        // scores like None and Paeth like Sub (see the score fns), so
-        // the strict-< first-minimum scan below reproduces the naive
-        // [None, Sub, Up, Average, Paeth] tie-break exactly.
-        let s_none = score_none(row);
-        let s_sub = score_sub(row, b);
-        let scores = [
-            s_none,
-            s_sub,
-            if p.is_empty() { s_none } else { score_up(row, p) },
-            score_avg(row, p, b),
-            if p.is_empty() { s_sub } else { score_paeth(row, p, b) },
-        ];
-        let mut best = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            if s < scores[best] {
-                best = i;
-            }
-        }
-        out.push(best as u8);
+        let tag = pick_filter(row, p, b);
+        out.push(tag);
         let start = out.len();
         out.resize(start + row.len(), 0);
         let dst = &mut out[start..];
-        match FilterType::from_tag(best as u8).expect("tag in range") {
+        match FilterType::from_tag(tag).expect("tag in range") {
             FilterType::None => dst.copy_from_slice(row),
             FilterType::Sub => write_sub(row, b, dst),
             FilterType::Up if p.is_empty() => dst.copy_from_slice(row),
@@ -273,34 +259,91 @@ pub(crate) fn append_rows(
     }
 }
 
+/// `row[i] += row[i - bpp]` left to right: each byte reads one this
+/// loop has already written, which a `Cell` view lets it do without
+/// indexing.
+fn unfilter_sub(row: &mut [u8], bpp: usize) {
+    let row = Cell::from_mut(row).as_slice_of_cells();
+    for (x, a) in row[bpp..].iter().zip(row.iter()) {
+        x.set(x.get().wrapping_add(a.get()));
+    }
+}
+
+fn unfilter_up(row: &mut [u8], prev: &[u8]) {
+    for (x, &b) in row.iter_mut().zip(prev.iter()) {
+        *x = x.wrapping_add(b);
+    }
+}
+
+fn unfilter_avg(row: &mut [u8], prev: &[u8], bpp: usize) {
+    let row = Cell::from_mut(row).as_slice_of_cells();
+    if prev.is_empty() {
+        for (x, a) in row[bpp..].iter().zip(row.iter()) {
+            x.set(x.get().wrapping_add(a.get() / 2));
+        }
+    } else {
+        for (x, &b) in row[..bpp].iter().zip(prev.iter()) {
+            x.set(x.get().wrapping_add(b / 2));
+        }
+        for ((x, a), &b) in row[bpp..].iter().zip(row.iter()).zip(prev[bpp..].iter()) {
+            x.set(x.get().wrapping_add(average(a.get(), b)));
+        }
+    }
+}
+
+/// `prev` is not empty: without a row above `Paeth` is `Sub`.
+fn unfilter_paeth(row: &mut [u8], prev: &[u8], bpp: usize) {
+    unfilter_up(&mut row[..bpp], prev);
+    let row = Cell::from_mut(row).as_slice_of_cells();
+    for ((x, a), (&b, &c)) in
+        row[bpp..].iter().zip(row.iter()).zip(prev[bpp..].iter().zip(prev.iter()))
+    {
+        x.set(x.get().wrapping_add(paeth(a.get(), b, c)));
+    }
+}
+
 /// Reverses [`apply`]. Returns `None` on malformed input.
 pub fn unapply(data: &[u8], bpp: usize, stride: usize) -> Option<Vec<u8>> {
+    let mut buf = data.to_vec();
+    unapply_in_place(&mut buf, bpp, stride).then_some(buf)
+}
+
+/// [`unapply`] on a filtered stream the caller owns: the image takes
+/// the stream's place in `buf` (it is shorter by a tag per row, and a
+/// row's image never reaches past where its residuals were). Returns
+/// `false` on malformed input, leaving `buf` unspecified.
+pub fn unapply_in_place(buf: &mut Vec<u8>, bpp: usize, stride: usize) -> bool {
     if bpp == 0 || stride == 0 {
-        return None;
+        return false;
     }
-    let mut out: Vec<u8> = Vec::with_capacity(data.len());
-    let mut i = 0;
-    let mut prev_start: Option<(usize, usize)> = None; // (offset, len) in out.
-    while i < data.len() {
-        let ftype = FilterType::from_tag(data[i])?;
-        i += 1;
-        let row_len = stride.min(data.len() - i);
-        if row_len == 0 {
-            return None;
-        }
-        let row_start = out.len();
-        out.extend_from_slice(&data[i..i + row_len]);
-        i += row_len;
-        // Split so we can view prev row while mutating this one.
-        let (head, tail) = out.split_at_mut(row_start);
-        let prev: &[u8] = match prev_start {
-            Some((off, len)) if len == row_len => &head[off..off + len],
-            _ => &[],
+    // Rows are read at `src` and left, unfiltered, at `dst <= src`.
+    let (mut src, mut dst, mut prev_len) = (0, 0, 0);
+    while src < buf.len() {
+        let Some(ftype) = FilterType::from_tag(buf[src]) else {
+            return false;
         };
-        unfilter_row(ftype, &mut tail[..row_len], prev, bpp);
-        prev_start = Some((row_start, row_len));
+        let len = stride.min(buf.len() - src - 1);
+        if len == 0 {
+            return false;
+        }
+        buf.copy_within(src + 1..src + 1 + len, dst);
+        let (done, rest) = buf.split_at_mut(dst);
+        let row = &mut rest[..len];
+        let prev = if prev_len == len { &done[dst - len..] } else { &[] };
+        let b = bpp.min(len);
+        match ftype {
+            FilterType::None => {}
+            FilterType::Up => unfilter_up(row, prev),
+            FilterType::Average => unfilter_avg(row, prev, b),
+            FilterType::Paeth if !prev.is_empty() => unfilter_paeth(row, prev, b),
+            FilterType::Sub | FilterType::Paeth => unfilter_sub(row, b),
+        }
+        src += 1 + len;
+        dst += len;
+        prev_len = len;
     }
-    Some(out)
+    buf.truncate(dst);
+    true
 }
 
 #[cfg(test)]
@@ -317,97 +360,6 @@ mod tests {
             }
         }
         v
-    }
-
-    /// The straightforward per-byte formulation the optimized passes
-    /// must reproduce byte-for-byte.
-    fn reference_filter_row(
-        ftype: FilterType,
-        row: &[u8],
-        prev: &[u8],
-        bpp: usize,
-        out: &mut Vec<u8>,
-    ) {
-        for (i, &x) in row.iter().enumerate() {
-            let a = if i >= bpp { row[i - bpp] } else { 0 };
-            let b = if prev.is_empty() { 0 } else { prev[i] };
-            let c = if i >= bpp && !prev.is_empty() { prev[i - bpp] } else { 0 };
-            let pred = match ftype {
-                FilterType::None => 0,
-                FilterType::Sub => a,
-                FilterType::Up => b,
-                FilterType::Average => ((a as u16 + b as u16) / 2) as u8,
-                FilterType::Paeth => paeth(a, b, c),
-            };
-            out.push(x.wrapping_sub(pred));
-        }
-    }
-
-    fn reference_apply(data: &[u8], bpp: usize, stride: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut prev: &[u8] = &[];
-        let mut scratch = Vec::new();
-        for row in data.chunks(stride) {
-            let mut best = FilterType::None;
-            let mut best_score = u64::MAX;
-            for f in [
-                FilterType::None,
-                FilterType::Sub,
-                FilterType::Up,
-                FilterType::Average,
-                FilterType::Paeth,
-            ] {
-                scratch.clear();
-                let p = if prev.len() == row.len() { prev } else { &[] };
-                reference_filter_row(f, row, p, bpp, &mut scratch);
-                let score: u64 =
-                    scratch.iter().map(|&b| (b as i8).unsigned_abs() as u64).sum();
-                if score < best_score {
-                    best_score = score;
-                    best = f;
-                }
-            }
-            out.push(best as u8);
-            let p = if prev.len() == row.len() { prev } else { &[] };
-            reference_filter_row(best, row, p, bpp, &mut out);
-            prev = row;
-        }
-        out
-    }
-
-    #[test]
-    fn optimized_apply_matches_reference_byte_for_byte() {
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for case in 0..200 {
-            let bpp = 1 + (rand() % 4) as usize;
-            let w = 1 + (rand() % 37) as usize;
-            let h = 1 + (rand() % 9) as usize;
-            let stride = w * bpp;
-            let mut data: Vec<u8> = (0..stride * h).map(|_| rand() as u8).collect();
-            // Half the cases get smooth content so every filter type
-            // actually wins somewhere; half stay noisy.
-            if case % 2 == 0 {
-                for (i, b) in data.iter_mut().enumerate() {
-                    *b = ((i / bpp) % 251) as u8;
-                }
-            }
-            // A third of the cases get a ragged trailing row.
-            if case % 3 == 0 && data.len() > 3 {
-                data.truncate(data.len() - 1 - (rand() as usize % (stride.min(data.len() - 1))));
-            }
-            assert_eq!(
-                apply(&data, bpp, stride),
-                reference_apply(&data, bpp, stride),
-                "case={case} bpp={bpp} stride={stride} len={}",
-                data.len()
-            );
-        }
     }
 
     #[test]
@@ -458,6 +410,14 @@ mod tests {
     #[test]
     fn bad_filter_tag_rejected() {
         assert_eq!(unapply(&[9, 1, 2, 3], 1, 3), None);
+    }
+
+    #[test]
+    fn branch_free_paeth_is_the_png_predictor_on_every_input() {
+        for v in 0..1u32 << 24 {
+            let [a, b, c, _] = v.to_le_bytes();
+            assert_eq!(paeth(a, b, c), crate::reference::paeth(a, b, c), "a={a} b={b} c={c}");
+        }
     }
 
     #[test]

@@ -86,6 +86,26 @@ impl Scratch {
     }
 }
 
+/// The reusable decode-side buffer of [`pnglike::decompress_into`]:
+/// the dictionary decoder fills it with the filtered stream and the
+/// unfilter pass turns that into the image where it lies.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    buf: Vec<u8>,
+}
+
+impl DecodeScratch {
+    /// Creates an empty buffer (it grows on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Bytes the buffer holds allocated.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
 /// A lossless byte codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {

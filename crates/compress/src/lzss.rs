@@ -17,12 +17,16 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = MIN_MATCH + 15 + 255 * 3;
 const LEN_EXT: usize = 15;
 const HASH_BITS: usize = 13;
+/// "No position" in the match-finder tables.
+const NIL: u32 = u32::MAX;
 
-fn hash(data: &[u8], i: usize) -> usize {
-    let h = (data[i] as u32)
+/// Hash of the `MIN_MATCH` bytes at the front of `at`.
+#[inline(always)]
+fn hash(at: &[u8]) -> usize {
+    let h = (at[0] as u32)
         .wrapping_mul(2654435761)
-        .wrapping_add((data[i + 1] as u32).wrapping_mul(40503))
-        .wrapping_add(data[i + 2] as u32);
+        .wrapping_add((at[1] as u32).wrapping_mul(40503))
+        .wrapping_add(at[2] as u32);
     (h as usize) & ((1 << HASH_BITS) - 1)
 }
 
@@ -58,19 +62,29 @@ pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
 /// the caller stop paying as soon as the stream is known to be too
 /// long to be of use.
 ///
-/// Match candidates come from the hash-chain finder; candidate match
-/// lengths are extended a machine word at a time (`eq_len`),
-/// which is where the encoder spends most of its cycles.
+/// Match candidates come from the hash-chain finder. A candidate is
+/// measured (a machine word at a time, `eq_len`) only if it could
+/// replace the best so far — it agrees with the cursor at the byte
+/// just past the best length and on its first `MIN_MATCH` bytes — so
+/// hash collisions and no-better repeats cost a few byte compares
+/// instead of a scan. The parse is the reference's: the walk visits
+/// the same candidates in the same order and keeps the first one of
+/// the greatest length.
 #[derive(Debug)]
 pub struct Encoder {
     /// `head[h]` = most recent position with hash `h`.
-    head: Vec<usize>,
+    head: Box<[u32; 1 << HASH_BITS]>,
     /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
-    prev: Vec<usize>,
+    prev: Box<[u32; WINDOW]>,
     /// Next input position to parse.
     pos: usize,
     flags_pos: usize,
     flag_bit: u8,
+}
+
+/// A match-finder table of `N` empty entries, made on the heap.
+fn table<const N: usize>() -> Box<[u32; N]> {
+    vec![NIL; N].try_into().expect("a vec of N is an array of N")
 }
 
 impl Default for Encoder {
@@ -83,8 +97,8 @@ impl Encoder {
     /// A fresh encoder at input position 0.
     pub fn new() -> Self {
         Self {
-            head: vec![usize::MAX; 1 << HASH_BITS],
-            prev: vec![usize::MAX; WINDOW],
+            head: table(),
+            prev: table(),
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
@@ -105,12 +119,22 @@ impl Encoder {
     /// Returns `false`, leaving the parse where it stopped, as soon as
     /// `out` is longer than `limit`: the finished stream can only be
     /// longer still.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is 4 GiB or longer: the match finder keeps
+    /// positions as `u32`.
     pub fn feed(&mut self, data: &[u8], last: bool, limit: usize, out: &mut Vec<u8>) -> bool {
+        assert!(data.len() < NIL as usize, "input too long for the match finder");
         let stop = if last {
             data.len()
         } else {
             (data.len() + 1).saturating_sub(LOOKAHEAD)
         };
+        // Positions below this have the MIN_MATCH bytes a hash reads.
+        let hashable = data.len().saturating_sub(MIN_MATCH - 1);
+        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        let (mut flags_pos, mut flag_bit) = (self.flags_pos, self.flag_bit);
         let mut i = self.pos;
         while i < stop {
             if out.len() > limit {
@@ -118,30 +142,46 @@ impl Encoder {
             }
             let mut best_len = 0;
             let mut best_dist = 0;
-            if i + MIN_MATCH <= data.len() {
-                let mut cand = self.head[hash(data, i)];
+            if i < hashable {
+                let h = hash(&data[i..]);
+                let max = MAX_MATCH.min(data.len() - i);
+                let mut cand = head[h];
                 let mut chain = 0;
-                while cand != usize::MAX && cand + WINDOW > i && chain < 32 {
-                    if cand < i {
-                        let max = MAX_MATCH.min(data.len() - i);
-                        let l = crate::eq_len(data, cand, i, max);
+                // Chains only run backwards, so every candidate is
+                // before `i`; one out of the window ends the walk.
+                while cand != NIL && cand as usize + WINDOW > i && chain < 32 {
+                    let c = cand as usize;
+                    if data[c + best_len] == data[i + best_len]
+                        && data[c..c + MIN_MATCH] == data[i..i + MIN_MATCH]
+                    {
+                        let l = crate::eq_len(data, c, i, max);
                         if l > best_len {
                             best_len = l;
-                            best_dist = i - cand;
-                            if l == MAX_MATCH {
+                            best_dist = i - c;
+                            // Nothing is longer than `max`, and the
+                            // quick reject may not read past it.
+                            if l == max {
                                 break;
                             }
                         }
                     }
-                    cand = self.prev[cand % WINDOW];
+                    cand = prev[c % WINDOW];
                     chain += 1;
                 }
+                // The search hash is the insertion hash.
+                prev[i % WINDOW] = head[h];
+                head[h] = i as u32;
+            }
+            if flag_bit == 8 {
+                flags_pos = out.len();
+                out.push(0);
+                flag_bit = 0;
             }
             if best_len >= MIN_MATCH {
+                out[flags_pos] |= 1 << flag_bit;
                 let mut extra = best_len - MIN_MATCH;
                 let code = extra.min(LEN_EXT);
                 let token = (((best_dist - 1) as u16) << 4) | (code as u16);
-                self.open_item(true, out);
                 out.extend_from_slice(&token.to_le_bytes());
                 if code == LEN_EXT {
                     extra -= LEN_EXT;
@@ -156,84 +196,134 @@ impl Encoder {
                 }
             } else {
                 best_len = 1;
-                self.open_item(false, out);
                 out.push(data[i]);
             }
-            // Insert hash entries for every covered position.
+            flag_bit += 1;
+            // Insert hash entries for the rest of the covered positions.
             let end = i + best_len;
-            while i < end {
-                if i + MIN_MATCH <= data.len() {
-                    let h = hash(data, i);
-                    self.prev[i % WINDOW] = self.head[h];
-                    self.head[h] = i;
+            let covered = i + 1..end.min(hashable);
+            if !covered.is_empty() {
+                let bytes = &data[covered.start..covered.end + MIN_MATCH - 1];
+                for (p, at) in covered.zip(bytes.windows(MIN_MATCH)) {
+                    let h = hash(at);
+                    prev[p % WINDOW] = head[h];
+                    head[h] = p as u32;
                 }
-                i += 1;
             }
+            i = end;
         }
         self.pos = i;
+        self.flags_pos = flags_pos;
+        self.flag_bit = flag_bit;
         out.len() <= limit
     }
+}
 
-    /// Claims the next flag bit for an item, opening a new flag byte
-    /// every eighth item.
-    #[inline]
-    fn open_item(&mut self, is_match: bool, out: &mut Vec<u8>) {
-        if self.flag_bit == 8 {
-            self.flags_pos = out.len();
-            out.push(0);
-            self.flag_bit = 0;
-        }
-        if is_match {
-            out[self.flags_pos] |= 1 << self.flag_bit;
-        }
-        self.flag_bit += 1;
+/// Matches up to this long are copied as one block of exactly this
+/// size, a load and a store, and the surplus cut off again: a copy of
+/// a length known only at run time costs more than the bytes.
+const SHORT_MATCH: usize = 16;
+
+/// Appends the `len` bytes that start `dist` back from the end of
+/// `out`, which may run into the bytes being appended (`dist < len`).
+/// `room` is how much longer `out` may get, and is at least `len`.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize, room: usize) {
+    let start = out.len() - dist;
+    if len <= SHORT_MATCH && dist >= SHORT_MATCH && room >= SHORT_MATCH {
+        let block: [u8; SHORT_MATCH] =
+            out[start..start + SHORT_MATCH].try_into().expect("a slice of the array's length");
+        out.extend_from_slice(&block);
+        out.truncate(out.len() - (SHORT_MATCH - len));
+        return;
+    }
+    // What is there repeats with period `dist`, so each block copied
+    // from `start` doubles the span the next one may take.
+    let mut span = dist;
+    let mut left = len;
+    while left > 0 {
+        let n = span.min(left);
+        out.extend_from_within(start..start + n);
+        span += n;
+        left -= n;
     }
 }
 
 /// Decompresses LZSS data; returns `None` on malformed input.
+///
+/// The output is as long as the stream says, which for a hostile one
+/// is up to 255 bytes per input byte: a caller that knows how much to
+/// expect should use [`decompress_into`].
 pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len() * 2);
+    decompress_into(data, usize::MAX, &mut out).then_some(out)
+}
+
+/// [`decompress`] into a caller-owned buffer (cleared first) that is
+/// never made longer than `limit` bytes: returns `false`, leaving
+/// `out` unspecified, on malformed input and as soon as the stream
+/// asks for more output than that. A caller that reserves
+/// `limit.min(255 * data.len())` (no stream makes more than 255 bytes
+/// per byte) sizes `out` once.
+///
+/// Accepts exactly the streams [`crate::reference::lzss_decompress`]
+/// does (any length of extension chain included) and decodes them to
+/// the same bytes.
+pub fn decompress_into(data: &[u8], limit: usize, out: &mut Vec<u8>) -> bool {
+    out.clear();
     let mut i = 0;
     while i < data.len() {
         let flags = data[i];
         i += 1;
+        if flags == 0 {
+            // Eight literals (fewer at the end of the stream).
+            let n = (data.len() - i).min(8);
+            if n > limit - out.len() {
+                return false;
+            }
+            out.extend_from_slice(&data[i..i + n]);
+            i += n;
+            continue;
+        }
         for bit in 0..8 {
             if i >= data.len() {
                 break;
             }
-            if flags & (1 << bit) != 0 {
-                if i + 2 > data.len() {
-                    return None;
+            if flags & (1 << bit) == 0 {
+                if out.len() == limit {
+                    return false;
                 }
-                let token = u16::from_le_bytes([data[i], data[i + 1]]);
-                i += 2;
-                let dist = ((token >> 4) as usize) + 1;
-                let mut len = ((token & 0xF) as usize) + MIN_MATCH;
-                if (token & 0xF) as usize == LEN_EXT {
-                    loop {
-                        let b = *data.get(i)?;
-                        i += 1;
-                        len += b as usize;
-                        if b < 255 {
-                            break;
-                        }
-                    }
-                }
-                if dist > out.len() {
-                    return None;
-                }
-                let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-            } else {
                 out.push(data[i]);
                 i += 1;
+                continue;
             }
+            let Some(token) = data.get(i..i + 2) else {
+                return false;
+            };
+            let token = u16::from_le_bytes([token[0], token[1]]);
+            i += 2;
+            let dist = (token >> 4) as usize + 1;
+            let mut len = (token & 0xF) as usize + MIN_MATCH;
+            if (token & 0xF) as usize == LEN_EXT {
+                loop {
+                    let Some(&b) = data.get(i) else {
+                        return false;
+                    };
+                    i += 1;
+                    len += b as usize;
+                    if b < 255 {
+                        break;
+                    }
+                }
+            }
+            let room = limit - out.len();
+            if dist > out.len() || len > room {
+                return false;
+            }
+            copy_match(out, dist, len, room);
         }
     }
-    Some(out)
+    true
 }
 
 #[cfg(test)]

@@ -91,9 +91,42 @@ pub fn compress_bounded<'a>(
 }
 
 /// Reverses [`compress`]; returns `None` on malformed input.
+///
+/// The output is as long as the stream says. Bytes from outside the
+/// program go through [`decompress_into`], which knows how much to
+/// expect.
 pub fn decompress(data: &[u8], bpp: usize, stride: usize) -> Option<Vec<u8>> {
-    let filtered = lzss::decompress(data)?;
-    filter::unapply(&filtered, bpp, stride)
+    let mut buf = lzss::decompress(data)?;
+    filter::unapply_in_place(&mut buf, bpp, stride).then_some(buf)
+}
+
+/// [`decompress`] for a stream that should hold `expected_len` bytes
+/// of image, through a caller-owned buffer: the decoded image is
+/// returned as a slice into `scratch`, and decoding one image after
+/// another with one [`crate::DecodeScratch`] allocates nothing once
+/// it has grown to the largest.
+///
+/// Returns `None` on malformed input and the moment the stream asks
+/// for more than `expected_len` bytes plus one filter tag per row —
+/// before making them, so the buffer never grows past that. A stream
+/// that holds less decodes to a shorter slice.
+pub fn decompress_into<'a>(
+    data: &[u8],
+    bpp: usize,
+    stride: usize,
+    expected_len: usize,
+    scratch: &'a mut crate::DecodeScratch,
+) -> Option<&'a [u8]> {
+    if stride == 0 {
+        return None;
+    }
+    let limit = expected_len.checked_add(expected_len.div_ceil(stride))?;
+    let buf = &mut scratch.buf;
+    buf.clear();
+    // Sized once: no stream makes more than 255 bytes per byte.
+    buf.reserve_exact(limit.min(data.len().saturating_mul(255)));
+    (lzss::decompress_into(data, limit, buf) && filter::unapply_in_place(buf, bpp, stride))
+        .then_some(&buf[..])
 }
 
 #[cfg(test)]

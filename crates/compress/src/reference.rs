@@ -1,11 +1,14 @@
-//! Retained naive reference encoders.
+//! Retained naive references: the executable specification.
 //!
-//! Byte-at-a-time versions of the RLE and LZSS encoders, kept verbatim
-//! from before the word-width scanning rewrite. The optimized encoders
-//! are required to produce **identical output bytes** (not merely a
-//! decodable stream), so the property tests in `tests/property.rs`
-//! assert `optimized == reference` directly, and the `perfgate`
-//! harness times the pairs for the committed speedup trajectory.
+//! Byte-at-a-time versions of the RLE and LZSS encoders, of the LZSS
+//! decoder and of the scanline filter in both directions, kept
+//! from before each was rewritten for throughput. The
+//! optimized encoders are required to produce **identical output
+//! bytes** (not merely a decodable stream) and the optimized decoders
+//! identical output and the same accept/reject verdict, so the
+//! property tests in `tests/equivalence.rs` assert
+//! `optimized == reference` directly, and the `perfgate` harness times
+//! the pairs for the committed speedup trajectory.
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -194,8 +197,159 @@ pub fn lzss_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Naive PNG-like pipeline (filter + naive LZSS), for end-to-end
+/// Naive LZSS decoder ([`crate::lzss::decompress`] with byte-at-a-time
+/// match copies and no output bound).
+pub fn lzss_decompress(data: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(data.len() * 2);
+    let mut i = 0;
+    while i < data.len() {
+        let flags = data[i];
+        i += 1;
+        for bit in 0..8 {
+            if i >= data.len() {
+                break;
+            }
+            if flags & (1 << bit) != 0 {
+                if i + 2 > data.len() {
+                    return None;
+                }
+                let token = u16::from_le_bytes([data[i], data[i + 1]]);
+                i += 2;
+                let dist = ((token >> 4) as usize) + 1;
+                let mut len = ((token & 0xF) as usize) + MIN_MATCH;
+                if (token & 0xF) as usize == LEN_EXT {
+                    loop {
+                        let b = *data.get(i)?;
+                        i += 1;
+                        len += b as usize;
+                        if b < 255 {
+                            break;
+                        }
+                    }
+                }
+                if dist > out.len() {
+                    return None;
+                }
+                let start = out.len() - dist;
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            } else {
+                out.push(data[i]);
+                i += 1;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// The Paeth predictor as PNG states it (a = left, b = above,
+/// c = upper-left).
+pub(crate) fn paeth(a: u8, b: u8, c: u8) -> u8 {
+    let p = a as i32 + b as i32 - c as i32;
+    let pa = (p - a as i32).abs();
+    let pb = (p - b as i32).abs();
+    let pc = (p - c as i32).abs();
+    if pa <= pb && pa <= pc {
+        a
+    } else if pb <= pc {
+        b
+    } else {
+        c
+    }
+}
+
+/// Byte `i` of a row's prediction under the filter with PNG tag
+/// `tag`; `row` holds unfiltered bytes up to `i`, `prev` is the
+/// unfiltered row above or empty.
+fn predict(tag: u8, row: &[u8], prev: &[u8], bpp: usize, i: usize) -> u8 {
+    let a = if i >= bpp { row[i - bpp] } else { 0 };
+    let b = if prev.is_empty() { 0 } else { prev[i] };
+    let c = if i >= bpp && !prev.is_empty() { prev[i - bpp] } else { 0 };
+    match tag {
+        0 => 0,
+        1 => a,
+        2 => b,
+        3 => ((a as u16 + b as u16) / 2) as u8,
+        _ => paeth(a, b, c),
+    }
+}
+
+/// Naive adaptive scanline filter ([`crate::filter::apply`] one byte
+/// and one filter at a time): every row is filtered five times into a
+/// scratch row, scored, and the first filter of the least score kept.
+///
+/// # Panics
+///
+/// Panics if `bpp` or `stride` is zero.
+pub fn filter_apply(data: &[u8], bpp: usize, stride: usize) -> Vec<u8> {
+    assert!(bpp > 0 && stride > 0, "bad geometry");
+    let mut out = Vec::new();
+    let mut prev: &[u8] = &[];
+    let mut scratch = Vec::new();
+    for row in data.chunks(stride) {
+        let p = if prev.len() == row.len() { prev } else { &[] };
+        let mut best = 0u8;
+        let mut best_score = u64::MAX;
+        for tag in 0..5u8 {
+            scratch.clear();
+            scratch.extend((0..row.len()).map(|i| row[i].wrapping_sub(predict(tag, row, p, bpp, i))));
+            let score: u64 = scratch.iter().map(|&b| (b as i8).unsigned_abs() as u64).sum();
+            if score < best_score {
+                best_score = score;
+                best = tag;
+            }
+        }
+        out.push(best);
+        out.extend((0..row.len()).map(|i| row[i].wrapping_sub(predict(best, row, p, bpp, i))));
+        prev = row;
+    }
+    out
+}
+
+/// Naive unfilter ([`crate::filter::unapply`] with the filter type
+/// matched per byte).
+pub fn filter_unapply(data: &[u8], bpp: usize, stride: usize) -> Option<Vec<u8>> {
+    if bpp == 0 || stride == 0 {
+        return None;
+    }
+    let mut out: Vec<u8> = Vec::with_capacity(data.len());
+    let mut i = 0;
+    let mut prev_row: Option<(usize, usize)> = None; // (offset, len) in out.
+    while i < data.len() {
+        let tag = data[i];
+        if tag > 4 {
+            return None;
+        }
+        i += 1;
+        let row_len = stride.min(data.len() - i);
+        if row_len == 0 {
+            return None;
+        }
+        let row_start = out.len();
+        out.extend_from_slice(&data[i..i + row_len]);
+        i += row_len;
+        let (head, row) = out.split_at_mut(row_start);
+        let prev: &[u8] = match prev_row {
+            Some((off, len)) if len == row_len => &head[off..off + len],
+            _ => &[],
+        };
+        for k in 0..row_len {
+            row[k] = row[k].wrapping_add(predict(tag, row, prev, bpp, k));
+        }
+        prev_row = Some((row_start, row_len));
+    }
+    Some(out)
+}
+
+/// Naive PNG-like encoder (naive filter + naive LZSS), for end-to-end
 /// encoder-equality checks.
 pub fn pnglike_compress(data: &[u8], bpp: usize, stride: usize) -> Vec<u8> {
-    lzss_compress(&crate::filter::apply(data, bpp, stride))
+    lzss_compress(&filter_apply(data, bpp, stride))
+}
+
+/// Naive PNG-like decoder (naive LZSS decoder + naive unfilter).
+pub fn pnglike_decompress(data: &[u8], bpp: usize, stride: usize) -> Option<Vec<u8>> {
+    filter_unapply(&lzss_decompress(data)?, bpp, stride)
 }
