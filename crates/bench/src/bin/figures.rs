@@ -240,7 +240,8 @@ fn fig7(opts: &Options) -> String {
 }
 
 /// Formats one session's per-command breakdown, sourced entirely
-/// from the `thinc-telemetry` snapshot.
+/// from `thinc-telemetry`: counts straight off the groups, derived
+/// figures from the snapshot.
 fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String {
     let snap = t.snapshot();
     let mut rows: Vec<Vec<String>> = snap
@@ -262,36 +263,35 @@ fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String
         pct(1.0),
     ]);
     let mut out = table(title, &["Command", "Count", "Wire bytes", "Share"], &rows);
+    let b = &t.buffer;
     out.push_str(&format!(
         "  scheduler: {} merged, {} evicted, {} split, flush p50 {} us / p99 {} us\n",
-        snap.scheduler.merges,
-        snap.scheduler.evictions,
-        snap.scheduler.splits,
-        snap.scheduler.flush_latency_p50_us,
-        snap.scheduler.flush_latency_p99_us,
+        b.merged,
+        b.evicted + b.overflow_evicted,
+        b.splits,
+        snap.flush_latency_p50_us,
+        snap.flush_latency_p99_us,
     ));
     out.push_str(&format!(
         "  codec: {} RAW bytes read by the encoder, {} resolved without it\n",
-        snap.scheduler.codec_input_bytes, snap.scheduler.codec_skipped_bytes,
+        b.codec_input_bytes, b.codec_skipped_bytes,
     ));
+    let tr = &t.translator;
     out.push_str(&format!(
         "  translator: {} raw fallbacks ({} bytes), {} offscreen-queued, {} queues executed\n",
-        snap.translator.raw_fallbacks,
-        snap.translator.raw_fallback_bytes,
-        snap.translator.offscreen_queued,
-        snap.translator.queue_executions,
+        tr.raw_fallbacks, tr.raw_fallback_bytes, tr.offscreen_queued, tr.queue_executions,
     ));
     out.push_str(&format!(
         "  net: peak cwnd {} bytes, peak utilization {}, {} bytes sent\n",
-        snap.net.cwnd_bytes_max,
-        pct(snap.net.utilization_max),
-        snap.net.bytes_sent,
+        snap.cwnd_bytes_max,
+        pct(snap.utilization_max),
+        t.net.bytes_sent(),
     ));
     out.push_str(&format!(
         "  client: {} decode errors, {} frame samples, frame p99 {} us\n",
-        snap.client.decode_errors, snap.client.frames, snap.client.frame_latency_p99_us,
+        t.client.errors, snap.frames, snap.frame_latency_p99_us,
     ));
-    let r = &snap.resilience;
+    let r = &t.resilience;
     out.push_str(&format!(
         "  resilience: {} segments lost / {} retransmits, {} corrupt events ({} bytes), \
          {} outage defers\n",
@@ -467,24 +467,8 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(50));
     }
 
-    let driver = ws.driver();
-    let mut t = thinc_telemetry::SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
-    t.protocol = driver.protocol_metrics();
-    t.scheduler = driver.scheduler_metrics().clone();
-    t.translator = driver.translator_metrics().clone();
-    t.resilience = driver.resilience_metrics();
+    let mut t = thinc_bench::thinc_system::server_telemetry(ws.driver(), &link);
     t.resilience.merge(client.resilience_metrics());
-    for stats in [link.down.fault_stats(), link.up.fault_stats()] {
-        t.resilience.add_transport_faults(
-            stats.segments_lost,
-            stats.retransmits,
-            stats.corrupt_events,
-            stats.corrupted_bytes,
-            stats.outage_defers,
-            stats.segments_reordered,
-            stats.segments_duplicated,
-        );
-    }
     t
 }
 
@@ -493,8 +477,8 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
 /// only the checkpoint-vs-live delta ships), the other presents a
 /// stale store digest (cold fallback — full retransmit). The merged
 /// telemetry reports one nonzero `resumes` and one nonzero
-/// `cold_fallbacks`, so the failover counters are greppable in the
-/// CI telemetry smoke step.
+/// `cold_fallbacks`, so the failover counters are lines of the
+/// report golden (`tests/report_golden.rs`).
 fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     use thinc_client::StreamClient;
     use thinc_core::checkpoint::ResumeOutcome;
@@ -806,21 +790,22 @@ fn fanout_report() -> String {
 
     let mut rows = Vec::new();
     let mut total = thinc_telemetry::Histogram::exponential(8, 2, 24);
-    let (mut sends, mut encodes, mut amortized) = (0u64, 0u64, 0u64);
+    let (mut plane, mut amortized) = (thinc_telemetry::PlaneCounters::default(), 0u64);
     for s in 0..m.shard_count() {
         let sm = m.shard_metrics(s);
-        sends += sm.shared_sends();
-        encodes += sm.payload_encodes();
-        amortized += sm.bytes_amortized();
+        plane.merge(&sm.plane);
+        // Per shard, not of the merged counters: a shard that encoded
+        // more than it was served amortized nothing, not less.
+        amortized += sm.plane.bytes_amortized();
         total.merge_from(sm.flush_wall_us());
         rows.push(vec![
             format!("{s}"),
             format!("{}", sm.clients()),
-            format!("{}", sm.epochs()),
-            format!("{}", sm.shared_sends()),
-            format!("{}", sm.payload_encodes()),
-            pct(sm.hit_ratio()),
-            kb(sm.bytes_amortized() as f64 / 1024.0),
+            format!("{}", sm.epochs),
+            format!("{}", sm.plane.shared_sends),
+            format!("{}", sm.plane.encodes),
+            pct(sm.plane.hit_ratio()),
+            kb(sm.plane.bytes_amortized() as f64 / 1024.0),
         ]);
     }
     let mut out = table(
@@ -831,11 +816,7 @@ fn fanout_report() -> String {
         &["Shard", "Clients", "Epochs", "Plane sends", "Encodes", "Hit ratio", "Amortized"],
         &rows,
     );
-    let hit = if sends == 0 {
-        0.0
-    } else {
-        (sends - encodes.min(sends)) as f64 / sends as f64
-    };
+    let hit = plane.hit_ratio();
     // Fairness over the same-screen LAN cohort: identical demand, so
     // identical delivery is the target.
     let cohort: Vec<u64> = m

@@ -902,18 +902,12 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         .collect();
     let fairness = *clean_bytes.iter().min().expect("clean cohort nonempty") as f64
         / (*clean_bytes.iter().max().expect("clean cohort nonempty")).max(1) as f64;
-    let (mut shared_sends, mut payload_encodes, mut bytes_amortized) = (0u64, 0u64, 0u64);
+    let (mut plane, mut bytes_amortized) = (thinc_telemetry::PlaneCounters::default(), 0u64);
     for s in 0..m.shard_count() {
-        let sm = m.shard_metrics(s);
-        shared_sends += sm.shared_sends();
-        payload_encodes += sm.payload_encodes();
-        bytes_amortized += sm.bytes_amortized();
+        let shard = &m.shard_metrics(s).plane;
+        plane.merge(shard);
+        bytes_amortized += shard.bytes_amortized();
     }
-    let hit_ratio = if shared_sends == 0 {
-        0.0
-    } else {
-        (shared_sends - payload_encodes.min(shared_sends)) as f64 / shared_sends as f64
-    };
 
     FanoutRun {
         digests,
@@ -921,10 +915,10 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         sim_s: ((FAN_DRAW_EPOCHS + FAN_SETTLE_EPOCHS) * FAN_EPOCH_US) as f64 / 1e6,
         flush_p99_us: latency.quantile(0.99),
         fairness,
-        hit_ratio,
+        hit_ratio: plane.hit_ratio(),
         bytes_amortized,
-        shared_sends,
-        payload_encodes,
+        shared_sends: plane.shared_sends,
+        payload_encodes: plane.encodes,
         allocs_per_epoch: measured_allocs as f64
             / (FAN_ALLOC_WINDOW.end - FAN_ALLOC_WINDOW.start) as f64,
         degraded_peak,

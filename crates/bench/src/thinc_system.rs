@@ -14,13 +14,14 @@ use thinc_client::HeadlessClient;
 use thinc_core::server::{ServerConfig, ThincServer};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
+use thinc_net::fault::FaultStats;
 use thinc_net::link::{DuplexLink, NetworkConfig};
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::message::{Message, ProtocolInput};
 use thinc_protocol::wire::encode_message;
 use thinc_raster::{Point, Rect, YuvFrame};
-use thinc_telemetry::{SessionTelemetry, Timeline};
+use thinc_telemetry::{ResilienceMetrics, SessionTelemetry, Timeline};
 
 /// Flush period of the server's delivery loop.
 const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
@@ -29,6 +30,51 @@ const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
 /// metric (bounds the JSONL export to ~100 samples per second of
 /// session time).
 const TIMELINE_GAP: SimDuration = SimDuration(10_000);
+
+/// Folds one link direction's injected-fault tallies into a resilience
+/// group, by field name. The destructure is exhaustive on purpose: a
+/// field added to [`FaultStats`] fails to compile here until it is
+/// given a row.
+pub fn fold_fault_stats(into: &mut ResilienceMetrics, stats: FaultStats) {
+    let FaultStats {
+        segments_lost,
+        retransmits,
+        corrupt_events,
+        corrupted_bytes,
+        outage_defers,
+        collapsed_rounds,
+        segments_reordered,
+        segments_duplicated,
+    } = stats;
+    into.merge(&ResilienceMetrics {
+        segments_lost,
+        retransmits,
+        corrupt_events,
+        corrupted_bytes,
+        outage_defers,
+        collapsed_rounds,
+        segments_reordered,
+        segments_duplicated,
+        ..ResilienceMetrics::default()
+    });
+}
+
+/// The server's half of a session's telemetry — the groups its driver
+/// owns plus what the faulted `link` did to it. Harnesses add the
+/// client's groups and their own samples.
+pub fn server_telemetry(driver: &ThincServer, link: &DuplexLink) -> SessionTelemetry {
+    let mut t = SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
+    let stats = driver.stats();
+    t.protocol = driver.protocol_metrics();
+    t.buffer = stats.buffer;
+    t.scheduler = driver.scheduler_metrics().clone();
+    t.translator = stats.translator;
+    t.resilience = driver.resilience_metrics();
+    for pipe in [&link.down, &link.up] {
+        fold_fault_stats(&mut t.resilience, pipe.fault_stats());
+    }
+    t
+}
 
 /// The real THINC pipeline behind the harness interface.
 pub struct ThincSystem {
@@ -94,31 +140,16 @@ impl ThincSystem {
         }
     }
 
-    /// A full telemetry snapshot of this session, assembled from the
-    /// metric groups each component owns: the server's protocol and
-    /// scheduler counters, the translator, the downlink transport,
-    /// the client decoder, and the sampled timeline.
+    /// This session's telemetry, assembled from the groups each
+    /// component owns: the server's ([`server_telemetry`]), the
+    /// downlink samples, the client's counters and frame latency, and
+    /// the sampled timeline.
     pub fn session_telemetry(&self) -> SessionTelemetry {
-        let driver = self.ws.driver();
-        let mut t = SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
-        t.protocol = driver.protocol_metrics();
-        t.scheduler = driver.scheduler_metrics().clone();
-        t.translator = driver.translator_metrics().clone();
+        let mut t = server_telemetry(self.ws.driver(), &self.link);
         t.net = self.net_metrics.clone();
-        t.client = self.client.metrics().clone();
+        t.client = self.client.stats();
+        t.frame_latency_us = self.client.frame_latency_us().clone();
         t.timeline = self.timeline.clone();
-        t.resilience = driver.resilience_metrics();
-        for stats in [self.link.down.fault_stats(), self.link.up.fault_stats()] {
-            t.resilience.add_transport_faults(
-                stats.segments_lost,
-                stats.retransmits,
-                stats.corrupt_events,
-                stats.corrupted_bytes,
-                stats.outage_defers,
-                stats.segments_reordered,
-                stats.segments_duplicated,
-            );
-        }
         t
     }
 

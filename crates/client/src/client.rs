@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
 use thinc_raster::{Framebuffer, PixelFormat, Rect, YuvFormat, YuvFrame};
+pub use thinc_telemetry::ClientStats;
 
 use crate::hardware::{ClientHardware, HardwareCaps};
 
@@ -34,29 +35,6 @@ struct Overlay {
     dst: Rect,
     frames_shown: u32,
     last_timestamp_us: u64,
-}
-
-/// Client execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Messages applied.
-    pub messages: u64,
-    /// Display commands executed, by type.
-    pub raw: u64,
-    /// `COPY` commands executed.
-    pub copy: u64,
-    /// `SFILL` commands executed.
-    pub sfill: u64,
-    /// `PFILL` commands executed.
-    pub pfill: u64,
-    /// `BITMAP` commands executed.
-    pub bitmap: u64,
-    /// Video frames displayed.
-    pub video_frames: u64,
-    /// Audio bytes received.
-    pub audio_bytes: u64,
-    /// Commands rejected as malformed.
-    pub errors: u64,
 }
 
 /// A THINC client with a local framebuffer.

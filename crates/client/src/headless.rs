@@ -15,7 +15,7 @@ use thinc_protocol::cache::CacheLru;
 use thinc_protocol::message::Message;
 use thinc_protocol::DEFAULT_CACHE_BUDGET;
 use thinc_raster::PixelFormat;
-use thinc_telemetry::ClientMetrics;
+use thinc_telemetry::Histogram;
 
 use crate::client::{ClientStats, ThincClient};
 
@@ -35,7 +35,7 @@ pub struct ArrivalRecord {
 pub struct HeadlessClient {
     inner: ThincClient,
     arrivals: Vec<ArrivalRecord>,
-    metrics: ClientMetrics,
+    frame_latency_us: Histogram,
     /// Virtual time the in-flight frame update was requested
     /// (set by [`Self::mark_frame_request`]); the next display
     /// arrival closes the latency sample.
@@ -54,7 +54,7 @@ impl HeadlessClient {
         Self {
             inner: ThincClient::new(width, height, format),
             arrivals: Vec::new(),
-            metrics: ClientMetrics::new(),
+            frame_latency_us: Histogram::latency_us(),
             frame_requested: None,
             store: CacheLru::new(DEFAULT_CACHE_BUDGET),
             cache_hits: 0,
@@ -72,10 +72,10 @@ impl HeadlessClient {
         self.inner.stats()
     }
 
-    /// Client-side telemetry: per-kind decode counts and
-    /// request-to-screen frame latency.
-    pub fn metrics(&self) -> &ClientMetrics {
-        &self.metrics
+    /// Request-to-screen latency of the marked frame updates (µs of
+    /// virtual time).
+    pub fn frame_latency_us(&self) -> &Histogram {
+        &self.frame_latency_us
     }
 
     /// Marks the virtual time a frame update was requested (a click,
@@ -116,11 +116,8 @@ impl HeadlessClient {
             },
             other => (other, false),
         };
-        self.metrics
-            .record_decoded(thinc_protocol::telemetry::command_kind(msg));
         if let (Some(t0), Message::Display(_)) = (self.frame_requested, msg) {
-            self.metrics
-                .record_frame_latency_us(at.0.saturating_sub(t0.0));
+            self.frame_latency_us.record(at.0.saturating_sub(t0.0));
             self.frame_requested = None;
         }
         self.inner.apply(msg);
@@ -216,16 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_decodes_and_frame_latency() {
-        use thinc_telemetry::CommandKind;
+    fn decodes_are_counted_once_and_frame_latency_sampled() {
         let mut h = HeadlessClient::new(64, 64, PixelFormat::Rgb888);
         h.mark_frame_request(SimTime(1_000));
         h.receive(SimTime(1_850), &display(Rect::new(0, 0, 4, 4)));
         h.receive(SimTime(1_900), &display(Rect::new(4, 4, 4, 4)));
-        assert_eq!(h.metrics().decoded(CommandKind::Sfill), 2);
+        assert_eq!((h.stats().sfill, h.stats().messages), (2, 2));
         // One latency sample, closed by the first display arrival.
-        assert_eq!(h.metrics().frame_latency_us().count(), 1);
-        assert_eq!(h.metrics().frame_latency_us().max(), 850);
+        assert_eq!(h.frame_latency_us().count(), 1);
+        assert_eq!(h.frame_latency_us().max(), 850);
     }
 
     #[test]

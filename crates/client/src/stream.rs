@@ -250,16 +250,13 @@ impl StreamClient {
     /// sequence gaps, duplicates) into the resilience accounting as
     /// deltas since the last fold.
     fn sync_integrity_counters(&mut self) {
-        let c = self.reader.integrity();
-        let b = self.integrity_base;
-        if c != b {
-            self.resilience.add_integrity_counts(
-                c.crc_fail - b.crc_fail,
-                c.seq_gap - b.seq_gap,
-                c.seq_dup - b.seq_dup,
-            );
-            self.integrity_base = c;
-        }
+        let now = self.reader.integrity();
+        let IntegrityCounters { crc_fail, seq_gap, seq_dup, gap_frames: _, frames_verified: _ } =
+            now.since(&self.integrity_base);
+        self.resilience.crc_failures += crc_fail;
+        self.resilience.seq_gaps += seq_gap;
+        self.resilience.seq_dups += seq_dup;
+        self.integrity_base = now;
     }
 
     /// Replaces the frame reader with a fresh one at the *same* wire

@@ -17,7 +17,8 @@ use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
 use thinc_protocol::wire::encode_message_into;
 use thinc_raster::Region;
-use thinc_telemetry::{ProtocolMetrics, SchedulerMetrics};
+pub use thinc_telemetry::BufferStats;
+use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics, SchedulerMetrics};
 
 use crate::memo::EncodeMemo;
 use crate::plane::{plane_key, PlaneCounters, PlaneKey, PlaneSlot, WireForm, WirePlane};
@@ -110,25 +111,10 @@ struct Entry {
     enqueued: SimTime,
 }
 
-/// Delivery statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferStats {
-    /// Commands pushed into the buffer.
-    pub pushed: u64,
-    /// Commands evicted before ever being sent (stale updates).
-    pub evicted: u64,
-    /// Commands merged into predecessors.
-    pub merged: u64,
-    /// Protocol messages actually sent.
-    pub sent_messages: u64,
-    /// Wire bytes actually sent.
-    pub sent_bytes: u64,
-    /// Times a large command was split to avoid blocking.
-    pub splits: u64,
-    /// Commands evicted to keep the buffer under its byte bound
-    /// (their footprint becomes refresh debt).
-    pub overflow_evicted: u64,
-}
+/// How many leading rows of [`BufferStats`] the checkpoint record
+/// carries (`pushed` … `overflow_evicted`); the codec-work rows after
+/// them were never checkpointed.
+const CHECKPOINTED_STATS: usize = 7;
 
 /// The per-client buffer: eviction + SRSF scheduling + flush.
 #[derive(Debug, Default)]
@@ -148,8 +134,7 @@ pub struct ClientBuffer {
     /// Virtual time of the latest `set_time` call; stamps entries for
     /// enqueue-to-wire latency.
     clock: SimTime,
-    /// Scheduler telemetry: queue depths, merges/evictions/splits,
-    /// flush latency.
+    /// Scheduler telemetry: queue depths and flush latency.
     scheduler_metrics: SchedulerMetrics,
     /// Per-command wire accounting for the display path.
     protocol_metrics: ProtocolMetrics,
@@ -287,12 +272,21 @@ impl ClientBuffer {
         self.cache.as_ref().map_or(0, |c| c.fallbacks.len())
     }
 
-    /// Cache counters: `(hits, misses, evictions, bytes_saved)`.
-    pub fn cache_counts(&self) -> (u64, u64, u64, u64) {
-        match &self.cache {
-            Some(c) => (c.hits, c.misses, c.ledger.evictions(), c.bytes_saved),
-            None => (0, 0, 0, 0),
+    /// What this buffer contributes to its client's resilience
+    /// accounting: the content cache's hits, misses, evictions and
+    /// bytes saved, and the overflow evictions.
+    pub fn resilience_counts(&self) -> ResilienceMetrics {
+        let mut m = ResilienceMetrics {
+            overflow_evictions: self.stats.overflow_evicted,
+            ..ResilienceMetrics::default()
+        };
+        if let Some(c) = &self.cache {
+            m.cache_hits = c.hits;
+            m.cache_misses = c.misses;
+            m.cache_evictions = c.ledger.evictions();
+            m.cache_bytes_saved = c.bytes_saved;
         }
+        m
     }
 
     /// The byte cap currently enforced: the configured bound divided
@@ -340,8 +334,7 @@ impl ClientBuffer {
         }
     }
 
-    /// Scheduler telemetry: per-band queue depths, merge/eviction
-    /// counts, flush latency.
+    /// Scheduler telemetry: per-band queue depths and flush latency.
     pub fn scheduler_metrics(&self) -> &SchedulerMetrics {
         &self.scheduler_metrics
     }
@@ -431,7 +424,6 @@ impl ClientBuffer {
             for seq in dead {
                 self.remove_entry(seq);
                 self.stats.evicted += 1;
-                self.scheduler_metrics.record_eviction();
             }
         }
         // Merge with the newest live entry when compatible and in the
@@ -441,7 +433,6 @@ impl ClientBuffer {
             if same_rt {
                 if let Some(merged) = crate::queue::merge_commands(&last.cmd, &cmd) {
                     self.stats.merged += 1;
-                    self.scheduler_metrics.record_merge();
                     let old_slot = last.slot;
                     last.cmd = merged;
                     last.visible = Region::from_rect(last.cmd.dest_rect());
@@ -624,7 +615,6 @@ impl ClientBuffer {
         debt.union_rect(&self.entries[pos].cmd.dest_rect());
         self.entries.remove(pos);
         self.stats.overflow_evicted += 1;
-        self.scheduler_metrics.record_eviction();
         loop {
             let dependent = self.entries.iter().find_map(|e| match &e.cmd {
                 DisplayCommand::Copy { src_rect, .. } if debt.intersects_rect(src_rect) => {
@@ -637,7 +627,6 @@ impl ClientBuffer {
             debt.union_rect(&self.entries[p].cmd.dest_rect());
             self.entries.remove(p);
             self.stats.overflow_evicted += 1;
-            self.scheduler_metrics.record_eviction();
         }
         self.overflow_debt.union(&debt);
     }
@@ -712,7 +701,7 @@ impl ClientBuffer {
         if let (Some(a), Some(cache)) = (&attempt, &self.cache) {
             if let Some((key, full_size)) = self.memo.encoded(&a.ident) {
                 if cache.ledger.contains(key) {
-                    self.scheduler_metrics.record_codec_skipped(a.len);
+                    self.stats.codec_skipped_bytes += a.len;
                     let shared = plane.is_some().then_some(full_size);
                     return Some(self.cache_ref(key, full_size, shared));
                 }
@@ -726,7 +715,7 @@ impl ClientBuffer {
         let form = match slot.as_deref().and_then(PlaneSlot::form) {
             Some(form) => {
                 if let Some(a) = &attempt {
-                    self.scheduler_metrics.record_codec_skipped(a.len);
+                    self.stats.codec_skipped_bytes += a.len;
                 }
                 form.clone()
             }
@@ -817,7 +806,7 @@ impl ClientBuffer {
         if let (Some(a), DisplayCommand::Raw { rect, data, .. }) = (attempt, cmd) {
             let known = self.memo.exceeds(&a.ident).max(slot.map_or(0, PlaneSlot::exceeds));
             if known >= a.cap {
-                self.scheduler_metrics.record_codec_skipped(a.len);
+                self.stats.codec_skipped_bytes += a.len;
             } else {
                 let stride = rect.w as usize * a.bpp;
                 let packed = thinc_compress::pnglike::compress_bounded(
@@ -828,7 +817,7 @@ impl ClientBuffer {
                     &mut self.scratch,
                 )
                 .map(|packed| thinc_protocol::Bytes::from(packed.to_vec()));
-                self.scheduler_metrics.record_codec_input(self.scratch.consumed() as u64);
+                self.stats.codec_input_bytes += self.scratch.consumed() as u64;
                 match packed {
                     Some(data) => {
                         msg = Some(Message::Display(DisplayCommand::Raw {
@@ -1083,7 +1072,6 @@ impl ClientBuffer {
                             .filter(|wire| wire.size <= writable);
                         if let Some(wire) = head {
                             self.stats.splits += 1;
-                            self.scheduler_metrics.record_split();
                             self.ship(wire, now, pipe, trace, wait_us, counters, &mut out);
                             leftover.push(tail);
                             leftover.extend(parts[i + 1..].iter().cloned());
@@ -1161,13 +1149,9 @@ impl ClientBuffer {
     pub(crate) fn encode_checkpoint(&self, w: &mut crate::checkpoint::Writer) {
         w.u64(self.next_seq);
         w.u64(self.clock.0);
-        w.u64(self.stats.pushed);
-        w.u64(self.stats.evicted);
-        w.u64(self.stats.merged);
-        w.u64(self.stats.sent_messages);
-        w.u64(self.stats.sent_bytes);
-        w.u64(self.stats.splits);
-        w.u64(self.stats.overflow_evicted);
+        for v in &self.stats.values()[..CHECKPOINTED_STATS] {
+            w.u64(*v);
+        }
         w.opt_u64(self.raw_compress_bpp.map(|b| b as u64));
         w.bool(self.fifo);
         w.opt_u64(self.byte_bound);
@@ -1247,13 +1231,11 @@ impl ClientBuffer {
         let mut buf = ClientBuffer::new();
         buf.next_seq = r.u64()?;
         buf.clock = SimTime(r.u64()?);
-        buf.stats.pushed = r.u64()?;
-        buf.stats.evicted = r.u64()?;
-        buf.stats.merged = r.u64()?;
-        buf.stats.sent_messages = r.u64()?;
-        buf.stats.sent_bytes = r.u64()?;
-        buf.stats.splits = r.u64()?;
-        buf.stats.overflow_evicted = r.u64()?;
+        let mut stats = [0; BufferStats::LEN];
+        for v in &mut stats[..CHECKPOINTED_STATS] {
+            *v = r.u64()?;
+        }
+        buf.stats = BufferStats::from_values(stats);
         buf.raw_compress_bpp = r.opt_u64()?.map(|b| b as usize);
         buf.fifo = r.bool()?;
         buf.byte_bound = r.opt_u64()?;
@@ -1746,10 +1728,10 @@ mod tests {
             panic!("repeat should substitute a reference, got {:?}", second[0]);
         };
         assert_eq!(Some(*hash), first[0].cache_key());
-        let (hits, misses, _, saved) = buf.cache_counts();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 0);
-        assert_eq!(saved, full_size - second[0].wire_size());
+        let counts = buf.resilience_counts();
+        assert_eq!(counts.cache_hits, 1);
+        assert_eq!(counts.cache_misses, 0);
+        assert_eq!(counts.cache_bytes_saved, full_size - second[0].wire_size());
     }
 
     #[test]
@@ -1764,7 +1746,7 @@ mod tests {
             msgs.iter().all(|m| !matches!(m, Message::CacheRef { .. })),
             "rev-2 and rev-1 peers must never see cache messages"
         );
-        assert_eq!(buf.cache_counts(), (0, 0, 0, 0));
+        assert_eq!(buf.resilience_counts(), ResilienceMetrics::default());
     }
 
     #[test]
@@ -1785,8 +1767,7 @@ mod tests {
             encode_message(&first[0]),
             "fallback must be byte-exact"
         );
-        let (_, misses, _, _) = buf.cache_counts();
-        assert_eq!(misses, 1);
+        assert_eq!(buf.resilience_counts().cache_misses, 1);
         // A hash the ledger never held (or evicted) cannot be repaid
         // from cache; the caller escalates to a refresh.
         assert!(!buf.satisfy_cache_miss(0xDEAD_BEEF));
@@ -1861,8 +1842,7 @@ mod tests {
                 }
             }
         }
-        let (_, _, evictions, _) = buf.cache_counts();
-        assert!(evictions > 0, "budget was meant to force evictions");
+        assert!(buf.resilience_counts().cache_evictions > 0, "budget was meant to force evictions");
         assert!(refs > 0, "repeated rounds were meant to produce refs");
     }
 
@@ -1927,7 +1907,10 @@ mod tests {
         // And the restored buffer delivers the same remaining stream.
         assert_eq!(restored.pending_bytes(), buf.pending_bytes());
         assert_eq!(restored.cache_keys(), buf.cache_keys());
-        assert_eq!(restored.stats(), buf.stats());
+        // Codec work is not part of the image: a restored buffer
+        // starts that tally afresh.
+        let resumable = BufferStats { codec_input_bytes: 0, codec_skipped_bytes: 0, ..buf.stats() };
+        assert_eq!(restored.stats(), resumable);
         let live = drain_all(&mut buf);
         let resumed = drain_all(&mut restored);
         let enc = |msgs: &[Message]| -> Vec<Vec<u8>> {

@@ -113,8 +113,9 @@ impl Rig {
         Observed {
             sent: &self.sent,
             ledger,
-            stats: self.buf.stats(),
-            cache_counts: self.buf.cache_counts(),
+            // Codec work is what the fit-first path is allowed to differ in.
+            stats: BufferStats { codec_input_bytes: 0, codec_skipped_bytes: 0, ..self.buf.stats() },
+            resilience_counts: self.buf.resilience_counts(),
             plane_sends: (self.planes.shared_sends, self.planes.shared_bytes),
             pending: self.buf.len(),
         }
@@ -129,7 +130,7 @@ struct Observed<'a> {
     /// Ledger `(key, size)` from least to most recently used.
     ledger: Vec<(u64, u64)>,
     stats: BufferStats,
-    cache_counts: (u64, u64, u64, u64),
+    resilience_counts: ResilienceMetrics,
     /// Plane `(shared_sends, shared_bytes)`; `encodes` may be lower
     /// than the reference's, which produces forms nothing ships.
     plane_sends: (u64, u64),
@@ -175,7 +176,7 @@ proptest! {
         }
         prop_assert!(reference.buf.is_empty(), "script did not drain");
         // The work the reference does is the ceiling, never the floor.
-        let fed = |rig: &Rig| rig.buf.scheduler_metrics().codec_input_bytes();
+        let fed = |rig: &Rig| rig.buf.stats().codec_input_bytes;
         prop_assert!(fed(&subject) <= fed(&forgetful));
         prop_assert_eq!(fed(&reference), 0, "the reference path is not instrumented");
     }
@@ -219,7 +220,7 @@ fn a_photo_bigger_than_the_socket_buffer_is_not_compressed_over_and_over() {
     let cold = drain_fat(&mut buf);
     assert!(buf.stats().splits >= 6, "1.7 MB over 256 KB is split, {:?}", buf.stats());
     assert!(cold.iter().all(|m| matches!(m, Message::Display(DisplayCommand::Raw { .. }))));
-    let fed = buf.scheduler_metrics().codec_input_bytes();
+    let fed = buf.stats().codec_input_bytes;
     // Compress-everything fed the codec 4.7x the payload here: the
     // whole, then each head, then each ever-shorter tail.
     assert!(
@@ -234,8 +235,8 @@ fn a_photo_bigger_than_the_socket_buffer_is_not_compressed_over_and_over() {
     let warm = drain_fat(&mut buf);
     assert_eq!(warm.len(), cold.len());
     assert!(warm.iter().all(|m| matches!(m, Message::CacheRef { .. })), "{warm:?}");
-    assert_eq!(buf.scheduler_metrics().codec_input_bytes(), fed, "a warm revisit fed the codec");
-    assert!(buf.scheduler_metrics().codec_skipped_bytes() >= payload_bytes);
+    assert_eq!(buf.stats().codec_input_bytes, fed, "a warm revisit fed the codec");
+    assert!(buf.stats().codec_skipped_bytes >= payload_bytes);
 }
 
 #[test]
@@ -249,7 +250,7 @@ fn nothing_is_remembered_until_a_raw_is_compressed() {
     );
     drain_fat(&mut buf);
     assert_eq!(buf.memo.len(), (0, 0));
-    assert_eq!(buf.scheduler_metrics().codec_input_bytes(), 0);
+    assert_eq!(buf.stats().codec_input_bytes, 0);
     buf.push(payload(1, 1, 0, 200, 32, 32), false); // 3 KB of noise.
     drain_fat(&mut buf);
     assert_eq!(buf.memo.len(), (1, 1), "its final form, and that it does not compress");
@@ -309,8 +310,8 @@ fn what_one_viewer_finds_out_the_plane_tells_the_next() {
     let mut second = ClientBuffer::new().with_raw_compression(3);
     assert_eq!(round(&mut first), round(&mut second));
     assert_eq!(first.stats().splits, 1);
-    assert!(first.scheduler_metrics().codec_input_bytes() > 0);
-    assert_eq!(second.scheduler_metrics().codec_input_bytes(), 0);
+    assert!(first.stats().codec_input_bytes > 0);
+    assert_eq!(second.stats().codec_input_bytes, 0);
     // Only the head was produced; the whole never had a form.
     assert_eq!((counters.encodes, counters.shared_sends), (1, 2));
 }

@@ -304,10 +304,8 @@ impl Delivery {
     /// Resilience accounting with the buffer's overflow evictions and
     /// content-cache counters folded in.
     pub fn resilience_metrics(&self) -> ResilienceMetrics {
-        let mut m = self.resilience.clone();
-        m.add_overflow_evictions(self.buffer.stats().overflow_evicted);
-        let (hits, misses, evictions, saved) = self.buffer.cache_counts();
-        m.add_cache_counts(hits, misses, evictions, saved);
+        let mut m = self.resilience;
+        m.merge(&self.buffer.resilience_counts());
         m
     }
 

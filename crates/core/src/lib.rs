@@ -33,10 +33,12 @@
 //!   `Delivery`, adding the translator, input tracker, audio device
 //!   and RC4 session encryption (§7).
 //!
-//! The hot path is instrumented with `thinc-telemetry`: the command
-//! buffer owns the scheduler metrics (queue depths, merges,
-//! evictions, splits, enqueue-to-wire latency) and the per-command
-//! wire accounting; the translator owns its own translation counters.
+//! The hot path is instrumented with `thinc-telemetry`, each event
+//! counted once by its owner: the command buffer owns its delivery
+//! counters ([`buffer::BufferStats`]: pushes, merges, evictions,
+//! splits, bytes sent, codec work), the scheduler metrics (queue
+//! depths, enqueue-to-wire latency) and the per-command wire
+//! accounting; the translator owns [`translator::TranslatorStats`].
 //! [`delivery::Delivery::protocol_metrics`] covers the display and
 //! audio/video paths in one per-command breakdown. See
 //! `docs/TELEMETRY.md`.

@@ -35,6 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use thinc_protocol::{Bytes, DisplayCommand, Message};
 use thinc_raster::Rect;
+pub use thinc_telemetry::PlaneCounters;
 
 /// Payloads below this size encode faster than a map lookup under a
 /// lock; they stay on the per-client path.
@@ -182,49 +183,6 @@ impl WirePlane {
     }
 }
 
-/// Deterministic accounting for the encode-once plane, accumulated
-/// per client during a flush and merged in client order afterwards.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlaneCounters {
-    /// Messages sent whose wire form came from the plane.
-    pub shared_sends: u64,
-    /// Sum of those messages' full-form sizes (before any per-client
-    /// cache-ref substitution) — what every client *would* have
-    /// encoded on its own.
-    pub shared_bytes: u64,
-    /// Wire forms actually produced (one per equivalence class that
-    /// reached the wire); independent of shard and worker counts.
-    pub encodes: u64,
-    /// Bytes of wire forms actually produced.
-    pub encoded_bytes: u64,
-}
-
-impl PlaneCounters {
-    /// Folds another counter set into this one.
-    pub fn merge(&mut self, other: &PlaneCounters) {
-        self.shared_sends += other.shared_sends;
-        self.shared_bytes += other.shared_bytes;
-        self.encodes += other.encodes;
-        self.encoded_bytes += other.encoded_bytes;
-    }
-
-    /// Fraction of plane-served sends that reused an already-produced
-    /// wire form (0 when nothing went through the plane).
-    pub fn hit_ratio(&self) -> f64 {
-        if self.shared_sends == 0 {
-            return 0.0;
-        }
-        (self.shared_sends - self.encodes.min(self.shared_sends)) as f64
-            / self.shared_sends as f64
-    }
-
-    /// Encode output bytes the plane saved clients from producing
-    /// themselves.
-    pub fn bytes_amortized(&self) -> u64 {
-        self.shared_bytes.saturating_sub(self.encoded_bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,25 +254,5 @@ mod tests {
             });
         }
         assert_eq!(inits, 1);
-    }
-
-    #[test]
-    fn counters_merge_and_ratio() {
-        let mut a = PlaneCounters {
-            shared_sends: 8,
-            shared_bytes: 800,
-            encodes: 2,
-            encoded_bytes: 200,
-        };
-        let b = PlaneCounters {
-            shared_sends: 2,
-            shared_bytes: 200,
-            encodes: 0,
-            encoded_bytes: 0,
-        };
-        a.merge(&b);
-        assert_eq!(a.shared_sends, 10);
-        assert!((a.hit_ratio() - 0.8).abs() < 1e-12);
-        assert_eq!(a.bytes_amortized(), 800);
     }
 }

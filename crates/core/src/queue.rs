@@ -76,15 +76,16 @@ impl QueuedCommand {
     }
 }
 
-/// Statistics of queue maintenance, for tests and ablation reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Commands pushed.
-    pub pushed: u64,
-    /// Commands evicted because they were fully overwritten.
-    pub evicted: u64,
-    /// Commands merged into a predecessor.
-    pub merged: u64,
+thinc_telemetry::counters! {
+    /// Statistics of queue maintenance, for tests and ablation reporting.
+    pub struct QueueStats {
+        /// Commands pushed.
+        pushed,
+        /// Commands evicted because they were fully overwritten.
+        evicted,
+        /// Commands merged into a predecessor.
+        merged,
+    }
 }
 
 /// An ordered queue of commands drawing to one region (a pixmap or

@@ -235,11 +235,6 @@ impl ThincServer {
         self.delivery.protocol_metrics().clone()
     }
 
-    /// Translation-layer telemetry.
-    pub fn translator_metrics(&self) -> &thinc_telemetry::TranslatorMetrics {
-        self.translator.metrics()
-    }
-
     /// Current client viewport.
     pub fn viewport(&self) -> (u32, u32) {
         self.delivery.viewport()

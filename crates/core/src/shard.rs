@@ -212,13 +212,9 @@ impl ShardedManager {
             let (out, counters) =
                 self.session
                     .flush_subset(now, &shard.ids, &mut shard.links, Some(&plane));
-            shard.metrics.record_epoch(
-                wall.elapsed().as_micros() as u64,
-                counters.shared_sends,
-                counters.shared_bytes,
-                counters.encodes,
-                counters.encoded_bytes,
-            );
+            shard
+                .metrics
+                .record_epoch(wall.elapsed().as_micros() as u64, &counters);
             merged.extend(out);
         }
         merged.sort_by_key(|(id, _)| *id);

@@ -25,30 +25,9 @@ use std::collections::HashMap;
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding, Tile};
 use thinc_raster::{Color, Framebuffer, Rect, Region};
-use thinc_telemetry::{CommandKind, TranslatorMetrics};
+pub use thinc_telemetry::TranslatorStats;
 
 use crate::queue::CommandQueue;
-
-/// Translation statistics (exposed for tests and ablation reports).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TranslatorStats {
-    /// Commands produced for the screen, by protocol type.
-    pub raw: u64,
-    /// `COPY` commands produced.
-    pub copy: u64,
-    /// `SFILL` commands produced.
-    pub sfill: u64,
-    /// `PFILL` commands produced.
-    pub pfill: u64,
-    /// `BITMAP` commands produced.
-    pub bitmap: u64,
-    /// Bytes of RAW pixel data produced by fallback paths.
-    pub raw_fallback_bytes: u64,
-    /// Operations queued offscreen instead of sent.
-    pub offscreen_queued: u64,
-    /// Offscreen queue executions (pixmap → screen copies).
-    pub queue_executions: u64,
-}
 
 /// The THINC translation layer.
 #[derive(Debug, Default)]
@@ -60,7 +39,6 @@ pub struct Translator {
     /// without THINC's optimization (ablation switch).
     offscreen_awareness: bool,
     stats: TranslatorStats,
-    metrics: TranslatorMetrics,
 }
 
 impl Translator {
@@ -87,15 +65,10 @@ impl Translator {
         self.offscreen_awareness
     }
 
-    /// Translation statistics.
+    /// Translation counters (per-kind commands produced, raw
+    /// fallbacks, offscreen queue activity).
     pub fn stats(&self) -> TranslatorStats {
         self.stats
-    }
-
-    /// Translation-layer telemetry (per-kind translated counts, raw
-    /// fallbacks, offscreen queue activity).
-    pub fn metrics(&self) -> &TranslatorMetrics {
-        &self.metrics
     }
 
     /// Pending commands in a pixmap's queue (tests/inspection).
@@ -104,29 +77,14 @@ impl Translator {
     }
 
     fn count(&mut self, cmd: &DisplayCommand) {
-        let kind = match cmd {
-            DisplayCommand::Raw { .. } => {
-                self.stats.raw += 1;
-                CommandKind::Raw
-            }
-            DisplayCommand::Copy { .. } => {
-                self.stats.copy += 1;
-                CommandKind::Copy
-            }
-            DisplayCommand::Sfill { .. } => {
-                self.stats.sfill += 1;
-                CommandKind::Sfill
-            }
-            DisplayCommand::Pfill { .. } => {
-                self.stats.pfill += 1;
-                CommandKind::Pfill
-            }
-            DisplayCommand::Bitmap { .. } => {
-                self.stats.bitmap += 1;
-                CommandKind::Bitmap
-            }
+        let row = match cmd {
+            DisplayCommand::Raw { .. } => &mut self.stats.raw,
+            DisplayCommand::Copy { .. } => &mut self.stats.copy,
+            DisplayCommand::Sfill { .. } => &mut self.stats.sfill,
+            DisplayCommand::Pfill { .. } => &mut self.stats.pfill,
+            DisplayCommand::Bitmap { .. } => &mut self.stats.bitmap,
         };
-        self.metrics.record_translated(kind);
+        *row += 1;
     }
 
     fn count_all(&mut self, cmds: &[DisplayCommand]) {
@@ -182,7 +140,6 @@ impl Translator {
                 if let Some(q) = self.offscreen.get_mut(&target) {
                     q.push(clipped, false);
                     self.stats.offscreen_queued += 1;
-                    self.metrics.record_offscreen_queued();
                 }
             } else {
                 // Unclippable and partially out of bounds: snapshot
@@ -193,7 +150,6 @@ impl Translator {
                     if let Some(q) = self.offscreen.get_mut(&target) {
                         q.push(raw, false);
                         self.stats.offscreen_queued += 1;
-                    self.metrics.record_offscreen_queued();
                     }
                 }
             }
@@ -291,7 +247,6 @@ impl Translator {
                 if let Some(q) = self.offscreen.get_mut(&target) {
                     q.push(raw, false);
                     self.stats.offscreen_queued += 1;
-                    self.metrics.record_offscreen_queued();
                 }
             }
         }
@@ -306,8 +261,8 @@ impl Translator {
         if clip.is_empty() {
             return None;
         }
+        self.stats.raw_fallbacks += 1;
         self.stats.raw_fallback_bytes += data.len() as u64;
-        self.metrics.record_raw_fallback(data.len() as u64);
         Some(DisplayCommand::Raw {
             rect: clip,
             encoding: RawEncoding::None,
@@ -352,7 +307,6 @@ impl Translator {
                     if let Some(q) = self.offscreen.get(&src) {
                         let (cmds, covered) = q.extract_region(&eff_src, dx, dy);
                         self.stats.queue_executions += 1;
-                        self.metrics.record_queue_execution();
                         let mut out = cmds;
                         // Cover whatever the queue could not express
                         // with RAW from the (already-drawn) screen.
@@ -415,7 +369,6 @@ impl Translator {
                     for c in to_queue {
                         dst_q.push(c, false);
                         self.stats.offscreen_queued += 1;
-                    self.metrics.record_offscreen_queued();
                     }
                 }
                 Vec::new()
@@ -432,7 +385,6 @@ impl Translator {
                     if let Some(q) = self.offscreen.get_mut(&dst) {
                         q.push(raw, false);
                         self.stats.offscreen_queued += 1;
-                    self.metrics.record_offscreen_queued();
                     }
                 }
                 Vec::new()

@@ -206,8 +206,8 @@ fn run(seed: u64, shards: usize, workers: usize) -> RunOutput {
 
     let (mut encodes, mut shared_sends) = (0, 0);
     for s in 0..m.shard_count() {
-        encodes += m.shard_metrics(s).payload_encodes();
-        shared_sends += m.shard_metrics(s).shared_sends();
+        encodes += m.shard_metrics(s).plane.encodes;
+        shared_sends += m.shard_metrics(s).plane.shared_sends;
     }
     RunOutput { streams: out, encodes, shared_sends }
 }

@@ -963,21 +963,24 @@ impl FrameEncoder {
     }
 }
 
-/// Integrity-verification counters kept by a [`FrameReader`] at
-/// revision 2 (all zero at the legacy revision).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntegrityCounters {
-    /// Frames rejected because their CRC32 did not match.
-    pub crc_fail: u64,
-    /// Forward sequence discontinuities observed (each one means at
-    /// least one frame was lost or skipped).
-    pub seq_gap: u64,
-    /// Total frames the gaps account for (sum of gap widths).
-    pub gap_frames: u64,
-    /// Frames dropped as duplicates or sequence rollbacks.
-    pub seq_dup: u64,
-    /// Frames whose CRC verified clean.
-    pub frames_verified: u64,
+thinc_telemetry::counters! {
+    /// Integrity-verification counters kept by a [`FrameReader`] at
+    /// revision 2 (all zero at the legacy revision). A stream client
+    /// folds what they gained `since` its last look into its
+    /// `ResilienceMetrics`, by field name.
+    pub struct IntegrityCounters {
+        /// Frames rejected because their CRC32 did not match.
+        crc_fail,
+        /// Forward sequence discontinuities observed (each one means at
+        /// least one frame was lost or skipped).
+        seq_gap,
+        /// Total frames the gaps account for (sum of gap widths).
+        gap_frames,
+        /// Frames dropped as duplicates or sequence rollbacks.
+        seq_dup,
+        /// Frames whose CRC verified clean.
+        frames_verified,
+    }
 }
 
 /// Incremental frame splitter: feed transport bytes in, take whole

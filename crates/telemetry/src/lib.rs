@@ -3,18 +3,23 @@
 //!
 //! Every layer of the simulated THINC system — protocol encoding,
 //! the SRSF scheduler in the server's command buffer, the translation
-//! layer, the network model, and the client — records into the metric
-//! primitives defined here:
+//! layer, the network model, and the client — records into the three
+//! kinds of metric defined here:
 //!
-//! * [`Counter`] — monotonically increasing event counts,
+//! * counts — `u64` rows of a [`counters!`] table, which declares a
+//!   group once and generates everything that must know a metric's
+//!   name (field, getter, recorder, `NAMES`/`values`, `merge`,
+//!   `since`),
 //! * [`Gauge`] — point-in-time values with a high-water mark,
 //! * [`Histogram`] — fixed-bucket distributions (latency, sizes).
 //!
-//! Grouped per subsystem ([`ProtocolMetrics`], [`SchedulerMetrics`],
-//! [`TranslatorMetrics`], [`NetMetrics`], [`ClientMetrics`]) and
-//! aggregated per session ([`SessionTelemetry`]), they feed the
-//! per-command figures in `thinc-bench` and the JSONL session-trace
-//! export ([`Timeline::to_jsonl`]).
+//! Grouped per subsystem ([`ProtocolMetrics`], [`BufferStats`] and
+//! [`SchedulerMetrics`], [`TranslatorStats`], [`NetMetrics`],
+//! [`ClientStats`], [`ResilienceMetrics`], [`PlaneCounters`] and
+//! [`ShardMetrics`]) and aggregated per session
+//! ([`SessionTelemetry`]), they feed the per-command figures in
+//! `thinc-bench` and the JSONL session-trace export
+//! ([`Timeline::to_jsonl`]).
 //!
 //! # Design constraints
 //!
@@ -25,8 +30,16 @@
 //!   *virtual* time, supplied by the caller from the simulation's
 //!   `SimTime`. Telemetry never reads wall-clock time, keeping every
 //!   export deterministic.
-//! * **No atomics or locks.** The simulation is single-threaded;
-//!   metrics are plain values owned by the component they instrument.
+//! * **No atomics or locks.** Metrics are plain values owned by the
+//!   component they instrument, and every per-client group belongs to
+//!   that client's `Delivery`: the sharded manager's worker threads
+//!   each flush disjoint clients, so no group is ever shared between
+//!   threads; views across clients are merged afterwards, in client
+//!   order.
+//! * **One increment per event.** An event is counted once, in the
+//!   group of the component that observes it. Plain mirrors kept by
+//!   crates that cannot depend on this one (`thinc-net`'s
+//!   `FaultStats`) are folded in by field name, never positionally.
 //!
 //! # Example
 //!
@@ -48,6 +61,7 @@
 #![warn(missing_docs)]
 
 mod command;
+mod counters;
 mod metrics;
 mod resilience;
 mod session;
@@ -55,12 +69,11 @@ mod shard;
 mod timeline;
 
 pub use command::CommandKind;
-pub use metrics::{Counter, Gauge, Histogram};
-pub use resilience::{ResilienceMetrics, ResilienceSnapshot};
-pub use shard::ShardMetrics;
+pub use metrics::{Gauge, Histogram};
+pub use resilience::ResilienceMetrics;
 pub use session::{
-    ClientMetrics, ClientSnapshot, CommandRow, NetMetrics, NetSnapshot, ProtocolMetrics,
-    SchedulerMetrics, SchedulerSnapshot, SessionTelemetry, TelemetrySnapshot, TranslatorMetrics,
-    TranslatorSnapshot,
+    BufferStats, ClientStats, CommandRow, NetMetrics, ProtocolMetrics, SchedulerMetrics,
+    SessionTelemetry, TelemetrySnapshot, TranslatorStats,
 };
+pub use shard::{PlaneCounters, ShardMetrics};
 pub use timeline::{Timeline, TimelineEvent};

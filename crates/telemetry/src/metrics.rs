@@ -1,47 +1,11 @@
-//! The three metric primitives: [`Counter`], [`Gauge`] and
-//! [`Histogram`].
+//! The two metric primitives that are not counts: [`Gauge`] and
+//! [`Histogram`]. (A count is a `u64` row of a
+//! [`counters!`](crate::counters) table.)
 //!
-//! All three are plain in-memory values — no atomics, no clocks, no
+//! Both are plain in-memory values — no atomics, no clocks, no
 //! global registry. Instrumented components own their metrics and
 //! expose them by reference; aggregation happens by cloning into a
 //! [`crate::SessionTelemetry`].
-
-/// A monotonically increasing event count.
-///
-/// ```
-/// use thinc_telemetry::Counter;
-///
-/// let mut sent = Counter::new();
-/// sent.inc();
-/// sent.add(4);
-/// assert_eq!(sent.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// The current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// A point-in-time measurement that also remembers its high-water
 /// mark.
@@ -159,6 +123,12 @@ impl Histogram {
         Self::with_bounds(&bounds)
     }
 
+    /// The layout every latency histogram in the stack uses: 100 µs to
+    /// ~1.6 s in doubling buckets (plus the implicit overflow bucket).
+    pub fn latency_us() -> Self {
+        Self::exponential(100, 2, 15)
+    }
+
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         let idx = self
@@ -270,15 +240,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-    }
 
     #[test]
     fn gauge_tracks_high_water_mark() {

@@ -3,79 +3,115 @@
 //! Everything the degraded-network story produces — injected faults
 //! observed at the transport, graceful-degradation evictions in the
 //! per-client buffers, liveness timeouts, and reconnect/resync
-//! events — is counted here, in one group, so a single snapshot
+//! events — is counted here, in one group, so a single copy of it
 //! answers "what did the network do to this session and how did the
 //! system cope".
 //!
 //! Ownership follows the same rule as every other group: the
-//! component that observes the event records it (the transport's
-//! fault state feeds the fault counters, the command buffer its
-//! overflow evictions, the server its timeouts and resyncs) and a
-//! harness merges the pieces into the session aggregate.
+//! component that observes the event counts it, once. Rows with a
+//! recorder are events a `Delivery` or a stream client records as they
+//! happen (timeouts, resyncs, resumes). Rows without one arrive by
+//! `merge` from the component that tallies them — the link's
+//! `FaultStats`, the command buffer's overflow evictions and cache
+//! ledger, the frame reader's integrity verdicts — each handed over by
+//! field name, and a harness merges the pieces into the session
+//! aggregate.
 
-use crate::metrics::Counter;
-
-/// Fault-injection and resilience counters for one session.
-///
-/// ```
-/// use thinc_telemetry::ResilienceMetrics;
-///
-/// let mut m = ResilienceMetrics::new();
-/// m.record_segment_lost();
-/// m.record_retransmit();
-/// m.record_corruption(3);
-/// m.record_reconnect();
-/// assert_eq!(m.segments_lost(), 1);
-/// assert_eq!(m.corrupted_bytes(), 3);
-/// assert_eq!(m.reconnects(), 1);
-/// assert!(m.total_faults() >= 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResilienceMetrics {
-    // Transport faults.
-    segments_lost: Counter,
-    retransmits: Counter,
-    corrupt_events: Counter,
-    corrupted_bytes: Counter,
-    outage_defers: Counter,
-    // Graceful degradation.
-    overflow_evictions: Counter,
-    stale_video_dropped: Counter,
-    // Session lifecycle.
-    liveness_timeouts: Counter,
-    pings_sent: Counter,
-    reconnects: Counter,
-    resyncs: Counter,
-    // Byte-stream disturbances beyond corruption.
-    segments_reordered: Counter,
-    segments_duplicated: Counter,
-    // Client-side recovery.
-    decode_errors: Counter,
-    stream_resyncs: Counter,
-    skipped_bytes: Counter,
-    // Wire integrity verification (protocol revision 2).
-    crc_failures: Counter,
-    seq_gaps: Counter,
-    seq_dups: Counter,
-    resyncs_triggered: Counter,
-    // Content-addressed cache (protocol revision 3).
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
-    cache_bytes_saved: Counter,
-    // Crash isolation (panic containment in the parallel flush).
-    panics_quarantined: Counter,
-    // Checkpoint/failover (crash-consistent session restore).
-    resumes: Counter,
-    cold_fallbacks: Counter,
-    // Adaptive degradation (the feedback loop acting on the above).
-    degrade_steps: Counter,
-    promote_steps: Counter,
-    /// Current ladder level (0 = full fidelity). Plain value, not a
-    /// counter: it moves both ways.
-    degradation_level: u64,
-    /// Deepest ladder level reached.
-    max_degradation_level: u64,
+crate::counters! {
+    /// Fault-injection and resilience counters for one session.
+    ///
+    /// ```
+    /// use thinc_telemetry::ResilienceMetrics;
+    ///
+    /// let mut m = ResilienceMetrics::new();
+    /// m.record_reconnect();
+    /// m.record_stream_resync(40);
+    /// m.record_cache_hit(4000);
+    /// assert_eq!(m.reconnects(), 1);
+    /// assert_eq!(m.skipped_bytes, 40);
+    /// assert_eq!(m.cache_bytes_saved(), 4000);
+    /// ```
+    pub struct ResilienceMetrics {
+        /// Transport segments lost to injected loss.
+        segments_lost,
+        /// Retransmission rounds triggered by a loss.
+        retransmits,
+        /// Corruption events (sends that damaged at least one byte).
+        corrupt_events,
+        /// Payload bytes damaged by corruption.
+        corrupted_bytes,
+        /// Sends deferred (or stalled mid-transfer) by an outage window.
+        outage_defers,
+        /// Congestion rounds the link served at collapsed rate.
+        collapsed_rounds,
+        /// Segments delivered out of order by the transport.
+        segments_reordered,
+        /// Segments delivered more than once by the transport.
+        segments_duplicated,
+        /// Buffered commands evicted to keep a per-client buffer under
+        /// its byte bound.
+        overflow_evictions,
+        /// Stale video frames dropped under backpressure.
+        stale_video_dropped => record_stale_video_drop,
+        /// Clients declared dead by the liveness tracker.
+        liveness_timeouts => record_liveness_timeout,
+        /// Heartbeat pings sent to probe an idle peer.
+        pings_sent => record_ping_sent,
+        /// Clients reconnecting to the session.
+        reconnects => record_reconnect,
+        /// Full resynchronizations (screen refresh + cursor + video
+        /// stream re-establishment).
+        resyncs => record_resync,
+        /// Wire decode errors the receiver survived.
+        decode_errors => record_decode_error,
+        /// Times the receiver scanned past damage to a new frame
+        /// boundary.
+        stream_resyncs,
+        /// Bytes skipped while scanning past damage.
+        skipped_bytes,
+        /// Frames rejected because their CRC32 failed verification
+        /// (integrity framing, protocol revision 2).
+        crc_failures,
+        /// Forward sequence-number gaps (frames lost in transit while
+        /// framing stayed parseable).
+        seq_gaps,
+        /// Frames dropped as duplicates or sequence rollbacks.
+        seq_dups,
+        /// Integrity failures escalated into a recovery action (refresh
+        /// request / full resync) rather than absorbed silently.
+        resyncs_triggered => record_resync_triggered,
+        /// Cache-reference hits: full payloads replaced by a compact
+        /// reference (protocol revision 3).
+        cache_hits,
+        /// Cache references that failed to resolve (each costs a
+        /// full-payload fallback round trip).
+        cache_misses => record_cache_miss,
+        /// Entries evicted from a cache ledger or store to stay within
+        /// its byte budget.
+        cache_evictions => record_cache_evictions(n),
+        /// Wire bytes saved by reference substitution.
+        cache_bytes_saved,
+        /// Per-client panics caught by the parallel flush and turned
+        /// into a quarantine instead of a session teardown.
+        panics_quarantined => record_panic_quarantined,
+        /// Warm resumes: a redialing client's resume token honored
+        /// against a restored checkpoint, so only the
+        /// checkpoint-to-live delta travels.
+        resumes => record_resume,
+        /// Resume attempts that could not be honored (stale or corrupt
+        /// token/checkpoint, unknown client, digest mismatch) and fell
+        /// back to the cold reconnect path.
+        cold_fallbacks => record_cold_fallback,
+        /// Fidelity reductions performed by the degradation controller.
+        degrade_steps,
+        /// Fidelity restorations performed by the degradation controller.
+        promote_steps,
+        /// Current degradation-ladder level (0 = full fidelity): a
+        /// state, not a count, so merged views keep the deeper side.
+        degradation_level: max,
+        /// Deepest degradation-ladder level reached.
+        max_degradation_level: max,
+    }
 }
 
 impl ResilienceMetrics {
@@ -84,503 +120,37 @@ impl ResilienceMetrics {
         Self::default()
     }
 
-    /// Records a transport segment lost to injected loss.
-    pub fn record_segment_lost(&mut self) {
-        self.segments_lost.inc();
+    /// Records the receiver scanning past damage to a new frame
+    /// boundary, skipping `bytes`.
+    pub fn record_stream_resync(&mut self, bytes: u64) {
+        self.stream_resyncs += 1;
+        self.skipped_bytes += bytes;
     }
 
-    /// Records a retransmission round triggered by a loss.
-    pub fn record_retransmit(&mut self) {
-        self.retransmits.inc();
-    }
-
-    /// Records one corruption event damaging `bytes` payload bytes.
-    pub fn record_corruption(&mut self, bytes: u64) {
-        self.corrupt_events.inc();
-        self.corrupted_bytes.add(bytes);
-    }
-
-    /// Records a send deferred (or stalled mid-transfer) by a link
-    /// outage window.
-    pub fn record_outage_defer(&mut self) {
-        self.outage_defers.inc();
-    }
-
-    /// Records a buffered command evicted to keep the per-client
-    /// buffer under its byte bound.
-    pub fn record_overflow_eviction(&mut self) {
-        self.overflow_evictions.inc();
-    }
-
-    /// Folds in `n` overflow evictions counted elsewhere (the buffer
-    /// keeps its own tally; the owning server merges it at read time).
-    pub fn add_overflow_evictions(&mut self, n: u64) {
-        self.overflow_evictions.add(n);
-    }
-
-    /// Folds in transport fault counts tallied by the fault-injected
-    /// link itself (the transport crate carries no telemetry
-    /// dependency; a harness moves its plain counters here).
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_transport_faults(
-        &mut self,
-        segments_lost: u64,
-        retransmits: u64,
-        corrupt_events: u64,
-        corrupted_bytes: u64,
-        outage_defers: u64,
-        segments_reordered: u64,
-        segments_duplicated: u64,
-    ) {
-        self.segments_lost.add(segments_lost);
-        self.retransmits.add(retransmits);
-        self.corrupt_events.add(corrupt_events);
-        self.corrupted_bytes.add(corrupted_bytes);
-        self.outage_defers.add(outage_defers);
-        self.segments_reordered.add(segments_reordered);
-        self.segments_duplicated.add(segments_duplicated);
-    }
-
-    /// Records a stale video frame dropped under backpressure.
-    pub fn record_stale_video_drop(&mut self) {
-        self.stale_video_dropped.inc();
-    }
-
-    /// Records a client declared dead by the liveness tracker.
-    pub fn record_liveness_timeout(&mut self) {
-        self.liveness_timeouts.inc();
-    }
-
-    /// Records a heartbeat ping sent to probe an idle peer.
-    pub fn record_ping_sent(&mut self) {
-        self.pings_sent.inc();
-    }
-
-    /// Records a client reconnecting to the session.
-    pub fn record_reconnect(&mut self) {
-        self.reconnects.inc();
-    }
-
-    /// Records a full resynchronization (screen refresh + cursor +
-    /// video stream re-establishment).
-    pub fn record_resync(&mut self) {
-        self.resyncs.inc();
+    /// Records a cache-reference hit saving `bytes_saved` wire bytes.
+    pub fn record_cache_hit(&mut self, bytes_saved: u64) {
+        self.cache_hits += 1;
+        self.cache_bytes_saved += bytes_saved;
     }
 
     /// Records a degradation-ladder step and the level it landed on
     /// (`level` is the ladder index, 0 = full fidelity). Demotions
-    /// and promotions count separately; the current and deepest
-    /// levels are kept as plain values.
+    /// and promotions count separately.
     pub fn record_degradation_step(&mut self, level: u64, demotion: bool) {
         if demotion {
-            self.degrade_steps.inc();
+            self.degrade_steps += 1;
         } else {
-            self.promote_steps.inc();
+            self.promote_steps += 1;
         }
         self.degradation_level = level;
         self.max_degradation_level = self.max_degradation_level.max(level);
     }
 
-    /// Records a wire decode error the receiver survived.
-    pub fn record_decode_error(&mut self) {
-        self.decode_errors.inc();
-    }
-
-    /// Records the receiver scanning past damage to a new frame
-    /// boundary, skipping `bytes`.
-    pub fn record_stream_resync(&mut self, bytes: u64) {
-        self.stream_resyncs.inc();
-        self.skipped_bytes.add(bytes);
-    }
-
-    /// Records a frame rejected because its CRC32 failed verification
-    /// (integrity framing, protocol revision 2).
-    pub fn record_crc_failure(&mut self) {
-        self.crc_failures.inc();
-    }
-
-    /// Records a forward sequence-number gap (frames lost in transit
-    /// while framing stayed parseable).
-    pub fn record_seq_gap(&mut self) {
-        self.seq_gaps.inc();
-    }
-
-    /// Records a frame dropped as a duplicate or sequence rollback.
-    pub fn record_seq_dup(&mut self) {
-        self.seq_dups.inc();
-    }
-
-    /// Records an integrity failure escalating into a recovery action
-    /// (refresh request / full resync), as opposed to being absorbed
-    /// silently.
-    pub fn record_resync_triggered(&mut self) {
-        self.resyncs_triggered.inc();
-    }
-
-    /// Folds in integrity-verification counts tallied by the wire
-    /// reader itself (`thinc-protocol` carries no telemetry
-    /// dependency; the client diffs the reader's plain counters and
-    /// moves them here).
-    pub fn add_integrity_counts(&mut self, crc_failures: u64, seq_gaps: u64, seq_dups: u64) {
-        self.crc_failures.add(crc_failures);
-        self.seq_gaps.add(seq_gaps);
-        self.seq_dups.add(seq_dups);
-    }
-
-    /// Segments lost to injected loss.
-    pub fn segments_lost(&self) -> u64 {
-        self.segments_lost.get()
-    }
-
-    /// Retransmission rounds.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits.get()
-    }
-
-    /// Corruption events observed.
-    pub fn corrupt_events(&self) -> u64 {
-        self.corrupt_events.get()
-    }
-
-    /// Total payload bytes damaged by corruption.
-    pub fn corrupted_bytes(&self) -> u64 {
-        self.corrupted_bytes.get()
-    }
-
-    /// Sends deferred or stalled by outage windows.
-    pub fn outage_defers(&self) -> u64 {
-        self.outage_defers.get()
-    }
-
-    /// Commands evicted by the buffer byte bound.
-    pub fn overflow_evictions(&self) -> u64 {
-        self.overflow_evictions.get()
-    }
-
-    /// Stale video frames dropped under backpressure.
-    pub fn stale_video_dropped(&self) -> u64 {
-        self.stale_video_dropped.get()
-    }
-
-    /// Clients declared dead by liveness tracking.
-    pub fn liveness_timeouts(&self) -> u64 {
-        self.liveness_timeouts.get()
-    }
-
-    /// Heartbeat pings sent.
-    pub fn pings_sent(&self) -> u64 {
-        self.pings_sent.get()
-    }
-
-    /// Reconnects handled.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.get()
-    }
-
-    /// Full resynchronizations performed.
-    pub fn resyncs(&self) -> u64 {
-        self.resyncs.get()
-    }
-
-    /// Segments delivered out of order by the transport.
-    pub fn segments_reordered(&self) -> u64 {
-        self.segments_reordered.get()
-    }
-
-    /// Segments delivered more than once by the transport.
-    pub fn segments_duplicated(&self) -> u64 {
-        self.segments_duplicated.get()
-    }
-
-    /// Frames rejected by CRC verification.
-    pub fn crc_failures(&self) -> u64 {
-        self.crc_failures.get()
-    }
-
-    /// Forward sequence gaps observed.
-    pub fn seq_gaps(&self) -> u64 {
-        self.seq_gaps.get()
-    }
-
-    /// Duplicate/rollback frames dropped.
-    pub fn seq_dups(&self) -> u64 {
-        self.seq_dups.get()
-    }
-
-    /// Integrity failures escalated into recovery actions.
-    pub fn resyncs_triggered(&self) -> u64 {
-        self.resyncs_triggered.get()
-    }
-
-    /// Records a cache-reference hit: a full payload replaced by a
-    /// compact reference, saving `bytes_saved` wire bytes.
-    pub fn record_cache_hit(&mut self, bytes_saved: u64) {
-        self.cache_hits.inc();
-        self.cache_bytes_saved.add(bytes_saved);
-    }
-
-    /// Records a cache reference that failed to resolve (and the
-    /// resulting full-payload fallback round trip).
-    pub fn record_cache_miss(&mut self) {
-        self.cache_misses.inc();
-    }
-
-    /// Records `n` entries evicted from a cache ledger or store to
-    /// stay within its byte budget.
-    pub fn record_cache_evictions(&mut self, n: u64) {
-        self.cache_evictions.add(n);
-    }
-
-    /// Folds in cache counts tallied by a component that keeps its own
-    /// ledger (the server's per-client command buffer, the client's
-    /// store — neither carries a telemetry dependency).
-    pub fn add_cache_counts(&mut self, hits: u64, misses: u64, evictions: u64, bytes_saved: u64) {
-        self.cache_hits.add(hits);
-        self.cache_misses.add(misses);
-        self.cache_evictions.add(evictions);
-        self.cache_bytes_saved.add(bytes_saved);
-    }
-
-    /// Cache-reference hits (payloads served from the peer's store).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.get()
-    }
-
-    /// Cache references that failed to resolve.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.get()
-    }
-
-    /// Records a per-client panic caught by the parallel flush and
-    /// converted into a quarantine instead of a session teardown.
-    pub fn record_panic_quarantined(&mut self) {
-        self.panics_quarantined.inc();
-    }
-
-    /// Per-client panics contained by flush quarantine.
-    pub fn panics_quarantined(&self) -> u64 {
-        self.panics_quarantined.get()
-    }
-
-    /// Records a warm resume: a redialing client's resume token was
-    /// honored against a restored checkpoint, so only the
-    /// checkpoint-to-live delta travels instead of a full-screen
-    /// retransmit.
-    pub fn record_resume(&mut self) {
-        self.resumes.inc();
-    }
-
-    /// Records a resume attempt that could not be honored (stale or
-    /// corrupt token/checkpoint, unknown client, digest mismatch) and
-    /// fell back to the cold reconnect path.
-    pub fn record_cold_fallback(&mut self) {
-        self.cold_fallbacks.inc();
-    }
-
-    /// Warm resumes honored after a failover.
-    pub fn resumes(&self) -> u64 {
-        self.resumes.get()
-    }
-
-    /// Resume attempts demoted to cold reconnects.
-    pub fn cold_fallbacks(&self) -> u64 {
-        self.cold_fallbacks.get()
-    }
-
-    /// Entries evicted from cache ledgers/stores.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache_evictions.get()
-    }
-
-    /// Wire bytes saved by reference substitution.
-    pub fn cache_bytes_saved(&self) -> u64 {
-        self.cache_bytes_saved.get()
-    }
-
-    /// Wire decode errors survived.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.get()
-    }
-
-    /// Times the receiver scanned past damage.
-    pub fn stream_resyncs(&self) -> u64 {
-        self.stream_resyncs.get()
-    }
-
-    /// Bytes skipped while scanning past damage.
-    pub fn skipped_bytes(&self) -> u64 {
-        self.skipped_bytes.get()
-    }
-
-    /// Fidelity reductions performed by the degradation controller.
-    pub fn degrade_steps(&self) -> u64 {
-        self.degrade_steps.get()
-    }
-
-    /// Fidelity restorations performed by the degradation controller.
-    pub fn promote_steps(&self) -> u64 {
-        self.promote_steps.get()
-    }
-
-    /// Current degradation-ladder level (0 = full fidelity).
-    pub fn degradation_level(&self) -> u64 {
-        self.degradation_level
-    }
-
-    /// Deepest degradation-ladder level reached.
-    pub fn max_degradation_level(&self) -> u64 {
-        self.max_degradation_level
-    }
-
     /// All injected-fault events combined (loss + corruption +
     /// outage stalls).
     pub fn total_faults(&self) -> u64 {
-        self.segments_lost.get() + self.corrupt_events.get() + self.outage_defers.get()
+        self.segments_lost + self.corrupt_events + self.outage_defers
     }
-
-    /// Adds another accounting into this one (components each own a
-    /// piece; the harness merges them into the session view).
-    pub fn merge(&mut self, other: &ResilienceMetrics) {
-        self.segments_lost.add(other.segments_lost.get());
-        self.retransmits.add(other.retransmits.get());
-        self.corrupt_events.add(other.corrupt_events.get());
-        self.corrupted_bytes.add(other.corrupted_bytes.get());
-        self.outage_defers.add(other.outage_defers.get());
-        self.overflow_evictions.add(other.overflow_evictions.get());
-        self.stale_video_dropped.add(other.stale_video_dropped.get());
-        self.liveness_timeouts.add(other.liveness_timeouts.get());
-        self.pings_sent.add(other.pings_sent.get());
-        self.reconnects.add(other.reconnects.get());
-        self.resyncs.add(other.resyncs.get());
-        self.segments_reordered.add(other.segments_reordered.get());
-        self.segments_duplicated.add(other.segments_duplicated.get());
-        self.decode_errors.add(other.decode_errors.get());
-        self.stream_resyncs.add(other.stream_resyncs.get());
-        self.skipped_bytes.add(other.skipped_bytes.get());
-        self.crc_failures.add(other.crc_failures.get());
-        self.seq_gaps.add(other.seq_gaps.get());
-        self.seq_dups.add(other.seq_dups.get());
-        self.resyncs_triggered.add(other.resyncs_triggered.get());
-        self.cache_hits.add(other.cache_hits.get());
-        self.cache_misses.add(other.cache_misses.get());
-        self.cache_evictions.add(other.cache_evictions.get());
-        self.cache_bytes_saved.add(other.cache_bytes_saved.get());
-        self.panics_quarantined.add(other.panics_quarantined.get());
-        self.resumes.add(other.resumes.get());
-        self.cold_fallbacks.add(other.cold_fallbacks.get());
-        self.degrade_steps.add(other.degrade_steps.get());
-        self.promote_steps.add(other.promote_steps.get());
-        // Levels are states, not counts: merging session views keeps
-        // the deepest observed on each side.
-        self.degradation_level = self.degradation_level.max(other.degradation_level);
-        self.max_degradation_level =
-            self.max_degradation_level.max(other.max_degradation_level);
-    }
-
-    /// Plain-data summary for reports.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            segments_lost: self.segments_lost(),
-            retransmits: self.retransmits(),
-            corrupt_events: self.corrupt_events(),
-            corrupted_bytes: self.corrupted_bytes(),
-            outage_defers: self.outage_defers(),
-            overflow_evictions: self.overflow_evictions(),
-            stale_video_dropped: self.stale_video_dropped(),
-            liveness_timeouts: self.liveness_timeouts(),
-            pings_sent: self.pings_sent(),
-            reconnects: self.reconnects(),
-            resyncs: self.resyncs(),
-            segments_reordered: self.segments_reordered(),
-            segments_duplicated: self.segments_duplicated(),
-            decode_errors: self.decode_errors(),
-            stream_resyncs: self.stream_resyncs(),
-            skipped_bytes: self.skipped_bytes(),
-            crc_failures: self.crc_failures(),
-            seq_gaps: self.seq_gaps(),
-            seq_dups: self.seq_dups(),
-            resyncs_triggered: self.resyncs_triggered(),
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
-            cache_evictions: self.cache_evictions(),
-            cache_bytes_saved: self.cache_bytes_saved(),
-            panics_quarantined: self.panics_quarantined(),
-            resumes: self.resumes(),
-            cold_fallbacks: self.cold_fallbacks(),
-            degrade_steps: self.degrade_steps(),
-            promote_steps: self.promote_steps(),
-            degradation_level: self.degradation_level(),
-            max_degradation_level: self.max_degradation_level(),
-        }
-    }
-}
-
-/// Plain-data resilience summary inside a
-/// [`TelemetrySnapshot`](crate::TelemetrySnapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// Segments lost to injected loss.
-    pub segments_lost: u64,
-    /// Retransmission rounds.
-    pub retransmits: u64,
-    /// Corruption events observed.
-    pub corrupt_events: u64,
-    /// Payload bytes damaged by corruption.
-    pub corrupted_bytes: u64,
-    /// Sends deferred or stalled by outages.
-    pub outage_defers: u64,
-    /// Commands evicted by the buffer byte bound.
-    pub overflow_evictions: u64,
-    /// Stale video frames dropped under backpressure.
-    pub stale_video_dropped: u64,
-    /// Clients declared dead by liveness tracking.
-    pub liveness_timeouts: u64,
-    /// Heartbeat pings sent.
-    pub pings_sent: u64,
-    /// Reconnects handled.
-    pub reconnects: u64,
-    /// Full resynchronizations performed.
-    pub resyncs: u64,
-    /// Segments delivered out of order by the transport.
-    pub segments_reordered: u64,
-    /// Segments delivered more than once by the transport.
-    pub segments_duplicated: u64,
-    /// Wire decode errors survived.
-    pub decode_errors: u64,
-    /// Times the receiver scanned past damage.
-    pub stream_resyncs: u64,
-    /// Bytes skipped while scanning past damage.
-    pub skipped_bytes: u64,
-    /// Frames rejected by CRC verification.
-    pub crc_failures: u64,
-    /// Forward sequence gaps observed.
-    pub seq_gaps: u64,
-    /// Duplicate/rollback frames dropped.
-    pub seq_dups: u64,
-    /// Integrity failures escalated into recovery actions.
-    pub resyncs_triggered: u64,
-    /// Cache-reference hits (payloads served from the peer's store).
-    pub cache_hits: u64,
-    /// Cache references that failed to resolve.
-    pub cache_misses: u64,
-    /// Entries evicted from cache ledgers/stores.
-    pub cache_evictions: u64,
-    /// Wire bytes saved by reference substitution.
-    pub cache_bytes_saved: u64,
-    /// Per-client panics contained by flush quarantine.
-    pub panics_quarantined: u64,
-    /// Warm resumes honored after a failover.
-    pub resumes: u64,
-    /// Resume attempts demoted to cold reconnects.
-    pub cold_fallbacks: u64,
-    /// Fidelity reductions by the degradation controller.
-    pub degrade_steps: u64,
-    /// Fidelity restorations by the degradation controller.
-    pub promote_steps: u64,
-    /// Current degradation-ladder level (0 = full fidelity).
-    pub degradation_level: u64,
-    /// Deepest degradation-ladder level reached.
-    pub max_degradation_level: u64,
 }
 
 #[cfg(test)]
@@ -588,36 +158,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
+    fn compound_recorders_move_both_rows() {
         let mut m = ResilienceMetrics::new();
-        m.record_segment_lost();
-        m.record_segment_lost();
-        m.record_retransmit();
-        m.record_corruption(16);
-        m.record_outage_defer();
-        m.record_overflow_eviction();
-        m.record_stale_video_drop();
-        m.record_liveness_timeout();
-        m.record_ping_sent();
-        m.record_reconnect();
-        m.record_resync();
-        m.record_decode_error();
         m.record_stream_resync(40);
-        let s = m.snapshot();
-        assert_eq!(s.segments_lost, 2);
-        assert_eq!(s.retransmits, 1);
-        assert_eq!(s.corrupt_events, 1);
-        assert_eq!(s.corrupted_bytes, 16);
-        assert_eq!(s.outage_defers, 1);
-        assert_eq!(s.overflow_evictions, 1);
-        assert_eq!(s.stale_video_dropped, 1);
-        assert_eq!(s.liveness_timeouts, 1);
-        assert_eq!(s.pings_sent, 1);
-        assert_eq!(s.reconnects, 1);
-        assert_eq!(s.resyncs, 1);
-        assert_eq!(s.decode_errors, 1);
-        assert_eq!(s.stream_resyncs, 1);
-        assert_eq!(s.skipped_bytes, 40);
+        m.record_cache_hit(4000);
+        m.record_cache_hit(2000);
+        m.record_cache_evictions(3);
+        assert_eq!((m.stream_resyncs, m.skipped_bytes), (1, 40));
+        assert_eq!((m.cache_hits, m.cache_bytes_saved), (2, 6000));
+        assert_eq!(m.cache_evictions(), 3);
+        m.segments_lost = 2;
+        m.corrupt_events = 1;
+        m.outage_defers = 1;
         assert_eq!(m.total_faults(), 4);
     }
 
@@ -631,95 +183,18 @@ mod tests {
         assert_eq!(m.promote_steps(), 1);
         assert_eq!(m.degradation_level(), 1);
         assert_eq!(m.max_degradation_level(), 2);
-        let s = m.snapshot();
-        assert_eq!(s.degrade_steps, 2);
-        assert_eq!(s.promote_steps, 1);
-        assert_eq!(s.degradation_level, 1);
-        assert_eq!(s.max_degradation_level, 2);
     }
 
     #[test]
-    fn integrity_counters_accumulate_merge_and_snapshot() {
-        let mut m = ResilienceMetrics::new();
-        m.record_crc_failure();
-        m.record_seq_gap();
-        m.record_seq_dup();
-        m.record_resync_triggered();
-        m.add_integrity_counts(2, 3, 4);
-        m.add_transport_faults(0, 0, 0, 0, 0, 5, 6);
-        let mut other = ResilienceMetrics::new();
-        other.record_crc_failure();
-        other.add_transport_faults(0, 0, 0, 0, 0, 1, 1);
-        m.merge(&other);
-        let s = m.snapshot();
-        assert_eq!(s.crc_failures, 4);
-        assert_eq!(s.seq_gaps, 4);
-        assert_eq!(s.seq_dups, 5);
-        assert_eq!(s.resyncs_triggered, 1);
-        assert_eq!(s.segments_reordered, 6);
-        assert_eq!(s.segments_duplicated, 7);
-    }
-
-    #[test]
-    fn cache_counters_accumulate_merge_and_snapshot() {
-        let mut m = ResilienceMetrics::new();
-        m.record_cache_hit(4000);
-        m.record_cache_hit(2000);
-        m.record_cache_miss();
-        m.record_cache_evictions(3);
-        m.add_cache_counts(5, 1, 2, 10_000);
-        let mut other = ResilienceMetrics::new();
-        other.record_cache_hit(500);
-        m.merge(&other);
-        let s = m.snapshot();
-        assert_eq!(s.cache_hits, 8);
-        assert_eq!(s.cache_misses, 2);
-        assert_eq!(s.cache_evictions, 5);
-        assert_eq!(s.cache_bytes_saved, 16_500);
-    }
-
-    #[test]
-    fn quarantine_counter_accumulates_merges_and_snapshots() {
-        let mut m = ResilienceMetrics::new();
-        m.record_panic_quarantined();
-        let mut other = ResilienceMetrics::new();
-        other.record_panic_quarantined();
-        other.record_panic_quarantined();
-        m.merge(&other);
-        assert_eq!(m.panics_quarantined(), 3);
-        assert_eq!(m.snapshot().panics_quarantined, 3);
-    }
-
-    #[test]
-    fn resume_counters_accumulate_merge_and_snapshot() {
-        let mut m = ResilienceMetrics::new();
-        m.record_resume();
-        m.record_cold_fallback();
-        let mut other = ResilienceMetrics::new();
-        other.record_resume();
-        other.record_resume();
-        other.record_cold_fallback();
-        m.merge(&other);
-        assert_eq!(m.resumes(), 3);
-        assert_eq!(m.cold_fallbacks(), 2);
-        let s = m.snapshot();
-        assert_eq!(s.resumes, 3);
-        assert_eq!(s.cold_fallbacks, 2);
-    }
-
-    #[test]
-    fn merge_adds_both_sides() {
+    fn merged_views_keep_the_deeper_level() {
         let mut a = ResilienceMetrics::new();
-        a.record_segment_lost();
-        a.record_resync();
+        a.record_degradation_step(1, true);
         let mut b = ResilienceMetrics::new();
-        b.record_segment_lost();
-        b.record_corruption(8);
-        b.record_reconnect();
+        b.record_degradation_step(3, true);
+        b.record_degradation_step(2, false);
         a.merge(&b);
-        assert_eq!(a.segments_lost(), 2);
-        assert_eq!(a.corrupted_bytes(), 8);
-        assert_eq!(a.reconnects(), 1);
-        assert_eq!(a.resyncs(), 1);
+        assert_eq!(a.degrade_steps(), 2);
+        assert_eq!(a.degradation_level(), 2);
+        assert_eq!(a.max_degradation_level(), 3);
     }
 }

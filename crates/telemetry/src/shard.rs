@@ -1,68 +1,84 @@
-//! Per-shard telemetry for the broadcast fan-out.
+//! Encode-once plane accounting and per-shard telemetry for the
+//! broadcast fan-out.
 //!
 //! The sharded session manager partitions clients into deterministic
 //! shards and flushes each shard per epoch against a shared
-//! encode-once payload plane. Each shard owns one of these metric
-//! sets; the figures/perfgate layer merges them for aggregate views
-//! (fairness spread, shared-payload hit ratio, per-shard flush wall
-//! time).
+//! encode-once payload plane. Every flush tallies its plane traffic in
+//! a [`PlaneCounters`]; each shard folds those into its
+//! [`ShardMetrics`], which the figures/perfgate layer merges for
+//! aggregate views (fairness spread, shared-payload hit ratio,
+//! per-shard flush wall time).
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Gauge, Histogram};
+
+crate::counters! {
+    /// Deterministic accounting for the encode-once plane, accumulated
+    /// per client during a flush and merged in client order afterwards.
+    pub struct PlaneCounters {
+        /// Messages sent whose wire form came from the plane.
+        shared_sends,
+        /// Sum of those messages' full-form sizes (before any per-client
+        /// cache-ref substitution) — what every client *would* have
+        /// encoded on its own.
+        shared_bytes,
+        /// Wire forms actually produced (one per equivalence class that
+        /// reached the wire); independent of shard and worker counts.
+        encodes,
+        /// Bytes of wire forms actually produced.
+        encoded_bytes,
+    }
+}
+
+impl PlaneCounters {
+    /// Fraction of plane-served sends that reused an already-produced
+    /// wire form (0 when nothing went through the plane).
+    pub fn hit_ratio(&self) -> f64 {
+        if self.shared_sends == 0 {
+            return 0.0;
+        }
+        (self.shared_sends - self.encodes.min(self.shared_sends)) as f64
+            / self.shared_sends as f64
+    }
+
+    /// Encode output bytes the plane saved clients from producing
+    /// themselves.
+    pub fn bytes_amortized(&self) -> u64 {
+        self.shared_bytes.saturating_sub(self.encoded_bytes)
+    }
+}
 
 /// Metrics for one shard of a fan-out session.
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
+    /// Plane traffic attributed to this shard, summed over its epochs.
+    pub plane: PlaneCounters,
+    /// Flush epochs this shard has run.
+    pub epochs: u64,
     /// Clients currently assigned to this shard.
     clients: Gauge,
-    /// Flush epochs this shard has run.
-    epochs: Counter,
     /// Wall-clock microseconds per shard flush (report-only — wall
     /// time is not deterministic; the gated latency metrics come from
     /// the virtual-time scheduler histograms).
     flush_wall_us: Histogram,
-    /// Messages this shard sent whose wire form came from the shared
-    /// plane.
-    shared_sends: Counter,
-    /// Full-form bytes of those messages (what the shard would have
-    /// encoded without sharing).
-    shared_bytes: Counter,
-    /// Wire forms this shard actually produced (first to reach the
-    /// class).
-    payload_encodes: Counter,
-    /// Bytes of wire forms this shard actually produced.
-    encoded_bytes: Counter,
 }
 
 impl ShardMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
         Self {
+            plane: PlaneCounters::default(),
+            epochs: 0,
             clients: Gauge::new(),
-            epochs: Counter::new(),
             flush_wall_us: Histogram::exponential(8, 2, 24),
-            shared_sends: Counter::new(),
-            shared_bytes: Counter::new(),
-            payload_encodes: Counter::new(),
-            encoded_bytes: Counter::new(),
         }
     }
 
     /// Records one flush epoch taking `wall_us` microseconds of wall
     /// time, with the plane traffic attributed to this shard.
-    pub fn record_epoch(
-        &mut self,
-        wall_us: u64,
-        shared_sends: u64,
-        shared_bytes: u64,
-        payload_encodes: u64,
-        encoded_bytes: u64,
-    ) {
-        self.epochs.inc();
+    pub fn record_epoch(&mut self, wall_us: u64, plane: &PlaneCounters) {
+        self.epochs += 1;
         self.flush_wall_us.record(wall_us);
-        self.shared_sends.add(shared_sends);
-        self.shared_bytes.add(shared_bytes);
-        self.payload_encodes.add(payload_encodes);
-        self.encoded_bytes.add(encoded_bytes);
+        self.plane.merge(plane);
     }
 
     /// Updates the client-count gauge.
@@ -75,40 +91,9 @@ impl ShardMetrics {
         self.clients.get() as u64
     }
 
-    /// Flush epochs run.
-    pub fn epochs(&self) -> u64 {
-        self.epochs.get()
-    }
-
     /// Wall-time histogram of shard flushes (µs).
     pub fn flush_wall_us(&self) -> &Histogram {
         &self.flush_wall_us
-    }
-
-    /// Plane-served sends attributed to this shard.
-    pub fn shared_sends(&self) -> u64 {
-        self.shared_sends.get()
-    }
-
-    /// Wire forms this shard produced for the plane.
-    pub fn payload_encodes(&self) -> u64 {
-        self.payload_encodes.get()
-    }
-
-    /// Fraction of this shard's plane-served sends that reused a wire
-    /// form some client (any shard) had already produced.
-    pub fn hit_ratio(&self) -> f64 {
-        let sends = self.shared_sends.get();
-        if sends == 0 {
-            return 0.0;
-        }
-        (sends - self.payload_encodes.get().min(sends)) as f64 / sends as f64
-    }
-
-    /// Encode output bytes this shard was spared (full-form bytes of
-    /// reused sends minus bytes it actually produced).
-    pub fn bytes_amortized(&self) -> u64 {
-        self.shared_bytes.get().saturating_sub(self.encoded_bytes.get())
     }
 }
 
@@ -126,20 +111,22 @@ mod tests {
     fn epochs_accumulate() {
         let mut m = ShardMetrics::new();
         m.set_clients(128);
-        m.record_epoch(250, 10, 1000, 2, 200);
-        m.record_epoch(150, 10, 1000, 0, 0);
-        assert_eq!(m.epochs(), 2);
+        let first = PlaneCounters { shared_sends: 10, shared_bytes: 1000, encodes: 2, encoded_bytes: 200 };
+        let second = PlaneCounters { shared_sends: 10, shared_bytes: 1000, ..PlaneCounters::default() };
+        m.record_epoch(250, &first);
+        m.record_epoch(150, &second);
+        assert_eq!(m.epochs, 2);
         assert_eq!(m.clients(), 128);
-        assert_eq!(m.shared_sends(), 20);
-        assert_eq!(m.payload_encodes(), 2);
-        assert!((m.hit_ratio() - 0.9).abs() < 1e-12);
-        assert_eq!(m.bytes_amortized(), 1800);
+        assert_eq!(m.plane.shared_sends, 20);
+        assert_eq!(m.plane.encodes, 2);
+        assert!((m.plane.hit_ratio() - 0.9).abs() < 1e-12);
+        assert_eq!(m.plane.bytes_amortized(), 1800);
         assert_eq!(m.flush_wall_us().count(), 2);
     }
 
     #[test]
     fn zero_sends_is_zero_ratio() {
-        let m = ShardMetrics::new();
+        let m = PlaneCounters::default();
         assert_eq!(m.hit_ratio(), 0.0);
         assert_eq!(m.bytes_amortized(), 0);
     }

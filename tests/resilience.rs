@@ -1276,8 +1276,8 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
     // across the population — far fewer wire forms than plane sends.
     let (mut sends, mut encodes) = (0u64, 0u64);
     for s in 0..m.shard_count() {
-        sends += m.shard_metrics(s).shared_sends();
-        encodes += m.shard_metrics(s).payload_encodes();
+        sends += m.shard_metrics(s).plane.shared_sends;
+        encodes += m.shard_metrics(s).plane.encodes;
     }
     assert!(sends > 0, "the broadcast must engage the encode-once plane");
     assert!(
