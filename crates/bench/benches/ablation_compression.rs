@@ -4,9 +4,7 @@
 //! THINC compresses only RAW updates, with a PNG-class codec. The
 //! paper's page-by-page analysis shows why: desktop-style content
 //! (fills, text, gradients) compresses extremely well, photographic
-//! content does not — which is where "better compression algorithms
-//! such as used in NX ... can provide useful performance benefits".
-//! This bench measures throughput and ratio of each codec on both
+//! content does not. This bench measures throughput and ratio of each codec on both
 //! content classes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -24,14 +22,6 @@ fn codecs() -> Vec<(&'static str, Codec)> {
         (
             "pnglike",
             Codec::PngLike {
-                bpp: 3,
-                stride: W as usize * 3,
-            },
-        ),
-        ("huffman", Codec::Huffman),
-        (
-            "deflate_like",
-            Codec::DeflateLike {
                 bpp: 3,
                 stride: W as usize * 3,
             },

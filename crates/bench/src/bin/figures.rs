@@ -342,7 +342,7 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     use thinc_display::server::WindowServer;
     use thinc_display::SCREEN;
     use thinc_net::fault::FaultPlan;
-    use thinc_net::link::DuplexLink;
+    use thinc_bench::thinc_system::pump_wire;
     use thinc_net::time::{SimDuration, SimTime};
     use thinc_net::trace::PacketTrace;
     use thinc_protocol::message::Message;
@@ -364,41 +364,6 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
             target: SCREEN,
             rect,
             data,
-        }
-    }
-
-    fn pump(
-        ws: &mut WindowServer<ThincServer>,
-        link: &mut DuplexLink,
-        trace: &mut PacketTrace,
-        client: &mut StreamClient,
-        now: SimTime,
-    ) {
-        let batch = ws.driver_mut().flush(now, &mut link.down, trace);
-        if batch.is_empty() {
-            if let Some(tail) = link.down.flush_disturbed() {
-                client.feed(&tail);
-            }
-        }
-        for (arrival, msg) in batch {
-            let bytes = ws.driver_mut().encode_frame(&msg);
-            for seg in link.down.disturb(arrival, bytes) {
-                client.feed(&seg);
-            }
-        }
-        while let Some(pong) = client.take_pong() {
-            ws.driver_mut().handle_message(&pong);
-        }
-        while let Some(miss) = client.take_cache_miss() {
-            ws.driver_mut().handle_message(&miss);
-        }
-        if let Some(req) = client.poll_reconnect(now) {
-            ws.driver_mut().handle_message(&req);
-        }
-        if ws.driver_mut().take_resync_request() {
-            let screen = ws.screen().clone();
-            ws.driver_mut().set_time(now);
-            ws.driver_mut().resync(&screen);
         }
     }
 
@@ -453,7 +418,7 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
         let y = (slot as i32 * 11) % (SH as i32 - 32);
         ws.driver_mut().set_time(now);
         ws.process(noise(Rect::new(x, y, 32, 32), seed ^ slot));
-        pump(&mut ws, &mut link, &mut trace, &mut client, now);
+        pump_wire(&mut ws, &mut link, &mut trace, &mut client, now);
         now += SimDuration::from_millis(25);
     }
     // Drain the backlog, then let the policy-driven refresh ladder
@@ -463,7 +428,7 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
         if !client.needs_refresh() && ws.driver().display_backlog() == 0 {
             break;
         }
-        pump(&mut ws, &mut link, &mut trace, &mut client, now);
+        pump_wire(&mut ws, &mut link, &mut trace, &mut client, now);
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(50));
     }
 
@@ -481,7 +446,6 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
 /// report golden (`tests/report_golden.rs`).
 fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     use thinc_client::StreamClient;
-    use thinc_core::checkpoint::ResumeOutcome;
     use thinc_core::session::{Credentials, SharedSession};
     use thinc_display::drawable::DrawableStore;
     use thinc_display::driver::VideoDriver;
@@ -489,8 +453,6 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     use thinc_net::time::SimTime;
     use thinc_net::trace::PacketTrace;
     use thinc_protocol::message::Message;
-    use thinc_protocol::wire::{self, FrameEncoder};
-    use thinc_protocol::PROTOCOL_VERSION;
     use thinc_raster::PixelFormat;
 
     const SW: u32 = 96;
@@ -511,40 +473,31 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
         .expect("peer attaches");
     let ids = [warm_id, cold_id];
     let mut store = DrawableStore::new(SW, SH, PixelFormat::Rgb888);
-    let mut streams: Vec<StreamClient> = (0..2)
-        .map(|_| {
+    let hello = session.hello();
+    let mut streams: Vec<StreamClient> = ids
+        .iter()
+        .map(|&id| {
             let mut c =
                 StreamClient::new(SW, SH, PixelFormat::Rgb888).with_cache_budget(32 * 1024);
-            c.feed(&wire::encode_message(&Message::ServerHello {
-                version: PROTOCOL_VERSION,
-                width: SW,
-                height: SH,
-                depth: 24,
-            }));
+            c.feed(&session.encode_frame(id, &hello));
             c
         })
         .collect();
-    let mut encoders = vec![
-        FrameEncoder::with_revision(PROTOCOL_VERSION),
-        FrameEncoder::with_revision(PROTOCOL_VERSION),
-    ];
     let mut links = vec![
         (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
         (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
     ];
     let pump = |session: &mut SharedSession,
+                store: &DrawableStore,
                 streams: &mut Vec<StreamClient>,
-                encoders: &mut Vec<FrameEncoder>,
                 links: &mut Vec<_>,
                 now: SimTime| {
-        for (j, (_, msgs)) in session.flush_all(now, links).into_iter().enumerate() {
+        for (j, (id, msgs)) in session.flush_all(now, links).into_iter().enumerate() {
             for (_, msg) in msgs {
-                streams[j].feed(&encoders[j].encode(&msg));
+                streams[j].feed(&session.encode_frame(id, &msg));
             }
-        }
-        for (j, &id) in ids.iter().enumerate() {
-            while let Some(Message::CacheMiss { hash }) = streams[j].take_cache_miss() {
-                session.client_cache_miss(id, hash);
+            for msg in streams[j].take_uplink(now) {
+                session.handle_message(id, &msg, store.screen());
             }
         }
     };
@@ -560,7 +513,7 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     store.screen_mut().put_raw(&Rect::new(0, 16, SW, 16), &band);
     session.put_image(&store, SCREEN, Rect::new(0, 16, SW, 16), &band);
     for r in 0..50u64 {
-        pump(&mut session, &mut streams, &mut encoders, &mut links, SimTime(10_000 + r * 5_000));
+        pump(&mut session, &store, &mut streams, &mut links, SimTime(10_000 + r * 5_000));
         if ids.iter().all(|&id| session.backlog(id) == 0) {
             break;
         }
@@ -572,26 +525,15 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     standby.set_time(SimTime(1_000_000));
     standby.put_image(&store, SCREEN, Rect::new(0, 40, SW, 16), &band);
     let sid = standby.session_id();
-    // Warm redial with the matching token; stale redial falls cold.
+    // Both redial with their tokens; the second's store digest is
+    // stale, so the standby restarts it cold.
     for (j, &id) in ids.iter().enumerate() {
-        assert!(streams[j].resume(), "drained reader allows resume");
-        let Message::SessionResume { last_seq, store_digest, .. } =
-            streams[j].resume_token(sid, id.0)
-        else {
-            unreachable!()
-        };
-        let digest = if j == 0 { store_digest } else { store_digest ^ 0xDEAD };
-        match standby.resume_client(sid, id, digest, store.screen()) {
-            ResumeOutcome::Warm { .. } => encoders[j].set_next_seq(last_seq.wrapping_add(1)),
-            ResumeOutcome::Cold { .. } => {
-                streams[j].feed(&wire::encode_message(&Message::ServerHello {
-                    version: PROTOCOL_VERSION,
-                    width: SW,
-                    height: SH,
-                    depth: 24,
-                }));
-                encoders[j] = FrameEncoder::with_revision(PROTOCOL_VERSION);
-            }
+        let mut opening = streams[j].redial(sid, id.0);
+        if let (1, Message::SessionResume { store_digest, .. }) = (j, &mut opening[1]) {
+            *store_digest ^= 0xDEAD;
+        }
+        for msg in &opening {
+            standby.handle_message(id, msg, store.screen());
         }
     }
     let mut links = vec![
@@ -599,7 +541,7 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
         (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
     ];
     for r in 0..100u64 {
-        pump(&mut standby, &mut streams, &mut encoders, &mut links, SimTime(1_100_000 + r * 5_000));
+        pump(&mut standby, &store, &mut streams, &mut links, SimTime(1_100_000 + r * 5_000));
         if ids.iter().all(|&id| standby.backlog(id) == 0)
             && streams.iter().all(|s| s.pending_bytes() == 0)
         {
@@ -615,7 +557,8 @@ fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
     }
     let mut t = thinc_telemetry::SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
     for &id in &ids {
-        t.resilience.merge(&standby.client_resilience(id).expect("attached"));
+        t.resilience
+            .merge(&standby.viewer(id).expect("attached").resilience_metrics());
     }
     for s in &streams {
         t.resilience.merge(s.resilience_metrics());
@@ -825,7 +768,7 @@ fn fanout_report() -> String {
         .into_iter()
         .enumerate()
         .filter(|(i, _)| *i > 0 && i % 4 != 3 && i % 3 != 2)
-        .map(|(_, id)| m.session().client_sent_bytes(id))
+        .map(|(_, id)| m.session().viewer(id).unwrap().buffer().stats().sent_bytes)
         .collect();
     let fairness = match (cohort.iter().min(), cohort.iter().max()) {
         (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,

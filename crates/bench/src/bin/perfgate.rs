@@ -719,8 +719,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
     use thinc_core::ShardedManager;
     use thinc_net::fault::FaultPlan;
     use thinc_protocol::hash::{fnv64_update, FNV64_OFFSET};
-    use thinc_protocol::wire::{encode_message_into, FrameEncoder};
-    use thinc_protocol::{Message, PROTOCOL_VERSION};
+    use thinc_protocol::wire::encode_message_into;
 
     let link_for = |i: usize| -> (TcpPipe, PacketTrace) {
         let seed = 0xFA0u64 + i as u64;
@@ -775,18 +774,12 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
     );
 
     let mut streams: Vec<StreamClient> = Vec::new();
-    let mut encoders: Vec<FrameEncoder> = Vec::new();
     if verify {
-        for _ in 0..clients {
+        let hello = m.session().hello();
+        for &id in &ids {
             let mut c = StreamClient::new(FAN_W, FAN_H, PixelFormat::Rgb888);
-            c.feed(&thinc_protocol::wire::encode_message(&Message::ServerHello {
-                version: PROTOCOL_VERSION,
-                width: FAN_W,
-                height: FAN_H,
-                depth: 24,
-            }));
+            c.feed(&m.session_mut().encode_frame(id, &hello));
             streams.push(c);
-            encoders.push(FrameEncoder::with_revision(PROTOCOL_VERSION));
         }
     }
 
@@ -839,26 +832,19 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         }
         for (id, msgs) in out {
             let idx = id.0 as usize;
-            if msgs.is_empty() {
-                if verify {
-                    if let Some((pipe, _)) = m.link_mut(id) {
-                        if let Some(tail) = pipe.flush_disturbed() {
-                            streams[idx].feed(&tail);
-                        }
-                    }
-                }
-                continue;
-            }
+            let mut frames = Vec::new();
             for (arrival, msg) in msgs {
                 encode_message_into(&msg, &mut ebuf);
                 digests[idx] = fnv64_update(digests[idx], &arrival.0.to_le_bytes());
                 digests[idx] = fnv64_update(digests[idx], &ebuf);
                 if verify {
-                    let bytes = encoders[idx].encode(&msg);
-                    let (pipe, _) = m.link_mut(id).expect("attached");
-                    for seg in pipe.disturb(arrival, bytes) {
-                        streams[idx].feed(&seg);
-                    }
+                    frames.push((arrival, m.session_mut().encode_frame(id, &msg)));
+                }
+            }
+            if verify {
+                let (pipe, _) = m.link_mut(id).expect("attached");
+                for seg in pipe.carry(frames) {
+                    streams[idx].feed(&seg);
                 }
             }
         }
@@ -866,7 +852,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
             let degraded = ids
                 .iter()
                 .filter(|&&id| {
-                    m.session().client_degradation_level(id) != DegradationLevel::Full
+                    m.session().viewer(id).unwrap().degradation_level() != DegradationLevel::Full
                 })
                 .count();
             degraded_peak = degraded_peak.max(degraded);
@@ -876,7 +862,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
 
     let settled = ids.iter().enumerate().all(|(idx, &id)| {
         m.session().backlog(id) == 0
-            && m.session().client_degradation_level(id) == DegradationLevel::Full
+            && m.session().viewer(id).unwrap().degradation_level() == DegradationLevel::Full
             && (!verify
                 || (!streams[idx].needs_refresh() && streams[idx].pending_bytes() == 0))
     });
@@ -889,16 +875,17 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         0
     };
 
-    let total_bytes: u64 = ids.iter().map(|&id| m.session().client_sent_bytes(id)).sum();
+    let sent_bytes = |id| m.session().viewer(id).unwrap().buffer().stats().sent_bytes;
+    let total_bytes: u64 = ids.iter().map(|&id| sent_bytes(id)).sum();
     let mut latency = thinc_telemetry::Histogram::exponential(100, 2, 15);
     for &id in &ids {
-        if let Some(h) = m.session().client_flush_latency(id) {
-            latency.merge_from(h);
+        if let Some(d) = m.session().viewer(id) {
+            latency.merge_from(d.buffer().scheduler_metrics().flush_latency_us());
         }
     }
     let clean_bytes: Vec<u64> = (0..clients)
         .filter(|i| i % 8 <= 3)
-        .map(|i| m.session().client_sent_bytes(ids[i]))
+        .map(|i| sent_bytes(ids[i]))
         .collect();
     let fairness = *clean_bytes.iter().min().expect("clean cohort nonempty") as f64
         / (*clean_bytes.iter().max().expect("clean cohort nonempty")).max(1) as f64;

@@ -10,7 +10,7 @@
 
 use thinc_baselines::framework::{raster_cost, server_time, CLIENT_HZ};
 use thinc_baselines::traits::{AvStats, RemoteDisplay};
-use thinc_client::HeadlessClient;
+use thinc_client::{HeadlessClient, StreamClient};
 use thinc_core::server::{ServerConfig, ThincServer};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
@@ -74,6 +74,39 @@ pub fn server_telemetry(driver: &ThincServer, link: &DuplexLink) -> SessionTelem
         fold_fault_stats(&mut t.resilience, pipe.fault_stats());
     }
     t
+}
+
+/// One delivery round over real wire bytes: flush the server over the
+/// (possibly faulty) downlink, frame every message at the negotiated
+/// revision, carry the bytes through the link's disturbance model —
+/// which may corrupt, reorder or duplicate them — into the stream
+/// client, and hand the server whatever the client sends back (pongs,
+/// cache misses, its reconnect policy's refresh requests). Recovery is
+/// closed-loop: the server answers a latched refresh request with a
+/// full resync; the harness never resyncs by hand.
+pub fn pump_wire(
+    ws: &mut WindowServer<ThincServer>,
+    link: &mut DuplexLink,
+    trace: &mut PacketTrace,
+    client: &mut StreamClient,
+    now: SimTime,
+) {
+    let batch = ws.driver_mut().flush(now, &mut link.down, trace);
+    let frames: Vec<_> = batch
+        .iter()
+        .map(|(arrival, msg)| (*arrival, ws.driver_mut().encode_frame(msg)))
+        .collect();
+    for seg in link.down.carry(frames) {
+        client.feed(&seg);
+    }
+    for msg in client.take_uplink(now) {
+        ws.driver_mut().handle_message(&msg);
+    }
+    if ws.driver_mut().take_resync_request() {
+        let screen = ws.screen().clone();
+        ws.driver_mut().set_time(now);
+        ws.driver_mut().resync(&screen);
+    }
 }
 
 /// The real THINC pipeline behind the harness interface.

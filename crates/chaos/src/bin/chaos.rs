@@ -14,7 +14,8 @@
 //!                                               expect_violation field
 //! chaos emit   NAME                             print a checked-in exemplar schedule
 //!                                               (quarantine | sabotage | length-stall |
-//!                                               cache-rescale | crash-failover)
+//!                                               cache-rescale | crash-failover |
+//!                                               resize-failover)
 //! ```
 //!
 //! Every run is virtual-time, seeded and deterministic: the same
@@ -227,13 +228,13 @@ fn cmd_replay(args: &[String]) -> i32 {
 fn cmd_emit(args: &[String]) -> i32 {
     let Some(name) = args.first().map(String::as_str) else {
         eprintln!(
-            "usage: chaos emit <quarantine|sabotage|length-stall|cache-rescale|crash-failover>"
+            "usage: chaos emit <quarantine|sabotage|length-stall|cache-rescale|crash-failover|resize-failover>"
         );
         return 2;
     };
     let Some(schedule) = exemplar(name) else {
         eprintln!(
-            "unknown exemplar {name:?} (quarantine | sabotage | length-stall | cache-rescale | crash-failover)"
+            "unknown exemplar {name:?} (quarantine | sabotage | length-stall | cache-rescale | crash-failover | resize-failover)"
         );
         return 2;
     };
@@ -405,6 +406,34 @@ fn exemplar(name: &str) -> Option<Schedule> {
             s.shards = 2;
             Some(s)
         }
+        // Regression guard for the viewport rule of the redial ladder,
+        // shrunk by the engine from soak seed 123: a viewer resizes
+        // after the last quiesce, then the server fails over to the
+        // image taken at that quiesce, in which the viewer still has
+        // its old viewport. The redial's hello re-announces the new
+        // one before the token is judged, so the standby serves it at
+        // 32x24. Expected to PASS (it diverged while the runner owned
+        // the redial and skipped the hello).
+        "resize-failover" => Some(Schedule::base(123).with_events(vec![
+            attach.clone(),
+            attach.clone(),
+            attach,
+            ChaosEvent::Draw {
+                workload: Workload::Noise,
+                x: 1,
+                y: 7,
+                w: 25,
+                h: 31,
+                salt: 17551922702912180007,
+            },
+            ChaosEvent::Quiesce,
+            ChaosEvent::Resize {
+                slot: 2,
+                viewport_w: 32,
+                viewport_h: 24,
+            },
+            ChaosEvent::Failover,
+        ])),
         _ => None,
     }
 }

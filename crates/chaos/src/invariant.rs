@@ -15,7 +15,6 @@
 //! | [`TELEMETRY`] | counters obey conservation: `resyncs_triggered <= seq_gaps`, `retransmits == segments_lost`, client cache hits never exceed refs served |
 //! | [`QUARANTINE`] | a poisoned flush quarantines exactly the poisoned clients; the session keeps serving everyone else |
 //! | [`FAILOVER`] | every checkpoint image round-trips: restoring it and re-checkpointing against the same screen reproduces the image byte-for-byte, and a restored standby converges every redialing client (checked by [`CONVERGENCE`] at the next quiesce) |
-//! | [`RUNNER`] | the harness's own bookkeeping holds: the sharded flush partition covers every link exactly once and every shard returns what it borrowed — breaches degrade to a recorded violation, never a panic |
 
 /// Name of the framebuffer-convergence invariant.
 pub const CONVERGENCE: &str = "convergence";
@@ -33,12 +32,9 @@ pub const TELEMETRY: &str = "telemetry-conservation";
 pub const QUARANTINE: &str = "quarantine-containment";
 /// Name of the checkpoint/failover fidelity invariant.
 pub const FAILOVER: &str = "failover-fidelity";
-/// Name of the harness-integrity invariant (runner bookkeeping that
-/// used to panic now degrades to a violation under this name).
-pub const RUNNER: &str = "runner-integrity";
 
 /// Every invariant name, for catalogs and CLI help.
-pub const ALL: [&str; 9] = [
+pub const ALL: [&str; 8] = [
     CONVERGENCE,
     CACHE_COHERENCE,
     REFRESH_DEBT,
@@ -47,7 +43,6 @@ pub const ALL: [&str; 9] = [
     TELEMETRY,
     QUARANTINE,
     FAILOVER,
-    RUNNER,
 ];
 
 /// One observed invariant violation.

@@ -37,5 +37,5 @@ pub use event::{ChaosEvent, FaultKind, Schedule, Workload};
 pub use generate::generate;
 pub use invariant::{RunReport, Violation};
 pub use json::{schedule_from_json, schedule_to_json};
-pub use runner::{run, ChaosError};
+pub use runner::run;
 pub use shrink::shrink;

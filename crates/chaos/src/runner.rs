@@ -1,7 +1,8 @@
 //! The schedule executor: one [`Schedule`] in, one [`RunReport`] out.
 //!
 //! The runner owns the whole closed loop — an authoritative
-//! [`SharedSession`], a [`DrawableStore`] screen, and per-slot
+//! [`SharedSession`] under the product's [`ShardedManager`] (for every
+//! shard count, 1 included), a [`DrawableStore`] screen, and per-slot
 //! [`StreamClient`]s each behind their own faultable [`TcpPipe`] —
 //! and advances it in *virtual* time only. Nothing here reads a wall
 //! clock or an ambient RNG: every random draw descends from the
@@ -22,8 +23,8 @@ use thinc_client::{ReconnectConfig, ReconnectPolicy, StreamClient, ThincClient};
 use thinc_core::degradation::{DegradationConfig, DegradationLevel};
 use thinc_core::liveness::LivenessConfig;
 use thinc_core::scaling::ScalePolicy;
-use thinc_core::session::{ClientId, Credentials, FlushOutput, SharedSession};
-use thinc_core::ResumeOutcome;
+use thinc_core::session::{ClientId, Credentials, SharedSession};
+use thinc_core::{Delivery, ShardedManager};
 use thinc_display::drawable::DrawableStore;
 use thinc_display::driver::VideoDriver;
 use thinc_display::SCREEN;
@@ -34,8 +35,6 @@ use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_protocol::wire::{self, FrameEncoder};
-use thinc_protocol::PROTOCOL_VERSION;
 use thinc_raster::{Color, PixelFormat, Rect};
 
 /// Pixel format every chaos session runs in.
@@ -82,42 +81,6 @@ fn silence_injected_panics() {
         }));
     });
 }
-
-/// A typed harness-integrity failure. The runner's own bookkeeping
-/// used to assert (and panic) on these; they now degrade to a
-/// recorded [`crate::invariant::RUNNER`] violation with defined
-/// fallback behavior, so a harness bug produces a diagnosable report
-/// instead of tearing down a soak.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosError {
-    /// The sharded flush partition failed to cover every link
-    /// position exactly once. Detected before any link moves, so the
-    /// pump falls back to the monolithic flush path.
-    ShardPartition {
-        /// Human-readable specifics (position, shard count).
-        detail: String,
-    },
-    /// A shard consumed a link it never returned (or tried to consume
-    /// one twice). The affected client skips the epoch — or continues
-    /// on a fresh clean pipe — and the run keeps going.
-    LinkLost {
-        /// Human-readable specifics (position, client).
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for ChaosError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChaosError::ShardPartition { detail } => {
-                write!(f, "shard partition breach: {detail}")
-            }
-            ChaosError::LinkLost { detail } => write!(f, "flush link lost: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for ChaosError {}
 
 /// Accumulated fault windows for one slot's current pipe epoch.
 ///
@@ -208,7 +171,6 @@ struct Slot {
     connected: bool,
     disconnected_at: Option<SimTime>,
     stream: StreamClient,
-    encoder: FrameEncoder,
     plan: PlanSpec,
     plan_epoch: u64,
     /// Fault stats folded out of replaced plans (a plan swap resets
@@ -233,20 +195,15 @@ struct Slot {
 }
 
 struct Runner {
-    session: SharedSession,
+    /// The session and every client's `(pipe, trace)` link, partitioned
+    /// into the schedule's shards: the same bytes for every shard count.
+    manager: ShardedManager,
     store: DrawableStore,
-    /// `(client, pipe, trace)` in session-attach order — the exact
-    /// order [`SharedSession::flush_all`] expects its links in.
-    links: Vec<(ClientId, TcpPipe, PacketTrace)>,
     slots: Vec<Slot>,
     now: SimTime,
     seed: u64,
     width: u32,
     height: u32,
-    /// Flush partition width: 1 = monolithic `flush_all`, above 1 =
-    /// the sharded fan-out path (stable-hash partition, one shared
-    /// encode-once plane per pump). Same bytes either way.
-    shards: usize,
     /// Cache budget clients attached from now on negotiate.
     budget_for_new: u64,
     attaches: usize,
@@ -286,15 +243,13 @@ pub fn run(schedule: &Schedule) -> RunReport {
         .with_workers(schedule.workers.max(1));
     session.auth_mut().enable_sharing("chaos");
     let mut r = Runner {
-        session,
+        manager: ShardedManager::new(session, schedule.shards),
         store: DrawableStore::new(width, height, FORMAT),
-        links: Vec::new(),
         slots: Vec::new(),
         now: SimTime(0),
         seed: schedule.seed,
         width,
         height,
-        shards: schedule.shards.max(1),
         budget_for_new: schedule.cache_budget.max(4 * 1024),
         attaches: 0,
         violations: Vec::new(),
@@ -317,8 +272,17 @@ pub fn run(schedule: &Schedule) -> RunReport {
         events_executed: executed,
         quiesces: r.quiesces,
         slots_attached: r.attaches,
-        quarantined: r.session.quarantined_count(),
+        quarantined: r.manager.session().quarantined_count(),
     }
+}
+
+/// A clean LAN downlink with an empty trace: what every (re)connection
+/// starts on.
+fn fresh_link() -> (TcpPipe, PacketTrace) {
+    (
+        NetworkConfig::lan_desktop().connect().down,
+        PacketTrace::new(),
+    )
 }
 
 impl Runner {
@@ -327,6 +291,11 @@ impl Runner {
             invariant: invariant.to_string(),
             detail,
         });
+    }
+
+    /// What the session holds for one client.
+    fn viewer(&self, id: ClientId) -> Option<&Delivery> {
+        self.manager.session().viewer(id)
     }
 
     fn exec(&mut self, ev: &ChaosEvent) {
@@ -354,7 +323,7 @@ impl Runner {
             ChaosEvent::CacheBudget { bytes } => {
                 let bytes = bytes.clamp(4 * 1024, 64 * 1024 * 1024);
                 self.budget_for_new = bytes;
-                self.session.set_cache_budget(Some(bytes));
+                self.manager.session_mut().set_cache_budget(Some(bytes));
             }
             ChaosEvent::Draw {
                 workload,
@@ -373,7 +342,7 @@ impl Runner {
             ChaosEvent::PoisonFlush { slot } => {
                 if let Some(si) = self.live_slot(slot) {
                     let id = self.slots[si].id;
-                    self.session.poison_next_flush(id);
+                    self.manager.session_mut().poison_next_flush(id);
                     self.slots[si].poisoned = true;
                 }
             }
@@ -398,7 +367,7 @@ impl Runner {
             ChaosEvent::ServerCrash => {
                 // Crash-consistent takeover: the image is whatever
                 // the server held at the instant it died.
-                let image = self.session.checkpoint(self.store.screen());
+                let image = self.manager.session().checkpoint(self.store.screen());
                 self.take_over(image, true, "server_crash");
             }
             ChaosEvent::Failover => {
@@ -408,7 +377,7 @@ impl Runner {
                 // it degrades to a crash-instant image.
                 let (image, live) = match self.last_checkpoint.clone() {
                     Some(image) => (image, false),
-                    None => (self.session.checkpoint(self.store.screen()), true),
+                    None => (self.manager.session().checkpoint(self.store.screen()), true),
                 };
                 self.take_over(image, live, "failover");
             }
@@ -428,7 +397,7 @@ impl Runner {
         // down; an image that cannot restore is a fidelity violation
         // and the run degrades by keeping the live server (the
         // checkpoint layer's never-panic contract, observed here).
-        let restored = match SharedSession::restore(&image) {
+        let mut restored = match SharedSession::restore(&image) {
             Ok(s) => s,
             Err(e) => {
                 self.violation(
@@ -438,7 +407,7 @@ impl Runner {
                 return;
             }
         };
-        let old_session_id = self.session.session_id();
+        let old_session_id = self.manager.session().session_id();
         // Everything the dead server had already put on the wire
         // still lands; everything merely buffered dies with it (the
         // image carries the buffered state that survives).
@@ -447,23 +416,29 @@ impl Runner {
                 self.deliver_held(si);
             }
         }
-        self.session = restored;
-        self.session.set_time(self.now);
+        restored.set_time(self.now);
         // Budget changes since the image are runner policy, not
         // session state: re-install so post-takeover attaches mirror
         // their client stores.
-        self.session.set_cache_budget(Some(self.budget_for_new));
+        restored.set_cache_budget(Some(self.budget_for_new));
         // Image clients no slot owns (detached after a stale image
         // was taken) are ghosts the standby drops — they will never
         // redial, and their buffers would otherwise accumulate
         // against links that do not exist.
-        let slot_ids: Vec<ClientId> = self.slots.iter().map(|s| s.id).collect();
-        for id in self.session.client_ids() {
-            if !slot_ids.contains(&id) {
-                self.session.detach(id);
+        for id in restored.client_ids() {
+            if !self.slots.iter().any(|s| s.id == id) {
+                restored.detach(id);
             }
         }
-        let roster = self.session.client_ids();
+        let roster = restored.client_ids();
+        let standby = ShardedManager::new(restored, self.manager.shard_count());
+        let mut dead = std::mem::replace(&mut self.manager, standby);
+        // The connections outlive the server that held their far end
+        // (adopted in id order, as the partition wants them).
+        for &id in &roster {
+            let link = dead.detach(id).unwrap_or_else(fresh_link);
+            self.manager.adopt_link(id, link);
+        }
         for si in 0..self.slots.len() {
             // Poison armed on the old incarnation died with it, and a
             // quarantine it executed is dropped with the fresh
@@ -477,119 +452,60 @@ impl Runner {
                 self.hard_reattach(si);
                 continue;
             }
-            if !self.slots[si].connected {
+            // Pongs in hand answered pings the dead server sent; the
+            // standby's ping counter starts at zero, so routing them
+            // (now, or on a severed slot's later soft reconnect) would
+            // break conservation against a counter that never saw the
+            // pings — and cache hits predate the standby the same way.
+            let s = &mut self.slots[si];
+            let _ = s.stream.take_pong();
+            s.pongs_routed = 0;
+            s.cache_hits_base = s.stream.resilience_metrics().cache_hits();
+            // A stale image's ledger recency lags the live store even
+            // when the key sets still digest-match, so post-takeover
+            // evictions may pick different victims: only a
+            // crash-instant image keeps the strict mirror.
+            if !image_is_live {
+                s.mirror_intact = false;
+            }
+            if !s.connected {
                 // Still severed. The standby's liveness tracker, like
                 // every restored tracker, starts counting silence at
-                // takeover. Pongs the client queued before the crash
-                // answered the dead server's pings — routing them to
-                // the standby (whose ping counter starts at zero, on
-                // a later soft reconnect) would break conservation —
-                // and its cache hits predate the standby the same way.
-                while self.slots[si].stream.take_pong().is_some() {}
-                self.slots[si].pongs_routed = 0;
-                self.slots[si].cache_hits_base =
-                    self.slots[si].stream.resilience_metrics().cache_hits();
-                if !image_is_live {
-                    self.slots[si].mirror_intact = false;
-                }
-                self.slots[si].disconnected_at = Some(self.now);
+                // takeover.
+                s.disconnected_at = Some(self.now);
                 continue;
             }
-            self.redial(si, old_session_id, image_is_live);
-        }
-    }
-
-    /// One surviving client redialing the standby: a fresh transport
-    /// connection, the resume token presented when the local wire
-    /// state allows it, warm or cold per the standby's verdict.
-    fn redial(&mut self, si: usize, session_id: u64, image_is_live: bool) {
-        let id = self.slots[si].id;
-        // A redial is a new connection: fold the dead link's fault
-        // counters, then start clean (fault windows were armed on
-        // the old connection and died with it).
-        self.fold_stats(si);
-        if let Some(link) = self.links.iter_mut().find(|l| l.0 == id) {
-            link.1 = NetworkConfig::lan_desktop().connect().down;
-            link.2 = PacketTrace::new();
-        }
-        self.slots[si].plan = PlanSpec::default();
-        self.slots[si].plan_epoch += 1;
-        // Pongs in hand answered pings the dead server sent; the
-        // standby's ping counter starts at zero, so routing them
-        // would break conservation against a counter that never saw
-        // the pings.
-        while self.slots[si].stream.take_pong().is_some() {}
-        self.slots[si].pongs_routed = 0;
-        self.slots[si].cache_hits_base =
-            self.slots[si].stream.resilience_metrics().cache_hits();
-        // A stale image's ledger recency lags the live store even
-        // when the key sets still digest-match, so post-takeover
-        // evictions may pick different victims: only a crash-instant
-        // image keeps the strict mirror.
-        if !image_is_live {
-            self.slots[si].mirror_intact = false;
-        }
-        if self.slots[si].stream.resume() {
-            let token = self.slots[si].stream.resume_token(session_id, id.0);
-            let Message::SessionResume {
-                session_id,
-                last_seq,
-                store_digest,
-                ..
-            } = token
-            else {
-                return; // resume_token always builds SessionResume
-            };
-            match self
-                .session
-                .resume_client(session_id, id, store_digest, self.store.screen())
-            {
-                ResumeOutcome::Warm { .. } => {
-                    // The standby adopts the client's sequence stream
-                    // and ships only the checkpoint-vs-live delta the
-                    // session just queued.
-                    self.slots[si]
-                        .encoder
-                        .set_next_seq(last_seq.wrapping_add(1));
-                }
-                ResumeOutcome::Cold { .. } => {
-                    // Token rejected: the standby answers with a
-                    // fresh hello, which settles the client's pending
-                    // resume as a cold restart — store cleared to
-                    // mirror the reset ledger, full refresh owed.
-                    let (vw, vh) = self.slots[si].viewport;
-                    self.slots[si].stream.feed(&wire::encode_message(
-                        &Message::ServerHello {
-                            version: PROTOCOL_VERSION,
-                            width: vw,
-                            height: vh,
-                            depth: 24,
-                        },
-                    ));
-                    self.slots[si].encoder = FrameEncoder::with_revision(PROTOCOL_VERSION);
-                }
+            // A redial is a new connection (fault windows were armed
+            // on the old one and died with it), opened the way the
+            // protocol opens one: the hello re-announcing the
+            // viewport, then the resume token — or, with half a frame
+            // stranded in the reader, a plain request for the full
+            // view, after which ledger and store may disagree.
+            self.fresh_connection(si);
+            let id = self.slots[si].id;
+            let opening = self.slots[si].stream.redial(old_session_id, id.0);
+            if !self.slots[si].stream.resume_pending() {
+                self.slots[si].mirror_intact = false;
             }
-        } else {
-            // Half a frame was stranded in the reader: the client
-            // already fell back to a plain cold reconnect and
-            // presents no token. The standby treats the redial as a
-            // resync request; ledger and store may now disagree, so
-            // the strict mirror is off for this incarnation.
-            self.session.resync_client(id, self.store.screen());
-            self.slots[si].encoder = FrameEncoder::with_revision(PROTOCOL_VERSION);
-            self.slots[si].mirror_intact = false;
+            for msg in &opening {
+                self.manager
+                    .session_mut()
+                    .handle_message(id, msg, self.store.screen());
+            }
         }
-        self.session.note_client_activity(id, self.now);
     }
 
     /// Index of `slot` if it exists, is connected and is not
     /// quarantined — the precondition most slot events degrade on.
     fn live_slot(&self, slot: usize) -> Option<usize> {
         let s = self.slots.get(slot)?;
-        (s.connected && !self.session.client_quarantined(s.id)).then_some(slot)
+        (s.connected && !self.manager.session().client_quarantined(s.id)).then_some(slot)
     }
 
-    fn fresh_stream(&self, vw: u32, vh: u32, budget: u64) -> StreamClient {
+    /// A client for `id` at the given geometry that has seen the
+    /// session's greeting (legacy-framed; it upgrades the reader to
+    /// the session's wire revision, exactly as a real connect would).
+    fn fresh_stream(&mut self, id: ClientId, vw: u32, vh: u32, budget: u64) -> StreamClient {
         let mut stream = StreamClient::new(vw, vh, FORMAT)
             .with_cache_budget(budget)
             .with_reconnect_policy(ReconnectPolicy::new(ReconnectConfig {
@@ -598,14 +514,9 @@ impl Runner {
                     .wrapping_add((self.attaches as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 ..ReconnectConfig::default()
             }));
-        // Handshake: legacy-framed hello upgrades the reader to the
-        // session's wire revision, exactly as a real connect would.
-        stream.feed(&wire::encode_message(&Message::ServerHello {
-            version: PROTOCOL_VERSION,
-            width: vw,
-            height: vh,
-            depth: 24,
-        }));
+        let session = self.manager.session_mut();
+        let hello = session.hello();
+        stream.feed(&session.encode_frame(id, &hello));
         stream
     }
 
@@ -615,15 +526,9 @@ impl Runner {
         }
         let vw = viewport_w.clamp(1, self.width);
         let vh = viewport_h.clamp(1, self.height);
-        self.session.set_time(self.now);
         let id = self.attach_client(vw, vh)?;
         let budget = self.budget_for_new;
-        let stream = self.fresh_stream(vw, vh, budget);
-        self.links.push((
-            id,
-            NetworkConfig::lan_desktop().connect().down,
-            PacketTrace::new(),
-        ));
+        let stream = self.fresh_stream(id, vw, vh, budget);
         self.slots.push(Slot {
             id,
             viewport: (vw, vh),
@@ -631,7 +536,6 @@ impl Runner {
             connected: true,
             disconnected_at: None,
             stream,
-            encoder: FrameEncoder::with_revision(PROTOCOL_VERSION),
             plan: PlanSpec::default(),
             plan_epoch: 0,
             accrued_lost: 0,
@@ -645,8 +549,9 @@ impl Runner {
         Some(self.slots.len() - 1)
     }
 
-    /// Issues a session client: the first attach is the owner, every
-    /// later one a password peer (sharing is enabled at start).
+    /// Issues a session client on a fresh link: the first attach is
+    /// the owner, every later one a password peer (sharing is enabled
+    /// at start).
     fn attach_client(&mut self, vw: u32, vh: u32) -> Option<ClientId> {
         let creds = if self.attaches == 0 {
             Credentials::Owner {
@@ -658,7 +563,8 @@ impl Runner {
                 password: "chaos".into(),
             }
         };
-        let id = self.session.attach(&creds, vw, vh).ok()?;
+        self.manager.session_mut().set_time(self.now);
+        let id = self.manager.attach(&creds, vw, vh, fresh_link()).ok()?;
         self.attaches += 1;
         Some(id)
     }
@@ -670,9 +576,6 @@ impl Runner {
         let Some(si) = self.live_slot(slot) else {
             return;
         };
-        if !self.slots[si].connected {
-            return;
-        }
         self.deliver_held(si);
         self.slots[si].plan.outages.push((self.now, FOREVER));
         self.rearm_plan(si);
@@ -690,57 +593,40 @@ impl Runner {
             return;
         };
         let id = s.id;
-        if self.session.client_quarantined(id) {
+        if self.manager.session().client_quarantined(id) {
             return; // quarantine is terminal by design
         }
-        if self.session.client_dead(id) {
+        if self.manager.session().client_dead(id) {
             self.hard_reattach(slot);
             return;
         }
-        // Soft redial: replace the pipe with a clean one.
-        let si = slot;
-        self.deliver_held(si);
-        self.fold_stats(si);
-        if let Some(link) = self.links.iter_mut().find(|l| l.0 == id) {
-            link.1 = NetworkConfig::lan_desktop().connect().down;
-            link.2 = PacketTrace::new();
-        }
-        self.slots[si].plan = PlanSpec::default();
-        self.slots[si].plan_epoch += 1;
-        self.slots[si].connected = true;
-        self.slots[si].disconnected_at = None;
-        self.slots[si].stream.reconnect();
-        self.session.set_time(self.now);
-        self.session.note_client_activity(id, self.now);
-        self.session.resync_client(id, self.store.screen());
+        self.deliver_held(slot);
+        self.fresh_connection(slot);
+        self.slots[slot].connected = true;
+        self.slots[slot].disconnected_at = None;
+        self.slots[slot].stream.reconnect();
+        let session = self.manager.session_mut();
+        session.set_time(self.now);
+        session.resync_client(id, self.store.screen());
     }
 
     /// Detaches a slot's session client and issues a brand-new one at
     /// the same viewport: fresh ledger, fresh store, fresh wire state
     /// — the mirror restarts intact.
     fn hard_reattach(&mut self, slot: usize) {
-        let old = self.slots[slot].id;
-        self.session.detach(old);
-        self.links.retain(|l| l.0 != old);
-        self.session.set_time(self.now);
+        self.manager.detach(self.slots[slot].id);
         let (vw, vh) = self.slots[slot].viewport;
         let Some(id) = self.attach_client(vw, vh) else {
             return;
         };
         let budget = self.budget_for_new;
-        let stream = self.fresh_stream(vw, vh, budget);
-        self.links.push((
-            id,
-            NetworkConfig::lan_desktop().connect().down,
-            PacketTrace::new(),
-        ));
+        let stream = self.fresh_stream(id, vw, vh, budget);
         let s = &mut self.slots[slot];
         s.id = id;
         s.budget = budget;
         s.connected = true;
         s.disconnected_at = None;
         s.stream = stream;
-        s.encoder = FrameEncoder::with_revision(PROTOCOL_VERSION);
         s.plan = PlanSpec::default();
         s.plan_epoch += 1;
         s.accrued_lost = 0;
@@ -749,7 +635,6 @@ impl Runner {
         s.outage_excused = false;
         s.pongs_routed = 0;
         s.cache_hits_base = 0;
-        self.session.note_client_activity(id, self.now);
     }
 
     /// Mid-session viewport change: the server rescales and owes a
@@ -763,9 +648,9 @@ impl Runner {
         let vw = viewport_w.clamp(1, self.width);
         let vh = viewport_h.clamp(1, self.height);
         let id = self.slots[si].id;
-        self.session.resize_client(id, vw, vh);
+        self.manager.session_mut().resize_client(id, vw, vh);
         let budget = self.slots[si].budget;
-        let stream = self.fresh_stream(vw, vh, budget);
+        let stream = self.fresh_stream(id, vw, vh, budget);
         let s = &mut self.slots[si];
         s.viewport = (vw, vh);
         s.stream = stream;
@@ -802,39 +687,45 @@ impl Runner {
     /// Feeds the client anything a reorder window still holds on its
     /// pipe, so a fault-state swap never silently drops bytes.
     fn deliver_held(&mut self, si: usize) {
-        let id = self.slots[si].id;
-        let Some(link) = self.links.iter_mut().find(|l| l.0 == id) else {
-            return;
-        };
-        if let Some(tail) = link.1.flush_disturbed() {
-            if self.slots[si].connected {
-                self.slots[si].stream.feed(&tail);
-            }
+        let slot = &mut self.slots[si];
+        let held = self
+            .manager
+            .link_mut(slot.id)
+            .and_then(|link| link.0.flush_disturbed());
+        if let Some(tail) = held.filter(|_| slot.connected) {
+            slot.stream.feed(&tail);
         }
     }
 
-    /// Folds the pipe's fault counters into the slot before the swap
+    /// Folds the pipe's fault counters into the slot before a swap
     /// resets them.
     fn fold_stats(&mut self, si: usize) {
-        let id = self.slots[si].id;
-        if let Some(link) = self.links.iter().find(|l| l.0 == id) {
-            let st = link.1.fault_stats();
-            self.slots[si].accrued_lost += st.segments_lost;
-            self.slots[si].accrued_retx += st.retransmits;
+        let slot = &mut self.slots[si];
+        if let Some(link) = self.manager.link_mut(slot.id) {
+            let st = link.0.fault_stats();
+            slot.accrued_lost += st.segments_lost;
+            slot.accrued_retx += st.retransmits;
         }
+    }
+
+    /// Moves a slot onto a fresh, clean link.
+    fn fresh_connection(&mut self, si: usize) {
+        self.fold_stats(si);
+        if let Some(link) = self.manager.link_mut(self.slots[si].id) {
+            *link = fresh_link();
+        }
+        self.slots[si].plan = PlanSpec::default();
+        self.slots[si].plan_epoch += 1;
     }
 
     /// Installs the slot's accumulated plan on its pipe.
     fn rearm_plan(&mut self, si: usize) {
         self.fold_stats(si);
-        self.slots[si].plan_epoch += 1;
-        let plan = self
-            .slots[si]
-            .plan
-            .build(self.seed, si, self.slots[si].plan_epoch);
-        let id = self.slots[si].id;
-        if let Some(link) = self.links.iter_mut().find(|l| l.0 == id) {
-            link.1.set_fault_plan(plan);
+        let slot = &mut self.slots[si];
+        slot.plan_epoch += 1;
+        let plan = slot.plan.build(self.seed, si, slot.plan_epoch);
+        if let Some(link) = self.manager.link_mut(slot.id) {
+            link.0.set_fault_plan(plan);
         }
     }
 
@@ -842,23 +733,24 @@ impl Runner {
         let Some(rect) = clamp_rect(x, y, w, h, self.width, self.height) else {
             return;
         };
+        let session = self.manager.session_mut();
         match workload {
             Workload::Solid => {
                 let c = Color::rgb(salt as u8, (salt >> 8) as u8, (salt >> 16) as u8);
                 self.store.screen_mut().fill_rect(&rect, c);
-                self.session.solid_fill(&self.store, SCREEN, rect, c);
+                session.solid_fill(&self.store, SCREEN, rect, c);
             }
             Workload::Noise => {
                 let data = pattern_bytes(salt | 1, &rect);
                 self.store.screen_mut().put_raw(&rect, &data);
-                self.session.put_image(&self.store, SCREEN, rect, &data);
+                session.put_image(&self.store, SCREEN, rect, &data);
             }
             Workload::Tile => {
                 // Content depends only on the palette index, so every
                 // repeat is byte-identical and the cache sees hits.
                 let data = pattern_bytes(0x7115_0000 | (salt % 4), &rect);
                 self.store.screen_mut().put_raw(&rect, &data);
-                self.session.put_image(&self.store, SCREEN, rect, &data);
+                session.put_image(&self.store, SCREEN, rect, &data);
             }
             Workload::Scroll => {
                 let (clip, data) = self.store.screen().get_raw(&rect);
@@ -871,213 +763,55 @@ impl Runner {
                     .clamp(-clip.y, self.height as i32 - clip.y - clip.h as i32);
                 let dst = Rect::new(clip.x + dx, clip.y + dy, clip.w, clip.h);
                 self.store.screen_mut().put_raw(&dst, &data);
-                self.session
-                    .copy_area(&self.store, SCREEN, SCREEN, clip, dst.x, dst.y);
+                session.copy_area(&self.store, SCREEN, SCREEN, clip, dst.x, dst.y);
             }
         }
     }
 
-    /// The sharded flush path: partition the attached clients by the
-    /// same stable hash [`thinc_core::ShardedManager`] uses, flush
-    /// each shard as a [`SharedSession::flush_subset`] against one
-    /// shared encode-once plane, and merge in client-id order. The
-    /// determinism contract says this produces the same bytes as
-    /// `flush_all` — which is exactly why chaos schedules run it: any
-    /// divergence surfaces as a convergence or mirror violation.
-    fn flush_sharded(
-        &mut self,
-        ids: &[ClientId],
-        flat: &mut Vec<(TcpPipe, PacketTrace)>,
-    ) -> Result<FlushOutput, ChaosError> {
-        use thinc_core::{shard_index, WirePlane};
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards];
-        for (pos, id) in ids.iter().enumerate() {
-            by_shard[shard_index(*id, self.shards)].push(pos);
-        }
-        // Validate the partition covers every link position exactly
-        // once *before* anything moves: a breach returns with `flat`
-        // untouched, so the pump can fall back to the monolithic
-        // flush with the full link set still intact.
-        let mut seen = vec![false; ids.len()];
-        for positions in &by_shard {
-            for &p in positions {
-                if p >= seen.len() || seen[p] {
-                    return Err(ChaosError::ShardPartition {
-                        detail: format!(
-                            "position {p} of {} links assigned more than once (or out of range) across {} shards",
-                            ids.len(),
-                            self.shards
-                        ),
-                    });
-                }
-                seen[p] = true;
-            }
-        }
-        if let Some(p) = seen.iter().position(|s| !s) {
-            return Err(ChaosError::ShardPartition {
-                detail: format!(
-                    "position {p} of {} links never assigned to any of {} shards",
-                    ids.len(),
-                    self.shards
-                ),
-            });
-        }
-        let mut slots: Vec<Option<(TcpPipe, PacketTrace)>> = flat.drain(..).map(Some).collect();
-        let plane = WirePlane::new();
-        let mut merged = Vec::new();
-        for positions in &mut by_shard {
-            if positions.is_empty() {
-                continue;
-            }
-            // flush_subset wants ids ascending, links in step.
-            positions.sort_by_key(|&p| ids[p]);
-            let mut taken = Vec::with_capacity(positions.len());
-            let mut shard_ids = Vec::with_capacity(positions.len());
-            let mut shard_links: Vec<(TcpPipe, PacketTrace)> =
-                Vec::with_capacity(positions.len());
-            for &p in positions.iter() {
-                match slots[p].take() {
-                    Some(link) => {
-                        taken.push(p);
-                        shard_ids.push(ids[p]);
-                        shard_links.push(link);
-                    }
-                    None => {
-                        // Unreachable after the cover check above;
-                        // degrade to a skipped epoch for this client
-                        // instead of tearing down the soak.
-                        let e = ChaosError::LinkLost {
-                            detail: format!(
-                                "position {p} (client {}) consumed twice; client skips this epoch",
-                                ids[p].0
-                            ),
-                        };
-                        self.violation(invariant::RUNNER, e.to_string());
-                    }
-                }
-            }
-            if shard_ids.is_empty() {
-                continue;
-            }
-            let (out, _) =
-                self.session
-                    .flush_subset(self.now, &shard_ids, &mut shard_links, Some(&plane));
-            for (&p, link) in taken.iter().zip(shard_links) {
-                slots[p] = Some(link);
-            }
-            merged.extend(out);
-        }
-        for (p, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(link) => flat.push(link),
-                None => {
-                    // Also unreachable in a correct harness: keep the
-                    // roster/link pairing aligned with a fresh clean
-                    // pipe rather than panicking mid-run.
-                    let e = ChaosError::LinkLost {
-                        detail: format!(
-                            "position {p} (client {}) never returned by its shard; replaced with a clean pipe",
-                            ids[p].0
-                        ),
-                    };
-                    self.violation(invariant::RUNNER, e.to_string());
-                    flat.push((
-                        NetworkConfig::lan_desktop().connect().down,
-                        PacketTrace::new(),
-                    ));
-                }
-            }
-        }
-        merged.sort_by_key(|(id, _)| *id);
-        Ok(merged)
-    }
-
-    /// One delivery round: advance virtual time, flush every client
-    /// over its (possibly faulty) pipe, run the bytes through the
-    /// disturbance model into each stream client, and route upstream
-    /// traffic (pongs, cache misses, refresh requests) back into the
-    /// session. Liveness is polled for every slot so probes queue and
-    /// verdicts advance.
+    /// One delivery round: advance virtual time, flush every shard
+    /// over its clients' (possibly faulty) pipes, frame each message
+    /// and carry the bytes through the disturbance model into each
+    /// stream client, then hand the session whatever the clients send
+    /// back (pongs, cache misses, refresh requests). Liveness is polled
+    /// for every slot so probes queue and verdicts advance.
     fn pump(&mut self, step: SimDuration) {
         self.now += step;
-        self.session.set_time(self.now);
-        let ids: Vec<ClientId> = self.links.iter().map(|l| l.0).collect();
-        let mut flat: Vec<(TcpPipe, PacketTrace)> =
-            self.links.drain(..).map(|l| (l.1, l.2)).collect();
-        let out = if self.shards > 1 {
-            match self.flush_sharded(&ids, &mut flat) {
-                Ok(out) => out,
-                Err(e) => {
-                    // The partition breached with the links untouched:
-                    // record it and fall back to the monolithic path
-                    // so the epoch still delivers.
-                    self.violation(invariant::RUNNER, e.to_string());
-                    self.session.flush_all(self.now, &mut flat)
-                }
-            }
-        } else {
-            self.session.flush_all(self.now, &mut flat)
-        };
-        self.links = ids
-            .into_iter()
-            .zip(flat)
-            .map(|(id, (p, t))| (id, p, t))
-            .collect();
-        for (id, msgs) in out {
-            let Some(si) = self.slots.iter().position(|s| s.id == id) else {
+        for (id, msgs) in self.manager.flush_epoch(self.now) {
+            let Some(slot) = self.slots.iter_mut().find(|s| s.id == id && s.connected) else {
                 continue;
             };
-            if !self.slots[si].connected {
-                continue;
-            }
-            let slot = &mut self.slots[si];
-            let Some(link) = self.links.iter_mut().find(|l| l.0 == id) else {
+            let session = self.manager.session_mut();
+            let frames: Vec<_> = msgs
+                .iter()
+                .map(|(arrival, msg)| (*arrival, session.encode_frame(id, msg)))
+                .collect();
+            let Some(link) = self.manager.link_mut(id) else {
                 continue;
             };
-            if msgs.is_empty() {
-                // Idle round: release anything a reorder window still
-                // holds so a quiet link never strands bytes.
-                if let Some(tail) = link.1.flush_disturbed() {
-                    slot.stream.feed(&tail);
-                }
-            } else {
-                for (arrival, msg) in msgs {
-                    let bytes = slot.encoder.encode(&msg);
-                    for seg in link.1.disturb(arrival, bytes) {
-                        slot.stream.feed(&seg);
-                    }
-                }
+            for seg in link.0.carry(frames) {
+                slot.stream.feed(&seg);
             }
         }
-        for si in 0..self.slots.len() {
-            let id = self.slots[si].id;
-            let _ = self.session.poll_client_liveness(id, self.now);
-            if !self.slots[si].connected {
+        for slot in &mut self.slots {
+            let session = self.manager.session_mut();
+            let _ = session.poll_client_liveness(slot.id, self.now);
+            if !slot.connected {
                 continue;
             }
-            while let Some(pong) = self.slots[si].stream.take_pong() {
-                if let Message::Pong { seq, .. } = pong {
-                    self.session.note_client_pong(id, seq, self.now);
-                    self.slots[si].pongs_routed += 1;
+            for msg in slot.stream.take_uplink(self.now) {
+                match msg {
+                    Message::Pong { .. } => slot.pongs_routed += 1,
+                    Message::CacheMiss { .. } => slot.mirror_intact = false,
+                    _ => {}
                 }
-            }
-            while let Some(miss) = self.slots[si].stream.take_cache_miss() {
-                if let Message::CacheMiss { hash } = miss {
-                    self.slots[si].mirror_intact = false;
-                    self.session.client_cache_miss(id, hash);
-                    self.session.note_client_activity(id, self.now);
-                }
-            }
-            if self.slots[si].stream.poll_reconnect(self.now).is_some() {
-                self.session.resync_client(id, self.store.screen());
-                self.session.note_client_activity(id, self.now);
+                session.handle_message(slot.id, &msg, self.store.screen());
             }
             // Wire damage voids the strict eviction mirror for this
             // client incarnation: lost or skipped frames mean inserts
             // the ledger saw and the store did not.
-            let m = self.slots[si].stream.resilience_metrics();
+            let m = slot.stream.resilience_metrics();
             if m.decode_errors() > 0 || m.crc_failures() > 0 || m.seq_gaps() > 0 {
-                self.slots[si].mirror_intact = false;
+                slot.mirror_intact = false;
             }
         }
         self.check_buffer_bounds();
@@ -1092,23 +826,20 @@ impl Runner {
             return;
         }
         let piece = u64::from(self.width) * u64::from(self.height) * 3 + 512;
-        for si in 0..self.slots.len() {
-            let id = self.slots[si].id;
-            let Some(bound) = self.session.client_effective_byte_bound(id) else {
-                continue;
-            };
-            let pending = self.session.client_pending_bytes(id);
-            if pending > bound.max(piece) {
-                self.buffer_bound_flagged = true;
-                self.violation(
-                    invariant::BUFFER_BOUND,
-                    format!(
-                        "slot {si}: {pending} buffered bytes exceed bound {bound} (one {piece}-byte piece allowed) at t={}us",
-                        self.now.0
-                    ),
-                );
-                return;
-            }
+        let over = self.slots.iter().enumerate().find_map(|(si, s)| {
+            let buffer = self.viewer(s.id)?.buffer();
+            let (bound, pending) = (buffer.effective_byte_bound()?, buffer.pending_bytes());
+            (pending > bound.max(piece)).then_some((si, pending, bound))
+        });
+        if let Some((si, pending, bound)) = over {
+            self.buffer_bound_flagged = true;
+            self.violation(
+                invariant::BUFFER_BOUND,
+                format!(
+                    "slot {si}: {pending} buffered bytes exceed bound {bound} (one {piece}-byte piece allowed) at t={}us",
+                    self.now.0
+                ),
+            );
         }
     }
 
@@ -1143,8 +874,8 @@ impl Runner {
         for si in 0..self.slots.len() {
             let id = self.slots[si].id;
             if self.slots[si].connected
-                && !self.session.client_quarantined(id)
-                && self.session.client_dead(id)
+                && !self.manager.session().client_quarantined(id)
+                && self.manager.session().client_dead(id)
             {
                 if !self.slots[si].outage_excused {
                     self.violation(
@@ -1160,7 +891,7 @@ impl Runner {
         let mut settled = false;
         for _ in 0..MAX_SETTLE {
             let screen = self.store.screen().clone();
-            self.session.repay_refreshes(&screen);
+            self.manager.session_mut().repay_refreshes(&screen);
             self.pump(SETTLE_STEP);
             if self.is_settled() {
                 settled = true;
@@ -1180,10 +911,12 @@ impl Runner {
         let mut resynced = false;
         for s in &self.slots {
             if s.connected
-                && !self.session.client_quarantined(s.id)
+                && !self.manager.session().client_quarantined(s.id)
                 && s.viewport != (self.width, self.height)
             {
-                self.session.resync_client(s.id, self.store.screen());
+                self.manager
+                    .session_mut()
+                    .resync_client(s.id, self.store.screen());
                 resynced = true;
             }
         }
@@ -1208,53 +941,41 @@ impl Runner {
         }
     }
 
-    fn is_settled(&self) -> bool {
-        self.slots.iter().all(|s| {
-            !s.connected
-                || self.session.client_quarantined(s.id)
-                || (self.session.backlog(s.id) == 0
-                    && !self.session.client_refresh_owed(s.id)
-                    && !self.session.client_has_overflow_debt(s.id)
-                    && self.session.client_fallbacks_pending(s.id) == 0
-                    && !s.stream.needs_refresh()
-                    // Undecoded bytes in the reader are work in
-                    // flight — or a wedged frame the stall watchdog
-                    // has yet to clear. Either way, keep pumping.
-                    && s.stream.pending_bytes() == 0
-                    // A degraded client is served subsampled frames;
-                    // only a ladder back at Full can converge
-                    // byte-exact. Clean settle pumps are healthy
-                    // epochs, so promotion is a matter of iterations.
-                    && self.session.client_degradation_level(s.id) == DegradationLevel::Full)
+    /// What still keeps a connected, healthy slot from being settled
+    /// (`None` when nothing does): something owed or queued on the
+    /// server, a stale display, undecoded bytes in the reader — work
+    /// in flight, or a wedged frame the stall watchdog has yet to
+    /// clear — or a ladder below `Full` (a degraded client is served
+    /// subsampled frames and cannot converge byte-exact; clean settle
+    /// pumps are healthy epochs, so promotion is a matter of
+    /// iterations).
+    fn unsettled(&self, s: &Slot) -> Option<String> {
+        if !s.connected || self.manager.session().client_quarantined(s.id) {
+            return None;
+        }
+        let d = self.viewer(s.id)?;
+        let (backlog, owed, debt) = (d.buffer().len(), d.refresh_owed(), d.has_debt());
+        let (fb, level) = (d.buffer().fallbacks_pending(), d.degradation_level());
+        let (stale, pending) = (s.stream.needs_refresh(), s.stream.pending_bytes());
+        let busy = backlog != 0 || owed || debt || fb != 0 || stale || pending != 0;
+        (busy || level != DegradationLevel::Full).then(|| {
+            format!(
+                "backlog={backlog} owed={owed} overflow={debt} fallbacks={fb} stale={stale} pending={pending} level={level:?}"
+            )
         })
     }
 
+    fn is_settled(&self) -> bool {
+        self.slots.iter().all(|s| self.unsettled(s).is_none())
+    }
+
     fn debt_detail(&self) -> String {
-        let mut parts = Vec::new();
-        for (si, s) in self.slots.iter().enumerate() {
-            if !s.connected || self.session.client_quarantined(s.id) {
-                continue;
-            }
-            let backlog = self.session.backlog(s.id);
-            let owed = self.session.client_refresh_owed(s.id);
-            let debt = self.session.client_has_overflow_debt(s.id);
-            let fb = self.session.client_fallbacks_pending(s.id);
-            let stale = s.stream.needs_refresh();
-            let pending = s.stream.pending_bytes();
-            let level = self.session.client_degradation_level(s.id);
-            if backlog != 0
-                || owed
-                || debt
-                || fb != 0
-                || stale
-                || pending != 0
-                || level != DegradationLevel::Full
-            {
-                parts.push(format!(
-                    "slot {si}: backlog={backlog} owed={owed} overflow={debt} fallbacks={fb} stale={stale} pending={pending} level={level:?}"
-                ));
-            }
-        }
+        let parts: Vec<String> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(si, s)| Some(format!("slot {si}: {}", self.unsettled(s)?)))
+            .collect();
         format!(
             "debt still outstanding after {} settle pumps: {}",
             MAX_SETTLE,
@@ -1265,10 +986,10 @@ impl Runner {
     fn check_liveness(&mut self) {
         let mut found = Vec::new();
         for (si, s) in self.slots.iter().enumerate() {
-            if self.session.client_quarantined(s.id) {
+            if self.manager.session().client_quarantined(s.id) {
                 continue;
             }
-            let dead = self.session.client_dead(s.id);
+            let dead = self.manager.session().client_dead(s.id);
             if s.connected && dead {
                 found.push(format!(
                     "slot {si}: connected client still dead after quiesce settle"
@@ -1294,7 +1015,7 @@ impl Runner {
     fn check_convergence(&mut self) {
         let mut found = Vec::new();
         for (si, s) in self.slots.iter().enumerate() {
-            if !s.connected || self.session.client_quarantined(s.id) {
+            if !s.connected || self.manager.session().client_quarantined(s.id) {
                 continue;
             }
             let fb = s.stream.client().framebuffer();
@@ -1353,11 +1074,11 @@ impl Runner {
     fn check_cache_coherence(&mut self) {
         let mut found = Vec::new();
         for (si, s) in self.slots.iter().enumerate() {
-            if !s.connected || self.session.client_quarantined(s.id) {
+            if !s.connected || self.manager.session().client_quarantined(s.id) {
                 continue;
             }
             if s.mirror_intact {
-                let ledger = self.session.client_cache_keys(s.id);
+                let ledger = self.viewer(s.id).map_or_else(Vec::new, |d| d.buffer().cache_keys());
                 let store = s.stream.cache_keys();
                 if ledger != store {
                     found.push(format!(
@@ -1378,10 +1099,8 @@ impl Runner {
                 .cache_hits()
                 .saturating_sub(s.cache_hits_base);
             let refs_served = self
-                .session
-                .client_resilience(s.id)
-                .map(|m| m.cache_hits())
-                .unwrap_or(0);
+                .viewer(s.id)
+                .map_or(0, |d| d.resilience_metrics().cache_hits());
             if client_hits > refs_served {
                 found.push(format!(
                     "slot {si}: client resolved {client_hits} cache refs but the server only sent {refs_served}"
@@ -1411,8 +1130,8 @@ impl Runner {
                     m.decode_errors()
                 ));
             }
-            if let Some(link) = self.links.iter().find(|l| l.0 == s.id) {
-                let st = link.1.fault_stats();
+            if let Some(link) = self.manager.link_mut(s.id) {
+                let st = link.0.fault_stats();
                 let lost = s.accrued_lost + st.segments_lost;
                 let retx = s.accrued_retx + st.retransmits;
                 if lost != retx {
@@ -1422,10 +1141,8 @@ impl Runner {
                 }
             }
             let pings = self
-                .session
-                .client_resilience(s.id)
-                .map(|m| m.pings_sent())
-                .unwrap_or(0);
+                .viewer(s.id)
+                .map_or(0, |d| d.resilience_metrics().pings_sent());
             if s.pongs_routed > pings {
                 found.push(format!(
                     "slot {si}: routed {} pongs upstream but the server only sent {pings} pings",
@@ -1444,7 +1161,7 @@ impl Runner {
     /// The surviving image becomes the warm standby's state for the
     /// next [`ChaosEvent::Failover`].
     fn check_failover_fidelity(&mut self) {
-        let image = self.session.checkpoint(self.store.screen());
+        let image = self.manager.session().checkpoint(self.store.screen());
         match SharedSession::restore(&image) {
             Ok(restored) => {
                 let again = restored.checkpoint(self.store.screen());
@@ -1473,12 +1190,10 @@ impl Runner {
         let mut found = Vec::new();
         let mut expected = 0usize;
         for (si, s) in self.slots.iter().enumerate() {
-            let q = self.session.client_quarantined(s.id);
+            let q = self.manager.session().client_quarantined(s.id);
             let panics = self
-                .session
-                .client_resilience(s.id)
-                .map(|m| m.panics_quarantined())
-                .unwrap_or(0);
+                .viewer(s.id)
+                .map_or(0, |d| d.resilience_metrics().panics_quarantined());
             if s.poisoned {
                 expected += 1;
                 if !q {
@@ -1504,7 +1219,7 @@ impl Runner {
                 }
             }
         }
-        let actual = self.session.quarantined_count();
+        let actual = self.manager.session().quarantined_count();
         if actual != expected {
             found.push(format!(
                 "session reports {actual} quarantined client(s), schedule poisoned {expected}"

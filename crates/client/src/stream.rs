@@ -460,6 +460,40 @@ impl StreamClient {
         self.pending_cache_miss.pop_front()
     }
 
+    /// Everything this client owes the server at `now`, in sending
+    /// order: the pong answering a liveness ping, cache misses, and —
+    /// while the display is stale — the reconnect policy's refresh
+    /// request. The caller forwards each message upstream.
+    pub fn take_uplink(&mut self, now: SimTime) -> Vec<Message> {
+        let mut out: Vec<Message> = self.take_pong().into_iter().collect();
+        out.extend(self.pending_cache_miss.drain(..));
+        out.extend(self.poll_reconnect(now));
+        out
+    }
+
+    /// Opens a fresh connection to a (possibly restored) server and
+    /// returns what to send on it, in order. The hello re-announces
+    /// the viewport this client displays at the revision the session
+    /// negotiated; after it comes the resume token when the local wire
+    /// state allows a warm [`resume`](Self::resume), and otherwise a
+    /// plain request for the full view.
+    pub fn redial(&mut self, session_id: u64, client_id: u32) -> [Message; 2] {
+        let fb = self.client.framebuffer();
+        let hello = Message::ClientHello {
+            version: self.reader.revision(),
+            viewport_width: fb.width(),
+            viewport_height: fb.height(),
+        };
+        // The token is cut before `resume` restarts the reader, which
+        // forgets the last sequence number it saw.
+        let token = self.resume_token(session_id, client_id);
+        if self.resume() {
+            [hello, token]
+        } else {
+            [hello, Message::RefreshRequest { attempt: 0 }]
+        }
+    }
+
     /// Entries currently held in the content-addressed store.
     pub fn cache_len(&self) -> usize {
         self.cache.len()

@@ -10,7 +10,6 @@
 //! - [`lzss`]: an LZ77/LZSS dictionary coder,
 //! - [`filter`]: PNG-style predictive scanline filters (None/Sub/Up/
 //!   Average/Paeth) with per-row heuristic filter selection,
-//! - [`huffman`]: canonical Huffman entropy coding,
 //! - [`pnglike`]: the composed pipeline (filter + LZSS), this
 //!   reproduction's stand-in for libpng,
 //! - [`rc4`]: the RC4 stream cipher (educational only — RC4 is broken;
@@ -21,7 +20,6 @@
 //! VNC and Sun Ray.
 
 pub mod filter;
-pub mod huffman;
 pub mod lzss;
 pub mod pnglike;
 pub mod rc4;
@@ -128,16 +126,6 @@ pub enum Codec {
         /// Bytes per row of the image data.
         stride: usize,
     },
-    /// Canonical Huffman entropy coding alone.
-    Huffman,
-    /// The full DEFLATE-class pipeline: PNG filters + LZSS + Huffman
-    /// (the "better compression algorithms such as used in NX", §8.3).
-    DeflateLike {
-        /// Bytes per pixel of the image data.
-        bpp: usize,
-        /// Bytes per row of the image data.
-        stride: usize,
-    },
 }
 
 impl Codec {
@@ -150,10 +138,6 @@ impl Codec {
             Codec::PixelRle { bpp } => rle::compress_symbols(data, *bpp),
             Codec::Lzss => lzss::compress(data),
             Codec::PngLike { bpp, stride } => pnglike::compress(data, *bpp, *stride),
-            Codec::Huffman => huffman::compress(data),
-            Codec::DeflateLike { bpp, stride } => {
-                huffman::compress(&pnglike::compress(data, *bpp, *stride))
-            }
         }
     }
 
@@ -161,9 +145,8 @@ impl Codec {
     /// returns the encoded bytes as a slice into the scratch.
     ///
     /// Identical output to [`Codec::compress`], without the per-call
-    /// allocation: the hot codecs (RLE, pixel RLE, LZSS, PNG-like)
-    /// encode straight into the reused buffers; the rare ones fall
-    /// back to the allocating path and copy into the scratch.
+    /// allocation: every codec encodes straight into the reused
+    /// buffers.
     pub fn compress_with<'a>(&self, data: &[u8], scratch: &'a mut Scratch) -> &'a [u8] {
         match self {
             Codec::None => {
@@ -175,11 +158,6 @@ impl Codec {
             Codec::Lzss => lzss::compress_into(data, &mut scratch.out),
             Codec::PngLike { bpp, stride } => {
                 pnglike::compress_with(data, *bpp, *stride, scratch);
-            }
-            other => {
-                let encoded = other.compress(data);
-                scratch.out.clear();
-                scratch.out.extend_from_slice(&encoded);
             }
         }
         &scratch.out
@@ -195,10 +173,6 @@ impl Codec {
             Codec::PixelRle { bpp } => rle::decompress_symbols(data, *bpp),
             Codec::Lzss => lzss::decompress(data),
             Codec::PngLike { bpp, stride } => pnglike::decompress(data, *bpp, *stride),
-            Codec::Huffman => huffman::decompress(data),
-            Codec::DeflateLike { bpp, stride } => {
-                pnglike::decompress(&huffman::decompress(data)?, *bpp, *stride)
-            }
         }
     }
 
@@ -211,8 +185,6 @@ impl Codec {
             Codec::PixelRle { .. } => 5,
             Codec::Lzss => 80,
             Codec::PngLike { .. } => 100,
-            Codec::Huffman => 30,
-            Codec::DeflateLike { .. } => 140,
         }
     }
 }
@@ -252,8 +224,6 @@ mod tests {
             Codec::Rle,
             Codec::Lzss,
             Codec::PngLike { bpp: 4, stride: 256 },
-            Codec::Huffman,
-            Codec::DeflateLike { bpp: 4, stride: 256 },
         ] {
             let c = codec.compress(&data);
             assert_eq!(codec.decompress(&c).as_deref(), Some(&data[..]), "{codec:?}");
@@ -267,8 +237,6 @@ mod tests {
             Codec::Rle,
             Codec::Lzss,
             Codec::PngLike { bpp: 3, stride: 30 },
-            Codec::Huffman,
-            Codec::DeflateLike { bpp: 3, stride: 30 },
         ] {
             let c = codec.compress(&[]);
             assert_eq!(codec.decompress(&c).as_deref(), Some(&[][..]), "{codec:?}");

@@ -406,8 +406,6 @@ proptest! {
             Codec::PixelRle { bpp: 3 },
             Codec::Lzss,
             Codec::PngLike { bpp: 3, stride: 60 },
-            Codec::Huffman,
-            Codec::DeflateLike { bpp: 3, stride: 60 },
         ] {
             let alloc = codec.compress(&data);
             let scratched = codec.compress_with(&data, &mut scratch);

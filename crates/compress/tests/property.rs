@@ -11,8 +11,6 @@ fn codecs(bpp: usize, stride: usize) -> Vec<Codec> {
         Codec::PixelRle { bpp },
         Codec::Lzss,
         Codec::PngLike { bpp, stride },
-        Codec::Huffman,
-        Codec::DeflateLike { bpp, stride },
     ]
 }
 

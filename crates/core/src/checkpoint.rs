@@ -225,28 +225,6 @@ impl TileDigests {
     }
 }
 
-/// How the server answered a [`Message::SessionResume`] token.
-///
-/// [`Message::SessionResume`]: thinc_protocol::Message::SessionResume
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResumeOutcome {
-    /// The token matched checkpointed state: the client keeps its
-    /// buffered queues and cache store, and is owed only the region
-    /// that changed since the checkpoint was taken.
-    Warm {
-        /// Pixels of screen area enqueued as delta refresh (0 when
-        /// the screen never changed — nothing retransmits at all).
-        delta_area: u64,
-    },
-    /// The token could not be honored; the caller must run the
-    /// ordinary cold reconnect path (fresh hello, cleared caches,
-    /// full-view refresh). Never a panic, whatever the token said.
-    Cold {
-        /// Why the warm path was refused.
-        reason: &'static str,
-    },
-}
-
 /// Byte-stream writer for checkpoint payloads (little-endian, no
 /// self-description — the layout *is* the schema).
 #[derive(Debug, Default)]

@@ -5,8 +5,11 @@
 //! the same update path with more than one buffer behind it. A
 //! [`Delivery`] is that path for one client: the command buffer, the
 //! scale policy, the video streams, the audio/video/control queue,
-//! liveness and the degradation ladder, and what the client is still
-//! owed — a full-view refresh, or narrower refresh debt — together
+//! liveness and the degradation ladder, what the client is still owed
+//! — a full-view refresh, or narrower refresh debt — and its end of the
+//! wire: the outgoing framer and the uplink protocol
+//! ([`handle_message`](Delivery::handle_message): negotiation, viewport
+//! changes, cache misses, heartbeats and the redial ladder), together
 //! with the operations on them, each written once.
 //! [`ThincServer`](crate::server::ThincServer) wraps exactly one
 //! `Delivery`; [`SharedSession`](crate::session::SharedSession) keeps
@@ -25,12 +28,13 @@ use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_protocol::wire::{encode_message, encoded_len};
+use thinc_protocol::wire::{encode_message, encoded_len, FrameEncoder};
+use thinc_protocol::WIRE_REV_CACHE;
 use thinc_raster::{Framebuffer, Rect, Region, YuvFrame};
 use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics};
 
 use crate::buffer::{decode_checkpoint_message, ClientBuffer};
-use crate::checkpoint::{CheckpointError, Reader, Writer};
+use crate::checkpoint::{cache_digest, CheckpointError, Reader, Writer};
 use crate::degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
@@ -178,6 +182,32 @@ fn screen_raw(policy: &ScalePolicy, rect: &Rect, screen: &Framebuffer) -> Option
     policy.transform(&raw, screen)
 }
 
+/// What [`Delivery::handle_message`] leaves to its holder: the steps
+/// of the uplink protocol that need the screen or the session's
+/// identity, neither of which a `Delivery` has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Uplink {
+    /// Nothing further: handled here, or not a message delivery acts on.
+    Done,
+    /// The client asked for the full view (its reconnect policy, or a
+    /// redial that could present no token): answer with
+    /// [`Delivery::resync`].
+    Resync,
+    /// A redial presented a resume token: match the identity it names,
+    /// then answer with [`Delivery::resume`] or
+    /// [`Delivery::restart_cold`].
+    Resume {
+        /// The session the token claims to resume.
+        session_id: u64,
+        /// The client id the dead incarnation assigned.
+        client_id: u32,
+        /// The last frame sequence number the client received.
+        last_seq: u32,
+        /// Digest of the client's content-store key set.
+        store_digest: u64,
+    },
+}
+
 /// Everything the server holds for one client, and the operations on
 /// it.
 #[derive(Debug)]
@@ -211,6 +241,10 @@ pub struct Delivery {
     /// Liveness events, resyncs, ladder steps, stale A/V drops. Buffer
     /// evictions and cache counters merge in at read time.
     resilience: ResilienceMetrics,
+    /// Outgoing wire framer. Starts legacy; the client's hello
+    /// upgrades it to integrity framing (sequence + CRC32) when both
+    /// sides speak protocol version ≥ 2.
+    encoder: FrameEncoder,
 }
 
 impl Delivery {
@@ -231,18 +265,33 @@ impl Delivery {
             refresh_owed: false,
             refresh_debt: Region::new(),
             resilience: ResilienceMetrics::new(),
+            encoder: FrameEncoder::new(),
         }
+    }
+
+    /// Frames `msg` for the wire at the negotiated revision, stamping
+    /// revision-2 frames with a sequence number and CRC32. Whatever
+    /// moves real bytes (rather than `Message` values) must encode
+    /// through this so the client's integrity verification has
+    /// something to verify.
+    pub fn encode_frame(&mut self, msg: &Message) -> Vec<u8> {
+        self.encoder.encode(msg)
+    }
+
+    /// The outgoing framer (negotiated revision, next sequence number).
+    pub fn encoder(&self) -> &FrameEncoder {
+        &self.encoder
+    }
+
+    /// The outgoing framer, for a holder that restores it from an
+    /// image or pins it to a revision agreed out of band.
+    pub(crate) fn encoder_mut(&mut self) -> &mut FrameEncoder {
+        &mut self.encoder
     }
 
     /// The display command buffer (backlog, statistics, cache ledger).
     pub fn buffer(&self) -> &ClientBuffer {
         &self.buffer
-    }
-
-    /// Enables the content-addressed cache ledger (see
-    /// [`ClientBuffer::enable_cache`]).
-    pub fn enable_cache(&mut self, budget: u64) {
-        self.buffer.enable_cache(budget);
     }
 
     /// Advances the clock that stamps buffered commands for
@@ -506,6 +555,13 @@ impl Delivery {
     /// every narrower debt are dropped (the full view covers them),
     /// and a client the liveness tracker had declared dead is revived.
     pub fn resync(&mut self, screen: &Framebuffer, now: SimTime) {
+        self.begin_resync(now);
+        self.repay(screen);
+    }
+
+    /// Everything of a [`resync`](Self::resync) but reading the
+    /// screen: the full view stays owed until the next push or repay.
+    fn begin_resync(&mut self, now: SimTime) {
         self.resilience.record_resync();
         if let Some(t) = self.liveness.as_mut() {
             t.reset(now);
@@ -515,45 +571,108 @@ impl Delivery {
         self.av.extend(reinit);
         let _ = self.buffer.drop_pending_for_rescale();
         self.refresh_owed = true;
-        self.repay(screen);
     }
 
-    /// Restarts a redialing client from nothing: its content store is
-    /// empty (so the ledger is cleared in the same breath, keeping the
-    /// eviction mirror intact) and queued A/V predates it.
-    pub fn cold_restart(&mut self, screen: &Framebuffer, now: SimTime) {
+    /// Judges a redialing client's resume token (see
+    /// [`Uplink::Resume`]; the holder has matched the identity it
+    /// names). A content-store digest equal to the ledger's resumes
+    /// warm (returns `true`): the frame sequence continues right after
+    /// the last frame the client proved it received, so its integrity
+    /// verifier sees an unbroken stream, and its framebuffer and store
+    /// are trusted as they are — the holder owes it only what changed
+    /// since. Any other digest [restarts cold](Self::restart_cold).
+    pub fn resume(&mut self, last_seq: u32, store_digest: u64, hello: Message, now: SimTime) -> bool {
+        if cache_digest(&self.buffer.cache_keys()) != store_digest {
+            self.restart_cold(hello, now);
+            return false;
+        }
+        self.resilience.record_resume();
+        self.encoder.set_next_seq(last_seq.wrapping_add(1));
+        true
+    }
+
+    /// Restarts a redialing client from nothing, the path a brand-new
+    /// attach takes — so a stale or forged token can never do worse
+    /// than a cold reconnect. `hello` goes out first on a restarted
+    /// framer: a fresh `ServerHello` is how the client learns its token
+    /// was refused, and it empties its content store on seeing one, so
+    /// the ledger is cleared in the same breath (keeping the eviction
+    /// mirror intact). Queued A/V predates the connection; the full
+    /// view is owed.
+    pub fn restart_cold(&mut self, hello: Message, now: SimTime) {
         self.resilience.record_cold_fallback();
         self.buffer.reset_cache();
+        self.encoder = FrameEncoder::with_revision(self.encoder.revision());
         self.av.clear();
-        self.resync(screen, now);
+        self.av.push_back(hello);
+        self.begin_resync(now);
     }
 
-    /// Handles a [`Message::CacheMiss`]: queues the byte-exact payload
-    /// from the ledger. Returns `false` when eviction raced the
-    /// reference out of both sides — the client skipped an update, so
-    /// it is owed the full view.
-    pub fn cache_miss(&mut self, hash: u64) -> bool {
-        let satisfied = self.buffer.satisfy_cache_miss(hash);
-        if !satisfied {
-            self.refresh_owed = true;
-        }
-        satisfied
-    }
-
-    /// Records traffic from the client (anything but a pong proves the
-    /// connection lives).
-    pub fn note_activity(&mut self, now: SimTime) {
+    /// Handles a message arriving from the client, as far as that
+    /// takes neither the screen nor the session's identity (see
+    /// [`Uplink`] for the rest). `cache_budget` is the content-cache
+    /// budget a peer announcing revision ≥ 3 is granted; older peers
+    /// cannot resolve references, so a hello never enables the ledger
+    /// for them.
+    pub fn handle_message(&mut self, msg: &Message, now: SimTime, cache_budget: Option<u64>) -> Uplink {
+        // Client traffic doubles as the heartbeat — except a pong,
+        // which proves liveness only when it answers the latest
+        // outstanding probe: a delayed one surfacing from a recovering
+        // link's queue says nothing about the connection now.
         if let Some(t) = self.liveness.as_mut() {
-            t.note_activity(now);
+            match msg {
+                Message::Pong { seq, .. } => {
+                    t.note_pong(*seq, now);
+                }
+                _ => t.note_activity(now),
+            }
         }
-    }
-
-    /// Records a pong. Only one answering the latest outstanding probe
-    /// counts as fresh traffic (returns `true`): a delayed pong
-    /// surfacing from a recovering link's queue says nothing about the
-    /// connection now.
-    pub fn note_pong(&mut self, seq: u32, now: SimTime) -> bool {
-        self.liveness.as_mut().is_some_and(|t| t.note_pong(seq, now))
+        match *msg {
+            Message::ClientHello {
+                version,
+                viewport_width,
+                viewport_height,
+            } => {
+                // The session adopts the highest framing both sides
+                // speak. A version-1 client keeps the whole stream
+                // legacy-framed, so old captures and old clients still
+                // decode.
+                self.encoder.negotiate(version);
+                if let Some(budget) = cache_budget.filter(|_| self.encoder.revision() >= WIRE_REV_CACHE) {
+                    self.buffer.enable_cache(budget);
+                }
+                self.set_viewport(viewport_width, viewport_height);
+            }
+            Message::Resize {
+                viewport_width,
+                viewport_height,
+            } => self.set_viewport(viewport_width, viewport_height),
+            // Zoom: the client is owed full-detail content for the
+            // newly magnified region, sent with the next push.
+            Message::SetView { view } => self.set_view(view),
+            // The ledger requeues the byte-exact payload; when eviction
+            // raced the reference out of both sides the client skipped
+            // an update, so it is owed the full view.
+            Message::CacheMiss { hash } => {
+                self.refresh_owed |= !self.buffer.satisfy_cache_miss(hash);
+            }
+            Message::RefreshRequest { .. } => return Uplink::Resync,
+            Message::SessionResume {
+                session_id,
+                client_id,
+                last_seq,
+                store_digest,
+            } => {
+                return Uplink::Resume {
+                    session_id,
+                    client_id,
+                    last_seq,
+                    store_digest,
+                }
+            }
+            _ => {}
+        }
+        Uplink::Done
     }
 
     /// Evaluates liveness at `now`: a silent client gets a
@@ -690,7 +809,9 @@ impl Delivery {
             let tag = match msg {
                 Message::Audio { .. } => "audio",
                 Message::CursorShape { .. } | Message::CursorMove { .. } => "cursor",
-                Message::Ping { .. } | Message::Pong { .. } => "control",
+                Message::Ping { .. } | Message::Pong { .. } | Message::ServerHello { .. } => {
+                    "control"
+                }
                 _ => "video",
             };
             let (_, arrival) = pipe.send(now, size);

@@ -70,16 +70,16 @@ pub mod translator;
 pub mod video;
 
 pub use buffer::ClientBuffer;
-pub use checkpoint::{cache_digest, CheckpointError, ResumeOutcome, TileDigests};
+pub use checkpoint::{cache_digest, CheckpointError, TileDigests};
 pub use degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
-pub use delivery::{Delivery, DeliveryPolicy};
+pub use delivery::{Delivery, DeliveryPolicy, Uplink};
 pub use liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
 pub use plane::{PlaneCounters, WirePlane};
 pub use queue::{classify, CommandQueue, OverwriteClass};
 pub use scaling::ScalePolicy;
 pub use server::{ServerConfig, ThincServer};
 pub use session::{Credentials, SessionAuth, SharedSession};
-pub use shard::{shard_index, ShardedManager};
+pub use shard::ShardedManager;
 pub use translator::Translator;

@@ -8,8 +8,8 @@
 //! flushes them over a (simulated) connection with server-push,
 //! non-blocking delivery. Around that one `Delivery` it owns what only
 //! a single-client server has: the virtual audio device, the input
-//! tracker that marks real-time updates, the session cursor, the wire
-//! framer, and the RC4 session cipher.
+//! tracker that marks real-time updates, the session cursor, and the
+//! RC4 session cipher.
 
 use thinc_compress::Rc4;
 use thinc_display::drawable::{DrawableId, DrawableStore};
@@ -26,7 +26,7 @@ use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 
 use crate::audio::VirtualAudioDriver;
 use crate::buffer::{BufferStats, ClientBuffer};
-use crate::delivery::{Delivery, DeliveryPolicy};
+use crate::delivery::{Delivery, DeliveryPolicy, Uplink};
 use crate::plane::PlaneCounters;
 use crate::translator::{Translator, TranslatorStats};
 
@@ -139,10 +139,6 @@ pub struct ThincServer {
     /// [`resync`](Self::resync) from the harness (which owns the
     /// screen).
     resync_requested: bool,
-    /// Outgoing wire framer. Starts legacy; the client's hello
-    /// upgrades it to integrity framing (sequence + CRC32) when both
-    /// sides speak protocol version ≥ 2.
-    encoder: FrameEncoder,
 }
 
 impl ThincServer {
@@ -172,7 +168,6 @@ impl ThincServer {
             audio_messages: 0,
             cursor_shape: None,
             resync_requested: false,
-            encoder: FrameEncoder::new(),
         }
     }
 
@@ -201,20 +196,16 @@ impl ThincServer {
         }
     }
 
-    /// Frames `msg` for the wire at the negotiated revision,
-    /// stamping revision-2 frames with a sequence number and CRC32.
-    /// Harnesses that move real bytes (rather than `Message` values)
-    /// must encode through this so the client's integrity
-    /// verification has something to verify.
+    /// Frames `msg` for the wire (see [`Delivery::encode_frame`]).
     pub fn encode_frame(&mut self, msg: &Message) -> Vec<u8> {
-        self.encoder.encode(msg)
+        self.delivery.encode_frame(msg)
     }
 
     /// The wire framing revision negotiated with the client
     /// ([`thinc_protocol::WIRE_REV_LEGACY`] until a `ClientHello`
     /// announcing protocol version ≥ 2 arrives).
     pub fn wire_revision(&self) -> u16 {
-        self.encoder.revision()
+        self.delivery.encoder().revision()
     }
 
     /// Advances the server's virtual clock (stamps A/V data and the
@@ -259,91 +250,51 @@ impl ThincServer {
         self.delivery.repay(screen);
     }
 
-    /// Handles a message arriving from the client. Input events are
-    /// returned as window-system events for forwarding.
+    /// Handles a message arriving from the client (see
+    /// [`Delivery::handle_message`]). Input events are returned as
+    /// window-system events for forwarding. What needs the screen is
+    /// left owed or latched for the harness, which owns it: a refresh
+    /// request awaits [`take_resync_request`](Self::take_resync_request),
+    /// and a refused resume token leaves the full view owed to the next
+    /// draw or [`repay_overflow_debt`](Self::repay_overflow_debt).
     pub fn handle_message(&mut self, msg: &Message) -> Option<InputEvent> {
-        // Client traffic doubles as the heartbeat — except a Pong,
-        // which only proves liveness when it answers the latest
-        // outstanding probe.
-        match msg {
-            Message::Pong { seq, .. } => {
-                self.delivery.note_pong(*seq, self.now);
-            }
-            _ => self.delivery.note_activity(self.now),
-        }
-        match msg {
-            Message::ClientHello {
-                version,
-                viewport_width,
-                viewport_height,
-            } => {
-                // Negotiate the wire revision: the session adopts the
-                // highest framing both sides speak. A version-1 client
-                // keeps the whole stream legacy-framed, so old
-                // captures and old clients still decode.
-                self.encoder.negotiate(*version);
-                // Revision 3 adds the content-addressed cache: only a
-                // client that announced it can resolve CacheRef, so
-                // the ledger stays off for older peers.
-                if self.encoder.revision() >= thinc_protocol::WIRE_REV_CACHE {
-                    if let Some(budget) = self.config.cache_budget_bytes {
-                        self.delivery.enable_cache(budget);
-                    }
+        match self
+            .delivery
+            .handle_message(msg, self.now, self.config.cache_budget_bytes)
+        {
+            Uplink::Done => {}
+            Uplink::Resync => self.resync_requested = true,
+            // One client, no roster: the token's identity fields have
+            // nothing to be matched against.
+            Uplink::Resume { last_seq, store_digest, .. } => {
+                let hello = self.hello();
+                if !self.delivery.resume(last_seq, store_digest, hello, self.now) {
+                    self.delivery.queue_av(self.cursor_shape.clone());
                 }
-                self.delivery.set_viewport(*viewport_width, *viewport_height);
-                None
             }
-            Message::Resize {
-                viewport_width,
-                viewport_height,
-            } => {
-                self.delivery.set_viewport(*viewport_width, *viewport_height);
-                None
-            }
-            Message::SetView { view } => {
-                // Zoom: the client is owed full-detail content for the
-                // newly magnified region, sent with the next draw or
-                // [`Self::refresh_view`].
-                self.delivery.set_view(*view);
-                None
-            }
-            Message::RefreshRequest { .. } => {
-                // The client's reconnect policy is asking for a full
-                // resync; latch it for the harness (which owns the
-                // screen) to serve via [`Self::resync`].
-                self.resync_requested = true;
-                None
-            }
-            Message::CacheMiss { hash } => {
-                self.delivery.cache_miss(*hash);
-                None
-            }
-            Message::Input(input) => {
-                let ev = match input {
-                    ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(*x, *y)),
-                    ProtocolInput::ButtonPress { x, y, .. } => {
-                        InputEvent::ButtonPress(Point::new(*x, *y))
-                    }
-                    ProtocolInput::ButtonRelease { x, y, .. } => {
-                        InputEvent::ButtonRelease(Point::new(*x, *y))
-                    }
-                    ProtocolInput::KeyPress { key } => InputEvent::KeyPress(*key),
-                    ProtocolInput::KeyRelease { key } => InputEvent::KeyPress(*key),
-                };
-                self.input.observe(ev);
-                // Echo the (possibly warped) cursor position so the
-                // client's local overlay tracks the session pointer.
-                if let InputEvent::PointerMove(p)
-                | InputEvent::ButtonPress(p)
-                | InputEvent::ButtonRelease(p) = ev
-                {
-                    let (x, y) = self.delivery.scale().map_point(p.x, p.y);
-                    self.delivery.queue_av([Message::CursorMove { x, y }]);
-                }
-                Some(ev)
-            }
-            _ => None,
         }
+        let Message::Input(input) = msg else {
+            return None;
+        };
+        let ev = match input {
+            ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(*x, *y)),
+            ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(*x, *y)),
+            ProtocolInput::ButtonRelease { x, y, .. } => {
+                InputEvent::ButtonRelease(Point::new(*x, *y))
+            }
+            ProtocolInput::KeyPress { key } => InputEvent::KeyPress(*key),
+            ProtocolInput::KeyRelease { key } => InputEvent::KeyPress(*key),
+        };
+        self.input.observe(ev);
+        // Echo the (possibly warped) cursor position so the client's
+        // local overlay tracks the session pointer.
+        if let InputEvent::PointerMove(p) | InputEvent::ButtonPress(p) | InputEvent::ButtonRelease(p) =
+            ev
+        {
+            let (x, y) = self.delivery.scale().map_point(p.x, p.y);
+            self.delivery.queue_av([Message::CursorMove { x, y }]);
+        }
+        Some(ev)
     }
 
     /// Pushes translated commands into the delivery pipeline, marking
@@ -508,7 +459,7 @@ impl ThincServer {
     /// it received, so its integrity verifier sees an unbroken stream
     /// instead of flagging the failover as a sequence break.
     pub fn adopt_resume_seq(&mut self, last_seq: u32) {
-        self.encoder.set_next_seq(last_seq.wrapping_add(1));
+        self.delivery.encoder_mut().set_next_seq(last_seq.wrapping_add(1));
     }
 
     /// Serializes this server into a crash-consistent checkpoint
@@ -540,8 +491,8 @@ impl ThincServer {
         self.config.delivery_policy().encode(&mut w);
         w.u64(self.now.0);
         w.bool(self.resync_requested);
-        w.u32(self.encoder.revision() as u32);
-        w.u32(self.encoder.next_seq());
+        w.u32(self.delivery.encoder().revision() as u32);
+        w.u32(self.delivery.encoder().next_seq());
         w.bool(self.cursor_shape.is_some());
         if let Some(shape) = &self.cursor_shape {
             w.bytes(&encode_message(shape));
@@ -589,12 +540,13 @@ impl ThincServer {
         s.resync_requested = r.bool()?;
         let revision = u16::try_from(r.u32()?)
             .map_err(|_| CheckpointError::Malformed("wire revision"))?;
-        s.encoder = FrameEncoder::with_revision(revision);
-        s.encoder.set_next_seq(r.u32()?);
+        let mut encoder = FrameEncoder::with_revision(revision);
+        encoder.set_next_seq(r.u32()?);
         if r.bool()? {
             s.cursor_shape = Some(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
         }
         s.delivery = Delivery::decode_checkpoint(&mut r, policy, s.now)?;
+        *s.delivery.encoder_mut() = encoder;
         if !r.exhausted() {
             return Err(CheckpointError::Malformed(
                 "trailing bytes after checkpoint",

@@ -29,15 +29,16 @@ use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
+use thinc_protocol::wire::FrameEncoder;
+use thinc_protocol::PROTOCOL_VERSION;
 use thinc_raster::{Color, Framebuffer, PixelFormat, Rect, Region, YuvFrame};
 
 use crate::buffer::ClientBuffer;
 use crate::checkpoint::{
-    cache_digest, format_from_u8, format_to_u8, CheckpointError, Reader, ResumeOutcome,
-    TileDigests, Writer,
+    format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
 };
-use crate::degradation::{DegradationConfig, DegradationLevel};
-use crate::delivery::{Delivery, DeliveryPolicy, Rendition};
+use crate::degradation::DegradationConfig;
+use crate::delivery::{Delivery, DeliveryPolicy, Rendition, Uplink};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
 use crate::plane::{PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
@@ -91,11 +92,6 @@ impl SessionAuth {
     /// Enables screen sharing with the given session password.
     pub fn enable_sharing(&mut self, password: &str) {
         self.session_password = Some(password.to_string());
-    }
-
-    /// Disables peer connections.
-    pub fn disable_sharing(&mut self) {
-        self.session_password = None;
     }
 
     /// Validates credentials.
@@ -290,7 +286,9 @@ impl SharedSession {
         Some(&mut self.clients[at].1)
     }
 
-    fn delivery(&self, id: ClientId) -> Option<&Delivery> {
+    /// Everything held for one attached viewer: backlog, debt, ladder
+    /// level, cache ledger, counters — whatever [`Delivery`] can report.
+    pub fn viewer(&self, id: ClientId) -> Option<&Delivery> {
         self.member(id).map(|m| &m.delivery)
     }
 
@@ -333,6 +331,7 @@ impl SharedSession {
             buffer.enable_cache(budget);
         }
         let mut delivery = Delivery::new(self.policy, buffer, self.now);
+        *delivery.encoder_mut() = member_framer();
         delivery.set_viewport(viewport_w, viewport_h);
         // A fresh attach owes the full view: the client's framebuffer
         // starts empty.
@@ -347,24 +346,6 @@ impl SharedSession {
             },
         ));
         Ok(id)
-    }
-
-    /// Records traffic from a client (input — anything but a pong
-    /// proves the connection lives; pongs go through
-    /// [`note_client_pong`](Self::note_client_pong) so stale ones
-    /// can be rejected).
-    pub fn note_client_activity(&mut self, id: ClientId, now: SimTime) {
-        if let Some(m) = self.member_mut(id) {
-            m.delivery.note_activity(now);
-        }
-    }
-
-    /// Records a pong from a client. Only a pong answering the
-    /// latest outstanding probe counts as fresh traffic (returns
-    /// `true`); a stale or unsolicited one is ignored.
-    pub fn note_client_pong(&mut self, id: ClientId, seq: u32, now: SimTime) -> bool {
-        self.member_mut(id)
-            .is_some_and(|m| m.delivery.note_pong(seq, now))
     }
 
     /// Evaluates a client's liveness at `now`: a silent client gets a
@@ -386,7 +367,7 @@ impl SharedSession {
 
     /// Whether a client has been declared dead.
     pub fn client_dead(&self, id: ClientId) -> bool {
-        self.delivery(id).is_some_and(|d| d.is_dead())
+        self.viewer(id).is_some_and(|d| d.is_dead())
     }
 
     /// Detaches every dead client, freeing its buffers (a dead
@@ -421,7 +402,7 @@ impl SharedSession {
 
     /// Pending commands for a client.
     pub fn backlog(&self, id: ClientId) -> usize {
-        self.delivery(id).map_or(0, |d| d.buffer().len())
+        self.viewer(id).map_or(0, |d| d.buffer().len())
     }
 
     /// Fans translated commands out to every client. Clients at the
@@ -492,38 +473,6 @@ impl SharedSession {
         if let Some(d) = self.serving(id) {
             d.resync(screen, now);
         }
-    }
-
-    /// The degradation ladder level a client currently runs at
-    /// ([`DegradationLevel::Full`] when degradation is disabled or
-    /// the client is unknown).
-    pub fn client_degradation_level(&self, id: ClientId) -> DegradationLevel {
-        self.delivery(id)
-            .map_or(DegradationLevel::Full, |d| d.degradation_level())
-    }
-
-    /// A snapshot of one client's resilience counters (per-client
-    /// attribution: pings, timeouts, resyncs, degradation steps),
-    /// with that client's buffer evictions and content-cache counters
-    /// folded in.
-    pub fn client_resilience(&self, id: ClientId) -> Option<thinc_telemetry::ResilienceMetrics> {
-        self.delivery(id).map(|d| d.resilience_metrics())
-    }
-
-    /// One client's per-command wire accounting: display messages plus
-    /// its audio/video/control queue.
-    pub fn client_protocol_metrics(&self, id: ClientId) -> Option<&thinc_telemetry::ProtocolMetrics> {
-        self.delivery(id).map(|d| d.protocol_metrics())
-    }
-
-    /// Handles a [`Message::CacheMiss`] from a client: queues the
-    /// byte-exact full payload from that client's ledger. Returns
-    /// `false` when the entry was evicted on both sides — the client
-    /// skipped an update, so the miss is recorded and the client is
-    /// owed a full-view refresh on the next broadcast (a caller that
-    /// cannot wait follows with [`resync_client`](Self::resync_client)).
-    pub fn client_cache_miss(&mut self, id: ClientId, hash: u64) -> bool {
-        self.serving(id).is_some_and(|d| d.cache_miss(hash))
     }
 
     /// Flushes one client's buffer over its own connection.
@@ -648,20 +597,6 @@ impl SharedSession {
         self.fanout
     }
 
-    /// Total wire bytes sent to a client so far (fairness metric for
-    /// the fan-out gate).
-    pub fn client_sent_bytes(&self, id: ClientId) -> u64 {
-        self.delivery(id).map_or(0, |d| d.buffer().stats().sent_bytes)
-    }
-
-    /// A client's enqueue-to-wire flush-latency histogram
-    /// (microseconds of virtual time), for cross-client percentile
-    /// merging.
-    pub fn client_flush_latency(&self, id: ClientId) -> Option<&thinc_telemetry::Histogram> {
-        self.delivery(id)
-            .map(|d| d.buffer().scheduler_metrics().flush_latency_us())
-    }
-
     /// Applies a client's viewport change mid-session (window resize,
     /// device switch). When the scale changes, pending commands — and
     /// any queued cache-miss fallbacks — target the outgoing
@@ -687,11 +622,6 @@ impl SharedSession {
         self.cache_budget = budget;
     }
 
-    /// The content-cache budget future attaches will receive.
-    pub fn cache_budget(&self) -> Option<u64> {
-        self.cache_budget
-    }
-
     /// Attached client ids, in attach (= flush merge) order.
     pub fn client_ids(&self) -> Vec<ClientId> {
         self.clients.iter().map(|(id, _)| *id).collect()
@@ -715,43 +645,6 @@ impl SharedSession {
         if let Some(m) = self.member_mut(id) {
             m.poison_flush = true;
         }
-    }
-
-    /// Every key in a client's cache ledger, sorted ascending (empty
-    /// when the cache is off or the client is unknown). For coherence
-    /// checks against the client store.
-    pub fn client_cache_keys(&self, id: ClientId) -> Vec<u64> {
-        self.delivery(id)
-            .map(|d| d.buffer().cache_keys())
-            .unwrap_or_default()
-    }
-
-    /// Pending buffered bytes for a client.
-    pub fn client_pending_bytes(&self, id: ClientId) -> u64 {
-        self.delivery(id).map_or(0, |d| d.buffer().pending_bytes())
-    }
-
-    /// The byte bound a client's buffer currently enforces.
-    pub fn client_effective_byte_bound(&self, id: ClientId) -> Option<u64> {
-        self.delivery(id)
-            .and_then(|d| d.buffer().effective_byte_bound())
-    }
-
-    /// Whether a client is owed a full-view refresh.
-    pub fn client_refresh_owed(&self, id: ClientId) -> bool {
-        self.delivery(id).is_some_and(|d| d.refresh_owed())
-    }
-
-    /// Whether a client is still owed a refresh of regions its buffer
-    /// evicted (or a warm resume found stale).
-    pub fn client_has_overflow_debt(&self, id: ClientId) -> bool {
-        self.delivery(id).is_some_and(|d| d.has_debt())
-    }
-
-    /// Cache-miss fallbacks queued for a client but not yet delivered.
-    pub fn client_fallbacks_pending(&self, id: ClientId) -> usize {
-        self.delivery(id)
-            .map_or(0, |d| d.buffer().fallbacks_pending())
     }
 
     /// The session's stable identity, as carried by resume tokens.
@@ -849,7 +742,8 @@ impl SharedSession {
                 return Err(CheckpointError::Malformed("client ids not ascending"));
             }
             let user = r.str()?;
-            let delivery = Delivery::decode_checkpoint(&mut r, policy, now)?;
+            let mut delivery = Delivery::decode_checkpoint(&mut r, policy, now)?;
+            *delivery.encoder_mut() = member_framer();
             clients.push((
                 id,
                 Member {
@@ -880,59 +774,95 @@ impl SharedSession {
         })
     }
 
-    /// Handles a redialing client's `MSG_SESSION_RESUME` token against
-    /// the live screen.
+    /// The greeting sent to a connecting client.
+    pub fn hello(&self) -> Message {
+        Message::ServerHello {
+            version: PROTOCOL_VERSION,
+            width: self.policy.session.0,
+            height: self.policy.session.1,
+            depth: self.format.depth() as u8,
+        }
+    }
+
+    /// Frames `msg` for one client's wire (see
+    /// [`Delivery::encode_frame`]). Empty for a client that is not
+    /// attached or can no longer be served.
+    pub fn encode_frame(&mut self, id: ClientId, msg: &Message) -> Vec<u8> {
+        self.serving(id)
+            .map_or_else(Vec::new, |d| d.encode_frame(msg))
+    }
+
+    /// Handles a message arriving from an attached client (see
+    /// [`Delivery::handle_message`]; input is the window system's, not
+    /// the session's), answering what needs the screen from `screen`: a
+    /// refresh request with a [resync](Self::resync_client), a resume
+    /// token with a warm or cold resume.
+    pub fn handle_message(&mut self, id: ClientId, msg: &Message, screen: &Framebuffer) {
+        let (now, budget) = (self.now, self.cache_budget);
+        let Some(d) = self.serving(id) else {
+            return;
+        };
+        match d.handle_message(msg, now, budget) {
+            Uplink::Done => {}
+            Uplink::Resync => d.resync(screen, now),
+            Uplink::Resume {
+                session_id,
+                client_id,
+                last_seq,
+                store_digest,
+            } => {
+                let named = session_id == self.session_id && client_id == id.0;
+                self.resume(id, named.then_some((last_seq, store_digest)), screen);
+            }
+        }
+    }
+
+    /// Answers a redialing client's resume token against the live
+    /// screen; `token` is its `(last_seq, store_digest)` when it names
+    /// this session and this client.
     ///
-    /// Warm resume (token matches: right session, known client, cache
+    /// Warm resume (token matches: right session, right client, cache
     /// ledger digest equal to the client's store digest) ships only
     /// the delta between the checkpointed screen digests and `screen`
     /// — the client's framebuffer and content store are trusted
-    /// as-is. A cache mismatch falls back cold
-    /// ([`Delivery::cold_restart`]): pending state is dropped, both
-    /// cache sides reset, and a full-view refresh is queued — the same
-    /// path a brand-new attach takes, so a stale or corrupted token
-    /// can never do worse than a cold reconnect.
-    pub fn resume_client(
-        &mut self,
-        session_id: u64,
-        id: ClientId,
-        store_digest: u64,
-        screen: &Framebuffer,
-    ) -> ResumeOutcome {
-        if session_id != self.session_id {
-            // Wrong session entirely: nothing here belongs to this
-            // client, so nothing is touched.
-            return ResumeOutcome::Cold { reason: "unknown session" };
-        }
-        let now = self.now;
+    /// as-is. Anything else restarts the client cold
+    /// ([`Delivery::restart_cold`]): the path a brand-new attach takes,
+    /// so a stale or corrupted token can never do worse than a cold
+    /// reconnect.
+    fn resume(&mut self, id: ClientId, token: Option<(u32, u64)>, screen: &Framebuffer) {
+        let (now, hello) = (self.now, self.hello());
         let delta = match &self.restored_tiles {
             Some(t) => t.delta(&TileDigests::of(screen)),
             None => Region::new(),
         };
-        let Some(m) = self.member_mut(id) else {
-            return ResumeOutcome::Cold { reason: "unknown client" };
+        let Some(d) = self.serving(id) else {
+            return;
         };
-        if m.quarantined {
-            return ResumeOutcome::Cold { reason: "quarantined" };
-        }
-        let d = &mut m.delivery;
-        if cache_digest(&d.buffer().cache_keys()) != store_digest {
-            d.cold_restart(screen, now);
-            return ResumeOutcome::Cold { reason: "cache digest mismatch" };
-        }
-        d.resilience_mut().record_resume();
-        if d.scale().is_identity() {
+        let warm = match token {
+            Some((last_seq, store_digest)) => d.resume(last_seq, store_digest, hello, now),
+            None => {
+                d.restart_cold(hello, now);
+                false
+            }
+        };
+        if warm && d.scale().is_identity() {
             // Only the changed tiles are requeued.
             d.owe_region(&delta);
-        } else if !delta.is_empty() {
+        } else if warm && !delta.is_empty() {
             // A scaled client resamples whole views; re-rendering the
             // full view is both simpler and still far cheaper than a
             // cold restart (no cache reset, no pending-state drop).
             d.owe_refresh();
         }
         d.repay(screen);
-        ResumeOutcome::Warm { delta_area: delta.area() }
     }
+}
+
+/// The framer of a freshly attached or restored member: attaching is
+/// the handshake, made out of band at this build's revision (a
+/// viewer's `ClientHello` renegotiates it).
+fn member_framer() -> FrameEncoder {
+    FrameEncoder::with_revision(PROTOCOL_VERSION)
 }
 
 /// The session identity folded into resume tokens: owner plus
@@ -1031,6 +961,7 @@ impl VideoDriver for SharedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::degradation::DegradationLevel;
     use crate::fixtures::checkpointable_session;
 
     #[test]
@@ -1072,7 +1003,12 @@ mod tests {
             .unwrap();
         let secs = |x: f64| SimTime((x * 1e6) as u64);
         // The owner keeps talking; the peer goes silent.
-        s.note_client_activity(owner, secs(3.0));
+        s.set_time(secs(3.0));
+        s.handle_message(
+            owner,
+            &Message::CursorMove { x: 1, y: 1 },
+            &Framebuffer::new(64, 64, PixelFormat::Rgb888),
+        );
         assert!(matches!(
             s.poll_client_liveness(peer, secs(3.0)),
             LivenessVerdict::SendPing { .. }
@@ -1108,8 +1044,6 @@ mod tests {
             }),
             Err(AuthError::BadPassword)
         );
-        auth.disable_sharing();
-        assert_eq!(auth.authenticate(&peer), Err(AuthError::SharingDisabled));
     }
 
     /// Per-client message streams, per-client final framebuffers, the
@@ -1182,20 +1116,20 @@ mod tests {
             let out = s.flush_all(secs(0.1 * (i + 1) as f64), &mut links);
             collect(out, &mut streams);
         }
-        assert_eq!(s.client_degradation_level(owner), DegradationLevel::Full);
-        assert_eq!(s.client_degradation_level(peer), DegradationLevel::Survival);
-        let m = s.client_resilience(peer).unwrap();
+        assert_eq!(s.viewer(owner).unwrap().degradation_level(), DegradationLevel::Full);
+        assert_eq!(s.viewer(peer).unwrap().degradation_level(), DegradationLevel::Survival);
+        let m = s.viewer(peer).unwrap().resilience_metrics();
         assert_eq!(m.degrade_steps(), 3);
         assert_eq!(m.max_degradation_level(), 3);
-        assert_eq!(s.client_resilience(owner).unwrap().degrade_steps(), 0);
+        assert_eq!(s.viewer(owner).unwrap().resilience_metrics().degrade_steps(), 0);
 
         // The window clears: three clear epochs climb back to Full.
         for i in 0..3 {
             let out = s.flush_all(secs(1.5 + 0.1 * i as f64), &mut links);
             collect(out, &mut streams);
         }
-        assert_eq!(s.client_degradation_level(peer), DegradationLevel::Full);
-        assert_eq!(s.client_resilience(peer).unwrap().promote_steps(), 3);
+        assert_eq!(s.viewer(peer).unwrap().degradation_level(), DegradationLevel::Full);
+        assert_eq!(s.viewer(peer).unwrap().resilience_metrics().promote_steps(), 3);
 
         // A fresh draw triggers the owed full-view refresh; drain.
         store
@@ -1271,8 +1205,8 @@ mod tests {
             for t in [100_000, 200_000] {
                 let _ = s.flush_all(SimTime(t), &mut links);
             }
-            assert_eq!(s.client_degradation_level(id), DegradationLevel::Degraded);
-            assert_eq!(s.client_effective_byte_bound(id), Some(BOUND / 2));
+            assert_eq!(s.viewer(id).unwrap().degradation_level(), DegradationLevel::Degraded);
+            assert_eq!(s.viewer(id).unwrap().buffer().effective_byte_bound(), Some(BOUND / 2));
 
             // At a quarter of the session's size, a small fill and then
             // three 28x28 noise tiles of 2.3 KB each: the third overflows
@@ -1288,8 +1222,8 @@ mod tests {
                 store.screen_mut().put_raw(&rect, &noise);
                 s.put_image(&store, SCREEN, rect, &noise);
             }
-            assert!(s.client_resilience(id).unwrap().overflow_evictions() > 0);
-            assert!(s.client_pending_bytes(id) <= BOUND / 2);
+            assert!(s.viewer(id).unwrap().resilience_metrics().overflow_evictions() > 0);
+            assert!(s.viewer(id).unwrap().buffer().pending_bytes() <= BOUND / 2);
             let mut clean = (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
             let sent = s.flush_client(id, SimTime(300_000), &mut clean.0, &mut clean.1);
             assert!(
@@ -1337,7 +1271,7 @@ mod tests {
             ),
             "{sent:?}"
         );
-        assert_eq!(s.client_resilience(id).unwrap().stale_video_dropped(), 1);
+        assert_eq!(s.viewer(id).unwrap().resilience_metrics().stale_video_dropped(), 1);
         // A roomier pipe lets the fresh frame out.
         let mut pipe = TcpPipe::new(TcpParams::default());
         let sent = s.flush_client(id, SimTime(t.0 + 2), &mut pipe, &mut trace);
@@ -1346,7 +1280,7 @@ mod tests {
         for tag in ["video", "control"] {
             assert!(trace.records().iter().any(|p| p.tag == tag), "no {tag} packet");
         }
-        let wire = s.client_protocol_metrics(id).unwrap();
+        let wire = s.viewer(id).unwrap().protocol_metrics();
         assert_eq!(wire.count(thinc_telemetry::CommandKind::Video), 2);
     }
 
@@ -1400,8 +1334,8 @@ mod tests {
                 assert!(s.client_quarantined(peer), "workers={workers}");
                 assert!(!s.client_quarantined(owner));
                 assert_eq!(s.quarantined_count(), 1);
-                assert_eq!(s.client_resilience(peer).unwrap().panics_quarantined(), 1);
-                assert_eq!(s.client_resilience(owner).unwrap().panics_quarantined(), 0);
+                assert_eq!(s.viewer(peer).unwrap().resilience_metrics().panics_quarantined(), 1);
+                assert_eq!(s.viewer(owner).unwrap().resilience_metrics().panics_quarantined(), 0);
                 // The session kept serving: the healthy client
                 // converges byte-exact.
                 let mut client = thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
@@ -1529,7 +1463,8 @@ mod tests {
             .expect("a cacheable payload was sent");
         let hash = cached.cache_key().unwrap();
         // A miss for a held hash queues the byte-exact payload again.
-        assert!(s.client_cache_miss(id, hash));
+        s.handle_message(id, &Message::CacheMiss { hash }, store.screen());
+        assert!(!s.viewer(id).unwrap().refresh_owed());
         let (pipe, trace) = &mut links[0];
         let out = s.flush_client(id, secs(2.0), pipe, trace);
         let resent = &out[0].1;
@@ -1538,9 +1473,11 @@ mod tests {
             thinc_protocol::wire::encode_message(cached),
             "fallback must be byte-exact"
         );
-        // A miss for an unknown hash cannot be satisfied.
-        assert!(!s.client_cache_miss(id, 0xDEAD_BEEF));
-        let m = s.client_resilience(id).unwrap();
+        // A miss for an unknown hash cannot be satisfied: the client
+        // skipped an update and is owed the full view.
+        s.handle_message(id, &Message::CacheMiss { hash: 0xDEAD_BEEF }, store.screen());
+        assert!(s.viewer(id).unwrap().refresh_owed());
+        let m = s.viewer(id).unwrap().resilience_metrics();
         assert_eq!(m.cache_misses(), 2);
     }
 
@@ -1556,8 +1493,8 @@ mod tests {
         assert_eq!(restored.session_id(), s.session_id());
         assert_eq!(restored.client_ids(), s.client_ids());
         for id in s.client_ids() {
-            assert_eq!(restored.client_pending_bytes(id), s.client_pending_bytes(id));
-            assert_eq!(restored.client_cache_keys(id), s.client_cache_keys(id));
+            assert_eq!(restored.viewer(id).unwrap().buffer().pending_bytes(), s.viewer(id).unwrap().buffer().pending_bytes());
+            assert_eq!(restored.viewer(id).unwrap().buffer().cache_keys(), s.viewer(id).unwrap().buffer().cache_keys());
         }
     }
 
@@ -1641,7 +1578,7 @@ mod tests {
                 break;
             }
         }
-        let digest_before = crate::checkpoint::cache_digest(&s.client_cache_keys(owner));
+        let digest_before = crate::checkpoint::cache_digest(&s.viewer(owner).unwrap().buffer().cache_keys());
         let image = s.checkpoint(store.screen());
 
         // The "server" dies; drawing continues against the live store
@@ -1654,43 +1591,47 @@ mod tests {
         // The restored session does not yet know the redialed client
         // state is intact: the resume token proves it.
         let sid = restored.session_id();
-        let warm = restored.resume_client(sid, owner, digest_before, store.screen());
-        let ResumeOutcome::Warm { delta_area } = warm else {
-            panic!("matching token must resume warm, got {warm:?}");
+        let token = |session_id, client: ClientId, store_digest| Message::SessionResume {
+            session_id,
+            client_id: client.0,
+            last_seq: 7,
+            store_digest,
         };
-        assert!(delta_area > 0, "screen changed while down");
+        restored.handle_message(owner, &token(sid, owner, digest_before), store.screen());
+        let warm = restored.viewer(owner).unwrap();
+        assert_eq!(warm.resilience_metrics().resumes(), 1, "warm resume is counted");
+        assert_eq!(warm.encoder().next_seq(), 8, "the stream continues after the token's frame");
+        assert!(!warm.buffer().is_empty(), "screen changed while down");
         assert!(
-            delta_area <= 64 * 16 + 64 * 32,
-            "delta covers the changed band (plus the still-undelivered backlog), \
-             not the whole screen: {delta_area}"
-        );
-        assert_eq!(
-            restored.client_resilience(owner).unwrap().resumes(),
-            1,
-            "warm resume is counted"
+            warm.buffer().pending_bytes() < 64 * 48 * 3,
+            "the delta covers the changed band (plus the still-undelivered backlog), \
+             not the whole screen"
         );
 
         // A stale token (store digest mismatch) falls back cold: cache
-        // reset on the server side, full view owed, counted.
+        // reset on the server side, hello first on a restarted framer,
+        // full view owed, counted. So does one naming another session
+        // or another client.
         let guest = restored.client_ids()[1];
-        let cold = restored.resume_client(sid, guest, 0xBAD, store.screen());
-        assert!(matches!(cold, ResumeOutcome::Cold { reason: "cache digest mismatch" }));
-        assert!(restored.client_cache_keys(guest).is_empty(), "ledger reset");
-        assert_eq!(restored.client_resilience(guest).unwrap().cold_fallbacks(), 1);
-        // Unknown session / unknown client / quarantined: cold, no touch.
-        assert!(matches!(
-            restored.resume_client(sid ^ 1, owner, digest_before, store.screen()),
-            ResumeOutcome::Cold { reason: "unknown session" }
-        ));
-        assert!(matches!(
-            restored.resume_client(sid, ClientId(999), 0, store.screen()),
-            ResumeOutcome::Cold { reason: "unknown client" }
-        ));
+        for (n, stale) in [token(sid, guest, 0xBAD), token(sid ^ 1, guest, 0), token(sid, owner, 0)]
+            .iter()
+            .enumerate()
+        {
+            restored.handle_message(guest, stale, store.screen());
+            let cold = restored.viewer(guest).unwrap();
+            assert!(cold.buffer().cache_keys().is_empty(), "ledger reset");
+            assert_eq!(cold.resilience_metrics().cold_fallbacks(), n as u64 + 1);
+            assert_eq!(cold.encoder().next_seq(), 0);
+        }
+        // A token from a client that is not attached touches nothing.
+        restored.handle_message(ClientId(999), &token(sid, ClientId(999), 0), store.screen());
+        assert_eq!(restored.viewer(owner).unwrap().resilience_metrics().cold_fallbacks(), 0);
 
         // Both clients converge byte-exact after the failover; the
         // warm client's bill is a fraction of the cold one's.
-        let warm_before = restored.client_sent_bytes(owner);
-        let cold_before = restored.client_sent_bytes(guest);
+        let guest_seen = delivered[1].len();
+        let warm_before = restored.viewer(owner).unwrap().buffer().stats().sent_bytes;
+        let cold_before = restored.viewer(guest).unwrap().buffer().stats().sent_bytes;
         let mut links = vec![
             (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
             (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
@@ -1709,6 +1650,10 @@ mod tests {
                 break;
             }
         }
+        assert!(
+            matches!(delivered[1][guest_seen], Message::ServerHello { .. }),
+            "a refused token is answered hello first"
+        );
         let mut sc = thinc_client::StreamClient::new(64, 64, PixelFormat::Rgb888);
         for m in &delivered[0] {
             sc.feed(&thinc_protocol::wire::encode_message(m));
@@ -1718,8 +1663,8 @@ mod tests {
             store.screen().data(),
             "warm-resumed client converges byte-exact"
         );
-        let warm_bytes = restored.client_sent_bytes(owner) - warm_before;
-        let cold_bytes = restored.client_sent_bytes(guest) - cold_before;
+        let warm_bytes = restored.viewer(owner).unwrap().buffer().stats().sent_bytes - warm_before;
+        let cold_bytes = restored.viewer(guest).unwrap().buffer().stats().sent_bytes - cold_before;
         assert!(
             warm_bytes < cold_bytes,
             "warm resume ({warm_bytes} B to a 64x64 viewport) must undercut \

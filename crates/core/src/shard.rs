@@ -32,15 +32,6 @@ use thinc_telemetry::ShardMetrics;
 use crate::plane::WirePlane;
 use crate::session::{AuthError, ClientId, Credentials, SharedSession};
 
-/// The stable shard for a client id under an `shards`-way partition:
-/// FNV-1a of the id bytes, so the assignment depends on nothing but
-/// the id itself. This is the partition [`ShardedManager`] uses;
-/// external drivers (the chaos runner) call it to route
-/// [`SharedSession::flush_subset`] shards identically.
-pub fn shard_index(id: ClientId, shards: usize) -> usize {
-    (fnv64(&id.0.to_le_bytes()) % shards.max(1) as u64) as usize
-}
-
 /// One shard: its member ids (ascending) and their links, in the
 /// same order, plus the shard's telemetry.
 #[derive(Debug)]
@@ -106,7 +97,7 @@ impl ShardedManager {
     /// The shard a client id maps to: a stable content hash of the
     /// id, independent of attach order and of every other client.
     pub fn shard_of(&self, id: ClientId) -> usize {
-        shard_index(id, self.shards.len())
+        (fnv64(&id.0.to_le_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Number of shards.
@@ -295,5 +286,49 @@ mod tests {
         assert_eq!(ids, sorted);
         assert_eq!(ids, m.session().client_ids());
         assert!(out.iter().all(|(_, msgs)| !msgs.is_empty()));
+    }
+
+    #[test]
+    fn one_shard_emits_what_flush_all_emits() {
+        // A single shard is the monolithic flush: the same viewers
+        // (full-size and scaled) behind the same links, drawn the same
+        // noise, emit the same per-client streams at every epoch
+        // whether the epoch runs through the manager or straight
+        // through `flush_all`. The link is narrower than a frame, so
+        // epochs leave backlog behind and later ones continue it.
+        use thinc_display::drawable::{DrawableStore, SCREEN};
+        use thinc_display::driver::VideoDriver;
+        use thinc_raster::Rect;
+
+        let narrow = || {
+            let params = TcpParams { sndbuf_bytes: 4 * 1024, ..TcpParams::default() };
+            (TcpPipe::new(params), PacketTrace::new())
+        };
+        let build = || {
+            let mut m = manager(1, 1);
+            for (i, (vw, vh)) in [(64, 48), (32, 24), (64, 48), (37, 29)].into_iter().enumerate() {
+                let creds = Credentials::Peer { user: format!("v{i}"), password: "pw".into() };
+                m.attach(&creds, vw, vh, narrow()).unwrap();
+            }
+            m
+        };
+        let (mut sharded, mut flat) = (build(), build());
+        let mut store = DrawableStore::new(64, 48, PixelFormat::Rgb888);
+        let mut emitted = 0;
+        for epoch in 0..12u64 {
+            if epoch < 4 {
+                let rect = Rect::new(4 * epoch as i32, 3 * epoch as i32, 40, 30);
+                let data = crate::fixtures::noise(40 * 30 * 3, epoch as u32);
+                store.screen_mut().put_raw(&rect, &data);
+                sharded.session_mut().put_image(&store, SCREEN, rect, &data);
+                flat.session_mut().put_image(&store, SCREEN, rect, &data);
+            }
+            let now = SimTime(epoch * 20_000);
+            let a = sharded.flush_epoch(now);
+            let b = flat.session.flush_all(now, &mut flat.shards[0].links);
+            emitted += a.iter().map(|(_, msgs)| msgs.len()).sum::<usize>();
+            assert_eq!(a, b, "epoch {epoch}");
+        }
+        assert!(emitted > 20, "the streams under comparison are not empty: {emitted}");
     }
 }

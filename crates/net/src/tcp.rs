@@ -156,6 +156,26 @@ impl TcpPipe {
         self.fault.as_mut().and_then(|f| f.flush_disturbed())
     }
 
+    /// Carries one flush round's `(arrival, frame)` pairs across the
+    /// byte-stream disturbance model, returning the segments to feed
+    /// the client in order. An idle round instead releases whatever a
+    /// reorder window still holds, so a quiet link never strands
+    /// bytes; while traffic flows the hold carries across rounds —
+    /// that is what makes the reordering real rather than a same-batch
+    /// shuffle.
+    pub fn carry(&mut self, frames: impl IntoIterator<Item = (SimTime, Vec<u8>)>) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut idle = true;
+        for (arrival, frame) in frames {
+            idle = false;
+            out.extend(self.disturb(arrival, frame));
+        }
+        if idle {
+            out.extend(self.flush_disturbed());
+        }
+        out
+    }
+
     /// The flow parameters.
     pub fn params(&self) -> &TcpParams {
         &self.params

@@ -395,7 +395,6 @@ fn accum_rows(acc: &mut [u64], plane: &[u32], dw: usize, first: usize, weights: 
     }
 }
 
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn row_mul(acc: &mut [u64], row: &[u32], w: u64) {
     for (a, &v) in acc.iter_mut().zip(row) {
@@ -403,46 +402,9 @@ fn row_mul(acc: &mut [u64], row: &[u32], w: u64) {
     }
 }
 
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn row_mul_add(acc: &mut [u64], row: &[u32], w: u64) {
     for (a, &v) in acc.iter_mut().zip(row) {
-        *a += w * v as u64;
-    }
-}
-
-/// Explicit-lanes variants (`simd` feature): fixed 8-wide chunks give
-/// the optimizer a vector-shaped loop body with a scalar tail. The
-/// arithmetic is identical integer math, so output bytes are identical
-/// to the autovectorized default path.
-#[cfg(feature = "simd")]
-#[inline]
-fn row_mul(acc: &mut [u64], row: &[u32], w: u64) {
-    const L: usize = 8;
-    let (a8, at) = acc.as_chunks_mut::<L>();
-    let (r8, rt) = row.as_chunks::<L>();
-    for (a, r) in a8.iter_mut().zip(r8) {
-        for l in 0..L {
-            a[l] = w * r[l] as u64;
-        }
-    }
-    for (a, &v) in at.iter_mut().zip(rt) {
-        *a = w * v as u64;
-    }
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-fn row_mul_add(acc: &mut [u64], row: &[u32], w: u64) {
-    const L: usize = 8;
-    let (a8, at) = acc.as_chunks_mut::<L>();
-    let (r8, rt) = row.as_chunks::<L>();
-    for (a, r) in a8.iter_mut().zip(r8) {
-        for l in 0..L {
-            a[l] += w * r[l] as u64;
-        }
-    }
-    for (a, &v) in at.iter_mut().zip(rt) {
         *a += w * v as u64;
     }
 }

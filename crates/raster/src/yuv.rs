@@ -208,7 +208,6 @@ fn row_px<const BPP: usize>(
 /// intermediate planar pass (profiling showed the extra plane
 /// write/read costing ~2× on this kernel). The arithmetic is
 /// [`rgb_to_yuv`] verbatim, evaluated per pixel in flat `i32` lanes.
-#[cfg(not(feature = "simd"))]
 #[inline]
 fn yuv_row_lanes<const BPP: usize>(
     px: &[[u8; BPP]],
@@ -225,50 +224,6 @@ fn yuv_row_lanes<const BPP: usize>(
         y[j] = clamp_u8((77 * rr + 150 * gg + 29 * bb + 128) >> 8);
         u[j] = clamp_u8(((-43 * rr - 85 * gg + 128 * bb + 128) >> 8) + 128);
         v[j] = clamp_u8(((128 * rr - 107 * gg - 21 * bb + 128) >> 8) + 128);
-    }
-}
-
-/// Explicit-lanes variant (`simd` feature): identical integer math in
-/// fixed 8-wide pixel chunks with a scalar tail, so output bytes match
-/// the default path exactly.
-#[cfg(feature = "simd")]
-#[inline]
-fn yuv_row_lanes<const BPP: usize>(
-    px: &[[u8; BPP]],
-    y: &mut [u8],
-    u: &mut [u8],
-    v: &mut [u8],
-    decode: impl Fn(&[u8; BPP]) -> Color + Copy,
-) {
-    const L: usize = 8;
-    let n = px.len();
-    let (y, u, v) = (&mut y[..n], &mut u[..n], &mut v[..n]);
-    let (pc, pt) = px.as_chunks::<L>();
-    let (yc, yt) = y.as_chunks_mut::<L>();
-    let (uc, ut) = u.as_chunks_mut::<L>();
-    let (vc, vt) = v.as_chunks_mut::<L>();
-    for (((pp, yy), uu), vv) in pc.iter().zip(yc).zip(uc.iter_mut()).zip(vc) {
-        let mut r = [0i32; L];
-        let mut g = [0i32; L];
-        let mut b = [0i32; L];
-        for l in 0..L {
-            let c = decode(&pp[l]);
-            r[l] = c.r as i32;
-            g[l] = c.g as i32;
-            b[l] = c.b as i32;
-        }
-        for l in 0..L {
-            yy[l] = clamp_u8((77 * r[l] + 150 * g[l] + 29 * b[l] + 128) >> 8);
-            uu[l] = clamp_u8(((-43 * r[l] - 85 * g[l] + 128 * b[l] + 128) >> 8) + 128);
-            vv[l] = clamp_u8(((128 * r[l] - 107 * g[l] - 21 * b[l] + 128) >> 8) + 128);
-        }
-    }
-    for (j, p) in pt.iter().enumerate() {
-        let c = decode(p);
-        let (rr, gg, bb) = (c.r as i32, c.g as i32, c.b as i32);
-        yt[j] = clamp_u8((77 * rr + 150 * gg + 29 * bb + 128) >> 8);
-        ut[j] = clamp_u8(((-43 * rr - 85 * gg + 128 * bb + 128) >> 8) + 128);
-        vt[j] = clamp_u8(((128 * rr - 107 * gg - 21 * bb + 128) >> 8) + 128);
     }
 }
 

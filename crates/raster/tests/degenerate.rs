@@ -5,8 +5,7 @@
 //! paths change shape — odd dimensions and their chroma tails,
 //! zero-area rectangles, one-pixel strips, and extreme aspect-ratio
 //! resampling — and checks byte-exactness against the references at
-//! each one. Run with and without `--features simd`; the outputs must
-//! be identical either way.
+//! each one.
 
 use proptest::prelude::*;
 use thinc_raster::scale::fant_spans;

@@ -8,16 +8,21 @@
 //! The fault seed can be overridden (for CI matrices) with
 //! `THINC_FAULT_SEED=<u64>`.
 
+use thinc::bench::thinc_system::pump_wire;
 use thinc::client::{ReconnectConfig, ReconnectPolicy, StreamClient};
 use thinc::core::degradation::{DegradationConfig, DegradationLevel};
 use thinc::core::liveness::{LivenessConfig, LivenessVerdict};
 use thinc::core::scaling::ScalePolicy;
 use thinc::core::server::{ServerConfig, ThincServer};
+use thinc::core::session::{ClientId, Credentials, SharedSession};
+use thinc::core::ShardedManager;
+use thinc::display::drawable::DrawableStore;
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
 use thinc::display::SCREEN;
 use thinc::net::fault::FaultPlan;
 use thinc::net::link::NetworkConfig;
+use thinc::net::tcp::TcpPipe;
 use thinc::net::time::{SimDuration, SimTime};
 use thinc::net::trace::PacketTrace;
 use thinc::protocol::commands::{DisplayCommand, RawEncoding};
@@ -77,16 +82,11 @@ fn policy_client(w: u32, h: u32) -> StreamClient {
     ))
 }
 
-/// One delivery round: flush the server over the (possibly faulty)
-/// pipe, run every message's bytes through the wire — where the
-/// disturbance model may corrupt, reorder or duplicate them — into
-/// the stream client, answer pings, and enforce the backlog
-/// invariant. Frames are encoded at the server's negotiated wire
-/// revision (legacy until a version ≥ 2 `ClientHello` lands).
-/// Recovery is closed-loop: the client's reconnect policy turns a
-/// stale display into [`Message::RefreshRequest`]s, and the server
-/// answers a latched request with a full resync — the harness never
-/// resyncs by hand.
+/// One delivery round of the single-client server over real wire
+/// bytes ([`pump_wire`]: frames encoded at the negotiated revision,
+/// the link's disturbance model in between, recovery closed-loop
+/// through the client's reconnect policy), enforcing the backlog
+/// invariant.
 fn pump(
     ws: &mut WindowServer<ThincServer>,
     link: &mut thinc::net::link::DuplexLink,
@@ -94,43 +94,61 @@ fn pump(
     client: &mut StreamClient,
     now: SimTime,
 ) {
-    let batch = ws.driver_mut().flush(now, &mut link.down, trace);
-    if batch.is_empty() {
-        // Idle round: release any segment a reorder window still
-        // holds, so a quiet link never strands bytes. While traffic
-        // flows the hold carries across rounds instead — that is what
-        // makes the reordering real rather than a same-batch shuffle.
-        if let Some(tail) = link.down.flush_disturbed() {
-            client.feed(&tail);
-        }
-    }
-    for (arrival, msg) in batch {
-        let bytes = ws.driver_mut().encode_frame(&msg);
-        for seg in link.down.disturb(arrival, bytes) {
-            client.feed(&seg);
-        }
-    }
-    while let Some(pong) = client.take_pong() {
-        ws.driver_mut().handle_message(&pong);
-    }
-    // Cache misses flow upstream like pongs: the server answers each
-    // with the byte-exact full payload (or owes a refresh when the
-    // entry was evicted on both sides).
-    while let Some(miss) = client.take_cache_miss() {
-        ws.driver_mut().handle_message(&miss);
-    }
-    if let Some(req) = client.poll_reconnect(now) {
-        ws.driver_mut().handle_message(&req);
-    }
-    if ws.driver_mut().take_resync_request() {
-        let screen = ws.screen().clone();
-        ws.driver_mut().set_time(now);
-        ws.driver_mut().resync(&screen);
-    }
+    pump_wire(ws, link, trace, client, now);
     assert!(
         ws.driver().display_backlog_bytes() <= BUFFER_BOUND,
         "display backlog exceeded the bound at t={now:?}"
     );
+}
+
+/// A clean LAN downlink with an empty trace.
+fn lan_link() -> (TcpPipe, PacketTrace) {
+    (NetworkConfig::lan_desktop().connect().down, PacketTrace::new())
+}
+
+/// One stream client per viewer in `ids`, each past the session's
+/// greeting (which upgrades its reader to the session's revision).
+fn viewers(m: &mut ShardedManager, ids: &[ClientId], budget: u64) -> Vec<StreamClient> {
+    let hello = m.session().hello();
+    ids.iter()
+        .map(|&id| {
+            let mut c = policy_client(W, H).with_cache_budget(budget);
+            c.feed(&m.session_mut().encode_frame(id, &hello));
+            c
+        })
+        .collect()
+}
+
+/// One delivery round of a shared session over real wire bytes: flush
+/// the epoch, frame each viewer's messages, carry them through its
+/// link's disturbance model into its stream client, then hand the
+/// session whatever the clients send back. Returns the framed bytes
+/// shipped to each of `ids`.
+fn pump_session(
+    m: &mut ShardedManager,
+    store: &DrawableStore,
+    ids: &[ClientId],
+    streams: &mut [StreamClient],
+    now: SimTime,
+) -> Vec<u64> {
+    let mut shipped = vec![0; ids.len()];
+    for (id, msgs) in m.flush_epoch(now) {
+        let idx = ids.iter().position(|x| *x == id).unwrap();
+        let frames: Vec<_> = msgs
+            .iter()
+            .map(|(arrival, msg)| (*arrival, m.session_mut().encode_frame(id, msg)))
+            .collect();
+        shipped[idx] += frames.iter().map(|(_, f)| f.len() as u64).sum::<u64>();
+        for seg in m.link_mut(id).expect("attached").0.carry(frames) {
+            streams[idx].feed(&seg);
+        }
+    }
+    for (idx, &id) in ids.iter().enumerate() {
+        for msg in streams[idx].take_uplink(now) {
+            m.session_mut().handle_message(id, &msg, store.screen());
+        }
+    }
+    shipped
 }
 
 fn drain(
@@ -781,8 +799,6 @@ fn shared_session_degrades_only_the_faulted_peer() {
     // and a peer behind a collapse degrades *only the peer* — and the
     // outcome is identical for any flush worker count (override with
     // `THINC_FLUSH_WORKERS` in CI).
-    use thinc::core::session::{ClientId, Credentials, SharedSession};
-    use thinc::display::drawable::DrawableStore;
     use thinc::display::driver::VideoDriver;
 
     let workers: usize = std::env::var("THINC_FLUSH_WORKERS")
@@ -840,10 +856,10 @@ fn shared_session_degrades_only_the_faulted_peer() {
         let out = s.flush_all(secs(0.1 * (i + 1) as f64), &mut links);
         collect(&mut streams, out);
     }
-    assert_eq!(s.client_degradation_level(owner), DegradationLevel::Full);
-    assert!(s.client_degradation_level(peer) > DegradationLevel::Full);
-    assert!(s.client_resilience(peer).unwrap().degrade_steps() > 0);
-    assert_eq!(s.client_resilience(owner).unwrap().degrade_steps(), 0);
+    assert_eq!(s.viewer(owner).unwrap().degradation_level(), DegradationLevel::Full);
+    assert!(s.viewer(peer).unwrap().degradation_level() > DegradationLevel::Full);
+    assert!(s.viewer(peer).unwrap().resilience_metrics().degrade_steps() > 0);
+    assert_eq!(s.viewer(owner).unwrap().resilience_metrics().degrade_steps(), 0);
 
     // Past the window: the peer climbs back and both converge
     // byte-exact once the owed refresh is settled.
@@ -851,7 +867,7 @@ fn shared_session_degrades_only_the_faulted_peer() {
         let out = s.flush_all(secs(1.5 + 0.1 * i as f64), &mut links);
         collect(&mut streams, out);
     }
-    assert_eq!(s.client_degradation_level(peer), DegradationLevel::Full);
+    assert_eq!(s.viewer(peer).unwrap().degradation_level(), DegradationLevel::Full);
     let screen = store.screen().clone();
     s.repay_refreshes(&screen);
     for i in 0..50 {
@@ -882,12 +898,7 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
     // mirror the server's per-client ledger key-for-key: collapse is
     // delay-only, so not one frame is lost and the strict
     // insert/eviction lockstep holds end to end.
-    use thinc::core::session::{Credentials, SharedSession};
-    use thinc::display::drawable::DrawableStore;
     use thinc::display::driver::VideoDriver;
-    use thinc::net::tcp::TcpPipe;
-    use thinc::protocol::wire::{self, FrameEncoder};
-    use thinc::protocol::PROTOCOL_VERSION;
 
     let workers: usize = std::env::var("THINC_FLUSH_WORKERS")
         .ok()
@@ -907,10 +918,16 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
             .with_cache(budget)
             .with_workers(workers);
         s.auth_mut().enable_sharing("pw");
-        let owner = s
-            .attach(&Credentials::Owner { user: "host".into() }, W, H)
+        let mut m = ShardedManager::new(s, 1);
+        let collapse = FaultPlan::seeded(seed).with_collapse(
+            SimTime((0.5 * 1e6) as u64),
+            SimDuration::from_secs_f64(1.0),
+            0.05,
+        );
+        let owner = m
+            .attach(&Credentials::Owner { user: "host".into() }, W, H, lan_link())
             .unwrap();
-        let peer = s
+        let peer = m
             .attach(
                 &Credentials::Peer {
                     user: "guest".into(),
@@ -918,40 +935,16 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
                 },
                 W,
                 H,
+                (
+                    NetworkConfig::lan_desktop().with_faults(collapse).connect().down,
+                    PacketTrace::new(),
+                ),
             )
             .unwrap();
         let ids = [owner, peer];
 
         let mut store = DrawableStore::new(W, H, PixelFormat::Rgb888);
-        let collapse = FaultPlan::seeded(seed).with_collapse(
-            SimTime((0.5 * 1e6) as u64),
-            SimDuration::from_secs_f64(1.0),
-            0.05,
-        );
-        let mut links: Vec<(TcpPipe, PacketTrace)> = vec![
-            (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-            (
-                NetworkConfig::lan_desktop().with_faults(collapse).connect().down,
-                PacketTrace::new(),
-            ),
-        ];
-        let mut streams: Vec<StreamClient> = ids
-            .iter()
-            .map(|_| {
-                let mut c = policy_client(W, H).with_cache_budget(budget);
-                c.feed(&wire::encode_message(&Message::ServerHello {
-                    version: PROTOCOL_VERSION,
-                    width: W,
-                    height: H,
-                    depth: 24,
-                }));
-                c
-            })
-            .collect();
-        let mut encoders: Vec<FrameEncoder> = ids
-            .iter()
-            .map(|_| FrameEncoder::with_revision(PROTOCOL_VERSION))
-            .collect();
+        let mut streams = viewers(&mut m, &ids, budget);
 
         // A small palette of repeating payloads, so the cache sees
         // byte-identical repeats (refs) as well as fresh inserts.
@@ -966,64 +959,31 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
                 .collect();
             (rect, data)
         };
-        let draw_tile = |s: &mut SharedSession, store: &mut DrawableStore, idx: u64| {
+        let draw_tile = |m: &mut ShardedManager, store: &mut DrawableStore, idx: u64| {
             let (rect, data) = tile(idx);
             store.screen_mut().put_raw(&rect, &data);
-            s.put_image(store, SCREEN, rect, &data);
-        };
-
-        let pump = |s: &mut SharedSession,
-                        store: &DrawableStore,
-                        links: &mut Vec<(TcpPipe, PacketTrace)>,
-                        streams: &mut Vec<StreamClient>,
-                        encoders: &mut Vec<FrameEncoder>,
-                        now: SimTime| {
-            let out = s.flush_all(now, links);
-            for (id, msgs) in out {
-                let idx = usize::from(id != owner);
-                if msgs.is_empty() {
-                    if let Some(tail) = links[idx].0.flush_disturbed() {
-                        streams[idx].feed(&tail);
-                    }
-                    continue;
-                }
-                for (arrival, msg) in msgs {
-                    let bytes = encoders[idx].encode(&msg);
-                    for seg in links[idx].0.disturb(arrival, bytes) {
-                        streams[idx].feed(&seg);
-                    }
-                }
-            }
-            for (idx, &id) in ids.iter().enumerate() {
-                while let Some(miss) = streams[idx].take_cache_miss() {
-                    if let Message::CacheMiss { hash } = miss {
-                        s.client_cache_miss(id, hash);
-                    }
-                }
-                if streams[idx].poll_reconnect(now).is_some() {
-                    s.resync_client(id, store.screen());
-                }
-            }
+            m.session_mut().put_image(store, SCREEN, rect, &data);
         };
         let secs = |t: f64| SimTime((t * 1e6) as u64);
 
         // Phase 1: healthy traffic establishes cache state on both.
         for i in 0..4u64 {
-            draw_tile(&mut s, &mut store, i);
-            pump(&mut s, &store, &mut links, &mut streams, &mut encoders, secs(0.1 * (i + 1) as f64));
+            draw_tile(&mut m, &mut store, i);
+            pump_session(&mut m, &store, &ids, &mut streams, secs(0.1 * (i + 1) as f64));
         }
         // Phase 2: traffic through the peer's collapse window drives
         // it down the ladder (repeats of the palette travel as refs).
         for i in 0..8u64 {
-            draw_tile(&mut s, &mut store, i);
-            pump(&mut s, &store, &mut links, &mut streams, &mut encoders, secs(0.55 + 0.1 * i as f64));
+            draw_tile(&mut m, &mut store, i);
+            pump_session(&mut m, &store, &ids, &mut streams, secs(0.55 + 0.1 * i as f64));
         }
+        let resilience = |m: &ShardedManager, id| m.session().viewer(id).unwrap().resilience_metrics();
         assert!(
-            s.client_resilience(peer).unwrap().degrade_steps() > 0,
+            resilience(&m, peer).degrade_steps() > 0,
             "budget {budget}: the collapse must degrade the peer"
         );
         assert_eq!(
-            s.client_resilience(owner).unwrap().degrade_steps(),
+            resilience(&m, owner).degrade_steps(),
             0,
             "budget {budget}: the healthy owner never degrades"
         );
@@ -1031,23 +991,23 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
         // peer: fresh pipe, wire state dropped, display and content
         // store survive, server resyncs.
         for i in 0..10 {
-            pump(&mut s, &store, &mut links, &mut streams, &mut encoders, secs(1.6 + 0.1 * i as f64));
+            pump_session(&mut m, &store, &ids, &mut streams, secs(1.6 + 0.1 * i as f64));
         }
-        links[1] = (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
+        *m.link_mut(peer).unwrap() = lan_link();
         streams[1].reconnect();
-        s.resync_client(peer, store.screen());
+        m.session_mut().resync_client(peer, store.screen());
         // Phase 4: post-reconnect traffic, then settle to quiescence.
         for i in 0..4u64 {
-            draw_tile(&mut s, &mut store, i + 2);
-            pump(&mut s, &store, &mut links, &mut streams, &mut encoders, secs(2.7 + 0.1 * i as f64));
+            draw_tile(&mut m, &mut store, i + 2);
+            pump_session(&mut m, &store, &ids, &mut streams, secs(2.7 + 0.1 * i as f64));
         }
         let screen = store.screen().clone();
         for i in 0..120 {
-            s.repay_refreshes(&screen);
-            pump(&mut s, &store, &mut links, &mut streams, &mut encoders, secs(3.2 + 0.1 * i as f64));
+            m.session_mut().repay_refreshes(&screen);
+            pump_session(&mut m, &store, &ids, &mut streams, secs(3.2 + 0.1 * i as f64));
             let settled = ids.iter().enumerate().all(|(idx, &id)| {
-                s.backlog(id) == 0
-                    && s.client_degradation_level(id) == DegradationLevel::Full
+                m.session().backlog(id) == 0
+                    && m.session().viewer(id).unwrap().degradation_level() == DegradationLevel::Full
                     && !streams[idx].needs_refresh()
                     && streams[idx].pending_bytes() == 0
             });
@@ -1068,7 +1028,7 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
                 0,
                 "budget {budget}: collapse is delay-only, no entry may go missing"
             );
-            let ledger = s.client_cache_keys(id);
+            let ledger = m.session().viewer(id).unwrap().buffer().cache_keys();
             let held = streams[idx].cache_keys();
             assert!(
                 !held.is_empty(),
@@ -1106,14 +1066,7 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
     // degrades; past the window it recovers, every viewer converges
     // byte-exact, and the encode-once plane must have amortized real
     // work across the population.
-    use thinc::core::session::Credentials;
-    use thinc::core::ShardedManager;
-    use thinc::core::session::SharedSession;
-    use thinc::display::drawable::DrawableStore;
     use thinc::display::driver::VideoDriver;
-    use thinc::net::tcp::TcpPipe;
-    use thinc::protocol::wire::{self, FrameEncoder};
-    use thinc::protocol::PROTOCOL_VERSION;
 
     let shards: usize = std::env::var("THINC_SHARDS")
         .ok()
@@ -1169,58 +1122,7 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
     }
 
     let mut store = DrawableStore::new(W, H, PixelFormat::Rgb888);
-    let mut streams: Vec<StreamClient> = ids
-        .iter()
-        .map(|_| {
-            let mut c = policy_client(W, H);
-            c.feed(&wire::encode_message(&Message::ServerHello {
-                version: PROTOCOL_VERSION,
-                width: W,
-                height: H,
-                depth: 24,
-            }));
-            c
-        })
-        .collect();
-    let mut encoders: Vec<FrameEncoder> = ids
-        .iter()
-        .map(|_| FrameEncoder::with_revision(PROTOCOL_VERSION))
-        .collect();
-
-    let pump = |m: &mut ShardedManager,
-                    store: &DrawableStore,
-                    streams: &mut Vec<StreamClient>,
-                    encoders: &mut Vec<FrameEncoder>,
-                    ids: &[thinc::core::session::ClientId],
-                    now: SimTime| {
-        let out = m.flush_epoch(now);
-        for (id, msgs) in out {
-            let idx = ids.iter().position(|x| *x == id).unwrap();
-            let link = m.link_mut(id).expect("attached");
-            if msgs.is_empty() {
-                if let Some(tail) = link.0.flush_disturbed() {
-                    streams[idx].feed(&tail);
-                }
-                continue;
-            }
-            for (arrival, msg) in msgs {
-                let bytes = encoders[idx].encode(&msg);
-                for seg in link.0.disturb(arrival, bytes) {
-                    streams[idx].feed(&seg);
-                }
-            }
-        }
-        for (idx, &id) in ids.iter().enumerate() {
-            while let Some(miss) = streams[idx].take_cache_miss() {
-                if let Message::CacheMiss { hash } = miss {
-                    m.session_mut().client_cache_miss(id, hash);
-                }
-            }
-            if streams[idx].poll_reconnect(now).is_some() {
-                m.session_mut().resync_client(id, store.screen());
-            }
-        }
-    };
+    let mut streams = viewers(&mut m, &ids, thinc::protocol::DEFAULT_CACHE_BUDGET);
     let secs = |t: f64| SimTime((t * 1e6) as u64);
     // Broadcast traffic: noise bands every viewer receives. The first
     // few epochs are healthy; the rest travel through the faulted
@@ -1232,17 +1134,17 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
             store.screen_mut().put_raw(&rect, &data);
             m.session_mut().put_image(&store, SCREEN, rect, &data);
         }
-        pump(&mut m, &store, &mut streams, &mut encoders, &ids, secs(0.1 * (i + 1) as f64));
+        pump_session(&mut m, &store, &ids, &mut streams, secs(0.1 * (i + 1) as f64));
     }
     let faulted_id = ids[FAULTED];
     assert!(
-        m.session().client_resilience(faulted_id).unwrap().degrade_steps() > 0,
+        m.session().viewer(faulted_id).unwrap().resilience_metrics().degrade_steps() > 0,
         "the collapse must degrade the faulted viewer"
     );
     for (i, &id) in ids.iter().enumerate() {
         if i != FAULTED {
             assert_eq!(
-                m.session().client_resilience(id).unwrap().degrade_steps(),
+                m.session().viewer(id).unwrap().resilience_metrics().degrade_steps(),
                 0,
                 "viewer {i} is healthy and must not degrade"
             );
@@ -1253,11 +1155,11 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
     let screen = store.screen().clone();
     for i in 0..200 {
         m.session_mut().repay_refreshes(&screen);
-        pump(&mut m, &store, &mut streams, &mut encoders, &ids, secs(1.5 + 0.1 * i as f64));
+        pump_session(&mut m, &store, &ids, &mut streams, secs(1.5 + 0.1 * i as f64));
         let settled = ids.iter().enumerate().all(|(idx, &id)| {
             m.session().backlog(id) == 0
-                && m.session().client_degradation_level(id) == DegradationLevel::Full
-                && !m.session().client_refresh_owed(id)
+                && m.session().viewer(id).unwrap().degradation_level() == DegradationLevel::Full
+                && !m.session().viewer(id).unwrap().refresh_owed()
                 && !streams[idx].needs_refresh()
                 && streams[idx].pending_bytes() == 0
         });
@@ -1293,86 +1195,43 @@ fn warm_resume_ships_fewer_bytes_than_cold_reconnect() {
     // redials with a valid resume token and is resumed warm — the
     // standby ships only the checkpoint-vs-live delta. The other
     // presents a stale token (digest mismatch) and falls back cold —
-    // full-view retransmit. Both must converge byte-exact, the warm
-    // bill must measurably undercut the cold one, and the telemetry
-    // must count one warm resume and one cold fallback on both ends
-    // of the wire.
-    use thinc::core::checkpoint::ResumeOutcome;
-    use thinc::core::session::{Credentials, SharedSession};
-    use thinc::display::drawable::DrawableStore;
+    // fresh hello, full-view retransmit. Both must converge byte-exact,
+    // the warm bill must measurably undercut the cold one, and the
+    // telemetry must count one warm resume and one cold fallback on
+    // both ends of the wire.
     use thinc::display::driver::VideoDriver;
-    use thinc::protocol::wire::{self, FrameEncoder};
-    use thinc::protocol::PROTOCOL_VERSION;
 
     let seed = fault_seed().wrapping_add(0xFA11);
     let mut session = SharedSession::new(W, H, PixelFormat::Rgb888, "host")
         .with_buffer_bound(BUFFER_BOUND)
         .with_cache(64 * 1024);
     session.auth_mut().enable_sharing("pw");
-    let warm_id = session
-        .attach(&Credentials::Owner { user: "host".into() }, W, H)
+    let mut m = ShardedManager::new(session, 1);
+    let warm_id = m
+        .attach(&Credentials::Owner { user: "host".into() }, W, H, lan_link())
         .unwrap();
-    let cold_id = session
+    let cold_id = m
         .attach(
             &Credentials::Peer { user: "viewer".into(), password: "pw".into() },
             W,
             H,
+            lan_link(),
         )
         .unwrap();
     let ids = [warm_id, cold_id];
     let mut store = DrawableStore::new(W, H, PixelFormat::Rgb888);
-    let mut streams: Vec<StreamClient> = (0..2)
-        .map(|_| {
-            let mut c = StreamClient::new(W, H, PixelFormat::Rgb888).with_cache_budget(64 * 1024);
-            c.feed(&wire::encode_message(&Message::ServerHello {
-                version: PROTOCOL_VERSION,
-                width: W,
-                height: H,
-                depth: 24,
-            }));
-            c
-        })
-        .collect();
-    let mut encoders =
-        vec![FrameEncoder::with_revision(PROTOCOL_VERSION), FrameEncoder::with_revision(PROTOCOL_VERSION)];
-    let mut links = vec![
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-    ];
-    // One delivery round over the framed wire; returns bytes shipped
-    // per client so the warm/cold bill can be compared.
-    let pump = |session: &mut SharedSession,
-                    streams: &mut Vec<StreamClient>,
-                    encoders: &mut Vec<FrameEncoder>,
-                    links: &mut Vec<(thinc::net::tcp::TcpPipe, PacketTrace)>,
-                    now: SimTime|
-     -> [u64; 2] {
-        let mut shipped = [0u64; 2];
-        for (j, (_, msgs)) in session.flush_all(now, links).into_iter().enumerate() {
-            for (_, msg) in msgs {
-                let bytes = encoders[j].encode(&msg);
-                shipped[j] += bytes.len() as u64;
-                streams[j].feed(&bytes);
-            }
-        }
-        for (j, &id) in ids.iter().enumerate() {
-            while let Some(Message::CacheMiss { hash }) = streams[j].take_cache_miss() {
-                session.client_cache_miss(id, hash);
-            }
-        }
-        shipped
-    };
+    let mut streams = viewers(&mut m, &ids, 64 * 1024);
     let secs = |t: f64| SimTime((t * 1e6) as u64);
     // Converge both viewers on real traffic before the crash.
     for i in 0..8u64 {
         let rect = Rect::new(0, ((i * 12) % (H as u64 - 24)) as i32, W, 24);
         if let DrawRequest::PutImage { rect, data, .. } = noise(rect, seed.wrapping_add(i)) {
             store.screen_mut().put_raw(&rect, &data);
-            session.put_image(&store, SCREEN, rect, &data);
+            m.session_mut().put_image(&store, SCREEN, rect, &data);
         }
         for r in 0..50 {
-            pump(&mut session, &mut streams, &mut encoders, &mut links, secs(0.1 * (i + 1) as f64 + 0.001 * r as f64));
-            if ids.iter().all(|&id| session.backlog(id) == 0) {
+            pump_session(&mut m, &store, &ids, &mut streams, secs(0.1 * (i + 1) as f64 + 0.001 * r as f64));
+            if ids.iter().all(|&id| m.session().backlog(id) == 0) {
                 break;
             }
         }
@@ -1386,105 +1245,79 @@ fn warm_resume_ships_fewer_bytes_than_cold_reconnect() {
     }
 
     // Crash instant: the image is taken, the old incarnation dies.
-    let image = session.checkpoint(store.screen());
-    drop(session);
-    drop(links);
+    let image = m.session().checkpoint(store.screen());
+    drop(m);
 
     // The desktop keeps moving while the standby spins up: one band
     // of the screen changes before anyone redials.
+    let mut standby = ShardedManager::restore(&image, 1).expect("image restores");
+    standby.session_mut().set_time(secs(5.0));
     let damage = Rect::new(0, 0, W, 24);
     if let DrawRequest::PutImage { rect, data, .. } = noise(damage, seed.wrapping_add(77)) {
         store.screen_mut().put_raw(&rect, &data);
-        let mut standby = SharedSession::restore(&image).expect("image restores");
-        standby.set_time(secs(5.0));
-        standby.put_image(&store, SCREEN, rect, &data);
-
-        // Warm redial: clean wire state, matching token. The standby
-        // adopts the client's sequence stream and queues the delta.
-        assert!(streams[0].resume(), "drained reader must allow a warm resume");
-        let sid = standby.session_id();
-        let Message::SessionResume { last_seq, store_digest, .. } =
-            streams[0].resume_token(sid, warm_id.0)
-        else {
-            unreachable!("resume_token always builds SessionResume")
-        };
-        match standby.resume_client(sid, warm_id, store_digest, store.screen()) {
-            ResumeOutcome::Warm { delta_area } => {
-                assert!(delta_area > 0, "the screen changed while the server was down");
-                assert!(
-                    delta_area < (W * H) as u64,
-                    "warm resume must not requeue the whole screen: {delta_area}"
-                );
-                encoders[0].set_next_seq(last_seq.wrapping_add(1));
-            }
-            cold => panic!("matching token must resume warm, got {cold:?}"),
-        }
-
-        // Stale redial: the token's store digest no longer matches
-        // (the client lost its content store with the device). The
-        // standby falls back cold — ledger reset, full view owed —
-        // and answers with a fresh hello that settles the client's
-        // pending resume as a cold restart.
-        assert!(streams[1].resume());
-        let Message::SessionResume { store_digest, .. } =
-            streams[1].resume_token(sid, cold_id.0)
-        else {
-            unreachable!()
-        };
-        match standby.resume_client(sid, cold_id, store_digest ^ 0xDEAD, store.screen()) {
-            ResumeOutcome::Cold { reason } => assert_eq!(reason, "cache digest mismatch"),
-            warm => panic!("stale token must fall back cold, got {warm:?}"),
-        }
-        let hello = wire::encode_message(&Message::ServerHello {
-            version: PROTOCOL_VERSION,
-            width: W,
-            height: H,
-            depth: 24,
-        });
-        let mut shipped = [0u64, hello.len() as u64];
-        streams[1].feed(&hello);
-        encoders[1] = FrameEncoder::with_revision(PROTOCOL_VERSION);
-
-        // Post-failover settle: both bills accumulate.
-        let mut links = vec![
-            (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-            (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-        ];
-        for r in 0..200u64 {
-            let round = pump(&mut standby, &mut streams, &mut encoders, &mut links, secs(5.1 + 0.01 * r as f64));
-            shipped[0] += round[0];
-            shipped[1] += round[1];
-            if ids.iter().all(|&id| standby.backlog(id) == 0)
-                && streams.iter().all(|s| s.pending_bytes() == 0)
-            {
-                break;
-            }
-        }
-        for (j, _) in ids.iter().enumerate() {
-            assert_eq!(
-                streams[j].client().framebuffer().data(),
-                store.screen().data(),
-                "viewer {j} must converge byte-exact after the failover"
-            );
-        }
-        // The bandwidth assertion: the warm bill covers one changed
-        // band, the cold bill a full-screen retransmit.
-        assert!(
-            shipped[0] * 2 < shipped[1],
-            "warm resume ({} B) must measurably undercut cold reconnect ({} B)",
-            shipped[0],
-            shipped[1]
-        );
-        // Telemetry, both ends of the wire: one warm resume honored,
-        // one cold fallback taken — greppable nonzero in CI.
-        assert_eq!(streams[0].resilience_metrics().resumes(), 1);
-        assert_eq!(streams[0].resilience_metrics().cold_fallbacks(), 0);
-        assert_eq!(streams[1].resilience_metrics().cold_fallbacks(), 1);
-        assert_eq!(standby.client_resilience(warm_id).unwrap().resumes(), 1);
-        assert_eq!(standby.client_resilience(cold_id).unwrap().cold_fallbacks(), 1);
-    } else {
-        unreachable!("noise always builds PutImage");
+        standby.session_mut().put_image(&store, SCREEN, rect, &data);
     }
+    // Both redial on fresh links. The first viewer's token matches:
+    // the standby adopts its sequence stream and queues the delta.
+    // The second's store digest no longer does (the client lost its
+    // content store with the device): the standby falls back cold —
+    // ledger reset, full view owed — and answers with a fresh hello
+    // that settles the client's pending resume as a cold restart.
+    let sid = standby.session().session_id();
+    for (j, &id) in ids.iter().enumerate() {
+        standby.adopt_link(id, lan_link());
+        let mut opening = streams[j].redial(sid, id.0);
+        assert!(streams[j].resume_pending(), "drained reader must allow a warm resume");
+        if let (1, Message::SessionResume { store_digest, .. }) = (j, &mut opening[1]) {
+            *store_digest ^= 0xDEAD;
+        }
+        for msg in &opening {
+            standby.session_mut().handle_message(id, msg, store.screen());
+        }
+    }
+    let queued = standby.session().viewer(warm_id).unwrap().buffer().pending_bytes();
+    assert!(queued > 0, "the screen changed while the server was down");
+    assert!(
+        queued < (W * H * 3) as u64,
+        "warm resume must not requeue the whole screen: {queued} B"
+    );
+
+    // Post-failover settle: both bills accumulate.
+    let mut shipped = [0u64; 2];
+    for r in 0..200u64 {
+        let round = pump_session(&mut standby, &store, &ids, &mut streams, secs(5.1 + 0.01 * r as f64));
+        shipped[0] += round[0];
+        shipped[1] += round[1];
+        if ids.iter().all(|&id| standby.session().backlog(id) == 0)
+            && streams.iter().all(|s| s.pending_bytes() == 0)
+        {
+            break;
+        }
+    }
+    for (j, _) in ids.iter().enumerate() {
+        assert_eq!(
+            streams[j].client().framebuffer().data(),
+            store.screen().data(),
+            "viewer {j} must converge byte-exact after the failover"
+        );
+    }
+    // The bandwidth assertion: the warm bill covers one changed
+    // band, the cold bill a full-screen retransmit.
+    assert!(
+        shipped[0] * 2 < shipped[1],
+        "warm resume ({} B) must measurably undercut cold reconnect ({} B)",
+        shipped[0],
+        shipped[1]
+    );
+    // Telemetry, both ends of the wire: one warm resume honored,
+    // one cold fallback taken — greppable nonzero in CI.
+    assert_eq!(streams[0].resilience_metrics().resumes(), 1);
+    assert_eq!(streams[0].resilience_metrics().cold_fallbacks(), 0);
+    assert_eq!(streams[0].resilience_metrics().seq_gaps(), 0, "the stream continued unbroken");
+    assert_eq!(streams[1].resilience_metrics().cold_fallbacks(), 1);
+    let server_side = |id| standby.session().viewer(id).unwrap().resilience_metrics();
+    assert_eq!(server_side(warm_id).resumes(), 1);
+    assert_eq!(server_side(cold_id).cold_fallbacks(), 1);
 }
 
 #[test]
@@ -1496,13 +1329,7 @@ fn checkpoint_failover_converges_across_shards() {
     // viewer redials with a valid resume token, and all of them are
     // resumed warm — zero cold fallbacks — converging byte-exact on
     // the post-crash screen for every shard × worker combination.
-    use thinc::core::checkpoint::ResumeOutcome;
-    use thinc::core::session::{Credentials, SharedSession};
-    use thinc::core::ShardedManager;
-    use thinc::display::drawable::DrawableStore;
     use thinc::display::driver::VideoDriver;
-    use thinc::protocol::wire::{self, FrameEncoder};
-    use thinc::protocol::PROTOCOL_VERSION;
 
     let shards: usize = std::env::var("THINC_SHARDS")
         .ok()
@@ -1521,9 +1348,8 @@ fn checkpoint_failover_converges_across_shards() {
         .with_workers(workers);
     session.auth_mut().enable_sharing("pw");
     let mut m = ShardedManager::new(session, shards);
-    let fresh_link = || (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
     let owner = m
-        .attach(&Credentials::Owner { user: "host".into() }, W, H, fresh_link())
+        .attach(&Credentials::Owner { user: "host".into() }, W, H, lan_link())
         .unwrap();
     let mut ids = vec![owner];
     for i in 1..CLIENTS {
@@ -1535,48 +1361,13 @@ fn checkpoint_failover_converges_across_shards() {
                 },
                 W,
                 H,
-                fresh_link(),
+                lan_link(),
             )
             .unwrap(),
         );
     }
     let mut store = DrawableStore::new(W, H, PixelFormat::Rgb888);
-    let mut streams: Vec<StreamClient> = ids
-        .iter()
-        .map(|_| {
-            let mut c = StreamClient::new(W, H, PixelFormat::Rgb888).with_cache_budget(64 * 1024);
-            c.feed(&wire::encode_message(&Message::ServerHello {
-                version: PROTOCOL_VERSION,
-                width: W,
-                height: H,
-                depth: 24,
-            }));
-            c
-        })
-        .collect();
-    let mut encoders: Vec<FrameEncoder> = ids
-        .iter()
-        .map(|_| FrameEncoder::with_revision(PROTOCOL_VERSION))
-        .collect();
-    let pump = |m: &mut ShardedManager,
-                streams: &mut Vec<StreamClient>,
-                encoders: &mut Vec<FrameEncoder>,
-                ids: &[thinc::core::session::ClientId],
-                now: SimTime| {
-        let out = m.flush_epoch(now);
-        for (id, msgs) in out {
-            let idx = ids.iter().position(|x| *x == id).unwrap();
-            for (_, msg) in msgs {
-                let bytes = encoders[idx].encode(&msg);
-                streams[idx].feed(&bytes);
-            }
-        }
-        for (idx, &id) in ids.iter().enumerate() {
-            while let Some(Message::CacheMiss { hash }) = streams[idx].take_cache_miss() {
-                m.session_mut().client_cache_miss(id, hash);
-            }
-        }
-    };
+    let mut streams = viewers(&mut m, &ids, 64 * 1024);
     let secs = |t: f64| SimTime((t * 1e6) as u64);
     // Broadcast traffic, partially delivered: the last band is drawn
     // but never flushed, so the crash image carries live backlog.
@@ -1588,7 +1379,7 @@ fn checkpoint_failover_converges_across_shards() {
         }
         if i < 5 {
             for r in 0..50 {
-                pump(&mut m, &mut streams, &mut encoders, &ids, secs(0.1 * (i + 1) as f64 + 0.001 * r as f64));
+                pump_session(&mut m, &store, &ids, &mut streams, secs(0.1 * (i + 1) as f64 + 0.001 * r as f64));
                 if ids.iter().all(|&id| m.session().backlog(id) == 0) {
                     break;
                 }
@@ -1613,26 +1404,21 @@ fn checkpoint_failover_converges_across_shards() {
         store.screen_mut().put_raw(&rect, &data);
         m.session_mut().put_image(&store, SCREEN, rect, &data);
     }
-    // Every viewer redials: fresh link adopted by its shard, resume
-    // token accepted, sequence stream carried forward.
+    // Every viewer redials: fresh link adopted by its shard, hello and
+    // resume token handed to the session, sequence stream carried
+    // forward.
     let sid = m.session().session_id();
     for (idx, &id) in ids.iter().enumerate() {
-        m.adopt_link(id, fresh_link());
-        assert!(streams[idx].resume(), "drained reader must allow a warm resume");
-        let Message::SessionResume { last_seq, store_digest, .. } =
-            streams[idx].resume_token(sid, id.0)
-        else {
-            unreachable!()
-        };
-        match m.session_mut().resume_client(sid, id, store_digest, store.screen()) {
-            ResumeOutcome::Warm { .. } => encoders[idx].set_next_seq(last_seq.wrapping_add(1)),
-            cold => panic!("viewer {idx} must resume warm (shards={shards}), got {cold:?}"),
+        m.adopt_link(id, lan_link());
+        for msg in &streams[idx].redial(sid, id.0) {
+            m.session_mut().handle_message(id, msg, store.screen());
         }
+        assert!(streams[idx].resume_pending(), "drained reader must allow a warm resume");
     }
     // Settle: the standby replays the checkpointed backlog and the
     // resume deltas through the sharded flush plane.
     for r in 0..200u64 {
-        pump(&mut m, &mut streams, &mut encoders, &ids, secs(3.1 + 0.01 * r as f64));
+        pump_session(&mut m, &store, &ids, &mut streams, secs(3.1 + 0.01 * r as f64));
         if ids.iter().all(|&id| m.session().backlog(id) == 0)
             && streams.iter().all(|s| s.pending_bytes() == 0)
         {
@@ -1646,7 +1432,7 @@ fn checkpoint_failover_converges_across_shards() {
             "viewer {idx} must converge byte-exact after failover \
              (shards={shards} workers={workers})"
         );
-        let server_side = m.session().client_resilience(id).unwrap();
+        let server_side = m.session().viewer(id).unwrap().resilience_metrics();
         assert_eq!(server_side.resumes(), 1, "viewer {idx}: warm resume counted");
         assert_eq!(server_side.cold_fallbacks(), 0, "viewer {idx}: no cold fallback");
         assert_eq!(streams[idx].resilience_metrics().resumes(), 1);
