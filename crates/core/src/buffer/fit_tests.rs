@@ -14,6 +14,7 @@ use thinc_net::tcp::TcpParams;
 use thinc_net::time::SimDuration;
 use thinc_protocol::wire::encode_message;
 use thinc_raster::Rect;
+use thinc_telemetry::ResilienceMetrics;
 
 use super::*;
 

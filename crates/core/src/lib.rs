@@ -6,7 +6,9 @@
 //!
 //! - [`queue`]: protocol command objects with complete / partial /
 //!   transparent overwrite semantics, and the command queue that
-//!   evicts overwritten commands and merges adjacent ones (§4),
+//!   evicts or clips overwritten commands and merges adjacent ones
+//!   (§4) — the one implementation of that algebra, used by the
+//!   translator's pixmap queues and by the per-client buffer,
 //! - [`translator`]: the translation layer — a [`VideoDriver`]
 //!   implementation that maps device-level operations one-to-one onto
 //!   protocol commands, with offscreen drawing awareness (per-pixmap
@@ -15,8 +17,9 @@
 //! - [`scheduler`]: the multi-queue Shortest-Remaining-Size-First
 //!   update scheduler with a real-time queue and transparent-command
 //!   dependency placement (§5),
-//! - [`buffer`]: the per-client command buffer with non-blocking
-//!   flush and command splitting (§5),
+//! - [`buffer`]: the per-client command buffer — a command queue
+//!   plus what §5 adds: scheduler slots, the byte bound, non-blocking
+//!   flush with command splitting, and wire preparation,
 //! - [`scaling`]: server-side screen scaling with per-command resize
 //!   policy (§6),
 //! - [`video`]: video stream objects and YUV delivery (§4.2),

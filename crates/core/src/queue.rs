@@ -6,15 +6,31 @@
 //! guarantees that only those commands relevant to the current
 //! contents of the region are in the queue."
 //!
-//! Three overwrite classes govern eviction:
+//! This is the one implementation of that algebra — classify, protect
+//! COPY sources, evict or clip, merge — for both of its users: the
+//! translator's per-pixmap queues (`CommandQueue<()>`) and the
+//! per-client buffer, which hangs its §5 scheduling data on each entry
+//! (the `T` tag) and adds nothing to the rules.
 //!
-//! - **Partial** commands are opaque and may be partially or fully
-//!   overwritten — the queue tracks the still-visible remainder and
-//!   evicts the command once nothing remains.
-//! - **Complete** commands are opaque but only evicted when fully
-//!   covered (solid fills: tiny on the wire, so clipping buys nothing).
-//! - **Transparent** commands depend on output drawn before them and
-//!   never cause eviction themselves.
+//! One rule governs what an opaque newcomer does to the entries under
+//! it:
+//!
+//! - An entry that can be **clipped exactly** — the partial class (`RAW`,
+//!   `PFILL`) and solid fills — loses the covered part of its `visible`
+//!   region and is evicted once nothing remains, however many later
+//!   commands it took to cover it.
+//! - Every other entry (opaque `BITMAP`, the transparent class) is
+//!   evicted only when one newcomer covers it whole.
+//! - Whatever a queued `COPY` still *reads* is exempt from both: its
+//!   source must reach the client intact before the copy runs.
+//!
+//! Transparent newcomers depend on the output under them and change
+//! nothing. Solid fills are clipped although they are the paper's
+//! *complete* class (tiny on the wire, so clipping saves no bytes)
+//! because a clipped fill no longer draws under the commands that
+//! overwrote it, so it stops pinning them behind it in the scheduler;
+//! the buffer needed that, and a queue without a scheduler loses
+//! nothing by it.
 
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_raster::{Rect, Region};
@@ -22,7 +38,9 @@ use thinc_raster::{Rect, Region};
 /// How a command overwrites and may be overwritten (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverwriteClass {
-    /// Opaque; only evicted when completely covered.
+    /// Opaque and small on the wire. Solid fills are still clipped
+    /// (see the module header); an opaque `BITMAP` cannot be, and is
+    /// only evicted when completely covered.
     Complete,
     /// Opaque; clipped to its still-visible region, evicted when empty.
     Partial,
@@ -48,64 +66,97 @@ pub fn classify(cmd: &DisplayCommand) -> OverwriteClass {
     }
 }
 
-/// A command held in a queue, with its bookkeeping.
+/// A command held in a queue, with its bookkeeping and whatever the
+/// queue's user hangs on it (`tag`).
 #[derive(Debug, Clone)]
-pub struct QueuedCommand {
+pub struct QueuedCommand<T = ()> {
     /// Arrival sequence number (queue-local, monotonically increasing).
     pub seq: u64,
     /// The protocol command itself.
     pub cmd: DisplayCommand,
     /// Overwrite class (cached from [`classify`]).
     pub class: OverwriteClass,
-    /// For partial commands: the part of the output still relevant.
-    /// Always the full destination for other classes.
+    /// The part of the output still relevant: what later commands have
+    /// not clipped away. The full destination for entries that cannot
+    /// be clipped.
     pub visible: Region,
-    /// Marked for priority delivery (overlaps the input halo, §5).
-    pub realtime: bool,
+    /// The user's per-entry data (the client buffer: scheduler slot
+    /// and enqueue time).
+    pub tag: T,
 }
 
-impl QueuedCommand {
-    /// Whether any of the command's output is still relevant.
-    pub fn is_relevant(&self) -> bool {
-        !self.visible.is_empty()
-    }
-
-    /// Wire size of the command (scheduling key).
-    pub fn wire_size(&self) -> u64 {
-        self.cmd.wire_size()
+impl<T> QueuedCommand<T> {
+    /// The command as it must be drawn now: exactly-clipped
+    /// sub-commands covering only its visible output, so nothing it
+    /// emits lands on pixels a later command owns.
+    pub fn materialize(&self) -> Vec<DisplayCommand> {
+        if self.visible.contains_rect(&self.cmd.dest_rect()) {
+            return vec![self.cmd.clone()];
+        }
+        let clipped: Option<Vec<_>> =
+            self.visible.rects().iter().map(|r| clip_command(&self.cmd, r)).collect();
+        // Not exactly clippable: fall back to the full command
+        // (correct but larger; only unreachable kinds hit this).
+        clipped.unwrap_or_else(|| vec![self.cmd.clone()])
     }
 }
 
-thinc_telemetry::counters! {
-    /// Statistics of queue maintenance, for tests and ablation reporting.
-    pub struct QueueStats {
-        /// Commands pushed.
-        pushed,
-        /// Commands evicted because they were fully overwritten.
-        evicted,
-        /// Commands merged into a predecessor.
-        merged,
-    }
+/// What one [`CommandQueue::push_with`] did to the queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pushed {
+    /// Sequence number of the entry that now holds the command.
+    pub seq: u64,
+    /// Whether the command was merged into the newest entry instead
+    /// of becoming an entry of its own.
+    pub merged: bool,
+    /// Entries evicted because nothing of them stayed visible.
+    pub evicted: u64,
 }
 
 /// An ordered queue of commands drawing to one region (a pixmap or
 /// the screen).
-#[derive(Debug, Clone, Default)]
-pub struct CommandQueue {
-    entries: Vec<QueuedCommand>,
+#[derive(Debug, Clone)]
+pub struct CommandQueue<T = ()> {
+    entries: Vec<QueuedCommand<T>>,
     next_seq: u64,
-    stats: QueueStats,
+}
+
+impl<T> Default for CommandQueue<T> {
+    fn default() -> Self {
+        Self { entries: Vec::new(), next_seq: 0 }
+    }
 }
 
 impl CommandQueue {
+    /// Pushes a command onto an untagged queue:
+    /// [`push_with`](Self::push_with), merging whenever the commands
+    /// allow it.
+    pub fn push(&mut self, cmd: DisplayCommand) -> Pushed {
+        self.push_with(cmd, |_| true, |_, _| ())
+    }
+}
+
+impl<T> CommandQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A queue holding exactly `entries` (arrival order), numbering
+    /// new arrivals from `next_seq` — how a checkpoint is restored.
+    pub fn from_parts(entries: Vec<QueuedCommand<T>>, next_seq: u64) -> Self {
+        Self { entries, next_seq }
+    }
+
     /// The live commands, in arrival order.
-    pub fn entries(&self) -> &[QueuedCommand] {
+    pub fn entries(&self) -> &[QueuedCommand<T>] {
         &self.entries
+    }
+
+    /// The newest entry — the one a push just created or merged into
+    /// — for a user that re-tags it.
+    pub fn newest_mut(&mut self) -> Option<&mut QueuedCommand<T>> {
+        self.entries.last_mut()
     }
 
     /// Number of live commands.
@@ -118,74 +169,103 @@ impl CommandQueue {
         self.entries.is_empty()
     }
 
-    /// Maintenance statistics.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
+    /// The sequence number the next new entry will get.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
-    /// Pushes a command, enforcing the overlap invariants:
-    /// opaque commands evict fully-covered predecessors and clip the
-    /// visible regions of partial predecessors; adjacent compatible
-    /// commands merge. Returns the sequence number assigned.
-    pub fn push(&mut self, cmd: DisplayCommand, realtime: bool) -> u64 {
-        self.stats.pushed += 1;
-        let class = classify(&cmd);
+    /// Position of the entry numbered `seq`, if it is still queued.
+    pub fn position(&self, seq: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.seq == seq)
+    }
+
+    /// Pushes a command, enforcing the overlap rule of the module
+    /// header: an opaque newcomer clips or evicts what it covers, then
+    /// the command merges into the newest entry when the two tile
+    /// (and `may_merge` allows it, given that entry's tag) or becomes
+    /// a new entry tagged by `tag`, which sees the entries that
+    /// survived and the command.
+    pub fn push_with(
+        &mut self,
+        cmd: DisplayCommand,
+        may_merge: impl FnOnce(&T) -> bool,
+        tag: impl FnOnce(&[QueuedCommand<T>], &DisplayCommand) -> T,
+    ) -> Pushed {
         let dest = cmd.dest_rect();
-        if matches!(class, OverwriteClass::Complete | OverwriteClass::Partial) && !dest.is_empty()
-        {
-            let mut evicted = 0;
-            self.entries.retain_mut(|e| {
-                match e.class {
-                    OverwriteClass::Partial => {
-                        e.visible.subtract_rect(&dest);
-                        if e.visible.is_empty() {
-                            evicted += 1;
-                            return false;
-                        }
-                    }
-                    OverwriteClass::Complete | OverwriteClass::Transparent => {
-                        if dest.contains(&e.cmd.dest_rect()) {
-                            evicted += 1;
-                            return false;
-                        }
-                    }
+        let mut evicted = 0;
+        if classify(&cmd) != OverwriteClass::Transparent && !dest.is_empty() {
+            // Regions still *read* by queued COPY commands must not be
+            // evicted or clipped out from under them: the copy needs
+            // its source content delivered first. Keeping the full
+            // command is correct, merely unclipped, as long as the
+            // user orders the overwriter after the copy.
+            let mut protected = Region::new();
+            for e in &self.entries {
+                if let DisplayCommand::Copy { src_rect, .. } = &e.cmd {
+                    protected.union_rect(src_rect);
                 }
-                true
+            }
+            let mut cover = Region::from_rect(dest);
+            cover.subtract(&protected);
+            self.entries.retain_mut(|e| {
+                let clippable = e.class == OverwriteClass::Partial
+                    || matches!(e.cmd, DisplayCommand::Sfill { .. });
+                let gone = if clippable {
+                    e.visible.subtract(&cover);
+                    e.visible.is_empty()
+                } else {
+                    cover.contains_rect(&e.cmd.dest_rect())
+                };
+                evicted += u64::from(gone);
+                !gone
             });
-            self.stats.evicted += evicted;
         }
         // Merge with the most recent entry when possible (the
         // scan-line aggregation case from §4).
-        if realtime == self.entries.last().map(|e| e.realtime).unwrap_or(realtime) {
-            if let Some(last) = self.entries.last_mut() {
+        if let Some(last) = self.entries.last_mut() {
+            if may_merge(&last.tag) {
                 if let Some(merged) = merge_commands(&last.cmd, &cmd) {
-                    self.stats.merged += 1;
+                    last.visible = Region::from_rect(merged.dest_rect());
                     last.cmd = merged;
-                    last.visible = Region::from_rect(last.cmd.dest_rect());
-                    return last.seq;
+                    return Pushed { seq: last.seq, merged: true, evicted };
                 }
             }
         }
+        let tag = tag(&self.entries, &cmd);
+        Pushed { seq: self.insert(cmd, tag), merged: false, evicted }
+    }
+
+    /// Appends `cmd` as a new entry without running the overlap rule
+    /// (what `push_with` ends with; also how the buffer re-queues the
+    /// unsent remainder of a split command). Returns its sequence
+    /// number.
+    pub fn insert(&mut self, cmd: DisplayCommand, tag: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(QueuedCommand {
             seq,
+            class: classify(&cmd),
+            visible: Region::from_rect(cmd.dest_rect()),
             cmd,
-            class,
-            visible: Region::from_rect(dest),
-            realtime,
+            tag,
         });
         seq
     }
 
+    /// Removes and returns the entry at `pos` (see
+    /// [`position`](Self::position)).
+    pub fn remove(&mut self, pos: usize) -> QueuedCommand<T> {
+        self.entries.remove(pos)
+    }
+
     /// Removes and returns all commands, in arrival order.
-    pub fn drain(&mut self) -> Vec<QueuedCommand> {
+    pub fn drain(&mut self) -> Vec<QueuedCommand<T>> {
         std::mem::take(&mut self.entries)
     }
 
     /// Total wire size of all live commands.
     pub fn wire_size(&self) -> u64 {
-        self.entries.iter().map(|e| e.wire_size()).sum()
+        self.entries.iter().map(|e| e.cmd.wire_size()).sum()
     }
 
     /// Returns clones of the commands whose output intersects
@@ -228,19 +308,14 @@ impl CommandQueue {
                 DisplayCommand::Copy { .. } => false,
                 _ => true,
             };
-            let clipped = if !extractable_kind {
-                None
-            } else if src_rect.contains(&dest) {
-                // Fully contained: translate the whole command.
-                let mut c = e.cmd.clone();
-                c.translate(dx, dy);
-                Some(c)
-            } else {
-                clip_command(&e.cmd, &overlap).map(|mut c| {
+            // (A clip that contains the command returns it whole.)
+            let clipped = extractable_kind
+                .then(|| clip_command(&e.cmd, &overlap))
+                .flatten()
+                .map(|mut c| {
                     c.translate(dx, dy);
                     c
-                })
-            };
+                });
             match clipped {
                 Some(c) => {
                     // Opaque commands express their whole footprint;
@@ -264,11 +339,12 @@ impl CommandQueue {
 /// the destination for every command, plus the source rectangle for
 /// `COPY` (which reads the framebuffer produced by earlier commands).
 /// Dependency analysis in the scheduler overlaps these regions.
-pub fn dependency_rects(cmd: &DisplayCommand) -> Vec<Rect> {
-    match cmd {
-        DisplayCommand::Copy { src_rect, .. } => vec![*src_rect, cmd.dest_rect()],
-        _ => vec![cmd.dest_rect()],
-    }
+pub fn dependency_rects(cmd: &DisplayCommand) -> impl Iterator<Item = Rect> + Clone {
+    let src = match cmd {
+        DisplayCommand::Copy { src_rect, .. } => Some(*src_rect),
+        _ => None,
+    };
+    src.into_iter().chain(std::iter::once(cmd.dest_rect()))
 }
 
 /// Attempts to merge `next` into `prev`, returning the combined
@@ -276,18 +352,17 @@ pub fn dependency_rects(cmd: &DisplayCommand) -> Vec<Rect> {
 /// - equal-color `SFILL`s whose union is an exact rectangle,
 /// - uncompressed `RAW`s stacked vertically with identical x-span
 ///   (the per-scanline image rasterization case).
-pub fn merge_commands(prev: &DisplayCommand, next: &DisplayCommand) -> Option<DisplayCommand> {
+fn merge_commands(prev: &DisplayCommand, next: &DisplayCommand) -> Option<DisplayCommand> {
     match (prev, next) {
         (
             DisplayCommand::Sfill { rect: a, color: ca },
             DisplayCommand::Sfill { rect: b, color: cb },
         ) if ca == cb => {
+            // The two tile a rectangle: their union holds no pixel
+            // that neither of them draws.
             let u = a.union(b);
-            if u.area() == a.area() + b.area() - a.intersection(b).area() && exact_union(a, b) {
-                Some(DisplayCommand::Sfill { rect: u, color: *ca })
-            } else {
-                None
-            }
+            (u.area() == a.area() + b.area() - a.intersection(b).area())
+                .then_some(DisplayCommand::Sfill { rect: u, color: *ca })
         }
         (
             DisplayCommand::Raw {
@@ -311,31 +386,6 @@ pub fn merge_commands(prev: &DisplayCommand, next: &DisplayCommand) -> Option<Di
             })
         }
         _ => None,
-    }
-}
-
-/// Whether the union of two rectangles is exactly their combined area
-/// (i.e. they tile a rectangle).
-fn exact_union(a: &Rect, b: &Rect) -> bool {
-    let u = a.union(b);
-    u.area() == a.area() + b.area() - a.intersection(b).area()
-}
-
-/// Whether [`clip_command`] can clip this command exactly: solid
-/// fills, well-formed uncompressed RAW data, and destination-anchored
-/// tile fills. Bitmaps, copies and compressed RAW are not clippable.
-pub fn exactly_clippable(cmd: &DisplayCommand) -> bool {
-    match cmd {
-        DisplayCommand::Sfill { .. } | DisplayCommand::Pfill { .. } => true,
-        DisplayCommand::Raw {
-            rect,
-            encoding: RawEncoding::None,
-            data,
-        } => {
-            let px = rect.area() as usize;
-            px > 0 && data.len() % px == 0
-        }
-        _ => false,
     }
 }
 
@@ -462,37 +512,104 @@ mod tests {
     #[test]
     fn full_overwrite_evicts() {
         let mut q = CommandQueue::new();
-        q.push(raw(0, 0, 10, 10), false);
-        q.push(sfill(0, 0, 20, 20, 1), false);
+        q.push(raw(0, 0, 10, 10));
+        assert_eq!(q.push(sfill(0, 0, 20, 20, 1)).evicted, 1);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().evicted, 1);
         assert!(matches!(q.entries()[0].cmd, DisplayCommand::Sfill { .. }));
     }
 
     #[test]
     fn partial_overwrite_clips_visible() {
         let mut q = CommandQueue::new();
-        q.push(raw(0, 0, 10, 10), false);
-        q.push(sfill(5, 5, 10, 10, 1), false);
+        q.push(raw(0, 0, 10, 10));
+        q.push(sfill(5, 5, 10, 10, 1));
         assert_eq!(q.len(), 2);
         let raw_entry = &q.entries()[0];
         assert_eq!(raw_entry.visible.area(), 100 - 25);
     }
 
     #[test]
-    fn complete_commands_survive_partial_overlap() {
+    fn solid_fill_is_clipped_and_evicted_once_jointly_covered() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 10, 10, 1), false);
-        q.push(raw(5, 5, 10, 10), false);
+        q.push(sfill(0, 0, 10, 10, 1));
+        q.push(raw(5, 5, 10, 10));
         assert_eq!(q.len(), 2);
-        // The SFILL keeps its full rect (complete class).
-        assert_eq!(q.entries()[0].visible.area(), 100);
+        // The fill keeps its rect; what it still has to draw shrinks.
+        assert_eq!(q.entries()[0].cmd.dest_rect(), Rect::new(0, 0, 10, 10));
+        assert_eq!(q.entries()[0].visible.area(), 100 - 25);
+        // No later command covers it alone; together they do.
+        assert_eq!(q.push(raw(0, 0, 10, 5)).evicted, 0);
+        assert_eq!(q.push(raw(0, 5, 5, 5)).evicted, 1);
+        assert!(q.entries().iter().all(|e| matches!(e.cmd, DisplayCommand::Raw { .. })));
+    }
+
+    #[test]
+    fn opaque_bitmap_survives_until_one_command_covers_it_whole() {
+        let mut q = CommandQueue::new();
+        q.push(DisplayCommand::Bitmap {
+            rect: Rect::new(0, 0, 16, 8),
+            bits: vec![0xAA; 16],
+            fg: Color::BLACK,
+            bg: Some(Color::WHITE),
+        });
+        // Jointly covered, never by one command: it cannot be clipped
+        // bit-wise, so it stays whole.
+        assert_eq!(q.push(sfill(0, 0, 8, 8, 1)).evicted, 0);
+        assert_eq!(q.push(sfill(8, 0, 8, 8, 2)).evicted, 0);
+        assert_eq!(q.entries()[0].visible.area(), 16 * 8);
+        assert_eq!(q.entries()[0].materialize(), vec![q.entries()[0].cmd.clone()]);
+        assert_eq!(q.push(sfill(0, 0, 16, 8, 3)).evicted, 3);
+        assert_eq!(q.len(), 1);
+    }
+
+    fn copy(src: Rect, dst_x: i32, dst_y: i32) -> DisplayCommand {
+        DisplayCommand::Copy { src_rect: src, dst_x, dst_y }
+    }
+
+    #[test]
+    fn copy_source_is_neither_clipped_nor_evicted() {
+        let mut q = CommandQueue::new();
+        q.push(raw(0, 0, 20, 20));
+        q.push(copy(Rect::new(0, 0, 10, 10), 30, 30));
+        // Partly over the copy's source: only the part outside it is
+        // clipped away (10x10 overlap with the RAW, 5x5 of it read).
+        q.push(sfill(5, 5, 10, 10, 9));
+        assert_eq!(q.entries()[0].visible.area(), 400 - (100 - 25));
+        // Wholly over both: whatever lies in the region the copy reads
+        // stays queued (protection goes by region, not by age).
+        assert_eq!(q.push(sfill(0, 0, 20, 20, 8)).evicted, 0);
+        assert_eq!(q.entries()[0].visible.rects(), &[Rect::new(0, 0, 10, 10)]);
+        assert_eq!(q.entries()[2].visible.rects(), &[Rect::new(5, 5, 5, 5)]);
+        // Once the copy is gone (delivered), so is the protection.
+        let pos = q.position(q.entries()[1].seq).unwrap();
+        assert!(matches!(q.remove(pos).cmd, DisplayCommand::Copy { .. }));
+        assert_eq!(q.push(sfill(0, 0, 20, 20, 7)).evicted, 3);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn merge_asks_the_newest_entrys_tag_and_insert_bypasses_the_rule() {
+        let mut q: CommandQueue<bool> = CommandQueue::new();
+        let push = |q: &mut CommandQueue<bool>, cmd, class: bool| {
+            q.push_with(cmd, |&last| last == class, |_, _| class)
+        };
+        assert!(!push(&mut q, sfill(0, 0, 10, 5, 7), false).merged);
+        // Tiles the first fill, but in the other class: a new entry.
+        assert!(!push(&mut q, sfill(0, 5, 10, 5, 7), true).merged);
+        let third = push(&mut q, sfill(0, 10, 10, 5, 7), true);
+        assert!(third.merged);
+        assert_eq!(third.seq, q.entries()[1].seq);
+        assert_eq!(q.entries()[1].cmd.dest_rect(), Rect::new(0, 5, 10, 10));
+        // A raw insert neither evicts, clips nor merges.
+        let seq = q.insert(sfill(0, 0, 10, 15, 7), false);
+        assert_eq!((q.len(), seq, q.next_seq()), (3, 2, 3));
+        assert_eq!(q.entries()[0].visible.area(), 50);
     }
 
     #[test]
     fn transparent_does_not_evict() {
         let mut q = CommandQueue::new();
-        q.push(raw(0, 0, 10, 10), false);
+        q.push(raw(0, 0, 10, 10));
         q.push(
             DisplayCommand::Bitmap {
                 rect: Rect::new(0, 0, 10, 10),
@@ -500,7 +617,6 @@ mod tests {
                 fg: Color::BLACK,
                 bg: None,
             },
-            false,
         );
         assert_eq!(q.len(), 2);
         assert_eq!(q.entries()[0].visible.area(), 100);
@@ -516,9 +632,8 @@ mod tests {
                 fg: Color::BLACK,
                 bg: None,
             },
-            false,
         );
-        q.push(sfill(0, 0, 10, 10, 3), false);
+        q.push(sfill(0, 0, 10, 10, 3));
         assert_eq!(q.len(), 1);
     }
 
@@ -526,11 +641,9 @@ mod tests {
     fn scanline_raws_merge() {
         let mut q = CommandQueue::new();
         // 20 one-pixel-tall scan lines, as image rasterization emits.
-        for y in 0..20 {
-            q.push(raw(5, y, 64, 1), false);
-        }
+        let merged = (0..20).filter(|&y| q.push(raw(5, y, 64, 1)).merged).count();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().merged, 19);
+        assert_eq!(merged, 19);
         let e = &q.entries()[0];
         assert_eq!(e.cmd.dest_rect(), Rect::new(5, 0, 64, 20));
         if let DisplayCommand::Raw { data, .. } = &e.cmd {
@@ -543,8 +656,8 @@ mod tests {
     #[test]
     fn adjacent_same_color_sfills_merge() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 10, 5, 7), false);
-        q.push(sfill(0, 5, 10, 5, 7), false);
+        q.push(sfill(0, 0, 10, 5, 7));
+        q.push(sfill(0, 5, 10, 5, 7));
         assert_eq!(q.len(), 1);
         assert_eq!(q.entries()[0].cmd.dest_rect(), Rect::new(0, 0, 10, 10));
     }
@@ -552,16 +665,16 @@ mod tests {
     #[test]
     fn different_color_sfills_do_not_merge() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 10, 5, 7), false);
-        q.push(sfill(0, 5, 10, 5, 8), false);
+        q.push(sfill(0, 0, 10, 5, 7));
+        q.push(sfill(0, 5, 10, 5, 8));
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn non_tiling_sfills_do_not_merge() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 10, 5, 7), false);
-        q.push(sfill(3, 5, 10, 5, 7), false);
+        q.push(sfill(0, 0, 10, 5, 7));
+        q.push(sfill(3, 5, 10, 5, 7));
         assert_eq!(q.len(), 2);
     }
 
@@ -602,8 +715,8 @@ mod tests {
     #[test]
     fn extract_region_translates() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 4, 4, 1), false);
-        q.push(raw(4, 0, 4, 4), false);
+        q.push(sfill(0, 0, 4, 4, 1));
+        q.push(raw(4, 0, 4, 4));
         let (cmds, covered) = q.extract_region(&Rect::new(0, 0, 8, 4), 100, 50);
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[0].dest_rect(), Rect::new(100, 50, 4, 4));
@@ -621,7 +734,6 @@ mod tests {
                 fg: Color::BLACK,
                 bg: Some(Color::WHITE),
             },
-            false,
         );
         // Clip cuts the bitmap: not exactly clippable, so not returned.
         let (cmds, covered) = q.extract_region(&Rect::new(8, 0, 8, 4), 0, 0);
@@ -632,16 +744,9 @@ mod tests {
     #[test]
     fn drain_empties() {
         let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 1, 1, 1), false);
+        q.push(sfill(0, 0, 1, 1, 1));
         let cmds = q.drain();
         assert_eq!(cmds.len(), 1);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn realtime_flag_preserved() {
-        let mut q = CommandQueue::new();
-        q.push(sfill(0, 0, 1, 1, 1), true);
-        assert!(q.entries()[0].realtime);
     }
 }

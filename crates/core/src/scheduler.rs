@@ -36,8 +36,9 @@ pub fn queue_index(size: u64) -> usize {
     idx
 }
 
-/// Where an entry lives in the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Where an entry lives in the scheduler. Ordered the way the queues
+/// flush: real-time first, then the normal queues by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueueSlot {
     /// The preempting real-time queue.
     Realtime,

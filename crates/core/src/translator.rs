@@ -101,19 +101,24 @@ impl Translator {
             return;
         }
         let mut q = CommandQueue::new();
-        q.push(
-            DisplayCommand::Sfill {
-                rect: Rect::new(0, 0, w, h),
-                color: Color::TRANSPARENT,
-            },
-            false,
-        );
+        q.push(DisplayCommand::Sfill {
+            rect: Rect::new(0, 0, w, h),
+            color: Color::TRANSPARENT,
+        });
         self.offscreen.insert(id, q);
     }
 
     /// Pixmap destruction: drop its queue.
     pub fn free_pixmap(&mut self, id: DrawableId) {
         self.offscreen.remove(&id);
+    }
+
+    /// Queues `cmd` on pixmap `target`, if it is tracked.
+    fn enqueue(&mut self, target: DrawableId, cmd: DisplayCommand) {
+        if let Some(q) = self.offscreen.get_mut(&target) {
+            q.push(cmd);
+            self.stats.offscreen_queued += 1;
+        }
     }
 
     /// Routes a translated command: to the wire (screen target) or to
@@ -137,20 +142,14 @@ impl Translator {
                 .map(|fb| fb.bounds())
                 .unwrap_or_default();
             if let Some(clipped) = crate::queue::clip_command(&cmd, &bounds) {
-                if let Some(q) = self.offscreen.get_mut(&target) {
-                    q.push(clipped, false);
-                    self.stats.offscreen_queued += 1;
-                }
+                self.enqueue(target, clipped);
             } else {
                 // Unclippable and partially out of bounds: snapshot
                 // the in-bounds footprint from the (already drawn)
                 // pixmap as RAW — exact by construction.
                 let r = cmd.dest_rect().intersection(&bounds);
                 if let Some(raw) = self.raw_from(store, target, &r) {
-                    if let Some(q) = self.offscreen.get_mut(&target) {
-                        q.push(raw, false);
-                        self.stats.offscreen_queued += 1;
-                    }
+                    self.enqueue(target, raw);
                 }
             }
         }
@@ -244,10 +243,7 @@ impl Translator {
             let bounds = store.get(target).map(|f| f.bounds()).unwrap_or_default();
             let r = rect.intersection(&bounds);
             if let Some(raw) = self.raw_from(store, target, &r) {
-                if let Some(q) = self.offscreen.get_mut(&target) {
-                    q.push(raw, false);
-                    self.stats.offscreen_queued += 1;
-                }
+                self.enqueue(target, raw);
             }
         }
         Vec::new()
@@ -365,11 +361,8 @@ impl Translator {
                         }
                     }
                 }
-                if let Some(dst_q) = self.offscreen.get_mut(&dst) {
-                    for c in to_queue {
-                        dst_q.push(c, false);
-                        self.stats.offscreen_queued += 1;
-                    }
+                for c in to_queue {
+                    self.enqueue(dst, c);
                 }
                 Vec::new()
             }
@@ -382,10 +375,7 @@ impl Translator {
                 }
                 let dst_rect = Rect::new(dst_x, dst_y, src_rect.w, src_rect.h);
                 if let Some(raw) = self.raw_from(store, dst, &dst_rect) {
-                    if let Some(q) = self.offscreen.get_mut(&dst) {
-                        q.push(raw, false);
-                        self.stats.offscreen_queued += 1;
-                    }
+                    self.enqueue(dst, raw);
                 }
                 Vec::new()
             }
@@ -570,6 +560,39 @@ mod tests {
         // the fill shows at (20..28, 20..28).
         assert_eq!(client.get_pixel(24, 24), Some(Color::rgb(7, 7, 7)));
         assert_eq!(client.get_pixel(24, 24), s.screen().get_pixel(24, 24));
+    }
+
+    #[test]
+    fn clipped_solid_fill_still_replays_to_the_pixmaps_pixels() {
+        // The overlap rule clips a queued solid fill under what is
+        // drawn over it. Extraction emits whole commands in arrival
+        // order regardless, so executing the queue must still
+        // reproduce the drawable.
+        let mut t = Translator::new();
+        let mut s = store();
+        let pm = s.create_pixmap(16, 16);
+        t.create_pixmap(pm, 16, 16);
+        let all = Rect::new(0, 0, 16, 16);
+        s.get_mut(pm).unwrap().fill_rect(&all, Color::rgb(1, 2, 3));
+        t.solid_fill(&s, pm, all, Color::rgb(1, 2, 3));
+        let img: Vec<u8> = (0..8 * 8 * 3).map(|i| i as u8).collect();
+        s.get_mut(pm).unwrap().put_raw(&Rect::new(4, 4, 8, 8), &img);
+        t.put_image(&s, pm, Rect::new(4, 4, 8, 8), &img);
+        let band = Rect::new(0, 0, 16, 6);
+        s.get_mut(pm).unwrap().fill_rect(&band, Color::rgb(9, 9, 9));
+        t.solid_fill(&s, pm, band, Color::rgb(9, 9, 9));
+        let base = &t.offscreen[&pm].entries()[0];
+        assert_eq!(base.cmd.dest_rect(), all);
+        assert_eq!(base.visible.area(), 256 - 16 * 6 - 8 * 6);
+        // A window cutting through all three goes onscreen.
+        let (src, dst) = (Rect::new(2, 2, 12, 12), Rect::new(20, 20, 12, 12));
+        let (_, data) = s.get(pm).unwrap().get_raw(&src);
+        s.screen_mut().put_raw(&dst, &data);
+        let cmds = t.copy_area(&s, pm, SCREEN, src, dst.x, dst.y);
+        assert_eq!(t.stats().raw_fallbacks, 0, "{cmds:?}");
+        let mut client = Framebuffer::new(64, 64, PixelFormat::Rgb888);
+        replay(&mut client, &cmds);
+        assert_eq!(client.get_raw(&dst), s.screen().get_raw(&dst));
     }
 
     #[test]

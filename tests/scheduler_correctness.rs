@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use thinc::client::ThincClient;
 use thinc::core::buffer::ClientBuffer;
+use thinc::core::queue::CommandQueue;
 use thinc::net::tcp::{TcpParams, TcpPipe};
 use thinc::net::time::{SimDuration, SimTime};
 use thinc::net::trace::PacketTrace;
@@ -25,59 +26,102 @@ fn arb_color() -> impl Strategy<Value = Color> {
     (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(r, g, b)| Color::rgb(r, g, b))
 }
 
+fn arb_sfill() -> impl Strategy<Value = DisplayCommand> {
+    (arb_rect(), arb_color()).prop_map(|(rect, color)| DisplayCommand::Sfill { rect, color })
+}
+
+fn arb_raw() -> impl Strategy<Value = DisplayCommand> {
+    (arb_rect(), any::<u64>()).prop_map(|(rect, seed)| {
+        let len = (rect.w * rect.h * 3) as usize;
+        let mut x = seed | 1;
+        let data = (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect();
+        DisplayCommand::Raw {
+            rect,
+            encoding: RawEncoding::None,
+            data,
+        }
+    })
+}
+
+fn arb_bitmap() -> impl Strategy<Value = DisplayCommand> {
+    (arb_rect(), arb_color(), any::<u64>(), any::<bool>()).prop_map(|(rect, fg, seed, opaque)| {
+        let row_bytes = ((rect.w as usize) + 7) / 8;
+        let mut x = seed | 1;
+        let bits = (0..row_bytes * rect.h as usize)
+            .map(|_| {
+                x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+                (x >> 33) as u8
+            })
+            .collect();
+        DisplayCommand::Bitmap {
+            rect,
+            bits,
+            fg,
+            bg: opaque.then_some(Color::WHITE),
+        }
+    })
+}
+
+fn arb_pfill() -> impl Strategy<Value = DisplayCommand> {
+    (arb_rect(), arb_color()).prop_map(|(rect, c)| {
+        let tile_px: Vec<u8> = vec![c.r, c.g, c.b, c.b, c.r, c.g, c.g, c.b, c.r, c.r, c.r, c.b];
+        DisplayCommand::Pfill {
+            rect,
+            tile: Tile {
+                width: 2,
+                height: 2,
+                pixels: tile_px,
+            },
+        }
+    })
+}
+
 fn arb_command() -> impl Strategy<Value = DisplayCommand> {
     prop_oneof![
-        (arb_rect(), arb_color()).prop_map(|(rect, color)| DisplayCommand::Sfill { rect, color }),
-        (arb_rect(), any::<u64>()).prop_map(|(rect, seed)| {
-            let len = (rect.w * rect.h * 3) as usize;
-            let mut x = seed | 1;
-            let data = (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (x >> 33) as u8
-                })
-                .collect();
-            DisplayCommand::Raw {
-                rect,
-                encoding: RawEncoding::None,
-                data,
-            }
-        }),
-        (arb_rect(), arb_color(), any::<u64>(), any::<bool>()).prop_map(
-            |(rect, fg, seed, opaque)| {
-                let row_bytes = ((rect.w as usize) + 7) / 8;
-                let mut x = seed | 1;
-                let bits = (0..row_bytes * rect.h as usize)
-                    .map(|_| {
-                        x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                        (x >> 33) as u8
-                    })
-                    .collect();
-                DisplayCommand::Bitmap {
-                    rect,
-                    bits,
-                    fg,
-                    bg: opaque.then_some(Color::WHITE),
-                }
-            }
-        ),
-        (arb_rect(), arb_color()).prop_map(|(rect, c)| {
-            let tile_px: Vec<u8> = vec![c.r, c.g, c.b, c.b, c.r, c.g, c.g, c.b, c.r, c.r, c.r, c.b];
-            DisplayCommand::Pfill {
-                rect,
-                tile: Tile {
-                    width: 2,
-                    height: 2,
-                    pixels: tile_px,
-                },
-            }
-        }),
+        arb_sfill(),
+        arb_raw(),
+        arb_bitmap(),
+        arb_pfill(),
         (arb_rect(), 0..W as i32, 0..H as i32).prop_map(|(src_rect, dst_x, dst_y)| {
             DisplayCommand::Copy {
                 src_rect,
                 dst_x,
                 dst_y,
             }
+        }),
+    ]
+}
+
+/// A COPY-free drawing step: one command of the four other kinds, or
+/// one of the two runs the §4 merge exists for — per-scan-line RAWs
+/// and solid fills that tile a rectangle.
+fn arb_copy_free_step() -> impl Strategy<Value = Vec<DisplayCommand>> {
+    prop_oneof![
+        arb_sfill().prop_map(|c| vec![c]),
+        arb_raw().prop_map(|c| vec![c]),
+        arb_bitmap().prop_map(|c| vec![c]),
+        arb_pfill().prop_map(|c| vec![c]),
+        (arb_rect(), 2..6u32, any::<u8>()).prop_map(|(r, rows, v)| {
+            (0..rows)
+                .map(|i| DisplayCommand::Raw {
+                    rect: Rect::new(r.x, r.y + i as i32, r.w, 1),
+                    encoding: RawEncoding::None,
+                    data: (0..r.w * 3).map(|b| v.wrapping_add((b + i) as u8)).collect(),
+                })
+                .collect()
+        }),
+        (arb_rect(), arb_color(), 1..8u32).prop_map(|(r, color, cut)| {
+            let top = cut.min(r.h);
+            [Rect::new(r.x, r.y, r.w, top), Rect::new(r.x, r.y + top as i32, r.w, r.h - top)]
+                .into_iter()
+                .filter(|rect| !rect.is_empty())
+                .map(|rect| DisplayCommand::Sfill { rect, color })
+                .collect()
         }),
     ]
 }
@@ -149,8 +193,59 @@ fn replay_through_buffer(
     fb
 }
 
+/// Everything an unbounded FIFO buffer delivers for `cmds`, in wire
+/// order, over a pipe wide enough that nothing is ever split.
+fn fifo_buffer_output(cmds: &[DisplayCommand]) -> Vec<DisplayCommand> {
+    let mut buf = ClientBuffer::new().with_fifo_scheduling();
+    for c in cmds {
+        buf.push(c.clone(), false);
+    }
+    let mut pipe = TcpPipe::new(TcpParams {
+        rwnd_bytes: 4 << 20,
+        sndbuf_bytes: 4 << 20,
+        ..TcpParams::default()
+    });
+    let mut trace = PacketTrace::new();
+    let mut out = Vec::new();
+    let mut now = SimTime::ZERO;
+    while !buf.is_empty() {
+        for (_, msg) in buf.flush(now, &mut pipe, &mut trace) {
+            match msg {
+                Message::Display(c) => out.push(c),
+                other => panic!("a bare buffer only ships display commands, got {other:?}"),
+            }
+        }
+        now = pipe.tx_free_at().max(now + SimDuration::from_millis(1));
+    }
+    assert_eq!(buf.stats().splits, 0, "the pipe was meant to be wide enough");
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A FIFO buffer is exactly its queue: the §4 algebra is written
+    /// once, so the same COPY-free stream through a bare
+    /// `CommandQueue` and through a `ClientBuffer` that only adds
+    /// arrival-order delivery yields the same commands — and both
+    /// paint what in-order replay paints.
+    #[test]
+    fn fifo_buffer_is_exactly_its_queue(
+        steps in prop::collection::vec(arb_copy_free_step(), 1..16),
+    ) {
+        let cmds: Vec<DisplayCommand> = steps.into_iter().flatten().collect();
+        let mut q = CommandQueue::new();
+        for c in &cmds {
+            q.push(c.clone());
+        }
+        let queued: Vec<DisplayCommand> =
+            q.drain().iter().flat_map(|e| e.materialize()).collect();
+        let buffered = fifo_buffer_output(&cmds);
+        let reference = replay_in_order(&cmds).checksum();
+        prop_assert_eq!(replay_in_order(&queued).checksum(), reference);
+        prop_assert_eq!(replay_in_order(&buffered).checksum(), reference);
+        prop_assert_eq!(queued, buffered);
+    }
 
     #[test]
     fn reordered_delivery_preserves_final_state(
