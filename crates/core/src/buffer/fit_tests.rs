@@ -21,7 +21,7 @@ use super::*;
 /// A RAW at `(x, y)` whose payload is picked by `kind`: 0 flat (tiny
 /// when compressed), 1 noise (incompressible), 2 half noise over half
 /// flat (compresses to about half — fits some pipes, not others).
-fn payload(kind: u8, seed: u8, x: i32, y: i32, w: u32, h: u32) -> DisplayCommand {
+pub(super) fn payload(kind: u8, seed: u8, x: i32, y: i32, w: u32, h: u32) -> DisplayCommand {
     let n = (w * h * 3) as usize;
     let mut state = 0x9E37_79B9u32 ^ (u32::from(seed) << 8 | u32::from(kind));
     let mut noise = move || {

@@ -29,12 +29,12 @@ use thinc_telemetry::{ProtocolMetrics, SchedulerMetrics};
 pub(crate) use self::checkpoint::decode_checkpoint_message;
 use self::wire::{CacheEngine, RAW_FRAME_OVERHEAD};
 use crate::memo::EncodeMemo;
-use crate::plane::{PlaneCounters, WirePlane};
+use crate::plane::{FlushPlan, PlanRole, PlaneCounters, PlannedPart, WirePlane};
 use crate::queue::{classify, dependency_rects, CommandQueue, OverwriteClass, QueuedCommand};
 use crate::scheduler::{creates_dependency, place, queue_index, QueueSlot, NUM_QUEUES};
 
 /// What §5 hangs on each queued command.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Sched {
     /// Where the scheduler put the command.
     slot: QueueSlot,
@@ -72,6 +72,29 @@ fn max_dependency_slot(
         })
     };
     earlier.iter().filter(depends).map(|e| e.tag.slot).max()
+}
+
+/// Everything a flush derives its parts and forms from: two buffers
+/// equal in this — and flushed at the same `now` — clip the same
+/// entries, in the same order, into the same parts with the same wire
+/// forms. (Pipe, cache ledger and memo are not in it: they are what a
+/// viewer following a class-mate's [`FlushPlan`] still consults for
+/// itself.)
+///
+/// Sequence numbers are equal when they are equally far behind their
+/// queue's `next_seq`. A flush only uses them to find an entry from
+/// its slot's deque, which a common offset does not disturb — and a
+/// viewer that once split a RAW its class-mates sent whole has used
+/// up numbers they have not, for good: compared as they stand, it
+/// would never be in step with them again.
+#[derive(Debug)]
+pub(crate) struct FlushState {
+    now: SimTime,
+    raw_compress_bpp: Option<usize>,
+    next_seq: u64,
+    entries: Vec<QueuedCommand<Sched>>,
+    realtime: VecDeque<u64>,
+    queues: [VecDeque<u64>; NUM_QUEUES],
 }
 
 /// The per-client buffer: eviction + SRSF scheduling + flush.
@@ -426,10 +449,58 @@ impl ClientBuffer {
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
     ) -> Vec<(SimTime, Message)> {
+        self.flush_planned(now, pipe, trace, plane, counters, &PlanRole::Alone)
+    }
+
+    /// [`flush_shared`](Self::flush_shared) in the `role` the plane's
+    /// plan table gave this buffer for its current state
+    /// ([`Plans::resolve`](crate::plane::Plans::resolve), which must
+    /// have seen the buffer as it is now, at this `now`): a leader
+    /// records what it derives and publishes it, a follower flushes by
+    /// the leader's plan. Output, statistics and what stays queued are
+    /// those of the plain flush in every role.
+    pub(crate) fn flush_planned(
+        &mut self,
+        now: SimTime,
+        pipe: &mut TcpPipe,
+        trace: &mut PacketTrace,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+        role: &PlanRole,
+    ) -> Vec<(SimTime, Message)> {
+        let (follow, mut record) = match role {
+            PlanRole::Alone => (None, None),
+            PlanRole::Lead(_) => (None, Some(FlushPlan::default())),
+            // A leader that panicked published nothing.
+            PlanRole::Follow(slot) => (slot.plan(), None),
+        };
+        let out = self.flush_loop(now, pipe, trace, plane, counters, follow, record.as_mut());
+        if let (PlanRole::Lead(slot), Some(plan)) = (role, record) {
+            slot.publish(plan);
+        }
+        out
+    }
+
+    /// The flush loop — the only one: plain, leading and following
+    /// flushes differ in where an entry's parts and a part's form come
+    /// from, and in nothing after that.
+    #[allow(clippy::too_many_arguments)]
+    fn flush_loop(
+        &mut self,
+        now: SimTime,
+        pipe: &mut TcpPipe,
+        trace: &mut PacketTrace,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+        follow: Option<&FlushPlan>,
+        mut record: Option<&mut FlushPlan>,
+    ) -> Vec<(SimTime, Message)> {
         let mut out = Vec::new();
         if !self.ship_fallbacks(now, pipe, trace, &mut out) {
             return out;
         }
+        // Entries delivered so far: the next one's place in the plan.
+        let mut delivered = 0;
         // Realtime queue, then normal queues in increasing order.
         let slots = std::iter::once(QueueSlot::Realtime).chain((0..NUM_QUEUES).map(QueueSlot::Normal));
         for slot in slots {
@@ -438,20 +509,39 @@ impl ClientBuffer {
                 let Some(pos) = self.queue.position(seq) else { continue };
                 let entry = self.queue.remove(pos);
                 let wait_us = now.0.saturating_sub(entry.tag.enqueued.0);
-                let parts = entry.materialize();
+                // The leader's parts where its plan reaches this entry
+                // (it stops where the leader's pipe filled), this
+                // buffer's own otherwise.
+                let planned = follow.and_then(|plan| plan.entries.get(delivered));
+                delivered += 1;
+                let own = if planned.is_none() { entry.materialize() } else { Vec::new() };
+                let count = planned.map_or(own.len(), Vec::len);
+                let part = |i: usize| match planned {
+                    Some(parts) => &parts[i].cmd,
+                    None => &own[i],
+                };
+                // What a leader adds to its parts to make the plan.
+                let mut forms = Vec::new();
                 let mut leftover: Vec<DisplayCommand> = Vec::new();
-                for (i, part) in parts.iter().enumerate() {
+                for i in 0..count {
+                    // Always this viewer's own pipe, before every part.
                     let writable = pipe.writable_bytes(now);
-                    let whole = self
-                        .prepare_wire(part, writable, plane, counters)
-                        .filter(|wire| wire.size <= writable);
+                    let formed = match planned.and_then(|parts| parts[i].form.as_ref()) {
+                        Some(form) => Some(self.adopt(form)),
+                        None => self.form_for(part(i), writable, plane, counters),
+                    };
+                    if record.is_some() {
+                        forms.push(formed.as_ref().and_then(|f| f.shareable().cloned()));
+                    }
+                    let whole =
+                        formed.map(|formed| self.settle(formed)).filter(|wire| wire.size <= writable);
                     if let Some(wire) = whole {
                         self.ship(wire, now, pipe, trace, wait_us, counters, &mut out);
                         continue;
                     }
                     // Nothing whole fits: try splitting an uncompressed
                     // RAW to fill the space there is.
-                    if let Some((head, tail)) = split_raw(part, writable) {
+                    if let Some((head, tail)) = split_raw(part(i), writable) {
                         let head = self
                             .prepare_wire(&head, writable, plane, counters)
                             .filter(|wire| wire.size <= writable);
@@ -459,12 +549,19 @@ impl ClientBuffer {
                             self.stats.splits += 1;
                             self.ship(wire, now, pipe, trace, wait_us, counters, &mut out);
                             leftover.push(tail);
-                            leftover.extend(parts[i + 1..].iter().cloned());
+                            leftover.extend((i + 1..count).map(|j| part(j).clone()));
                             break;
                         }
                     }
-                    leftover.extend(parts[i..].iter().cloned());
+                    leftover.extend((i..count).map(|j| part(j).clone()));
                     break;
+                }
+                if let Some(plan) = record.as_deref_mut() {
+                    // Parts the leader's pipe never let it reach have
+                    // no form.
+                    forms.resize_with(own.len(), || None);
+                    let parts = own.into_iter().zip(forms).map(|(cmd, form)| PlannedPart { cmd, form });
+                    plan.entries.push(parts.collect());
                 }
                 if !leftover.is_empty() {
                     // Requeue the remainder at the head of the same
@@ -480,6 +577,61 @@ impl ClientBuffer {
             }
         }
         out
+    }
+
+    /// A cheap digest of the state a flush at `now` starts from. Only
+    /// picks the plan table's bucket; [`in_state`](Self::in_state)
+    /// decides.
+    pub(crate) fn flush_fingerprint(&self, now: SimTime) -> u64 {
+        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        let (entries, next_seq) = (self.queue.entries(), self.queue.next_seq());
+        let h = mix(mix(0xCBF2_9CE4_8422_2325, now.0), entries.len() as u64);
+        entries.iter().fold(h, |h, e| mix(mix(h, next_seq - e.seq), e.cmd.wire_size()))
+    }
+
+    /// A copy of the state a flush at `now` starts from, for a plan to
+    /// be pinned on (payloads are shared, not copied).
+    pub(crate) fn flush_state(&self, now: SimTime) -> FlushState {
+        FlushState {
+            now,
+            raw_compress_bpp: self.raw_compress_bpp,
+            next_seq: self.queue.next_seq(),
+            entries: self.queue.entries().to_vec(),
+            realtime: self.realtime.clone(),
+            queues: self.queues.clone(),
+        }
+    }
+
+    /// Whether a flush of this buffer at `now` starts from exactly
+    /// `state`.
+    pub(crate) fn in_state(&self, now: SimTime, state: &FlushState) -> bool {
+        let (mine, theirs) = (self.queue.next_seq(), state.next_seq);
+        let same_seq = |a: u64, b: u64| mine.wrapping_sub(a) == theirs.wrapping_sub(b);
+        // Lengths first, then element by element. Even with numbers
+        // compared as they stand, the derived `==` on
+        // `[VecDeque<u64>; NUM_QUEUES]` is the wrong tool: it measured
+        // 2.2× this on an epoch's deques warm (≈ 75 ns against ≈ 33),
+        // and ≈ 2 µs a call in the sizing prototype's cold caches —
+        // as much as the whole of a follower's flush.
+        let same_order = |a: &VecDeque<u64>, b: &VecDeque<u64>| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| same_seq(*a, *b))
+        };
+        let same_entry = |a: &QueuedCommand<Sched>, b: &QueuedCommand<Sched>| {
+            same_seq(a.seq, b.seq)
+                && a.tag == b.tag
+                && a.class == b.class
+                && a.visible == b.visible
+                // Last: a pointer compare between class-mates, a byte
+                // compare where their queues merged their own copies.
+                && a.cmd == b.cmd
+        };
+        let entries = self.queue.entries();
+        now == state.now
+            && self.raw_compress_bpp == state.raw_compress_bpp
+            && entries.len() == state.entries.len()
+            && same_order(&self.realtime, &state.realtime)
+            && self.queues.iter().zip(&state.queues).all(|(a, b)| same_order(a, b))
+            && entries.iter().zip(&state.entries).all(|(a, b)| same_entry(a, b))
     }
 }
 
@@ -523,6 +675,9 @@ fn split_raw(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, Displ
 
 #[cfg(test)]
 mod fit_tests;
+
+#[cfg(test)]
+mod plan_tests;
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,9 @@ use thinc_protocol::wire::encode_message_into;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
-use crate::plane::{plane_key, PlaneCounters, PlaneKey, PlaneSlot, WireForm, WirePlane};
+use crate::plane::{
+    plane_key, PlaneCounters, PlaneKey, PlaneSlot, PlannedForm, WireForm, WirePlane,
+};
 
 /// Server-side per-client content-cache state (protocol revision 3).
 ///
@@ -70,6 +72,31 @@ pub(super) struct Wire {
     /// Frame size of the full form when a [`WirePlane`] slot stands
     /// behind it (plane accounting at send time).
     shared: Option<u64>,
+}
+
+/// What [`ClientBuffer::form_for`] found for a command.
+#[derive(Debug)]
+pub(super) enum Formed {
+    /// The command's full wire form, for this viewer's ledger to
+    /// [`settle`](ClientBuffer::settle) — and, being no viewer's in
+    /// particular, for a flush plan to share.
+    Form(PlannedForm),
+    /// This viewer's finished message, reached without the form.
+    Settled(Wire),
+}
+
+impl Formed {
+    /// The form, when it is one every viewer in the same buffer state
+    /// would have found the way this one did: with a plane slot
+    /// standing behind it, or no codec involved at all. (A compressible
+    /// payload the plane refused a slot — a hash collision — is encoded
+    /// by each viewer against its own pipe, and charged as such.)
+    pub(super) fn shareable(&self) -> Option<&PlannedForm> {
+        match self {
+            Formed::Form(f) if f.shared.is_some() || f.owed.is_none() => Some(f),
+            _ => None,
+        }
+    }
 }
 
 /// The compress attempt owed to an uncompressed RAW at flush time.
@@ -184,17 +211,11 @@ impl ClientBuffer {
     /// to be bigger, and bigger than anything the ledger holds, so it
     /// is not a cache hit either — and the caller must split it.
     ///
-    /// **Fit first.** The only compressed form ever used is one shorter
-    /// than the payload, and when the uncompressed frame does not fit
-    /// the pipe, only one that does fit (or that the ledger could
-    /// hold) — so the encode is bounded by those sizes and gives up
-    /// the moment its stream passes them, instead of compressing the
-    /// whole payload to learn a size it then discards. What a bounded
-    /// encode finds out is remembered by content identity
-    /// (`EncodeMemo`), so a repeat of the content — above all a
-    /// cache hit — reaches the same decision without the codec. The
-    /// decision itself is a pure function of command, pipe space and
-    /// ledger: the memo and the plane only ever skip work.
+    /// Two halves, so that a flush plan can carry the first across
+    /// viewers: [`form_for`](Self::form_for) finds the command's form,
+    /// which no viewer's ledger has touched, and
+    /// [`settle`](Self::settle) asks this viewer's ledger whether the
+    /// form or a reference to it goes out.
     ///
     /// Pure lookup as far as delivery state goes — counters and LRU
     /// order move only in [`Self::cache_commit`] once the frame is
@@ -207,9 +228,36 @@ impl ClientBuffer {
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
     ) -> Option<Wire> {
+        self.form_for(cmd, writable, plane, counters).map(|formed| self.settle(formed))
+    }
+
+    /// The full wire form of `cmd`, as far as `writable` bytes of pipe
+    /// space make it worth producing (`None`: nothing whole can ship).
+    ///
+    /// **Fit first.** The only compressed form ever used is one shorter
+    /// than the payload, and when the uncompressed frame does not fit
+    /// the pipe, only one that does fit (or that the ledger could
+    /// hold) — so the encode is bounded by those sizes and gives up
+    /// the moment its stream passes them, instead of compressing the
+    /// whole payload to learn a size it then discards. What a bounded
+    /// encode finds out is remembered by content identity
+    /// (`EncodeMemo`), so a repeat of the content — above all a
+    /// cache hit — reaches the same decision without the codec, and
+    /// without the form: that is the one case that comes back already
+    /// [`Settled`](Formed::Settled). The decision itself is a pure
+    /// function of command, pipe space and ledger: the memo and the
+    /// plane only ever skip work, and a form that comes back at all is
+    /// the same form whatever the pipe space was.
+    pub(super) fn form_for(
+        &mut self,
+        cmd: &DisplayCommand,
+        writable: u64,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+    ) -> Option<Formed> {
         #[cfg(test)]
         if self.reference_prepare {
-            return Some(self.reference_prepare_wire(cmd.clone(), plane, counters));
+            return Some(Formed::Settled(self.reference_prepare_wire(cmd.clone(), plane, counters)));
         }
         let ident = plane_key(cmd);
         let mut attempt = match (self.raw_compress_bpp, cmd, ident) {
@@ -230,7 +278,7 @@ impl ClientBuffer {
                 if cache.ledger.contains(key) {
                     self.stats.codec_skipped_bytes += a.len;
                     let shared = plane.is_some().then_some(full_size);
-                    return Some(self.cache_ref(key, full_size, shared));
+                    return Some(Formed::Settled(self.cache_ref(key, full_size, shared)));
                 }
             }
         }
@@ -290,18 +338,40 @@ impl ClientBuffer {
             counters.encodes += 1;
             counters.encoded_bytes += form.size;
         }
-        let shared = slot.is_some().then_some(form.size);
-        let (Some(cache), Some(key)) = (&self.cache, form.key) else {
-            return Some(Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared });
+        Some(Formed::Form(PlannedForm {
+            shared: slot.is_some().then_some(form.size),
+            owed: attempt.map(|a| (a.ident, a.len)),
+            form,
+        }))
+    }
+
+    /// Takes a form from the class's flush plan in place of
+    /// [`form_for`](Self::form_for), charged what finding it in its
+    /// plane slot would have been.
+    pub(super) fn adopt(&mut self, planned: &PlannedForm) -> Formed {
+        self.stats.codec_skipped_bytes += planned.owed.map_or(0, |(_, len)| len);
+        Formed::Form(planned.clone())
+    }
+
+    /// This viewer's wire message for a form: the form itself, with a
+    /// ledger insert owed when it is cacheable, or the reference to it
+    /// when the ledger says the client holds it.
+    pub(super) fn settle(&mut self, formed: Formed) -> Wire {
+        let PlannedForm { form, shared, owed } = match formed {
+            Formed::Form(planned) => planned,
+            Formed::Settled(wire) => return wire,
         };
-        if let Some(a) = &attempt {
+        let (Some(cache), Some(key)) = (&self.cache, form.key) else {
+            return Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared };
+        };
+        if let Some((ident, _)) = owed {
             let ledger = &cache.ledger;
-            self.memo.learn_encoded(a.ident, key, form.size, |k| ledger.contains(k));
+            self.memo.learn_encoded(ident, key, form.size, |k| ledger.contains(k));
         }
         if cache.ledger.contains(key) {
-            Some(self.cache_ref(key, form.size, shared))
+            self.cache_ref(key, form.size, shared)
         } else {
-            Some(Wire { msg: form.msg, size: form.size, commit: CacheCommit::Insert { key }, shared })
+            Wire { msg: form.msg, size: form.size, commit: CacheCommit::Insert { key }, shared }
         }
     }
 
@@ -477,7 +547,12 @@ impl ClientBuffer {
         self.stats.sent_messages += 1;
         self.stats.sent_bytes += wire.size;
         self.scheduler_metrics.record_flush_latency_us(wait_us);
-        thinc_protocol::telemetry::record_message(&mut self.protocol_metrics, &wire.msg);
+        // `wire.size` is the message's encoded size: `record_message`
+        // would encode it again to measure it — a copy of the payload
+        // per viewer per message, most of what `ship` used to cost.
+        debug_assert_eq!(wire.size, wire.msg.wire_size());
+        self.protocol_metrics
+            .record(thinc_protocol::telemetry::command_kind(&wire.msg), wire.size);
         if let Some(full) = wire.shared {
             counters.shared_sends += 1;
             counters.shared_bytes += full;
@@ -512,7 +587,7 @@ impl ClientBuffer {
             trace.record(now, arrival, size, Direction::Down, "cache");
             self.stats.sent_messages += 1;
             self.stats.sent_bytes += size;
-            thinc_protocol::telemetry::record_message(&mut self.protocol_metrics, &msg);
+            self.protocol_metrics.record(thinc_protocol::telemetry::command_kind(&msg), size);
             if let Some(key) = key {
                 self.cache_commit(&msg, size, CacheCommit::Insert { key });
             }

@@ -39,7 +39,7 @@ use crate::degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
 use crate::liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
-use crate::plane::{PlaneCounters, WirePlane};
+use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::video::VideoStreamManager;
 
@@ -791,8 +791,32 @@ impl Delivery {
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
     ) -> Vec<(SimTime, Message)> {
+        self.begin_flush(now, pipe);
+        self.flush_begun(now, pipe, trace, plane, counters, &PlanRole::Alone)
+    }
+
+    /// The first half of a [`flush`](Self::flush): everything that may
+    /// still change what is queued — the degradation ladder's verdict
+    /// on the epoch (a step re-bounds the buffer and re-aims the
+    /// scale) and the A/V bound. A session runs it for every viewer
+    /// before it asks the plane which of them are in the same state.
+    pub(crate) fn begin_flush(&mut self, now: SimTime, pipe: &TcpPipe) {
         self.observe_degradation(now, pipe);
         self.enforce_av_bound();
+    }
+
+    /// The second half of a [`flush`](Self::flush), delivering the
+    /// display queues in `role` (see
+    /// [`ClientBuffer::flush_planned`]).
+    pub(crate) fn flush_begun(
+        &mut self,
+        now: SimTime,
+        pipe: &mut TcpPipe,
+        trace: &mut PacketTrace,
+        plane: Option<&WirePlane>,
+        counters: &mut PlaneCounters,
+        role: &PlanRole,
+    ) -> Vec<(SimTime, Message)> {
         let mut out = Vec::new();
         while let Some(msg) = self.av.front() {
             let size = encoded_len(msg);
@@ -820,7 +844,12 @@ impl Delivery {
             self.buffer.record_sent(&msg);
             out.push((arrival, msg));
         }
-        out.extend(self.buffer.flush_shared(now, pipe, trace, plane, counters));
+        let display = self.buffer.flush_planned(now, pipe, trace, plane, counters, role);
+        if out.is_empty() {
+            // No A/V went out: the display batch is the output as it is.
+            return display;
+        }
+        out.extend(display);
         out
     }
 

@@ -7,6 +7,19 @@
 //! of a slice on `std::thread::scope` workers, each worker owning a
 //! contiguous chunk.
 //!
+//! **What belongs on the workers.** A round of scoped threads costs
+//! its spawns and joins — about 110 µs for two workers where it was
+//! measured (`docs/PERFORMANCE.md`, "Flush once per class") — so the
+//! session hands the pool only work that is heavier than that per
+//! item: rendering a scale class, and the flush of a viewer that
+//! clips, hashes and compresses (the leader of a class's flush plan,
+//! or a viewer that has diverged from its class). A viewer in step
+//! with its class does bookkeeping — pops, ledger, pipe, counters, a
+//! few microseconds — and runs inline on the caller's thread, as do
+//! queue pushes; spread over threads that work measured *slower* than
+//! on one. [`contain`] gives inline work the same per-item panic
+//! containment the pool has.
+//!
 //! **Determinism guarantee:** the closure runs exactly once per item
 //! and sees only that item (plus shared read-only captures), so the
 //! final state of the slice is identical for every worker count —
@@ -20,6 +33,11 @@
 /// Items are processed exactly once; `index` is the item's position
 /// in `items`. With `workers <= 1` (or a single item) everything runs
 /// inline on the caller's thread. Panics in `f` propagate.
+///
+/// The caller waits for its workers and takes no chunk itself: a
+/// variant that spawned `workers − 1` and ran the last chunk on the
+/// calling thread measured no different end to end
+/// (`docs/PERFORMANCE.md`, "Flush once per class").
 ///
 /// ```
 /// let mut totals = [1u64, 2, 3, 4, 5];
@@ -63,6 +81,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs `f` on the caller's thread, containing a panic: `Err` holds
+/// the panic's message. Whatever `f` was mutating when it panicked is
+/// in an unspecified state — the caller must set it aside, as
+/// [`try_for_each_mut`] documents for its items.
+pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(panic_message)
+}
+
 /// Runs `f(index, item)` for every item like [`for_each_mut`], but
 /// contains panics per item instead of propagating them.
 ///
@@ -90,15 +116,12 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     let n = items.len();
     let mut caught: Vec<Option<String>> = (0..n).map(|_| None).collect();
     let workers = workers.clamp(1, n.max(1));
     if workers <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                caught[i] = Some(panic_message(p));
-            }
+            caught[i] = contain(|| f(i, item)).err();
         }
         return caught;
     }
@@ -112,9 +135,7 @@ where
             let f = &f;
             scope.spawn(move || {
                 for ((j, item), out) in part.iter_mut().enumerate().zip(outs.iter_mut()) {
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(ci * chunk + j, item))) {
-                        *out = Some(panic_message(p));
-                    }
+                    *out = contain(|| f(ci * chunk + j, item)).err();
                 }
             });
         }

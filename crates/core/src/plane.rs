@@ -1,10 +1,13 @@
-//! The encode-once payload plane for broadcast fan-out.
+//! The encode-once plane for broadcast fan-out: payload forms, and
+//! whole flush plans.
 //!
 //! A shared session broadcasts the same translated commands to every
 //! attached client. Without sharing, each client's flush re-compresses
 //! and re-encodes identical `RAW` payloads — O(clients) encode work
-//! for one screen update. The payload plane collapses that to O(
-//! equivalence classes): commands with the same *payload content* at
+//! for one screen update. The plane collapses that to O(equivalence
+//! classes), at two grains.
+//!
+//! **Payload forms.** Commands with the same *payload content* at
 //! the same destination and encoding share one compressed wire form,
 //! produced once by whichever flush reaches it first and reused by
 //! everyone else as an `Arc` bump. Content keying
@@ -23,19 +26,48 @@
 //! therefore unaffected — the plane caches the *result* of the
 //! per-client encode pipeline, which is a pure function of the
 //! command — so streams stay bit-identical with and without it,
-//! across any shard or worker count. A plane is scoped to one flush
-//! round (one [`flush_all`] call or one sharded epoch).
+//! across any shard or worker count.
+//!
+//! **Flush plans.** Viewers of one scale class that are keeping up
+//! hold command buffers in the same state, and a flush from the same
+//! state clips the same entries into the same parts and looks up the
+//! same forms. The first viewer to flush from a given buffer state
+//! (the *leader*: the lowest id, because plans are resolved serially
+//! in id order, never by a race) records what it derived — per
+//! delivered entry its clipped parts, per part the pipe-independent
+//! wire form — as a `FlushPlan`, published here pinned on the exact
+//! state it started from (`buffer::FlushState`). A viewer whose buffer is in
+//! that state (a *follower*) runs the same flush loop over the plan's
+//! parts and forms instead of deriving its own, and still asks its own
+//! pipe and its own cache ledger about every part, so a follower that
+//! turns out not to be in step after all — its pipe fills, its ledger
+//! already holds a payload — leaves the plan at that part and carries
+//! on alone. Whether a buffer is in a plan's state is decided by
+//! **structural equality**, never by a hash: the fingerprint only
+//! picks the bucket. A wrong match would paint one viewer's screen
+//! with another's commands, and unlike a payload there is no cheaper
+//! identity to pin — the state *is* the queue; equality is cheap where
+//! it matters, because class-mates' payloads are clones of one
+//! allocation and [`Bytes`] compares those by pointer. In-step-ness is
+//! thus *observed* at every flush, not maintained: there is no class
+//! queue, membership or rejoin logic to keep consistent.
+//!
+//! A plane — forms and plans — is scoped to one flush round (one
+//! [`flush_all`] call or one sharded epoch) and dropped with it.
 //!
 //! [`Bytes`]: thinc_protocol::Bytes
 //! [`flush_all`]: crate::session::SharedSession::flush_all
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use thinc_net::time::SimTime;
 use thinc_protocol::{Bytes, DisplayCommand, Message};
 use thinc_raster::Rect;
 pub use thinc_telemetry::PlaneCounters;
+
+use crate::buffer::{ClientBuffer, FlushState};
 
 /// Payloads below this size encode faster than a map lookup under a
 /// lock; they stay on the per-client path.
@@ -138,11 +170,109 @@ impl PlaneSlot {
     }
 }
 
+/// A wire form as a [`FlushPlan`] hands it from the leader to a
+/// follower: the form, and what a viewer that found it in a
+/// [`PlaneSlot`] is charged for it. Never the leader's finished wire
+/// message — its ledger may have turned the form into a `CacheRef`
+/// that means nothing to anyone else.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedForm {
+    /// The full wire form.
+    pub(crate) form: WireForm,
+    /// Frame size charged to plane accounting at send time (a slot
+    /// stands behind the form).
+    pub(crate) shared: Option<u64>,
+    /// Identity and length of the payload the codec was owed: what the
+    /// viewer's encode memo learns the form under, and the
+    /// `codec_skipped_bytes` taking the form ready-made is charged.
+    pub(crate) owed: Option<(PlaneKey, u64)>,
+}
+
+/// One exactly-clipped part of a delivered entry, as the leader drew
+/// it, with the form it went out in — absent when the leader never
+/// produced one a follower could take as it is: it resolved the part
+/// through its own memo and ledger, or its pipe filled first.
+#[derive(Debug)]
+pub(crate) struct PlannedPart {
+    pub(crate) cmd: DisplayCommand,
+    pub(crate) form: Option<PlannedForm>,
+}
+
+/// What the leader's flush derived, per entry in delivery order.
+#[derive(Debug, Default)]
+pub(crate) struct FlushPlan {
+    pub(crate) entries: Vec<Vec<PlannedPart>>,
+}
+
+/// One class's plan: the buffer state it applies to, and the plan once
+/// the leader has flushed. A leader that panics mid-flush publishes
+/// nothing, and its followers flush on their own.
+#[derive(Debug)]
+pub(crate) struct PlanSlot {
+    state: FlushState,
+    plan: OnceLock<FlushPlan>,
+}
+
+impl PlanSlot {
+    /// The plan, if the leader has published it.
+    pub(crate) fn plan(&self) -> Option<&FlushPlan> {
+        self.plan.get()
+    }
+
+    /// Publishes the leader's plan.
+    pub(crate) fn publish(&self, plan: FlushPlan) {
+        // A slot has exactly one leader, so it is set at most once.
+        let _ = self.plan.set(plan);
+    }
+}
+
+/// A viewer's part in this round's plan for its buffer state.
+#[derive(Debug)]
+pub(crate) enum PlanRole {
+    /// No plane, or nothing queued: nothing to share.
+    Alone,
+    /// First in this state: flush, recording the plan into the slot.
+    Lead(Arc<PlanSlot>),
+    /// In the state of a plan already claimed: flush by it.
+    Follow(Arc<PlanSlot>),
+}
+
 /// The per-round shared-encoding table. Cheap to create; create one
 /// per flush round and drop it with the round.
 #[derive(Debug, Default)]
 pub struct WirePlane {
     slots: Mutex<HashMap<PlaneKey, Arc<PlaneSlot>>>,
+    /// Flush plans by state fingerprint; structural equality picks
+    /// within a bucket.
+    plans: Mutex<HashMap<u64, Vec<Arc<PlanSlot>>>>,
+}
+
+/// The plane's plan table, locked: a shard resolves all its viewers'
+/// roles in one serial pass under one lock, not from inside each
+/// viewer's flush. Serial, in id order, is what makes the leader the
+/// lowest id instead of the winner of a race; one lock, because a
+/// lock per viewer taken from the flushing workers cost the sizing
+/// prototype 2.4–3.8 µs a viewer under two workers — more than a
+/// follower's whole flush (warm, on one thread, it is ≈ 45 ns against
+/// ≈ 27 batched).
+pub(crate) struct Plans<'a>(MutexGuard<'a, HashMap<u64, Vec<Arc<PlanSlot>>>>);
+
+impl Plans<'_> {
+    /// The role of a viewer about to flush `buffer` at `now`: follower
+    /// of the plan claimed for exactly this state, or leader of a new
+    /// one.
+    pub(crate) fn resolve(&mut self, buffer: &ClientBuffer, now: SimTime) -> PlanRole {
+        if buffer.is_empty() {
+            return PlanRole::Alone;
+        }
+        let bucket = self.0.entry(buffer.flush_fingerprint(now)).or_default();
+        if let Some(slot) = bucket.iter().find(|slot| buffer.in_state(now, &slot.state)) {
+            return PlanRole::Follow(Arc::clone(slot));
+        }
+        let slot = Arc::new(PlanSlot { state: buffer.flush_state(now), plan: OnceLock::new() });
+        bucket.push(Arc::clone(&slot));
+        PlanRole::Lead(slot)
+    }
 }
 
 impl WirePlane {
@@ -180,6 +310,11 @@ impl WirePlane {
     /// Number of distinct equivalence classes seen this round.
     pub fn classes(&self) -> usize {
         self.slots.lock().expect("plane lock poisoned").len()
+    }
+
+    /// Locks the plan table for a run of [`Plans::resolve`] calls.
+    pub(crate) fn plans(&self) -> Plans<'_> {
+        Plans(self.plans.lock().expect("plan lock poisoned"))
     }
 }
 

@@ -40,7 +40,8 @@ use crate::checkpoint::{
 use crate::degradation::DegradationConfig;
 use crate::delivery::{Delivery, DeliveryPolicy, Rendition, Uplink};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
-use crate::plane::{PlaneCounters, WirePlane};
+use crate::parallel::{contain, try_for_each_mut};
+use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::translator::Translator;
 
@@ -141,7 +142,8 @@ struct Member {
 
 impl Member {
     /// The per-client flush body, borrowed one member at a time so the
-    /// parallel fan-out need not hold the session.
+    /// parallel fan-out need not hold the session. `begin_flush` has
+    /// run, and `role` is what the plane made of the buffer it left.
     fn flush(
         &mut self,
         now: SimTime,
@@ -149,6 +151,7 @@ impl Member {
         trace: &mut PacketTrace,
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
+        role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
         if self.quarantined {
             return Vec::new();
@@ -157,8 +160,23 @@ impl Member {
             self.poison_flush = false;
             panic!("injected poison: client flush panicked");
         }
-        self.delivery.flush(now, pipe, trace, plane, counters)
+        self.delivery.flush_begun(now, pipe, trace, plane, counters, role)
     }
+}
+
+/// One member's share of a flush round.
+struct FlushJob<'a> {
+    id: ClientId,
+    member: &'a mut Member,
+    link: &'a mut (TcpPipe, PacketTrace),
+    /// The member's part in the plane's plan for its buffer state.
+    role: PlanRole,
+    /// Whether the flush goes to the worker pool (it clips, hashes and
+    /// compresses) or runs inline (it is bookkeeping).
+    heavy: bool,
+    out: Vec<(SimTime, Message)>,
+    counters: PlaneCounters,
+    panicked: bool,
 }
 
 /// One display session shared by any number of authenticated clients.
@@ -268,9 +286,13 @@ impl SharedSession {
         self
     }
 
-    /// Fans per-client broadcast and flush work out over up to
-    /// `workers` scoped threads. Output is identical for every worker
-    /// count (see [`crate::parallel`]); the default is 1 (inline).
+    /// Lets broadcast and flush use up to `workers` scoped threads —
+    /// an upper bound, spent on per-class rendering and on the flushes
+    /// of viewers that clip, hash and compress (plan leaders, and
+    /// viewers diverged from their class); viewers in step with their
+    /// class are bookkeeping and run inline whatever the bound (see
+    /// [`crate::parallel`]). Output is identical for every worker
+    /// count; the default is 1 (everything inline).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -408,10 +430,16 @@ impl SharedSession {
     /// Fans translated commands out to every client. Clients at the
     /// same scale policy receive identical command streams, so a
     /// serial pre-pass opens each client's round and groups clients
-    /// into scale-equivalence classes, each class is rendered once
-    /// (in parallel across classes), and the per-client pushes share
-    /// the class's [`Rendition`] by reference on the session's worker
-    /// pool. Per-client push order is the command order either way.
+    /// into scale-equivalence classes, each class is rendered once,
+    /// and the per-client pushes share the class's [`Rendition`] by
+    /// reference. Per-client push order is the command order.
+    ///
+    /// The worker pool is used where there is work for it (see
+    /// [`crate::parallel`]): rendering, when more than one class has
+    /// any to do — a resample or an owed full view; an identity class
+    /// clones handles — and pushing, when some client has refresh debt
+    /// to read back off the screen. Queue pushes alone are a fraction
+    /// of a microsecond each, less than the threads would cost.
     fn broadcast(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
         struct Class {
             policy: ScalePolicy,
@@ -420,12 +448,14 @@ impl SharedSession {
         }
         let mut classes: Vec<Class> = Vec::new();
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
+        let mut debt = false;
         for (_, m) in self.clients.iter_mut() {
             if m.quarantined {
                 class_of.push(usize::MAX);
                 continue;
             }
             let owed = m.delivery.begin_round(&cmds);
+            debt |= m.delivery.has_debt();
             let policy = m.delivery.scale();
             let idx = match classes.iter().position(|c| c.policy == policy) {
                 Some(i) => i,
@@ -438,7 +468,9 @@ impl SharedSession {
             class_of.push(idx);
         }
         let cmds = &cmds;
-        crate::parallel::for_each_mut(&mut classes, self.workers, |_, class| {
+        let rendering = classes.iter().filter(|c| c.refresh_wanted || !c.policy.is_identity()).count();
+        let workers = if rendering > 1 { self.workers } else { 1 };
+        crate::parallel::for_each_mut(&mut classes, workers, |_, class| {
             class.rendition = Some(Rendition::render(
                 &class.policy,
                 cmds,
@@ -448,7 +480,8 @@ impl SharedSession {
         });
         let classes = &classes;
         let class_of = &class_of;
-        crate::parallel::for_each_mut(&mut self.clients, self.workers, |i, (_, m)| {
+        let workers = if debt { self.workers } else { 1 };
+        crate::parallel::for_each_mut(&mut self.clients, workers, |i, (_, m)| {
             let rendition = classes.get(class_of[i]).and_then(|c| c.rendition.as_ref());
             if let Some(rendition) = rendition {
                 m.delivery.push_rendition(cmds, rendition, screen);
@@ -484,14 +517,19 @@ impl SharedSession {
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
         self.member_mut(id).map_or_else(Vec::new, |m| {
-            m.flush(now, pipe, trace, None, &mut PlaneCounters::default())
+            if !m.quarantined {
+                m.delivery.begin_flush(now, pipe);
+            }
+            m.flush(now, pipe, trace, None, &mut PlaneCounters::default(), &PlanRole::Alone)
         })
     }
 
     /// Flushes **every** client's buffer, each over its own
-    /// connection, fanning the per-client work (A/V pacing, SRSF
-    /// scheduling, flush-time RAW compression) out over the session's
-    /// worker pool.
+    /// connection. Clients whose buffers are in the same state flush
+    /// once between them: the lowest id derives the round's parts and
+    /// wire forms (on the session's worker pool, beside the other
+    /// classes' leaders) and the rest follow its plan inline, each
+    /// against its own pipe and cache ledger.
     ///
     /// `links[i]` is the `(pipe, trace)` pair of the i-th attached
     /// client — the same order as attach/[`ClientId`] order. The
@@ -513,8 +551,9 @@ impl SharedSession {
             "one (pipe, trace) link per attached client"
         );
         // One encode-once plane per round: identical payloads across
-        // clients are compressed and framed a single time (see
-        // [`crate::plane`]); output bytes are unchanged.
+        // clients are compressed and framed a single time, identical
+        // buffers flushed a single time (see [`crate::plane`]); output
+        // bytes are unchanged.
         let plane = WirePlane::new();
         let ids = self.client_ids();
         let (out, counters) = self.flush_subset_inner(now, &ids, links, Some(&plane));
@@ -548,6 +587,21 @@ impl SharedSession {
         (out, counters)
     }
 
+    /// One flush round over the listed members, dispatched by weight.
+    ///
+    /// A serial pre-pass, in id order, lets every member's ladder and
+    /// A/V bound have their say and then asks the plane — under one
+    /// lock for the whole shard — which members start from the same
+    /// buffer state: the first in each state leads its plan, the rest
+    /// follow it. So the leader is the lowest id, and with it who
+    /// pays the codec (`codec_input_bytes`) and who skips it, whatever
+    /// the worker count. Leaders — and whoever else has something to
+    /// send and no plan to follow: everyone when there is no plane,
+    /// otherwise a member with only audio or video queued — then flush
+    /// on the worker pool; followers and idle members flush inline
+    /// afterwards, when every plan they could follow has been
+    /// published. A panic in any of the three steps is contained to
+    /// its member.
     fn flush_subset_inner(
         &mut self,
         now: SimTime,
@@ -561,34 +615,70 @@ impl SharedSession {
             .iter_mut()
             .filter(|(id, _)| ids.binary_search(id).is_ok())
             .zip(links.iter_mut())
-            .map(|((id, m), link)| (*id, m, link, Vec::new(), PlaneCounters::default()))
+            .map(|((id, member), link)| FlushJob {
+                id: *id,
+                member,
+                link,
+                role: PlanRole::Alone,
+                heavy: false,
+                out: Vec::new(),
+                counters: PlaneCounters::default(),
+                panicked: false,
+            })
             .collect();
         assert_eq!(jobs.len(), ids.len(), "every flushed id must be attached");
-        let caught = crate::parallel::try_for_each_mut(
-            &mut jobs,
-            self.workers,
-            |_, (_, m, link, out, counters)| {
-                *out = m.flush(now, &mut link.0, &mut link.1, plane, counters);
-            },
-        );
+        {
+            let mut plans = plane.map(WirePlane::plans);
+            for job in jobs.iter_mut().filter(|job| !job.member.quarantined) {
+                let delivery = &mut job.member.delivery;
+                let begun = contain(|| {
+                    delivery.begin_flush(now, &job.link.0);
+                    let buffer = delivery.buffer();
+                    match plans.as_mut() {
+                        Some(plans) => plans.resolve(buffer, now),
+                        None => PlanRole::Alone,
+                    }
+                });
+                match begun {
+                    Ok(role) => {
+                        job.heavy = match role {
+                            PlanRole::Lead(_) => true,
+                            PlanRole::Follow(_) => false,
+                            PlanRole::Alone => !delivery.buffer().is_empty() || delivery.av_backlog() > 0,
+                        };
+                        job.role = role;
+                    }
+                    Err(_) => job.panicked = true,
+                }
+            }
+        }
+        let flush = |job: &mut FlushJob<'_>| {
+            let (pipe, trace) = &mut *job.link;
+            job.out = job.member.flush(now, pipe, trace, plane, &mut job.counters, &job.role);
+        };
+        let mut heavy: Vec<_> = jobs.iter_mut().filter(|job| job.heavy).collect();
+        let caught = try_for_each_mut(&mut heavy, self.workers, |_, job| flush(job));
+        for (job, caught) in heavy.into_iter().zip(caught) {
+            job.panicked = caught.is_some();
+        }
+        for job in jobs.iter_mut().filter(|job| !job.heavy && !job.panicked) {
+            job.panicked = contain(|| flush(job)).is_err();
+        }
         // Panic containment: a client whose flush panicked is
         // quarantined — its partial output is discarded, the panic is
         // counted in its resilience metrics, and every other client's
         // output is delivered untouched.
         let mut total = PlaneCounters::default();
-        for ((_, m, _, out, counters), panic_msg) in jobs.iter_mut().zip(&caught) {
-            if panic_msg.is_some() {
-                m.quarantined = true;
-                m.delivery.resilience_mut().record_panic_quarantined();
-                out.clear();
+        for job in &mut jobs {
+            if job.panicked {
+                job.member.quarantined = true;
+                job.member.delivery.resilience_mut().record_panic_quarantined();
+                job.out.clear();
             } else {
-                total.merge(counters);
+                total.merge(&job.counters);
             }
         }
-        (
-            jobs.into_iter().map(|(id, _, _, out, _)| (id, out)).collect(),
-            total,
-        )
+        (jobs.into_iter().map(|job| (job.id, job.out)).collect(), total)
     }
 
     /// Cumulative encode-once plane counters over every flush round
@@ -1046,6 +1136,12 @@ mod tests {
         );
     }
 
+    /// Every client's delivery statistics — among them who fed the
+    /// codec (`codec_input_bytes`) and who was spared it.
+    fn buffer_stats(s: &SharedSession) -> Vec<crate::buffer::BufferStats> {
+        s.client_ids().iter().map(|&id| s.viewer(id).unwrap().buffer().stats()).collect()
+    }
+
     /// Per-client message streams, per-client final framebuffers, the
     /// screen bytes, and the session itself.
     type ScenarioOutcome = (Vec<Vec<Message>>, Vec<Vec<u8>>, Vec<u8>, SharedSession);
@@ -1168,10 +1264,11 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_degradation_outcome() {
-        let (a, fa, _, _) = run_degradation_scenario(1);
-        let (b, fb, _, _) = run_degradation_scenario(4);
+        let (a, fa, _, sa) = run_degradation_scenario(1);
+        let (b, fb, _, sb) = run_degradation_scenario(4);
         assert_eq!(a, b, "message streams identical for any worker count");
         assert_eq!(fa, fb);
+        assert_eq!(buffer_stats(&sa), buffer_stats(&sb), "who pays the codec is not a race");
     }
 
     #[test]
@@ -1289,60 +1386,74 @@ mod tests {
         use thinc_display::drawable::SCREEN;
         use thinc_net::link::NetworkConfig;
 
+        // Three viewers of one class, so the lowest id leads the flush
+        // plan the other two follow. Returns their streams and the
+        // session.
+        let run = |workers: usize, victim: Option<u32>| {
+            let mut s =
+                SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_workers(workers);
+            s.auth_mut().enable_sharing("pw");
+            s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
+            for user in ["guest", "other"] {
+                let creds = Credentials::Peer { user: user.into(), password: "pw".into() };
+                s.attach(&creds, 64, 64).unwrap();
+            }
+            let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+            let mut links: Vec<_> = (0..3)
+                .map(|_| (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()))
+                .collect();
+            store
+                .screen_mut()
+                .fill_rect(&Rect::new(0, 0, 64, 64), Color::rgb(10, 20, 30));
+            s.solid_fill(&store, SCREEN, Rect::new(0, 0, 64, 64), Color::rgb(10, 20, 30));
+            let tile = crate::fixtures::noise(32 * 32 * 3, 5);
+            store.screen_mut().put_raw(&Rect::new(8, 8, 32, 32), &tile);
+            s.put_image(&store, SCREEN, Rect::new(8, 8, 32, 32), &tile);
+            if let Some(victim) = victim {
+                s.poison_next_flush(ClientId(victim));
+            }
+            let mut streams = vec![Vec::new(); 3];
+            for i in 0..20u64 {
+                for (id, msgs) in s.flush_all(SimTime((i + 1) * 100_000), &mut links) {
+                    streams[id.0 as usize].extend(msgs.into_iter().map(|(_, m)| m));
+                }
+                if s.client_ids().iter().all(|&id| s.client_quarantined(id) || s.backlog(id) == 0) {
+                    break;
+                }
+            }
+            (streams, s, store.screen().data().to_vec())
+        };
         crate::parallel::silence_panics(|| {
             for workers in [1, 4] {
-                let mut s =
-                    SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_workers(workers);
-                s.auth_mut().enable_sharing("pw");
-                let owner = s
-                    .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
-                    .unwrap();
-                let peer = s
-                    .attach(
-                        &Credentials::Peer {
-                            user: "guest".into(),
-                            password: "pw".into(),
-                        },
-                        64,
-                        64,
-                    )
-                    .unwrap();
-                let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
-                let mut links = vec![
-                    (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-                    (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-                ];
-                store
-                    .screen_mut()
-                    .fill_rect(&Rect::new(0, 0, 64, 64), Color::rgb(10, 20, 30));
-                s.solid_fill(&store, SCREEN, Rect::new(0, 0, 64, 64), Color::rgb(10, 20, 30));
-                s.poison_next_flush(peer);
-                let mut stream = Vec::new();
-                for i in 0..20u64 {
-                    let out = s.flush_all(SimTime((i + 1) * 100_000), &mut links);
-                    for (id, msgs) in out {
-                        if id == owner {
-                            stream.extend(msgs.into_iter().map(|(_, m)| m));
-                        } else {
-                            assert!(msgs.is_empty(), "quarantined client delivers nothing");
+                let (clean, _, _) = run(workers, None);
+                // A follower of the class's plan, then its leader: a
+                // leader that panics publishes nothing, and its
+                // followers must flush what they would have anyway.
+                for victim in [1, 0] {
+                    let (streams, s, screen) = run(workers, Some(victim));
+                    assert_eq!(s.quarantined_count(), 1);
+                    for (i, stream) in streams.iter().enumerate() {
+                        let id = ClientId(i as u32);
+                        let panics = s.viewer(id).unwrap().resilience_metrics().panics_quarantined();
+                        if id.0 == victim {
+                            assert!(s.client_quarantined(id), "workers={workers}");
+                            assert!(stream.is_empty(), "quarantined client delivers nothing");
+                            assert_eq!(panics, 1);
+                            continue;
                         }
-                    }
-                    if s.backlog(owner) == 0 {
-                        break;
+                        assert!(!s.client_quarantined(id));
+                        assert_eq!(panics, 0);
+                        assert_eq!(stream, &clean[i], "workers={workers} victim={victim} viewer={i}");
+                        // The session kept serving: the healthy
+                        // clients converge byte-exact.
+                        let mut client =
+                            thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
+                        for m in stream {
+                            client.apply(m);
+                        }
+                        assert_eq!(client.framebuffer().data(), &screen[..]);
                     }
                 }
-                assert!(s.client_quarantined(peer), "workers={workers}");
-                assert!(!s.client_quarantined(owner));
-                assert_eq!(s.quarantined_count(), 1);
-                assert_eq!(s.viewer(peer).unwrap().resilience_metrics().panics_quarantined(), 1);
-                assert_eq!(s.viewer(owner).unwrap().resilience_metrics().panics_quarantined(), 0);
-                // The session kept serving: the healthy client
-                // converges byte-exact.
-                let mut client = thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
-                for m in &stream {
-                    client.apply(m);
-                }
-                assert_eq!(client.framebuffer().data(), store.screen().data());
             }
         });
     }
@@ -1350,9 +1461,9 @@ mod tests {
     /// Runs a two-client cached session over clean links: the same
     /// tile is redrawn every round, so rounds after the first travel
     /// as cache references. Returns the per-client message streams,
-    /// the per-client framebuffers after stream-layer resolution, and
-    /// the screen bytes.
-    fn run_cache_scenario(workers: usize) -> (Vec<Vec<Message>>, Vec<Vec<u8>>, Vec<u8>) {
+    /// the per-client framebuffers after stream-layer resolution, the
+    /// screen bytes, and the session itself.
+    fn run_cache_scenario(workers: usize) -> ScenarioOutcome {
         use thinc_display::drawable::SCREEN;
         use thinc_net::link::NetworkConfig;
 
@@ -1380,12 +1491,13 @@ mod tests {
         ];
         let secs = |t: f64| SimTime((t * 1e6) as u64);
         let mut streams = vec![Vec::new(), Vec::new()];
-        let tile = vec![123u8; 16 * 16 * 3];
+        // 3 KB: enough for the codec to be owed.
+        let tile = vec![123u8; 32 * 32 * 3];
         for round in 0..3 {
             store
                 .screen_mut()
-                .put_raw(&Rect::new(0, 0, 16, 16), &tile);
-            s.put_image(&store, SCREEN, Rect::new(0, 0, 16, 16), &tile);
+                .put_raw(&Rect::new(0, 0, 32, 32), &tile);
+            s.put_image(&store, SCREEN, Rect::new(0, 0, 32, 32), &tile);
             for epoch in 0..10 {
                 let out = s.flush_all(secs(round as f64 + 0.05 * (epoch + 1) as f64), &mut links);
                 for (id, msgs) in out {
@@ -1408,12 +1520,12 @@ mod tests {
             assert!(sc.take_cache_miss().is_none(), "no misses on clean links");
             fbs.push(sc.client().framebuffer().data().to_vec());
         }
-        (streams, fbs, store.screen().data().to_vec())
+        (streams, fbs, store.screen().data().to_vec(), s)
     }
 
     #[test]
     fn cached_session_substitutes_refs_and_converges_byte_exact() {
-        let (streams, fbs, screen) = run_cache_scenario(1);
+        let (streams, fbs, screen, _) = run_cache_scenario(1);
         for (stream, fb) in streams.iter().zip(&fbs) {
             let refs = stream
                 .iter()
@@ -1426,10 +1538,15 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_cached_streams() {
-        let (a, fa, _) = run_cache_scenario(1);
-        let (b, fb, _) = run_cache_scenario(4);
+        let (a, fa, _, sa) = run_cache_scenario(1);
+        let (b, fb, _, sb) = run_cache_scenario(4);
         assert_eq!(a, b, "cached streams identical for any worker count");
         assert_eq!(fa, fb);
+        // The lowest id pays for the tile's one encode, whichever
+        // worker would have reached the plane slot first.
+        let stats = buffer_stats(&sa);
+        assert_eq!(stats, buffer_stats(&sb), "who pays the codec is not a race");
+        assert!(stats[0].codec_input_bytes > 0 && stats[1].codec_input_bytes == 0, "{stats:?}");
     }
 
     #[test]
