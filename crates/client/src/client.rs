@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_raster::{Framebuffer, PixelFormat, Rect, YuvFormat, YuvFrame};
+use thinc_raster::{Framebuffer, PixelFormat, Rect, YuvFormat};
 pub use thinc_telemetry::ClientStats;
 
 use crate::hardware::{ClientHardware, HardwareCaps};
@@ -169,13 +169,10 @@ impl ThincClient {
                 ov.last_timestamp_us = *timestamp_us;
                 let (dst, sw, sh, fmt) = (ov.dst, ov.src_width, ov.src_height, ov.format);
                 // The overlay "hardware": colorspace-convert and scale
-                // to the destination rectangle.
-                let frame = YuvFrame::from_data(fmt, sw, sh, data.clone());
-                let rgb = frame.to_rgb_scaled(dst.w, dst.h, self.fb.format());
-                let (clip, raw) = rgb.get_raw(&Rect::new(0, 0, dst.w, dst.h));
-                if !clip.is_empty() {
-                    self.fb.put_raw(&Rect::new(dst.x, dst.y, clip.w, clip.h), &raw);
-                }
+                // onto the destination rectangle, clipped to the
+                // screen first — `dst` is wire-controlled and must not
+                // size the work.
+                thinc_raster::yuv::blit(fmt, sw, sh, data, &mut self.fb, &dst);
                 self.hw.video(sw as u64 * sh as u64, dst.area());
                 self.stats.video_frames += 1;
             }
@@ -325,7 +322,7 @@ impl ThincClient {
 mod tests {
     use super::*;
     use thinc_protocol::commands::Tile;
-    use thinc_raster::Color;
+    use thinc_raster::{Color, YuvFrame};
 
     fn client() -> ThincClient {
         ThincClient::new(64, 64, PixelFormat::Rgb888)
@@ -426,7 +423,7 @@ mod tests {
             id: 0,
             seq: 0,
             timestamp_us: 0,
-            data: frame.data.clone(),
+            data: frame.data.clone().into(),
         });
         assert_eq!(c.stats().video_frames, 1);
         // Zeroed YV12 decodes to green-ish; just check it drew.
@@ -437,7 +434,7 @@ mod tests {
             id: 0,
             seq: 1,
             timestamp_us: 1,
-            data: frame.data,
+            data: frame.data.into(),
         });
         assert_eq!(c.stats().errors, 1);
     }
@@ -456,7 +453,7 @@ mod tests {
             id: 0,
             seq: 0,
             timestamp_us: 0,
-            data: vec![0; 5],
+            data: vec![0; 5].into(),
         });
         assert_eq!(c.stats().errors, 1);
         assert_eq!(c.stats().video_frames, 0);
@@ -468,7 +465,7 @@ mod tests {
         c.apply(&Message::Audio {
             seq: 0,
             timestamp_us: 123,
-            data: vec![0; 100],
+            data: vec![0; 100].into(),
         });
         assert_eq!(c.stats().audio_bytes, 100);
         assert_eq!(c.audio_timestamps(), &[123]);
@@ -531,6 +528,67 @@ mod tests {
             },
         }));
         assert_eq!(c.stats().errors, 4);
+    }
+
+    /// A textured 16×12 YV12 stream shown at `dst` on a 64×48 viewer.
+    fn overlay_at(dst: Rect) -> (ThincClient, YuvFrame) {
+        let mut rgb = Framebuffer::new(16, 12, PixelFormat::Rgb888);
+        for (x, y) in (0..16).flat_map(|x| (0..12).map(move |y| (x, y))) {
+            rgb.set_pixel(x, y, Color::rgb(x as u8 * 16, y as u8 * 21, (x * y) as u8));
+        }
+        let frame = YuvFrame::from_rgb(&rgb, &rgb.bounds(), YuvFormat::Yv12);
+        let mut c = ThincClient::new(64, 48, PixelFormat::Rgb888);
+        c.apply(&Message::Display(DisplayCommand::Sfill {
+            rect: Rect::new(0, 0, 64, 48),
+            color: Color::rgb(1, 2, 3),
+        }));
+        c.apply(&Message::VideoInit {
+            id: 0,
+            format: YuvFormat::Yv12,
+            src_width: 16,
+            src_height: 12,
+            dst,
+        });
+        c.apply(&Message::VideoData {
+            id: 0,
+            seq: 0,
+            timestamp_us: 0,
+            data: frame.data.clone().into(),
+        });
+        (c, frame)
+    }
+
+    #[test]
+    fn oversized_overlay_costs_the_screen_not_the_claim() {
+        // The largest `dst` the wire may announce, hanging off the
+        // top-left corner: 67 M pixels claimed, 3 072 on the screen.
+        // (Converting all of `dst` first — two ≈ 200 MB buffers — is
+        // what this used to do.) Each screen pixel is the reference's
+        // pixel: nearest source sample through the scalar conversion.
+        let dst = Rect::new(-5_000, -3_000, MAX_WIRE_DIM, MAX_WIRE_DIM);
+        let (c, frame) = overlay_at(dst);
+        assert_eq!((c.stats().errors, c.stats().video_frames), (0, 1));
+        for (x, y) in (0..64).flat_map(|x| (0..48).map(move |y| (x, y))) {
+            let sx = (x - dst.x) as u64 * 16 / dst.w as u64;
+            let sy = (y - dst.y) as u64 * 12 / dst.h as u64;
+            let (yy, u, v) = frame.yuv_at(sx as u32, sy as u32);
+            let want = thinc_raster::yuv::yuv_to_rgb(yy, u, v);
+            assert_eq!(c.framebuffer().get_pixel(x, y), Some(want), "({x}, {y})");
+        }
+    }
+
+    #[test]
+    fn offscreen_overlay_is_a_no_op() {
+        for dst in [
+            Rect::new(64, 0, 32, 24),
+            Rect::new(-8_192, -8_192, MAX_WIRE_DIM, MAX_WIRE_DIM),
+            Rect::new(i32::MAX, i32::MAX, MAX_WIRE_DIM, MAX_WIRE_DIM),
+        ] {
+            let (c, _) = overlay_at(dst);
+            assert_eq!((c.stats().errors, c.stats().video_frames), (0, 1));
+            let untouched = c.framebuffer().data().chunks(3).all(|px| px == [1, 2, 3]);
+            assert!(untouched, "{dst:?} painted the screen");
+        }
     }
 
     #[test]

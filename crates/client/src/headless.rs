@@ -205,7 +205,7 @@ mod tests {
             &Message::Audio {
                 seq: 0,
                 timestamp_us: 0,
-                data: vec![0; 500],
+                data: vec![0; 500].into(),
             },
         );
         assert!(h.av_bytes() >= 500);

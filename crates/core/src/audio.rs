@@ -88,7 +88,7 @@ impl VirtualAudioDriver {
         Message::Audio {
             seq,
             timestamp_us,
-            data,
+            data: data.into(),
         }
     }
 }

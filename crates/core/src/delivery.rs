@@ -28,7 +28,7 @@ use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_protocol::wire::{encode_message, encoded_len, FrameEncoder};
+use thinc_protocol::wire::{encode_message, FrameEncoder};
 use thinc_protocol::WIRE_REV_CACHE;
 use thinc_raster::{Framebuffer, Rect, Region, YuvFrame};
 use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics};
@@ -41,7 +41,7 @@ use crate::degradation::{
 use crate::liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
 use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
-use crate::video::VideoStreamManager;
+use crate::video::{VideoPayload, VideoScale, VideoStreamManager};
 
 /// A video frame this much older than the flush that finds the pipe
 /// blocked is dropped instead of sent: A/V data is only useful fresh
@@ -710,7 +710,25 @@ impl Delivery {
     /// manager (which resamples for small viewports) and queues the
     /// result.
     pub fn display_video(&mut self, frame: &YuvFrame, dst: Rect, timestamp_us: u64) {
-        let msgs = self.video.display_frame(frame, dst, timestamp_us);
+        let payload = VideoPayload::new(frame, self.video_scale());
+        self.display_video_payload(&payload, dst, timestamp_us);
+    }
+
+    /// The scale this client's video is resampled to: what a session
+    /// keys the payload it builds once per frame and class by.
+    pub(crate) fn video_scale(&self) -> VideoScale {
+        self.video.scale()
+    }
+
+    /// [`display_video`](Self::display_video) with the payload for
+    /// this client's [`video_scale`](Self::video_scale) already made.
+    pub(crate) fn display_video_payload(
+        &mut self,
+        payload: &VideoPayload,
+        dst: Rect,
+        timestamp_us: u64,
+    ) {
+        let msgs = self.video.display_payload(payload, dst, timestamp_us);
         self.video_messages += msgs.len() as u64;
         self.queue_av(msgs);
     }
@@ -819,7 +837,7 @@ impl Delivery {
     ) -> Vec<(SimTime, Message)> {
         let mut out = Vec::new();
         while let Some(msg) = self.av.front() {
-            let size = encoded_len(msg);
+            let size = msg.wire_size();
             if pipe.would_block(now, size) {
                 let stale = matches!(msg, Message::VideoData { timestamp_us, .. }
                     if now.as_micros() > timestamp_us + STALE_VIDEO_US);

@@ -22,6 +22,8 @@
 //! merged in client-id order, so output is bit-identical for every
 //! worker count.
 
+use std::collections::HashMap;
+
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
 use thinc_net::tcp::TcpPipe;
@@ -44,6 +46,7 @@ use crate::parallel::{contain, try_for_each_mut};
 use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::translator::Translator;
+use crate::video::{VideoPayload, VideoScale};
 
 /// Credentials presented by a connecting client.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -595,13 +598,13 @@ impl SharedSession {
     /// buffer state: the first in each state leads its plan, the rest
     /// follow it. So the leader is the lowest id, and with it who
     /// pays the codec (`codec_input_bytes`) and who skips it, whatever
-    /// the worker count. Leaders — and whoever else has something to
-    /// send and no plan to follow: everyone when there is no plane,
-    /// otherwise a member with only audio or video queued — then flush
-    /// on the worker pool; followers and idle members flush inline
-    /// afterwards, when every plan they could follow has been
-    /// published. A panic in any of the three steps is contained to
-    /// its member.
+    /// the worker count. Leaders — and, when there is no plane, every
+    /// member with display commands queued — then flush on the worker
+    /// pool; followers, idle members and members with only audio or
+    /// video queued (shared payloads sized by arithmetic: bookkeeping)
+    /// flush inline afterwards, when every plan they could follow has
+    /// been published. A panic in any of the three steps is contained
+    /// to its member.
     fn flush_subset_inner(
         &mut self,
         now: SimTime,
@@ -644,7 +647,7 @@ impl SharedSession {
                         job.heavy = match role {
                             PlanRole::Lead(_) => true,
                             PlanRole::Follow(_) => false,
-                            PlanRole::Alone => !delivery.buffer().is_empty() || delivery.av_backlog() > 0,
+                            PlanRole::Alone => !delivery.buffer().is_empty(),
                         };
                         job.role = role;
                     }
@@ -1038,12 +1041,16 @@ impl VideoDriver for SharedSession {
     }
 
     fn video_display(&mut self, _store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
-        // Video bypasses the display buffer ordering: each client's
-        // own stream manager resamples for its viewport and the result
-        // rides its A/V queue.
+        // Video bypasses the display buffer ordering: the frame is
+        // resampled once per distinct viewport scale, and each
+        // client's own stream manager queues a reference to its
+        // scale's payload on its A/V queue.
         let ts = self.now.as_micros();
+        let mut payloads: HashMap<VideoScale, VideoPayload> = HashMap::new();
         for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
-            m.delivery.display_video(frame, dst, ts);
+            let scale = m.delivery.video_scale();
+            let payload = payloads.entry(scale).or_insert_with(|| VideoPayload::new(frame, scale));
+            m.delivery.display_video_payload(payload, dst, ts);
         }
     }
 }
@@ -1379,6 +1386,71 @@ mod tests {
         }
         let wire = s.viewer(id).unwrap().protocol_metrics();
         assert_eq!(wire.count(thinc_telemetry::CommandKind::Video), 2);
+    }
+
+    #[test]
+    fn viewers_at_one_scale_queue_one_video_payload() {
+        use crate::video::VideoStreamManager;
+        use thinc_net::tcp::TcpParams;
+        use thinc_raster::YuvFormat;
+
+        // Two full-size viewers and one at half size, two frames.
+        let run = |workers: usize| {
+            let mut s =
+                SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_workers(workers);
+            s.auth_mut().enable_sharing("pw");
+            s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
+            for (user, side) in [("full", 64), ("half", 32)] {
+                let peer = Credentials::Peer { user: user.into(), password: "pw".into() };
+                s.attach(&peer, side, side).unwrap();
+            }
+            let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+            for frame in frames() {
+                s.video_display(&store, &frame, Rect::new(8, 8, 48, 48));
+            }
+            let mut links: Vec<_> = (0..3)
+                .map(|_| (TcpPipe::new(TcpParams::default()), PacketTrace::new()))
+                .collect();
+            s.flush_all(SimTime(1), &mut links)
+        };
+        fn frames() -> [YuvFrame; 2] {
+            [3u8, 5].map(|step| {
+                let len = YuvFormat::Yv12.frame_size(32, 32);
+                let planes = (0..len).map(|i| (i as u8).wrapping_mul(step)).collect();
+                YuvFrame::from_data(YuvFormat::Yv12, 32, 32, planes)
+            })
+        }
+        let out = run(1);
+        let payloads = |viewer: usize| -> Vec<&thinc_protocol::Bytes> {
+            let frames = out[viewer].1.iter().filter_map(|(_, m)| match m {
+                Message::VideoData { data, .. } => Some(data),
+                _ => None,
+            });
+            frames.collect()
+        };
+        let (owner, full, half) = (payloads(0), payloads(1), payloads(2));
+        assert_eq!((owner.len(), full.len(), half.len()), (2, 2, 2));
+        for i in 0..2 {
+            assert!(owner[i].ptr_eq(full[i]), "one allocation per full-size frame");
+            assert!(!owner[i].ptr_eq(half[i]) && half[i].len() < owner[i].len());
+        }
+        // Each viewer's stream is what a stream manager of its own,
+        // resampling its own copy of every frame, would have sent.
+        for (viewer, scaled) in [(0, false), (1, false), (2, true)] {
+            let mut own = VideoStreamManager::new();
+            if scaled {
+                own.set_scale(32, 64, 32, 64);
+            }
+            let want: Vec<Message> = frames()
+                .iter()
+                .flat_map(|f| own.display_frame(f, Rect::new(8, 8, 48, 48), 0))
+                .collect();
+            let got: Vec<Message> = out[viewer].1.iter().map(|(_, m)| m.clone()).collect();
+            assert_eq!(got, want, "viewer {viewer}");
+        }
+        for workers in [2, 4] {
+            assert_eq!(run(workers), out, "workers={workers}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 
 use thinc_protocol::message::Message;
+use thinc_protocol::Bytes;
 use thinc_raster::{Rect, YuvFormat, YuvFrame};
 
 /// One live video stream.
@@ -34,14 +35,55 @@ pub struct VideoStream {
     pub frames: u32,
 }
 
+/// Server-side video resampling: `(viewport_w, session_w, viewport_h,
+/// session_h)`, frames and destinations scaled by `viewport/session`
+/// per axis; `None` sends frames as they are.
+pub type VideoScale = Option<(u32, u32, u32, u32)>;
+
+/// What one displayed frame puts on the wire at one [`VideoScale`]:
+/// a pure function of the frame and the scale, so every viewer at
+/// that scale queues a reference to the same bytes.
+#[derive(Debug, Clone)]
+pub struct VideoPayload {
+    /// Pixel format of the transmitted frame.
+    pub format: YuvFormat,
+    /// Transmitted frame width.
+    pub width: u32,
+    /// Transmitted frame height.
+    pub height: u32,
+    /// The transmitted planes.
+    pub data: Bytes,
+}
+
+impl VideoPayload {
+    /// Copies `frame` out of the driver's hands, resampled to `scale`
+    /// (the §8.3 PDA path) or whole.
+    pub fn new(frame: &YuvFrame, scale: VideoScale) -> Self {
+        let sent = match scale {
+            Some((vw, sw, vh, sh)) => {
+                let fw = ((frame.width as u64 * vw as u64 / sw as u64).max(1)) as u32;
+                let fh = ((frame.height as u64 * vh as u64 / sh as u64).max(1)) as u32;
+                scale_yuv(frame, fw, fh)
+            }
+            None => frame.clone(),
+        };
+        Self {
+            format: sent.format,
+            width: sent.width,
+            height: sent.height,
+            data: sent.data.into(),
+        }
+    }
+}
+
 /// Manages stream lifecycle and frame delivery.
 #[derive(Debug, Default)]
 pub struct VideoStreamManager {
     streams: HashMap<u32, VideoStream>,
     next_id: u32,
-    /// Downscale frames by this ratio before sending (viewport /
-    /// session), when server-side scaling is active.
-    scale: Option<(u32, u32, u32, u32)>,
+    /// Downscale frames by this ratio before sending, when
+    /// server-side scaling is active.
+    scale: VideoScale,
 }
 
 impl VideoStreamManager {
@@ -60,6 +102,11 @@ impl VideoStreamManager {
         }
     }
 
+    /// The scale frames for this viewer are resampled to.
+    pub fn scale(&self) -> VideoScale {
+        self.scale
+    }
+
     /// Live streams.
     pub fn streams(&self) -> impl Iterator<Item = &VideoStream> {
         self.streams.values()
@@ -69,26 +116,30 @@ impl VideoStreamManager {
     /// messages to send. `timestamp_us` stamps the frame for A/V
     /// synchronization at the client.
     pub fn display_frame(&mut self, frame: &YuvFrame, dst: Rect, timestamp_us: u64) -> Vec<Message> {
+        self.display_payload(&VideoPayload::new(frame, self.scale), dst, timestamp_us)
+    }
+
+    /// The stream bookkeeping half of
+    /// [`display_frame`](Self::display_frame): `send`, which must be
+    /// the payload for this manager's [`scale`](Self::scale), shown at
+    /// session rectangle `dst`.
+    pub fn display_payload(
+        &mut self,
+        send: &VideoPayload,
+        dst: Rect,
+        timestamp_us: u64,
+    ) -> Vec<Message> {
         let mut out = Vec::new();
-        // Downscale the payload when a smaller viewport is active.
-        let (send_frame, send_dst);
-        if let Some((vw, sw, vh, sh)) = self.scale {
-            let fw = ((frame.width as u64 * vw as u64 / sw as u64).max(1)) as u32;
-            let fh = ((frame.height as u64 * vh as u64 / sh as u64).max(1)) as u32;
-            send_frame = scale_yuv(frame, fw, fh);
-            send_dst = dst.scaled(vw, sw, vh, sh);
-        } else {
-            send_frame = frame.clone();
-            send_dst = dst;
-        }
+        let send_dst = match self.scale {
+            Some((vw, sw, vh, sh)) => dst.scaled(vw, sw, vh, sh),
+            None => dst,
+        };
         // Find a stream with matching geometry/format.
         let existing = self
             .streams
             .values()
             .find(|s| {
-                s.format == send_frame.format
-                    && s.src_width == send_frame.width
-                    && s.src_height == send_frame.height
+                s.format == send.format && s.src_width == send.width && s.src_height == send.height
             })
             .map(|s| s.id);
         let id = match existing {
@@ -107,18 +158,18 @@ impl VideoStreamManager {
                     id,
                     VideoStream {
                         id,
-                        format: send_frame.format,
-                        src_width: send_frame.width,
-                        src_height: send_frame.height,
+                        format: send.format,
+                        src_width: send.width,
+                        src_height: send.height,
                         dst: send_dst,
                         frames: 0,
                     },
                 );
                 out.push(Message::VideoInit {
                     id,
-                    format: send_frame.format,
-                    src_width: send_frame.width,
-                    src_height: send_frame.height,
+                    format: send.format,
+                    src_width: send.width,
+                    src_height: send.height,
                     dst: send_dst,
                 });
                 id
@@ -131,7 +182,7 @@ impl VideoStreamManager {
             id,
             seq,
             timestamp_us,
-            data: send_frame.data,
+            data: send.data.clone(),
         });
         out
     }

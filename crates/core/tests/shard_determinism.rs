@@ -19,7 +19,7 @@ use thinc_net::tcp::{TcpParams, TcpPipe};
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::message::Message;
-use thinc_raster::{Color, PixelFormat, Rect};
+use thinc_raster::{Color, PixelFormat, Rect, YuvFormat, YuvFrame};
 
 const W: u32 = 160;
 const H: u32 = 120;
@@ -168,6 +168,15 @@ fn run(seed: u64, shards: usize, workers: usize) -> RunOutput {
     for epoch in 0..epochs {
         for _ in 0..1 + rng.below(3) {
             draw(m.session_mut(), &store, &mut rng);
+        }
+        // A video frame every few epochs (drawn outside the schedule
+        // stream, which it leaves as it was): one payload per scale
+        // class queued by reference, and a viewer with nothing else
+        // queued flushes it inline.
+        if epoch % 4 == 2 {
+            let planes = noise(YuvFormat::Yv12.frame_size(32, 24), seed ^ epoch);
+            let frame = YuvFrame::from_data(YuvFormat::Yv12, 32, 24, planes);
+            m.session_mut().video_display(&store, &frame, Rect::new(16, 16, 64, 48));
         }
         // Mid-run churn: a new viewer joins partway through, and an
         // established one disconnects a few epochs later.

@@ -264,22 +264,26 @@ impl<D: VideoDriver> WindowServer<D> {
             DrawRequest::VideoPut { frame, dst } => {
                 // Rasterize through the software path (server ground
                 // truth), then hand the *encoded frame* to the driver,
-                // exactly as XVideo hands YUV data to the device.
-                // Scaling uses the smooth (Fant) resampler: a player's
-                // software path interpolates, so scaled video pixels
-                // are not byte-replicated (which would make scraped
-                // video unrealistically compressible).
-                let rgb = if dst.w == frame.width && dst.h == frame.height {
-                    frame.to_rgb_scaled(dst.w, dst.h, self.drawables.format())
-                } else {
-                    let native =
-                        frame.to_rgb_scaled(frame.width, frame.height, self.drawables.format());
-                    thinc_raster::scale_image(&native, dst.w, dst.h, thinc_raster::ScaleFilter::Fant)
-                };
+                // exactly as XVideo hands YUV data to the device. At
+                // native size the frame converts straight onto the
+                // screen. Scaling uses the smooth (Fant) resampler: a
+                // player's software path interpolates, so scaled video
+                // pixels are not byte-replicated (which would make
+                // scraped video unrealistically compressible).
+                let format = self.drawables.format();
                 let screen = self.drawables.screen_mut();
-                let (clip, data) = rgb.get_raw(&Rect::new(0, 0, dst.w, dst.h));
-                if !clip.is_empty() {
-                    screen.put_raw(&Rect::new(dst.x, dst.y, clip.w, clip.h), &data);
+                if dst.w == frame.width && dst.h == frame.height {
+                    let (w, h) = (frame.width, frame.height);
+                    thinc_raster::yuv::blit(frame.format, w, h, &frame.data, screen, &dst);
+                } else {
+                    let native = frame.to_rgb_scaled(frame.width, frame.height, format);
+                    let rgb = thinc_raster::scale_image(
+                        &native,
+                        dst.w,
+                        dst.h,
+                        thinc_raster::ScaleFilter::Fant,
+                    );
+                    screen.put_raw(&dst, rgb.data());
                 }
                 self.note_damage(SCREEN, &dst);
                 self.stats.video_frames += 1;

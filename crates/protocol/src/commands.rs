@@ -89,7 +89,7 @@ pub enum DisplayCommand {
 pub const COMMAND_HEADER_BYTES: u64 = 6;
 
 /// Bytes of a serialized rectangle.
-const RECT_BYTES: u64 = 16;
+pub(crate) const RECT_BYTES: u64 = 16;
 /// Bytes of a serialized color.
 const COLOR_BYTES: u64 = 4;
 

@@ -11,6 +11,7 @@
 use thinc_raster::{Rect, YuvFormat};
 
 use crate::commands::DisplayCommand;
+use crate::payload::Bytes;
 
 /// Client input forwarded to the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +100,9 @@ pub enum Message {
         seq: u32,
         /// Server timestamp, microseconds (A/V sync, §4.2).
         timestamp_us: u64,
-        /// YUV payload in the stream's format.
-        data: Vec<u8>,
+        /// YUV payload in the stream's format, `Arc`-shared so viewers
+        /// of one scale class queue references to one frame.
+        data: Bytes,
     },
     /// Move/resize a video stream's destination.
     VideoMove {
@@ -120,8 +122,8 @@ pub enum Message {
         seq: u32,
         /// Server timestamp, microseconds.
         timestamp_us: u64,
-        /// PCM payload.
-        data: Vec<u8>,
+        /// PCM payload, `Arc`-shared across viewers.
+        data: Bytes,
     },
     /// Client input event.
     Input(ProtocolInput),
@@ -305,7 +307,7 @@ mod tests {
         assert!(Message::Audio {
             seq: 0,
             timestamp_us: 0,
-            data: vec![]
+            data: Bytes::default()
         }
         .is_downstream());
     }

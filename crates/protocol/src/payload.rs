@@ -72,6 +72,12 @@ impl Bytes {
         self.0.data.is_empty()
     }
 
+    /// Whether `self` and `other` are clones of one allocation (so
+    /// share its bytes and its digest memos), not merely equal.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// [`crate::hash::content_id`] of the contents, computed at most
     /// once per allocation: equal for equal contents wherever they
     /// live, O(1) for every clone after the first call. In-process
@@ -135,7 +141,7 @@ impl FromIterator<u8> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0.data == other.0.data
+        self.ptr_eq(other) || self.0.data == other.0.data
     }
 }
 
@@ -170,7 +176,7 @@ mod tests {
     fn clone_shares_the_allocation() {
         let a = Bytes::from(vec![1u8, 2, 3]);
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(a.ptr_eq(&b));
         assert_eq!(a, b);
     }
 
@@ -178,7 +184,7 @@ mod tests {
     fn equality_is_by_content_across_allocations() {
         let a = Bytes::from(vec![9u8; 64]);
         let b = Bytes::from(vec![9u8; 64]);
-        assert!(!Arc::ptr_eq(&a.0, &b.0));
+        assert!(!a.ptr_eq(&b));
         assert_eq!(a, b);
         assert_ne!(a, Bytes::from(vec![8u8; 64]));
     }

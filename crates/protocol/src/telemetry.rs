@@ -148,7 +148,7 @@ mod tests {
             command_kind(&Message::Audio {
                 seq: 0,
                 timestamp_us: 0,
-                data: vec![1, 2]
+                data: vec![1, 2].into()
             }),
             CommandKind::Audio
         );

@@ -525,23 +525,9 @@ fn encode_body(msg: &Message, payload: &mut Vec<u8>) -> u8 {
     }
 }
 
-/// Every message body is one variable-length field plus fixed fields
-/// totalling less than this (the largest, BITMAP with a background,
-/// has 30).
-const MAX_FIXED_BODY: usize = 32;
-
-/// An empty vector that `msg`'s frame fits without growing: header,
-/// fixed fields, and the one variable-length field a message can have.
+/// An empty vector that `msg`'s frame fills exactly.
 fn frame_buffer(msg: &Message, header_len: usize) -> Vec<u8> {
-    let variable = match msg {
-        Message::Display(DisplayCommand::Raw { data, .. }) => data.len(),
-        Message::Display(DisplayCommand::Pfill { tile, .. }) => tile.pixels.len(),
-        Message::Display(DisplayCommand::Bitmap { bits, .. }) => bits.len(),
-        Message::VideoData { data, .. } | Message::Audio { data, .. } => data.len(),
-        Message::CursorShape { pixels, .. } => pixels.len(),
-        _ => 0,
-    };
-    Vec::with_capacity(header_len + MAX_FIXED_BODY + variable)
+    Vec::with_capacity(header_len - LEGACY_HEADER_LEN + encoded_len(msg) as usize)
 }
 
 /// Encodes a message into a framed byte vector.
@@ -580,10 +566,37 @@ pub(crate) fn with_encoded<R>(msg: &Message, f: impl FnOnce(&[u8]) -> R) -> R {
     })
 }
 
-/// The revision-1 encoded length of a message, computed through a
-/// thread-local scratch buffer so sizing loops do not allocate.
+/// The revision-1 encoded length of a message, by arithmetic: the
+/// header, the body's fixed fields, and the one length-prefixed field
+/// a body can end in. Nothing is encoded, so sizing a frame costs the
+/// same whatever it carries (`wire_size_is_the_encoded_length` holds
+/// it to [`encode_message`] for every variant).
 pub fn encoded_len(msg: &Message) -> u64 {
-    with_encoded(msg, |frame| frame.len() as u64)
+    const RECT: u64 = crate::commands::RECT_BYTES;
+    let prefixed = |data: &[u8]| 4 + data.len() as u64;
+    let body = match msg {
+        // Counts its own header, as the scheduler's size key must.
+        Message::Display(cmd) => return cmd.wire_size(),
+        Message::ServerHello { .. } => 11,
+        Message::ClientHello { .. } => 10,
+        Message::VideoInit { .. } => 13 + RECT,
+        Message::VideoData { data, .. } => 16 + prefixed(data),
+        Message::VideoMove { .. } => 4 + RECT,
+        Message::VideoEnd { .. } | Message::RefreshRequest { .. } => 4,
+        Message::Audio { data, .. } => 12 + prefixed(data),
+        Message::Input(ProtocolInput::PointerMove { .. }) => 9,
+        Message::Input(
+            ProtocolInput::ButtonPress { .. } | ProtocolInput::ButtonRelease { .. },
+        ) => 10,
+        Message::Input(ProtocolInput::KeyPress { .. } | ProtocolInput::KeyRelease { .. }) => 5,
+        Message::Resize { .. } | Message::CursorMove { .. } => 8,
+        Message::SetView { .. } => RECT,
+        Message::CursorShape { pixels, .. } => 16 + prefixed(pixels),
+        Message::Ping { .. } | Message::Pong { .. } => 12,
+        Message::CacheRef { .. } | Message::CacheMiss { .. } => 8,
+        Message::SessionResume { .. } => 24,
+    };
+    LEGACY_HEADER_LEN as u64 + body
 }
 
 /// Encodes a message as a revision-2 integrity frame carrying `seq`:
@@ -599,11 +612,11 @@ pub fn encode_message_seq(msg: &Message, seq: u32) -> Vec<u8> {
 /// the allocation-free twin of [`encode_message_seq`].
 ///
 /// The CRC is the same value over the same bytes however it is
-/// reached: a RAW body ends in its shared payload, so for payloads of
-/// [`CRC_COMPOSE_MIN`] bytes or more the register is run over the
-/// header and the body's fixed fields only, and the payload's share is
-/// composed in from the register its allocation memoises — one pass
-/// per allocation instead of one per viewer.
+/// reached: a RAW, video or audio body ends in its shared payload, so
+/// for payloads of [`CRC_COMPOSE_MIN`] bytes or more the register is
+/// run over the header and the body's fixed fields only, and the
+/// payload's share is composed in from the register its allocation
+/// memoises — one pass per allocation instead of one per viewer.
 pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     out.clear();
     out.resize(INTEGRITY_HEADER_LEN, 0);
@@ -614,10 +627,16 @@ pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     out[5..9].copy_from_slice(&seq.to_le_bytes());
     let crc = crc32_update(!0, &out[..9]);
     let body = &out[INTEGRITY_HEADER_LEN..];
-    let crc = match msg {
-        Message::Display(DisplayCommand::Raw { data, .. }) if data.len() >= CRC_COMPOSE_MIN => {
+    let shared = match msg {
+        Message::Display(DisplayCommand::Raw { data, .. })
+        | Message::VideoData { data, .. }
+        | Message::Audio { data, .. } => Some(data),
+        _ => None,
+    };
+    let crc = match shared {
+        Some(data) if data.len() >= CRC_COMPOSE_MIN => {
             let (fixed, payload) = body.split_at(body.len() - data.len());
-            debug_assert_eq!(payload, data.as_slice(), "a RAW body ends in its payload");
+            debug_assert_eq!(payload, data.as_slice(), "the body ends in its payload");
             crc32_shift(crc32_update(crc, fixed), payload.len()) ^ data.crc_from_zero()
         }
         _ => crc32_update(crc, body),
@@ -721,7 +740,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, DecodeError> {
             let id = buf.get_u32_le();
             let seq = buf.get_u32_le();
             let timestamp_us = buf.get_u64_le();
-            let data = get_bytes(&mut buf)?;
+            let data = get_bytes(&mut buf)?.into();
             Message::VideoData {
                 id,
                 seq,
@@ -751,7 +770,7 @@ fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, DecodeError> {
             }
             let seq = buf.get_u32_le();
             let timestamp_us = buf.get_u64_le();
-            let data = get_bytes(&mut buf)?;
+            let data = get_bytes(&mut buf)?.into();
             Message::Audio {
                 seq,
                 timestamp_us,
@@ -1283,7 +1302,7 @@ mod tests {
                 id: 7,
                 seq: 42,
                 timestamp_us: 1_750_000,
-                data: vec![0x10; 100],
+                data: vec![0x10; 100].into(),
             },
             Message::VideoMove {
                 id: 7,
@@ -1293,7 +1312,7 @@ mod tests {
             Message::Audio {
                 seq: 3,
                 timestamp_us: 999,
-                data: vec![1; 64],
+                data: vec![1; 64].into(),
             },
             Message::Input(ProtocolInput::PointerMove { x: -5, y: 900 }),
             Message::Input(ProtocolInput::ButtonPress { x: 1, y: 2, button: 3 }),
@@ -1357,9 +1376,9 @@ mod tests {
     }
 
     #[test]
-    fn frames_fit_their_first_reservation() {
-        // No growth: the buffer a frame comes back in is the one it
-        // was given, and the bound on fixed fields is not loose.
+    fn frames_fill_their_first_reservation() {
+        // No growth and no slack: the buffer a frame comes back in is
+        // the one it was given, sized by arithmetic to the byte.
         let big = Message::Display(DisplayCommand::Raw {
             rect: Rect::new(0, 0, 64, 64),
             encoding: RawEncoding::None,
@@ -1367,15 +1386,35 @@ mod tests {
         });
         for msg in sample_messages().iter().chain([&big]) {
             let legacy = encode_message(msg);
-            let reserved = frame_buffer(msg, LEGACY_HEADER_LEN).capacity();
-            assert_eq!(legacy.capacity(), reserved, "{msg:?}");
-            assert!(reserved - legacy.len() <= MAX_FIXED_BODY, "{msg:?}");
+            assert_eq!(legacy.capacity(), legacy.len(), "{msg:?}");
             let framed = encode_message_seq(msg, 7);
-            assert_eq!(
-                framed.capacity(),
-                frame_buffer(msg, INTEGRITY_HEADER_LEN).capacity(),
-                "{msg:?}"
-            );
+            assert_eq!(framed.capacity(), framed.len(), "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn truncated_av_payloads_are_typed_errors() {
+        // A video or audio frame cut anywhere waits for more bytes,
+        // and a body whose inner length field promises more than the
+        // frame holds is refused before anything is sized from it.
+        for msg in sample_messages() {
+            let (Message::VideoData { data, .. } | Message::Audio { data, .. }) = &msg else {
+                continue;
+            };
+            let enc = encode_message(&msg);
+            for cut in 0..enc.len() {
+                assert_eq!(decode_message(&enc[..cut]), Err(DecodeError::Truncated), "{cut}");
+            }
+            let at = enc.len() - data.len() - 4;
+            let mut lying = enc.clone();
+            lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(decode_message(&lying), Err(DecodeError::Truncated));
+            // Cutting the frame short of its declared payload: the
+            // outer length is honest, the inner one now overruns it.
+            let mut short = enc[..enc.len() - 1].to_vec();
+            let outer = (short.len() - LEGACY_HEADER_LEN) as u32;
+            short[1..5].copy_from_slice(&outer.to_le_bytes());
+            assert_eq!(decode_message(&short), Err(DecodeError::Truncated));
         }
     }
 

@@ -86,13 +86,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 id,
                 seq,
                 timestamp_us,
-                data,
+                data: data.into(),
             }),
         (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..256)).prop_map(
             |(seq, timestamp_us, data)| Message::Audio {
                 seq,
                 timestamp_us,
-                data,
+                data: data.into(),
             }
         ),
         (any::<i16>(), any::<i16>(), any::<u8>()).prop_map(|(x, y, button)| Message::Input(
@@ -109,6 +109,64 @@ fn arb_message() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Every [`Message`] variant: [`arb_message`]'s, plus the ones it
+/// leaves out.
+fn arb_any_message() -> impl Strategy<Value = Message> {
+    let point = || (any::<i16>(), any::<i16>()).prop_map(|(x, y)| (x as i32, y as i32));
+    prop_oneof![
+        arb_message(),
+        (any::<u16>(), any::<u32>(), any::<u32>()).prop_map(|(version, w, h)| {
+            Message::ClientHello {
+                version,
+                viewport_width: w,
+                viewport_height: h,
+            }
+        }),
+        (any::<u32>(), arb_rect()).prop_map(|(id, dst)| Message::VideoMove { id, dst }),
+        any::<u32>().prop_map(|id| Message::VideoEnd { id }),
+        point().prop_map(|(x, y)| Message::Input(ProtocolInput::PointerMove { x, y })),
+        (point(), any::<u8>()).prop_map(|((x, y), button)| {
+            Message::Input(ProtocolInput::ButtonRelease { x, y, button })
+        }),
+        any::<u32>().prop_map(|key| Message::Input(ProtocolInput::KeyPress { key })),
+        any::<u32>().prop_map(|key| Message::Input(ProtocolInput::KeyRelease { key })),
+        arb_rect().prop_map(|view| Message::SetView { view }),
+        (1u32..32, 1u32..32, point(), prop::collection::vec(any::<u8>(), 0..256)).prop_map(
+            |(width, height, (hot_x, hot_y), pixels)| Message::CursorShape {
+                width,
+                height,
+                hot_x,
+                hot_y,
+                pixels,
+            }
+        ),
+        point().prop_map(|(x, y)| Message::CursorMove { x, y }),
+        (any::<u32>(), any::<u64>(), any::<bool>()).prop_map(|(seq, timestamp_us, ping)| {
+            if ping {
+                Message::Ping { seq, timestamp_us }
+            } else {
+                Message::Pong { seq, timestamp_us }
+            }
+        }),
+        any::<u32>().prop_map(|attempt| Message::RefreshRequest { attempt }),
+        (any::<u64>(), any::<bool>()).prop_map(|(hash, miss)| {
+            if miss {
+                Message::CacheMiss { hash }
+            } else {
+                Message::CacheRef { hash }
+            }
+        }),
+        (any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>()).prop_map(
+            |(session_id, client_id, last_seq, store_digest)| Message::SessionResume {
+                session_id,
+                client_id,
+                last_seq,
+                store_digest,
+            }
+        ),
+    ]
+}
+
 /// Messages that travel on a negotiated (revision-2) stream: the
 /// handshake itself is excluded because it is always legacy-framed
 /// and carries no sequence number.
@@ -120,13 +178,13 @@ fn arb_stream_message() -> impl Strategy<Value = Message> {
                 id,
                 seq,
                 timestamp_us,
-                data,
+                data: data.into(),
             }),
         (any::<u32>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..256)).prop_map(
             |(seq, timestamp_us, data)| Message::Audio {
                 seq,
                 timestamp_us,
-                data,
+                data: data.into(),
             }
         ),
         (any::<i16>(), any::<i16>(), any::<u8>()).prop_map(|(x, y, button)| Message::Input(
@@ -214,9 +272,27 @@ proptest! {
         prop_assert_eq!(got, msgs);
     }
 
+    /// `wire_size` is arithmetic; the encoder is what it must agree
+    /// with, in both framings: a handshake message keeps the legacy
+    /// header at every revision, everything else grows by the
+    /// sequence number and the checksum.
     #[test]
-    fn wire_size_always_matches_encoding(msg in arb_message()) {
-        prop_assert_eq!(msg.wire_size(), encode_message(&msg).len() as u64);
+    fn wire_size_is_the_encoded_length(
+        msg in prop_oneof![arb_any_message(), arb_shared_payload()],
+        seq in any::<u32>(),
+    ) {
+        let legacy = encode_message(&msg).len();
+        prop_assert_eq!(msg.wire_size(), legacy as u64);
+        let handshake = matches!(
+            msg,
+            Message::ServerHello { .. } | Message::ClientHello { .. } | Message::SessionResume { .. }
+        );
+        let grown = if handshake { 0 } else { INTEGRITY_HEADER_LEN - LEGACY_HEADER_LEN };
+        for revision in [WIRE_REV_INTEGRITY, WIRE_REV_CACHE] {
+            let mut enc = FrameEncoder::with_revision(revision);
+            enc.set_next_seq(seq);
+            prop_assert_eq!(enc.encode(&msg).len(), legacy + grown);
+        }
     }
 
     /// Bit-flipped valid streams: the decoder returns typed errors,
@@ -605,21 +681,34 @@ proptest! {
     }
 }
 
-/// RAW messages with payloads on both sides of [`CRC_COMPOSE_MIN`],
-/// the floor above which the encoder composes the frame CRC from the
-/// register the payload's allocation memoises.
-fn arb_shared_raw() -> impl Strategy<Value = Message> {
+/// RAW, video and audio messages with payloads on both sides of
+/// [`CRC_COMPOSE_MIN`], the floor above which the encoder composes the
+/// frame CRC from the register the payload's allocation memoises.
+fn arb_shared_payload() -> impl Strategy<Value = Message> {
     (
         arb_rect(),
-        any::<bool>(),
+        0u8..4,
+        any::<u32>(),
+        any::<u64>(),
         prop::collection::vec(any::<u8>(), CRC_COMPOSE_MIN - 8..CRC_COMPOSE_MIN * 5),
     )
-        .prop_map(|(rect, png, data)| {
-            Message::Display(DisplayCommand::Raw {
+        .prop_map(|(rect, kind, seq, timestamp_us, data)| match kind {
+            0 | 1 => Message::Display(DisplayCommand::Raw {
                 rect,
-                encoding: if png { RawEncoding::PngLike } else { RawEncoding::None },
+                encoding: if kind == 1 { RawEncoding::PngLike } else { RawEncoding::None },
                 data: data.into(),
-            })
+            }),
+            2 => Message::VideoData {
+                id: rect.w,
+                seq,
+                timestamp_us,
+                data: data.into(),
+            },
+            _ => Message::Audio {
+                seq,
+                timestamp_us,
+                data: data.into(),
+            },
         })
 }
 
@@ -646,7 +735,7 @@ proptest! {
     /// checks received bytes, never a memo.
     #[test]
     fn integrity_frames_equal_a_straight_line_encode_whatever_the_memo_holds(
-        msg in prop_oneof![arb_message(), arb_shared_raw()],
+        msg in prop_oneof![arb_message(), arb_shared_payload()],
         seq_a in any::<u32>(),
         seq_b in any::<u32>(),
         flip_at in any::<u32>(),

@@ -165,28 +165,270 @@ impl YuvFrame {
 
     /// Converts to RGB, scaling to `dst_w`×`dst_h` by nearest-neighbour
     /// sampling — modeling the client video hardware's combined
-    /// colorspace-conversion-and-scaling stage.
+    /// colorspace-conversion-and-scaling stage. A new framebuffer and
+    /// one [`blit`] over all of it.
     pub fn to_rgb_scaled(&self, dst_w: u32, dst_h: u32, format: PixelFormat) -> Framebuffer {
         let mut out = Framebuffer::new(dst_w, dst_h, format);
-        if self.width == 0 || self.height == 0 || dst_w == 0 || dst_h == 0 {
-            return out;
+        let (w, h) = (self.width, self.height);
+        blit(self.format, w, h, &self.data, &mut out, &Rect::new(0, 0, dst_w, dst_h));
+        out
+    }
+}
+
+/// Converts the `src_w`×`src_h` frame in `planes` to RGB and paints it
+/// over `dst` in `fb`, scaled by nearest-neighbour sampling: the
+/// overlay "hardware" of §4.2, and the window server's software twin
+/// of it, writing straight into the framebuffer they draw on.
+///
+/// `dst` is clipped to the framebuffer before any work is done, so the
+/// cost is bounded by the pixels that land on it and the scratch by one
+/// source row, whatever `dst` claims (it may lie wholly or partly
+/// outside, at a negative origin, and be far larger than the screen).
+/// Monomorphized per destination pixel format. Each chroma sample's
+/// three BT.601 terms are computed once and shared by the pixels it
+/// covers; a scaled destination converts each *source* row it samples
+/// once, expands it through a precomputed column map, and repeats an
+/// output row by `copy_within` wherever consecutive destination rows
+/// sample the same source row. Byte-exact with
+/// [`crate::reference::yuv_to_rgb_scaled`] clipped through
+/// `get_raw` / `put_raw`.
+///
+/// # Panics
+///
+/// Panics if `planes` has the wrong length for the geometry.
+pub fn blit(
+    format: YuvFormat,
+    src_w: u32,
+    src_h: u32,
+    planes: &[u8],
+    fb: &mut Framebuffer,
+    dst: &Rect,
+) {
+    assert_eq!(
+        planes.len(),
+        format.frame_size(src_w, src_h),
+        "YUV frame size mismatch"
+    );
+    let src = Planes {
+        format,
+        w: src_w as usize,
+        h: src_h as usize,
+        data: planes,
+    };
+    match fb.format() {
+        PixelFormat::Indexed8 => blit_px(&src, fb, dst, encoder::<1>(PixelFormat::Indexed8)),
+        PixelFormat::Rgb565 => blit_px(&src, fb, dst, encoder::<2>(PixelFormat::Rgb565)),
+        PixelFormat::Rgb888 => blit_px(&src, fb, dst, encoder::<3>(PixelFormat::Rgb888)),
+        PixelFormat::Rgba8888 => blit_px(&src, fb, dst, encoder::<4>(PixelFormat::Rgba8888)),
+    }
+}
+
+/// `format`'s pixel encoder as a fixed-width array function; called
+/// with a literal format, so the layout `match` folds away.
+#[inline(always)]
+fn encoder<const BPP: usize>(format: PixelFormat) -> impl Fn(Color) -> [u8; BPP] + Copy {
+    move |c| {
+        let mut px = [0; BPP];
+        format.encode(c, &mut px);
+        px
+    }
+}
+
+/// The part of the span `origin .. origin + extent` that lies inside
+/// `0 .. limit`: `(offset into the span, start, length)`, or `None`
+/// when nothing does. Widened so no wire-supplied origin can overflow.
+fn visible(origin: i32, extent: u32, limit: u32) -> Option<(usize, usize, usize)> {
+    let lo = i64::from(origin).max(0);
+    let hi = (i64::from(origin) + i64::from(extent)).min(i64::from(limit));
+    (lo < hi).then(|| ((lo - i64::from(origin)) as usize, lo as usize, (hi - lo) as usize))
+}
+
+fn blit_px<const BPP: usize>(
+    src: &Planes<'_>,
+    fb: &mut Framebuffer,
+    dst: &Rect,
+    encode: impl Fn(Color) -> [u8; BPP] + Copy,
+) {
+    if src.w == 0 || src.h == 0 {
+        return;
+    }
+    let (Some((dx0, x, w)), Some((dy0, y, h))) = (
+        visible(dst.x, dst.w, fb.width()),
+        visible(dst.y, dst.h, fb.height()),
+    ) else {
+        return;
+    };
+    // The source columns the visible destination columns sample.
+    let sx = |dx: usize| (dx as u64 * src.w as u64 / u64::from(dst.w)) as usize;
+    let (c0, c1) = (sx(dx0), sx(dx0 + w - 1) + 1);
+    // At native width a source row converts straight into place;
+    // otherwise into `row`, which `sx_map` then expands.
+    let native_width = dst.w as usize == src.w;
+    let (sx_map, mut row): (Vec<u32>, Vec<[u8; BPP]>) = if native_width {
+        (Vec::new(), Vec::new())
+    } else {
+        let map = (dx0..dx0 + w).map(|dx| (sx(dx) - c0) as u32).collect();
+        (map, vec![[0; BPP]; c1 - c0])
+    };
+    let stride = fb.stride();
+    let data = fb.data_mut();
+    let mut scratch = RowScratch::default();
+    let mut prev_sy = usize::MAX;
+    for j in 0..h {
+        let sy = ((dy0 + j) as u64 * src.h as u64 / u64::from(dst.h)) as usize;
+        let at = (y + j) * stride + x * BPP;
+        if sy == prev_sy {
+            data.copy_within(at - stride..at - stride + w * BPP, at);
+            continue;
         }
-        // Precompute the horizontal source map once; each destination
-        // row then converts straight into its packed row slice.
-        let sx_map: Vec<u32> = (0..dst_w)
-            .map(|dx| (dx as u64 * self.width as u64 / dst_w as u64) as u32)
-            .collect();
-        let bpp = format.bytes_per_pixel();
-        let stride = out.stride();
-        for dy in 0..dst_h as usize {
-            let sy = (dy as u64 * self.height as u64 / dst_h as u64) as u32;
-            let orow = &mut out.data_mut()[dy * stride..(dy + 1) * stride];
-            for (px, &sx) in orow.chunks_exact_mut(bpp).zip(sx_map.iter()) {
-                let (yy, uu, vv) = self.yuv_at(sx, sy);
-                format.encode(yuv_to_rgb(yy, uu, vv), px);
+        prev_sy = sy;
+        let out = data[at..at + w * BPP].as_chunks_mut::<BPP>().0;
+        if native_width {
+            src.convert_row(sy, c0, out, &mut scratch, encode);
+        } else {
+            src.convert_row(sy, c0, &mut row, &mut scratch, encode);
+            for (o, &s) in out.iter_mut().zip(&sx_map) {
+                *o = row[s as usize];
             }
         }
-        out
+    }
+}
+
+/// A borrowed frame: the bytes and how to find a row's samples in them.
+struct Planes<'a> {
+    format: YuvFormat,
+    w: usize,
+    h: usize,
+    data: &'a [u8],
+}
+
+/// Per-row working set of the blit, reused from row to row: the three
+/// chroma terms of each chroma sample in the converted span (`i16`
+/// lanes beside the luma they are added to, one allocation laid out
+/// `rv | guv | bu`), which YV12 chroma row they were computed for,
+/// and YUY2's de-interleaved luma.
+#[derive(Default)]
+struct RowScratch {
+    terms: Vec<i16>,
+    chroma_row: Option<usize>,
+    luma: Vec<u8>,
+}
+
+impl RowScratch {
+    /// Fills the terms from `(u, v)` samples: the chroma half of
+    /// [`yuv_to_rgb`], once per sample instead of once per pixel.
+    fn set_terms(&mut self, uv: impl ExactSizeIterator<Item = (u8, u8)>) {
+        let n = uv.len();
+        self.terms.resize(3 * n, 0);
+        let (rv, rest) = self.terms.split_at_mut(n);
+        let (guv, bu) = rest.split_at_mut(n);
+        for ((u, v), ((rv, guv), bu)) in uv.zip(rv.iter_mut().zip(guv).zip(bu)) {
+            let (u, v) = (i32::from(u) - 128, i32::from(v) - 128);
+            *rv = ((359 * v + 128) >> 8) as i16;
+            *guv = ((88 * u + 183 * v + 128) >> 8) as i16;
+            *bu = ((454 * u + 128) >> 8) as i16;
+        }
+    }
+
+    /// The `(rv, guv, bu)` lanes, one entry per chroma sample.
+    fn terms(&self) -> (&[i16], &[i16], &[i16]) {
+        let (rv, rest) = self.terms.split_at(self.terms.len() / 3);
+        let (guv, bu) = rest.split_at(rv.len());
+        (rv, guv, bu)
+    }
+}
+
+impl Planes<'_> {
+    /// Converts columns `c0 .. c0 + out.len()` of source row `sy`.
+    fn convert_row<const BPP: usize>(
+        &self,
+        sy: usize,
+        c0: usize,
+        out: &mut [[u8; BPP]],
+        scratch: &mut RowScratch,
+        encode: impl Fn(Color) -> [u8; BPP] + Copy,
+    ) {
+        let c1 = c0 + out.len();
+        // Chroma samples covering the span: pixel `c` uses sample `c / 2`.
+        let (k0, k1) = (c0 / 2, c1.div_ceil(2));
+        match self.format {
+            YuvFormat::Yv12 => {
+                let cw = self.w.div_ceil(2);
+                let (y_plane, chroma) = self.data.split_at(self.w * self.h);
+                let (v_plane, u_plane) = chroma.split_at(cw * self.h.div_ceil(2));
+                // Both luma rows of a 2×2 block share one set of terms
+                // (the span is the same for every row of one blit).
+                if scratch.chroma_row != Some(sy / 2) {
+                    let at = sy / 2 * cw;
+                    let (u, v) = (&u_plane[at + k0..at + k1], &v_plane[at + k0..at + k1]);
+                    scratch.set_terms(u.iter().copied().zip(v.iter().copied()));
+                    scratch.chroma_row = Some(sy / 2);
+                }
+                let luma = &y_plane[sy * self.w + c0..sy * self.w + c1];
+                emit_row(luma, c0 % 2 == 1, scratch, out, encode);
+            }
+            YuvFormat::Yuy2 => {
+                let pairs_per_row = self.w.div_ceil(2);
+                let row = &self.data[sy * pairs_per_row * 4..][..pairs_per_row * 4];
+                let pairs = &row.as_chunks::<4>().0[k0..k1];
+                scratch.set_terms(pairs.iter().map(|p| (p[1], p[3])));
+                scratch.luma.clear();
+                scratch.luma.extend(pairs.iter().flat_map(|p| [p[0], p[2]]));
+                let luma = &scratch.luma[c0 % 2..][..out.len()];
+                emit_row(luma, c0 % 2 == 1, scratch, out, encode);
+            }
+        }
+    }
+}
+
+/// The luma half of [`yuv_to_rgb`] over one row: each pixel adds its
+/// luma to the terms of the chroma sample it shares with its pair,
+/// clamps and encodes. `lead` says the row starts on the second pixel
+/// of a pair (an odd clip edge); it may equally end on the first.
+///
+/// Three one-byte stores a pixel are what bounds this loop, not the
+/// arithmetic, so aligned pixels go four at a time: 4 × `BPP` bytes
+/// assembled in registers and stored as `BPP` whole words, for every
+/// format alike.
+#[inline]
+fn emit_row<const BPP: usize>(
+    luma: &[u8],
+    lead: bool,
+    terms: &RowScratch,
+    out: &mut [[u8; BPP]],
+    encode: impl Fn(Color) -> [u8; BPP] + Copy,
+) {
+    let px = |y: u8, rv: i16, guv: i16, bu: i16| {
+        let y = i16::from(y);
+        encode(Color::rgb(clamp_i16(y + rv), clamp_i16(y - guv), clamp_i16(y + bu)))
+    };
+    let (rv, guv, bu) = terms.terms();
+    let head = usize::from(lead);
+    let quads = (luma.len() - head) / 4;
+    let body = head..head + 4 * quads;
+    let (luma_quads, _) = luma[body.clone()].as_chunks::<4>();
+    let (out_quads, _) = out[body.clone()].as_chunks_mut::<4>();
+    let lanes = rv[head..].as_chunks::<2>().0.iter();
+    let lanes = lanes.zip(guv[head..].as_chunks::<2>().0).zip(bu[head..].as_chunks::<2>().0);
+    for ((o, y), ((rv, guv), bu)) in out_quads.iter_mut().zip(luma_quads).zip(lanes) {
+        let quad = [
+            px(y[0], rv[0], guv[0], bu[0]),
+            px(y[1], rv[0], guv[0], bu[0]),
+            px(y[2], rv[1], guv[1], bu[1]),
+            px(y[3], rv[1], guv[1], bu[1]),
+        ];
+        let byte = |i: usize| u32::from(quad[i / BPP][i % BPP]);
+        for (j, word) in o.as_flattened_mut().as_chunks_mut::<4>().0.iter_mut().enumerate() {
+            let i = 4 * j;
+            let packed = byte(i) | byte(i + 1) << 8 | byte(i + 2) << 16 | byte(i + 3) << 24;
+            *word = packed.to_le_bytes();
+        }
+    }
+    // The odd pixel before the first whole pair and whatever follows
+    // the last whole quad.
+    for i in (0..head).chain(body.end..luma.len()) {
+        let k = (i + head) / 2;
+        out[i] = px(luma[i], rv[k], guv[k], bu[k]);
     }
 }
 
@@ -377,6 +619,11 @@ pub fn yuv_to_rgb(y: u8, u: u8, v: u8) -> Color {
 
 #[inline]
 fn clamp_u8(v: i32) -> u8 {
+    v.clamp(0, 255) as u8
+}
+
+#[inline]
+fn clamp_i16(v: i16) -> u8 {
     v.clamp(0, 255) as u8
 }
 

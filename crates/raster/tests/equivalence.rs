@@ -148,3 +148,40 @@ proptest! {
         prop_assert_eq!(fast.data(), naive.data());
     }
 }
+
+proptest! {
+    // Two layouts × four formats × odd sizes × either scaling direction
+    // × every way of missing the framebuffer: more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The blit against the path it replaced, kept as the reference:
+    /// convert the whole of `dst` pixel by pixel into a framebuffer of
+    /// its own, `get_raw` it out and `put_raw` it in (which clips).
+    /// `dst` may be scaled either way, hang off any edge, sit at a
+    /// negative origin or miss the framebuffer altogether; pixels
+    /// outside it must come through untouched.
+    #[test]
+    fn yuv_blit_matches_reference(sw in 1u32..24, sh in 1u32..24,
+                                  dst in (-40..40i32, -40..40i32, 0u32..64, 0u32..64),
+                                  native in any::<bool>(),
+                                  fmt in arb_format(),
+                                  planar in any::<bool>(), seed in any::<u64>()) {
+        let yfmt = if planar { YuvFormat::Yv12 } else { YuvFormat::Yuy2 };
+        let rgb = noise_fb(sw, sh, PixelFormat::Rgb888, seed);
+        let frame = YuvFrame::from_rgb(&rgb, &Rect::new(0, 0, sw, sh), yfmt);
+        let dst = if native {
+            Rect::new(dst.0, dst.1, sw, sh)
+        } else {
+            Rect::new(dst.0, dst.1, dst.2, dst.3)
+        };
+        let mut fast = noise_fb(32, 24, fmt, seed ^ 0x5EED);
+        let mut naive = fast.clone();
+        thinc_raster::yuv::blit(yfmt, sw, sh, &frame.data, &mut fast, &dst);
+        let converted = reference::yuv_to_rgb_scaled(&frame, dst.w, dst.h, fmt);
+        let (clip, raw) = converted.get_raw(&Rect::new(0, 0, dst.w, dst.h));
+        if !clip.is_empty() {
+            naive.put_raw(&Rect::new(dst.x, dst.y, clip.w, clip.h), &raw);
+        }
+        prop_assert_eq!(fast.data(), naive.data());
+    }
+}
