@@ -12,7 +12,8 @@
 //! preview from the pixels the client already has.
 
 use thinc_protocol::message::Message;
-use thinc_raster::{scale_image, Framebuffer, Point, Rect, ScaleFilter};
+use thinc_raster::scale::scale_region;
+use thinc_raster::{Framebuffer, Point, Rect, ScaleFilter};
 
 /// Client zoom state for one session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,14 +97,7 @@ impl ZoomController {
         let rel_w = (self.view.w as i64 * self.viewport_w as i64 / old_view.w.max(1) as i64).max(1);
         let rel_h = (self.view.h as i64 * self.viewport_h as i64 / old_view.h.max(1) as i64).max(1);
         let src = Rect::new(rel_x as i32, rel_y as i32, rel_w as u32, rel_h as u32);
-        let clip = src.intersection(&fb.bounds());
-        if clip.is_empty() {
-            return Framebuffer::new(self.viewport_w, self.viewport_h, fb.format());
-        }
-        let mut cut = Framebuffer::new(clip.w, clip.h, fb.format());
-        let (_, raw) = fb.get_raw(&clip);
-        cut.put_raw(&Rect::new(0, 0, clip.w, clip.h), &raw);
-        scale_image(&cut, self.viewport_w, self.viewport_h, ScaleFilter::Nearest)
+        scale_region(fb, &src, self.viewport_w, self.viewport_h, ScaleFilter::Nearest)
     }
 }
 

@@ -71,8 +71,8 @@ fn place(slot: u8, shape: u8) -> (i32, i32, u32, u32) {
     (i32::from(slot) * 128, i32::from(shape) * 200, w, h)
 }
 
-struct Rig {
-    buf: ClientBuffer,
+pub(super) struct Rig {
+    pub(super) buf: ClientBuffer,
     pipe: TcpPipe,
     trace: PacketTrace,
     planes: PlaneCounters,
@@ -80,7 +80,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(sndbuf: u64, budget: Option<u64>, reference: bool) -> Self {
+    pub(super) fn new(sndbuf: u64, budget: Option<u64>, reference: bool) -> Self {
         let mut buf = ClientBuffer::new().with_raw_compression(3);
         buf.reference_prepare = reference;
         if let Some(budget) = budget {
@@ -96,7 +96,7 @@ impl Rig {
         Self { buf, pipe, trace: PacketTrace::new(), planes: PlaneCounters::default(), sent: Vec::new() }
     }
 
-    fn flush(&mut self, now: SimTime, with_plane: bool) {
+    pub(super) fn flush(&mut self, now: SimTime, with_plane: bool) {
         // One plane per round, as `SharedSession::flush_all` makes it.
         let plane = with_plane.then(WirePlane::new);
         let batch =
@@ -104,7 +104,7 @@ impl Rig {
         self.sent.extend(batch.into_iter().map(|(at, msg)| (at, encode_message(&msg))));
     }
 
-    fn observed(&self) -> Observed<'_> {
+    pub(super) fn observed(&self) -> Observed<'_> {
         let ledger = self
             .buf
             .cache
@@ -125,7 +125,7 @@ impl Rig {
 
 /// Everything observable from outside a buffer.
 #[derive(Debug, PartialEq)]
-struct Observed<'a> {
+pub(super) struct Observed<'a> {
     /// Every message sent, encoded, with its arrival time.
     sent: &'a [(SimTime, Vec<u8>)],
     /// Ledger `(key, size)` from least to most recently used.

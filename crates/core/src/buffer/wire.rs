@@ -15,7 +15,6 @@ use thinc_net::time::SimTime;
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_protocol::wire::encode_message_into;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
@@ -377,10 +376,9 @@ impl ClientBuffer {
 
     /// The `CacheRef` standing in for a full form of `full_size` wire
     /// bytes the client already holds under `key`.
-    fn cache_ref(&mut self, key: u64, full_size: u64, shared: Option<u64>) -> Wire {
+    fn cache_ref(&self, key: u64, full_size: u64, shared: Option<u64>) -> Wire {
         let msg = Message::CacheRef { hash: key };
-        encode_message_into(&msg, &mut self.encode_buf);
-        let size = self.encode_buf.len() as u64;
+        let size = msg.wire_size();
         Wire { msg, size, commit: CacheCommit::Hit { key, saved: full_size - size }, shared }
     }
 
@@ -436,10 +434,9 @@ impl ClientBuffer {
             }
         }
         let msg = msg.unwrap_or_else(|| Message::Display(cmd.clone()));
-        encode_message_into(&msg, &mut self.encode_buf);
-        let size = self.encode_buf.len() as u64;
-        let key = thinc_protocol::cache::cache_key(&msg, &self.encode_buf);
-        Some(WireForm { msg, size, key })
+        // Sized by arithmetic and keyed where it lies: the one pass the
+        // form costs here is the wire key's FNV over its payload.
+        Some(WireForm { size: msg.wire_size(), key: msg.cache_key(), msg })
     }
 
     /// The retained compress-everything `prepare_wire`: every eligible
@@ -501,10 +498,9 @@ impl ClientBuffer {
                 }
             }
         }
-        encode_message_into(&full, &mut self.encode_buf);
-        let size = self.encode_buf.len() as u64;
-        let key = thinc_protocol::cache::cache_key(&full, &self.encode_buf);
-        WireForm { msg: full, size, key }
+        let encoded = thinc_protocol::wire::encode_message(&full);
+        let key = thinc_protocol::cache::cache_key(&full, &encoded);
+        WireForm { msg: full, size: encoded.len() as u64, key }
     }
 
     /// Applies the ledger update owed for a message just sent: bump
@@ -572,9 +568,7 @@ impl ClientBuffer {
         out: &mut Vec<(SimTime, Message)>,
     ) -> bool {
         while let Some(msg) = self.cache.as_ref().and_then(|c| c.fallbacks.front()) {
-            encode_message_into(msg, &mut self.encode_buf);
-            let size = self.encode_buf.len() as u64;
-            let key = thinc_protocol::cache::cache_key(msg, &self.encode_buf);
+            let size = msg.wire_size();
             if pipe.would_block(now, size) {
                 return false;
             }
@@ -588,7 +582,8 @@ impl ClientBuffer {
             self.stats.sent_messages += 1;
             self.stats.sent_bytes += size;
             self.protocol_metrics.record(thinc_protocol::telemetry::command_kind(&msg), size);
-            if let Some(key) = key {
+            // Keyed only once it ships: the key is a pass over the payload.
+            if let Some(key) = msg.cache_key() {
                 self.cache_commit(&msg, size, CacheCommit::Insert { key });
             }
             out.push((arrival, msg));

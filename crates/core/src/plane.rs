@@ -17,7 +17,10 @@
 //! identical bytes. The id is a property of the payload *allocation*:
 //! viewers holding clones of one buffer hash it once between them, and
 //! a viewer whose queue re-allocated the payload pays one word-wide
-//! pass over its own copy.
+//! pass over its own copy. The pieces of a RAW split at flush are views
+//! of the original, keyed from the original's id and the range:
+//! class-mates that cut equal payloads at equal rows still meet in one
+//! slot, and nobody reads the piece to find that out.
 //!
 //! Hash collisions cannot corrupt streams: each slot pins the payload
 //! [`Bytes`] it was keyed on, and a lookup whose content does not

@@ -112,16 +112,8 @@ impl DrawableStore {
             let src_fb = self.pixmaps.get(&src)?;
             Some((src_fb, &mut self.screen))
         } else {
-            // SAFETY-free approach: remove src temporarily is costly;
-            // use raw pointers with a disjointness check instead.
-            let src_ptr = self.pixmaps.get(&src)? as *const Framebuffer;
-            let dst_fb = self.pixmaps.get_mut(&dst)?;
-            // SAFETY: `src != dst` (checked above) and HashMap values
-            // are distinct allocations, so the shared reference to the
-            // source does not alias the mutable reference to the
-            // destination. `get_mut` does not move other entries.
-            let src_fb = unsafe { &*src_ptr };
-            Some((src_fb, dst_fb))
+            let [src_fb, dst_fb] = self.pixmaps.get_disjoint_mut([&src, &dst]);
+            Some((&*src_fb?, dst_fb?))
         }
     }
 

@@ -131,18 +131,21 @@ impl<D: VideoDriver> WindowServer<D> {
                 RequestResult::Done
             }
             DrawRequest::TileRect { target, rect, tile } => {
-                let Some(tile_fb) = self.drawables.get(tile).cloned() else {
-                    return RequestResult::BadDrawable;
-                };
-                if tile_fb.width() == 0 || tile_fb.height() == 0 {
+                if self.drawables.get(tile).filter(|t| t.width() > 0 && t.height() > 0).is_none() {
                     return RequestResult::BadDrawable;
                 }
-                let Some(fb) = self.drawables.get_mut(target) else {
-                    return RequestResult::BadDrawable;
-                };
-                fb.tile_rect(&rect, &tile_fb);
+                // A drawable tiled with itself keeps every pixel (the
+                // phase anchors at its own origin); any other tile is
+                // borrowed beside the target, not copied.
+                if tile != target {
+                    let Some((tile_fb, fb)) = self.drawables.get_pair_mut(tile, target) else {
+                        return RequestResult::BadDrawable;
+                    };
+                    fb.tile_rect(&rect, tile_fb);
+                }
                 self.note_damage(target, &rect);
-                self.driver.pattern_fill(&self.drawables, target, rect, &tile_fb);
+                let tile_fb = self.drawables.get(tile).expect("looked up above");
+                self.driver.pattern_fill(&self.drawables, target, rect, tile_fb);
                 RequestResult::Done
             }
             DrawRequest::StippleRect {
@@ -177,17 +180,7 @@ impl<D: VideoDriver> WindowServer<D> {
                     let Some((s, d)) = self.drawables.get_pair_mut(src, dst) else {
                         return RequestResult::BadDrawable;
                     };
-                    let (clip, data) = s.get_raw(&src_rect);
-                    if !clip.is_empty() {
-                        // Preserve the offset if the source clipped.
-                        let dst_rect = Rect::new(
-                            dst_x + (clip.x - src_rect.x),
-                            dst_y + (clip.y - src_rect.y),
-                            clip.w,
-                            clip.h,
-                        );
-                        d.put_raw(&dst_rect, &data);
-                    }
+                    d.copy_from(s, &src_rect, dst_x, dst_y);
                 }
                 let dst_rect = Rect::new(dst_x, dst_y, src_rect.w, src_rect.h);
                 self.note_damage(dst, &dst_rect);
@@ -353,6 +346,54 @@ mod tests {
         assert!(matches!(s.driver().ops[0], RecordedOp::CreatePixmap(..)));
         assert!(matches!(s.driver().ops[1], RecordedOp::SolidFill(id, ..) if id == pm));
         assert!(matches!(s.driver().ops[2], RecordedOp::CopyArea(..)));
+    }
+
+    #[test]
+    fn copy_between_drawables_clips_at_both_ends_and_keeps_offsets() {
+        let mut s = server();
+        let RequestResult::Created(pm) = s.process(DrawRequest::CreatePixmap { width: 8, height: 8 })
+        else {
+            panic!("expected Created");
+        };
+        s.process(DrawRequest::FillRect { target: pm, rect: Rect::new(0, 0, 8, 8), color: Color::WHITE });
+        // The source rectangle hangs off the pixmap's top-left corner
+        // by two pixels, and the landing point off the screen's bottom.
+        s.process(DrawRequest::CopyArea {
+            src: pm,
+            dst: SCREEN,
+            src_rect: Rect::new(-2, -2, 10, 10),
+            dst_x: 20,
+            dst_y: 42,
+        });
+        let white = |x, y| s.screen().get_pixel(x, y) == Some(Color::WHITE);
+        assert!(!white(21, 44) && !white(22, 43), "the clipped-off margin is not painted");
+        assert!(white(22, 44) && white(29, 47));
+        assert!(!white(30, 44));
+    }
+
+    #[test]
+    fn tile_rect_borrows_its_tile_and_a_drawable_tiled_with_itself_is_unchanged() {
+        let mut s = server();
+        let RequestResult::Created(pm) = s.process(DrawRequest::CreatePixmap { width: 2, height: 1 })
+        else {
+            panic!("expected Created");
+        };
+        let (a, b) = (Color::rgb(1, 2, 3), Color::rgb(9, 8, 7));
+        s.process(DrawRequest::FillRect { target: pm, rect: Rect::new(0, 0, 1, 1), color: a });
+        s.process(DrawRequest::FillRect { target: pm, rect: Rect::new(1, 0, 1, 1), color: b });
+        let tiled = s.process(DrawRequest::TileRect { target: SCREEN, rect: Rect::new(4, 4, 6, 2), tile: pm });
+        assert_eq!(tiled, RequestResult::Done);
+        assert_eq!(s.screen().get_pixel(4, 5), Some(a));
+        assert_eq!(s.screen().get_pixel(7, 4), Some(b));
+        assert!(matches!(s.driver().ops.last(), Some(RecordedOp::PatternFill(SCREEN, _, 2, 1))));
+        // Tiled with itself a drawable keeps every pixel.
+        let before = s.screen().clone();
+        let own = DrawRequest::TileRect { target: SCREEN, rect: Rect::new(3, 3, 9, 9), tile: SCREEN };
+        assert_eq!(s.process(own), RequestResult::Done);
+        assert_eq!(s.screen().data(), before.data());
+        assert!(matches!(s.driver().ops.last(), Some(RecordedOp::PatternFill(SCREEN, _, 64, 48))));
+        let unknown = DrawRequest::TileRect { target: SCREEN, rect: Rect::new(0, 0, 1, 1), tile: DrawableId(99) };
+        assert_eq!(s.process(unknown), RequestResult::BadDrawable);
     }
 
     #[test]

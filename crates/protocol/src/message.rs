@@ -262,16 +262,15 @@ impl Message {
     /// The content-cache key for this message, or `None` if it is not
     /// cacheable (see [`crate::cache::cache_key`] for the rules).
     ///
-    /// Convenience wrapper that encodes the message first — into a
-    /// thread-local scratch, so it does not allocate, and only when
-    /// the message is of a cacheable kind at all; hot paths that
-    /// already hold the encoded bytes call
-    /// [`crate::cache::cache_key`] directly.
+    /// Nothing is encoded to find out: the size is arithmetic and the
+    /// hash runs over the frame's fields and its payload where they
+    /// lie, to the value [`crate::cache::cache_key`] gives for the
+    /// encoded bytes.
     pub fn cache_key(&self) -> Option<u64> {
-        if !crate::cache::cacheable_kind(self) {
-            return None;
-        }
-        crate::wire::with_encoded(self, |frame| crate::cache::cache_key(self, frame))
+        use crate::cache::{cacheable_kind, CACHE_MIN_PAYLOAD};
+        let Message::Display(cmd) = self else { return None };
+        (cacheable_kind(self) && self.wire_size() >= CACHE_MIN_PAYLOAD as u64)
+            .then(|| crate::wire::display_frame_fnv(cmd))
     }
 }
 

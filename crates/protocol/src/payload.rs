@@ -30,16 +30,50 @@
 //!   [`crate::crc::crc32_shift`] instead of re-reading the payload
 //!   (`crate::wire::encode_message_seq_into`).
 //!
-//! The memo costs 24 bytes per allocation and nothing per clone.
+//! **Views.** [`Bytes::slice`] cuts a payload without copying it: the
+//! view is a small node of its own that holds the root allocation and
+//! a range of it — a slice of a view is a view of the *root*, never of
+//! the view, so chains do not grow. A view reads, compares, hashes and
+//! prints exactly like an owned buffer with the same bytes, and
+//! memoises its own CRC register (a wire value, so computed over
+//! exactly the view's bytes). Its `content_id` is the one thing that
+//! differs: it is derived from the root's id and the range, so cutting
+//! a photograph into seven pieces reads the photograph once, not the
+//! shrinking remainder seven times. It is still a pure function of
+//! contents — equal roots cut at equal offsets agree, wherever they
+//! live — but a view and an owned buffer with the same bytes do *not*
+//! share an id, which costs a plane or memo hit and never a byte: both
+//! tables only skip work, and the plane verifies bytes on a key match.
+//! So a view is for a cut whose root is what recurs — the pieces of a
+//! RAW split at flush — and not for one whose hidden part is what
+//! varies: a clipped tile stays a copy, keyed by the bytes it shows.
+//! A view keeps its whole root alive.
+//!
+//! A node is a `Vec` or a root-and-range (32 bytes either way) plus
+//! 24 bytes of memo, and costs nothing per clone.
 
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
-/// One payload allocation: the bytes, and the digests of them that
-/// have been asked for so far.
+/// Where a node's bytes live.
+enum Data {
+    /// In the node itself: a root allocation.
+    Owned(Vec<u8>),
+    /// In `range` of `root`, which is always [`Data::Owned`].
+    View { root: Bytes, range: Range<usize> },
+}
+
+impl Default for Data {
+    fn default() -> Self {
+        Data::Owned(Vec::new())
+    }
+}
+
+/// One payload node: the bytes, and the digests of them that have
+/// been asked for so far.
 #[derive(Default)]
 struct Shared {
-    data: Vec<u8>,
+    data: Data,
     content_id: OnceLock<u64>,
     crc_from_zero: OnceLock<u32>,
 }
@@ -49,61 +83,87 @@ struct Shared {
 pub struct Bytes(Arc<Shared>);
 
 impl Bytes {
+    fn node(data: Data) -> Self {
+        Bytes(Arc::new(Shared { data, ..Shared::default() }))
+    }
+
     /// Wraps a byte vector without copying it.
     pub fn new(data: Vec<u8>) -> Self {
-        Bytes(Arc::new(Shared {
-            data,
-            ..Shared::default()
-        }))
+        Self::node(Data::Owned(data))
     }
 
     /// The payload as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.0.data
+        match &self.0.data {
+            Data::Owned(data) => data,
+            Data::View { root, range } => &root.as_slice()[range.clone()],
+        }
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.data.len()
+    /// A view of `range` of these bytes that shares the allocation:
+    /// nothing is copied, and the result behaves as an owned buffer
+    /// holding `self[range]` would, but for its
+    /// [`content_id`](Self::content_id). Slicing a view gives a view of
+    /// the root; slicing everything gives a clone.
+    ///
+    /// # Panics
+    /// When `range` is decreasing or reaches past the end, as slice
+    /// indexing does.
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        let len = self.len();
+        assert!(range.start <= range.end && range.end <= len, "slice {range:?} of {len} bytes");
+        if range.len() == len {
+            return self.clone();
+        }
+        let (root, base) = match &self.0.data {
+            Data::Owned(_) => (self, 0),
+            Data::View { root, range } => (root, range.start),
+        };
+        Self::node(Data::View { root: root.clone(), range: base + range.start..base + range.end })
     }
 
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.data.is_empty()
-    }
-
-    /// Whether `self` and `other` are clones of one allocation (so
-    /// share its bytes and its digest memos), not merely equal.
+    /// Whether `self` and `other` are the same bytes in memory — clones
+    /// of one node, or views of the same range of one root — not
+    /// merely equal.
     pub fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        std::ptr::eq(self.as_slice(), other.as_slice())
     }
 
-    /// [`crate::hash::content_id`] of the contents, computed at most
-    /// once per allocation: equal for equal contents wherever they
-    /// live, O(1) for every clone after the first call. In-process
-    /// only — never a wire or checkpoint value.
+    /// The in-process identity of the contents, computed at most once
+    /// per node and O(1) for every clone after the first call. For an
+    /// owned buffer it is [`crate::hash::content_id`] of the bytes,
+    /// equal for equal contents wherever they live. For a view it is
+    /// derived from the root's id and the range without reading the
+    /// bytes: equal for equal roots cut at equal offsets, and unrelated
+    /// to the id of an owned buffer holding the same bytes. Never a
+    /// wire or checkpoint value.
     pub fn content_id(&self) -> u64 {
-        *self
-            .0
-            .content_id
-            .get_or_init(|| crate::hash::content_id(&self.0.data))
+        *self.0.content_id.get_or_init(|| match &self.0.data {
+            Data::Owned(data) => crate::hash::content_id(data),
+            Data::View { root, range } => {
+                let cut = [root.content_id(), range.start as u64, range.end as u64];
+                crate::hash::content_id(cut.map(u64::to_le_bytes).as_flattened())
+            }
+        })
     }
 
-    /// `crc32_update(0, contents)`, computed at most once per
-    /// allocation — the term an encoder XORs into a shifted register
-    /// to cover the payload without reading it.
+    /// `crc32_update(0, contents)`, computed at most once per node —
+    /// the term an encoder XORs into a shifted register to cover the
+    /// payload without reading it.
     pub(crate) fn crc_from_zero(&self) -> u32 {
         *self
             .0
             .crc_from_zero
-            .get_or_init(|| crate::crc::crc32_update(0, &self.0.data))
+            .get_or_init(|| crate::crc::crc32_update(0, self.as_slice()))
     }
 
-    /// Extracts the bytes, copying only when other clones exist.
+    /// Extracts the bytes, copying unless this is the only handle on
+    /// an owned buffer.
     pub fn into_vec(self) -> Vec<u8> {
         match Arc::try_unwrap(self.0) {
-            Ok(shared) => shared.data,
-            Err(arc) => arc.data.clone(),
+            Ok(Shared { data: Data::Owned(data), .. }) => data,
+            Ok(Shared { data: Data::View { root, range }, .. }) => root[range].to_vec(),
+            Err(shared) => Bytes(shared).to_vec(),
         }
     }
 }
@@ -111,13 +171,13 @@ impl Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.0.data
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.0.data
+        self.as_slice()
     }
 }
 
@@ -141,7 +201,7 @@ impl FromIterator<u8> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other) || self.0.data == other.0.data
+        self.ptr_eq(other) || self.as_slice() == other.as_slice()
     }
 }
 
@@ -149,7 +209,7 @@ impl Eq for Bytes {}
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.data.hash(state);
+        self.as_slice().hash(state);
     }
 }
 
@@ -235,8 +295,78 @@ mod tests {
 
     #[test]
     fn the_memo_is_three_words() {
-        let bare = std::mem::size_of::<Vec<u8>>();
-        assert!(std::mem::size_of::<Shared>() <= bare + 24);
+        // 56 bytes a node: the `Vec` or the root-and-range view link
+        // (32 with the tag, against 24 for the bare `Vec` before
+        // views), and three words of memo.
+        assert_eq!(std::mem::size_of::<Data>(), 32);
+        assert_eq!(std::mem::size_of::<Shared>(), std::mem::size_of::<Data>() + 24);
+        assert_eq!(std::mem::size_of::<Bytes>(), std::mem::size_of::<usize>());
+    }
+
+    fn ramp(n: usize) -> Bytes {
+        (0..n).map(|i| (i * 31 + i / 7) as u8).collect()
+    }
+
+    #[test]
+    fn a_slice_shares_the_allocation_and_reads_like_an_owned_buffer() {
+        let root = ramp(4096);
+        let view = root.slice(100..1124);
+        let owned = Bytes::from(root[100..1124].to_vec());
+        assert_eq!(view.as_ptr(), root[100..].as_ptr(), "no copy");
+        assert_eq!((view.len(), view.is_empty()), (1024, false));
+        assert_eq!(view, owned);
+        assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        let hash = |b: &Bytes| {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&view), hash(&owned));
+        assert_eq!(view.crc_from_zero(), crate::reference::crc32_update(0, &owned));
+        // Shared or not, a view's bytes come back as a copy of the range.
+        assert_eq!(view.clone().into_vec(), owned.to_vec());
+        assert_eq!(view.into_vec(), owned.to_vec());
+        assert!(root.slice(7..7).is_empty());
+    }
+
+    #[test]
+    fn nested_slices_normalise_to_the_root() {
+        let root = ramp(1000);
+        let inner = root.slice(100..900).slice(50..650).slice(0..500);
+        let direct = root.slice(150..650);
+        assert!(inner.ptr_eq(&direct), "same root, same range");
+        assert_eq!(inner.content_id(), direct.content_id());
+        assert!(matches!(&inner.0.data, Data::View { root: r, .. } if r.ptr_eq(&root)));
+        // Slicing everything is a clone, memo and all.
+        assert!(root.slice(0..1000).ptr_eq(&root));
+        assert!(Arc::ptr_eq(&direct.slice(0..500).0, &direct.0));
+        assert!(!direct.ptr_eq(&root.slice(150..651)));
+        assert!(!direct.ptr_eq(&root));
+    }
+
+    #[test]
+    fn a_view_takes_its_id_from_root_and_range_not_from_its_bytes() {
+        let (a, b) = (ramp(2048), Bytes::from(ramp(2048).to_vec()));
+        assert!(!a.ptr_eq(&b));
+        let (va, vb) = (a.slice(512..1536), b.slice(512..1536));
+        assert!(!va.ptr_eq(&vb));
+        assert_eq!(va.content_id(), vb.content_id(), "equal roots, equal cut");
+        // The root was read (once); the views' own bytes never were.
+        assert!(a.0.content_id.get().is_some() && va.0.crc_from_zero.get().is_none());
+        assert_ne!(va.content_id(), a.slice(512..1537).content_id());
+        assert_ne!(va.content_id(), a.slice(511..1535).content_id());
+        assert_ne!(va.content_id(), a.content_id());
+        // Zeros cut at different rows hold equal bytes under distinct ids.
+        let zeros = Bytes::from(vec![0u8; 256]);
+        assert_eq!(zeros.slice(0..64), zeros.slice(64..128));
+        assert_ne!(zeros.slice(0..64).content_id(), zeros.slice(64..128).content_id());
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 4..9 of 8 bytes")]
+    fn a_slice_past_the_end_panics() {
+        ramp(8).slice(4..9);
     }
 
     #[test]

@@ -158,7 +158,7 @@ const IN_BUTTON_RELEASE: u8 = 0x22;
 const IN_KEY_PRESS: u8 = 0x23;
 const IN_KEY_RELEASE: u8 = 0x24;
 
-fn put_rect(buf: &mut Vec<u8>, r: &Rect) {
+fn put_rect(buf: &mut impl BufMut, r: &Rect) {
     buf.put_i32_le(r.x);
     buf.put_i32_le(r.y);
     buf.put_u32_le(r.w);
@@ -176,7 +176,7 @@ fn get_rect(buf: &mut &[u8]) -> Result<Rect, DecodeError> {
     Ok(Rect::new(x, y, w, h))
 }
 
-fn put_color(buf: &mut Vec<u8>, c: Color) {
+fn put_color(buf: &mut impl BufMut, c: Color) {
     buf.put_u8(c.r);
     buf.put_u8(c.g);
     buf.put_u8(c.b);
@@ -190,7 +190,7 @@ fn get_color(buf: &mut &[u8]) -> Result<Color, DecodeError> {
     Ok(Color::rgba(buf.get_u8(), buf.get_u8(), buf.get_u8(), buf.get_u8()))
 }
 
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
+fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
     buf.put_u32_le(data.len() as u32);
     buf.put_slice(data);
 }
@@ -208,7 +208,7 @@ fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
     Ok(out)
 }
 
-fn encode_command(cmd: &DisplayCommand, buf: &mut Vec<u8>) {
+fn encode_command(cmd: &DisplayCommand, buf: &mut impl BufMut) {
     match cmd {
         DisplayCommand::Raw { rect, encoding, data } => {
             buf.put_u8(CMD_RAW);
@@ -540,8 +540,9 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 /// Encodes a message as a revision-1 frame into `out` (cleared first).
 ///
 /// The allocation-free twin of [`encode_message`]: callers that
-/// encode in a loop (wire sizing, cache-key hashing, flush paths)
-/// keep one buffer warm instead of allocating per message.
+/// encode in a loop keep one buffer warm instead of allocating per
+/// message. (To size a frame or key it, ask [`Message::wire_size`] and
+/// [`Message::cache_key`]: neither builds it.)
 pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
     out.clear();
     out.resize(LEGACY_HEADER_LEN, 0);
@@ -551,19 +552,23 @@ pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
     out[1..5].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Runs `f` on `msg`'s revision-1 frame, encoded into a thread-local
-/// scratch buffer so callers that only measure or hash the frame do
-/// not allocate.
-pub(crate) fn with_encoded<R>(msg: &Message, f: impl FnOnce(&[u8]) -> R) -> R {
-    use std::cell::RefCell;
-    thread_local! {
-        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+/// FNV-1a 64 of a display command's revision-1 frame — the rev-3
+/// cache key's hash — run over the frame where it lies: the header
+/// and the fixed fields as they are produced, then the payload in
+/// place. No frame is built; the value is
+/// `fnv64(&encode_message(&Message::Display(cmd)))`.
+pub(crate) fn display_frame_fnv(cmd: &DisplayCommand) -> u64 {
+    struct Fnv(u64);
+    impl BufMut for Fnv {
+        fn put_slice(&mut self, src: &[u8]) {
+            self.0 = crate::hash::fnv64_update(self.0, src);
+        }
     }
-    SCRATCH.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        encode_message_into(msg, &mut buf);
-        f(&buf)
-    })
+    let mut frame = Fnv(crate::hash::FNV64_OFFSET);
+    frame.put_u8(MSG_DISPLAY);
+    frame.put_u32_le((cmd.wire_size() - LEGACY_HEADER_LEN as u64) as u32);
+    encode_command(cmd, &mut frame);
+    frame.0
 }
 
 /// The revision-1 encoded length of a message, by arithmetic: the

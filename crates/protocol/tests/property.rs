@@ -11,7 +11,7 @@ use thinc_protocol::wire::{
     INTEGRITY_HEADER_LEN, LEGACY_HEADER_LEN,
 };
 use thinc_protocol::{
-    fnv64, reference, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET, WIRE_REV_CACHE, WIRE_REV_INTEGRITY,
+    fnv64, reference, Bytes, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET, WIRE_REV_CACHE, WIRE_REV_INTEGRITY,
 };
 use thinc_raster::{Color, Rect, YuvFormat};
 
@@ -728,6 +728,58 @@ fn straight_line_frame(msg: &Message, seq: u32) -> Vec<u8> {
 }
 
 proptest! {
+    /// A view of a larger allocation ([`Bytes::slice`]), reached
+    /// directly or through a view of a view, is an owned buffer with
+    /// the same bytes to everything that can see bytes: equality,
+    /// `Hash`, `Debug`, `into_vec`, the encoded frame, its arithmetic
+    /// size, the streamed rev-3 key (the FNV of the encoded frame) and
+    /// the integrity frame, whose CRC is composed from the register the
+    /// *view* memoises. Only the in-process identity differs, and that
+    /// follows root contents and range, not allocations.
+    #[test]
+    fn a_sliced_payload_is_an_owned_one_to_everything_but_its_identity(
+        rect in arb_rect(),
+        root in prop::collection::vec(any::<u8>(), 1..CRC_COMPOSE_MIN * 4),
+        cut in any::<(u16, u16, u16, u16)>(),
+        seq in any::<u32>(),
+    ) {
+        let within = |pick: u16, lo: usize, hi: usize| lo + pick as usize % (hi - lo + 1);
+        let (a, b) = (within(cut.0, 0, root.len()), within(cut.1, 0, root.len()));
+        let (start, end) = (a.min(b), a.max(b));
+        let (lo, hi) = (within(cut.2, 0, start), within(cut.3, end, root.len()));
+        let owned = Bytes::from(root[start..end].to_vec());
+        let root = Bytes::from(root);
+        let view = root.slice(start..end);
+        let nested = root.slice(lo..hi).slice(start - lo..end - lo);
+        prop_assert!(nested.ptr_eq(&view), "a view of a view is a view of the root");
+        prop_assert_eq!(nested.content_id(), view.content_id());
+        let twin = Bytes::from(root.to_vec()).slice(start..end);
+        // (An empty view may sit where another allocation starts.)
+        prop_assert!(!twin.ptr_eq(&view) || twin.is_empty());
+        prop_assert_eq!(twin.content_id(), view.content_id(), "equal roots, equal cut");
+
+        prop_assert_eq!(&view, &owned);
+        prop_assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        prop_assert!(std::collections::HashSet::from([owned.clone()]).contains(&view));
+        prop_assert_eq!(view.clone().into_vec(), owned.to_vec());
+
+        let raw = |data: &Bytes| Message::Display(DisplayCommand::Raw {
+            rect,
+            encoding: RawEncoding::None,
+            data: data.clone(),
+        });
+        let (sliced, plain) = (raw(&view), raw(&owned));
+        let enc = encode_message(&plain);
+        prop_assert_eq!(&encode_message(&sliced), &enc);
+        prop_assert_eq!(sliced.wire_size(), enc.len() as u64);
+        prop_assert_eq!(sliced.cache_key(), cache_key(&plain, &enc));
+        prop_assert_eq!(sliced.cache_key().is_some(), enc.len() >= CACHE_MIN_PAYLOAD);
+        let mut framer = FrameEncoder::with_revision(WIRE_REV_CACHE);
+        framer.set_next_seq(seq);
+        prop_assert_eq!(framer.encode(&sliced), straight_line_frame(&plain, seq), "memo cold");
+        prop_assert_eq!(framer.encode(&sliced), straight_line_frame(&plain, seq.wrapping_add(1)));
+    }
+
     /// However the encoder reaches a frame's CRC — a pass over the
     /// body, or composed from a payload memo that is cold, warm, or
     /// was warmed by another encoder at another sequence number — the

@@ -337,6 +337,35 @@ impl Framebuffer {
         }
     }
 
+    /// Copies into `d` (already clipped to this framebuffer) from `src`,
+    /// where the pixel for `d`'s corner is at `s_off` and rows are
+    /// `s_stride` apart: one copy when the rows moved are whole rows on
+    /// both sides.
+    fn copy_rows(&mut self, d: &Rect, src: &[u8], s_off: usize, s_stride: usize) {
+        let row_len = d.w as usize * self.format.bytes_per_pixel();
+        let (d_off, d_stride) = (self.offset(d.x, d.y), self.stride());
+        let abut = row_len == s_stride && row_len == d_stride;
+        let (rows, run) = if abut { (1, row_len * d.h as usize) } else { (d.h as usize, row_len) };
+        for row in 0..rows {
+            let (s, t) = (s_off + row * s_stride, d_off + row * d_stride);
+            self.data[t..t + run].copy_from_slice(&src[s..s + run]);
+        }
+    }
+
+    /// Copies `src_rect` of `src` (a framebuffer of the same format)
+    /// to `(dst_x, dst_y)` here. The rectangle is clipped to `src`
+    /// and what is left of it to this framebuffer, pixels keeping
+    /// their offsets — what [`get_raw`](Self::get_raw) then
+    /// [`put_raw`](Self::put_raw) do, without the buffer between them.
+    pub fn copy_from(&mut self, src: &Framebuffer, src_rect: &Rect, dst_x: i32, dst_y: i32) {
+        assert_eq!(src.format, self.format, "source pixel format mismatch");
+        let (dx, dy) = (dst_x - src_rect.x, dst_y - src_rect.y);
+        let d = self.clip(&src.clip(src_rect).translated(dx, dy));
+        if !d.is_empty() {
+            self.copy_rows(&d, &src.data, src.offset(d.x - dx, d.y - dy), src.stride());
+        }
+    }
+
     /// Writes raw pixel data (in this framebuffer's format, tightly
     /// packed rows of `r.w` pixels) into `r`, clipping to bounds.
     ///
@@ -353,16 +382,9 @@ impl Framebuffer {
             "raw pixel buffer too short"
         );
         let clip = self.clip(r);
-        if clip.is_empty() {
-            return;
-        }
-        let row_len = clip.w as usize * bpp;
-        let x_skip = (clip.x - r.x) as usize * bpp;
-        for y in clip.y..clip.bottom() {
-            let sy = (y - r.y) as usize;
-            let s_off = sy * src_stride + x_skip;
-            let d_off = self.offset(clip.x, y);
-            self.data[d_off..d_off + row_len].copy_from_slice(&pixels[s_off..s_off + row_len]);
+        if !clip.is_empty() {
+            let s_off = (clip.y - r.y) as usize * src_stride + (clip.x - r.x) as usize * bpp;
+            self.copy_rows(&clip, pixels, s_off, src_stride);
         }
     }
 

@@ -94,10 +94,7 @@ pub fn scale_region(
 ) -> Framebuffer {
     let clip = r.intersection(&src.bounds());
     let mut cut = Framebuffer::new(clip.w, clip.h, src.format());
-    let (_, raw) = src.get_raw(&clip);
-    if !clip.is_empty() {
-        cut.put_raw(&Rect::new(0, 0, clip.w, clip.h), &raw);
-    }
+    cut.copy_from(src, &clip, 0, 0);
     scale_image(&cut, dst_w, dst_h, filter)
 }
 

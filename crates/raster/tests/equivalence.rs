@@ -96,6 +96,34 @@ proptest! {
         prop_assert_eq!(fast.data(), naive.data());
     }
 
+    /// Drawable to drawable against a pixel-at-a-time copy of every
+    /// source pixel that exists to every landing point that exists: any
+    /// source rectangle, any landing point, and widths that make the
+    /// rows moved whole rows of both framebuffers (the one-copy case),
+    /// of one, of neither.
+    #[test]
+    fn copy_from_matches_pixel_by_pixel(r in arb_rect(), fmt in arb_format(),
+                                        sw in 1u32..50, dw in 1u32..50,
+                                        dst in (-20..60i32, -20..60i32),
+                                        same_width in any::<bool>(),
+                                        whole_rows in any::<bool>(), seed in any::<u64>()) {
+        let src = noise_fb(sw, 37, fmt, seed);
+        let mut fast = noise_fb(if same_width { sw } else { dw }, 41, fmt, seed ^ 0x5EED);
+        let (r, dst) = if whole_rows { (Rect::new(0, r.y, sw, r.h), (0, dst.1)) } else { (r, dst) };
+        let bpp = fmt.bytes_per_pixel();
+        let at = |fb: &Framebuffer, x: i32, y: i32| {
+            fb.bounds().contains(&Rect::new(x, y, 1, 1)).then(|| (y as usize * fb.width() as usize + x as usize) * bpp)
+        };
+        let mut want = fast.data().to_vec();
+        for (x, y) in (0..r.h as i32).flat_map(|y| (0..r.w as i32).map(move |x| (x, y))) {
+            if let (Some(s), Some(t)) = (at(&src, r.x + x, r.y + y), at(&fast, dst.0 + x, dst.1 + y)) {
+                want[t..t + bpp].copy_from_slice(&src.data()[s..s + bpp]);
+            }
+        }
+        fast.copy_from(&src, &r, dst.0, dst.1);
+        prop_assert_eq!(fast.data(), &want[..]);
+    }
+
     #[test]
     fn convert_matches_reference(from in arb_format(), to in arb_format(),
                                  w in 1u32..24, h in 1u32..24, seed in any::<u64>()) {
