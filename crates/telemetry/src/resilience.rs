@@ -69,6 +69,9 @@ crate::counters! {
         stream_resyncs,
         /// Bytes skipped while scanning past damage.
         skipped_bytes,
+        /// Undecoded bytes dropped by a reader reset (reconnect, stall
+        /// recovery): whatever frames they held never arrived.
+        reset_discarded_bytes => record_reset_discard(n),
         /// Frames rejected because their CRC32 failed verification
         /// (integrity framing, protocol revision 2).
         crc_failures,
