@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Behavioural models of the thin-client systems THINC is evaluated
 //! against (§8): X, NX, VNC, Sun Ray, the ICA/RDP class, the
 //! GoToMyPC class, and a local PC. Each model is built over the same

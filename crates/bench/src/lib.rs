@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The benchmark harness: regenerates every table and figure of the
 //! THINC paper's evaluation (§8).
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic chaos simulation for the THINC virtual display
 //! stack.
 //!

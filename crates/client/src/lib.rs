@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! THINC clients.
 //!
 //! The THINC client is a simple input/output device: it keeps a local

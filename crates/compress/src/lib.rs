@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Compression and session encryption for THINC.
 //!
 //! The THINC prototype compresses `RAW` updates (and only `RAW`

@@ -76,7 +76,7 @@ impl ClientBuffer {
             None => w.u8(0),
             Some(c) => {
                 w.u8(1);
-                w.u64(c.ledger.budget());
+                w.u64(c.ledger.lru().budget());
                 w.u64(c.hits);
                 w.u64(c.misses);
                 w.u64(c.bytes_saved);
@@ -84,19 +84,16 @@ impl ClientBuffer {
                 for msg in &c.fallbacks {
                     w.bytes(&thinc_protocol::wire::encode_message(msg));
                 }
-                // LRU order, least-recent first: replaying through
-                // `insert` reconstructs the exact eviction order (the
-                // held total fits the budget, so replay never evicts).
-                let ledger: Vec<(u64, u64, Vec<u8>)> = c
-                    .ledger
-                    .iter_lru()
-                    .map(|(k, size, v)| (k, size, thinc_protocol::wire::encode_message(v)))
-                    .collect();
-                w.u32(ledger.len() as u32);
-                for (key, size, enc) in ledger {
-                    w.u64(key);
+                // LRU order, least-recent first, by name: replaying
+                // through `restore` reconstructs the exact eviction
+                // order (the held total fits the budget, so replay
+                // never evicts). Cutting the checkpoint names every
+                // entry.
+                w.u32(c.ledger.lru().len() as u32);
+                for (name, size, msg) in c.ledger.iter_lru() {
+                    w.u64(name);
                     w.u64(size);
-                    w.bytes(&enc);
+                    w.bytes(&thinc_protocol::wire::encode_message(msg));
                 }
             }
         }
@@ -156,7 +153,7 @@ impl ClientBuffer {
             1 => {
                 let budget = r.u64()?;
                 let mut cache = CacheEngine {
-                    ledger: thinc_protocol::cache::CacheLru::new(budget),
+                    ledger: thinc_protocol::cache::ContentStore::new(budget),
                     fallbacks: VecDeque::new(),
                     hits: r.u64()?,
                     misses: r.u64()?,
@@ -168,10 +165,11 @@ impl ClientBuffer {
                 }
                 let n_ledger = r.u32()?;
                 for _ in 0..n_ledger {
-                    let key = r.u64()?;
+                    let name = r.u64()?;
                     let size = r.u64()?;
                     let msg = decode_checkpoint_message(r.bytes()?)?;
-                    cache.ledger.insert(key, size, msg);
+                    let not_cacheable = CheckpointError::Malformed("ledger entry is not cacheable");
+                    cache.ledger.restore(name, size, msg).ok_or(not_cacheable)?;
                 }
                 buf.cache = Some(cache);
             }

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The fit-first flush against its retained reference.
 //!
 //! `ClientBuffer::reference_prepare_wire` is the compress-everything

@@ -1201,6 +1201,82 @@ mod tests {
         assert!(refs > 0, "repeated rounds were meant to produce refs");
     }
 
+    /// Ships `msgs` to `client` revision-1 framed.
+    fn deliver(client: &mut thinc_client::StreamClient, msgs: &[Message]) {
+        for m in msgs {
+            client.feed(&encode_message(m));
+        }
+    }
+
+    fn tile_payload(seed: u8, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect()
+    }
+
+    #[test]
+    fn a_view_and_its_copy_are_one_entry() {
+        // A split RAW leaves the server as views of the original; the
+        // client decodes owned bytes. The ledger must take a byte-equal
+        // owned payload for the entry a view put there — else the hit
+        // ships in full and the two ends' entries stop lining up.
+        let rect = Rect::new(0, 0, 16, 16);
+        let root = thinc_protocol::Bytes::from(tile_payload(3, 2 * 16 * 16 * 3));
+        let view = root.slice(16 * 16 * 3..root.len());
+        let copy = thinc_protocol::Bytes::from(view.to_vec());
+        assert_ne!(view.content_id(), copy.content_id(), "the trap: a view's id is derived");
+        let mut buf = ClientBuffer::new();
+        buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut client = thinc_client::StreamClient::new(16, 16, thinc_raster::PixelFormat::Rgb888);
+        buf.push(DisplayCommand::Raw { rect, encoding: RawEncoding::None, data: view }, false);
+        let first = drain_all(&mut buf);
+        deliver(&mut client, &first);
+        buf.push(DisplayCommand::Raw { rect, encoding: RawEncoding::None, data: copy }, false);
+        let second = drain_all(&mut buf);
+        assert_eq!(second, [Message::CacheRef { hash: first[0].cache_key().unwrap() }]);
+        deliver(&mut client, &second);
+        assert_eq!(client.resilience_metrics().cache_hits(), 1);
+        assert_eq!(buf.cache_keys(), client.cache_store().keys());
+    }
+
+    #[test]
+    fn entries_are_named_only_for_references_and_never_twice() {
+        let mut buf = ClientBuffer::new();
+        buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut client = thinc_client::StreamClient::new(64, 64, thinc_raster::PixelFormat::Rgb888);
+        let tile = |i: u8| DisplayCommand::Raw {
+            rect: Rect::new(i32::from(i % 8) * 8, 0, 8, 8),
+            encoding: RawEncoding::None,
+            data: tile_payload(i, 8 * 8 * 3).into(),
+        };
+        let names = |buf: &ClientBuffer, client: &thinc_client::StreamClient| {
+            let ledger = buf.cache.as_ref().map_or(0, |c| c.ledger.names_computed());
+            (ledger, client.cache_store().names_computed())
+        };
+        // Twelve distinct frames and nothing repeated: nobody names.
+        for i in 0..12 {
+            buf.push(tile(i), false);
+            deliver(&mut client, &drain_all(&mut buf));
+        }
+        assert_eq!(client.cache_store().lru().len(), 12);
+        assert_eq!(names(&buf, &client), (0, 0), "a stream with no refs names nothing");
+        // Revisits: each referenced entry is named once at each end,
+        // however often it is referenced.
+        for _ in 0..3 {
+            for i in [9, 4, 9] {
+                buf.push(tile(i), false);
+                let msgs = drain_all(&mut buf);
+                assert!(matches!(msgs[..], [Message::CacheRef { .. }]));
+                deliver(&mut client, &msgs);
+            }
+        }
+        // The client names newest first up to the match: 11, 10, 9 for
+        // the first reference, then 8 down to 4 for the second.
+        assert_eq!(names(&buf, &client), (2, 8));
+        // Cutting the key set names the rest, once.
+        assert_eq!(buf.cache_keys(), client.cache_store().keys());
+        assert_eq!(buf.cache_keys(), client.cache_store().keys());
+        assert_eq!(names(&buf, &client), (12, 12), "no entry is named twice");
+    }
+
     // ---- checkpoint / restore ----
 
     #[test]

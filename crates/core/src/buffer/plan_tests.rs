@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! The planned flush against the plain one.
 //!
 //! A viewer that follows a class-mate's [`FlushPlan`] takes its parts

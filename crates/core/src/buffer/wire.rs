@@ -13,6 +13,7 @@ use std::collections::VecDeque;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::{Direction, PacketTrace};
+use thinc_protocol::cache::{cache_id, ContentStore};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
 use thinc_telemetry::ResilienceMetrics;
@@ -24,14 +25,16 @@ use crate::plane::{
 
 /// Server-side per-client content-cache state (protocol revision 3).
 ///
-/// The ledger maps content hash → full message for every cacheable
-/// payload this buffer has actually committed to the wire, so a
+/// The ledger holds every cacheable payload this buffer has actually
+/// committed to the wire, under its frame identity, so a
 /// [`Message::CacheRef`] is only ever emitted for content the client
 /// was given, and a reported miss can be answered with the byte-exact
-/// original. See `docs/CACHE.md` for the consistency model.
+/// original. An entry is named — its wire hash computed — only when a
+/// reference or an answer to a miss needs the name. See
+/// `docs/CACHE.md` for the consistency model.
 #[derive(Debug)]
 pub(super) struct CacheEngine {
-    pub(super) ledger: thinc_protocol::cache::CacheLru<Message>,
+    pub(super) ledger: ContentStore,
     /// Byte-exact full payloads owed to reported misses, delivered
     /// ahead of the command queues at the next flush.
     pub(super) fallbacks: VecDeque<Message>,
@@ -47,15 +50,15 @@ enum CacheCommit {
     None,
     /// A reference was substituted: bump the entry, count the hit.
     Hit {
-        /// Content hash of the referenced entry.
-        key: u64,
+        /// Identity of the referenced entry.
+        id: u64,
         /// Wire bytes the substitution saved.
         saved: u64,
     },
     /// A cacheable full payload went out: the client now holds it.
     Insert {
-        /// Content hash of the sent payload.
-        key: u64,
+        /// Identity of the sent payload.
+        id: u64,
     },
 }
 
@@ -129,7 +132,7 @@ impl ClientBuffer {
     pub fn enable_cache(&mut self, budget: u64) {
         if self.cache.is_none() {
             self.cache = Some(CacheEngine {
-                ledger: thinc_protocol::cache::CacheLru::new(budget),
+                ledger: ContentStore::new(budget),
                 fallbacks: VecDeque::new(),
                 hits: 0,
                 misses: 0,
@@ -158,7 +161,8 @@ impl ClientBuffer {
         // mirror the client store, and the client only re-ranks the
         // entry when the fallback payload actually arrives — which is
         // when the flush path re-inserts it on this side too.
-        if let Some(msg) = cache.ledger.peek(hash) {
+        let id = cache.ledger.find(hash);
+        if let Some(msg) = id.and_then(|id| cache.ledger.lru().peek(id)).map(|held| &held.msg) {
             cache.fallbacks.push_back(msg.clone());
             true
         } else {
@@ -192,7 +196,7 @@ impl ClientBuffer {
         if let Some(c) = &self.cache {
             m.cache_hits = c.hits;
             m.cache_misses = c.misses;
-            m.cache_evictions = c.ledger.evictions();
+            m.cache_evictions = c.ledger.lru().evictions();
             m.cache_bytes_saved = c.bytes_saved;
         }
         m
@@ -273,11 +277,11 @@ impl ClientBuffer {
         // A remembered final form the ledger still holds is a cache
         // hit found without producing the form.
         if let (Some(a), Some(cache)) = (&attempt, &self.cache) {
-            if let Some((key, full_size)) = self.memo.encoded(&a.ident) {
-                if cache.ledger.contains(key) {
+            if let Some((id, full_size)) = self.memo.encoded(&a.ident) {
+                if cache.ledger.lru().contains(id) {
                     self.stats.codec_skipped_bytes += a.len;
                     let shared = plane.is_some().then_some(full_size);
-                    return Some(Formed::Settled(self.cache_ref(key, full_size, shared)));
+                    return Some(Formed::Settled(self.cache_ref(id, full_size, shared)));
                 }
             }
         }
@@ -302,7 +306,7 @@ impl ClientBuffer {
                 if let Some(a) = &mut attempt {
                     if cmd.wire_size() > writable {
                         let largest_held =
-                            self.cache.as_ref().map_or(0, |c| c.ledger.max_entry_bytes());
+                            self.cache.as_ref().map_or(0, |c| c.ledger.lru().max_entry_bytes());
                         let reach =
                             writable.max(largest_held).saturating_sub(RAW_FRAME_OVERHEAD);
                         free = a.cap <= reach;
@@ -360,30 +364,33 @@ impl ClientBuffer {
             Formed::Form(planned) => planned,
             Formed::Settled(wire) => return wire,
         };
-        let (Some(cache), Some(key)) = (&self.cache, form.key) else {
+        let (Some(cache), Some(id)) = (&self.cache, form.id) else {
             return Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared };
         };
         if let Some((ident, _)) = owed {
             let ledger = &cache.ledger;
-            self.memo.learn_encoded(ident, key, form.size, |k| ledger.contains(k));
+            self.memo.learn_encoded(ident, id, form.size, |id| ledger.lru().contains(id));
         }
-        if cache.ledger.contains(key) {
-            self.cache_ref(key, form.size, shared)
+        if cache.ledger.lru().contains(id) {
+            self.cache_ref(id, form.size, shared)
         } else {
-            Wire { msg: form.msg, size: form.size, commit: CacheCommit::Insert { key }, shared }
+            Wire { msg: form.msg, size: form.size, commit: CacheCommit::Insert { id }, shared }
         }
     }
 
     /// The `CacheRef` standing in for a full form of `full_size` wire
-    /// bytes the client already holds under `key`.
-    fn cache_ref(&self, key: u64, full_size: u64, shared: Option<u64>) -> Wire {
-        let msg = Message::CacheRef { hash: key };
+    /// bytes the client already holds as ledger entry `id` — the one
+    /// moment the server needs the entry's name.
+    fn cache_ref(&self, id: u64, full_size: u64, shared: Option<u64>) -> Wire {
+        let ledger = &self.cache.as_ref().expect("a ref is only prepared with a ledger").ledger;
+        let hash = ledger.name(id).expect("a ref is only prepared for a held entry");
+        let msg = Message::CacheRef { hash };
         let size = msg.wire_size();
-        Wire { msg, size, commit: CacheCommit::Hit { key, saved: full_size - size }, shared }
+        Wire { msg, size, commit: CacheCommit::Hit { id, saved: full_size - size }, shared }
     }
 
     /// The full wire form of a command: emitted message, encoded frame
-    /// size, cache key. With no `attempt` the command ships as it is.
+    /// size, cache identity. With no `attempt` the command ships as it is.
     /// With one, the payload is compressed within `attempt.cap` bytes:
     /// a stream that fits is the form; one that does not leaves the
     /// uncompressed command as the form when the cap was the
@@ -434,9 +441,9 @@ impl ClientBuffer {
             }
         }
         let msg = msg.unwrap_or_else(|| Message::Display(cmd.clone()));
-        // Sized by arithmetic and keyed where it lies: the one pass the
-        // form costs here is the wire key's FNV over its payload.
-        Some(WireForm { size: msg.wire_size(), key: msg.cache_key(), msg })
+        // Sized by arithmetic and identified where it lies; the wire
+        // key's FNV waits until a reference needs the name.
+        Some(WireForm { size: msg.wire_size(), id: cache_id(&msg), msg })
     }
 
     /// The retained compress-everything `prepare_wire`: every eligible
@@ -450,32 +457,32 @@ impl ClientBuffer {
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
     ) -> Wire {
-        let (full, full_size, key, shared) = match plane.and_then(|p| p.slot(&cmd)) {
+        let (full, full_size, id, shared) = match plane.and_then(|p| p.slot(&cmd)) {
             Some(slot) => {
                 let mut fresh = false;
                 let form = slot.form_or_init(|| {
                     fresh = true;
                     self.reference_compute_form(cmd)
                 });
-                let (msg, size, key) = (form.msg.clone(), form.size, form.key);
+                let (msg, size, id) = (form.msg.clone(), form.size, form.id);
                 if fresh {
                     counters.encodes += 1;
                     counters.encoded_bytes += size;
                 }
-                (msg, size, key, Some(size))
+                (msg, size, id, Some(size))
             }
             None => {
                 let form = self.reference_compute_form(cmd);
-                (form.msg, form.size, form.key, None)
+                (form.msg, form.size, form.id, None)
             }
         };
-        let (Some(cache), Some(key)) = (&self.cache, key) else {
+        let (Some(cache), Some(id)) = (&self.cache, id) else {
             return Wire { msg: full, size: full_size, commit: CacheCommit::None, shared };
         };
-        if cache.ledger.contains(key) {
-            self.cache_ref(key, full_size, shared)
+        if cache.ledger.lru().contains(id) {
+            self.cache_ref(id, full_size, shared)
         } else {
-            Wire { msg: full, size: full_size, commit: CacheCommit::Insert { key }, shared }
+            Wire { msg: full, size: full_size, commit: CacheCommit::Insert { id }, shared }
         }
     }
 
@@ -498,9 +505,8 @@ impl ClientBuffer {
                 }
             }
         }
-        let encoded = thinc_protocol::wire::encode_message(&full);
-        let key = thinc_protocol::cache::cache_key(&full, &encoded);
-        WireForm { msg: full, size: encoded.len() as u64, key }
+        let size = thinc_protocol::wire::encode_message(&full).len() as u64;
+        WireForm { id: cache_id(&full), msg: full, size }
     }
 
     /// Applies the ledger update owed for a message just sent: bump
@@ -514,13 +520,13 @@ impl ClientBuffer {
         };
         match commit {
             CacheCommit::None => {}
-            CacheCommit::Hit { key, saved } => {
-                cache.ledger.touch(key);
+            CacheCommit::Hit { id, saved } => {
+                cache.ledger.touch(id);
                 cache.hits += 1;
                 cache.bytes_saved += saved;
             }
-            CacheCommit::Insert { key } => {
-                cache.ledger.insert(key, size, msg.clone());
+            CacheCommit::Insert { id } => {
+                cache.ledger.insert(id, size, msg.clone());
             }
         }
     }
@@ -582,9 +588,10 @@ impl ClientBuffer {
             self.stats.sent_messages += 1;
             self.stats.sent_bytes += size;
             self.protocol_metrics.record(thinc_protocol::telemetry::command_kind(&msg), size);
-            // Keyed only once it ships: the key is a pass over the payload.
-            if let Some(key) = msg.cache_key() {
-                self.cache_commit(&msg, size, CacheCommit::Insert { key });
+            // Identified only once it ships: the id is a pass over the
+            // payload.
+            if let Some(id) = cache_id(&msg) {
+                self.cache_commit(&msg, size, CacheCommit::Insert { id });
             }
             out.push((arrival, msg));
         }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The THINC server: the primary contribution of the paper.
 //!
 //! THINC virtualizes the display at the device-driver interface. This

@@ -10,8 +10,8 @@
 //! [`PlaneKey`] the encode-once plane already computes — to what the
 //! last encode found out:
 //!
-//! - **encoded**: the cache key and frame size of the final wire form.
-//!   Useful only while the ledger still holds that key (the entry
+//! - **encoded**: the cache identity and frame size of the final wire
+//!   form. Useful only while the ledger still holds that entry (the entry
 //!   "lives and dies" with its ledger entry: every lookup re-validates
 //!   against the ledger, dead entries are swept when the table fills).
 //! - **exceeds**: a size the compressed stream is known to be longer
@@ -51,9 +51,9 @@ pub(crate) struct EncodeMemo {
 }
 
 impl EncodeMemo {
-    /// The `(cache key, frame size)` of the final wire form last
+    /// The `(cache identity, frame size)` of the final wire form last
     /// produced for this content. The caller must check the ledger
-    /// still holds the key before acting on it.
+    /// still holds the entry before acting on it.
     pub(crate) fn encoded(&self, ident: &PlaneKey) -> Option<(u64, u64)> {
         self.encoded.get(ident).copied()
     }
@@ -65,21 +65,21 @@ impl EncodeMemo {
     }
 
     /// Remembers the final wire form of `ident`. `live` says whether
-    /// the ledger holds a key, for the sweep when the table is full.
+    /// the ledger holds an entry, for the sweep when the table is full.
     pub(crate) fn learn_encoded(
         &mut self,
         ident: PlaneKey,
-        wire_key: u64,
+        cache_id: u64,
         wire_size: u64,
         live: impl Fn(u64) -> bool,
     ) {
         if self.encoded.len() >= MAX_ENCODED && !self.encoded.contains_key(&ident) {
-            self.encoded.retain(|_, (key, _)| live(*key));
+            self.encoded.retain(|_, (id, _)| live(*id));
             if self.encoded.len() >= MAX_ENCODED {
                 self.encoded.clear();
             }
         }
-        self.encoded.insert(ident, (wire_key, wire_size));
+        self.encoded.insert(ident, (cache_id, wire_size));
     }
 
     /// Remembers that `ident`'s compressed stream is longer than

@@ -117,7 +117,8 @@ fn rect_key(r: &Rect) -> (i32, i32, u32, u32) {
 }
 
 /// The final wire form of a command: the message that goes on the
-/// wire, its encoded size, and its rev-3 cache key (when cacheable).
+/// wire, its encoded size, and its rev-3 cache identity (when
+/// cacheable).
 /// A pure function of the command, so whichever client computes it
 /// first computes the same bytes every other client would have.
 #[derive(Debug, Clone)]
@@ -126,8 +127,10 @@ pub struct WireForm {
     pub msg: Message,
     /// Encoded frame size in bytes.
     pub size: u64,
-    /// Content-cache key of the encoded frame, if cacheable.
-    pub key: Option<u64>,
+    /// In-process cache identity of the frame
+    /// ([`cache_id`](thinc_protocol::cache_id)), if cacheable: the
+    /// ledger's key. The wire name is computed only for a reference.
+    pub id: Option<u64>,
 }
 
 /// One equivalence class slot: the wire form, produced at most once.
@@ -388,7 +391,7 @@ mod tests {
         for _ in 0..3 {
             slot.form_or_init(|| {
                 inits += 1;
-                WireForm { msg: Message::CacheRef { hash: 9 }, size: 14, key: None }
+                WireForm { msg: Message::CacheRef { hash: 9 }, size: 14, id: None }
             });
         }
         assert_eq!(inits, 1);

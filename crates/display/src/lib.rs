@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Window-system substrate for the THINC reproduction.
 //!
 //! THINC virtualizes the display "at the video device abstraction

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Network substrate for the THINC experiments.
 //!
 //! The paper evaluates thin clients on a physical testbed (switched

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The THINC remote display protocol.
 //!
 //! THINC encodes all display updates with five low-level commands
@@ -29,7 +30,9 @@
 //! - [`mod@reference`]: retained byte-serial kernels the optimized ones
 //!   are tested and timed against,
 //! - [`cache`]: the content-addressed tile cache (revision 3) — the
-//!   shared LRU used as server ledger and client store,
+//!   shared LRU, and the [`ContentStore`] over it that both the server
+//!   ledger and the client store are, keyed by frame identity and
+//!   naming entries only when a name leaves the process,
 //! - [`telemetry`]: classification of messages for per-command
 //!   metrics (`thinc-telemetry`).
 //!
@@ -46,7 +49,9 @@ pub mod reference;
 pub mod telemetry;
 pub mod wire;
 
-pub use cache::{store_digest, CacheLru, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET};
+pub use cache::{
+    cache_id, store_digest, CacheLru, ContentStore, CACHE_MIN_PAYLOAD, DEFAULT_CACHE_BUDGET,
+};
 pub use commands::{DisplayCommand, RawEncoding, Tile};
 pub use payload::Bytes;
 pub use hash::fnv64;

@@ -259,18 +259,19 @@ impl Message {
         )
     }
 
-    /// The content-cache key for this message, or `None` if it is not
-    /// cacheable (see [`crate::cache::cache_key`] for the rules).
+    /// The content-cache key for this message — the *name* a
+    /// `CacheRef` carries: FNV-1a 64 of its final revision-1 frame —
+    /// or `None` if it is not cacheable: only a `RAW`, `PFILL` or
+    /// `BITMAP` whose frame is at least
+    /// [`CACHE_MIN_PAYLOAD`](crate::CACHE_MIN_PAYLOAD) bytes is.
     ///
     /// Nothing is encoded to find out: the size is arithmetic and the
     /// hash runs over the frame's fields and its payload where they
-    /// lie, to the value [`crate::cache::cache_key`] gives for the
-    /// encoded bytes.
+    /// lie, to `fnv64(&encode_message(self))`. A serial pass over the
+    /// payload, so the cache computes it only when a name has to leave
+    /// the process ([`crate::cache::ContentStore`]).
     pub fn cache_key(&self) -> Option<u64> {
-        use crate::cache::{cacheable_kind, CACHE_MIN_PAYLOAD};
-        let Message::Display(cmd) = self else { return None };
-        (cacheable_kind(self) && self.wire_size() >= CACHE_MIN_PAYLOAD as u64)
-            .then(|| crate::wire::display_frame_fnv(cmd))
+        crate::cache::cacheable(self).map(crate::wire::display_frame_fnv)
     }
 }
 

@@ -47,7 +47,10 @@
 //! So a view is for a cut whose root is what recurs — the pieces of a
 //! RAW split at flush — and not for one whose hidden part is what
 //! varies: a clipped tile stays a copy, keyed by the bytes it shows.
-//! A view keeps its whole root alive.
+//! A view keeps its whole root alive. Where a view and a copy *must*
+//! meet — the rev-3 cache, whose client decodes owned bytes — the
+//! identity is taken from the bytes, never from this id
+//! ([`crate::cache::cache_id`]).
 //!
 //! A node is a `Vec` or a root-and-range (32 bytes either way) plus
 //! 24 bytes of memo, and costs nothing per clone.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Raster substrate for the THINC reproduction.
 //!
 //! This crate provides everything below the window system: pixel formats,

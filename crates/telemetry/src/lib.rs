@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `thinc-telemetry`: dependency-free instrumentation for the THINC
 //! stack.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Deterministic workload generators for the THINC evaluation.
 //!
 //! The paper's benchmarks are (§8.2):

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! THINC: a virtual display architecture for thin-client computing.
 //!
 //! This is the umbrella crate of the workspace; it re-exports every

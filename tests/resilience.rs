@@ -468,7 +468,7 @@ fn cached_session_matches_uncached_and_reconnect_repays_debt_from_cache() {
 
     // Reconnect: the client's store deliberately survives the redial,
     // so the resync can repay refresh debt out of cache.
-    assert!(client_c.cache_len() > 0);
+    assert!(!client_c.cache_store().lru().is_empty());
     client_c.reconnect();
     let mut now = now_c + SimDuration::from_secs_f64(1.0);
     for _ in 0..500 {
@@ -484,7 +484,7 @@ fn cached_session_matches_uncached_and_reconnect_repays_debt_from_cache() {
         ws_c.screen().data(),
         "reconnect with a persisted cache must converge byte-exact"
     );
-    assert!(client_c.cache_len() > 0, "the store survived the redial");
+    assert!(!client_c.cache_store().lru().is_empty(), "the store survived the redial");
 }
 
 #[test]
@@ -1029,7 +1029,7 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
                 "budget {budget}: collapse is delay-only, no entry may go missing"
             );
             let ledger = m.session().viewer(id).unwrap().buffer().cache_keys();
-            let held = streams[idx].cache_keys();
+            let held = streams[idx].cache_store().keys();
             assert!(
                 !held.is_empty(),
                 "budget {budget}: {who} must be holding cached payloads"
