@@ -594,10 +594,11 @@ impl Runner {
         self.slots[si].outage_excused = true;
     }
 
-    /// Re-establishes a slot. A live client redials softly (fresh
-    /// pipe, wire state dropped, display and cache store survive, the
-    /// server resyncs); a dead or detached one is reattached from
-    /// scratch with a new session client.
+    /// Re-establishes a slot. A live client reopens softly (fresh
+    /// pipe, wire state dropped, display and cache store survive; the
+    /// connection opens with the hello, then asks for the full view);
+    /// a dead or detached one is reattached from scratch with a new
+    /// session client.
     fn reconnect(&mut self, slot: usize) {
         let Some(s) = self.slots.get(slot) else {
             return;
@@ -614,13 +615,15 @@ impl Runner {
         self.fresh_connection(slot);
         self.slots[slot].connected = true;
         self.slots[slot].disconnected_at = None;
-        self.slots[slot].stream.reconnect();
+        let opening = self.slots[slot].stream.reopen();
         if wire_damaged(&self.slots[slot].stream) {
             self.slots[slot].mirror_intact = false;
         }
         let session = self.manager.session_mut();
         session.set_time(self.now);
-        session.resync_client(id, self.store.screen());
+        for msg in &opening {
+            session.handle_message(id, msg, self.store.screen());
+        }
     }
 
     /// Detaches a slot's session client and issues a brand-new one at

@@ -73,6 +73,21 @@ fn run_with_a_missing_schedule_file_fails_cleanly() {
 }
 
 #[test]
+fn soak_seed_ranges_are_inclusive() {
+    let out = chaos()
+        .args(["soak", "--seeds", "5..7,9", "--events", "4", "--workers", "1"])
+        .args(["--out-dir", std::env::temp_dir().to_str().unwrap()])
+        .output()
+        .expect("spawn chaos");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let seeds: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("seed ")?.split(' ').next())
+        .collect();
+    assert_eq!(seeds, ["5", "6", "7", "9"], "{stdout}");
+}
+
+#[test]
 fn run_executes_a_schedule_file_and_replay_accepts_the_exemplar() {
     // The checked-in crash-failover exemplar, via both subcommands.
     let schedule = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

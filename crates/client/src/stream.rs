@@ -481,19 +481,37 @@ impl StreamClient {
     /// state allows a warm [`resume`](Self::resume), and otherwise a
     /// plain request for the full view.
     pub fn redial(&mut self, session_id: u64, client_id: u32) -> [Message; 2] {
-        let fb = self.client.framebuffer();
-        let hello = Message::ClientHello {
-            version: self.reader.revision(),
-            viewport_width: fb.width(),
-            viewport_height: fb.height(),
-        };
         // The token is cut before `resume` restarts the reader, which
         // forgets the last sequence number it saw.
         let token = self.resume_token(session_id, client_id);
         if self.resume() {
-            [hello, token]
+            [self.hello(), token]
         } else {
-            [hello, Message::RefreshRequest { attempt: 0 }]
+            [self.hello(), Message::RefreshRequest { attempt: 0 }]
+        }
+    }
+
+    /// Opens a fresh connection to the server that has been holding
+    /// this client's state all along and returns what to send on it:
+    /// the hello re-announcing the viewport this client displays, then
+    /// a plain request for the full view. No token: frames lost with
+    /// the old connection were already delivered in the server's
+    /// eyes, so only a [`reconnect`](Self::reconnect) resync repairs
+    /// them. The hello still matters — the holder may be a standby
+    /// restored from an image that predates a resize.
+    pub fn reopen(&mut self) -> [Message; 2] {
+        self.reconnect();
+        [self.hello(), Message::RefreshRequest { attempt: 0 }]
+    }
+
+    /// The hello every connection opens with: the revision the session
+    /// negotiated and the viewport this client displays now.
+    fn hello(&self) -> Message {
+        let fb = self.client.framebuffer();
+        Message::ClientHello {
+            version: self.reader.revision(),
+            viewport_width: fb.width(),
+            viewport_height: fb.height(),
         }
     }
 
@@ -805,6 +823,23 @@ mod tests {
         }));
         assert_eq!(c.feed(&bytes), 1);
         assert_eq!(c.resilience_metrics().seq_gaps(), 0);
+    }
+
+    #[test]
+    fn reopen_announces_the_viewport_then_asks_for_the_view() {
+        let mut c = StreamClient::new(32, 24, PixelFormat::Rgb888);
+        let [hello, request] = c.reopen();
+        assert_eq!(
+            hello,
+            Message::ClientHello {
+                version: c.wire_revision(),
+                viewport_width: 32,
+                viewport_height: 24,
+            }
+        );
+        assert_eq!(request, Message::RefreshRequest { attempt: 0 });
+        assert!(c.needs_refresh(), "a reopened link is stale until covered");
+        assert!(!c.resume_pending(), "no token, so nothing to settle");
     }
 
     fn cacheable_raw(fill: u8) -> Message {
