@@ -8,7 +8,10 @@
 //!
 //! - [`crc32_update`] is *slicing*: it consumes 16 input bytes per
 //!   step through 16 compile-time tables, so the serial dependency is
-//!   one XOR tree per step instead of one lookup per byte. The
+//!   one XOR tree per step instead of one lookup per byte. From 1 KB
+//!   up it runs three such chains at once over three equal blocks and
+//!   joins them with [`crc32_shift`]'s algebra, so the core is busy
+//!   with three independent steps instead of waiting on one. The
 //!   byte-at-a-time loop it replaced is retained as
 //!   [`crate::reference::crc32_update`]; the two agree on every input
 //!   and every streaming split (proptested, and timed by `perfgate`).
@@ -67,18 +70,51 @@ fn word(w: u32, after: usize) -> u32 {
         ^ TABLES[after][(w >> 24) as usize]
 }
 
+/// One kernel step: the register after the 16 bytes of `s`. The
+/// register only enters the first word; the other three lookup groups
+/// are independent of it and of each other.
+#[inline(always)]
+fn step(crc: u32, s: &[u8]) -> u32 {
+    word(u32::from_le_bytes([s[0], s[1], s[2], s[3]]) ^ crc, 12)
+        ^ word(u32::from_le_bytes([s[4], s[5], s[6], s[7]]), 8)
+        ^ word(u32::from_le_bytes([s[8], s[9], s[10], s[11]]), 4)
+        ^ word(u32::from_le_bytes([s[12], s[13], s[14], s[15]]), 0)
+}
+
+/// Inputs at least this long run in three lanes; below it the join's
+/// two multiplies and one exponentiation cost more than they save.
+const LANES_MIN: usize = 1024;
+
 /// Streaming CRC-32 register update over `data` (raw register: seed
 /// with `!0`, finish by XORing with `!0`). Splitting `data` anywhere
 /// and chaining the calls gives the same register.
-pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    if data.len() < LANES_MIN {
+        return serial(crc, data);
+    }
+    // Three equal blocks, each down its own dependency chain in the
+    // same loop, joined by linearity (see `crc32_shift`).
+    let n = data.len() / (3 * SLICE) * SLICE;
+    let (a, rest) = data.split_at(n);
+    let (b, rest) = rest.split_at(n);
+    let (c, tail) = rest.split_at(n);
+    let (mut ra, mut rb, mut rc) = (crc, 0, 0);
+    let mut i = 0;
+    while i < n {
+        ra = step(ra, &a[i..i + SLICE]);
+        rb = step(rb, &b[i..i + SLICE]);
+        rc = step(rc, &c[i..i + SLICE]);
+        i += SLICE;
+    }
+    let f = zeros_factor(n);
+    serial(mul_mod_p(f, mul_mod_p(f, ra) ^ rb) ^ rc, tail)
+}
+
+/// [`crc32_update`] down one chain: short inputs and the lanes' tail.
+fn serial(mut crc: u32, data: &[u8]) -> u32 {
     let mut rest = data;
     while let Some((s, tail)) = rest.split_first_chunk::<SLICE>() {
-        // The register only enters the first word; the other three
-        // lookup groups are independent of it and of each other.
-        crc = word(u32::from_le_bytes([s[0], s[1], s[2], s[3]]) ^ crc, 12)
-            ^ word(u32::from_le_bytes([s[4], s[5], s[6], s[7]]), 8)
-            ^ word(u32::from_le_bytes([s[8], s[9], s[10], s[11]]), 4)
-            ^ word(u32::from_le_bytes([s[12], s[13], s[14], s[15]]), 0);
+        crc = step(crc, s);
         rest = tail;
     }
     for &b in rest {
@@ -129,6 +165,11 @@ static X_POW_2K: [u32; 32] = {
 /// `crc32_update(crc, &[0; len])` without the bytes — `crc · x^(8·len)
 /// mod P`, one multiply per set bit of `len`.
 pub fn crc32_shift(crc: u32, len: usize) -> u32 {
+    mul_mod_p(zeros_factor(len), crc)
+}
+
+/// x^(8·`len`) mod P: the factor `len` zero bytes multiply a register by.
+fn zeros_factor(len: usize) -> u32 {
     let mut factor = 1u32 << 31; // x⁰
     let mut n = len;
     let mut k = 3; // x^(8·len) = x^(len·2³)
@@ -139,7 +180,7 @@ pub fn crc32_shift(crc: u32, len: usize) -> u32 {
         n >>= 1;
         k += 1;
     }
-    mul_mod_p(factor, crc)
+    factor
 }
 
 #[cfg(test)]
@@ -160,17 +201,24 @@ mod tests {
 
     #[test]
     fn kernel_matches_the_reference_around_every_step_boundary() {
-        let data: Vec<u8> = (0..4 * SLICE as u32 + 3)
+        // Every short length, then every length from one lane round
+        // below the lane threshold to eight rounds above it: each side
+        // of the threshold, and each tail length 0..48 around eight
+        // multiples of 3·16.
+        let round = 3 * SLICE;
+        let short = 0..=4 * SLICE + 3;
+        let lanes = LANES_MIN - round..=LANES_MIN + 8 * round;
+        let data: Vec<u8> = (0..(SLICE + *lanes.end()) as u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
         for start in 0..SLICE {
-            for end in start..=data.len() {
-                let piece = &data[start..end];
+            for len in short.clone().chain(lanes.clone()) {
+                let piece = &data[start..start + len];
                 for seed in [0, !0, 0x1234_5678] {
                     assert_eq!(
                         crc32_update(seed, piece),
                         reference::crc32_update(seed, piece),
-                        "start {start} end {end} seed {seed:#x}"
+                        "start {start} len {len} seed {seed:#x}"
                     );
                 }
             }

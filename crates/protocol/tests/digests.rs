@@ -62,6 +62,33 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same over lengths up to a 300 KB photograph piece, where
+    /// the kernel runs in lanes: a cut may land inside any lane, and
+    /// a piece between two cuts may be short enough to run serially.
+    #[test]
+    fn crc_lanes_match_the_reference_at_any_length_and_split(
+        seed in any::<u64>(),
+        len in 0usize..=300_000,
+        start in any::<u32>(),
+        cuts in prop::collection::vec(any::<u32>(), 0..8),
+    ) {
+        let data = Mix(seed).bytes(len);
+        let want = reference::crc32_update(start, &data);
+        prop_assert_eq!(crc32_update(start, &data), want);
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| *c as usize % (len + 1)).collect();
+        cuts.sort_unstable();
+        let (mut reg, mut from) = (start, 0);
+        for cut in cuts.into_iter().chain([len]) {
+            reg = crc32_update(reg, &data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(reg, want);
+    }
+}
+
 /// `update(s, A‖B) == shift(update(s, A), |B|) ^ update(0, B)`.
 fn composes(s: u32, a: &[u8], b: &[u8]) -> bool {
     let whole = crc32_update(crc32_update(s, a), b);

@@ -215,10 +215,16 @@ impl Framebuffer {
         }
         let bpp = self.format.bytes_per_pixel();
         let (fg_px, _) = self.format.encode_to_array(fg);
-        let mut bg_px = [0u8; 4];
-        if let Some(bg) = bg {
-            bg_px = self.format.encode_to_array(bg).0;
-        }
+        let Some(bg) = bg else {
+            match bpp {
+                1 => self.stipple::<1>(r, &clip, bits, fg_px),
+                2 => self.stipple::<2>(r, &clip, bits, fg_px),
+                3 => self.stipple::<3>(r, &clip, bits, fg_px),
+                _ => self.stipple::<4>(r, &clip, bits, fg_px),
+            }
+            return;
+        };
+        let (bg_px, _) = self.format.encode_to_array(bg);
         let x0 = (clip.x - r.x) as usize;
         let x_end = x0 + clip.w as usize;
         // Opaque glyph path: expand each possible bitmap byte to its
@@ -226,9 +232,8 @@ impl Framebuffer {
         // interior bitmap byte becomes a single table blit — no
         // per-bit tests at all. Partial leading/trailing bytes fall
         // back to per-pixel writes. The run-based path below stays for
-        // transparent stipples (bg = None, where 0 bits must not
-        // write) and rects too small to amortize the table build.
-        if bg.is_some() && clip.w >= 16 && clip.w as usize * clip.h as usize >= 1024 {
+        // rects too small to amortize the table build.
+        if clip.w >= 16 && clip.w as usize * clip.h as usize >= 1024 {
             let mut table = vec![0u8; 256 * 8 * bpp];
             for v in 0..256usize {
                 let row = &mut table[v * 8 * bpp..][..8 * bpp];
@@ -282,12 +287,39 @@ impl Framebuffer {
             while bx < x_end {
                 let on = brow[bx / 8] & (0x80 >> (bx % 8)) != 0;
                 let len = bit_run_len(brow, bx, x_end, on);
-                if on {
-                    fill_span(&mut row[(bx - x0) * bpp..(bx - x0 + len) * bpp], &fg_px[..bpp]);
-                } else if bg.is_some() {
-                    fill_span(&mut row[(bx - x0) * bpp..(bx - x0 + len) * bpp], &bg_px[..bpp]);
-                }
+                let px = if on { &fg_px[..bpp] } else { &bg_px[..bpp] };
+                fill_span(&mut row[(bx - x0) * bpp..(bx - x0 + len) * bpp], px);
                 bx += len;
+            }
+        }
+    }
+
+    /// [`bitmap_rect`](Self::bitmap_rect) with a transparent stipple
+    /// (every text glyph), `B` bytes per pixel: only set bits write.
+    /// Each bitmap byte is masked to the clip at either end, skipped
+    /// whole when that leaves it zero, and otherwise tested bit by bit
+    /// — no run decoding, and a fixed-size store per pixel.
+    fn stipple<const B: usize>(&mut self, r: &Rect, clip: &Rect, bits: &[u8], fg: [u8; 4]) {
+        let fg: [u8; B] = std::array::from_fn(|i| fg[i]);
+        let row_bytes = (r.w as usize).div_ceil(8);
+        let x0 = (clip.x - r.x) as usize;
+        let x_end = x0 + clip.w as usize;
+        for y in clip.y..clip.bottom() {
+            let brow = &bits[(y - r.y) as usize * row_bytes..][..row_bytes];
+            let row_off = self.offset(clip.x, y);
+            let (row, _) = self.data[row_off..row_off + clip.w as usize * B].as_chunks_mut::<B>();
+            for b in x0 / 8..x_end.div_ceil(8) {
+                let lead = x0.saturating_sub(b * 8);
+                let keep = (x_end - b * 8).min(8);
+                let byte = brow[b] & (0xFF >> lead) & (0xFF << (8 - keep));
+                if byte == 0 {
+                    continue;
+                }
+                for bit in 0..8 {
+                    if byte & (0x80 >> bit) != 0 {
+                        row[b * 8 + bit - x0] = fg;
+                    }
+                }
             }
         }
     }
