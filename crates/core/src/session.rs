@@ -330,9 +330,14 @@ impl SharedSession {
         &mut self.auth
     }
 
-    /// Advances the virtual clock (stamps video frames).
+    /// Advances the virtual clock: it stamps video frames, and every
+    /// viewer's buffer stamps the commands queued from now on, so
+    /// enqueue-to-wire latency is measured from the draw.
     pub fn set_time(&mut self, now: SimTime) {
         self.now = now;
+        for (_, m) in &mut self.clients {
+            m.delivery.set_time(now);
+        }
     }
 
     /// Attaches a client with a viewport, after authentication.
@@ -356,6 +361,7 @@ impl SharedSession {
             buffer.enable_cache(budget);
         }
         let mut delivery = Delivery::new(self.policy, buffer, self.now);
+        delivery.set_time(self.now);
         *delivery.encoder_mut() = member_framer();
         delivery.set_viewport(viewport_w, viewport_h);
         // A fresh attach owes the full view: the client's framebuffer
@@ -1141,6 +1147,54 @@ mod tests {
             }),
             Err(AuthError::BadPassword)
         );
+    }
+
+    /// A session of `sides.len()` viewers sharing a 64x64 screen, the
+    /// first the owner, each at its side's square viewport.
+    fn viewers(sides: &[u32]) -> (SharedSession, Vec<ClientId>) {
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+        s.auth_mut().enable_sharing("pw");
+        let ids = sides
+            .iter()
+            .enumerate()
+            .map(|(i, &side)| {
+                let creds = match i {
+                    0 => Credentials::Owner { user: "host".into() },
+                    _ => Credentials::Peer { user: format!("peer{i}"), password: "pw".into() },
+                };
+                s.attach(&creds, side, side).unwrap()
+            })
+            .collect();
+        (s, ids)
+    }
+
+    /// Everything `id` can send now, over a roomy pipe.
+    fn sent(s: &mut SharedSession, id: ClientId, now: SimTime) -> Vec<Message> {
+        let mut pipe = TcpPipe::new(thinc_net::tcp::TcpParams::default());
+        let out = s.flush_client(id, now, &mut pipe, &mut PacketTrace::new());
+        out.into_iter().map(|(_, m)| m).collect()
+    }
+
+    #[test]
+    fn a_viewers_flush_latency_is_measured_from_its_draw() {
+        use thinc_display::drawable::SCREEN;
+        // The owner attaches at t = 0 and the peer after the clock
+        // moved to 1 s: both stamp the draw at 1 s, so a flush 1 ms
+        // later reads 1 ms of queueing — not the time since zero.
+        let (mut s, _) = viewers(&[64]);
+        s.set_time(SimTime(1_000_000));
+        s.auth_mut().enable_sharing("pw");
+        s.attach(&Credentials::Peer { user: "late".into(), password: "pw".into() }, 64, 64)
+            .unwrap();
+        let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        let rect = Rect::new(8, 8, 16, 16);
+        store.screen_mut().fill_rect(&rect, Color::rgb(1, 2, 3));
+        s.solid_fill(&store, SCREEN, rect, Color::rgb(1, 2, 3));
+        for id in s.client_ids() {
+            assert!(!sent(&mut s, id, SimTime(1_001_000)).is_empty());
+            let latency = s.viewer(id).unwrap().buffer().scheduler_metrics().flush_latency_us();
+            assert_eq!(latency.max(), 1_000, "viewer {id:?}");
+        }
     }
 
     /// Every client's delivery statistics — among them who fed the
