@@ -1,4 +1,4 @@
-//! The buffer's checkpoint record (layout version 2).
+//! The buffer's checkpoint record (layout version 3).
 
 use std::collections::VecDeque;
 

@@ -141,6 +141,13 @@ impl ClientBuffer {
         }
     }
 
+    /// Turns the ledger off (a peer that cannot resolve references
+    /// announced itself); a later [`enable_cache`](Self::enable_cache)
+    /// starts an empty one.
+    pub(crate) fn disable_cache(&mut self) {
+        self.cache = None;
+    }
+
     /// Whether the cache ledger is active.
     pub fn cache_enabled(&self) -> bool {
         self.cache.is_some()

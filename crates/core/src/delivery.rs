@@ -11,15 +11,13 @@
 //! ([`handle_message`](Delivery::handle_message): negotiation, viewport
 //! changes, cache misses, heartbeats and the redial ladder), together
 //! with the operations on them, each written once.
-//! [`ThincServer`](crate::server::ThincServer) wraps exactly one
-//! `Delivery`; [`SharedSession`](crate::session::SharedSession) keeps
-//! a roster of them and shares work between clients at the same
-//! scale. Neither façade carries delivery logic of its own, and a
-//! `Delivery` does not know which of them holds it.
+//! [`SharedSession`](crate::session::SharedSession) is the one holder:
+//! it constructs, restores and checkpoints every `Delivery`, keeps a
+//! roster of them and shares work between clients at the same scale;
+//! [`ThincServer`](crate::server::ThincServer) is a session of one.
 //!
-//! The decisions this pipeline makes where the two earlier copies
-//! disagreed are tabulated in `docs/ROBUSTNESS.md` ("One delivery
-//! pipeline").
+//! The decisions this pipeline makes where earlier copies disagreed
+//! are tabulated in `docs/ROBUSTNESS.md` ("One façade").
 
 use std::collections::VecDeque;
 
@@ -29,8 +27,8 @@ use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
 use thinc_protocol::wire::{encode_message, FrameEncoder};
-use thinc_protocol::WIRE_REV_CACHE;
-use thinc_raster::{Framebuffer, Rect, Region, YuvFrame};
+use thinc_protocol::{PROTOCOL_VERSION, WIRE_REV_CACHE, WIRE_REV_LEGACY};
+use thinc_raster::{Framebuffer, Rect, Region};
 use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics};
 
 use crate::buffer::{decode_checkpoint_message, ClientBuffer};
@@ -157,14 +155,9 @@ impl Rendition {
     ) -> Self {
         Self {
             cmds: cmds.iter().map(|c| policy.transform(c, screen)).collect(),
-            refresh: full_view(policy, screen, with_refresh),
+            refresh: with_refresh.then(|| screen_raw(policy, &policy.view, screen)).flatten(),
         }
     }
-}
-
-/// The full-view refresh at `policy`'s scale, when `wanted`.
-fn full_view(policy: &ScalePolicy, screen: &Framebuffer, wanted: bool) -> Option<DisplayCommand> {
-    wanted.then(|| screen_raw(policy, &policy.view, screen)).flatten()
 }
 
 /// Reads `rect` (session space) off the authoritative screen as a RAW
@@ -241,16 +234,16 @@ pub struct Delivery {
     /// Liveness events, resyncs, ladder steps, stale A/V drops. Buffer
     /// evictions and cache counters merge in at read time.
     resilience: ResilienceMetrics,
-    /// Outgoing wire framer. Starts legacy; the client's hello
-    /// upgrades it to integrity framing (sequence + CRC32) when both
-    /// sides speak protocol version ≥ 2.
+    /// Outgoing wire framer. Attaching is the handshake, made out of
+    /// band at this build's revision; the client's hello renegotiates
+    /// it (a version-1 peer keeps the whole stream legacy-framed).
     encoder: FrameEncoder,
 }
 
 impl Delivery {
     /// A client at full fidelity whose viewport is the whole session,
     /// delivering through `buffer`.
-    pub fn new(policy: DeliveryPolicy, buffer: ClientBuffer, now: SimTime) -> Self {
+    pub(crate) fn new(policy: DeliveryPolicy, buffer: ClientBuffer, now: SimTime) -> Self {
         let (w, h) = policy.session;
         Self {
             policy,
@@ -265,7 +258,7 @@ impl Delivery {
             refresh_owed: false,
             refresh_debt: Region::new(),
             resilience: ResilienceMetrics::new(),
-            encoder: FrameEncoder::new(),
+            encoder: FrameEncoder::with_revision(PROTOCOL_VERSION),
         }
     }
 
@@ -281,12 +274,6 @@ impl Delivery {
     /// The outgoing framer (negotiated revision, next sequence number).
     pub fn encoder(&self) -> &FrameEncoder {
         &self.encoder
-    }
-
-    /// The outgoing framer, for a holder that restores it from an
-    /// image or pins it to a revision agreed out of band.
-    pub(crate) fn encoder_mut(&mut self) -> &mut FrameEncoder {
-        &mut self.encoder
     }
 
     /// The display command buffer (backlog, statistics, cache ledger).
@@ -404,11 +391,6 @@ impl Delivery {
         self.rescale(Rect::new(0, 0, sw, sh));
     }
 
-    /// Zooms: maps `view` (session space) onto the viewport (§6).
-    pub fn set_view(&mut self, view: Rect) {
-        self.rescale(view);
-    }
-
     /// Owes the client the full view, settled by the next push.
     pub fn owe_refresh(&mut self) {
         self.refresh_owed = true;
@@ -427,7 +409,7 @@ impl Delivery {
     /// top of a snapshot that already contains its effect it scrolls
     /// twice wherever source and destination overlap. A client owed
     /// the full view therefore never receives the round's COPYs (see
-    /// [`push_round`](Self::push_round)), and a client with
+    /// [`push_rendition`](Self::push_rendition)), and a client with
     /// narrower debt cannot soundly take a COPY either — the debt
     /// repaint may cover only part of the copy's footprint — so its
     /// debt escalates to the full view first.
@@ -438,19 +420,18 @@ impl Delivery {
         self.refresh_owed
     }
 
-    /// Queues a round already transformed for this client's scale (see
-    /// [`begin_round`](Self::begin_round), which must have opened it):
-    /// the owed full view first, then the commands — without the COPYs
-    /// when the view was just repaid; idempotent repaints still flow,
-    /// redundant over a snapshot but they keep the content cache warm —
-    /// then whatever refresh debt fits. `scaled` yields `cmds` under
-    /// this client's scale, in order; `realtime` marks commands (by
-    /// session-space destination) that answer recent input.
-    fn push_round(
+    /// Queues a round from the [`Rendition`] of this client's scale
+    /// (see [`begin_round`](Self::begin_round), which must have opened
+    /// it): the owed full view first, then the commands — without the
+    /// COPYs when the view was just repaid; idempotent repaints still
+    /// flow, redundant over a snapshot but they keep the content cache
+    /// warm — then whatever refresh debt fits. `screen` already
+    /// reflects `cmds`; `realtime` marks commands (by session-space
+    /// destination) that answer recent input.
+    pub(crate) fn push_rendition(
         &mut self,
         cmds: &[DisplayCommand],
-        scaled: impl IntoIterator<Item = Option<DisplayCommand>>,
-        refresh: Option<&DisplayCommand>,
+        rendition: &Rendition,
         screen: &Framebuffer,
         realtime: impl Fn(&Rect) -> bool,
     ) {
@@ -460,53 +441,27 @@ impl Delivery {
             // The full view supersedes every narrower debt.
             let _ = self.buffer.take_overflow_debt();
             self.refresh_debt = Region::new();
-            if let Some(refresh) = refresh {
+            if let Some(refresh) = &rendition.refresh {
                 self.buffer.push(refresh.clone(), false);
             }
         }
-        for (cmd, scaled) in cmds.iter().zip(scaled) {
+        for (cmd, scaled) in cmds.iter().zip(&rendition.cmds) {
             if repaid && is_copy(cmd) {
                 continue;
             }
             if let Some(scaled) = scaled {
-                self.buffer.push(scaled, realtime(&cmd.dest_rect()));
+                self.buffer.push(scaled.clone(), realtime(&cmd.dest_rect()));
             }
         }
         self.repay_debt(screen);
     }
 
-    /// [`push`](Self::push) with the scaling already done: queues a
-    /// round from the [`Rendition`] shared by this client's scale class.
-    pub(crate) fn push_rendition(
-        &mut self,
-        cmds: &[DisplayCommand],
-        rendition: &Rendition,
-        screen: &Framebuffer,
-    ) {
-        let scaled = rendition.cmds.iter().cloned();
-        self.push_round(cmds, scaled, rendition.refresh.as_ref(), screen, |_| false);
-    }
-
-    /// Pushes translated commands through scaling into the buffer,
-    /// settling what the client is owed on the way. `screen` already
-    /// reflects the commands.
-    pub fn push(
-        &mut self,
-        cmds: &[DisplayCommand],
-        screen: &Framebuffer,
-        realtime: impl Fn(&Rect) -> bool,
-    ) {
-        let owed = self.begin_round(cmds);
-        let scale = self.scale;
-        let refresh = full_view(&scale, screen, owed);
-        let scaled = cmds.iter().map(|c| scale.transform(c, screen));
-        self.push_round(cmds, scaled, refresh.as_ref(), screen, realtime);
-    }
-
     /// Settles an owed full view and whatever refresh debt fits,
-    /// without requiring a draw.
+    /// without requiring a draw: a round of no commands.
     pub fn repay(&mut self, screen: &Framebuffer) {
-        self.push(&[], screen, |_| false);
+        let owed = self.begin_round(&[]);
+        let rendition = Rendition::render(&self.scale, &[], screen, owed);
+        self.push_rendition(&[], &rendition, screen, |_| false);
     }
 
     /// Converts refresh debt into fresh-screen RAW updates. Evicted
@@ -612,8 +567,7 @@ impl Delivery {
     /// takes neither the screen nor the session's identity (see
     /// [`Uplink`] for the rest). `cache_budget` is the content-cache
     /// budget a peer announcing revision ≥ 3 is granted; older peers
-    /// cannot resolve references, so a hello never enables the ledger
-    /// for them.
+    /// cannot resolve references, so their hello turns the ledger off.
     pub fn handle_message(&mut self, msg: &Message, now: SimTime, cache_budget: Option<u64>) -> Uplink {
         // Client traffic doubles as the heartbeat — except a pong,
         // which proves liveness only when it answers the latest
@@ -638,7 +592,9 @@ impl Delivery {
                 // legacy-framed, so old captures and old clients still
                 // decode.
                 self.encoder.negotiate(version);
-                if let Some(budget) = cache_budget.filter(|_| self.encoder.revision() >= WIRE_REV_CACHE) {
+                if self.encoder.revision() < WIRE_REV_CACHE {
+                    self.buffer.disable_cache();
+                } else if let Some(budget) = cache_budget {
                     self.buffer.enable_cache(budget);
                 }
                 self.set_viewport(viewport_width, viewport_height);
@@ -647,9 +603,10 @@ impl Delivery {
                 viewport_width,
                 viewport_height,
             } => self.set_viewport(viewport_width, viewport_height),
-            // Zoom: the client is owed full-detail content for the
-            // newly magnified region, sent with the next push.
-            Message::SetView { view } => self.set_view(view),
+            // Zoom (§6): `view` (session space) maps onto the viewport,
+            // and the client is owed full-detail content for the newly
+            // magnified region, sent with the next push.
+            Message::SetView { view } => self.rescale(view),
             // The ledger requeues the byte-exact payload; when eviction
             // raced the reference out of both sides the client skipped
             // an update, so it is owed the full view.
@@ -706,22 +663,15 @@ impl Delivery {
         self.enforce_av_bound();
     }
 
-    /// Runs one displayed video frame through this client's stream
-    /// manager (which resamples for small viewports) and queues the
-    /// result.
-    pub fn display_video(&mut self, frame: &YuvFrame, dst: Rect, timestamp_us: u64) {
-        let payload = VideoPayload::new(frame, self.video_scale());
-        self.display_video_payload(&payload, dst, timestamp_us);
-    }
-
     /// The scale this client's video is resampled to: what a session
     /// keys the payload it builds once per frame and class by.
     pub(crate) fn video_scale(&self) -> VideoScale {
         self.video.scale()
     }
 
-    /// [`display_video`](Self::display_video) with the payload for
-    /// this client's [`video_scale`](Self::video_scale) already made.
+    /// Runs one displayed video frame, resampled once per scale by the
+    /// holder (see [`video_scale`](Self::video_scale)), through this
+    /// client's stream manager and queues the result.
     pub(crate) fn display_video_payload(
         &mut self,
         payload: &VideoPayload,
@@ -797,24 +747,8 @@ impl Delivery {
         self.rescale(self.scale.view);
     }
 
-    /// Flushes queued updates without blocking: A/V first (paced data
-    /// with deadlines), then the SRSF display queues, optionally
-    /// against a shared encode-once [`WirePlane`]. Returns
-    /// `(arrival, message)` pairs for the client side.
-    pub fn flush(
-        &mut self,
-        now: SimTime,
-        pipe: &mut TcpPipe,
-        trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
-        counters: &mut PlaneCounters,
-    ) -> Vec<(SimTime, Message)> {
-        self.begin_flush(now, pipe);
-        self.flush_begun(now, pipe, trace, plane, counters, &PlanRole::Alone)
-    }
-
-    /// The first half of a [`flush`](Self::flush): everything that may
-    /// still change what is queued — the degradation ladder's verdict
+    /// The first half of a flush: everything that may still change
+    /// what is queued — the degradation ladder's verdict
     /// on the epoch (a step re-bounds the buffer and re-aims the
     /// scale) and the A/V bound. A session runs it for every viewer
     /// before it asks the plane which of them are in the same state.
@@ -823,9 +757,11 @@ impl Delivery {
         self.enforce_av_bound();
     }
 
-    /// The second half of a [`flush`](Self::flush), delivering the
-    /// display queues in `role` (see
-    /// [`ClientBuffer::flush_planned`]).
+    /// The second half of a flush, without blocking: A/V first (paced
+    /// data with deadlines), then the SRSF display queues in `role`
+    /// (see [`ClientBuffer::flush_planned`]), optionally against a
+    /// shared encode-once [`WirePlane`]. Returns `(arrival, message)`
+    /// pairs for the client side.
     pub(crate) fn flush_begun(
         &mut self,
         now: SimTime,
@@ -872,8 +808,9 @@ impl Delivery {
     }
 
     /// Writes this client's record into a checkpoint image: the
-    /// announced viewport and zoom view, what it is owed, its ladder
-    /// level, the queued A/V, and the buffer's raw internal state.
+    /// framer (revision and next sequence number), the announced
+    /// viewport and zoom view, what it is owed, its ladder level, the
+    /// queued A/V, and the buffer's raw internal state.
     /// Deliberately not captured (rebuilt fresh on decode): video
     /// stream internals (streams re-announce on resync), telemetry,
     /// and the liveness tracker with its probes — those are
@@ -882,6 +819,8 @@ impl Delivery {
     /// standby's reset telemetry never accounted for (breaking
     /// pong ≤ ping conservation).
     pub(crate) fn encode_checkpoint(&self, w: &mut Writer) {
+        w.u32(u32::from(self.encoder.revision()));
+        w.u32(self.encoder.next_seq());
         w.u32(self.viewport.0);
         w.u32(self.viewport.1);
         w.rect(&self.scale.view);
@@ -910,6 +849,12 @@ impl Delivery {
         policy: DeliveryPolicy,
         now: SimTime,
     ) -> Result<Self, CheckpointError> {
+        let revision = u16::try_from(r.u32()?)
+            .ok()
+            .filter(|rev| (WIRE_REV_LEGACY..=PROTOCOL_VERSION).contains(rev))
+            .ok_or(CheckpointError::Malformed("wire revision"))?;
+        let mut encoder = FrameEncoder::with_revision(revision);
+        encoder.set_next_seq(r.u32()?);
         let viewport = (r.u32()?, r.u32()?);
         let view = r.rect()?;
         let refresh_owed = r.bool()?;
@@ -931,6 +876,7 @@ impl Delivery {
         d.refresh_owed = refresh_owed;
         d.refresh_debt = refresh_debt;
         d.av = av;
+        d.encoder = encoder;
         d.aim(view);
         Ok(d)
     }

@@ -28,14 +28,16 @@
 //! - [`delivery`]: the per-client delivery pipeline — one
 //!   [`delivery::Delivery`] holds everything the server keeps for a
 //!   client (buffer, scale, video streams, A/V queue, liveness,
-//!   degradation ladder, refresh debt) and the operations on it, each
-//!   written once (§2: "the client only contains transient soft
-//!   state"),
+//!   degradation ladder, refresh debt, frame encoder) and the
+//!   operations on it, each written once (§2: "the client only
+//!   contains transient soft state"),
 //! - [`session`]: authentication and multi-client screen sharing
-//!   (§7) — a façade over a roster of `Delivery` values,
-//! - [`server`]: the [`server::ThincServer`] façade over exactly one
-//!   `Delivery`, adding the translator, input tracker, audio device
-//!   and RC4 session encryption (§7).
+//!   (§7) — the one façade: translator, real-time input region,
+//!   cursor, clock, resume-token rules and checkpoint writer around a
+//!   roster of `Delivery` values,
+//! - [`server`]: [`server::ThincServer`], a session of one viewer
+//!   adding only what a single-client server has — the audio device,
+//!   RC4 session encryption (§7) and the refresh-request latch.
 //!
 //! The hot path is instrumented with `thinc-telemetry`, each event
 //! counted once by its owner: the command buffer owns its delivery

@@ -1,34 +1,31 @@
-//! The THINC server façade.
+//! The THINC server façade: a session of one.
 //!
-//! [`ThincServer`] is the virtual display driver: it plugs into the
-//! window server below the device abstraction (implementing
-//! [`VideoDriver`]), feeds every operation through the translation
-//! layer, and hands the resulting protocol commands to its client's
-//! [`Delivery`] — the per-client pipeline that scales, schedules and
-//! flushes them over a (simulated) connection with server-push,
-//! non-blocking delivery. Around that one `Delivery` it owns what only
-//! a single-client server has: the virtual audio device, the input
-//! tracker that marks real-time updates, the session cursor, and the
-//! RC4 session cipher.
+//! [`ThincServer`] is the virtual display driver a single-client
+//! harness plugs into the window server below the device abstraction
+//! (implementing [`VideoDriver`]). It is a [`SharedSession`] with one
+//! viewer at a fixed [`ClientId`]: translation, delivery, the uplink
+//! rules, the cursor, real-time marking and the checkpoint record are
+//! the session's. Around it the server keeps only what a single-client
+//! server has: the virtual audio device, the RC4 session cipher, and
+//! the latch a harness polls for a client's refresh request — the
+//! server holds no screen to answer it with.
 
 use thinc_compress::Rc4;
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
-use thinc_display::input::{InputEvent, InputTracker};
+use thinc_display::input::InputEvent;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
-use thinc_protocol::commands::DisplayCommand;
-use thinc_protocol::message::{Message, ProtocolInput};
-use thinc_protocol::wire::{encode_message, FrameEncoder};
-use thinc_protocol::PROTOCOL_VERSION;
-use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
+use thinc_protocol::message::Message;
+use thinc_raster::{Color, Framebuffer, PixelFormat, Rect, YuvFrame};
 
 use crate::audio::VirtualAudioDriver;
-use crate::buffer::{BufferStats, ClientBuffer};
-use crate::delivery::{Delivery, DeliveryPolicy, Uplink};
-use crate::plane::PlaneCounters;
-use crate::translator::{Translator, TranslatorStats};
+use crate::buffer::BufferStats;
+use crate::checkpoint::{open, seal, CheckpointError, Reader, Writer};
+use crate::delivery::{Delivery, DeliveryPolicy};
+use crate::session::{ClientId, Received, SharedSession};
+use crate::translator::TranslatorStats;
 
 /// Server configuration (the ablation switches map to the paper's
 /// design choices).
@@ -43,8 +40,6 @@ pub struct ServerConfig {
     /// Track offscreen drawing (§4.1). Disable to reproduce the
     /// "ignore offscreen, send raw pixels" behaviour.
     pub offscreen_awareness: bool,
-    /// Compress RAW payloads with the PNG-like codec (§7).
-    pub compress_raw: bool,
     /// Resize updates server-side when the client viewport is smaller
     /// (§6). Disable to reproduce client-side-resize systems.
     pub server_side_scaling: bool,
@@ -69,8 +64,8 @@ pub struct ServerConfig {
     /// fidelity unconditionally (the seed behaviour).
     pub degradation: Option<crate::degradation::DegradationConfig>,
     /// Byte budget for the content-addressed cache ledger (protocol
-    /// revision 3, see `docs/CACHE.md`). The cache only activates
-    /// when the client negotiates protocol version ≥ 3; `None`
+    /// revision 3, see `docs/CACHE.md`). The ledger is on from the
+    /// start and a client hello below revision 3 turns it off; `None`
     /// disables it even for revision-3 clients.
     pub cache_budget_bytes: Option<u64>,
 }
@@ -82,7 +77,6 @@ impl Default for ServerConfig {
             height: 768,
             format: PixelFormat::Rgb888,
             offscreen_awareness: true,
-            compress_raw: true,
             server_side_scaling: true,
             rc4_key: None,
             buffer_bound_bytes: None,
@@ -95,15 +89,23 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The per-client delivery policy this configuration describes.
-    fn delivery_policy(&self) -> DeliveryPolicy {
-        DeliveryPolicy {
+    /// The one-viewer session this configuration describes.
+    fn session(&self) -> SharedSession {
+        let policy = DeliveryPolicy {
             session: (self.width, self.height),
             scaling: self.server_side_scaling,
             av_bound: self.av_bound,
             liveness: self.liveness,
             degradation: self.degradation,
+        };
+        let mut session = SharedSession::new(self.width, self.height, self.format, OWNER)
+            .with_policy(policy, self.offscreen_awareness);
+        if let Some(bound) = self.buffer_bound_bytes {
+            session = session.with_buffer_bound(bound);
         }
+        session.set_cache_budget(self.cache_budget_bytes);
+        session.join(OWNER.into(), self.width, self.height);
+        session
     }
 }
 
@@ -120,21 +122,19 @@ pub struct ServerStats {
     pub audio_messages: u64,
 }
 
+/// The session owner a server's one viewer is attached as.
+const OWNER: &str = "thinc";
+
+/// The server's one viewer.
+const VIEWER: ClientId = ClientId(0);
+
 /// The THINC server.
 pub struct ThincServer {
-    config: ServerConfig,
-    translator: Translator,
-    /// Everything held for the attached client: buffer, scale, video
-    /// streams, A/V queue, liveness, degradation, refresh debt.
-    delivery: Delivery,
+    session: SharedSession,
     audio: Option<VirtualAudioDriver>,
-    input: InputTracker,
-    /// Virtual clock used to stamp A/V data.
-    now: SimTime,
-    cipher: Option<Rc4>,
     audio_messages: u64,
-    /// Last installed cursor image, resent on resync.
-    cursor_shape: Option<Message>,
+    rc4_key: Option<Vec<u8>>,
+    cipher: Option<Rc4>,
     /// A client [`Message::RefreshRequest`] arrived and awaits a
     /// [`resync`](Self::resync) from the harness (which owns the
     /// screen).
@@ -142,103 +142,73 @@ pub struct ThincServer {
 }
 
 impl ThincServer {
-    /// Creates a server for `config`.
+    /// Creates a server for `config`, its viewer joined at the whole
+    /// session's viewport.
     pub fn new(config: ServerConfig) -> Self {
-        let translator = if config.offscreen_awareness {
-            Translator::new()
-        } else {
-            Translator::without_offscreen_awareness()
-        };
-        let mut buffer = ClientBuffer::new();
-        if config.compress_raw {
-            buffer = buffer.with_raw_compression(config.format.bytes_per_pixel());
-        }
-        if let Some(bound) = config.buffer_bound_bytes {
-            buffer = buffer.with_byte_bound(bound);
-        }
-        let cipher = config.rc4_key.as_deref().map(Rc4::new);
+        Self::around(config.session(), config.rc4_key)
+    }
+
+    fn around(session: SharedSession, rc4_key: Option<Vec<u8>>) -> Self {
         Self {
-            delivery: Delivery::new(config.delivery_policy(), buffer, SimTime::ZERO),
-            config,
-            translator,
+            session,
             audio: None,
-            input: InputTracker::new(),
-            now: SimTime::ZERO,
-            cipher,
             audio_messages: 0,
-            cursor_shape: None,
+            cipher: rc4_key.as_deref().map(Rc4::new),
+            rc4_key,
             resync_requested: false,
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
+    /// Everything held for the client: backlog, debt, ladder level,
+    /// viewport and scale, framer, cache ledger, counters.
+    pub fn viewer(&self) -> &Delivery {
+        self.session.viewer(VIEWER).expect("a server's viewer stays attached")
+    }
+
+    fn viewer_mut(&mut self) -> &mut Delivery {
+        self.session.serving(VIEWER).expect("a server's viewer stays attached")
     }
 
     /// Aggregated statistics.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            translator: self.translator.stats(),
-            buffer: self.delivery.buffer().stats(),
-            video_messages: self.delivery.video_messages(),
+            translator: self.session.translator_stats(),
+            buffer: self.viewer().buffer().stats(),
+            video_messages: self.viewer().video_messages(),
             audio_messages: self.audio_messages,
         }
     }
 
     /// The greeting sent to a connecting client.
     pub fn hello(&self) -> Message {
-        Message::ServerHello {
-            version: PROTOCOL_VERSION,
-            width: self.config.width,
-            height: self.config.height,
-            depth: self.config.format.depth() as u8,
-        }
+        self.session.hello()
+    }
+
+    /// The identity a redialing client's resume token must name.
+    pub fn session_id(&self) -> u64 {
+        self.session.session_id()
     }
 
     /// Frames `msg` for the wire (see [`Delivery::encode_frame`]).
     pub fn encode_frame(&mut self, msg: &Message) -> Vec<u8> {
-        self.delivery.encode_frame(msg)
-    }
-
-    /// The wire framing revision negotiated with the client
-    /// ([`thinc_protocol::WIRE_REV_LEGACY`] until a `ClientHello`
-    /// announcing protocol version ≥ 2 arrives).
-    pub fn wire_revision(&self) -> u16 {
-        self.delivery.encoder().revision()
+        self.session.encode_frame(VIEWER, msg)
     }
 
     /// Advances the server's virtual clock (stamps A/V data and the
     /// display buffer's enqueue-latency accounting).
     pub fn set_time(&mut self, now: SimTime) {
-        self.now = now;
-        self.delivery.set_time(now);
+        self.session.set_time(now);
     }
 
     /// Scheduler telemetry from the display buffer.
     pub fn scheduler_metrics(&self) -> &thinc_telemetry::SchedulerMetrics {
-        self.delivery.buffer().scheduler_metrics()
+        self.viewer().buffer().scheduler_metrics()
     }
 
     /// Combined per-command wire accounting: display messages from the
     /// buffer plus the audio/video/cursor path.
     pub fn protocol_metrics(&self) -> thinc_telemetry::ProtocolMetrics {
-        self.delivery.protocol_metrics().clone()
-    }
-
-    /// Current client viewport.
-    pub fn viewport(&self) -> (u32, u32) {
-        self.delivery.viewport()
-    }
-
-    /// Whether updates are being scaled server-side right now.
-    pub fn scaling_active(&self) -> bool {
-        !self.delivery.scale().is_identity()
-    }
-
-    /// The session-space region currently mapped onto the viewport.
-    pub fn view(&self) -> thinc_raster::Rect {
-        self.delivery.scale().view
+        self.viewer().protocol_metrics().clone()
     }
 
     /// Re-sends the current contents of the view as a (scaled) RAW
@@ -246,130 +216,77 @@ impl ThincServer {
     /// updates are necessary when the display size increases, because
     /// the client has only a small-size version of the display" (§6).
     pub fn refresh_view(&mut self, screen: &Framebuffer) {
-        self.delivery.owe_refresh();
-        self.delivery.repay(screen);
+        self.viewer_mut().owe_refresh();
+        self.session.repay_refreshes(screen);
     }
 
     /// Handles a message arriving from the client (see
-    /// [`Delivery::handle_message`]). Input events are returned as
+    /// [`SharedSession::handle_message`]). Input events are returned as
     /// window-system events for forwarding. What needs the screen is
-    /// left owed or latched for the harness, which owns it: a refresh
+    /// left latched or owed for the harness, which owns it: a refresh
     /// request awaits [`take_resync_request`](Self::take_resync_request),
-    /// and a refused resume token leaves the full view owed to the next
+    /// and what a resume token's verdict owes is settled by the next
     /// draw or [`repay_overflow_debt`](Self::repay_overflow_debt).
     pub fn handle_message(&mut self, msg: &Message) -> Option<InputEvent> {
-        match self
-            .delivery
-            .handle_message(msg, self.now, self.config.cache_budget_bytes)
-        {
-            Uplink::Done => {}
-            Uplink::Resync => self.resync_requested = true,
-            // One client, no roster: the token's identity fields have
-            // nothing to be matched against.
-            Uplink::Resume { last_seq, store_digest, .. } => {
-                let hello = self.hello();
-                if !self.delivery.resume(last_seq, store_digest, hello, self.now) {
-                    self.delivery.queue_av(self.cursor_shape.clone());
-                }
+        match self.session.receive(VIEWER, msg) {
+            Received::Done(input) => input,
+            Received::Resync => {
+                self.resync_requested = true;
+                None
             }
+            Received::Resumed => None,
         }
-        let Message::Input(input) = msg else {
-            return None;
-        };
-        let ev = match input {
-            ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(*x, *y)),
-            ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(*x, *y)),
-            ProtocolInput::ButtonRelease { x, y, .. } => {
-                InputEvent::ButtonRelease(Point::new(*x, *y))
-            }
-            ProtocolInput::KeyPress { key } => InputEvent::KeyPress(*key),
-            ProtocolInput::KeyRelease { key } => InputEvent::KeyPress(*key),
-        };
-        self.input.observe(ev);
-        // Echo the (possibly warped) cursor position so the client's
-        // local overlay tracks the session pointer.
-        if let InputEvent::PointerMove(p) | InputEvent::ButtonPress(p) | InputEvent::ButtonRelease(p) =
-            ev
-        {
-            let (x, y) = self.delivery.scale().map_point(p.x, p.y);
-            self.delivery.queue_av([Message::CursorMove { x, y }]);
-        }
-        Some(ev)
-    }
-
-    /// Pushes translated commands into the delivery pipeline, marking
-    /// those that answer recent input real-time.
-    fn enqueue(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
-        let input = &self.input;
-        self.delivery.push(&cmds, screen, |dest| input.is_realtime(dest));
     }
 
     /// Settles what the client is owed against `screen` without
-    /// requiring a draw: an owed full-view refresh, and whatever
-    /// overflow-eviction debt fits under the byte bound (the rest
-    /// waits until the link drains).
+    /// requiring a draw: an owed full-view refresh, the tiles a warm
+    /// resume left owed, and whatever overflow-eviction debt fits
+    /// under the byte bound (the rest waits until the link drains).
     pub fn repay_overflow_debt(&mut self, screen: &Framebuffer) {
-        self.delivery.repay(screen);
+        self.session.repay_refreshes(screen);
     }
 
-    /// Installs the session cursor image, forwarded to the client.
-    /// The client composites it locally, so pointer motion costs a
-    /// few bytes per event instead of display updates.
+    /// Installs the session cursor image (see
+    /// [`SharedSession::set_cursor`]).
     pub fn set_cursor(&mut self, width: u32, height: u32, hot_x: i32, hot_y: i32, pixels: Vec<u8>) {
-        let shape = Message::CursorShape {
-            width,
-            height,
-            hot_x,
-            hot_y,
-            pixels,
-        };
-        self.cursor_shape = Some(shape.clone());
-        self.delivery.queue_av([shape]);
+        self.session.set_cursor(width, height, hot_x, hot_y, pixels);
     }
 
-    /// Resynchronizes a (re)connecting client: the session cursor plus
-    /// [`Delivery::resync`] — live video streams re-announced and a
-    /// full-view refresh; nothing else needs to persist at the client
-    /// ("the client only contains transient soft state", §2). Revives
-    /// a client the liveness tracker had declared dead.
+    /// Resynchronizes a (re)connecting client (see
+    /// [`SharedSession::resync_client`]): the cursor shape, live video
+    /// streams re-announced and a full-view refresh; nothing else needs
+    /// to persist at the client ("the client only contains transient
+    /// soft state", §2). Revives a client the liveness tracker had
+    /// declared dead.
     pub fn resync(&mut self, screen: &Framebuffer) {
         self.resync_requested = false;
-        self.delivery.queue_av(self.cursor_shape.clone());
-        self.delivery.resync(screen, self.now);
+        self.session.resync_client(VIEWER, screen);
     }
 
     /// Evaluates client liveness at `now` (see
     /// [`Delivery::poll_liveness`]).
     pub fn poll_liveness(&mut self, now: SimTime) -> crate::liveness::LivenessVerdict {
-        self.now = now;
-        self.delivery.poll_liveness(now)
-    }
-
-    /// Whether the liveness tracker has declared the client dead.
-    pub fn client_dead(&self) -> bool {
-        self.delivery.is_dead()
+        *self.session.clock() = now;
+        self.session.poll_client_liveness(VIEWER, now)
     }
 
     /// Resilience accounting: liveness events, resyncs, stale-video
     /// drops, plus the display buffer's overflow evictions and
     /// content-cache counters.
     pub fn resilience_metrics(&self) -> thinc_telemetry::ResilienceMetrics {
-        self.delivery.resilience_metrics()
+        self.viewer().resilience_metrics()
     }
 
     /// Whether the content-addressed cache is active for this client
-    /// (requires a revision-3 handshake and a configured budget).
+    /// (a configured budget, and no hello below revision 3).
     pub fn cache_enabled(&self) -> bool {
-        self.delivery.buffer().cache_enabled()
+        self.viewer().buffer().cache_enabled()
     }
 
     /// Opens the virtual audio device.
     pub fn open_audio(&mut self, sample_rate: u32, channels: u32) {
-        self.audio = Some(VirtualAudioDriver::new(
-            sample_rate,
-            channels,
-            self.now.as_micros(),
-        ));
+        let now = *self.session.clock();
+        self.audio = Some(VirtualAudioDriver::new(sample_rate, channels, now.as_micros()));
     }
 
     /// Applications write PCM audio; packets queue for delivery.
@@ -377,7 +294,7 @@ impl ThincServer {
         if let Some(drv) = self.audio.as_mut() {
             let msgs = drv.write(pcm);
             self.audio_messages += msgs.len() as u64;
-            self.delivery.queue_av(msgs);
+            self.viewer_mut().queue_av(msgs);
         }
     }
 
@@ -385,42 +302,23 @@ impl ThincServer {
     pub fn close_audio(&mut self) {
         if let Some(m) = self.audio.take().and_then(|mut drv| drv.drain()) {
             self.audio_messages += 1;
-            self.delivery.queue_av([m]);
+            self.viewer_mut().queue_av([m]);
         }
     }
 
     /// Ends all video streams (session teardown).
     pub fn end_video(&mut self) {
-        self.delivery.end_video();
+        self.viewer_mut().end_video();
     }
 
     /// Pending A/V messages not yet flushed.
     pub fn av_backlog(&self) -> usize {
-        self.delivery.av_backlog()
+        self.viewer().av_backlog()
     }
 
     /// Commands waiting in the display buffer.
     pub fn display_backlog(&self) -> usize {
-        self.delivery.buffer().len()
-    }
-
-    /// Wire bytes waiting in the display buffer (what the byte bound
-    /// constrains).
-    pub fn display_backlog_bytes(&self) -> u64 {
-        self.delivery.buffer().pending_bytes()
-    }
-
-    /// Whether overflow evictions have left screen regions still
-    /// owed a refresh (repaid on the next draw with headroom, or by
-    /// [`resync`](Self::resync)).
-    pub fn overflow_debt_outstanding(&self) -> bool {
-        self.delivery.has_debt()
-    }
-
-    /// The fidelity level the degradation ladder is currently at
-    /// (`Full` when adaptation is not configured).
-    pub fn degradation_level(&self) -> crate::degradation::DegradationLevel {
-        self.delivery.degradation_level()
+        self.viewer().buffer().len()
     }
 
     /// Consumes a latched client refresh request (see
@@ -439,9 +337,8 @@ impl ThincServer {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        self.now = now;
-        self.delivery
-            .flush(now, pipe, trace, None, &mut PlaneCounters::default())
+        *self.session.clock() = now;
+        self.session.flush_client(VIEWER, now, pipe, trace)
     }
 
     /// Encrypts bytes with the session cipher (identity when
@@ -454,120 +351,58 @@ impl ThincServer {
         }
     }
 
-    /// Adopts a redialing client's resume token: the outgoing frame
-    /// sequence continues right after the last frame the client proved
-    /// it received, so its integrity verifier sees an unbroken stream
-    /// instead of flagging the failover as a sequence break.
-    pub fn adopt_resume_seq(&mut self, last_seq: u32) {
-        self.delivery.encoder_mut().set_next_seq(last_seq.wrapping_add(1));
-    }
-
     /// Serializes this server into a crash-consistent checkpoint
-    /// image (see `docs/ROBUSTNESS.md`). The image captures the full
-    /// configuration, the wire framer (revision + next sequence
-    /// number), the installed cursor shape, and the client's
-    /// [`Delivery`] record (viewport and zoom, what it is owed, ladder
-    /// level, queued A/V, the display buffer down to queue positions
-    /// and cache-ledger LRU order) — everything a standby needs to
-    /// resume the session byte-exact. Deliberately *not* captured
-    /// (rebuilt fresh at [`restore`](Self::restore)): the translation
-    /// layer's offscreen pixmaps (drawing state lives in the window
-    /// server), the audio device, the input halo, and what the
-    /// delivery record itself leaves out.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        use crate::checkpoint::{format_to_u8, seal, Writer};
+    /// image (see `docs/ROBUSTNESS.md`): the session record of
+    /// [`SharedSession::checkpoint`] — configuration, cursor shape,
+    /// per-tile digests of `screen` and the client's [`Delivery`]
+    /// record — followed by the session key and the refresh-request
+    /// latch. Deliberately *not* captured: the audio device, and what
+    /// the session record leaves out.
+    pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u32(self.config.width);
-        w.u32(self.config.height);
-        w.u8(format_to_u8(self.config.format));
-        w.bool(self.config.offscreen_awareness);
-        w.bool(self.config.compress_raw);
-        w.bool(self.config.rc4_key.is_some());
-        if let Some(key) = &self.config.rc4_key {
+        self.session.encode_checkpoint(&mut w, screen);
+        w.bool(self.rc4_key.is_some());
+        if let Some(key) = &self.rc4_key {
             w.bytes(key);
         }
-        w.opt_u64(self.config.buffer_bound_bytes);
-        w.opt_u64(self.config.cache_budget_bytes);
-        self.config.delivery_policy().encode(&mut w);
-        w.u64(self.now.0);
         w.bool(self.resync_requested);
-        w.u32(self.delivery.encoder().revision() as u32);
-        w.u32(self.delivery.encoder().next_seq());
-        w.bool(self.cursor_shape.is_some());
-        if let Some(shape) = &self.cursor_shape {
-            w.bytes(&encode_message(shape));
-        }
-        self.delivery.encode_checkpoint(&mut w);
         seal(w.into_inner())
     }
 
     /// Rebuilds a server from a [`checkpoint`](Self::checkpoint)
     /// image. Every corruption — truncation, bit flips, stale format
-    /// versions, trailing garbage — surfaces as a typed
-    /// [`CheckpointError`](crate::checkpoint::CheckpointError); a
-    /// partial server is never constructed. The session cipher is
-    /// recreated from the restored configuration's key, so the
-    /// keystream restarts from position zero (the client re-keys on
-    /// reconnect).
-    pub fn restore(bytes: &[u8]) -> Result<Self, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{format_from_u8, open, CheckpointError, Reader};
-        let payload = open(bytes)?;
-        let mut r = Reader::new(payload);
-        let width = r.u32()?;
-        let height = r.u32()?;
-        let format = format_from_u8(r.u8()?)?;
-        let offscreen_awareness = r.bool()?;
-        let compress_raw = r.bool()?;
+    /// versions, trailing garbage, a roster that is not the one
+    /// viewer — surfaces as a typed [`CheckpointError`]; a partial
+    /// server is never constructed. The session cipher is recreated
+    /// from the key, so the keystream restarts from position zero (the
+    /// client re-keys on reconnect).
+    pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
+        let mut r = Reader::new(open(bytes)?);
+        let session = SharedSession::decode_checkpoint(&mut r)?;
+        if session.client_ids() != [VIEWER] {
+            return Err(CheckpointError::Malformed("a server image holds one viewer"));
+        }
         let rc4_key = if r.bool()? { Some(r.bytes()?.to_vec()) } else { None };
-        let buffer_bound_bytes = r.opt_u64()?;
-        let cache_budget_bytes = r.opt_u64()?;
-        let policy = DeliveryPolicy::decode(&mut r, (width, height))?;
-        let mut s = Self::new(ServerConfig {
-            width,
-            height,
-            format,
-            offscreen_awareness,
-            compress_raw,
-            server_side_scaling: policy.scaling,
-            rc4_key,
-            buffer_bound_bytes,
-            av_bound: policy.av_bound,
-            liveness: policy.liveness,
-            degradation: policy.degradation,
-            cache_budget_bytes,
-        });
-        s.now = SimTime(r.u64()?);
-        s.resync_requested = r.bool()?;
-        let revision = u16::try_from(r.u32()?)
-            .map_err(|_| CheckpointError::Malformed("wire revision"))?;
-        let mut encoder = FrameEncoder::with_revision(revision);
-        encoder.set_next_seq(r.u32()?);
-        if r.bool()? {
-            s.cursor_shape = Some(crate::buffer::decode_checkpoint_message(r.bytes()?)?);
-        }
-        s.delivery = Delivery::decode_checkpoint(&mut r, policy, s.now)?;
-        *s.delivery.encoder_mut() = encoder;
+        let mut server = Self::around(session, rc4_key);
+        server.resync_requested = r.bool()?;
         if !r.exhausted() {
-            return Err(CheckpointError::Malformed(
-                "trailing bytes after checkpoint",
-            ));
+            return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
         }
-        Ok(s)
+        Ok(server)
     }
 }
 
 impl VideoDriver for ThincServer {
-    fn create_pixmap(&mut self, _store: &DrawableStore, id: DrawableId, w: u32, h: u32) {
-        self.translator.create_pixmap(id, w, h);
+    fn create_pixmap(&mut self, store: &DrawableStore, id: DrawableId, w: u32, h: u32) {
+        self.session.create_pixmap(store, id, w, h);
     }
 
-    fn free_pixmap(&mut self, _store: &DrawableStore, id: DrawableId) {
-        self.translator.free_pixmap(id);
+    fn free_pixmap(&mut self, store: &DrawableStore, id: DrawableId) {
+        self.session.free_pixmap(store, id);
     }
 
     fn solid_fill(&mut self, store: &DrawableStore, target: DrawableId, rect: Rect, color: Color) {
-        let cmds = self.translator.solid_fill(store, target, rect, color);
-        self.enqueue(cmds, store.screen());
+        self.session.solid_fill(store, target, rect, color);
     }
 
     fn pattern_fill(
@@ -577,8 +412,7 @@ impl VideoDriver for ThincServer {
         rect: Rect,
         tile: &Framebuffer,
     ) {
-        let cmds = self.translator.pattern_fill(store, target, rect, tile);
-        self.enqueue(cmds, store.screen());
+        self.session.pattern_fill(store, target, rect, tile);
     }
 
     fn stipple_fill(
@@ -590,8 +424,7 @@ impl VideoDriver for ThincServer {
         fg: Color,
         bg: Option<Color>,
     ) {
-        let cmds = self.translator.stipple_fill(store, target, rect, bits, fg, bg);
-        self.enqueue(cmds, store.screen());
+        self.session.stipple_fill(store, target, rect, bits, fg, bg);
     }
 
     fn copy_area(
@@ -603,19 +436,15 @@ impl VideoDriver for ThincServer {
         dst_x: i32,
         dst_y: i32,
     ) {
-        let cmds = self
-            .translator
-            .copy_area(store, src, dst, src_rect, dst_x, dst_y);
-        self.enqueue(cmds, store.screen());
+        self.session.copy_area(store, src, dst, src_rect, dst_x, dst_y);
     }
 
     fn put_image(&mut self, store: &DrawableStore, target: DrawableId, rect: Rect, data: &[u8]) {
-        let cmds = self.translator.put_image(store, target, rect, data);
-        self.enqueue(cmds, store.screen());
+        self.session.put_image(store, target, rect, data);
     }
 
-    fn video_display(&mut self, _store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
-        self.delivery.display_video(frame, dst, self.now.as_micros());
+    fn video_display(&mut self, store: &DrawableStore, frame: &YuvFrame, dst: Rect) {
+        self.session.video_display(store, frame, dst);
     }
 
     fn composite(
@@ -623,11 +452,10 @@ impl VideoDriver for ThincServer {
         store: &DrawableStore,
         target: DrawableId,
         rect: Rect,
-        _data: &[u8],
-        _op: thinc_raster::CompositeOp,
+        data: &[u8],
+        op: thinc_raster::CompositeOp,
     ) {
-        let cmds = self.translator.composite(store, target, rect);
-        self.enqueue(cmds, store.screen());
+        self.session.composite(store, target, rect, data, op);
     }
 }
 
@@ -640,16 +468,24 @@ mod tests {
     use thinc_display::server::WindowServer;
     use thinc_display::SCREEN;
     use thinc_net::link::NetworkConfig;
+    use thinc_protocol::commands::DisplayCommand;
+    use thinc_protocol::message::ProtocolInput;
+    use thinc_protocol::PROTOCOL_VERSION;
     use thinc_raster::{YuvFormat, YuvFrame};
 
-    fn system() -> WindowServer<ThincServer> {
-        let thinc = ThincServer::new(ServerConfig {
+    /// A 64x64 server whose client applies messages as they are, with
+    /// no content store to resolve references from.
+    fn config() -> ServerConfig {
+        ServerConfig {
             width: 64,
             height: 64,
-            compress_raw: false,
+            cache_budget_bytes: None,
             ..ServerConfig::default()
-        });
-        WindowServer::new(64, 64, PixelFormat::Rgb888, thinc)
+        }
+    }
+
+    fn system() -> WindowServer<ThincServer> {
+        WindowServer::new(64, 64, PixelFormat::Rgb888, ThincServer::new(config()))
     }
 
     fn flush_all(ws: &mut WindowServer<ThincServer>) -> Vec<Message> {
@@ -713,7 +549,7 @@ mod tests {
             viewport_width: 32,
             viewport_height: 32,
         });
-        assert!(ws.driver().scaling_active());
+        assert!(!ws.driver().viewer().scale().is_identity());
         ws.process(DrawRequest::FillRect {
             target: SCREEN,
             rect: Rect::new(0, 0, 64, 64),
@@ -740,28 +576,30 @@ mod tests {
             button: 1,
         }));
         assert!(matches!(ev, Some(InputEvent::ButtonPress(_))));
-        // Bulk data outside the 32-pixel input halo around (10, 10).
-        ws.process(DrawRequest::PutImage {
-            target: SCREEN,
-            rect: Rect::new(45, 45, 15, 15),
-            data: vec![3; 15 * 15 * 3],
-        });
+        // A small fill outside the 32-pixel input halo around (10, 10),
+        // then larger feedback inside it.
         ws.process(DrawRequest::FillRect {
             target: SCREEN,
-            rect: Rect::new(8, 8, 4, 4),
+            rect: Rect::new(50, 50, 8, 8),
             color: Color::WHITE,
+        });
+        ws.process(DrawRequest::PutImage {
+            target: SCREEN,
+            rect: Rect::new(4, 4, 16, 16),
+            data: crate::fixtures::noise(16 * 16 * 3, 3),
         });
         let msgs = flush_all(&mut ws);
         // The button feedback (realtime) is the first *display*
-        // update delivered even though it arrived second (cursor
-        // control messages precede it in the priority FIFO).
+        // update delivered although it arrived second and is larger:
+        // SRSF alone would send the fill first (cursor control
+        // messages precede both in the priority FIFO).
         let first_display = msgs
             .iter()
             .find(|m| matches!(m, Message::Display(_)))
             .unwrap();
         assert!(matches!(
             first_display,
-            Message::Display(DisplayCommand::Sfill { .. })
+            Message::Display(DisplayCommand::Raw { .. })
         ));
     }
 
@@ -853,14 +691,11 @@ mod tests {
         use thinc_net::time::SimDuration;
         let mut ws = system();
         let cfg = ServerConfig {
-            width: 64,
-            height: 64,
-            compress_raw: false,
             liveness: Some(LivenessConfig {
                 timeout: SimDuration::from_secs_f64(10.0),
                 ping_interval: SimDuration::from_secs_f64(2.0),
             }),
-            ..ServerConfig::default()
+            ..config()
         };
         *ws.driver_mut() = ThincServer::new(cfg);
         let secs = |s: f64| SimTime((s * 1e6) as u64);
@@ -886,14 +721,14 @@ mod tests {
             ws.driver_mut().poll_liveness(secs(14.5)),
             LivenessVerdict::Dead
         ));
-        assert!(ws.driver().client_dead());
+        assert!(ws.driver().viewer().is_dead());
         let m = ws.driver().resilience_metrics();
         assert_eq!(m.liveness_timeouts(), 1);
         assert!(m.pings_sent() >= 1);
         // Reconnect: resync revives the client.
         let screen = ws.screen().clone();
         ws.driver_mut().resync(&screen);
-        assert!(!ws.driver().client_dead());
+        assert!(!ws.driver().viewer().is_dead());
         assert_eq!(ws.driver().resilience_metrics().resyncs(), 1);
     }
 
@@ -903,11 +738,8 @@ mod tests {
         // the debt with fresh-screen RAW and the client still
         // converges to the exact screen content.
         let thinc = ThincServer::new(ServerConfig {
-            width: 64,
-            height: 64,
-            compress_raw: false,
             buffer_bound_bytes: Some(4 * 1024),
-            ..ServerConfig::default()
+            ..config()
         });
         let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         // Several large overlapping images blow through the bound.
@@ -925,14 +757,14 @@ mod tests {
         // full (repayment only pushes pieces that fit).
         let mut msgs = flush_all(&mut ws);
         for _ in 0..10 {
-            if !ws.driver().overflow_debt_outstanding() {
+            if !ws.driver().viewer().has_debt() {
                 break;
             }
             let screen = ws.screen().clone();
             ws.driver_mut().repay_overflow_debt(&screen);
             msgs.extend(flush_all(&mut ws));
         }
-        assert!(!ws.driver().overflow_debt_outstanding());
+        assert!(!ws.driver().viewer().has_debt());
         let mut client = thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
         for m in &msgs {
             client.apply(m);
@@ -943,11 +775,8 @@ mod tests {
     #[test]
     fn av_bound_drops_oldest_video_keeps_control() {
         let thinc = ThincServer::new(ServerConfig {
-            width: 64,
-            height: 64,
-            compress_raw: false,
             av_bound: Some(4),
-            ..ServerConfig::default()
+            ..config()
         });
         let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         ws.driver_mut().set_cursor(8, 8, 0, 0, vec![0; 8 * 8 * 4]);
@@ -1017,7 +846,7 @@ mod tests {
             timestamp_us: 0,
         });
         assert!(matches!(s.poll_liveness(secs(10.5)), LivenessVerdict::Dead));
-        assert!(s.client_dead());
+        assert!(s.viewer().is_dead());
     }
 
     #[test]
@@ -1026,9 +855,6 @@ mod tests {
         use thinc_net::fault::FaultPlan;
         use thinc_net::time::SimDuration;
         let thinc = ThincServer::new(ServerConfig {
-            width: 64,
-            height: 64,
-            compress_raw: false,
             buffer_bound_bytes: Some(32 * 1024),
             av_bound: Some(8),
             degradation: Some(DegradationConfig {
@@ -1036,7 +862,7 @@ mod tests {
                 promote_after: 1,
                 ..DegradationConfig::default()
             }),
-            ..ServerConfig::default()
+            ..config()
         });
         let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         // Link collapses for the first second.
@@ -1051,8 +877,8 @@ mod tests {
                 .driver_mut()
                 .flush(secs(0.1 * (i + 1) as f64), &mut link.down, &mut trace);
         }
-        assert_eq!(ws.driver().degradation_level(), DegradationLevel::Survival);
-        assert!(ws.driver().scaling_active(), "survival shrinks the scale");
+        assert_eq!(ws.driver().viewer().degradation_level(), DegradationLevel::Survival);
+        assert!(!ws.driver().viewer().scale().is_identity(), "survival shrinks the scale");
         let m = ws.driver().resilience_metrics();
         assert_eq!(m.degrade_steps(), 3);
         assert_eq!(m.max_degradation_level(), 3);
@@ -1063,8 +889,8 @@ mod tests {
                 .driver_mut()
                 .flush(secs(1.5 + 0.1 * i as f64), &mut link.down, &mut trace);
         }
-        assert_eq!(ws.driver().degradation_level(), DegradationLevel::Full);
-        assert!(!ws.driver().scaling_active());
+        assert_eq!(ws.driver().viewer().degradation_level(), DegradationLevel::Full);
+        assert!(ws.driver().viewer().scale().is_identity());
         let m = ws.driver().resilience_metrics();
         assert_eq!(m.promote_steps(), 3);
         assert_eq!(m.degradation_level(), 0);
@@ -1092,11 +918,8 @@ mod tests {
         // scaled exactly once, so a scaled client converges to the
         // same image as a one-shot scaled snapshot of the screen.
         let thinc = ThincServer::new(ServerConfig {
-            width: 64,
-            height: 64,
-            compress_raw: false,
             buffer_bound_bytes: Some(1024),
-            ..ServerConfig::default()
+            ..config()
         });
         let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         ws.driver_mut().handle_message(&Message::ClientHello {
@@ -1104,7 +927,7 @@ mod tests {
             viewport_width: 32,
             viewport_height: 32,
         });
-        assert!(ws.driver().scaling_active());
+        assert!(!ws.driver().viewer().scale().is_identity());
         for i in 0..6 {
             ws.process(DrawRequest::PutImage {
                 target: SCREEN,
@@ -1115,14 +938,14 @@ mod tests {
         assert!(ws.driver().stats().buffer.overflow_evicted > 0);
         let mut msgs = flush_all(&mut ws);
         for _ in 0..10 {
-            if !ws.driver().overflow_debt_outstanding() {
+            if !ws.driver().viewer().has_debt() {
                 break;
             }
             let screen = ws.screen().clone();
             ws.driver_mut().repay_overflow_debt(&screen);
             msgs.extend(flush_all(&mut ws));
         }
-        assert!(!ws.driver().overflow_debt_outstanding());
+        assert!(!ws.driver().viewer().has_debt());
         // Every repaid RAW must target the viewport, not a
         // doubly-shrunk corner of it.
         let vp = Rect::new(0, 0, 32, 32);
@@ -1153,14 +976,15 @@ mod tests {
     }
 
     #[test]
-    fn revision3_hello_enables_cache_and_older_peers_stay_uncached() {
+    fn older_peers_turn_the_cache_off_and_revision3_turns_it_back_on() {
         let hello = |version| Message::ClientHello {
             version,
             viewport_width: 1024,
             viewport_height: 768,
         };
         let mut s = ThincServer::new(ServerConfig::default());
-        assert!(!s.cache_enabled(), "no cache before the handshake");
+        assert!(s.cache_enabled(), "attaching is the handshake");
+        assert_eq!(s.viewer().encoder().revision(), PROTOCOL_VERSION);
         s.handle_message(&hello(2));
         assert!(!s.cache_enabled(), "a revision-2 peer cannot resolve refs");
         s.handle_message(&hello(PROTOCOL_VERSION));
@@ -1176,7 +1000,8 @@ mod tests {
 
     #[test]
     fn repeated_content_travels_as_cache_refs_and_client_converges() {
-        let mut ws = system();
+        let thinc = ThincServer::new(ServerConfig { width: 64, height: 64, ..ServerConfig::default() });
+        let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
         ws.driver_mut().handle_message(&Message::ClientHello {
             version: PROTOCOL_VERSION,
             viewport_width: 64,
@@ -1224,7 +1049,7 @@ mod tests {
         // A miss for a hash the ledger never held (or evicted): the
         // client skipped an update, so a full-view refresh is owed.
         s.handle_message(&Message::CacheMiss { hash: 0xBAD_C0DE });
-        assert!(s.delivery.refresh_owed(), "unsatisfiable miss owes a refresh");
+        assert!(s.viewer().refresh_owed(), "unsatisfiable miss owes a refresh");
         assert_eq!(s.resilience_metrics().cache_misses(), 1);
     }
 
@@ -1312,7 +1137,7 @@ mod tests {
             let sent = ws.driver_mut().flush(SimTime(t), &mut link.down, &mut trace);
             assert!(sent.is_empty());
         }
-        assert_eq!(ws.driver().degradation_level(), DegradationLevel::Full);
+        assert_eq!(ws.driver().viewer().degradation_level(), DegradationLevel::Full);
         assert_eq!(ws.driver().resilience_metrics().promote_steps(), 3);
         scroll_up(&mut ws);
         drain_into(&mut ws, &mut sc);
@@ -1322,15 +1147,16 @@ mod tests {
     #[test]
     fn server_restore_re_checkpoints_byte_exact() {
         let ws = checkpointable_server();
-        let c1 = ws.driver().checkpoint();
+        let c1 = ws.driver().checkpoint(ws.screen());
         let mut restored = ThincServer::restore(&c1).expect("valid image restores");
-        let c2 = restored.checkpoint();
+        let c2 = restored.checkpoint(ws.screen());
         assert_eq!(c1, c2, "checkpoint(restore(c)) must equal c");
-        assert_eq!(restored.wire_revision(), ws.driver().wire_revision());
-        assert_eq!(restored.display_backlog(), ws.driver().display_backlog());
-        assert_eq!(restored.av_backlog(), ws.driver().av_backlog());
-        assert_eq!(restored.viewport(), ws.driver().viewport());
-        assert_eq!(restored.view(), ws.driver().view());
+        let (a, b) = (restored.viewer(), ws.driver().viewer());
+        assert_eq!(a.encoder().revision(), b.encoder().revision());
+        assert_eq!(a.buffer().len(), b.buffer().len());
+        assert_eq!(a.av_backlog(), b.av_backlog());
+        assert_eq!(a.viewport(), b.viewport());
+        assert_eq!(a.scale().view, b.scale().view);
         assert!(restored.cache_enabled());
         // The framer continues the sequence stream exactly where the
         // crashed server left it: the same message frames to the same
@@ -1346,7 +1172,7 @@ mod tests {
     #[test]
     fn corrupt_server_checkpoints_are_typed_errors() {
         let ws = checkpointable_server();
-        let image = ws.driver().checkpoint();
+        let image = ws.driver().checkpoint(ws.screen());
         for cut in 0..image.len().min(200) {
             assert!(ThincServer::restore(&image[..cut]).is_err());
         }
@@ -1390,7 +1216,7 @@ mod tests {
         }
         // Crash & failover mid-session: new content arrives only
         // after the standby took over.
-        let image = ws.driver().checkpoint();
+        let image = ws.driver().checkpoint(ws.screen());
         *ws.driver_mut() = ThincServer::restore(&image).unwrap();
         ws.process(DrawRequest::FillRect {
             target: SCREEN,
@@ -1427,6 +1253,31 @@ mod tests {
         let mut expect = thinc_client::ThincClient::new(48, 48, PixelFormat::Rgb888);
         expect.apply(&Message::Display(scaled));
         assert_eq!(sc.client().framebuffer().data(), expect.framebuffer().data());
+    }
+
+    #[test]
+    fn warm_resume_after_failover_repaints_the_unshipped_draw() {
+        // The primary draws after its last image and dies before it
+        // flushes: the standby restored from that image owes the warm-
+        // resumed client the tiles that changed since, or the draw is
+        // lost for good.
+        let (mut ws, mut sc) = scrollable(ServerConfig::default());
+        let image = ws.driver().checkpoint(ws.screen());
+        ws.process(DrawRequest::FillRect {
+            target: SCREEN,
+            rect: Rect::new(8, 8, 20, 12),
+            color: Color::rgb(250, 10, 10),
+        });
+        *ws.driver_mut() = ThincServer::restore(&image).unwrap();
+        let session_id = ws.driver().session_id();
+        for msg in sc.redial(session_id, 0) {
+            ws.driver_mut().handle_message(&msg);
+        }
+        let screen = ws.screen().clone();
+        ws.driver_mut().repay_overflow_debt(&screen);
+        drain_into(&mut ws, &mut sc);
+        assert_eq!(ws.driver().resilience_metrics().resumes(), 1, "resumed warm");
+        assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
     }
 
     #[test]

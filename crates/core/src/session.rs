@@ -10,10 +10,12 @@
 //!
 //! [`SharedSession`] multiplexes one display over any number of
 //! clients: operations are translated once, and the resulting
-//! commands fan out to each client's [`Delivery`] — the same
-//! per-client pipeline a [`crate::server::ThincServer`] wraps one of —
-//! with per-client viewport scaling, so a PDA peer can watch a desktop
-//! host's session.
+//! commands fan out to each client's [`Delivery`] with per-client
+//! viewport scaling, so a PDA peer can watch a desktop host's session.
+//! It is the crate's one façade: the session's state — the translator,
+//! the input that marks updates real-time, the cursor shape, the clock,
+//! the checkpoint writer and the uplink rules — is written here once,
+//! and a [`crate::server::ThincServer`] is a session of one viewer.
 //!
 //! Per-client work (command scaling, buffering, flush-time RAW
 //! compression) is embarrassingly parallel: every client owns its
@@ -26,16 +28,17 @@ use std::collections::HashMap;
 
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
+use thinc_display::input::{InputEvent, InputTracker};
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
-use thinc_protocol::message::Message;
-use thinc_protocol::wire::FrameEncoder;
+use thinc_protocol::message::{Message, ProtocolInput};
+use thinc_protocol::wire::encode_message;
 use thinc_protocol::PROTOCOL_VERSION;
-use thinc_raster::{Color, Framebuffer, PixelFormat, Rect, Region, YuvFrame};
+use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 
-use crate::buffer::ClientBuffer;
+use crate::buffer::{decode_checkpoint_message, ClientBuffer};
 use crate::checkpoint::{
     format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
 };
@@ -45,7 +48,7 @@ use crate::liveness::{LivenessConfig, LivenessVerdict};
 use crate::parallel::{contain, try_for_each_mut};
 use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
-use crate::translator::Translator;
+use crate::translator::{Translator, TranslatorStats};
 use crate::video::{VideoPayload, VideoScale};
 
 /// Credentials presented by a connecting client.
@@ -141,9 +144,17 @@ struct Member {
     /// Test/chaos hook: the next flush of this client panics
     /// deliberately, exercising the quarantine path.
     poison_flush: bool,
+    /// Resumed warm on a restored session, and not yet owed the tiles
+    /// that changed on the screen since the image: settled by the next
+    /// call that has the screen in hand.
+    delta_owed: bool,
 }
 
 impl Member {
+    fn new(user: String, delivery: Delivery) -> Self {
+        Self { user, delivery, quarantined: false, poison_flush: false, delta_owed: false }
+    }
+
     /// The per-client flush body, borrowed one member at a time so the
     /// parallel fan-out need not hold the session. `begin_flush` has
     /// run, and `role` is what the plane made of the buffer it left.
@@ -182,16 +193,31 @@ struct FlushJob<'a> {
     panicked: bool,
 }
 
+/// What [`SharedSession::receive`] leaves to a caller with the screen.
+pub(crate) enum Received {
+    /// Nothing more; the window-system event, if the message was input.
+    Done(Option<InputEvent>),
+    /// The viewer asked for the full view: answer with a resync.
+    Resync,
+    /// A redial was answered: settle what it left owed.
+    Resumed,
+}
+
 /// One display session shared by any number of authenticated clients.
 ///
 /// Implements [`VideoDriver`], so it attaches below a window server
-/// exactly like [`crate::server::ThincServer`] — but fans every
-/// translated command out to each client's [`Delivery`], scaled to
-/// that client's viewport.
+/// and fans every translated command out to each client's
+/// [`Delivery`], scaled to that client's viewport.
 pub struct SharedSession {
     format: PixelFormat,
     auth: SessionAuth,
     translator: Translator,
+    /// Where the latest input from any viewer landed: commands drawn
+    /// near it answer the user and go to the real-time queue (§5).
+    input: InputTracker,
+    /// Last installed cursor image, sent to every viewer on attach,
+    /// resync and cold restart.
+    cursor_shape: Option<Message>,
     /// Attached clients in strictly ascending id (= attach) order: ids
     /// come from `next_client`, which only grows, and `restore` rejects
     /// an image that breaks the order. Iteration order is the
@@ -239,6 +265,8 @@ impl SharedSession {
             format,
             auth: SessionAuth::new(owner),
             translator: Translator::new(),
+            input: InputTracker::new(),
+            cursor_shape: None,
             clients: Vec::new(),
             next_client: 0,
             now: SimTime::ZERO,
@@ -281,9 +309,9 @@ impl SharedSession {
     /// every client attached from now on: each client buffer keeps a
     /// per-client ledger with this byte budget and substitutes
     /// [`Message::CacheRef`] for payloads that client already holds.
-    /// Only attach revision-3 clients when this is on — older peers
-    /// cannot resolve references. Per-client state keeps the parallel
-    /// fan-out deterministic.
+    /// A client whose hello announces an older revision cannot resolve
+    /// references, and its ledger goes off. Per-client state keeps the
+    /// parallel fan-out deterministic.
     pub fn with_cache(mut self, budget: u64) -> Self {
         self.cache_budget = Some(budget);
         self
@@ -298,6 +326,16 @@ impl SharedSession {
     /// count; the default is 1 (everything inline).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
+        self
+    }
+
+    /// Delivers every client attached from now on under `policy`, and
+    /// translates with or without offscreen awareness — the knobs a
+    /// [`ServerConfig`](crate::server::ServerConfig) carries beyond
+    /// the public builders.
+    pub(crate) fn with_policy(mut self, policy: DeliveryPolicy, offscreen_awareness: bool) -> Self {
+        self.policy = policy;
+        self.translator = Translator::with_offscreen_awareness(offscreen_awareness);
         self
     }
 
@@ -319,10 +357,13 @@ impl SharedSession {
 
     /// The delivery pipeline of an attached client that can still be
     /// served (quarantined state must not be revived or mutated).
-    fn serving(&mut self, id: ClientId) -> Option<&mut Delivery> {
-        self.member_mut(id)
-            .filter(|m| !m.quarantined)
-            .map(|m| &mut m.delivery)
+    pub(crate) fn serving(&mut self, id: ClientId) -> Option<&mut Delivery> {
+        self.member_mut(id).filter(|m| !m.quarantined).map(|m| &mut m.delivery)
+    }
+
+    /// Translation-layer counters.
+    pub(crate) fn translator_stats(&self) -> TranslatorStats {
+        self.translator.stats()
     }
 
     /// The authentication policy (enable/disable sharing here).
@@ -340,6 +381,13 @@ impl SharedSession {
         }
     }
 
+    /// The clock that stamps A/V data and answers uplink messages.
+    /// Moving it leaves the buffers' enqueue stamps alone, as a flush
+    /// or a liveness poll should: neither is a draw.
+    pub(crate) fn clock(&mut self) -> &mut SimTime {
+        &mut self.now
+    }
+
     /// Attaches a client with a viewport, after authentication.
     pub fn attach(
         &mut self,
@@ -348,11 +396,26 @@ impl SharedSession {
         viewport_h: u32,
     ) -> Result<ClientId, AuthError> {
         self.auth.authenticate(creds)?;
-        let id = ClientId(self.next_client);
-        self.next_client += 1;
         let user = match creds {
             Credentials::Owner { user } | Credentials::Peer { user, .. } => user.clone(),
         };
+        let id = self.join(user, viewport_w, viewport_h);
+        // A fresh attach owes the full view: the client's framebuffer
+        // starts empty.
+        if let Some(d) = self.serving(id) {
+            d.owe_refresh();
+        }
+        Ok(id)
+    }
+
+    /// Adds a client without authentication and without owing it the
+    /// full view: attaching is the handshake (framer at this build's
+    /// revision, the ledger on when the session is budgeted), the
+    /// buffer clock starts at the session's, and the cursor shape is
+    /// queued.
+    pub(crate) fn join(&mut self, user: String, viewport_w: u32, viewport_h: u32) -> ClientId {
+        let id = ClientId(self.next_client);
+        self.next_client += 1;
         let mut buffer = ClientBuffer::new().with_raw_compression(self.format.bytes_per_pixel());
         if let Some(bound) = self.buffer_bound {
             buffer = buffer.with_byte_bound(bound);
@@ -362,21 +425,10 @@ impl SharedSession {
         }
         let mut delivery = Delivery::new(self.policy, buffer, self.now);
         delivery.set_time(self.now);
-        *delivery.encoder_mut() = member_framer();
         delivery.set_viewport(viewport_w, viewport_h);
-        // A fresh attach owes the full view: the client's framebuffer
-        // starts empty.
-        delivery.owe_refresh();
-        self.clients.push((
-            id,
-            Member {
-                user,
-                delivery,
-                quarantined: false,
-                poison_flush: false,
-            },
-        ));
-        Ok(id)
+        delivery.queue_av(self.cursor_shape.clone());
+        self.clients.push((id, Member::new(user, delivery)));
+        id
     }
 
     /// Evaluates a client's liveness at `now`: a silent client gets a
@@ -455,6 +507,20 @@ impl SharedSession {
             refresh_wanted: bool,
             rendition: Option<Rendition>,
         }
+        self.owe_restore_deltas(screen);
+        // A roster of one is one class, rendered and pushed without the
+        // class table: measured, the table's two allocations per draw
+        // slowed a one-viewer server's flush on `winswitch` by ≈ 20 %
+        // (docs/PERFORMANCE.md, "One façade").
+        if let [(_, m)] = &mut self.clients[..] {
+            if !m.quarantined {
+                let owed = m.delivery.begin_round(&cmds);
+                let rendition = Rendition::render(&m.delivery.scale(), &cmds, screen, owed);
+                let input = &self.input;
+                m.delivery.push_rendition(&cmds, &rendition, screen, |dest| input.is_realtime(dest));
+            }
+            return;
+        }
         let mut classes: Vec<Class> = Vec::new();
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
         let mut debt = false;
@@ -489,13 +555,37 @@ impl SharedSession {
         });
         let classes = &classes;
         let class_of = &class_of;
+        let input = &self.input;
         let workers = if debt { self.workers } else { 1 };
         crate::parallel::for_each_mut(&mut self.clients, workers, |i, (_, m)| {
             let rendition = classes.get(class_of[i]).and_then(|c| c.rendition.as_ref());
             if let Some(rendition) = rendition {
-                m.delivery.push_rendition(cmds, rendition, screen);
+                m.delivery.push_rendition(cmds, rendition, screen, |dest| input.is_realtime(dest));
             }
         });
+    }
+
+    /// Owes every member that resumed warm since the last call the
+    /// tiles that changed on `screen` since the image this session was
+    /// restored from: only those tiles at identity scale, the full view
+    /// for a scaled member (it resamples whole views; still far cheaper
+    /// than a cold restart — no cache reset, no pending-state drop).
+    fn owe_restore_deltas(&mut self, screen: &Framebuffer) {
+        let Some(tiles) = &self.restored_tiles else {
+            return;
+        };
+        let mut delta = None;
+        for (_, m) in &mut self.clients {
+            if !std::mem::take(&mut m.delta_owed) {
+                continue;
+            }
+            let delta = delta.get_or_insert_with(|| tiles.delta(&TileDigests::of(screen)));
+            if m.delivery.scale().is_identity() {
+                m.delivery.owe_region(delta);
+            } else if !delta.is_empty() {
+                m.delivery.owe_refresh();
+            }
+        }
     }
 
     /// Settles every client's owed refreshes and eviction debt
@@ -508,13 +598,26 @@ impl SharedSession {
     }
 
     /// Handles a client's explicit resync request (see
-    /// [`Delivery::resync`]): drops that client's (possibly stale)
-    /// pending commands and queues a full-view refresh from `screen`.
+    /// [`Delivery::resync`]): the cursor shape again, then that
+    /// client's (possibly stale) pending commands dropped and a
+    /// full-view refresh queued from `screen`.
     pub fn resync_client(&mut self, id: ClientId, screen: &Framebuffer) {
-        let now = self.now;
+        let (now, cursor) = (self.now, self.cursor_shape.clone());
         if let Some(d) = self.serving(id) {
+            d.queue_av(cursor);
             d.resync(screen, now);
         }
+    }
+
+    /// Installs the session cursor image and sends it to every viewer.
+    /// Viewers composite it locally, so pointer motion costs a few
+    /// bytes per event instead of display updates.
+    pub fn set_cursor(&mut self, width: u32, height: u32, hot_x: i32, hot_y: i32, pixels: Vec<u8>) {
+        let shape = Message::CursorShape { width, height, hot_x, hot_y, pixels };
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+            m.delivery.queue_av([shape.clone()]);
+        }
+        self.cursor_shape = Some(shape);
     }
 
     /// Flushes one client's buffer over its own connection.
@@ -751,9 +854,9 @@ impl SharedSession {
         self.session_id
     }
 
-    /// Serializes the full session — policy, every client's
-    /// [`Delivery`] record, and per-tile digests of `screen` — into a
-    /// versioned, CRC-guarded checkpoint image
+    /// Serializes the full session — policy, cursor shape, every
+    /// client's [`Delivery`] record, and per-tile digests of `screen` —
+    /// into a versioned, CRC-guarded checkpoint image
     /// ([`crate::checkpoint`]).
     ///
     /// Crash consistency comes from serializing raw internal state at
@@ -764,11 +867,19 @@ impl SharedSession {
     ///
     /// Deliberately not captured (all reconstructed or reset at
     /// [`restore`](Self::restore)): the translator's pixmap queues
-    /// (offscreen drawings replay into fresh queues), the encode-once
-    /// plane accounting, and what the delivery record itself leaves
-    /// out (video stream internals, liveness trackers, telemetry).
+    /// (offscreen drawings replay into fresh queues), the input halo,
+    /// the encode-once plane accounting, and what the delivery record
+    /// itself leaves out (video stream internals, liveness trackers,
+    /// telemetry).
     pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
         let mut w = Writer::new();
+        self.encode_checkpoint(&mut w, screen);
+        crate::checkpoint::seal(w.into_inner())
+    }
+
+    /// The session record: what [`checkpoint`](Self::checkpoint) seals,
+    /// and what a server image opens with.
+    pub(crate) fn encode_checkpoint(&self, w: &mut Writer, screen: &Framebuffer) {
         w.u32(self.policy.session.0);
         w.u32(self.policy.session.1);
         w.u8(format_to_u8(self.format));
@@ -777,10 +888,15 @@ impl SharedSession {
         w.opt_str(self.auth.session_password.as_deref());
         w.u32(self.next_client);
         w.u64(self.now.0);
-        self.policy.encode(&mut w);
+        self.policy.encode(w);
         w.opt_u64(self.buffer_bound);
         w.opt_u64(self.cache_budget);
         w.u32(self.workers as u32);
+        w.bool(self.translator.offscreen_awareness());
+        w.bool(self.cursor_shape.is_some());
+        if let Some(shape) = &self.cursor_shape {
+            w.bytes(&encode_message(shape));
+        }
         let tiles = TileDigests::of(screen);
         w.u32(tiles.width);
         w.u32(tiles.height);
@@ -794,9 +910,8 @@ impl SharedSession {
         for (id, m) in live() {
             w.u32(id.0);
             w.str(&m.user);
-            m.delivery.encode_checkpoint(&mut w);
+            m.delivery.encode_checkpoint(w);
         }
-        crate::checkpoint::seal(w.into_inner())
     }
 
     /// Rebuilds a session from a [`checkpoint`](Self::checkpoint)
@@ -806,8 +921,16 @@ impl SharedSession {
     /// restore leaves no partial state behind (the caller keeps its
     /// cold path).
     pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let payload = crate::checkpoint::open(bytes)?;
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(crate::checkpoint::open(bytes)?);
+        let session = Self::decode_checkpoint(&mut r)?;
+        if !r.exhausted() {
+            return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
+        }
+        Ok(session)
+    }
+
+    /// Inverse of [`encode_checkpoint`](Self::encode_checkpoint).
+    pub(crate) fn decode_checkpoint(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let width = r.u32()?;
         let height = r.u32()?;
         let format = format_from_u8(r.u8()?)?;
@@ -816,10 +939,12 @@ impl SharedSession {
         let session_password = r.opt_str()?;
         let next_client = r.u32()?;
         let now = SimTime(r.u64()?);
-        let policy = DeliveryPolicy::decode(&mut r, (width, height))?;
+        let policy = DeliveryPolicy::decode(r, (width, height))?;
         let buffer_bound = r.opt_u64()?;
         let cache_budget = r.opt_u64()?;
         let workers = (r.u32()? as usize).max(1);
+        let translator = Translator::with_offscreen_awareness(r.bool()?);
+        let cursor_shape = if r.bool()? { Some(decode_checkpoint_message(r.bytes()?)?) } else { None };
         let tiles = {
             let (tw, th, cols, rows) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
             let n = u64::from(cols) * u64::from(rows);
@@ -841,25 +966,15 @@ impl SharedSession {
                 return Err(CheckpointError::Malformed("client ids not ascending"));
             }
             let user = r.str()?;
-            let mut delivery = Delivery::decode_checkpoint(&mut r, policy, now)?;
-            *delivery.encoder_mut() = member_framer();
-            clients.push((
-                id,
-                Member {
-                    user,
-                    delivery,
-                    quarantined: false,
-                    poison_flush: false,
-                },
-            ));
-        }
-        if !r.exhausted() {
-            return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
+            let delivery = Delivery::decode_checkpoint(r, policy, now)?;
+            clients.push((id, Member::new(user, delivery)));
         }
         Ok(Self {
             format,
             auth: SessionAuth { owner, session_password },
-            translator: Translator::new(),
+            translator,
+            input: InputTracker::new(),
+            cursor_shape,
             clients,
             next_client,
             now,
@@ -892,76 +1007,93 @@ impl SharedSession {
     }
 
     /// Handles a message arriving from an attached client (see
-    /// [`Delivery::handle_message`]; input is the window system's, not
-    /// the session's), answering what needs the screen from `screen`: a
-    /// refresh request with a [resync](Self::resync_client), a resume
-    /// token with a warm or cold resume.
-    pub fn handle_message(&mut self, id: ClientId, msg: &Message, screen: &Framebuffer) {
-        let (now, budget) = (self.now, self.cache_budget);
-        let Some(d) = self.serving(id) else {
-            return;
-        };
-        match d.handle_message(msg, now, budget) {
-            Uplink::Done => {}
-            Uplink::Resync => d.resync(screen, now),
-            Uplink::Resume {
-                session_id,
-                client_id,
-                last_seq,
-                store_digest,
-            } => {
-                let named = session_id == self.session_id && client_id == id.0;
-                self.resume(id, named.then_some((last_seq, store_digest)), screen);
+    /// [`receive`](Self::receive)), answering what needs the screen
+    /// from `screen`: a refresh request with a
+    /// [resync](Self::resync_client), a resume token's verdict with
+    /// what it owes. Input is returned as a window-system event for
+    /// forwarding.
+    pub fn handle_message(
+        &mut self,
+        id: ClientId,
+        msg: &Message,
+        screen: &Framebuffer,
+    ) -> Option<InputEvent> {
+        match self.receive(id, msg) {
+            Received::Done(input) => return input,
+            Received::Resync => self.resync_client(id, screen),
+            Received::Resumed => {
+                self.owe_restore_deltas(screen);
+                if let Some(d) = self.serving(id) {
+                    d.repay(screen);
+                }
             }
         }
+        None
     }
 
-    /// Answers a redialing client's resume token against the live
-    /// screen; `token` is its `(last_seq, store_digest)` when it names
-    /// this session and this client.
+    /// Everything of [`handle_message`](Self::handle_message) that
+    /// needs no screen (see [`Delivery::handle_message`]), plus the
+    /// session's part:
     ///
-    /// Warm resume (token matches: right session, right client, cache
-    /// ledger digest equal to the client's store digest) ships only
-    /// the delta between the checkpointed screen digests and `screen`
-    /// — the client's framebuffer and content store are trusted
-    /// as-is. Anything else restarts the client cold
-    /// ([`Delivery::restart_cold`]): the path a brand-new attach takes,
-    /// so a stale or corrupted token can never do worse than a cold
-    /// reconnect.
-    fn resume(&mut self, id: ClientId, token: Option<(u32, u64)>, screen: &Framebuffer) {
-        let (now, hello) = (self.now, self.hello());
-        let delta = match &self.restored_tiles {
-            Some(t) => t.delta(&TileDigests::of(screen)),
-            None => Region::new(),
+    /// - Input from any viewer moves the real-time region, and pointer
+    ///   input echoes the cursor position to every viewer, so each
+    ///   local overlay tracks the session pointer.
+    /// - A resume token is judged. Warm resume (right session, right
+    ///   client, cache ledger digest equal to the client's store
+    ///   digest) trusts the client's framebuffer and content store
+    ///   as-is and owes it only the tiles that changed since the image
+    ///   (settled with the screen in hand). Anything else restarts the
+    ///   client cold ([`Delivery::restart_cold`], then the cursor
+    ///   shape): the path a brand-new attach takes, so a stale or
+    ///   corrupted token can never do worse than a cold reconnect.
+    pub(crate) fn receive(&mut self, id: ClientId, msg: &Message) -> Received {
+        let (now, budget, hello) = (self.now, self.cache_budget, self.hello());
+        let (session_id, restored) = (self.session_id, self.restored_tiles.is_some());
+        let Some(m) = self.member_mut(id).filter(|m| !m.quarantined) else {
+            return Received::Done(None);
         };
-        let Some(d) = self.serving(id) else {
-            return;
+        match m.delivery.handle_message(msg, now, budget) {
+            Uplink::Done => {}
+            Uplink::Resync => return Received::Resync,
+            Uplink::Resume { session_id: sid, client_id, last_seq, store_digest } => {
+                let warm = if sid == session_id && client_id == id.0 {
+                    m.delivery.resume(last_seq, store_digest, hello, now)
+                } else {
+                    m.delivery.restart_cold(hello, now);
+                    false
+                };
+                m.delta_owed = warm && restored;
+                if !warm {
+                    let cursor = self.cursor_shape.clone();
+                    if let Some(d) = self.serving(id) {
+                        d.queue_av(cursor);
+                    }
+                }
+                return Received::Resumed;
+            }
+        }
+        let Message::Input(input) = msg else {
+            return Received::Done(None);
         };
-        let warm = match token {
-            Some((last_seq, store_digest)) => d.resume(last_seq, store_digest, hello, now),
-            None => {
-                d.restart_cold(hello, now);
-                false
+        let ev = match *input {
+            ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(x, y)),
+            ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(x, y)),
+            ProtocolInput::ButtonRelease { x, y, .. } => InputEvent::ButtonRelease(Point::new(x, y)),
+            ProtocolInput::KeyPress { key } | ProtocolInput::KeyRelease { key } => {
+                InputEvent::KeyPress(key)
             }
         };
-        if warm && d.scale().is_identity() {
-            // Only the changed tiles are requeued.
-            d.owe_region(&delta);
-        } else if warm && !delta.is_empty() {
-            // A scaled client resamples whole views; re-rendering the
-            // full view is both simpler and still far cheaper than a
-            // cold restart (no cache reset, no pending-state drop).
-            d.owe_refresh();
+        self.input.observe(ev);
+        if let InputEvent::PointerMove(p) | InputEvent::ButtonPress(p) | InputEvent::ButtonRelease(p) =
+            ev
+        {
+            for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+                let (x, y) = m.delivery.scale().map_point(p.x, p.y);
+                m.delivery.queue_av([Message::CursorMove { x, y }]);
+            }
         }
-        d.repay(screen);
+        Received::Done(Some(ev))
     }
-}
-
-/// The framer of a freshly attached or restored member: attaching is
-/// the handshake, made out of band at this build's revision (a
-/// viewer's `ClientHello` renegotiates it).
-fn member_framer() -> FrameEncoder {
-    FrameEncoder::with_revision(PROTOCOL_VERSION)
 }
 
 /// The session identity folded into resume tokens: owner plus
@@ -1194,6 +1326,76 @@ mod tests {
             assert!(!sent(&mut s, id, SimTime(1_001_000)).is_empty());
             let latency = s.viewer(id).unwrap().buffer().scheduler_metrics().flush_latency_us();
             assert_eq!(latency.max(), 1_000, "viewer {id:?}");
+        }
+    }
+
+    #[test]
+    fn a_hello_below_revision_3_turns_a_budgeted_ledger_off() {
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
+            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let id = s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
+        let cached = |s: &SharedSession| s.viewer(id).unwrap().buffer().cache_enabled();
+        assert!(cached(&s), "attaching is the handshake");
+        let screen = Framebuffer::new(64, 64, PixelFormat::Rgb888);
+        for (version, on) in [(2, false), (PROTOCOL_VERSION, true), (1, false)] {
+            let hello = Message::ClientHello { version, viewport_width: 64, viewport_height: 64 };
+            s.handle_message(id, &hello, &screen);
+            assert_eq!(cached(&s), on, "a version-{version} hello");
+            assert_eq!(s.viewer(id).unwrap().encoder().revision(), version);
+        }
+    }
+
+    #[test]
+    fn the_cursor_shape_reaches_every_viewer_again_on_resync() {
+        let (mut s, ids) = viewers(&[64, 32]);
+        let screen = Framebuffer::new(64, 64, PixelFormat::Rgb888);
+        s.set_cursor(4, 4, 0, 0, vec![9; 4 * 4 * 4]);
+        s.auth_mut().enable_sharing("pw");
+        let late = s.attach(&Credentials::Peer { user: "late".into(), password: "pw".into() }, 48, 48);
+        let ids = [&ids[..], &[late.unwrap()]].concat();
+        let shapes = |msgs: &[Message]| msgs.iter().filter(|m| matches!(m, Message::CursorShape { .. })).count();
+        for (round, t) in [(0, 1), (1, 2)] {
+            if round == 1 {
+                for &id in &ids {
+                    s.resync_client(id, &screen);
+                }
+            }
+            for &id in &ids {
+                assert_eq!(shapes(&sent(&mut s, id, SimTime(t))), 1, "round {round}, viewer {id:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn input_from_one_viewer_marks_the_round_realtime_for_every_viewer() {
+        use thinc_display::drawable::SCREEN;
+        use thinc_protocol::message::ProtocolInput;
+        let (mut s, ids) = viewers(&[64, 64]);
+        let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        s.repay_refreshes(store.screen());
+        for &id in &ids {
+            sent(&mut s, id, SimTime(1));
+        }
+        // The peer clicks at (10, 10). A small fill lands outside the
+        // 32-pixel halo, then larger feedback inside it: SRSF alone
+        // would send the fill first, the real-time queue sends the
+        // feedback first.
+        let click = Message::Input(ProtocolInput::ButtonPress { x: 10, y: 10, button: 1 });
+        assert!(s.handle_message(ids[1], &click, store.screen()).is_some());
+        let far = Rect::new(50, 50, 8, 8);
+        store.screen_mut().fill_rect(&far, Color::WHITE);
+        s.solid_fill(&store, SCREEN, far, Color::WHITE);
+        let (feedback, data) = (Rect::new(4, 4, 16, 16), crate::fixtures::noise(16 * 16 * 3, 3));
+        store.screen_mut().put_raw(&feedback, &data);
+        s.put_image(&store, SCREEN, feedback, &data);
+        for &id in &ids {
+            let msgs = sent(&mut s, id, SimTime(2));
+            assert!(matches!(msgs[0], Message::CursorMove { x: 10, y: 10 }), "{msgs:?}");
+            let first = msgs.iter().find(|m| matches!(m, Message::Display(_)));
+            assert!(
+                matches!(first, Some(Message::Display(DisplayCommand::Raw { .. }))),
+                "viewer {id:?}: {first:?}"
+            );
         }
     }
 

@@ -45,17 +45,15 @@ impl Translator {
     /// A translator with offscreen awareness enabled (the THINC
     /// design point).
     pub fn new() -> Self {
-        Self {
-            offscreen_awareness: true,
-            ..Self::default()
-        }
+        Self::with_offscreen_awareness(true)
     }
 
-    /// A translator with offscreen awareness disabled (ablation:
-    /// "thin-client systems typically ignore all offscreen commands").
-    pub fn without_offscreen_awareness() -> Self {
+    /// A translator with offscreen awareness on or off (off is the
+    /// ablation: "thin-client systems typically ignore all offscreen
+    /// commands").
+    pub fn with_offscreen_awareness(offscreen_awareness: bool) -> Self {
         Self {
-            offscreen_awareness: false,
+            offscreen_awareness,
             ..Self::default()
         }
     }
@@ -478,7 +476,7 @@ mod tests {
 
     #[test]
     fn disabled_awareness_falls_back_to_raw() {
-        let mut t = Translator::without_offscreen_awareness();
+        let mut t = Translator::with_offscreen_awareness(false);
         let mut s = store();
         let pm = s.create_pixmap(16, 16);
         t.create_pixmap(pm, 16, 16);

@@ -179,7 +179,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let server = ThincServer::new(ServerConfig::default());
-        let image = server.checkpoint();
+        let image = server.checkpoint(&thinc_raster::Framebuffer::new(1024, 768, PixelFormat::Rgb888));
         let cut = (cut_pick as usize) % image.len();
         prop_assert!(ThincServer::restore(&image[..cut]).is_err());
         let mut flipped = image.clone();

@@ -202,10 +202,11 @@ fn capture(rev: u16, resume: bool) -> Vec<u8> {
     if resume {
         // The server dies; a standby restores its image; the client
         // redials with its token and the session carries on.
-        let image = ws.driver().checkpoint();
+        let image = ws.driver().checkpoint(ws.screen());
         *ws.driver_mut() = ThincServer::restore(&image).expect("the image restores");
         chunk(&mut cap, REDIAL, &[]);
-        for msg in client.redial(0, 0) {
+        let session_id = ws.driver().session_id();
+        for msg in client.redial(session_id, 0) {
             ws.driver_mut().handle_message(&msg);
         }
         ws.process(photo(12));

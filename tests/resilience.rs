@@ -54,6 +54,21 @@ fn server_config() -> ServerConfig {
     }
 }
 
+/// A single-client server whose peer speaks revision 1: legacy
+/// framing, no content cache — the wire these scenarios were written
+/// against (`integrity_framing_survives_reorder_duplication_and_corruption`
+/// is their revision-3 counterpart). Without a hello the server frames
+/// at this build's revision from the start: attaching is the handshake.
+fn legacy_server(config: ServerConfig) -> WindowServer<ThincServer> {
+    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
+    ws.driver_mut().handle_message(&Message::ClientHello {
+        version: 1,
+        viewport_width: W,
+        viewport_height: H,
+    });
+    ws
+}
+
 /// Noise image that defeats the RAW compressor (so the buffer bound
 /// actually gets exercised).
 fn noise(rect: Rect, salt: u64) -> DrawRequest {
@@ -96,7 +111,7 @@ fn pump(
 ) {
     pump_wire(ws, link, trace, client, now);
     assert!(
-        ws.driver().display_backlog_bytes() <= BUFFER_BOUND,
+        ws.driver().viewer().buffer().pending_bytes() <= BUFFER_BOUND,
         "display backlog exceeded the bound at t={now:?}"
     );
 }
@@ -178,7 +193,7 @@ fn seeded_loss_converges_byte_exact_without_resync() {
         .with_faults(FaultPlan::seeded(seed).with_loss(0.08));
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(server_config()));
+    let mut ws = legacy_server(server_config());
     let mut client = policy_client(W, H);
 
     let mut now = SimTime::ZERO;
@@ -222,7 +237,7 @@ fn corruption_window_is_survived_and_resync_restores_the_screen() {
     );
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(server_config()));
+    let mut ws = legacy_server(server_config());
     let mut client = policy_client(W, H);
 
     let mut now = SimTime::ZERO;
@@ -314,7 +329,7 @@ fn integrity_framing_survives_reorder_duplication_and_corruption() {
         viewport_width: W,
         viewport_height: H,
     });
-    assert_eq!(ws.driver().wire_revision(), PROTOCOL_VERSION);
+    assert_eq!(ws.driver().viewer().encoder().revision(), PROTOCOL_VERSION);
     assert!(ws.driver().cache_enabled(), "revision 3 activates the cache");
 
     // Draw through the disturbance windows.
@@ -503,7 +518,7 @@ fn outage_timeout_reconnect_resyncs_byte_exact_with_bounded_backlog() {
     );
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(server_config()));
+    let mut ws = legacy_server(server_config());
     let mut client = policy_client(W, H);
 
     // Healthy start.
@@ -541,7 +556,7 @@ fn outage_timeout_reconnect_resyncs_byte_exact_with_bounded_backlog() {
         dead_at.is_some(),
         "silence through the outage must trip the liveness timeout"
     );
-    assert!(ws.driver().client_dead());
+    assert!(ws.driver().viewer().is_dead());
     let server_m = ws.driver().resilience_metrics();
     assert!(server_m.liveness_timeouts() >= 1);
     assert!(server_m.pings_sent() >= 1, "the server must have probed first");
@@ -568,7 +583,7 @@ fn outage_timeout_reconnect_resyncs_byte_exact_with_bounded_backlog() {
         pump(&mut ws, &mut link2, &mut trace2, &mut client, now);
         now = link2.down.tx_free_at().max(now + SimDuration::from_millis(50));
     }
-    assert!(!ws.driver().client_dead(), "the resync revives the client");
+    assert!(!ws.driver().viewer().is_dead(), "the resync revives the client");
     assert!(
         !client.needs_refresh(),
         "the policy-driven resync must have covered the viewport"
@@ -597,7 +612,7 @@ fn device_switch_mid_outage_converges_on_the_new_viewport() {
     );
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(server_config()));
+    let mut ws = legacy_server(server_config());
     let mut client = policy_client(W, H);
 
     let mut now = SimTime::ZERO;
@@ -634,7 +649,7 @@ fn device_switch_mid_outage_converges_on_the_new_viewport() {
         viewport_width: vw,
         viewport_height: vh,
     });
-    assert!(ws.driver().scaling_active());
+    assert!(!ws.driver().viewer().scale().is_identity());
     let mut link2 = NetworkConfig::wan_desktop().connect();
     let mut trace2 = PacketTrace::new();
     let mut client2 = policy_client(vw, vh);
@@ -644,12 +659,12 @@ fn device_switch_mid_outage_converges_on_the_new_viewport() {
     for _ in 0..500 {
         if !client2.needs_refresh()
             && ws.driver().display_backlog() == 0
-            && !ws.driver().overflow_debt_outstanding()
+            && !ws.driver().viewer().has_debt()
         {
             break;
         }
         pump(&mut ws, &mut link2, &mut trace2, &mut client2, now);
-        if ws.driver().overflow_debt_outstanding() {
+        if ws.driver().viewer().has_debt() {
             let screen = ws.screen().clone();
             ws.driver_mut().repay_overflow_debt(&screen);
         }
@@ -713,7 +728,7 @@ fn adaptive_degradation_rides_out_a_collapse_and_recovers_byte_exact() {
         }),
         ..server_config()
     };
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
+    let mut ws = legacy_server(config);
     let mut client = policy_client(W, H);
 
     let mut now = SimTime::ZERO;
@@ -724,7 +739,7 @@ fn adaptive_degradation_rides_out_a_collapse_and_recovers_byte_exact() {
         color: Color::rgb(10, 70, 40),
     });
     now = drain(&mut ws, &mut link, &mut trace, &mut client, now);
-    assert_eq!(ws.driver().degradation_level(), DegradationLevel::Full);
+    assert_eq!(ws.driver().viewer().degradation_level(), DegradationLevel::Full);
 
     // Keep drawing through the collapse window: the ladder steps down.
     let mut deepest = DegradationLevel::Full;
@@ -736,7 +751,7 @@ fn adaptive_degradation_rides_out_a_collapse_and_recovers_byte_exact() {
         ws.process(noise(Rect::new(x, y, 40, 40), seed ^ i));
         i += 1;
         pump(&mut ws, &mut link, &mut trace, &mut client, now);
-        deepest = deepest.max(ws.driver().degradation_level());
+        deepest = deepest.max(ws.driver().viewer().degradation_level());
         now += SimDuration::from_millis(100);
     }
     assert!(
@@ -753,20 +768,20 @@ fn adaptive_degradation_rides_out_a_collapse_and_recovers_byte_exact() {
     for _ in 0..1000 {
         ws.driver_mut().set_time(now);
         pump(&mut ws, &mut link, &mut trace, &mut client, now);
-        if ws.driver().degradation_level() == DegradationLevel::Full
+        if ws.driver().viewer().degradation_level() == DegradationLevel::Full
             && ws.driver().display_backlog() == 0
-            && !ws.driver().overflow_debt_outstanding()
+            && !ws.driver().viewer().has_debt()
             && !client.needs_refresh()
         {
             break;
         }
-        if ws.driver().overflow_debt_outstanding() {
+        if ws.driver().viewer().has_debt() {
             let screen = ws.screen().clone();
             ws.driver_mut().repay_overflow_debt(&screen);
         }
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(100));
     }
-    assert_eq!(ws.driver().degradation_level(), DegradationLevel::Full);
+    assert_eq!(ws.driver().viewer().degradation_level(), DegradationLevel::Full);
     let m = ws.driver().resilience_metrics();
     assert!(m.promote_steps() > 0, "recovery must be telemetry-visible");
     assert_eq!(m.degradation_level(), 0);

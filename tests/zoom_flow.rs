@@ -43,7 +43,6 @@ fn zoom_in_refresh_brings_full_detail() {
     let config = ServerConfig {
         width: W,
         height: H,
-        compress_raw: false,
         ..ServerConfig::default()
     };
     let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
@@ -97,7 +96,7 @@ fn zoom_in_refresh_brings_full_detail() {
     assert_eq!((preview.width(), preview.height()), (VW, VH));
     // Server receives the view change and refreshes.
     ws.driver_mut().handle_message(&set_view);
-    assert_eq!(ws.driver().view(), zoom.view());
+    assert_eq!(ws.driver().viewer().scale().view, zoom.view());
     let screen = ws.screen().clone();
     ws.driver_mut().refresh_view(&screen);
     drain(&mut ws, &mut link, &mut trace, &mut client);
