@@ -655,16 +655,15 @@ fn table2() -> String {
 }
 
 /// Broadcast fan-out telemetry: 96 viewers of one desktop through
-/// the sharded session manager, reported per shard. Small enough to
-/// run with the other figures (the 1k-client version is the perfgate
-/// fan-out macro); the interesting column is the hit ratio — the
-/// fraction of plane-served sends whose wire form some other client
-/// had already paid for.
+/// the session manager, reported as the session's plane aggregate.
+/// Small enough to run with the other figures (the 1k-client version
+/// is the perfgate fan-out macro); the interesting figure is the hit
+/// ratio — the fraction of plane-served sends whose wire form some
+/// other client had already paid for.
 fn fanout_report() -> String {
     const FW: u32 = 320;
     const FH: u32 = 240;
     const CLIENTS: usize = 96;
-    const SHARDS: usize = 8;
     const WORKERS: usize = 4;
     let link = |lan: bool| {
         (
@@ -680,7 +679,7 @@ fn fanout_report() -> String {
     let mut session =
         SharedSession::new(FW, FH, PixelFormat::Rgb888, "host").with_workers(WORKERS);
     session.auth_mut().enable_sharing("pw");
-    let mut m = ShardedManager::new(session, SHARDS);
+    let mut m = ShardedManager::new(session, 1);
     m.attach(&Credentials::Owner { user: "host".into() }, FW, FH, link(true))
         .expect("owner attach");
     for i in 1..CLIENTS {
@@ -731,35 +730,7 @@ fn fanout_report() -> String {
         now = SimTime(now.0 + 8_000);
     }
 
-    let mut rows = Vec::new();
-    let mut total = thinc_telemetry::Histogram::exponential(8, 2, 24);
-    let (mut plane, mut amortized) = (thinc_telemetry::PlaneCounters::default(), 0u64);
-    for s in 0..m.shard_count() {
-        let sm = m.shard_metrics(s);
-        plane.merge(&sm.plane);
-        // Per shard, not of the merged counters: a shard that encoded
-        // more than it was served amortized nothing, not less.
-        amortized += sm.plane.bytes_amortized();
-        total.merge_from(sm.flush_wall_us());
-        rows.push(vec![
-            format!("{s}"),
-            format!("{}", sm.clients()),
-            format!("{}", sm.epochs),
-            format!("{}", sm.plane.shared_sends),
-            format!("{}", sm.plane.encodes),
-            pct(sm.plane.hit_ratio()),
-            kb(sm.plane.bytes_amortized() as f64 / 1024.0),
-        ]);
-    }
-    let mut out = table(
-        &format!(
-            "Fan-out: per-shard encode-once telemetry \
-             ({CLIENTS} clients, {SHARDS} shards, {WORKERS} workers)"
-        ),
-        &["Shard", "Clients", "Epochs", "Plane sends", "Encodes", "Hit ratio", "Amortized"],
-        &rows,
-    );
-    let hit = plane.hit_ratio();
+    let plane = m.session().fanout_counters();
     // Fairness over the same-screen LAN cohort: identical demand, so
     // identical delivery is the target.
     let cohort: Vec<u64> = m
@@ -774,18 +745,14 @@ fn fanout_report() -> String {
         (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
         _ => 1.0,
     };
-    out.push_str(&format!(
-        "\naggregate: hit ratio {}, {} encode output amortized, \
-         fairness {:.4} (min/max bytes, same-screen LAN cohort)\n\
-         shard flush wall: p50 {} us, p99 {} us (report-only; \
-         latency gates use virtual time)\n",
-        pct(hit),
-        mb(amortized as f64 / (1024.0 * 1024.0)),
+    format!(
+        "\n== Fan-out: encode-once telemetry ({CLIENTS} clients, {WORKERS} workers) ==\n\
+         \naggregate: hit ratio {}, {} encode output amortized, \
+         fairness {:.4} (min/max bytes, same-screen LAN cohort)\n",
+        pct(plane.hit_ratio()),
+        mb(plane.bytes_amortized() as f64 / (1024.0 * 1024.0)),
         fairness,
-        total.quantile(0.50),
-        total.quantile(0.99),
-    ));
-    out
+    )
 }
 
 fn main() {

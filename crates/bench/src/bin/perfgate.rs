@@ -10,9 +10,8 @@
 //!   ops/s, MB/s and the speedup ratio.
 //! - **Macro** (`BENCH_e2e.json`): the web page-load and A/V playback
 //!   workloads through the full THINC pipeline, reporting latency,
-//!   bytes, per-command-type wire-size p50/p99 (via thinc-telemetry),
-//!   scheduler flush-latency quantiles, and a parallel-flush
-//!   determinism check.
+//!   bytes, per-command-type wire-size p50/p99 (via thinc-telemetry)
+//!   and scheduler flush-latency quantiles.
 //!
 //! The gate compares against `crates/bench/perf_baseline.json`:
 //! kernel *speedup ratios* (machine-independent) and the
@@ -48,7 +47,7 @@ use thinc_display::driver::VideoDriver;
 use thinc_display::request::DrawRequest;
 use thinc_display::SCREEN;
 use thinc_net::link::NetworkConfig;
-use thinc_net::tcp::{TcpParams, TcpPipe};
+use thinc_net::tcp::TcpPipe;
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_raster::yuv::YuvFormat;
@@ -661,54 +660,8 @@ fn cache_suite() -> CacheStats {
     stats
 }
 
-/// Verifies the shared session's parallel flush is bit-identical
-/// across worker counts (see `crates/core/tests/parallel_flush.rs`
-/// for the exhaustive version). Returns the worker counts checked.
-fn parallel_check() -> (Vec<usize>, bool) {
-    eprintln!("== parallel flush determinism ==");
-    let run = |workers: usize| {
-        let mut s =
-            SharedSession::new(96, 64, PixelFormat::Rgb888, "host").with_workers(workers);
-        s.auth_mut().enable_sharing("pw");
-        s.attach(&Credentials::Owner { user: "host".into() }, 96, 64).unwrap();
-        for i in 0..2 {
-            s.attach(
-                &Credentials::Peer { user: format!("p{i}"), password: "pw".into() },
-                48,
-                32,
-            )
-            .unwrap();
-        }
-        let store = DrawableStore::new(96, 64, PixelFormat::Rgb888);
-        s.put_image(&store, SCREEN, Rect::new(0, 0, 96, 48), &noise(96 * 48 * 3, 17));
-        s.solid_fill(&store, SCREEN, Rect::new(4, 4, 30, 30), Color::rgb(1, 2, 3));
-        let mut links: Vec<(TcpPipe, PacketTrace)> = (0..3)
-            .map(|_| {
-                (
-                    TcpPipe::new(TcpParams {
-                        bandwidth_bps: 8_000_000,
-                        rtt: SimDuration::from_millis(5),
-                        ..TcpParams::default()
-                    }),
-                    PacketTrace::new(),
-                )
-            })
-            .collect();
-        let mut all = Vec::new();
-        for round in 0..50u64 {
-            all.push(s.flush_all(SimTime(round * 4_000), &mut links));
-        }
-        all
-    };
-    let serial = run(1);
-    let workers = vec![1usize, 2, 4];
-    let ok = workers[1..].iter().all(|&n| run(n) == serial);
-    eprintln!("  workers {workers:?}  deterministic {ok}");
-    (workers, ok)
-}
-
 // ---------------------------------------------------------------
-// Fan-out macro: encode-once broadcast through the sharded manager.
+// Fan-out macro: encode-once broadcast through the session manager.
 
 const FAN_W: u32 = 160;
 const FAN_H: u32 = 120;
@@ -753,16 +706,16 @@ struct FanoutRun {
     wall_ms: f64,
 }
 
-/// Drives `clients` viewers of one shared screen through the sharded
+/// Drives `clients` viewers of one shared screen through the session
 /// manager: mixed LAN / WAN / hostile (seeded bandwidth-collapse
 /// windows) cohorts, adaptive degradation enabled, every client an
 /// identity viewport on the same screen. When `verify` is set, every
 /// message is additionally framed, run through the wire disturbance
 /// model, and decoded by a real `StreamClient` whose framebuffer must
 /// converge byte-exact. The epoch schedule is fixed (no data-dependent
-/// early exit), so two runs differing only in (shards, workers) must
+/// early exit), so two runs differing only in the worker count must
 /// produce bit-identical streams.
-fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> FanoutRun {
+fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
     use thinc_client::StreamClient;
     use thinc_core::degradation::{DegradationConfig, DegradationLevel};
     use thinc_core::ShardedManager;
@@ -804,7 +757,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
             ..DegradationConfig::default()
         });
     session.auth_mut().enable_sharing("pw");
-    let mut m = ShardedManager::new(session, shards);
+    let mut m = ShardedManager::new(session, 1);
     m.attach(&Credentials::Owner { user: "host".into() }, FAN_W, FAN_H, link_for(0))
         .expect("owner attach");
     for i in 1..clients {
@@ -938,12 +891,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         .collect();
     let fairness = *clean_bytes.iter().min().expect("clean cohort nonempty") as f64
         / (*clean_bytes.iter().max().expect("clean cohort nonempty")).max(1) as f64;
-    let (mut plane, mut bytes_amortized) = (thinc_telemetry::PlaneCounters::default(), 0u64);
-    for s in 0..m.shard_count() {
-        let shard = &m.shard_metrics(s).plane;
-        plane.merge(shard);
-        bytes_amortized += shard.bytes_amortized();
-    }
+    let plane = m.session().fanout_counters();
 
     FanoutRun {
         digests,
@@ -952,7 +900,7 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
         flush_p99_us: latency.quantile(0.99),
         fairness,
         hit_ratio: plane.hit_ratio(),
-        bytes_amortized,
+        bytes_amortized: plane.bytes_amortized(),
         shared_sends: plane.shared_sends,
         payload_encodes: plane.encodes,
         allocs_per_epoch: measured_allocs as f64
@@ -966,16 +914,20 @@ fn fanout_run(clients: usize, shards: usize, workers: usize, verify: bool) -> Fa
 
 struct FanoutStats {
     clients: usize,
-    shards: usize,
     workers: usize,
     main: FanoutRun,
-    /// (shards, workers, bit-identical) for every matrix config.
-    matrix: Vec<(usize, usize, bool)>,
+    /// (workers, bit-identical to the main run) for every matrix run.
+    matrix: Vec<(usize, bool)>,
 }
 
 impl FanoutStats {
     fn deterministic(&self) -> bool {
-        self.matrix.iter().all(|&(_, _, ok)| ok)
+        self.matrix.iter().all(|&(_, ok)| ok)
+    }
+    /// Every client's stream digest folded into one.
+    fn digest(&self) -> u64 {
+        let bytes: Vec<u8> = self.main.digests.iter().flat_map(|d| d.to_le_bytes()).collect();
+        thinc_protocol::fnv64(&bytes)
     }
     fn sim_mb_s(&self) -> f64 {
         self.main.total_bytes as f64 / self.main.sim_s / 1e6
@@ -984,9 +936,9 @@ impl FanoutStats {
 
 fn fanout_suite(quick: bool) -> FanoutStats {
     let clients = if quick { 256 } else { 1024 };
-    let (shards, workers) = (8usize, 4usize);
-    eprintln!("== macro: broadcast fan-out ({clients} clients, {shards} shards, {workers} workers) ==");
-    let main = fanout_run(clients, shards, workers, true);
+    let workers = 4usize;
+    eprintln!("== macro: broadcast fan-out ({clients} clients, {workers} workers) ==");
+    let main = fanout_run(clients, workers, true);
     eprintln!(
         "  delivered {:.1} MB in {:.1}s sim ({:.1} MB/s)  wall {:.0} ms",
         main.total_bytes as f64 / 1e6,
@@ -1011,15 +963,17 @@ fn fanout_suite(quick: bool) -> FanoutStats {
         main.converged,
         clients,
     );
-    let mut matrix = Vec::new();
-    for (s, w) in [(1usize, 1usize), (1, 4), (2, 1), (2, 4), (8, 1)] {
-        let r = fanout_run(clients, s, w, false);
-        let ok = r.digests == main.digests;
-        eprintln!("  shards={s} workers={w}  bit-identical {ok}");
-        matrix.push((s, w, ok));
-    }
-    matrix.push((shards, workers, true));
-    FanoutStats { clients, shards, workers, main, matrix }
+    let matrix = [1usize, 2, 4]
+        .into_iter()
+        .map(|w| {
+            let ok = fanout_run(clients, w, false).digests == main.digests;
+            eprintln!("  workers={w}  bit-identical {ok}");
+            (w, ok)
+        })
+        .collect();
+    let stats = FanoutStats { clients, workers, main, matrix };
+    eprintln!("  streams digest {:016x}", stats.digest());
+    stats
 }
 
 // ---------------------------------------------------------------
@@ -1065,7 +1019,6 @@ fn e2e_json(
     web: &WebStats,
     video: &VideoStats,
     cache: &CacheStats,
-    par: &(Vec<usize>, bool),
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -1109,11 +1062,6 @@ fn e2e_json(
     let _ = writeln!(s, "    \"hits\": {},", cache.hits);
     let _ = writeln!(s, "    \"byte_exact\": {},", cache.byte_exact);
     let _ = writeln!(s, "    \"verified\": {}", cache.verified);
-    s.push_str("  },\n");
-    s.push_str("  \"parallel_flush\": {\n");
-    let workers: Vec<String> = par.0.iter().map(|w| w.to_string()).collect();
-    let _ = writeln!(s, "    \"workers_checked\": [{}],", workers.join(", "));
-    let _ = writeln!(s, "    \"deterministic\": {}", par.1);
     s.push_str("  }\n}\n");
     s
 }
@@ -1124,7 +1072,6 @@ fn fanout_json(mode: &str, fan: &FanoutStats) -> String {
     let _ = writeln!(s, "  \"schema\": \"thinc-perfgate-fanout-v1\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"clients\": {},", fan.clients);
-    let _ = writeln!(s, "  \"shards\": {},", fan.shards);
     let _ = writeln!(s, "  \"workers\": {},", fan.workers);
     let _ = writeln!(s, "  \"sim_s\": {},", jf(fan.main.sim_s));
     let _ = writeln!(s, "  \"total_bytes\": {},", fan.main.total_bytes);
@@ -1140,9 +1087,10 @@ fn fanout_json(mode: &str, fan: &FanoutStats) -> String {
     let _ = writeln!(s, "  \"converged\": {},", fan.main.converged);
     let _ = writeln!(s, "  \"settled\": {},", fan.main.settled);
     let _ = writeln!(s, "  \"wall_ms\": {},", jf(fan.main.wall_ms));
+    let _ = writeln!(s, "  \"digest\": \"{:016x}\",", fan.digest());
     s.push_str("  \"determinism_matrix\": [\n");
-    for (i, (sh, w, ok)) in fan.matrix.iter().enumerate() {
-        let _ = write!(s, "    {{\"shards\": {sh}, \"workers\": {w}, \"bit_identical\": {ok}}}");
+    for (i, (w, ok)) in fan.matrix.iter().enumerate() {
+        let _ = write!(s, "    {{\"workers\": {w}, \"bit_identical\": {ok}}}");
         s.push_str(if i + 1 < fan.matrix.len() { ",\n" } else { "\n" });
     }
     s.push_str("  ],\n");
@@ -1204,14 +1152,13 @@ fn main() {
     let web = web_suite(opts.quick);
     let video = video_suite(opts.quick);
     let cache = cache_suite();
-    let par = parallel_check();
     let fan = fanout_suite(opts.quick);
 
     std::fs::write(format!("{root}/BENCH_raster.json"), raster_json(mode, &kernels))
         .expect("write BENCH_raster.json");
     std::fs::write(
         format!("{root}/BENCH_e2e.json"),
-        e2e_json(mode, &web, &video, &cache, &par),
+        e2e_json(mode, &web, &video, &cache),
     )
     .expect("write BENCH_e2e.json");
     std::fs::write(format!("{root}/BENCH_fanout.json"), fanout_json(mode, &fan))
@@ -1330,10 +1277,6 @@ fn main() {
         }
     }
 
-    if !par.1 {
-        eprintln!("FAIL: parallel flush output differs across worker counts");
-        std::process::exit(1);
-    }
     if !web.verified {
         eprintln!("FAIL: client framebuffer diverged from server screen");
         std::process::exit(1);
@@ -1351,7 +1294,7 @@ fn main() {
         std::process::exit(1);
     }
     if !fan.deterministic() {
-        eprintln!("FAIL: fan-out streams differ across shard/worker counts");
+        eprintln!("FAIL: fan-out streams differ across worker counts");
         std::process::exit(1);
     }
     if !fan.main.settled {

@@ -7,9 +7,8 @@
 //! captured at the commit *before* the counter groups became
 //! `counters!` tables, so a refactor of the metric types that changes
 //! a printed count, drops a counter from a report or reorders the
-//! trace fails here. The five sessions are deterministic (virtual
-//! time, seeded faults); the one wall-clock field — the two figures of
-//! the fan-out report's `shard flush wall:` line — is masked.
+//! trace fails here. The sessions are deterministic (virtual time,
+//! seeded faults), and no report prints a wall-clock figure.
 //!
 //! After an intended change to a report, run the one writer:
 //! `cargo test --release -p thinc-bench --test report_golden -- --ignored regenerate_golden`.
@@ -43,22 +42,9 @@ fn telemetry_report() -> (String, String) {
     (stdout, read(&trace))
 }
 
-/// `figures --fig fanout` with the wall-clock figures of its
-/// `shard flush wall:` line replaced by `<wall>`.
+/// `figures --fig fanout`.
 fn fanout_report() -> String {
     figures(&["--fig", "fanout"])
-        .lines()
-        .map(|line| {
-            if !line.starts_with("shard flush wall:") {
-                return format!("{line}\n");
-            }
-            let masked: Vec<&str> = line
-                .split(' ')
-                .map(|word| if word.parse::<u64>().is_ok() { "<wall>" } else { word })
-                .collect();
-            format!("{}\n", masked.join(" "))
-        })
-        .collect()
 }
 
 /// Byte-for-byte equality with the golden file, failing at the first

@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! chaos gen    --seed N [--events N]            print a generated schedule as JSON
-//! chaos run    --seed N [--events N] [--workers N] [--shards N] [--out FILE]
+//! chaos run    --seed N [--events N] [--workers N] [--out FILE]
 //!              [--schedule FILE]                run one seed (or a schedule file);
 //!                                               on failure shrink and write a
 //!                                               minimized repro artifact
-//! chaos soak   [--seeds a,b,lo..hi] [--workers a,b,..] [--shards a,b,..] [--events N]
-//!              [--out-dir DIR]                  run a seed x worker x shard matrix
+//! chaos soak   [--seeds a,b,lo..hi] [--workers a,b,..] [--events N]
+//!              [--out-dir DIR]                  run a seed x worker matrix
 //!                                               (ranges are inclusive)
 //! chaos replay FILE                             re-run a schedule artifact; exit 0
 //!                                               iff the outcome matches its
@@ -20,45 +20,82 @@
 //! ```
 //!
 //! Every run is virtual-time, seeded and deterministic: the same
-//! invocation prints the same verdicts on any machine.
+//! invocation prints the same verdicts on any machine. An option the
+//! subcommand does not take, or a value that does not parse, exits 2
+//! with one diagnostic line before anything runs.
 
 use thinc_chaos::event::{ChaosEvent, Schedule, Workload};
 use thinc_chaos::{generate, invariant, run, schedule_from_json, schedule_to_json, shrink};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("soak") => cmd_soak(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("emit") => cmd_emit(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: chaos <gen|run|soak|replay|emit> [options]\n\
-                 invariants: {}",
-                invariant::ALL.join(", ")
-            );
-            2
-        }
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("gen") => cmd_gen(rest),
+        Some("run") => cmd_run(rest),
+        Some("soak") => cmd_soak(rest),
+        Some("replay") => cmd_replay(rest),
+        Some("emit") => cmd_emit(rest),
+        _ => Err(format!(
+            "usage: chaos <gen|run|soak|replay|emit> [options]; invariants: {}",
+            invariant::ALL.join(", ")
+        )),
     };
-    std::process::exit(code);
+    std::process::exit(result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        2
+    }));
 }
 
-/// Pulls `--name value` out of an option list (last wins).
-fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let mut found = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == name {
-            found = it.next().map(String::as_str);
+/// A subcommand's `--name value` pairs, checked against the names it
+/// takes (last wins).
+struct Opts<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Opts<'a> {
+    /// Refuses a name the subcommand does not take and a name without
+    /// a value: a mistyped or retired option never runs as a default.
+    fn parse(args: &'a [String], known: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut it = args.iter();
+        while let Some(name) = it.next() {
+            if !known.contains(&name.as_str()) {
+                return Err(format!("unknown option {name:?} (takes {})", known.join(" ")));
+            }
+            let value = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+            pairs.push((name.as_str(), value.as_str()));
         }
+        Ok(Self(pairs))
     }
-    found
-}
 
-fn opt_u64(args: &[String], name: &str, default: u64) -> u64 {
-    opt(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    }
+
+    fn num(&self, name: &str, default: u64) -> Result<u64, String> {
+        self.get(name).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("{name} {v:?}: not a number"))
+        })
+    }
+
+    /// A list of numbers and inclusive ranges: `1,7,100..400`.
+    fn list(&self, name: &str, default: Vec<u64>) -> Result<Vec<u64>, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(default);
+        };
+        let bad = || format!("{name} {v:?}: want numbers or ranges lo..hi, comma-separated");
+        let mut out = Vec::new();
+        for item in v.split(',') {
+            let item = item.trim();
+            let (lo, hi) = item.split_once("..").unwrap_or((item, item));
+            let lo: u64 = lo.parse().map_err(|_| bad())?;
+            let hi: u64 = hi.parse().map_err(|_| bad())?;
+            if lo > hi {
+                return Err(bad());
+            }
+            out.extend(lo..=hi);
+        }
+        Ok(out)
+    }
 }
 
 /// Reads and parses a schedule artifact, mapping either failure to a
@@ -72,11 +109,11 @@ fn load_schedule(path: &str) -> Result<Schedule, String> {
     schedule_from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_gen(args: &[String]) -> i32 {
-    let seed = opt_u64(args, "--seed", 1);
-    let events = opt_u64(args, "--events", 60) as usize;
-    println!("{}", schedule_to_json(&generate(seed, events)));
-    0
+fn cmd_gen(args: &[String]) -> Result<i32, String> {
+    let o = Opts::parse(args, &["--seed", "--events"])?;
+    let schedule = generate(o.num("--seed", 1)?, o.num("--events", 60)? as usize);
+    println!("{}", schedule_to_json(&schedule));
+    Ok(0)
 }
 
 /// Runs one schedule; on failure shrinks the first violated
@@ -84,10 +121,9 @@ fn cmd_gen(args: &[String]) -> i32 {
 fn run_and_report(schedule: &Schedule, artifact: Option<&std::path::Path>) -> bool {
     let report = run(schedule);
     println!(
-        "seed {} workers {} shards {}: {}",
+        "seed {} workers {}: {}",
         schedule.seed,
         schedule.workers,
-        schedule.shards,
         report.summary()
     );
     if report.passed() {
@@ -118,96 +154,46 @@ fn run_and_report(schedule: &Schedule, artifact: Option<&std::path::Path>) -> bo
     false
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let mut schedule = match opt(args, "--schedule") {
-        Some(path) => match load_schedule(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-        None => {
-            let seed = opt_u64(args, "--seed", 1);
-            let events = opt_u64(args, "--events", 60) as usize;
-            generate(seed, events)
-        }
+fn cmd_run(args: &[String]) -> Result<i32, String> {
+    let o = Opts::parse(args, &["--seed", "--events", "--workers", "--out", "--schedule"])?;
+    let mut schedule = match o.get("--schedule") {
+        Some(path) => load_schedule(path)?,
+        None => generate(o.num("--seed", 1)?, o.num("--events", 60)? as usize),
     };
-    schedule.workers = opt_u64(args, "--workers", schedule.workers as u64) as usize;
-    schedule.shards = opt_u64(args, "--shards", schedule.shards as u64).max(1) as usize;
+    schedule.workers = o.num("--workers", schedule.workers as u64)? as usize;
     let default_out = format!("chaos-repro-{}.json", schedule.seed);
-    let out = opt(args, "--out").unwrap_or(&default_out);
-    if run_and_report(&schedule, Some(std::path::Path::new(out))) {
-        0
-    } else {
-        1
-    }
+    let out = o.get("--out").unwrap_or(&default_out);
+    Ok(if run_and_report(&schedule, Some(std::path::Path::new(out))) { 0 } else { 1 })
 }
 
-fn cmd_soak(args: &[String]) -> i32 {
-    // Items are numbers or inclusive ranges: `1,7,100..400`.
-    let parse_list = |s: &str, default: Vec<u64>| -> Vec<u64> {
-        let v: Vec<u64> = s
-            .split(',')
-            .filter_map(|p| {
-                let p = p.trim();
-                let (lo, hi) = p.split_once("..").unwrap_or((p, p));
-                Some(lo.parse().ok()?..=hi.parse().ok()?)
-            })
-            .flatten()
-            .collect();
-        if v.is_empty() {
-            default
-        } else {
-            v
-        }
-    };
-    let seeds = parse_list(
-        opt(args, "--seeds").unwrap_or(""),
-        vec![1, 7, 42, 0xDEADBEEF],
-    );
-    let workers = parse_list(opt(args, "--workers").unwrap_or(""), vec![1, 4]);
-    let shards = parse_list(opt(args, "--shards").unwrap_or(""), vec![1]);
-    let events = opt_u64(args, "--events", 60) as usize;
-    let out_dir = opt(args, "--out-dir").unwrap_or(".").to_string();
-    let _ = std::fs::create_dir_all(&out_dir);
+fn cmd_soak(args: &[String]) -> Result<i32, String> {
+    let o = Opts::parse(args, &["--seeds", "--workers", "--events", "--out-dir"])?;
+    let seeds = o.list("--seeds", vec![1, 7, 42, 0xDEADBEEF])?;
+    let workers = o.list("--workers", vec![1, 4])?;
+    let events = o.num("--events", 60)? as usize;
+    let out_dir = o.get("--out-dir").unwrap_or(".");
+    let _ = std::fs::create_dir_all(out_dir);
     let mut failures = 0usize;
     let mut total = 0usize;
     for &seed in &seeds {
         for &w in &workers {
-            for &sh in &shards {
-                total += 1;
-                let mut schedule = generate(seed, events);
-                schedule.workers = w as usize;
-                schedule.shards = (sh as usize).max(1);
-                let artifact = std::path::PathBuf::from(&out_dir)
-                    .join(format!("chaos-repro-{seed}-w{w}-s{sh}.json"));
-                if !run_and_report(&schedule, Some(&artifact)) {
-                    failures += 1;
-                }
+            total += 1;
+            let mut schedule = generate(seed, events);
+            schedule.workers = w as usize;
+            let artifact =
+                std::path::PathBuf::from(out_dir).join(format!("chaos-repro-{seed}-w{w}.json"));
+            if !run_and_report(&schedule, Some(&artifact)) {
+                failures += 1;
             }
         }
     }
     println!("soak: {}/{} runs passed", total - failures, total);
-    if failures == 0 {
-        0
-    } else {
-        1
-    }
+    Ok(if failures == 0 { 0 } else { 1 })
 }
 
-fn cmd_replay(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("usage: chaos replay <schedule.json>");
-        return 2;
-    };
-    let schedule = match load_schedule(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+fn cmd_replay(args: &[String]) -> Result<i32, String> {
+    let path = args.first().ok_or("usage: chaos replay <schedule.json>")?;
+    let schedule = load_schedule(path)?;
     let report = run(&schedule);
     println!("{path}: {}", report.summary());
     let ok = match schedule.expect_violation.as_deref() {
@@ -222,7 +208,7 @@ fn cmd_replay(args: &[String]) -> i32 {
                 .as_deref()
                 .unwrap_or("all invariants hold")
         );
-        0
+        Ok(0)
     } else {
         for v in &report.violations {
             println!("  {v}");
@@ -231,25 +217,19 @@ fn cmd_replay(args: &[String]) -> i32 {
             "outcome does NOT match expectation ({:?})",
             schedule.expect_violation
         );
-        1
+        Ok(1)
     }
 }
 
-fn cmd_emit(args: &[String]) -> i32 {
-    let Some(name) = args.first().map(String::as_str) else {
-        eprintln!(
-            "usage: chaos emit <quarantine|sabotage|length-stall|cache-rescale|crash-failover|resize-failover>"
-        );
-        return 2;
-    };
-    let Some(schedule) = exemplar(name) else {
-        eprintln!(
-            "unknown exemplar {name:?} (quarantine | sabotage | length-stall | cache-rescale | crash-failover | resize-failover)"
-        );
-        return 2;
-    };
+const EXEMPLARS: &str =
+    "quarantine | sabotage | length-stall | cache-rescale | crash-failover | resize-failover";
+
+fn cmd_emit(args: &[String]) -> Result<i32, String> {
+    let name = args.first().ok_or_else(|| format!("usage: chaos emit <{EXEMPLARS}>"))?;
+    let schedule =
+        exemplar(name).ok_or_else(|| format!("unknown exemplar {name:?} ({EXEMPLARS})"))?;
     println!("{}", schedule_to_json(&schedule));
-    0
+    Ok(0)
 }
 
 /// The checked-in exemplar schedules under `crates/chaos/schedules/`
@@ -391,31 +371,26 @@ fn exemplar(name: &str) -> Option<Schedule> {
             flush,
             ChaosEvent::Quiesce,
         ])),
-        // The warm-failover exercise, run on the sharded flush path:
-        // a crash-instant takeover with undelivered buffers in the
-        // image, then a stale-image failover from the previous
-        // quiesce — both must redial every client and converge
-        // byte-exact. Expected to PASS.
-        "crash-failover" => {
-            let mut s = Schedule::base(0xFA11).with_events(vec![
-                attach.clone(),
-                attach,
-                tile(0),
-                draw(4, 4, 41),
-                flush.clone(),
-                ChaosEvent::Quiesce,
-                draw(28, 16, 42),
-                ChaosEvent::ServerCrash,
-                flush.clone(),
-                tile(1),
-                flush.clone(),
-                ChaosEvent::Failover,
-                flush,
-                ChaosEvent::Quiesce,
-            ]);
-            s.shards = 2;
-            Some(s)
-        }
+        // The warm-failover exercise: a crash-instant takeover with
+        // undelivered buffers in the image, then a stale-image
+        // failover from the previous quiesce — both must redial every
+        // client and converge byte-exact. Expected to PASS.
+        "crash-failover" => Some(Schedule::base(0xFA11).with_events(vec![
+            attach.clone(),
+            attach,
+            tile(0),
+            draw(4, 4, 41),
+            flush.clone(),
+            ChaosEvent::Quiesce,
+            draw(28, 16, 42),
+            ChaosEvent::ServerCrash,
+            flush.clone(),
+            tile(1),
+            flush.clone(),
+            ChaosEvent::Failover,
+            flush,
+            ChaosEvent::Quiesce,
+        ])),
         // Regression guard for the viewport rule of the redial ladder,
         // shrunk by the engine from soak seed 123: a viewer resizes
         // after the last quiesce, then the server fails over to the

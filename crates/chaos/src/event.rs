@@ -254,12 +254,6 @@ pub struct Schedule {
     /// Flush worker-pool size (the run must be bit-identical for
     /// every value; the soak sweeps several).
     pub workers: usize,
-    /// Shard count for the flush partition. 1 flushes the session
-    /// monolithically; above 1 each pump routes through the sharded
-    /// fan-out partition (stable hash of client id, one shared
-    /// encode-once plane per pump). Bit-identical for every value —
-    /// the same contract as `workers`.
-    pub shards: usize,
     /// Content-cache budget installed at session start, bytes.
     pub cache_budget: u64,
     /// Per-client buffer byte bound (eviction/merge kicks in above).
@@ -281,7 +275,6 @@ impl Schedule {
             width: 64,
             height: 48,
             workers: 1,
-            shards: 1,
             cache_budget: 256 * 1024,
             buffer_bound: 96 * 1024,
             events: Vec::new(),

@@ -535,7 +535,6 @@ pub fn schedule_to_json(s: &Schedule) -> String {
         ("width".into(), u64v(s.width as u64)),
         ("height".into(), u64v(s.height as u64)),
         ("workers".into(), u64v(s.workers as u64)),
-        ("shards".into(), u64v(s.shards.max(1) as u64)),
         ("cache_budget".into(), u64v(s.cache_budget)),
         ("buffer_bound".into(), u64v(s.buffer_bound)),
     ];
@@ -566,9 +565,6 @@ pub fn schedule_from_json(text: &str) -> Result<Schedule, Box<dyn std::error::Er
         width: need_u64(&doc, "width", ctx)? as u32,
         height: need_u64(&doc, "height", ctx)? as u32,
         workers: need_u64(&doc, "workers", ctx)? as usize,
-        // Absent in pre-fan-out artifacts: default to the monolithic
-        // flush they were recorded under.
-        shards: doc.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
         cache_budget: need_u64(&doc, "cache_budget", ctx)?,
         buffer_bound: need_u64(&doc, "buffer_bound", ctx)?,
         events,
@@ -624,14 +620,14 @@ mod tests {
     }
 
     #[test]
-    fn shards_round_trip_and_default_to_one() {
-        let mut s = Schedule::base(5);
-        s.shards = 8;
-        assert_eq!(schedule_from_json(&schedule_to_json(&s)).unwrap(), s);
-        // Pre-fan-out artifacts carry no 'shards' key: monolithic.
-        let legacy = "{\"seed\": 5, \"width\": 64, \"height\": 48, \"workers\": 1, \
-                      \"cache_budget\": 262144, \"buffer_bound\": 98304, \"events\": []}";
-        assert_eq!(schedule_from_json(legacy).unwrap().shards, 1);
+    fn an_old_artifacts_shards_key_is_ignored() {
+        // Artifacts from before the one-roster flush carry a shard
+        // count; unknown keys are ignored, so they replay as they are.
+        let old = "{\"seed\": 5, \"width\": 64, \"height\": 48, \"workers\": 1, \"shards\": 8, \
+                   \"cache_budget\": 262144, \"buffer_bound\": 98304, \"events\": []}";
+        let s = Schedule::base(5);
+        assert_eq!(schedule_from_json(old).unwrap(), s);
+        assert!(!schedule_to_json(&s).contains("shards"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The schedule executor: one [`Schedule`] in, one [`RunReport`] out.
 //!
 //! The runner owns the whole closed loop — an authoritative
-//! [`SharedSession`] under the product's [`ShardedManager`] (for every
-//! shard count, 1 included), a [`DrawableStore`] screen, and per-slot
+//! [`SharedSession`] under the product's [`ShardedManager`], a
+//! [`DrawableStore`] screen, and per-slot
 //! [`StreamClient`]s each behind their own faultable [`TcpPipe`] —
 //! and advances it in *virtual* time only. Nothing here reads a wall
 //! clock or an ambient RNG: every random draw descends from the
@@ -55,8 +55,8 @@ const RUNOUT_STEP: SimDuration = SimDuration::from_millis(250);
 const MAX_SETTLE: usize = 400;
 /// Hard cap on slots (the generator stays lower; hand-written
 /// schedules beyond this see their attaches degrade to no-ops).
-/// Sized for fan-out schedules that drive the sharded flush
-/// partition with a real population.
+/// Sized for fan-out schedules that drive the session's flush with a
+/// real population.
 const MAX_SLOTS: usize = 64;
 
 /// Installs (once per process) a panic hook that swallows only the
@@ -195,8 +195,7 @@ struct Slot {
 }
 
 struct Runner {
-    /// The session and every client's `(pipe, trace)` link, partitioned
-    /// into the schedule's shards: the same bytes for every shard count.
+    /// The session and every client's `(pipe, trace)` link.
     manager: ShardedManager,
     store: DrawableStore,
     slots: Vec<Slot>,
@@ -243,7 +242,7 @@ pub fn run(schedule: &Schedule) -> RunReport {
         .with_workers(schedule.workers.max(1));
     session.auth_mut().enable_sharing("chaos");
     let mut r = Runner {
-        manager: ShardedManager::new(session, schedule.shards),
+        manager: ShardedManager::new(session, 1),
         store: DrawableStore::new(width, height, FORMAT),
         slots: Vec::new(),
         now: SimTime(0),
@@ -441,10 +440,10 @@ impl Runner {
             }
         }
         let roster = restored.client_ids();
-        let standby = ShardedManager::new(restored, self.manager.shard_count());
+        let standby = ShardedManager::new(restored, 1);
         let mut dead = std::mem::replace(&mut self.manager, standby);
         // The connections outlive the server that held their far end
-        // (adopted in id order, as the partition wants them).
+        // (adopted in id order, as the manager wants them).
         for &id in &roster {
             let link = dead.detach(id).unwrap_or_else(fresh_link);
             self.manager.adopt_link(id, link);
@@ -784,8 +783,8 @@ impl Runner {
         }
     }
 
-    /// One delivery round: advance virtual time, flush every shard
-    /// over its clients' (possibly faulty) pipes, frame each message
+    /// One delivery round: advance virtual time, flush every client
+    /// over its (possibly faulty) pipe, frame each message
     /// and carry the bytes through the disturbance model into each
     /// stream client, then hand the session whatever the clients send
     /// back (pongs, cache misses, refresh requests). Liveness is polled
@@ -1520,7 +1519,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_runs_are_deterministic_across_shard_counts() {
+    fn crash_runs_are_deterministic_across_worker_counts() {
         let mut s = Schedule::base(16).with_events(vec![
             ChaosEvent::Attach {
                 viewport_w: 64,
@@ -1562,17 +1561,10 @@ mod tests {
             ChaosEvent::Failover,
             ChaosEvent::Quiesce,
         ]);
-        for shards in [1usize, 2, 8] {
-            for workers in [1usize, 4] {
-                s.shards = shards;
-                s.workers = workers;
-                let report = run(&s);
-                assert!(
-                    report.passed(),
-                    "shards={shards} workers={workers}: {}",
-                    report.summary()
-                );
-            }
+        for workers in [1usize, 4] {
+            s.workers = workers;
+            let report = run(&s);
+            assert!(report.passed(), "workers={workers}: {}", report.summary());
         }
     }
 }

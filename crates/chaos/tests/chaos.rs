@@ -53,29 +53,28 @@ fn runs_are_deterministic_across_reruns_and_worker_counts() {
 }
 
 #[test]
-fn shard_count_never_changes_verdicts() {
-    // The fan-out contract extended to chaos: the sharded flush
-    // partition must reach the same verdicts as the monolithic flush
-    // on the 64-client schedule, for every shard count.
-    let base = read_schedule("fanout-shards.json");
-    assert_eq!(base.shards, 8, "artifact drives the sharded path");
+fn worker_count_never_changes_fanout_verdicts() {
+    // The fan-out contract extended to chaos: the 64-client schedule
+    // reaches the same verdicts on a serial flush and on every worker
+    // pool.
+    let base = read_schedule("fanout-64.json");
     let reference = {
         let mut s = base.clone();
-        s.shards = 1;
+        s.workers = 1;
         run(&s)
     };
     assert!(
         reference.passed(),
-        "monolithic reference violated: {:?}",
+        "serial reference violated: {:?}",
         reference.violations
     );
-    for shards in [2usize, 8] {
+    for workers in [2usize, 4] {
         let mut s = base.clone();
-        s.shards = shards;
+        s.workers = workers;
         let report = run(&s);
         assert_eq!(
             report.violations, reference.violations,
-            "shards={shards} changed the verdicts"
+            "workers={workers} changed the verdicts"
         );
         assert_eq!(report.quiesces, reference.quiesces);
         assert_eq!(report.slots_attached, reference.slots_attached);

@@ -1,7 +1,8 @@
 //! End-to-end tests for the `chaos` binary's failure-path contract:
-//! a missing or corrupt schedule artifact exits nonzero with a
-//! one-line diagnostic naming the path and the cause — never a
-//! panic, never a zero exit, never a silent fallback run.
+//! a missing or corrupt schedule artifact, an unknown option or a
+//! value that does not parse exits nonzero with a one-line diagnostic
+//! naming the cause — never a panic, never a zero exit, never a
+//! silent fallback run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -70,6 +71,43 @@ fn run_with_a_missing_schedule_file_fails_cleanly() {
         stderr.contains("cannot read") && stderr.contains(path.to_str().unwrap()),
         "diagnostic must name the path and the cause: {stderr}"
     );
+}
+
+/// Runs `chaos` and asserts it refused the invocation: exit 2, one
+/// diagnostic line on stderr (returned), and no run on stdout.
+fn refused(args: &[&str]) -> String {
+    let out = chaos().args(args).output().expect("spawn chaos");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+    assert!(out.stdout.is_empty(), "{args:?} ran: {}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let diag: Vec<&str> = stderr.lines().filter(|l| !l.trim().is_empty()).collect();
+    assert_eq!(diag.len(), 1, "expected one diagnostic line, got: {stderr}");
+    diag[0].to_string()
+}
+
+#[test]
+fn a_malformed_number_is_refused_not_defaulted() {
+    // A dash typed for `..` once ran the four default seeds and
+    // passed.
+    let diag = refused(&["soak", "--seeds", "1000-1399", "--events", "4"]);
+    assert!(diag.contains("--seeds") && diag.contains("1000-1399"), "{diag}");
+    for args in [
+        ["soak", "--seeds", "5,x"],
+        ["soak", "--seeds", "9..5"],
+        ["soak", "--workers", "one"],
+        ["run", "--seed", "0x10"],
+        ["gen", "--events", "-3"],
+    ] {
+        refused(&args);
+    }
+}
+
+#[test]
+fn an_unknown_option_is_refused() {
+    let diag = refused(&["run", "--seed", "1", "--frobnicate", "8"]);
+    assert!(diag.contains("--frobnicate"), "{diag}");
+    refused(&["soak", "--seed", "1"]);
+    refused(&["run", "--seed"]);
 }
 
 #[test]

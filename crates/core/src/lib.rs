@@ -35,6 +35,8 @@
 //!   (§7) — the one façade: translator, real-time input region,
 //!   cursor, clock, resume-token rules and checkpoint writer around a
 //!   roster of `Delivery` values,
+//! - [`shard`]: [`ShardedManager`], a session plus its viewers' links,
+//!   flushed together once per epoch,
 //! - [`server`]: [`server::ThincServer`], a session of one viewer
 //!   adding only what a single-client server has — the audio device,
 //!   RC4 session encryption (§7) and the refresh-request latch.

@@ -29,7 +29,7 @@
 //! therefore unaffected — the plane caches the *result* of the
 //! per-client encode pipeline, which is a pure function of the
 //! command — so streams stay bit-identical with and without it,
-//! across any shard or worker count.
+//! across any worker count.
 //!
 //! **Flush plans.** Viewers of one scale class that are keeping up
 //! hold command buffers in the same state, and a flush from the same
@@ -56,7 +56,7 @@
 //! queue, membership or rejoin logic to keep consistent.
 //!
 //! A plane — forms and plans — is scoped to one flush round (one
-//! [`flush_all`] call or one sharded epoch) and dropped with it.
+//! [`flush_all`] call, which is one fan-out epoch) and dropped with it.
 //!
 //! [`Bytes`]: thinc_protocol::Bytes
 //! [`flush_all`]: crate::session::SharedSession::flush_all
@@ -253,7 +253,7 @@ pub struct WirePlane {
     plans: Mutex<HashMap<u64, Vec<Arc<PlanSlot>>>>,
 }
 
-/// The plane's plan table, locked: a shard resolves all its viewers'
+/// The plane's plan table, locked: a round resolves all its viewers'
 /// roles in one serial pass under one lock, not from inside each
 /// viewer's flush. Serial, in id order, is what makes the leader the
 /// lowest id instead of the winner of a race; one lock, because a

@@ -126,7 +126,7 @@ pub struct ClientId(pub u32);
 
 /// Per-client timestamped message streams produced by a flush round,
 /// in client-id order — the return shape of
-/// [`SharedSession::flush_all`] and [`SharedSession::flush_subset`].
+/// [`SharedSession::flush_all`].
 pub type FlushOutput = Vec<(ClientId, Vec<(SimTime, Message)>)>;
 
 /// One attached client: its delivery pipeline plus what only a shared
@@ -637,21 +637,34 @@ impl SharedSession {
     }
 
     /// Flushes **every** client's buffer, each over its own
-    /// connection. Clients whose buffers are in the same state flush
-    /// once between them: the lowest id derives the round's parts and
-    /// wire forms (on the session's worker pool, beside the other
-    /// classes' leaders) and the rest follow its plan inline, each
-    /// against its own pipe and cache ledger.
+    /// connection, against one encode-once [`WirePlane`] made for the
+    /// round: identical payloads across clients are compressed and
+    /// framed a single time, and clients whose buffers are in the same
+    /// state flush once between them (see [`crate::plane`]).
+    ///
+    /// A serial pre-pass, in id order, lets every member's ladder and
+    /// A/V bound have their say and then asks the plane — under one
+    /// lock for the whole roster — which members start from the same
+    /// buffer state: the first in each state leads its plan, the rest
+    /// follow it. So the leader is the lowest id, and with it who
+    /// pays the codec (`codec_input_bytes`) and who skips it, whatever
+    /// the worker count. Leaders then flush on the session's worker
+    /// pool; followers, idle members and members with only audio or
+    /// video queued (shared payloads sized by arithmetic: bookkeeping)
+    /// flush inline afterwards, when every plan they could follow has
+    /// been published, each against its own pipe and cache ledger. A
+    /// panic in any of the three steps is contained to its member.
     ///
     /// `links[i]` is the `(pipe, trace)` pair of the i-th attached
     /// client — the same order as attach/[`ClientId`] order. The
     /// result is merged back in that order, so the output is
-    /// bit-identical for every worker count.
+    /// bit-identical for every worker count. The round's plane
+    /// counters accumulate into [`fanout_counters`](Self::fanout_counters).
     ///
     /// # Panics
     ///
-    /// Panics if `links.len()` differs from [`client_count`]
-    /// (Self::client_count).
+    /// Panics if `links.len()` differs from
+    /// [`client_count`](Self::client_count).
     pub fn flush_all(
         &mut self,
         now: SimTime,
@@ -662,70 +675,10 @@ impl SharedSession {
             self.clients.len(),
             "one (pipe, trace) link per attached client"
         );
-        // One encode-once plane per round: identical payloads across
-        // clients are compressed and framed a single time, identical
-        // buffers flushed a single time (see [`crate::plane`]); output
-        // bytes are unchanged.
         let plane = WirePlane::new();
-        let ids = self.client_ids();
-        let (out, counters) = self.flush_subset_inner(now, &ids, links, Some(&plane));
-        self.fanout.merge(&counters);
-        out
-    }
-
-    /// Flushes the listed clients (a *shard* of the session), each
-    /// over its own link, optionally against a shared encode-once
-    /// [`WirePlane`] — the sharded manager passes one plane per epoch
-    /// so equivalence classes amortize across shards, not just within
-    /// one.
-    ///
-    /// `ids` must be sorted ascending and each must be attached;
-    /// `links[i]` pairs with `ids[i]`. Returns the per-client message
-    /// streams in id order plus this call's plane counters (also
-    /// accumulated into [`fanout_counters`](Self::fanout_counters)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `links.len() != ids.len()` or an id is not attached.
-    pub fn flush_subset(
-        &mut self,
-        now: SimTime,
-        ids: &[ClientId],
-        links: &mut [(TcpPipe, PacketTrace)],
-        plane: Option<&WirePlane>,
-    ) -> (FlushOutput, PlaneCounters) {
-        let (out, counters) = self.flush_subset_inner(now, ids, links, plane);
-        self.fanout.merge(&counters);
-        (out, counters)
-    }
-
-    /// One flush round over the listed members, dispatched by weight.
-    ///
-    /// A serial pre-pass, in id order, lets every member's ladder and
-    /// A/V bound have their say and then asks the plane — under one
-    /// lock for the whole shard — which members start from the same
-    /// buffer state: the first in each state leads its plan, the rest
-    /// follow it. So the leader is the lowest id, and with it who
-    /// pays the codec (`codec_input_bytes`) and who skips it, whatever
-    /// the worker count. Leaders — and, when there is no plane, every
-    /// member with display commands queued — then flush on the worker
-    /// pool; followers, idle members and members with only audio or
-    /// video queued (shared payloads sized by arithmetic: bookkeeping)
-    /// flush inline afterwards, when every plan they could follow has
-    /// been published. A panic in any of the three steps is contained
-    /// to its member.
-    fn flush_subset_inner(
-        &mut self,
-        now: SimTime,
-        ids: &[ClientId],
-        links: &mut [(TcpPipe, PacketTrace)],
-        plane: Option<&WirePlane>,
-    ) -> (FlushOutput, PlaneCounters) {
-        assert_eq!(links.len(), ids.len(), "one (pipe, trace) link per flushed client");
         let mut jobs: Vec<_> = self
             .clients
             .iter_mut()
-            .filter(|(id, _)| ids.binary_search(id).is_ok())
             .zip(links.iter_mut())
             .map(|((id, member), link)| FlushJob {
                 id: *id,
@@ -738,26 +691,17 @@ impl SharedSession {
                 panicked: false,
             })
             .collect();
-        assert_eq!(jobs.len(), ids.len(), "every flushed id must be attached");
         {
-            let mut plans = plane.map(WirePlane::plans);
+            let mut plans = plane.plans();
             for job in jobs.iter_mut().filter(|job| !job.member.quarantined) {
                 let delivery = &mut job.member.delivery;
                 let begun = contain(|| {
                     delivery.begin_flush(now, &job.link.0);
-                    let buffer = delivery.buffer();
-                    match plans.as_mut() {
-                        Some(plans) => plans.resolve(buffer, now),
-                        None => PlanRole::Alone,
-                    }
+                    plans.resolve(delivery.buffer(), now)
                 });
                 match begun {
                     Ok(role) => {
-                        job.heavy = match role {
-                            PlanRole::Lead(_) => true,
-                            PlanRole::Follow(_) => false,
-                            PlanRole::Alone => !delivery.buffer().is_empty(),
-                        };
+                        job.heavy = matches!(role, PlanRole::Lead(_));
                         job.role = role;
                     }
                     Err(_) => job.panicked = true,
@@ -766,6 +710,7 @@ impl SharedSession {
         }
         let flush = |job: &mut FlushJob<'_>| {
             let (pipe, trace) = &mut *job.link;
+            let plane = Some(&plane);
             job.out = job.member.flush(now, pipe, trace, plane, &mut job.counters, &job.role);
         };
         let mut heavy: Vec<_> = jobs.iter_mut().filter(|job| job.heavy).collect();
@@ -780,17 +725,16 @@ impl SharedSession {
         // quarantined — its partial output is discarded, the panic is
         // counted in its resilience metrics, and every other client's
         // output is delivered untouched.
-        let mut total = PlaneCounters::default();
         for job in &mut jobs {
             if job.panicked {
                 job.member.quarantined = true;
                 job.member.delivery.resilience_mut().record_panic_quarantined();
                 job.out.clear();
             } else {
-                total.merge(&job.counters);
+                self.fanout.merge(&job.counters);
             }
         }
-        (jobs.into_iter().map(|job| (job.id, job.out)).collect(), total)
+        jobs.into_iter().map(|job| (job.id, job.out)).collect()
     }
 
     /// Cumulative encode-once plane counters over every flush round

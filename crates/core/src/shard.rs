@@ -1,108 +1,62 @@
-//! The sharded session manager: broadcast fan-out at 1k+ clients.
+//! The fan-out session manager: one [`SharedSession`] and its
+//! viewers' links, flushed together once per epoch.
 //!
-//! A single [`SharedSession`] already fans per-client flush work over
-//! a worker pool, but every caller drives one monolithic
-//! [`flush_all`] over one flat link array. At fan-out scale the
-//! manager partitions clients into deterministic *shards* — stable
-//! FNV hash of the client id, so a client's shard never depends on
-//! who else is attached — each owning its members' links. A flush
-//! *epoch* runs every shard through the simulated-time reactor
-//! ([`EventQueue`]): all shards are scheduled at the epoch time and
-//! popped in deterministic order, each flushing its members against
-//! one shared encode-once [`WirePlane`] so payload equivalence
-//! classes amortize across shard boundaries.
+//! The session holds every viewer's delivery pipeline; the manager
+//! holds the other end of each connection, its `(pipe, trace)` link,
+//! in client-id order beside the session's roster. A flush *epoch* is
+//! the session's clock set to the epoch time and one
+//! [`flush_all`](SharedSession::flush_all) over every link: one
+//! encode-once plane, one serial plan pass, one round on the worker
+//! pool. Its output comes back in client-id order, bit-identical for
+//! every worker count — the property the `worker_determinism` suite
+//! and the perfgate fan-out matrix pin down.
 //!
-//! Output is merged in client-id order and every client flushes at
-//! every epoch time, so the byte streams are bit-identical for every
-//! shard count and every worker count — the property the
-//! `shard_determinism` suite and the perfgate fan-out macro pin down.
-//!
-//! [`flush_all`]: SharedSession::flush_all
-//! [`EventQueue`]: thinc_net::EventQueue
-
-use std::time::Instant;
+//! The manager once partitioned its roster into hash-keyed shards,
+//! flushed one after another on the caller's thread. No byte ever
+//! depended on the shard count and the partition added no
+//! parallelism, so it is gone (`docs/PERFORMANCE.md`, "One roster").
 
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
-use thinc_net::EventQueue;
-use thinc_protocol::{fnv64, Message};
-use thinc_telemetry::ShardMetrics;
 
-use crate::plane::WirePlane;
-use crate::session::{AuthError, ClientId, Credentials, SharedSession};
+use crate::session::{AuthError, ClientId, Credentials, FlushOutput, SharedSession};
 
-/// One shard: its member ids (ascending) and their links, in the
-/// same order, plus the shard's telemetry.
-#[derive(Debug)]
-struct Shard {
-    ids: Vec<ClientId>,
-    links: Vec<(TcpPipe, PacketTrace)>,
-    metrics: ShardMetrics,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self {
-            ids: Vec::new(),
-            links: Vec::new(),
-            metrics: ShardMetrics::new(),
-        }
-    }
-}
-
-/// A [`SharedSession`] plus the shard partition of its clients and
-/// their links. Drive drawing through [`session_mut`]
-/// (Self::session_mut) (the session implements `VideoDriver`) and
-/// delivery through [`flush_epoch`](Self::flush_epoch).
+/// A [`SharedSession`] plus its clients' links. Drive drawing through
+/// [`session_mut`](Self::session_mut) (the session implements
+/// `VideoDriver`) and delivery through [`flush_epoch`](Self::flush_epoch).
+///
+/// The name, and the ignored second argument of [`new`](Self::new),
+/// remain because the benchmark harness (`benchmark/src/fanout.rs`)
+/// calls `new`, `attach`, `link_mut`, `session`, `session_mut` and
+/// `flush_epoch` as they are.
 #[derive(Debug)]
 pub struct ShardedManager {
     session: SharedSession,
-    shards: Vec<Shard>,
-    events: EventQueue<usize>,
+    /// Attached client ids, ascending (the session's roster once every
+    /// link is registered).
+    ids: Vec<ClientId>,
+    /// `links[i]` is the `(pipe, trace)` pair of `ids[i]`.
+    links: Vec<(TcpPipe, PacketTrace)>,
 }
 
 impl ShardedManager {
-    /// Wraps `session` with `shards` shard slots (clamped to ≥ 1).
-    /// Clients already attached are partitioned by their stable
-    /// hash, but their links must then be registered via
-    /// [`adopt_link`](Self::adopt_link) in id order — attaching
-    /// through [`attach`](Self::attach) is simpler.
-    pub fn new(session: SharedSession, shards: usize) -> Self {
-        let n = shards.max(1);
-        let mut m = Self {
-            session,
-            shards: (0..n).map(|_| Shard::new()).collect(),
-            events: EventQueue::new(),
-        };
-        for id in m.session.client_ids() {
-            let s = m.shard_of(id);
-            m.shards[s].ids.push(id);
-        }
-        m
+    /// Wraps `session`; the second argument is ignored. Clients already
+    /// attached must have their links registered via
+    /// [`adopt_link`](Self::adopt_link), in id order, before the next
+    /// [`flush_epoch`](Self::flush_epoch) — attaching through
+    /// [`attach`](Self::attach) is simpler.
+    pub fn new(session: SharedSession, _shards: usize) -> Self {
+        let ids = session.client_ids();
+        Self { session, ids, links: Vec::new() }
     }
 
-    /// Rebuilds a manager from a [`SharedSession::checkpoint`] image:
-    /// the session is restored, then re-partitioned into `shards`
-    /// slots. Redialing clients' fresh links must be registered via
-    /// [`adopt_link`](Self::adopt_link) (in any order — the partition
-    /// is a pure function of the ids) before the next flush epoch.
-    pub fn restore(
-        bytes: &[u8],
-        shards: usize,
-    ) -> Result<Self, crate::checkpoint::CheckpointError> {
-        Ok(Self::new(SharedSession::restore(bytes)?, shards))
-    }
-
-    /// The shard a client id maps to: a stable content hash of the
-    /// id, independent of attach order and of every other client.
-    pub fn shard_of(&self, id: ClientId) -> usize {
-        (fnv64(&id.0.to_le_bytes()) % self.shards.len() as u64) as usize
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Rebuilds a manager from a [`SharedSession::checkpoint`] image.
+    /// Redialing clients' fresh links must be registered via
+    /// [`adopt_link`](Self::adopt_link), in id order, before the next
+    /// flush epoch.
+    pub fn restore(bytes: &[u8]) -> Result<Self, crate::checkpoint::CheckpointError> {
+        Ok(Self::new(SharedSession::restore(bytes)?, 1))
     }
 
     /// The wrapped session, for reads.
@@ -116,8 +70,7 @@ impl ShardedManager {
         &mut self.session
     }
 
-    /// Attaches a client and registers its link with the owning
-    /// shard.
+    /// Attaches a client and registers its link.
     pub fn attach(
         &mut self,
         creds: &Credentials,
@@ -126,39 +79,34 @@ impl ShardedManager {
         link: (TcpPipe, PacketTrace),
     ) -> Result<ClientId, AuthError> {
         let id = self.session.attach(creds, viewport_w, viewport_h)?;
-        let s = self.shard_of(id);
-        let shard = &mut self.shards[s];
-        let pos = shard.ids.partition_point(|x| *x < id);
-        shard.ids.insert(pos, id);
-        shard.links.insert(pos, link);
-        shard.metrics.set_clients(shard.ids.len());
+        // Ids only grow, so the newcomer goes last.
+        self.ids.push(id);
+        self.links.push(link);
         Ok(id)
     }
 
     /// Registers the link of an already-attached client (one whose
-    /// attach predates this manager). Ids must be adopted before the
-    /// next [`flush_epoch`](Self::flush_epoch).
+    /// attach predates this manager).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `id` is the lowest attached id still without a
+    /// link: links are adopted in id order.
     pub fn adopt_link(&mut self, id: ClientId, link: (TcpPipe, PacketTrace)) {
-        let s = self.shard_of(id);
-        let shard = &mut self.shards[s];
-        let pos = shard.ids.partition_point(|x| *x < id);
-        assert!(
-            shard.ids.get(pos) == Some(&id),
-            "adopt_link: client not in shard partition"
+        assert_eq!(
+            self.ids.get(self.links.len()),
+            Some(&id),
+            "adopt_link: links are adopted in id order"
         );
-        shard.links.insert(pos, link);
-        shard.metrics.set_clients(shard.ids.len());
+        self.links.push(link);
     }
 
     /// Detaches a client and drops its link. Returns the link for
     /// callers that want to inspect the pipe post-mortem.
     pub fn detach(&mut self, id: ClientId) -> Option<(TcpPipe, PacketTrace)> {
-        let s = self.shard_of(id);
-        let shard = &mut self.shards[s];
-        let pos = shard.ids.iter().position(|x| *x == id)?;
-        shard.ids.remove(pos);
-        let link = shard.links.remove(pos);
-        shard.metrics.set_clients(shard.ids.len());
+        let pos = self.ids.binary_search(&id).ok()?;
+        self.ids.remove(pos);
+        let link = self.links.remove(pos);
         self.session.detach(id);
         Some(link)
     }
@@ -166,50 +114,17 @@ impl ShardedManager {
     /// Mutable access to one client's link (fault injection, drain
     /// checks).
     pub fn link_mut(&mut self, id: ClientId) -> Option<&mut (TcpPipe, PacketTrace)> {
-        let s = self.shard_of(id);
-        let shard = &mut self.shards[s];
-        let pos = shard.ids.iter().position(|x| *x == id)?;
-        Some(&mut shard.links[pos])
+        let pos = self.ids.binary_search(&id).ok()?;
+        self.links.get_mut(pos)
     }
 
-    /// One shard's telemetry.
-    pub fn shard_metrics(&self, shard: usize) -> &ShardMetrics {
-        &self.shards[shard].metrics
-    }
-
-    /// Runs one flush epoch at `now`: every shard is scheduled on the
-    /// virtual-time reactor at the epoch time, popped in
-    /// deterministic (insertion) order, and flushed against one
-    /// shared encode-once plane. The per-client streams come back
-    /// merged in ascending client-id order — the same order, and the
-    /// same bytes, no matter how many shards or workers are in play.
-    pub fn flush_epoch(
-        &mut self,
-        now: SimTime,
-    ) -> Vec<(ClientId, Vec<(SimTime, Message)>)> {
+    /// Runs one flush epoch at `now`: the session's clock is set and
+    /// every client flushes over its link in one
+    /// [`flush_all`](SharedSession::flush_all) round. The per-client
+    /// streams come back in ascending client-id order.
+    pub fn flush_epoch(&mut self, now: SimTime) -> FlushOutput {
         self.session.set_time(now);
-        let plane = WirePlane::new();
-        for s in 0..self.shards.len() {
-            self.events.schedule(now, s);
-        }
-        let mut merged: Vec<(ClientId, Vec<(SimTime, Message)>)> = Vec::new();
-        while self.events.peek_time().is_some_and(|t| t <= now) {
-            let (_, s) = self.events.pop().expect("peeked above");
-            let shard = &mut self.shards[s];
-            if shard.ids.is_empty() {
-                continue;
-            }
-            let wall = Instant::now();
-            let (out, counters) =
-                self.session
-                    .flush_subset(now, &shard.ids, &mut shard.links, Some(&plane));
-            shard
-                .metrics
-                .record_epoch(wall.elapsed().as_micros() as u64, &counters);
-            merged.extend(out);
-        }
-        merged.sort_by_key(|(id, _)| *id);
-        merged
+        self.session.flush_all(now, &mut self.links)
     }
 }
 
@@ -231,10 +146,10 @@ mod tests {
         )
     }
 
-    fn manager(clients: usize, shards: usize) -> ShardedManager {
+    fn manager(clients: usize) -> ShardedManager {
         let mut session = SharedSession::new(64, 48, PixelFormat::Rgb888, "host");
         session.auth_mut().enable_sharing("pw");
-        let mut m = ShardedManager::new(session, shards);
+        let mut m = ShardedManager::new(session, 1);
         m.attach(&Credentials::Owner { user: "host".into() }, 64, 48, link())
             .unwrap();
         for i in 1..clients {
@@ -250,23 +165,8 @@ mod tests {
     }
 
     #[test]
-    fn partition_is_stable_and_total() {
-        let m = manager(16, 4);
-        let mut seen = Vec::new();
-        for s in &m.shards {
-            assert_eq!(s.ids.len(), s.links.len());
-            for id in &s.ids {
-                assert_eq!(m.shard_of(*id), m.shards.iter().position(|x| std::ptr::eq(x, s)).unwrap());
-                seen.push(*id);
-            }
-        }
-        seen.sort();
-        assert_eq!(seen, m.session().client_ids());
-    }
-
-    #[test]
     fn detach_removes_link_and_client() {
-        let mut m = manager(8, 3);
+        let mut m = manager(8);
         let victim = m.session().client_ids()[3];
         assert!(m.detach(victim).is_some());
         assert!(m.link_mut(victim).is_none());
@@ -276,59 +176,23 @@ mod tests {
 
     #[test]
     fn epoch_merges_in_id_order() {
-        let mut m = manager(9, 4);
+        let mut m = manager(9);
         let screen = thinc_raster::Framebuffer::new(64, 48, PixelFormat::Rgb888);
         m.session_mut().repay_refreshes(&screen);
         let out = m.flush_epoch(SimTime::ZERO);
         let ids: Vec<ClientId> = out.iter().map(|(id, _)| *id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted);
         assert_eq!(ids, m.session().client_ids());
         assert!(out.iter().all(|(_, msgs)| !msgs.is_empty()));
     }
 
     #[test]
-    fn one_shard_emits_what_flush_all_emits() {
-        // A single shard is the monolithic flush: the same viewers
-        // (full-size and scaled) behind the same links, drawn the same
-        // noise, emit the same per-client streams at every epoch
-        // whether the epoch runs through the manager or straight
-        // through `flush_all`. The link is narrower than a frame, so
-        // epochs leave backlog behind and later ones continue it.
-        use thinc_display::drawable::{DrawableStore, SCREEN};
-        use thinc_display::driver::VideoDriver;
-        use thinc_raster::Rect;
-
-        let narrow = || {
-            let params = TcpParams { sndbuf_bytes: 4 * 1024, ..TcpParams::default() };
-            (TcpPipe::new(params), PacketTrace::new())
-        };
-        let build = || {
-            let mut m = manager(1, 1);
-            for (i, (vw, vh)) in [(64, 48), (32, 24), (64, 48), (37, 29)].into_iter().enumerate() {
-                let creds = Credentials::Peer { user: format!("v{i}"), password: "pw".into() };
-                m.attach(&creds, vw, vh, narrow()).unwrap();
-            }
-            m
-        };
-        let (mut sharded, mut flat) = (build(), build());
-        let mut store = DrawableStore::new(64, 48, PixelFormat::Rgb888);
-        let mut emitted = 0;
-        for epoch in 0..12u64 {
-            if epoch < 4 {
-                let rect = Rect::new(4 * epoch as i32, 3 * epoch as i32, 40, 30);
-                let data = crate::fixtures::noise(40 * 30 * 3, epoch as u32);
-                store.screen_mut().put_raw(&rect, &data);
-                sharded.session_mut().put_image(&store, SCREEN, rect, &data);
-                flat.session_mut().put_image(&store, SCREEN, rect, &data);
-            }
-            let now = SimTime(epoch * 20_000);
-            let a = sharded.flush_epoch(now);
-            let b = flat.session.flush_all(now, &mut flat.shards[0].links);
-            emitted += a.iter().map(|(_, msgs)| msgs.len()).sum::<usize>();
-            assert_eq!(a, b, "epoch {epoch}");
-        }
-        assert!(emitted > 20, "the streams under comparison are not empty: {emitted}");
+    #[should_panic(expected = "adopted in id order")]
+    fn an_out_of_order_adoption_is_refused() {
+        // A link adopted out of order would be paired with another
+        // viewer's id by the next flush.
+        let screen = thinc_raster::Framebuffer::new(64, 48, PixelFormat::Rgb888);
+        let mut m = ShardedManager::restore(&manager(3).session().checkpoint(&screen)).unwrap();
+        let second = m.session().client_ids()[1];
+        m.adopt_link(second, link());
     }
 }

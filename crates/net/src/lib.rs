@@ -20,8 +20,6 @@
 //!   relay routing (the GoToMyPC intermediate-server topology),
 //! - [`trace`]: packet traces and slow-motion-benchmarking
 //!   measurement (the reproduction's "Ethereal packet monitor"),
-//! - [`events`]: a small priority event queue for imperative
-//!   virtual-time simulations,
 //! - [`transport`]: *real* byte transports (TCP sockets, in-memory
 //!   channels) with non-blocking semantics, so the same protocol
 //!   stack also runs live between threads or processes.
@@ -29,7 +27,6 @@
 //! Everything is deterministic: the same workload over the same
 //! configuration produces byte- and microsecond-identical results.
 
-pub mod events;
 pub mod fault;
 pub mod link;
 pub mod tcp;
@@ -37,7 +34,6 @@ pub mod time;
 pub mod trace;
 pub mod transport;
 
-pub use events::EventQueue;
 pub use fault::{FaultPlan, FaultState, FaultStats};
 pub use link::{DuplexLink, NetworkConfig};
 pub use tcp::{TcpParams, TcpPipe};

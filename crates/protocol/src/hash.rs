@@ -16,7 +16,7 @@
 //! `docs/CACHE.md` for the full collision stance.
 //!
 //! FNV-1a's value is *observable* — in `MSG_CACHE_REF`, resume-token
-//! store digests, checkpoint tile digests, session ids, shard indices —
+//! store digests, checkpoint tile digests, session ids —
 //! so it stays exactly what it is, one multiply per byte in a serial
 //! chain. Where a hash never leaves the process (the payload plane's
 //! and the encode memo's notion of "same content"), [`content_id`]

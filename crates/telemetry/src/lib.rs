@@ -16,9 +16,9 @@
 //!
 //! Grouped per subsystem ([`ProtocolMetrics`], [`BufferStats`] and
 //! [`SchedulerMetrics`], [`TranslatorStats`], [`NetMetrics`],
-//! [`ClientStats`], [`ResilienceMetrics`], [`PlaneCounters`] and
-//! [`ShardMetrics`]) and aggregated per session
-//! ([`SessionTelemetry`]), they feed the per-command figures in
+//! [`ClientStats`], [`ResilienceMetrics`] and [`PlaneCounters`]) and
+//! aggregated per session ([`SessionTelemetry`]), they feed the
+//! per-command figures in
 //! `thinc-bench` and the JSONL session-trace export
 //! ([`Timeline::to_jsonl`]).
 //!
@@ -33,8 +33,8 @@
 //!   export deterministic.
 //! * **No atomics or locks.** Metrics are plain values owned by the
 //!   component they instrument, and every per-client group belongs to
-//!   that client's `Delivery`: the sharded manager's worker threads
-//!   each flush disjoint clients, so no group is ever shared between
+//!   that client's `Delivery`: the session's flush workers each
+//!   flush disjoint clients, so no group is ever shared between
 //!   threads; views across clients are merged afterwards, in client
 //!   order.
 //! * **One increment per event.** An event is counted once, in the
@@ -65,16 +65,16 @@ mod command;
 mod counters;
 mod metrics;
 mod resilience;
+mod plane;
 mod session;
-mod shard;
 mod timeline;
 
 pub use command::CommandKind;
 pub use metrics::{Gauge, Histogram};
+pub use plane::PlaneCounters;
 pub use resilience::ResilienceMetrics;
 pub use session::{
     BufferStats, ClientStats, CommandRow, NetMetrics, ProtocolMetrics, SchedulerMetrics,
     SessionTelemetry, TelemetrySnapshot, TranslatorStats,
 };
-pub use shard::{PlaneCounters, ShardMetrics};
 pub use timeline::{Timeline, TimelineEvent};

@@ -1073,20 +1073,15 @@ fn cache_degradation_reconnect_matrix_converges_with_lockstep_eviction() {
 #[test]
 fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
     // The resilience scenario on the fan-out path: a 12-viewer
-    // broadcast driven through the sharded session manager, with one
-    // peer behind a bandwidth collapse. The shard count comes from
-    // `THINC_SHARDS` and the worker count from `THINC_FLUSH_WORKERS`
-    // (the CI matrix sweeps both) — the verdicts and the final bytes
-    // must be identical for every combination. Only the faulted peer
+    // broadcast driven through the session manager, with one peer
+    // behind a bandwidth collapse. The worker count comes from
+    // `THINC_FLUSH_WORKERS` (the CI matrix sweeps it) — the verdicts
+    // and the final bytes must be identical for every count. Only the faulted peer
     // degrades; past the window it recovers, every viewer converges
     // byte-exact, and the encode-once plane must have amortized real
     // work across the population.
     use thinc::display::driver::VideoDriver;
 
-    let shards: usize = std::env::var("THINC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     let workers: usize = std::env::var("THINC_FLUSH_WORKERS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -1103,7 +1098,7 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
         })
         .with_workers(workers);
     session.auth_mut().enable_sharing("pw");
-    let mut m = ShardedManager::new(session, shards);
+    let mut m = ShardedManager::new(session, 1);
     let link = |faulted: bool| -> (TcpPipe, PacketTrace) {
         let pipe = if faulted {
             let plan = FaultPlan::seeded(seed).with_collapse(
@@ -1186,16 +1181,13 @@ fn sharded_fanout_rides_out_collapse_and_converges_byte_exact() {
         assert_eq!(
             streams[idx].client().framebuffer().data(),
             store.screen().data(),
-            "viewer {idx} must converge byte-exact (shards={shards} workers={workers})"
+            "viewer {idx} must converge byte-exact (workers={workers})"
         );
     }
     // The perf half of the contract: the plane amortized encodes
     // across the population — far fewer wire forms than plane sends.
-    let (mut sends, mut encodes) = (0u64, 0u64);
-    for s in 0..m.shard_count() {
-        sends += m.shard_metrics(s).plane.shared_sends;
-        encodes += m.shard_metrics(s).plane.encodes;
-    }
+    let plane = m.session().fanout_counters();
+    let (sends, encodes) = (plane.shared_sends, plane.encodes);
     assert!(sends > 0, "the broadcast must engage the encode-once plane");
     assert!(
         encodes * 2 < sends,
@@ -1265,7 +1257,7 @@ fn warm_resume_ships_fewer_bytes_than_cold_reconnect() {
 
     // The desktop keeps moving while the standby spins up: one band
     // of the screen changes before anyone redials.
-    let mut standby = ShardedManager::restore(&image, 1).expect("image restores");
+    let mut standby = ShardedManager::restore(&image).expect("image restores");
     standby.session_mut().set_time(secs(5.0));
     let damage = Rect::new(0, 0, W, 24);
     if let DrawRequest::PutImage { rect, data, .. } = noise(damage, seed.wrapping_add(77)) {
@@ -1336,20 +1328,16 @@ fn warm_resume_ships_fewer_bytes_than_cold_reconnect() {
 }
 
 #[test]
-fn checkpoint_failover_converges_across_shards() {
-    // Warm failover on the sharded fan-out path, swept by the CI
-    // matrix: a broadcast session crashes mid-traffic (undelivered
-    // backlog in flight), the standby restores the image under
-    // `THINC_SHARDS` shards and `THINC_FLUSH_WORKERS` workers, every
-    // viewer redials with a valid resume token, and all of them are
-    // resumed warm — zero cold fallbacks — converging byte-exact on
-    // the post-crash screen for every shard × worker combination.
+fn checkpoint_failover_converges_across_workers() {
+    // Warm failover on the fan-out path, swept by the CI matrix: a
+    // broadcast session crashes mid-traffic (undelivered backlog in
+    // flight), the standby restores the image under
+    // `THINC_FLUSH_WORKERS` workers, every viewer redials with a valid
+    // resume token, and all of them are resumed warm — zero cold
+    // fallbacks — converging byte-exact on the post-crash screen for
+    // every worker count.
     use thinc::display::driver::VideoDriver;
 
-    let shards: usize = std::env::var("THINC_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
     let workers: usize = std::env::var("THINC_FLUSH_WORKERS")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -1362,7 +1350,7 @@ fn checkpoint_failover_converges_across_shards() {
         .with_cache(64 * 1024)
         .with_workers(workers);
     session.auth_mut().enable_sharing("pw");
-    let mut m = ShardedManager::new(session, shards);
+    let mut m = ShardedManager::new(session, 1);
     let owner = m
         .attach(&Credentials::Owner { user: "host".into() }, W, H, lan_link())
         .unwrap();
@@ -1410,16 +1398,16 @@ fn checkpoint_failover_converges_across_shards() {
     let image = m.session().checkpoint(store.screen());
     drop(m);
 
-    // The standby restores under the swept shard count; the desktop
-    // moved while it spun up.
-    let mut m = ShardedManager::restore(&image, shards).expect("crash image restores");
+    // The standby restores the image; the desktop moved while it spun
+    // up.
+    let mut m = ShardedManager::restore(&image).expect("crash image restores");
     m.session_mut().set_time(secs(3.0));
     let damage = Rect::new(0, (H - 20) as i32, W, 20);
     if let DrawRequest::PutImage { rect, data, .. } = noise(damage, seed.wrapping_add(99)) {
         store.screen_mut().put_raw(&rect, &data);
         m.session_mut().put_image(&store, SCREEN, rect, &data);
     }
-    // Every viewer redials: fresh link adopted by its shard, hello and
+    // Every viewer redials: fresh link adopted in id order, hello and
     // resume token handed to the session, sequence stream carried
     // forward.
     let sid = m.session().session_id();
@@ -1431,7 +1419,7 @@ fn checkpoint_failover_converges_across_shards() {
         assert!(streams[idx].resume_pending(), "drained reader must allow a warm resume");
     }
     // Settle: the standby replays the checkpointed backlog and the
-    // resume deltas through the sharded flush plane.
+    // resume deltas through the fan-out flush plane.
     for r in 0..200u64 {
         pump_session(&mut m, &store, &ids, &mut streams, secs(3.1 + 0.01 * r as f64));
         if ids.iter().all(|&id| m.session().backlog(id) == 0)
@@ -1445,7 +1433,7 @@ fn checkpoint_failover_converges_across_shards() {
             streams[idx].client().framebuffer().data(),
             store.screen().data(),
             "viewer {idx} must converge byte-exact after failover \
-             (shards={shards} workers={workers})"
+             (workers={workers})"
         );
         let server_side = m.session().viewer(id).unwrap().resilience_metrics();
         assert_eq!(server_side.resumes(), 1, "viewer {idx}: warm resume counted");
