@@ -328,11 +328,11 @@ fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String
     out
 }
 
-/// A byte-level hostile-WAN mini-session. The message-level sessions
-/// above never serialize frames, so their integrity counters are
-/// structurally zero; this one pushes every frame through the
-/// revision-2 wire encoding and a `StreamClient` while seeded
-/// corruption, reorder and duplication windows disturb the downlink —
+/// A byte-level hostile-WAN mini-session. The sessions above frame
+/// every message too, but their links never damage a byte, so their
+/// integrity counters are zero; this one drives the same delivery
+/// function (`pump_wire`) while seeded corruption, reorder and
+/// duplication windows disturb the downlink —
 /// exercising the full recovery ladder (CRC failure → resync →
 /// refresh request) and reporting nonzero per-cause counters.
 fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {

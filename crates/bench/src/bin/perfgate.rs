@@ -643,7 +643,7 @@ fn cache_suite() -> CacheStats {
         cached_kb_per_round: per_round(&cached),
         uncached_kb_per_round: per_round(&uncached),
         savings_ratio: per_round(&uncached) / per_round(&cached),
-        hits: cached.client().cache_hits(),
+        hits: cached.client().resilience_metrics().cache_hits(),
         byte_exact: cached.client().client().framebuffer().data()
             == uncached.client().client().framebuffer().data(),
         verified: cached.verified() && uncached.verified(),

@@ -4,13 +4,15 @@
 //! implementation end to end: the window server rasterizes requests
 //! and mirrors them to the real [`ThincServer`] driver; the server
 //! translates, schedules and flushes over the simulated connection;
-//! and a real [`HeadlessClient`] executes every message — so the
+//! every flushed message is framed and checksummed, carried as bytes
+//! and decoded by a real [`StreamClient`] — the instrumented headless
+//! client of §8.1 — whose uplink goes back to the server. So the
 //! benchmark also continuously verifies that the client framebuffer
 //! matches the server screen.
 
 use thinc_baselines::framework::{raster_cost, server_time, CLIENT_HZ};
 use thinc_baselines::traits::{AvStats, RemoteDisplay};
-use thinc_client::{HeadlessClient, StreamClient};
+use thinc_client::StreamClient;
 use thinc_core::server::{ServerConfig, ThincServer};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
@@ -21,7 +23,7 @@ use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::message::{Message, ProtocolInput};
 use thinc_protocol::wire::encode_message;
 use thinc_raster::{Point, Rect, YuvFrame};
-use thinc_telemetry::{ResilienceMetrics, SessionTelemetry, Timeline};
+use thinc_telemetry::{Histogram, ResilienceMetrics, SessionTelemetry, Timeline};
 
 /// Flush period of the server's delivery loop.
 const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
@@ -83,14 +85,15 @@ pub fn server_telemetry(driver: &ThincServer, link: &DuplexLink) -> SessionTelem
 /// client, and hand the server whatever the client sends back (pongs,
 /// cache misses, its reconnect policy's refresh requests). Recovery is
 /// closed-loop: the server answers a latched refresh request with a
-/// full resync; the harness never resyncs by hand.
+/// full resync; the harness never resyncs by hand. Returns the flushed
+/// `(arrival, message)` pairs, in arrival order.
 pub fn pump_wire(
     ws: &mut WindowServer<ThincServer>,
     link: &mut DuplexLink,
     trace: &mut PacketTrace,
     client: &mut StreamClient,
     now: SimTime,
-) {
+) -> Vec<(SimTime, Message)> {
     let batch = ws.driver_mut().flush(now, &mut link.down, trace);
     let frames: Vec<_> = batch
         .iter()
@@ -107,6 +110,7 @@ pub fn pump_wire(
         ws.driver_mut().set_time(now);
         ws.driver_mut().resync(&screen);
     }
+    batch
 }
 
 /// The real THINC pipeline behind the harness interface.
@@ -114,8 +118,15 @@ pub struct ThincSystem {
     ws: WindowServer<ThincServer>,
     link: DuplexLink,
     trace: PacketTrace,
-    client: HeadlessClient,
+    client: StreamClient,
     last_arrival: Option<SimTime>,
+    /// When the in-flight frame update was requested (a click); the
+    /// next display update to arrive closes the latency sample.
+    frame_requested: Option<SimTime>,
+    /// Request-to-screen latency of the clicked updates (µs of virtual
+    /// time).
+    frame_latency_us: Histogram,
+    audio_open: bool,
     frames_sent: u32,
     frames_delivered: u32,
     audio_bytes: u64,
@@ -159,12 +170,20 @@ impl ThincSystem {
             viewport_width: viewport.0,
             viewport_height: viewport.1,
         });
+        let mut client = StreamClient::new(viewport.0, viewport.1, fmt);
+        // The hello travels legacy-framed and moves the reader to the
+        // negotiated revision.
+        let hello = server.hello();
+        client.feed(&server.encode_frame(&hello));
         Self {
             ws: WindowServer::new(w, h, fmt, server),
             link: net.connect(),
             trace: PacketTrace::new(),
-            client: HeadlessClient::new(viewport.0, viewport.1, fmt),
+            client,
             last_arrival: None,
+            frame_requested: None,
+            frame_latency_us: Histogram::latency_us(),
+            audio_open: false,
             frames_sent: 0,
             frames_delivered: 0,
             audio_bytes: 0,
@@ -180,8 +199,8 @@ impl ThincSystem {
     pub fn session_telemetry(&self) -> SessionTelemetry {
         let mut t = server_telemetry(self.ws.driver(), &self.link);
         t.net = self.net_metrics.clone();
-        t.client = self.client.stats();
-        t.frame_latency_us = self.client.frame_latency_us().clone();
+        t.client = self.client.client().stats();
+        t.frame_latency_us = self.frame_latency_us.clone();
         t.timeline = self.timeline.clone();
         t
     }
@@ -192,7 +211,7 @@ impl ThincSystem {
     }
 
     /// The client (for verification).
-    pub fn client(&self) -> &HeadlessClient {
+    pub fn client(&self) -> &StreamClient {
         &self.client
     }
 
@@ -201,23 +220,35 @@ impl ThincSystem {
         self.ws.driver().stats()
     }
 
-    /// Whether the client framebuffer matches the server screen
+    /// Whether the client decoded everything it was sent, is not
+    /// latched stale, and its framebuffer matches the server screen
     /// byte for byte (only meaningful at full viewport with all
     /// pending updates drained).
     pub fn verified(&self) -> bool {
-        self.client.client().framebuffer().data() == self.ws.screen().data()
+        self.client.pending_bytes() == 0
+            && !self.client.needs_refresh()
+            && self.client.client().framebuffer().data() == self.ws.screen().data()
     }
 
     fn flush_once(&mut self, now: SimTime) {
-        let batch = self.ws.driver_mut().flush(now, &mut self.link.down, &mut self.trace);
+        let batch = pump_wire(
+            &mut self.ws,
+            &mut self.link,
+            &mut self.trace,
+            &mut self.client,
+            now,
+        );
         for (arrival, msg) in batch {
-            if matches!(msg, Message::VideoData { .. }) {
-                self.frames_delivered += 1;
+            match msg {
+                Message::VideoData { .. } => self.frames_delivered += 1,
+                Message::Audio { ref data, .. } => self.audio_bytes += data.len() as u64,
+                Message::Display(_) | Message::CacheRef { .. } => {
+                    if let Some(t0) = self.frame_requested.take() {
+                        self.frame_latency_us.record(arrival.0.saturating_sub(t0.0));
+                    }
+                }
+                _ => {}
             }
-            if let Message::Audio { ref data, .. } = msg {
-                self.audio_bytes += data.len() as u64;
-            }
-            self.client.receive(arrival, &msg);
             self.last_arrival = Some(self.last_arrival.map_or(arrival, |a| a.max(arrival)));
         }
         self.sample_net(now);
@@ -266,7 +297,7 @@ impl RemoteDisplay for ThincSystem {
         let size = encode_message(&msg).len() as u64;
         let (_, arrival) = self.link.up.send(now, size);
         self.trace.record(now, arrival, size, Direction::Up, "input");
-        self.client.mark_frame_request(now);
+        self.frame_requested = Some(now);
         if let Some(ev) = self.ws.driver_mut().handle_message(&msg) {
             self.ws.handle_input(ev);
         }
@@ -317,12 +348,14 @@ impl RemoteDisplay for ThincSystem {
 
     fn audio(&mut self, now: SimTime, pcm: &[u8]) {
         self.ws.driver_mut().set_time(now);
-        if self.ws.driver().av_backlog() == 0 && self.audio_bytes == 0 && pcm.is_empty() {
-            return;
-        }
-        // Lazily open the device on first use.
-        if self.ws.driver_mut().stats().audio_messages == 0 && self.audio_bytes == 0 {
+        // Open the device once, on the first write that carries
+        // samples: its clock starts there.
+        if !self.audio_open {
+            if pcm.is_empty() {
+                return;
+            }
             self.ws.driver_mut().open_audio(44_100, 2);
+            self.audio_open = true;
         }
         self.ws.driver_mut().play_audio(pcm);
         self.flush_once(now);
@@ -418,6 +451,72 @@ mod tests {
         let s = sys.av_stats();
         assert_eq!(s.frames_delivered, 5);
         assert_eq!(s.frames_dropped, 0);
+    }
+
+    #[test]
+    fn every_frame_decodes_and_every_message_is_applied() {
+        use crate::avbench::run_av;
+        use crate::webbench::run_web;
+        use thinc_workloads::video::{AudioTrack, VideoClip};
+        use thinc_workloads::web::WebWorkload;
+        let lan = NetworkConfig::lan_desktop();
+        let mut web = ThincSystem::new(&lan, 256, 192);
+        run_web(&mut web, &WebWorkload::new(256, 192, 2005), 2);
+        let mut av = ThincSystem::new(&lan, 352, 240);
+        let audio = AudioTrack {
+            duration_ms: 1_000,
+            ..AudioTrack::benchmark()
+        };
+        let clip = VideoClip::short(1_000);
+        run_av(&mut av, &clip, Some(&audio), Rect::new(0, 0, 352, 240));
+        for sys in [&web, &av] {
+            let m = sys.client().resilience_metrics();
+            assert_eq!(
+                (m.decode_errors(), m.crc_failures(), m.seq_gaps()),
+                (0, 0, 0)
+            );
+            assert_eq!(sys.client().pending_bytes(), 0);
+            // Everything the server put on the wire, plus its hello.
+            let sent = sys.ws.driver().protocol_metrics().total_messages();
+            assert_eq!(sys.client().client().stats().messages, sent + 1);
+            assert!(sys.verified());
+        }
+        assert!(av.av_stats().audio_bytes > 0);
+    }
+
+    #[test]
+    fn a_click_is_closed_by_the_first_display_arrival() {
+        let mut sys = ThincSystem::new(&NetworkConfig::wan_desktop(), 64, 64);
+        let click = SimTime(1_000);
+        sys.click(click, Point::new(4, 4));
+        let fill = |color| {
+            vec![DrawRequest::FillRect {
+                target: thinc_display::SCREEN,
+                rect: Rect::new(0, 0, 64, 64),
+                color,
+            }]
+        };
+        sys.process(SimTime(50_000), fill(Color::WHITE));
+        let first = sys.last_client_arrival().expect("the fill arrived");
+        sys.process(SimTime(90_000), fill(Color::BLACK));
+        assert!(sys.last_client_arrival() > Some(first));
+        let latency = sys.session_telemetry().frame_latency_us;
+        assert_eq!(latency.count(), 1);
+        assert_eq!(latency.max(), (first - click).as_micros());
+    }
+
+    #[test]
+    fn audio_written_in_chunks_under_a_packet_is_shipped() {
+        let mut sys = ThincSystem::new(&NetworkConfig::lan_desktop(), 64, 64);
+        let first = SimTime(5_000);
+        for i in 0..10 {
+            sys.audio(first + SimDuration::from_millis(i), &[7; 1_000]);
+        }
+        sys.drain(SimTime(100_000));
+        assert!(sys.av_stats().audio_bytes >= 8_192, "{:?}", sys.av_stats());
+        // The device clock started at the first write.
+        let ts = sys.client().client().audio_timestamps();
+        assert_eq!(ts.first(), Some(&first.as_micros()));
     }
 
     #[test]

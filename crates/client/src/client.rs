@@ -13,7 +13,7 @@ use thinc_protocol::message::Message;
 use thinc_raster::{Framebuffer, PixelFormat, Rect, YuvFormat};
 pub use thinc_telemetry::ClientStats;
 
-use crate::hardware::{ClientHardware, HardwareCaps};
+use crate::hardware::ClientHardware;
 
 /// Largest width or height the client will honor for wire-controlled
 /// geometry (video destinations, pattern tiles). These dimensions
@@ -55,14 +55,9 @@ impl ThincClient {
     /// Creates a client whose framebuffer is `width`×`height` in
     /// `format` (the viewport geometry it announced to the server).
     pub fn new(width: u32, height: u32, format: PixelFormat) -> Self {
-        Self::with_hardware(width, height, format, HardwareCaps::commodity())
-    }
-
-    /// Creates a client with explicit hardware capabilities.
-    pub fn with_hardware(width: u32, height: u32, format: PixelFormat, caps: HardwareCaps) -> Self {
         Self {
             fb: Framebuffer::new(width, height, format),
-            hw: ClientHardware::new(caps),
+            hw: ClientHardware::default(),
             overlays: HashMap::new(),
             stats: ClientStats::default(),
             audio_timestamps: Vec::new(),
@@ -92,11 +87,6 @@ impl ThincClient {
     /// The hardware cost model (client processing time accounting).
     pub fn hardware(&self) -> &ClientHardware {
         &self.hw
-    }
-
-    /// The hardware cost model, mutably (reset between phases).
-    pub fn hardware_mut(&mut self) -> &mut ClientHardware {
-        &mut self.hw
     }
 
     /// Timestamps of received audio packets (A/V sync verification).
@@ -173,7 +163,7 @@ impl ThincClient {
                 // screen first — `dst` is wire-controlled and must not
                 // size the work.
                 thinc_raster::yuv::blit(fmt, sw, sh, data, &mut self.fb, &dst);
-                self.hw.video(sw as u64 * sh as u64, dst.area());
+                self.hw.raster(sw as u64 * sh as u64);
                 self.stats.video_frames += 1;
             }
             Message::VideoMove { id, dst } => {
@@ -264,7 +254,7 @@ impl ThincClient {
                     return;
                 };
                 self.fb.put_raw(rect, pixels);
-                self.hw.put(rect.area());
+                self.hw.raster(rect.area());
                 self.stats.raw += 1;
             }
             DisplayCommand::Copy {
@@ -273,12 +263,12 @@ impl ThincClient {
                 dst_y,
             } => {
                 self.fb.copy_rect(src_rect, *dst_x, *dst_y);
-                self.hw.copy(src_rect.area());
+                self.hw.raster(src_rect.area());
                 self.stats.copy += 1;
             }
             DisplayCommand::Sfill { rect, color } => {
                 self.fb.fill_rect(rect, *color);
-                self.hw.fill(rect.area());
+                self.hw.raster(rect.area());
                 self.stats.sfill += 1;
             }
             DisplayCommand::Pfill { rect, tile } => {
@@ -294,7 +284,7 @@ impl ThincClient {
                 let mut t = Framebuffer::new(tile.width, tile.height, self.fb.format());
                 t.put_raw(&Rect::new(0, 0, tile.width, tile.height), &tile.pixels);
                 self.fb.tile_rect(rect, &t);
-                self.hw.pattern(rect.area());
+                self.hw.raster(rect.area());
                 self.stats.pfill += 1;
             }
             DisplayCommand::Bitmap { rect, bits, fg, bg } => {
@@ -304,7 +294,7 @@ impl ThincClient {
                     return;
                 }
                 self.fb.bitmap_rect(rect, bits, *fg, *bg);
-                self.hw.pattern(rect.area());
+                self.hw.raster(rect.area());
                 self.stats.bitmap += 1;
             }
         }
@@ -556,6 +546,16 @@ mod tests {
             data: frame.data.clone().into(),
         });
         (c, frame)
+    }
+
+    #[test]
+    fn overlay_decouples_cost_from_view_size() {
+        // Fullscreen playback costs the same as windowed: the overlay
+        // converts and scales in hardware (§4.2).
+        let windowed = overlay_at(Rect::new(8, 8, 16, 12)).0;
+        let fullscreen = overlay_at(Rect::new(0, 0, 64, 48)).0;
+        assert_eq!(windowed.stats().video_frames, 1);
+        assert_eq!(windowed.hardware().cycles(), fullscreen.hardware().cycles());
     }
 
     #[test]

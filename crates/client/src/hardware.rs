@@ -2,130 +2,41 @@
 //!
 //! THINC's commands "mimic operations commonly found in client display
 //! hardware and represent a subset of operations accelerated by most
-//! graphics subsystems" (§3). This module models such a device: which
-//! operations it accelerates, and what each operation costs — the
-//! basis for accounting client processing time, which the paper's
-//! instrumented clients measure (§8.2). Costs are in abstract cycles;
-//! the bench harness converts them to time with a clock rate (the
-//! testbed client is a 450 MHz Pentium II).
-
-/// What the client's video card accelerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HardwareCaps {
-    /// Accelerated solid fill.
-    pub accel_fill: bool,
-    /// Accelerated screen-to-screen copy.
-    pub accel_copy: bool,
-    /// Accelerated pattern/stipple fill.
-    pub accel_pattern: bool,
-    /// YUV overlay with hardware colorspace conversion and scaling.
-    pub yuv_overlay: bool,
-    /// Hardware alpha compositing (rare on 2005-era 2D cards; THINC
-    /// falls back to server-side software rendering when absent, §3).
-    pub alpha_compositing: bool,
-}
-
-impl HardwareCaps {
-    /// A typical 2005 commodity card: 2D acceleration + YUV overlay,
-    /// no alpha compositing.
-    pub fn commodity() -> Self {
-        Self {
-            accel_fill: true,
-            accel_copy: true,
-            accel_pattern: true,
-            yuv_overlay: true,
-            alpha_compositing: false,
-        }
-    }
-
-    /// A bare dumb framebuffer (everything in software).
-    pub fn dumb_framebuffer() -> Self {
-        Self {
-            accel_fill: false,
-            accel_copy: false,
-            accel_pattern: false,
-            yuv_overlay: false,
-            alpha_compositing: false,
-        }
-    }
-}
+//! graphics subsystems" (§3). This module models such a device — a
+//! 2005 commodity card with 2D acceleration and a YUV overlay — and
+//! what each operation costs on it: the basis for accounting client
+//! processing time, which the paper's instrumented clients measure
+//! (§8.2). Costs are in abstract cycles; the bench harness converts
+//! them to time with a clock rate (the testbed client is a 450 MHz
+//! Pentium II).
 
 /// Per-operation cost model (abstract cycles).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClientHardware {
-    caps: HardwareCaps,
     cycles: u64,
 }
 
-/// Cycles per pixel for software raster operations.
-const SW_PIXEL_CYCLES: u64 = 8;
-/// Cycles per pixel when the operation is hardware accelerated (setup
-/// amortized; blitters move multiple pixels per cycle).
+/// Cycles per pixel of an accelerated operation (setup amortized;
+/// blitters move multiple pixels per cycle).
 const HW_PIXEL_CYCLES: u64 = 1;
 /// Fixed per-command dispatch cost.
 const DISPATCH_CYCLES: u64 = 200;
-/// Cycles per byte of software YUV→RGB conversion.
-const SW_YUV_CYCLES_PER_PX: u64 = 20;
 /// Cycles per byte of decompression (client-side PNG-like decode).
 const DECOMPRESS_CYCLES_PER_BYTE: u64 = 12;
 
 impl ClientHardware {
-    /// A device with the given capabilities.
-    pub fn new(caps: HardwareCaps) -> Self {
-        Self { caps, cycles: 0 }
-    }
-
-    /// The capability set.
-    pub fn caps(&self) -> HardwareCaps {
-        self.caps
-    }
-
     /// Total cycles consumed so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
-    /// Resets the cycle counter (between benchmark phases).
-    pub fn reset(&mut self) {
-        self.cycles = 0;
-    }
-
-    fn raster(&mut self, pixels: u64, accelerated: bool) {
-        let per_px = if accelerated { HW_PIXEL_CYCLES } else { SW_PIXEL_CYCLES };
-        self.cycles += DISPATCH_CYCLES + pixels * per_px;
-    }
-
-    /// Accounts a solid fill of `pixels`.
-    pub fn fill(&mut self, pixels: u64) {
-        self.raster(pixels, self.caps.accel_fill);
-    }
-
-    /// Accounts a copy of `pixels`.
-    pub fn copy(&mut self, pixels: u64) {
-        self.raster(pixels, self.caps.accel_copy);
-    }
-
-    /// Accounts a pattern or stipple fill of `pixels`.
-    pub fn pattern(&mut self, pixels: u64) {
-        self.raster(pixels, self.caps.accel_pattern);
-    }
-
-    /// Accounts a raw pixel write of `pixels` (memory bound; never
-    /// "accelerated" beyond a blit).
-    pub fn put(&mut self, pixels: u64) {
-        self.raster(pixels, true);
-    }
-
-    /// Accounts displaying a YUV frame of `src_pixels` scaled to
-    /// `dst_pixels`. With an overlay, conversion and scaling are free
-    /// beyond the transfer; in software both stages are paid.
-    pub fn video(&mut self, src_pixels: u64, dst_pixels: u64) {
-        if self.caps.yuv_overlay {
-            self.cycles += DISPATCH_CYCLES + src_pixels * HW_PIXEL_CYCLES;
-        } else {
-            self.cycles +=
-                DISPATCH_CYCLES + src_pixels * SW_YUV_CYCLES_PER_PX + dst_pixels * SW_PIXEL_CYCLES;
-        }
+    /// Accounts an operation over `pixels`: a solid, pattern or
+    /// stipple fill, a screen-to-screen copy, a raw pixel write, or a
+    /// YUV frame handed to the overlay — which converts and scales it
+    /// for free beyond the transfer, so a frame costs its source
+    /// pixels whatever size it is shown at (§4.2).
+    pub fn raster(&mut self, pixels: u64) {
+        self.cycles += DISPATCH_CYCLES + pixels * HW_PIXEL_CYCLES;
     }
 
     /// Accounts decompressing `bytes` of RAW payload.
@@ -144,48 +55,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn acceleration_is_cheaper() {
-        let mut hw = ClientHardware::new(HardwareCaps::commodity());
-        hw.fill(10_000);
-        let fast = hw.cycles();
-        let mut sw = ClientHardware::new(HardwareCaps::dumb_framebuffer());
-        sw.fill(10_000);
-        assert!(fast < sw.cycles());
-    }
-
-    #[test]
-    fn overlay_decouples_cost_from_view_size() {
-        // Fullscreen playback costs the same as windowed with an
-        // overlay — the §4.2 property.
-        let mut hw = ClientHardware::new(HardwareCaps::commodity());
-        hw.video(352 * 240, 352 * 240);
-        let windowed = hw.cycles();
-        hw.reset();
-        hw.video(352 * 240, 1024 * 768);
-        assert_eq!(hw.cycles(), windowed);
-        // In software, fullscreen is much more expensive.
-        let mut sw = ClientHardware::new(HardwareCaps::dumb_framebuffer());
-        sw.video(352 * 240, 352 * 240);
-        let sw_windowed = sw.cycles();
-        sw.reset();
-        sw.video(352 * 240, 1024 * 768);
-        assert!(sw.cycles() > sw_windowed * 2);
-    }
-
-    #[test]
     fn seconds_scale_with_clock() {
-        let mut hw = ClientHardware::new(HardwareCaps::commodity());
-        hw.fill(450_000);
+        let mut hw = ClientHardware::default();
+        hw.raster(450_000);
         let slow = hw.seconds_at(450_000_000); // The paper's client.
         let fast = hw.seconds_at(933_000_000); // The paper's server.
         assert!(slow > fast);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut hw = ClientHardware::new(HardwareCaps::commodity());
-        hw.copy(100);
-        hw.reset();
-        assert_eq!(hw.cycles(), 0);
     }
 }

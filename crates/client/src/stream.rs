@@ -19,7 +19,6 @@ use thinc_protocol::wire::{FrameReader, IntegrityCounters};
 use thinc_raster::{PixelFormat, Rect, Region};
 
 use crate::client::ThincClient;
-use crate::hardware::HardwareCaps;
 use crate::reconnect::ReconnectPolicy;
 
 /// How long bytes may sit in the reader with zero decode progress
@@ -82,18 +81,8 @@ pub struct StreamClient {
 impl StreamClient {
     /// A stream client with the given display geometry.
     pub fn new(width: u32, height: u32, format: PixelFormat) -> Self {
-        Self::wrap(ThincClient::new(width, height, format))
-    }
-
-    /// A stream client with explicit hardware capabilities.
-    pub fn with_hardware(width: u32, height: u32, format: PixelFormat, caps: HardwareCaps) -> Self {
-        Self::wrap(ThincClient::with_hardware(width, height, format, caps))
-    }
-
-    /// Wraps an existing client.
-    pub fn wrap(client: ThincClient) -> Self {
         Self {
-            client,
+            client: ThincClient::new(width, height, format),
             reader: FrameReader::new(),
             needs_refresh: false,
             refresh_cover: Region::new(),
@@ -374,13 +363,6 @@ impl StreamClient {
         self.needs_refresh
     }
 
-    /// Consumes the refresh flag (for harnesses that drive the resync
-    /// themselves instead of installing a [`ReconnectPolicy`]).
-    pub fn take_needs_refresh(&mut self) -> bool {
-        self.refresh_cover = Region::new();
-        std::mem::take(&mut self.needs_refresh)
-    }
-
     /// The resume token this client presents when redialing after a
     /// server crash (`MSG_SESSION_RESUME`, see `docs/PROTOCOL.md`):
     /// the session/client identity it was assigned, the last
@@ -574,7 +556,9 @@ mod tests {
         assert!(m.decode_errors() >= 1);
         assert!(m.stream_resyncs() >= 1);
         assert!(m.skipped_bytes() >= 4);
-        assert!(c.take_needs_refresh());
+        // The latch holds until an opaque repaint covers the viewport.
+        assert!(c.needs_refresh());
+        c.feed(&fill(Rect::new(0, 0, 32, 32), Color::rgb(4, 4, 4)));
         assert!(!c.needs_refresh());
     }
 

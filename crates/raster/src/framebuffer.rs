@@ -496,7 +496,7 @@ impl Framebuffer {
     }
 
     /// FNV-1a checksum over the pixel bytes, for cheap equality checks
-    /// in tests and the headless client.
+    /// in tests and harnesses.
     pub fn checksum(&self) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
         for &b in &self.data {
