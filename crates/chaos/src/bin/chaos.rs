@@ -1,5 +1,5 @@
-//! The `chaos` CLI: generate, run, soak, replay and emit chaos
-//! schedules against the THINC virtual display stack.
+//! The `chaos` CLI: generate, run, soak and replay chaos schedules
+//! against the THINC virtual display stack.
 //!
 //! ```text
 //! chaos gen    --seed N [--events N]            print a generated schedule as JSON
@@ -13,10 +13,6 @@
 //! chaos replay FILE                             re-run a schedule artifact; exit 0
 //!                                               iff the outcome matches its
 //!                                               expect_violation field
-//! chaos emit   NAME                             print a checked-in exemplar schedule
-//!                                               (quarantine | sabotage | length-stall |
-//!                                               cache-rescale | crash-failover |
-//!                                               resize-failover)
 //! ```
 //!
 //! Every run is virtual-time, seeded and deterministic: the same
@@ -24,7 +20,7 @@
 //! subcommand does not take, or a value that does not parse, exits 2
 //! with one diagnostic line before anything runs.
 
-use thinc_chaos::event::{ChaosEvent, Schedule, Workload};
+use thinc_chaos::event::Schedule;
 use thinc_chaos::{generate, invariant, run, schedule_from_json, schedule_to_json, shrink};
 
 fn main() {
@@ -35,9 +31,8 @@ fn main() {
         Some("run") => cmd_run(rest),
         Some("soak") => cmd_soak(rest),
         Some("replay") => cmd_replay(rest),
-        Some("emit") => cmd_emit(rest),
         _ => Err(format!(
-            "usage: chaos <gen|run|soak|replay|emit> [options]; invariants: {}",
+            "usage: chaos <gen|run|soak|replay> [options]; invariants: {}",
             invariant::ALL.join(", ")
         )),
     };
@@ -196,229 +191,14 @@ fn cmd_replay(args: &[String]) -> Result<i32, String> {
     let schedule = load_schedule(path)?;
     let report = run(&schedule);
     println!("{path}: {}", report.summary());
-    let ok = match schedule.expect_violation.as_deref() {
-        None => report.passed(),
-        Some(inv) => report.violated(inv),
-    };
-    if ok {
-        println!(
-            "outcome matches expectation ({})",
-            schedule
-                .expect_violation
-                .as_deref()
-                .unwrap_or("all invariants hold")
-        );
-        Ok(0)
-    } else {
-        for v in &report.violations {
-            println!("  {v}");
-        }
-        eprintln!(
-            "outcome does NOT match expectation ({:?})",
-            schedule.expect_violation
-        );
-        Ok(1)
+    let expected = schedule.expect_violation.as_deref();
+    if report.matches(expected) {
+        println!("outcome matches expectation ({})", expected.unwrap_or("all invariants hold"));
+        return Ok(0);
     }
-}
-
-const EXEMPLARS: &str =
-    "quarantine | sabotage | length-stall | cache-rescale | crash-failover | resize-failover";
-
-fn cmd_emit(args: &[String]) -> Result<i32, String> {
-    let name = args.first().ok_or_else(|| format!("usage: chaos emit <{EXEMPLARS}>"))?;
-    let schedule =
-        exemplar(name).ok_or_else(|| format!("unknown exemplar {name:?} ({EXEMPLARS})"))?;
-    println!("{}", schedule_to_json(&schedule));
-    Ok(0)
-}
-
-/// The checked-in exemplar schedules under `crates/chaos/schedules/`
-/// are regenerated from here, so the repo artifacts never drift from
-/// the code that explains them.
-fn exemplar(name: &str) -> Option<Schedule> {
-    let attach = ChaosEvent::Attach {
-        viewport_w: 64,
-        viewport_h: 48,
-    };
-    let flush = ChaosEvent::Flush {
-        epochs: 3,
-        step_ms: 50,
-    };
-    let draw = |x: i32, y: i32, salt: u64| ChaosEvent::Draw {
-        workload: Workload::Noise,
-        x,
-        y,
-        w: 24,
-        h: 16,
-        salt,
-    };
-    let tile = |salt: u64| ChaosEvent::Draw {
-        workload: Workload::Tile,
-        x: ((salt % 4) * 16) as i32,
-        y: 8,
-        w: 16,
-        h: 16,
-        salt,
-    };
-    match name {
-        // A poisoned flush quarantines exactly one client while the
-        // other keeps converging: expected to PASS, with the
-        // containment visible in the report.
-        "quarantine" => Some(Schedule::base(0xC0).with_events(vec![
-            attach.clone(),
-            attach,
-            draw(0, 0, 11),
-            flush.clone(),
-            ChaosEvent::PoisonFlush { slot: 1 },
-            flush.clone(),
-            draw(20, 12, 12),
-            flush,
-            ChaosEvent::Quiesce,
-        ])),
-        // A silent local pixel flip: expected to FAIL convergence —
-        // the checked-in proof that the invariant checker catches a
-        // real divergence.
-        "sabotage" => {
-            let mut s = Schedule::base(0x5A).with_events(vec![
-                attach,
-                draw(8, 8, 21),
-                flush,
-                ChaosEvent::SabotagePixel { slot: 0 },
-                ChaosEvent::Quiesce,
-            ]);
-            s.expect_violation = Some(invariant::CONVERGENCE.to_string());
-            Some(s)
-        }
-        // Regression guard for the framing-stall watchdog, shrunk by
-        // the engine from soak seed 1234: corruption flips a frame's
-        // length field without tripping the tag or CRC checks, so the
-        // reader waits forever on a phantom frame and silently
-        // swallows the final draw. Expected to PASS (before the
-        // watchdog the client diverged by exactly the draw rect).
-        "length-stall" => {
-            let mut s = Schedule::base(1234).with_events(vec![
-                attach.clone(),
-                attach.clone(),
-                attach.clone(),
-                ChaosEvent::Disconnect { slot: 2 },
-                ChaosEvent::Reconnect { slot: 2 },
-                ChaosEvent::Fault {
-                    slot: 2,
-                    kind: thinc_chaos::FaultKind::Corruption,
-                    offset_ms: 1,
-                    len_ms: 312,
-                    rate_pct: 43,
-                },
-                ChaosEvent::Fault {
-                    slot: 2,
-                    kind: thinc_chaos::FaultKind::Collapse,
-                    offset_ms: 4,
-                    len_ms: 217,
-                    rate_pct: 15,
-                },
-                ChaosEvent::Quiesce,
-                ChaosEvent::Fault {
-                    slot: 2,
-                    kind: thinc_chaos::FaultKind::Corruption,
-                    offset_ms: 3,
-                    len_ms: 64,
-                    rate_pct: 32,
-                },
-                ChaosEvent::Draw {
-                    workload: Workload::Solid,
-                    x: 36,
-                    y: 12,
-                    w: 15,
-                    h: 26,
-                    salt: 16632385668536460075,
-                },
-                ChaosEvent::Flush {
-                    epochs: 1,
-                    step_ms: 28,
-                },
-            ]);
-            s.workers = 3;
-            Some(s)
-        }
-        // Regression guard for the rescale-drops-queued-fallbacks
-        // fix: cached tiles, wire corruption provoking cache misses,
-        // then a viewport resize racing the queued fallbacks.
-        // Expected to PASS (it did not before the fix).
-        "cache-rescale" => Some(Schedule::base(0xCA).with_events(vec![
-            attach,
-            tile(0),
-            tile(1),
-            flush.clone(),
-            tile(0),
-            ChaosEvent::Fault {
-                slot: 0,
-                kind: thinc_chaos::FaultKind::Corruption,
-                offset_ms: 0,
-                len_ms: 300,
-                rate_pct: 30,
-            },
-            tile(1),
-            tile(2),
-            flush.clone(),
-            ChaosEvent::Resize {
-                slot: 0,
-                viewport_w: 32,
-                viewport_h: 24,
-            },
-            tile(3),
-            flush.clone(),
-            tile(0),
-            flush,
-            ChaosEvent::Quiesce,
-        ])),
-        // The warm-failover exercise: a crash-instant takeover with
-        // undelivered buffers in the image, then a stale-image
-        // failover from the previous quiesce — both must redial every
-        // client and converge byte-exact. Expected to PASS.
-        "crash-failover" => Some(Schedule::base(0xFA11).with_events(vec![
-            attach.clone(),
-            attach,
-            tile(0),
-            draw(4, 4, 41),
-            flush.clone(),
-            ChaosEvent::Quiesce,
-            draw(28, 16, 42),
-            ChaosEvent::ServerCrash,
-            flush.clone(),
-            tile(1),
-            flush.clone(),
-            ChaosEvent::Failover,
-            flush,
-            ChaosEvent::Quiesce,
-        ])),
-        // Regression guard for the viewport rule of the redial ladder,
-        // shrunk by the engine from soak seed 123: a viewer resizes
-        // after the last quiesce, then the server fails over to the
-        // image taken at that quiesce, in which the viewer still has
-        // its old viewport. The redial's hello re-announces the new
-        // one before the token is judged, so the standby serves it at
-        // 32x24. Expected to PASS (it diverged while the runner owned
-        // the redial and skipped the hello).
-        "resize-failover" => Some(Schedule::base(123).with_events(vec![
-            attach.clone(),
-            attach.clone(),
-            attach,
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 1,
-                y: 7,
-                w: 25,
-                h: 31,
-                salt: 17551922702912180007,
-            },
-            ChaosEvent::Quiesce,
-            ChaosEvent::Resize {
-                slot: 2,
-                viewport_w: 32,
-                viewport_h: 24,
-            },
-            ChaosEvent::Failover,
-        ])),
-        _ => None,
+    for v in &report.violations {
+        println!("  {v}");
     }
+    eprintln!("outcome does NOT match expectation ({expected:?})");
+    Ok(1)
 }

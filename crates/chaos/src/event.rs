@@ -1,16 +1,22 @@
 //! The chaos event vocabulary and the schedule that sequences it.
 //!
 //! A [`Schedule`] is a fully self-describing experiment: a seed, the
-//! session geometry, the worker count, and an ordered list of
-//! [`ChaosEvent`]s. Running the same schedule twice produces the
-//! same byte streams, the same telemetry and the same verdicts —
-//! there is no hidden state, no wall clock and no ambient RNG.
+//! session geometry, the worker count, an ordered list of
+//! [`ChaosEvent`]s, and what the run must count beyond the invariant
+//! catalog (its [`expect`](crate::expect) block). Running the same
+//! schedule twice produces the same byte streams, the same telemetry
+//! and the same verdicts — there is no hidden state, no wall clock
+//! and no ambient RNG.
 //!
 //! Every event is **removal-tolerant**: an event referencing a slot
 //! that a shrunken schedule never attached (or that is quarantined)
 //! degrades to a no-op instead of an error. That property is what
 //! makes delta-debugging sound — *any* subsequence of a valid
 //! schedule is itself a valid schedule (see [`crate::shrink`]).
+
+use crate::expect::Expectation;
+use crate::json::{differs, Field, Fields, Json, SchemaError};
+use thinc_protocol::PROTOCOL_VERSION;
 
 /// The kind of transport fault a [`ChaosEvent::Fault`] injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,40 +101,99 @@ impl Workload {
     }
 }
 
-/// One step of a chaos schedule.
-///
-/// `slot` indices are stable for the lifetime of a run: slot `n` is
-/// the `n`-th [`Attach`](Self::Attach) executed, and disconnecting or
-/// quarantining a slot never renumbers the others.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosEvent {
+/// Declares the event vocabulary once, one row per event: its doc,
+/// its variant, its `type` in the artifact format, and its fields (a
+/// field with `= default` may be left out of an artifact and is
+/// written only when it differs). The enum, [`ChaosEvent::tag`] and
+/// the event's JSON form are generated from the row, so no field can
+/// be written under one name and read under another.
+macro_rules! events {
+    (@default) => { None };
+    (@default $default:expr) => { Some($default) };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $tag:literal $({
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty $(= $default:expr)?,)*
+        })?,
+    )+) => {
+        /// One step of a chaos schedule.
+        ///
+        /// `slot` indices are stable for the lifetime of a run: slot `n` is
+        /// the `n`-th [`Attach`](Self::Attach) executed, and disconnecting or
+        /// quarantining a slot never renumbers the others.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum ChaosEvent {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty,)* })?,)+
+        }
+
+        impl ChaosEvent {
+            /// Short human-readable tag for logs and shrink traces (the
+            /// event's `type` in the artifact format).
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $(ChaosEvent::$variant { .. } => $tag,)+
+                }
+            }
+
+            /// The event's fields in artifact order, `type` first.
+            pub(crate) fn to_fields(&self) -> Vec<(&'static str, Json)> {
+                let mut f = vec![("type", Json::Str(self.tag().into()))];
+                match self {
+                    $(ChaosEvent::$variant $({ $($field,)* })? => {
+                        $($(if differs($field, events!(@default $($default)?)) {
+                            f.push((stringify!($field), $field.to_json()));
+                        })*)?
+                    })+
+                }
+                f
+            }
+
+            /// The event of type `tag`, its fields taken from `f`.
+            pub(crate) fn from_fields(tag: &str, f: &mut Fields) -> Result<Self, SchemaError> {
+                Ok(match tag {
+                    $($tag => ChaosEvent::$variant $({ $(
+                        $field: f.or(stringify!($field), events!(@default $($default)?))?,
+                    )* })?,)+
+                    other => return Err(f.bad("type", &format!("names no event: '{other}'"))),
+                })
+            }
+        }
+    };
+}
+
+events! {
     /// Attach a new client with the given viewport (clamped to the
     /// session geometry; equal to it for an identity client, smaller
     /// for a server-side-scaled one).
-    Attach {
+    Attach = "attach" {
         /// Requested viewport width.
         viewport_w: u32,
         /// Requested viewport height.
         viewport_h: u32,
+        /// The protocol revision the client speaks (this build's unless
+        /// the schedule says otherwise, clamped to 1..=this build's;
+        /// revision 1 is legacy framing without the cache, revision 2
+        /// checksummed framing without it).
+        version: u16 = PROTOCOL_VERSION,
     },
     /// Abruptly sever a client's connection: in-flight data already
     /// on the wire still arrives, everything after is black-holed
     /// (modeled as an indefinite outage, so the server's buffer
     /// accumulates and its eviction/merge bound is exercised).
-    Disconnect {
+    Disconnect = "disconnect" {
         /// Target slot.
         slot: usize,
     },
     /// Re-establish a slot's connection: a fresh pipe, a soft client
     /// reconnect (display state survives) and a server-side resync.
     /// Issued against a connected slot it models a fast redial.
-    Reconnect {
+    Reconnect = "reconnect" {
         /// Target slot.
         slot: usize,
     },
     /// Mid-session viewport change (device switch). The client's
     /// local display and cache store restart at the new geometry.
-    Resize {
+    Resize = "resize" {
         /// Target slot.
         slot: usize,
         /// New viewport width.
@@ -138,7 +203,7 @@ pub enum ChaosEvent {
     },
     /// Arm a fault window on a slot's downlink, composing with any
     /// windows already armed on that pipe.
-    Fault {
+    Fault = "fault" {
         /// Target slot.
         slot: usize,
         /// What kind of disturbance.
@@ -154,12 +219,12 @@ pub enum ChaosEvent {
     /// Change the content-cache budget for clients attached from now
     /// on (already-attached clients keep their negotiated budget —
     /// the ledger/store mirror requires it).
-    CacheBudget {
+    CacheBudget = "cache_budget" {
         /// New budget, bytes.
         bytes: u64,
     },
     /// Paint the session screen and broadcast the update.
-    Draw {
+    Draw = "draw" {
         /// What to paint.
         workload: Workload,
         /// Destination rectangle origin x.
@@ -177,7 +242,7 @@ pub enum ChaosEvent {
     /// Advance virtual time in steps, flushing every client and
     /// routing upstream traffic (pongs, cache misses, refresh
     /// requests) after each step.
-    Flush {
+    Flush = "flush" {
         /// Number of steps.
         epochs: u32,
         /// Virtual time per step, milliseconds.
@@ -186,7 +251,7 @@ pub enum ChaosEvent {
     /// Test-only: arm the injected panic in a slot's next flush. The
     /// generator never emits this — it exists to prove the
     /// quarantine path end to end.
-    PoisonFlush {
+    PoisonFlush = "poison_flush" {
         /// Target slot.
         slot: usize,
     },
@@ -194,7 +259,7 @@ pub enum ChaosEvent {
     /// framebuffer, violating convergence on purpose. The generator
     /// never emits this — it exists to prove the invariant checker
     /// and the shrinker catch a real divergence.
-    SabotagePixel {
+    SabotagePixel = "sabotage_pixel" {
         /// Target slot.
         slot: usize,
     },
@@ -206,7 +271,7 @@ pub enum ChaosEvent {
     /// or unusable ones fall back to a cold reconnect. Clients the
     /// old incarnation had quarantined died with it and reattach
     /// fresh; severed clients stay severed.
-    ServerCrash,
+    ServerCrash = "server_crash",
     /// Fail over to a warm standby restored from the checkpoint
     /// taken at the **previous quiesce** (crash-instant when no
     /// quiesce has run yet). The standby's state lags live, so
@@ -214,37 +279,18 @@ pub enum ChaosEvent {
     /// drift) and clients attached since that quiesce reattach from
     /// scratch — the stale-image stress the warm path must absorb
     /// without losing convergence.
-    Failover,
+    Failover = "failover",
     /// Drain the system to a settled state and check every global
     /// invariant (a final quiesce always runs at end of schedule,
     /// whether or not the event list ends with one).
-    Quiesce,
-}
-
-impl ChaosEvent {
-    /// Short human-readable tag for logs and shrink traces.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ChaosEvent::Attach { .. } => "attach",
-            ChaosEvent::Disconnect { .. } => "disconnect",
-            ChaosEvent::Reconnect { .. } => "reconnect",
-            ChaosEvent::Resize { .. } => "resize",
-            ChaosEvent::Fault { .. } => "fault",
-            ChaosEvent::CacheBudget { .. } => "cache_budget",
-            ChaosEvent::Draw { .. } => "draw",
-            ChaosEvent::Flush { .. } => "flush",
-            ChaosEvent::PoisonFlush { .. } => "poison_flush",
-            ChaosEvent::SabotagePixel { .. } => "sabotage_pixel",
-            ChaosEvent::ServerCrash => "server_crash",
-            ChaosEvent::Failover => "failover",
-            ChaosEvent::Quiesce => "quiesce",
-        }
-    }
+    Quiesce = "quiesce",
 }
 
 /// A complete, self-describing chaos experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
+    /// What the scenario exercises and why it exists, in words.
+    pub why: Option<String>,
     /// Seed every derived PRNG (fault plans, jitter) descends from.
     pub seed: u64,
     /// Session framebuffer width.
@@ -264,6 +310,9 @@ pub struct Schedule {
     /// is *expected* to violate. Replay exits successfully only when
     /// the expectation matches the outcome.
     pub expect_violation: Option<String>,
+    /// What the run must count beyond the invariant catalog, checked
+    /// after its final quiesce (see [`crate::expect`]).
+    pub expect: Vec<Expectation>,
 }
 
 impl Schedule {
@@ -271,6 +320,7 @@ impl Schedule {
     /// an empty event list.
     pub fn base(seed: u64) -> Self {
         Schedule {
+            why: None,
             seed,
             width: 64,
             height: 48,
@@ -279,6 +329,7 @@ impl Schedule {
             buffer_bound: 96 * 1024,
             events: Vec::new(),
             expect_violation: None,
+            expect: Vec::new(),
         }
     }
 

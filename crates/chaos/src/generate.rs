@@ -12,6 +12,7 @@
 
 use crate::event::{ChaosEvent, FaultKind, Schedule, Workload};
 use thinc_net::fault::SplitMix64;
+use thinc_protocol::PROTOCOL_VERSION;
 
 /// Upper bound on concurrently attached clients per run.
 pub const MAX_SLOTS: usize = 4;
@@ -49,6 +50,7 @@ pub fn generate(seed: u64, n_events: usize) -> Schedule {
     s.events.push(ChaosEvent::Attach {
         viewport_w: w,
         viewport_h: h,
+        version: PROTOCOL_VERSION,
     });
     slots += 1;
 
@@ -127,11 +129,13 @@ pub fn generate(seed: u64, n_events: usize) -> Schedule {
                     ChaosEvent::Attach {
                         viewport_w: w / 2,
                         viewport_h: h / 2,
+                        version: PROTOCOL_VERSION,
                     }
                 } else {
                     ChaosEvent::Attach {
                         viewport_w: w,
                         viewport_h: h,
+                        version: PROTOCOL_VERSION,
                     }
                 }
             }

@@ -15,6 +15,7 @@
 //! | [`TELEMETRY`] | counters obey conservation: `resyncs_triggered <= seq_gaps`, `retransmits == segments_lost`, client cache hits never exceed refs served |
 //! | [`QUARANTINE`] | a poisoned flush quarantines exactly the poisoned clients; the session keeps serving everyone else |
 //! | [`FAILOVER`] | every checkpoint image round-trips: restoring it and re-checkpointing against the same screen reproduces the image byte-for-byte, and a restored standby converges every redialing client (checked by [`CONVERGENCE`] at the next quiesce) |
+//! | [`EXPECTATION`] | every assertion of the schedule's own `expect` block holds after the final quiesce (see [`crate::expect`]) |
 
 /// Name of the framebuffer-convergence invariant.
 pub const CONVERGENCE: &str = "convergence";
@@ -32,9 +33,11 @@ pub const TELEMETRY: &str = "telemetry-conservation";
 pub const QUARANTINE: &str = "quarantine-containment";
 /// Name of the checkpoint/failover fidelity invariant.
 pub const FAILOVER: &str = "failover-fidelity";
+/// Name of the schedule's own `expect` block.
+pub const EXPECTATION: &str = "expectation";
 
 /// Every invariant name, for catalogs and CLI help.
-pub const ALL: [&str; 8] = [
+pub const ALL: [&str; 9] = [
     CONVERGENCE,
     CACHE_COHERENCE,
     REFRESH_DEBT,
@@ -43,6 +46,7 @@ pub const ALL: [&str; 8] = [
     TELEMETRY,
     QUARANTINE,
     FAILOVER,
+    EXPECTATION,
 ];
 
 /// One observed invariant violation.
@@ -86,6 +90,17 @@ impl RunReport {
     /// Whether some violation of the named invariant was observed.
     pub fn violated(&self, invariant: &str) -> bool {
         self.violations.iter().any(|v| v.invariant == invariant)
+    }
+
+    /// Whether the run reached the outcome a schedule records:
+    /// `expect_violation` violated, or, when it names nothing, every
+    /// invariant held. The one verdict replay and the schedule table
+    /// both give.
+    pub fn matches(&self, expect_violation: Option<&str>) -> bool {
+        match expect_violation {
+            None => self.passed(),
+            Some(inv) => self.violated(inv),
+        }
     }
 
     /// One-line human summary.

@@ -2,20 +2,29 @@
 //!
 //! The build environment carries no serde; this module implements
 //! the small subset the chaos engine needs: objects, arrays,
-//! strings, booleans, null and **integers only** — numbers are
+//! strings and **integers only** — numbers are
 //! parsed as `i128` so 64-bit seeds and salts survive a round trip
 //! exactly (a float path would silently lose precision above 2^53),
 //! and the writer never emits a fractional value.
+//!
+//! A schedule file is untrusted input: nesting deeper than the format
+//! uses is a [`ParseError`], and an unknown key or an integer outside
+//! its field's range is a [`SchemaError`] naming the key — never a
+//! stack overflow, and never a key quietly ignored or a number
+//! quietly truncated into a different scenario.
 
 use crate::event::{ChaosEvent, FaultKind, Schedule, Workload};
+use crate::expect::{self, Bound, Counter, Expectation};
+use crate::invariant;
+
+/// Deepest nesting the schedule format uses: the document, its
+/// `expect` array, an expectation, and the counter it is compared
+/// against.
+const MAX_DEPTH: usize = 4;
 
 /// A parsed JSON value (integer-only numbers).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
     /// An integer (the only number form supported).
     Int(i128),
     /// A string.
@@ -24,48 +33,6 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, insertion-ordered.
     Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, if it is a non-negative integer in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Int(i) if *i >= 0 && *i <= u64::MAX as i128 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(i) if *i >= i64::MIN as i128 && *i <= i64::MAX as i128 => Some(*i as i64),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v.as_slice()),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure with a byte offset for context.
@@ -88,6 +55,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -124,23 +93,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'[') => self.items(b']', Self::value).map(Json::Arr),
+            Some(b'{') => self.items(b'}', Self::member).map(Json::Obj),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => self.err("expected a value"),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(val)
-        } else {
-            self.err(&format!("expected '{word}'"))
         }
     }
 
@@ -222,57 +179,43 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
+    /// An array's items or an object's members, from the opening
+    /// bracket through `close`: one level deeper, refused past
+    /// [`MAX_DEPTH`] before anything inside is read.
+    fn items<T>(
+        &mut self,
+        close: u8,
+        item: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(&format!("nested deeper than {MAX_DEPTH}"));
+        }
+        self.pos += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
+        if self.peek() != Some(close) {
+            loop {
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => return self.err(&format!("expected ',' or '{}'", close as char)),
                 }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    fn member(&mut self) -> Result<(String, Json), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok((key, self.value()?))
     }
 }
 
@@ -281,6 +224,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -306,54 +250,40 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Writes `v`. The document and its arrays open one line per entry;
+/// anything nested deeper (an event, an expectation) stays on one
+/// line, so a 60-event schedule is 60 lines.
 fn write_value(v: &Json, indent: usize, out: &mut String) {
-    let pad = |n: usize, out: &mut String| {
-        for _ in 0..n {
-            out.push_str("  ");
-        }
+    let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match v {
+        Json::Int(i) => return out.push_str(&i.to_string()),
+        Json::Str(s) => return escape_into(s, out),
+        Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Json::Obj(pairs) => (
+            '{',
+            '}',
+            pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
     };
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => out.push_str(&i.to_string()),
-        Json::Str(s) => escape_into(s, out),
-        Json::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                pad(indent + 1, out);
-                write_value(item, indent + 1, out);
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            pad(indent, out);
-            out.push(']');
+    out.push(open);
+    let inline = indent >= 2;
+    for (i, (key, item)) in items.iter().enumerate() {
+        if inline {
+            out.push_str(if i == 0 { "" } else { ", " });
+        } else {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(&"  ".repeat(indent + 1));
         }
-        Json::Obj(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                pad(indent + 1, out);
-                escape_into(k, out);
-                out.push_str(": ");
-                write_value(val, indent + 1, out);
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            pad(indent, out);
-            out.push('}');
+        if let Some(k) = key {
+            escape_into(k, out);
+            out.push_str(": ");
         }
+        write_value(item, indent + 1, out);
     }
+    if !items.is_empty() && !inline {
+        out.push('\n');
+        out.push_str(&"  ".repeat(indent));
+    }
+    out.push(close);
 }
 
 /// Pretty-prints a JSON value (two-space indent, trailing newline).
@@ -364,73 +294,103 @@ pub fn to_string(v: &Json) -> String {
     out
 }
 
-fn u64v(n: u64) -> Json {
-    Json::Int(n as i128)
+/// A value an artifact field holds.
+pub(crate) trait Field: Sized {
+    /// Its JSON form.
+    fn to_json(&self) -> Json;
+    /// The value `v` holds, if it is one of this type (an integer in
+    /// range, a known name).
+    fn from_json(v: &Json) -> Option<Self>;
 }
 
-fn event_to_json(e: &ChaosEvent) -> Json {
-    let mut pairs: Vec<(String, Json)> = vec![("type".into(), Json::Str(e.tag().into()))];
-    match e {
-        ChaosEvent::Attach {
-            viewport_w,
-            viewport_h,
-        } => {
-            pairs.push(("viewport_w".into(), u64v(*viewport_w as u64)));
-            pairs.push(("viewport_h".into(), u64v(*viewport_h as u64)));
+macro_rules! int_fields {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Json {
+                Json::Int(*self as i128)
+            }
+
+            fn from_json(v: &Json) -> Option<Self> {
+                match v {
+                    Json::Int(i) => Self::try_from(*i).ok(),
+                    _ => None,
+                }
+            }
         }
-        ChaosEvent::Disconnect { slot }
-        | ChaosEvent::Reconnect { slot }
-        | ChaosEvent::PoisonFlush { slot }
-        | ChaosEvent::SabotagePixel { slot } => {
-            pairs.push(("slot".into(), u64v(*slot as u64)));
+    )+};
+}
+
+int_fields!(u8, u16, u32, u64, usize, i32);
+
+macro_rules! named_fields {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            fn to_json(&self) -> Json {
+                Json::Str(self.name().into())
+            }
+
+            fn from_json(v: &Json) -> Option<Self> {
+                match v {
+                    Json::Str(s) => Self::from_name(s),
+                    _ => None,
+                }
+            }
         }
-        ChaosEvent::Resize {
-            slot,
-            viewport_w,
-            viewport_h,
-        } => {
-            pairs.push(("slot".into(), u64v(*slot as u64)));
-            pairs.push(("viewport_w".into(), u64v(*viewport_w as u64)));
-            pairs.push(("viewport_h".into(), u64v(*viewport_h as u64)));
-        }
-        ChaosEvent::Fault {
-            slot,
-            kind,
-            offset_ms,
-            len_ms,
-            rate_pct,
-        } => {
-            pairs.push(("slot".into(), u64v(*slot as u64)));
-            pairs.push(("kind".into(), Json::Str(kind.name().into())));
-            pairs.push(("offset_ms".into(), u64v(*offset_ms as u64)));
-            pairs.push(("len_ms".into(), u64v(*len_ms as u64)));
-            pairs.push(("rate_pct".into(), u64v(*rate_pct as u64)));
-        }
-        ChaosEvent::CacheBudget { bytes } => {
-            pairs.push(("bytes".into(), u64v(*bytes)));
-        }
-        ChaosEvent::Draw {
-            workload,
-            x,
-            y,
-            w,
-            h,
-            salt,
-        } => {
-            pairs.push(("workload".into(), Json::Str(workload.name().into())));
-            pairs.push(("x".into(), Json::Int(*x as i128)));
-            pairs.push(("y".into(), Json::Int(*y as i128)));
-            pairs.push(("w".into(), u64v(*w as u64)));
-            pairs.push(("h".into(), u64v(*h as u64)));
-            pairs.push(("salt".into(), u64v(*salt)));
-        }
-        ChaosEvent::Flush { epochs, step_ms } => {
-            pairs.push(("epochs".into(), u64v(*epochs as u64)));
-            pairs.push(("step_ms".into(), u64v(*step_ms as u64)));
-        }
-        ChaosEvent::ServerCrash | ChaosEvent::Failover | ChaosEvent::Quiesce => {}
+    )+};
+}
+
+named_fields!(FaultKind, Workload);
+
+impl Field for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
     }
-    Json::Obj(pairs)
+
+    fn from_json(v: &Json) -> Option<Self> {
+        match v {
+            Json::Str(s) => Some(s.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// Whether a field is written: always, or when it differs from its
+/// default.
+pub(crate) fn differs<T: PartialEq>(value: &T, default: Option<T>) -> bool {
+    default.as_ref() != Some(value)
+}
+
+fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn counter_to_json(c: &Counter, f: &mut Vec<(&str, Json)>) {
+    if let Some(slot) = c.slot {
+        f.push(("slot", slot.to_json()));
+    }
+    f.push(("counter", c.name.to_json()));
+}
+
+fn expectation_to_json(e: &Expectation) -> Json {
+    let mut f = Vec::new();
+    counter_to_json(&e.counter, &mut f);
+    match &e.bound {
+        Bound::Min(v) => f.push(("min", v.to_json())),
+        Bound::Max(v) => f.push(("max", v.to_json())),
+        Bound::Eq(v) => f.push(("eq", v.to_json())),
+        Bound::Below { times, than } => {
+            if *times != 1 {
+                f.push(("times", times.to_json()));
+            }
+            let mut b = Vec::new();
+            counter_to_json(than, &mut b);
+            f.push(("below", obj(b)));
+        }
+    }
+    if let Some(why) = &e.why {
+        f.push(("why", why.to_json()));
+    }
+    obj(f)
 }
 
 /// A field-level schema failure when decoding a schedule.
@@ -445,134 +405,194 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn need_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, SchemaError> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SchemaError(format!("{ctx}: missing or non-integer '{key}'")))
+/// An object's fields, taken by name. Whatever is left untaken when
+/// the reader is [`done`](Self::done) is a key the format does not
+/// have.
+pub(crate) struct Fields<'a> {
+    ctx: String,
+    rest: Vec<(&'a str, &'a Json)>,
 }
 
-fn need_i64(obj: &Json, key: &str, ctx: &str) -> Result<i64, SchemaError> {
-    obj.get(key)
-        .and_then(Json::as_i64)
-        .ok_or_else(|| SchemaError(format!("{ctx}: missing or non-integer '{key}'")))
+impl<'a> Fields<'a> {
+    fn of(v: &'a Json, ctx: String) -> Result<Self, SchemaError> {
+        match v {
+            Json::Obj(pairs) => Ok(Self {
+                ctx,
+                rest: pairs.iter().map(|(k, v)| (k.as_str(), v)).collect(),
+            }),
+            _ => Err(SchemaError(format!("{ctx}: not an object"))),
+        }
+    }
+
+    pub(crate) fn bad(&self, key: &str, what: &str) -> SchemaError {
+        SchemaError(format!("{}: '{key}' {what}", self.ctx))
+    }
+
+    fn take(&mut self, key: &str) -> Option<&'a Json> {
+        let i = self.rest.iter().position(|(k, _)| *k == key)?;
+        Some(self.rest.remove(i).1)
+    }
+
+    /// The field `key`, if the object has it.
+    fn get<T: Field>(&mut self, key: &str) -> Result<Option<T>, SchemaError> {
+        let Some(v) = self.take(key) else {
+            return Ok(None);
+        };
+        let what = match v {
+            Json::Int(i) => format!("cannot be {i}"),
+            Json::Str(s) => format!("cannot be '{s}'"),
+            _ => "cannot be a container".to_string(),
+        };
+        T::from_json(v)
+            .map(Some)
+            .ok_or_else(|| self.bad(key, &what))
+    }
+
+    /// The field `key`, or `default` when the object lacks it.
+    pub(crate) fn or<T: Field>(&mut self, key: &str, default: Option<T>) -> Result<T, SchemaError> {
+        match self.get(key)? {
+            Some(v) => Ok(v),
+            None => default.ok_or_else(|| self.bad(key, "is missing")),
+        }
+    }
+
+    fn arr(&mut self, key: &str, required: bool) -> Result<&'a [Json], SchemaError> {
+        match self.take(key) {
+            None if !required => Ok(&[]),
+            None => Err(self.bad(key, "is missing")),
+            Some(Json::Arr(items)) => Ok(items),
+            Some(_) => Err(self.bad(key, "is not an array")),
+        }
+    }
+
+    fn done(self) -> Result<(), SchemaError> {
+        match self.rest.first() {
+            Some((k, _)) => Err(SchemaError(format!(
+                "{}: unknown or repeated key '{k}'",
+                self.ctx
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
-fn event_from_json(obj: &Json, idx: usize) -> Result<ChaosEvent, SchemaError> {
-    let ctx = format!("events[{idx}]");
-    let tag = obj
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or_else(|| SchemaError(format!("{ctx}: missing 'type'")))?;
-    Ok(match tag {
-        "attach" => ChaosEvent::Attach {
-            viewport_w: need_u64(obj, "viewport_w", &ctx)? as u32,
-            viewport_h: need_u64(obj, "viewport_h", &ctx)? as u32,
-        },
-        "disconnect" => ChaosEvent::Disconnect {
-            slot: need_u64(obj, "slot", &ctx)? as usize,
-        },
-        "reconnect" => ChaosEvent::Reconnect {
-            slot: need_u64(obj, "slot", &ctx)? as usize,
-        },
-        "resize" => ChaosEvent::Resize {
-            slot: need_u64(obj, "slot", &ctx)? as usize,
-            viewport_w: need_u64(obj, "viewport_w", &ctx)? as u32,
-            viewport_h: need_u64(obj, "viewport_h", &ctx)? as u32,
-        },
-        "fault" => {
-            let kind_name = obj
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| SchemaError(format!("{ctx}: missing 'kind'")))?;
-            ChaosEvent::Fault {
-                slot: need_u64(obj, "slot", &ctx)? as usize,
-                kind: FaultKind::from_name(kind_name)
-                    .ok_or_else(|| SchemaError(format!("{ctx}: unknown kind '{kind_name}'")))?,
-                offset_ms: need_u64(obj, "offset_ms", &ctx)? as u32,
-                len_ms: need_u64(obj, "len_ms", &ctx)? as u32,
-                rate_pct: need_u64(obj, "rate_pct", &ctx)?.min(100) as u8,
-            }
+fn event_from_json(v: &Json, idx: usize) -> Result<ChaosEvent, SchemaError> {
+    let mut f = Fields::of(v, format!("events[{idx}]"))?;
+    let tag: String = f.or("type", None)?;
+    let ev = ChaosEvent::from_fields(&tag, &mut f)?;
+    f.done()?;
+    Ok(ev)
+}
+
+fn counter_from_json(f: &mut Fields) -> Result<Counter, SchemaError> {
+    let name: String = f.or("counter", None)?;
+    let slot = f.get("slot")?;
+    if !expect::known(&name) {
+        return Err(f.bad("counter", &format!("names no counter row: '{name}'")));
+    }
+    if slot.is_some() && name.starts_with("plane.") {
+        return Err(f.bad("slot", "is given for a session-wide plane row"));
+    }
+    Ok(Counter { slot, name })
+}
+
+fn expectation_from_json(v: &Json, idx: usize) -> Result<Expectation, SchemaError> {
+    let mut f = Fields::of(v, format!("expect[{idx}]"))?;
+    let counter = counter_from_json(&mut f)?;
+    let times = f.get("times")?;
+    let below = match f.take("below") {
+        None => None,
+        Some(b) => {
+            let mut g = Fields::of(b, format!("expect[{idx}].below"))?;
+            let than = counter_from_json(&mut g)?;
+            g.done()?;
+            Some(Bound::Below {
+                times: times.unwrap_or(1),
+                than,
+            })
         }
-        "cache_budget" => ChaosEvent::CacheBudget {
-            bytes: need_u64(obj, "bytes", &ctx)?,
-        },
-        "draw" => {
-            let wname = obj
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or_else(|| SchemaError(format!("{ctx}: missing 'workload'")))?;
-            ChaosEvent::Draw {
-                workload: Workload::from_name(wname)
-                    .ok_or_else(|| SchemaError(format!("{ctx}: unknown workload '{wname}'")))?,
-                x: need_i64(obj, "x", &ctx)? as i32,
-                y: need_i64(obj, "y", &ctx)? as i32,
-                w: need_u64(obj, "w", &ctx)? as u32,
-                h: need_u64(obj, "h", &ctx)? as u32,
-                salt: need_u64(obj, "salt", &ctx)?,
-            }
-        }
-        "flush" => ChaosEvent::Flush {
-            epochs: need_u64(obj, "epochs", &ctx)? as u32,
-            step_ms: need_u64(obj, "step_ms", &ctx)? as u32,
-        },
-        "poison_flush" => ChaosEvent::PoisonFlush {
-            slot: need_u64(obj, "slot", &ctx)? as usize,
-        },
-        "sabotage_pixel" => ChaosEvent::SabotagePixel {
-            slot: need_u64(obj, "slot", &ctx)? as usize,
-        },
-        "server_crash" => ChaosEvent::ServerCrash,
-        "failover" => ChaosEvent::Failover,
-        "quiesce" => ChaosEvent::Quiesce,
-        other => return Err(SchemaError(format!("{ctx}: unknown event type '{other}'"))),
+    };
+    if times.is_some() && below.is_none() {
+        return Err(f.bad("times", "is given without 'below'"));
+    }
+    let bounds = [
+        f.get("min")?.map(Bound::Min),
+        f.get("max")?.map(Bound::Max),
+        f.get("eq")?.map(Bound::Eq),
+        below,
+    ];
+    let mut given = bounds.into_iter().flatten();
+    let (Some(bound), None) = (given.next(), given.next()) else {
+        return Err(f.bad("min|max|eq|below", "must be given exactly once"));
+    };
+    let why = f.get("why")?;
+    f.done()?;
+    Ok(Expectation {
+        counter,
+        bound,
+        why,
     })
 }
 
 /// Serializes a schedule to its replayable JSON artifact form.
 pub fn schedule_to_json(s: &Schedule) -> String {
-    let mut pairs: Vec<(String, Json)> = vec![
-        ("seed".into(), u64v(s.seed)),
-        ("width".into(), u64v(s.width as u64)),
-        ("height".into(), u64v(s.height as u64)),
-        ("workers".into(), u64v(s.workers as u64)),
-        ("cache_budget".into(), u64v(s.cache_budget)),
-        ("buffer_bound".into(), u64v(s.buffer_bound)),
-    ];
-    if let Some(v) = &s.expect_violation {
-        pairs.push(("expect_violation".into(), Json::Str(v.clone())));
+    let mut f = Vec::new();
+    if let Some(why) = &s.why {
+        f.push(("why", why.to_json()));
     }
-    pairs.push((
-        "events".into(),
-        Json::Arr(s.events.iter().map(event_to_json).collect()),
-    ));
-    to_string(&Json::Obj(pairs))
+    f.push(("seed", s.seed.to_json()));
+    f.push(("width", s.width.to_json()));
+    f.push(("height", s.height.to_json()));
+    f.push(("workers", s.workers.to_json()));
+    f.push(("cache_budget", s.cache_budget.to_json()));
+    f.push(("buffer_bound", s.buffer_bound.to_json()));
+    if let Some(v) = &s.expect_violation {
+        f.push(("expect_violation", v.to_json()));
+    }
+    let events = s.events.iter().map(|e| obj(e.to_fields()));
+    f.push(("events", Json::Arr(events.collect())));
+    if !s.expect.is_empty() {
+        let expect = s.expect.iter().map(expectation_to_json);
+        f.push(("expect", Json::Arr(expect.collect())));
+    }
+    to_string(&obj(f))
 }
 
 /// Parses a schedule back from its JSON artifact form.
 pub fn schedule_from_json(text: &str) -> Result<Schedule, Box<dyn std::error::Error>> {
     let doc = parse(text)?;
-    let ctx = "schedule";
-    let events_json = doc
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| SchemaError(format!("{ctx}: missing 'events' array")))?;
-    let mut events = Vec::with_capacity(events_json.len());
-    for (i, e) in events_json.iter().enumerate() {
-        events.push(event_from_json(e, i)?);
+    let mut f = Fields::of(&doc, "schedule".into())?;
+    let events = f.arr("events", true)?.iter().enumerate();
+    let events = events
+        .map(|(i, e)| event_from_json(e, i))
+        .collect::<Result<_, _>>()?;
+    let expect = f.arr("expect", false)?.iter().enumerate();
+    let expect = expect
+        .map(|(i, e)| expectation_from_json(e, i))
+        .collect::<Result<_, _>>()?;
+    let expect_violation: Option<String> = f.get("expect_violation")?;
+    if let Some(name) = expect_violation
+        .as_deref()
+        .filter(|n| !invariant::ALL.contains(n))
+    {
+        return Err(f
+            .bad("expect_violation", &format!("names no invariant: '{name}'"))
+            .into());
     }
-    Ok(Schedule {
-        seed: need_u64(&doc, "seed", ctx)?,
-        width: need_u64(&doc, "width", ctx)? as u32,
-        height: need_u64(&doc, "height", ctx)? as u32,
-        workers: need_u64(&doc, "workers", ctx)? as usize,
-        cache_budget: need_u64(&doc, "cache_budget", ctx)?,
-        buffer_bound: need_u64(&doc, "buffer_bound", ctx)?,
+    let s = Schedule {
+        why: f.get("why")?,
+        seed: f.or("seed", None)?,
+        width: f.or("width", None)?,
+        height: f.or("height", None)?,
+        workers: f.or("workers", None)?,
+        cache_budget: f.or("cache_budget", None)?,
+        buffer_bound: f.or("buffer_bound", None)?,
         events,
-        expect_violation: doc
-            .get("expect_violation")
-            .and_then(Json::as_str)
-            .map(str::to_string),
-    })
+        expect_violation,
+        expect,
+    };
+    f.done()?;
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -581,12 +601,10 @@ mod tests {
 
     #[test]
     fn parses_and_prints_scalars() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse(" true ").unwrap(), Json::Bool(true));
-        assert_eq!(parse("-42").unwrap(), Json::Int(-42));
+        assert_eq!(parse(" -42 ").unwrap(), Json::Int(-42));
         assert_eq!(
-            parse("18446744073709551615").unwrap().as_u64(),
-            Some(u64::MAX)
+            parse("18446744073709551615").unwrap(),
+            Json::Int(u64::MAX as i128)
         );
         assert_eq!(parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
     }
@@ -597,6 +615,23 @@ mod tests {
         assert!(parse("1e9").is_err());
         assert!(parse("{\"a\": }").is_err());
         assert!(parse("[1,2] x").is_err());
+        assert!(parse("true").is_err() && parse("[null]").is_err());
+        assert_eq!(
+            parse("{\"a\": [1, {}], \"b\": []}").unwrap(),
+            Json::Obj(vec![
+                ("a".into(), Json::Arr(vec![Json::Int(1), Json::Obj(vec![])])),
+                ("b".into(), Json::Arr(vec![])),
+            ])
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_format_is_a_parse_error() {
+        assert!(parse("[[[[1]]]]").is_ok());
+        let err = parse("[[[[[1]]]]]").unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (4, "nested deeper than 4"));
+        // Deep enough to overflow a recursive parser's stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
@@ -619,25 +654,88 @@ mod tests {
         assert_eq!(back, s);
     }
 
-    #[test]
-    fn an_old_artifacts_shards_key_is_ignored() {
-        // Artifacts from before the one-roster flush carry a shard
-        // count; unknown keys are ignored, so they replay as they are.
-        let old = "{\"seed\": 5, \"width\": 64, \"height\": 48, \"workers\": 1, \"shards\": 8, \
-                   \"cache_budget\": 262144, \"buffer_bound\": 98304, \"events\": []}";
-        let s = Schedule::base(5);
-        assert_eq!(schedule_from_json(old).unwrap(), s);
-        assert!(!schedule_to_json(&s).contains("shards"));
+    const BASE: &str = "\"seed\": 5, \"width\": 64, \"height\": 48, \"workers\": 1, \
+                        \"cache_budget\": 262144, \"buffer_bound\": 98304";
+
+    fn refused(doc: &str) -> String {
+        let err = schedule_from_json(doc).expect_err(doc);
+        assert!(err.downcast_ref::<SchemaError>().is_some(), "{err}");
+        err.to_string()
     }
 
     #[test]
-    fn every_event_kind_round_trips() {
+    fn an_unknown_key_is_refused_by_name() {
+        assert_eq!(
+            schedule_from_json(&format!("{{{BASE}, \"events\": []}}")).unwrap(),
+            Schedule::base(5)
+        );
+        // Artifacts from before the one-roster flush carry a shard
+        // count, and a misspelt expectation would replay as "all
+        // invariants hold": neither runs as something else.
+        for (doc, key) in [
+            (format!("{{{BASE}, \"shards\": 8, \"events\": []}}"), "shards"),
+            (
+                format!("{{{BASE}, \"expect_violaton\": \"convergence\", \"events\": []}}"),
+                "expect_violaton",
+            ),
+            (format!("{{{BASE}, \"events\": [{{\"type\": \"quiesce\", \"slot\": 0}}]}}"), "slot"),
+            (
+                format!("{{{BASE}, \"events\": [], \"expect\": [{{\"counter\": \"plane.encodes\", \"min\": 1, \"mni\": 2}}]}}"),
+                "mni",
+            ),
+        ] {
+            let msg = refused(&doc);
+            assert!(msg.contains(&format!("'{key}'")), "{msg}");
+        }
+        let msg = refused(&format!(
+            "{{{BASE}, \"expect_violation\": \"convergance\", \"events\": []}}"
+        ));
+        assert!(msg.contains("convergance"), "{msg}");
+        let msg = refused(&format!(
+            "{{{BASE}, \"events\": [], \"expect\": [{{\"counter\": \"client.crc_failure\", \"min\": 1}}]}}"
+        ));
+        assert!(msg.contains("client.crc_failure"), "{msg}");
+    }
+
+    #[test]
+    fn an_integer_outside_its_field_is_refused_by_name() {
+        // 4294967360 = 2^32 + 64: an `as u32` cast reads 64.
+        let doc = format!(
+            "{{{BASE}, \"events\": [{{\"type\": \"attach\", \"viewport_w\": 4294967360, \"viewport_h\": 48}}]}}"
+        );
+        let msg = refused(&doc);
+        assert!(
+            msg.contains("'viewport_w'") && msg.contains("4294967360"),
+            "{msg}"
+        );
+        for (fields, want) in [
+            (
+                "\"offset_ms\": -1, \"len_ms\": 10, \"rate_pct\": 5",
+                "'offset_ms' cannot be -1",
+            ),
+            (
+                "\"offset_ms\": 0, \"len_ms\": 10, \"rate_pct\": 256",
+                "'rate_pct' cannot be 256",
+            ),
+        ] {
+            let doc = format!(
+                "{{{BASE}, \"events\": [{{\"type\": \"fault\", \"slot\": 0, \"kind\": \"loss\", {fields}}}]}}"
+            );
+            let msg = refused(&doc);
+            assert!(msg.contains(want), "{msg}");
+        }
+    }
+
+    #[test]
+    fn every_event_kind_and_bound_round_trips_one_line_each() {
         let mut s = Schedule::base(9);
+        s.why = Some("every shape the format has".into());
         s.expect_violation = Some("convergence".into());
         s.events = vec![
             ChaosEvent::Attach {
                 viewport_w: 64,
                 viewport_h: 48,
+                version: 1,
             },
             ChaosEvent::Disconnect { slot: 0 },
             ChaosEvent::Reconnect { slot: 0 },
@@ -672,7 +770,44 @@ mod tests {
             ChaosEvent::Failover,
             ChaosEvent::Quiesce,
         ];
+        let counter = |slot, name: &str| Counter {
+            slot,
+            name: name.into(),
+        };
+        let expect = |c, bound| Expectation {
+            counter: c,
+            bound,
+            why: None,
+        };
+        s.expect = vec![
+            expect(counter(Some(0), "client.crc_failures"), Bound::Min(1)),
+            expect(counter(None, "server.degrade_steps"), Bound::Max(0)),
+            expect(counter(Some(1), "link.segments_lost"), Bound::Eq(0)),
+            Expectation {
+                why: Some("the warm bill is under half the cold one".into()),
+                ..expect(
+                    counter(Some(0), "buffer.sent_bytes"),
+                    Bound::Below {
+                        times: 2,
+                        than: counter(Some(1), "buffer.sent_bytes"),
+                    },
+                )
+            },
+            expect(
+                counter(None, "plane.encodes"),
+                Bound::Below {
+                    times: 1,
+                    than: counter(None, "plane.shared_sends"),
+                },
+            ),
+        ];
         let text = schedule_to_json(&s);
         assert_eq!(schedule_from_json(&text).unwrap(), s);
+        // Braces, one line per event and per expectation, and nothing
+        // else.
+        assert_eq!(
+            text.lines().count(),
+            2 + 8 + 2 + s.events.len() + 2 + s.expect.len()
+        );
     }
 }

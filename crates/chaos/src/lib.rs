@@ -15,6 +15,12 @@
 //! conservation, panic containment, checkpoint/failover fidelity —
 //! see [`invariant`]).
 //!
+//! A schedule may also carry an [`expect`] block: counters the
+//! catalog does not check ("the healthy owner never degrades"), read
+//! by their `counters!` row names. The checked-in schedules under
+//! `crates/chaos/schedules/` are the repository's resilience
+//! scenarios.
+//!
 //! When an invariant breaks, the failing [`event::Schedule`] is
 //! minimized by delta-debugging ([`shrink`]) into a handful of
 //! events and serialized ([`json`]) as a replayable artifact: the
@@ -28,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod expect;
 pub mod generate;
 pub mod invariant;
 pub mod json;

@@ -13,11 +13,13 @@
 //! At each [`ChaosEvent::Quiesce`] the runner drains the system
 //! (fault windows run out, pipes swap to clean plans, refresh debt
 //! is repaid) and then evaluates the global invariant catalog in
-//! [`crate::invariant`]. Violations accumulate in the report; a run
-//! never aborts early, so shrinking sees the same failure shape on
-//! every candidate.
+//! [`crate::invariant`]. After the final quiesce it checks the
+//! schedule's [`crate::expect`] block against what every slot
+//! counted. Violations accumulate in the report; a run never aborts
+//! early, so shrinking sees the same failure shape on every candidate.
 
 use crate::event::{ChaosEvent, FaultKind, Schedule, Workload};
+use crate::expect::{self, SlotCounters};
 use crate::invariant::{self, RunReport, Violation};
 use thinc_client::{ReconnectConfig, ReconnectPolicy, StreamClient, ThincClient};
 use thinc_core::degradation::{DegradationConfig, DegradationLevel};
@@ -28,14 +30,16 @@ use thinc_core::{Delivery, ShardedManager};
 use thinc_display::drawable::DrawableStore;
 use thinc_display::driver::VideoDriver;
 use thinc_display::SCREEN;
-use thinc_net::fault::{FaultPlan, SplitMix64};
+use thinc_net::fault::{FaultPlan, FaultStats, SplitMix64};
 use thinc_net::link::NetworkConfig;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
+use thinc_protocol::{PROTOCOL_VERSION, WIRE_REV_CACHE};
 use thinc_raster::{Color, PixelFormat, Rect};
+use thinc_telemetry::{BufferStats, ResilienceMetrics};
 
 /// Pixel format every chaos session runs in.
 const FORMAT: PixelFormat = PixelFormat::Rgb888;
@@ -166,6 +170,8 @@ struct Slot {
     /// Current session client id (re-issued on hard reattach).
     id: ClientId,
     viewport: (u32, u32),
+    /// The protocol revision the client speaks.
+    version: u16,
     /// Cache budget negotiated with the server at attach time.
     budget: u64,
     connected: bool,
@@ -173,10 +179,14 @@ struct Slot {
     stream: StreamClient,
     plan: PlanSpec,
     plan_epoch: u64,
-    /// Fault stats folded out of replaced plans (a plan swap resets
-    /// the pipe's counters).
-    accrued_lost: u64,
-    accrued_retx: u64,
+    /// Everything counted by the slot's detached incarnations,
+    /// replaced client streams and replaced pipe plans (a plan swap
+    /// resets the pipe's counters), for the `expect` block.
+    history: SlotCounters,
+    /// The viewer's buffer rows as the standby restored them at the
+    /// last takeover: `buffer.` rows count from there, as `server.`
+    /// rows do.
+    buffer_base: BufferStats,
     /// Whether the ledger/store eviction mirror can still be checked
     /// strictly (cleared by wire damage, cache misses and resizes).
     mirror_intact: bool,
@@ -266,6 +276,10 @@ pub fn run(schedule: &Schedule) -> RunReport {
     if !matches!(schedule.events.last(), Some(ChaosEvent::Quiesce)) {
         r.quiesce();
     }
+    let counters: Vec<SlotCounters> = (0..r.slots.len()).map(|si| r.counters(si)).collect();
+    let plane = r.manager.session().fanout_counters();
+    r.violations
+        .extend(expect::check(&schedule.expect, &counters, &plane));
     RunReport {
         violations: r.violations,
         events_executed: executed,
@@ -312,8 +326,9 @@ impl Runner {
             ChaosEvent::Attach {
                 viewport_w,
                 viewport_h,
+                version,
             } => {
-                self.attach(viewport_w, viewport_h);
+                self.attach(viewport_w, viewport_h, version.clamp(1, PROTOCOL_VERSION));
             }
             ChaosEvent::Disconnect { slot } => self.disconnect(slot),
             ChaosEvent::Reconnect { slot } => self.reconnect(slot),
@@ -466,7 +481,9 @@ impl Runner {
             // (now, or on a severed slot's later soft reconnect) would
             // break conservation against a counter that never saw the
             // pings — and cache hits predate the standby the same way.
+            let base = self.viewer(self.slots[si].id).map(|d| d.buffer().stats());
             let s = &mut self.slots[si];
+            s.buffer_base = base.unwrap_or_default();
             let _ = s.stream.take_pong();
             s.pongs_routed = 0;
             s.cache_hits_base = s.stream.resilience_metrics().cache_hits();
@@ -513,8 +530,17 @@ impl Runner {
 
     /// A client for `id` at the given geometry that has seen the
     /// session's greeting (legacy-framed; it upgrades the reader to
-    /// the session's wire revision, exactly as a real connect would).
-    fn fresh_stream(&mut self, id: ClientId, vw: u32, vh: u32, budget: u64) -> StreamClient {
+    /// the revision both sides speak, exactly as a real connect would).
+    fn fresh_stream(
+        &mut self,
+        id: ClientId,
+        vw: u32,
+        vh: u32,
+        budget: u64,
+        version: u16,
+    ) -> StreamClient {
+        // A peer older than the cache revision holds no store.
+        let budget = if version < WIRE_REV_CACHE { 0 } else { budget };
         let mut stream = StreamClient::new(vw, vh, FORMAT)
             .with_cache_budget(budget)
             .with_reconnect_policy(ReconnectPolicy::new(ReconnectConfig {
@@ -524,31 +550,35 @@ impl Runner {
                 ..ReconnectConfig::default()
             }));
         let session = self.manager.session_mut();
-        let hello = session.hello();
+        let mut hello = session.hello();
+        if let Message::ServerHello { version: v, .. } = &mut hello {
+            *v = (*v).min(version);
+        }
         stream.feed(&session.encode_frame(id, &hello));
         stream
     }
 
-    fn attach(&mut self, viewport_w: u32, viewport_h: u32) -> Option<usize> {
+    fn attach(&mut self, viewport_w: u32, viewport_h: u32, version: u16) -> Option<usize> {
         if self.slots.len() >= MAX_SLOTS {
             return None;
         }
         let vw = viewport_w.clamp(1, self.width);
         let vh = viewport_h.clamp(1, self.height);
-        let id = self.attach_client(vw, vh)?;
+        let id = self.attach_client(vw, vh, version)?;
         let budget = self.budget_for_new;
-        let stream = self.fresh_stream(id, vw, vh, budget);
+        let stream = self.fresh_stream(id, vw, vh, budget, version);
         self.slots.push(Slot {
             id,
             viewport: (vw, vh),
+            version,
             budget,
             connected: true,
             disconnected_at: None,
             stream,
             plan: PlanSpec::default(),
             plan_epoch: 0,
-            accrued_lost: 0,
-            accrued_retx: 0,
+            history: SlotCounters::default(),
+            buffer_base: BufferStats::default(),
             mirror_intact: true,
             outage_excused: false,
             poisoned: false,
@@ -560,8 +590,8 @@ impl Runner {
 
     /// Issues a session client on a fresh link: the first attach is
     /// the owner, every later one a password peer (sharing is enabled
-    /// at start).
-    fn attach_client(&mut self, vw: u32, vh: u32) -> Option<ClientId> {
+    /// at start). A peer older than this build says so in its hello.
+    fn attach_client(&mut self, vw: u32, vh: u32, version: u16) -> Option<ClientId> {
         let creds = if self.attaches == 0 {
             Credentials::Owner {
                 user: "host".into(),
@@ -575,6 +605,16 @@ impl Runner {
         self.manager.session_mut().set_time(self.now);
         let id = self.manager.attach(&creds, vw, vh, fresh_link()).ok()?;
         self.attaches += 1;
+        if version != PROTOCOL_VERSION {
+            let hello = Message::ClientHello {
+                version,
+                viewport_width: vw,
+                viewport_height: vh,
+            };
+            self.manager
+                .session_mut()
+                .handle_message(id, &hello, self.store.screen());
+        }
         Some(id)
     }
 
@@ -593,27 +633,26 @@ impl Runner {
         self.slots[si].outage_excused = true;
     }
 
-    /// Re-establishes a slot. A live client reopens softly (fresh
-    /// pipe, wire state dropped, display and cache store survive; the
-    /// connection opens with the hello, then asks for the full view);
-    /// a dead or detached one is reattached from scratch with a new
-    /// session client.
+    /// Re-establishes a slot softly: fresh pipe, wire state dropped,
+    /// display and cache store survive; the connection opens with the
+    /// hello, then asks for the full view. A viewer the server has
+    /// declared dead is revived in place by that opening (the resync
+    /// it drives clears the verdict) — the path a user walking to
+    /// another device takes, the new viewport announced by the hello.
     fn reconnect(&mut self, slot: usize) {
-        let Some(s) = self.slots.get(slot) else {
+        let Some(id) = self.slots.get(slot).map(|s| s.id) else {
             return;
         };
-        let id = s.id;
         if self.manager.session().client_quarantined(id) {
             return; // quarantine is terminal by design
-        }
-        if self.manager.session().client_dead(id) {
-            self.hard_reattach(slot);
-            return;
         }
         self.deliver_held(slot);
         self.fresh_connection(slot);
         self.slots[slot].connected = true;
         self.slots[slot].disconnected_at = None;
+        // The windows armed on the old pipe died with it: a viewer
+        // still dead at the next quiesce was not revived.
+        self.slots[slot].outage_excused = false;
         let opening = self.slots[slot].stream.reopen();
         if wire_damaged(&self.slots[slot].stream) {
             self.slots[slot].mirror_intact = false;
@@ -627,15 +666,18 @@ impl Runner {
 
     /// Detaches a slot's session client and issues a brand-new one at
     /// the same viewport: fresh ledger, fresh store, fresh wire state
-    /// — the mirror restarts intact.
+    /// — the mirror restarts intact. What the old incarnation counted
+    /// stays in the slot's history.
     fn hard_reattach(&mut self, slot: usize) {
+        self.slots[slot].history = self.counters(slot);
         self.manager.detach(self.slots[slot].id);
         let (vw, vh) = self.slots[slot].viewport;
-        let Some(id) = self.attach_client(vw, vh) else {
+        let version = self.slots[slot].version;
+        let Some(id) = self.attach_client(vw, vh, version) else {
             return;
         };
         let budget = self.budget_for_new;
-        let stream = self.fresh_stream(id, vw, vh, budget);
+        let stream = self.fresh_stream(id, vw, vh, budget, version);
         let s = &mut self.slots[slot];
         s.id = id;
         s.budget = budget;
@@ -644,8 +686,7 @@ impl Runner {
         s.stream = stream;
         s.plan = PlanSpec::default();
         s.plan_epoch += 1;
-        s.accrued_lost = 0;
-        s.accrued_retx = 0;
+        s.buffer_base = BufferStats::default();
         s.mirror_intact = true;
         s.outage_excused = false;
         s.pongs_routed = 0;
@@ -664,10 +705,11 @@ impl Runner {
         let vh = viewport_h.clamp(1, self.height);
         let id = self.slots[si].id;
         self.manager.session_mut().resize_client(id, vw, vh);
-        let budget = self.slots[si].budget;
-        let stream = self.fresh_stream(id, vw, vh, budget);
+        let (budget, version) = (self.slots[si].budget, self.slots[si].version);
+        let stream = self.fresh_stream(id, vw, vh, budget, version);
         let s = &mut self.slots[si];
         s.viewport = (vw, vh);
+        s.history.client.merge(s.stream.resilience_metrics());
         s.stream = stream;
         s.mirror_intact = false;
     }
@@ -717,10 +759,24 @@ impl Runner {
     fn fold_stats(&mut self, si: usize) {
         let slot = &mut self.slots[si];
         if let Some(link) = self.manager.link_mut(slot.id) {
-            let st = link.0.fault_stats();
-            slot.accrued_lost += st.segments_lost;
-            slot.accrued_retx += st.retransmits;
+            fold_link(&mut slot.history.link, link.0.fault_stats());
         }
+    }
+
+    /// Everything slot `si` has counted so far: its history plus the
+    /// live incarnation's client, viewer, buffer and link.
+    fn counters(&mut self, si: usize) -> SlotCounters {
+        let s = &self.slots[si];
+        let mut all = s.history;
+        all.client.merge(s.stream.resilience_metrics());
+        if let Some(d) = self.manager.session().viewer(s.id) {
+            all.server.merge(&d.resilience_metrics());
+            all.buffer.merge(&d.buffer().stats().since(&s.buffer_base));
+        }
+        if let Some(link) = self.manager.link_mut(s.id) {
+            fold_link(&mut all.link, link.0.fault_stats());
+        }
+        all
     }
 
     /// Moves a slot onto a fresh, clean link.
@@ -1143,8 +1199,8 @@ impl Runner {
             }
             if let Some(link) = self.manager.link_mut(s.id) {
                 let st = link.0.fault_stats();
-                let lost = s.accrued_lost + st.segments_lost;
-                let retx = s.accrued_retx + st.retransmits;
+                let lost = s.history.link.segments_lost + st.segments_lost;
+                let retx = s.history.link.retransmits + st.retransmits;
                 if lost != retx {
                     found.push(format!(
                         "slot {si}: {lost} segments lost vs {retx} retransmits — loss accounting leaked"
@@ -1242,6 +1298,22 @@ impl Runner {
     }
 }
 
+/// Folds a pipe's injected-fault tallies into a resilience group, by
+/// field name (`every_fault_row_is_folded` holds it to [`FaultStats`]).
+fn fold_link(into: &mut ResilienceMetrics, s: FaultStats) {
+    into.merge(&ResilienceMetrics {
+        segments_lost: s.segments_lost,
+        retransmits: s.retransmits,
+        corrupt_events: s.corrupt_events,
+        corrupted_bytes: s.corrupted_bytes,
+        outage_defers: s.outage_defers,
+        collapsed_rounds: s.collapsed_rounds,
+        segments_reordered: s.segments_reordered,
+        segments_duplicated: s.segments_duplicated,
+        ..ResilienceMetrics::default()
+    });
+}
+
 /// Clips an event rectangle into the screen; `None` when nothing of
 /// it can land (events are removal-tolerant, not panicky).
 fn clamp_rect(x: i32, y: i32, w: u32, h: u32, sw: u32, sh: u32) -> Option<Rect> {
@@ -1267,41 +1339,6 @@ fn pattern_bytes(seed: u64, rect: &Rect) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Schedule;
-
-    #[test]
-    fn empty_schedule_passes_its_final_quiesce() {
-        let report = run(&Schedule::base(1));
-        assert!(report.passed(), "{}", report.summary());
-        assert_eq!(report.quiesces, 1);
-        assert_eq!(report.slots_attached, 0);
-    }
-
-    #[test]
-    fn single_client_draw_converges() {
-        let s = Schedule::base(2).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 4,
-                y: 4,
-                w: 40,
-                h: 30,
-                salt: 77,
-            },
-            ChaosEvent::Flush {
-                epochs: 3,
-                step_ms: 50,
-            },
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-        assert_eq!(report.slots_attached, 1);
-    }
 
     #[test]
     fn runs_are_deterministic() {
@@ -1314,257 +1351,21 @@ mod tests {
     }
 
     #[test]
-    fn server_crash_mid_traffic_converges() {
-        let s = Schedule::base(11).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 0,
-                y: 0,
-                w: 48,
-                h: 32,
-                salt: 5,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 40,
-            },
-            // Crash with more drawn than flushed: the image carries
-            // the undelivered buffers and the standby must finish the
-            // delivery without re-sending what already landed.
-            ChaosEvent::Draw {
-                workload: Workload::Tile,
-                x: 0,
-                y: 0,
-                w: 32,
-                h: 16,
-                salt: 1,
-            },
-            ChaosEvent::ServerCrash,
-            ChaosEvent::Flush {
-                epochs: 3,
-                step_ms: 40,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Solid,
-                x: 8,
-                y: 8,
-                w: 20,
-                h: 20,
-                salt: 0x00FF_8800,
-            },
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-        assert_eq!(report.slots_attached, 2);
-    }
-
-    #[test]
-    fn failover_from_stale_quiesce_image_converges() {
-        let s = Schedule::base(12).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Tile,
-                x: 0,
-                y: 0,
-                w: 32,
-                h: 16,
-                salt: 2,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 50,
-            },
-            // Arms last_checkpoint with a settled image...
-            ChaosEvent::Quiesce,
-            // ...then diverges live state from it before failing over,
-            // so the standby must recover the gap via the tile delta
-            // (warm) or a digest-mismatch cold fallback.
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 10,
-                y: 10,
-                w: 40,
-                h: 24,
-                salt: 9,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 50,
-            },
-            ChaosEvent::Failover,
-            ChaosEvent::Flush {
-                epochs: 3,
-                step_ms: 50,
-            },
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-    }
-
-    #[test]
-    fn failover_before_any_quiesce_degrades_to_crash_image() {
-        let s = Schedule::base(13).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Solid,
-                x: 0,
-                y: 0,
-                w: 64,
-                h: 48,
-                salt: 0x0012_3456,
-            },
-            ChaosEvent::Failover,
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 50,
-            },
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-    }
-
-    #[test]
-    fn crash_with_severed_and_scaled_clients_converges() {
-        let s = Schedule::base(14).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Attach {
-                viewport_w: 32,
-                viewport_h: 24,
-            },
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 0,
-                y: 0,
-                w: 60,
-                h: 40,
-                salt: 31,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 50,
-            },
-            // Slot 2 is severed across the crash: it must stay
-            // severed on the standby and be declared dead once its
-            // silence outlives the timeout.
-            ChaosEvent::Disconnect { slot: 2 },
-            ChaosEvent::ServerCrash,
-            ChaosEvent::Draw {
-                workload: Workload::Tile,
-                x: 32,
-                y: 0,
-                w: 32,
-                h: 16,
-                salt: 3,
-            },
-            ChaosEvent::Flush {
-                epochs: 40,
-                step_ms: 100,
-            },
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-    }
-
-    #[test]
-    fn back_to_back_takeovers_survive() {
-        let s = Schedule::base(15).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 0,
-                y: 0,
-                w: 32,
-                h: 32,
-                salt: 7,
-            },
-            ChaosEvent::ServerCrash,
-            ChaosEvent::ServerCrash,
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 50,
-            },
-            ChaosEvent::Failover,
-            ChaosEvent::Quiesce,
-        ]);
-        let report = run(&s);
-        assert!(report.passed(), "{}", report.summary());
-    }
-
-    #[test]
-    fn crash_runs_are_deterministic_across_worker_counts() {
-        let mut s = Schedule::base(16).with_events(vec![
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Attach {
-                viewport_w: 64,
-                viewport_h: 48,
-            },
-            ChaosEvent::Attach {
-                viewport_w: 32,
-                viewport_h: 24,
-            },
-            ChaosEvent::Draw {
-                workload: Workload::Noise,
-                x: 2,
-                y: 2,
-                w: 50,
-                h: 40,
-                salt: 21,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 40,
-            },
-            ChaosEvent::ServerCrash,
-            ChaosEvent::Draw {
-                workload: Workload::Tile,
-                x: 0,
-                y: 24,
-                w: 32,
-                h: 16,
-                salt: 2,
-            },
-            ChaosEvent::Flush {
-                epochs: 2,
-                step_ms: 40,
-            },
-            ChaosEvent::Failover,
-            ChaosEvent::Quiesce,
-        ]);
-        for workers in [1usize, 4] {
-            s.workers = workers;
-            let report = run(&s);
-            assert!(report.passed(), "workers={workers}: {}", report.summary());
-        }
+    fn every_fault_row_is_folded() {
+        // Exhaustive on purpose: a field added to `FaultStats` fails to
+        // compile here until the fold is given its row.
+        let stats = FaultStats {
+            segments_lost: 1,
+            retransmits: 2,
+            corrupt_events: 3,
+            corrupted_bytes: 4,
+            outage_defers: 5,
+            collapsed_rounds: 6,
+            segments_reordered: 7,
+            segments_duplicated: 8,
+        };
+        let mut m = ResilienceMetrics::default();
+        fold_link(&mut m, stats);
+        assert_eq!(m.values().iter().sum::<u64>(), 36);
     }
 }

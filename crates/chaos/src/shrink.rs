@@ -100,6 +100,7 @@ mod tests {
         let mut events = vec![ChaosEvent::Attach {
             viewport_w: 64,
             viewport_h: 48,
+            version: thinc_protocol::PROTOCOL_VERSION,
         }];
         for i in 0..6 {
             events.push(ChaosEvent::Draw {

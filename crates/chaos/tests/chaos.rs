@@ -1,19 +1,28 @@
 //! End-to-end acceptance tests for the chaos engine: determinism,
-//! invariant catching, shrinking, quarantine containment and the
-//! checked-in schedule artifacts.
+//! invariant catching, shrinking and the checked-in schedules, which
+//! run as one table (`table/mod.rs`).
+
+mod table;
 
 use thinc_chaos::event::{ChaosEvent, Schedule, Workload};
 use thinc_chaos::{generate, invariant, run, schedule_from_json, schedule_to_json, shrink};
 
-fn schedules_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("schedules")
-}
-
-fn read_schedule(name: &str) -> Schedule {
-    let path = schedules_dir().join(name);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    schedule_from_json(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+#[test]
+fn checked_in_schedules_replay_to_their_expected_outcomes() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("schedules");
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list the schedules")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.ends_with(".json"))
+        .collect();
+    names.sort();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    table::check(&dir, &names);
 }
 
 #[test]
@@ -53,36 +62,6 @@ fn runs_are_deterministic_across_reruns_and_worker_counts() {
 }
 
 #[test]
-fn worker_count_never_changes_fanout_verdicts() {
-    // The fan-out contract extended to chaos: the 64-client schedule
-    // reaches the same verdicts on a serial flush and on every worker
-    // pool.
-    let base = read_schedule("fanout-64.json");
-    let reference = {
-        let mut s = base.clone();
-        s.workers = 1;
-        run(&s)
-    };
-    assert!(
-        reference.passed(),
-        "serial reference violated: {:?}",
-        reference.violations
-    );
-    for workers in [2usize, 4] {
-        let mut s = base.clone();
-        s.workers = workers;
-        let report = run(&s);
-        assert_eq!(
-            report.violations, reference.violations,
-            "workers={workers} changed the verdicts"
-        );
-        assert_eq!(report.quiesces, reference.quiesces);
-        assert_eq!(report.slots_attached, reference.slots_attached);
-        assert_eq!(report.quarantined, reference.quarantined);
-    }
-}
-
-#[test]
 fn injected_sabotage_is_caught_and_shrinks_small() {
     // A deliberately planted violation buried in healthy traffic: the
     // engine must catch it, and the shrinker must cut the schedule to
@@ -92,6 +71,7 @@ fn injected_sabotage_is_caught_and_shrinks_small() {
         events.push(ChaosEvent::Attach {
             viewport_w: 64,
             viewport_h: 48,
+            version: thinc_protocol::PROTOCOL_VERSION,
         });
         events.push(ChaosEvent::Draw {
             workload: Workload::Noise,
@@ -130,62 +110,10 @@ fn injected_sabotage_is_caught_and_shrinks_small() {
 }
 
 #[test]
-fn poisoned_flush_quarantines_only_that_client() {
-    let schedule = read_schedule("quarantine.json");
-    let report = run(&schedule);
-    assert!(report.passed(), "containment is healthy: {:?}", report.violations);
-    assert_eq!(report.quarantined, 1, "exactly the poisoned client");
-    assert_eq!(report.slots_attached, 2, "the healthy peer survived");
-}
-
-#[test]
 fn schedules_round_trip_through_json() {
     for seed in [3, 0xA5A5, u64::MAX] {
         let schedule = generate(seed, 50);
         let parsed = schedule_from_json(&schedule_to_json(&schedule)).expect("round trip parses");
         assert_eq!(parsed, schedule);
     }
-}
-
-#[test]
-fn checked_in_schedules_replay_to_their_expected_outcomes() {
-    let dir = schedules_dir();
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()))
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".json"))
-        .collect();
-    names.sort();
-    assert!(
-        names.len() >= 4,
-        "expected the four exemplar schedules, found {names:?}"
-    );
-    for name in names {
-        let schedule = read_schedule(&name);
-        let report = run(&schedule);
-        match schedule.expect_violation.as_deref() {
-            None => assert!(
-                report.passed(),
-                "{name} must pass but violated: {:?}",
-                report.violations
-            ),
-            Some(inv) => assert!(
-                report.violated(inv),
-                "{name} must violate [{inv}] but reported: {:?}",
-                report.violations
-            ),
-        }
-    }
-}
-
-#[test]
-fn length_stall_regression_stays_fixed() {
-    // Shrunk by the engine from soak seed 1234: corruption flips a
-    // frame's length field, the reader waits on a phantom frame and
-    // silently swallows the final draw. The stall watchdog now
-    // recovers it; this run diverged before that fix.
-    let schedule = read_schedule("length-stall.json");
-    let report = run(&schedule);
-    assert!(report.passed(), "stall must recover: {:?}", report.violations);
 }

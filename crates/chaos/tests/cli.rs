@@ -153,3 +153,38 @@ fn run_executes_a_schedule_file_and_replay_accepts_the_exemplar() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+/// Replays `text` as a schedule file and returns the refusal's one
+/// line (exit 2, nothing run).
+fn replay_refused(tag: &str, text: &str) -> String {
+    let path = temp_path(tag);
+    std::fs::write(&path, text).expect("write artifact");
+    let path = path.to_str().unwrap().to_string();
+    let diag = refused(&["replay", &path]);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        diag.contains("cannot parse") && diag.contains(&path),
+        "{diag}"
+    );
+    diag
+}
+
+#[test]
+fn replay_of_a_deeply_nested_file_is_refused_not_a_stack_overflow() {
+    // 200 000 open brackets recursed until the parser overflowed its
+    // stack and the process aborted (exit 134).
+    let diag = replay_refused("deep", &"[".repeat(200_000));
+    assert!(diag.contains("nested deeper than"), "{diag}");
+}
+
+#[test]
+fn replay_of_a_misspelt_key_is_refused_not_run_without_it() {
+    // A misspelt key used to be ignored: this passing schedule, meant
+    // to be held to a convergence violation, replayed as "all
+    // invariants hold" and exited 0.
+    let schedule = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("schedules/crash-failover.json");
+    let text = std::fs::read_to_string(schedule).expect("read crash-failover.json");
+    let misspelt = text.replacen('{', "{\"expect_violaton\": \"convergence\",", 1);
+    let diag = replay_refused("misspelt", &misspelt);
+    assert!(diag.contains("'expect_violaton'"), "{diag}");
+}

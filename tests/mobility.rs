@@ -3,7 +3,8 @@
 //! device and resynchronize — getting the identical desktop plus the
 //! session cursor — exactly the §1/§2 thin-client promise.
 
-use thinc::client::ThincClient;
+use thinc::bench::thinc_system::pump_wire;
+use thinc::client::StreamClient;
 use thinc::core::server::{ServerConfig, ThincServer};
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
@@ -17,18 +18,24 @@ use thinc::raster::{Color, PixelFormat, Rect};
 const W: u32 = 160;
 const H: u32 = 120;
 
+/// A device that has just connected: it has read the server's hello.
+fn connect(ws: &mut WindowServer<ThincServer>) -> StreamClient {
+    let mut device = StreamClient::new(W, H, PixelFormat::Rgb888);
+    let hello = ws.driver().hello();
+    device.feed(&ws.driver_mut().encode_frame(&hello));
+    device
+}
+
+/// Flushes over the wire until nothing is left to send.
 fn drain_to(
     ws: &mut WindowServer<ThincServer>,
     link: &mut thinc::net::link::DuplexLink,
     trace: &mut PacketTrace,
-    client: &mut ThincClient,
+    client: &mut StreamClient,
 ) {
     let mut now = SimTime::ZERO;
     for _ in 0..10_000 {
-        let batch = ws.driver_mut().flush(now, &mut link.down, trace);
-        for (_, m) in batch {
-            client.apply(&m);
-        }
+        pump_wire(ws, link, trace, client, now);
         if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
             break;
         }
@@ -64,7 +71,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
     let net = NetworkConfig::lan_desktop();
     let mut link1 = net.connect();
     let mut trace1 = PacketTrace::new();
-    let mut device1 = ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut device1 = connect(&mut ws);
     ws.process_all(vec![
         DrawRequest::FillRect {
             target: SCREEN,
@@ -82,7 +89,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
     ws.driver_mut()
         .handle_message(&Message::Input(ProtocolInput::PointerMove { x: 50, y: 40 }));
     drain_to(&mut ws, &mut link1, &mut trace1, &mut device1);
-    assert!(device1.cursor().visible());
+    assert!(device1.client().cursor().visible());
     drop((device1, link1));
 
     // The session keeps evolving while nobody is connected.
@@ -95,14 +102,14 @@ fn reconnect_from_a_new_device_restores_the_session() {
     // once a new device attaches; resync carries the truth instead.
     let mut link2 = NetworkConfig::wan_desktop().connect();
     let mut trace2 = PacketTrace::new();
-    let mut device2 = ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut device2 = connect(&mut ws);
     let screen = ws.screen().clone();
     ws.driver_mut().resync(&screen);
     drain_to(&mut ws, &mut link2, &mut trace2, &mut device2);
 
     // The new device has the exact current desktop...
     assert_eq!(
-        device2.framebuffer().checksum(),
+        device2.client().framebuffer().checksum(),
         ws.screen().checksum(),
         "reconnected device must see the identical session"
     );
@@ -110,6 +117,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
     ws.driver_mut()
         .handle_message(&Message::Input(ProtocolInput::PointerMove { x: 80, y: 80 }));
     drain_to(&mut ws, &mut link2, &mut trace2, &mut device2);
+    let device2 = device2.client();
     assert!(device2.cursor().visible());
     assert_eq!(
         device2.cursor().position(),
@@ -134,7 +142,7 @@ fn cursor_motion_costs_bytes_not_display_updates() {
     let net = NetworkConfig::lan_desktop();
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut client = ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut client = connect(&mut ws);
     drain_to(&mut ws, &mut link, &mut trace, &mut client);
     let before = trace.total_bytes();
     // 50 pointer moves.
@@ -146,5 +154,6 @@ fn cursor_motion_costs_bytes_not_display_updates() {
     let per_move = (trace.total_bytes() - before) / 50;
     assert!(per_move < 32, "cursor move cost {per_move} bytes");
     // No display commands were generated by pointer motion.
-    assert_eq!(client.stats().raw + client.stats().sfill, 0);
+    let stats = client.client().stats();
+    assert_eq!(stats.raw + stats.sfill, 0);
 }

@@ -2,7 +2,7 @@
 //! clients (including a small-viewport peer), all converging to the
 //! host's screen content.
 
-use thinc::client::ThincClient;
+use thinc::client::StreamClient;
 use thinc::core::session::{ClientId, Credentials, SharedSession};
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
@@ -17,11 +17,34 @@ const H: u32 = 96;
 
 struct Peer {
     id: ClientId,
-    client: ThincClient,
+    client: StreamClient,
     link: thinc::net::link::DuplexLink,
     trace: PacketTrace,
 }
 
+impl Peer {
+    /// A peer at the given viewport that has read the session's hello.
+    fn connect(
+        ws: &mut WindowServer<SharedSession>,
+        id: ClientId,
+        w: u32,
+        h: u32,
+        net: &NetworkConfig,
+    ) -> Self {
+        let mut client = StreamClient::new(w, h, PixelFormat::Rgb888);
+        let hello = ws.driver().hello();
+        client.feed(&ws.driver_mut().encode_frame(id, &hello));
+        Peer {
+            id,
+            client,
+            link: net.connect(),
+            trace: PacketTrace::new(),
+        }
+    }
+}
+
+/// Flushes every peer, frames its batch and feeds the bytes to its
+/// client, until nothing is left to send.
 fn drain(ws: &mut WindowServer<SharedSession>, peers: &mut [Peer]) {
     let mut now = SimTime::ZERO;
     for _ in 0..10_000 {
@@ -31,7 +54,7 @@ fn drain(ws: &mut WindowServer<SharedSession>, peers: &mut [Peer]) {
                 .driver_mut()
                 .flush_client(p.id, now, &mut p.link.down, &mut p.trace);
             for (_, msg) in batch {
-                p.client.apply(&msg);
+                p.client.feed(&ws.driver_mut().encode_frame(p.id, &msg));
             }
             pending |= ws.driver().backlog(p.id) > 0;
         }
@@ -67,18 +90,8 @@ fn two_full_size_clients_see_identical_content() {
 
     let net = NetworkConfig::lan_desktop();
     let mut peers = vec![
-        Peer {
-            id: host_id,
-            client: ThincClient::new(W, H, PixelFormat::Rgb888),
-            link: net.connect(),
-            trace: PacketTrace::new(),
-        },
-        Peer {
-            id: peer_id,
-            client: ThincClient::new(W, H, PixelFormat::Rgb888),
-            link: net.connect(),
-            trace: PacketTrace::new(),
-        },
+        Peer::connect(&mut ws, host_id, W, H, &net),
+        Peer::connect(&mut ws, peer_id, W, H, &net),
     ];
 
     // Draw: background + offscreen-composed window.
@@ -117,7 +130,7 @@ fn two_full_size_clients_see_identical_content() {
     // Both clients converged to the host screen, byte for byte.
     for p in &peers {
         assert_eq!(
-            p.client.framebuffer().data(),
+            p.client.client().framebuffer().data(),
             ws.screen().data(),
             "client {:?} diverged",
             p.id
@@ -147,18 +160,8 @@ fn small_viewport_peer_gets_scaled_updates() {
         .unwrap();
     let net = NetworkConfig::pda_802_11g();
     let mut peers = vec![
-        Peer {
-            id: full_id,
-            client: ThincClient::new(W, H, PixelFormat::Rgb888),
-            link: net.connect(),
-            trace: PacketTrace::new(),
-        },
-        Peer {
-            id: pda_id,
-            client: ThincClient::new(W / 4, H / 4, PixelFormat::Rgb888),
-            link: net.connect(),
-            trace: PacketTrace::new(),
-        },
+        Peer::connect(&mut ws, full_id, W, H, &net),
+        Peer::connect(&mut ws, pda_id, W / 4, H / 4, &net),
     ];
     // An incompressible image so byte counts reflect scaling.
     let mut x = 3u64;
@@ -186,6 +189,7 @@ fn small_viewport_peer_gets_scaled_updates() {
     let c_full = ws.screen().get_pixel(W as i32 / 2, H as i32 / 2).unwrap();
     let c_pda = peers[1]
         .client
+        .client()
         .framebuffer()
         .get_pixel(W as i32 / 8, H as i32 / 8)
         .unwrap();

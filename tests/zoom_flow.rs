@@ -3,7 +3,8 @@
 //! built from local pixels), the server remaps its view and refreshes
 //! with full-detail content.
 
-use thinc::client::{ThincClient, ZoomController};
+use thinc::bench::thinc_system::pump_wire;
+use thinc::client::{StreamClient, ZoomController};
 use thinc::core::server::{ServerConfig, ThincServer};
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
@@ -12,6 +13,7 @@ use thinc::net::link::NetworkConfig;
 use thinc::net::time::{SimDuration, SimTime};
 use thinc::net::trace::PacketTrace;
 use thinc::protocol::message::Message;
+use thinc::protocol::PROTOCOL_VERSION;
 use thinc::raster::{Color, PixelFormat, Point, Rect};
 
 const W: u32 = 512;
@@ -19,18 +21,16 @@ const H: u32 = 384;
 const VW: u32 = 128;
 const VH: u32 = 96;
 
+/// Flushes over the wire until nothing is left to send.
 fn drain(
     ws: &mut WindowServer<ThincServer>,
     link: &mut thinc::net::link::DuplexLink,
     trace: &mut PacketTrace,
-    client: &mut ThincClient,
+    client: &mut StreamClient,
 ) {
     let mut now = SimTime::ZERO;
     for _ in 0..10_000 {
-        let batch = ws.driver_mut().flush(now, &mut link.down, trace);
-        for (_, m) in batch {
-            client.apply(&m);
-        }
+        pump_wire(ws, link, trace, client, now);
         if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
             break;
         }
@@ -47,11 +47,13 @@ fn zoom_in_refresh_brings_full_detail() {
     };
     let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
     ws.driver_mut().handle_message(&Message::ClientHello {
-        version: 1,
+        version: PROTOCOL_VERSION,
         viewport_width: VW,
         viewport_height: VH,
     });
-    let mut client = ThincClient::new(VW, VH, PixelFormat::Rgb888);
+    let mut client = StreamClient::new(VW, VH, PixelFormat::Rgb888);
+    let hello = ws.driver().hello();
+    client.feed(&ws.driver_mut().encode_frame(&hello));
     let mut link = NetworkConfig::pda_802_11g().connect();
     let mut trace = PacketTrace::new();
     let mut zoom = ZoomController::new(W, H, VW, VH);
@@ -85,14 +87,14 @@ fn zoom_in_refresh_brings_full_detail() {
 
     // Zoomed out: quadrant colors visible; the fine line is blended
     // into the red quadrant.
-    let zoomed_out_red = client.framebuffer().get_pixel(10, 10).unwrap();
+    let zoomed_out_red = client.client().framebuffer().get_pixel(10, 10).unwrap();
     assert!(zoomed_out_red.r > 100, "{zoomed_out_red:?}");
 
     // Zoom into the top-left quadrant.
     let old_view = zoom.view();
     let set_view = zoom.zoom_in(Point::new(VW as i32 / 4, VH as i32 / 4), 2);
     // Temporary preview uses only local pixels.
-    let preview = zoom.magnify_preview(client.framebuffer(), old_view);
+    let preview = zoom.magnify_preview(client.client().framebuffer(), old_view);
     assert_eq!((preview.width(), preview.height()), (VW, VH));
     // Server receives the view change and refreshes.
     ws.driver_mut().handle_message(&set_view);
@@ -110,6 +112,7 @@ fn zoom_in_refresh_brings_full_detail() {
     for dy in -2..=2i64 {
         for dx in 0..40i64 {
             if let Some(c) = client
+                .client()
                 .framebuffer()
                 .get_pixel((line_in_view_x + dx) as i32, (line_in_view_y + dy) as i32)
             {
@@ -142,6 +145,10 @@ fn zoom_in_refresh_brings_full_detail() {
     let screen = ws.screen().clone();
     ws.driver_mut().refresh_view(&screen);
     drain(&mut ws, &mut link, &mut trace, &mut client);
-    let bottom = client.framebuffer().get_pixel(VW as i32 / 2, VH as i32 - 5).unwrap();
+    let bottom = client
+        .client()
+        .framebuffer()
+        .get_pixel(VW as i32 / 2, VH as i32 - 5)
+        .unwrap();
     assert!(bottom.b > 100, "bottom half should be blue again: {bottom:?}");
 }
