@@ -752,7 +752,13 @@ impl Delivery {
     /// on the epoch (a step re-bounds the buffer and re-aims the
     /// scale) and the A/V bound. A session runs it for every viewer
     /// before it asks the plane which of them are in the same state.
-    pub(crate) fn begin_flush(&mut self, now: SimTime, pipe: &TcpPipe) {
+    /// A flush with something to send that finds the link down is a
+    /// write the outage defers, counted on the pipe before the ladder
+    /// reads it (the epoch is impaired either way).
+    pub(crate) fn begin_flush(&mut self, now: SimTime, pipe: &mut TcpPipe) {
+        if !self.av.is_empty() || !self.buffer.is_empty() {
+            pipe.defer_write(now);
+        }
         self.observe_degradation(now, pipe);
         self.enforce_av_bound();
     }

@@ -696,7 +696,7 @@ impl SharedSession {
             for job in jobs.iter_mut().filter(|job| !job.member.quarantined) {
                 let delivery = &mut job.member.delivery;
                 let begun = contain(|| {
-                    delivery.begin_flush(now, &job.link.0);
+                    delivery.begin_flush(now, &mut job.link.0);
                     plans.resolve(delivery.buffer(), now)
                 });
                 match begun {

@@ -292,6 +292,13 @@ impl TcpPipe {
         self.params.sndbuf_bytes.saturating_sub(backlog_bytes)
     }
 
+    /// Counts a write held back at `now` because an outage window has
+    /// the link down (one [`FaultStats::outage_defers`] per call);
+    /// returns whether it was.
+    pub fn defer_write(&mut self, now: SimTime) -> bool {
+        self.fault.as_mut().is_some_and(|f| f.defer_past_outage(now) != now)
+    }
+
     /// Whether a write of `len` bytes at `now` would block.
     pub fn would_block(&self, now: SimTime, len: u64) -> bool {
         self.writable_bytes(now) < len
@@ -485,6 +492,10 @@ mod tests {
         let (departure, _) = p.send(SimTime(1_200_000), 1000);
         assert!(departure >= SimTime(1_500_000), "{departure}");
         assert_eq!(p.fault_stats().outage_defers, 1);
+        // A writer that finds the link down counts its held-back write.
+        assert!(p.defer_write(SimTime(1_200_000)));
+        assert!(!p.defer_write(SimTime(2_000_000)));
+        assert_eq!(p.fault_stats().outage_defers, 2);
     }
 
     #[test]
