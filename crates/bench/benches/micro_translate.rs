@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use thinc_baselines::framework::encode_region;
 use thinc_compress::Codec;
-use thinc_core::server::{ServerConfig, ThincServer};
+use thinc_core::server::{ServerConfig, VIEWER};
 use thinc_core::translator::Translator;
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::NullDriver;
@@ -39,14 +39,10 @@ fn bench(c: &mut Criterion) {
     group.bench_function("page_through_thinc_driver", |b| {
         let wl = WebWorkload::new(W, H, 2005);
         b.iter(|| {
-            let thinc = ThincServer::new(ServerConfig {
-                width: W,
-                height: H,
-                ..ServerConfig::default()
-            });
-            let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, thinc);
+            let session = ServerConfig { width: W, height: H, ..ServerConfig::default() }.session();
+            let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, session);
             ws.process_all(page_requests(&wl));
-            ws.driver().display_backlog()
+            ws.driver().backlog(VIEWER)
         })
     });
 

@@ -337,7 +337,7 @@ fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String
 /// refresh request) and reporting nonzero per-cause counters.
 fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     use thinc_client::{ReconnectConfig, ReconnectPolicy, StreamClient};
-    use thinc_core::server::{ServerConfig, ThincServer};
+    use thinc_core::server::{ServerConfig, VIEWER};
     use thinc_display::request::DrawRequest;
     use thinc_display::server::WindowServer;
     use thinc_display::SCREEN;
@@ -378,16 +378,8 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     );
     let mut link = net.connect();
     let mut trace = PacketTrace::new();
-    let mut ws = WindowServer::new(
-        SW,
-        SH,
-        PixelFormat::Rgb888,
-        ThincServer::new(ServerConfig {
-            width: SW,
-            height: SH,
-            ..ServerConfig::default()
-        }),
-    );
+    let config = ServerConfig { width: SW, height: SH, ..ServerConfig::default() };
+    let mut ws = WindowServer::new(SW, SH, PixelFormat::Rgb888, config.session());
     let mut client = StreamClient::new(SW, SH, PixelFormat::Rgb888).with_reconnect_policy(
         ReconnectPolicy::new(ReconnectConfig {
             seed,
@@ -396,14 +388,15 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     );
 
     // Handshake upgrades both sides to checksummed sequenced framing.
-    let hello = ws.driver().hello();
-    let hello_bytes = ws.driver_mut().encode_frame(&hello);
-    client.feed(&hello_bytes);
-    ws.driver_mut().handle_message(&Message::ClientHello {
+    let (session, screen) = ws.driver_and_screen();
+    let hello = session.hello();
+    client.feed(&session.encode_frame(VIEWER, &hello));
+    let hello = Message::ClientHello {
         version: thinc_protocol::PROTOCOL_VERSION,
         viewport_width: SW,
         viewport_height: SH,
-    });
+    };
+    session.handle_message(VIEWER, &hello, screen);
 
     // A fixed rotation of tiles: each slot repeats its exact content
     // every round, so the revision-3 cache sees repeated payloads and
@@ -425,7 +418,7 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     // converge past the disturbance windows.
     now = now.max(SimTime(2_050_000) + SimDuration::from_millis(50));
     for _ in 0..500 {
-        if !client.needs_refresh() && ws.driver().display_backlog() == 0 {
+        if !client.needs_refresh() && ws.driver().backlog(VIEWER) == 0 {
             break;
         }
         pump_wire(&mut ws, &mut link, &mut trace, &mut client, now);

@@ -2,8 +2,9 @@
 //!
 //! Unlike the baseline *models*, this adapter drives the actual THINC
 //! implementation end to end: the window server rasterizes requests
-//! and mirrors them to the real [`ThincServer`] driver; the server
-//! translates, schedules and flushes over the simulated connection;
+//! and mirrors them to the real driver, a session of one viewer
+//! ([`ServerConfig::session`]); the session translates, schedules and
+//! flushes over the simulated connection;
 //! every flushed message is framed and checksummed, carried as bytes
 //! and decoded by a real [`StreamClient`] — the instrumented headless
 //! client of §8.1 — whose uplink goes back to the server. So the
@@ -13,17 +14,17 @@
 use thinc_baselines::framework::{raster_cost, server_time, CLIENT_HZ};
 use thinc_baselines::traits::{AvStats, RemoteDisplay};
 use thinc_client::StreamClient;
-use thinc_core::server::{ServerConfig, ThincServer};
+use thinc_core::server::{ServerConfig, VIEWER};
+use thinc_core::{fold_fault_stats, SharedSession};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
-use thinc_net::fault::FaultStats;
 use thinc_net::link::{DuplexLink, NetworkConfig};
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::message::{Message, ProtocolInput};
 use thinc_protocol::wire::encode_message;
 use thinc_raster::{Point, Rect, YuvFrame};
-use thinc_telemetry::{Histogram, ResilienceMetrics, SessionTelemetry, Timeline};
+use thinc_telemetry::{Histogram, SessionTelemetry, Timeline};
 
 /// Flush period of the server's delivery loop.
 const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
@@ -33,45 +34,17 @@ const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
 /// session time).
 const TIMELINE_GAP: SimDuration = SimDuration(10_000);
 
-/// Folds one link direction's injected-fault tallies into a resilience
-/// group, by field name. The destructure is exhaustive on purpose: a
-/// field added to [`FaultStats`] fails to compile here until it is
-/// given a row.
-pub fn fold_fault_stats(into: &mut ResilienceMetrics, stats: FaultStats) {
-    let FaultStats {
-        segments_lost,
-        retransmits,
-        corrupt_events,
-        corrupted_bytes,
-        outage_defers,
-        collapsed_rounds,
-        segments_reordered,
-        segments_duplicated,
-    } = stats;
-    into.merge(&ResilienceMetrics {
-        segments_lost,
-        retransmits,
-        corrupt_events,
-        corrupted_bytes,
-        outage_defers,
-        collapsed_rounds,
-        segments_reordered,
-        segments_duplicated,
-        ..ResilienceMetrics::default()
-    });
-}
-
-/// The server's half of a session's telemetry — the groups its driver
-/// owns plus what the faulted `link` did to it. Harnesses add the
-/// client's groups and their own samples.
-pub fn server_telemetry(driver: &ThincServer, link: &DuplexLink) -> SessionTelemetry {
+/// The server's half of a session's telemetry — the groups the
+/// session and its one viewer own, plus what the faulted `link` did to
+/// it. Harnesses add the client's groups and their own samples.
+pub fn server_telemetry(session: &SharedSession, link: &DuplexLink) -> SessionTelemetry {
     let mut t = SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
-    let stats = driver.stats();
-    t.protocol = driver.protocol_metrics();
-    t.buffer = stats.buffer;
-    t.scheduler = driver.scheduler_metrics().clone();
-    t.translator = stats.translator;
-    t.resilience = driver.resilience_metrics();
+    let viewer = session.viewer(VIEWER).expect("the viewer stays attached");
+    t.protocol = viewer.protocol_metrics().clone();
+    t.buffer = viewer.buffer().stats();
+    t.scheduler = viewer.buffer().scheduler_metrics().clone();
+    t.translator = session.translator_stats();
+    t.resilience = viewer.resilience_metrics();
     for pipe in [&link.down, &link.up] {
         fold_fault_stats(&mut t.resilience, pipe.fault_stats());
     }
@@ -84,38 +57,40 @@ pub fn server_telemetry(driver: &ThincServer, link: &DuplexLink) -> SessionTelem
 /// which may corrupt, reorder or duplicate them — into the stream
 /// client, and hand the server whatever the client sends back (pongs,
 /// cache misses, its reconnect policy's refresh requests). Recovery is
-/// closed-loop: the server answers a latched refresh request with a
-/// full resync; the harness never resyncs by hand. Returns the flushed
-/// `(arrival, message)` pairs, in arrival order.
+/// closed-loop: the session answers a refresh request with a full
+/// resync from the screen; the harness never resyncs by hand. Returns
+/// the flushed `(arrival, message)` pairs, in arrival order.
 pub fn pump_wire(
-    ws: &mut WindowServer<ThincServer>,
+    ws: &mut WindowServer<SharedSession>,
     link: &mut DuplexLink,
     trace: &mut PacketTrace,
     client: &mut StreamClient,
     now: SimTime,
 ) -> Vec<(SimTime, Message)> {
-    let batch = ws.driver_mut().flush(now, &mut link.down, trace);
+    let (session, screen) = ws.driver_and_screen();
+    let batch = session.flush_client(VIEWER, now, &mut link.down, trace);
     let frames: Vec<_> = batch
         .iter()
-        .map(|(arrival, msg)| (*arrival, ws.driver_mut().encode_frame(msg)))
+        .map(|(arrival, msg)| (*arrival, session.encode_frame(VIEWER, msg)))
         .collect();
     for seg in link.down.carry(frames) {
         client.feed(&seg);
     }
     for msg in client.take_uplink(now) {
-        ws.driver_mut().handle_message(&msg);
-    }
-    if ws.driver_mut().take_resync_request() {
-        let screen = ws.screen().clone();
-        ws.driver_mut().set_time(now);
-        ws.driver_mut().resync(&screen);
+        session.handle_message(VIEWER, &msg, screen);
     }
     batch
 }
 
+/// Whether the session's one viewer has nothing left to send.
+pub fn drained(session: &SharedSession) -> bool {
+    let viewer = session.viewer(VIEWER).expect("the viewer stays attached");
+    viewer.buffer().is_empty() && viewer.av_backlog() == 0
+}
+
 /// The real THINC pipeline behind the harness interface.
 pub struct ThincSystem {
-    ws: WindowServer<ThincServer>,
+    ws: WindowServer<SharedSession>,
     link: DuplexLink,
     trace: PacketTrace,
     client: StreamClient,
@@ -163,20 +138,22 @@ impl ThincSystem {
 
     /// THINC with a custom configuration (ablations).
     pub fn with_config(net: &NetworkConfig, config: ServerConfig, viewport: (u32, u32)) -> Self {
-        let (w, h, fmt) = (config.width, config.height, config.format);
-        let mut server = ThincServer::new(config);
-        server.handle_message(&Message::ClientHello {
+        let fmt = config.format;
+        let mut ws = WindowServer::new(config.width, config.height, fmt, config.session());
+        let (session, screen) = ws.driver_and_screen();
+        let hello = Message::ClientHello {
             version: thinc_protocol::PROTOCOL_VERSION,
             viewport_width: viewport.0,
             viewport_height: viewport.1,
-        });
+        };
+        session.handle_message(VIEWER, &hello, screen);
         let mut client = StreamClient::new(viewport.0, viewport.1, fmt);
         // The hello travels legacy-framed and moves the reader to the
         // negotiated revision.
-        let hello = server.hello();
-        client.feed(&server.encode_frame(&hello));
+        let hello = session.hello();
+        client.feed(&session.encode_frame(VIEWER, &hello));
         Self {
-            ws: WindowServer::new(w, h, fmt, server),
+            ws,
             link: net.connect(),
             trace: PacketTrace::new(),
             client,
@@ -213,11 +190,6 @@ impl ThincSystem {
     /// The client (for verification).
     pub fn client(&self) -> &StreamClient {
         &self.client
-    }
-
-    /// The THINC server's statistics.
-    pub fn server_stats(&self) -> thinc_core::server::ServerStats {
-        self.ws.driver().stats()
     }
 
     /// Whether the client decoded everything it was sent, is not
@@ -267,19 +239,16 @@ impl ThincSystem {
             .record_sampled(now.0, "net.cwnd_bytes", cwnd, TIMELINE_GAP.0);
         self.timeline
             .record_sampled(now.0, "net.utilization", util, TIMELINE_GAP.0);
-        let driver = self.ws.driver();
+        let session = self.ws.driver();
         self.timeline.record_sampled(
             now.0,
             "server.display_backlog",
-            driver.display_backlog() as f64,
+            session.backlog(VIEWER) as f64,
             TIMELINE_GAP.0,
         );
-        self.timeline.record_sampled(
-            now.0,
-            "server.av_backlog",
-            driver.av_backlog() as f64,
-            TIMELINE_GAP.0,
-        );
+        let av = session.viewer(VIEWER).map_or(0, |v| v.av_backlog());
+        self.timeline
+            .record_sampled(now.0, "server.av_backlog", av as f64, TIMELINE_GAP.0);
     }
 }
 
@@ -298,7 +267,8 @@ impl RemoteDisplay for ThincSystem {
         let (_, arrival) = self.link.up.send(now, size);
         self.trace.record(now, arrival, size, Direction::Up, "input");
         self.frame_requested = Some(now);
-        if let Some(ev) = self.ws.driver_mut().handle_message(&msg) {
+        let (session, screen) = self.ws.driver_and_screen();
+        if let Some(ev) = session.handle_message(VIEWER, &msg, screen) {
             self.ws.handle_input(ev);
         }
         arrival
@@ -319,7 +289,7 @@ impl RemoteDisplay for ThincSystem {
     fn drain(&mut self, from: SimTime) -> SimTime {
         let mut now = from;
         for _ in 0..1_000_000 {
-            if self.ws.driver().av_backlog() == 0 && self.ws.driver().display_backlog() == 0 {
+            if drained(self.ws.driver()) {
                 break;
             }
             self.flush_once(now);
@@ -437,7 +407,7 @@ mod tests {
         sys.drain(SimTime::ZERO);
         assert!(sys.verified(), "client framebuffer != server screen");
         // Offscreen awareness: no RAW fallback needed for this page.
-        assert_eq!(sys.server_stats().translator.raw_fallback_bytes, 0);
+        assert_eq!(sys.session_telemetry().translator.raw_fallback_bytes, 0);
     }
 
     #[test]
@@ -477,7 +447,7 @@ mod tests {
             );
             assert_eq!(sys.client().pending_bytes(), 0);
             // Everything the server put on the wire, plus its hello.
-            let sent = sys.ws.driver().protocol_metrics().total_messages();
+            let sent = sys.session_telemetry().protocol.total_messages();
             assert_eq!(sys.client().client().stats().messages, sent + 1);
             assert!(sys.verified());
         }

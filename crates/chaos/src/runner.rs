@@ -26,11 +26,11 @@ use thinc_core::degradation::{DegradationConfig, DegradationLevel};
 use thinc_core::liveness::LivenessConfig;
 use thinc_core::scaling::ScalePolicy;
 use thinc_core::session::{ClientId, Credentials, SharedSession};
-use thinc_core::{Delivery, ShardedManager};
+use thinc_core::{fold_fault_stats, Delivery, ShardedManager};
 use thinc_display::drawable::DrawableStore;
 use thinc_display::driver::VideoDriver;
 use thinc_display::SCREEN;
-use thinc_net::fault::{FaultPlan, FaultStats, SplitMix64};
+use thinc_net::fault::{FaultPlan, SplitMix64};
 use thinc_net::link::NetworkConfig;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::{SimDuration, SimTime};
@@ -39,7 +39,7 @@ use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
 use thinc_protocol::PROTOCOL_VERSION;
 use thinc_raster::{Color, PixelFormat, Rect};
-use thinc_telemetry::{BufferStats, ResilienceMetrics};
+use thinc_telemetry::BufferStats;
 
 /// Pixel format every chaos session runs in.
 const FORMAT: PixelFormat = PixelFormat::Rgb888;
@@ -757,7 +757,7 @@ impl Runner {
     fn fold_stats(&mut self, si: usize) {
         let slot = &mut self.slots[si];
         if let Some(link) = self.manager.link_mut(slot.id) {
-            fold_link(&mut slot.history.link, link.0.fault_stats());
+            fold_fault_stats(&mut slot.history.link, link.0.fault_stats());
         }
     }
 
@@ -772,7 +772,7 @@ impl Runner {
             all.buffer.merge(&d.buffer().stats().since(&s.buffer_base));
         }
         if let Some(link) = self.manager.link_mut(s.id) {
-            fold_link(&mut all.link, link.0.fault_stats());
+            fold_fault_stats(&mut all.link, link.0.fault_stats());
         }
         all
     }
@@ -1296,22 +1296,6 @@ impl Runner {
     }
 }
 
-/// Folds a pipe's injected-fault tallies into a resilience group, by
-/// field name (`every_fault_row_is_folded` holds it to [`FaultStats`]).
-fn fold_link(into: &mut ResilienceMetrics, s: FaultStats) {
-    into.merge(&ResilienceMetrics {
-        segments_lost: s.segments_lost,
-        retransmits: s.retransmits,
-        corrupt_events: s.corrupt_events,
-        corrupted_bytes: s.corrupted_bytes,
-        outage_defers: s.outage_defers,
-        collapsed_rounds: s.collapsed_rounds,
-        segments_reordered: s.segments_reordered,
-        segments_duplicated: s.segments_duplicated,
-        ..ResilienceMetrics::default()
-    });
-}
-
 /// Clips an event rectangle into the screen; `None` when nothing of
 /// it can land (events are removal-tolerant, not panicky).
 fn clamp_rect(x: i32, y: i32, w: u32, h: u32, sw: u32, sh: u32) -> Option<Rect> {
@@ -1346,24 +1330,5 @@ mod tests {
         assert_eq!(a.violations, b.violations);
         assert_eq!(a.quiesces, b.quiesces);
         assert_eq!(a.slots_attached, b.slots_attached);
-    }
-
-    #[test]
-    fn every_fault_row_is_folded() {
-        // Exhaustive on purpose: a field added to `FaultStats` fails to
-        // compile here until the fold is given its row.
-        let stats = FaultStats {
-            segments_lost: 1,
-            retransmits: 2,
-            corrupt_events: 3,
-            corrupted_bytes: 4,
-            outage_defers: 5,
-            collapsed_rounds: 6,
-            segments_reordered: 7,
-            segments_duplicated: 8,
-        };
-        let mut m = ResilienceMetrics::default();
-        fold_link(&mut m, stats);
-        assert_eq!(m.values().iter().sum::<u64>(), 36);
     }
 }

@@ -34,8 +34,11 @@ use thinc_raster::{Framebuffer, PixelFormat, Rect, Region};
 /// Leading magic of every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
 
-/// Layout version written by this build.
-pub const CHECKPOINT_VERSION: u16 = 3;
+/// Layout version written by this build. Version 4 carries a keyed
+/// viewer's session key in its delivery record, and there is one image,
+/// the session's. There is no decoder for older layouts: a standby runs
+/// its primary's build.
+pub const CHECKPOINT_VERSION: u16 = 4;
 
 /// Header bytes before the payload: magic + version + length + CRC.
 pub const CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 4 + 4;

@@ -14,13 +14,16 @@
 //! [`SharedSession`](crate::session::SharedSession) is the one holder:
 //! it constructs, restores and checkpoints every `Delivery`, keeps a
 //! roster of them and shares work between clients at the same scale;
-//! [`ThincServer`](crate::server::ThincServer) is a session of one.
+//! a [`ServerConfig`](crate::server::ServerConfig) describes a session
+//! of one.
 //!
 //! The decisions this pipeline makes where earlier copies disagreed
 //! are tabulated in `docs/ROBUSTNESS.md` ("One façade").
 
 use std::collections::VecDeque;
 
+use thinc_compress::Rc4;
+use thinc_net::fault::FaultStats;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::{Direction, PacketTrace};
@@ -194,8 +197,6 @@ pub struct Delivery {
     buffer: ClientBuffer,
     scale: ScalePolicy,
     video: VideoStreamManager,
-    /// Video messages queued so far (stream lifecycle and data).
-    video_messages: u64,
     /// Audio/video/control messages awaiting flush (FIFO; flushed
     /// ahead of the display queues — A/V is paced real-time).
     av: VecDeque<Message>,
@@ -223,6 +224,11 @@ pub struct Delivery {
     /// band at this build's revision; the client's hello renegotiates
     /// it (a version-1 peer keeps the whole stream legacy-framed).
     encoder: FrameEncoder,
+    /// The connection's RC4 session cipher (§7), if it is keyed: the
+    /// key, for the checkpoint record, and the keystream every frame
+    /// leaves through. Boxed: the keystream state is 258 bytes, and
+    /// most connections of a roster are not keyed.
+    cipher: Option<Box<(Vec<u8>, Rc4)>>,
 }
 
 impl Delivery {
@@ -235,7 +241,6 @@ impl Delivery {
             buffer,
             scale: ScalePolicy::new(w, h, w, h),
             video: VideoStreamManager::new(),
-            video_messages: 0,
             av: VecDeque::new(),
             liveness: policy.liveness.map(|c| LivenessTracker::new(c, now)),
             degradation: policy.degradation.map(DegradationController::new),
@@ -244,16 +249,28 @@ impl Delivery {
             refresh_debt: Region::new(),
             resilience: ResilienceMetrics::new(),
             encoder: FrameEncoder::with_revision(PROTOCOL_VERSION),
+            cipher: None,
         }
     }
 
+    /// Keys the connection: every frame from now on leaves encrypted
+    /// by an RC4 keystream started from `key` (1 to 256 bytes).
+    pub(crate) fn set_key(&mut self, key: &[u8]) {
+        self.cipher = Some(Box::new((key.to_vec(), Rc4::new(key))));
+    }
+
     /// Frames `msg` for the wire at the negotiated revision, stamping
-    /// revision-2 frames with a sequence number and CRC32. Whatever
-    /// moves real bytes (rather than `Message` values) must encode
-    /// through this so the client's integrity verification has
-    /// something to verify.
+    /// revision-2 frames with a sequence number and CRC32, and
+    /// encrypting them on a keyed connection (size-preserving, so
+    /// traces and scheduling are unaffected). Whatever moves real bytes
+    /// (rather than `Message` values) must encode through this so the
+    /// client's integrity verification has something to verify.
     pub fn encode_frame(&mut self, msg: &Message) -> Vec<u8> {
-        self.encoder.encode(msg)
+        let mut frame = self.encoder.encode(msg);
+        if let Some(cipher) = self.cipher.as_mut() {
+            cipher.1.apply(&mut frame);
+        }
+        frame
     }
 
     /// The outgoing framer (negotiated revision, next sequence number).
@@ -296,11 +313,6 @@ impl Delivery {
     /// Audio/video/control messages not yet flushed.
     pub fn av_backlog(&self) -> usize {
         self.av.len()
-    }
-
-    /// Video messages queued so far.
-    pub fn video_messages(&self) -> u64 {
-        self.video_messages
     }
 
     /// The fidelity level the degradation ladder is at (`Full` when
@@ -521,9 +533,7 @@ impl Delivery {
         if let Some(t) = self.liveness.as_mut() {
             t.reset(now);
         }
-        let reinit = self.video.reannounce();
-        self.video_messages += reinit.len() as u64;
-        self.av.extend(reinit);
+        self.av.extend(self.video.reannounce());
         let _ = self.buffer.drop_pending_for_rescale();
         self.refresh_owed = true;
     }
@@ -679,14 +689,12 @@ impl Delivery {
         timestamp_us: u64,
     ) {
         let msgs = self.video.display_payload(payload, dst, timestamp_us);
-        self.video_messages += msgs.len() as u64;
         self.queue_av(msgs);
     }
 
     /// Ends all video streams (session teardown).
-    pub fn end_video(&mut self) {
+    pub(crate) fn end_video(&mut self) {
         let msgs = self.video.end_all();
-        self.video_messages += msgs.len() as u64;
         self.queue_av(msgs);
     }
 
@@ -814,9 +822,9 @@ impl Delivery {
     }
 
     /// Writes this client's record into a checkpoint image: the
-    /// framer (revision and next sequence number), the announced
-    /// viewport and zoom view, what it is owed, its ladder level, the
-    /// queued A/V, and the buffer's raw internal state.
+    /// framer (revision and next sequence number), the session key, the
+    /// announced viewport and zoom view, what it is owed, its ladder
+    /// level, the queued A/V, and the buffer's raw internal state.
     /// Deliberately not captured (rebuilt fresh on decode): video
     /// stream internals (streams re-announce on resync), telemetry,
     /// and the liveness tracker with its probes — those are
@@ -827,6 +835,10 @@ impl Delivery {
     pub(crate) fn encode_checkpoint(&self, w: &mut Writer) {
         w.u32(u32::from(self.encoder.revision()));
         w.u32(self.encoder.next_seq());
+        w.bool(self.cipher.is_some());
+        if let Some(cipher) = &self.cipher {
+            w.bytes(&cipher.0);
+        }
         w.u32(self.viewport.0);
         w.u32(self.viewport.1);
         w.rect(&self.scale.view);
@@ -848,8 +860,9 @@ impl Delivery {
     /// Rebuilds a client from its
     /// [`encode_checkpoint`](Self::encode_checkpoint) record under
     /// `policy`, with liveness restarted at `now` (a restored server
-    /// must not inherit pre-crash silence) and the ladder's hysteresis
-    /// restarted clean at the recorded level.
+    /// must not inherit pre-crash silence), the ladder's hysteresis
+    /// restarted clean at the recorded level, and the keystream
+    /// restarted from the key (the client re-keys on reconnect).
     pub(crate) fn decode_checkpoint(
         r: &mut Reader<'_>,
         policy: DeliveryPolicy,
@@ -861,6 +874,10 @@ impl Delivery {
             .ok_or(CheckpointError::Malformed("wire revision"))?;
         let mut encoder = FrameEncoder::with_revision(revision);
         encoder.set_next_seq(r.u32()?);
+        let key = if r.bool()? { Some(r.bytes()?) } else { None };
+        if key.is_some_and(|k| !(1..=256).contains(&k.len())) {
+            return Err(CheckpointError::Malformed("session key length"));
+        }
         let viewport = (r.u32()?, r.u32()?);
         let view = r.rect()?;
         let refresh_owed = r.bool()?;
@@ -883,6 +900,9 @@ impl Delivery {
         d.refresh_debt = refresh_debt;
         d.av = av;
         d.encoder = encoder;
+        if let Some(key) = key {
+            d.set_key(key);
+        }
         d.aim(view);
         Ok(d)
     }
@@ -890,4 +910,54 @@ impl Delivery {
 
 fn is_copy(cmd: &DisplayCommand) -> bool {
     matches!(cmd, DisplayCommand::Copy { .. })
+}
+
+/// Folds one link direction's injected-fault tallies into a resilience
+/// group, by field name. The destructure is exhaustive on purpose: a
+/// field added to [`FaultStats`] fails to compile here until it is
+/// given a row.
+pub fn fold_fault_stats(into: &mut ResilienceMetrics, stats: FaultStats) {
+    let FaultStats {
+        segments_lost,
+        retransmits,
+        corrupt_events,
+        corrupted_bytes,
+        outage_defers,
+        collapsed_rounds,
+        segments_reordered,
+        segments_duplicated,
+    } = stats;
+    into.merge(&ResilienceMetrics {
+        segments_lost,
+        retransmits,
+        corrupt_events,
+        corrupted_bytes,
+        outage_defers,
+        collapsed_rounds,
+        segments_reordered,
+        segments_duplicated,
+        ..ResilienceMetrics::default()
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_fault_row_is_folded() {
+        let stats = FaultStats {
+            segments_lost: 1,
+            retransmits: 2,
+            corrupt_events: 3,
+            corrupted_bytes: 4,
+            outage_defers: 5,
+            collapsed_rounds: 6,
+            segments_reordered: 7,
+            segments_duplicated: 8,
+        };
+        let mut m = ResilienceMetrics::default();
+        fold_fault_stats(&mut m, stats);
+        assert_eq!(m.values().iter().sum::<u64>(), 36);
+    }
 }

@@ -33,13 +33,14 @@
 //!   contains transient soft state"),
 //! - [`session`]: authentication and multi-client screen sharing
 //!   (§7) — the one façade: translator, real-time input region,
-//!   cursor, clock, resume-token rules and checkpoint writer around a
-//!   roster of `Delivery` values,
+//!   cursor, speaker, clock, resume-token rules and checkpoint writer
+//!   around a roster of `Delivery` values,
 //! - [`shard`]: [`ShardedManager`], a session plus its viewers' links,
 //!   flushed together once per epoch,
-//! - [`server`]: [`server::ThincServer`], a session of one viewer
-//!   adding only what a single-client server has — the audio device,
-//!   RC4 session encryption (§7) and the refresh-request latch.
+//! - [`server`]: [`ServerConfig`], the paper's design switches, whose
+//!   [`ServerConfig::session`] is the one way to build a session of one
+//!   viewer (its connection RC4-keyed when configured, §7), and
+//!   [`ThincServer`], that session driven as a driver of its own.
 //!
 //! The hot path is instrumented with `thinc-telemetry`, each event
 //! counted once by its owner: the command buffer owns its delivery
@@ -58,6 +59,8 @@ extern crate self as thinc_core;
 #[cfg(test)]
 #[path = "../tests/fixtures/mod.rs"]
 mod fixtures;
+#[cfg(test)]
+mod session_of_one;
 
 pub mod audio;
 pub mod buffer;
@@ -82,7 +85,7 @@ pub use checkpoint::{cache_digest, CheckpointError, TileDigests};
 pub use degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
-pub use delivery::{Delivery, DeliveryPolicy, Uplink};
+pub use delivery::{fold_fault_stats, Delivery, DeliveryPolicy, Uplink};
 pub use liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
 pub use plane::{PlaneCounters, WirePlane};
 pub use queue::{classify, CommandQueue, OverwriteClass};

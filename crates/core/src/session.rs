@@ -13,9 +13,10 @@
 //! commands fan out to each client's [`Delivery`] with per-client
 //! viewport scaling, so a PDA peer can watch a desktop host's session.
 //! It is the crate's one façade: the session's state — the translator,
-//! the input that marks updates real-time, the cursor shape, the clock,
-//! the checkpoint writer and the uplink rules — is written here once,
-//! and a [`crate::server::ThincServer`] is a session of one viewer.
+//! the input that marks updates real-time, the cursor shape, the
+//! speaker, the clock, the checkpoint writer and the uplink rules — is
+//! written here once, and a single-client server is a session of one
+//! viewer ([`ServerConfig::session`](crate::server::ServerConfig::session)).
 //!
 //! Per-client work (command scaling, buffering, flush-time RAW
 //! compression) is embarrassingly parallel: every client owns its
@@ -38,6 +39,7 @@ use thinc_protocol::wire::encode_message;
 use thinc_protocol::PROTOCOL_VERSION;
 use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 
+use crate::audio::VirtualAudioDriver;
 use crate::buffer::{decode_checkpoint_message, ClientBuffer};
 use crate::checkpoint::{
     format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
@@ -218,6 +220,9 @@ pub struct SharedSession {
     /// Last installed cursor image, sent to every viewer on attach,
     /// resync and cold restart.
     cursor_shape: Option<Message>,
+    /// The virtual audio device: one screen, one speaker. What it
+    /// packetizes goes to every viewer attached at the time.
+    audio: Option<VirtualAudioDriver>,
     /// Attached clients in strictly ascending id (= attach) order: ids
     /// come from `next_client`, which only grows, and `restore` rejects
     /// an image that breaks the order. Iteration order is the
@@ -267,6 +272,7 @@ impl SharedSession {
             translator: Translator::new(),
             input: InputTracker::new(),
             cursor_shape: None,
+            audio: None,
             clients: Vec::new(),
             next_client: 0,
             now: SimTime::ZERO,
@@ -362,7 +368,7 @@ impl SharedSession {
     }
 
     /// Translation-layer counters.
-    pub(crate) fn translator_stats(&self) -> TranslatorStats {
+    pub fn translator_stats(&self) -> TranslatorStats {
         self.translator.stats()
     }
 
@@ -379,13 +385,6 @@ impl SharedSession {
         for (_, m) in &mut self.clients {
             m.delivery.set_time(now);
         }
-    }
-
-    /// The clock that stamps A/V data and answers uplink messages.
-    /// Moving it leaves the buffers' enqueue stamps alone, as a flush
-    /// or a liveness poll should: neither is a draw.
-    pub(crate) fn clock(&mut self) -> &mut SimTime {
-        &mut self.now
     }
 
     /// Attaches a client with a viewport, after authentication.
@@ -435,8 +434,11 @@ impl SharedSession {
     /// ping queued on its A/V channel; silence past the timeout marks
     /// it dead (its resources become reclaimable via
     /// [`reap_dead`](Self::reap_dead)). Returns `Alive` for unknown
-    /// clients or when liveness is disabled.
+    /// clients or when liveness is disabled. The poll moves the
+    /// session clock to `now`, and leaves the buffers' enqueue stamps
+    /// alone: it is not a draw.
     pub fn poll_client_liveness(&mut self, id: ClientId, now: SimTime) -> LivenessVerdict {
+        self.now = now;
         let Some(m) = self.member_mut(id) else {
             return LivenessVerdict::Alive;
         };
@@ -600,13 +602,27 @@ impl SharedSession {
     /// Handles a client's explicit resync request (see
     /// [`Delivery::resync`]): the cursor shape again, then that
     /// client's (possibly stale) pending commands dropped and a
-    /// full-view refresh queued from `screen`.
+    /// full-view refresh queued from `screen`, stamped at the session
+    /// clock — it is read off the screen now.
     pub fn resync_client(&mut self, id: ClientId, screen: &Framebuffer) {
         let (now, cursor) = (self.now, self.cursor_shape.clone());
         if let Some(d) = self.serving(id) {
+            d.set_time(now);
             d.queue_av(cursor);
             d.resync(screen, now);
         }
+    }
+
+    /// Re-sends the current contents of a client's view as a (scaled)
+    /// RAW update, e.g. to settle a zoom before the next draw: "the
+    /// server updates are necessary when the display size increases,
+    /// because the client has only a small-size version of the
+    /// display" (§6).
+    pub fn refresh_view(&mut self, id: ClientId, screen: &Framebuffer) {
+        if let Some(d) = self.serving(id) {
+            d.owe_refresh();
+        }
+        self.repay_refreshes(screen);
     }
 
     /// Installs the session cursor image and sends it to every viewer.
@@ -614,13 +630,51 @@ impl SharedSession {
     /// bytes per event instead of display updates.
     pub fn set_cursor(&mut self, width: u32, height: u32, hot_x: i32, hot_y: i32, pixels: Vec<u8>) {
         let shape = Message::CursorShape { width, height, hot_x, hot_y, pixels };
-        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
-            m.delivery.queue_av([shape.clone()]);
-        }
+        self.queue_av_all(std::slice::from_ref(&shape));
         self.cursor_shape = Some(shape);
     }
 
-    /// Flushes one client's buffer over its own connection.
+    /// Opens the virtual audio device, its clock starting at the
+    /// session's.
+    pub fn open_audio(&mut self, sample_rate: u32, channels: u32) {
+        self.audio = Some(VirtualAudioDriver::new(sample_rate, channels, self.now.as_micros()));
+    }
+
+    /// Applications write PCM audio: every full packet queues for each
+    /// viewer that can still be served (a viewer attached mid-stream
+    /// hears what is packetized from then on).
+    pub fn play_audio(&mut self, pcm: &[u8]) {
+        if let Some(packets) = self.audio.as_mut().map(|drv| drv.write(pcm)) {
+            self.queue_av_all(&packets);
+        }
+    }
+
+    /// Closes the audio device, sending its buffered samples as a last
+    /// short packet.
+    pub fn close_audio(&mut self) {
+        if let Some(last) = self.audio.take().and_then(|mut drv| drv.drain()) {
+            self.queue_av_all(&[last]);
+        }
+    }
+
+    /// Ends every viewer's video streams (session teardown).
+    pub fn end_video(&mut self) {
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+            m.delivery.end_video();
+        }
+    }
+
+    /// Queues `msgs` on the A/V queue of every viewer that can still be
+    /// served.
+    fn queue_av_all(&mut self, msgs: &[Message]) {
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+            m.delivery.queue_av(msgs.iter().cloned());
+        }
+    }
+
+    /// Flushes one client's buffer over its own connection. The flush
+    /// moves the session clock to `now`, and leaves the buffers'
+    /// enqueue stamps alone: it is not a draw.
     pub fn flush_client(
         &mut self,
         id: ClientId,
@@ -628,6 +682,7 @@ impl SharedSession {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
+        self.now = now;
         self.member_mut(id).map_or_else(Vec::new, |m| {
             if !m.quarantined {
                 m.delivery.begin_flush(now, pipe);
@@ -811,18 +866,11 @@ impl SharedSession {
     /// Deliberately not captured (all reconstructed or reset at
     /// [`restore`](Self::restore)): the translator's pixmap queues
     /// (offscreen drawings replay into fresh queues), the input halo,
-    /// the encode-once plane accounting, and what the delivery record
-    /// itself leaves out (video stream internals, liveness trackers,
-    /// telemetry).
+    /// the audio device, the encode-once plane accounting, and what
+    /// the delivery record itself leaves out (video stream internals,
+    /// liveness trackers, telemetry).
     pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
         let mut w = Writer::new();
-        self.encode_checkpoint(&mut w, screen);
-        crate::checkpoint::seal(w.into_inner())
-    }
-
-    /// The session record: what [`checkpoint`](Self::checkpoint) seals,
-    /// and what a server image opens with.
-    pub(crate) fn encode_checkpoint(&self, w: &mut Writer, screen: &Framebuffer) {
         w.u32(self.policy.session.0);
         w.u32(self.policy.session.1);
         w.u8(format_to_u8(self.format));
@@ -831,7 +879,7 @@ impl SharedSession {
         w.opt_str(self.auth.session_password.as_deref());
         w.u32(self.next_client);
         w.u64(self.now.0);
-        self.policy.encode(w);
+        self.policy.encode(&mut w);
         w.opt_u64(self.buffer_bound);
         w.opt_u64(self.cache_budget);
         w.u32(self.workers as u32);
@@ -853,8 +901,9 @@ impl SharedSession {
         for (id, m) in live() {
             w.u32(id.0);
             w.str(&m.user);
-            m.delivery.encode_checkpoint(w);
+            m.delivery.encode_checkpoint(&mut w);
         }
+        crate::checkpoint::seal(w.into_inner())
     }
 
     /// Rebuilds a session from a [`checkpoint`](Self::checkpoint)
@@ -864,16 +913,7 @@ impl SharedSession {
     /// restore leaves no partial state behind (the caller keeps its
     /// cold path).
     pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader::new(crate::checkpoint::open(bytes)?);
-        let session = Self::decode_checkpoint(&mut r)?;
-        if !r.exhausted() {
-            return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
-        }
-        Ok(session)
-    }
-
-    /// Inverse of [`encode_checkpoint`](Self::encode_checkpoint).
-    pub(crate) fn decode_checkpoint(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let r = &mut Reader::new(crate::checkpoint::open(bytes)?);
         let width = r.u32()?;
         let height = r.u32()?;
         let format = format_from_u8(r.u8()?)?;
@@ -912,12 +952,16 @@ impl SharedSession {
             let delivery = Delivery::decode_checkpoint(r, policy, now)?;
             clients.push((id, Member::new(user, delivery)));
         }
+        if !r.exhausted() {
+            return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
+        }
         Ok(Self {
             format,
             auth: SessionAuth { owner, session_password },
             translator,
             input: InputTracker::new(),
             cursor_shape,
+            audio: None,
             clients,
             next_client,
             now,
@@ -1248,6 +1292,35 @@ mod tests {
         let mut pipe = TcpPipe::new(thinc_net::tcp::TcpParams::default());
         let out = s.flush_client(id, now, &mut pipe, &mut PacketTrace::new());
         out.into_iter().map(|(_, m)| m).collect()
+    }
+
+    #[test]
+    fn audio_reaches_every_viewer_and_a_late_viewer_hears_what_follows() {
+        use crate::audio::DEFAULT_PACKET_BYTES as PACKET;
+        // The PCM bytes of every audio packet `id` is sent now.
+        let heard = |s: &mut SharedSession, id| -> Vec<u8> {
+            let msgs = sent(s, id, s.now);
+            msgs.iter()
+                .flat_map(|m| match m {
+                    Message::Audio { data, .. } => data.to_vec(),
+                    _ => Vec::new(),
+                })
+                .collect()
+        };
+        let (mut s, ids) = viewers(&[64, 32, 16]);
+        s.open_audio(44_100, 2);
+        s.play_audio(&vec![1; 2 * PACKET]);
+        for &id in &ids {
+            assert_eq!(heard(&mut s, id), vec![1; 2 * PACKET], "{id:?}");
+        }
+        let late = s
+            .attach(&Credentials::Peer { user: "late".into(), password: "pw".into() }, 64, 64)
+            .unwrap();
+        s.play_audio(&vec![2; PACKET + 100]);
+        s.close_audio();
+        for id in ids.into_iter().chain([late]) {
+            assert_eq!(heard(&mut s, id), vec![2; PACKET + 100], "{id:?}");
+        }
     }
 
     #[test]

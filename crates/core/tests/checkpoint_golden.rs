@@ -1,16 +1,17 @@
-//! Golden checkpoint images: the on-disk format pinned by artifact.
+//! The golden checkpoint image: the on-disk format pinned by artifact.
 //!
-//! `golden/server_v3.ckpt` and `golden/session_v3.ckpt` are what the
-//! fixtures in `fixtures/` checkpoint to under layout version 3 (one
-//! writer: a server image is the session record plus the server's own
-//! fields). A refactor that moves a field, reorders a record or changes
-//! what a fixture leaves in flight fails here before it can silently
-//! break a standby's restore. There is deliberately no decoder for
-//! older layouts (a standby runs its primary's build): a version-1 or
-//! version-2 header is refused like any foreign version.
+//! `golden/session_v4.ckpt` is what the shared-session fixture in
+//! `fixtures/` checkpoints to under layout version 4. There is one
+//! image, the session's: a single-client server is a session of one,
+//! and its session key lives in its viewer's record. A refactor that
+//! moves a field, reorders a record or changes what the fixture leaves
+//! in flight fails here before it can silently break a standby's
+//! restore. There is deliberately no decoder for older layouts (a
+//! standby runs its primary's build): a version-1, -2 or -3 header is
+//! refused like any foreign version.
 //!
 //! After an intended layout change, bump `CHECKPOINT_VERSION`, rename
-//! the files, and run the one writer:
+//! the file, and run the one writer:
 //! `cargo test -p thinc-core --test checkpoint_golden -- --ignored regenerate_golden`.
 
 mod fixtures;
@@ -18,21 +19,17 @@ mod fixtures;
 use std::path::PathBuf;
 
 use thinc_core::checkpoint::{CheckpointError, CHECKPOINT_VERSION};
-use thinc_core::server::ThincServer;
 use thinc_core::session::SharedSession;
+
+const GOLDEN: &str = "session_v4.ckpt";
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
 }
 
-fn read_golden(name: &str) -> Vec<u8> {
-    let path = golden(name);
+fn read_golden() -> Vec<u8> {
+    let path = golden(GOLDEN);
     std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
-}
-
-fn server_image() -> Vec<u8> {
-    let ws = fixtures::checkpointable_server();
-    ws.driver().checkpoint(ws.screen())
 }
 
 fn session_image() -> Vec<u8> {
@@ -50,36 +47,21 @@ fn as_version(image: &[u8], version: u16) -> Vec<u8> {
 }
 
 #[test]
-fn layout_version_is_3() {
-    assert_eq!(CHECKPOINT_VERSION, 3);
-}
-
-#[test]
-fn server_image_is_pinned() {
-    let file = read_golden("server_v3.ckpt");
-    assert!(server_image() == file, "fixture no longer checkpoints to server_v3.ckpt");
-    let ws = fixtures::checkpointable_server();
-    let restored = ThincServer::restore(&file).expect("the golden server image restores");
-    assert!(restored.checkpoint(ws.screen()) == file, "restore -> checkpoint changed the image");
-    for old in [1, 2] {
-        assert_eq!(
-            ThincServer::restore(&as_version(&file, old)).err(),
-            Some(CheckpointError::UnsupportedVersion(old))
-        );
-    }
+fn layout_version_is_4() {
+    assert_eq!(CHECKPOINT_VERSION, 4);
 }
 
 #[test]
 fn session_image_is_pinned() {
-    let file = read_golden("session_v3.ckpt");
-    assert!(session_image() == file, "fixture no longer checkpoints to session_v3.ckpt");
+    let file = read_golden();
+    assert!(session_image() == file, "fixture no longer checkpoints to {GOLDEN}");
     let (_, store, _) = fixtures::checkpointable_session();
     let restored = SharedSession::restore(&file).expect("the golden session image restores");
     assert!(
         restored.checkpoint(store.screen()) == file,
         "restore -> checkpoint changed the image"
     );
-    for old in [1, 2] {
+    for old in [1, 2, 3] {
         assert_eq!(
             SharedSession::restore(&as_version(&file, old)).err(),
             Some(CheckpointError::UnsupportedVersion(old))
@@ -89,26 +71,20 @@ fn session_image_is_pinned() {
 
 #[test]
 fn hostile_golden_images_are_typed_errors() {
-    for (name, restore) in [
-        ("server_v3.ckpt", (|b| ThincServer::restore(b).map(drop)) as fn(&[u8]) -> _),
-        ("session_v3.ckpt", |b| SharedSession::restore(b).map(drop)),
-    ] {
-        let file = read_golden(name);
-        for cut in 0..file.len() {
-            assert!(restore(&file[..cut]).is_err(), "{name}: prefix {cut} accepted");
-        }
-        for byte in 0..file.len() {
-            let mut bad = file.clone();
-            bad[byte] ^= 1 << (byte % 8);
-            assert!(restore(&bad).is_err(), "{name}: flip at {byte} accepted");
-        }
+    let file = read_golden();
+    for cut in 0..file.len() {
+        assert!(SharedSession::restore(&file[..cut]).is_err(), "prefix {cut} accepted");
+    }
+    for byte in 0..file.len() {
+        let mut bad = file.clone();
+        bad[byte] ^= 1 << (byte % 8);
+        assert!(SharedSession::restore(&bad).is_err(), "flip at {byte} accepted");
     }
 }
 
 #[test]
-#[ignore = "the only writer of tests/golden/"]
+#[ignore = "the only writer of tests/golden/*.ckpt"]
 fn regenerate_golden() {
     std::fs::create_dir_all(golden("")).unwrap();
-    std::fs::write(golden("server_v3.ckpt"), server_image()).unwrap();
-    std::fs::write(golden("session_v3.ckpt"), session_image()).unwrap();
+    std::fs::write(golden(GOLDEN), session_image()).unwrap();
 }

@@ -7,7 +7,6 @@
 //! to the persistence layer.
 
 use proptest::prelude::*;
-use thinc_core::server::{ServerConfig, ThincServer};
 use thinc_core::session::{Credentials, SharedSession};
 use thinc_display::drawable::{DrawableStore, SCREEN};
 use thinc_display::driver::VideoDriver;
@@ -167,25 +166,5 @@ proptest! {
     fn garbage_is_never_a_session(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         prop_assert!(SharedSession::restore(&bytes).is_err());
         cold_start_works();
-    }
-
-    /// The single-client server checkpoint holds the same contract:
-    /// truncations and single-bit flips are typed errors, and the
-    /// cold path (a fresh server) survives every rejection.
-    #[test]
-    fn hostile_server_images_are_typed_errors(
-        cut_pick in any::<u32>(),
-        pos in any::<u32>(),
-        bit in 0u8..8,
-    ) {
-        let server = ThincServer::new(ServerConfig::default());
-        let image = server.checkpoint(&thinc_raster::Framebuffer::new(1024, 768, PixelFormat::Rgb888));
-        let cut = (cut_pick as usize) % image.len();
-        prop_assert!(ThincServer::restore(&image[..cut]).is_err());
-        let mut flipped = image.clone();
-        let idx = (pos as usize) % flipped.len();
-        flipped[idx] ^= 1 << bit;
-        prop_assert!(ThincServer::restore(&flipped).is_err());
-        let _ = ThincServer::new(ServerConfig::default());
     }
 }

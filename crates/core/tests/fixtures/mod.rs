@@ -1,11 +1,12 @@
-//! Checkpoint fixtures: one server and one session with every
-//! subsystem lit up and state in flight. Shared by the unit tests in
-//! `src/` (which include this file by path) and the golden-image test,
-//! which pins the bytes these fixtures checkpoint to.
+//! Checkpoint fixtures: a configured session of one and a shared
+//! session of two, each with every subsystem lit up and state in
+//! flight. Shared by the unit tests in `src/` (which include this file
+//! by path) and the golden-image test, which pins the bytes the shared
+//! session checkpoints to.
 #![allow(dead_code)]
 
 use thinc_client::StreamClient;
-use thinc_core::server::{ServerConfig, ThincServer};
+use thinc_core::server::{ServerConfig, VIEWER};
 use thinc_core::session::{Credentials, SharedSession};
 use thinc_core::{DegradationConfig, LivenessConfig};
 use thinc_display::drawable::{DrawableStore, SCREEN};
@@ -59,15 +60,18 @@ pub fn noise(len: usize, salt: u32) -> Vec<u8> {
         .collect()
 }
 
-/// A server with every subsystem lit up and mid-flight state:
-/// negotiated revision-3 framing (integrity + cache), a cursor, a
-/// queued A/V backlog, partially flushed display traffic, and a
-/// non-identity scale.
-pub fn checkpointable_server() -> WindowServer<ThincServer> {
-    let thinc = ThincServer::new(ServerConfig {
+/// The session key [`checkpointable_server`]'s viewer is keyed with.
+pub const KEY: &[u8] = b"0123456789abcdef";
+
+/// A configured session of one with every subsystem lit up and
+/// mid-flight state: a keyed connection, negotiated revision-3 framing
+/// (integrity + cache), a cursor, a queued A/V backlog, partially
+/// flushed display traffic, and a non-identity scale.
+pub fn checkpointable_server() -> WindowServer<SharedSession> {
+    let config = ServerConfig {
         width: 64,
         height: 64,
-        rc4_key: Some(b"0123456789abcdef".to_vec()),
+        rc4_key: Some(KEY.to_vec()),
         buffer_bound_bytes: Some(512 * 1024),
         av_bound: Some(8),
         liveness: Some(LivenessConfig {
@@ -76,13 +80,11 @@ pub fn checkpointable_server() -> WindowServer<ThincServer> {
         }),
         degradation: Some(DegradationConfig::default()),
         ..ServerConfig::default()
-    });
-    let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, thinc);
-    ws.driver_mut().handle_message(&Message::ClientHello {
-        version: PROTOCOL_VERSION,
-        viewport_width: 48,
-        viewport_height: 48,
-    });
+    };
+    let mut ws = WindowServer::new(64, 64, PixelFormat::Rgb888, config.session());
+    let (session, screen) = ws.driver_and_screen();
+    let hello = Message::ClientHello { version: PROTOCOL_VERSION, viewport_width: 48, viewport_height: 48 };
+    session.handle_message(VIEWER, &hello, screen);
     ws.driver_mut().set_cursor(8, 8, 1, 1, vec![7; 8 * 8 * 4]);
     ws.driver_mut().open_audio(44_100, 2);
     ws.driver_mut().play_audio(&vec![1u8; 4096]);
@@ -102,9 +104,10 @@ pub fn checkpointable_server() -> WindowServer<ThincServer> {
         ..thinc_net::tcp::TcpParams::default()
     });
     let mut trace = PacketTrace::new();
-    let _ = ws.driver_mut().flush(SimTime(10_000), &mut pipe, &mut trace);
+    let _ = ws.driver_mut().flush_client(VIEWER, SimTime(10_000), &mut pipe, &mut trace);
+    let viewer = ws.driver().viewer(VIEWER).expect("attached");
     assert!(
-        ws.driver().display_backlog() > 0 || ws.driver().av_backlog() > 0,
+        !viewer.buffer().is_empty() || viewer.av_backlog() > 0,
         "checkpoint fixture should carry backlog"
     );
     ws

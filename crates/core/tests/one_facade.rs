@@ -1,5 +1,5 @@
-//! One façade under generated traffic: a `ThincServer` — a
-//! `SharedSession` of one viewer — takes every translated command kind
+//! One façade under generated traffic: a session of one viewer, as
+//! `ServerConfig::session` builds it, takes every translated command kind
 //! with overlapping scrolls and, at random points, every uplink message
 //! the session acts on (a `ClientHello` at version 1, 2 or 3, `Resize`,
 //! `SetView`, an answerable and an unanswerable `CacheMiss`, a current
@@ -14,8 +14,8 @@ mod fixtures;
 use fixtures::noise;
 use proptest::prelude::*;
 use thinc_client::StreamClient;
-use thinc_core::server::{ServerConfig, ThincServer};
-use thinc_core::LivenessConfig;
+use thinc_core::server::{ServerConfig, VIEWER};
+use thinc_core::{LivenessConfig, SharedSession};
 use thinc_display::drawable::{DrawableId, SCREEN};
 use thinc_display::request::{DrawRequest, RequestResult};
 use thinc_display::server::WindowServer;
@@ -70,11 +70,11 @@ fn request(step: Step, tile: DrawableId) -> Option<DrawRequest> {
     })
 }
 
-/// A run: the server and its screen, the client's pipe and clock, the
+/// A run: the session and its screen, the client's pipe and clock, the
 /// version it speaks, the stream client fed every frame, and the last
-/// cacheable payload and ping the server sent.
+/// cacheable payload and ping the session sent.
 struct Run {
-    ws: WindowServer<ThincServer>,
+    ws: WindowServer<SharedSession>,
     pipe: TcpPipe,
     now: SimTime,
     version: u16,
@@ -90,7 +90,7 @@ impl Run {
     fn connect(&mut self, (vw, vh): (u32, u32)) {
         self.client = StreamClient::new(vw, vh, PixelFormat::Rgb888);
         let hello = self.ws.driver().hello();
-        let greeting = self.ws.driver_mut().encode_frame(&hello);
+        let greeting = self.ws.driver_mut().encode_frame(VIEWER, &hello);
         let (version, width, height, depth) = (self.version, W, H, 24);
         let old = encode_message(&Message::ServerHello { version, width, height, depth });
         self.client.feed(if version == PROTOCOL_VERSION { &greeting } else { &old });
@@ -99,26 +99,24 @@ impl Run {
     /// Advances the clock and polls liveness, so pings queue.
     fn tick(&mut self) {
         self.ws.driver_mut().set_time(self.now);
-        self.ws.driver_mut().poll_liveness(self.now);
+        self.ws.driver_mut().poll_client_liveness(VIEWER, self.now);
     }
 
-    /// Hands the server a client message, answers a latched refresh
-    /// request, and settles what the message left owed.
+    /// Hands the session a client message, which it answers with the
+    /// screen, and settles whatever is still owed.
     fn send(&mut self, msg: &Message) {
-        self.ws.driver_mut().handle_message(msg);
-        let screen = self.ws.screen().clone();
-        if self.ws.driver_mut().take_resync_request() {
-            self.ws.driver_mut().resync(&screen);
-        }
-        self.ws.driver_mut().repay_overflow_debt(&screen);
+        let (session, screen) = self.ws.driver_and_screen();
+        session.handle_message(VIEWER, msg, screen);
+        session.repay_refreshes(screen);
     }
 
     fn flush(&mut self) {
         self.now.0 += STEP_US;
         self.tick();
-        let batch = self.ws.driver_mut().flush(self.now, &mut self.pipe, &mut PacketTrace::new());
+        let batch =
+            self.ws.driver_mut().flush_client(VIEWER, self.now, &mut self.pipe, &mut PacketTrace::new());
         for (_, m) in &batch {
-            let frame = self.ws.driver_mut().encode_frame(m);
+            let frame = self.ws.driver_mut().encode_frame(VIEWER, m);
             self.client.feed(&frame);
             self.sent_key = m.cache_key().or(self.sent_key);
             if let Message::Ping { seq, .. } = m {
@@ -190,15 +188,16 @@ proptest! {
         ),
         uplinks in prop::collection::vec((0usize..32, 0u8..10, any::<u32>()), 0..12),
     ) {
-        let thinc = ThincServer::new(ServerConfig {
+        let session = ServerConfig {
             width: W,
             height: H,
             buffer_bound_bytes: bounded.then_some(BOUND),
             cache_budget_bytes: cache.then_some(DEFAULT_CACHE_BUDGET),
             liveness: Some(LIVENESS),
             ..ServerConfig::default()
-        });
-        let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, thinc);
+        }
+        .session();
+        let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, session);
         let RequestResult::Created(tile) = ws.process(DrawRequest::CreatePixmap { width: 4, height: 4 })
         else {
             panic!("pixmap");
@@ -212,8 +211,8 @@ proptest! {
         run.connect(VIEWPORTS[vp]);
         let (vw, vh) = VIEWPORTS[vp];
         run.send(&Message::ClientHello { version, viewport_width: vw, viewport_height: vh });
-        let screen = run.ws.screen().clone();
-        run.ws.driver_mut().refresh_view(&screen);
+        let (session, screen) = run.ws.driver_and_screen();
+        session.refresh_view(VIEWER, screen);
         run.flush();
         let mut whole = true;
         for (i, step) in steps.iter().enumerate() {
@@ -226,16 +225,19 @@ proptest! {
             }
         }
         // Drain: repay what the bound deferred until nothing is owed.
-        let owed = |v: &thinc_core::Delivery| !v.buffer().is_empty() || v.has_debt();
+        let owed = |ws: &WindowServer<SharedSession>| {
+            let v = ws.driver().viewer(VIEWER).expect("attached");
+            !v.buffer().is_empty() || v.has_debt()
+        };
         for _ in 0..400 {
-            let screen = run.ws.screen().clone();
-            run.ws.driver_mut().repay_overflow_debt(&screen);
+            let (session, screen) = run.ws.driver_and_screen();
+            session.repay_refreshes(screen);
             run.flush();
-            if !owed(run.ws.driver().viewer()) {
+            if !owed(&run.ws) {
                 break;
             }
         }
-        prop_assert!(!owed(run.ws.driver().viewer()), "case did not drain");
+        prop_assert!(!owed(&run.ws), "case did not drain");
         let m = run.client.resilience_metrics();
         prop_assert_eq!((m.decode_errors(), m.crc_failures(), m.seq_gaps()), (0, 0, 0));
         // Showing the whole session at full size, it holds the screen.

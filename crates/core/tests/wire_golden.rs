@@ -1,7 +1,7 @@
 //! Golden wire captures: old-peer interop pinned by artifact.
 //!
 //! `golden/wire_rev{1,2,3}.cap` and `golden/wire_rev3_resume.cap` hold
-//! what a server put on the wire — `encode_frame` output, byte for byte
+//! what a session of one put on the wire — `encode_frame` output, byte for byte
 //! — for one scripted session per protocol revision (every display
 //! command kind, cursor, audio, video, a liveness probe, and at
 //! revision 3 cache references), the last one continuing across a
@@ -24,8 +24,8 @@ use std::path::PathBuf;
 
 use fixtures::noise;
 use thinc_client::StreamClient;
-use thinc_core::server::{ServerConfig, ThincServer};
-use thinc_core::LivenessConfig;
+use thinc_core::server::{ServerConfig, VIEWER};
+use thinc_core::{LivenessConfig, SharedSession};
 use thinc_display::drawable::SCREEN;
 use thinc_display::request::{DrawRequest, RequestResult};
 use thinc_display::server::WindowServer;
@@ -88,7 +88,7 @@ fn connect(rev: u16, hello_frame: &[u8]) -> StreamClient {
 /// One flush-until-drained: every message framed, recorded and fed to
 /// the client, whose replies go back up.
 fn drain(
-    ws: &mut WindowServer<ThincServer>,
+    ws: &mut WindowServer<SharedSession>,
     pipe: &mut TcpPipe,
     now: &mut SimTime,
     client: &mut StreamClient,
@@ -97,24 +97,31 @@ fn drain(
     for _ in 0..200 {
         now.0 += 10_000;
         ws.driver_mut().set_time(*now);
-        for (_, msg) in ws.driver_mut().flush(*now, pipe, &mut PacketTrace::new()) {
-            let frame = ws.driver_mut().encode_frame(&msg);
+        for (_, msg) in ws.driver_mut().flush_client(VIEWER, *now, pipe, &mut PacketTrace::new()) {
+            let frame = ws.driver_mut().encode_frame(VIEWER, &msg);
             client.feed(&frame);
             chunk(cap, DOWN, &frame);
         }
         for msg in client.take_uplink(*now) {
-            ws.driver_mut().handle_message(&msg);
+            send(ws, &msg);
         }
-        if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
+        let viewer = ws.driver().viewer(VIEWER).expect("attached");
+        if viewer.buffer().is_empty() && viewer.av_backlog() == 0 {
             return;
         }
     }
     panic!("the scripted session did not drain");
 }
 
+/// Hands the session a client message, with the screen to answer it.
+fn send(ws: &mut WindowServer<SharedSession>, msg: &Message) {
+    let (session, screen) = ws.driver_and_screen();
+    session.handle_message(VIEWER, msg, screen);
+}
+
 /// Runs the scripted session at `rev` and returns its capture.
 fn capture(rev: u16, resume: bool) -> Vec<u8> {
-    let thinc = ThincServer::new(ServerConfig {
+    let session = ServerConfig {
         width: W,
         height: H,
         liveness: Some(LivenessConfig {
@@ -122,18 +129,15 @@ fn capture(rev: u16, resume: bool) -> Vec<u8> {
             ping_interval: SimDuration::from_millis(15),
         }),
         ..ServerConfig::default()
-    });
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, thinc);
+    }
+    .session();
+    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, session);
     let mut cap = Vec::new();
     let hello = ws.driver().hello();
-    let hello_frame = ws.driver_mut().encode_frame(&hello);
+    let hello_frame = ws.driver_mut().encode_frame(VIEWER, &hello);
     chunk(&mut cap, HELLO, &hello_frame);
     let mut client = connect(rev, &hello_frame);
-    ws.driver_mut().handle_message(&Message::ClientHello {
-        version: rev,
-        viewport_width: W,
-        viewport_height: H,
-    });
+    send(&mut ws, &Message::ClientHello { version: rev, viewport_width: W, viewport_height: H });
     let mut pipe = TcpPipe::new(TcpParams::default());
     let mut now = SimTime(0);
 
@@ -187,13 +191,11 @@ fn capture(rev: u16, resume: bool) -> Vec<u8> {
     for (i, req) in script.into_iter().enumerate() {
         ws.process(req);
         ws.driver_mut().play_audio(&noise(400, i as u32));
-        ws.driver_mut().handle_message(&Message::Input(ProtocolInput::PointerMove {
-            x: 3 * i as i32,
-            y: 2 * i as i32,
-        }));
+        let (x, y) = (3 * i as i32, 2 * i as i32);
+        send(&mut ws, &Message::Input(ProtocolInput::PointerMove { x, y }));
         drain(&mut ws, &mut pipe, &mut now, &mut client, &mut cap);
         now.0 += 20_000;
-        ws.driver_mut().poll_liveness(now);
+        ws.driver_mut().poll_client_liveness(VIEWER, now);
     }
     ws.driver_mut().close_audio();
     ws.driver_mut().end_video();
@@ -203,11 +205,11 @@ fn capture(rev: u16, resume: bool) -> Vec<u8> {
         // The server dies; a standby restores its image; the client
         // redials with its token and the session carries on.
         let image = ws.driver().checkpoint(ws.screen());
-        *ws.driver_mut() = ThincServer::restore(&image).expect("the image restores");
+        *ws.driver_mut() = SharedSession::restore(&image).expect("the image restores");
         chunk(&mut cap, REDIAL, &[]);
         let session_id = ws.driver().session_id();
         for msg in client.redial(session_id, 0) {
-            ws.driver_mut().handle_message(&msg);
+            send(&mut ws, &msg);
         }
         ws.process(photo(12));
         ws.process(DrawRequest::FillRect {

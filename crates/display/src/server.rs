@@ -76,6 +76,13 @@ impl<D: VideoDriver> WindowServer<D> {
         &mut self.driver
     }
 
+    /// The attached driver, mutably, beside the screen: for a driver
+    /// call that reads the screen (a protocol server answering its
+    /// client with a refresh).
+    pub fn driver_and_screen(&mut self) -> (&mut D, &Framebuffer) {
+        (&mut self.driver, self.drawables.screen())
+    }
+
     /// Work counters.
     pub fn stats(&self) -> ServerStats {
         self.stats

@@ -264,8 +264,8 @@ impl FaultPlan {
 /// Injected-fault counters for one link direction. Plain values,
 /// because this crate stays dependency-free: a harness folds them into
 /// `thinc-telemetry`'s resilience group by field name
-/// (`thinc_bench::thinc_system::fold_fault_stats` destructures this
-/// struct exhaustively, so a field added here cannot be left out).
+/// (`thinc_core::delivery::fold_fault_stats` destructures this struct
+/// exhaustively, so a field added here cannot be left out).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Segments lost to injected loss.

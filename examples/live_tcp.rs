@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example live_tcp`
 
 use thinc::client::ThincClient;
-use thinc::core::server::{ServerConfig, ThincServer};
+use thinc::core::server::{ServerConfig, VIEWER};
 use thinc::display::drawable::DrawableId;
 use thinc::display::server::WindowServer;
 use thinc::net::link::NetworkConfig;
@@ -37,7 +37,7 @@ fn main() {
             height: H,
             ..ServerConfig::default()
         };
-        let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
+        let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, config.session());
         // Render one synthetic web page, browser style.
         let wl = WebWorkload::new(W, H, 7);
         let mut reqs = vec![thinc::display::request::DrawRequest::CreatePixmap {
@@ -54,14 +54,15 @@ fn main() {
         let mut sent = 0usize;
         let mut messages = 0usize;
         loop {
-            let batch = ws.driver_mut().flush(now, &mut pipe, &mut trace);
+            let batch = ws.driver_mut().flush_client(VIEWER, now, &mut pipe, &mut trace);
             for (_, msg) in &batch {
                 let bytes = encode_message(msg);
                 transport.send_all(&bytes).expect("socket write");
                 sent += bytes.len();
                 messages += 1;
             }
-            if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
+            let viewer = ws.driver().viewer(VIEWER).expect("attached");
+            if viewer.buffer().is_empty() && viewer.av_backlog() == 0 {
                 break;
             }
             now = pipe.tx_free_at();

@@ -1,14 +1,15 @@
 //! End-to-end integration: random application workloads through the
 //! complete THINC pipeline — window server, translation layer,
-//! scheduler, wire encoding, RC4, frame reassembly, client execution —
-//! verified by byte-comparing the client framebuffer against the
-//! server screen.
+//! scheduler, wire framing, the viewer's RC4 session cipher, frame
+//! reassembly and integrity checks, client execution — verified by
+//! byte-comparing the client framebuffer against the server screen.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use thinc::client::ThincClient;
+use thinc::client::StreamClient;
 use thinc::compress::Rc4;
-use thinc::core::server::{ServerConfig, ThincServer};
+use thinc::core::server::{ServerConfig, VIEWER};
+use thinc::core::SharedSession;
 use thinc::display::drawable::DrawableId;
 use thinc::display::request::{DrawRequest, RequestResult};
 use thinc::display::server::WindowServer;
@@ -16,19 +17,17 @@ use thinc::display::SCREEN;
 use thinc::net::link::NetworkConfig;
 use thinc::net::time::SimTime;
 use thinc::net::trace::PacketTrace;
-use thinc::protocol::wire::{encode_message, FrameReader};
+use thinc::protocol::message::Message;
 use thinc::raster::{Color, PixelFormat, Rect};
 
 const KEY: &[u8] = b"integration-test-key";
 
 struct Pipeline {
-    ws: WindowServer<ThincServer>,
-    client: ThincClient,
+    ws: WindowServer<SharedSession>,
+    client: StreamClient,
     link: thinc::net::link::DuplexLink,
     trace: PacketTrace,
-    server_rc4: Rc4,
     client_rc4: Rc4,
-    reader: FrameReader,
     now: SimTime,
 }
 
@@ -40,34 +39,51 @@ impl Pipeline {
             rc4_key: Some(KEY.to_vec()),
             ..ServerConfig::default()
         };
-        Self {
-            ws: WindowServer::new(w, h, PixelFormat::Rgb888, ThincServer::new(config)),
-            client: ThincClient::new(w, h, PixelFormat::Rgb888),
+        let mut p = Self {
+            ws: WindowServer::new(w, h, PixelFormat::Rgb888, config.session()),
+            client: StreamClient::new(w, h, PixelFormat::Rgb888),
             link: net.connect(),
             trace: PacketTrace::new(),
-            server_rc4: Rc4::new(KEY),
             client_rc4: Rc4::new(KEY),
-            reader: FrameReader::new(),
             now: SimTime::ZERO,
-        }
+        };
+        // The greeting opens the keystream and moves the client's
+        // reader to the revision the session frames at.
+        let hello = p.ws.driver().hello();
+        p.deliver(&hello);
+        p
+    }
+
+    /// Frames `msg` on the viewer's keyed connection; the client
+    /// decrypts the bytes and feeds them to its stream reader.
+    fn deliver(&mut self, msg: &Message) {
+        let mut bytes = self.ws.driver_mut().encode_frame(VIEWER, msg);
+        self.client_rc4.apply(&mut bytes);
+        self.client.feed(&bytes);
+    }
+
+    /// Hands the session a client message, with the screen to answer it.
+    fn send(&mut self, msg: &Message) {
+        let (session, screen) = self.ws.driver_and_screen();
+        session.handle_message(VIEWER, msg, screen);
+    }
+
+    fn backlog(&self) -> usize {
+        let viewer = self.ws.driver().viewer(VIEWER).expect("attached");
+        viewer.buffer().len() + viewer.av_backlog()
     }
 
     fn pump_to_client(&mut self) {
         for _ in 0..100_000 {
-            let batch = self
-                .ws
-                .driver_mut()
-                .flush(self.now, &mut self.link.down, &mut self.trace);
+            let batch =
+                self.ws.driver_mut().flush_client(VIEWER, self.now, &mut self.link.down, &mut self.trace);
             for (_arrival, msg) in &batch {
-                let mut bytes = encode_message(msg);
-                self.server_rc4.apply(&mut bytes);
-                self.client_rc4.apply(&mut bytes);
-                self.reader.feed(&bytes);
-                while let Some(m) = self.reader.next_message().expect("valid wire stream") {
-                    self.client.apply(&m);
-                }
+                self.deliver(msg);
             }
-            if self.ws.driver().display_backlog() == 0 && self.ws.driver().av_backlog() == 0 {
+            for msg in self.client.take_uplink(self.now) {
+                self.send(&msg);
+            }
+            if self.backlog() == 0 {
                 break;
             }
             self.now = self
@@ -76,12 +92,14 @@ impl Pipeline {
                 .tx_free_at()
                 .max(self.now + thinc::net::time::SimDuration::from_millis(1));
         }
-        assert_eq!(self.ws.driver().display_backlog(), 0, "backlog did not drain");
+        assert_eq!(self.backlog(), 0, "backlog did not drain");
+        let m = self.client.resilience_metrics();
+        assert_eq!((m.decode_errors(), m.crc_failures(), m.seq_gaps()), (0, 0, 0));
     }
 
     fn assert_synced(&self, context: &str) {
         assert_eq!(
-            self.client.framebuffer().checksum(),
+            self.client.client().framebuffer().checksum(),
             self.ws.screen().checksum(),
             "client != server after {context}"
         );
@@ -234,7 +252,8 @@ fn random_workload_client_matches_server_wan_with_splits() {
         p.pump_to_client();
         p.assert_synced(&format!("seed {seed}"));
         assert!(
-            p.ws.driver().stats().buffer.splits > 0 || p.trace.total_bytes() < 32 * 1024,
+            p.ws.driver().viewer(VIEWER).unwrap().buffer().stats().splits > 0
+                || p.trace.total_bytes() < 32 * 1024,
             "expected command splitting on the tight link"
         );
     }
@@ -246,10 +265,11 @@ fn input_driven_realtime_updates_stay_correct() {
     // Click, then interleave feedback near the pointer with bulk
     // updates far away; the scheduler reorders, the final state must
     // still match.
-    p.ws.driver_mut()
-        .handle_message(&thinc::protocol::message::Message::Input(
-            thinc::protocol::message::ProtocolInput::ButtonPress { x: 10, y: 10, button: 1 },
-        ));
+    p.send(&Message::Input(thinc::protocol::message::ProtocolInput::ButtonPress {
+        x: 10,
+        y: 10,
+        button: 1,
+    }));
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..10 {
         let bulk: Vec<u8> = (0..40 * 30 * 3).map(|_| rng.gen()).collect();
@@ -307,7 +327,7 @@ fn deterministic_end_to_end() {
         p.ws.process_all(reqs);
         p.pump_to_client();
         (
-            p.client.framebuffer().checksum(),
+            p.client.client().framebuffer().checksum(),
             p.trace.total_bytes(),
             p.now,
         )

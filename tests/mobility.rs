@@ -3,9 +3,10 @@
 //! device and resynchronize — getting the identical desktop plus the
 //! session cursor — exactly the §1/§2 thin-client promise.
 
-use thinc::bench::thinc_system::pump_wire;
+use thinc::bench::thinc_system::{drained, pump_wire};
 use thinc::client::StreamClient;
-use thinc::core::server::{ServerConfig, ThincServer};
+use thinc::core::server::{ServerConfig, VIEWER};
+use thinc::core::SharedSession;
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
 use thinc::display::SCREEN;
@@ -19,16 +20,22 @@ const W: u32 = 160;
 const H: u32 = 120;
 
 /// A device that has just connected: it has read the server's hello.
-fn connect(ws: &mut WindowServer<ThincServer>) -> StreamClient {
+fn connect(ws: &mut WindowServer<SharedSession>) -> StreamClient {
     let mut device = StreamClient::new(W, H, PixelFormat::Rgb888);
     let hello = ws.driver().hello();
-    device.feed(&ws.driver_mut().encode_frame(&hello));
+    device.feed(&ws.driver_mut().encode_frame(VIEWER, &hello));
     device
+}
+
+/// Hands the session a pointer move from the connected device.
+fn move_pointer(ws: &mut WindowServer<SharedSession>, x: i32, y: i32) {
+    let (session, screen) = ws.driver_and_screen();
+    session.handle_message(VIEWER, &Message::Input(ProtocolInput::PointerMove { x, y }), screen);
 }
 
 /// Flushes over the wire until nothing is left to send.
 fn drain_to(
-    ws: &mut WindowServer<ThincServer>,
+    ws: &mut WindowServer<SharedSession>,
     link: &mut thinc::net::link::DuplexLink,
     trace: &mut PacketTrace,
     client: &mut StreamClient,
@@ -36,7 +43,7 @@ fn drain_to(
     let mut now = SimTime::ZERO;
     for _ in 0..10_000 {
         pump_wire(ws, link, trace, client, now);
-        if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
+        if drained(ws.driver()) {
             break;
         }
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(1));
@@ -64,7 +71,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
         height: H,
         ..ServerConfig::default()
     };
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
+    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, config.session());
     ws.driver_mut().set_cursor(8, 8, 0, 0, cursor_pixels());
 
     // First device: receive a desktop, interact, then vanish.
@@ -86,8 +93,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
             fg: Color::WHITE,
         },
     ]);
-    ws.driver_mut()
-        .handle_message(&Message::Input(ProtocolInput::PointerMove { x: 50, y: 40 }));
+    move_pointer(&mut ws, 50, 40);
     drain_to(&mut ws, &mut link1, &mut trace1, &mut device1);
     assert!(device1.client().cursor().visible());
     drop((device1, link1));
@@ -103,8 +109,8 @@ fn reconnect_from_a_new_device_restores_the_session() {
     let mut link2 = NetworkConfig::wan_desktop().connect();
     let mut trace2 = PacketTrace::new();
     let mut device2 = connect(&mut ws);
-    let screen = ws.screen().clone();
-    ws.driver_mut().resync(&screen);
+    let (session, screen) = ws.driver_and_screen();
+    session.resync_client(VIEWER, screen);
     drain_to(&mut ws, &mut link2, &mut trace2, &mut device2);
 
     // The new device has the exact current desktop...
@@ -114,8 +120,7 @@ fn reconnect_from_a_new_device_restores_the_session() {
         "reconnected device must see the identical session"
     );
     // ...including the cursor shape, live immediately after a move.
-    ws.driver_mut()
-        .handle_message(&Message::Input(ProtocolInput::PointerMove { x: 80, y: 80 }));
+    move_pointer(&mut ws, 80, 80);
     drain_to(&mut ws, &mut link2, &mut trace2, &mut device2);
     let device2 = device2.client();
     assert!(device2.cursor().visible());
@@ -137,7 +142,7 @@ fn cursor_motion_costs_bytes_not_display_updates() {
         height: H,
         ..ServerConfig::default()
     };
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
+    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, config.session());
     ws.driver_mut().set_cursor(8, 8, 0, 0, cursor_pixels());
     let net = NetworkConfig::lan_desktop();
     let mut link = net.connect();
@@ -147,8 +152,7 @@ fn cursor_motion_costs_bytes_not_display_updates() {
     let before = trace.total_bytes();
     // 50 pointer moves.
     for i in 0..50 {
-        ws.driver_mut()
-            .handle_message(&Message::Input(ProtocolInput::PointerMove { x: i, y: i }));
+        move_pointer(&mut ws, i, i);
     }
     drain_to(&mut ws, &mut link, &mut trace, &mut client);
     let per_move = (trace.total_bytes() - before) / 50;

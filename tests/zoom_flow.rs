@@ -3,9 +3,10 @@
 //! built from local pixels), the server remaps its view and refreshes
 //! with full-detail content.
 
-use thinc::bench::thinc_system::pump_wire;
+use thinc::bench::thinc_system::{drained, pump_wire};
 use thinc::client::{StreamClient, ZoomController};
-use thinc::core::server::{ServerConfig, ThincServer};
+use thinc::core::server::{ServerConfig, VIEWER};
+use thinc::core::SharedSession;
 use thinc::display::request::DrawRequest;
 use thinc::display::server::WindowServer;
 use thinc::display::SCREEN;
@@ -23,7 +24,7 @@ const VH: u32 = 96;
 
 /// Flushes over the wire until nothing is left to send.
 fn drain(
-    ws: &mut WindowServer<ThincServer>,
+    ws: &mut WindowServer<SharedSession>,
     link: &mut thinc::net::link::DuplexLink,
     trace: &mut PacketTrace,
     client: &mut StreamClient,
@@ -31,11 +32,17 @@ fn drain(
     let mut now = SimTime::ZERO;
     for _ in 0..10_000 {
         pump_wire(ws, link, trace, client, now);
-        if ws.driver().display_backlog() == 0 && ws.driver().av_backlog() == 0 {
+        if drained(ws.driver()) {
             break;
         }
         now = link.down.tx_free_at().max(now + SimDuration::from_millis(1));
     }
+}
+
+/// Hands the session a client message, with the screen to answer it.
+fn send(ws: &mut WindowServer<SharedSession>, msg: &Message) {
+    let (session, screen) = ws.driver_and_screen();
+    session.handle_message(VIEWER, msg, screen);
 }
 
 #[test]
@@ -45,15 +52,18 @@ fn zoom_in_refresh_brings_full_detail() {
         height: H,
         ..ServerConfig::default()
     };
-    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, ThincServer::new(config));
-    ws.driver_mut().handle_message(&Message::ClientHello {
-        version: PROTOCOL_VERSION,
-        viewport_width: VW,
-        viewport_height: VH,
-    });
+    let mut ws = WindowServer::new(W, H, PixelFormat::Rgb888, config.session());
+    send(
+        &mut ws,
+        &Message::ClientHello {
+            version: PROTOCOL_VERSION,
+            viewport_width: VW,
+            viewport_height: VH,
+        },
+    );
     let mut client = StreamClient::new(VW, VH, PixelFormat::Rgb888);
     let hello = ws.driver().hello();
-    client.feed(&ws.driver_mut().encode_frame(&hello));
+    client.feed(&ws.driver_mut().encode_frame(VIEWER, &hello));
     let mut link = NetworkConfig::pda_802_11g().connect();
     let mut trace = PacketTrace::new();
     let mut zoom = ZoomController::new(W, H, VW, VH);
@@ -97,10 +107,10 @@ fn zoom_in_refresh_brings_full_detail() {
     let preview = zoom.magnify_preview(client.client().framebuffer(), old_view);
     assert_eq!((preview.width(), preview.height()), (VW, VH));
     // Server receives the view change and refreshes.
-    ws.driver_mut().handle_message(&set_view);
-    assert_eq!(ws.driver().viewer().scale().view, zoom.view());
-    let screen = ws.screen().clone();
-    ws.driver_mut().refresh_view(&screen);
+    send(&mut ws, &set_view);
+    assert_eq!(ws.driver().viewer(VIEWER).unwrap().scale().view, zoom.view());
+    let (session, screen) = ws.driver_and_screen();
+    session.refresh_view(VIEWER, screen);
     drain(&mut ws, &mut link, &mut trace, &mut client);
 
     // After the refresh, the client sees the zoomed region at higher
@@ -141,9 +151,9 @@ fn zoom_in_refresh_brings_full_detail() {
 
     // Zoom back out and refresh: full desktop again.
     let msg = zoom.zoom_out();
-    ws.driver_mut().handle_message(&msg);
-    let screen = ws.screen().clone();
-    ws.driver_mut().refresh_view(&screen);
+    send(&mut ws, &msg);
+    let (session, screen) = ws.driver_and_screen();
+    session.refresh_view(VIEWER, screen);
     drain(&mut ws, &mut link, &mut trace, &mut client);
     let bottom = client
         .client()
