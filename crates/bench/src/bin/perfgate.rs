@@ -21,11 +21,12 @@
 //! reference / optimized rounds. On top of the relative baseline, the
 //! rewritten straggler kernels (`bitmap_rect`, `bitmap_text`, `convert`,
 //! `yuv_pack`, `yuv_unpack`, `scale_fant`, `scale_fant_pda`), the RAW
-//! path's codec in both directions (`lzss`, `pnglike`, `pnglike_decode`)
-//! and the two delivery-path digests (`crc32`, `content_id`) carry
+//! path's codec in both directions (`lzss`, `pnglike`,
+//! `pnglike_graphic`, `pnglike_decode`) and the two delivery-path
+//! digests (`crc32`, `content_id`) carry
 //! absolute ≥3x speedup floors (≥5x for the vertical-first Fant at the
-//! PDA ratio, ≥6x for the three-lane `crc32`) that fail the gate
-//! outright.
+//! PDA ratio, ≥6x for the three-lane `crc32`, ≥50x for the encode of
+//! flat graphic content) that fail the gate outright.
 //!
 //! Usage:
 //!   perfgate [--quick] [--threshold 0.15] [--write-baseline]
@@ -407,6 +408,21 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
         || drop(black_box(thinc_compress::reference::pnglike_compress(&img, 3, stride))),
         || {
             black_box(pnglike::compress_with(&img, 3, stride, &mut scratch).len());
+        },
+    ));
+
+    // The same encode over graphic content, flat areas and solid
+    // shapes as a logo or a web graphic ships them: rows that repeat
+    // the row above and residuals that are long zero runs.
+    let graphic = thinc_workloads::content::graphic_rgb(2005, 512, 384);
+    let graphic_stride = 512 * 3;
+    out.push(kernel(
+        quick,
+        "pnglike_graphic",
+        graphic.len(),
+        || drop(black_box(thinc_compress::reference::pnglike_compress(&graphic, 3, graphic_stride))),
+        || {
+            black_box(pnglike::compress_with(&graphic, 3, graphic_stride, &mut scratch).len());
         },
     ));
 
@@ -1259,9 +1275,11 @@ fn main() {
     // floors (the "kernel war" acceptance bar):
     // dropping below 3x against the retained reference (for
     // `content_id`, against FNV-1a 64; for `scale_fant_pda`, 5x; for
-    // the three-lane `crc32`, 6x) is a hard failure regardless of what the baseline file says. The
+    // the three-lane `crc32`, 6x; for `pnglike_graphic`, 50x, which
+    // the encoder without either flat-content shortcut does not reach)
+    // is a hard failure regardless of what the baseline file says. The
     // other kernels gate only relatively, via the baseline.
-    const KERNEL_FLOORS: [(&str, f64); 13] = [
+    const KERNEL_FLOORS: [(&str, f64); 14] = [
         ("bitmap_rect", 3.0),
         ("bitmap_text", 3.0),
         ("convert", 3.0),
@@ -1272,6 +1290,7 @@ fn main() {
         ("scale_fant_pda", 5.0),
         ("lzss", 3.0),
         ("pnglike", 3.0),
+        ("pnglike_graphic", 50.0),
         ("pnglike_decode", 3.0),
         ("crc32", 6.0),
         ("content_id", 3.0),

@@ -14,8 +14,17 @@
 //! without a previous row and `Up` in the prologue, `Up` is `None`
 //! without one) fall out of the arithmetic. The writing and
 //! unfiltering passes are one flat loop per filter type with the
-//! `i < bpp` prologue split out. Output is byte-for-byte that of the
-//! per-byte formulation kept as
+//! `i < bpp` prologue split out.
+//!
+//! A row equal to the row above (flat areas, the body of a logo) is
+//! not scored at all. `Up` leaves it all zeros, a score of 0, and wins
+//! ties with the higher tags; of the lower tags only `None` and `Sub`
+//! can tie it, on an all-zero row, where `None` wins. So the row gets
+//! tag 2, or tag 0 when it is zeros, and zero residuals either way.
+//! The first row of the image and a ragged last row have no row above
+//! of their length and never take this path.
+//!
+//! Output is byte-for-byte that of the per-byte formulation kept as
 //! [`crate::reference::filter_apply`] / [`crate::reference::filter_unapply`].
 
 use std::cell::Cell;
@@ -241,7 +250,13 @@ pub(crate) fn append_rows(
     for row in data[start..end].chunks(stride) {
         let p = if prev.len() == row.len() { prev } else { &[] };
         let b = bpp.min(row.len());
-        let tag = pick_filter(row, p, b);
+        let tag = if !p.is_empty() && row == p {
+            // `Up` scores 0 and wins ties with the higher tags; of the
+            // lower ones only `None` (and `Sub`) tie it, on a zero row.
+            if row.iter().all(|&x| x == 0) { 0 } else { 2 }
+        } else {
+            pick_filter(row, p, b)
+        };
         out.push(tag);
         let start = out.len();
         out.resize(start + row.len(), 0);

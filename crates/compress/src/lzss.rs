@@ -9,6 +9,13 @@
 //! window is 4 KiB; this is the classic LZSS layout and is
 //! deliberately simple — the paper only needs "off-the-shelf
 //! compression"-class behaviour, not a state-of-the-art entropy coder.
+//!
+//! The match finder enters every position into its hash chain, those
+//! inside a match included, but a search walks at most `CHAIN` (32)
+//! links. So where a match covers a long run of one byte value (a
+//! flat area's residuals) only the run's last `CHAIN − 1` links are
+//! written: the rest could never steer a search (`insert_covered`).
+//! The stream is byte-for-byte [`crate::reference::lzss_compress`]'s.
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -17,6 +24,8 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = MIN_MATCH + 15 + 255 * 3;
 const LEN_EXT: usize = 15;
 const HASH_BITS: usize = 13;
+/// Candidates one match search visits at most.
+const CHAIN: usize = 32;
 /// "No position" in the match-finder tables.
 const NIL: u32 = u32::MAX;
 
@@ -149,7 +158,7 @@ impl Encoder {
                 let mut chain = 0;
                 // Chains only run backwards, so every candidate is
                 // before `i`; one out of the window ends the walk.
-                while cand != NIL && cand as usize + WINDOW > i && chain < 32 {
+                while cand != NIL && cand as usize + WINDOW > i && chain < CHAIN {
                     let c = cand as usize;
                     if data[c + best_len] == data[i + best_len]
                         && data[c..c + MIN_MATCH] == data[i..i + MIN_MATCH]
@@ -199,23 +208,59 @@ impl Encoder {
                 out.push(data[i]);
             }
             flag_bit += 1;
-            // Insert hash entries for the rest of the covered positions.
             let end = i + best_len;
-            let covered = i + 1..end.min(hashable);
-            if !covered.is_empty() {
-                let bytes = &data[covered.start..covered.end + MIN_MATCH - 1];
-                for (p, at) in covered.zip(bytes.windows(MIN_MATCH)) {
-                    let h = hash(at);
-                    prev[p % WINDOW] = head[h];
-                    head[h] = p as u32;
-                }
-            }
+            insert_covered(head, prev, data, i + 1..end.min(hashable));
             i = end;
         }
         self.pos = i;
         self.flags_pos = flags_pos;
         self.flag_bit = flag_bit;
         out.len() <= limit
+    }
+}
+
+/// Enters the positions of `span`, which a match covers, into the
+/// hash chains: each links to the last position of its hash and
+/// becomes it, exactly as a searched position does.
+///
+/// Positions whose windows lie in one run of a single byte value all
+/// hash alike, so in a block of them each links to the one before.
+/// A search visits at most [`CHAIN`] nodes, so from the block's last
+/// position it follows at most `CHAIN − 1` links, and nothing else
+/// links into the block: only its last `CHAIN − 1` links can ever be
+/// read. A longer block writes just those and `head`, and skips the
+/// hash for the rest (a 783-byte zero run costs 31 stores, not 783
+/// hashes). A slot it skips keeps the link of the position a window
+/// earlier, which no search reaches either.
+fn insert_covered(
+    head: &mut [u32; 1 << HASH_BITS],
+    prev: &mut [u32; WINDOW],
+    data: &[u8],
+    span: std::ops::Range<usize>,
+) {
+    let mut p = span.start;
+    while p < span.end {
+        let at = &data[p..p + MIN_MATCH];
+        let h = hash(at);
+        let mut last = p;
+        if at[0] == at[1] && at[1] == at[2] {
+            // Bytes p..=p + run are one value, so the windows of
+            // p..=p + run − 2 are; the span's end bounds the run.
+            let run = crate::eq_len(data, p, p + 1, span.end + 1 - p);
+            last = p + run - (MIN_MATCH - 1);
+        }
+        if last + 1 - p >= CHAIN {
+            for q in last + 2 - CHAIN..=last {
+                prev[q % WINDOW] = (q - 1) as u32;
+            }
+            head[h] = last as u32;
+        } else {
+            for q in p..=last {
+                prev[q % WINDOW] = head[h];
+                head[h] = q as u32;
+            }
+        }
+        p = last + 1;
     }
 }
 

@@ -139,6 +139,117 @@ fn lzss_decoder_matches_reference_on_overlapping_runs_and_longest_matches() {
     }
 }
 
+/// Flat content: twelve rows of `stride` bytes that repeat in pairs
+/// and threes — zero rows, rows of one value, noisy rows — then a
+/// `ragged`-byte last row that is a prefix of the row before it.
+fn repeated_rows(stride: usize, bpp: usize, ragged: usize, seed: u64) -> Vec<u8> {
+    let grain = noise(stride * 4, seed);
+    let kinds = [
+        vec![0; stride],
+        vec![0; stride],
+        vec![0xC3; stride],
+        vec![0xC3; stride],
+        vec![0xC3; stride],
+        grain[..stride].to_vec(),
+        grain[..stride].to_vec(),
+        vec![0; stride],
+        // Zero but for one pixel's last byte: not a zero row.
+        (0..stride).map(|i| (i + 1 == bpp) as u8).collect(),
+        (0..stride).map(|i| (i + 1 == bpp) as u8).collect(),
+        grain[stride..2 * stride].to_vec(),
+        grain[stride..2 * stride].to_vec(),
+    ];
+    let mut out = kinds.concat();
+    out.extend_from_slice(&grain[stride..stride + ragged]);
+    out
+}
+
+/// A row equal to the row above takes the shortcut: tag 0 when it is
+/// all zeros (`None` ties `Up`'s zero score and wins at the lower tag),
+/// tag 2 otherwise, zero residuals either way. The first row has no
+/// row above, and a ragged last row — here the leading bytes of the
+/// row above it — has none of its length: neither takes the shortcut,
+/// and both still get the reference's choice.
+#[test]
+fn repeated_rows_are_filtered_as_the_reference_filters_them() {
+    for bpp in 1..=4usize {
+        for width in [1usize, 2, 7, 40] {
+            let stride = bpp * width;
+            for ragged in [0, 1, stride / 2, stride - 1].into_iter().filter(|&r| r < stride) {
+                let data = repeated_rows(stride, bpp, ragged, (bpp * 100 + width) as u64);
+                let filtered = filter::apply(&data, bpp, stride);
+                let want = reference::filter_apply(&data, bpp, stride);
+                assert_eq!(filtered, want, "bpp {bpp} width {width} ragged {ragged}");
+                let got: Vec<u8> = tags(&filtered, stride).collect();
+                for (row, tag) in [(1, 0), (3, 2), (4, 2), (6, 2), (9, 2), (11, 2)] {
+                    assert_eq!(got[row], tag, "bpp {bpp} width {width}: row {row}");
+                }
+                assert_eq!(
+                    pnglike::compress(&data, bpp, stride),
+                    reference::pnglike_compress(&data, bpp, stride),
+                    "bpp {bpp} width {width} ragged {ragged}"
+                );
+                assert_eq!(filter::unapply(&filtered, bpp, stride).as_deref(), Some(&data[..]));
+            }
+        }
+    }
+    // Row 0 of an image of equal rows has no row above: `Up` is `None`
+    // there and loses the tie, so the repeated-row tag 2 never appears.
+    for bpp in 1..=4usize {
+        let stride = bpp * 9;
+        let data = vec![0x71u8; stride * 5];
+        let filtered = filter::apply(&data, bpp, stride);
+        assert_eq!(filtered, reference::filter_apply(&data, bpp, stride), "bpp {bpp}");
+        assert_ne!(filtered[0], 2, "bpp {bpp}: row 0 took the repeated-row tag");
+        assert!(tags(&filtered, stride).skip(1).all(|tag| tag == 2), "bpp {bpp}");
+    }
+}
+
+/// `lzss::compress`, and an encoder fed `data` in pieces of a few
+/// sizes, each make the reference stream.
+fn assert_lzss_is_reference(data: &[u8], what: &str) {
+    let want = reference::lzss_compress(data);
+    assert_eq!(lzss::compress(data), want, "{what}: one shot");
+    for step in [1usize, 7, 64, 300] {
+        let mut coder = lzss::Encoder::new();
+        let mut out = Vec::new();
+        for end in (0..data.len()).step_by(step) {
+            assert!(coder.feed(&data[..end], false, usize::MAX, &mut out));
+        }
+        assert!(coder.feed(data, true, usize::MAX, &mut out));
+        assert_eq!(out, want, "{what}: fed in {step}-byte pieces");
+    }
+}
+
+/// The chain-depth boundary of the covered-run shortcut. A long run of
+/// one byte `v` is covered by a match, then comes a tail; later, `k`
+/// bytes of `v` and the same tail. The candidates for that second
+/// block are the run's positions, last first, and the one `k − 3` deep
+/// matches the `v`s and the tail: at `k = 34` it is the 32nd, the
+/// deepest a walk reaches, through the 31st link of the run. The
+/// shortcut keeps exactly those `CHAIN − 1` = 31 links; keeping
+/// `CHAIN − 2` makes the walk stop one candidate short, and this test
+/// fails (as do three of this file's proptests). Each case is checked
+/// one-shot and fed in pieces.
+#[test]
+fn lzss_reaches_the_deepest_candidate_after_a_long_run() {
+    for v in [0u8, 0xA5] {
+        for k in 28..=38usize {
+            for run in [40usize, 200, 900] {
+                let tail = noise(16, 77);
+                let mut data = noise(64, 5);
+                data.extend(std::iter::repeat_n(v, run));
+                data.extend_from_slice(&tail);
+                data.extend(noise(40, 9));
+                data.extend(std::iter::repeat_n(v, k));
+                data.extend_from_slice(&tail);
+                data.extend(noise(24, 11));
+                assert_lzss_is_reference(&data, &format!("v {v:#x} k {k} run {run}"));
+            }
+        }
+    }
+}
+
 /// What a decoder bounded at `limit` must return for a stream the
 /// reference decodes to `want`: the same bytes when they fit, and a
 /// refusal when the stream is malformed or its output does not fit.
