@@ -76,6 +76,11 @@ pub enum Workload {
     /// (COPY on the wire — the non-idempotent command that makes
     /// duplicate suppression load-bearing).
     Scroll,
+    /// Flat graphic content: bands of repeated rows, each row a few
+    /// runs of colour, all derived from `salt` (a compressed RAW on
+    /// the wire that repeats exactly, so the client's cache hits
+    /// reach a decode). The generator never emits it.
+    Flat,
 }
 
 impl Workload {
@@ -86,6 +91,7 @@ impl Workload {
             Workload::Noise => "noise",
             Workload::Tile => "tile",
             Workload::Scroll => "scroll",
+            Workload::Flat => "flat",
         }
     }
 
@@ -96,6 +102,7 @@ impl Workload {
             "noise" => Workload::Noise,
             "tile" => Workload::Tile,
             "scroll" => Workload::Scroll,
+            "flat" => Workload::Flat,
             _ => return None,
         })
     }
@@ -236,7 +243,7 @@ events! {
         /// Destination rectangle height.
         h: u32,
         /// Deterministic content selector (color, noise seed,
-        /// pattern index or scroll delta).
+        /// pattern index, scroll delta or flat bands).
         salt: u64,
     },
     /// Advance virtual time in steps, flushing every client and

@@ -821,6 +821,11 @@ impl Runner {
                 self.store.screen_mut().put_raw(&rect, &data);
                 session.put_image(&self.store, SCREEN, rect, &data);
             }
+            Workload::Flat => {
+                let data = flat_bytes(salt, &rect);
+                self.store.screen_mut().put_raw(&rect, &data);
+                session.put_image(&self.store, SCREEN, rect, &data);
+            }
             Workload::Scroll => {
                 let (clip, data) = self.store.screen().get_raw(&rect);
                 if clip.is_empty() {
@@ -1318,9 +1323,48 @@ fn pattern_bytes(seed: u64, rect: &Rect) -> Vec<u8> {
         .collect()
 }
 
+/// Flat graphic content for `rect`: bands of 2 to 11 equal rows, each
+/// row runs of 1 to 16 pixels of one colour, all drawn from `salt`.
+/// Equal salts and sizes give equal bytes.
+fn flat_bytes(salt: u64, rect: &Rect) -> Vec<u8> {
+    let mut rng = SplitMix64::new(salt ^ 0xF1A7_0000_BA4D);
+    let row_len = rect.w as usize * 3;
+    let mut row = vec![0; row_len];
+    let mut out = Vec::with_capacity(row_len * rect.h as usize);
+    let mut band_left = 0;
+    for _ in 0..rect.h {
+        if band_left == 0 {
+            band_left = 2 + rng.next_u64() % 10;
+            let mut x = 0;
+            while x < row_len {
+                let end = (x + 3 * (1 + rng.next_u64() % 16) as usize).min(row_len);
+                let color = rng.next_u64().to_le_bytes();
+                for px in row[x..end].chunks_mut(3) {
+                    px.copy_from_slice(&color[..3]);
+                }
+                x = end;
+            }
+        }
+        band_left -= 1;
+        out.extend_from_slice(&row);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flat_content_repeats_and_compresses() {
+        let rect = Rect::new(0, 0, 48, 40);
+        let data = flat_bytes(7, &rect);
+        assert_eq!(data.len(), 48 * 40 * 3);
+        assert_eq!(data, flat_bytes(7, &rect));
+        assert_ne!(data, flat_bytes(8, &rect));
+        let packed = thinc_compress::pnglike::compress(&data, 3, 48 * 3);
+        assert!(packed.len() * 4 < data.len(), "{} of {} bytes", packed.len(), data.len());
+    }
 
     #[test]
     fn runs_are_deterministic() {

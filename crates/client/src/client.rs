@@ -5,6 +5,15 @@
 //! the wire, so after any message sequence its framebuffer must be
 //! byte-identical to the server's screen (modulo in-flight updates) —
 //! the property the integration tests verify.
+//!
+//! Every `RAW` takes one path, the private `paint_raw`, which is handed
+//! pixels already decoded: by the client's own decode buffer, or —
+//! through [`repaint`](ThincClient::repaint) — by a caller that kept
+//! what [`apply_decoding`](ThincClient::apply_decoding) returned for an
+//! equal message (the stream layer does, for cache entries a reference
+//! hits). Either way the frame, the statistics and the hardware
+//! charges are the same: the decode is charged even when it was
+//! skipped, because the model prices the paper's client.
 
 use std::collections::HashMap;
 
@@ -223,6 +232,58 @@ impl ThincClient {
         }
     }
 
+    /// Applies `msg` as [`apply`](Self::apply) does and returns the
+    /// pixels a compressed `RAW` painted — its payload, decoded — which
+    /// [`repaint`](Self::repaint) takes to paint an equal message again
+    /// without decoding it. `None` for any other message and for a
+    /// `RAW` that did not paint.
+    pub fn apply_decoding(&mut self, msg: &Message) -> Option<&[u8]> {
+        let painted = self.stats.raw;
+        self.apply(msg);
+        let compressed = matches!(
+            msg,
+            Message::Display(DisplayCommand::Raw { encoding: RawEncoding::PngLike, .. })
+        );
+        (compressed && self.stats.raw > painted).then(|| self.decode.decoded())
+    }
+
+    /// Applies `msg`, a `RAW`, from `pixels`: what
+    /// [`apply_decoding`](Self::apply_decoding) returned for a message
+    /// equal to it. The framebuffer, [`stats`](Self::stats) and
+    /// [`hardware`](Self::hardware) end as `apply(msg)` leaves them,
+    /// the decode's charge included. Any other message is applied.
+    pub fn repaint(&mut self, msg: &Message, pixels: &[u8]) {
+        let Message::Display(DisplayCommand::Raw { rect, encoding, data }) = msg else {
+            return self.apply(msg);
+        };
+        self.stats.messages += 1;
+        self.paint_raw(rect, *encoding, data.len(), Some(pixels));
+    }
+
+    /// The one `RAW` path: charges the decode of a compressed
+    /// `payload_len`-byte payload, then paints `pixels` — what the
+    /// payload decoded to, `None` when it did not — at `rect`, or
+    /// counts an error when they do not cover it.
+    fn paint_raw(
+        &mut self,
+        rect: &Rect,
+        encoding: RawEncoding,
+        payload_len: usize,
+        pixels: Option<&[u8]>,
+    ) {
+        if encoding == RawEncoding::PngLike {
+            self.hw.decompress(payload_len as u64);
+        }
+        let needed = rect.area() as usize * self.fb.format().bytes_per_pixel();
+        let Some(pixels) = pixels.filter(|p| p.len() >= needed) else {
+            self.stats.errors += 1;
+            return;
+        };
+        self.fb.put_raw(rect, pixels);
+        self.hw.raster(rect.area());
+        self.stats.raw += 1;
+    }
+
     /// Executes one display command on the local framebuffer.
     fn execute(&mut self, cmd: &DisplayCommand) {
         match cmd {
@@ -231,31 +292,26 @@ impl ThincClient {
                 encoding,
                 data,
             } => {
-                let bpp = self.fb.format().bytes_per_pixel();
-                let needed = rect.area() as usize * bpp;
-                let pixels: Option<&[u8]> = match encoding {
-                    RawEncoding::None => Some(data),
+                // Lent out so the pixels it holds can be painted.
+                let mut decode = std::mem::take(&mut self.decode);
+                let pixels = match encoding {
+                    RawEncoding::None => Some(&data[..]),
                     RawEncoding::PngLike => {
-                        self.hw.decompress(data.len() as u64);
-                        let stride = rect.w as usize * bpp;
-                        // `needed` bounds the output: a stream that
-                        // asks for more is refused before it is made.
+                        let bpp = self.fb.format().bytes_per_pixel();
+                        // The rectangle bounds the output: a stream
+                        // that asks for more is refused before it is
+                        // made.
                         thinc_compress::pnglike::decompress_into(
                             data,
                             bpp,
-                            stride,
-                            needed,
-                            &mut self.decode,
+                            rect.w as usize * bpp,
+                            rect.area() as usize * bpp,
+                            &mut decode,
                         )
                     }
                 };
-                let Some(pixels) = pixels.filter(|p| p.len() >= needed) else {
-                    self.stats.errors += 1;
-                    return;
-                };
-                self.fb.put_raw(rect, pixels);
-                self.hw.raster(rect.area());
-                self.stats.raw += 1;
+                self.paint_raw(rect, *encoding, data.len(), pixels);
+                self.decode = decode;
             }
             DisplayCommand::Copy {
                 src_rect,

@@ -8,11 +8,28 @@
 //! session's true state lives there, so recovery is always possible).
 //! Every error, resync, and skipped byte is counted in the client's
 //! resilience accounting.
+//!
+//! **Decode once.** A [`Message::CacheRef`] saves a compressed `RAW`'s
+//! bytes but not its decode. So the client keeps a second, client-local
+//! table beside the content store: the decoded pixels of compressed
+//! `RAW` entries that a reference has actually hit, filled on an
+//! entry's first hit (never on insert, so a stream that never hits
+//! pays neither a copy nor memory), keyed by the entry's identity
+//! ([`cache_id`]), least-recently-used out under the fixed
+//! [`DECODED_PIXELS_BUDGET`]. A later hit repaints those pixels through
+//! [`ThincClient::repaint`] instead of decoding the payload again. The
+//! key is the identity of the frame bytes, so an entry can only ever
+//! mean its own pixels and needs no invalidation; the store still
+//! resolves every reference first, so a reference it cannot resolve is
+//! a miss whatever pixels remain, and a decode that fails is never kept
+//! (each hit counts its error again). The table is not mirrored by the
+//! server, not charged to the cache budget and not checkpointed; it is
+//! dropped whenever the store is.
 
 use std::collections::VecDeque;
 
 use thinc_net::time::{SimDuration, SimTime};
-use thinc_protocol::cache::{cache_id, ContentStore};
+use thinc_protocol::cache::{cache_id, CacheLru, ContentStore};
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
 use thinc_protocol::wire::{FrameReader, IntegrityCounters};
@@ -31,6 +48,12 @@ use crate::reconnect::ReconnectPolicy;
 /// typical liveness timeouts so the client recovers itself before
 /// the server declares it dead.
 const FRAME_STALL_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
+
+/// The most decoded pixel bytes a [`StreamClient`] keeps for cache hits
+/// to repaint: 8 MiB, more than three times the ~2.3 MB of graphic
+/// windows the `winswitch` benchmark revisits. A fixed bound, not a
+/// setting: the table only skips work, so its size moves no wire byte.
+pub const DECODED_PIXELS_BUDGET: u64 = 8 * 1024 * 1024;
 
 /// A [`ThincClient`] fed directly from the wire, with decode-error
 /// recovery.
@@ -68,6 +91,10 @@ pub struct StreamClient {
     /// resync can repay refresh debt out of the cache. Entries are
     /// held by identity and named only when a reference needs it.
     cache: ContentStore,
+    /// Decoded pixels of the compressed `RAW` entries a reference has
+    /// hit, by identity, under [`DECODED_PIXELS_BUDGET`] (see the
+    /// module docs). Cleared with the store.
+    decoded: CacheLru<Vec<u8>>,
     /// Cache misses owed to the server (drained by
     /// [`take_cache_miss`](Self::take_cache_miss)).
     pending_cache_miss: VecDeque<Message>,
@@ -94,6 +121,7 @@ impl StreamClient {
             stall_applied_mark: 0,
             integrity_base: IntegrityCounters::default(),
             cache: ContentStore::new(thinc_protocol::DEFAULT_CACHE_BUDGET),
+            decoded: CacheLru::new(DECODED_PIXELS_BUDGET),
             pending_cache_miss: VecDeque::new(),
             resume_pending: false,
             resilience: thinc_telemetry::ResilienceMetrics::new(),
@@ -120,6 +148,7 @@ impl StreamClient {
     /// (which is empty before the first payload arrives anyway).
     pub fn with_cache_budget(mut self, budget: u64) -> Self {
         self.cache = ContentStore::new(budget);
+        self.decoded.clear();
         self
     }
 
@@ -127,6 +156,12 @@ impl StreamClient {
     /// checks compare against the server's ledger.
     pub fn cache_store(&self) -> &ContentStore {
         &self.cache
+    }
+
+    /// The decoded pixels kept for cache hits to repaint, by entry
+    /// identity: never more than [`DECODED_PIXELS_BUDGET`] bytes.
+    pub fn decoded_pixels(&self) -> &CacheLru<Vec<u8>> {
+        &self.decoded
     }
 
     /// Feeds bytes from the connection and applies every complete
@@ -162,6 +197,7 @@ impl StreamClient {
                         self.resume_pending = false;
                         if matches!(msg, Message::ServerHello { .. }) {
                             self.cache.clear();
+                            self.decoded.clear();
                             self.needs_refresh = true;
                             self.refresh_cover = Region::new();
                             self.resilience.record_cold_fallback();
@@ -180,16 +216,16 @@ impl StreamClient {
                     }
                     // Resolve cache references against the content
                     // store before the message reaches the display.
-                    let (msg, from_cache) = match msg {
+                    let (msg, hit) = match msg {
                         Message::CacheRef { hash } => {
                             let ref_size = Message::CacheRef { hash }.wire_size();
                             match self.cache.resolve(hash) {
-                                Some(resolved) => {
+                                Some((id, resolved)) => {
                                     let resolved = resolved.clone();
                                     self.resilience.record_cache_hit(
                                         resolved.wire_size().saturating_sub(ref_size),
                                     );
-                                    (resolved, true)
+                                    (resolved, Some(id))
                                 }
                                 None => {
                                     // Not damage: the server answers
@@ -202,10 +238,13 @@ impl StreamClient {
                                 }
                             }
                         }
-                        other => (other, false),
+                        other => (other, None),
                     };
                     let errors_before = self.client.stats().errors;
-                    self.client.apply(&msg);
+                    match hit {
+                        Some(id) => self.apply_hit(id, &msg),
+                        None => self.client.apply(&msg),
+                    }
                     applied += 1;
                     self.applied_total += 1;
                     if self.needs_refresh && self.client.stats().errors == errors_before {
@@ -217,7 +256,7 @@ impl StreamClient {
                     // sequence (even when the apply was rejected). A
                     // stream below the cache revision has no ledger
                     // behind it and is never sent a reference.
-                    if !from_cache && self.reader.revision() >= WIRE_REV_CACHE {
+                    if hit.is_none() && self.reader.revision() >= WIRE_REV_CACHE {
                         if let Some(id) = cache_id(&msg) {
                             let evicted = self.cache.insert(id, msg.wire_size(), msg);
                             self.resilience.record_cache_evictions(evicted);
@@ -237,6 +276,17 @@ impl StreamClient {
         }
         self.sync_integrity_counters();
         applied
+    }
+
+    /// Applies `msg`, the store's entry `id` that a reference hit. A
+    /// compressed `RAW` repaints the pixels an earlier hit kept, and
+    /// the first hit that decodes it keeps them.
+    fn apply_hit(&mut self, id: u64, msg: &Message) {
+        if let Some(pixels) = self.decoded.get(id) {
+            self.client.repaint(msg, pixels);
+        } else if let Some(pixels) = self.client.apply_decoding(msg) {
+            self.decoded.insert(id, pixels.len() as u64, pixels.to_vec());
+        }
     }
 
     /// Folds the reader's cumulative integrity tallies (CRC failures,

@@ -103,6 +103,13 @@ impl DecodeScratch {
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
+
+    /// What the buffer holds: after a [`pnglike::decompress_into`]
+    /// that succeeded, the image it returned (unspecified after one
+    /// that failed).
+    pub fn decoded(&self) -> &[u8] {
+        &self.buf
+    }
 }
 
 /// A lossless byte codec.

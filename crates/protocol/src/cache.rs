@@ -361,11 +361,13 @@ impl ContentStore {
         None
     }
 
-    /// Resolves a reference: the frame named `name`, bumped to
-    /// most-recently-used.
-    pub fn resolve(&mut self, name: u64) -> Option<&Message> {
+    /// Resolves a reference: the identity and frame of the entry named
+    /// `name`, bumped to most-recently-used. The client keys what it
+    /// derives from a frame (its decoded pixels) by that identity,
+    /// which changes whenever the bytes do.
+    pub fn resolve(&mut self, name: u64) -> Option<(u64, &Message)> {
         let id = self.find(name)?;
-        self.lru.get(id).map(|held| &held.msg)
+        self.lru.get(id).map(|held| (id, &held.msg))
     }
 
     /// Every held name, sorted ascending — what `store_digest` and the
@@ -631,7 +633,8 @@ mod tests {
                         }
                         Op::Ref(i) => {
                             let e = eager.get(key(i)).cloned();
-                            prop_assert_eq!(lazy.resolve(key(i)).cloned(), e);
+                            let l = lazy.resolve(key(i)).map(|(l_id, msg)| (l_id, msg.clone()));
+                            prop_assert_eq!(l, e.map(|msg| (id(i), msg)));
                         }
                         Op::Hit(i) => {
                             let e = eager.touch(key(i)).then(|| key(i));
@@ -723,7 +726,8 @@ mod tests {
             assert_ne!(cache_id(&pool[2]), cache_id(&pool[3]), "same bytes at another rect");
             let mut store = ContentStore::new(DEFAULT_CACHE_BUDGET);
             store.insert(cache_id(view).unwrap(), view.wire_size(), view.clone());
-            assert_eq!(store.resolve(copy.cache_key().unwrap()), Some(copy));
+            let id = cache_id(view).unwrap();
+            assert_eq!(store.resolve(copy.cache_key().unwrap()), Some((id, copy)));
         }
     }
 }

@@ -150,6 +150,17 @@ impl Bytes {
         })
     }
 
+    /// [`crate::hash::content_id`] of the bytes, wherever they live: an
+    /// owned buffer's memoised [`content_id`](Self::content_id), which
+    /// is that value, or a fresh read of a view's bytes. A view and a
+    /// byte-equal copy agree on it.
+    pub(crate) fn bytes_id(&self) -> u64 {
+        match &self.0.data {
+            Data::Owned(_) => self.content_id(),
+            Data::View { .. } => crate::hash::content_id(self.as_slice()),
+        }
+    }
+
     /// `crc32_update(0, contents)`, computed at most once per node —
     /// the term an encoder XORs into a shifted register to cover the
     /// payload without reading it.
@@ -331,6 +342,19 @@ mod tests {
         assert_eq!(view.clone().into_vec(), owned.to_vec());
         assert_eq!(view.into_vec(), owned.to_vec());
         assert!(root.slice(7..7).is_empty());
+    }
+
+    #[test]
+    fn bytes_id_is_the_id_of_the_bytes_and_reads_an_owned_buffer_once() {
+        let root = ramp(4096);
+        let copy = Bytes::from(root[100..1124].to_vec());
+        let view = root.slice(100..1124);
+        let want = crate::hash::content_id(&root[100..1124]);
+        assert_eq!((view.bytes_id(), copy.bytes_id()), (want, want));
+        // An owned buffer lends its memo; a view leaves its own cold.
+        assert_eq!(copy.0.content_id.get(), Some(&want));
+        assert!(view.0.content_id.get().is_none());
+        assert_eq!(root.bytes_id(), root.content_id());
     }
 
     #[test]

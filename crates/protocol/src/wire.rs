@@ -593,13 +593,18 @@ pub(crate) fn display_frame_fnv(cmd: &DisplayCommand) -> u64 {
 /// the head's FNV state (a few dozen bytes) and
 /// [`content_id`](crate::hash::content_id) of the payload's bytes,
 /// mixed. A pure function of the frame bytes, at `content_id`'s speed
-/// instead of FNV's serial chain. It reads the payload even where a
-/// [`Bytes`](crate::Bytes) memoises an id: a view's memoised id is
-/// derived from its root, and would tell a view from a byte-equal copy.
+/// instead of FNV's serial chain. A RAW's payload is read only once per
+/// allocation: an owned [`Bytes`](crate::Bytes) lends the id it
+/// memoises, which is `content_id` of its bytes, and a view — whose
+/// memoised id is derived from its root, and would tell it from a
+/// byte-equal copy — is read ([`Bytes::bytes_id`](crate::Bytes)).
 /// Never a wire value.
 pub(crate) fn display_frame_id(cmd: &DisplayCommand) -> u64 {
     let (head, payload) = display_frame_head(cmd);
-    let payload = crate::hash::content_id(payload);
+    let payload = match cmd {
+        DisplayCommand::Raw { data, .. } => data.bytes_id(),
+        _ => crate::hash::content_id(payload),
+    };
     crate::hash::content_id([head, payload].map(u64::to_le_bytes).as_flattened())
 }
 
