@@ -663,6 +663,48 @@ fn unsatisfiable_cache_miss_escalates_to_refresh() {
     assert_eq!(v.resilience_metrics().cache_misses(), 1);
 }
 
+#[test]
+fn a_miss_that_lands_after_a_newer_command_repaints_the_screen() {
+    // A client store smaller than the ledger stands in for a lost
+    // insert: the client evicts tile T while the ledger keeps it, so a
+    // repeat of T ships as a reference the client cannot resolve. The
+    // miss reaches the server only after a fill over T's rect has
+    // shipped; answering it must not paint T over the fill.
+    let mut ws = system_with(ServerConfig { width: 64, height: 64, ..ServerConfig::default() });
+    let hello =
+        Message::ClientHello { version: PROTOCOL_VERSION, viewport_width: 64, viewport_height: 64 };
+    send(&mut ws, &hello);
+    let mut sc = thinc_client::StreamClient::new(64, 64, PixelFormat::Rgb888).with_cache_budget(1000);
+    let server_hello = ws.driver().hello();
+    sc.feed(&ws.driver_mut().encode_frame(VIEWER, &server_hello));
+    let noise = |seed| crate::fixtures::noise(16 * 16 * 3, seed);
+    let t_rect = Rect::new(8, 8, 16, 16);
+    let put = |ws: &mut WindowServer<SharedSession>, rect, data| {
+        ws.process(DrawRequest::PutImage { target: SCREEN, rect, data });
+    };
+    put(&mut ws, t_rect, noise(1));
+    put(&mut ws, Rect::new(40, 40, 16, 16), noise(2));
+    drain_into(&mut ws, &mut sc);
+    assert_eq!(sc.cache_store().lru().len(), 1, "the client store holds one tile");
+    put(&mut ws, t_rect, noise(1));
+    let refs = flush_all(&mut ws);
+    assert!(matches!(refs[..], [Message::CacheRef { .. }]), "{refs:?}");
+    for m in &refs {
+        sc.feed(&ws.driver_mut().encode_frame(VIEWER, m));
+    }
+    let uplink = sc.take_uplink(SimTime::ZERO);
+    assert!(matches!(uplink[..], [Message::CacheMiss { .. }]), "{uplink:?}");
+    ws.process(DrawRequest::FillRect { target: SCREEN, rect: t_rect, color: Color::rgb(0, 90, 180) });
+    drain_into(&mut ws, &mut sc);
+    assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
+    for m in &uplink {
+        send(&mut ws, m);
+    }
+    repay(&mut ws);
+    drain_into(&mut ws, &mut sc);
+    assert!(sc.client().framebuffer().data() == ws.screen().data(), "the miss repainted T over the fill");
+}
+
 /// A 64x64 session behind a revision-3 handshake, its screen painted
 /// with 64 distinct rows and a stream client converged on it.
 fn scrollable(config: ServerConfig) -> (WindowServer<SharedSession>, thinc_client::StreamClient) {
