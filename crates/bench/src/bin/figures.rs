@@ -403,7 +403,8 @@ fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
     // substitutes refs. Full payloads corrupted inside the fault
     // window leave the server's ledger ahead of the client's store —
     // later refs for those slots surface as cache misses, exercising
-    // the miss → byte-exact fallback leg of the recovery ladder.
+    // the miss leg of the recovery ladder: the ledger forgets the
+    // entry and the tile's rect is repainted from the screen.
     let mut now = SimTime::ZERO;
     for i in 0..70u64 {
         let slot = i % 6;

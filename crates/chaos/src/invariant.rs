@@ -9,7 +9,7 @@
 //! |------|-------|
 //! | [`CONVERGENCE`] | every connected, un-quarantined client's framebuffer is byte-exact against the authoritative screen (through its scale policy for resized viewports) |
 //! | [`CACHE_COHERENCE`] | server ledger and client store hold the identical sorted key set for every undamaged client; damaged clients still satisfy hit-count conservation; no cache miss is left unanswered |
-//! | [`REFRESH_DEBT`] | refresh debt, overflow debt, queued fallbacks and backlog all drain to zero within the quiesce window |
+//! | [`REFRESH_DEBT`] | an owed full view, refresh debt (overflow evictions, a warm resume's delta, the rects of cache misses) and backlog all drain to zero within the quiesce window |
 //! | [`BUFFER_BOUND`] | a client's buffered bytes never exceed its byte bound plus bounded repay slack, at any pump of the run |
 //! | [`LIVENESS`] | connected clients are never declared dead at quiesce; clients disconnected longer than the timeout always are |
 //! | [`TELEMETRY`] | counters obey conservation: `resyncs_triggered <= seq_gaps`, `retransmits == segments_lost`, client cache hits never exceed refs served |

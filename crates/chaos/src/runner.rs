@@ -1025,13 +1025,11 @@ impl Runner {
         }
         let d = self.viewer(s.id)?;
         let (backlog, owed, debt) = (d.buffer().len(), d.refresh_owed(), d.has_debt());
-        let (fb, level) = (d.buffer().fallbacks_pending(), d.degradation_level());
         let (stale, pending) = (s.stream.needs_refresh(), s.stream.pending_bytes());
-        let busy = backlog != 0 || owed || debt || fb != 0 || stale || pending != 0;
+        let level = d.degradation_level();
+        let busy = backlog != 0 || owed || debt || stale || pending != 0;
         (busy || level != DegradationLevel::Full).then(|| {
-            format!(
-                "backlog={backlog} owed={owed} overflow={debt} fallbacks={fb} stale={stale} pending={pending} level={level:?}"
-            )
+            format!("backlog={backlog} owed={owed} debt={debt} stale={stale} pending={pending} level={level:?}")
         })
     }
 

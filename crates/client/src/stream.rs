@@ -229,8 +229,8 @@ impl StreamClient {
                                 }
                                 None => {
                                     // Not damage: the server answers
-                                    // the miss with the full payload,
-                                    // which repaints the same rect.
+                                    // the miss by repainting the
+                                    // entry's rect from its screen.
                                     self.resilience.record_cache_miss();
                                     self.pending_cache_miss
                                         .push_back(Message::CacheMiss { hash });
@@ -492,8 +492,8 @@ impl StreamClient {
 
     /// The next [`Message::CacheMiss`] owed to the server, if any. An
     /// unresolved cache reference queues one here; the caller forwards
-    /// it upstream (like pongs) and the server answers with the full
-    /// payload.
+    /// it upstream (like pongs) and the server repaints the entry's
+    /// rect from its screen.
     pub fn take_cache_miss(&mut self) -> Option<Message> {
         self.pending_cache_miss.pop_front()
     }

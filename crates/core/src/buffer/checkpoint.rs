@@ -1,6 +1,4 @@
-//! The buffer's checkpoint record (layout version 3).
-
-use std::collections::VecDeque;
+//! The buffer's checkpoint record (layout version 5).
 
 use thinc_net::time::SimTime;
 use thinc_protocol::message::Message;
@@ -80,10 +78,6 @@ impl ClientBuffer {
                 w.u64(c.hits);
                 w.u64(c.misses);
                 w.u64(c.bytes_saved);
-                w.u32(c.fallbacks.len() as u32);
-                for msg in &c.fallbacks {
-                    w.bytes(&thinc_protocol::wire::encode_message(msg));
-                }
                 // LRU order, least-recent first, by name: replaying
                 // through `restore` reconstructs the exact eviction
                 // order (the held total fits the budget, so replay
@@ -154,15 +148,10 @@ impl ClientBuffer {
                 let budget = r.u64()?;
                 let mut cache = CacheEngine {
                     ledger: thinc_protocol::cache::ContentStore::new(budget),
-                    fallbacks: VecDeque::new(),
                     hits: r.u64()?,
                     misses: r.u64()?,
                     bytes_saved: r.u64()?,
                 };
-                let n_fallbacks = r.u32()?;
-                for _ in 0..n_fallbacks {
-                    cache.fallbacks.push_back(decode_checkpoint_message(r.bytes()?)?);
-                }
                 let n_ledger = r.u32()?;
                 for _ in 0..n_ledger {
                     let name = r.u64()?;

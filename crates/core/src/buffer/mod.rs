@@ -352,17 +352,6 @@ impl ClientBuffer {
         for e in self.queue.drain() {
             footprint.union(&e.visible);
         }
-        // Queued miss fallbacks are dropped too: they carry payloads
-        // captured in the outgoing coordinate space, and unlike the
-        // command queues they would otherwise survive the rescale and
-        // ship wrong-space pixels after it. Dropping is safe on both
-        // axes: the client never blocks on an unanswered miss (the
-        // refresh owed by the rescale repaints the content), and the
-        // ledger/store mirror is untouched because the ledger insert
-        // for a fallback happens only when it is actually sent.
-        if let Some(cache) = self.cache.as_mut() {
-            cache.fallbacks.clear();
-        }
         footprint
     }
 
@@ -496,9 +485,6 @@ impl ClientBuffer {
         mut record: Option<&mut FlushPlan>,
     ) -> Vec<(SimTime, Message)> {
         let mut out = Vec::new();
-        if !self.ship_fallbacks(now, pipe, trace, &mut out) {
-            return out;
-        }
         // Entries delivered so far: the next one's place in the plan.
         let mut delivered = 0;
         // Realtime queue, then normal queues in increasing order.
@@ -1105,50 +1091,27 @@ mod tests {
     }
 
     #[test]
-    fn miss_fallback_resends_byte_exact_payload() {
+    fn a_miss_forgets_the_entry_and_hands_back_its_rect() {
         let mut buf = ClientBuffer::new();
         buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
-        buf.push(raw(0, 0, 8, 8), false);
+        buf.push(raw(4, 6, 8, 8), false);
         let first = drain_all(&mut buf);
         let hash = first[0].cache_key().unwrap();
-        // The client reports it cannot resolve the hash (fresh store
-        // after reconnect, say): the fallback is the byte-exact
-        // original, delivered ahead of queued work.
-        assert!(buf.satisfy_cache_miss(hash));
-        buf.push(sfill(0, 0, 10, 10, 1), false);
-        let msgs = drain_all(&mut buf);
-        assert_eq!(
-            encode_message(&msgs[0]),
-            encode_message(&first[0]),
-            "fallback must be byte-exact"
-        );
+        // The client reports it does not hold the entry: the ledger
+        // forgets it and hands back the rect it painted.
+        assert_eq!(buf.forget_missed(hash), Some(Rect::new(4, 6, 8, 8)));
+        assert!(buf.cache_keys().is_empty(), "the ledger forgot the entry");
         assert_eq!(buf.resilience_counts().cache_misses, 1);
-        // A hash the ledger never held (or evicted) cannot be repaid
-        // from cache; the caller escalates to a refresh.
-        assert!(!buf.satisfy_cache_miss(0xDEAD_BEEF));
-    }
-
-    #[test]
-    fn rescale_drops_queued_fallbacks_with_the_pending_commands() {
-        // A miss fallback queued before a degradation rescale carries
-        // pixels in the outgoing coordinate space. The rescale drop
-        // must take the fallback with it (the owed refresh repaints
-        // the content), and must do so without touching the ledger —
-        // the mirror insert only ever happens at send time.
-        let mut buf = ClientBuffer::new();
-        buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
-        buf.push(raw(0, 0, 8, 8), false);
-        let first = drain_all(&mut buf);
-        let hash = first[0].cache_key().unwrap();
-        let keys_before = buf.cache_keys();
-        assert!(buf.satisfy_cache_miss(hash));
-        assert_eq!(buf.fallbacks_pending(), 1);
-        buf.push(sfill(0, 0, 10, 10, 1), false);
-        let footprint = buf.drop_pending_for_rescale();
-        assert!(!footprint.is_empty(), "pending commands become debt");
-        assert_eq!(buf.fallbacks_pending(), 0, "stale-space fallback dropped");
-        assert_eq!(buf.cache_keys(), keys_before, "ledger untouched");
-        assert!(drain_all(&mut buf).is_empty());
+        // So a repaint of the same pixels ships in full and re-seeds
+        // the entry, instead of referring to what the client lacks.
+        buf.push(raw(4, 6, 8, 8), false);
+        let again = drain_all(&mut buf);
+        assert_eq!(encode_message(&again[0]), encode_message(&first[0]), "a full payload");
+        assert_eq!(buf.cache_keys(), vec![hash]);
+        // A name the ledger does not hold hands back nothing (the
+        // owner owes the full view), and is counted all the same.
+        assert_eq!(buf.forget_missed(0xDEAD_BEEF), None);
+        assert_eq!(buf.resilience_counts().cache_misses, 2);
     }
 
     #[test]
@@ -1275,7 +1238,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_is_byte_exact_and_preserves_delivery() {
         // Build a buffer in a messy mid-flight state: cache ledger
-        // populated, a miss fallback queued, a partially-flushed RAW
+        // populated, a partially-flushed RAW
         // (split remainder re-queued at the deque front with a fresh
         // seq), clipped visibility, and standing overflow debt.
         let mut buf = ClientBuffer::new()
@@ -1284,9 +1247,7 @@ mod tests {
         buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
         buf.set_time(SimTime(5_000));
         buf.push(raw(0, 0, 8, 8), false);
-        let first = drain_all(&mut buf);
-        let hash = first[0].cache_key().unwrap();
-        assert!(buf.satisfy_cache_miss(hash));
+        drain_all(&mut buf);
         let mut p = TcpPipe::new(TcpParams {
             bandwidth_bps: 1_000_000,
             rtt: SimDuration::from_millis(50),

@@ -8,14 +8,13 @@
 //! Shipping a prepared message settles everything owed for it: trace,
 //! delivery and plane accounting, the ledger.
 
-use std::collections::VecDeque;
-
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::cache::{cache_id, ContentStore};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
+use thinc_raster::Rect;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
@@ -28,16 +27,12 @@ use crate::plane::{
 /// The ledger holds every cacheable payload this buffer has actually
 /// committed to the wire, under its frame identity, so a
 /// [`Message::CacheRef`] is only ever emitted for content the client
-/// was given, and a reported miss can be answered with the byte-exact
-/// original. An entry is named — its wire hash computed — only when a
-/// reference or an answer to a miss needs the name. See
-/// `docs/CACHE.md` for the consistency model.
+/// was given. An entry is named — its wire hash computed — only when a
+/// reference or a reported miss needs the name. See `docs/CACHE.md`
+/// for the consistency model.
 #[derive(Debug)]
 pub(super) struct CacheEngine {
     pub(super) ledger: ContentStore,
-    /// Byte-exact full payloads owed to reported misses, delivered
-    /// ahead of the command queues at the next flush.
-    pub(super) fallbacks: VecDeque<Message>,
     pub(super) hits: u64,
     pub(super) misses: u64,
     pub(super) bytes_saved: u64,
@@ -133,7 +128,6 @@ impl ClientBuffer {
         if self.cache.is_none() {
             self.cache = Some(CacheEngine {
                 ledger: ContentStore::new(budget),
-                fallbacks: VecDeque::new(),
                 hits: 0,
                 misses: 0,
                 bytes_saved: 0,
@@ -153,27 +147,21 @@ impl ClientBuffer {
         self.cache.is_some()
     }
 
-    /// Answers a client-reported cache miss: queues the byte-exact
-    /// original payload for delivery ahead of the command queues.
-    /// Returns `false` when the ledger no longer holds the payload
-    /// (both sides evicted it; a ref for it can no longer be emitted,
-    /// but one may still be crossing the wire) — the owner escalates
-    /// to a screen refresh so the client reconverges regardless.
-    pub fn satisfy_cache_miss(&mut self, hash: u64) -> bool {
-        let Some(cache) = self.cache.as_mut() else {
-            return false;
-        };
+    /// Takes in a client-reported cache miss: the client does not hold
+    /// the entry, so the ledger forgets it, and the rect it painted (in
+    /// the coordinate space it was sent in) is handed back for the
+    /// owner to repaint from the screen. Forgotten first, so that a
+    /// repaint of unchanged pixels ships in full rather than as the
+    /// same dangling reference. `None` when the ledger does not hold
+    /// the name (both sides evicted it, or it never existed): the
+    /// client skipped an update, and the owner owes the full view.
+    pub fn forget_missed(&mut self, hash: u64) -> Option<Rect> {
+        let cache = self.cache.as_mut()?;
         cache.misses += 1;
-        // LRU order is deliberately not touched here: the ledger must
-        // mirror the client store, and the client only re-ranks the
-        // entry when the fallback payload actually arrives — which is
-        // when the flush path re-inserts it on this side too.
-        let id = cache.ledger.find(hash);
-        if let Some(msg) = id.and_then(|id| cache.ledger.lru().peek(id)).map(|held| &held.msg) {
-            cache.fallbacks.push_back(msg.clone());
-            true
-        } else {
-            false
+        let id = cache.ledger.find(hash)?;
+        match cache.ledger.forget(id)? {
+            Message::Display(cmd) => Some(cmd.dest_rect()),
+            _ => None,
         }
     }
 
@@ -185,11 +173,6 @@ impl ClientBuffer {
             Some(c) => c.ledger.keys(),
             None => Vec::new(),
         }
-    }
-
-    /// Miss fallbacks queued but not yet delivered.
-    pub fn fallbacks_pending(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.fallbacks.len())
     }
 
     /// What this buffer contributes to its client's resilience
@@ -570,49 +553,13 @@ impl ClientBuffer {
         out.push((arrival, wire.msg));
     }
 
-    /// Ships the miss fallbacks owed, ahead of the command queues: a
-    /// client waiting on an unresolved reference is blocked on exactly
-    /// these payloads. Returns `false` when the pipe filled up first.
-    pub(super) fn ship_fallbacks(
-        &mut self,
-        now: SimTime,
-        pipe: &mut TcpPipe,
-        trace: &mut PacketTrace,
-        out: &mut Vec<(SimTime, Message)>,
-    ) -> bool {
-        while let Some(msg) = self.cache.as_ref().and_then(|c| c.fallbacks.front()) {
-            let size = msg.wire_size();
-            if pipe.would_block(now, size) {
-                return false;
-            }
-            let msg = self
-                .cache
-                .as_mut()
-                .and_then(|c| c.fallbacks.pop_front())
-                .expect("fallback peeked above");
-            let (_, arrival) = pipe.send(now, size);
-            trace.record(now, arrival, size, Direction::Down, "cache");
-            self.stats.sent_messages += 1;
-            self.stats.sent_bytes += size;
-            self.protocol_metrics.record(thinc_protocol::telemetry::command_kind(&msg), size);
-            // Identified only once it ships: the id is a pass over the
-            // payload.
-            if let Some(id) = cache_id(&msg) {
-                self.cache_commit(&msg, size, CacheCommit::Insert { id });
-            }
-            out.push((arrival, msg));
-        }
-        true
-    }
-
-    /// Drops the cache ledger's entries and any queued miss fallbacks
-    /// (lifetime counters survive). Cold reconnect clears the client's
-    /// store, so the mirrored-LRU invariant only holds if the ledger
-    /// is cleared in the same breath.
+    /// Drops the cache ledger's entries (lifetime counters survive).
+    /// Cold reconnect clears the client's store, so the mirrored-LRU
+    /// invariant only holds if the ledger is cleared in the same
+    /// breath.
     pub fn reset_cache(&mut self) {
         if let Some(cache) = self.cache.as_mut() {
             cache.ledger.clear();
-            cache.fallbacks.clear();
         }
     }
 }

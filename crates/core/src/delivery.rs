@@ -212,10 +212,12 @@ pub struct Delivery {
     /// by the next push, which has the screen in hand.
     refresh_owed: bool,
     /// Session-space screen area owed a refresh narrower than the full
-    /// view. The buffer records overflow debt in the coordinate space
-    /// of the commands it holds (viewport space while scaling); it is
-    /// unmapped into this ledger when taken, and repaid piece by piece
-    /// as pieces fit under the byte bound.
+    /// view: overflow evictions, a warm resume's delta, cache misses.
+    /// The buffer records overflow debt, and the ledger a missed
+    /// entry's rect, in the coordinate space of the commands it holds
+    /// (viewport space while scaling); both are unmapped into this
+    /// ledger, and repaid piece by piece as pieces fit under the byte
+    /// bound.
     refresh_debt: Region,
     /// Liveness events, resyncs, ladder steps, stale A/V drops. Buffer
     /// evictions and cache counters merge in at read time.
@@ -305,7 +307,7 @@ impl Delivery {
     }
 
     /// Whether screen regions are still owed a refresh after overflow
-    /// evictions or a warm resume.
+    /// evictions, a warm resume or a cache miss.
     pub fn has_debt(&self) -> bool {
         self.buffer.has_overflow_debt() || !self.refresh_debt.is_empty()
     }
@@ -368,11 +370,12 @@ impl Delivery {
         std::mem::replace(&mut self.scale, scale) != scale
     }
 
-    /// Re-aims the scale. Buffered commands — and queued cache-miss
-    /// fallbacks — target the outgoing coordinate space (scaling may
-    /// even have rewritten their overwrite class, e.g. an opaque
-    /// BITMAP resampled into RAW), so on a change they are dropped and
-    /// the client is owed the full view at the new scale.
+    /// Re-aims the scale. Buffered commands target the outgoing
+    /// coordinate space (scaling may even have rewritten their
+    /// overwrite class, e.g. an opaque BITMAP resampled into RAW), so
+    /// on a change they are dropped and the client is owed the full
+    /// view at the new scale. A rect owed to a cache miss is held in
+    /// session space, and the full view supersedes it.
     fn rescale(&mut self, view: Rect) {
         if self.aim(view) {
             let _ = self.buffer.drop_pending_for_rescale();
@@ -391,11 +394,9 @@ impl Delivery {
     /// Applies a viewport the client rebuilt its display at (a window
     /// resize onto a new surface, a device switch). The new display and
     /// content store start empty whether or not the scale changed, so
-    /// buffered commands and queued miss fallbacks go, the ledger
-    /// restarts empty with the store it mirrors, and the full view is
-    /// owed. A ledger kept across the resize would send references the
-    /// new store cannot resolve, and the fallbacks answering them could
-    /// land on top of newer commands.
+    /// buffered commands go, the ledger restarts empty with the store
+    /// it mirrors, and the full view is owed. A ledger kept across the
+    /// resize would send references the new store cannot resolve.
     pub(crate) fn restart_display(&mut self, w: u32, h: u32) {
         self.set_viewport(w, h);
         let _ = self.buffer.drop_pending_for_rescale();
@@ -489,10 +490,7 @@ impl Delivery {
     fn repay_debt(&mut self, screen: &Framebuffer) {
         if self.buffer.has_overflow_debt() {
             for rect in self.buffer.take_overflow_debt().rects() {
-                let session_rect = self.scale.unmap_rect(rect);
-                if !session_rect.is_empty() {
-                    self.refresh_debt.union_rect(&session_rect);
-                }
+                self.refresh_debt.union_rect(&self.scale.unmap_rect(rect));
             }
         }
         if self.refresh_debt.is_empty() {
@@ -617,12 +615,14 @@ impl Delivery {
             // and the client is owed full-detail content for the newly
             // magnified region, sent with the next push.
             Message::SetView { view } => self.rescale(view),
-            // The ledger requeues the byte-exact payload; when eviction
-            // raced the reference out of both sides the client skipped
-            // an update, so it is owed the full view.
-            Message::CacheMiss { hash } => {
-                self.refresh_owed |= !self.buffer.satisfy_cache_miss(hash);
-            }
+            // The ledger forgets the entry and the rect it painted is
+            // owed from the screen, which is never older than anything
+            // already sent. A name the ledger does not hold means the
+            // client skipped an update: it is owed the full view.
+            Message::CacheMiss { hash } => match self.buffer.forget_missed(hash) {
+                Some(rect) => self.refresh_debt.union_rect(&self.scale.unmap_rect(&rect)),
+                None => self.refresh_owed = true,
+            },
             Message::RefreshRequest { .. } => return Uplink::Resync,
             Message::SessionResume {
                 session_id,

@@ -801,9 +801,9 @@ impl SharedSession {
     /// Applies a client's viewport change mid-session (window resize,
     /// device switch). The device may be a new one with an empty
     /// framebuffer and content store, so — even at an unchanged scale —
-    /// pending commands, queued cache-miss fallbacks and the ledger go,
-    /// and the client is owed a full-view refresh (settled by the next
-    /// broadcast or [`repay_refreshes`](Self::repay_refreshes); see
+    /// pending commands and the ledger go, and the client is owed a
+    /// full-view refresh (settled by the next broadcast or
+    /// [`repay_refreshes`](Self::repay_refreshes); see
     /// `Delivery::restart_display`). Counted as a resync in the
     /// client's resilience metrics.
     pub fn resize_client(&mut self, id: ClientId, viewport_w: u32, viewport_h: u32) {
@@ -1891,53 +1891,75 @@ mod tests {
         assert!(stats[0].codec_input_bytes > 0 && stats[1].codec_input_bytes == 0, "{stats:?}");
     }
 
-    #[test]
-    fn client_cache_miss_requeues_the_exact_payload() {
+    /// A 64x64 session with one cached viewer at a `viewport`-square
+    /// window, after a 16x16 noise tile at (8, 8) reached it (at
+    /// `sent_at` in the viewport): the session, its screen, the viewer
+    /// and the tile's frame as it was sent.
+    fn cached_tile(viewport: u32, sent_at: Rect) -> (SharedSession, DrawableStore, ClientId, Message) {
         use thinc_display::drawable::SCREEN;
-        use thinc_net::link::NetworkConfig;
         let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
             .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
-        let id = s
-            .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
-            .unwrap();
-        let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
-        let mut links = vec![(
-            NetworkConfig::lan_desktop().connect().down,
-            PacketTrace::new(),
-        )];
-        let secs = |t: f64| SimTime((t * 1e6) as u64);
-        let tile = vec![9u8; 16 * 16 * 3];
-        s.put_image(&store, SCREEN, Rect::new(0, 0, 16, 16), &tile);
-        let mut sent = Vec::new();
-        for epoch in 0..10 {
-            let out = s.flush_all(secs(0.05 * (epoch + 1) as f64), &mut links);
-            sent.extend(out.into_iter().flat_map(|(_, m)| m).map(|(_, m)| m));
-            if s.backlog(id) == 0 {
-                break;
-            }
+        let id = s.attach(&Credentials::Owner { user: "host".into() }, viewport, viewport).unwrap();
+        let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        let tile = crate::fixtures::noise(16 * 16 * 3, 7);
+        store.screen_mut().put_raw(&Rect::new(8, 8, 16, 16), &tile);
+        s.put_image(&store, SCREEN, Rect::new(8, 8, 16, 16), &tile);
+        let is_tile = |m: &Message| matches!(m, Message::Display(c) if c.dest_rect() == sent_at);
+        let tile = sent(&mut s, id, SimTime::ZERO).into_iter().find(is_tile);
+        (s, store, id, tile.expect("the tile was sent"))
+    }
+
+    #[test]
+    fn a_held_miss_owes_its_rect_and_the_repaint_ships_in_full() {
+        // At full size, and at half size, where the ledger's frame is
+        // the scaled tile at (4, 4, 8, 8) and the rect owed is its
+        // session-space cover (8, 8, 16, 16), read and scaled again.
+        for (viewport, repaint) in [(64, Rect::new(8, 8, 16, 16)), (32, Rect::new(4, 4, 8, 8))] {
+            let (mut s, store, id, tile) = cached_tile(viewport, repaint);
+            let hash = tile.cache_key().unwrap();
+            s.handle_message(id, &Message::CacheMiss { hash }, store.screen());
+            let v = s.viewer(id).unwrap();
+            assert!(v.has_debt() && !v.refresh_owed(), "the tile's rect is owed, not the view");
+            assert!(!v.buffer().cache_keys().contains(&hash), "the ledger forgot the tile");
+            s.repay_refreshes(store.screen());
+            let out = sent(&mut s, id, SimTime::ZERO);
+            // The screen still shows the tile: the repaint is the very
+            // frame the client missed, and ships in full, not as a
+            // reference to the entry the client does not hold.
+            let [Message::Display(cmd)] = &out[..] else { panic!("{out:?}") };
+            assert_eq!(cmd.dest_rect(), repaint);
+            assert_eq!(out[0].cache_key(), Some(hash));
+            assert!(s.viewer(id).unwrap().buffer().cache_keys().contains(&hash));
+            // A name the ledger does not hold owes the full view; both
+            // misses are counted.
+            s.handle_message(id, &Message::CacheMiss { hash: 0xDEAD_BEEF }, store.screen());
+            let v = s.viewer(id).unwrap();
+            assert!(v.refresh_owed());
+            assert_eq!(v.resilience_metrics().cache_misses(), 2);
         }
-        let cached = sent
-            .iter()
-            .find(|m| m.cache_key().is_some())
-            .expect("a cacheable payload was sent");
-        let hash = cached.cache_key().unwrap();
-        // A miss for a held hash queues the byte-exact payload again.
+    }
+
+    #[test]
+    fn a_miss_owed_before_a_rescale_is_repaid_at_the_new_scale() {
+        // The rect a miss owes is held in session space, and the full
+        // view a rescale owes supersedes it: nothing of the outgoing
+        // coordinate space ships after the resize.
+        let (mut s, store, id, tile) = cached_tile(64, Rect::new(8, 8, 16, 16));
+        let hash = tile.cache_key().unwrap();
         s.handle_message(id, &Message::CacheMiss { hash }, store.screen());
-        assert!(!s.viewer(id).unwrap().refresh_owed());
-        let (pipe, trace) = &mut links[0];
-        let out = s.flush_client(id, secs(2.0), pipe, trace);
-        let resent = &out[0].1;
-        assert_eq!(
-            thinc_protocol::wire::encode_message(resent),
-            thinc_protocol::wire::encode_message(cached),
-            "fallback must be byte-exact"
-        );
-        // A miss for an unknown hash cannot be satisfied: the client
-        // skipped an update and is owed the full view.
-        s.handle_message(id, &Message::CacheMiss { hash: 0xDEAD_BEEF }, store.screen());
-        assert!(s.viewer(id).unwrap().refresh_owed());
-        let m = s.viewer(id).unwrap().resilience_metrics();
-        assert_eq!(m.cache_misses(), 2);
+        let resize = Message::Resize { viewport_width: 32, viewport_height: 32 };
+        s.handle_message(id, &resize, store.screen());
+        s.repay_refreshes(store.screen());
+        let out = sent(&mut s, id, SimTime::ZERO);
+        let rects: Vec<Rect> = out
+            .iter()
+            .filter_map(|m| match m {
+                Message::Display(cmd) => Some(cmd.dest_rect()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rects, [Rect::new(0, 0, 32, 32)], "{out:?}");
+        assert!(!s.viewer(id).unwrap().has_debt());
     }
 
     // ---- checkpoint / restore / warm failover ----

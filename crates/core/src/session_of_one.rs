@@ -663,13 +663,19 @@ fn unsatisfiable_cache_miss_escalates_to_refresh() {
     assert_eq!(v.resilience_metrics().cache_misses(), 1);
 }
 
-#[test]
-fn a_miss_that_lands_after_a_newer_command_repaints_the_screen() {
-    // A client store smaller than the ledger stands in for a lost
-    // insert: the client evicts tile T while the ledger keeps it, so a
-    // repeat of T ships as a reference the client cannot resolve. The
-    // miss reaches the server only after a fill over T's rect has
-    // shipped; answering it must not paint T over the fill.
+/// Tile T's rect in [`evicted_tile`]'s session.
+const T_RECT: Rect = Rect::new(8, 8, 16, 16);
+
+fn put_noise(ws: &mut WindowServer<SharedSession>, rect: Rect, seed: u32) {
+    let data = crate::fixtures::noise(16 * 16 * 3, seed);
+    ws.process(DrawRequest::PutImage { target: SCREEN, rect, data });
+}
+
+/// A 64x64 revision-3 session whose stream client has seen noise tile
+/// T at [`T_RECT`] and then evicted it: its store holds one tile (a
+/// 1000-byte budget), the ledger both. A client store smaller than the
+/// ledger stands in for a lost insert.
+fn evicted_tile() -> (WindowServer<SharedSession>, thinc_client::StreamClient) {
     let mut ws = system_with(ServerConfig { width: 64, height: 64, ..ServerConfig::default() });
     let hello =
         Message::ClientHello { version: PROTOCOL_VERSION, viewport_width: 64, viewport_height: 64 };
@@ -677,32 +683,60 @@ fn a_miss_that_lands_after_a_newer_command_repaints_the_screen() {
     let mut sc = thinc_client::StreamClient::new(64, 64, PixelFormat::Rgb888).with_cache_budget(1000);
     let server_hello = ws.driver().hello();
     sc.feed(&ws.driver_mut().encode_frame(VIEWER, &server_hello));
-    let noise = |seed| crate::fixtures::noise(16 * 16 * 3, seed);
-    let t_rect = Rect::new(8, 8, 16, 16);
-    let put = |ws: &mut WindowServer<SharedSession>, rect, data| {
-        ws.process(DrawRequest::PutImage { target: SCREEN, rect, data });
-    };
-    put(&mut ws, t_rect, noise(1));
-    put(&mut ws, Rect::new(40, 40, 16, 16), noise(2));
+    put_noise(&mut ws, T_RECT, 1);
+    put_noise(&mut ws, Rect::new(40, 40, 16, 16), 2);
     drain_into(&mut ws, &mut sc);
     assert_eq!(sc.cache_store().lru().len(), 1, "the client store holds one tile");
-    put(&mut ws, t_rect, noise(1));
-    let refs = flush_all(&mut ws);
+    (ws, sc)
+}
+
+/// Draws T again, which ships as a reference the client cannot
+/// resolve, and returns what the client sends back: the miss.
+fn reference_t(ws: &mut WindowServer<SharedSession>, sc: &mut thinc_client::StreamClient) -> Vec<Message> {
+    put_noise(ws, T_RECT, 1);
+    let refs = flush_all(ws);
     assert!(matches!(refs[..], [Message::CacheRef { .. }]), "{refs:?}");
     for m in &refs {
         sc.feed(&ws.driver_mut().encode_frame(VIEWER, m));
     }
     let uplink = sc.take_uplink(SimTime::ZERO);
     assert!(matches!(uplink[..], [Message::CacheMiss { .. }]), "{uplink:?}");
-    ws.process(DrawRequest::FillRect { target: SCREEN, rect: t_rect, color: Color::rgb(0, 90, 180) });
+    uplink
+}
+
+/// Hands the session the client's `uplink`, then repays and drains.
+fn answer(ws: &mut WindowServer<SharedSession>, sc: &mut thinc_client::StreamClient, uplink: &[Message]) {
+    for m in uplink {
+        send(ws, m);
+    }
+    repay(ws);
+    drain_into(ws, sc);
+}
+
+#[test]
+fn a_miss_that_lands_after_a_newer_command_repaints_the_screen() {
+    // The miss reaches the server only after a fill over T's rect has
+    // shipped; answering it must not paint T over the fill.
+    let (mut ws, mut sc) = evicted_tile();
+    let uplink = reference_t(&mut ws, &mut sc);
+    ws.process(DrawRequest::FillRect { target: SCREEN, rect: T_RECT, color: Color::rgb(0, 90, 180) });
     drain_into(&mut ws, &mut sc);
     assert_eq!(sc.client().framebuffer().data(), ws.screen().data());
-    for m in &uplink {
-        send(&mut ws, m);
-    }
-    repay(&mut ws);
-    drain_into(&mut ws, &mut sc);
+    answer(&mut ws, &mut sc, &uplink);
     assert!(sc.client().framebuffer().data() == ws.screen().data(), "the miss repainted T over the fill");
+}
+
+#[test]
+fn a_missed_tile_is_repainted_from_the_screen() {
+    // The client's T_RECT shows a fill when the reference to T misses:
+    // only the answer to the miss can bring T back.
+    let (mut ws, mut sc) = evicted_tile();
+    ws.process(DrawRequest::FillRect { target: SCREEN, rect: T_RECT, color: Color::rgb(0, 90, 180) });
+    drain_into(&mut ws, &mut sc);
+    let uplink = reference_t(&mut ws, &mut sc);
+    assert!(sc.client().framebuffer().data() != ws.screen().data(), "the client missed T");
+    answer(&mut ws, &mut sc, &uplink);
+    assert!(sc.client().framebuffer().data() == ws.screen().data(), "the miss was not repaid");
 }
 
 /// A 64x64 session behind a revision-3 handshake, its screen painted

@@ -63,8 +63,8 @@ impl Translator {
         self.offscreen_awareness
     }
 
-    /// Translation counters (per-kind commands produced, raw
-    /// fallbacks, offscreen queue activity).
+    /// Translation counters (per-kind commands produced, RAW
+    /// fallback commands, offscreen queue activity).
     pub fn stats(&self) -> TranslatorStats {
         self.stats
     }
@@ -338,10 +338,10 @@ impl Translator {
                     dst_rect.intersection(&store.get(dst).map(|f| f.bounds()).unwrap_or_default()),
                 );
                 uncovered.subtract(&covered);
-                let mut fallbacks = Vec::new();
+                let mut raws = Vec::new();
                 for r in uncovered.rects().to_vec() {
                     if let Some(raw) = self.raw_from(store, dst, &r) {
-                        fallbacks.push(raw);
+                        raws.push(raw);
                     }
                 }
                 // Clip every copied command to the destination pixmap
@@ -349,7 +349,7 @@ impl Translator {
                 // nonexistent ink on a later extraction).
                 let dst_bounds = store.get(dst).map(|f| f.bounds()).unwrap_or_default();
                 let mut to_queue = Vec::new();
-                for c in cmds.into_iter().chain(fallbacks) {
+                for c in cmds.into_iter().chain(raws) {
                     if let Some(clipped) = crate::queue::clip_command(&c, &dst_bounds) {
                         to_queue.push(clipped);
                     } else {

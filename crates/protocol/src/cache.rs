@@ -7,16 +7,16 @@
 //!
 //! - the **server ledger** holds the full message of every cacheable
 //!   payload it has actually sent, so a ref is only ever emitted for
-//!   content the client was given, and a [`Message::CacheMiss`] can be
-//!   answered with the byte-exact original;
+//!   content the client was given;
 //! - the **client store** holds the full message of every cacheable
 //!   payload it has received, so a ref resolves locally without
 //!   touching the network.
 //!
 //! Because both sides insert the same entries, in the same order, with
 //! the same sizes, under the same budget, the two LRUs evict in
-//! lockstep; divergence (loss, a fresh client against a warm ledger)
-//! is repaired by the miss → full-payload fallback path. The
+//! lockstep. Divergence (loss, a fresh client against a warm ledger)
+//! surfaces as a [`Message::CacheMiss`]: the server forgets the entry
+//! the client does not hold and repaints its rect from the screen. The
 //! consistency argument and its property tests live in
 //! `docs/CACHE.md`.
 //!
@@ -186,6 +186,14 @@ impl<V> CacheLru<V> {
         }
     }
 
+    /// Drops `key` (not an eviction) and returns its value, if held.
+    pub fn remove(&mut self, key: u64) -> Option<V> {
+        let (size, value) = self.entries.remove(&key)?;
+        self.used -= size;
+        self.order.retain(|&k| k != key);
+        Some(value)
+    }
+
     /// Inserts (or refreshes) `key` at `size` bytes, evicting
     /// least-recently-used entries as needed to stay within budget.
     /// Returns the number of entries evicted. An entry larger than the
@@ -195,10 +203,7 @@ impl<V> CacheLru<V> {
         if size > self.budget {
             return 0;
         }
-        if let Some((old_size, _)) = self.entries.remove(&key) {
-            self.used -= old_size;
-            self.order.retain(|&k| k != key);
-        }
+        self.remove(key);
         let mut evicted = 0;
         while self.used + size > self.budget {
             let Some(victim) = self.order.pop_front() else {
@@ -317,6 +322,12 @@ impl ContentStore {
     pub fn insert(&mut self, id: u64, size: u64, msg: Message) -> u64 {
         let name = self.lru.peek(id).and_then(|h| h.name.get().copied());
         self.put(id, size, msg, name)
+    }
+
+    /// Drops the held frame `id` — the client reported it does not hold
+    /// it — and returns it.
+    pub fn forget(&mut self, id: u64) -> Option<Message> {
+        self.lru.remove(id).map(|held| held.msg)
     }
 
     /// Inserts `msg` under the name it was recorded with (a checkpoint
@@ -569,8 +580,8 @@ mod tests {
             Ref(usize),
             /// The server substitutes a reference if it holds the frame.
             Hit(usize),
-            /// The server answers a miss for a name (a pool frame's, or
-            /// one it never held).
+            /// The server forgets the entry a miss names (a pool
+            /// frame's, or one it never held).
             Miss(Result<usize, u64>),
             /// A cold reconnect empties both ends.
             ColdReset,
@@ -607,7 +618,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// The identity-keyed, name-on-demand store answers every
-            /// ledger and store operation as the name-keyed
+            /// ledger and store operation — a forgotten miss included —
+            /// as the name-keyed
             /// `CacheLru<Message>` it replaced does, and leaves the same
             /// keys, digest, LRU order, bytes and evictions behind.
             #[test]
@@ -644,9 +656,8 @@ mod tests {
                         }
                         Op::Miss(which) => {
                             let name = which.map_or_else(|n| n, key);
-                            let e = eager.peek(name).cloned();
-                            let held = lazy.find(name).and_then(|id| lazy.lru().peek(id));
-                            let l = held.map(|h| h.msg.clone());
+                            let e = eager.remove(name);
+                            let l = lazy.find(name).and_then(|id| lazy.forget(id));
                             prop_assert_eq!(l, e);
                         }
                         Op::ColdReset => {

@@ -202,8 +202,9 @@ pub enum Message {
         hash: u64,
     },
     /// Client → server report that a [`Message::CacheRef`] did not
-    /// resolve in the client's store. The server answers with the
-    /// byte-exact original payload (and repairs its ledger view).
+    /// resolve in the client's store. The server forgets the entry and
+    /// repaints its rect from the screen, so the answer is never older
+    /// than anything already sent.
     CacheMiss {
         /// Echoed content hash of the unresolved reference.
         hash: u64,

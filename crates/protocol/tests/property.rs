@@ -590,12 +590,14 @@ proptest! {
         }
     }
 
-    /// Forced misses (a client that lost its store) always converge:
-    /// the ledger answers every miss with the byte-exact original via
-    /// a peek, the fallback re-seeds the store, and the applied stream
-    /// is identical to the uncached stream.
+    /// Forced misses (a client that lost stored entries) converge
+    /// without replaying an old frame: the ledger forgets the entry a
+    /// miss names, the server repaints from its screen — modelled as
+    /// the same content occurring again — and that occurrence ships in
+    /// full, re-seeding both ends. Ledger and store hold the same keys,
+    /// bytes and entry count after every step.
     #[test]
-    fn forced_miss_and_fallback_converge_byte_exact(
+    fn forced_miss_forgets_and_the_next_occurrence_ships_in_full(
         pool in prop::collection::vec(arb_command().prop_map(Message::Display), 1..6),
         picks in prop::collection::vec(any::<u8>(), 1..32),
         drops in prop::collection::vec(any::<bool>(), 1..32),
@@ -605,29 +607,23 @@ proptest! {
         let mut drop_iter = drops.iter().cycle();
         for &p in &picks {
             let msg = pool[p as usize % pool.len()].clone();
-            let wire = server_emit(&mut ledger, &msg);
-            let delivered = match wire {
-                Message::CacheRef { hash } => {
-                    let lost = *drop_iter.next().unwrap();
-                    let held = if lost { None } else { store.get(hash).cloned() };
-                    match held {
-                        Some(v) => v,
-                        None => {
-                            // MSG_CACHE_MISS → the server peeks its
-                            // ledger (no LRU touch until the fallback
-                            // actually ships) and resends the full
-                            // payload, which re-seeds the store.
-                            let fb = ledger.peek(hash)
-                                .expect("ledger holds every ref it emitted")
-                                .clone();
-                            ledger.insert(hash, fb.wire_size(), fb.clone());
-                            client_resolve(&mut store, fb).expect("full payload")
-                        }
-                    }
+            let mut wire = server_emit(&mut ledger, &msg);
+            if let Message::CacheRef { hash } = wire {
+                if *drop_iter.next().unwrap() {
+                    // The client lost the entry, so the ref misses;
+                    // MSG_CACHE_MISS makes the ledger forget it too.
+                    store.remove(hash);
+                    prop_assert!(client_resolve(&mut store, wire.clone()).is_none());
+                    prop_assert!(ledger.remove(hash).is_some(), "ledger holds every ref it emitted");
+                    wire = server_emit(&mut ledger, &msg);
+                    prop_assert!(!matches!(wire, Message::CacheRef { .. }), "the repaint ships in full");
                 }
-                full => client_resolve(&mut store, full).expect("full payload"),
-            };
+            }
+            let delivered = client_resolve(&mut store, wire).expect("held or full payload");
             prop_assert_eq!(encode_message(&delivered), encode_message(&msg));
+            prop_assert_eq!(ledger.keys(), store.keys());
+            prop_assert_eq!(ledger.used_bytes(), store.used_bytes());
+            prop_assert_eq!(ledger.len(), store.len());
         }
     }
 
