@@ -1091,15 +1091,15 @@ mod tests {
     }
 
     #[test]
-    fn a_miss_forgets_the_entry_and_hands_back_its_rect() {
+    fn a_miss_forgets_the_entry() {
         let mut buf = ClientBuffer::new();
         buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
         buf.push(raw(4, 6, 8, 8), false);
         let first = drain_all(&mut buf);
         let hash = first[0].cache_key().unwrap();
         // The client reports it does not hold the entry: the ledger
-        // forgets it and hands back the rect it painted.
-        assert_eq!(buf.forget_missed(hash), Some(Rect::new(4, 6, 8, 8)));
+        // forgets it.
+        buf.forget_missed(hash);
         assert!(buf.cache_keys().is_empty(), "the ledger forgot the entry");
         assert_eq!(buf.resilience_counts().cache_misses, 1);
         // So a repaint of the same pixels ships in full and re-seeds
@@ -1108,9 +1108,9 @@ mod tests {
         let again = drain_all(&mut buf);
         assert_eq!(encode_message(&again[0]), encode_message(&first[0]), "a full payload");
         assert_eq!(buf.cache_keys(), vec![hash]);
-        // A name the ledger does not hold hands back nothing (the
-        // owner owes the full view), and is counted all the same.
-        assert_eq!(buf.forget_missed(0xDEAD_BEEF), None);
+        // A name the ledger does not hold is counted all the same.
+        buf.forget_missed(0xDEAD_BEEF);
+        assert_eq!(buf.cache_keys(), vec![hash]);
         assert_eq!(buf.resilience_counts().cache_misses, 2);
     }
 

@@ -14,7 +14,6 @@ use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::cache::{cache_id, ContentStore};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
-use thinc_raster::Rect;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
@@ -148,20 +147,15 @@ impl ClientBuffer {
     }
 
     /// Takes in a client-reported cache miss: the client does not hold
-    /// the entry, so the ledger forgets it, and the rect it painted (in
-    /// the coordinate space it was sent in) is handed back for the
-    /// owner to repaint from the screen. Forgotten first, so that a
-    /// repaint of unchanged pixels ships in full rather than as the
-    /// same dangling reference. `None` when the ledger does not hold
-    /// the name (both sides evicted it, or it never existed): the
-    /// client skipped an update, and the owner owes the full view.
-    pub fn forget_missed(&mut self, hash: u64) -> Option<Rect> {
-        let cache = self.cache.as_mut()?;
+    /// the entry, so the ledger forgets it, and a repaint of unchanged
+    /// pixels ships in full rather than as the same dangling reference.
+    /// A name the ledger does not hold (both sides evicted it, or it
+    /// never existed) is counted all the same.
+    pub fn forget_missed(&mut self, hash: u64) {
+        let Some(cache) = self.cache.as_mut() else { return };
         cache.misses += 1;
-        let id = cache.ledger.find(hash)?;
-        match cache.ledger.forget(id)? {
-            Message::Display(cmd) => Some(cmd.dest_rect()),
-            _ => None,
+        if let Some(id) = cache.ledger.find(hash) {
+            cache.ledger.forget(id);
         }
     }
 

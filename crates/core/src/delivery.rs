@@ -615,14 +615,15 @@ impl Delivery {
             // and the client is owed full-detail content for the newly
             // magnified region, sent with the next push.
             Message::SetView { view } => self.rescale(view),
-            // The ledger forgets the entry and the rect it painted is
-            // owed from the screen, which is never older than anything
-            // already sent. A name the ledger does not hold means the
-            // client skipped an update: it is owed the full view.
-            Message::CacheMiss { hash } => match self.buffer.forget_missed(hash) {
-                Some(rect) => self.refresh_debt.union_rect(&self.scale.unmap_rect(&rect)),
-                None => self.refresh_owed = true,
-            },
+            // The client skipped an update, and whatever ran after it
+            // (a COPY reading the missed rect) may have spread the gap,
+            // so the ledger forgets the entry and the full view is owed
+            // from the screen, which is never older than anything
+            // already sent.
+            Message::CacheMiss { hash } => {
+                self.buffer.forget_missed(hash);
+                self.refresh_owed = true;
+            }
             Message::RefreshRequest { .. } => return Uplink::Resync,
             Message::SessionResume {
                 session_id,

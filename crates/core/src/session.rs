@@ -1910,28 +1910,27 @@ mod tests {
     }
 
     #[test]
-    fn a_held_miss_owes_its_rect_and_the_repaint_ships_in_full() {
-        // At full size, and at half size, where the ledger's frame is
-        // the scaled tile at (4, 4, 8, 8) and the rect owed is its
-        // session-space cover (8, 8, 16, 16), read and scaled again.
-        for (viewport, repaint) in [(64, Rect::new(8, 8, 16, 16)), (32, Rect::new(4, 4, 8, 8))] {
-            let (mut s, store, id, tile) = cached_tile(viewport, repaint);
+    fn a_held_miss_forgets_the_entry_and_owes_the_full_view() {
+        // What ran after the reference (a COPY reading the tile's rect)
+        // may have spread the gap beyond that rect, so a held name owes
+        // the full view, as an unknown one does: at full size and at
+        // half size, where the ledger's frame is the scaled tile.
+        for (viewport, sent_at) in [(64, Rect::new(8, 8, 16, 16)), (32, Rect::new(4, 4, 8, 8))] {
+            let (mut s, store, id, tile) = cached_tile(viewport, sent_at);
             let hash = tile.cache_key().unwrap();
             s.handle_message(id, &Message::CacheMiss { hash }, store.screen());
             let v = s.viewer(id).unwrap();
-            assert!(v.has_debt() && !v.refresh_owed(), "the tile's rect is owed, not the view");
+            assert!(v.refresh_owed(), "the view is owed, not the tile's rect");
             assert!(!v.buffer().cache_keys().contains(&hash), "the ledger forgot the tile");
             s.repay_refreshes(store.screen());
             let out = sent(&mut s, id, SimTime::ZERO);
-            // The screen still shows the tile: the repaint is the very
-            // frame the client missed, and ships in full, not as a
-            // reference to the entry the client does not hold.
+            // The repaint is the whole viewport read from the screen,
+            // and it ships in full: no reference to anything.
             let [Message::Display(cmd)] = &out[..] else { panic!("{out:?}") };
-            assert_eq!(cmd.dest_rect(), repaint);
-            assert_eq!(out[0].cache_key(), Some(hash));
-            assert!(s.viewer(id).unwrap().buffer().cache_keys().contains(&hash));
-            // A name the ledger does not hold owes the full view; both
-            // misses are counted.
+            assert_eq!(cmd.dest_rect(), Rect::new(0, 0, viewport, viewport));
+            assert!(!s.viewer(id).unwrap().refresh_owed());
+            // A name the ledger does not hold owes the full view too;
+            // both misses are counted.
             s.handle_message(id, &Message::CacheMiss { hash: 0xDEAD_BEEF }, store.screen());
             let v = s.viewer(id).unwrap();
             assert!(v.refresh_owed());
@@ -1941,9 +1940,9 @@ mod tests {
 
     #[test]
     fn a_miss_owed_before_a_rescale_is_repaid_at_the_new_scale() {
-        // The rect a miss owes is held in session space, and the full
-        // view a rescale owes supersedes it: nothing of the outgoing
-        // coordinate space ships after the resize.
+        // The view a miss owes is owed at whatever scale holds when it
+        // is repaid: nothing of the outgoing coordinate space ships
+        // after the resize.
         let (mut s, store, id, tile) = cached_tile(64, Rect::new(8, 8, 16, 16));
         let hash = tile.cache_key().unwrap();
         s.handle_message(id, &Message::CacheMiss { hash }, store.screen());
