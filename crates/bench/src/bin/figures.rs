@@ -19,16 +19,12 @@ use thinc_bench::report::{kb, mb, pct, secs, table};
 use thinc_bench::sites::remote_sites;
 use thinc_bench::thinc_system::ThincSystem;
 use thinc_bench::webbench::{run_web, WebResult};
-use thinc_core::session::Credentials;
-use thinc_core::{ShardedManager, SharedSession};
-use thinc_display::drawable::DrawableStore;
-use thinc_display::driver::VideoDriver;
-use thinc_display::SCREEN;
+use thinc_chaos::expect::SlotCounters;
+use thinc_chaos::invariant::RunReport;
+use thinc_chaos::{run, schedule_from_json, ChaosEvent, Schedule};
 use thinc_net::link::NetworkConfig;
-use thinc_net::tcp::{TcpParams, TcpPipe};
-use thinc_net::time::{SimDuration, SimTime};
-use thinc_net::trace::PacketTrace;
-use thinc_raster::{Color, PixelFormat, Rect};
+use thinc_raster::Rect;
+use thinc_telemetry::{BufferStats, PlaneCounters, ResilienceMetrics};
 use thinc_workloads::video::{AudioTrack, VideoClip};
 use thinc_workloads::web::WebWorkload;
 
@@ -328,240 +324,68 @@ fn breakdown_table(title: &str, t: &thinc_telemetry::SessionTelemetry) -> String
     out
 }
 
-/// A byte-level hostile-WAN mini-session. The sessions above frame
-/// every message too, but their links never damage a byte, so their
-/// integrity counters are zero; this one drives the same delivery
-/// function (`pump_wire`) while seeded corruption, reorder and
-/// duplication windows disturb the downlink —
-/// exercising the full recovery ladder (CRC failure → resync →
-/// refresh request) and reporting nonzero per-cause counters.
-fn integrity_telemetry() -> thinc_telemetry::SessionTelemetry {
-    use thinc_client::{ReconnectConfig, ReconnectPolicy, StreamClient};
-    use thinc_core::server::{ServerConfig, VIEWER};
-    use thinc_display::request::DrawRequest;
-    use thinc_display::server::WindowServer;
-    use thinc_display::SCREEN;
-    use thinc_net::fault::FaultPlan;
-    use thinc_bench::thinc_system::pump_wire;
-    use thinc_net::time::{SimDuration, SimTime};
-    use thinc_net::trace::PacketTrace;
-    use thinc_protocol::message::Message;
-    use thinc_raster::PixelFormat;
+/// A checked-in chaos schedule the report replays: its file name and
+/// its text, embedded so that an edit to the file moves the report.
+type Replayed = (&'static str, &'static str);
 
-    const SW: u32 = 128;
-    const SH: u32 = 96;
-    let seed = 0xC0FFEE_u64.wrapping_add(7);
+/// Corruption, then reorder and duplication, on one revision-3 wire:
+/// the whole recovery ladder (CRC failure, sequence gap, resync).
+const INTEGRITY: Replayed = (
+    "integrity-reorder-dup.json",
+    include_str!("../../../chaos/schedules/integrity-reorder-dup.json"),
+);
+/// A server crash: one viewer resumes warm, the other falls back cold.
+const FAILOVER: Replayed = (
+    "warm-vs-cold-cached.json",
+    include_str!("../../../chaos/schedules/warm-vs-cold-cached.json"),
+);
+/// A 64-client broadcast through the encode-once plane.
+const FANOUT: Replayed = (
+    "fanout-64.json",
+    include_str!("../../../chaos/schedules/fanout-64.json"),
+);
 
-    fn noise(rect: Rect, salt: u64) -> DrawRequest {
-        let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let data: Vec<u8> = (0..(rect.w as usize * rect.h as usize * 3))
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (x >> 33) as u8
-            })
-            .collect();
-        DrawRequest::PutImage {
-            target: SCREEN,
-            rect,
-            data,
-        }
+/// Replays a checked-in schedule through the chaos runner. Exits
+/// nonzero unless the run reaches the outcome the file records, its
+/// `expect` block included.
+fn replay((name, json): Replayed) -> (Schedule, RunReport) {
+    let schedule = schedule_from_json(json).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(1)
+    });
+    let report = run(&schedule);
+    if !report.matches(schedule.expect_violation.as_deref()) {
+        eprintln!("{name}: {}", report.summary());
+        std::process::exit(1);
     }
-
-    // Same disturbance shape as the end-to-end resilience suite:
-    // corruption first, then reorder + duplication on a clean
-    // stretch, so each counter gets its own attributable cause.
-    let net = NetworkConfig::wan_desktop().with_faults(
-        FaultPlan::seeded(seed)
-            .with_corruption(SimTime(40_000), SimDuration::from_millis(60), 0.02)
-            .with_reorder(SimTime(150_000), SimDuration::from_millis(1_850), 0.3)
-            .with_duplication(SimTime(150_000), SimDuration::from_millis(1_850), 0.3),
-    );
-    let mut link = net.connect();
-    let mut trace = PacketTrace::new();
-    let config = ServerConfig { width: SW, height: SH, ..ServerConfig::default() };
-    let mut ws = WindowServer::new(SW, SH, PixelFormat::Rgb888, config.session());
-    let mut client = StreamClient::new(SW, SH, PixelFormat::Rgb888).with_reconnect_policy(
-        ReconnectPolicy::new(ReconnectConfig {
-            seed,
-            ..ReconnectConfig::default()
-        }),
-    );
-
-    // Handshake upgrades both sides to checksummed sequenced framing.
-    let (session, screen) = ws.driver_and_screen();
-    let hello = session.hello();
-    client.feed(&session.encode_frame(VIEWER, &hello));
-    let hello = Message::ClientHello {
-        version: thinc_protocol::PROTOCOL_VERSION,
-        viewport_width: SW,
-        viewport_height: SH,
-    };
-    session.handle_message(VIEWER, &hello, screen);
-
-    // A fixed rotation of tiles: each slot repeats its exact content
-    // every round, so the revision-3 cache sees repeated payloads and
-    // substitutes refs. Full payloads corrupted inside the fault
-    // window leave the server's ledger ahead of the client's store —
-    // later refs for those slots surface as cache misses, exercising
-    // the miss leg of the recovery ladder: the ledger forgets the
-    // entry and the tile's rect is repainted from the screen.
-    let mut now = SimTime::ZERO;
-    for i in 0..70u64 {
-        let slot = i % 6;
-        let x = (slot as i32 * 15) % (SW as i32 - 32);
-        let y = (slot as i32 * 11) % (SH as i32 - 32);
-        ws.driver_mut().set_time(now);
-        ws.process(noise(Rect::new(x, y, 32, 32), seed ^ slot));
-        pump_wire(&mut ws, &mut link, &mut trace, &mut client, now);
-        now += SimDuration::from_millis(25);
-    }
-    // Drain the backlog, then let the policy-driven refresh ladder
-    // converge past the disturbance windows.
-    now = now.max(SimTime(2_050_000) + SimDuration::from_millis(50));
-    for _ in 0..500 {
-        if !client.needs_refresh() && ws.driver().backlog(VIEWER) == 0 {
-            break;
-        }
-        pump_wire(&mut ws, &mut link, &mut trace, &mut client, now);
-        now = link.down.tx_free_at().max(now + SimDuration::from_millis(50));
-    }
-
-    let mut t = thinc_bench::thinc_system::server_telemetry(ws.driver(), &link);
-    t.resilience.merge(client.resilience_metrics());
-    t
+    (schedule, report)
 }
 
-/// A checkpoint/failover mini-session: two converged viewers survive
-/// a server crash. One redials with a matching resume token (warm —
-/// only the checkpoint-vs-live delta ships), the other presents a
-/// stale store digest (cold fallback — full retransmit). The merged
-/// telemetry reports one nonzero `resumes` and one nonzero
-/// `cold_fallbacks`, so the failover counters are lines of the
-/// report golden (`tests/report_golden.rs`).
-fn failover_telemetry() -> thinc_telemetry::SessionTelemetry {
-    use thinc_client::StreamClient;
-    use thinc_core::session::{Credentials, SharedSession};
-    use thinc_display::drawable::DrawableStore;
-    use thinc_display::driver::VideoDriver;
-    use thinc_display::SCREEN;
-    use thinc_net::time::SimTime;
-    use thinc_net::trace::PacketTrace;
-    use thinc_protocol::message::Message;
-    use thinc_raster::PixelFormat;
-
-    const SW: u32 = 96;
-    const SH: u32 = 64;
-    let seed = 0xFA11_u64;
-
-    let mut session = SharedSession::new(SW, SH, PixelFormat::Rgb888, "host").with_cache(32 * 1024);
-    session.auth_mut().enable_sharing("pw");
-    let warm_id = session
-        .attach(&Credentials::Owner { user: "host".into() }, SW, SH)
-        .expect("owner attaches");
-    let cold_id = session
-        .attach(
-            &Credentials::Peer { user: "viewer".into(), password: "pw".into() },
-            SW,
-            SH,
-        )
-        .expect("peer attaches");
-    let ids = [warm_id, cold_id];
-    let mut store = DrawableStore::new(SW, SH, PixelFormat::Rgb888);
-    let hello = session.hello();
-    let mut streams: Vec<StreamClient> = ids
-        .iter()
-        .map(|&id| {
-            let mut c =
-                StreamClient::new(SW, SH, PixelFormat::Rgb888).with_cache_budget(32 * 1024);
-            c.feed(&session.encode_frame(id, &hello));
-            c
-        })
-        .collect();
-    let mut links = vec![
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-    ];
-    let pump = |session: &mut SharedSession,
-                store: &DrawableStore,
-                streams: &mut Vec<StreamClient>,
-                links: &mut Vec<_>,
-                now: SimTime| {
-        for (j, (id, msgs)) in session.flush_all(now, links).into_iter().enumerate() {
-            for (_, msg) in msgs {
-                streams[j].feed(&session.encode_frame(id, &msg));
-            }
-            for msg in streams[j].take_uplink(now) {
-                session.handle_message(id, &msg, store.screen());
-            }
-        }
-    };
-    // Converge both viewers, take the crash image, keep drawing while
-    // the standby spins up.
-    let mut x = seed | 1;
-    let band: Vec<u8> = (0..(SW as usize) * 16 * 3)
-        .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (x >> 33) as u8
-        })
-        .collect();
-    store.screen_mut().put_raw(&Rect::new(0, 16, SW, 16), &band);
-    session.put_image(&store, SCREEN, Rect::new(0, 16, SW, 16), &band);
-    for r in 0..50u64 {
-        pump(&mut session, &store, &mut streams, &mut links, SimTime(10_000 + r * 5_000));
-        if ids.iter().all(|&id| session.backlog(id) == 0) {
-            break;
+/// Every nonzero counter of a replay under the `prefix.row` name a
+/// schedule's `expect` block reads it by: each of `slots`, then the
+/// session's plane.
+fn counter_table(title: &str, slots: &[SlotCounters], plane: &PlaneCounters) -> String {
+    fn push(rows: &mut Vec<Vec<String>>, place: &str, prefix: &str, names: &[&str], values: &[u64]) {
+        for (name, v) in names.iter().zip(values).filter(|(_, v)| **v != 0) {
+            rows.push(vec![place.to_string(), format!("{prefix}.{name}"), v.to_string()]);
         }
     }
-    let image = session.checkpoint(store.screen());
-    drop(session);
-    store.screen_mut().put_raw(&Rect::new(0, 40, SW, 16), &band);
-    let mut standby = SharedSession::restore(&image).expect("crash image restores");
-    standby.set_time(SimTime(1_000_000));
-    standby.put_image(&store, SCREEN, Rect::new(0, 40, SW, 16), &band);
-    let sid = standby.session_id();
-    // Both redial with their tokens; the second's store digest is
-    // stale, so the standby restarts it cold.
-    for (j, &id) in ids.iter().enumerate() {
-        let mut opening = streams[j].redial(sid, id.0);
-        if let (1, Message::SessionResume { store_digest, .. }) = (j, &mut opening[1]) {
-            *store_digest ^= 0xDEAD;
-        }
-        for msg in &opening {
-            standby.handle_message(id, msg, store.screen());
-        }
+    let mut rows = Vec::new();
+    for (i, s) in slots.iter().enumerate() {
+        let place = format!("slot {i}");
+        push(&mut rows, &place, "client", &ResilienceMetrics::NAMES, &s.client.values());
+        push(&mut rows, &place, "server", &ResilienceMetrics::NAMES, &s.server.values());
+        push(&mut rows, &place, "buffer", &BufferStats::NAMES, &s.buffer.values());
+        push(&mut rows, &place, "link", &ResilienceMetrics::NAMES, &s.link.values());
     }
-    let mut links = vec![
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-        (NetworkConfig::lan_desktop().connect().down, PacketTrace::new()),
-    ];
-    for r in 0..100u64 {
-        pump(&mut standby, &store, &mut streams, &mut links, SimTime(1_100_000 + r * 5_000));
-        if ids.iter().all(|&id| standby.backlog(id) == 0)
-            && streams.iter().all(|s| s.pending_bytes() == 0)
-        {
-            break;
-        }
-    }
-    for (j, _) in ids.iter().enumerate() {
-        assert_eq!(
-            streams[j].client().framebuffer().data(),
-            store.screen().data(),
-            "viewer {j} converges after failover"
-        );
-    }
-    let mut t = thinc_telemetry::SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
-    for &id in &ids {
-        t.resilience
-            .merge(&standby.viewer(id).expect("attached").resilience_metrics());
-    }
-    for s in &streams {
-        t.resilience.merge(s.resilience_metrics());
-    }
-    t
+    push(&mut rows, "session", "plane", &PlaneCounters::NAMES, &plane.values());
+    table(title, &["Where", "Counter", "Value"], &rows)
 }
 
-/// Per-command protocol breakdown for a web and a video session,
-/// from the end-to-end telemetry layer (`docs/TELEMETRY.md`).
+/// Per-command protocol breakdowns of a web, a video and a lossy-web
+/// session, from the end-to-end telemetry layer (`docs/TELEMETRY.md`),
+/// then the counters of two replayed schedules: the hostile-WAN
+/// recovery ladder and a server failover.
 fn telemetry_report(opts: &Options, jsonl: Option<&str>) -> String {
     let mut out = String::new();
 
@@ -598,21 +422,18 @@ fn telemetry_report(opts: &Options, jsonl: Option<&str>) -> String {
         &lossy_t,
     ));
 
-    eprintln!("  [telemetry] byte-level wire-integrity session over a hostile WAN");
-    let integrity_t = integrity_telemetry();
-    out.push_str(&breakdown_table(
-        "Telemetry: Wire-Integrity Session — Recovery Breakdown (hostile WAN, \
-         corruption + reorder + duplication)",
-        &integrity_t,
-    ));
-
-    eprintln!("  [telemetry] checkpoint failover session (warm resume + cold fallback)");
-    let failover_t = failover_telemetry();
-    out.push_str(&breakdown_table(
-        "Telemetry: Failover Session — Resume Breakdown (server crash, \
-         one warm resume + one cold fallback)",
-        &failover_t,
-    ));
+    for (replayed, title) in [
+        (INTEGRITY, "Wire-Integrity Session (hostile WAN, corruption + reorder + duplication)"),
+        (FAILOVER, "Failover Session (server crash, one warm resume + one cold fallback)"),
+    ] {
+        eprintln!("  [telemetry] replaying {}", replayed.0);
+        let (_, report) = replay(replayed);
+        out.push_str(&counter_table(
+            &format!("Telemetry: {title} — {}", replayed.0),
+            &report.slots,
+            &report.plane,
+        ));
+    }
 
     if let Some(path) = jsonl {
         let data = web_t.export_jsonl();
@@ -648,104 +469,52 @@ fn table2() -> String {
     )
 }
 
-/// Broadcast fan-out telemetry: 96 viewers of one desktop through
-/// the session manager, reported as the session's plane aggregate.
-/// Small enough to run with the other figures (the 1k-client version
-/// is the perfgate fan-out macro); the interesting figure is the hit
-/// ratio — the fraction of plane-served sends whose wire form some
-/// other client had already paid for.
+/// Broadcast fan-out telemetry: `fanout-64.json` replayed, reported as
+/// the session's plane. The interesting figure is the hit ratio — the
+/// fraction of plane-served sends whose wire form some other client
+/// had already paid for. (The 1k-client version is the perfgate
+/// fan-out macro.)
 fn fanout_report() -> String {
-    const FW: u32 = 320;
-    const FH: u32 = 240;
-    const CLIENTS: usize = 96;
-    const WORKERS: usize = 4;
-    let link = |lan: bool| {
-        (
-            TcpPipe::new(TcpParams {
-                bandwidth_bps: if lan { 20_000_000 } else { 3_000_000 },
-                rtt: SimDuration::from_millis(if lan { 2 } else { 40 }),
-                sndbuf_bytes: 32 * 1024,
-                ..TcpParams::default()
-            }),
-            PacketTrace::new(),
-        )
-    };
-    let mut session =
-        SharedSession::new(FW, FH, PixelFormat::Rgb888, "host").with_workers(WORKERS);
-    session.auth_mut().enable_sharing("pw");
-    let mut m = ShardedManager::new(session, 1);
-    m.attach(&Credentials::Owner { user: "host".into() }, FW, FH, link(true))
-        .expect("owner attach");
-    for i in 1..CLIENTS {
-        // Three of four viewers are same-screen (one encode-once
-        // equivalence class); the rest view scaled-down, adding
-        // per-policy classes. A third sit on WAN-ish links.
-        let (vw, vh) = if i % 4 == 3 { (FW / 2, FH / 2) } else { (FW, FH) };
-        m.attach(
-            &Credentials::Peer { user: format!("viewer{i}"), password: "pw".into() },
-            vw,
-            vh,
-            link(i % 3 != 2),
-        )
-        .expect("peer attach");
-    }
-    let store = DrawableStore::new(FW, FH, PixelFormat::Rgb888);
-    let mut now = SimTime(1_000);
-    for epoch in 0u64..16 {
-        // A moving video-ish band plus periodic UI fills: the
-        // broadcast workload the plane is built for.
-        let y = ((epoch * 30) % (FH as u64 - 60)) as i32;
-        let band: Vec<u8> = (0..(FW as usize) * 48 * 3)
-            .map(|i| (i as u64 ^ (epoch.wrapping_mul(131))) as u8)
-            .collect();
-        m.session_mut()
-            .put_image(&store, SCREEN, Rect::new(0, y, FW, 48), &band);
-        if epoch % 3 == 0 {
-            m.session_mut().solid_fill(
-                &store,
-                SCREEN,
-                Rect::new(8, 8, 96, 24),
-                Color::rgb(epoch as u8, 64, 128),
-            );
-        }
-        m.flush_epoch(now);
-        now = SimTime(now.0 + 8_000);
-    }
-    // Drain so the numbers cover completed deliveries.
-    for _ in 0..200 {
-        if m.session()
-            .client_ids()
-            .iter()
-            .all(|id| m.session().backlog(*id) == 0)
-        {
-            break;
-        }
-        m.flush_epoch(now);
-        now = SimTime(now.0 + 8_000);
-    }
-
-    let plane = m.session().fanout_counters();
-    // Fairness over the same-screen LAN cohort: identical demand, so
-    // identical delivery is the target.
-    let cohort: Vec<u64> = m
-        .session()
-        .client_ids()
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| *i > 0 && i % 4 != 3 && i % 3 != 2)
-        .map(|(_, id)| m.session().viewer(id).unwrap().buffer().stats().sent_bytes)
+    let (schedule, report) = replay(FANOUT);
+    // Fairness over the slots no event singles out: identical demand,
+    // so identical delivery is the target.
+    let named: Vec<usize> = schedule
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            ChaosEvent::Fault { slot, .. }
+            | ChaosEvent::Disconnect { slot }
+            | ChaosEvent::Reconnect { slot }
+            | ChaosEvent::Resize { slot, .. } => Some(slot),
+            _ => None,
+        })
         .collect();
-    let fairness = match (cohort.iter().min(), cohort.iter().max()) {
+    let sent: Vec<u64> = report
+        .slots
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !named.contains(i))
+        .map(|(_, s)| s.buffer.sent_bytes)
+        .collect();
+    let fairness = match (sent.iter().min(), sent.iter().max()) {
         (Some(&lo), Some(&hi)) if hi > 0 => lo as f64 / hi as f64,
         _ => 1.0,
     };
+    let plane = &report.plane;
+    let title = format!(
+        "Fan-out: encode-once telemetry ({} clients, {} workers) — {}",
+        report.slots.len(),
+        schedule.workers,
+        FANOUT.0,
+    );
     format!(
-        "\n== Fan-out: encode-once telemetry ({CLIENTS} clients, {WORKERS} workers) ==\n\
-         \naggregate: hit ratio {}, {} encode output amortized, \
-         fairness {:.4} (min/max bytes, same-screen LAN cohort)\n",
+        "{}\naggregate: hit ratio {}, {} encode output amortized, \
+         fairness {:.4} (min/max bytes, the {} slots no event names)\n",
+        counter_table(&title, &[], plane),
         pct(plane.hit_ratio()),
         mb(plane.bytes_amortized() as f64 / (1024.0 * 1024.0)),
         fairness,
+        sent.len(),
     )
 }
 

@@ -34,23 +34,6 @@ const FLUSH_PERIOD: SimDuration = SimDuration(2_000);
 /// session time).
 const TIMELINE_GAP: SimDuration = SimDuration(10_000);
 
-/// The server's half of a session's telemetry — the groups the
-/// session and its one viewer own, plus what the faulted `link` did to
-/// it. Harnesses add the client's groups and their own samples.
-pub fn server_telemetry(session: &SharedSession, link: &DuplexLink) -> SessionTelemetry {
-    let mut t = SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
-    let viewer = session.viewer(VIEWER).expect("the viewer stays attached");
-    t.protocol = viewer.protocol_metrics().clone();
-    t.buffer = viewer.buffer().stats();
-    t.scheduler = viewer.buffer().scheduler_metrics().clone();
-    t.translator = session.translator_stats();
-    t.resilience = viewer.resilience_metrics();
-    for pipe in [&link.down, &link.up] {
-        fold_fault_stats(&mut t.resilience, pipe.fault_stats());
-    }
-    t
-}
-
 /// One delivery round over real wire bytes: flush the server over the
 /// (possibly faulty) downlink, frame every message at the negotiated
 /// revision, carry the bytes through the link's disturbance model —
@@ -170,11 +153,21 @@ impl ThincSystem {
     }
 
     /// This session's telemetry, assembled from the groups each
-    /// component owns: the server's ([`server_telemetry`]), the
-    /// downlink samples, the client's counters and frame latency, and
-    /// the sampled timeline.
+    /// component owns: the session's and its viewer's, what the faulted
+    /// link did to it, the downlink samples, the client's counters and
+    /// frame latency, and the sampled timeline.
     pub fn session_telemetry(&self) -> SessionTelemetry {
-        let mut t = server_telemetry(self.ws.driver(), &self.link);
+        let mut t = SessionTelemetry::new(thinc_core::scheduler::NUM_QUEUES);
+        let session = self.ws.driver();
+        let viewer = session.viewer(VIEWER).expect("the viewer stays attached");
+        t.protocol = viewer.protocol_metrics().clone();
+        t.buffer = viewer.buffer().stats();
+        t.scheduler = viewer.buffer().scheduler_metrics().clone();
+        t.translator = session.translator_stats();
+        t.resilience = viewer.resilience_metrics();
+        for pipe in [&self.link.down, &self.link.up] {
+            fold_fault_stats(&mut t.resilience, pipe.fault_stats());
+        }
         t.net = self.net_metrics.clone();
         t.client = self.client.client().stats();
         t.frame_latency_us = self.frame_latency_us.clone();

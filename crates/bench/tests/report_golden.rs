@@ -3,12 +3,18 @@
 //!
 //! `golden/telemetry.txt` and `golden/telemetry.jsonl` are the stdout
 //! and the `--jsonl` trace of `figures --fig telemetry`;
-//! `golden/fanout.txt` is `figures --fig fanout`. All three were
-//! captured at the commit *before* the counter groups became
-//! `counters!` tables, so a refactor of the metric types that changes
-//! a printed count, drops a counter from a report or reorders the
-//! trace fails here. The sessions are deterministic (virtual time,
-//! seeded faults), and no report prints a wall-clock figure.
+//! `golden/fanout.txt` is `figures --fig fanout`. The web, video and
+//! lossy-web sections are per-command breakdowns of `ThincSystem`
+//! sessions. The hostile-WAN and failover sections and the fan-out
+//! figure replay checked-in chaos schedules
+//! (`integrity-reorder-dup.json`, `warm-vs-cold-cached.json`,
+//! `fanout-64.json`, embedded in the binary) and print their counters
+//! by the `prefix.row` names a schedule's `expect` block reads, so an
+//! edit to one of those files moves its section here. A refactor of
+//! the metric types that changes a printed count, drops a counter from
+//! a report or reorders the trace fails here. Everything is
+//! deterministic (virtual time, seeded faults), and no report prints a
+//! wall-clock figure.
 //!
 //! After an intended change to a report, run the one writer:
 //! `cargo test --release -p thinc-bench --test report_golden -- --ignored regenerate_golden`.
@@ -62,8 +68,8 @@ fn fanout_report_is_pinned() {
     assert_pinned(&fanout_report(), "fanout.txt");
 }
 
-/// The full-length sessions take about ten seconds optimized and three
-/// minutes unoptimized, so a debug `cargo test` skips this one; CI runs
+/// The full-length web and video sessions take about ten seconds
+/// optimized and three minutes unoptimized, so a debug `cargo test` skips this one; CI runs
 /// it with `--release`.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "three minutes unoptimized; run with --release")]

@@ -76,17 +76,18 @@ pub(crate) fn known(name: &str) -> bool {
     .is_some()
 }
 
-/// Everything one slot counted, group by group.
+/// Everything one slot counted, group by group: the `client.`,
+/// `server.`, `buffer.` and `link.` rows an expectation reads.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SlotCounters {
+pub struct SlotCounters {
     /// The stream client's.
-    pub(crate) client: ResilienceMetrics,
+    pub client: ResilienceMetrics,
     /// The session viewer's.
-    pub(crate) server: ResilienceMetrics,
+    pub server: ResilienceMetrics,
     /// The viewer's command buffer's.
-    pub(crate) buffer: BufferStats,
+    pub buffer: BufferStats,
     /// The downlinks' fault tallies.
-    pub(crate) link: ResilienceMetrics,
+    pub link: ResilienceMetrics,
 }
 
 fn row<const N: usize>(names: [&str; N], values: [u64; N], row: &str) -> Option<u64> {

@@ -9,13 +9,16 @@
 //! |------|-------|
 //! | [`CONVERGENCE`] | every connected, un-quarantined client's framebuffer is byte-exact against the authoritative screen (through its scale policy for resized viewports) |
 //! | [`CACHE_COHERENCE`] | server ledger and client store hold the identical sorted key set for every undamaged client; damaged clients still satisfy hit-count conservation; no cache miss is left unanswered |
-//! | [`REFRESH_DEBT`] | an owed full view, refresh debt (overflow evictions, a warm resume's delta, the rects of cache misses) and backlog all drain to zero within the quiesce window |
+//! | [`REFRESH_DEBT`] | an owed full view (a cache miss owes one), refresh debt (overflow evictions, a warm resume's delta) and backlog all drain to zero within the quiesce window |
 //! | [`BUFFER_BOUND`] | a client's buffered bytes never exceed its byte bound plus bounded repay slack, at any pump of the run |
 //! | [`LIVENESS`] | connected clients are never declared dead at quiesce; clients disconnected longer than the timeout always are |
 //! | [`TELEMETRY`] | counters obey conservation: `resyncs_triggered <= seq_gaps`, `retransmits == segments_lost`, client cache hits never exceed refs served |
 //! | [`QUARANTINE`] | a poisoned flush quarantines exactly the poisoned clients; the session keeps serving everyone else |
 //! | [`FAILOVER`] | every checkpoint image round-trips: restoring it and re-checkpointing against the same screen reproduces the image byte-for-byte, and a restored standby converges every redialing client (checked by [`CONVERGENCE`] at the next quiesce) |
 //! | [`EXPECTATION`] | every assertion of the schedule's own `expect` block holds after the final quiesce (see [`crate::expect`]) |
+
+use crate::expect::SlotCounters;
+use thinc_telemetry::PlaneCounters;
 
 /// Name of the framebuffer-convergence invariant.
 pub const CONVERGENCE: &str = "convergence";
@@ -79,6 +82,12 @@ pub struct RunReport {
     pub slots_attached: usize,
     /// Clients quarantined by flush panic containment.
     pub quarantined: usize,
+    /// What each slot counted over the whole run (`slots[i]` is slot
+    /// `i`'s): the counters the schedule's `expect` block was checked
+    /// against.
+    pub slots: Vec<SlotCounters>,
+    /// The session's encode-once plane counters (the `plane.` rows).
+    pub plane: PlaneCounters,
 }
 
 impl RunReport {

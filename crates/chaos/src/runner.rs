@@ -276,16 +276,18 @@ pub fn run(schedule: &Schedule) -> RunReport {
     if !matches!(schedule.events.last(), Some(ChaosEvent::Quiesce)) {
         r.quiesce();
     }
-    let counters: Vec<SlotCounters> = (0..r.slots.len()).map(|si| r.counters(si)).collect();
+    let slots: Vec<SlotCounters> = (0..r.slots.len()).map(|si| r.counters(si)).collect();
     let plane = r.manager.session().fanout_counters();
     r.violations
-        .extend(expect::check(&schedule.expect, &counters, &plane));
+        .extend(expect::check(&schedule.expect, &slots, &plane));
     RunReport {
         violations: r.violations,
         events_executed: executed,
         quiesces: r.quiesces,
         slots_attached: r.attaches,
         quarantined: r.manager.session().quarantined_count(),
+        slots,
+        plane,
     }
 }
 

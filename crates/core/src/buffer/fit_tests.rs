@@ -100,8 +100,14 @@ impl Rig {
     pub(super) fn flush(&mut self, now: SimTime, with_plane: bool) {
         // One plane per round, as `SharedSession::flush_all` makes it.
         let plane = with_plane.then(WirePlane::new);
-        let batch =
-            self.buf.flush_shared(now, &mut self.pipe, &mut self.trace, plane.as_ref(), &mut self.planes);
+        let batch = self.buf.flush_planned(
+            now,
+            &mut self.pipe,
+            &mut self.trace,
+            plane.as_ref(),
+            &mut self.planes,
+            &PlanRole::Alone,
+        );
         self.sent.extend(batch.into_iter().map(|(at, msg)| (at, encode_message(&msg))));
     }
 
@@ -299,12 +305,13 @@ fn what_one_viewer_finds_out_the_plane_tells_the_next() {
     let mut round = |buf: &mut ClientBuffer| {
         let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
         buf.push(photo(400, 300), false); // 360 KB over a 256 KB socket buffer.
-        let sent = buf.flush_shared(
+        let sent = buf.flush_planned(
             SimTime::ZERO,
             &mut pipe,
             &mut PacketTrace::new(),
             Some(&plane),
             &mut counters,
+            &PlanRole::Alone,
         );
         sent.iter().map(|(_, m)| encode_message(m)).collect::<Vec<_>>()
     };

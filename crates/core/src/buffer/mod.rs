@@ -422,32 +422,19 @@ impl ClientBuffer {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        self.flush_shared(now, pipe, trace, None, &mut PlaneCounters::default())
+        self.flush_planned(now, pipe, trace, None, &mut PlaneCounters::default(), &PlanRole::Alone)
     }
 
     /// [`flush`](Self::flush) against a shared encode-once
-    /// [`WirePlane`]: eligible commands take their wire form from the
-    /// plane (producing it if this client is first), and the plane
-    /// traffic is accounted into `counters`. Output bytes are
-    /// identical to the plain flush.
-    pub fn flush_shared(
-        &mut self,
-        now: SimTime,
-        pipe: &mut TcpPipe,
-        trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
-        counters: &mut PlaneCounters,
-    ) -> Vec<(SimTime, Message)> {
-        self.flush_planned(now, pipe, trace, plane, counters, &PlanRole::Alone)
-    }
-
-    /// [`flush_shared`](Self::flush_shared) in the `role` the plane's
-    /// plan table gave this buffer for its current state
+    /// [`WirePlane`], in the `role` the plane's plan table gave this
+    /// buffer for its current state
     /// ([`Plans::resolve`](crate::plane::Plans::resolve), which must
-    /// have seen the buffer as it is now, at this `now`): a leader
-    /// records what it derives and publishes it, a follower flushes by
-    /// the leader's plan. Output, statistics and what stays queued are
-    /// those of the plain flush in every role.
+    /// have seen the buffer as it is now, at this `now`): eligible
+    /// commands take their wire form from the plane (producing it if
+    /// this client is first) and the plane traffic is accounted into
+    /// `counters`; a leader records what it derives and publishes it, a
+    /// follower flushes by the leader's plan. Output, statistics and
+    /// what stays queued are those of the plain flush in every role.
     pub(crate) fn flush_planned(
         &mut self,
         now: SimTime,

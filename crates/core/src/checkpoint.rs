@@ -34,13 +34,13 @@ use thinc_raster::{Framebuffer, PixelFormat, Rect, Region};
 /// Leading magic of every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
 
-/// Layout version written by this build. Version 5 drops the cache
-/// record's queue of miss answers (a miss is repaid from the screen,
-/// through the refresh debt the delivery record already carries);
-/// a keyed viewer's session key is in its delivery record, and there
-/// is one image, the session's. There is no decoder for older layouts:
-/// a standby runs its primary's build.
-pub const CHECKPOINT_VERSION: u16 = 5;
+/// Layout version written by this build. Version 6 drops the delivery
+/// policy's server-side-scaling flag (every viewer is scaled to its
+/// viewport); version 5 dropped the cache record's queue of miss
+/// answers. A keyed viewer's session key is in its delivery record,
+/// and there is one image, the session's. There is no decoder for
+/// older layouts: a standby runs its primary's build.
+pub const CHECKPOINT_VERSION: u16 = 6;
 
 /// Header bytes before the payload: magic + version + length + CRC.
 pub const CHECKPOINT_HEADER_LEN: usize = 4 + 2 + 4 + 4;

@@ -55,10 +55,6 @@ const STALE_VIDEO_US: u64 = 200_000;
 pub struct DeliveryPolicy {
     /// Session framebuffer geometry.
     pub session: (u32, u32),
-    /// Resize updates server-side for a smaller viewport (§6). When
-    /// off, updates always travel in session coordinates and the
-    /// client resizes them itself.
-    pub scaling: bool,
     /// Cap on the audio/video/control queue depth. Over the cap the
     /// oldest video frames are dropped first, then audio; control
     /// messages (cursor, stream lifecycle, pings) are never dropped.
@@ -74,7 +70,6 @@ impl DeliveryPolicy {
     pub fn new(width: u32, height: u32) -> Self {
         Self {
             session: (width, height),
-            scaling: true,
             av_bound: None,
             liveness: None,
             degradation: None,
@@ -84,7 +79,6 @@ impl DeliveryPolicy {
     /// Writes everything but the session geometry (which every image
     /// carries in its own header).
     pub(crate) fn encode(&self, w: &mut Writer) {
-        w.bool(self.scaling);
         w.opt_u64(self.av_bound.map(|n| n as u64));
         w.bool(self.liveness.is_some());
         if let Some(cfg) = self.liveness {
@@ -103,7 +97,6 @@ impl DeliveryPolicy {
     /// Inverse of [`encode`](Self::encode) for a session of the given
     /// geometry.
     pub(crate) fn decode(r: &mut Reader<'_>, session: (u32, u32)) -> Result<Self, CheckpointError> {
-        let scaling = r.bool()?;
         let av_bound = r.opt_u64()?.map(|n| n as usize);
         let liveness = if r.bool()? {
             Some(LivenessConfig {
@@ -123,7 +116,7 @@ impl DeliveryPolicy {
         } else {
             None
         };
-        Ok(Self { session, scaling, av_bound, liveness, degradation })
+        Ok(Self { session, av_bound, liveness, degradation })
     }
 }
 
@@ -208,14 +201,13 @@ pub struct Delivery {
     /// shrinks the one actually targeted.
     viewport: (u32, u32),
     /// The client is owed the full view: fresh attach, resync, a
-    /// scale change, or an update it is known to have skipped. Repaid
-    /// by the next push, which has the screen in hand.
+    /// scale change, or an update it is known to have skipped (a cache
+    /// miss). Repaid by the next push, which has the screen in hand.
     refresh_owed: bool,
     /// Session-space screen area owed a refresh narrower than the full
-    /// view: overflow evictions, a warm resume's delta, cache misses.
-    /// The buffer records overflow debt, and the ledger a missed
-    /// entry's rect, in the coordinate space of the commands it holds
-    /// (viewport space while scaling); both are unmapped into this
+    /// view: overflow evictions, a warm resume's delta. The buffer
+    /// records overflow debt in the coordinate space of the commands it
+    /// holds (viewport space while scaling); it is unmapped into this
     /// ledger, and repaid piece by piece as pieces fit under the byte
     /// bound.
     refresh_debt: Region,
@@ -360,9 +352,6 @@ impl Delivery {
     /// Points the scale policy and video resampling at the effective
     /// viewport showing `view`. Returns whether the scale changed.
     fn aim(&mut self, view: Rect) -> bool {
-        if !self.policy.scaling {
-            return false;
-        }
         let (sw, sh) = self.policy.session;
         let (ew, eh) = self.effective_viewport();
         self.video.set_scale(ew, sw, eh, sh);
@@ -374,8 +363,7 @@ impl Delivery {
     /// coordinate space (scaling may even have rewritten their
     /// overwrite class, e.g. an opaque BITMAP resampled into RAW), so
     /// on a change they are dropped and the client is owed the full
-    /// view at the new scale. A rect owed to a cache miss is held in
-    /// session space, and the full view supersedes it.
+    /// view at the new scale.
     fn rescale(&mut self, view: Rect) {
         if self.aim(view) {
             let _ = self.buffer.drop_pending_for_rescale();

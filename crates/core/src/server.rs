@@ -35,9 +35,6 @@ pub struct ServerConfig {
     /// Track offscreen drawing (§4.1). Disable to reproduce the
     /// "ignore offscreen, send raw pixels" behaviour.
     pub offscreen_awareness: bool,
-    /// Resize updates server-side when the client viewport is smaller
-    /// (§6). Disable to reproduce client-side-resize systems.
-    pub server_side_scaling: bool,
     /// RC4 session key (§7) of the viewer's connection: every frame
     /// its `encode_frame` produces leaves encrypted. `None` disables
     /// encryption.
@@ -74,7 +71,6 @@ impl Default for ServerConfig {
             height: 768,
             format: PixelFormat::Rgb888,
             offscreen_awareness: true,
-            server_side_scaling: true,
             rc4_key: None,
             buffer_bound_bytes: None,
             av_bound: None,
@@ -97,7 +93,6 @@ impl ServerConfig {
     pub fn session(&self) -> SharedSession {
         let policy = DeliveryPolicy {
             session: (self.width, self.height),
-            scaling: self.server_side_scaling,
             av_bound: self.av_bound,
             liveness: self.liveness,
             degradation: self.degradation,

@@ -1,9 +1,8 @@
 //! Real byte transports for live (non-simulated) operation.
 //!
 //! The simulator ([`crate::tcp`]) drives the *experiments*; this
-//! module lets the same protocol stack run over actual connections —
-//! a TCP socket between real processes, or an in-memory channel
-//! between threads — with the non-blocking write semantics THINC's
+//! module lets the same protocol stack run over a real TCP socket
+//! between processes, with the non-blocking write semantics THINC's
 //! flush pipeline needs (§5: the server must detect that a write
 //! would block and postpone the command).
 
@@ -131,117 +130,19 @@ impl Transport for TcpTransport {
     }
 }
 
-/// An in-memory [`Transport`] pair backed by byte queues — for
-/// single-process examples and deterministic tests. Each endpoint has
-/// a bounded outgoing buffer, so `try_send` exhibits realistic
-/// would-block behaviour.
-pub struct ChannelTransport {
-    tx: std::sync::mpsc::SyncSender<Vec<u8>>,
-    rx: std::sync::mpsc::Receiver<Vec<u8>>,
-    pending: Vec<u8>,
-}
-
-impl ChannelTransport {
-    /// Creates a connected pair of endpoints with the given per-
-    /// direction buffer depth (messages).
-    pub fn pair(depth: usize) -> (ChannelTransport, ChannelTransport) {
-        let (a_tx, b_rx) = std::sync::mpsc::sync_channel(depth.max(1));
-        let (b_tx, a_rx) = std::sync::mpsc::sync_channel(depth.max(1));
-        (
-            ChannelTransport {
-                tx: a_tx,
-                rx: a_rx,
-                pending: Vec::new(),
-            },
-            ChannelTransport {
-                tx: b_tx,
-                rx: b_rx,
-                pending: Vec::new(),
-            },
-        )
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn try_send(&mut self, data: &[u8]) -> Result<usize, TransportError> {
-        use std::sync::mpsc::TrySendError;
-        match self.tx.try_send(data.to_vec()) {
-            Ok(()) => Ok(data.len()),
-            Err(TrySendError::Full(_)) => Ok(0),
-            Err(TrySendError::Disconnected(_)) => Err(TransportError::Closed),
-        }
-    }
-
-    fn try_recv(&mut self, buf: &mut [u8]) -> Result<usize, TransportError> {
-        use std::sync::mpsc::TryRecvError;
-        if self.pending.is_empty() {
-            match self.rx.try_recv() {
-                Ok(chunk) => self.pending = chunk,
-                Err(TryRecvError::Empty) => return Ok(0),
-                Err(TryRecvError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
-        let n = buf.len().min(self.pending.len());
-        buf[..n].copy_from_slice(&self.pending[..n]);
-        self.pending.drain(..n);
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn channel_pair_round_trips() {
-        let (mut a, mut b) = ChannelTransport::pair(8);
-        a.send_all(b"hello thinc").unwrap();
-        let mut buf = [0u8; 64];
-        let mut got = Vec::new();
-        while got.len() < 11 {
-            let n = b.try_recv(&mut buf).unwrap();
-            got.extend_from_slice(&buf[..n]);
-        }
-        assert_eq!(&got, b"hello thinc");
-    }
-
-    #[test]
-    fn channel_would_block_when_full() {
-        let (mut a, _b) = ChannelTransport::pair(1);
-        assert_eq!(a.try_send(b"x").unwrap(), 1);
-        // Buffer full; non-blocking send accepts nothing.
-        assert_eq!(a.try_send(b"y").unwrap(), 0);
-    }
-
-    #[test]
-    fn channel_close_detected() {
-        let (mut a, b) = ChannelTransport::pair(1);
-        drop(b);
-        assert!(matches!(a.try_send(b"x"), Err(TransportError::Closed)));
-    }
-
-    #[test]
-    fn channel_partial_reads() {
-        let (mut a, mut b) = ChannelTransport::pair(4);
-        a.send_all(&[1, 2, 3, 4, 5]).unwrap();
-        let mut buf = [0u8; 2];
-        let mut got = Vec::new();
-        while got.len() < 5 {
-            let n = b.try_recv(&mut buf).unwrap();
-            got.extend_from_slice(&buf[..n]);
-        }
-        assert_eq!(got, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn recv_exact_surfaces_peer_close_as_typed_error() {
-        let (a, mut b) = ChannelTransport::pair(1);
-        drop(a);
+    fn recv_exact_surfaces_peer_close_as_typed_error() -> Result<(), TransportError> {
+        let (listener, addr) = TcpTransport::listen("127.0.0.1:0".parse().unwrap())?;
+        let server = std::thread::spawn(move || TcpTransport::accept(&listener).map(drop));
+        let mut client = TcpTransport::connect(addr)?;
+        server.join().expect("server thread completes")?;
         let mut buf = [0u8; 4];
-        assert!(matches!(
-            b.recv_exact(&mut buf),
-            Err(TransportError::Closed)
-        ));
+        assert!(matches!(client.recv_exact(&mut buf), Err(TransportError::Closed)));
+        Ok(())
     }
 
     #[test]
