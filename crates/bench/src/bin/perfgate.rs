@@ -22,8 +22,8 @@
 //! rewritten straggler kernels (`bitmap_rect`, `bitmap_text`, `convert`,
 //! `yuv_pack`, `yuv_unpack`, `scale_fant`, `scale_fant_pda`), the RAW
 //! path's codec in both directions (`lzss`, `pnglike`,
-//! `pnglike_graphic`, `pnglike_decode`) and the two delivery-path
-//! digests (`crc32`, `content_id`) carry
+//! `pnglike_graphic`, `pnglike_photo`, `pnglike_decode`) and the two
+//! delivery-path digests (`crc32`, `content_id`) carry
 //! absolute ≥3x speedup floors (≥5x for the vertical-first Fant at the
 //! PDA ratio, ≥6x for the three-lane `crc32`, ≥50x for the encode of
 //! flat graphic content) that fail the gate outright.
@@ -423,6 +423,21 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
         || drop(black_box(thinc_compress::reference::pnglike_compress(&graphic, 3, graphic_stride))),
         || {
             black_box(pnglike::compress_with(&graphic, 3, graphic_stride, &mut scratch).len());
+        },
+    ));
+
+    // A photograph: smooth gradients and noise, whose residuals the
+    // dictionary coder mostly cannot match. This is the first-sight
+    // encode of every new picture, and where a search that finds no
+    // same-bytes neighbour in the window walks no chain.
+    let photo = thinc_workloads::content::photo_rgb(2005, 512, 384);
+    out.push(kernel(
+        quick,
+        "pnglike_photo",
+        photo.len(),
+        || drop(black_box(thinc_compress::reference::pnglike_compress(&photo, 3, graphic_stride))),
+        || {
+            black_box(pnglike::compress_with(&photo, 3, graphic_stride, &mut scratch).len());
         },
     ));
 
@@ -1276,10 +1291,12 @@ fn main() {
     // dropping below 3x against the retained reference (for
     // `content_id`, against FNV-1a 64; for `scale_fant_pda`, 5x; for
     // the three-lane `crc32`, 6x; for `pnglike_graphic`, 50x, which
-    // the encoder without either flat-content shortcut does not reach)
+    // the encoder without either flat-content shortcut does not reach;
+    // for `pnglike_photo`, 3x, which it does not reach without the
+    // no-neighbour test ahead of the chain walk)
     // is a hard failure regardless of what the baseline file says. The
     // other kernels gate only relatively, via the baseline.
-    const KERNEL_FLOORS: [(&str, f64); 14] = [
+    const KERNEL_FLOORS: [(&str, f64); 15] = [
         ("bitmap_rect", 3.0),
         ("bitmap_text", 3.0),
         ("convert", 3.0),
@@ -1291,6 +1308,7 @@ fn main() {
         ("lzss", 3.0),
         ("pnglike", 3.0),
         ("pnglike_graphic", 50.0),
+        ("pnglike_photo", 3.0),
         ("pnglike_decode", 3.0),
         ("crc32", 6.0),
         ("content_id", 3.0),

@@ -16,6 +16,30 @@
 //! flat area's residuals) only the run's last `CHAIN − 1` links are
 //! written: the rest could never steer a search (`insert_covered`).
 //! The stream is byte-for-byte [`crate::reference::lzss_compress`]'s.
+//!
+//! Before it walks a chain, a search asks a second table whether any
+//! position in the window can start with the cursor's `MIN_MATCH`
+//! bytes at all. `seen[k]` keeps the low 16 bits of the latest
+//! position entered with wide key `k` (a 16-bit hash of the same
+//! three bytes), and the walk runs only if `i − seen[k]`, wrapped to
+//! 16 bits, is below `WINDOW`. On photographic residuals most
+//! positions have no such neighbour, and the walk they skip is
+//! mispredicted exits and 13-bit hash collisions. Skipping is exact:
+//!
+//! - a candidate that can become a match equals the cursor's first
+//!   `MIN_MATCH` bytes, so it has key `k` and is no newer than the
+//!   latest position entered with `k`;
+//! - a wrapped distance of at least `WINDOW` means a true distance of
+//!   at least that (the true distance is the wrapped one plus a
+//!   multiple of 2^16), so every such candidate is out of the window;
+//! - the walk writes nothing, so a skipped walk changes no state.
+//!
+//! The table starts zeroed, and an entry this encoder never wrote
+//! says nothing: no position with its key exists yet, so there is no
+//! match to miss and a needless walk finds none. That holds because
+//! the table belongs to one encoder for the encoder's whole life. A
+//! bounded encode therefore stops at the same
+//! [`Encoder::consumed`] as without the table.
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -37,6 +61,17 @@ fn hash(at: &[u8]) -> usize {
         .wrapping_add((at[1] as u32).wrapping_mul(40503))
         .wrapping_add(at[2] as u32);
     (h as usize) & ((1 << HASH_BITS) - 1)
+}
+
+/// Bits of the wide key that indexes [`Encoder`]'s `seen` table.
+const SEEN_BITS: usize = 16;
+
+/// Wide key of the `MIN_MATCH` bytes at the front of `at`: equal
+/// bytes give equal keys, like [`hash`], over more buckets.
+#[inline(always)]
+fn seen_key(at: &[u8]) -> usize {
+    let v = u32::from_le_bytes([at[0], at[1], at[2], 0]);
+    (v.wrapping_mul(2654435761) >> (32 - SEEN_BITS)) as usize
 }
 
 /// Bytes past a position that a non-final [`Encoder::feed`] must hold
@@ -85,15 +120,18 @@ pub struct Encoder {
     head: Box<[u32; 1 << HASH_BITS]>,
     /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
     prev: Box<[u32; WINDOW]>,
+    /// `seen[k]` = low 16 bits of the latest position entered with
+    /// wide key `k` (see the module docs).
+    seen: Box<[u16; 1 << SEEN_BITS]>,
     /// Next input position to parse.
     pos: usize,
     flags_pos: usize,
     flag_bit: u8,
 }
 
-/// A match-finder table of `N` empty entries, made on the heap.
-fn table<const N: usize>() -> Box<[u32; N]> {
-    vec![NIL; N].try_into().expect("a vec of N is an array of N")
+/// A match-finder table of `N` entries of `fill`, made on the heap.
+fn table<T: Clone + std::fmt::Debug, const N: usize>(fill: T) -> Box<[T; N]> {
+    vec![fill; N].try_into().expect("a vec of N is an array of N")
 }
 
 impl Default for Encoder {
@@ -106,8 +144,9 @@ impl Encoder {
     /// A fresh encoder at input position 0.
     pub fn new() -> Self {
         Self {
-            head: table(),
-            prev: table(),
+            head: table(NIL),
+            prev: table(NIL),
+            seen: table(0),
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
@@ -142,7 +181,7 @@ impl Encoder {
         };
         // Positions below this have the MIN_MATCH bytes a hash reads.
         let hashable = data.len().saturating_sub(MIN_MATCH - 1);
-        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        let (head, prev, seen) = (&mut *self.head, &mut *self.prev, &mut *self.seen);
         let (mut flags_pos, mut flag_bit) = (self.flags_pos, self.flag_bit);
         let mut i = self.pos;
         while i < stop {
@@ -153,8 +192,12 @@ impl Encoder {
             let mut best_dist = 0;
             if i < hashable {
                 let h = hash(&data[i..]);
+                let k = seen_key(&data[i..]);
                 let max = MAX_MATCH.min(data.len() - i);
-                let mut cand = head[h];
+                // No position in the window shares the key, so none
+                // can match: walk nothing.
+                let near = (i as u16).wrapping_sub(seen[k]) < WINDOW as u16;
+                let mut cand = if near { head[h] } else { NIL };
                 let mut chain = 0;
                 // Chains only run backwards, so every candidate is
                 // before `i`; one out of the window ends the walk.
@@ -180,6 +223,7 @@ impl Encoder {
                 // The search hash is the insertion hash.
                 prev[i % WINDOW] = head[h];
                 head[h] = i as u32;
+                seen[k] = i as u16;
             }
             if flag_bit == 8 {
                 flags_pos = out.len();
@@ -209,7 +253,7 @@ impl Encoder {
             }
             flag_bit += 1;
             let end = i + best_len;
-            insert_covered(head, prev, data, i + 1..end.min(hashable));
+            insert_covered(head, prev, seen, data, i + 1..end.min(hashable));
             i = end;
         }
         self.pos = i;
@@ -231,10 +275,12 @@ impl Encoder {
 /// read. A longer block writes just those and `head`, and skips the
 /// hash for the rest (a 783-byte zero run costs 31 stores, not 783
 /// hashes). A slot it skips keeps the link of the position a window
-/// earlier, which no search reaches either.
+/// earlier, which no search reaches either. Every position of a block
+/// has one wide key, so `seen` takes the block's last.
 fn insert_covered(
     head: &mut [u32; 1 << HASH_BITS],
     prev: &mut [u32; WINDOW],
+    seen: &mut [u16; 1 << SEEN_BITS],
     data: &[u8],
     span: std::ops::Range<usize>,
 ) {
@@ -242,6 +288,7 @@ fn insert_covered(
     while p < span.end {
         let at = &data[p..p + MIN_MATCH];
         let h = hash(at);
+        let k = seen_key(at);
         let mut last = p;
         if at[0] == at[1] && at[1] == at[2] {
             // Bytes p..=p + run are one value, so the windows of
@@ -260,6 +307,7 @@ fn insert_covered(
                 head[h] = q as u32;
             }
         }
+        seen[k] = last as u16;
         p = last + 1;
     }
 }
@@ -462,6 +510,41 @@ mod tests {
         out.clear();
         assert!(coder.feed(&data, true, full, &mut out));
         assert_eq!(out.len(), full);
+    }
+
+    /// Triples that share a wide key but differ. A key collision only
+    /// makes the window test answer "maybe", so each arrangement of
+    /// two colliding triples, near and far apart, in either order and
+    /// repeated, is still the reference stream.
+    #[test]
+    fn colliding_wide_keys_change_no_match() {
+        let mut first = vec![None; 1 << SEEN_BITS];
+        let mut pairs = Vec::new();
+        for v in 0u32..1 << 24 {
+            let t = v.to_le_bytes();
+            let k = seen_key(&t);
+            match first[k] {
+                Some(u) if pairs.len() < 4 => pairs.push((u, [t[0], t[1], t[2]])),
+                Some(_) => break,
+                None => first[k] = Some([t[0], t[1], t[2]]),
+            }
+        }
+        assert_eq!(pairs.len(), 4);
+        let noise = |n: usize, seed: u32| -> Vec<u8> {
+            (0..n as u32).map(|i| (i.wrapping_add(seed).wrapping_mul(2654435761) >> 24) as u8).collect()
+        };
+        for (a, b) in pairs {
+            assert_ne!(a, b);
+            assert_eq!(seen_key(&a), seen_key(&b));
+            for gap in [10, WINDOW - 20, WINDOW + 20] {
+                let mut data = noise(50, 1);
+                for t in [a, b, a, b, a] {
+                    data.extend_from_slice(&t);
+                    data.extend(noise(gap, t[0] as u32));
+                }
+                assert_eq!(compress(&data), crate::reference::lzss_compress(&data), "gap {gap}");
+            }
+        }
     }
 
     #[test]

@@ -250,6 +250,163 @@ fn lzss_reaches_the_deepest_candidate_after_a_long_run() {
     }
 }
 
+/// The LZSS window (`lzss::WINDOW`): the farthest a match reaches.
+const WINDOW: usize = 4096;
+
+/// The span of the encoder's position tags (`u16`): positions this
+/// far apart look alike to the test ahead of the chain walk.
+const WRAP: usize = 1 << 16;
+
+/// Noise past the 16-bit wrap with 24-byte blocks repeated at the
+/// distances the window test must tell apart: one short of the
+/// window (a match), the window itself and one past it (too far),
+/// and the wrap and its neighbours (too far, though the low 16 bits
+/// of the two positions are close or equal). Each repeat starts at a
+/// different offset into the wrap so that some land just after it.
+fn repeats_around_the_window_and_the_wrap() -> Vec<u8> {
+    let mut data = noise(3 * WRAP + 2 * WINDOW, 31);
+    let dists = [WINDOW - 1, WINDOW, WINDOW + 1, WRAP - 3, WRAP, WRAP + 3];
+    for (n, &dist) in dists.iter().enumerate() {
+        for base in [100 + 977 * n, WRAP - 40 + 13 * n, 2 * WRAP + 500 * n] {
+            let block = data[base..base + 24].to_vec();
+            data[base + dist..base + dist + 24].copy_from_slice(&block);
+        }
+    }
+    data
+}
+
+/// Repeats one window apart, give or take one, and one wrap apart,
+/// give or take three, past position 65 536: only the first kind
+/// matches, and the stream is the reference's one-shot and fed in
+/// pieces, prefix cuts across the wrap included.
+#[test]
+fn lzss_tells_the_window_from_the_16_bit_wrap() {
+    let data = repeats_around_the_window_and_the_wrap();
+    assert_lzss_is_reference(&data, "repeats");
+    let want = reference::lzss_compress(&data);
+    for cuts in [
+        vec![WRAP - 1, WRAP, WRAP + 1],
+        vec![WRAP - MAX_MATCH, WRAP + 2, 2 * WRAP - 3, 2 * WRAP + WINDOW],
+        vec![WINDOW, WRAP + WINDOW - 1, 3 * WRAP],
+    ] {
+        let mut coder = lzss::Encoder::new();
+        let mut out = Vec::new();
+        for end in cuts.iter().copied() {
+            assert!(coder.feed(&data[..end], false, usize::MAX, &mut out));
+        }
+        assert!(coder.feed(&data, true, usize::MAX, &mut out));
+        assert_eq!(out, want, "cuts {cuts:?}");
+    }
+}
+
+/// Positions a match covers enter the window test as searched ones
+/// do. A block `s` first appears at `x`, is matched at `y`, and a
+/// piece of it comes back at `z`: the only candidate in the window is
+/// inside the match at `y`, and `x` is more than a window before `z`.
+/// The same for a single-byte run longer than the window: its first
+/// three bytes are more than a window before the short run after it,
+/// and only the covered run's last positions are near — at the
+/// largest gaps, nearer than the first position of the match that
+/// covers them. An encoder that forgets either kind of covered
+/// position, or a run's last, when it asks whether anything near can
+/// match skips those walks and loses the match.
+#[test]
+fn lzss_finds_matches_that_start_inside_an_earlier_match() {
+    let (x, y, z) = (100, 3000, 4500);
+    let mut data = noise(6000, 41);
+    let block = data[x..x + 24].to_vec();
+    data[y..y + 24].copy_from_slice(&block);
+    data[z..z + 10].copy_from_slice(&block[5..15]);
+    assert_lzss_is_reference(&data, "covered block");
+
+    for v in [0u8, 0x5C] {
+        for run in [WINDOW + 10, 2 * WINDOW, WRAP + 50] {
+            for gap in [700, WINDOW - 300, WINDOW - 100, WINDOW - 10] {
+                let mut data = noise(100, 43);
+                data.extend(std::iter::repeat_n(v, run));
+                data.extend(noise(gap, 47));
+                data.extend(std::iter::repeat_n(v, 5));
+                data.extend(noise(100, 53));
+                assert_lzss_is_reference(&data, &format!("run of {run} {v:#x}, gap {gap}"));
+            }
+        }
+    }
+}
+
+/// Where a bounded encode of `data` at `limit` gives up, read off the
+/// reference stream: the input position at the end of the first item
+/// after which the stream is longer than `limit`, and the whole input
+/// if there is none. `Encoder::feed` checks its bound before each
+/// item, so this is what its `consumed()` must say.
+fn reference_give_up(data: &[u8], limit: usize) -> usize {
+    let stream = reference::lzss_compress(data);
+    let (mut at, mut pos) = (0, 0);
+    while at < stream.len() {
+        let flags = stream[at];
+        at += 1;
+        for bit in 0..8 {
+            if at == stream.len() {
+                break;
+            }
+            if flags & (1 << bit) == 0 {
+                at += 1;
+                pos += 1;
+            } else {
+                let code = stream[at] & 0xF;
+                at += 2;
+                let mut len = 3 + code as usize;
+                if code == 15 {
+                    loop {
+                        let b = stream[at];
+                        at += 1;
+                        len += b as usize;
+                        if b < 255 {
+                            break;
+                        }
+                    }
+                }
+                pos += len;
+            }
+            if at > limit {
+                return pos;
+            }
+        }
+    }
+    data.len()
+}
+
+/// A bounded encode gives up after exactly the input the reference
+/// parse had consumed when its stream passed the bound, in one call
+/// or fed in pieces: skipping walks that cannot match changes where
+/// no encode stops.
+#[test]
+fn bounded_lzss_gives_up_where_the_reference_stream_passes_its_bound() {
+    let mut photo = banded_picture(200, 120, 3, 61);
+    photo.extend(noise(9000, 67));
+    let inputs = [photo, repeats_around_the_window_and_the_wrap()];
+    for data in &inputs {
+        let full = reference::lzss_compress(data).len();
+        for limit in [0, 1, 9, 100, 4096, full / 3, full - 1, full, full + 1] {
+            let want = reference_give_up(data, limit);
+            let mut coder = lzss::Encoder::new();
+            let mut out = Vec::new();
+            assert_eq!(coder.feed(data, true, limit, &mut out), full <= limit, "limit {limit}");
+            assert_eq!(coder.consumed(), want, "limit {limit}, one call");
+            let mut coder = lzss::Encoder::new();
+            out.clear();
+            let mut fits = true;
+            for end in (0..data.len()).step_by(16 * 1024).chain([data.len()]) {
+                fits = coder.feed(&data[..end], end == data.len(), limit, &mut out);
+                if !fits {
+                    break;
+                }
+            }
+            assert_eq!(fits, full <= limit, "limit {limit}");
+            assert_eq!(coder.consumed(), want, "limit {limit}, fed in bands");
+        }
+    }
+}
+
 /// What a decoder bounded at `limit` must return for a stream the
 /// reference decodes to `want`: the same bytes when they fit, and a
 /// refusal when the stream is malformed or its output does not fit.
