@@ -103,6 +103,13 @@ pub struct StreamClient {
     /// outcome (a fresh `ServerHello` means the token was rejected —
     /// cold restart; anything else confirms the warm path).
     resume_pending: bool,
+    /// A `ServerHello` may come next: nothing has been decoded since
+    /// the stream began, [`reconnect`](Self::reconnect) or
+    /// [`resume`](Self::resume).
+    hello_awaited: bool,
+    /// The `ServerHello` honoured last. A repeat of it changes nothing
+    /// and passes anywhere; any other unawaited hello is damage.
+    greeting: Option<Message>,
     resilience: thinc_telemetry::ResilienceMetrics,
 }
 
@@ -124,6 +131,8 @@ impl StreamClient {
             decoded: CacheLru::new(DECODED_PIXELS_BUDGET),
             pending_cache_miss: VecDeque::new(),
             resume_pending: false,
+            hello_awaited: true,
+            greeting: None,
             resilience: thinc_telemetry::ResilienceMetrics::new(),
         }
     }
@@ -170,19 +179,35 @@ impl StreamClient {
     /// and [`needs_refresh`](Self::needs_refresh) is raised so the
     /// caller can request a server resync. Returns the number of
     /// messages applied.
+    ///
+    /// A `ServerHello` is honoured only as the first message of a
+    /// stream, of a [`reconnect`](Self::reconnect) or of a
+    /// [`resume`](Self::resume), where a server sends one, or as a
+    /// repeat of the hello honoured last, which changes nothing (a
+    /// legacy-framed frame has no sequence number, so a duplicate is
+    /// not caught). Handshake tags carry no CRC either, so a damaged
+    /// frame can decode as a hello anywhere: any other one is counted
+    /// as a decode error whose frame was skipped, latches the refresh
+    /// and leaves the revision alone.
     pub fn feed(&mut self, bytes: &[u8]) -> usize {
         self.reader.feed(bytes);
         let mut applied = 0;
         loop {
             match self.reader.next_message() {
                 Ok(Some(msg)) => {
+                    let awaited = std::mem::take(&mut self.hello_awaited);
                     // Negotiation: the server's hello fixes the wire
                     // revision for the rest of the stream. The reader
                     // never switches on its own — this is the one
                     // place the session layer decides.
                     if let Message::ServerHello { version, .. } = &msg {
+                        if !awaited && self.greeting.as_ref() != Some(&msg) {
+                            self.note_damage(msg.wire_size());
+                            continue;
+                        }
                         self.reader
                             .set_revision((*version).min(thinc_protocol::PROTOCOL_VERSION));
+                        self.greeting = Some(msg.clone());
                     }
                     if self.resume_pending {
                         // The first post-redial message settles the
@@ -265,17 +290,22 @@ impl StreamClient {
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    self.resilience.record_decode_error();
                     let skipped = self.reader.resync();
-                    self.resilience.record_stream_resync(skipped as u64);
-                    // New damage invalidates any partial refresh.
-                    self.needs_refresh = true;
-                    self.refresh_cover = Region::new();
+                    self.note_damage(skipped as u64);
                 }
             }
         }
         self.sync_integrity_counters();
         applied
+    }
+
+    /// Counts a decode error whose resync skipped `skipped` bytes and
+    /// latches the refresh: new damage invalidates any partial one.
+    fn note_damage(&mut self, skipped: u64) {
+        self.resilience.record_decode_error();
+        self.resilience.record_stream_resync(skipped);
+        self.needs_refresh = true;
+        self.refresh_cover = Region::new();
     }
 
     /// Applies `msg`, the store's entry `id` that a reference hit. A
@@ -454,6 +484,7 @@ impl StreamClient {
         }
         self.reset_reader();
         self.resume_pending = true;
+        self.hello_awaited = true;
         true
     }
 
@@ -473,6 +504,7 @@ impl StreamClient {
     pub fn reconnect(&mut self) {
         self.reset_reader();
         self.resume_pending = false;
+        self.hello_awaited = true;
         self.needs_refresh = true;
         self.refresh_cover = Region::new();
         self.resilience.record_reconnect();
@@ -774,6 +806,52 @@ mod tests {
             Some(Color::rgb(8, 8, 8))
         );
         assert!(!c.needs_refresh());
+    }
+
+    /// What soak seed 4256 found: a damaged frame that decodes as a
+    /// legacy-framed `ServerHello { version: 0 }` in the middle of a
+    /// revision-3 stream. It is damage, not a renegotiation: the
+    /// revision holds, so later frames still decode, and the refresh
+    /// latches until they cover the view. A repeat of the hello in
+    /// force passes, and a reconnect awaits a hello again.
+    #[test]
+    fn a_hello_in_the_middle_of_a_stream_is_damage() {
+        use thinc_protocol::wire::FrameEncoder;
+        use thinc_protocol::{PROTOCOL_VERSION, WIRE_REV_LEGACY};
+        let hello = |version| Message::ServerHello { version, width: 32, height: 32, depth: 24 };
+        let fill = |y| {
+            Message::Display(DisplayCommand::Sfill {
+                rect: Rect::new(0, y, 32, 16),
+                color: Color::rgb(5, 6, 7),
+            })
+        };
+        let mut c = StreamClient::new(32, 32, PixelFormat::Rgb888);
+        let mut enc = FrameEncoder::new();
+        enc.negotiate(PROTOCOL_VERSION);
+        assert_eq!(c.feed(&enc.encode(&hello(PROTOCOL_VERSION))), 1);
+        assert_eq!(c.feed(&enc.encode(&fill(0))), 1);
+        assert!(!c.needs_refresh());
+
+        let forged = FrameEncoder::new().encode(&hello(0));
+        assert_eq!(c.feed(&forged), 0, "a forged hello is not applied");
+        assert_eq!(c.wire_revision(), PROTOCOL_VERSION);
+        assert!(c.needs_refresh());
+        assert_eq!(c.resilience_metrics().decode_errors(), 1);
+
+        assert_eq!(c.feed(&enc.encode(&fill(0))), 1);
+        assert_eq!(c.feed(&enc.encode(&fill(16))), 1);
+        assert!(!c.needs_refresh(), "revision-3 frames still decode and cover the view");
+        assert_eq!(c.resilience_metrics().decode_errors(), 1);
+
+        // A repeat of the hello in force is no damage (a link may
+        // duplicate a frame that carries no sequence number).
+        assert_eq!(c.feed(&enc.encode(&hello(PROTOCOL_VERSION))), 1);
+        assert_eq!(c.resilience_metrics().decode_errors(), 1);
+
+        c.reconnect();
+        assert_eq!(c.feed(&FrameEncoder::new().encode(&hello(WIRE_REV_LEGACY))), 1);
+        assert_eq!(c.wire_revision(), WIRE_REV_LEGACY, "a reconnect awaits a hello");
+        assert_eq!(c.resilience_metrics().decode_errors(), 1);
     }
 
     #[test]
