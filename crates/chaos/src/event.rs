@@ -12,7 +12,7 @@
 //! that a shrunken schedule never attached (or that is quarantined)
 //! degrades to a no-op instead of an error. That property is what
 //! makes delta-debugging sound — *any* subsequence of a valid
-//! schedule is itself a valid schedule (see [`crate::shrink`]).
+//! schedule is itself a valid schedule (see [`crate::shrink()`]).
 
 use crate::expect::Expectation;
 use crate::json::{differs, Field, Fields, Json, SchemaError};

@@ -22,7 +22,7 @@
 //! scenarios.
 //!
 //! When an invariant breaks, the failing [`event::Schedule`] is
-//! minimized by delta-debugging ([`shrink`]) into a handful of
+//! minimized by delta-debugging ([`shrink()`]) into a handful of
 //! events and serialized ([`json`]) as a replayable artifact: the
 //! `chaos` binary's `replay` subcommand re-executes it bit-exactly
 //! anywhere.

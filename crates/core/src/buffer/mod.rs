@@ -180,11 +180,11 @@ impl ClientBuffer {
     /// the cap, buffered commands are evicted — largest size queue
     /// first, oldest within a queue — and their screen footprint
     /// accumulates as *overflow debt* for the owner to repay with a
-    /// fresh-screen refresh ([`take_overflow_debt`]
-    /// (Self::take_overflow_debt)). Memory stays bounded no matter how
-    /// far the network falls behind; the screen degrades gracefully
-    /// (a region refreshes late, with final content) instead of the
-    /// session dying or the server bloating.
+    /// fresh-screen refresh
+    /// ([`take_overflow_debt`](Self::take_overflow_debt)). Memory
+    /// stays bounded no matter how far the network falls behind; the
+    /// screen degrades gracefully (a region refreshes late, with final
+    /// content) instead of the session dying or the server bloating.
     pub fn with_byte_bound(mut self, bytes: u64) -> Self {
         self.byte_bound = Some(bytes);
         self
@@ -247,7 +247,7 @@ impl ClientBuffer {
 
     /// Per-command wire accounting: display messages sent by this
     /// buffer, plus whatever its owner sent beside it
-    /// ([`record_sent`](Self::record_sent)).
+    /// (`record_sent`).
     pub fn protocol_metrics(&self) -> &ProtocolMetrics {
         &self.protocol_metrics
     }

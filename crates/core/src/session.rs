@@ -994,7 +994,7 @@ impl SharedSession {
     }
 
     /// Handles a message arriving from an attached client (see
-    /// [`receive`](Self::receive)), answering what needs the screen
+    /// `receive`), answering what needs the screen
     /// from `screen`: a refresh request with a
     /// [resync](Self::resync_client), a resume token's verdict with
     /// what it owes. Input is returned as a window-system event for

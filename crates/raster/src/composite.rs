@@ -40,7 +40,7 @@ impl CompositeOp {
     ///
     /// The premultiply step and the blend renormalization both divide
     /// by 255 with *truncation* (like the X Render fixed-point path),
-    /// while [`unpremultiply`] rounds half-up. These choices are part
+    /// while `unpremultiply` rounds half-up. These choices are part
     /// of the wire format: composited pixels travel byte-for-byte in
     /// RAW updates, so changing either direction of rounding changes
     /// protocol bytes. The `apply_rounding_is_pinned` test pins the
@@ -115,7 +115,8 @@ fn unpremultiply(r: u8, g: u8, b: u8, a: u8) -> Color {
 ///
 /// # Alpha on non-alpha destinations
 ///
-/// Destination formats without an alpha channel ([`PixelFormat::has_alpha`]
+/// Destination formats without an alpha channel
+/// ([`PixelFormat::has_alpha`](crate::pixel::PixelFormat::has_alpha)
 /// is false) decode as fully opaque and re-encode by dropping alpha.
 /// Operators whose result alpha can be < 255 (`Clear`, `In`, `Out`,
 /// `Xor`, and `Src`/`Atop` with translucent sources) therefore land as
