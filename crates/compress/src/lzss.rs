@@ -17,29 +17,37 @@
 //! written: the rest could never steer a search (`insert_covered`).
 //! The stream is byte-for-byte [`crate::reference::lzss_compress`]'s.
 //!
-//! Before it walks a chain, a search asks a second table whether any
-//! position in the window can start with the cursor's `MIN_MATCH`
-//! bytes at all. `seen[k]` keeps the low 16 bits of the latest
-//! position entered with wide key `k` (a 16-bit hash of the same
-//! three bytes), and the walk runs only if `i − seen[k]`, wrapped to
-//! 16 bits, is below `WINDOW`. On photographic residuals most
-//! positions have no such neighbour, and the walk they skip is
-//! mispredicted exits and 13-bit hash collisions. Skipping is exact:
+//! Before it walks a chain, a search asks whether any position in the
+//! window can start with the cursor's `MIN_MATCH` bytes at all. Two
+//! `seen` tables, each indexed by its own 15-bit key of those three
+//! bytes (`seen_keys`), keep the low 16 bits of the latest position
+//! entered with that key, and the walk runs only if, in both tables,
+//! `i − seen[k]` wrapped to 16 bits is below `WINDOW`. On photographic
+//! residuals most positions have no such neighbour, and the walk they
+//! skip is mispredicted exits and 13-bit hash collisions. Skipping is
+//! exact, because each table alone could decide it:
 //!
 //! - a candidate that can become a match equals the cursor's first
-//!   `MIN_MATCH` bytes, so it has key `k` and is no newer than the
-//!   latest position entered with `k`;
+//!   `MIN_MATCH` bytes, so it has the cursor's key `k` and is no newer
+//!   than the latest position entered with `k`;
 //! - a wrapped distance of at least `WINDOW` means a true distance of
 //!   at least that (the true distance is the wrapped one plus a
 //!   multiple of 2^16), so every such candidate is out of the window;
 //! - the walk writes nothing, so a skipped walk changes no state.
 //!
-//! The table starts zeroed, and an entry this encoder never wrote
-//! says nothing: no position with its key exists yet, so there is no
-//! match to miss and a needless walk finds none. That holds because
-//! the table belongs to one encoder for the encoder's whole life. A
-//! bounded encode therefore stops at the same
-//! [`Encoder::consumed`] as without the table.
+//! Two keys cut the walks that a collision in one key would cost, at
+//! the memory of one 16-bit key (docs/PERFORMANCE.md "First sight").
+//!
+//! The tables belong to one encoder for the encoder's whole life, and
+//! a dropped encoder hands them to the next one made on its thread
+//! (zeroing 128 KB for every encode would cost more than a small
+//! encode). So an entry starts as zero or as an earlier encode's
+//! position, and until this encoder writes it, it says nothing: no
+//! position with its key exists yet, so there is no match to miss and
+//! a needless walk finds none. A bounded encode therefore stops at
+//! the same [`Encoder::consumed`] as without the tables.
+
+use std::cell::Cell;
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -63,15 +71,39 @@ fn hash(at: &[u8]) -> usize {
     (h as usize) & ((1 << HASH_BITS) - 1)
 }
 
-/// Bits of the wide key that indexes [`Encoder`]'s `seen` table.
-const SEEN_BITS: usize = 16;
+/// Bits of each key that indexes one of [`Encoder`]'s `seen` tables.
+const SEEN_BITS: usize = 15;
 
-/// Wide key of the `MIN_MATCH` bytes at the front of `at`: equal
-/// bytes give equal keys, like [`hash`], over more buckets.
+/// The two `seen` tables side by side: per key, the low 16 bits of
+/// the latest position entered with it. One allocation of zeros is
+/// one `calloc`; an array of two arrays would be built and copied.
+type Seen = [u16; 2 << SEEN_BITS];
+
+/// The two keys of the `MIN_MATCH` bytes at the front of `at`, as
+/// indices into [`Seen`]: the first into its first half, the second
+/// into its second. Equal bytes give equal keys, like [`hash`]; bytes
+/// that share one key seldom share the other.
 #[inline(always)]
-fn seen_key(at: &[u8]) -> usize {
+fn seen_keys(at: &[u8]) -> [usize; 2] {
     let v = u32::from_le_bytes([at[0], at[1], at[2], 0]);
-    (v.wrapping_mul(2654435761) >> (32 - SEEN_BITS)) as usize
+    [
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - SEEN_BITS)) as usize,
+        (1 << SEEN_BITS)
+            | ((v ^ (v >> 11)).wrapping_mul(0x85EB_CA6B) >> (32 - SEEN_BITS)) as usize,
+    ]
+}
+
+thread_local! {
+    /// The `seen` tables of the last encoder this thread dropped, for
+    /// the next one to take (see the module docs).
+    static SPARE_SEEN: Cell<Option<Box<Seen>>> = const { Cell::new(None) };
+}
+
+/// Records `p` as the latest position entered with `keys`.
+#[inline(always)]
+fn see(seen: &mut Seen, keys: [usize; 2], p: usize) {
+    seen[keys[0]] = p as u16;
+    seen[keys[1]] = p as u16;
 }
 
 /// Bytes past a position that a non-final [`Encoder::feed`] must hold
@@ -120,9 +152,10 @@ pub struct Encoder {
     head: Box<[u32; 1 << HASH_BITS]>,
     /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
     prev: Box<[u32; WINDOW]>,
-    /// `seen[k]` = low 16 bits of the latest position entered with
-    /// wide key `k` (see the module docs).
-    seen: Box<[u16; 1 << SEEN_BITS]>,
+    /// `seen[k]` = low 16 bits of the latest position entered with key
+    /// `k` (see the module docs). Always `Some` until the encoder is
+    /// dropped and hands it on.
+    seen: Option<Box<Seen>>,
     /// Next input position to parse.
     pos: usize,
     flags_pos: usize,
@@ -146,7 +179,7 @@ impl Encoder {
         Self {
             head: table(NIL),
             prev: table(NIL),
-            seen: table(0),
+            seen: Some(SPARE_SEEN.take().unwrap_or_else(|| table(0))),
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
@@ -181,7 +214,8 @@ impl Encoder {
         };
         // Positions below this have the MIN_MATCH bytes a hash reads.
         let hashable = data.len().saturating_sub(MIN_MATCH - 1);
-        let (head, prev, seen) = (&mut *self.head, &mut *self.prev, &mut *self.seen);
+        let seen = self.seen.as_deref_mut().expect("an encoder holds its table until dropped");
+        let (head, prev) = (&mut *self.head, &mut *self.prev);
         let (mut flags_pos, mut flag_bit) = (self.flags_pos, self.flag_bit);
         let mut i = self.pos;
         while i < stop {
@@ -192,11 +226,12 @@ impl Encoder {
             let mut best_dist = 0;
             if i < hashable {
                 let h = hash(&data[i..]);
-                let k = seen_key(&data[i..]);
+                let keys = seen_keys(&data[i..]);
                 let max = MAX_MATCH.min(data.len() - i);
-                // No position in the window shares the key, so none
-                // can match: walk nothing.
-                let near = (i as u16).wrapping_sub(seen[k]) < WINDOW as u16;
+                // No position in the window shares a key, so none can
+                // match: walk nothing.
+                let near = ((i as u16).wrapping_sub(seen[keys[0]]) < WINDOW as u16)
+                    & ((i as u16).wrapping_sub(seen[keys[1]]) < WINDOW as u16);
                 let mut cand = if near { head[h] } else { NIL };
                 let mut chain = 0;
                 // Chains only run backwards, so every candidate is
@@ -223,7 +258,7 @@ impl Encoder {
                 // The search hash is the insertion hash.
                 prev[i % WINDOW] = head[h];
                 head[h] = i as u32;
-                seen[k] = i as u16;
+                see(seen, keys, i);
             }
             if flag_bit == 8 {
                 flags_pos = out.len();
@@ -263,6 +298,15 @@ impl Encoder {
     }
 }
 
+impl Drop for Encoder {
+    /// Hands the `seen` tables to the next encoder made on this thread.
+    fn drop(&mut self) {
+        // During thread exit the slot may be gone: the tables are then
+        // simply freed.
+        let _ = SPARE_SEEN.try_with(|spare| spare.set(self.seen.take()));
+    }
+}
+
 /// Enters the positions of `span`, which a match covers, into the
 /// hash chains: each links to the last position of its hash and
 /// becomes it, exactly as a searched position does.
@@ -276,11 +320,11 @@ impl Encoder {
 /// hash for the rest (a 783-byte zero run costs 31 stores, not 783
 /// hashes). A slot it skips keeps the link of the position a window
 /// earlier, which no search reaches either. Every position of a block
-/// has one wide key, so `seen` takes the block's last.
+/// has the same keys, so `seen` takes the block's last.
 fn insert_covered(
     head: &mut [u32; 1 << HASH_BITS],
     prev: &mut [u32; WINDOW],
-    seen: &mut [u16; 1 << SEEN_BITS],
+    seen: &mut Seen,
     data: &[u8],
     span: std::ops::Range<usize>,
 ) {
@@ -288,7 +332,7 @@ fn insert_covered(
     while p < span.end {
         let at = &data[p..p + MIN_MATCH];
         let h = hash(at);
-        let k = seen_key(at);
+        let keys = seen_keys(at);
         let mut last = p;
         if at[0] == at[1] && at[1] == at[2] {
             // Bytes p..=p + run are one value, so the windows of
@@ -307,7 +351,7 @@ fn insert_covered(
                 head[h] = q as u32;
             }
         }
-        seen[k] = last as u16;
+        see(seen, keys, last);
         p = last + 1;
     }
 }
@@ -512,30 +556,34 @@ mod tests {
         assert_eq!(out.len(), full);
     }
 
-    /// Triples that share a wide key but differ. A key collision only
-    /// makes the window test answer "maybe", so each arrangement of
-    /// two colliding triples, near and far apart, in either order and
-    /// repeated, is still the reference stream.
+    /// Triples that share a `seen` key but differ, in either table. A
+    /// key collision only makes the window test answer "maybe", so
+    /// each arrangement of two colliding triples, near and far apart,
+    /// in either order and repeated, is still the reference stream.
     #[test]
-    fn colliding_wide_keys_change_no_match() {
-        let mut first = vec![None; 1 << SEEN_BITS];
+    fn colliding_seen_keys_change_no_match() {
         let mut pairs = Vec::new();
-        for v in 0u32..1 << 24 {
-            let t = v.to_le_bytes();
-            let k = seen_key(&t);
-            match first[k] {
-                Some(u) if pairs.len() < 4 => pairs.push((u, [t[0], t[1], t[2]])),
-                Some(_) => break,
-                None => first[k] = Some([t[0], t[1], t[2]]),
+        for table in 0..2 {
+            let mut first = vec![None; 2 << SEEN_BITS];
+            for v in 0u32..1 << 24 {
+                let t = v.to_le_bytes();
+                let k = seen_keys(&t)[table];
+                match first[k] {
+                    Some(u) => pairs.push((table, u, [t[0], t[1], t[2]])),
+                    None => first[k] = Some([t[0], t[1], t[2]]),
+                }
+                if pairs.len() == 3 * (table + 1) {
+                    break;
+                }
             }
         }
-        assert_eq!(pairs.len(), 4);
+        assert_eq!(pairs.len(), 6);
         let noise = |n: usize, seed: u32| -> Vec<u8> {
             (0..n as u32).map(|i| (i.wrapping_add(seed).wrapping_mul(2654435761) >> 24) as u8).collect()
         };
-        for (a, b) in pairs {
+        for (table, a, b) in pairs {
             assert_ne!(a, b);
-            assert_eq!(seen_key(&a), seen_key(&b));
+            assert_eq!(seen_keys(&a)[table], seen_keys(&b)[table]);
             for gap in [10, WINDOW - 20, WINDOW + 20] {
                 let mut data = noise(50, 1);
                 for t in [a, b, a, b, a] {

@@ -333,6 +333,35 @@ fn lzss_finds_matches_that_start_inside_an_earlier_match() {
     }
 }
 
+/// Encoders alive at once, fed in turns, and encoders made one after
+/// another on one thread, each starting from tables an earlier encode
+/// left behind: every stream is the reference's.
+#[test]
+fn lzss_encoders_side_by_side_and_in_turn_are_the_reference() {
+    let mut photo = banded_picture(160, 90, 3, 71);
+    photo.extend(noise(5000, 73));
+    let inputs = [photo, repeats_around_the_window_and_the_wrap()];
+    let want = inputs.each_ref().map(|d| reference::lzss_compress(d));
+    let mut coders = [lzss::Encoder::new(), lzss::Encoder::new()];
+    let mut outs = [Vec::new(), Vec::new()];
+    let longest = inputs.iter().map(Vec::len).max().unwrap_or(0);
+    for end in (0..longest).step_by(7001) {
+        for (n, data) in inputs.iter().enumerate() {
+            assert!(coders[n].feed(&data[..end.min(data.len())], false, usize::MAX, &mut outs[n]));
+        }
+    }
+    for (n, data) in inputs.iter().enumerate() {
+        assert!(coders[n].feed(data, true, usize::MAX, &mut outs[n]));
+        assert_eq!(outs[n], want[n], "input {n} side by side");
+    }
+    drop(coders);
+    for round in 0..3 {
+        for (n, data) in inputs.iter().enumerate().rev() {
+            assert_eq!(lzss::compress(data), want[n], "input {n} in turn, round {round}");
+        }
+    }
+}
+
 /// Where a bounded encode of `data` at `limit` gives up, read off the
 /// reference stream: the input position at the end of the first item
 /// after which the stream is longer than `limit`, and the whole input
