@@ -75,8 +75,7 @@ fn hash(at: &[u8]) -> usize {
 const SEEN_BITS: usize = 15;
 
 /// The two `seen` tables side by side: per key, the low 16 bits of
-/// the latest position entered with it. One allocation of zeros is
-/// one `calloc`; an array of two arrays would be built and copied.
+/// the latest position entered with it.
 type Seen = [u16; 2 << SEEN_BITS];
 
 /// The two keys of the `MIN_MATCH` bytes at the front of `at`, as
