@@ -275,6 +275,43 @@ fn repeats_around_the_window_and_the_wrap() -> Vec<u8> {
     data
 }
 
+/// [`repeats_around_the_window_and_the_wrap`] and its reference
+/// stream, made once for the cases that cut it.
+fn wrapped() -> &'static (Vec<u8>, Vec<u8>) {
+    static WRAPPED: std::sync::OnceLock<(Vec<u8>, Vec<u8>)> = std::sync::OnceLock::new();
+    WRAPPED.get_or_init(|| {
+        let data = repeats_around_the_window_and_the_wrap();
+        let want = reference::lzss_compress(&data);
+        (data, want)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Prefix schedules whose cuts fall near each multiple of 65 536,
+    /// on the input whose repeats straddle them, make the one-shot
+    /// stream.
+    #[test]
+    fn lzss_fed_across_the_16_bit_wrap_is_the_one_shot_stream(
+        cuts in prop::collection::vec((1usize..4, 0usize..2 * MAX_MATCH), 1..8),
+    ) {
+        let (data, want) = wrapped();
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&(wrap, off)| (wrap * WRAP + off - MAX_MATCH).min(data.len()))
+            .collect();
+        ends.sort_unstable();
+        let mut coder = lzss::Encoder::new();
+        let mut out = Vec::new();
+        for end in ends {
+            prop_assert!(coder.feed(&data[..end], false, usize::MAX, &mut out));
+        }
+        prop_assert!(coder.feed(data, true, usize::MAX, &mut out));
+        prop_assert_eq!(&out, want);
+    }
+}
+
 /// Repeats one window apart, give or take one, and one wrap apart,
 /// give or take three, past position 65 536: only the first kind
 /// matches, and the stream is the reference's one-shot and fed in
