@@ -38,14 +38,17 @@
 //! Two keys cut the walks that a collision in one key would cost, at
 //! the memory of one 16-bit key (docs/PERFORMANCE.md "First sight").
 //!
-//! The tables belong to one encoder for the encoder's whole life, and
-//! a dropped encoder hands them to the next one made on its thread
-//! (zeroing 128 KB for every encode would cost more than a small
-//! encode). So an entry starts as zero or as an earlier encode's
-//! position, and until this encoder writes it, it says nothing: no
-//! position with its key exists yet, so there is no match to miss and
-//! a needless walk finds none. A bounded encode therefore stops at
-//! the same [`Encoder::consumed`] as without the tables.
+//! An encoder starts every entry at `UNSEEN`, a position one window
+//! before the first wrap, so until position 61 440 a key it has not
+//! entered reads as out of the window; past that such a key can only
+//! cost a needless walk, which finds nothing. Either way an entry this
+//! encoder has not written says nothing about its input: no position
+//! with its key exists yet, so there is no match to miss. A bounded
+//! encode therefore stops at the same [`Encoder::consumed`] as
+//! without the tables. The tables belong to one encoder for its whole
+//! life; a dropped encoder hands them to the next one made on its
+//! thread, which refills them (allocating 128 KB for every encode
+//! costs more than refilling it).
 
 use std::cell::Cell;
 
@@ -77,6 +80,10 @@ const SEEN_BITS: usize = 15;
 /// The two `seen` tables side by side: per key, the low 16 bits of
 /// the latest position entered with it.
 type Seen = [u16; 2 << SEEN_BITS];
+
+/// A `seen` entry no position has written: position −`WINDOW` modulo
+/// 2^16 (see the module docs).
+const UNSEEN: u16 = (WINDOW as u16).wrapping_neg();
 
 /// The two keys of the `MIN_MATCH` bytes at the front of `at`, as
 /// indices into [`Seen`]: the first into its first half, the second
@@ -178,7 +185,13 @@ impl Encoder {
         Self {
             head: table(NIL),
             prev: table(NIL),
-            seen: Some(SPARE_SEEN.take().unwrap_or_else(|| table(0))),
+            seen: Some(match SPARE_SEEN.take() {
+                Some(mut seen) => {
+                    seen.fill(UNSEEN);
+                    seen
+                }
+                None => table(UNSEEN),
+            }),
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
