@@ -22,7 +22,8 @@
 //! `seen` tables, each indexed by its own 15-bit key of those three
 //! bytes (`seen_keys`), keep the low 16 bits of the latest position
 //! entered with that key, and the walk runs only if, in both tables,
-//! `i − seen[k]` wrapped to 16 bits is below `WINDOW`. On photographic
+//! the cursor's distance from it, wrapped to 16 bits, is below
+//! `WINDOW`. On photographic
 //! residuals most positions have no such neighbour, and the walk they
 //! skip is mispredicted exits and 13-bit hash collisions. Skipping is
 //! exact, because each table alone could decide it:
@@ -38,19 +39,15 @@
 //! Two keys cut the walks that a collision in one key would cost, at
 //! the memory of one 16-bit key (docs/PERFORMANCE.md "First sight").
 //!
-//! An encoder starts every entry at `UNSEEN`, a position one window
-//! before the first wrap, so until position 61 440 a key it has not
-//! entered reads as out of the window; past that such a key can only
-//! cost a needless walk, which finds nothing. Either way an entry this
+//! Entries hold a position plus `WINDOW`, so the zeroed tables an
+//! encoder starts with read, for a key it has not entered, as position
+//! −`WINDOW`: out of the window until position 61 440, and past that a
+//! needless walk, which finds nothing. Either way an entry this
 //! encoder has not written says nothing about its input: no position
-//! with its key exists yet, so there is no match to miss. A bounded
-//! encode therefore stops at the same [`Encoder::consumed`] as
-//! without the tables. The tables belong to one encoder for its whole
-//! life; a dropped encoder hands them to the next one made on its
-//! thread, which refills them (allocating 128 KB for every encode
-//! costs more than refilling it).
-
-use std::cell::Cell;
+//! with its key exists yet, so there is no match to miss. That holds
+//! because the tables belong to one encoder for its whole life. A
+//! bounded encode therefore stops at the same [`Encoder::consumed`]
+//! as without the tables.
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -77,13 +74,18 @@ fn hash(at: &[u8]) -> usize {
 /// Bits of each key that indexes one of [`Encoder`]'s `seen` tables.
 const SEEN_BITS: usize = 15;
 
-/// The two `seen` tables side by side: per key, the low 16 bits of
-/// the latest position entered with it.
+/// The two `seen` tables side by side: per key, the latest position
+/// entered with it, as a [`seen_tag`].
 type Seen = [u16; 2 << SEEN_BITS];
 
-/// A `seen` entry no position has written: position −`WINDOW` modulo
-/// 2^16 (see the module docs).
-const UNSEEN: u16 = (WINDOW as u16).wrapping_neg();
+/// What `seen` holds for position `p`: its low 16 bits plus `WINDOW`,
+/// so that zero, the entry no position has written, reads as position
+/// −`WINDOW` (see the module docs). Differences of tags are
+/// differences of positions modulo 2^16.
+#[inline(always)]
+fn seen_tag(p: usize) -> u16 {
+    (p + WINDOW) as u16
+}
 
 /// The two keys of the `MIN_MATCH` bytes at the front of `at`, as
 /// indices into [`Seen`]: the first into its first half, the second
@@ -99,17 +101,11 @@ fn seen_keys(at: &[u8]) -> [usize; 2] {
     ]
 }
 
-thread_local! {
-    /// The `seen` tables of the last encoder this thread dropped, for
-    /// the next one to take (see the module docs).
-    static SPARE_SEEN: Cell<Option<Box<Seen>>> = const { Cell::new(None) };
-}
-
 /// Records `p` as the latest position entered with `keys`.
 #[inline(always)]
 fn see(seen: &mut Seen, keys: [usize; 2], p: usize) {
-    seen[keys[0]] = p as u16;
-    seen[keys[1]] = p as u16;
+    seen[keys[0]] = seen_tag(p);
+    seen[keys[1]] = seen_tag(p);
 }
 
 /// Bytes past a position that a non-final [`Encoder::feed`] must hold
@@ -158,10 +154,9 @@ pub struct Encoder {
     head: Box<[u32; 1 << HASH_BITS]>,
     /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
     prev: Box<[u32; WINDOW]>,
-    /// `seen[k]` = low 16 bits of the latest position entered with key
-    /// `k` (see the module docs). Always `Some` until the encoder is
-    /// dropped and hands it on.
-    seen: Option<Box<Seen>>,
+    /// `seen[k]` = tag of the latest position entered with key `k`
+    /// (see the module docs).
+    seen: Box<Seen>,
     /// Next input position to parse.
     pos: usize,
     flags_pos: usize,
@@ -185,13 +180,7 @@ impl Encoder {
         Self {
             head: table(NIL),
             prev: table(NIL),
-            seen: Some(match SPARE_SEEN.take() {
-                Some(mut seen) => {
-                    seen.fill(UNSEEN);
-                    seen
-                }
-                None => table(UNSEEN),
-            }),
+            seen: table(0),
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
@@ -226,8 +215,7 @@ impl Encoder {
         };
         // Positions below this have the MIN_MATCH bytes a hash reads.
         let hashable = data.len().saturating_sub(MIN_MATCH - 1);
-        let seen = self.seen.as_deref_mut().expect("an encoder holds its table until dropped");
-        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        let (head, prev, seen) = (&mut *self.head, &mut *self.prev, &mut *self.seen);
         let (mut flags_pos, mut flag_bit) = (self.flags_pos, self.flag_bit);
         let mut i = self.pos;
         while i < stop {
@@ -242,8 +230,9 @@ impl Encoder {
                 let max = MAX_MATCH.min(data.len() - i);
                 // No position in the window shares a key, so none can
                 // match: walk nothing.
-                let near = ((i as u16).wrapping_sub(seen[keys[0]]) < WINDOW as u16)
-                    & ((i as u16).wrapping_sub(seen[keys[1]]) < WINDOW as u16);
+                let tag = seen_tag(i);
+                let near = (tag.wrapping_sub(seen[keys[0]]) < WINDOW as u16)
+                    & (tag.wrapping_sub(seen[keys[1]]) < WINDOW as u16);
                 let mut cand = if near { head[h] } else { NIL };
                 let mut chain = 0;
                 // Chains only run backwards, so every candidate is
@@ -307,15 +296,6 @@ impl Encoder {
         self.flags_pos = flags_pos;
         self.flag_bit = flag_bit;
         out.len() <= limit
-    }
-}
-
-impl Drop for Encoder {
-    /// Hands the `seen` tables to the next encoder made on this thread.
-    fn drop(&mut self) {
-        // During thread exit the slot may be gone: the tables are then
-        // simply freed.
-        let _ = SPARE_SEEN.try_with(|spare| spare.set(self.seen.take()));
     }
 }
 
