@@ -39,15 +39,25 @@
 //! Two keys cut the walks that a collision in one key would cost, at
 //! the memory of one 16-bit key (docs/PERFORMANCE.md "First sight").
 //!
-//! Entries hold a position plus `WINDOW`, so the zeroed tables an
-//! encoder starts with read, for a key it has not entered, as position
-//! −`WINDOW`: out of the window until position 61 440, and past that a
-//! needless walk, which finds nothing. Either way an entry this
-//! encoder has not written says nothing about its input: no position
-//! with its key exists yet, so there is no match to miss. That holds
-//! because the tables belong to one encoder for its whole life. A
-//! bounded encode therefore stops at the same [`Encoder::consumed`]
-//! as without the tables.
+//! An entry this encoder has not written says nothing about its
+//! input, whatever it holds: no position with its key exists yet, so
+//! there is no match to miss, and a needless walk finds none. So the
+//! tables need no clearing, only to belong to one encoder for its
+//! whole life. A dropped encoder hands them to the next one made on
+//! its thread (allocating 128 KB for every encode costs more than a
+//! small encode). Entries hold a position plus the encoder's
+//! `offset`, which only keeps entries it did not write from costing
+//! walks: a new table is zeroed and its first encoder's offset is
+//! `WINDOW`, so an unwritten entry reads as position −`WINDOW`, out
+//! of the window until position 61 440; each later encoder's offset
+//! is 32 768 more, so an entry the previous encode left reads as
+//! 32 768 positions older than it is, out of the window of every
+//! position below 28 672 (re-encoding the same content would
+//! otherwise read each key's last position as distance 0). A bounded
+//! encode therefore stops at the same [`Encoder::consumed`] as
+//! without the tables.
+
+use std::cell::Cell;
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -74,17 +84,21 @@ fn hash(at: &[u8]) -> usize {
 /// Bits of each key that indexes one of [`Encoder`]'s `seen` tables.
 const SEEN_BITS: usize = 15;
 
-/// The two `seen` tables side by side: per key, the latest position
-/// entered with it, as a [`seen_tag`].
+/// The two `seen` tables side by side: per key, the low 16 bits of
+/// the latest position entered with it, plus the encoder's offset.
 type Seen = [u16; 2 << SEEN_BITS];
 
-/// What `seen` holds for position `p`: its low 16 bits plus `WINDOW`,
-/// so that zero, the entry no position has written, reads as position
-/// −`WINDOW` (see the module docs). Differences of tags are
-/// differences of positions modulo 2^16.
-#[inline(always)]
-fn seen_tag(p: usize) -> u16 {
-    (p + WINDOW) as u16
+/// `seen` tables a dropped encoder left for the next one on its
+/// thread, with the offset it wrote them at.
+struct Spare {
+    seen: Box<Seen>,
+    offset: u16,
+}
+
+thread_local! {
+    /// The last `Spare` this thread's encoders left (see the module
+    /// docs).
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
 }
 
 /// The two keys of the `MIN_MATCH` bytes at the front of `at`, as
@@ -101,11 +115,12 @@ fn seen_keys(at: &[u8]) -> [usize; 2] {
     ]
 }
 
-/// Records `p` as the latest position entered with `keys`.
+/// Records `tag`, a position plus the encoder's offset, as the latest
+/// entered with `keys`.
 #[inline(always)]
-fn see(seen: &mut Seen, keys: [usize; 2], p: usize) {
-    seen[keys[0]] = seen_tag(p);
-    seen[keys[1]] = seen_tag(p);
+fn see(seen: &mut Seen, keys: [usize; 2], tag: u16) {
+    seen[keys[0]] = tag;
+    seen[keys[1]] = tag;
 }
 
 /// Bytes past a position that a non-final [`Encoder::feed`] must hold
@@ -154,9 +169,11 @@ pub struct Encoder {
     head: Box<[u32; 1 << HASH_BITS]>,
     /// `prev[i % WINDOW]` = the position before `i` on its hash chain.
     prev: Box<[u32; WINDOW]>,
-    /// `seen[k]` = tag of the latest position entered with key `k`
-    /// (see the module docs).
-    seen: Box<Seen>,
+    /// `seen[k]` = the latest position entered with key `k`, plus
+    /// `offset` (see the module docs). Always `Some` until the encoder
+    /// is dropped and hands it on.
+    seen: Option<Box<Seen>>,
+    offset: u16,
     /// Next input position to parse.
     pos: usize,
     flags_pos: usize,
@@ -177,10 +194,15 @@ impl Default for Encoder {
 impl Encoder {
     /// A fresh encoder at input position 0.
     pub fn new() -> Self {
+        let (seen, offset) = match SPARE.take() {
+            Some(spare) => (spare.seen, spare.offset.wrapping_add(1 << 15)),
+            None => (table(0), WINDOW as u16),
+        };
         Self {
             head: table(NIL),
             prev: table(NIL),
-            seen: table(0),
+            seen: Some(seen),
+            offset,
             pos: 0,
             flags_pos: usize::MAX,
             flag_bit: 8,
@@ -215,7 +237,8 @@ impl Encoder {
         };
         // Positions below this have the MIN_MATCH bytes a hash reads.
         let hashable = data.len().saturating_sub(MIN_MATCH - 1);
-        let (head, prev, seen) = (&mut *self.head, &mut *self.prev, &mut *self.seen);
+        let seen = self.seen.as_deref_mut().expect("an encoder holds its tables until dropped");
+        let (head, prev, offset) = (&mut *self.head, &mut *self.prev, self.offset);
         let (mut flags_pos, mut flag_bit) = (self.flags_pos, self.flag_bit);
         let mut i = self.pos;
         while i < stop {
@@ -230,7 +253,7 @@ impl Encoder {
                 let max = MAX_MATCH.min(data.len() - i);
                 // No position in the window shares a key, so none can
                 // match: walk nothing.
-                let tag = seen_tag(i);
+                let tag = (i as u16).wrapping_add(offset);
                 let near = (tag.wrapping_sub(seen[keys[0]]) < WINDOW as u16)
                     & (tag.wrapping_sub(seen[keys[1]]) < WINDOW as u16);
                 let mut cand = if near { head[h] } else { NIL };
@@ -259,7 +282,7 @@ impl Encoder {
                 // The search hash is the insertion hash.
                 prev[i % WINDOW] = head[h];
                 head[h] = i as u32;
-                see(seen, keys, i);
+                see(seen, keys, tag);
             }
             if flag_bit == 8 {
                 flags_pos = out.len();
@@ -289,13 +312,23 @@ impl Encoder {
             }
             flag_bit += 1;
             let end = i + best_len;
-            insert_covered(head, prev, seen, data, i + 1..end.min(hashable));
+            insert_covered(head, prev, seen, offset, data, i + 1..end.min(hashable));
             i = end;
         }
         self.pos = i;
         self.flags_pos = flags_pos;
         self.flag_bit = flag_bit;
         out.len() <= limit
+    }
+}
+
+impl Drop for Encoder {
+    /// Hands the `seen` tables to the next encoder made on this thread.
+    fn drop(&mut self) {
+        let spare = self.seen.take().map(|seen| Spare { seen, offset: self.offset });
+        // During thread exit the slot may be gone: the tables are then
+        // simply freed.
+        let _ = SPARE.try_with(|slot| slot.set(spare));
     }
 }
 
@@ -317,6 +350,7 @@ fn insert_covered(
     head: &mut [u32; 1 << HASH_BITS],
     prev: &mut [u32; WINDOW],
     seen: &mut Seen,
+    offset: u16,
     data: &[u8],
     span: std::ops::Range<usize>,
 ) {
@@ -343,7 +377,7 @@ fn insert_covered(
                 head[h] = q as u32;
             }
         }
-        see(seen, keys, last);
+        see(seen, keys, (last as u16).wrapping_add(offset));
         p = last + 1;
     }
 }
