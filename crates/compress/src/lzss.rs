@@ -23,10 +23,10 @@
 //! bytes (`seen_keys`), keep the low 16 bits of the latest position
 //! entered with that key, and the walk runs only if, in both tables,
 //! the cursor's distance from it, wrapped to 16 bits, is below
-//! `WINDOW`. On photographic
-//! residuals most positions have no such neighbour, and the walk they
-//! skip is mispredicted exits and 13-bit hash collisions. Skipping is
-//! exact, because each table alone could decide it:
+//! `WINDOW`. On photographic residuals most positions have no such
+//! neighbour, and the walk they skip is mispredicted exits and 13-bit
+//! hash collisions. Skipping is exact, because each table alone could
+//! decide it:
 //!
 //! - a candidate that can become a match equals the cursor's first
 //!   `MIN_MATCH` bytes, so it has the cursor's key `k` and is no newer
@@ -51,9 +51,10 @@
 //! `WINDOW`, so an unwritten entry reads as position −`WINDOW`, out
 //! of the window until position 61 440; each later encoder's offset
 //! is 32 768 more, so an entry the previous encode left reads as
-//! 32 768 positions older than it is, out of the window of every
-//! position below 28 672 (re-encoding the same content would
-//! otherwise read each key's last position as distance 0). A bounded
+//! 32 768 positions older than it is: when both inputs are shorter
+//! than 28 672 bytes, out of the window everywhere (re-encoding the
+//! same content would otherwise read each key's last position as
+//! distance 0). A bounded
 //! encode therefore stops at the same [`Encoder::consumed`] as
 //! without the tables.
 
