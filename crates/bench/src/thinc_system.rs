@@ -15,7 +15,7 @@ use thinc_baselines::framework::{raster_cost, server_time, CLIENT_HZ};
 use thinc_baselines::traits::{AvStats, RemoteDisplay};
 use thinc_client::StreamClient;
 use thinc_core::server::{ServerConfig, VIEWER};
-use thinc_core::{fold_fault_stats, SharedSession};
+use thinc_core::{fold_fault_stats, Heard, SharedSession};
 use thinc_display::request::DrawRequest;
 use thinc_display::server::WindowServer;
 use thinc_net::link::{DuplexLink, NetworkConfig};
@@ -261,7 +261,7 @@ impl RemoteDisplay for ThincSystem {
         self.trace.record(now, arrival, size, Direction::Up, "input");
         self.frame_requested = Some(now);
         let (session, screen) = self.ws.driver_and_screen();
-        if let Some(ev) = session.handle_message(VIEWER, &msg, screen) {
+        if let Heard::Input(ev) = session.handle_message(VIEWER, &msg, screen) {
             self.ws.handle_input(ev);
         }
         arrival

@@ -55,19 +55,54 @@ const FRAME_STALL_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
 /// setting: the table only skips work, so its size moves no wire byte.
 pub const DECODED_PIXELS_BUDGET: u64 = 8 * 1024 * 1024;
 
+/// Where a viewer's connection stands, which decides what a
+/// `ServerHello` means (`docs/PROTOCOL.md` §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Link {
+    /// A new stream, or one a [`reconnect`](StreamClient::reconnect)
+    /// restarted: a hello may come first, and fixes the wire revision.
+    Opening,
+    /// A [`resume`](StreamClient::resume) presented its token, and the
+    /// first message settles it: a hello means the standby refused the
+    /// token and restarted cold, anything else confirms the warm path.
+    Resuming,
+    /// Past the first message: a hello passes only as a repeat of the
+    /// one in force.
+    Streaming,
+}
+
+/// Whether the display can be trusted.
+#[derive(Debug, Clone, PartialEq)]
+enum Screen {
+    Current,
+    /// Damage, a lost frame or a fresh link may have left stale pixels:
+    /// stale until opaque updates have covered the viewport, and this
+    /// is what they have covered so far. An acknowledgement that a
+    /// refresh was *requested* is not evidence it *arrived*.
+    Stale(Region),
+}
+
+/// What reaches a viewer's end of the connection: a decoded message,
+/// or something that happened to the link.
+enum Event {
+    Frame(Message),
+    /// The reader skipped this many bytes of damage.
+    Damage(u64),
+    /// Frames vanished before the next one (a sequence break).
+    Gap,
+    Reconnect,
+    Resume,
+    /// Bytes sat undecoded for [`FRAME_STALL_TIMEOUT`].
+    Stall,
+}
+
 /// A [`ThincClient`] fed directly from the wire, with decode-error
 /// recovery.
 pub struct StreamClient {
     client: ThincClient,
     reader: FrameReader,
-    /// Set when damage forced the reader to skip bytes (or the link
-    /// was re-established): the display may be stale and the server
-    /// should resync us. Cleared only when opaque server updates have
-    /// covered the whole viewport since the latch — an acknowledgement
-    /// that a refresh was *requested* is not evidence it *arrived*.
-    needs_refresh: bool,
-    /// Viewport area repainted by opaque commands since the latch.
-    refresh_cover: Region,
+    link: Link,
+    screen: Screen,
     /// Automatic refresh-request issuance, when installed.
     policy: Option<ReconnectPolicy>,
     /// Messages applied over the client's lifetime — progress marker
@@ -98,17 +133,8 @@ pub struct StreamClient {
     /// Cache misses owed to the server (drained by
     /// [`take_cache_miss`](Self::take_cache_miss)).
     pending_cache_miss: VecDeque<Message>,
-    /// A warm resume is in flight: a [`resume`](Self::resume) redial
-    /// presented a token and the next server message decides the
-    /// outcome (a fresh `ServerHello` means the token was rejected —
-    /// cold restart; anything else confirms the warm path).
-    resume_pending: bool,
-    /// A `ServerHello` may come next: nothing has been decoded since
-    /// the stream began, [`reconnect`](Self::reconnect) or
-    /// [`resume`](Self::resume).
-    hello_awaited: bool,
     /// The `ServerHello` honoured last. A repeat of it changes nothing
-    /// and passes anywhere; any other unawaited hello is damage.
+    /// and passes anywhere.
     greeting: Option<Message>,
     resilience: thinc_telemetry::ResilienceMetrics,
 }
@@ -119,8 +145,8 @@ impl StreamClient {
         Self {
             client: ThincClient::new(width, height, format),
             reader: FrameReader::new(),
-            needs_refresh: false,
-            refresh_cover: Region::new(),
+            link: Link::Opening,
+            screen: Screen::Current,
             policy: None,
             applied_total: 0,
             applied_at_attempt: 0,
@@ -130,8 +156,6 @@ impl StreamClient {
             cache: ContentStore::new(thinc_protocol::DEFAULT_CACHE_BUDGET),
             decoded: CacheLru::new(DECODED_PIXELS_BUDGET),
             pending_cache_miss: VecDeque::new(),
-            resume_pending: false,
-            hello_awaited: true,
             greeting: None,
             resilience: thinc_telemetry::ResilienceMetrics::new(),
         }
@@ -178,134 +202,198 @@ impl StreamClient {
     /// counted, the reader scans to the next plausible frame start,
     /// and [`needs_refresh`](Self::needs_refresh) is raised so the
     /// caller can request a server resync. Returns the number of
-    /// messages applied.
-    ///
-    /// A `ServerHello` is honoured only as the first message of a
-    /// stream, of a [`reconnect`](Self::reconnect) or of a
-    /// [`resume`](Self::resume), where a server sends one, or as a
-    /// repeat of the hello honoured last, which changes nothing (a
-    /// legacy-framed frame has no sequence number, so a duplicate is
-    /// not caught). Handshake tags carry no CRC either, so a damaged
-    /// frame can decode as a hello anywhere: any other one is counted
-    /// as a decode error whose frame was skipped, latches the refresh
-    /// and leaves the revision alone.
+    /// messages applied. What each message means in each
+    /// [`Link`] phase is [`step`](Self::step)'s table.
     pub fn feed(&mut self, bytes: &[u8]) -> usize {
         self.reader.feed(bytes);
-        let mut applied = 0;
+        let before = self.applied_total;
         loop {
             match self.reader.next_message() {
                 Ok(Some(msg)) => {
-                    let awaited = std::mem::take(&mut self.hello_awaited);
-                    // Negotiation: the server's hello fixes the wire
-                    // revision for the rest of the stream. The reader
-                    // never switches on its own — this is the one
-                    // place the session layer decides.
-                    if let Message::ServerHello { version, .. } = &msg {
-                        if !awaited && self.greeting.as_ref() != Some(&msg) {
-                            self.note_damage(msg.wire_size());
-                            continue;
-                        }
-                        self.reader
-                            .set_revision((*version).min(thinc_protocol::PROTOCOL_VERSION));
-                        self.greeting = Some(msg.clone());
-                    }
-                    if self.resume_pending {
-                        // The first post-redial message settles the
-                        // warm-resume handshake. A fresh `ServerHello`
-                        // means the standby rejected the token (stale
-                        // session, digest mismatch, corrupt
-                        // checkpoint): cold restart — the server reset
-                        // its ledger, so the mirrored store must go
-                        // too, and the display is presumed stale until
-                        // the full refresh covers it. Anything else is
-                        // the delta stream of a confirmed warm resume.
-                        self.resume_pending = false;
-                        if matches!(msg, Message::ServerHello { .. }) {
-                            self.cache.clear();
-                            self.decoded.clear();
-                            self.needs_refresh = true;
-                            self.refresh_cover = Region::new();
-                            self.resilience.record_cold_fallback();
-                        } else {
-                            self.resilience.record_resume();
-                        }
-                    }
                     if self.reader.take_seq_break() {
-                        // Frames vanished between the previous message
-                        // and this one: the framing recovered but the
-                        // display is missing updates — escalate to a
-                        // refresh, voiding any partial coverage.
-                        self.resilience.record_resync_triggered();
-                        self.needs_refresh = true;
-                        self.refresh_cover = Region::new();
+                        self.step(Event::Gap);
                     }
-                    // Resolve cache references against the content
-                    // store before the message reaches the display.
-                    let (msg, hit) = match msg {
-                        Message::CacheRef { hash } => {
-                            let ref_size = Message::CacheRef { hash }.wire_size();
-                            match self.cache.resolve(hash) {
-                                Some((id, resolved)) => {
-                                    let resolved = resolved.clone();
-                                    self.resilience.record_cache_hit(
-                                        resolved.wire_size().saturating_sub(ref_size),
-                                    );
-                                    (resolved, Some(id))
-                                }
-                                None => {
-                                    // Not damage: the server answers
-                                    // the miss by repainting the
-                                    // entry's rect from its screen.
-                                    self.resilience.record_cache_miss();
-                                    self.pending_cache_miss
-                                        .push_back(Message::CacheMiss { hash });
-                                    continue;
-                                }
-                            }
-                        }
-                        other => (other, None),
-                    };
-                    let errors_before = self.client.stats().errors;
-                    match hit {
-                        Some(id) => self.apply_hit(id, &msg),
-                        None => self.client.apply(&msg),
-                    }
-                    applied += 1;
-                    self.applied_total += 1;
-                    if self.needs_refresh && self.client.stats().errors == errors_before {
-                        self.note_refresh_progress(&msg);
-                    }
-                    // Every cacheable full payload enters the store —
-                    // the server's ledger marked it held the moment it
-                    // was sent, so both sides must see the same insert
-                    // sequence (even when the apply was rejected). A
-                    // stream below the cache revision has no ledger
-                    // behind it and is never sent a reference.
-                    if hit.is_none() && self.reader.revision() >= WIRE_REV_CACHE {
-                        if let Some(id) = cache_id(&msg) {
-                            let evicted = self.cache.insert(id, msg.wire_size(), msg);
-                            self.resilience.record_cache_evictions(evicted);
-                        }
-                    }
+                    self.step(Event::Frame(msg));
                 }
                 Ok(None) => break,
                 Err(_) => {
                     let skipped = self.reader.resync();
-                    self.note_damage(skipped as u64);
+                    self.step(Event::Damage(skipped as u64));
                 }
             }
         }
         self.sync_integrity_counters();
-        applied
+        (self.applied_total - before) as usize
     }
 
-    /// Counts a decode error whose resync skipped `skipped` bytes and
-    /// latches the refresh: new damage invalidates any partial one.
-    fn note_damage(&mut self, skipped: u64) {
-        self.resilience.record_decode_error();
-        self.resilience.record_stream_resync(skipped);
-        self.needs_refresh = true;
-        self.refresh_cover = Region::new();
+    /// The client half of the transition table (`docs/PROTOCOL.md` §3):
+    /// what `event` means in the current [`Link`] phase, one arm per
+    /// row. Every way the display goes stale is an arm; only an opaque
+    /// repaint of the whole viewport ([`paint`](Self::paint)) makes it
+    /// current again.
+    fn step(&mut self, event: Event) {
+        self.link = match (self.link, event) {
+            // Handshake tags carry no CRC, so a damaged frame can
+            // decode as a hello anywhere: one nobody awaits, other than
+            // a repeat of the hello in force (a legacy-framed frame has
+            // no sequence number, so a duplicate is not caught), is a
+            // decode error whose frame was skipped, and leaves the
+            // revision alone.
+            (Link::Streaming, Event::Frame(hello @ Message::ServerHello { .. }))
+                if self.greeting.as_ref() != Some(&hello) =>
+            {
+                self.step(Event::Damage(hello.wire_size()));
+                Link::Streaming
+            }
+            // The standby refused the token and restarted cold: it
+            // reset its ledger, so the mirrored store goes too, and the
+            // display is stale until the full refresh covers it.
+            (Link::Resuming, Event::Frame(hello @ Message::ServerHello { .. })) => {
+                self.negotiate(&hello);
+                self.cache.clear();
+                self.decoded.clear();
+                self.screen = Screen::Stale(Region::new());
+                self.resilience.record_cold_fallback();
+                self.paint(hello, None);
+                Link::Streaming
+            }
+            (_, Event::Frame(hello @ Message::ServerHello { .. })) => {
+                self.negotiate(&hello);
+                self.paint(hello, None);
+                Link::Streaming
+            }
+            // Anything but a hello confirms a warm resume. A reference
+            // resolves against the store before it reaches the display;
+            // one it cannot resolve is no damage: the server answers
+            // the miss by repainting from its screen.
+            (link, Event::Frame(Message::CacheRef { hash })) => {
+                if link == Link::Resuming {
+                    self.resilience.record_resume();
+                }
+                match self.cache.resolve(hash) {
+                    Some((id, resolved)) => {
+                        let resolved = resolved.clone();
+                        let saved = resolved.wire_size().saturating_sub(Message::CacheRef { hash }.wire_size());
+                        self.resilience.record_cache_hit(saved);
+                        self.paint(resolved, Some(id));
+                    }
+                    None => {
+                        self.resilience.record_cache_miss();
+                        self.pending_cache_miss.push_back(Message::CacheMiss { hash });
+                    }
+                }
+                Link::Streaming
+            }
+            (link, Event::Frame(msg)) => {
+                if link == Link::Resuming {
+                    self.resilience.record_resume();
+                }
+                self.paint(msg, None);
+                Link::Streaming
+            }
+            // New damage, a lost frame or a wedged reader invalidates
+            // any partial cover.
+            (link, Event::Damage(skipped)) => {
+                self.resilience.record_decode_error();
+                self.resilience.record_stream_resync(skipped);
+                self.screen = Screen::Stale(Region::new());
+                link
+            }
+            (link, Event::Gap) => {
+                self.resilience.record_resync_triggered();
+                self.screen = Screen::Stale(Region::new());
+                link
+            }
+            (link, Event::Stall) => {
+                self.restart();
+                link
+            }
+            (_, Event::Reconnect) => {
+                self.restart();
+                Link::Opening
+            }
+            // A half-received frame cannot be stitched onto the
+            // standby's stream: the redial goes cold at once.
+            (_, Event::Resume) if self.reader.pending_bytes() > 0 => {
+                self.restart();
+                self.resilience.record_cold_fallback();
+                Link::Opening
+            }
+            (_, Event::Resume) => {
+                self.reset_reader();
+                Link::Resuming
+            }
+        };
+    }
+
+    /// Fixes the wire revision for the rest of the stream from a
+    /// honoured hello: the reader never switches on its own.
+    fn negotiate(&mut self, hello: &Message) {
+        if let Message::ServerHello { version, .. } = hello {
+            self.reader.set_revision((*version).min(thinc_protocol::PROTOCOL_VERSION));
+        }
+        self.greeting = Some(hello.clone());
+    }
+
+    /// Drops the wire state like a fresh connection, and the display
+    /// is presumed stale: updates were lost while the link was down.
+    fn restart(&mut self) {
+        self.reset_reader();
+        self.resilience.record_reconnect();
+        self.screen = Screen::Stale(Region::new());
+    }
+
+    /// Applies `msg` (the store's entry `hit`, when a reference
+    /// resolved to it), credits an opaque repaint against a stale
+    /// display, and keeps a cacheable full payload in the store.
+    fn paint(&mut self, msg: Message, hit: Option<u64>) {
+        let errors_before = self.client.stats().errors;
+        match hit {
+            Some(id) => self.apply_hit(id, &msg),
+            None => self.client.apply(&msg),
+        }
+        self.applied_total += 1;
+        if self.client.stats().errors == errors_before {
+            self.cover(&msg);
+        }
+        // Every cacheable full payload enters the store — the server's
+        // ledger marked it held the moment it was sent, so both sides
+        // must see the same insert sequence (even when the apply was
+        // rejected). A stream below the cache revision has no ledger
+        // behind it and is never sent a reference.
+        if hit.is_none() && self.reader.revision() >= WIRE_REV_CACHE {
+            if let Some(id) = cache_id(&msg) {
+                let evicted = self.cache.insert(id, msg.wire_size(), msg);
+                self.resilience.record_cache_evictions(evicted);
+            }
+        }
+    }
+
+    /// Credits an applied message against a stale display: opaque
+    /// commands (RAW, SFILL, PFILL, opaque BITMAP) repaint their
+    /// destination unconditionally, so once they have covered the
+    /// whole viewport every stale pixel has been overwritten and the
+    /// display is current. COPY and transparent BITMAP depend on the
+    /// (possibly stale) local content, so they prove nothing.
+    fn cover(&mut self, msg: &Message) {
+        let Screen::Stale(cover) = &mut self.screen else {
+            return;
+        };
+        let rect = match msg {
+            Message::Display(DisplayCommand::Raw { rect, .. })
+            | Message::Display(DisplayCommand::Sfill { rect, .. })
+            | Message::Display(DisplayCommand::Pfill { rect, .. })
+            | Message::Display(DisplayCommand::Bitmap { rect, bg: Some(_), .. }) => *rect,
+            _ => return,
+        };
+        cover.union_rect(&rect);
+        let fb = self.client.framebuffer();
+        if cover.contains_rect(&Rect::new(0, 0, fb.width(), fb.height())) {
+            self.screen = Screen::Current;
+            if let Some(p) = self.policy.as_mut() {
+                p.note_recovered();
+            }
+        }
     }
 
     /// Applies `msg`, the store's entry `id` that a reference hit. A
@@ -348,32 +436,6 @@ impl StreamClient {
         self.stall_since = None;
     }
 
-    /// Credits an applied message against the pending refresh: opaque
-    /// commands (RAW, SFILL, PFILL, opaque BITMAP) repaint their
-    /// destination unconditionally, so once they have covered the
-    /// whole viewport every stale pixel has been overwritten and the
-    /// latch can clear. COPY and transparent BITMAP depend on the
-    /// (possibly stale) local content, so they prove nothing.
-    fn note_refresh_progress(&mut self, msg: &Message) {
-        let rect = match msg {
-            Message::Display(DisplayCommand::Raw { rect, .. })
-            | Message::Display(DisplayCommand::Sfill { rect, .. })
-            | Message::Display(DisplayCommand::Pfill { rect, .. })
-            | Message::Display(DisplayCommand::Bitmap { rect, bg: Some(_), .. }) => *rect,
-            _ => return,
-        };
-        self.refresh_cover.union_rect(&rect);
-        let fb = self.client.framebuffer();
-        let full = Rect::new(0, 0, fb.width(), fb.height());
-        if self.refresh_cover.contains_rect(&full) {
-            self.needs_refresh = false;
-            self.refresh_cover = Region::new();
-            if let Some(p) = self.policy.as_mut() {
-                p.note_recovered();
-            }
-        }
-    }
-
     /// Drives the installed [`ReconnectPolicy`]: while the display is
     /// stale and the backoff window has elapsed, returns the
     /// [`Message::RefreshRequest`] to send upstream. `None` when the
@@ -381,7 +443,7 @@ impl StreamClient {
     /// backing off, or its attempt budget is exhausted.
     pub fn poll_reconnect(&mut self, now: SimTime) -> Option<Message> {
         self.poll_stall_watchdog(now);
-        if !self.needs_refresh {
+        if !self.needs_refresh() {
             return None;
         }
         let attempt = self.policy.as_mut()?.poll(now)?;
@@ -408,7 +470,7 @@ impl StreamClient {
     /// stays plausible, the declared length is sane-but-wrong, and
     /// the reader simply waits for a completion that never comes —
     /// silently absorbing every later frame into the phantom payload.
-    /// No decode error fires, so `needs_refresh` never latches and
+    /// No decode error fires, so the display never goes stale and
     /// the stalled-refresh recovery above is unreachable. This
     /// watchdog closes that gap: bytes pending with zero decode
     /// progress for [`FRAME_STALL_TIMEOUT`] means the framing is
@@ -423,11 +485,7 @@ impl StreamClient {
         match self.stall_since {
             Some(since) if self.applied_total == self.stall_applied_mark => {
                 if now.since(since) >= FRAME_STALL_TIMEOUT {
-                    self.reset_reader();
-                    self.resilience.record_reconnect();
-                    self.needs_refresh = true;
-                    self.refresh_cover = Region::new();
-                    self.stall_since = None;
+                    self.step(Event::Stall);
                 }
             }
             // First pending byte seen, or frames decoded since the
@@ -440,10 +498,16 @@ impl StreamClient {
         }
     }
 
-    /// Whether damage has been skipped since the last check — the
-    /// display may be stale and a server resync is in order.
+    /// Whether the display is stale — damage, a lost frame or a fresh
+    /// link since opaque updates last covered the viewport — and a
+    /// server resync is in order.
     pub fn needs_refresh(&self) -> bool {
-        self.needs_refresh
+        matches!(self.screen, Screen::Stale(_))
+    }
+
+    /// Where the connection stands: what a `ServerHello` would mean.
+    pub fn link(&self) -> Link {
+        self.link
     }
 
     /// The resume token this client presents when redialing after a
@@ -477,37 +541,23 @@ impl StreamClient {
     /// Either way this never panics and never leaves the client
     /// wedged: the worst case is a full-view refresh.
     pub fn resume(&mut self) -> bool {
-        if self.reader.pending_bytes() > 0 {
-            self.reconnect();
-            self.resilience.record_cold_fallback();
-            return false;
-        }
-        self.reset_reader();
-        self.resume_pending = true;
-        self.hello_awaited = true;
-        true
+        self.step(Event::Resume);
+        self.link == Link::Resuming
     }
 
     /// Whether a warm resume is still awaiting its first post-redial
     /// server message.
     pub fn resume_pending(&self) -> bool {
-        self.resume_pending
+        self.link == Link::Resuming
     }
 
     /// Resets the wire state for a fresh connection (reconnect): the
     /// reader drops any half-received frame. The display keeps its
     /// content, but a fresh link is presumed stale — updates were
-    /// lost while it was down — so `needs_refresh` latches until the
-    /// server's resync has actually covered the viewport. (It used to
-    /// be cleared here, which lost the pending-refresh state when a
-    /// drop raced the resync.)
+    /// lost while it was down — until the server's resync has
+    /// actually covered the viewport, and a hello is awaited again.
     pub fn reconnect(&mut self) {
-        self.reset_reader();
-        self.resume_pending = false;
-        self.hello_awaited = true;
-        self.needs_refresh = true;
-        self.refresh_cover = Region::new();
-        self.resilience.record_reconnect();
+        self.step(Event::Reconnect);
     }
 
     /// The wire framing revision the reader currently expects

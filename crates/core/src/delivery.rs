@@ -5,12 +5,14 @@
 //! the same update path with more than one buffer behind it. A
 //! [`Delivery`] is that path for one client: the command buffer, the
 //! scale policy, the video streams, the audio/video/control queue,
-//! liveness and the degradation ladder, what the client is still owed
-//! — a full-view refresh, or narrower refresh debt — and its end of the
-//! wire: the outgoing framer and the uplink protocol
-//! ([`handle_message`](Delivery::handle_message): negotiation, viewport
-//! changes, cache misses, heartbeats and the redial ladder), together
-//! with the operations on them, each written once.
+//! liveness and the degradation ladder, its [`Phase`] — what the client
+//! is still owed, a full-view refresh or narrower refresh debt, and
+//! whether it can be served at all — and its end of the wire: the
+//! outgoing framer and the steps of the uplink protocol (negotiation,
+//! viewport changes, cache misses, heartbeats and the redial ladder),
+//! together with the operations on them, each written once. What each
+//! uplink message means is one match, in
+//! [`SharedSession::receive`](crate::session::SharedSession::receive).
 //! [`SharedSession`](crate::session::SharedSession) is the one holder:
 //! it constructs, restores and checkpoints every `Delivery`, keeps a
 //! roster of them and shares work between clients at the same scale;
@@ -156,30 +158,31 @@ impl Rendition {
     }
 }
 
-/// What [`Delivery::handle_message`] leaves to its holder: the steps
-/// of the uplink protocol that need the screen or the session's
-/// identity, neither of which a `Delivery` has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Uplink {
-    /// Nothing further: handled here, or not a message delivery acts on.
-    Done,
-    /// The client asked for the full view (its reconnect policy, or a
-    /// redial that could present no token): answer with
-    /// [`Delivery::resync`].
-    Resync,
-    /// A redial presented a resume token: match the identity it names,
-    /// then answer with [`Delivery::resume`] or
-    /// [`Delivery::restart_cold`].
-    Resume {
-        /// The session the token claims to resume.
-        session_id: u64,
-        /// The client id the dead incarnation assigned.
-        client_id: u32,
-        /// The last frame sequence number the client received.
-        last_seq: u32,
-        /// Digest of the client's content-store key set.
-        store_digest: u64,
-    },
+/// What the server owes one viewer, and whether it can be served at
+/// all: the server half of the transition table (`docs/PROTOCOL.md`
+/// §3). A full view owed supersedes every narrower debt, so no phase
+/// holds both.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Phase {
+    /// Served, and owed this session-space area: refresh debt narrower
+    /// than the full view (overflow evictions, a warm resume's delta),
+    /// repaid piece by piece as pieces fit under the byte bound. In
+    /// step when it is empty.
+    Owes(Region),
+    /// Resumed warm on a restored session: owes its debt plus the tiles
+    /// that changed on the screen since the image, which the next call
+    /// with the screen in hand works out.
+    OwesDelta(Region),
+    /// Owes the full view: a fresh attach, a resync, a scale change, or
+    /// an update the client is known to have skipped (a cache miss).
+    /// Repaid by the next push, which has the screen in hand.
+    OwesView,
+    /// The client's flush panicked under the parallel fan-out: the panic
+    /// was contained, the client is isolated from all further work, and
+    /// the session keeps serving everyone else. Its state is unspecified
+    /// (the panic may have struck mid-mutation); the only way back is
+    /// detach and re-attach.
+    Quarantined,
 }
 
 /// Everything the server holds for one client, and the operations on
@@ -200,17 +203,11 @@ pub struct Delivery {
     /// The viewport the client announced; the degradation ladder
     /// shrinks the one actually targeted.
     viewport: (u32, u32),
-    /// The client is owed the full view: fresh attach, resync, a
-    /// scale change, or an update it is known to have skipped (a cache
-    /// miss). Repaid by the next push, which has the screen in hand.
-    refresh_owed: bool,
-    /// Session-space screen area owed a refresh narrower than the full
-    /// view: overflow evictions, a warm resume's delta. The buffer
-    /// records overflow debt in the coordinate space of the commands it
-    /// holds (viewport space while scaling); it is unmapped into this
-    /// ledger, and repaid piece by piece as pieces fit under the byte
-    /// bound.
-    refresh_debt: Region,
+    /// What the client is owed. The buffer records overflow debt in the
+    /// coordinate space of the commands it holds (viewport space while
+    /// scaling); it is unmapped into the phase's session-space debt
+    /// when repaid.
+    phase: Phase,
     /// Liveness events, resyncs, ladder steps, stale A/V drops. Buffer
     /// evictions and cache counters merge in at read time.
     resilience: ResilienceMetrics,
@@ -239,8 +236,7 @@ impl Delivery {
             liveness: policy.liveness.map(|c| LivenessTracker::new(c, now)),
             degradation: policy.degradation.map(DegradationController::new),
             viewport: (w, h),
-            refresh_owed: false,
-            refresh_debt: Region::new(),
+            phase: Phase::Owes(Region::new()),
             resilience: ResilienceMetrics::new(),
             encoder: FrameEncoder::with_revision(PROTOCOL_VERSION),
             cipher: None,
@@ -293,15 +289,26 @@ impl Delivery {
         self.viewport
     }
 
-    /// Whether the client is owed a full-view refresh.
-    pub fn refresh_owed(&self) -> bool {
-        self.refresh_owed
+    /// What the client is owed, and whether it can be served.
+    pub fn phase(&self) -> &Phase {
+        &self.phase
     }
 
-    /// Whether screen regions are still owed a refresh after overflow
-    /// evictions, a warm resume or a cache miss.
+    /// Whether the client is owed a full-view refresh.
+    pub fn refresh_owed(&self) -> bool {
+        self.phase == Phase::OwesView
+    }
+
+    /// Whether the client's flush panicked (see [`Phase::Quarantined`]).
+    pub fn quarantined(&self) -> bool {
+        self.phase == Phase::Quarantined
+    }
+
+    /// Whether screen regions are still owed a refresh narrower than
+    /// the full view, after overflow evictions or a warm resume.
     pub fn has_debt(&self) -> bool {
-        self.buffer.has_overflow_debt() || !self.refresh_debt.is_empty()
+        let owed = matches!(&self.phase, Phase::Owes(debt) | Phase::OwesDelta(debt) if !debt.is_empty());
+        self.buffer.has_overflow_debt() || owed
     }
 
     /// Audio/video/control messages not yet flushed.
@@ -364,10 +371,10 @@ impl Delivery {
     /// overwrite class, e.g. an opaque BITMAP resampled into RAW), so
     /// on a change they are dropped and the client is owed the full
     /// view at the new scale.
-    fn rescale(&mut self, view: Rect) {
+    pub(crate) fn rescale(&mut self, view: Rect) {
         if self.aim(view) {
             let _ = self.buffer.drop_pending_for_rescale();
-            self.refresh_owed = true;
+            self.phase = Phase::OwesView;
         }
     }
 
@@ -389,17 +396,85 @@ impl Delivery {
         self.set_viewport(w, h);
         let _ = self.buffer.drop_pending_for_rescale();
         self.buffer.reset_cache();
-        self.refresh_owed = true;
+        self.phase = Phase::OwesView;
     }
 
     /// Owes the client the full view, settled by the next push.
     pub fn owe_refresh(&mut self) {
-        self.refresh_owed = true;
+        self.phase = Phase::OwesView;
     }
 
-    /// Owes the client a refresh of `region` (session space).
+    /// Owes the client a refresh of `region` (session space), unless
+    /// the full view is owed already.
     pub fn owe_region(&mut self, region: &Region) {
-        self.refresh_debt.union(region);
+        if let Phase::Owes(debt) | Phase::OwesDelta(debt) = &mut self.phase {
+            debt.union(region);
+        }
+    }
+
+    /// Negotiates the framing a client's hello announces, and applies
+    /// its viewport. The session adopts the highest framing both sides
+    /// speak; a version-1 client keeps the whole stream legacy-framed,
+    /// so old captures and old clients still decode. `cache_budget` is
+    /// the content-cache budget a peer announcing revision ≥ 3 is
+    /// granted; older peers cannot resolve references, so their hello
+    /// turns the ledger off.
+    pub(crate) fn negotiate(&mut self, version: u16, viewport: (u32, u32), cache_budget: Option<u64>) {
+        self.encoder.negotiate(version);
+        if self.encoder.revision() < WIRE_REV_CACHE {
+            self.buffer.disable_cache();
+        } else if let Some(budget) = cache_budget {
+            self.buffer.enable_cache(budget);
+        }
+        self.set_viewport(viewport.0, viewport.1);
+    }
+
+    /// Answers a cache miss. The client skipped an update, and whatever
+    /// ran after it (a COPY reading the missed rect) may have spread the
+    /// gap, so the ledger forgets the entry and the full view is owed
+    /// from the screen, which is never older than anything already
+    /// sent.
+    pub(crate) fn miss(&mut self, hash: u64) {
+        self.buffer.forget_missed(hash);
+        self.phase = Phase::OwesView;
+    }
+
+    /// Client traffic doubles as the heartbeat — except a pong, which
+    /// proves liveness only when it answers the latest outstanding
+    /// probe: a delayed one surfacing from a recovering link's queue
+    /// says nothing about the connection now.
+    pub(crate) fn heartbeat(&mut self, msg: &Message, now: SimTime) {
+        if let Some(t) = self.liveness.as_mut() {
+            match msg {
+                Message::Pong { seq, .. } => {
+                    t.note_pong(*seq, now);
+                }
+                _ => t.note_activity(now),
+            }
+        }
+    }
+
+    /// Isolates the client after its flush panicked.
+    pub(crate) fn quarantine(&mut self) {
+        self.phase = Phase::Quarantined;
+    }
+
+    /// Works out a warm resume's delta: `delta` is the session-space
+    /// area that changed on the screen since the image. At identity
+    /// scale it joins the debt; a scaled client resamples whole views,
+    /// so any change owes it the full view (still far cheaper than a
+    /// cold restart — no cache reset, no pending-state drop).
+    pub(crate) fn owe_delta(&mut self, delta: &Region) {
+        let Phase::OwesDelta(debt) = &mut self.phase else {
+            return;
+        };
+        if self.scale.is_identity() {
+            debt.union(delta);
+        } else if !delta.is_empty() {
+            self.phase = Phase::OwesView;
+            return;
+        }
+        self.phase = Phase::Owes(std::mem::take(debt));
     }
 
     /// Opens a push round for `cmds` and returns whether it begins
@@ -416,9 +491,9 @@ impl Delivery {
     /// debt escalates to the full view first.
     pub(crate) fn begin_round(&mut self, cmds: &[DisplayCommand]) -> bool {
         if self.has_debt() && cmds.iter().any(is_copy) {
-            self.refresh_owed = true;
+            self.phase = Phase::OwesView;
         }
-        self.refresh_owed
+        self.refresh_owed()
     }
 
     /// Queues a round from the [`Rendition`] of this client's scale
@@ -436,12 +511,11 @@ impl Delivery {
         screen: &Framebuffer,
         realtime: impl Fn(&Rect) -> bool,
     ) {
-        let repaid = self.refresh_owed;
+        let repaid = self.refresh_owed();
         if repaid {
-            self.refresh_owed = false;
             // The full view supersedes every narrower debt.
+            self.phase = Phase::Owes(Region::new());
             let _ = self.buffer.take_overflow_debt();
-            self.refresh_debt = Region::new();
             if let Some(refresh) = &rendition.refresh {
                 self.buffer.push(refresh.clone(), false);
             }
@@ -476,15 +550,18 @@ impl Delivery {
     /// is only pushed when it fits under the bound or the buffer is
     /// empty; the rest stays in the ledger until the link drains.
     fn repay_debt(&mut self, screen: &Framebuffer) {
+        let (Phase::Owes(debt) | Phase::OwesDelta(debt)) = &mut self.phase else {
+            return;
+        };
         if self.buffer.has_overflow_debt() {
             for rect in self.buffer.take_overflow_debt().rects() {
-                self.refresh_debt.union_rect(&self.scale.unmap_rect(rect));
+                debt.union_rect(&self.scale.unmap_rect(rect));
             }
         }
-        if self.refresh_debt.is_empty() {
+        if debt.is_empty() {
             return;
         }
-        for rect in std::mem::take(&mut self.refresh_debt).rects() {
+        for rect in std::mem::take(debt).rects() {
             let Some(cmd) = self.scale.raw_from_screen(rect, screen) else {
                 continue;
             };
@@ -496,7 +573,7 @@ impl Delivery {
             if fits {
                 self.buffer.push_unbounded(cmd, false);
             } else {
-                self.refresh_debt.union_rect(rect);
+                debt.union_rect(rect);
             }
         }
     }
@@ -521,25 +598,28 @@ impl Delivery {
         }
         self.av.extend(self.video.reannounce());
         let _ = self.buffer.drop_pending_for_rescale();
-        self.refresh_owed = true;
+        self.phase = Phase::OwesView;
     }
 
-    /// Judges a redialing client's resume token (see
-    /// [`Uplink::Resume`]; the holder has matched the identity it
-    /// names). A content-store digest equal to the ledger's resumes
-    /// warm (returns `true`): the frame sequence continues right after
-    /// the last frame the client proved it received, so its integrity
-    /// verifier sees an unbroken stream, and its framebuffer and store
-    /// are trusted as they are — the holder owes it only what changed
-    /// since. Any other digest [restarts cold](Self::restart_cold).
-    pub fn resume(&mut self, last_seq: u32, store_digest: u64, hello: Message, now: SimTime) -> bool {
-        if cache_digest(&self.buffer.cache_keys()) != store_digest {
-            self.restart_cold(hello, now);
-            return false;
-        }
+    /// Whether a resume token's content-store digest proves the
+    /// client's store mirrors this ledger.
+    pub(crate) fn mirrors(&self, store_digest: u64) -> bool {
+        cache_digest(&self.buffer.cache_keys()) == store_digest
+    }
+
+    /// Resumes a redialing client warm (its token named the session and
+    /// the client, and [`mirrors`](Self::mirrors) the ledger): the frame
+    /// sequence continues right after the last frame the client proved
+    /// it received, so its integrity verifier sees an unbroken stream,
+    /// and its framebuffer and store are trusted as they are. On a
+    /// restored session (`since_image`) the tiles changed since the
+    /// image are owed on top of any debt, unless the full view is.
+    pub(crate) fn resume(&mut self, last_seq: u32, since_image: bool) {
         self.resilience.record_resume();
         self.encoder.set_next_seq(last_seq.wrapping_add(1));
-        true
+        if let (true, Phase::Owes(debt)) = (since_image, &mut self.phase) {
+            self.phase = Phase::OwesDelta(std::mem::take(debt));
+        }
     }
 
     /// Restarts a redialing client from nothing, the path a brand-new
@@ -557,78 +637,6 @@ impl Delivery {
         self.av.clear();
         self.av.push_back(hello);
         self.begin_resync(now);
-    }
-
-    /// Handles a message arriving from the client, as far as that
-    /// takes neither the screen nor the session's identity (see
-    /// [`Uplink`] for the rest). `cache_budget` is the content-cache
-    /// budget a peer announcing revision ≥ 3 is granted; older peers
-    /// cannot resolve references, so their hello turns the ledger off.
-    pub fn handle_message(&mut self, msg: &Message, now: SimTime, cache_budget: Option<u64>) -> Uplink {
-        // Client traffic doubles as the heartbeat — except a pong,
-        // which proves liveness only when it answers the latest
-        // outstanding probe: a delayed one surfacing from a recovering
-        // link's queue says nothing about the connection now.
-        if let Some(t) = self.liveness.as_mut() {
-            match msg {
-                Message::Pong { seq, .. } => {
-                    t.note_pong(*seq, now);
-                }
-                _ => t.note_activity(now),
-            }
-        }
-        match *msg {
-            Message::ClientHello {
-                version,
-                viewport_width,
-                viewport_height,
-            } => {
-                // The session adopts the highest framing both sides
-                // speak. A version-1 client keeps the whole stream
-                // legacy-framed, so old captures and old clients still
-                // decode.
-                self.encoder.negotiate(version);
-                if self.encoder.revision() < WIRE_REV_CACHE {
-                    self.buffer.disable_cache();
-                } else if let Some(budget) = cache_budget {
-                    self.buffer.enable_cache(budget);
-                }
-                self.set_viewport(viewport_width, viewport_height);
-            }
-            Message::Resize {
-                viewport_width,
-                viewport_height,
-            } => self.set_viewport(viewport_width, viewport_height),
-            // Zoom (§6): `view` (session space) maps onto the viewport,
-            // and the client is owed full-detail content for the newly
-            // magnified region, sent with the next push.
-            Message::SetView { view } => self.rescale(view),
-            // The client skipped an update, and whatever ran after it
-            // (a COPY reading the missed rect) may have spread the gap,
-            // so the ledger forgets the entry and the full view is owed
-            // from the screen, which is never older than anything
-            // already sent.
-            Message::CacheMiss { hash } => {
-                self.buffer.forget_missed(hash);
-                self.refresh_owed = true;
-            }
-            Message::RefreshRequest { .. } => return Uplink::Resync,
-            Message::SessionResume {
-                session_id,
-                client_id,
-                last_seq,
-                store_digest,
-            } => {
-                return Uplink::Resume {
-                    session_id,
-                    client_id,
-                    last_seq,
-                    store_digest,
-                }
-            }
-            _ => {}
-        }
-        Uplink::Done
     }
 
     /// Evaluates liveness at `now`: a silent client gets a
@@ -831,8 +839,17 @@ impl Delivery {
         w.u32(self.viewport.0);
         w.u32(self.viewport.1);
         w.rect(&self.scale.view);
-        w.bool(self.refresh_owed);
-        w.region(&self.refresh_debt);
+        // The v6 record: whether the full view is owed, then the debt.
+        match &self.phase {
+            Phase::Owes(debt) | Phase::OwesDelta(debt) => {
+                w.bool(false);
+                w.region(debt);
+            }
+            Phase::OwesView | Phase::Quarantined => {
+                w.bool(true);
+                w.region(&Region::new());
+            }
+        }
         w.u8(self.degradation.as_ref().map_or(0xFF, |c| c.level().index() as u8));
         let av: Vec<&Message> = self
             .av
@@ -869,8 +886,10 @@ impl Delivery {
         }
         let viewport = (r.u32()?, r.u32()?);
         let view = r.rect()?;
-        let refresh_owed = r.bool()?;
-        let refresh_debt = r.region()?;
+        let owes_view = r.bool()?;
+        let debt = r.region()?;
+        // The full view supersedes the debt an image holds beside it.
+        let phase = if owes_view { Phase::OwesView } else { Phase::Owes(debt) };
         let degradation = match (policy.degradation, r.u8()?) {
             (Some(_), 0xFF) => return Err(CheckpointError::Malformed("missing degradation level")),
             (Some(cfg), b) => Some(DegradationController::restore(cfg, level_from_u8(b)?)),
@@ -885,8 +904,7 @@ impl Delivery {
         let (sw, sh) = policy.session;
         d.viewport = (viewport.0.clamp(1, sw.max(1)), viewport.1.clamp(1, sh.max(1)));
         d.degradation = degradation;
-        d.refresh_owed = refresh_owed;
-        d.refresh_debt = refresh_debt;
+        d.phase = phase;
         d.av = av;
         d.encoder = encoder;
         if let Some(key) = key {

@@ -85,12 +85,12 @@ pub use checkpoint::{cache_digest, CheckpointError, TileDigests};
 pub use degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
-pub use delivery::{fold_fault_stats, Delivery, DeliveryPolicy, Uplink};
+pub use delivery::{fold_fault_stats, Delivery, DeliveryPolicy, Phase};
 pub use liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
 pub use plane::{PlaneCounters, WirePlane};
 pub use queue::{classify, CommandQueue, OverwriteClass};
 pub use scaling::ScalePolicy;
 pub use server::{ServerConfig, ThincServer};
-pub use session::{Credentials, SessionAuth, SharedSession};
+pub use session::{Credentials, Heard, SessionAuth, SharedSession};
 pub use shard::ShardedManager;
 pub use translator::Translator;

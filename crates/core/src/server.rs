@@ -10,7 +10,6 @@
 
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
-use thinc_display::input::InputEvent;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
@@ -19,7 +18,7 @@ use thinc_raster::{Color, Framebuffer, PixelFormat, Rect, YuvFrame};
 
 use crate::buffer::BufferStats;
 use crate::delivery::{Delivery, DeliveryPolicy};
-use crate::session::{ClientId, Received, SharedSession};
+use crate::session::{ClientId, Heard, SharedSession};
 use crate::translator::TranslatorStats;
 
 /// Server configuration (the ablation switches map to the paper's
@@ -166,15 +165,12 @@ impl ThincServer {
     }
 
     /// Handles a message arriving from the client as far as that takes
-    /// no screen (see [`SharedSession::handle_message`], which answers
-    /// the rest). Input events are returned as window-system events
-    /// for forwarding; a refresh request goes unanswered, and what a
-    /// resume token's verdict owes is settled by the next draw.
-    pub fn handle_message(&mut self, msg: &Message) -> Option<InputEvent> {
-        match self.session.receive(VIEWER, msg) {
-            Received::Done(input) => input,
-            Received::Resync | Received::Resumed => None,
-        }
+    /// no screen (see [`SharedSession::receive`]; a holder of the screen
+    /// calls [`SharedSession::handle_message`]). A refresh request goes
+    /// unanswered, and what a resume token's verdict owes is settled by
+    /// the next draw.
+    pub fn handle_message(&mut self, msg: &Message) -> Heard {
+        self.session.receive(VIEWER, msg)
     }
 
     /// The client's resilience accounting (see

@@ -45,7 +45,7 @@ use crate::checkpoint::{
     format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
 };
 use crate::degradation::DegradationConfig;
-use crate::delivery::{Delivery, DeliveryPolicy, Rendition, Uplink};
+use crate::delivery::{Delivery, DeliveryPolicy, Phase, Rendition};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
 use crate::parallel::{contain, try_for_each_mut};
 use crate::plane::{PlanRole, PlaneCounters, WirePlane};
@@ -136,25 +136,14 @@ pub type FlushOutput = Vec<(ClientId, Vec<(SimTime, Message)>)>;
 struct Member {
     user: String,
     delivery: Delivery,
-    /// Set when this client's flush panicked under the parallel
-    /// fan-out: the panic was contained, the client is isolated from
-    /// all further broadcast/flush work, and the session keeps
-    /// serving everyone else. A quarantined client's state is
-    /// unspecified (the panic may have struck mid-mutation); the only
-    /// way back is detach + re-attach.
-    quarantined: bool,
     /// Test/chaos hook: the next flush of this client panics
     /// deliberately, exercising the quarantine path.
     poison_flush: bool,
-    /// Resumed warm on a restored session, and not yet owed the tiles
-    /// that changed on the screen since the image: settled by the next
-    /// call that has the screen in hand.
-    delta_owed: bool,
 }
 
 impl Member {
     fn new(user: String, delivery: Delivery) -> Self {
-        Self { user, delivery, quarantined: false, poison_flush: false, delta_owed: false }
+        Self { user, delivery, poison_flush: false }
     }
 
     /// The per-client flush body, borrowed one member at a time so the
@@ -169,7 +158,7 @@ impl Member {
         counters: &mut PlaneCounters,
         role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
-        if self.quarantined {
+        if self.delivery.quarantined() {
             return Vec::new();
         }
         if self.poison_flush {
@@ -195,14 +184,26 @@ struct FlushJob<'a> {
     panicked: bool,
 }
 
-/// What [`SharedSession::receive`] leaves to a caller with the screen.
-pub(crate) enum Received {
-    /// Nothing more; the window-system event, if the message was input.
-    Done(Option<InputEvent>),
-    /// The viewer asked for the full view: answer with a resync.
+/// What an uplink message meant, as [`SharedSession::receive`] decided
+/// it: the one result of the one uplink match.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Heard {
+    /// Nothing for the caller: handled, not a message the session acts
+    /// on, or from a viewer it does not serve.
+    Handled,
+    /// Input, as the window-system event to forward.
+    Input(InputEvent),
+    /// The viewer asked for the full view (its reconnect policy, or a
+    /// redial that could present no token): a holder of the screen
+    /// answers with a [resync](SharedSession::resync_client).
     Resync,
-    /// A redial was answered: settle what it left owed.
-    Resumed,
+    /// A redial's token was judged, `warm` or cold; what it owes is
+    /// repaid by the next call with the screen in hand.
+    Resumed {
+        /// The token named this session and this viewer, and its store
+        /// mirrors the ledger.
+        warm: bool,
+    },
 }
 
 /// One display session shared by any number of authenticated clients.
@@ -364,7 +365,7 @@ impl SharedSession {
     /// The delivery pipeline of an attached client that can still be
     /// served (quarantined state must not be revived or mutated).
     pub(crate) fn serving(&mut self, id: ClientId) -> Option<&mut Delivery> {
-        self.member_mut(id).filter(|m| !m.quarantined).map(|m| &mut m.delivery)
+        self.member_mut(id).map(|m| &mut m.delivery).filter(|d| !d.quarantined())
     }
 
     /// Translation-layer counters.
@@ -442,7 +443,7 @@ impl SharedSession {
         let Some(m) = self.member_mut(id) else {
             return LivenessVerdict::Alive;
         };
-        if m.quarantined {
+        if m.delivery.quarantined() {
             // A quarantined client cannot be served; report it dead
             // without queueing probes its flush would never carry.
             return LivenessVerdict::Dead;
@@ -515,7 +516,7 @@ impl SharedSession {
         // slowed a one-viewer server's flush on `winswitch` by ≈ 20 %
         // (docs/PERFORMANCE.md, "One façade").
         if let [(_, m)] = &mut self.clients[..] {
-            if !m.quarantined {
+            if !m.delivery.quarantined() {
                 let owed = m.delivery.begin_round(&cmds);
                 let rendition = Rendition::render(&m.delivery.scale(), &cmds, screen, owed);
                 let input = &self.input;
@@ -527,7 +528,7 @@ impl SharedSession {
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
         let mut debt = false;
         for (_, m) in self.clients.iter_mut() {
-            if m.quarantined {
+            if m.delivery.quarantined() {
                 class_of.push(usize::MAX);
                 continue;
             }
@@ -567,25 +568,18 @@ impl SharedSession {
         });
     }
 
-    /// Owes every member that resumed warm since the last call the
-    /// tiles that changed on `screen` since the image this session was
-    /// restored from: only those tiles at identity scale, the full view
-    /// for a scaled member (it resamples whole views; still far cheaper
-    /// than a cold restart — no cache reset, no pending-state drop).
+    /// Works out the delta of every member that resumed warm since the
+    /// last call (see [`Delivery::owe_delta`]): the tiles that changed
+    /// on `screen` since the image this session was restored from.
     fn owe_restore_deltas(&mut self, screen: &Framebuffer) {
         let Some(tiles) = &self.restored_tiles else {
             return;
         };
         let mut delta = None;
         for (_, m) in &mut self.clients {
-            if !std::mem::take(&mut m.delta_owed) {
-                continue;
-            }
-            let delta = delta.get_or_insert_with(|| tiles.delta(&TileDigests::of(screen)));
-            if m.delivery.scale().is_identity() {
-                m.delivery.owe_region(delta);
-            } else if !delta.is_empty() {
-                m.delivery.owe_refresh();
+            if matches!(m.delivery.phase(), Phase::OwesDelta(_)) {
+                let delta = delta.get_or_insert_with(|| tiles.delta(&TileDigests::of(screen)));
+                m.delivery.owe_delta(delta);
             }
         }
     }
@@ -659,7 +653,7 @@ impl SharedSession {
 
     /// Ends every viewer's video streams (session teardown).
     pub fn end_video(&mut self) {
-        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.delivery.quarantined()) {
             m.delivery.end_video();
         }
     }
@@ -667,7 +661,7 @@ impl SharedSession {
     /// Queues `msgs` on the A/V queue of every viewer that can still be
     /// served.
     fn queue_av_all(&mut self, msgs: &[Message]) {
-        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.delivery.quarantined()) {
             m.delivery.queue_av(msgs.iter().cloned());
         }
     }
@@ -684,7 +678,7 @@ impl SharedSession {
     ) -> Vec<(SimTime, Message)> {
         self.now = now;
         self.member_mut(id).map_or_else(Vec::new, |m| {
-            if !m.quarantined {
+            if !m.delivery.quarantined() {
                 m.delivery.begin_flush(now, pipe);
             }
             m.flush(now, pipe, trace, None, &mut PlaneCounters::default(), &PlanRole::Alone)
@@ -748,7 +742,7 @@ impl SharedSession {
             .collect();
         {
             let mut plans = plane.plans();
-            for job in jobs.iter_mut().filter(|job| !job.member.quarantined) {
+            for job in jobs.iter_mut().filter(|job| !job.member.delivery.quarantined()) {
                 let delivery = &mut job.member.delivery;
                 let begun = contain(|| {
                     delivery.begin_flush(now, &mut job.link.0);
@@ -782,7 +776,7 @@ impl SharedSession {
         // output is delivered untouched.
         for job in &mut jobs {
             if job.panicked {
-                job.member.quarantined = true;
+                job.member.delivery.quarantine();
                 job.member.delivery.resilience_mut().record_panic_quarantined();
                 job.out.clear();
             } else {
@@ -830,12 +824,12 @@ impl SharedSession {
     /// Whether a client has been quarantined by flush panic
     /// containment.
     pub fn client_quarantined(&self, id: ClientId) -> bool {
-        self.member(id).is_some_and(|m| m.quarantined)
+        self.viewer(id).is_some_and(Delivery::quarantined)
     }
 
     /// Number of currently quarantined clients.
     pub fn quarantined_count(&self) -> usize {
-        self.clients.iter().filter(|(_, m)| m.quarantined).count()
+        self.clients.iter().filter(|(_, m)| m.delivery.quarantined()).count()
     }
 
     /// Test/chaos hook: arms a deliberate panic inside `id`'s next
@@ -896,7 +890,7 @@ impl SharedSession {
         for d in &tiles.digests {
             w.u64(*d);
         }
-        let live = || self.clients.iter().filter(|(_, m)| !m.quarantined);
+        let live = || self.clients.iter().filter(|(_, m)| !m.delivery.quarantined());
         w.u32(live().count() as u32);
         for (id, m) in live() {
             w.u32(id.0);
@@ -994,92 +988,111 @@ impl SharedSession {
     }
 
     /// Handles a message arriving from an attached client (see
-    /// `receive`), answering what needs the screen
-    /// from `screen`: a refresh request with a
-    /// [resync](Self::resync_client), a resume token's verdict with
-    /// what it owes. Input is returned as a window-system event for
-    /// forwarding.
-    pub fn handle_message(
-        &mut self,
-        id: ClientId,
-        msg: &Message,
-        screen: &Framebuffer,
-    ) -> Option<InputEvent> {
-        match self.receive(id, msg) {
-            Received::Done(input) => return input,
-            Received::Resync => self.resync_client(id, screen),
-            Received::Resumed => {
+    /// [`receive`](Self::receive)), answering what needs the screen from
+    /// `screen` at once: a refresh request with a
+    /// [resync](Self::resync_client), a resume token's verdict with what
+    /// it owes.
+    pub fn handle_message(&mut self, id: ClientId, msg: &Message, screen: &Framebuffer) -> Heard {
+        let heard = self.receive(id, msg);
+        match heard {
+            Heard::Resync => self.resync_client(id, screen),
+            Heard::Resumed { .. } => {
                 self.owe_restore_deltas(screen);
                 if let Some(d) = self.serving(id) {
                     d.repay(screen);
                 }
             }
+            Heard::Handled | Heard::Input(_) => {}
         }
-        None
+        heard
     }
 
-    /// Everything of [`handle_message`](Self::handle_message) that
-    /// needs no screen (see [`Delivery::handle_message`]), plus the
-    /// session's part:
+    /// What a message from viewer `id` means in its [`Phase`], and what
+    /// it does — everything of the uplink protocol that needs no screen,
+    /// one arm per row of the server half of the transition table
+    /// (`docs/PROTOCOL.md` §3):
     ///
+    /// - Client traffic doubles as the heartbeat (see
+    ///   [`Delivery::heartbeat`]); a quarantined viewer is not heard.
     /// - Input from any viewer moves the real-time region, and pointer
     ///   input echoes the cursor position to every viewer, so each
     ///   local overlay tracks the session pointer.
-    /// - A resume token is judged. Warm resume (right session, right
-    ///   client, cache ledger digest equal to the client's store
-    ///   digest) trusts the client's framebuffer and content store
-    ///   as-is and owes it only the tiles that changed since the image
-    ///   (settled with the screen in hand). Anything else restarts the
-    ///   client cold ([`Delivery::restart_cold`], then the cursor
-    ///   shape): the path a brand-new attach takes, so a stale or
+    /// - A resume token resumes warm when it names this session and this
+    ///   viewer and its store digest equals the ledger's: the viewer's
+    ///   framebuffer and content store are trusted as they are, and only
+    ///   the tiles that changed since the image are owed. Anything else
+    ///   restarts the viewer cold ([`Delivery::restart_cold`], then the
+    ///   cursor shape): the path a brand-new attach takes, so a stale or
     ///   corrupted token can never do worse than a cold reconnect.
-    pub(crate) fn receive(&mut self, id: ClientId, msg: &Message) -> Received {
-        let (now, budget, hello) = (self.now, self.cache_budget, self.hello());
+    pub fn receive(&mut self, id: ClientId, msg: &Message) -> Heard {
+        let (now, budget, hello, cursor) =
+            (self.now, self.cache_budget, self.hello(), self.cursor_shape.clone());
         let (session_id, restored) = (self.session_id, self.restored_tiles.is_some());
-        let Some(m) = self.member_mut(id).filter(|m| !m.quarantined) else {
-            return Received::Done(None);
+        let Some(m) = self.member_mut(id) else {
+            return Heard::Handled;
         };
-        match m.delivery.handle_message(msg, now, budget) {
-            Uplink::Done => {}
-            Uplink::Resync => return Received::Resync,
-            Uplink::Resume { session_id: sid, client_id, last_seq, store_digest } => {
-                let warm = if sid == session_id && client_id == id.0 {
-                    m.delivery.resume(last_seq, store_digest, hello, now)
-                } else {
-                    m.delivery.restart_cold(hello, now);
-                    false
+        let d = &mut m.delivery;
+        if !d.quarantined() {
+            d.heartbeat(msg, now);
+        }
+        match (d.phase(), msg) {
+            (Phase::Quarantined, _) => Heard::Handled,
+            (_, &Message::ClientHello { version, viewport_width, viewport_height }) => {
+                d.negotiate(version, (viewport_width, viewport_height), budget);
+                Heard::Handled
+            }
+            (_, &Message::Resize { viewport_width, viewport_height }) => {
+                d.set_viewport(viewport_width, viewport_height);
+                Heard::Handled
+            }
+            // Zoom (§6): `view` (session space) maps onto the viewport,
+            // and the client is owed full-detail content for the newly
+            // magnified region, sent with the next push.
+            (_, &Message::SetView { view }) => {
+                d.rescale(view);
+                Heard::Handled
+            }
+            (_, &Message::CacheMiss { hash }) => {
+                d.miss(hash);
+                Heard::Handled
+            }
+            (_, Message::RefreshRequest { .. }) => Heard::Resync,
+            (_, &Message::SessionResume { session_id: sid, client_id, last_seq, store_digest })
+                if sid == session_id && client_id == id.0 && d.mirrors(store_digest) =>
+            {
+                d.resume(last_seq, restored);
+                Heard::Resumed { warm: true }
+            }
+            (_, Message::SessionResume { .. }) => {
+                d.restart_cold(hello, now);
+                d.queue_av(cursor);
+                Heard::Resumed { warm: false }
+            }
+            (_, Message::Input(input)) => {
+                let ev = match *input {
+                    ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(x, y)),
+                    ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(x, y)),
+                    ProtocolInput::ButtonRelease { x, y, .. } => {
+                        InputEvent::ButtonRelease(Point::new(x, y))
+                    }
+                    ProtocolInput::KeyPress { key } | ProtocolInput::KeyRelease { key } => {
+                        InputEvent::KeyPress(key)
+                    }
                 };
-                m.delta_owed = warm && restored;
-                if !warm {
-                    let cursor = self.cursor_shape.clone();
-                    if let Some(d) = self.serving(id) {
-                        d.queue_av(cursor);
+                self.input.observe(ev);
+                if let InputEvent::PointerMove(p)
+                | InputEvent::ButtonPress(p)
+                | InputEvent::ButtonRelease(p) = ev
+                {
+                    for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.delivery.quarantined()) {
+                        let (x, y) = m.delivery.scale().map_point(p.x, p.y);
+                        m.delivery.queue_av([Message::CursorMove { x, y }]);
                     }
                 }
-                return Received::Resumed;
+                Heard::Input(ev)
             }
+            _ => Heard::Handled,
         }
-        let Message::Input(input) = msg else {
-            return Received::Done(None);
-        };
-        let ev = match *input {
-            ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(x, y)),
-            ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(x, y)),
-            ProtocolInput::ButtonRelease { x, y, .. } => InputEvent::ButtonRelease(Point::new(x, y)),
-            ProtocolInput::KeyPress { key } | ProtocolInput::KeyRelease { key } => {
-                InputEvent::KeyPress(key)
-            }
-        };
-        self.input.observe(ev);
-        if let InputEvent::PointerMove(p) | InputEvent::ButtonPress(p) | InputEvent::ButtonRelease(p) =
-            ev
-        {
-            for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
-                let (x, y) = m.delivery.scale().map_point(p.x, p.y);
-                m.delivery.queue_av([Message::CursorMove { x, y }]);
-            }
-        }
-        Received::Done(Some(ev))
     }
 }
 
@@ -1172,7 +1185,7 @@ impl VideoDriver for SharedSession {
         // scale's payload on its A/V queue.
         let ts = self.now.as_micros();
         let mut payloads: HashMap<VideoScale, VideoPayload> = HashMap::new();
-        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.quarantined) {
+        for (_, m) in self.clients.iter_mut().filter(|(_, m)| !m.delivery.quarantined()) {
             let scale = m.delivery.video_scale();
             let payload = payloads.entry(scale).or_insert_with(|| VideoPayload::new(frame, scale));
             m.delivery.display_video_payload(payload, dst, ts);
@@ -1397,7 +1410,7 @@ mod tests {
         // would send the fill first, the real-time queue sends the
         // feedback first.
         let click = Message::Input(ProtocolInput::ButtonPress { x: 10, y: 10, button: 1 });
-        assert!(s.handle_message(ids[1], &click, store.screen()).is_some());
+        assert!(matches!(s.handle_message(ids[1], &click, store.screen()), Heard::Input(_)));
         let far = Rect::new(50, 50, 8, 8);
         store.screen_mut().fill_rect(&far, Color::WHITE);
         s.solid_fill(&store, SCREEN, far, Color::WHITE);

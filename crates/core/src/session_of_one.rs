@@ -24,7 +24,7 @@ use crate::delivery::Delivery;
 use crate::fixtures::{checkpointable_server, KEY};
 use crate::scaling::ScalePolicy;
 use crate::server::{ServerConfig, VIEWER};
-use crate::session::SharedSession;
+use crate::session::{Heard, SharedSession};
 
 /// A 64x64 session whose client applies messages as they are, with no
 /// content store to resolve references from.
@@ -50,7 +50,7 @@ fn viewer(ws: &WindowServer<SharedSession>) -> &Delivery {
 }
 
 /// Hands the session a client message, with the screen to answer it.
-fn send(ws: &mut WindowServer<SharedSession>, msg: &Message) -> Option<InputEvent> {
+fn send(ws: &mut WindowServer<SharedSession>, msg: &Message) -> Heard {
     let (session, screen) = ws.driver_and_screen();
     session.handle_message(VIEWER, msg, screen)
 }
@@ -158,7 +158,7 @@ fn input_marks_updates_realtime() {
             button: 1,
         }),
     );
-    assert!(matches!(ev, Some(InputEvent::ButtonPress(_))));
+    assert!(matches!(ev, Heard::Input(InputEvent::ButtonPress(_))));
     // A small fill outside the 32-pixel input halo around (10, 10),
     // then larger feedback inside it.
     ws.process(DrawRequest::FillRect {
