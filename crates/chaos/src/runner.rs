@@ -21,6 +21,7 @@
 use crate::event::{ChaosEvent, FaultKind, Schedule, Workload};
 use crate::expect::{self, SlotCounters};
 use crate::invariant::{self, RunReport, Violation};
+use thinc_client::stream::Link;
 use thinc_client::{ReconnectConfig, ReconnectPolicy, StreamClient, ThincClient};
 use thinc_core::degradation::{DegradationConfig, DegradationLevel};
 use thinc_core::liveness::LivenessConfig;
@@ -512,7 +513,7 @@ impl Runner {
             self.fresh_connection(si);
             let id = self.slots[si].id;
             let opening = self.slots[si].stream.redial(old_session_id, id.0);
-            if !self.slots[si].stream.resume_pending() {
+            if self.slots[si].stream.link() != Link::Resuming {
                 self.slots[si].mirror_intact = false;
             }
             for msg in &opening {

@@ -232,7 +232,7 @@ impl StreamClient {
     /// repaint of the whole viewport ([`paint`](Self::paint)) makes it
     /// current again.
     fn step(&mut self, event: Event) {
-        self.link = match (self.link, event) {
+        match (self.link, event) {
             // Handshake tags carry no CRC, so a damaged frame can
             // decode as a hello anywhere: one nobody awaits, other than
             // a repeat of the hello in force (a legacy-framed frame has
@@ -240,99 +240,78 @@ impl StreamClient {
             // decode error whose frame was skipped, and leaves the
             // revision alone.
             (Link::Streaming, Event::Frame(hello @ Message::ServerHello { .. }))
-                if self.greeting.as_ref() != Some(&hello) =>
-            {
-                self.step(Event::Damage(hello.wire_size()));
-                Link::Streaming
-            }
-            // The standby refused the token and restarted cold: it
-            // reset its ledger, so the mirrored store goes too, and the
-            // display is stale until the full refresh covers it.
-            (Link::Resuming, Event::Frame(hello @ Message::ServerHello { .. })) => {
-                self.negotiate(&hello);
-                self.cache.clear();
-                self.decoded.clear();
-                self.screen = Screen::Stale(Region::new());
-                self.resilience.record_cold_fallback();
-                self.paint(hello, None);
-                Link::Streaming
-            }
-            (_, Event::Frame(hello @ Message::ServerHello { .. })) => {
-                self.negotiate(&hello);
-                self.paint(hello, None);
-                Link::Streaming
-            }
-            // Anything but a hello confirms a warm resume. A reference
-            // resolves against the store before it reaches the display;
-            // one it cannot resolve is no damage: the server answers
-            // the miss by repainting from its screen.
-            (link, Event::Frame(Message::CacheRef { hash })) => {
+                if self.greeting.as_ref() != Some(&hello) => self.step(Event::Damage(hello.wire_size())),
+            // An awaited hello, or a repeat, fixes the wire revision for
+            // the rest of the stream: the reader never switches on its
+            // own. After a resume it means the standby refused the token
+            // and restarted cold: it reset its ledger, so the mirrored
+            // store goes too, and the display is stale until the full
+            // refresh covers it.
+            (link, Event::Frame(hello @ Message::ServerHello { version, .. })) => {
+                self.link = Link::Streaming;
+                self.reader.set_revision(version.min(thinc_protocol::PROTOCOL_VERSION));
+                self.greeting = Some(hello.clone());
                 if link == Link::Resuming {
-                    self.resilience.record_resume();
+                    self.cache.clear();
+                    self.decoded.clear();
+                    self.screen = Screen::Stale(Region::new());
+                    self.resilience.record_cold_fallback();
                 }
-                match self.cache.resolve(hash) {
-                    Some((id, resolved)) => {
-                        let resolved = resolved.clone();
-                        let saved = resolved.wire_size().saturating_sub(Message::CacheRef { hash }.wire_size());
-                        self.resilience.record_cache_hit(saved);
-                        self.paint(resolved, Some(id));
-                    }
-                    None => {
-                        self.resilience.record_cache_miss();
-                        self.pending_cache_miss.push_back(Message::CacheMiss { hash });
-                    }
-                }
-                Link::Streaming
+                self.paint(hello, None);
             }
+            // Anything else confirms a warm resume. A reference resolves
+            // against the store before it reaches the display; one it
+            // cannot resolve is no damage: the server answers the miss
+            // by repainting from its screen.
             (link, Event::Frame(msg)) => {
+                self.link = Link::Streaming;
                 if link == Link::Resuming {
                     self.resilience.record_resume();
                 }
-                self.paint(msg, None);
-                Link::Streaming
+                match msg {
+                    Message::CacheRef { hash } => match self.cache.resolve(hash) {
+                        Some((id, resolved)) => {
+                            let resolved = resolved.clone();
+                            let ref_size = Message::CacheRef { hash }.wire_size();
+                            self.resilience.record_cache_hit(resolved.wire_size().saturating_sub(ref_size));
+                            self.paint(resolved, Some(id));
+                        }
+                        None => {
+                            self.resilience.record_cache_miss();
+                            self.pending_cache_miss.push_back(Message::CacheMiss { hash });
+                        }
+                    },
+                    msg => self.paint(msg, None),
+                }
             }
             // New damage, a lost frame or a wedged reader invalidates
             // any partial cover.
-            (link, Event::Damage(skipped)) => {
+            (_, Event::Damage(skipped)) => {
                 self.resilience.record_decode_error();
                 self.resilience.record_stream_resync(skipped);
                 self.screen = Screen::Stale(Region::new());
-                link
             }
-            (link, Event::Gap) => {
+            (_, Event::Gap) => {
                 self.resilience.record_resync_triggered();
                 self.screen = Screen::Stale(Region::new());
-                link
             }
-            (link, Event::Stall) => {
-                self.restart();
-                link
-            }
+            (_, Event::Stall) => self.restart(),
             (_, Event::Reconnect) => {
                 self.restart();
-                Link::Opening
+                self.link = Link::Opening;
             }
             // A half-received frame cannot be stitched onto the
             // standby's stream: the redial goes cold at once.
             (_, Event::Resume) if self.reader.pending_bytes() > 0 => {
                 self.restart();
                 self.resilience.record_cold_fallback();
-                Link::Opening
+                self.link = Link::Opening;
             }
             (_, Event::Resume) => {
                 self.reset_reader();
-                Link::Resuming
+                self.link = Link::Resuming;
             }
-        };
-    }
-
-    /// Fixes the wire revision for the rest of the stream from a
-    /// honoured hello: the reader never switches on its own.
-    fn negotiate(&mut self, hello: &Message) {
-        if let Message::ServerHello { version, .. } = hello {
-            self.reader.set_revision((*version).min(thinc_protocol::PROTOCOL_VERSION));
         }
-        self.greeting = Some(hello.clone());
     }
 
     /// Drops the wire state like a fresh connection, and the display
@@ -542,12 +521,6 @@ impl StreamClient {
     /// wedged: the worst case is a full-view refresh.
     pub fn resume(&mut self) -> bool {
         self.step(Event::Resume);
-        self.link == Link::Resuming
-    }
-
-    /// Whether a warm resume is still awaiting its first post-redial
-    /// server message.
-    pub fn resume_pending(&self) -> bool {
         self.link == Link::Resuming
     }
 
@@ -1031,7 +1004,7 @@ mod tests {
         );
         assert_eq!(request, Message::RefreshRequest { attempt: 0 });
         assert!(c.needs_refresh(), "a reopened link is stale until covered");
-        assert!(!c.resume_pending(), "no token, so nothing to settle");
+        assert!(c.link() != Link::Resuming, "no token, so nothing to settle");
     }
 
     fn cacheable_raw(fill: u8) -> Message {
@@ -1251,7 +1224,7 @@ mod tests {
         };
         // Server crashes; the client redials warm.
         assert!(c.resume());
-        assert!(c.resume_pending());
+        assert_eq!(c.link(), Link::Resuming);
         // The standby adopted the token's sequence and ships only the
         // delta — no hello, no refresh, no sequence break.
         let mut standby = FrameEncoder::with_revision(WIRE_REV_INTEGRITY);
@@ -1263,7 +1236,7 @@ mod tests {
             }))),
             1
         );
-        assert!(!c.resume_pending());
+        assert!(c.link() != Link::Resuming);
         assert!(!c.needs_refresh(), "warm resume is not damage");
         assert_eq!(c.cache_store().lru().len(), 1, "the store survives a warm resume");
         let m = c.resilience_metrics();
@@ -1296,7 +1269,7 @@ mod tests {
             height: 32,
             depth: 24,
         }));
-        assert!(!c.resume_pending());
+        assert!(c.link() != Link::Resuming);
         assert!(c.needs_refresh(), "a cold restart presumes a stale display");
         assert_eq!(c.cache_store().lru().len(), 0, "the mirrored store is dropped");
         let m = c.resilience_metrics();
@@ -1319,7 +1292,7 @@ mod tests {
         // A half-received frame cannot be stitched onto the standby's
         // stream: the redial downgrades to a cold reconnect.
         assert!(!c.resume());
-        assert!(!c.resume_pending());
+        assert!(c.link() != Link::Resuming);
         assert_eq!(c.pending_bytes(), 0);
         assert!(c.needs_refresh());
         let m = c.resilience_metrics();

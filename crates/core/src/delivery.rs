@@ -37,7 +37,7 @@ use thinc_raster::{Framebuffer, Rect, Region};
 use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics};
 
 use crate::buffer::{decode_checkpoint_message, ClientBuffer};
-use crate::checkpoint::{cache_digest, CheckpointError, Reader, Writer};
+use crate::checkpoint::{CheckpointError, Reader, Writer};
 use crate::degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
@@ -404,14 +404,6 @@ impl Delivery {
         self.phase = Phase::OwesView;
     }
 
-    /// Owes the client a refresh of `region` (session space), unless
-    /// the full view is owed already.
-    pub fn owe_region(&mut self, region: &Region) {
-        if let Phase::Owes(debt) | Phase::OwesDelta(debt) = &mut self.phase {
-            debt.union(region);
-        }
-    }
-
     /// Negotiates the framing a client's hello announces, and applies
     /// its viewport. The session adopts the highest framing both sides
     /// speak; a version-1 client keeps the whole stream legacy-framed,
@@ -444,13 +436,10 @@ impl Delivery {
     /// probe: a delayed one surfacing from a recovering link's queue
     /// says nothing about the connection now.
     pub(crate) fn heartbeat(&mut self, msg: &Message, now: SimTime) {
-        if let Some(t) = self.liveness.as_mut() {
-            match msg {
-                Message::Pong { seq, .. } => {
-                    t.note_pong(*seq, now);
-                }
-                _ => t.note_activity(now),
-            }
+        match (self.liveness.as_mut(), msg) {
+            (Some(t), Message::Pong { seq, .. }) => _ = t.note_pong(*seq, now),
+            (Some(t), _) => t.note_activity(now),
+            (None, _) => {}
         }
     }
 
@@ -468,13 +457,12 @@ impl Delivery {
         let Phase::OwesDelta(debt) = &mut self.phase else {
             return;
         };
-        if self.scale.is_identity() {
+        if self.scale.is_identity() || delta.is_empty() {
             debt.union(delta);
-        } else if !delta.is_empty() {
+            self.phase = Phase::Owes(std::mem::take(debt));
+        } else {
             self.phase = Phase::OwesView;
-            return;
         }
-        self.phase = Phase::Owes(std::mem::take(debt));
     }
 
     /// Opens a push round for `cmds` and returns whether it begins
@@ -578,20 +566,14 @@ impl Delivery {
         }
     }
 
-    /// Resynchronizes a (re)connecting client: the session's true
-    /// state lives entirely on the server, so mobility is the live
+    /// Begins resynchronizing a (re)connecting client: the session's
+    /// true state lives entirely on the server, so mobility is the live
     /// video streams re-announced plus the full view — nothing else
-    /// needs to persist at the client. Stale pending commands and
-    /// every narrower debt are dropped (the full view covers them),
-    /// and a client the liveness tracker had declared dead is revived.
-    pub fn resync(&mut self, screen: &Framebuffer, now: SimTime) {
-        self.begin_resync(now);
-        self.repay(screen);
-    }
-
-    /// Everything of a [`resync`](Self::resync) but reading the
-    /// screen: the full view stays owed until the next push or repay.
-    fn begin_resync(&mut self, now: SimTime) {
+    /// needs to persist at the client. Stale pending commands and every
+    /// narrower debt are dropped (the full view, owed until the next
+    /// push or [`repay`](Self::repay), covers them), and a client the
+    /// liveness tracker had declared dead is revived.
+    pub(crate) fn begin_resync(&mut self, now: SimTime) {
         self.resilience.record_resync();
         if let Some(t) = self.liveness.as_mut() {
             t.reset(now);
@@ -601,14 +583,8 @@ impl Delivery {
         self.phase = Phase::OwesView;
     }
 
-    /// Whether a resume token's content-store digest proves the
-    /// client's store mirrors this ledger.
-    pub(crate) fn mirrors(&self, store_digest: u64) -> bool {
-        cache_digest(&self.buffer.cache_keys()) == store_digest
-    }
-
     /// Resumes a redialing client warm (its token named the session and
-    /// the client, and [`mirrors`](Self::mirrors) the ledger): the frame
+    /// the client, and its content-store digest is the ledger's): the frame
     /// sequence continues right after the last frame the client proved
     /// it received, so its integrity verifier sees an unbroken stream,
     /// and its framebuffer and store are trusted as they are. On a

@@ -42,7 +42,7 @@ use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 use crate::audio::VirtualAudioDriver;
 use crate::buffer::{decode_checkpoint_message, ClientBuffer};
 use crate::checkpoint::{
-    format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
+    cache_digest, format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
 };
 use crate::degradation::DegradationConfig;
 use crate::delivery::{Delivery, DeliveryPolicy, Phase, Rendition};
@@ -440,15 +440,13 @@ impl SharedSession {
     /// alone: it is not a draw.
     pub fn poll_client_liveness(&mut self, id: ClientId, now: SimTime) -> LivenessVerdict {
         self.now = now;
-        let Some(m) = self.member_mut(id) else {
-            return LivenessVerdict::Alive;
-        };
-        if m.delivery.quarantined() {
+        match self.member_mut(id).map(|m| &mut m.delivery) {
+            None => LivenessVerdict::Alive,
             // A quarantined client cannot be served; report it dead
             // without queueing probes its flush would never carry.
-            return LivenessVerdict::Dead;
+            Some(d) if d.quarantined() => LivenessVerdict::Dead,
+            Some(d) => d.poll_liveness(now),
         }
-        m.delivery.poll_liveness(now)
     }
 
     /// Whether a client has been declared dead.
@@ -594,7 +592,7 @@ impl SharedSession {
     }
 
     /// Handles a client's explicit resync request (see
-    /// [`Delivery::resync`]): the cursor shape again, then that
+    /// [`Delivery::begin_resync`]): the cursor shape again, then that
     /// client's (possibly stale) pending commands dropped and a
     /// full-view refresh queued from `screen`, stamped at the session
     /// clock — it is read off the screen now.
@@ -603,7 +601,8 @@ impl SharedSession {
         if let Some(d) = self.serving(id) {
             d.set_time(now);
             d.queue_av(cursor);
-            d.resync(screen, now);
+            d.begin_resync(now);
+            d.repay(screen);
         }
     }
 
@@ -1007,13 +1006,13 @@ impl SharedSession {
         heard
     }
 
-    /// What a message from viewer `id` means in its [`Phase`], and what
-    /// it does — everything of the uplink protocol that needs no screen,
-    /// one arm per row of the server half of the transition table
-    /// (`docs/PROTOCOL.md` §3):
+    /// What a message from viewer `id` means, and what it does —
+    /// everything of the uplink protocol that needs no screen, one arm
+    /// per row of the server half of the transition table
+    /// (`docs/PROTOCOL.md` §3). A viewer the session does not
+    /// [serve](Self::serving) is not heard; from any other, traffic
+    /// doubles as the heartbeat ([`Delivery::heartbeat`]).
     ///
-    /// - Client traffic doubles as the heartbeat (see
-    ///   [`Delivery::heartbeat`]); a quarantined viewer is not heard.
     /// - Input from any viewer moves the real-time region, and pointer
     ///   input echoes the cursor position to every viewer, so each
     ///   local overlay tracks the session pointer.
@@ -1028,57 +1027,36 @@ impl SharedSession {
         let (now, budget, hello, cursor) =
             (self.now, self.cache_budget, self.hello(), self.cursor_shape.clone());
         let (session_id, restored) = (self.session_id, self.restored_tiles.is_some());
-        let Some(m) = self.member_mut(id) else {
+        let Some(d) = self.serving(id) else {
             return Heard::Handled;
         };
-        let d = &mut m.delivery;
-        if !d.quarantined() {
-            d.heartbeat(msg, now);
-        }
-        match (d.phase(), msg) {
-            (Phase::Quarantined, _) => Heard::Handled,
-            (_, &Message::ClientHello { version, viewport_width, viewport_height }) => {
+        d.heartbeat(msg, now);
+        match *msg {
+            Message::ClientHello { version, viewport_width, viewport_height } => {
                 d.negotiate(version, (viewport_width, viewport_height), budget);
-                Heard::Handled
             }
-            (_, &Message::Resize { viewport_width, viewport_height }) => {
+            Message::Resize { viewport_width, viewport_height } => {
                 d.set_viewport(viewport_width, viewport_height);
-                Heard::Handled
             }
             // Zoom (§6): `view` (session space) maps onto the viewport,
             // and the client is owed full-detail content for the newly
             // magnified region, sent with the next push.
-            (_, &Message::SetView { view }) => {
-                d.rescale(view);
-                Heard::Handled
-            }
-            (_, &Message::CacheMiss { hash }) => {
-                d.miss(hash);
-                Heard::Handled
-            }
-            (_, Message::RefreshRequest { .. }) => Heard::Resync,
-            (_, &Message::SessionResume { session_id: sid, client_id, last_seq, store_digest })
-                if sid == session_id && client_id == id.0 && d.mirrors(store_digest) =>
+            Message::SetView { view } => d.rescale(view),
+            Message::CacheMiss { hash } => d.miss(hash),
+            Message::RefreshRequest { .. } => return Heard::Resync,
+            Message::SessionResume { session_id: sid, client_id, last_seq, store_digest }
+                if sid == session_id && client_id == id.0 && cache_digest(&d.buffer().cache_keys()) == store_digest =>
             {
                 d.resume(last_seq, restored);
-                Heard::Resumed { warm: true }
+                return Heard::Resumed { warm: true };
             }
-            (_, Message::SessionResume { .. }) => {
+            Message::SessionResume { .. } => {
                 d.restart_cold(hello, now);
                 d.queue_av(cursor);
-                Heard::Resumed { warm: false }
+                return Heard::Resumed { warm: false };
             }
-            (_, Message::Input(input)) => {
-                let ev = match *input {
-                    ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(x, y)),
-                    ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(x, y)),
-                    ProtocolInput::ButtonRelease { x, y, .. } => {
-                        InputEvent::ButtonRelease(Point::new(x, y))
-                    }
-                    ProtocolInput::KeyPress { key } | ProtocolInput::KeyRelease { key } => {
-                        InputEvent::KeyPress(key)
-                    }
-                };
+            Message::Input(input) => {
+                let ev = input_event(input);
                 self.input.observe(ev);
                 if let InputEvent::PointerMove(p)
                 | InputEvent::ButtonPress(p)
@@ -1089,10 +1067,21 @@ impl SharedSession {
                         m.delivery.queue_av([Message::CursorMove { x, y }]);
                     }
                 }
-                Heard::Input(ev)
+                return Heard::Input(ev);
             }
-            _ => Heard::Handled,
+            _ => {}
         }
+        Heard::Handled
+    }
+}
+
+/// The window-system event a viewer's input stands for.
+fn input_event(input: ProtocolInput) -> InputEvent {
+    match input {
+        ProtocolInput::PointerMove { x, y } => InputEvent::PointerMove(Point::new(x, y)),
+        ProtocolInput::ButtonPress { x, y, .. } => InputEvent::ButtonPress(Point::new(x, y)),
+        ProtocolInput::ButtonRelease { x, y, .. } => InputEvent::ButtonRelease(Point::new(x, y)),
+        ProtocolInput::KeyPress { key } | ProtocolInput::KeyRelease { key } => InputEvent::KeyPress(key),
     }
 }
 
