@@ -202,8 +202,8 @@ impl StreamClient {
     /// counted, the reader scans to the next plausible frame start,
     /// and [`needs_refresh`](Self::needs_refresh) is raised so the
     /// caller can request a server resync. Returns the number of
-    /// messages applied. What each message means in each
-    /// [`Link`] phase is [`step`](Self::step)'s table.
+    /// messages applied. What each message means in each phase is
+    /// the client table of `docs/PROTOCOL.md` §3.
     pub fn feed(&mut self, bytes: &[u8]) -> usize {
         self.reader.feed(bytes);
         let before = self.applied_total;

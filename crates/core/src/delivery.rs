@@ -573,7 +573,7 @@ impl Delivery {
     /// narrower debt are dropped (the full view, owed until the next
     /// push or [`repay`](Self::repay), covers them), and a client the
     /// liveness tracker had declared dead is revived.
-    pub(crate) fn begin_resync(&mut self, now: SimTime) {
+    pub fn begin_resync(&mut self, now: SimTime) {
         self.resilience.record_resync();
         if let Some(t) = self.liveness.as_mut() {
             t.reset(now);
@@ -618,7 +618,7 @@ impl Delivery {
     /// Evaluates liveness at `now`: a silent client gets a
     /// [`Message::Ping`] queued (at most one per interval), and
     /// silence past the timeout declares it dead, latched until the
-    /// next [`resync`](Self::resync). `Alive` when liveness tracking
+    /// next [`begin_resync`](Self::begin_resync). `Alive` when liveness tracking
     /// is not configured.
     pub fn poll_liveness(&mut self, now: SimTime) -> LivenessVerdict {
         let Some(t) = self.liveness.as_mut() else {

@@ -1009,9 +1009,10 @@ impl SharedSession {
     /// What a message from viewer `id` means, and what it does —
     /// everything of the uplink protocol that needs no screen, one arm
     /// per row of the server half of the transition table
-    /// (`docs/PROTOCOL.md` §3). A viewer the session does not
-    /// [serve](Self::serving) is not heard; from any other, traffic
-    /// doubles as the heartbeat ([`Delivery::heartbeat`]).
+    /// (`docs/PROTOCOL.md` §3). A viewer the session does not serve (not
+    /// attached, or quarantined) is not heard; from any other, traffic
+    /// doubles as the heartbeat, a pong only when it answers the latest
+    /// probe.
     ///
     /// - Input from any viewer moves the real-time region, and pointer
     ///   input echoes the cursor position to every viewer, so each
@@ -2154,3 +2155,7 @@ mod tests {
         );
     }
 }
+
+#[cfg(test)]
+#[path = "session_phases.rs"]
+mod phases;

@@ -2,10 +2,12 @@
 //! SRSF scheduler may reorder commands, evict stale ones, clip
 //! partially-overwritten ones and split large ones — but the client's
 //! final framebuffer must always equal the result of executing the
-//! original command stream in order.
+//! original command stream in order. Both ends are the real viewer: a
+//! `StreamClient` fed framed bytes, so every command reaches the
+//! display through the same phase match a live connection's does.
 
 use proptest::prelude::*;
-use thinc::client::ThincClient;
+use thinc::client::StreamClient;
 use thinc::core::buffer::ClientBuffer;
 use thinc::core::queue::CommandQueue;
 use thinc::net::tcp::{TcpParams, TcpPipe};
@@ -13,6 +15,8 @@ use thinc::net::time::{SimDuration, SimTime};
 use thinc::net::trace::PacketTrace;
 use thinc::protocol::commands::{DisplayCommand, RawEncoding, Tile};
 use thinc::protocol::message::Message;
+use thinc::protocol::wire::FrameEncoder;
+use thinc::protocol::PROTOCOL_VERSION;
 use thinc::raster::{Color, Framebuffer, PixelFormat, Rect};
 
 const W: u32 = 48;
@@ -126,18 +130,45 @@ fn arb_copy_free_step() -> impl Strategy<Value = Vec<DisplayCommand>> {
     ]
 }
 
+/// A viewer that negotiated this build's revision, and the encoder
+/// that frames what it is shipped.
+struct Viewer {
+    stream: StreamClient,
+    encoder: FrameEncoder,
+}
+
+impl Viewer {
+    fn new() -> Viewer {
+        let mut encoder = FrameEncoder::new();
+        encoder.negotiate(PROTOCOL_VERSION);
+        let mut stream = StreamClient::new(W, H, PixelFormat::Rgb888);
+        let hello = Message::ServerHello { version: PROTOCOL_VERSION, width: W, height: H, depth: 24 };
+        stream.feed(&encoder.encode(&hello));
+        Viewer { stream, encoder }
+    }
+
+    fn show(&mut self, msg: &Message) {
+        assert_eq!(self.stream.feed(&self.encoder.encode(msg)), 1, "{msg:?} was not applied");
+    }
+
+    /// The viewer's framebuffer, once everything it was shipped is
+    /// applied cleanly.
+    fn screen(&self) -> Framebuffer {
+        assert!(!self.stream.needs_refresh(), "the viewer went stale");
+        assert_eq!(self.stream.pending_bytes(), 0, "bytes left undecoded");
+        let mut fb = Framebuffer::new(W, H, PixelFormat::Rgb888);
+        fb.put_raw(&Rect::new(0, 0, W, H), self.stream.client().framebuffer().data());
+        fb
+    }
+}
+
 /// Executes commands directly, in order (the reference semantics).
 fn replay_in_order(cmds: &[DisplayCommand]) -> Framebuffer {
-    let mut fb = Framebuffer::new(W, H, PixelFormat::Rgb888);
-    let mut client = ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut viewer = Viewer::new();
     for c in cmds {
-        client.apply(&Message::Display(c.clone()));
+        viewer.show(&Message::Display(c.clone()));
     }
-    fb.put_raw(
-        &Rect::new(0, 0, W, H),
-        client.framebuffer().data(),
-    );
-    fb
+    viewer.screen()
 }
 
 /// Pushes commands through the scheduler/buffer and replays the
@@ -174,12 +205,12 @@ fn replay_through_buffer(
     };
     let mut pipe = TcpPipe::new(params);
     let mut trace = PacketTrace::new();
-    let mut client = ThincClient::new(W, H, PixelFormat::Rgb888);
+    let mut viewer = Viewer::new();
     let mut now = SimTime::ZERO;
     for _ in 0..1_000_000 {
         let batch = buf.flush(now, &mut pipe, &mut trace);
         for (_, msg) in batch {
-            client.apply(&msg);
+            viewer.show(&msg);
         }
         if buf.is_empty() {
             break;
@@ -187,10 +218,8 @@ fn replay_through_buffer(
         now = pipe.tx_free_at().max(now + SimDuration::from_millis(1));
     }
     assert!(buf.is_empty(), "buffer failed to drain");
-    assert_eq!(client.stats().errors, 0, "client rejected a command");
-    let mut fb = Framebuffer::new(W, H, PixelFormat::Rgb888);
-    fb.put_raw(&Rect::new(0, 0, W, H), client.framebuffer().data());
-    fb
+    assert_eq!(viewer.stream.client().stats().errors, 0, "client rejected a command");
+    viewer.screen()
 }
 
 /// Everything an unbounded FIFO buffer delivers for `cmds`, in wire
