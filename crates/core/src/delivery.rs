@@ -11,8 +11,7 @@
 //! outgoing framer and the steps of the uplink protocol (negotiation,
 //! viewport changes, cache misses, heartbeats and the redial ladder),
 //! together with the operations on them, each written once. What each
-//! uplink message means is one match, in
-//! [`SharedSession::receive`](crate::session::SharedSession::receive).
+//! uplink message means is one match, in `SharedSession::receive`.
 //! [`SharedSession`](crate::session::SharedSession) is the one holder:
 //! it constructs, restores and checkpoints every `Delivery`, keeps a
 //! roster of them and shares work between clients at the same scale;
@@ -300,7 +299,7 @@ impl Delivery {
     }
 
     /// Whether the client's flush panicked (see [`Phase::Quarantined`]).
-    pub fn quarantined(&self) -> bool {
+    pub(crate) fn quarantined(&self) -> bool {
         self.phase == Phase::Quarantined
     }
 
@@ -573,7 +572,7 @@ impl Delivery {
     /// narrower debt are dropped (the full view, owed until the next
     /// push or [`repay`](Self::repay), covers them), and a client the
     /// liveness tracker had declared dead is revived.
-    pub fn begin_resync(&mut self, now: SimTime) {
+    pub(crate) fn begin_resync(&mut self, now: SimTime) {
         self.resilience.record_resync();
         if let Some(t) = self.liveness.as_mut() {
             t.reset(now);
@@ -618,7 +617,7 @@ impl Delivery {
     /// Evaluates liveness at `now`: a silent client gets a
     /// [`Message::Ping`] queued (at most one per interval), and
     /// silence past the timeout declares it dead, latched until the
-    /// next [`begin_resync`](Self::begin_resync). `Alive` when liveness tracking
+    /// next resync. `Alive` when liveness tracking
     /// is not configured.
     pub fn poll_liveness(&mut self, now: SimTime) -> LivenessVerdict {
         let Some(t) = self.liveness.as_mut() else {

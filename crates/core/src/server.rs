@@ -165,8 +165,8 @@ impl ThincServer {
     }
 
     /// Handles a message arriving from the client as far as that takes
-    /// no screen (see [`SharedSession::receive`]; a holder of the screen
-    /// calls [`SharedSession::handle_message`]). A refresh request goes
+    /// no screen: the one uplink match of [`SharedSession::handle_message`],
+    /// without its answer from the screen. A refresh request goes
     /// unanswered, and what a resume token's verdict owes is settled by
     /// the next draw.
     pub fn handle_message(&mut self, msg: &Message) -> Heard {

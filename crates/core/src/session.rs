@@ -184,8 +184,8 @@ struct FlushJob<'a> {
     panicked: bool,
 }
 
-/// What an uplink message meant, as [`SharedSession::receive`] decided
-/// it: the one result of the one uplink match.
+/// What an uplink message meant, as the one uplink match decided it (see
+/// [`SharedSession::handle_message`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Heard {
     /// Nothing for the caller: handled, not a message the session acts
@@ -592,7 +592,7 @@ impl SharedSession {
     }
 
     /// Handles a client's explicit resync request (see
-    /// [`Delivery::begin_resync`]): the cursor shape again, then that
+    /// `Delivery::begin_resync`): the cursor shape again, then that
     /// client's (possibly stale) pending commands dropped and a
     /// full-view refresh queued from `screen`, stamped at the session
     /// clock — it is read off the screen now.
@@ -986,9 +986,10 @@ impl SharedSession {
             .map_or_else(Vec::new, |d| d.encode_frame(msg))
     }
 
-    /// Handles a message arriving from an attached client (see
-    /// [`receive`](Self::receive)), answering what needs the screen from
-    /// `screen` at once: a refresh request with a
+    /// Handles a message arriving from an attached client: `receive`,
+    /// the one match that decides what it means (the server table of
+    /// `docs/PROTOCOL.md` §3), then the answer to what needs the screen,
+    /// from `screen` at once — a refresh request with a
     /// [resync](Self::resync_client), a resume token's verdict with what
     /// it owes.
     pub fn handle_message(&mut self, id: ClientId, msg: &Message, screen: &Framebuffer) -> Heard {
@@ -1024,7 +1025,7 @@ impl SharedSession {
     ///   restarts the viewer cold ([`Delivery::restart_cold`], then the
     ///   cursor shape): the path a brand-new attach takes, so a stale or
     ///   corrupted token can never do worse than a cold reconnect.
-    pub fn receive(&mut self, id: ClientId, msg: &Message) -> Heard {
+    pub(crate) fn receive(&mut self, id: ClientId, msg: &Message) -> Heard {
         let (now, budget, hello, cursor) =
             (self.now, self.cache_budget, self.hello(), self.cursor_shape.clone());
         let (session_id, restored) = (self.session_id, self.restored_tiles.is_some());
