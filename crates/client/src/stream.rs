@@ -60,7 +60,9 @@ pub const DECODED_PIXELS_BUDGET: u64 = 8 * 1024 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Link {
     /// A new stream, or one a [`reconnect`](StreamClient::reconnect)
-    /// restarted: a hello may come first, and fixes the wire revision.
+    /// restarted: a hello may come first, and on a new stream fixes the
+    /// wire revision. With a greeting in force, only a repeat of it
+    /// passes.
     Opening,
     /// A [`resume`](StreamClient::resume) presented its token, and the
     /// first message settles it: a hello means the standby refused the
@@ -238,9 +240,14 @@ impl StreamClient {
             // a repeat of the hello in force (a legacy-framed frame has
             // no sequence number, so a duplicate is not caught), is a
             // decode error whose frame was skipped, and leaves the
-            // revision alone.
-            (Link::Streaming, Event::Frame(hello @ Message::ServerHello { .. }))
-                if self.greeting.as_ref() != Some(&hello) => self.step(Event::Damage(hello.wire_size())),
+            // revision alone. A reconnect reopens the same server's
+            // stream, which sends no hello on a soft reopen, so with a
+            // greeting in force the opening awaits none either.
+            (Link::Opening | Link::Streaming, Event::Frame(hello @ Message::ServerHello { .. }))
+                if self.greeting.as_ref().map_or(self.link == Link::Streaming, |g| *g != hello) =>
+            {
+                self.step(Event::Damage(hello.wire_size()))
+            }
             // An awaited hello, or a repeat, fixes the wire revision for
             // the rest of the stream: the reader never switches on its
             // own. After a resume it means the standby refused the token
@@ -836,11 +843,11 @@ mod tests {
     /// revision-3 stream. It is damage, not a renegotiation: the
     /// revision holds, so later frames still decode, and the refresh
     /// latches until they cover the view. A repeat of the hello in
-    /// force passes, and a reconnect awaits a hello again.
+    /// force passes.
     #[test]
     fn a_hello_in_the_middle_of_a_stream_is_damage() {
         use thinc_protocol::wire::FrameEncoder;
-        use thinc_protocol::{PROTOCOL_VERSION, WIRE_REV_LEGACY};
+        use thinc_protocol::PROTOCOL_VERSION;
         let hello = |version| Message::ServerHello { version, width: 32, height: 32, depth: 24 };
         let fill = |y| {
             Message::Display(DisplayCommand::Sfill {
@@ -870,10 +877,37 @@ mod tests {
         // duplicate a frame that carries no sequence number).
         assert_eq!(c.feed(&enc.encode(&hello(PROTOCOL_VERSION))), 1);
         assert_eq!(c.resilience_metrics().decode_errors(), 1);
+    }
+
+    /// A reconnect reopens the same server's stream, and a soft reopen
+    /// never makes the server send a hello. So a damaged frame that
+    /// decodes as a legacy `ServerHello { version: 0 }` right after it
+    /// is damage too: the revision negotiated before holds, and the
+    /// resync still decodes.
+    #[test]
+    fn a_hello_after_a_reconnect_keeps_the_revision() {
+        use thinc_protocol::wire::FrameEncoder;
+        use thinc_protocol::PROTOCOL_VERSION;
+        let hello = |version| Message::ServerHello { version, width: 32, height: 32, depth: 24 };
+        let mut c = StreamClient::new(32, 32, PixelFormat::Rgb888);
+        let mut enc = FrameEncoder::new();
+        enc.negotiate(PROTOCOL_VERSION);
+        assert_eq!(c.feed(&enc.encode(&hello(PROTOCOL_VERSION))), 1);
 
         c.reconnect();
-        assert_eq!(c.feed(&FrameEncoder::new().encode(&hello(WIRE_REV_LEGACY))), 1);
-        assert_eq!(c.wire_revision(), WIRE_REV_LEGACY, "a reconnect awaits a hello");
+        let forged = FrameEncoder::new().encode(&hello(0));
+        assert_eq!(c.feed(&forged), 0, "a forged hello is not applied");
+        assert_eq!(c.wire_revision(), PROTOCOL_VERSION);
+        assert_eq!(c.resilience_metrics().decode_errors(), 1);
+
+        let view = Message::Display(DisplayCommand::Sfill {
+            rect: Rect::new(0, 0, 32, 32),
+            color: Color::rgb(5, 6, 7),
+        });
+        assert_eq!(c.feed(&enc.encode(&view)), 1, "the resync decodes at the revision in force");
+        assert!(!c.needs_refresh());
+        // A repeat of the hello in force still passes.
+        assert_eq!(c.feed(&enc.encode(&hello(PROTOCOL_VERSION))), 1);
         assert_eq!(c.resilience_metrics().decode_errors(), 1);
     }
 
