@@ -502,9 +502,8 @@ fn fanout_report() -> String {
     };
     let plane = &report.plane;
     let title = format!(
-        "Fan-out: encode-once telemetry ({} clients, {} workers) — {}",
+        "Fan-out: encode-once telemetry ({} clients) — {}",
         report.slots.len(),
-        schedule.workers,
         FANOUT.0,
     );
     format!(

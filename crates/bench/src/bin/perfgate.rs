@@ -742,7 +742,7 @@ struct FanoutRun {
     allocs_per_epoch: f64,
     /// Peak number of simultaneously degraded clients observed.
     degraded_peak: usize,
-    /// Clients whose framebuffer converged byte-exact (verify runs).
+    /// Clients whose framebuffer converged byte-exact.
     converged: usize,
     /// All clients drained, promoted to Full, nothing pending.
     settled: bool,
@@ -752,13 +752,11 @@ struct FanoutRun {
 /// Drives `clients` viewers of one shared screen through the session
 /// manager: mixed LAN / WAN / hostile (seeded bandwidth-collapse
 /// windows) cohorts, adaptive degradation enabled, every client an
-/// identity viewport on the same screen. When `verify` is set, every
-/// message is additionally framed, run through the wire disturbance
-/// model, and decoded by a real `StreamClient` whose framebuffer must
-/// converge byte-exact. The epoch schedule is fixed (no data-dependent
-/// early exit), so two runs differing only in the worker count must
-/// produce bit-identical streams.
-fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
+/// identity viewport on the same screen. Every message is framed, run
+/// through the wire disturbance model, and decoded by a real
+/// `StreamClient` whose framebuffer must converge byte-exact. The epoch schedule is fixed (no data-dependent
+/// early exit).
+fn fanout_run(clients: usize) -> FanoutRun {
     use thinc_client::StreamClient;
     use thinc_core::degradation::{DegradationConfig, DegradationLevel};
     use thinc_core::ShardedManager;
@@ -793,7 +791,6 @@ fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
     };
 
     let mut session = SharedSession::new(FAN_W, FAN_H, PixelFormat::Rgb888, "host")
-        .with_workers(workers)
         .with_degradation(DegradationConfig {
             degrade_after: 1,
             promote_after: 1,
@@ -818,14 +815,12 @@ fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
         "client ids must be dense for index addressing"
     );
 
+    let hello = m.session().hello();
     let mut streams: Vec<StreamClient> = Vec::new();
-    if verify {
-        let hello = m.session().hello();
-        for &id in &ids {
-            let mut c = StreamClient::new(FAN_W, FAN_H, PixelFormat::Rgb888);
-            c.feed(&m.session_mut().encode_frame(id, &hello));
-            streams.push(c);
-        }
+    for &id in &ids {
+        let mut c = StreamClient::new(FAN_W, FAN_H, PixelFormat::Rgb888);
+        c.feed(&m.session_mut().encode_frame(id, &hello));
+        streams.push(c);
     }
 
     let mut store = DrawableStore::new(FAN_W, FAN_H, PixelFormat::Rgb888);
@@ -882,15 +877,11 @@ fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
                 encode_message_into(&msg, &mut ebuf);
                 digests[idx] = fnv64_update(digests[idx], &arrival.0.to_le_bytes());
                 digests[idx] = fnv64_update(digests[idx], &ebuf);
-                if verify {
-                    frames.push((arrival, m.session_mut().encode_frame(id, &msg)));
-                }
+                frames.push((arrival, m.session_mut().encode_frame(id, &msg)));
             }
-            if verify {
-                let (pipe, _) = m.link_mut(id).expect("attached");
-                for seg in pipe.carry(frames) {
-                    streams[idx].feed(&seg);
-                }
+            let (pipe, _) = m.link_mut(id).expect("attached");
+            for seg in pipe.carry(frames) {
+                streams[idx].feed(&seg);
             }
         }
         if epoch % 6 == 5 {
@@ -908,17 +899,13 @@ fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
     let settled = ids.iter().enumerate().all(|(idx, &id)| {
         m.session().backlog(id) == 0
             && m.session().viewer(id).unwrap().degradation_level() == DegradationLevel::Full
-            && (!verify
-                || (!streams[idx].needs_refresh() && streams[idx].pending_bytes() == 0))
+            && !streams[idx].needs_refresh()
+            && streams[idx].pending_bytes() == 0
     });
-    let converged = if verify {
-        streams
-            .iter()
-            .filter(|s| s.client().framebuffer().data() == store.screen().data())
-            .count()
-    } else {
-        0
-    };
+    let converged = streams
+        .iter()
+        .filter(|s| s.client().framebuffer().data() == store.screen().data())
+        .count();
 
     let sent_bytes = |id| m.session().viewer(id).unwrap().buffer().stats().sent_bytes;
     let total_bytes: u64 = ids.iter().map(|&id| sent_bytes(id)).sum();
@@ -957,16 +944,10 @@ fn fanout_run(clients: usize, workers: usize, verify: bool) -> FanoutRun {
 
 struct FanoutStats {
     clients: usize,
-    workers: usize,
     main: FanoutRun,
-    /// (workers, bit-identical to the main run) for every matrix run.
-    matrix: Vec<(usize, bool)>,
 }
 
 impl FanoutStats {
-    fn deterministic(&self) -> bool {
-        self.matrix.iter().all(|&(_, ok)| ok)
-    }
     /// Every client's stream digest folded into one.
     fn digest(&self) -> u64 {
         let bytes: Vec<u8> = self.main.digests.iter().flat_map(|d| d.to_le_bytes()).collect();
@@ -979,9 +960,8 @@ impl FanoutStats {
 
 fn fanout_suite(quick: bool) -> FanoutStats {
     let clients = if quick { 256 } else { 1024 };
-    let workers = 4usize;
-    eprintln!("== macro: broadcast fan-out ({clients} clients, {workers} workers) ==");
-    let main = fanout_run(clients, workers, true);
+    eprintln!("== macro: broadcast fan-out ({clients} clients) ==");
+    let main = fanout_run(clients);
     eprintln!(
         "  delivered {:.1} MB in {:.1}s sim ({:.1} MB/s)  wall {:.0} ms",
         main.total_bytes as f64 / 1e6,
@@ -1006,15 +986,7 @@ fn fanout_suite(quick: bool) -> FanoutStats {
         main.converged,
         clients,
     );
-    let matrix = [1usize, 2, 4]
-        .into_iter()
-        .map(|w| {
-            let ok = fanout_run(clients, w, false).digests == main.digests;
-            eprintln!("  workers={w}  bit-identical {ok}");
-            (w, ok)
-        })
-        .collect();
-    let stats = FanoutStats { clients, workers, main, matrix };
+    let stats = FanoutStats { clients, main };
     eprintln!("  streams digest {:016x}", stats.digest());
     stats
 }
@@ -1115,7 +1087,6 @@ fn fanout_json(mode: &str, fan: &FanoutStats) -> String {
     let _ = writeln!(s, "  \"schema\": \"thinc-perfgate-fanout-v1\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
     let _ = writeln!(s, "  \"clients\": {},", fan.clients);
-    let _ = writeln!(s, "  \"workers\": {},", fan.workers);
     let _ = writeln!(s, "  \"sim_s\": {},", jf(fan.main.sim_s));
     let _ = writeln!(s, "  \"total_bytes\": {},", fan.main.total_bytes);
     let _ = writeln!(s, "  \"sim_mb_s\": {},", jf(fan.sim_mb_s()));
@@ -1130,14 +1101,7 @@ fn fanout_json(mode: &str, fan: &FanoutStats) -> String {
     let _ = writeln!(s, "  \"converged\": {},", fan.main.converged);
     let _ = writeln!(s, "  \"settled\": {},", fan.main.settled);
     let _ = writeln!(s, "  \"wall_ms\": {},", jf(fan.main.wall_ms));
-    let _ = writeln!(s, "  \"digest\": \"{:016x}\",", fan.digest());
-    s.push_str("  \"determinism_matrix\": [\n");
-    for (i, (w, ok)) in fan.matrix.iter().enumerate() {
-        let _ = write!(s, "    {{\"workers\": {w}, \"bit_identical\": {ok}}}");
-        s.push_str(if i + 1 < fan.matrix.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"deterministic\": {}", fan.deterministic());
+    let _ = writeln!(s, "  \"digest\": \"{:016x}\"", fan.digest());
     s.push_str("}\n");
     s
 }
@@ -1341,10 +1305,6 @@ fn main() {
     }
     if cache.savings_ratio <= 1.0 {
         eprintln!("FAIL: content cache did not reduce bytes per round");
-        std::process::exit(1);
-    }
-    if !fan.deterministic() {
-        eprintln!("FAIL: fan-out streams differ across worker counts");
         std::process::exit(1);
     }
     if !fan.main.settled {

@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! chaos gen    --seed N [--events N]            print a generated schedule as JSON
-//! chaos run    --seed N [--events N] [--workers N] [--out FILE]
+//! chaos run    --seed N [--events N] [--out FILE]
 //!              [--schedule FILE]                run one seed (or a schedule file);
 //!                                               on failure shrink and write a
 //!                                               minimized repro artifact
-//! chaos soak   [--seeds a,b,lo..hi] [--workers a,b,..] [--events N]
-//!              [--out-dir DIR]                  run a seed x worker matrix
+//! chaos soak   [--seeds a,b,lo..hi] [--events N]
+//!              [--out-dir DIR]                  run every seed
 //!                                               (ranges are inclusive)
 //! chaos replay FILE                             re-run a schedule artifact; exit 0
 //!                                               iff the outcome matches its
@@ -115,12 +115,7 @@ fn cmd_gen(args: &[String]) -> Result<i32, String> {
 /// invariant and writes the minimized artifact.
 fn run_and_report(schedule: &Schedule, artifact: Option<&std::path::Path>) -> bool {
     let report = run(schedule);
-    println!(
-        "seed {} workers {}: {}",
-        schedule.seed,
-        schedule.workers,
-        report.summary()
-    );
+    println!("seed {}: {}", schedule.seed, report.summary());
     if report.passed() {
         return true;
     }
@@ -150,39 +145,30 @@ fn run_and_report(schedule: &Schedule, artifact: Option<&std::path::Path>) -> bo
 }
 
 fn cmd_run(args: &[String]) -> Result<i32, String> {
-    let o = Opts::parse(args, &["--seed", "--events", "--workers", "--out", "--schedule"])?;
-    let mut schedule = match o.get("--schedule") {
+    let o = Opts::parse(args, &["--seed", "--events", "--out", "--schedule"])?;
+    let schedule = match o.get("--schedule") {
         Some(path) => load_schedule(path)?,
         None => generate(o.num("--seed", 1)?, o.num("--events", 60)? as usize),
     };
-    schedule.workers = o.num("--workers", schedule.workers as u64)? as usize;
     let default_out = format!("chaos-repro-{}.json", schedule.seed);
     let out = o.get("--out").unwrap_or(&default_out);
     Ok(if run_and_report(&schedule, Some(std::path::Path::new(out))) { 0 } else { 1 })
 }
 
 fn cmd_soak(args: &[String]) -> Result<i32, String> {
-    let o = Opts::parse(args, &["--seeds", "--workers", "--events", "--out-dir"])?;
+    let o = Opts::parse(args, &["--seeds", "--events", "--out-dir"])?;
     let seeds = o.list("--seeds", vec![1, 7, 42, 0xDEADBEEF])?;
-    let workers = o.list("--workers", vec![1, 4])?;
     let events = o.num("--events", 60)? as usize;
     let out_dir = o.get("--out-dir").unwrap_or(".");
     let _ = std::fs::create_dir_all(out_dir);
     let mut failures = 0usize;
-    let mut total = 0usize;
     for &seed in &seeds {
-        for &w in &workers {
-            total += 1;
-            let mut schedule = generate(seed, events);
-            schedule.workers = w as usize;
-            let artifact =
-                std::path::PathBuf::from(out_dir).join(format!("chaos-repro-{seed}-w{w}.json"));
-            if !run_and_report(&schedule, Some(&artifact)) {
-                failures += 1;
-            }
+        let artifact = std::path::PathBuf::from(out_dir).join(format!("chaos-repro-{seed}.json"));
+        if !run_and_report(&generate(seed, events), Some(&artifact)) {
+            failures += 1;
         }
     }
-    println!("soak: {}/{} runs passed", total - failures, total);
+    println!("soak: {}/{} runs passed", seeds.len() - failures, seeds.len());
     Ok(if failures == 0 { 0 } else { 1 })
 }
 

@@ -304,9 +304,6 @@ pub struct Schedule {
     pub width: u32,
     /// Session framebuffer height.
     pub height: u32,
-    /// Flush worker-pool size (the run must be bit-identical for
-    /// every value; the soak sweeps several).
-    pub workers: usize,
     /// Content-cache budget installed at session start, bytes.
     pub cache_budget: u64,
     /// Per-client buffer byte bound (eviction/merge kicks in above).
@@ -331,7 +328,6 @@ impl Schedule {
             seed,
             width: 64,
             height: 48,
-            workers: 1,
             cache_budget: 256 * 1024,
             buffer_bound: 96 * 1024,
             events: Vec::new(),

@@ -543,7 +543,6 @@ pub fn schedule_to_json(s: &Schedule) -> String {
     f.push(("seed", s.seed.to_json()));
     f.push(("width", s.width.to_json()));
     f.push(("height", s.height.to_json()));
-    f.push(("workers", s.workers.to_json()));
     f.push(("cache_budget", s.cache_budget.to_json()));
     f.push(("buffer_bound", s.buffer_bound.to_json()));
     if let Some(v) = &s.expect_violation {
@@ -584,7 +583,6 @@ pub fn schedule_from_json(text: &str) -> Result<Schedule, Box<dyn std::error::Er
         seed: f.or("seed", None)?,
         width: f.or("width", None)?,
         height: f.or("height", None)?,
-        workers: f.or("workers", None)?,
         cache_budget: f.or("cache_budget", None)?,
         buffer_bound: f.or("buffer_bound", None)?,
         events,
@@ -654,8 +652,8 @@ mod tests {
         assert_eq!(back, s);
     }
 
-    const BASE: &str = "\"seed\": 5, \"width\": 64, \"height\": 48, \"workers\": 1, \
-                        \"cache_budget\": 262144, \"buffer_bound\": 98304";
+    const BASE: &str =
+        "\"seed\": 5, \"width\": 64, \"height\": 48, \"cache_budget\": 262144, \"buffer_bound\": 98304";
 
     fn refused(doc: &str) -> String {
         let err = schedule_from_json(doc).expect_err(doc);
@@ -670,10 +668,12 @@ mod tests {
             Schedule::base(5)
         );
         // Artifacts from before the one-roster flush carry a shard
+        // count, those from before the one-thread session a worker
         // count, and a misspelt expectation would replay as "all
-        // invariants hold": neither runs as something else.
+        // invariants hold": none runs as something else.
         for (doc, key) in [
             (format!("{{{BASE}, \"shards\": 8, \"events\": []}}"), "shards"),
+            (format!("{{{BASE}, \"workers\": 4, \"events\": []}}"), "workers"),
             (
                 format!("{{{BASE}, \"expect_violaton\": \"convergence\", \"events\": []}}"),
                 "expect_violaton",
@@ -807,7 +807,7 @@ mod tests {
         // else.
         assert_eq!(
             text.lines().count(),
-            2 + 8 + 2 + s.events.len() + 2 + s.expect.len()
+            2 + 7 + 2 + s.events.len() + 2 + s.expect.len()
         );
     }
 }

@@ -249,8 +249,7 @@ pub fn run(schedule: &Schedule) -> RunReport {
         })
         .with_degradation(DegradationConfig::default())
         .with_buffer_bound(schedule.buffer_bound.max(4 * 1024))
-        .with_cache(schedule.cache_budget.max(4 * 1024))
-        .with_workers(schedule.workers.max(1));
+        .with_cache(schedule.cache_budget.max(4 * 1024));
     session.auth_mut().enable_sharing("chaos");
     let mut r = Runner {
         manager: ShardedManager::new(session, 1),

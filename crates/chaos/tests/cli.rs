@@ -94,7 +94,7 @@ fn a_malformed_number_is_refused_not_defaulted() {
     for args in [
         ["soak", "--seeds", "5,x"],
         ["soak", "--seeds", "9..5"],
-        ["soak", "--workers", "one"],
+        ["soak", "--events", "one"],
         ["run", "--seed", "0x10"],
         ["gen", "--events", "-3"],
     ] {
@@ -113,14 +113,14 @@ fn an_unknown_option_is_refused() {
 #[test]
 fn soak_seed_ranges_are_inclusive() {
     let out = chaos()
-        .args(["soak", "--seeds", "5..7,9", "--events", "4", "--workers", "1"])
+        .args(["soak", "--seeds", "5..7,9", "--events", "4"])
         .args(["--out-dir", std::env::temp_dir().to_str().unwrap()])
         .output()
         .expect("spawn chaos");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let seeds: Vec<&str> = stdout
         .lines()
-        .filter_map(|l| l.strip_prefix("seed ")?.split(' ').next())
+        .filter_map(|l| l.strip_prefix("seed ")?.split(':').next())
         .collect();
     assert_eq!(seeds, ["5", "6", "7", "9"], "{stdout}");
 }

@@ -1,13 +1,12 @@
 //! The one table of checked-in schedules: every file under
-//! `crates/chaos/schedules/` is a test case. A case runs at the file's
-//! own flush worker count and at 1 and 4; its recorded outcome must
-//! hold (the verdict `chaos replay` gives, [`RunReport::matches`]),
-//! and the run must be the same run at every count.
+//! `crates/chaos/schedules/` is a test case, run once. Its recorded
+//! outcome must hold (the verdict `chaos replay` gives,
+//! [`RunReport::matches`]).
 //!
 //! [`RunReport::matches`]: thinc_chaos::invariant::RunReport::matches
 
 use std::path::Path;
-use thinc_chaos::{run, schedule_from_json, schedule_to_json, Schedule};
+use thinc_chaos::{run, schedule_from_json, schedule_to_json};
 
 /// Runs each of `files` (names in `dir`) and panics naming every file
 /// that failed and why.
@@ -31,27 +30,12 @@ fn check_one(path: &Path) -> Result<(), String> {
     if schedule_to_json(&schedule) != text {
         return Err("not in the writer's form (one event per line, defaults left out)".into());
     }
-    let mut first = None;
-    for workers in [schedule.workers, 1, 4] {
-        let report = run(&Schedule {
-            workers,
-            ..schedule.clone()
-        });
-        if !report.matches(schedule.expect_violation.as_deref()) {
-            return Err(format!(
-                "at {workers} worker(s), expecting {:?}: {:#?}",
-                schedule.expect_violation, report.violations
-            ));
-        }
-        let outcome = (
-            report.violations,
-            report.quiesces,
-            report.slots_attached,
-            report.quarantined,
-        );
-        if first.get_or_insert_with(|| outcome.clone()) != &outcome {
-            return Err(format!("{workers} worker(s) changed the run"));
-        }
+    let report = run(&schedule);
+    if !report.matches(schedule.expect_violation.as_deref()) {
+        return Err(format!(
+            "expecting {:?}: {:#?}",
+            schedule.expect_violation, report.violations
+        ));
     }
     Ok(())
 }

@@ -176,8 +176,7 @@ pub enum Phase {
     /// an update the client is known to have skipped (a cache miss).
     /// Repaid by the next push, which has the screen in hand.
     OwesView,
-    /// The client's flush panicked under the parallel fan-out: the panic
-    /// was contained, the client is isolated from all further work, and
+    /// The client's flush panicked: the panic was contained, the client is isolated from all further work, and
     /// the session keeps serving everyone else. Its state is unspecified
     /// (the panic may have struck mid-mutation); the only way back is
     /// detach and re-attach.
@@ -196,8 +195,7 @@ pub struct Delivery {
     /// ahead of the display queues — A/V is paced real-time).
     av: VecDeque<Message>,
     liveness: Option<LivenessTracker>,
-    /// Per-client, so a parallel flush fan-out stays deterministic:
-    /// each worker only touches its own controller.
+    /// Per-client: one viewer's link never moves another's level.
     degradation: Option<DegradationController>,
     /// The viewport the client announced; the degradation ladder
     /// shrinks the one actually targeted.
@@ -698,8 +696,7 @@ impl Delivery {
     /// step is recorded, the buffer's bound and eviction preference
     /// follow the new level, and the scale is re-aimed (preserving a
     /// client's zoom). Every input is per-client — own buffer, own
-    /// pipe, own controller — so worker count cannot change the
-    /// outcome.
+    /// pipe, own controller.
     fn observe_degradation(&mut self, now: SimTime, pipe: &TcpPipe) {
         let Some(ctrl) = self.degradation.as_mut() else {
             return;

@@ -69,7 +69,6 @@ pub mod degradation;
 pub mod delivery;
 pub mod liveness;
 mod memo;
-pub mod parallel;
 pub mod plane;
 pub mod queue;
 pub mod scaling;

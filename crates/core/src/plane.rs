@@ -28,8 +28,7 @@
 //! command encodes on the ordinary per-client path). Byte output is
 //! therefore unaffected — the plane caches the *result* of the
 //! per-client encode pipeline, which is a pure function of the
-//! command — so streams stay bit-identical with and without it,
-//! across any worker count.
+//! command — so streams stay bit-identical with and without it.
 //!
 //! **Flush plans.** Viewers of one scale class that are keeping up
 //! hold command buffers in the same state, and a flush from the same
@@ -155,7 +154,7 @@ impl PlaneSlot {
     }
 
     /// The slot's wire form, running `init` exactly once across all
-    /// clients (and threads) that reach this slot.
+    /// clients that reach this slot.
     pub fn form_or_init(&self, init: impl FnOnce() -> WireForm) -> &WireForm {
         self.form.get_or_init(init)
     }
@@ -256,9 +255,9 @@ pub struct WirePlane {
 /// The plane's plan table, locked: a round resolves all its viewers'
 /// roles in one serial pass under one lock, not from inside each
 /// viewer's flush. Serial, in id order, is what makes the leader the
-/// lowest id instead of the winner of a race; one lock, because a
-/// lock per viewer taken from the flushing workers cost the sizing
-/// prototype 2.4–3.8 µs a viewer under two workers — more than a
+/// lowest id, who then flushes first; one lock, because a lock per
+/// viewer taken from inside each flush cost the sizing prototype
+/// 2.4–3.8 µs a viewer under two flush threads — more than a
 /// follower's whole flush (warm, on one thread, it is ≈ 45 ns against
 /// ≈ 27 batched).
 pub(crate) struct Plans<'a>(MutexGuard<'a, HashMap<u64, Vec<Arc<PlanSlot>>>>);

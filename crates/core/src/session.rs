@@ -19,11 +19,12 @@
 //! viewer ([`ServerConfig::session`](crate::server::ServerConfig::session)).
 //!
 //! Per-client work (command scaling, buffering, flush-time RAW
-//! compression) is embarrassingly parallel: every client owns its
-//! delivery state. [`SharedSession::with_workers`] fans that work out
-//! over [`crate::parallel::for_each_mut`] scoped threads; results are
-//! merged in client-id order, so output is bit-identical for every
-//! worker count.
+//! compression) runs on the caller's thread, one client after another
+//! in client-id order. The paper's server is one single-threaded X
+//! server per display, and capacity comes from more sessions per core,
+//! not threads inside one (`docs/PERFORMANCE.md`, "One thread per
+//! session"). A panic in one client's flush is contained to that
+//! client, which is quarantined.
 
 use std::collections::HashMap;
 
@@ -47,7 +48,6 @@ use crate::checkpoint::{
 use crate::degradation::DegradationConfig;
 use crate::delivery::{Delivery, DeliveryPolicy, Phase, Rendition};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
-use crate::parallel::{contain, try_for_each_mut};
 use crate::plane::{PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::translator::{Translator, TranslatorStats};
@@ -147,7 +147,7 @@ impl Member {
     }
 
     /// The per-client flush body, borrowed one member at a time so the
-    /// parallel fan-out need not hold the session. `begin_flush` has
+    /// flush round need not hold the session. `begin_flush` has
     /// run, and `role` is what the plane made of the buffer it left.
     fn flush(
         &mut self,
@@ -167,21 +167,6 @@ impl Member {
         }
         self.delivery.flush_begun(now, pipe, trace, plane, counters, role)
     }
-}
-
-/// One member's share of a flush round.
-struct FlushJob<'a> {
-    id: ClientId,
-    member: &'a mut Member,
-    link: &'a mut (TcpPipe, PacketTrace),
-    /// The member's part in the plane's plan for its buffer state.
-    role: PlanRole,
-    /// Whether the flush goes to the worker pool (it clips, hashes and
-    /// compresses) or runs inline (it is bookkeeping).
-    heavy: bool,
-    out: Vec<(SimTime, Message)>,
-    counters: PlaneCounters,
-    panicked: bool,
 }
 
 /// What an uplink message meant, as the one uplink match decided it (see
@@ -226,9 +211,8 @@ pub struct SharedSession {
     audio: Option<VirtualAudioDriver>,
     /// Attached clients in strictly ascending id (= attach) order: ids
     /// come from `next_client`, which only grows, and `restore` rejects
-    /// an image that breaks the order. Iteration order is the
-    /// deterministic merge order for parallel fan-out; lookups
-    /// binary-search it.
+    /// an image that breaks the order. Iteration order is the flush
+    /// order; lookups binary-search it.
     clients: Vec<(ClientId, Member)>,
     next_client: u32,
     now: SimTime,
@@ -240,8 +224,6 @@ pub struct SharedSession {
     /// Content-cache budget for every client attached from now on
     /// (`None` keeps the cache off — the pre-revision-3 behaviour).
     cache_budget: Option<u64>,
-    /// Scoped-thread workers for per-client fan-out (1 = inline).
-    workers: usize,
     /// Cumulative encode-once plane accounting across flush rounds.
     fanout: PlaneCounters,
     /// Stable identity carried by resume tokens: a digest of owner +
@@ -259,7 +241,6 @@ impl std::fmt::Debug for SharedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedSession")
             .field("clients", &self.clients.len())
-            .field("workers", &self.workers)
             .finish_non_exhaustive()
     }
 }
@@ -280,7 +261,6 @@ impl SharedSession {
             policy: DeliveryPolicy::new(width, height),
             buffer_bound: None,
             cache_budget: None,
-            workers: 1,
             fanout: PlaneCounters::default(),
             session_id: compute_session_id(owner, width, height, format),
             restored_tiles: None,
@@ -296,9 +276,8 @@ impl SharedSession {
 
     /// Enables per-client adaptive degradation: every attached client
     /// gets its own hysteretic ladder controller, fed that client's
-    /// link telemetry at flush time. Per-client controllers keep the
-    /// parallel flush fan-out deterministic — a struggling PDA peer
-    /// degrades without touching the desktop owner's fidelity.
+    /// link telemetry at flush time — a struggling PDA peer degrades
+    /// without touching the desktop owner's fidelity.
     pub fn with_degradation(mut self, config: DegradationConfig) -> Self {
         self.policy.degradation = Some(config);
         self
@@ -317,22 +296,16 @@ impl SharedSession {
     /// per-client ledger with this byte budget and substitutes
     /// [`Message::CacheRef`] for payloads that client already holds.
     /// A client whose hello announces an older revision cannot resolve
-    /// references, and its ledger goes off. Per-client state keeps the
-    /// parallel fan-out deterministic.
+    /// references, and its ledger goes off.
     pub fn with_cache(mut self, budget: u64) -> Self {
         self.cache_budget = Some(budget);
         self
     }
 
-    /// Lets broadcast and flush use up to `workers` scoped threads —
-    /// an upper bound, spent on per-class rendering and on the flushes
-    /// of viewers that clip, hash and compress (plan leaders, and
-    /// viewers diverged from their class); viewers in step with their
-    /// class are bookkeeping and run inline whatever the bound (see
-    /// [`crate::parallel`]). Output is identical for every worker
-    /// count; the default is 1 (everything inline).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Returns the session unchanged; the argument is ignored. A
+    /// session runs on its caller's thread. The method remains because
+    /// the benchmark harness (`benchmark/src/fanout.rs`) calls it.
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -495,13 +468,6 @@ impl SharedSession {
     /// into scale-equivalence classes, each class is rendered once,
     /// and the per-client pushes share the class's [`Rendition`] by
     /// reference. Per-client push order is the command order.
-    ///
-    /// The worker pool is used where there is work for it (see
-    /// [`crate::parallel`]): rendering, when more than one class has
-    /// any to do — a resample or an owed full view; an identity class
-    /// clones handles — and pushing, when some client has refresh debt
-    /// to read back off the screen. Queue pushes alone are a fraction
-    /// of a microsecond each, less than the threads would cost.
     fn broadcast(&mut self, cmds: Vec<DisplayCommand>, screen: &Framebuffer) {
         struct Class {
             policy: ScalePolicy,
@@ -524,14 +490,12 @@ impl SharedSession {
         }
         let mut classes: Vec<Class> = Vec::new();
         let mut class_of: Vec<usize> = Vec::with_capacity(self.clients.len());
-        let mut debt = false;
         for (_, m) in self.clients.iter_mut() {
             if m.delivery.quarantined() {
                 class_of.push(usize::MAX);
                 continue;
             }
             let owed = m.delivery.begin_round(&cmds);
-            debt |= m.delivery.has_debt();
             let policy = m.delivery.scale();
             let idx = match classes.iter().position(|c| c.policy == policy) {
                 Some(i) => i,
@@ -543,27 +507,15 @@ impl SharedSession {
             classes[idx].refresh_wanted |= owed;
             class_of.push(idx);
         }
-        let cmds = &cmds;
-        let rendering = classes.iter().filter(|c| c.refresh_wanted || !c.policy.is_identity()).count();
-        let workers = if rendering > 1 { self.workers } else { 1 };
-        crate::parallel::for_each_mut(&mut classes, workers, |_, class| {
-            class.rendition = Some(Rendition::render(
-                &class.policy,
-                cmds,
-                screen,
-                class.refresh_wanted,
-            ));
-        });
-        let classes = &classes;
-        let class_of = &class_of;
+        for class in &mut classes {
+            class.rendition = Some(Rendition::render(&class.policy, &cmds, screen, class.refresh_wanted));
+        }
         let input = &self.input;
-        let workers = if debt { self.workers } else { 1 };
-        crate::parallel::for_each_mut(&mut self.clients, workers, |i, (_, m)| {
-            let rendition = classes.get(class_of[i]).and_then(|c| c.rendition.as_ref());
-            if let Some(rendition) = rendition {
-                m.delivery.push_rendition(cmds, rendition, screen, |dest| input.is_realtime(dest));
+        for ((_, m), &class) in self.clients.iter_mut().zip(&class_of) {
+            if let Some(rendition) = classes.get(class).and_then(|c| c.rendition.as_ref()) {
+                m.delivery.push_rendition(&cmds, rendition, screen, |dest| input.is_realtime(dest));
             }
-        });
+        }
     }
 
     /// Works out the delta of every member that resumed warm since the
@@ -695,19 +647,15 @@ impl SharedSession {
     /// lock for the whole roster — which members start from the same
     /// buffer state: the first in each state leads its plan, the rest
     /// follow it. So the leader is the lowest id, and with it who
-    /// pays the codec (`codec_input_bytes`) and who skips it, whatever
-    /// the worker count. Leaders then flush on the session's worker
-    /// pool; followers, idle members and members with only audio or
-    /// video queued (shared payloads sized by arithmetic: bookkeeping)
-    /// flush inline afterwards, when every plan they could follow has
-    /// been published, each against its own pipe and cache ledger. A
-    /// panic in any of the three steps is contained to its member.
+    /// pays the codec (`codec_input_bytes`) and who skips it. Every
+    /// member then flushes in id order against its own pipe and cache
+    /// ledger, so a leader publishes its plan before its followers
+    /// read it. A panic in either step is contained to its member.
     ///
     /// `links[i]` is the `(pipe, trace)` pair of the i-th attached
-    /// client — the same order as attach/[`ClientId`] order. The
-    /// result is merged back in that order, so the output is
-    /// bit-identical for every worker count. The round's plane
-    /// counters accumulate into [`fanout_counters`](Self::fanout_counters).
+    /// client — the same order as attach/[`ClientId`] order, and the
+    /// order of the result. The round's plane counters accumulate into
+    /// [`fanout_counters`](Self::fanout_counters).
     ///
     /// # Panics
     ///
@@ -724,65 +672,45 @@ impl SharedSession {
             "one (pipe, trace) link per attached client"
         );
         let plane = WirePlane::new();
-        let mut jobs: Vec<_> = self
-            .clients
-            .iter_mut()
-            .zip(links.iter_mut())
-            .map(|((id, member), link)| FlushJob {
-                id: *id,
-                member,
-                link,
-                role: PlanRole::Alone,
-                heavy: false,
-                out: Vec::new(),
-                counters: PlaneCounters::default(),
-                panicked: false,
-            })
-            .collect();
-        {
+        // `None`: the member panicked, here or in its flush.
+        let roles: Vec<Option<PlanRole>> = {
             let mut plans = plane.plans();
-            for job in jobs.iter_mut().filter(|job| !job.member.delivery.quarantined()) {
-                let delivery = &mut job.member.delivery;
-                let begun = contain(|| {
-                    delivery.begin_flush(now, &mut job.link.0);
-                    plans.resolve(delivery.buffer(), now)
-                });
-                match begun {
-                    Ok(role) => {
-                        job.heavy = matches!(role, PlanRole::Lead(_));
-                        job.role = role;
+            let members = self.clients.iter_mut().zip(links.iter_mut());
+            members
+                .map(|((_, m), (pipe, _))| {
+                    if m.delivery.quarantined() {
+                        return Some(PlanRole::Alone);
                     }
-                    Err(_) => job.panicked = true,
-                }
-            }
-        }
-        let flush = |job: &mut FlushJob<'_>| {
-            let (pipe, trace) = &mut *job.link;
-            let plane = Some(&plane);
-            job.out = job.member.flush(now, pipe, trace, plane, &mut job.counters, &job.role);
+                    contain(|| {
+                        m.delivery.begin_flush(now, pipe);
+                        plans.resolve(m.delivery.buffer(), now)
+                    })
+                })
+                .collect()
         };
-        let mut heavy: Vec<_> = jobs.iter_mut().filter(|job| job.heavy).collect();
-        let caught = try_for_each_mut(&mut heavy, self.workers, |_, job| flush(job));
-        for (job, caught) in heavy.into_iter().zip(caught) {
-            job.panicked = caught.is_some();
+        let mut out = Vec::with_capacity(roles.len());
+        for (((id, m), (pipe, trace)), role) in self.clients.iter_mut().zip(links.iter_mut()).zip(roles) {
+            let mut counters = PlaneCounters::default();
+            let flushed =
+                role.and_then(|role| contain(|| m.flush(now, pipe, trace, Some(&plane), &mut counters, &role)));
+            // Panic containment: a client whose flush panicked is
+            // quarantined — its partial output and counts are
+            // discarded, the panic is counted in its resilience metrics,
+            // and every other client's output is delivered untouched.
+            let msgs = match flushed {
+                Some(msgs) => {
+                    self.fanout.merge(&counters);
+                    msgs
+                }
+                None => {
+                    m.delivery.quarantine();
+                    m.delivery.resilience_mut().record_panic_quarantined();
+                    Vec::new()
+                }
+            };
+            out.push((*id, msgs));
         }
-        for job in jobs.iter_mut().filter(|job| !job.heavy && !job.panicked) {
-            job.panicked = contain(|| flush(job)).is_err();
-        }
-        // Panic containment: a client whose flush panicked is
-        // quarantined — its partial output is discarded, the panic is
-        // counted in its resilience metrics, and every other client's
-        // output is delivered untouched.
-        for job in &mut jobs {
-            if job.panicked {
-                job.member.delivery.quarantine();
-                job.member.delivery.resilience_mut().record_panic_quarantined();
-                job.out.clear();
-            } else {
-                self.fanout.merge(&job.counters);
-            }
-        }
-        jobs.into_iter().map(|job| (job.id, job.out)).collect()
+        out
     }
 
     /// Cumulative encode-once plane counters over every flush round
@@ -832,8 +760,7 @@ impl SharedSession {
     }
 
     /// Test/chaos hook: arms a deliberate panic inside `id`'s next
-    /// flush, on whatever worker thread the fan-out assigns it —
-    /// exercising the quarantine path end to end.
+    /// flush, exercising the quarantine path end to end.
     pub fn poison_next_flush(&mut self, id: ClientId) {
         if let Some(m) = self.member_mut(id) {
             m.poison_flush = true;
@@ -875,7 +802,6 @@ impl SharedSession {
         self.policy.encode(&mut w);
         w.opt_u64(self.buffer_bound);
         w.opt_u64(self.cache_budget);
-        w.u32(self.workers as u32);
         w.bool(self.translator.offscreen_awareness());
         w.bool(self.cursor_shape.is_some());
         if let Some(shape) = &self.cursor_shape {
@@ -918,7 +844,6 @@ impl SharedSession {
         let policy = DeliveryPolicy::decode(r, (width, height))?;
         let buffer_bound = r.opt_u64()?;
         let cache_budget = r.opt_u64()?;
-        let workers = (r.u32()? as usize).max(1);
         let translator = Translator::with_offscreen_awareness(r.bool()?);
         let cursor_shape = if r.bool()? { Some(decode_checkpoint_message(r.bytes()?)?) } else { None };
         let tiles = {
@@ -961,7 +886,6 @@ impl SharedSession {
             policy,
             buffer_bound,
             cache_budget,
-            workers,
             fanout: PlaneCounters::default(),
             session_id,
             restored_tiles: Some(tiles),
@@ -1087,6 +1011,13 @@ fn input_event(input: ProtocolInput) -> InputEvent {
     }
 }
 
+/// Runs `f`, containing a panic: `None` if it panicked. Whatever `f`
+/// was mutating then is in an unspecified state, so the caller
+/// quarantines the member it belongs to.
+fn contain<R>(f: impl FnOnce() -> R) -> Option<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+}
+
 /// The session identity folded into resume tokens: owner plus
 /// geometry, so two sessions only collide when they are genuinely
 /// interchangeable from the client's perspective.
@@ -1189,6 +1120,20 @@ mod tests {
     use super::*;
     use crate::degradation::DegradationLevel;
     use crate::fixtures::checkpointable_session;
+
+    /// Runs `f` with the default panic hook silenced, so deliberate
+    /// contained panics don't spam stderr. Hook swaps are
+    /// process-global, so a lock serializes the tests that use this.
+    fn silence_panics<R>(f: impl FnOnce() -> R) -> R {
+        use std::sync::Mutex;
+        static HOOK_LOCK: Mutex<()> = Mutex::new(());
+        let _guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = f();
+        std::panic::set_hook(hook);
+        r
+    }
 
     #[test]
     fn owner_authenticates() {
@@ -1433,7 +1378,7 @@ mod tests {
     /// peer behind a one-second collapse window) and returns the
     /// per-client message streams plus the final framebuffer of each
     /// client and the screen.
-    fn run_degradation_scenario(workers: usize) -> ScenarioOutcome {
+    fn run_degradation_scenario() -> ScenarioOutcome {
         use thinc_display::drawable::SCREEN;
         use thinc_net::fault::FaultPlan;
         use thinc_net::link::NetworkConfig;
@@ -1445,8 +1390,7 @@ mod tests {
                 degrade_after: 1,
                 promote_after: 1,
                 ..DegradationConfig::default()
-            })
-            .with_workers(workers);
+            });
         s.auth_mut().enable_sharing("pw");
         let owner = s
             .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
@@ -1537,21 +1481,12 @@ mod tests {
 
     #[test]
     fn faulted_peer_degrades_alone_and_recovers_byte_exact() {
-        let (_, fbs, screen, _) = run_degradation_scenario(1);
+        let (_, fbs, screen, _) = run_degradation_scenario();
         assert_eq!(fbs[0], screen, "owner never left full fidelity");
         assert_eq!(
             fbs[1], screen,
             "peer converges byte-exact after the refresh"
         );
-    }
-
-    #[test]
-    fn worker_count_does_not_change_degradation_outcome() {
-        let (a, fa, _, sa) = run_degradation_scenario(1);
-        let (b, fb, _, sb) = run_degradation_scenario(4);
-        assert_eq!(a, b, "message streams identical for any worker count");
-        assert_eq!(fa, fb);
-        assert_eq!(buffer_stats(&sa), buffer_stats(&sb), "who pays the codec is not a race");
     }
 
     #[test]
@@ -1562,56 +1497,53 @@ mod tests {
         use thinc_net::time::SimDuration;
 
         const BOUND: u64 = 12 * 1024;
-        for workers in [1, 4] {
-            let mut s = SharedSession::new(256, 256, PixelFormat::Rgb888, "host")
-                .with_buffer_bound(BOUND)
-                .with_degradation(DegradationConfig {
-                    degrade_after: 1,
-                    promote_after: 100,
-                    max_level: DegradationLevel::Degraded,
-                    ..DegradationConfig::default()
-                })
-                .with_workers(workers);
-            let id = s
-                .attach(&Credentials::Owner { user: "host".into() }, 256, 256)
-                .unwrap();
-            let mut store = DrawableStore::new(256, 256, PixelFormat::Rgb888);
-            let plan =
-                FaultPlan::seeded(7).with_collapse(SimTime(0), SimDuration::from_secs(1), 0.05);
-            let mut links = vec![(
-                NetworkConfig::lan_desktop().with_faults(plan).connect().down,
-                PacketTrace::new(),
-            )];
-            for t in [100_000, 200_000] {
-                let _ = s.flush_all(SimTime(t), &mut links);
-            }
-            assert_eq!(s.viewer(id).unwrap().degradation_level(), DegradationLevel::Degraded);
-            assert_eq!(s.viewer(id).unwrap().buffer().effective_byte_bound(), Some(BOUND / 2));
-
-            // At a quarter of the session's size, a small fill and then
-            // three 28x28 noise tiles of 2.3 KB each: the third overflows
-            // the 6 KB bound. RAW-first eviction sheds the oldest tile and
-            // keeps the fill; oldest-first would shed the fill and then
-            // the tile.
-            let fill = Rect::new(0, 0, 16, 16);
-            store.screen_mut().fill_rect(&fill, Color::rgb(1, 2, 3));
-            s.solid_fill(&store, SCREEN, fill, Color::rgb(1, 2, 3));
-            for (i, (tx, ty)) in [(136, 0), (0, 136), (136, 136)].into_iter().enumerate() {
-                let noise = crate::fixtures::noise(112 * 112 * 3, 7 + i as u32);
-                let rect = Rect::new(tx, ty, 112, 112);
-                store.screen_mut().put_raw(&rect, &noise);
-                s.put_image(&store, SCREEN, rect, &noise);
-            }
-            assert!(s.viewer(id).unwrap().resilience_metrics().overflow_evictions() > 0);
-            assert!(s.viewer(id).unwrap().buffer().pending_bytes() <= BOUND / 2);
-            let mut clean = (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
-            let sent = s.flush_client(id, SimTime(300_000), &mut clean.0, &mut clean.1);
-            assert!(
-                sent.iter()
-                    .any(|(_, m)| matches!(m, Message::Display(DisplayCommand::Sfill { .. }))),
-                "workers={workers}: the compact fill must outlive the RAW tiles"
-            );
+        let mut s = SharedSession::new(256, 256, PixelFormat::Rgb888, "host")
+            .with_buffer_bound(BOUND)
+            .with_degradation(DegradationConfig {
+                degrade_after: 1,
+                promote_after: 100,
+                max_level: DegradationLevel::Degraded,
+                ..DegradationConfig::default()
+            });
+        let id = s
+            .attach(&Credentials::Owner { user: "host".into() }, 256, 256)
+            .unwrap();
+        let mut store = DrawableStore::new(256, 256, PixelFormat::Rgb888);
+        let plan =
+            FaultPlan::seeded(7).with_collapse(SimTime(0), SimDuration::from_secs(1), 0.05);
+        let mut links = vec![(
+            NetworkConfig::lan_desktop().with_faults(plan).connect().down,
+            PacketTrace::new(),
+        )];
+        for t in [100_000, 200_000] {
+            let _ = s.flush_all(SimTime(t), &mut links);
         }
+        assert_eq!(s.viewer(id).unwrap().degradation_level(), DegradationLevel::Degraded);
+        assert_eq!(s.viewer(id).unwrap().buffer().effective_byte_bound(), Some(BOUND / 2));
+
+        // At a quarter of the session's size, a small fill and then
+        // three 28x28 noise tiles of 2.3 KB each: the third overflows
+        // the 6 KB bound. RAW-first eviction sheds the oldest tile and
+        // keeps the fill; oldest-first would shed the fill and then
+        // the tile.
+        let fill = Rect::new(0, 0, 16, 16);
+        store.screen_mut().fill_rect(&fill, Color::rgb(1, 2, 3));
+        s.solid_fill(&store, SCREEN, fill, Color::rgb(1, 2, 3));
+        for (i, (tx, ty)) in [(136, 0), (0, 136), (136, 136)].into_iter().enumerate() {
+            let noise = crate::fixtures::noise(112 * 112 * 3, 7 + i as u32);
+            let rect = Rect::new(tx, ty, 112, 112);
+            store.screen_mut().put_raw(&rect, &noise);
+            s.put_image(&store, SCREEN, rect, &noise);
+        }
+        assert!(s.viewer(id).unwrap().resilience_metrics().overflow_evictions() > 0);
+        assert!(s.viewer(id).unwrap().buffer().pending_bytes() <= BOUND / 2);
+        let mut clean = (NetworkConfig::lan_desktop().connect().down, PacketTrace::new());
+        let sent = s.flush_client(id, SimTime(300_000), &mut clean.0, &mut clean.1);
+        assert!(
+            sent.iter()
+                .any(|(_, m)| matches!(m, Message::Display(DisplayCommand::Sfill { .. }))),
+            "the compact fill must outlive the RAW tiles"
+        );
     }
 
     #[test]
@@ -1671,24 +1603,21 @@ mod tests {
         use thinc_raster::YuvFormat;
 
         // Two full-size viewers and one at half size, two frames.
-        let run = |workers: usize| {
-            let mut s =
-                SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_workers(workers);
-            s.auth_mut().enable_sharing("pw");
-            s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
-            for (user, side) in [("full", 64), ("half", 32)] {
-                let peer = Credentials::Peer { user: user.into(), password: "pw".into() };
-                s.attach(&peer, side, side).unwrap();
-            }
-            let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
-            for frame in frames() {
-                s.video_display(&store, &frame, Rect::new(8, 8, 48, 48));
-            }
-            let mut links: Vec<_> = (0..3)
-                .map(|_| (TcpPipe::new(TcpParams::default()), PacketTrace::new()))
-                .collect();
-            s.flush_all(SimTime(1), &mut links)
-        };
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+        s.auth_mut().enable_sharing("pw");
+        s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
+        for (user, side) in [("full", 64), ("half", 32)] {
+            let peer = Credentials::Peer { user: user.into(), password: "pw".into() };
+            s.attach(&peer, side, side).unwrap();
+        }
+        let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        for frame in frames() {
+            s.video_display(&store, &frame, Rect::new(8, 8, 48, 48));
+        }
+        let mut links: Vec<_> = (0..3)
+            .map(|_| (TcpPipe::new(TcpParams::default()), PacketTrace::new()))
+            .collect();
+        let out = s.flush_all(SimTime(1), &mut links);
         fn frames() -> [YuvFrame; 2] {
             [3u8, 5].map(|step| {
                 let len = YuvFormat::Yv12.frame_size(32, 32);
@@ -1696,7 +1625,6 @@ mod tests {
                 YuvFrame::from_data(YuvFormat::Yv12, 32, 32, planes)
             })
         }
-        let out = run(1);
         let payloads = |viewer: usize| -> Vec<&thinc_protocol::Bytes> {
             let frames = out[viewer].1.iter().filter_map(|(_, m)| match m {
                 Message::VideoData { data, .. } => Some(data),
@@ -1724,9 +1652,6 @@ mod tests {
             let got: Vec<Message> = out[viewer].1.iter().map(|(_, m)| m.clone()).collect();
             assert_eq!(got, want, "viewer {viewer}");
         }
-        for workers in [2, 4] {
-            assert_eq!(run(workers), out, "workers={workers}");
-        }
     }
 
     #[test]
@@ -1737,9 +1662,8 @@ mod tests {
         // Three viewers of one class, so the lowest id leads the flush
         // plan the other two follow. Returns their streams and the
         // session.
-        let run = |workers: usize, victim: Option<u32>| {
-            let mut s =
-                SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_workers(workers);
+        let run = |victim: Option<u32>| {
+            let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
             s.auth_mut().enable_sharing("pw");
             s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
             for user in ["guest", "other"] {
@@ -1771,36 +1695,34 @@ mod tests {
             }
             (streams, s, store.screen().data().to_vec())
         };
-        crate::parallel::silence_panics(|| {
-            for workers in [1, 4] {
-                let (clean, _, _) = run(workers, None);
-                // A follower of the class's plan, then its leader: a
-                // leader that panics publishes nothing, and its
-                // followers must flush what they would have anyway.
-                for victim in [1, 0] {
-                    let (streams, s, screen) = run(workers, Some(victim));
-                    assert_eq!(s.quarantined_count(), 1);
-                    for (i, stream) in streams.iter().enumerate() {
-                        let id = ClientId(i as u32);
-                        let panics = s.viewer(id).unwrap().resilience_metrics().panics_quarantined();
-                        if id.0 == victim {
-                            assert!(s.client_quarantined(id), "workers={workers}");
-                            assert!(stream.is_empty(), "quarantined client delivers nothing");
-                            assert_eq!(panics, 1);
-                            continue;
-                        }
-                        assert!(!s.client_quarantined(id));
-                        assert_eq!(panics, 0);
-                        assert_eq!(stream, &clean[i], "workers={workers} victim={victim} viewer={i}");
-                        // The session kept serving: the healthy
-                        // clients converge byte-exact.
-                        let mut client =
-                            thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
-                        for m in stream {
-                            client.apply(m);
-                        }
-                        assert_eq!(client.framebuffer().data(), &screen[..]);
+        silence_panics(|| {
+            let (clean, _, _) = run(None);
+            // A follower of the class's plan, then its leader: a
+            // leader that panics publishes nothing, and its
+            // followers must flush what they would have anyway.
+            for victim in [1, 0] {
+                let (streams, s, screen) = run(Some(victim));
+                assert_eq!(s.quarantined_count(), 1);
+                for (i, stream) in streams.iter().enumerate() {
+                    let id = ClientId(i as u32);
+                    let panics = s.viewer(id).unwrap().resilience_metrics().panics_quarantined();
+                    if id.0 == victim {
+                        assert!(s.client_quarantined(id));
+                        assert!(stream.is_empty(), "quarantined client delivers nothing");
+                        assert_eq!(panics, 1);
+                        continue;
                     }
+                    assert!(!s.client_quarantined(id));
+                    assert_eq!(panics, 0);
+                    assert_eq!(stream, &clean[i], "victim={victim} viewer={i}");
+                    // The session kept serving: the healthy
+                    // clients converge byte-exact.
+                    let mut client =
+                        thinc_client::ThincClient::new(64, 64, PixelFormat::Rgb888);
+                    for m in stream {
+                        client.apply(m);
+                    }
+                    assert_eq!(client.framebuffer().data(), &screen[..]);
                 }
             }
         });
@@ -1811,13 +1733,12 @@ mod tests {
     /// as cache references. Returns the per-client message streams,
     /// the per-client framebuffers after stream-layer resolution, the
     /// screen bytes, and the session itself.
-    fn run_cache_scenario(workers: usize) -> ScenarioOutcome {
+    fn run_cache_scenario() -> ScenarioOutcome {
         use thinc_display::drawable::SCREEN;
         use thinc_net::link::NetworkConfig;
 
         let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET)
-            .with_workers(workers);
+            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
         s.auth_mut().enable_sharing("pw");
         let owner = s
             .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
@@ -1871,7 +1792,7 @@ mod tests {
 
     #[test]
     fn cached_session_substitutes_refs_and_converges_byte_exact() {
-        let (streams, fbs, screen, _) = run_cache_scenario(1);
+        let (streams, fbs, screen, s) = run_cache_scenario();
         for (stream, fb) in streams.iter().zip(&fbs) {
             let refs = stream
                 .iter()
@@ -1880,18 +1801,9 @@ mod tests {
             assert!(refs >= 2, "repeat rounds must travel as references");
             assert_eq!(fb, &screen, "cached stream resolves byte-exact");
         }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_cached_streams() {
-        let (a, fa, _, sa) = run_cache_scenario(1);
-        let (b, fb, _, sb) = run_cache_scenario(4);
-        assert_eq!(a, b, "cached streams identical for any worker count");
-        assert_eq!(fa, fb);
-        // The lowest id pays for the tile's one encode, whichever
-        // worker would have reached the plane slot first.
-        let stats = buffer_stats(&sa);
-        assert_eq!(stats, buffer_stats(&sb), "who pays the codec is not a race");
+        // The lowest id leads the plan and pays for the tile's one
+        // encode; the other viewer follows it.
+        let stats = buffer_stats(&s);
         assert!(stats[0].codec_input_bytes > 0 && stats[1].codec_input_bytes == 0, "{stats:?}");
     }
 

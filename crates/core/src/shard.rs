@@ -6,10 +6,9 @@
 //! in client-id order beside the session's roster. A flush *epoch* is
 //! the session's clock set to the epoch time and one
 //! [`flush_all`](SharedSession::flush_all) over every link: one
-//! encode-once plane, one serial plan pass, one round on the worker
-//! pool. Its output comes back in client-id order, bit-identical for
-//! every worker count — the property the `worker_determinism` suite
-//! and the perfgate fan-out matrix pin down.
+//! encode-once plane, one serial plan pass, then every viewer's flush
+//! in client-id order on the caller's thread. Its output comes back in
+//! that order.
 //!
 //! The manager once partitioned its roster into hash-keyed shards,
 //! flushed one after another on the caller's thread. No byte ever
@@ -183,6 +182,49 @@ mod tests {
         let ids: Vec<ClientId> = out.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, m.session().client_ids());
         assert!(out.iter().all(|(_, msgs)| !msgs.is_empty()));
+    }
+
+    #[test]
+    fn plane_sharing_actually_amortizes_encodes() {
+        // The perf claim itself: with identity viewports dominating,
+        // distinct wire forms must be far fewer than plane-served sends.
+        use thinc_display::driver::VideoDriver;
+        use thinc_display::{drawable::DrawableStore, SCREEN};
+        use thinc_raster::{Color, Rect};
+        let mut m = manager(9);
+        // Two of the nine watch at half size: a second scale class.
+        for half in [2, 5] {
+            let id = m.session().client_ids()[half];
+            m.session_mut().resize_client(id, 32, 24);
+        }
+        let store = DrawableStore::new(64, 48, PixelFormat::Rgb888);
+        let mut now = SimTime::ZERO;
+        for round in 0..12u32 {
+            let s = m.session_mut();
+            // A RAW above the compression floor and the plane's
+            // minimum payload, with a fill and a copy over it.
+            let tile = crate::fixtures::noise(48 * 32 * 3, 3 + round);
+            s.put_image(&store, SCREEN, Rect::new(round as i32 % 16, 8, 48, 32), &tile);
+            s.solid_fill(&store, SCREEN, Rect::new(4, 4, 20, 12), Color::rgb(round as u8, 90, 30));
+            s.copy_area(&store, SCREEN, SCREEN, Rect::new(0, 0, 24, 16), 30, 20);
+            m.flush_epoch(now);
+            now = SimTime(now.0 + 6_000);
+        }
+        for _ in 0..100 {
+            if m.session().client_ids().iter().all(|&id| m.session().backlog(id) == 0) {
+                break;
+            }
+            m.flush_epoch(now);
+            now = SimTime(now.0 + 6_000);
+        }
+        let plane = m.session().fanout_counters();
+        assert!(plane.shared_sends > 0, "the plane never engaged");
+        assert!(
+            plane.encodes * 2 < plane.shared_sends,
+            "encodes={} not amortized over sends={}",
+            plane.encodes,
+            plane.shared_sends
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The golden checkpoint image: the on-disk format pinned by artifact.
 //!
-//! `golden/session_v6.ckpt` is what the shared-session fixture in
-//! `fixtures/` checkpoints to under layout version 6. There is one
+//! `golden/session_v7.ckpt` is what the shared-session fixture in
+//! `fixtures/` checkpoints to under layout version 7. There is one
 //! image, the session's: a single-client server is a session of one,
 //! and its session key lives in its viewer's record. A refactor that
 //! moves a field, reorders a record or changes what the fixture leaves
 //! in flight fails here before it can silently break a standby's
 //! restore. There is deliberately no decoder for older layouts (a
-//! standby runs its primary's build): a version-1 to -5 header is
+//! standby runs its primary's build): a version-1 to -6 header is
 //! refused like any foreign version.
 //!
 //! After an intended layout change, bump `CHECKPOINT_VERSION`, rename
@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use thinc_core::checkpoint::{CheckpointError, CHECKPOINT_VERSION};
 use thinc_core::session::SharedSession;
 
-const GOLDEN: &str = "session_v6.ckpt";
+const GOLDEN: &str = "session_v7.ckpt";
 
 fn golden(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
@@ -47,8 +47,8 @@ fn as_version(image: &[u8], version: u16) -> Vec<u8> {
 }
 
 #[test]
-fn layout_version_is_6() {
-    assert_eq!(CHECKPOINT_VERSION, 6);
+fn layout_version_is_7() {
+    assert_eq!(CHECKPOINT_VERSION, 7);
 }
 
 #[test]
@@ -61,7 +61,7 @@ fn session_image_is_pinned() {
         restored.checkpoint(store.screen()) == file,
         "restore -> checkpoint changed the image"
     );
-    for old in 1..=5 {
+    for old in 1..=6 {
         assert_eq!(
             SharedSession::restore(&as_version(&file, old)).err(),
             Some(CheckpointError::UnsupportedVersion(old))

@@ -122,8 +122,7 @@ pub fn checkpointable_session() -> (SharedSession, DrawableStore, Vec<Vec<Messag
         .with_liveness(LivenessConfig::default())
         .with_degradation(DegradationConfig::default())
         .with_buffer_bound(512 * 1024)
-        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET)
-        .with_workers(2);
+        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
     s.auth_mut().enable_sharing("pw");
     s.attach(&Credentials::Owner { user: "host".into() }, 64, 64)
         .unwrap();

@@ -33,10 +33,9 @@
 //!   export deterministic.
 //! * **No atomics or locks.** Metrics are plain values owned by the
 //!   component they instrument, and every per-client group belongs to
-//!   that client's `Delivery`: the session's flush workers each
-//!   flush disjoint clients, so no group is ever shared between
-//!   threads; views across clients are merged afterwards, in client
-//!   order.
+//!   that client's `Delivery`: a session flushes its clients one after
+//!   another on one thread, and views across clients are merged
+//!   afterwards, in client order.
 //! * **One increment per event.** An event is counted once, in the
 //!   group of the component that observes it. Plain mirrors kept by
 //!   crates that cannot depend on this one (`thinc-net`'s

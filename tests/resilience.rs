@@ -8,8 +8,7 @@
 //! Its `why` says what it exercises. The chaos crate's table runs every
 //! file in that directory; these tests run the twelve resilience
 //! scenarios through the same check, so a plain `cargo test` of this
-//! package still drives each of them over the wire at its own flush
-//! worker count and at 1 and 4.
+//! package still drives each of them over the wire.
 
 #[path = "../crates/chaos/tests/table/mod.rs"]
 mod table;
@@ -75,6 +74,6 @@ fn warm_resume_ships_fewer_bytes_than_cold_reconnect() {
 }
 
 #[test]
-fn checkpoint_failover_converges_across_workers() {
+fn checkpoint_failover_resumes_every_viewer_warm() {
     scenario(&["checkpoint-failover.json"]);
 }
