@@ -360,7 +360,7 @@ mod tests {
         let img = DrawRequest::PutImage {
             target: thinc_display::SCREEN,
             rect: Rect::new(0, 0, 200, 200),
-            data: (0..200 * 200 * 3).map(|i| (i * 2654435761u64 >> 13) as u8).collect(),
+            data: (0..200 * 200 * 3).map(|i| ((i * 2654435761u64) >> 13) as u8).collect(),
         };
         let mut vnc = Vnc::new(&wan, 512, 512);
         vnc.process(SimTime::ZERO, vec![img.clone()]);

@@ -196,7 +196,7 @@ mod tests {
             for _ in 0..20 {
                 let pcm = track.pcm((t - start).as_micros() / 1000, 100);
                 sys.audio(t, &pcm);
-                t = t + thinc_net::time::SimDuration::from_millis(100);
+                t += thinc_net::time::SimDuration::from_millis(100);
             }
             sys.drain(t);
             let got = sys.av_stats().audio_bytes;

@@ -530,7 +530,7 @@ mod tests {
         // Repeat a block at exactly WINDOW distance.
         let block: Vec<u8> = (0..64).map(|i| (i * 37 % 251) as u8).collect();
         let mut data = block.clone();
-        data.extend(std::iter::repeat(0u8).take(WINDOW - 64));
+        data.extend(std::iter::repeat_n(0u8, WINDOW - 64));
         data.extend_from_slice(&block);
         assert_eq!(decompress(&compress(&data)).unwrap(), data);
     }

@@ -30,7 +30,7 @@ proptest! {
     ) {
         let data: Vec<u8> = runs
             .iter()
-            .flat_map(|&(b, n)| std::iter::repeat(b).take(n))
+            .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
             .collect();
         for codec in codecs(4, 128) {
             let compressed = codec.compress(&data);

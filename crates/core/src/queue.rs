@@ -685,7 +685,7 @@ mod tests {
         assert_eq!(clipped.dest_rect(), Rect::new(1, 1, 2, 2));
         if let DisplayCommand::Raw { data, .. } = &clipped {
             // Row 1, cols 1..3 of a 4-wide rgb image.
-            let expect_first = (4 * 1 + 1) * 3;
+            let expect_first = (4 + 1) * 3;
             assert_eq!(data[0], expect_first as u8);
             assert_eq!(data.len(), 2 * 2 * 3);
         } else {

@@ -122,7 +122,7 @@ fn random_requests(
     rng: &mut StdRng,
     w: u32,
     h: u32,
-    pixmaps: &mut Vec<DrawableId>,
+    pixmaps: &[DrawableId],
     out: &mut Vec<DrawRequest>,
     n: usize,
 ) {
@@ -149,7 +149,7 @@ fn random_requests(
             }
             2 => {
                 let r = random_rect(rng, w, h);
-                let row_bytes = ((r.w as usize) + 7) / 8;
+                let row_bytes = (r.w as usize).div_ceil(8);
                 out.push(DrawRequest::StippleRect {
                     target,
                     rect: r,
@@ -224,7 +224,7 @@ fn random_workload_client_matches_server_lan() {
                 }
             }
             let mut reqs = Vec::new();
-            random_requests(&mut rng, 96, 72, &mut pixmaps, &mut reqs, 25);
+            random_requests(&mut rng, 96, 72, &pixmaps, &mut reqs, 25);
             p.ws.process_all(reqs);
             p.pump_to_client();
             p.assert_synced(&format!("seed {seed} round {round}"));
@@ -245,9 +245,9 @@ fn random_workload_client_matches_server_wan_with_splits() {
     for seed in 100..103u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut p = Pipeline::new(96, 72, &net);
-        let mut pixmaps = Vec::new();
+        let pixmaps = Vec::new();
         let mut reqs = Vec::new();
-        random_requests(&mut rng, 96, 72, &mut pixmaps, &mut reqs, 40);
+        random_requests(&mut rng, 96, 72, &pixmaps, &mut reqs, 40);
         p.ws.process_all(reqs);
         p.pump_to_client();
         p.assert_synced(&format!("seed {seed}"));
@@ -321,9 +321,9 @@ fn deterministic_end_to_end() {
     let run = || {
         let mut rng = StdRng::seed_from_u64(42);
         let mut p = Pipeline::new(96, 72, &NetworkConfig::wan_desktop());
-        let mut pixmaps = Vec::new();
+        let pixmaps = Vec::new();
         let mut reqs = Vec::new();
-        random_requests(&mut rng, 96, 72, &mut pixmaps, &mut reqs, 30);
+        random_requests(&mut rng, 96, 72, &pixmaps, &mut reqs, 30);
         p.ws.process_all(reqs);
         p.pump_to_client();
         (

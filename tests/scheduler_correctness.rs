@@ -54,7 +54,7 @@ fn arb_raw() -> impl Strategy<Value = DisplayCommand> {
 
 fn arb_bitmap() -> impl Strategy<Value = DisplayCommand> {
     (arb_rect(), arb_color(), any::<u64>(), any::<bool>()).prop_map(|(rect, fg, seed, opaque)| {
-        let row_bytes = ((rect.w as usize) + 7) / 8;
+        let row_bytes = (rect.w as usize).div_ceil(8);
         let mut x = seed | 1;
         let bits = (0..row_bytes * rect.h as usize)
             .map(|_| {
