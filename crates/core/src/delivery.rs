@@ -811,7 +811,7 @@ impl Delivery {
         w.u32(self.viewport.0);
         w.u32(self.viewport.1);
         w.rect(&self.scale.view);
-        // The v6 record: whether the full view is owed, then the debt.
+        // The phase: whether the full view is owed, then the debt.
         match &self.phase {
             Phase::Owes(debt) | Phase::OwesDelta(debt) => {
                 w.bool(false);

@@ -36,7 +36,8 @@
 //!   cursor, speaker, clock, resume-token rules and checkpoint writer
 //!   around a roster of `Delivery` values,
 //! - [`shard`]: [`ShardedManager`], a session plus its viewers' links,
-//!   flushed together once per epoch,
+//!   flushed together once per epoch, one viewer after another on the
+//!   caller's thread,
 //! - [`server`]: [`ServerConfig`], the paper's design switches, whose
 //!   [`ServerConfig::session`] is the one way to build a session of one
 //!   viewer (its connection RC4-keyed when configured, §7), and
