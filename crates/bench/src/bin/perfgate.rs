@@ -754,8 +754,8 @@ struct FanoutRun {
 /// windows) cohorts, adaptive degradation enabled, every client an
 /// identity viewport on the same screen. Every message is framed, run
 /// through the wire disturbance model, and decoded by a real
-/// `StreamClient` whose framebuffer must converge byte-exact. The epoch schedule is fixed (no data-dependent
-/// early exit).
+/// `StreamClient` whose framebuffer must converge byte-exact. The epoch
+/// schedule is fixed (no data-dependent early exit).
 fn fanout_run(clients: usize) -> FanoutRun {
     use thinc_client::StreamClient;
     use thinc_core::degradation::{DegradationConfig, DegradationLevel};

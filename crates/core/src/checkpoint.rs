@@ -38,9 +38,10 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
 /// session's flush worker count (a session runs on one thread);
 /// version 6 dropped the delivery policy's server-side-scaling flag
 /// (every viewer is scaled to its viewport); version 5 dropped the
-/// cache record's queue of miss answers. A keyed viewer's session key is in its delivery record,
-/// and there is one image, the session's. There is no decoder for
-/// older layouts: a standby runs its primary's build.
+/// cache record's queue of miss answers. A keyed viewer's session key
+/// is in its delivery record, and there is one image, the session's.
+/// There is no decoder for older layouts: a standby runs its primary's
+/// build.
 pub const CHECKPOINT_VERSION: u16 = 7;
 
 /// Header bytes before the payload: magic + version + length + CRC.

@@ -176,10 +176,10 @@ pub enum Phase {
     /// an update the client is known to have skipped (a cache miss).
     /// Repaid by the next push, which has the screen in hand.
     OwesView,
-    /// The client's flush panicked: the panic was contained, the client is isolated from all further work, and
-    /// the session keeps serving everyone else. Its state is unspecified
-    /// (the panic may have struck mid-mutation); the only way back is
-    /// detach and re-attach.
+    /// The client's flush panicked: the panic was contained, the client
+    /// is isolated from all further work, and the session keeps serving
+    /// everyone else. Its state is unspecified (the panic may have
+    /// struck mid-mutation); the only way back is detach and re-attach.
     Quarantined,
 }
 
