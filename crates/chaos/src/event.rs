@@ -1,7 +1,7 @@
 //! The chaos event vocabulary and the schedule that sequences it.
 //!
 //! A [`Schedule`] is a fully self-describing experiment: a seed, the
-//! session geometry, the worker count, an ordered list of
+//! session geometry, the budgets, an ordered list of
 //! [`ChaosEvent`]s, and what the run must count beyond the invariant
 //! catalog (its [`expect`](crate::expect) block). Running the same
 //! schedule twice produces the same byte streams, the same telemetry

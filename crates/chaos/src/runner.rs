@@ -8,7 +8,7 @@
 //! clock or an ambient RNG: every random draw descends from the
 //! schedule seed, so the same schedule produces the same byte
 //! streams, the same telemetry and the same verdicts on every
-//! machine and for every flush worker count.
+//! machine.
 //!
 //! At each [`ChaosEvent::Quiesce`] the runner drains the system
 //! (fault windows run out, pipes swap to clean plans, refresh debt

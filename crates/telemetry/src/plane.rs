@@ -18,7 +18,7 @@ crate::counters! {
         /// encoded on its own.
         shared_bytes,
         /// Wire forms actually produced (one per equivalence class that
-        /// reached the wire); independent of the worker count.
+        /// reached the wire).
         encodes,
         /// Bytes of wire forms actually produced.
         encoded_bytes,
