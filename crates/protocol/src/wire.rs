@@ -1053,9 +1053,16 @@ thinc_telemetry::counters! {
 /// Nothing here panics on wire bytes, and buffered memory stays
 /// bounded by [`MAX_FRAME_PAYLOAD`] plus one feed chunk as long as the
 /// caller drains between feeds.
+///
+/// A frame is taken by moving a read cursor past it; the bytes behind
+/// the cursor are dropped in one move at the next
+/// [`feed`](Self::feed). (Dropping them frame by frame moved everything
+/// buffered behind each frame: quadratic in the frames per chunk.)
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Where the unread bytes of `buf` start.
+    start: usize,
     revision: u16,
     last_seq: Option<u32>,
     /// The sequence number this reader's history starts at: the first
@@ -1070,6 +1077,7 @@ impl Default for FrameReader {
     fn default() -> Self {
         Self {
             buf: Vec::new(),
+            start: 0,
             revision: WIRE_REV_LEGACY,
             last_seq: None,
             first_seq: None,
@@ -1141,6 +1149,8 @@ impl FrameReader {
 
     /// Appends raw transport bytes.
     pub fn feed(&mut self, data: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(data);
     }
 
@@ -1158,9 +1168,9 @@ impl FrameReader {
         if self.revision >= WIRE_REV_INTEGRITY {
             return self.next_integrity();
         }
-        match decode_message(&self.buf) {
+        match decode_message(&self.buf[self.start..]) {
             Ok((msg, consumed)) => {
-                self.buf.drain(..consumed);
+                self.start += consumed;
                 Ok(Some(msg))
             }
             Err(DecodeError::Truncated) => Ok(None),
@@ -1173,43 +1183,43 @@ impl FrameReader {
     /// they are special-cased before the extended header is assumed.
     fn next_integrity(&mut self) -> Result<Option<Message>, DecodeError> {
         loop {
-            if self.buf.is_empty() {
+            let buf = &self.buf[self.start..];
+            if buf.is_empty() {
                 return Ok(None);
             }
-            let tag = self.buf[0];
+            let tag = buf[0];
             if !known_message_tag(tag) {
                 return Err(DecodeError::UnknownType(tag));
             }
             if tag == MSG_SERVER_HELLO || tag == MSG_CLIENT_HELLO || tag == MSG_SESSION_RESUME {
                 // Handshake frames always use legacy framing.
-                return match decode_message(&self.buf) {
+                return match decode_message(buf) {
                     Ok((msg, consumed)) => {
-                        self.buf.drain(..consumed);
+                        self.start += consumed;
                         Ok(Some(msg))
                     }
                     Err(DecodeError::Truncated) => Ok(None),
                     Err(e) => Err(e),
                 };
             }
-            if self.buf.len() >= LEGACY_HEADER_LEN {
-                let len = u32::from_le_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]]);
+            if buf.len() >= LEGACY_HEADER_LEN {
+                let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]);
                 if len > MAX_FRAME_PAYLOAD {
                     return Err(DecodeError::FrameTooLarge(len));
                 }
             }
-            if self.buf.len() < INTEGRITY_HEADER_LEN {
+            if buf.len() < INTEGRITY_HEADER_LEN {
                 return Ok(None);
             }
-            let len = u32::from_le_bytes([self.buf[1], self.buf[2], self.buf[3], self.buf[4]])
-                as usize;
+            let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
             let total = INTEGRITY_HEADER_LEN + len;
-            if self.buf.len() < total {
+            if buf.len() < total {
                 return Ok(None);
             }
-            let seq = u32::from_le_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]]);
-            let stored = u32::from_le_bytes([self.buf[9], self.buf[10], self.buf[11], self.buf[12]]);
-            let mut crc = crc32_update(!0, &self.buf[..9]);
-            crc = crc32_update(crc, &self.buf[INTEGRITY_HEADER_LEN..total]);
+            let seq = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]);
+            let stored = u32::from_le_bytes([buf[9], buf[10], buf[11], buf[12]]);
+            let mut crc = crc32_update(!0, &buf[..9]);
+            crc = crc32_update(crc, &buf[INTEGRITY_HEADER_LEN..total]);
             let computed = crc ^ !0;
             if computed != stored {
                 self.counters.crc_fail += 1;
@@ -1245,22 +1255,22 @@ impl FrameReader {
                     } else {
                         self.counters.seq_dup += 1;
                     }
-                    self.buf.drain(..total);
+                    self.start += total;
                     continue;
                 }
             } else {
                 self.last_seq = Some(seq);
                 self.first_seq = Some(seq);
             }
-            let msg = decode_payload(tag, &self.buf[INTEGRITY_HEADER_LEN..total])?;
-            self.buf.drain(..total);
+            let msg = decode_payload(tag, &buf[INTEGRITY_HEADER_LEN..total])?;
+            self.start += total;
             return Ok(Some(msg));
         }
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Skips past damage to the next plausible frame boundary,
@@ -1276,14 +1286,15 @@ impl FrameReader {
     /// client treats everything skipped as lost screen state and asks
     /// the server for a refresh.
     pub fn resync(&mut self) -> usize {
-        if self.buf.is_empty() {
+        let buf = &self.buf[self.start..];
+        if buf.is_empty() {
             return 0;
         }
         let mut offset = 1;
-        while offset < self.buf.len() && !plausible_frame_start(&self.buf[offset..]) {
+        while offset < buf.len() && !plausible_frame_start(&buf[offset..]) {
             offset += 1;
         }
-        self.buf.drain(..offset);
+        self.start += offset;
         offset
     }
 }
@@ -1637,6 +1648,38 @@ mod tests {
         assert_eq!(c.seq_gap, 0);
         assert_eq!(c.seq_dup, 0);
         assert!(!reader.take_seq_break());
+    }
+
+    #[test]
+    fn many_frames_in_one_chunk_decode_as_fed_one_at_a_time() {
+        let samples = non_handshake_samples();
+        let small: Vec<&Message> =
+            samples.iter().filter(|m| encode_message(m).len() <= 64).collect();
+        assert!(!small.is_empty());
+        let msgs: Vec<Message> = (0..1000).map(|i| small[i % small.len()].clone()).collect();
+        for revision in [WIRE_REV_LEGACY, WIRE_REV_INTEGRITY] {
+            let mut enc = FrameEncoder::with_revision(revision);
+            let frames: Vec<Vec<u8>> = msgs.iter().map(|m| enc.encode(m)).collect();
+            let drain = |reader: &mut FrameReader, out: &mut Vec<Message>| {
+                while let Some(msg) = reader.next_message().expect("clean stream decodes") {
+                    out.push(msg);
+                }
+            };
+            let (mut one_chunk, mut by_frame) = (Vec::new(), Vec::new());
+            let mut whole = FrameReader::with_revision(revision);
+            whole.feed(&frames.concat());
+            drain(&mut whole, &mut one_chunk);
+            let mut single = FrameReader::with_revision(revision);
+            for frame in &frames {
+                single.feed(frame);
+                drain(&mut single, &mut by_frame);
+            }
+            assert_eq!(one_chunk, msgs, "revision {revision}");
+            assert_eq!(by_frame, msgs, "revision {revision}");
+            assert_eq!(whole.integrity(), single.integrity());
+            assert_eq!(whole.last_seq(), single.last_seq());
+            assert_eq!((whole.pending_bytes(), single.pending_bytes()), (0, 0));
+        }
     }
 
     #[test]
