@@ -10,7 +10,7 @@
 //! **Payload forms.** Commands with the same *payload content* at
 //! the same destination and encoding share one compressed wire form,
 //! produced once by whichever flush reaches it first and reused by
-//! everyone else as an `Arc` bump. Content keying
+//! everyone else as an `Rc` bump. Content keying
 //! ([`Bytes::content_id`], plus length) survives the per-client
 //! command queues — clipping and merging reallocate payloads per
 //! client, but on a same-screen broadcast they reallocate them to
@@ -60,9 +60,9 @@
 //! [`Bytes`]: thinc_protocol::Bytes
 //! [`flush_all`]: crate::session::SharedSession::flush_all
 
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::rc::Rc;
 
 use thinc_net::time::SimTime;
 use thinc_protocol::{Bytes, DisplayCommand, Message};
@@ -71,8 +71,8 @@ pub use thinc_telemetry::PlaneCounters;
 
 use crate::buffer::{ClientBuffer, FlushState};
 
-/// Payloads below this size encode faster than a map lookup under a
-/// lock; they stay on the per-client path.
+/// Payloads below this size encode faster than a map lookup; they stay
+/// on the per-client path.
 pub const PLANE_MIN_PAYLOAD: usize = 64;
 
 /// Identity of one shared-encoding equivalence class: the payload
@@ -139,18 +139,17 @@ pub struct WireForm {
 /// detected, not silently served.
 #[derive(Debug)]
 pub struct PlaneSlot {
-    form: OnceLock<WireForm>,
+    form: OnceCell<WireForm>,
     pin: Bytes,
     /// Largest encode bound this payload's compressed stream is known
     /// to pass (0 = nothing known). A fact about the content, so it is
-    /// shared like the form; a statistic-grade atomic because a stale
-    /// read only costs the reader a bounded encode of its own.
-    exceeds: AtomicU64,
+    /// shared like the form.
+    exceeds: Cell<u64>,
 }
 
 impl PlaneSlot {
     fn pinned(pin: Bytes) -> Self {
-        Self { form: OnceLock::new(), pin, exceeds: AtomicU64::new(0) }
+        Self { form: OnceCell::new(), pin, exceeds: Cell::new(0) }
     }
 
     /// The slot's wire form, running `init` exactly once across all
@@ -166,12 +165,12 @@ impl PlaneSlot {
 
     /// The largest bound the compressed payload is known to exceed.
     pub(crate) fn exceeds(&self) -> u64 {
-        self.exceeds.load(Ordering::Relaxed)
+        self.exceeds.get()
     }
 
     /// Records that the compressed payload is longer than `bytes`.
     pub(crate) fn learn_exceeds(&self, bytes: u64) {
-        self.exceeds.fetch_max(bytes, Ordering::Relaxed);
+        self.exceeds.set(self.exceeds.get().max(bytes));
     }
 }
 
@@ -215,7 +214,7 @@ pub(crate) struct FlushPlan {
 #[derive(Debug)]
 pub(crate) struct PlanSlot {
     state: FlushState,
-    plan: OnceLock<FlushPlan>,
+    plan: OnceCell<FlushPlan>,
 }
 
 impl PlanSlot {
@@ -237,30 +236,26 @@ pub(crate) enum PlanRole {
     /// No plane, or nothing queued: nothing to share.
     Alone,
     /// First in this state: flush, recording the plan into the slot.
-    Lead(Arc<PlanSlot>),
+    Lead(Rc<PlanSlot>),
     /// In the state of a plan already claimed: flush by it.
-    Follow(Arc<PlanSlot>),
+    Follow(Rc<PlanSlot>),
 }
 
 /// The per-round shared-encoding table. Cheap to create; create one
 /// per flush round and drop it with the round.
 #[derive(Debug, Default)]
 pub struct WirePlane {
-    slots: Mutex<HashMap<PlaneKey, Arc<PlaneSlot>>>,
+    slots: RefCell<HashMap<PlaneKey, Rc<PlaneSlot>>>,
     /// Flush plans by state fingerprint; structural equality picks
     /// within a bucket.
-    plans: Mutex<HashMap<u64, Vec<Arc<PlanSlot>>>>,
+    plans: RefCell<HashMap<u64, Vec<Rc<PlanSlot>>>>,
 }
 
-/// The plane's plan table, locked: a round resolves all its viewers'
-/// roles in one serial pass under one lock, not from inside each
-/// viewer's flush. Serial, in id order, is what makes the leader the
-/// lowest id, who then flushes first; one lock, because a lock per
-/// viewer taken from inside each flush cost the sizing prototype
-/// 2.4–3.8 µs a viewer under two flush threads — more than a
-/// follower's whole flush (warm, on one thread, it is ≈ 45 ns against
-/// ≈ 27 batched).
-pub(crate) struct Plans<'a>(MutexGuard<'a, HashMap<u64, Vec<Arc<PlanSlot>>>>);
+/// The plane's plan table, borrowed: a round resolves all its viewers'
+/// roles in one serial pass, before any viewer flushes. Serial, in id
+/// order, is what makes the leader the lowest id, who then flushes
+/// first.
+pub(crate) struct Plans<'a>(RefMut<'a, HashMap<u64, Vec<Rc<PlanSlot>>>>);
 
 impl Plans<'_> {
     /// The role of a viewer about to flush `buffer` at `now`: follower
@@ -272,10 +267,10 @@ impl Plans<'_> {
         }
         let bucket = self.0.entry(buffer.flush_fingerprint(now)).or_default();
         if let Some(slot) = bucket.iter().find(|slot| buffer.in_state(now, &slot.state)) {
-            return PlanRole::Follow(Arc::clone(slot));
+            return PlanRole::Follow(Rc::clone(slot));
         }
-        let slot = Arc::new(PlanSlot { state: buffer.flush_state(now), plan: OnceLock::new() });
-        bucket.push(Arc::clone(&slot));
+        let slot = Rc::new(PlanSlot { state: buffer.flush_state(now), plan: OnceCell::new() });
+        bucket.push(Rc::clone(&slot));
         PlanRole::Lead(slot)
     }
 }
@@ -288,10 +283,10 @@ impl WirePlane {
 
     /// The shared slot for `cmd`, or `None` when the command is not
     /// shareable (not a `RAW`, payload too small to be worth the
-    /// lock, or — vanishingly rarely — a hash collision with an
+    /// lookup, or — vanishingly rarely — a hash collision with an
     /// existing class, which must take the per-client path to keep
     /// the bytes right).
-    pub fn slot(&self, cmd: &DisplayCommand) -> Option<Arc<PlaneSlot>> {
+    pub fn slot(&self, cmd: &DisplayCommand) -> Option<Rc<PlaneSlot>> {
         let (key, data) = plane_key(cmd)?;
         self.slot_keyed(key, data)
     }
@@ -299,27 +294,26 @@ impl WirePlane {
     /// [`slot`](Self::slot) for a caller that already holds the
     /// command's key (`key` must be [`plane_key`] of the command
     /// carrying `data`).
-    pub(crate) fn slot_keyed(&self, key: PlaneKey, data: &Bytes) -> Option<Arc<PlaneSlot>> {
-        let mut slots = self.slots.lock().expect("plane lock poisoned");
-        match slots.entry(key) {
+    pub(crate) fn slot_keyed(&self, key: PlaneKey, data: &Bytes) -> Option<Rc<PlaneSlot>> {
+        match self.slots.borrow_mut().entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let slot = e.get();
-                (slot.pin == *data).then(|| Arc::clone(slot))
+                (slot.pin == *data).then(|| Rc::clone(slot))
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                Some(Arc::clone(v.insert(Arc::new(PlaneSlot::pinned(data.clone())))))
+                Some(Rc::clone(v.insert(Rc::new(PlaneSlot::pinned(data.clone())))))
             }
         }
     }
 
     /// Number of distinct equivalence classes seen this round.
     pub fn classes(&self) -> usize {
-        self.slots.lock().expect("plane lock poisoned").len()
+        self.slots.borrow().len()
     }
 
-    /// Locks the plan table for a run of [`Plans::resolve`] calls.
+    /// Borrows the plan table for a run of [`Plans::resolve`] calls.
     pub(crate) fn plans(&self) -> Plans<'_> {
-        Plans(self.plans.lock().expect("plan lock poisoned"))
+        Plans(self.plans.borrow_mut())
     }
 }
 
@@ -342,7 +336,7 @@ mod tests {
         let data = Bytes::from(vec![7u8; 768]);
         let a = plane.slot(&raw(&data)).unwrap();
         let b = plane.slot(&raw(&data)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Rc::ptr_eq(&a, &b));
         assert_eq!(plane.classes(), 1);
     }
 
@@ -352,10 +346,10 @@ mod tests {
         // content keying must see through that.
         let plane = WirePlane::new();
         let a = Bytes::from(vec![7u8; 768]);
-        let b = Bytes::from(vec![7u8; 768]); // Equal content, new Arc.
+        let b = Bytes::from(vec![7u8; 768]); // Equal content, new allocation.
         let sa = plane.slot(&raw(&a)).unwrap();
         let sb = plane.slot(&raw(&b)).unwrap();
-        assert!(Arc::ptr_eq(&sa, &sb));
+        assert!(Rc::ptr_eq(&sa, &sb));
         assert_eq!(plane.classes(), 1);
     }
 
@@ -366,7 +360,7 @@ mod tests {
         let b = Bytes::from(vec![9u8; 768]);
         let sa = plane.slot(&raw(&a)).unwrap();
         let sb = plane.slot(&raw(&b)).unwrap();
-        assert!(!Arc::ptr_eq(&sa, &sb));
+        assert!(!Rc::ptr_eq(&sa, &sb));
         assert_eq!(plane.classes(), 2);
     }
 

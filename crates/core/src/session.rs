@@ -643,10 +643,10 @@ impl SharedSession {
     /// state flush once between them (see [`crate::plane`]).
     ///
     /// A serial pre-pass, in id order, lets every member's ladder and
-    /// A/V bound have their say and then asks the plane — under one
-    /// lock for the whole roster — which members start from the same
-    /// buffer state: the first in each state leads its plan, the rest
-    /// follow it. So the leader is the lowest id, and with it who
+    /// A/V bound have their say and then asks the plane — in one
+    /// borrow of its plan table for the whole roster — which members
+    /// start from the same buffer state: the first in each state leads
+    /// its plan, the rest follow it. So the leader is the lowest id, and with it who
     /// pays the codec (`codec_input_bytes`) and who skips it. Every
     /// member then flushes in id order against its own pipe and cache
     /// ledger, so a leader publishes its plan before its followers
