@@ -65,6 +65,7 @@ pub struct Scratch {
     filtered: Vec<u8>,
     out: Vec<u8>,
     consumed: usize,
+    gave_up: Option<pnglike::GaveUp>,
 }
 
 impl Scratch {
@@ -77,6 +78,12 @@ impl Scratch {
     /// it finished or gave up (whole rows, through the filter stage).
     pub fn consumed(&self) -> usize {
         self.consumed
+    }
+
+    /// Where the last [`pnglike::compress_bounded`] stopped, when it
+    /// gave up (`None` when it finished).
+    pub fn gave_up(&self) -> Option<pnglike::GaveUp> {
+        self.gave_up
     }
 
     /// Read access to the last encoded stream.

@@ -127,7 +127,7 @@ fn see(seen: &mut Seen, keys: [usize; 2], tag: u16) {
 /// Bytes past a position that a non-final [`Encoder::feed`] must hold
 /// before it parses that position: the longest match it can emit there
 /// plus the hash reads of that match's last covered positions.
-const LOOKAHEAD: usize = MAX_MATCH + MIN_MATCH - 1;
+pub(crate) const LOOKAHEAD: usize = MAX_MATCH + MIN_MATCH - 1;
 
 /// Compresses `data` with LZSS.
 pub fn compress(data: &[u8]) -> Vec<u8> {

@@ -55,7 +55,9 @@ const BAND_BYTES: usize = 16 * 1024;
 /// stages; [`crate::Scratch::consumed`] reports how much that was. A
 /// caller that can only use an encoding shorter than some size (one
 /// that beats the raw payload, one that fits a socket buffer) passes
-/// that size and stops paying for the rest.
+/// that size and stops paying for the rest. Where the coder stopped is
+/// [`crate::Scratch::gave_up`]: it says which heads of the payload
+/// would give up too ([`GaveUp::covers`]).
 ///
 /// # Panics
 ///
@@ -73,6 +75,7 @@ pub fn compress_bounded<'a>(
     scratch.filtered.clear();
     scratch.filtered.reserve(data.len() + rows);
     scratch.out.clear();
+    scratch.gave_up = None;
     let mut coder = lzss::Encoder::new();
     let mut row = 0;
     loop {
@@ -82,11 +85,48 @@ pub fn compress_bounded<'a>(
         let last = row == rows;
         scratch.consumed = (row * stride).min(data.len());
         if !coder.feed(&scratch.filtered, last, limit, &mut scratch.out) {
+            scratch.gave_up = Some(GaveUp { parsed: coder.consumed(), stride, limit });
             return None;
         }
         if last {
             return Some(&scratch.out);
         }
+    }
+}
+
+/// Where a [`compress_bounded`] that gave up stopped: the filtered
+/// bytes its dictionary coder had parsed, under which bound, at which
+/// stride.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaveUp {
+    parsed: usize,
+    stride: usize,
+    limit: usize,
+}
+
+impl GaveUp {
+    /// Whether [`compress_bounded`] of the payload's first `rows` whole
+    /// rows (same `bpp` and `stride`) within `limit` bytes is sure to
+    /// give up too, so that a caller may skip it.
+    ///
+    /// Exact, not a guess:
+    ///
+    /// - the filter makes each row from that row and the one above, so
+    ///   the head's filtered bytes are the first `rows × (stride + 1)`
+    ///   of the payload's;
+    /// - the coder decides a position from the `LOOKAHEAD` bytes that
+    ///   start there (the longest match and the hash reads past it),
+    ///   and its parse does not depend on how the input was fed
+    ///   ([`lzss::Encoder::feed`]); so when the head holds
+    ///   `parsed + LOOKAHEAD` filtered bytes, every position the
+    ///   payload's encode parsed is parsed the same way in the head's,
+    ///   into the same stream;
+    /// - that stream was already longer than the payload's bound, so
+    ///   than any `limit` no larger, and a stream only grows: the
+    ///   head's encode gives up there or before.
+    pub fn covers(&self, rows: usize, limit: usize) -> bool {
+        limit <= self.limit
+            && rows.saturating_mul(self.stride + 1) >= self.parsed + lzss::LOOKAHEAD
     }
 }
 

@@ -473,6 +473,28 @@ fn bounded_lzss_gives_up_where_the_reference_stream_passes_its_bound() {
     }
 }
 
+/// The case the flush meets: a photograph too big for a 256 KB socket
+/// buffer gives up under that bound early enough that the head cut to
+/// fit the buffer is covered at its own, smaller cap; a larger cap, or
+/// a head too short to hold the parse and its lookahead, is not.
+#[test]
+fn a_photo_give_up_covers_the_head_cut_to_its_bound() {
+    let (w, h, bpp) = (920, 200, 3);
+    let stride = w * bpp;
+    let data = noise(w * h * bpp, 11);
+    let bound = 256 * 1024 - 64;
+    let mut scratch = Scratch::new();
+    assert!(pnglike::compress_bounded(&data, bpp, stride, bound, &mut scratch).is_none());
+    let gave_up = scratch.gave_up().expect("a give-up says where it stopped");
+    let rows = bound / stride;
+    assert!(gave_up.covers(rows, rows * stride - 1));
+    assert!(!gave_up.covers(rows, bound + 1), "a larger cap");
+    assert!(!gave_up.covers(rows / 2, rows * stride / 2), "a head the parse ran past");
+    // A finished encode leaves no give-up behind.
+    assert!(pnglike::compress_bounded(&data, bpp, stride, usize::MAX, &mut scratch).is_some());
+    assert_eq!(scratch.gave_up(), None);
+}
+
 /// What a decoder bounded at `limit` must return for a stream the
 /// reference decodes to `want`: the same bytes when they fit, and a
 /// refusal when the stream is malformed or its output does not fit.
@@ -672,6 +694,33 @@ proptest! {
         // follows it is still the reference stream.
         prop_assert_eq!(pnglike::compress_with(&data, bpp, stride, &mut scratch), &full[..]);
         prop_assert_eq!(scratch.consumed(), data.len());
+    }
+
+    #[test]
+    fn a_head_the_give_up_covers_gives_up_too(
+        data in image_bytes(),
+        bpp in 1usize..5,
+        width in 1usize..400,
+        bound_permille in 0usize..1000,
+        head_permille in 0usize..=1000,
+        cap_permille in 0usize..=1000,
+    ) {
+        let stride = bpp * width;
+        let full = reference::pnglike_compress(&data, bpp, stride);
+        let bound = full.len() * bound_permille / 1000;
+        let mut scratch = Scratch::new();
+        let gave_up = pnglike::compress_bounded(&data, bpp, stride, bound, &mut scratch).is_none();
+        prop_assert_eq!(gave_up, bound < full.len());
+        prop_assume!(gave_up);
+        let gave_up = scratch.gave_up().expect("a give-up says where it stopped");
+        let rows = data.len() / stride * head_permille / 1000;
+        let cap = bound * cap_permille / 1000;
+        if gave_up.covers(rows, cap) {
+            let head = &data[..rows * stride];
+            prop_assert!(reference::pnglike_compress(head, bpp, stride).len() > cap);
+            let got = pnglike::compress_bounded(head, bpp, stride, cap, &mut scratch);
+            prop_assert_eq!(got, None, "{} rows at cap {}", rows, cap);
+        }
     }
 
     #[test]

@@ -499,9 +499,11 @@ impl ClientBuffer {
                 for i in 0..count {
                     // Always this viewer's own pipe, before every part.
                     let writable = pipe.writable_bytes(now);
+                    // Where this part's encode gave up, for its head.
+                    let mut gave_up = None;
                     let formed = match planned.and_then(|parts| parts[i].form.as_ref()) {
                         Some(form) => Some(self.adopt(form)),
-                        None => self.form_for(part(i), writable, plane, counters),
+                        None => self.form_for(part(i), writable, plane, counters, None, &mut gave_up),
                     };
                     if record.is_some() {
                         forms.push(formed.as_ref().and_then(|f| f.shareable().cloned()));
@@ -519,7 +521,7 @@ impl ClientBuffer {
                     let cut = if self.reference_split { split_by_copy(part(i), writable) } else { cut };
                     if let Some((head, tail)) = cut {
                         let head = self
-                            .prepare_wire(&head, writable, plane, counters)
+                            .prepare_wire(&head, writable, plane, counters, gave_up)
                             .filter(|wire| wire.size <= writable);
                         if let Some(wire) = head {
                             self.stats.splits += 1;

@@ -8,6 +8,7 @@
 //! Shipping a prepared message settles everything owed for it: trace,
 //! delivery and plane accounting, the ledger.
 
+use thinc_compress::pnglike::GaveUp;
 use thinc_net::tcp::TcpPipe;
 use thinc_net::time::SimTime;
 use thinc_net::trace::{Direction, PacketTrace};
@@ -208,14 +209,18 @@ impl ClientBuffer {
     /// order move only in [`Self::cache_commit`] once the frame is
     /// actually committed to the pipe, so a blocked flush attempt has
     /// no side effects.
+    ///
+    /// `cut_from` is as for [`form_for`](Self::form_for).
     pub(super) fn prepare_wire(
         &mut self,
         cmd: &DisplayCommand,
         writable: u64,
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
+        cut_from: Option<GaveUp>,
     ) -> Option<Wire> {
-        self.form_for(cmd, writable, plane, counters).map(|formed| self.settle(formed))
+        self.form_for(cmd, writable, plane, counters, cut_from, &mut None)
+            .map(|formed| self.settle(formed))
     }
 
     /// The full wire form of `cmd`, as far as `writable` bytes of pipe
@@ -235,12 +240,20 @@ impl ClientBuffer {
     /// function of command, pipe space and ledger: the memo and the
     /// plane only ever skip work, and a form that comes back at all is
     /// the same form whatever the pipe space was.
+    ///
+    /// **One parse per photo row.** A bounded encode of `cmd` that
+    /// gives up leaves where it stopped in `gave_up`; when the flush
+    /// then cuts a head from `cmd`, it hands that back as the head's
+    /// `cut_from`, and a head it [covers](GaveUp::covers) is known to
+    /// give up without the codec reading it again.
     pub(super) fn form_for(
         &mut self,
         cmd: &DisplayCommand,
         writable: u64,
         plane: Option<&WirePlane>,
         counters: &mut PlaneCounters,
+        cut_from: Option<GaveUp>,
+        gave_up: &mut Option<GaveUp>,
     ) -> Option<Formed> {
         #[cfg(test)]
         if self.reference_prepare {
@@ -301,23 +314,23 @@ impl ClientBuffer {
                     // A bound that does not depend on this client's
                     // pipe always settles the form, as a pure function
                     // of the command: produce it inside the slot, so
-                    // it is produced once however many clients race.
+                    // it is produced once however many clients reach it.
                     Some(slot) if free => slot
                         .form_or_init(|| {
                             fresh = true;
-                            self.full_form(cmd, attempt, Some(slot))
+                            self.full_form(cmd, attempt, Some(slot), cut_from, gave_up)
                                 .expect("a payload-beating bound always settles the form")
                         })
                         .clone(),
                     Some(slot) => {
-                        let form = self.full_form(cmd, attempt, Some(slot))?;
+                        let form = self.full_form(cmd, attempt, Some(slot), cut_from, gave_up)?;
                         slot.form_or_init(|| {
                             fresh = true;
                             form
                         })
                         .clone()
                     }
-                    None => self.full_form(cmd, attempt, None)?,
+                    None => self.full_form(cmd, attempt, None, cut_from, gave_up)?,
                 }
             }
         };
@@ -380,21 +393,28 @@ impl ClientBuffer {
     /// uncompressed command as the form when the cap was the
     /// payload-beating bound, and otherwise `None` (nothing whole can
     /// ship). A pure function of the command and the cap — scratch,
-    /// memo and slot only provide storage and skip work — which is what
-    /// lets a [`WirePlane`] share the result across clients.
+    /// memo, slot and `cut_from` only provide storage and skip work —
+    /// which is what lets a [`WirePlane`] share the result across
+    /// clients. A give-up, found or known from `cut_from`, is learnt by
+    /// memo and slot alike.
     fn full_form(
         &mut self,
         cmd: &DisplayCommand,
         attempt: Option<Attempt>,
         slot: Option<&PlaneSlot>,
+        cut_from: Option<GaveUp>,
+        gave_up: &mut Option<GaveUp>,
     ) -> Option<WireForm> {
         let mut msg = None;
         if let (Some(a), DisplayCommand::Raw { rect, data, .. }) = (attempt, cmd) {
             let known = self.memo.exceeds(&a.ident).max(slot.map_or(0, PlaneSlot::exceeds));
+            let stride = rect.w as usize * a.bpp;
             if known >= a.cap {
                 self.stats.codec_skipped_bytes += a.len;
+            } else if cut_from.is_some_and(|g| g.covers(data.len() / stride, a.cap as usize)) {
+                self.stats.codec_skipped_bytes += a.len;
+                self.learn_exceeds(&a, slot);
             } else {
-                let stride = rect.w as usize * a.bpp;
                 let packed = thinc_compress::pnglike::compress_bounded(
                     data,
                     a.bpp,
@@ -413,10 +433,8 @@ impl ClientBuffer {
                         }));
                     }
                     None => {
-                        self.memo.learn_exceeds(a.ident, a.cap);
-                        if let Some(slot) = slot {
-                            slot.learn_exceeds(a.cap);
-                        }
+                        *gave_up = self.scratch.gave_up();
+                        self.learn_exceeds(&a, slot);
                     }
                 }
             }
@@ -428,6 +446,14 @@ impl ClientBuffer {
         // Sized by arithmetic and identified where it lies; the wire
         // key's FNV waits until a reference needs the name.
         Some(WireForm { size: msg.wire_size(), id: cache_id(&msg), msg })
+    }
+
+    /// Remembers that `a`'s payload compresses to more than its cap.
+    fn learn_exceeds(&mut self, a: &Attempt, slot: Option<&PlaneSlot>) {
+        self.memo.learn_exceeds(a.ident, a.cap);
+        if let Some(slot) = slot {
+            slot.learn_exceeds(a.cap);
+        }
     }
 
     /// The retained compress-everything `prepare_wire`: every eligible
