@@ -1396,5 +1396,70 @@ mod tests {
             prop_assert!(by_copy.buf.is_empty(), "script did not drain");
             prop_assert_eq!(by_view.buf.stats().splits, by_copy.buf.stats().splits);
         }
+
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// What the buffer delivers paints what was pushed, in push
+        /// order: scan lines that merge, fills that clip them, flushes
+        /// in between into a pipe narrow enough that the scheduler
+        /// ships a fill and holds back the row under it. The model is a
+        /// client that draws every pushed command as it arrives.
+        #[test]
+        fn a_flushed_stream_paints_what_the_pushes_paint(
+            // (what, x, y, w, value, wait): two fifths the next scan
+            // line, one fifth fills, the rest flushes.
+            script in prop::collection::vec(
+                (0u8..5, 0i32..48, 0i32..2, 1u32..16, any::<u8>(), 0u64..3_000),
+                1..40,
+            ),
+            sndbuf in 250u64..700,
+        ) {
+            let (width, height) = (64, 8);
+            let mut buf = ClientBuffer::new();
+            let mut pipe = TcpPipe::new(TcpParams {
+                bandwidth_bps: 1_000_000,
+                rtt: SimDuration::from_millis(1),
+                sndbuf_bytes: sndbuf,
+                rwnd_bytes: 1024 * 1024,
+                ..TcpParams::default()
+            });
+            let mut trace = PacketTrace::new();
+            let format = thinc_raster::PixelFormat::Rgb888;
+            let mut model = thinc_client::ThincClient::new(width, height, format);
+            let mut viewer = thinc_client::ThincClient::new(width, height, format);
+            let (mut now, mut line) = (SimTime::ZERO, 0);
+            let drain = std::iter::repeat_n((3, 0, 0, 0, 0, 4_000), 200);
+            for (what, x, y, w, v, after_us) in script.iter().copied().chain(drain) {
+                let cmd = match what {
+                    0 | 1 => {
+                        line = (line + 1) % height as i32;
+                        DisplayCommand::Raw {
+                            rect: Rect::new(0, line, width, 1),
+                            encoding: RawEncoding::None,
+                            data: (0..width * 3).map(|i| v.wrapping_add(i as u8)).collect::<Vec<_>>().into(),
+                        }
+                    }
+                    // On the newest scan line or the one before it.
+                    2 => sfill(x, (line - y % 2).max(0), w, 1 + u32::from(v % 2), v),
+                    _ => {
+                        now += SimDuration::from_micros(after_us);
+                        for (_, msg) in buf.flush(now, &mut pipe, &mut trace) {
+                            viewer.apply(&msg);
+                        }
+                        continue;
+                    }
+                };
+                model.apply(&Message::Display(cmd.clone()));
+                buf.push(cmd, false);
+            }
+            prop_assert!(buf.is_empty(), "script did not drain");
+            prop_assert!(
+                viewer.framebuffer().data() == model.framebuffer().data(),
+                "the delivered stream painted something the pushes did not"
+            );
+        }
     }
 }

@@ -654,6 +654,26 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_keeps_what_a_delivered_overwriter_clipped() {
+        let mut q = CommandQueue::new();
+        q.push(raw(0, 0, 8, 1));
+        q.push(sfill(2, 0, 4, 1, 9));
+        // The fill leaves first, as the buffer's scheduler ships it.
+        let fill = q.position(1).expect("the fill is queued");
+        q.remove(fill);
+        // The next scan line merges into the clipped row.
+        assert!(q.push(raw(0, 1, 8, 1)).merged);
+        let e = &q.entries()[0];
+        assert_eq!(e.cmd.dest_rect(), Rect::new(0, 0, 8, 2));
+        assert!(
+            !e.visible.intersects_rect(&Rect::new(2, 0, 4, 1)),
+            "the merged entry would paint over the delivered fill: {:?}",
+            e.visible.rects()
+        );
+        assert_eq!(e.visible.area(), 16 - 4);
+    }
+
+    #[test]
     fn adjacent_same_color_sfills_merge() {
         let mut q = CommandQueue::new();
         q.push(sfill(0, 0, 10, 5, 7));
