@@ -225,7 +225,10 @@ impl<T> CommandQueue<T> {
         if let Some(last) = self.entries.last_mut() {
             if may_merge(&last.tag) {
                 if let Some(merged) = merge_commands(&last.cmd, &cmd) {
-                    last.visible = Region::from_rect(merged.dest_rect());
+                    // What the newcomer draws joins what is left of the
+                    // entry: pixels a delivered overwriter clipped out
+                    // of it stay out.
+                    last.visible.union_rect(&dest);
                     last.cmd = merged;
                     return Pushed { seq: last.seq, merged: true, evicted };
                 }
