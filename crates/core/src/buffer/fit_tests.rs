@@ -148,8 +148,13 @@ pub(super) struct Observed<'a> {
 /// Drives `script`, then a drain, through a reference buffer, a
 /// fit-first one and a fit-first one that forgets its memo, and
 /// requires all three to look the same after every flush. Returns the
-/// fit-first buffer's statistics.
-fn replay(script: &[Step], sndbuf_kb: u64, budget: Option<u64>, with_plane: bool) -> BufferStats {
+/// statistics of the fit-first buffer and of the forgetful one.
+fn replay(
+    script: &[Step],
+    sndbuf_kb: u64,
+    budget: Option<u64>,
+    with_plane: bool,
+) -> (BufferStats, BufferStats) {
     let mut reference = Rig::new(sndbuf_kb * 1024, budget, true);
     let mut subject = Rig::new(sndbuf_kb * 1024, budget, false);
     let mut forgetful = Rig::new(sndbuf_kb * 1024, budget, false);
@@ -179,7 +184,7 @@ fn replay(script: &[Step], sndbuf_kb: u64, budget: Option<u64>, with_plane: bool
     let fed = |rig: &Rig| rig.buf.stats().codec_input_bytes;
     prop_assert!(fed(&subject) <= fed(&forgetful));
     prop_assert_eq!(fed(&reference), 0, "the reference path is not instrumented");
-    subject.buf.stats()
+    (subject.buf.stats(), forgetful.buf.stats())
 }
 
 proptest! {
@@ -210,7 +215,7 @@ proptest! {
 fn fit_first_flush_is_the_reference_flush_where_the_head_is_still_attempted() {
     let script = [Step::Push(1, 5, 0, 3), Step::Flush(0)];
     for with_plane in [false, true] {
-        let stats = replay(&script, 4, None, with_plane);
+        let (stats, _) = replay(&script, 4, None, with_plane);
         assert!(stats.splits >= 10, "{stats:?}");
         assert_eq!(stats.codec_skipped_bytes, 0, "a head was taken for given up: {stats:?}");
     }
@@ -353,4 +358,84 @@ fn what_one_viewer_finds_out_the_plane_tells_the_next() {
     assert_eq!(second.stats().codec_input_bytes, 0);
     // Only the head was produced; the whole never had a form.
     assert_eq!((counters.encodes, counters.shared_sends), (1, 2));
+}
+
+/// Drains `buf` into `pipe` from `now` until it is empty, returning
+/// the encoded messages.
+fn drain_into(buf: &mut ClientBuffer, pipe: &mut TcpPipe, now: &mut SimTime) -> Vec<Vec<u8>> {
+    let mut trace = PacketTrace::new();
+    let mut sent = Vec::new();
+    for _ in 0..1000 {
+        sent.extend(buf.flush(*now, pipe, &mut trace).iter().map(|(_, m)| encode_message(m)));
+        *now += SimDuration::from_millis(5);
+        if buf.is_empty() {
+            return sent;
+        }
+    }
+    panic!("buffer did not drain");
+}
+
+#[test]
+fn content_the_ledger_evicted_ships_again_without_the_codec() {
+    let mut buf = ClientBuffer::new().with_raw_compression(3);
+    buf.enable_cache(30 * 1024);
+    let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
+    let mut now = SimTime::ZERO;
+    let graphic = || payload(2, 4, 0, 400, 96, 90); // 25.9 KB, compresses to about half.
+    buf.push(graphic(), false);
+    let first = drain_into(&mut buf, &mut pipe, &mut now);
+    assert_eq!(first.len(), 1);
+    // Noise at other places pushes the graphic out of the ledger.
+    for slot in 0..5 {
+        buf.push(payload(1, slot as u8, slot * 128, 200, 64, 40), false);
+        drain_into(&mut buf, &mut pipe, &mut now);
+    }
+    let evicted = buf.resilience_counts().cache_evictions;
+    assert!(evicted > 0, "test wants the graphic's entry evicted");
+    let fed = buf.stats().codec_input_bytes;
+
+    buf.push(graphic(), false);
+    let again = drain_into(&mut buf, &mut pipe, &mut now);
+    assert_eq!(again, first, "not the same full form");
+    assert_eq!(buf.stats().codec_input_bytes, fed, "the codec read the graphic again");
+    assert_eq!(buf.resilience_counts().cache_hits, 0);
+}
+
+/// A kept compressed form longer than the pipe has room for and than
+/// anything the ledger holds is a give-up, and the command is split
+/// as the reference splits it: the graphic ships whole into an empty
+/// 40 KB pipe, noise evicts it from the ledger and fills the pipe, and
+/// the graphic comes back into the 9 KB left. The forgetful buffer
+/// forgets just before, so its codec reads the graphic again and the
+/// subject's does not.
+#[test]
+fn a_kept_form_too_long_for_the_pipe_splits_as_the_reference_splits() {
+    let graphic = Step::Push(2, 4, 0, 2);
+    let mut script = vec![graphic.clone(), Step::Flush(0), Step::Flush(30_000)];
+    script.extend((0..4).map(|slot| Step::Push(1, slot, slot, 1)));
+    script.extend([Step::Forget, graphic, Step::Flush(20_000)]);
+    for with_plane in [false, true] {
+        let (kept, forgot) = replay(&script, 40, Some(30 * 1024), with_plane);
+        assert!(kept.splits >= 1, "{kept:?}");
+        assert!(kept.codec_input_bytes < forgot.codec_input_bytes, "{kept:?} against {forgot:?}");
+    }
+}
+
+#[test]
+fn kept_forms_stay_within_the_ledger_budget() {
+    let budget = 30 * 1024;
+    let mut buf = ClientBuffer::new().with_raw_compression(3);
+    buf.enable_cache(budget);
+    let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
+    let mut now = SimTime::ZERO;
+    let mut most = 0;
+    for seed in 0..=255u8 {
+        // Distinct, compressible, each about half its 25.9 KB.
+        buf.push(payload(2, seed, 0, 0, 96, 90), false);
+        drain_into(&mut buf, &mut pipe, &mut now);
+        let (forms, bytes) = buf.memo.packed_held();
+        assert!(bytes <= budget, "{forms} forms keep {bytes} B over a {budget} B ledger");
+        most = most.max(forms);
+    }
+    assert!(most >= 2, "test wants several forms kept at once");
 }

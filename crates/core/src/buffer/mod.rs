@@ -139,10 +139,11 @@ pub struct ClientBuffer {
     /// one command after another reuses the filter intermediate and
     /// the output stream instead of reallocating per command.
     scratch: thinc_compress::Scratch,
-    /// What earlier encodes found out, by content identity, so a
-    /// repeat reaches the same decision without the codec. A pure
-    /// cache like `scratch`: never consulted for *what* to send, not
-    /// checkpointed, empty until a RAW is first compressed.
+    /// What earlier encodes found out, and the compressed forms they
+    /// made, by content identity, so a repeat reaches the same
+    /// decision and the same form without the codec. A pure cache like
+    /// `scratch`: it supplies only what the codec would have made, is
+    /// not checkpointed, and is empty until a RAW is first compressed.
     memo: EncodeMemo,
     /// Test switch: prepare commands the retained compress-everything
     /// way, the reference the fit-first path must match byte for byte.

@@ -18,6 +18,7 @@ use thinc_protocol::message::Message;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
+use crate::memo::Bounded;
 use crate::plane::{
     plane_key, PlaneCounters, PlaneKey, PlaneSlot, PlannedForm, WireForm, WirePlane,
 };
@@ -236,7 +237,9 @@ impl ClientBuffer {
     /// (`EncodeMemo`), so a repeat of the content — above all a
     /// cache hit — reaches the same decision without the codec, and
     /// without the form: that is the one case that comes back already
-    /// [`Settled`](Formed::Settled). The decision itself is a pure
+    /// [`Settled`](Formed::Settled). A compressed form is remembered
+    /// whole, so content the ledger has let go ships again without the
+    /// codec too. The decision itself is a pure
     /// function of command, pipe space and ledger: the memo and the
     /// plane only ever skip work, and a form that comes back at all is
     /// the same form whatever the pipe space was.
@@ -361,13 +364,12 @@ impl ClientBuffer {
             Formed::Form(planned) => planned,
             Formed::Settled(wire) => return wire,
         };
+        if let (Some(cache), Some((ident, _))) = (&self.cache, owed) {
+            self.memo.learn_encoded(ident, &form, cache.ledger.lru().budget());
+        }
         let (Some(cache), Some(id)) = (&self.cache, form.id) else {
             return Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared };
         };
-        if let Some((ident, _)) = owed {
-            let ledger = &cache.ledger;
-            self.memo.learn_encoded(ident, id, form.size, |id| ledger.lru().contains(id));
-        }
         if cache.ledger.lru().contains(id) {
             self.cache_ref(id, form.size, shared)
         } else {
@@ -393,7 +395,9 @@ impl ClientBuffer {
     /// uncompressed command as the form when the cap was the
     /// payload-beating bound, and otherwise `None` (nothing whole can
     /// ship). A pure function of the command and the cap — scratch,
-    /// memo, slot and `cut_from` only provide storage and skip work —
+    /// memo, slot and `cut_from` only provide storage and skip work: a
+    /// remembered compressed form is what the encode writes under any
+    /// cap it fits, and gives up on under any other —
     /// which is what lets a [`WirePlane`] share the result across
     /// clients. A give-up, found or known from `cut_from`, is learnt by
     /// memo and slot alike.
@@ -407,9 +411,16 @@ impl ClientBuffer {
     ) -> Option<WireForm> {
         let mut msg = None;
         if let (Some(a), DisplayCommand::Raw { rect, data, .. }) = (attempt, cmd) {
-            let known = self.memo.exceeds(&a.ident).max(slot.map_or(0, PlaneSlot::exceeds));
+            let known = match self.memo.bounded(&a.ident, a.cap) {
+                Bounded::Form(form) => {
+                    self.stats.codec_skipped_bytes += a.len;
+                    return Some(form.clone());
+                }
+                Bounded::GivesUp => true,
+                Bounded::Unknown => slot.is_some_and(|slot| slot.exceeds() >= a.cap),
+            };
             let stride = rect.w as usize * a.bpp;
-            if known >= a.cap {
+            if known {
                 self.stats.codec_skipped_bytes += a.len;
             } else if cut_from.is_some_and(|g| g.covers(data.len() / stride, a.cap as usize)) {
                 self.stats.codec_skipped_bytes += a.len;
