@@ -52,10 +52,12 @@ const BAND_BYTES: usize = 16 * 1024;
 ///
 /// Rows are filtered in bands just ahead of the dictionary coder, so
 /// giving up costs only the input consumed up to that point in both
-/// stages; [`crate::Scratch::consumed`] reports how much that was. A
-/// caller that can only use an encoding shorter than some size (one
-/// that beats the raw payload, one that fits a socket buffer) passes
-/// that size and stops paying for the rest. Where the coder stopped is
+/// stages ([`crate::Scratch::consumed`] reports how much that was),
+/// and the filtered buffer grows band by band with them, so a give-up
+/// never reserves room for rows it did not reach. A caller that can
+/// only use an encoding shorter than some size (one that beats the raw
+/// payload, one that fits a socket buffer) passes that size and stops
+/// paying for the rest. Where the coder stopped is
 /// [`crate::Scratch::gave_up`]: it says which heads of the payload
 /// would give up too ([`GaveUp::covers`]).
 ///
@@ -73,13 +75,13 @@ pub fn compress_bounded<'a>(
     let rows = data.len().div_ceil(stride);
     let band = (BAND_BYTES / (stride + 1)).max(1);
     scratch.filtered.clear();
-    scratch.filtered.reserve(data.len() + rows);
     scratch.out.clear();
     scratch.gave_up = None;
     let mut coder = lzss::Encoder::new();
     let mut row = 0;
     loop {
         let end = (row + band).min(rows);
+        scratch.filtered.reserve((end - row) * (stride + 1));
         filter::append_rows(data, bpp, stride, row..end, &mut scratch.filtered);
         row = end;
         let last = row == rows;
