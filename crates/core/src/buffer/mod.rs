@@ -1437,11 +1437,9 @@ mod tests {
                 let cmd = match what {
                     0 | 1 => {
                         line = (line + 1) % height as i32;
-                        DisplayCommand::Raw {
-                            rect: Rect::new(0, line, width, 1),
-                            encoding: RawEncoding::None,
-                            data: (0..width * 3).map(|i| v.wrapping_add(i as u8)).collect::<Vec<_>>().into(),
-                        }
+                        let data: Vec<u8> = (0..width * 3).map(|i| v ^ i as u8).collect();
+                        let rect = Rect::new(0, line, width, 1);
+                        DisplayCommand::Raw { rect, encoding: RawEncoding::None, data: data.into() }
                     }
                     // On the newest scan line or the one before it.
                     2 => sfill(x, (line - y % 2).max(0), w, 1 + u32::from(v % 2), v),

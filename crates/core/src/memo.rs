@@ -155,11 +155,11 @@ impl EncodeMemo {
             // makes the same form.
             return;
         }
-        let known = match form.id {
-            _ if packed => Final::Packed(form.clone()),
-            Some(id) => Final::Plain { id, size },
-            // (An uncompressed RAW of 1 KB is always cacheable.)
-            None => return,
+        let known = match (packed, form.id) {
+            (true, _) => Final::Packed(form.clone()),
+            (false, Some(id)) => Final::Plain { id, size },
+            // An uncompressed RAW of 1 KB or more always has an identity.
+            (false, None) => return,
         };
         let new_bytes = if packed { size } else { 0 };
         loop {
@@ -169,9 +169,14 @@ impl EncodeMemo {
             if !full && self.packed_bytes + new_bytes <= budget {
                 break;
             }
-            let victims = self.encoded.iter().filter(|(_, known)| full || matches!(known.form, Final::Packed(_)));
-            let Some(oldest) = victims.min_by_key(|(_, known)| known.used).map(|(k, _)| *k) else { break };
-            self.forget(&oldest);
+            let victim = self
+                .encoded
+                .iter()
+                .filter(|(_, known)| full || matches!(known.form, Final::Packed(_)))
+                .min_by_key(|(_, known)| known.used)
+                .map(|(ident, _)| *ident);
+            let Some(victim) = victim else { break };
+            self.forget(&victim);
         }
         self.clock += 1;
         self.packed_bytes += new_bytes;
