@@ -486,7 +486,7 @@ fn micro_suite(quick: bool) -> Vec<KernelResult> {
     // The delivery path's byte-linear digests over one fan-out tile's
     // worth of payload: the three-lane CRC-32 against its retained
     // byte-serial reference, and the in-process content identity
-    // against the FNV-1a 64 it replaced as the plane/memo key. Then
+    // against the FNV-1a 64 it replaced as the form store's key. Then
     // the CRC of 64 separate `desktop`-sized 80-byte frames, which
     // stay on the serial path: the lane dispatch must not tax them.
     let tile = noise(54_500, 13);

@@ -30,7 +30,8 @@ impl ClientBuffer {
     /// Deliberately not serialized (documented losses, identical on
     /// every re-checkpoint): scheduler/protocol telemetry and the
     /// ledger's lifetime eviction count restart at zero; the scratch
-    /// compression buffers and the encode memo are pure caches.
+    /// compression buffers are a pure cache. (What encodes found out
+    /// is the session's form store's, never a buffer's.)
     pub(crate) fn encode_checkpoint(&self, w: &mut Writer) {
         w.u64(self.queue.next_seq());
         w.u64(self.clock.0);

@@ -5,8 +5,8 @@
 //! `prepare_wire` this crate shipped before flush learned to decide
 //! fit, split and cache hit from sizes and content identity. The
 //! property here drives the same command stream through a reference
-//! buffer, a fit-first buffer, and a fit-first buffer whose memo is
-//! emptied at random points, and requires all three to be
+//! buffer, a fit-first buffer, and a fit-first buffer whose form store
+//! is emptied at random points, and requires all three to be
 //! indistinguishable from outside: same messages at the same times,
 //! same ledger in the same LRU order, same statistics.
 
@@ -18,6 +18,7 @@ use thinc_raster::Rect;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::*;
+use crate::plane::WireForm;
 
 /// A RAW at `(x, y)` whose payload is picked by `kind`: 0 flat (tiny
 /// when compressed), 1 noise (incompressible), 2 half noise over half
@@ -43,12 +44,12 @@ pub(super) fn payload(kind: u8, seed: u8, x: i32, y: i32, w: u32, h: u32) -> Dis
 #[derive(Debug, Clone)]
 enum Step {
     /// Push a RAW: `(kind, seed, slot, shape)`. Few seeds, slots and
-    /// shapes, so content repeats — at the same place (memo and cache
+    /// shapes, so content repeats — at the same place (store and cache
     /// hits) and at other places (same bytes, different identity).
     Push(u8, u8, u8, u8),
     /// Flush after this many microseconds.
     Flush(u64),
-    /// Empty the memo (third buffer only).
+    /// Empty the form store (third buffer only).
     Forget,
 }
 
@@ -74,6 +75,10 @@ fn place(slot: u8, shape: u8) -> (i32, i32, u32, u32) {
 
 pub(super) struct Rig {
     pub(super) buf: ClientBuffer,
+    /// The form store of the session the buffer is a viewer of, alone.
+    pub(super) store: FormStore,
+    /// The session's cache budget: what the store keeps past a round.
+    keep: Option<u64>,
     pipe: TcpPipe,
     trace: PacketTrace,
     planes: PlaneCounters,
@@ -81,10 +86,12 @@ pub(super) struct Rig {
 }
 
 impl Rig {
-    pub(super) fn new(sndbuf: u64, budget: Option<u64>, reference: bool) -> Self {
+    /// A viewer of a session budgeted at `budget`, with a ledger of that
+    /// budget when `ledger` (a revision-3 viewer) and none otherwise.
+    pub(super) fn new(sndbuf: u64, budget: Option<u64>, ledger: bool, reference: bool) -> Self {
         let mut buf = ClientBuffer::new().with_raw_compression(3);
         buf.reference_prepare = reference;
-        if let Some(budget) = budget {
+        if let (Some(budget), true) = (budget, ledger) {
             buf.enable_cache(budget);
         }
         let pipe = TcpPipe::new(TcpParams {
@@ -94,20 +101,28 @@ impl Rig {
             rwnd_bytes: 1024 * 1024,
             ..TcpParams::default()
         });
-        Self { buf, pipe, trace: PacketTrace::new(), planes: PlaneCounters::default(), sent: Vec::new() }
+        Self {
+            buf,
+            store: FormStore::default(),
+            keep: budget,
+            pipe,
+            trace: PacketTrace::new(),
+            planes: PlaneCounters::default(),
+            sent: Vec::new(),
+        }
     }
 
-    pub(super) fn flush(&mut self, now: SimTime, with_plane: bool) {
-        // One plane per round, as `SharedSession::flush_all` makes it.
-        let plane = with_plane.then(WirePlane::new);
+    /// One round, as `SharedSession::flush_client` runs it.
+    pub(super) fn flush(&mut self, now: SimTime) {
         let batch = self.buf.flush_planned(
             now,
             &mut self.pipe,
             &mut self.trace,
-            plane.as_ref(),
+            &mut self.store,
             &mut self.planes,
             &PlanRole::Alone,
         );
+        self.store.end_round(self.keep);
         self.sent.extend(batch.into_iter().map(|(at, msg)| (at, encode_message(&msg))));
     }
 
@@ -146,18 +161,17 @@ pub(super) struct Observed<'a> {
 }
 
 /// Drives `script`, then a drain, through a reference buffer, a
-/// fit-first one and a fit-first one that forgets its memo, and
-/// requires all three to look the same after every flush. Returns the
-/// statistics of the fit-first buffer and of the forgetful one.
+/// fit-first one and a fit-first one whose store forgets, and requires
+/// all three to look the same after every flush. Returns the statistics
+/// of the fit-first buffer and of the forgetful one.
 fn replay(
     script: &[Step],
     sndbuf_kb: u64,
     budget: Option<u64>,
-    with_plane: bool,
+    ledger: bool,
 ) -> (BufferStats, BufferStats) {
-    let mut reference = Rig::new(sndbuf_kb * 1024, budget, true);
-    let mut subject = Rig::new(sndbuf_kb * 1024, budget, false);
-    let mut forgetful = Rig::new(sndbuf_kb * 1024, budget, false);
+    let rig = |reference| Rig::new(sndbuf_kb * 1024, budget, ledger, reference);
+    let (mut reference, mut subject, mut forgetful) = (rig(true), rig(false), rig(false));
     let mut now = SimTime::ZERO;
     let drain = std::iter::repeat_n(Step::Flush(25_000), 400);
     for step in script.iter().cloned().chain(drain) {
@@ -171,12 +185,12 @@ fn replay(
             Step::Flush(after_us) => {
                 now += SimDuration::from_micros(after_us);
                 for rig in [&mut reference, &mut subject, &mut forgetful] {
-                    rig.flush(now, with_plane);
+                    rig.flush(now);
                 }
                 prop_assert_eq!(subject.observed(), reference.observed());
                 prop_assert_eq!(forgetful.observed(), reference.observed());
             }
-            Step::Forget => forgetful.buf.memo.clear(),
+            Step::Forget => forgetful.store.clear(),
         }
     }
     prop_assert!(reference.buf.is_empty(), "script did not drain");
@@ -195,12 +209,12 @@ proptest! {
         script in steps(),
         sndbuf_pick in 0usize..4,
         budget_pick in 0usize..4,
-        with_plane in any::<bool>(),
+        ledger in any::<bool>(),
     ) {
         let sndbuf_kb = [4u64, 12, 40, 256][sndbuf_pick];
         // No cache, one that evicts at once, one that evicts, one that never does.
         let budget = [None, Some(6u64), Some(30), Some(4096)][budget_pick].map(|kb| kb * 1024);
-        replay(&script, sndbuf_kb, budget, with_plane);
+        replay(&script, sndbuf_kb, budget, ledger);
     }
 }
 
@@ -214,8 +228,8 @@ proptest! {
 #[test]
 fn fit_first_flush_is_the_reference_flush_where_the_head_is_still_attempted() {
     let script = [Step::Push(1, 5, 0, 3), Step::Flush(0)];
-    for with_plane in [false, true] {
-        let (stats, _) = replay(&script, 4, None, with_plane);
+    for budget in [None, Some(4096 * 1024)] {
+        let (stats, _) = replay(&script, 4, budget, false);
         assert!(stats.splits >= 10, "{stats:?}");
         assert_eq!(stats.codec_skipped_bytes, 0, "a head was taken for given up: {stats:?}");
     }
@@ -226,21 +240,37 @@ fn photo(w: u32, h: u32) -> DisplayCommand {
     payload(1, 7, 0, 0, w, h)
 }
 
+/// One round of a session of one whose store keeps what fits `keep`:
+/// the buffer's flush, then the round's end.
+fn round(
+    buf: &mut ClientBuffer,
+    now: SimTime,
+    pipe: &mut TcpPipe,
+    store: &mut FormStore,
+    keep: u64,
+) -> Vec<(SimTime, Message)> {
+    let (mut trace, mut counters) = (PacketTrace::new(), PlaneCounters::default());
+    let sent = buf.flush_planned(now, pipe, &mut trace, store, &mut counters, &PlanRole::Alone);
+    store.end_round(Some(keep));
+    sent
+}
+
 /// Flushes into a pipe that never paces (the benchmark's: wall time
 /// is compute, the 256 KB socket buffer is still there) until the
-/// buffer is empty.
-fn drain_fat(buf: &mut ClientBuffer) -> Vec<Message> {
+/// buffer is empty, in rounds of a session with the product's default
+/// cache budget.
+fn drain_fat(buf: &mut ClientBuffer, store: &mut FormStore) -> Vec<Message> {
     let mut pipe = TcpPipe::new(TcpParams {
         bandwidth_bps: 100_000_000_000,
         rtt: SimDuration::from_micros(10),
         rwnd_bytes: 1 << 30,
         ..TcpParams::default()
     });
-    let mut trace = PacketTrace::new();
     let mut now = SimTime::ZERO;
     let mut msgs = Vec::new();
     for _ in 0..1000 {
-        msgs.extend(buf.flush(now, &mut pipe, &mut trace).into_iter().map(|(_, m)| m));
+        let sent = round(buf, now, &mut pipe, store, thinc_protocol::DEFAULT_CACHE_BUDGET);
+        msgs.extend(sent.into_iter().map(|(_, m)| m));
         if buf.is_empty() {
             return msgs;
         }
@@ -253,10 +283,11 @@ fn drain_fat(buf: &mut ClientBuffer) -> Vec<Message> {
 fn a_photo_bigger_than_the_socket_buffer_is_not_compressed_over_and_over() {
     let mut buf = ClientBuffer::new().with_raw_compression(3);
     buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let mut store = FormStore::default();
     let payload_bytes = 920 * 621 * 3u64;
 
     buf.push(photo(920, 621), false);
-    let cold = drain_fat(&mut buf);
+    let cold = drain_fat(&mut buf, &mut store);
     assert!(buf.stats().splits >= 6, "1.7 MB over 256 KB is split, {:?}", buf.stats());
     assert!(cold.iter().all(|m| matches!(m, Message::Display(DisplayCommand::Raw { .. }))));
     let fed = buf.stats().codec_input_bytes;
@@ -272,10 +303,10 @@ fn a_photo_bigger_than_the_socket_buffer_is_not_compressed_over_and_over() {
     );
 
     assert!(buf.stats().codec_skipped_bytes > 0, "no head was known to give up");
-    // A warm revisit: every piece is in the ledger, and the memo says
+    // A warm revisit: every piece is in the ledger, and the store says
     // so without the codec reading a byte.
     buf.push(photo(920, 621), false);
-    let warm = drain_fat(&mut buf);
+    let warm = drain_fat(&mut buf, &mut store);
     assert_eq!(warm.len(), cold.len());
     assert!(warm.iter().all(|m| matches!(m, Message::CacheRef { .. })), "{warm:?}");
     assert_eq!(buf.stats().codec_input_bytes, fed, "a warm revisit fed the codec");
@@ -283,59 +314,52 @@ fn a_photo_bigger_than_the_socket_buffer_is_not_compressed_over_and_over() {
 }
 
 #[test]
-fn nothing_is_remembered_until_a_raw_is_compressed() {
+fn nothing_is_kept_until_a_raw_is_compressed() {
     let mut buf = ClientBuffer::new().with_raw_compression(3);
     buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let mut store = FormStore::default();
     buf.push(payload(1, 1, 0, 0, 16, 16), false); // 768 B: under the compress floor.
     buf.push(
         DisplayCommand::Sfill { rect: Rect::new(0, 100, 10, 10), color: thinc_raster::Color::WHITE },
         false,
     );
-    drain_fat(&mut buf);
-    assert_eq!(buf.memo.len(), (0, 0));
+    drain_fat(&mut buf, &mut store);
+    assert_eq!(store.len(), 0, "a form no encode was owed outlived its round");
     assert_eq!(buf.stats().codec_input_bytes, 0);
     buf.push(payload(1, 1, 0, 200, 32, 32), false); // 3 KB of noise.
-    drain_fat(&mut buf);
-    assert_eq!(buf.memo.len(), (1, 1), "its final form, and that it does not compress");
+    drain_fat(&mut buf, &mut store);
+    assert_eq!(store.len(), 1, "its final form, and that it does not compress");
+    assert_eq!(store.packed_held(), (0, 0));
 }
 
 #[test]
-fn the_memo_is_not_part_of_a_checkpoint() {
+fn a_restored_buffer_with_an_empty_store_delivers_what_a_warm_one_does() {
     let mut buf = ClientBuffer::new().with_raw_compression(3).with_byte_bound(8 << 20);
     buf.enable_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let mut store = FormStore::default();
     buf.push(photo(400, 300), false); // 360 KB: split once.
     buf.push(payload(2, 3, 0, 400, 96, 90), false);
-    drain_fat(&mut buf);
+    drain_fat(&mut buf, &mut store);
     buf.push(photo(400, 300), false); // Left pending for the image.
-    let (encoded, exceeds) = buf.memo.len();
-    assert!(encoded > 0 && exceeds > 0, "test wants a populated memo");
+    assert!(store.len() > 0 && store.packed_held().0 > 0, "test wants a populated store");
 
-    let image = |buf: &ClientBuffer| {
-        let mut w = crate::checkpoint::Writer::new();
-        buf.encode_checkpoint(&mut w);
-        w.into_inner()
-    };
-    let populated = image(&buf);
-    buf.memo.clear();
-    assert_eq!(image(&buf), populated, "image bytes depend on the memo");
-
-    let mut r = crate::checkpoint::Reader::new(&populated);
+    let mut w = crate::checkpoint::Writer::new();
+    buf.encode_checkpoint(&mut w);
+    let image = w.into_inner();
+    let mut r = crate::checkpoint::Reader::new(&image);
     let mut restored = ClientBuffer::decode_checkpoint(&mut r).unwrap();
     assert!(r.exhausted());
-    assert_eq!(restored.memo.len(), (0, 0));
-    assert_eq!(image(&restored), populated, "checkpoint -> restore -> re-checkpoint");
-    // And the restored buffer, memo empty, delivers what the live one
-    // (memo warm) does.
     let enc = |msgs: Vec<Message>| msgs.iter().map(encode_message).collect::<Vec<_>>();
-    assert_eq!(enc(drain_fat(&mut restored)), enc(drain_fat(&mut buf)));
+    let cold = enc(drain_fat(&mut restored, &mut FormStore::default()));
+    assert_eq!(cold, enc(drain_fat(&mut buf, &mut store)));
 }
 
 #[test]
-fn what_one_viewer_finds_out_the_plane_tells_the_next() {
+fn what_one_viewer_finds_out_the_store_tells_the_next() {
     // Two viewers of one screen, one round: the first pays for the
     // give-up on the whole image and for the head's form; the second
-    // finds both in the plane slot and its codec reads nothing.
-    let plane = WirePlane::new();
+    // finds both in the store and its codec reads nothing.
+    let mut store = FormStore::default();
     let mut counters = PlaneCounters::default();
     let mut round = |buf: &mut ClientBuffer| {
         let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
@@ -344,7 +368,7 @@ fn what_one_viewer_finds_out_the_plane_tells_the_next() {
             SimTime::ZERO,
             &mut pipe,
             &mut PacketTrace::new(),
-            Some(&plane),
+            &mut store,
             &mut counters,
             &PlanRole::Alone,
         );
@@ -360,13 +384,110 @@ fn what_one_viewer_finds_out_the_plane_tells_the_next() {
     assert_eq!((counters.encodes, counters.shared_sends), (1, 2));
 }
 
-/// Drains `buf` into `pipe` from `now` until it is empty, returning
-/// the encoded messages.
-fn drain_into(buf: &mut ClientBuffer, pipe: &mut TcpPipe, now: &mut SimTime) -> Vec<Vec<u8>> {
-    let mut trace = PacketTrace::new();
+#[test]
+fn what_one_round_learns_a_viewer_without_a_ledger_takes_in_the_next() {
+    use crate::session::SharedSession;
+    use thinc_display::drawable::{DrawableStore, SCREEN};
+    use thinc_display::driver::VideoDriver;
+    use thinc_raster::{Framebuffer, PixelFormat};
+    // A budgeted session of two: the first viewer speaks revision 3,
+    // the second revision 2, so it has no ledger.
+    let mut s = SharedSession::new(128, 128, PixelFormat::Rgb888, "host")
+        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let (first, second) = (s.join("a".into(), 128, 128), s.join("b".into(), 128, 128));
+    let hello = Message::ClientHello { version: 2, viewport_width: 128, viewport_height: 128 };
+    s.handle_message(second, &hello, &Framebuffer::new(128, 128, PixelFormat::Rgb888));
+    assert!(!s.viewer(second).unwrap().buffer().cache_enabled());
+    // A graphic that compresses to about half.
+    let DisplayCommand::Raw { rect, data, .. } = payload(2, 4, 0, 0, 96, 90) else { unreachable!() };
+    let mut screen = DrawableStore::new(128, 128, PixelFormat::Rgb888);
+    screen.screen_mut().put_raw(&rect, &data);
+    s.put_image(&screen, SCREEN, rect, &data);
+    // Each viewer flushes in a round of its own: the first, then the
+    // second a millisecond later.
+    let mut flush = |id, at| {
+        let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
+        let sent = s.flush_client(id, SimTime(at), &mut pipe, &mut PacketTrace::new());
+        let display = sent.into_iter().filter(|(_, m)| matches!(m, Message::Display(_)));
+        display.map(|(_, m)| m).collect::<Vec<_>>()
+    };
+    let (taught, taken) = (flush(first, 0), flush(second, 1_000));
+    let packed = |m: &Message| {
+        matches!(m, Message::Display(DisplayCommand::Raw { encoding: RawEncoding::PngLike, .. }))
+    };
+    assert!(taught.len() == 1 && packed(&taught[0]), "{taught:?}");
+    assert_eq!(taken, taught);
+    let fed = |id| s.viewer(id).unwrap().buffer().stats().codec_input_bytes;
+    assert!(fed(first) > 0);
+    assert_eq!(fed(second), 0, "the second viewer encoded what the first round learnt");
+}
+
+#[test]
+fn a_payload_colliding_with_this_rounds_pin_takes_the_per_viewer_path() {
+    let graphic = payload(2, 4, 0, 0, 96, 90);
+    let (key, _) = crate::plane::plane_key(&graphic).unwrap();
+    // Other bytes got to the graphic's identity first this round, with
+    // a form of their own.
+    let mut store = FormStore::default();
+    let other = thinc_protocol::Bytes::from(vec![1u8; 96 * 90 * 3]);
+    let bogus = WireForm { msg: Message::CacheRef { hash: 9 }, size: 14, id: None };
+    store.pinned(key, &other).unwrap().learn_form(&bogus, true);
+    let flush = |store: &mut FormStore| {
+        let mut buf = ClientBuffer::new().with_raw_compression(3);
+        buf.push(graphic.clone(), false);
+        let mut counters = PlaneCounters::default();
+        let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
+        let mut trace = PacketTrace::new();
+        let sent = buf.flush_planned(SimTime::ZERO, &mut pipe, &mut trace, store, &mut counters, &PlanRole::Alone);
+        (sent.into_iter().map(|(_, m)| encode_message(&m)).collect::<Vec<_>>(), buf.stats(), counters)
+    };
+    let (alone, _, _) = flush(&mut FormStore::default());
+    let (sent, stats, counters) = flush(&mut store);
+    assert_eq!(sent, alone, "the colliding form was served");
+    assert!(stats.codec_input_bytes > 0, "the graphic was not encoded for itself");
+    assert_eq!((counters.encodes, counters.shared_sends), (0, 0), "the store stood behind it");
+}
+
+#[test]
+fn once_the_round_ends_the_store_pins_no_payload() {
+    // A viewer without a ledger (a ledger keeps what it sent) in a
+    // budgeted session: a graphic that compresses, noise that does not,
+    // a RAW under the compress floor, and a photo the socket buffer
+    // cuts into views.
+    let drawn = [
+        photo(400, 300),
+        payload(2, 4, 0, 400, 96, 90),
+        payload(1, 1, 0, 500, 32, 32),
+        payload(1, 2, 0, 600, 16, 16),
+    ];
+    let mut buf = ClientBuffer::new().with_raw_compression(3);
+    let mut store = FormStore::default();
+    for cmd in &drawn {
+        buf.push(cmd.clone(), false);
+    }
+    drain_fat(&mut buf, &mut store);
+    assert!(store.len() >= 3 && store.packed_held().0 == 1, "test wants a populated store");
+    for cmd in drawn {
+        let DisplayCommand::Raw { data, .. } = cmd else { unreachable!() };
+        let at = data.as_ptr();
+        let owned = data.into_vec();
+        assert_eq!(owned.as_ptr(), at, "a drawn payload is still shared");
+    }
+}
+
+/// Drains `buf` into `pipe` from `now` until it is empty, in rounds of
+/// a session budgeted at `budget`, returning the encoded messages.
+fn drain_into(
+    buf: &mut ClientBuffer,
+    store: &mut FormStore,
+    budget: u64,
+    pipe: &mut TcpPipe,
+    now: &mut SimTime,
+) -> Vec<Vec<u8>> {
     let mut sent = Vec::new();
     for _ in 0..1000 {
-        sent.extend(buf.flush(*now, pipe, &mut trace).iter().map(|(_, m)| encode_message(m)));
+        let batch = round(buf, *now, pipe, store, budget);
+        sent.extend(batch.iter().map(|(_, m)| encode_message(m)));
         *now += SimDuration::from_millis(5);
         if buf.is_empty() {
             return sent;
@@ -377,25 +498,27 @@ fn drain_into(buf: &mut ClientBuffer, pipe: &mut TcpPipe, now: &mut SimTime) -> 
 
 #[test]
 fn content_the_ledger_evicted_ships_again_without_the_codec() {
+    let budget = 30 * 1024;
     let mut buf = ClientBuffer::new().with_raw_compression(3);
-    buf.enable_cache(30 * 1024);
+    buf.enable_cache(budget);
+    let mut store = FormStore::default();
     let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
     let mut now = SimTime::ZERO;
     let graphic = || payload(2, 4, 0, 400, 96, 90); // 25.9 KB, compresses to about half.
     buf.push(graphic(), false);
-    let first = drain_into(&mut buf, &mut pipe, &mut now);
+    let first = drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
     assert_eq!(first.len(), 1);
     // Noise at other places pushes the graphic out of the ledger.
     for slot in 0..5 {
         buf.push(payload(1, slot as u8, slot * 128, 200, 64, 40), false);
-        drain_into(&mut buf, &mut pipe, &mut now);
+        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
     }
     let evicted = buf.resilience_counts().cache_evictions;
     assert!(evicted > 0, "test wants the graphic's entry evicted");
     let fed = buf.stats().codec_input_bytes;
 
     buf.push(graphic(), false);
-    let again = drain_into(&mut buf, &mut pipe, &mut now);
+    let again = drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
     assert_eq!(again, first, "not the same full form");
     assert_eq!(buf.stats().codec_input_bytes, fed, "the codec read the graphic again");
     assert_eq!(buf.resilience_counts().cache_hits, 0);
@@ -405,7 +528,7 @@ fn content_the_ledger_evicted_ships_again_without_the_codec() {
 /// anything the ledger holds is a give-up, and the command is split
 /// as the reference splits it: the graphic ships whole into an empty
 /// 40 KB pipe, noise evicts it from the ledger and fills the pipe, and
-/// the graphic comes back into the 9 KB left. The forgetful buffer
+/// the graphic comes back into the 9 KB left. The forgetful store
 /// forgets just before, so its codec reads the graphic again and the
 /// subject's does not.
 #[test]
@@ -414,28 +537,36 @@ fn a_kept_form_too_long_for_the_pipe_splits_as_the_reference_splits() {
     let mut script = vec![graphic.clone(), Step::Flush(0), Step::Flush(30_000)];
     script.extend((0..4).map(|slot| Step::Push(1, slot, slot, 1)));
     script.extend([Step::Forget, graphic, Step::Flush(20_000)]);
-    for with_plane in [false, true] {
-        let (kept, forgot) = replay(&script, 40, Some(30 * 1024), with_plane);
+    for ledger in [false, true] {
+        let (kept, forgot) = replay(&script, 40, Some(30 * 1024), ledger);
         assert!(kept.splits >= 1, "{kept:?}");
         assert!(kept.codec_input_bytes < forgot.codec_input_bytes, "{kept:?} against {forgot:?}");
     }
 }
 
 #[test]
-fn kept_forms_stay_within_the_ledger_budget() {
+fn the_store_stays_within_the_session_budget_after_each_round() {
     let budget = 30 * 1024;
     let mut buf = ClientBuffer::new().with_raw_compression(3);
     buf.enable_cache(budget);
+    let mut store = FormStore::default();
     let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
     let mut now = SimTime::ZERO;
     let mut most = 0;
     for seed in 0..=255u8 {
         // Distinct, compressible, each about half its 25.9 KB.
         buf.push(payload(2, seed, 0, 0, 96, 90), false);
-        drain_into(&mut buf, &mut pipe, &mut now);
-        let (forms, bytes) = buf.memo.packed_held();
-        assert!(bytes <= budget, "{forms} forms keep {bytes} B over a {budget} B ledger");
+        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+        let (forms, bytes) = store.packed_held();
+        assert!(bytes <= budget, "{forms} forms keep {bytes} B over a {budget} B budget");
         most = most.max(forms);
     }
     assert!(most >= 2, "test wants several forms kept at once");
+    // Distinct noise, 1.5 KB at five places: more contents than
+    // entries are kept.
+    for n in 0..1100u32 {
+        buf.push(payload(1, n as u8, (n / 256 % 5) as i32 * 128, 300, 32, 16), false);
+        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+        assert!(store.len() <= 1024, "{} entries kept", store.len());
+    }
 }

@@ -28,8 +28,7 @@ use thinc_telemetry::{ProtocolMetrics, SchedulerMetrics};
 
 pub(crate) use self::checkpoint::decode_checkpoint_message;
 use self::wire::{CacheEngine, RAW_FRAME_OVERHEAD};
-use crate::memo::EncodeMemo;
-use crate::plane::{FlushPlan, PlanRole, PlaneCounters, PlannedPart, WirePlane};
+use crate::plane::{FlushPlan, FormStore, PlanRole, PlaneCounters, PlannedPart};
 use crate::queue::{classify, dependency_rects, CommandQueue, OverwriteClass, QueuedCommand};
 use crate::scheduler::{creates_dependency, place, queue_index, QueueSlot, NUM_QUEUES};
 
@@ -77,9 +76,8 @@ fn max_dependency_slot(
 /// Everything a flush derives its parts and forms from: two buffers
 /// equal in this — and flushed at the same `now` — clip the same
 /// entries, in the same order, into the same parts with the same wire
-/// forms. (Pipe, cache ledger and memo are not in it: they are what a
-/// viewer following a class-mate's [`FlushPlan`] still consults for
-/// itself.)
+/// forms. (Pipe and cache ledger are not in it: they are what a viewer
+/// following a class-mate's [`FlushPlan`] still consults for itself.)
 ///
 /// Sequence numbers are equal when they are equally far behind their
 /// queue's `next_seq`. A flush only uses them to find an entry from
@@ -139,12 +137,6 @@ pub struct ClientBuffer {
     /// one command after another reuses the filter intermediate and
     /// the output stream instead of reallocating per command.
     scratch: thinc_compress::Scratch,
-    /// What earlier encodes found out, and the compressed forms they
-    /// made, by content identity, so a repeat reaches the same
-    /// decision and the same form without the codec. A pure cache like
-    /// `scratch`: it supplies only what the codec would have made, is
-    /// not checkpointed, and is empty until a RAW is first compressed.
-    memo: EncodeMemo,
     /// Test switch: prepare commands the retained compress-everything
     /// way, the reference the fit-first path must match byte for byte.
     #[cfg(test)]
@@ -417,22 +409,26 @@ impl ClientBuffer {
     /// Large uncompressed `RAW` commands are split to fill exactly the
     /// available socket space; the unsent remainder is reformatted and
     /// left at the head of its queue.
+    ///
+    /// A buffer flushed on its own shares what its encodes find out
+    /// with nobody, and keeps it for this flush only: a session's
+    /// viewers flush against the session's form store instead.
     pub fn flush(
         &mut self,
         now: SimTime,
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        self.flush_planned(now, pipe, trace, None, &mut PlaneCounters::default(), &PlanRole::Alone)
+        let (mut store, mut counters) = (FormStore::default(), PlaneCounters::default());
+        self.flush_planned(now, pipe, trace, &mut store, &mut counters, &PlanRole::Alone)
     }
 
-    /// [`flush`](Self::flush) against a shared encode-once
-    /// [`WirePlane`], in the `role` the plane's plan table gave this
-    /// buffer for its current state
-    /// ([`Plans::resolve`](crate::plane::Plans::resolve), which must
-    /// have seen the buffer as it is now, at this `now`): eligible
-    /// commands take their wire form from the plane (producing it if
-    /// this client is first) and the plane traffic is accounted into
+    /// [`flush`](Self::flush) against a session's form `store`, in the
+    /// `role` the round's plans gave this buffer for its current state
+    /// ([`WirePlane::resolve`](crate::plane::WirePlane::resolve), which
+    /// must have seen the buffer as it is now, at this `now`): commands
+    /// take their wire form from the store (producing it, and teaching
+    /// it, if nobody has yet) and the shared traffic is accounted into
     /// `counters`; a leader records what it derives and publishes it, a
     /// follower flushes by the leader's plan. Output, statistics and
     /// what stays queued are those of the plain flush in every role.
@@ -441,7 +437,7 @@ impl ClientBuffer {
         now: SimTime,
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
@@ -451,7 +447,7 @@ impl ClientBuffer {
             // A leader that panicked published nothing.
             PlanRole::Follow(slot) => (slot.plan(), None),
         };
-        let out = self.flush_loop(now, pipe, trace, plane, counters, follow, record.as_mut());
+        let out = self.flush_loop(now, pipe, trace, store, counters, follow, record.as_mut());
         if let (PlanRole::Lead(slot), Some(plan)) = (role, record) {
             slot.publish(plan);
         }
@@ -467,7 +463,7 @@ impl ClientBuffer {
         now: SimTime,
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         follow: Option<&FlushPlan>,
         mut record: Option<&mut FlushPlan>,
@@ -503,11 +499,11 @@ impl ClientBuffer {
                     // Where this part's encode gave up, for its head.
                     let mut gave_up = None;
                     let formed = match planned.and_then(|parts| parts[i].form.as_ref()) {
-                        Some(form) => Some(self.adopt(form)),
-                        None => self.form_for(part(i), writable, plane, counters, None, &mut gave_up),
+                        Some(form) => Some(self.adopt(form, store)),
+                        None => self.form_for(part(i), writable, store, counters, None, &mut gave_up),
                     };
                     if record.is_some() {
-                        forms.push(formed.as_ref().and_then(|f| f.shareable().cloned()));
+                        forms.push(formed.as_ref().filter(|f| f.shareable()).cloned());
                     }
                     let whole =
                         formed.map(|formed| self.settle(formed)).filter(|wire| wire.size <= writable);
@@ -522,7 +518,7 @@ impl ClientBuffer {
                     let cut = if self.reference_split { split_by_copy(part(i), writable) } else { cut };
                     if let Some((head, tail)) = cut {
                         let head = self
-                            .prepare_wire(&head, writable, plane, counters, gave_up)
+                            .prepare_wire(&head, writable, store, counters, gave_up)
                             .filter(|wire| wire.size <= writable);
                         if let Some(wire) = head {
                             self.stats.splits += 1;
@@ -1346,11 +1342,11 @@ mod tests {
         /// `split_by_copy`: RAWs of any geometry, landing on one another so
         /// that what is cut has often been clipped first and what is left
         /// of a cut is cut again (a view of a view), into any pipe and
-        /// ledger, the memo emptied at random points (views and copies of
-        /// the same bytes go by different identities, and identity may
-        /// only skip work). Same bytes out at the same times, same ledger,
-        /// same statistics but the codec's, and the same commands left
-        /// queued after every flush.
+        /// ledger, the form store emptied at random points (views and
+        /// copies of the same bytes go by different identities, and
+        /// identity may only skip work). Same bytes out at the same
+        /// times, same ledger, same statistics but the codec's, and the
+        /// same commands left queued after every flush.
         #[test]
         fn split_by_view_is_split_by_copy(
             // (what, payload, geometry, wait): half pushes, a third
@@ -1361,13 +1357,13 @@ mod tests {
             ),
             sndbuf in 3_000u64..70_000,
             budget_pick in 0usize..4,
-            with_plane in any::<bool>(),
+            ledger in any::<bool>(),
         ) {
             let budget = [None, Some(6u64), Some(30), Some(4096)][budget_pick].map(|kb| kb * 1024);
-            let mut by_copy = Rig::new(sndbuf, budget, false);
+            let mut by_copy = Rig::new(sndbuf, budget, ledger, false);
             by_copy.buf.reference_split = true;
-            let mut by_view = Rig::new(sndbuf, budget, false);
-            let mut forgetful = Rig::new(sndbuf, budget, false);
+            let mut by_view = Rig::new(sndbuf, budget, ledger, false);
+            let mut forgetful = Rig::new(sndbuf, budget, ledger, false);
             let mut now = SimTime::ZERO;
             let drain = std::iter::repeat_n((3, (0, 0), (0, 0, 0, 0), 25_000), 600);
             for (what, (kind, seed), (col, y, w, h), after_us) in script.iter().copied().chain(drain) {
@@ -1380,7 +1376,7 @@ mod tests {
                     3 | 4 => {
                         now += SimDuration::from_micros(after_us);
                         for rig in [&mut by_copy, &mut by_view, &mut forgetful] {
-                            rig.flush(now, with_plane);
+                            rig.flush(now);
                         }
                         let queued = |rig: &Rig| {
                             let entries = rig.buf.queue.entries().iter();
@@ -1391,7 +1387,7 @@ mod tests {
                             prop_assert_eq!(queued(rig), queued(&by_copy));
                         }
                     }
-                    _ => forgetful.buf.memo.clear(),
+                    _ => forgetful.store.clear(),
                 }
             }
             prop_assert!(by_copy.buf.is_empty(), "script did not drain");

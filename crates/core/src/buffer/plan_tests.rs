@@ -17,6 +17,7 @@ use thinc_raster::{Color, Rect, Region};
 
 use super::fit_tests::payload;
 use super::*;
+use crate::plane::WirePlane;
 
 /// Six 64x48 sites on a grid tighter than they are wide, so that
 /// neighbours overlap: later drawing clips earlier, COPY sources get
@@ -101,9 +102,9 @@ impl Rig {
     /// A buffer behind a pipe with `sndbuf` bytes of socket space that
     /// has already delivered one RAW to every site — `Step::Raw(kind,
     /// seed, _)` with `seen` = `kind * 3 + seed` — so that with a cache,
-    /// ledgers (and memos) differ between rigs built with different
-    /// `seen` — and then `ahead` small fills more, so that its queue
-    /// numbers everything after that much higher.
+    /// ledgers differ between rigs built with different `seen` — and
+    /// then `ahead` small fills more, so that its queue numbers
+    /// everything after that much higher.
     fn new(sndbuf: u64, budget: Option<u64>, seen: u8, ahead: u8) -> Self {
         let mut buf = ClientBuffer::new().with_raw_compression(3);
         if let Some(budget) = budget {
@@ -136,15 +137,9 @@ impl Rig {
         }
     }
 
-    fn flush(&mut self, now: SimTime, plane: &WirePlane, role: &PlanRole) {
-        let batch = self.buf.flush_planned(
-            now,
-            &mut self.pipe,
-            &mut self.trace,
-            Some(plane),
-            &mut self.planes,
-            role,
-        );
+    fn flush(&mut self, now: SimTime, store: &mut FormStore, role: &PlanRole) {
+        let (pipe, trace) = (&mut self.pipe, &mut self.trace);
+        let batch = self.buf.flush_planned(now, pipe, trace, store, &mut self.planes, role);
         self.sent.extend(batch);
     }
 
@@ -218,6 +213,9 @@ proptest! {
         let follow = |seen| Rig::new(sndbuf(follow_sndbuf), budget, seen, follow_ahead);
         let (mut leader, mut follower) = (lead(lead_seen), follow(follow_seen));
         let (mut plain_leader, mut plain_follower) = (lead(lead_seen), follow(follow_seen));
+        // Each pair is a session of two with a form store of its own,
+        // kept within the budget across rounds.
+        let (mut planned_store, mut plain_store) = (FormStore::default(), FormStore::default());
         let mut now = SimTime(1_000);
         let mut followed = 0;
         let mut flushes = 0;
@@ -233,24 +231,25 @@ proptest! {
                 continue;
             };
             now += SimDuration::from_micros(after_us);
-            // One plane per round, as a session makes it; the planned
-            // pair and the plain pair each get their own, so that what
-            // the follower finds in its plane's slots is what its twin
-            // finds: the leader's forms.
-            let (planned, plain) = (WirePlane::new(), WirePlane::new());
-            let role = planned.plans().resolve(&leader.buf, now);
+            // One round's plans, as a session makes them; what the
+            // follower's twin finds in its store is what the follower
+            // is handed: the leader's forms.
+            let mut plans = WirePlane::default();
+            let role = plans.resolve(&leader.buf, now);
             prop_assert!(!matches!(role, PlanRole::Follow(_)));
-            leader.flush(now, &planned, &role);
-            let role = planned.plans().resolve(&follower.buf, now);
+            leader.flush(now, &mut planned_store, &role);
+            let role = plans.resolve(&follower.buf, now);
             if flushes == 0 && !follower.buf.is_empty() {
                 // Nothing has told the two apart yet.
                 prop_assert!(matches!(role, PlanRole::Follow(_)));
             }
             followed += u32::from(matches!(role, PlanRole::Follow(_)));
             flushes += 1;
-            follower.flush(now, &planned, &role);
-            plain_leader.flush(now, &plain, &PlanRole::Alone);
-            plain_follower.flush(now, &plain, &PlanRole::Alone);
+            follower.flush(now, &mut planned_store, &role);
+            plain_leader.flush(now, &mut plain_store, &PlanRole::Alone);
+            plain_follower.flush(now, &mut plain_store, &PlanRole::Alone);
+            planned_store.end_round(budget);
+            plain_store.end_round(budget);
             prop_assert_eq!(leader.observed(), plain_leader.observed());
             prop_assert_eq!(follower.observed(), plain_follower.observed());
         }
@@ -286,8 +285,7 @@ fn pair() -> (ClientBuffer, ClientBuffer) {
 #[test]
 fn a_buffer_in_the_same_state_follows() {
     let (a, b) = pair();
-    let plane = WirePlane::new();
-    let mut plans = plane.plans();
+    let mut plans = WirePlane::default();
     assert!(matches!(plans.resolve(&a, SimTime(900)), PlanRole::Lead(_)));
     assert!(matches!(plans.resolve(&b, SimTime(900)), PlanRole::Follow(_)));
     // So does one whose queue has numbered more entries in its time.
@@ -311,15 +309,13 @@ fn any_difference_in_the_state_matches_no_plan() {
     for (what, tweak) in tweaks {
         let (a, mut b) = pair();
         tweak(&mut b);
-        let plane = WirePlane::new();
-        let mut plans = plane.plans();
+        let mut plans = WirePlane::default();
         assert!(matches!(plans.resolve(&a, SimTime(900)), PlanRole::Lead(_)));
         assert!(matches!(plans.resolve(&b, SimTime(900)), PlanRole::Lead(_)), "{what}");
     }
     // The same buffer at another time, and another tile in its place.
     let (a, b) = pair();
-    let plane = WirePlane::new();
-    let mut plans = plane.plans();
+    let mut plans = WirePlane::default();
     assert!(matches!(plans.resolve(&a, SimTime(900)), PlanRole::Lead(_)));
     assert!(matches!(plans.resolve(&b, SimTime(901)), PlanRole::Lead(_)), "now");
     assert!(matches!(plans.resolve(&three_queued(2), SimTime(900)), PlanRole::Lead(_)), "payload");
@@ -329,12 +325,12 @@ fn any_difference_in_the_state_matches_no_plan() {
 fn a_leader_that_never_publishes_leaves_its_followers_to_flush_alone() {
     let (a, mut b) = pair();
     let (_, mut twin) = pair();
-    let plane = WirePlane::new();
+    let mut plans = WirePlane::default();
     let now = SimTime(900);
-    let lead = plane.plans().resolve(&a, now);
+    let lead = plans.resolve(&a, now);
     assert!(matches!(lead, PlanRole::Lead(_)));
     // The leader panics before it publishes (its flush never runs).
-    let role = plane.plans().resolve(&b, now);
+    let role = plans.resolve(&b, now);
     assert!(matches!(role, PlanRole::Follow(_)));
     let params = TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() };
     let mut counters = PlaneCounters::default();
@@ -342,7 +338,7 @@ fn a_leader_that_never_publishes_leaves_its_followers_to_flush_alone() {
         now,
         &mut TcpPipe::new(params),
         &mut PacketTrace::new(),
-        Some(&plane),
+        &mut FormStore::default(),
         &mut counters,
         &role,
     );

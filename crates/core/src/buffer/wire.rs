@@ -1,12 +1,13 @@
 //! Wire preparation: what a buffered command looks like on the wire.
 //!
 //! At flush time a command becomes its full wire form — compressed
-//! lazily, bounded by what can be of use ("fit first"), remembered by
-//! content identity (`EncodeMemo`) and shared across clients through
-//! a [`WirePlane`] — or, when the content-cache ledger says the client
-//! already holds those exact bytes, a compact [`Message::CacheRef`].
-//! Shipping a prepared message settles everything owed for it: trace,
-//! delivery and plane accounting, the ledger.
+//! lazily, bounded by what can be of use ("fit first"), and taken from
+//! or taught to the session's content-keyed [`FormStore`], which every
+//! viewer's flush shares — or, when this viewer's content-cache ledger
+//! says the client already holds those exact bytes, a compact
+//! [`Message::CacheRef`]. Shipping a prepared message settles
+//! everything owed for it: trace, delivery and plane accounting, the
+//! ledger.
 
 use thinc_compress::pnglike::GaveUp;
 use thinc_net::tcp::TcpPipe;
@@ -18,10 +19,7 @@ use thinc_protocol::message::Message;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
-use crate::memo::Bounded;
-use crate::plane::{
-    plane_key, PlaneCounters, PlaneKey, PlaneSlot, PlannedForm, WireForm, WirePlane,
-};
+use crate::plane::{plane_key, Facts, FormStore, PlaneCounters, PlaneKey, PlannedForm, WireForm};
 
 /// Server-side per-client content-cache state (protocol revision 3).
 ///
@@ -67,40 +65,15 @@ pub(super) struct Wire {
     pub(super) size: u64,
     /// Ledger update owed once `msg` is committed to the pipe.
     commit: CacheCommit,
-    /// Frame size of the full form when a [`WirePlane`] slot stands
-    /// behind it (plane accounting at send time).
+    /// Frame size of the full form when the form store stands behind
+    /// it (plane accounting at send time).
     shared: Option<u64>,
-}
-
-/// What [`ClientBuffer::form_for`] found for a command.
-#[derive(Debug)]
-pub(super) enum Formed {
-    /// The command's full wire form, for this viewer's ledger to
-    /// [`settle`](ClientBuffer::settle) — and, being no viewer's in
-    /// particular, for a flush plan to share.
-    Form(PlannedForm),
-    /// This viewer's finished message, reached without the form.
-    Settled(Wire),
-}
-
-impl Formed {
-    /// The form, when it is one every viewer in the same buffer state
-    /// would have found the way this one did: with a plane slot
-    /// standing behind it, or no codec involved at all. (A compressible
-    /// payload the plane refused a slot — a hash collision — is encoded
-    /// by each viewer against its own pipe, and charged as such.)
-    pub(super) fn shareable(&self) -> Option<&PlannedForm> {
-        match self {
-            Formed::Form(f) if f.shared.is_some() || f.owed.is_none() => Some(f),
-            _ => None,
-        }
-    }
 }
 
 /// The compress attempt owed to an uncompressed RAW at flush time.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
-    /// Content identity of the payload (memo and plane key).
+    /// Content identity of the payload (the store's key).
     ident: PlaneKey,
     /// Bytes per pixel of the session format.
     bpp: usize,
@@ -216,33 +189,35 @@ impl ClientBuffer {
         &mut self,
         cmd: &DisplayCommand,
         writable: u64,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         cut_from: Option<GaveUp>,
     ) -> Option<Wire> {
-        self.form_for(cmd, writable, plane, counters, cut_from, &mut None)
+        self.form_for(cmd, writable, store, counters, cut_from, &mut None)
             .map(|formed| self.settle(formed))
     }
 
     /// The full wire form of `cmd`, as far as `writable` bytes of pipe
     /// space make it worth producing (`None`: nothing whole can ship).
     ///
-    /// **Fit first.** The only compressed form ever used is one shorter
-    /// than the payload, and when the uncompressed frame does not fit
-    /// the pipe, only one that does fit (or that the ledger could
-    /// hold) — so the encode is bounded by those sizes and gives up
-    /// the moment its stream passes them, instead of compressing the
-    /// whole payload to learn a size it then discards. What a bounded
-    /// encode finds out is remembered by content identity
-    /// (`EncodeMemo`), so a repeat of the content — above all a
-    /// cache hit — reaches the same decision without the codec, and
-    /// without the form: that is the one case that comes back already
-    /// [`Settled`](Formed::Settled). A compressed form is remembered
-    /// whole, so content the ledger has let go ships again without the
-    /// codec too. The decision itself is a pure
-    /// function of command, pipe space and ledger: the memo and the
-    /// plane only ever skip work, and a form that comes back at all is
-    /// the same form whatever the pipe space was.
+    /// **The store first.** A form the session's [`FormStore`] knows —
+    /// produced this round by any viewer, or kept from an earlier one —
+    /// is the form, and the codec is not asked. Whether it ships whole,
+    /// as a reference or not at all is [`settle`](Self::settle)'s and
+    /// the pipe's to say, exactly as for a form just encoded.
+    ///
+    /// **Fit first.** Otherwise the form is encoded. The only
+    /// compressed form ever used is one shorter than the payload and,
+    /// when the uncompressed frame does not fit the pipe, only one that
+    /// does fit (or that the ledger could hold) — so the encode is
+    /// bounded by those sizes and gives up the moment its stream passes
+    /// them, instead of compressing the whole payload to learn a size
+    /// it then discards. A give-up is learnt by the store, so a repeat
+    /// under a bound no larger reaches the same decision without the
+    /// codec; a form is learnt whole. The decision itself is a pure
+    /// function of command, pipe space and ledger: the store only ever
+    /// skips work, and a form that comes back at all is the same form
+    /// whatever the pipe space was.
     ///
     /// **One parse per photo row.** A bounded encode of `cmd` that
     /// gives up leaves where it stopped in `gave_up`; when the flush
@@ -253,17 +228,17 @@ impl ClientBuffer {
         &mut self,
         cmd: &DisplayCommand,
         writable: u64,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         cut_from: Option<GaveUp>,
         gave_up: &mut Option<GaveUp>,
-    ) -> Option<Formed> {
+    ) -> Option<PlannedForm> {
         #[cfg(test)]
         if self.reference_prepare {
-            return Some(Formed::Settled(self.reference_prepare_wire(cmd.clone(), plane, counters)));
+            return Some(self.reference_form(cmd.clone(), store));
         }
-        let ident = plane_key(cmd);
-        let mut attempt = match (self.raw_compress_bpp, cmd, ident) {
+        let keyed = plane_key(cmd);
+        let mut attempt = match (self.raw_compress_bpp, cmd, keyed) {
             (
                 Some(bpp),
                 DisplayCommand::Raw { encoding: RawEncoding::None, data, .. },
@@ -274,99 +249,62 @@ impl ClientBuffer {
             }
             _ => None,
         };
-        // A remembered final form the ledger still holds is a cache
-        // hit found without producing the form.
-        if let (Some(a), Some(cache)) = (&attempt, &self.cache) {
-            if let Some((id, full_size)) = self.memo.encoded(&a.ident) {
-                if cache.ledger.lru().contains(id) {
-                    self.stats.codec_skipped_bytes += a.len;
-                    let shared = plane.is_some().then_some(full_size);
-                    return Some(Formed::Settled(self.cache_ref(id, full_size, shared)));
-                }
-            }
-        }
-        let slot = match (plane, ident) {
-            (Some(plane), Some((key, data))) => plane.slot_keyed(key, data),
-            _ => None,
-        };
-        let mut fresh = false;
-        let form = match slot.as_deref().and_then(PlaneSlot::form) {
+        // `None`: no identity, or a collision with this round's pin.
+        let mut facts = keyed.and_then(|(key, data)| store.pinned(key, data));
+        let shared = facts.is_some();
+        let form = match facts.as_deref().and_then(|facts| facts.form(cmd)) {
             Some(form) => {
                 if let Some(a) = &attempt {
                     self.stats.codec_skipped_bytes += a.len;
                 }
-                form.clone()
+                form
             }
             None => {
                 // When the uncompressed frame cannot ship, a compressed
                 // one is of use only if it fits the pipe, or is no
                 // bigger than something the ledger holds (it may be a
                 // hit, which ships as a reference).
-                let mut free = true;
                 if let Some(a) = &mut attempt {
                     if cmd.wire_size() > writable {
                         let largest_held =
                             self.cache.as_ref().map_or(0, |c| c.ledger.lru().max_entry_bytes());
                         let reach =
                             writable.max(largest_held).saturating_sub(RAW_FRAME_OVERHEAD);
-                        free = a.cap <= reach;
                         a.cap = a.cap.min(reach);
                     }
                 }
-                match slot.as_deref() {
-                    // A bound that does not depend on this client's
-                    // pipe always settles the form, as a pure function
-                    // of the command: produce it inside the slot, so
-                    // it is produced once however many clients reach it.
-                    Some(slot) if free => slot
-                        .form_or_init(|| {
-                            fresh = true;
-                            self.full_form(cmd, attempt, Some(slot), cut_from, gave_up)
-                                .expect("a payload-beating bound always settles the form")
-                        })
-                        .clone(),
-                    Some(slot) => {
-                        let form = self.full_form(cmd, attempt, Some(slot), cut_from, gave_up)?;
-                        slot.form_or_init(|| {
-                            fresh = true;
-                            form
-                        })
-                        .clone()
-                    }
-                    None => self.full_form(cmd, attempt, None, cut_from, gave_up)?,
+                let form = self.full_form(cmd, attempt, facts.as_deref_mut(), cut_from, gave_up)?;
+                if let Some(facts) = facts {
+                    facts.learn_form(&form, attempt.is_some());
+                    counters.encodes += 1;
+                    counters.encoded_bytes += form.size;
                 }
+                form
             }
         };
-        if fresh {
-            counters.encodes += 1;
-            counters.encoded_bytes += form.size;
-        }
-        Some(Formed::Form(PlannedForm {
-            shared: slot.is_some().then_some(form.size),
+        Some(PlannedForm {
+            shared: shared.then_some(form.size),
             owed: attempt.map(|a| (a.ident, a.len)),
             form,
-        }))
+        })
     }
 
     /// Takes a form from the class's flush plan in place of
-    /// [`form_for`](Self::form_for), charged what finding it in its
-    /// plane slot would have been.
-    pub(super) fn adopt(&mut self, planned: &PlannedForm) -> Formed {
-        self.stats.codec_skipped_bytes += planned.owed.map_or(0, |(_, len)| len);
-        Formed::Form(planned.clone())
+    /// [`form_for`](Self::form_for), charged and marked in the store as
+    /// finding it there would have been.
+    pub(super) fn adopt(&mut self, planned: &PlannedForm, store: &mut FormStore) -> PlannedForm {
+        if let Some((ident, len)) = planned.owed {
+            self.stats.codec_skipped_bytes += len;
+            store.touch(&ident);
+        }
+        planned.clone()
     }
 
     /// This viewer's wire message for a form: the form itself, with a
     /// ledger insert owed when it is cacheable, or the reference to it
     /// when the ledger says the client holds it.
-    pub(super) fn settle(&mut self, formed: Formed) -> Wire {
-        let PlannedForm { form, shared, owed } = match formed {
-            Formed::Form(planned) => planned,
-            Formed::Settled(wire) => return wire,
-        };
-        if let (Some(cache), Some((ident, _))) = (&self.cache, owed) {
-            self.memo.learn_encoded(ident, &form, cache.ledger.lru().budget());
-        }
+    pub(super) fn settle(&mut self, planned: PlannedForm) -> Wire {
+        let PlannedForm { form, shared, .. } = planned;
         let (Some(cache), Some(id)) = (&self.cache, form.id) else {
             return Wire { msg: form.msg, size: form.size, commit: CacheCommit::None, shared };
         };
@@ -395,36 +333,24 @@ impl ClientBuffer {
     /// uncompressed command as the form when the cap was the
     /// payload-beating bound, and otherwise `None` (nothing whole can
     /// ship). A pure function of the command and the cap — scratch,
-    /// memo, slot and `cut_from` only provide storage and skip work: a
-    /// remembered compressed form is what the encode writes under any
-    /// cap it fits, and gives up on under any other —
-    /// which is what lets a [`WirePlane`] share the result across
-    /// clients. A give-up, found or known from `cut_from`, is learnt by
-    /// memo and slot alike.
+    /// `facts` and `cut_from` only provide storage and skip work —
+    /// which is what lets the store share the result across clients
+    /// and rounds. A give-up, found or known from `cut_from`, is learnt
+    /// into `facts`.
     fn full_form(
         &mut self,
         cmd: &DisplayCommand,
         attempt: Option<Attempt>,
-        slot: Option<&PlaneSlot>,
+        facts: Option<&mut Facts>,
         cut_from: Option<GaveUp>,
         gave_up: &mut Option<GaveUp>,
     ) -> Option<WireForm> {
         let mut msg = None;
         if let (Some(a), DisplayCommand::Raw { rect, data, .. }) = (attempt, cmd) {
-            let known = match self.memo.bounded(&a.ident, a.cap) {
-                Bounded::Form(form) => {
-                    self.stats.codec_skipped_bytes += a.len;
-                    return Some(form.clone());
-                }
-                Bounded::GivesUp => true,
-                Bounded::Unknown => slot.is_some_and(|slot| slot.exceeds() >= a.cap),
-            };
             let stride = rect.w as usize * a.bpp;
-            if known {
+            let known = facts.as_deref().is_some_and(|facts| facts.exceeds() >= a.cap);
+            if known || cut_from.is_some_and(|g| g.covers(data.len() / stride, a.cap as usize)) {
                 self.stats.codec_skipped_bytes += a.len;
-            } else if cut_from.is_some_and(|g| g.covers(data.len() / stride, a.cap as usize)) {
-                self.stats.codec_skipped_bytes += a.len;
-                self.learn_exceeds(&a, slot);
             } else {
                 let packed = thinc_compress::pnglike::compress_bounded(
                     data,
@@ -443,14 +369,16 @@ impl ClientBuffer {
                             data,
                         }));
                     }
-                    None => {
-                        *gave_up = self.scratch.gave_up();
-                        self.learn_exceeds(&a, slot);
-                    }
+                    None => *gave_up = self.scratch.gave_up(),
                 }
             }
-            if msg.is_none() && a.cap < a.len - 1 {
-                return None;
+            if msg.is_none() {
+                if let Some(facts) = facts {
+                    facts.learn_exceeds(a.cap);
+                }
+                if a.cap < a.len - 1 {
+                    return None;
+                }
             }
         }
         let msg = msg.unwrap_or_else(|| Message::Display(cmd.clone()));
@@ -459,52 +387,16 @@ impl ClientBuffer {
         Some(WireForm { size: msg.wire_size(), id: cache_id(&msg), msg })
     }
 
-    /// Remembers that `a`'s payload compresses to more than its cap.
-    fn learn_exceeds(&mut self, a: &Attempt, slot: Option<&PlaneSlot>) {
-        self.memo.learn_exceeds(a.ident, a.cap);
-        if let Some(slot) = slot {
-            slot.learn_exceeds(a.cap);
-        }
-    }
-
-    /// The retained compress-everything `prepare_wire`: every eligible
-    /// RAW is compressed whole before anything is decided. Kept
-    /// verbatim as the reference the fit-first path is tested against
-    /// (same idiom as `thinc_raster::reference`).
+    /// The retained compress-everything form: every eligible RAW is
+    /// compressed whole before anything is decided, and nothing is
+    /// looked up. Kept verbatim as the reference the fit-first path is
+    /// tested against (same idiom as `thinc_raster::reference`); the
+    /// store is asked only whether it would stand behind the form.
     #[cfg(test)]
-    fn reference_prepare_wire(
-        &mut self,
-        cmd: DisplayCommand,
-        plane: Option<&WirePlane>,
-        counters: &mut PlaneCounters,
-    ) -> Wire {
-        let (full, full_size, id, shared) = match plane.and_then(|p| p.slot(&cmd)) {
-            Some(slot) => {
-                let mut fresh = false;
-                let form = slot.form_or_init(|| {
-                    fresh = true;
-                    self.reference_compute_form(cmd)
-                });
-                let (msg, size, id) = (form.msg.clone(), form.size, form.id);
-                if fresh {
-                    counters.encodes += 1;
-                    counters.encoded_bytes += size;
-                }
-                (msg, size, id, Some(size))
-            }
-            None => {
-                let form = self.reference_compute_form(cmd);
-                (form.msg, form.size, form.id, None)
-            }
-        };
-        let (Some(cache), Some(id)) = (&self.cache, id) else {
-            return Wire { msg: full, size: full_size, commit: CacheCommit::None, shared };
-        };
-        if cache.ledger.lru().contains(id) {
-            self.cache_ref(id, full_size, shared)
-        } else {
-            Wire { msg: full, size: full_size, commit: CacheCommit::Insert { id }, shared }
-        }
+    fn reference_form(&mut self, cmd: DisplayCommand, store: &mut FormStore) -> PlannedForm {
+        let shared = plane_key(&cmd).and_then(|(key, data)| store.pinned(key, data)).is_some();
+        let form = self.reference_compute_form(cmd);
+        PlannedForm { shared: shared.then_some(form.size), owed: None, form }
     }
 
     #[cfg(test)]

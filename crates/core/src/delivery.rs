@@ -41,7 +41,7 @@ use crate::degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
 use crate::liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
-use crate::plane::{PlanRole, PlaneCounters, WirePlane};
+use crate::plane::{FormStore, PlanRole, PlaneCounters};
 use crate::scaling::ScalePolicy;
 use crate::video::{VideoPayload, VideoScale, VideoStreamManager};
 
@@ -742,15 +742,15 @@ impl Delivery {
 
     /// The second half of a flush, without blocking: A/V first (paced
     /// data with deadlines), then the SRSF display queues in `role`
-    /// (see [`ClientBuffer::flush_planned`]), optionally against a
-    /// shared encode-once [`WirePlane`]. Returns `(arrival, message)`
-    /// pairs for the client side.
+    /// (see [`ClientBuffer::flush_planned`]), against the session's
+    /// form store. Returns `(arrival, message)` pairs for the client
+    /// side.
     pub(crate) fn flush_begun(
         &mut self,
         now: SimTime,
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
@@ -781,7 +781,7 @@ impl Delivery {
             self.buffer.record_sent(&msg);
             out.push((arrival, msg));
         }
-        let display = self.buffer.flush_planned(now, pipe, trace, plane, counters, role);
+        let display = self.buffer.flush_planned(now, pipe, trace, store, counters, role);
         if out.is_empty() {
             // No A/V went out: the display batch is the output as it is.
             return display;

@@ -69,7 +69,6 @@ pub mod checkpoint;
 pub mod degradation;
 pub mod delivery;
 pub mod liveness;
-mod memo;
 pub mod plane;
 pub mod queue;
 pub mod scaling;
@@ -87,7 +86,7 @@ pub use degradation::{
 };
 pub use delivery::{fold_fault_stats, Delivery, DeliveryPolicy, Phase};
 pub use liveness::{LivenessConfig, LivenessTracker, LivenessVerdict};
-pub use plane::{PlaneCounters, WirePlane};
+pub use plane::PlaneCounters;
 pub use queue::{classify, CommandQueue, OverwriteClass};
 pub use scaling::ScalePolicy;
 pub use server::{ServerConfig, ThincServer};

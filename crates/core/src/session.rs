@@ -48,7 +48,7 @@ use crate::checkpoint::{
 use crate::degradation::DegradationConfig;
 use crate::delivery::{Delivery, DeliveryPolicy, Phase, Rendition};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
-use crate::plane::{PlanRole, PlaneCounters, WirePlane};
+use crate::plane::{FormStore, PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
 use crate::translator::{Translator, TranslatorStats};
 use crate::video::{VideoPayload, VideoScale};
@@ -148,13 +148,14 @@ impl Member {
 
     /// The per-client flush body, borrowed one member at a time so the
     /// flush round need not hold the session. `begin_flush` has
-    /// run, and `role` is what the plane made of the buffer it left.
+    /// run, and `role` is what the round's plans made of the buffer it
+    /// left.
     fn flush(
         &mut self,
         now: SimTime,
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
-        plane: Option<&WirePlane>,
+        store: &mut FormStore,
         counters: &mut PlaneCounters,
         role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
@@ -165,7 +166,7 @@ impl Member {
             self.poison_flush = false;
             panic!("injected poison: client flush panicked");
         }
-        self.delivery.flush_begun(now, pipe, trace, plane, counters, role)
+        self.delivery.flush_begun(now, pipe, trace, store, counters, role)
     }
 }
 
@@ -224,6 +225,10 @@ pub struct SharedSession {
     /// Content-cache budget for every client attached from now on
     /// (`None` keeps the cache off — the pre-revision-3 behaviour).
     cache_budget: Option<u64>,
+    /// What every viewer's flush found out about content, for every
+    /// other's (see [`crate::plane`]): trimmed to `cache_budget` when a
+    /// round ends; without one, only give-up bounds outlive the round.
+    forms: FormStore,
     /// Cumulative encode-once plane accounting across flush rounds.
     fanout: PlaneCounters,
     /// Stable identity carried by resume tokens: a digest of owner +
@@ -261,6 +266,7 @@ impl SharedSession {
             policy: DeliveryPolicy::new(width, height),
             buffer_bound: None,
             cache_budget: None,
+            forms: FormStore::default(),
             fanout: PlaneCounters::default(),
             session_id: compute_session_id(owner, width, height, format),
             restored_tiles: None,
@@ -617,9 +623,10 @@ impl SharedSession {
         }
     }
 
-    /// Flushes one client's buffer over its own connection. The flush
-    /// moves the session clock to `now`, and leaves the buffers'
-    /// enqueue stamps alone: it is not a draw.
+    /// Flushes one client's buffer over its own connection, against the
+    /// session's form store: a round of one. The flush moves the
+    /// session clock to `now`, and leaves the buffers' enqueue stamps
+    /// alone: it is not a draw.
     pub fn flush_client(
         &mut self,
         id: ClientId,
@@ -628,29 +635,34 @@ impl SharedSession {
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
         self.now = now;
-        self.member_mut(id).map_or_else(Vec::new, |m| {
-            if !m.delivery.quarantined() {
-                m.delivery.begin_flush(now, pipe);
-            }
-            m.flush(now, pipe, trace, None, &mut PlaneCounters::default(), &PlanRole::Alone)
-        })
+        let Ok(at) = self.clients.binary_search_by_key(&id, |(cid, _)| *cid) else {
+            return Vec::new();
+        };
+        let m = &mut self.clients[at].1;
+        if !m.delivery.quarantined() {
+            m.delivery.begin_flush(now, pipe);
+        }
+        let mut counters = PlaneCounters::default();
+        let out = m.flush(now, pipe, trace, &mut self.forms, &mut counters, &PlanRole::Alone);
+        self.forms.end_round(self.cache_budget);
+        out
     }
 
     /// Flushes **every** client's buffer, each over its own
-    /// connection, against one encode-once [`WirePlane`] made for the
-    /// round: identical payloads across clients are compressed and
-    /// framed a single time, and clients whose buffers are in the same
-    /// state flush once between them (see [`crate::plane`]).
+    /// connection, as one round against the session's form store:
+    /// identical payloads across clients are compressed and framed a
+    /// single time, and clients whose buffers are in the same state
+    /// flush once between them (see [`crate::plane`]).
     ///
     /// A serial pre-pass, in id order, lets every member's ladder and
-    /// A/V bound have their say and then asks the plane — in one
-    /// borrow of its plan table for the whole roster — which members
-    /// start from the same buffer state: the first in each state leads
-    /// its plan, the rest follow it. So the leader is the lowest id, and with it who
-    /// pays the codec (`codec_input_bytes`) and who skips it. Every
-    /// member then flushes in id order against its own pipe and cache
-    /// ledger, so a leader publishes its plan before its followers
-    /// read it. A panic in either step is contained to its member.
+    /// A/V bound have their say and then asks the round's plans which
+    /// members start from the same buffer state: the first in each
+    /// state leads its plan, the rest follow it. So the leader is the
+    /// lowest id, and with it who pays the codec (`codec_input_bytes`)
+    /// and who skips it. Every member then flushes in id order against
+    /// its own pipe and cache ledger, so a leader publishes its plan
+    /// before its followers read it. A panic in either step is
+    /// contained to its member.
     ///
     /// `links[i]` is the `(pipe, trace)` pair of the i-th attached
     /// client — the same order as attach/[`ClientId`] order, and the
@@ -671,28 +683,28 @@ impl SharedSession {
             self.clients.len(),
             "one (pipe, trace) link per attached client"
         );
-        let plane = WirePlane::new();
+        let mut plans = WirePlane::default();
         // `None`: the member panicked, here or in its flush.
-        let roles: Vec<Option<PlanRole>> = {
-            let mut plans = plane.plans();
-            let members = self.clients.iter_mut().zip(links.iter_mut());
-            members
-                .map(|((_, m), (pipe, _))| {
-                    if m.delivery.quarantined() {
-                        return Some(PlanRole::Alone);
-                    }
-                    contain(|| {
-                        m.delivery.begin_flush(now, pipe);
-                        plans.resolve(m.delivery.buffer(), now)
-                    })
+        let roles: Vec<Option<PlanRole>> = self
+            .clients
+            .iter_mut()
+            .zip(links.iter_mut())
+            .map(|((_, m), (pipe, _))| {
+                if m.delivery.quarantined() {
+                    return Some(PlanRole::Alone);
+                }
+                contain(|| {
+                    m.delivery.begin_flush(now, pipe);
+                    plans.resolve(m.delivery.buffer(), now)
                 })
-                .collect()
-        };
+            })
+            .collect();
         let mut out = Vec::with_capacity(roles.len());
+        let forms = &mut self.forms;
         for (((id, m), (pipe, trace)), role) in self.clients.iter_mut().zip(links.iter_mut()).zip(roles) {
             let mut counters = PlaneCounters::default();
             let flushed =
-                role.and_then(|role| contain(|| m.flush(now, pipe, trace, Some(&plane), &mut counters, &role)));
+                role.and_then(|role| contain(|| m.flush(now, pipe, trace, forms, &mut counters, &role)));
             // Panic containment: a client whose flush panicked is
             // quarantined — its partial output and counts are
             // discarded, the panic is counted in its resilience metrics,
@@ -710,6 +722,7 @@ impl SharedSession {
             };
             out.push((*id, msgs));
         }
+        self.forms.end_round(self.cache_budget);
         out
     }
 
@@ -886,6 +899,7 @@ impl SharedSession {
             policy,
             buffer_bound,
             cache_budget,
+            forms: FormStore::default(),
             fanout: PlaneCounters::default(),
             session_id,
             restored_tiles: Some(tiles),

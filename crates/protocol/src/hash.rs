@@ -18,9 +18,9 @@
 //! FNV-1a's value is *observable* — in `MSG_CACHE_REF`, resume-token
 //! store digests, checkpoint tile digests, session ids —
 //! so it stays exactly what it is, one multiply per byte in a serial
-//! chain. Where a hash never leaves the process (the payload plane's
-//! and the encode memo's notion of "same content"), [`content_id`]
-//! does the same job a word at a time.
+//! chain. Where a hash never leaves the process (the form store's
+//! notion of "same content"), [`content_id`] does the same job a word
+//! at a time.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -19,10 +19,9 @@
 //! path needs, each computed by the first holder that asks and read
 //! by every other holder for free:
 //!
-//! - [`Bytes::content_id`], the 64-bit identity the payload plane and
-//!   the encode memo (`thinc_core::plane`, `thinc_core::memo`) key
-//!   equivalence classes by. 256 viewers of one tile hash it once;
-//!   where the per-client queues clip or merge a payload into a fresh
+//! - [`Bytes::content_id`], the 64-bit identity the session's form
+//!   store (`thinc_core::plane`) keys equivalence classes by. 256
+//!   viewers of one tile hash it once; where the per-client queues clip or merge a payload into a fresh
 //!   allocation with identical bytes, that allocation is hashed once
 //!   too, by [`crate::hash::content_id`], and lands on the same id.
 //! - the CRC-32 register of the contents from a zero register, which
@@ -42,8 +41,9 @@
 //! shrinking remainder seven times. It is still a pure function of
 //! contents — equal roots cut at equal offsets agree, wherever they
 //! live — but a view and an owned buffer with the same bytes do *not*
-//! share an id, which costs a plane or memo hit and never a byte: both
-//! tables only skip work, and the plane verifies bytes on a key match.
+//! share an id, which costs a form-store hit and never a byte: the
+//! store only skips work, and verifies bytes on a key match within a
+//! round.
 //! So a view is for a cut whose root is what recurs — the pieces of a
 //! RAW split at flush — and not for one whose hidden part is what
 //! varies: a clipped tile stays a copy, keyed by the bytes it shows.

@@ -1,24 +1,24 @@
-//! Encode-once plane accounting for the broadcast fan-out.
+//! Encode-once accounting for the broadcast fan-out.
 //!
-//! A shared session flushes all its viewers against one encode-once
-//! payload plane per round. Every viewer's flush tallies its plane
-//! traffic in a [`PlaneCounters`]; the session merges them in client
-//! order and accumulates them across rounds, which the figures and
-//! perfgate layers read for the aggregate views (shared-payload hit
-//! ratio, encode output amortized).
+//! A shared session flushes all its viewers against one content-keyed
+//! form store, round after round. Every viewer's flush tallies the
+//! traffic the store stands behind in a [`PlaneCounters`]; the session
+//! merges them in client order and accumulates them across rounds,
+//! which the figures and perfgate layers read for the aggregate views
+//! (shared-payload hit ratio, encode output amortized).
 
 crate::counters! {
-    /// Deterministic accounting for the encode-once plane, accumulated
-    /// per client during a flush and merged in client order afterwards.
+    /// Deterministic encode-once accounting, accumulated per client
+    /// during a flush and merged in client order afterwards.
     pub struct PlaneCounters {
-        /// Messages sent whose wire form came from the plane.
+        /// Messages sent whose wire form came from the store.
         shared_sends,
         /// Sum of those messages' full-form sizes (before any per-client
         /// cache-ref substitution) — what every client *would* have
         /// encoded on its own.
         shared_bytes,
-        /// Wire forms actually produced (one per equivalence class that
-        /// reached the wire).
+        /// Wire forms actually produced (one per equivalence class the
+        /// store did not already know).
         encodes,
         /// Bytes of wire forms actually produced.
         encoded_bytes,
@@ -26,7 +26,7 @@ crate::counters! {
 }
 
 impl PlaneCounters {
-    /// Fraction of plane-served sends that reused an already-produced
+    /// Fraction of store-served sends that reused an already-produced
     /// wire form (0 when nothing went through the plane).
     pub fn hit_ratio(&self) -> f64 {
         if self.shared_sends == 0 {

@@ -10,13 +10,13 @@ use proptest::prelude::*;
 use thinc::client::StreamClient;
 use thinc::core::buffer::ClientBuffer;
 use thinc::core::queue::CommandQueue;
+use thinc::core::server::VIEWER;
+use thinc::core::{ServerConfig, SharedSession};
 use thinc::net::tcp::{TcpParams, TcpPipe};
 use thinc::net::time::{SimDuration, SimTime};
 use thinc::net::trace::PacketTrace;
 use thinc::protocol::commands::{DisplayCommand, RawEncoding, Tile};
 use thinc::protocol::message::Message;
-use thinc::protocol::wire::FrameEncoder;
-use thinc::protocol::PROTOCOL_VERSION;
 use thinc::raster::{Color, Framebuffer, PixelFormat, Rect};
 
 const W: u32 = 48;
@@ -130,25 +130,25 @@ fn arb_copy_free_step() -> impl Strategy<Value = Vec<DisplayCommand>> {
     ]
 }
 
-/// A viewer that negotiated this build's revision, and the encoder
-/// that frames what it is shipped.
+/// A viewer of a one-viewer session at this build's revision, and
+/// that session, which frames what the viewer is shipped.
 struct Viewer {
     stream: StreamClient,
-    encoder: FrameEncoder,
+    session: SharedSession,
 }
 
 impl Viewer {
     fn new() -> Viewer {
-        let mut encoder = FrameEncoder::new();
-        encoder.negotiate(PROTOCOL_VERSION);
+        let mut session = ServerConfig { width: W, height: H, ..ServerConfig::default() }.session();
         let mut stream = StreamClient::new(W, H, PixelFormat::Rgb888);
-        let hello = Message::ServerHello { version: PROTOCOL_VERSION, width: W, height: H, depth: 24 };
-        stream.feed(&encoder.encode(&hello));
-        Viewer { stream, encoder }
+        let hello = session.hello();
+        stream.feed(&session.encode_frame(VIEWER, &hello));
+        Viewer { stream, session }
     }
 
     fn show(&mut self, msg: &Message) {
-        assert_eq!(self.stream.feed(&self.encoder.encode(msg)), 1, "{msg:?} was not applied");
+        let frame = self.session.encode_frame(VIEWER, msg);
+        assert_eq!(self.stream.feed(&frame), 1, "{msg:?} was not applied");
     }
 
     /// The viewer's framebuffer, once everything it was shipped is
