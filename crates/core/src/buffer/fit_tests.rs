@@ -240,18 +240,18 @@ fn photo(w: u32, h: u32) -> DisplayCommand {
     payload(1, 7, 0, 0, w, h)
 }
 
-/// One round of a session of one whose store keeps what fits `keep`:
-/// the buffer's flush, then the round's end.
+/// One round of a session of one budgeted at `budget`: the buffer's
+/// flush, then the round's end.
 fn round(
     buf: &mut ClientBuffer,
     now: SimTime,
     pipe: &mut TcpPipe,
     store: &mut FormStore,
-    keep: u64,
+    budget: Option<u64>,
 ) -> Vec<(SimTime, Message)> {
     let (mut trace, mut counters) = (PacketTrace::new(), PlaneCounters::default());
     let sent = buf.flush_planned(now, pipe, &mut trace, store, &mut counters, &PlanRole::Alone);
-    store.end_round(Some(keep));
+    store.end_round(budget);
     sent
 }
 
@@ -269,7 +269,7 @@ fn drain_fat(buf: &mut ClientBuffer, store: &mut FormStore) -> Vec<Message> {
     let mut now = SimTime::ZERO;
     let mut msgs = Vec::new();
     for _ in 0..1000 {
-        let sent = round(buf, now, &mut pipe, store, thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let sent = round(buf, now, &mut pipe, store, Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
         msgs.extend(sent.into_iter().map(|(_, m)| m));
         if buf.is_empty() {
             return msgs;
@@ -423,6 +423,36 @@ fn what_one_round_learns_a_viewer_without_a_ledger_takes_in_the_next() {
 }
 
 #[test]
+fn a_session_without_a_budget_encodes_a_returning_tile_once() {
+    use crate::session::SharedSession;
+    use thinc_display::drawable::{DrawableStore, SCREEN};
+    use thinc_display::driver::VideoDriver;
+    use thinc_raster::PixelFormat;
+    // No cache budget, so no viewer has a ledger; the third viewer is
+    // scaled to half.
+    let mut s = SharedSession::new(128, 128, PixelFormat::Rgb888, "host");
+    let ids = [s.join("a".into(), 128, 128), s.join("b".into(), 128, 128), s.join("c".into(), 64, 64)];
+    let mut links: Vec<_> = ids
+        .iter()
+        .map(|_| (TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() }), PacketTrace::new()))
+        .collect();
+    let mut screen = DrawableStore::new(128, 128, PixelFormat::Rgb888);
+    // A graphic that compresses to about half, another in its place,
+    // then the first again: one round each.
+    let mut fed = Vec::new();
+    for (round, seed) in [4u8, 5, 4].into_iter().enumerate() {
+        let DisplayCommand::Raw { rect, data, .. } = payload(2, seed, 0, 0, 96, 90) else { unreachable!() };
+        screen.screen_mut().put_raw(&rect, &data);
+        s.put_image(&screen, SCREEN, rect, &data);
+        let sent = s.flush_all(SimTime(round as u64 * 100_000), &mut links);
+        assert!(sent.iter().all(|(_, msgs)| !msgs.is_empty()), "round {round} left a viewer out");
+        fed.push(ids.iter().map(|&id| s.viewer(id).unwrap().buffer().stats().codec_input_bytes).sum::<u64>());
+    }
+    assert!(fed[1] > fed[0], "the second graphic was not encoded: {fed:?}");
+    assert_eq!(fed[2], fed[1], "the returning graphic went through the codec again");
+}
+
+#[test]
 fn a_payload_colliding_with_this_rounds_pin_takes_the_per_viewer_path() {
     let graphic = payload(2, 4, 0, 0, 96, 90);
     let (key, _) = crate::plane::plane_key(&graphic).unwrap();
@@ -480,7 +510,7 @@ fn once_the_round_ends_the_store_pins_no_payload() {
 fn drain_into(
     buf: &mut ClientBuffer,
     store: &mut FormStore,
-    budget: u64,
+    budget: Option<u64>,
     pipe: &mut TcpPipe,
     now: &mut SimTime,
 ) -> Vec<Vec<u8>> {
@@ -506,19 +536,19 @@ fn content_the_ledger_evicted_ships_again_without_the_codec() {
     let mut now = SimTime::ZERO;
     let graphic = || payload(2, 4, 0, 400, 96, 90); // 25.9 KB, compresses to about half.
     buf.push(graphic(), false);
-    let first = drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+    let first = drain_into(&mut buf, &mut store, Some(budget), &mut pipe, &mut now);
     assert_eq!(first.len(), 1);
     // Noise at other places pushes the graphic out of the ledger.
     for slot in 0..5 {
         buf.push(payload(1, slot as u8, slot * 128, 200, 64, 40), false);
-        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+        drain_into(&mut buf, &mut store, Some(budget), &mut pipe, &mut now);
     }
     let evicted = buf.resilience_counts().cache_evictions;
     assert!(evicted > 0, "test wants the graphic's entry evicted");
     let fed = buf.stats().codec_input_bytes;
 
     buf.push(graphic(), false);
-    let again = drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+    let again = drain_into(&mut buf, &mut store, Some(budget), &mut pipe, &mut now);
     assert_eq!(again, first, "not the same full form");
     assert_eq!(buf.stats().codec_input_bytes, fed, "the codec read the graphic again");
     assert_eq!(buf.resilience_counts().cache_hits, 0);
@@ -546,27 +576,39 @@ fn a_kept_form_too_long_for_the_pipe_splits_as_the_reference_splits() {
 
 #[test]
 fn the_store_stays_within_the_session_budget_after_each_round() {
-    let budget = 30 * 1024;
-    let mut buf = ClientBuffer::new().with_raw_compression(3);
-    buf.enable_cache(budget);
-    let mut store = FormStore::default();
-    let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
-    let mut now = SimTime::ZERO;
-    let mut most = 0;
-    for seed in 0..=255u8 {
-        // Distinct, compressible, each about half its 25.9 KB.
-        buf.push(payload(2, seed, 0, 0, 96, 90), false);
-        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
-        let (forms, bytes) = store.packed_held();
-        assert!(bytes <= budget, "{forms} forms keep {bytes} B over a {budget} B budget");
-        most = most.max(forms);
-    }
-    assert!(most >= 2, "test wants several forms kept at once");
-    // Distinct noise, 1.5 KB at five places: more contents than
-    // entries are kept.
-    for n in 0..1100u32 {
-        buf.push(payload(1, n as u8, (n / 256 % 5) as i32 * 128, 300, 32, 16), false);
-        drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
-        assert!(store.len() <= 1024, "{} entries kept", store.len());
+    // A budgeted session whose viewer has a ledger, and a session
+    // without a budget, whose store keeps what the product's default
+    // budget holds: graphics each compressing to about half, more of
+    // them than the budget holds.
+    let cases = [(Some(30 * 1024), 96, 90, 256), (None, 256, 256, 100)];
+    for (budget, w, h, graphics) in cases {
+        let bound = budget.unwrap_or(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut buf = ClientBuffer::new().with_raw_compression(3);
+        if let Some(budget) = budget {
+            buf.enable_cache(budget);
+        }
+        let mut store = FormStore::default();
+        let mut pipe = TcpPipe::new(TcpParams { rwnd_bytes: 1 << 30, ..TcpParams::default() });
+        let mut now = SimTime::ZERO;
+        let mut most = 0;
+        for seed in 0..graphics {
+            buf.push(payload(2, seed as u8, 0, 0, w, h), false);
+            drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+            let (forms, bytes) = store.packed_held();
+            assert!(bytes <= bound, "{forms} forms keep {bytes} B over a {bound} B budget");
+            most = most.max(forms);
+        }
+        assert!(most >= 2, "test wants several forms kept at once");
+        assert!(store.packed_held().0 < graphics, "test wants forms trimmed");
+        if budget.is_none() {
+            continue;
+        }
+        // Distinct noise, 1.5 KB at five places: more contents than
+        // entries are kept.
+        for n in 0..1100u32 {
+            buf.push(payload(1, n as u8, (n / 256 % 5) as i32 * 128, 300, 32, 16), false);
+            drain_into(&mut buf, &mut store, budget, &mut pipe, &mut now);
+            assert!(store.len() <= 1024, "{} entries kept", store.len());
+        }
     }
 }

@@ -33,9 +33,9 @@
 //! [`flush_all`](crate::session::SharedSession::flush_all), or one
 //! [`flush_client`](crate::session::SharedSession::flush_client)), and
 //! the round's end (`FormStore::end_round`) trims it, least recently used
-//! first: compressed forms to the session's cache budget, entries to
-//! 1 024. A session without a budget keeps no form past the round, only
-//! give-up bounds, which hold no payload.
+//! first: compressed forms to the session's cache budget — a session
+//! without one to [`DEFAULT_CACHE_BUDGET`], the budget a product session
+//! gets — and entries to 1 024.
 //!
 //! **Collisions.** Within a round, an entry pins the payload [`Bytes`]
 //! it was first looked up with, and a lookup whose bytes differ from the
@@ -89,7 +89,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use thinc_net::time::SimTime;
-use thinc_protocol::{Bytes, DisplayCommand, Message};
+use thinc_protocol::{Bytes, DisplayCommand, Message, DEFAULT_CACHE_BUDGET};
 use thinc_raster::Rect;
 pub use thinc_telemetry::PlaneCounters;
 
@@ -279,12 +279,12 @@ impl FormStore {
     /// Ends a round: drops every pin and every form that no encode was
     /// owed, then keeps, least recently used out first, compressed
     /// forms within `budget` frame bytes (one bigger than that is never
-    /// a ledger entry, so it is not kept at all) and at most
-    /// [`MAX_KEPT`] entries. Without a budget, only give-up bounds are
-    /// kept: no form. Visits the round's entries, and all of them only
-    /// to pick what goes.
+    /// a ledger entry, so it is not kept at all; no budget is
+    /// [`DEFAULT_CACHE_BUDGET`]) and at most [`MAX_KEPT`] entries.
+    /// Visits the round's entries, and all of them only to pick what
+    /// goes.
     pub(crate) fn end_round(&mut self, budget: Option<u64>) {
-        let budget = budget.unwrap_or(0);
+        let budget = budget.unwrap_or(DEFAULT_CACHE_BUDGET);
         for (key, before) in self.round.drain(..) {
             let std::collections::hash_map::Entry::Occupied(mut entry) = self.facts.entry(key) else {
                 continue;
@@ -530,13 +530,16 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(store.packed_held(), (1, 50));
         assert!(store.facts.values().all(|f| f.pin.is_none()), "a payload outlived its round");
-        // No budget: give-up bounds only.
+        // No budget: the one a product session gets. Verdicts, forms
+        // and give-up bounds outlive the round; a form bigger than the
+        // budget does not.
         let mut store = FormStore::default();
         learn(&mut store, 1, &as_is, true);
         learn(&mut store, 2, &packed(60), true);
+        learn(&mut store, 3, &packed(DEFAULT_CACHE_BUDGET + 1), true);
         store.pinned(key(&data[0]), &data[0]).unwrap().learn_exceeds(700);
         store.end_round(None);
-        assert_eq!((store.len(), store.packed_held()), (1, (0, 0)));
+        assert_eq!((store.len(), store.packed_held()), (3, (1, 60)));
     }
 
     #[test]

@@ -227,7 +227,7 @@ pub struct SharedSession {
     cache_budget: Option<u64>,
     /// What every viewer's flush found out about content, for every
     /// other's (see [`crate::plane`]): trimmed to `cache_budget` when a
-    /// round ends; without one, only give-up bounds outlive the round.
+    /// round ends, or without one to the product's default budget.
     forms: FormStore,
     /// Cumulative encode-once plane accounting across flush rounds.
     fanout: PlaneCounters,

@@ -8,15 +8,19 @@
 //!
 //! - [`crc32_update`] is *slicing*: it consumes 16 input bytes per
 //!   step through 16 compile-time tables, so the serial dependency is
-//!   one XOR tree per step instead of one lookup per byte. From 1 KB
+//!   one XOR tree per step instead of one lookup per byte. From 512 bytes
 //!   up it runs three such chains at once over three equal blocks and
 //!   joins them with [`crc32_shift`]'s algebra, so the core is busy
 //!   with three independent steps instead of waiting on one. The
 //!   byte-at-a-time loop it replaced is retained as
 //!   [`crate::reference::crc32_update`]; the two agree on every input
 //!   and every streaming split (proptested, and timed by `perfgate`).
-//! - [`crc32_shift`] advances a register over `len` zero bytes in
-//!   O(log `len`) carry-less multiplies. The register update is linear
+//! - [`crc32_shift`] advances a register over `len` zero bytes in at
+//!   most one carry-less multiply per non-zero byte of `len`, plus one:
+//!   the factor is a product of compile-time byte-window tables
+//!   (`x^(8·b·256^k) mod P`). The bit-serial O(log `len`) version it
+//!   replaced is retained as [`crate::reference::crc32_shift`]. The
+//!   register update is linear
 //!   over GF(2), so for any register `s` and bytes `A‖B`
 //!   `update(s, A‖B) == shift(update(s, A), |B|) ^ update(0, B)` —
 //!   which lets an encoder finish a frame's CRC from a checksum the
@@ -82,8 +86,10 @@ fn step(crc: u32, s: &[u8]) -> u32 {
 }
 
 /// Inputs at least this long run in three lanes; below it the join's
-/// two multiplies and one exponentiation cost more than they save.
-const LANES_MIN: usize = 1024;
+/// two or three multiplies cost about what they save (lanes win by a
+/// third at 512 bytes and by a twentieth at 256; `docs/PERFORMANCE.md`,
+/// "Fan-out pays once").
+const LANES_MIN: usize = 512;
 
 /// Streaming CRC-32 register update over `data` (raw register: seed
 /// with `!0`, finish by XORing with `!0`). Splitting `data` anywhere
@@ -134,28 +140,50 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// `a · b mod P` over GF(2), in the reflected representation (bit 31
-/// is x⁰).
+/// is x⁰). Branchless: each of the 32 steps masks instead of testing a
+/// bit, so the cost does not depend on the operands.
 const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
     let mut product = 0;
-    let mut bit = 1u32 << 31;
-    while bit != 0 {
-        if a & bit != 0 {
-            product ^= b;
-        }
-        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
-        bit >>= 1;
+    let mut i = 0;
+    while i < 32 {
+        product ^= b & 0u32.wrapping_sub((a >> (31 - i)) & 1);
+        b = (b >> 1) ^ (POLY & 0u32.wrapping_sub(b & 1));
+        i += 1;
     }
     product
 }
 
-/// `X_POW_2K[k]` is x^(2^k) mod P. The order of x divides 2³²−1, so
-/// x^(2^32) = x and the table is indexed modulo 32.
-static X_POW_2K: [u32; 32] = {
-    let mut t = [0u32; 32];
-    t[0] = 1 << 30; // x¹
-    let mut k = 1;
+/// x^(2^32) = x mod P: the order of x divides 2³² − 1, so a shift may
+/// take its length modulo 2³² − 1 (see [`zeros_factor`]).
+const _: () = {
+    let mut x = 1u32 << 30; // x¹
+    let mut k = 0;
     while k < 32 {
-        t[k] = mul_mod_p(t[k - 1], t[k - 1]);
+        x = mul_mod_p(x, x);
+        k += 1;
+    }
+    assert!(x == 1 << 30);
+};
+
+/// Byte windows of a (reduced) length: a 32-bit length has four.
+const WINDOWS: usize = 4;
+
+/// `ZEROS[k][b]` is x^(8·b·256^k) mod P: the factor `b · 256^k` zero
+/// bytes multiply a register by. `ZEROS[k][0]` is x⁰.
+static ZEROS: [[u32; 256]; WINDOWS] = {
+    let mut t = [[0u32; 256]; WINDOWS];
+    // x^(8·256^k): x⁸ for the first window, each next window's the
+    // previous window's to the 256th.
+    let mut unit = 1u32 << 23; // x⁸
+    let mut k = 0;
+    while k < WINDOWS {
+        t[k][0] = 1 << 31; // x⁰
+        let mut b = 1;
+        while b < 256 {
+            t[k][b] = mul_mod_p(t[k][b - 1], unit);
+            b += 1;
+        }
+        unit = mul_mod_p(t[k][255], unit);
         k += 1;
     }
     t
@@ -163,21 +191,24 @@ static X_POW_2K: [u32; 32] = {
 
 /// The register `crc` becomes after `len` zero bytes:
 /// `crc32_update(crc, &[0; len])` without the bytes — `crc · x^(8·len)
-/// mod P`, one multiply per set bit of `len`.
+/// mod P`, at most one multiply per non-zero byte of `len`.
 pub fn crc32_shift(crc: u32, len: usize) -> u32 {
     mul_mod_p(zeros_factor(len), crc)
 }
 
-/// x^(8·`len`) mod P: the factor `len` zero bytes multiply a register by.
+/// x^(8·`len`) mod P: the factor `len` zero bytes multiply a register
+/// by, as the product of one table entry per byte window of `len`.
 fn zeros_factor(len: usize) -> u32 {
-    let mut factor = 1u32 << 31; // x⁰
-    let mut n = len;
-    let mut k = 3; // x^(8·len) = x^(len·2³)
-    while n != 0 {
-        if n & 1 != 0 {
-            factor = mul_mod_p(X_POW_2K[k & 31], factor);
+    // x^(8·(2³²−1)) = 1, so only `len` modulo 2³² − 1 matters: a no-op
+    // below it.
+    let n = (len as u64 % 0xFFFF_FFFF) as u32;
+    let mut factor = ZEROS[0][(n & 0xFF) as usize];
+    let mut k = 1;
+    while k < WINDOWS {
+        let b = (n >> (8 * k)) & 0xFF;
+        if b != 0 {
+            factor = mul_mod_p(ZEROS[k][b as usize], factor);
         }
-        n >>= 1;
         k += 1;
     }
     factor
@@ -240,16 +271,25 @@ mod tests {
     }
 
     #[test]
-    fn shift_wraps_the_exponent_table() {
-        // Lengths whose set bits land on table slots 29..=31 and wrap
-        // to slot 0: shifting twice must equal shifting by the sum.
-        for (a, b) in [
-            (1usize << 28, 1usize << 28),
-            (1 << 29, 3),
-            ((1 << 30) + 5, 1 << 29),
-        ] {
-            let s = 0x8BAD_F00D;
-            assert_eq!(crc32_shift(crc32_shift(s, a), b), crc32_shift(s, a + b));
+    fn shift_matches_the_reference_at_every_byte_window_boundary() {
+        // Every table entry on its own, each side of every window's
+        // carry, the reduction modulo 2³² − 1 and the top of the
+        // length range.
+        let mut lens: Vec<usize> = (0..WINDOWS).flat_map(|k| (0..256).map(move |b| b << (8 * k))).collect();
+        lens.extend([usize::MAX, usize::MAX - 1]);
+        for k in 1..usize::BITS / 8 {
+            let edge = 1usize << (8 * k);
+            lens.extend([edge - 2, edge - 1, edge, edge + 1]);
+        }
+        lens.extend([0xFFFF_FFFE, 0x1_FFFF_FFFE, 0x1_FFFF_FFFF, 0x2_0000_0000]);
+        for seed in [1u32 << 31, !0, 0x8BAD_F00D] {
+            for &len in &lens {
+                assert_eq!(
+                    crc32_shift(seed, len),
+                    reference::crc32_shift(seed, len),
+                    "seed {seed:#x} len {len:#x}"
+                );
+            }
         }
     }
 }

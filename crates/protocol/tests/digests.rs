@@ -63,6 +63,23 @@ proptest! {
 }
 
 proptest! {
+    /// Shifting by `a` then by `b` is shifting by `a + b`, and every
+    /// shift is the bit-serial reference's: lengths across all four
+    /// byte windows, sums past the reduction modulo 2³² − 1.
+    #[test]
+    fn crc_shift_is_additive_and_the_reference_shift(
+        start in any::<u32>(),
+        a in any::<u32>(),
+        b in any::<u32>(),
+    ) {
+        let (a, b) = (a as usize, b as usize);
+        let whole = crc32_shift(start, a + b);
+        prop_assert_eq!(crc32_shift(crc32_shift(start, a), b), whole);
+        prop_assert_eq!(whole, reference::crc32_shift(start, a + b));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The same over lengths up to a 300 KB photograph piece, where

@@ -1,0 +1,200 @@
+//! Structure checks that run with the tests.
+//!
+//! The CI workflow gates many behaviours on a named test:
+//! `cargo test -p PKG --lib NAME` or `--test TARGET NAME`. Cargo runs
+//! zero tests and exits 0 when NAME matches nothing, so renaming or
+//! deleting a gated test silently drops its gate. These checks read
+//! `.github/workflows/ci.yml` and the source tree with `std::fs` and
+//! fail when a gate names a test target that is not a file, or a
+//! filter that no test function in its package can match.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// One `cargo test` command of the workflow.
+#[derive(Debug, Default)]
+struct Invocation {
+    line: usize,
+    /// `-p` package, `None` for the root package.
+    package: Option<String>,
+    workspace: bool,
+    /// `--test` targets.
+    targets: Vec<String>,
+    /// Name filters (before or after `--`).
+    filters: Vec<String>,
+}
+
+/// Every `cargo test` command in `ci.yml`, one per line.
+fn invocations(ci: &str) -> Vec<Invocation> {
+    let mut out = Vec::new();
+    for (i, line) in ci.lines().enumerate() {
+        let Some(at) = line.find("cargo test").filter(|_| !line.trim_start().starts_with('#')) else {
+            continue;
+        };
+        let mut inv = Invocation { line: i + 1, ..Invocation::default() };
+        let mut tokens = line[at + "cargo test".len()..].split_whitespace();
+        let mut harness = false;
+        while let Some(token) = tokens.next() {
+            match token {
+                "--" => harness = true,
+                "-p" | "--package" if !harness => inv.package = tokens.next().map(str::to_owned),
+                "--test" if !harness => inv.targets.extend(tokens.next().map(str::to_owned)),
+                "--workspace" if !harness => inv.workspace = true,
+                flag if flag.starts_with('-') => {}
+                filter => inv.filters.push(filter.to_owned()),
+            }
+        }
+        out.push(inv);
+    }
+    out
+}
+
+/// `crates/NAME` for the package `thinc-NAME`; the root for the root
+/// package.
+fn package_root(inv: &Invocation) -> PathBuf {
+    match &inv.package {
+        Some(name) => {
+            let dir = name.strip_prefix("thinc-").unwrap_or_else(|| panic!("unknown package {name}"));
+            root().join("crates").join(dir)
+        }
+        None => root().to_path_buf(),
+    }
+}
+
+/// The directories whose functions a filter of `inv` can match.
+fn source_dirs(inv: &Invocation) -> Vec<PathBuf> {
+    match (inv.workspace, &inv.package) {
+        (true, _) => vec![root().join("crates"), root().join("src"), root().join("tests")],
+        (false, Some(_)) => vec![package_root(inv)],
+        (false, None) => vec![root().join("src"), root().join("tests")],
+    }
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else { return };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The identifiers that follow `keyword ` in `src` as a whole word.
+fn declared(src: &str, keyword: &str, into: &mut BTreeSet<String>) {
+    let pattern = format!("{keyword} ");
+    let mut from = 0;
+    while let Some(at) = src[from..].find(&pattern) {
+        let start = from + at;
+        from = start + pattern.len();
+        let word_start = src[..start].chars().next_back().is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
+        let name: String =
+            src[from..].chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        if word_start && !name.is_empty() {
+            into.insert(name);
+        }
+    }
+}
+
+/// Function names and module names (`mod` items, files and
+/// directories) of the packages `inv` runs.
+fn names(inv: &Invocation) -> (BTreeSet<String>, BTreeSet<String>) {
+    let mut files = Vec::new();
+    for dir in source_dirs(inv) {
+        rust_files(&dir, &mut files);
+    }
+    let (mut fns, mut mods) = (BTreeSet::new(), BTreeSet::new());
+    for file in &files {
+        let src = fs::read_to_string(file).unwrap_or_default();
+        declared(&src, "fn", &mut fns);
+        declared(&src, "mod", &mut mods);
+        let stem = file.file_stem().unwrap().to_string_lossy().into_owned();
+        mods.insert(stem);
+        if let Some(parent) = file.parent().and_then(Path::file_name) {
+            mods.insert(parent.to_string_lossy().into_owned());
+        }
+    }
+    (fns, mods)
+}
+
+/// Whether `filter` can match a test: a substring of some function
+/// name, or a `module::...::name` path whose modules exist and whose
+/// last segment, if any, is a substring of some function name.
+fn matches(filter: &str, fns: &BTreeSet<String>, mods: &BTreeSet<String>) -> bool {
+    let segments: Vec<&str> = filter.split("::").collect();
+    let (last, path) = segments.split_last().expect("split yields one segment at least");
+    path.iter().all(|m| mods.contains(*m)) && (last.is_empty() || fns.iter().any(|f| f.contains(last)))
+}
+
+fn workflow() -> String {
+    fs::read_to_string(root().join(".github/workflows/ci.yml")).expect("read ci.yml")
+}
+
+#[test]
+fn every_test_target_the_workflow_names_is_a_file() {
+    let ci = workflow();
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for inv in invocations(&ci) {
+        for target in &inv.targets {
+            let dir = package_root(&inv).join("tests");
+            let found = dir.join(format!("{target}.rs")).is_file() || dir.join(target).join("main.rs").is_file();
+            if !found {
+                missing.push(format!("ci.yml:{}: --test {target} (no {}/{target}.rs)", inv.line, dir.display()));
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "only {checked} --test targets found: is ci.yml still parsed?");
+    assert!(missing.is_empty(), "test targets gated in CI that do not exist:\n{}", missing.join("\n"));
+}
+
+#[test]
+fn every_test_filter_the_workflow_names_matches_a_test_function() {
+    let ci = workflow();
+    let mut unmatched = Vec::new();
+    let mut checked = 0;
+    for inv in invocations(&ci) {
+        if inv.filters.is_empty() {
+            continue;
+        }
+        let (fns, mods) = names(&inv);
+        for filter in &inv.filters {
+            if !matches(filter, &fns, &mods) {
+                let package = inv.package.as_deref().unwrap_or("the root package");
+                unmatched.push(format!("ci.yml:{}: `{filter}` matches no fn in {package}", inv.line));
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 25, "only {checked} filters found: is ci.yml still parsed?");
+    assert!(
+        unmatched.is_empty(),
+        "CI gates on test names that match nothing (cargo would run 0 tests and pass):\n{}",
+        unmatched.join("\n")
+    );
+}
+
+#[test]
+fn the_parser_reads_targets_and_filters_on_both_sides_of_the_separator() {
+    let ci = "run: cargo test --release -p thinc-core --lib -- a b\n  cargo test --test scheduler_correctness c\n";
+    let invs = invocations(ci);
+    assert_eq!(invs.len(), 2);
+    assert_eq!(invs[0].package.as_deref(), Some("thinc-core"));
+    assert_eq!(invs[0].filters, ["a", "b"]);
+    assert_eq!((invs[1].package.as_deref(), &invs[1].targets[..]), (None, &["scheduler_correctness".to_owned()][..]));
+    assert_eq!(invs[1].filters, ["c"]);
+    let fns: BTreeSet<String> = ["a_miss_repaints".to_owned()].into();
+    let mods: BTreeSet<String> = ["scale".to_owned(), "session_of_one".to_owned()].into();
+    assert!(matches("scale::", &fns, &mods));
+    assert!(matches("session_of_one::a_miss", &fns, &mods));
+    assert!(!matches("zoom::a_miss", &fns, &mods));
+    assert!(!matches("a_hit", &fns, &mods));
+}
