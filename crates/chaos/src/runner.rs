@@ -87,82 +87,14 @@ fn silence_injected_panics() {
     });
 }
 
-/// Accumulated fault windows for one slot's current pipe epoch.
-///
-/// [`TcpPipe::set_fault_plan`] replaces the whole fault state, so
-/// composing a new window with ones already armed means rebuilding
-/// the full plan; this records everything armed since the last clean
-/// swap. `Loss` is a flat rate (active until the next quiesce);
-/// everything else is windowed.
-#[derive(Debug, Default, Clone)]
-struct PlanSpec {
-    loss: f64,
-    outages: Vec<(SimTime, SimDuration)>,
-    collapses: Vec<(SimTime, SimDuration, f64)>,
-    corruptions: Vec<(SimTime, SimDuration, f64)>,
-    reorders: Vec<(SimTime, SimDuration, f64)>,
-    dups: Vec<(SimTime, SimDuration, f64)>,
-}
-
-impl PlanSpec {
-    fn is_clean(&self) -> bool {
-        self.loss == 0.0
-            && self.outages.is_empty()
-            && self.collapses.is_empty()
-            && self.corruptions.is_empty()
-            && self.reorders.is_empty()
-            && self.dups.is_empty()
-    }
-
-    /// Latest end among all armed windows (`SimTime(0)` when none).
-    fn windows_end(&self) -> SimTime {
-        let mut end = SimTime(0);
-        for (s, l) in &self.outages {
-            end = end.max(SimTime(s.0.saturating_add(l.0)));
-        }
-        for (s, l, _) in self
-            .collapses
-            .iter()
-            .chain(&self.corruptions)
-            .chain(&self.reorders)
-            .chain(&self.dups)
-        {
-            end = end.max(SimTime(s.0.saturating_add(l.0)));
-        }
-        end
-    }
-
-    /// Rebuilds the full plan with a PRNG stream derived from the
-    /// schedule seed, the slot and the plan epoch — deterministic,
-    /// and distinct across slots and across successive swaps.
-    fn build(&self, base_seed: u64, slot: usize, epoch: u64) -> FaultPlan {
-        let derived = SplitMix64::new(
-            base_seed
-                ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ epoch.wrapping_mul(0x2545_F491_4F6C_DD1D),
-        )
-        .next_u64();
-        let mut plan = FaultPlan::seeded(derived);
-        if self.loss > 0.0 {
-            plan = plan.with_loss(self.loss);
-        }
-        for (s, l) in &self.outages {
-            plan = plan.with_outage(*s, *l);
-        }
-        for (s, l, f) in &self.collapses {
-            plan = plan.with_collapse(*s, *l, *f);
-        }
-        for (s, l, r) in &self.corruptions {
-            plan = plan.with_corruption(*s, *l, *r);
-        }
-        for (s, l, r) in &self.reorders {
-            plan = plan.with_reorder(*s, *l, *r);
-        }
-        for (s, l, r) in &self.dups {
-            plan = plan.with_duplication(*s, *l, *r);
-        }
-        plan
-    }
+/// The latest end among `plan`'s windows (`SimTime(0)` when none).
+fn windows_end(plan: &FaultPlan) -> SimTime {
+    let ends = plan.outages.iter().map(|w| w.end);
+    let ends = ends.chain(plan.collapses.iter().map(|c| c.window.end));
+    let ends = ends.chain(plan.corruption.iter().map(|c| c.window.end));
+    let ends = ends.chain(plan.reorder.iter().map(|r| r.window.end));
+    let ends = ends.chain(plan.duplication.iter().map(|d| d.window.end));
+    ends.max().unwrap_or(SimTime(0))
 }
 
 /// One chaos slot: a stable index onto a (possibly re-issued)
@@ -178,7 +110,12 @@ struct Slot {
     connected: bool,
     disconnected_at: Option<SimTime>,
     stream: StreamClient,
-    plan: PlanSpec,
+    /// Every fault armed on the slot's pipe since the last clean swap.
+    /// [`TcpPipe::set_fault_plan`] replaces the whole fault state, so a
+    /// new window is added here and the whole plan re-armed. `Loss` is
+    /// a flat rate (active until the next quiesce); everything else is
+    /// windowed.
+    plan: FaultPlan,
     plan_epoch: u64,
     /// Everything counted by the slot's detached incarnations,
     /// replaced client streams and replaced pipe plans (a plan swap
@@ -575,7 +512,7 @@ impl Runner {
             connected: true,
             disconnected_at: None,
             stream,
-            plan: PlanSpec::default(),
+            plan: FaultPlan::default(),
             plan_epoch: 0,
             history: SlotCounters::default(),
             buffer_base: BufferStats::default(),
@@ -626,8 +563,8 @@ impl Runner {
             return;
         };
         self.deliver_held(si);
-        self.slots[si].plan.outages.push((self.now, FOREVER));
-        self.rearm_plan(si);
+        let now = self.now;
+        self.arm(si, |plan| plan.with_outage(now, FOREVER));
         self.slots[si].connected = false;
         self.slots[si].disconnected_at = Some(self.now);
         self.slots[si].outage_excused = true;
@@ -684,7 +621,7 @@ impl Runner {
         s.connected = true;
         s.disconnected_at = None;
         s.stream = stream;
-        s.plan = PlanSpec::default();
+        s.plan = FaultPlan::default();
         s.plan_epoch += 1;
         s.buffer_base = BufferStats::default();
         s.mirror_intact = true;
@@ -721,24 +658,20 @@ impl Runner {
         let start = self.now + SimDuration::from_millis(u64::from(offset_ms.min(60_000)));
         let len = SimDuration::from_millis(u64::from(len_ms.clamp(1, 60_000)));
         let rate = f64::from(rate_pct.clamp(1, 100)) / 100.0;
-        {
-            let spec = &mut self.slots[si].plan;
-            match kind {
-                FaultKind::Loss => spec.loss = rate.min(0.5),
-                FaultKind::Outage => spec.outages.push((start, len)),
-                FaultKind::Collapse => spec.collapses.push((start, len, rate)),
-                FaultKind::Corruption => spec.corruptions.push((start, len, rate)),
-                FaultKind::Reorder => spec.reorders.push((start, len, rate)),
-                FaultKind::Duplicate => spec.dups.push((start, len, rate)),
-            }
-        }
         if matches!(kind, FaultKind::Outage | FaultKind::Collapse) {
             // Starved links can silence pings past the timeout; a
             // Dead verdict under these windows is expected physics.
             self.slots[si].outage_excused = true;
         }
         self.deliver_held(si);
-        self.rearm_plan(si);
+        self.arm(si, |plan| match kind {
+            FaultKind::Loss => plan.with_loss(rate.min(0.5)),
+            FaultKind::Outage => plan.with_outage(start, len),
+            FaultKind::Collapse => plan.with_collapse(start, len, rate),
+            FaultKind::Corruption => plan.with_corruption(start, len, rate),
+            FaultKind::Reorder => plan.with_reorder(start, len, rate),
+            FaultKind::Duplicate => plan.with_duplication(start, len, rate),
+        });
     }
 
     /// Feeds the client anything a reorder window still holds on its
@@ -785,18 +718,27 @@ impl Runner {
         if let Some(link) = self.manager.link_mut(self.slots[si].id) {
             *link = fresh_link();
         }
-        self.slots[si].plan = PlanSpec::default();
+        self.slots[si].plan = FaultPlan::default();
         self.slots[si].plan_epoch += 1;
     }
 
-    /// Installs the slot's accumulated plan on its pipe.
-    fn rearm_plan(&mut self, si: usize) {
+    /// Replaces the slot's plan with `with(plan)` and installs it
+    /// on the pipe with a PRNG stream derived from the schedule seed,
+    /// the slot and the plan epoch: deterministic, and distinct across
+    /// slots and across successive swaps.
+    fn arm(&mut self, si: usize, with: impl FnOnce(FaultPlan) -> FaultPlan) {
         self.fold_stats(si);
         let slot = &mut self.slots[si];
+        slot.plan = with(std::mem::take(&mut slot.plan));
         slot.plan_epoch += 1;
-        let plan = slot.plan.build(self.seed, si, slot.plan_epoch);
+        let seed = SplitMix64::new(
+            self.seed
+                ^ (si as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ slot.plan_epoch.wrapping_mul(0x2545_F491_4F6C_DD1D),
+        )
+        .next_u64();
         if let Some(link) = self.manager.link_mut(slot.id) {
-            link.0.set_fault_plan(plan);
+            link.0.set_fault_plan(slot.plan.reseeded(seed));
         }
     }
 
@@ -924,7 +866,7 @@ impl Runner {
         let mut horizon = SimTime(0);
         for s in &self.slots {
             if s.connected {
-                horizon = horizon.max(s.plan.windows_end());
+                horizon = horizon.max(windows_end(&s.plan));
             }
         }
         let target = horizon.max(self.now) + SimDuration::from_millis(50);
@@ -934,10 +876,9 @@ impl Runner {
         }
         // 2. Swap every connected slot to a clean plan.
         for si in 0..self.slots.len() {
-            if self.slots[si].connected && !self.slots[si].plan.is_clean() {
+            if self.slots[si].connected && !self.slots[si].plan.is_noop() {
                 self.deliver_held(si);
-                self.slots[si].plan = PlanSpec::default();
-                self.rearm_plan(si);
+                self.arm(si, |_| FaultPlan::default());
             }
         }
         // 3. A connected slot starved dead by its own fault windows
