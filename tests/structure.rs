@@ -7,6 +7,9 @@
 //! `.github/workflows/ci.yml` and the source tree with `std::fs` and
 //! fail when a gate names a test target that is not a file, or a
 //! filter that no test function in its package can match.
+//!
+//! They also hold deletions: a name that must not come back. Each
+//! needle is built with `concat!`, so this file does not match itself.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -75,13 +78,14 @@ fn source_dirs(inv: &Invocation) -> Vec<PathBuf> {
     }
 }
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every file under `dir`, recursively.
+fn files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
         let path = entry.path();
         if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            files(&path, out);
+        } else {
             out.push(path);
         }
     }
@@ -106,12 +110,12 @@ fn declared(src: &str, keyword: &str, into: &mut BTreeSet<String>) {
 /// Function names and module names (`mod` items, files and
 /// directories) of the packages `inv` runs.
 fn names(inv: &Invocation) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut files = Vec::new();
+    let mut all = Vec::new();
     for dir in source_dirs(inv) {
-        rust_files(&dir, &mut files);
+        files(&dir, &mut all);
     }
     let (mut fns, mut mods) = (BTreeSet::new(), BTreeSet::new());
-    for file in &files {
+    for file in all.iter().filter(|f| f.extension().is_some_and(|e| e == "rs")) {
         let src = fs::read_to_string(file).unwrap_or_default();
         declared(&src, "fn", &mut fns);
         declared(&src, "mod", &mut mods);
@@ -197,4 +201,49 @@ fn the_parser_reads_targets_and_filters_on_both_sides_of_the_separator() {
     assert!(matches("session_of_one::a_miss", &fns, &mods));
     assert!(!matches("zoom::a_miss", &fns, &mods));
     assert!(!matches("a_hit", &fns, &mods));
+}
+
+/// Every line of `paths` that contains one of `needles`, as
+/// `path:line: text`.
+fn lines_naming(paths: &[PathBuf], needles: &[&str]) -> Vec<String> {
+    let mut hits = Vec::new();
+    for path in paths {
+        let bytes = fs::read(path).unwrap_or_default();
+        for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+            if needles.iter().any(|n| line.contains(n)) {
+                let shown = path.strip_prefix(root()).unwrap_or(path).display();
+                hits.push(format!("{shown}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
+#[test]
+fn the_report_replays_schedules_and_figures_builds_no_session() {
+    let figures = [root().join("crates/bench/src/bin/figures.rs")];
+    assert!(figures[0].is_file(), "no {}", figures[0].display());
+    let hits = lines_naming(&figures, &[concat!("Shared", "Session"), concat!("Sharded", "Manager")]);
+    assert!(
+        hits.is_empty(),
+        "PR 39 made the telemetry report's hostile-WAN and failover sections and the fan-out figure \
+         replay checked-in chaos schedules through thinc_chaos::run; figures builds a session by hand again:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_viewer_path_and_no_second_client() {
+    let mut all = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        files(&root().join(dir), &mut all);
+    }
+    assert!(all.len() >= 100, "only {} files under crates, tests and examples", all.len());
+    let hits = lines_naming(&all, &[concat!("Headless", "Client"), concat!("Hardware", "Caps")]);
+    assert!(
+        hits.is_empty(),
+        "PR 30 gave the harness one viewer, a StreamClient fed the wire through pump_wire; a \
+         message-level second client or a second hardware capability set is back:\n{}",
+        hits.join("\n")
+    );
 }
