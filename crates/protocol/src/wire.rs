@@ -728,8 +728,19 @@ pub fn decode_message(data: &[u8]) -> Result<(Message, usize), DecodeError> {
     if data.len() < LEGACY_HEADER_LEN + len {
         return Err(DecodeError::Truncated);
     }
-    let msg = decode_payload(tag, &data[LEGACY_HEADER_LEN..LEGACY_HEADER_LEN + len])?;
+    let msg = decode_payload(tag, &data[LEGACY_HEADER_LEN..LEGACY_HEADER_LEN + len])
+        .map_err(short_body_is_damage)?;
     Ok((msg, LEGACY_HEADER_LEN + len))
+}
+
+/// Inside a frame that is all here, a body too short for its layout is
+/// damage: no further bytes can complete it, so waiting would wedge
+/// the reader on it.
+fn short_body_is_damage(e: DecodeError) -> DecodeError {
+    match e {
+        DecodeError::Truncated => DecodeError::Malformed("body shorter than its layout"),
+        e => e,
+    }
 }
 
 /// Decodes a message body given its (already validated) type byte.
@@ -1262,7 +1273,8 @@ impl FrameReader {
                 self.last_seq = Some(seq);
                 self.first_seq = Some(seq);
             }
-            let msg = decode_payload(tag, &buf[INTEGRITY_HEADER_LEN..total])?;
+            let msg = decode_payload(tag, &buf[INTEGRITY_HEADER_LEN..total])
+                .map_err(short_body_is_damage)?;
             self.start += total;
             return Ok(Some(msg));
         }
@@ -1467,8 +1479,9 @@ mod tests {
     #[test]
     fn truncated_av_payloads_are_typed_errors() {
         // A video or audio frame cut anywhere waits for more bytes,
-        // and a body whose inner length field promises more than the
-        // frame holds is refused before anything is sized from it.
+        // and a complete frame whose inner length field promises more
+        // than the frame holds is damage, refused before anything is
+        // sized from it.
         for msg in sample_messages() {
             let (Message::VideoData { data, .. } | Message::Audio { data, .. }) = &msg else {
                 continue;
@@ -1480,14 +1493,54 @@ mod tests {
             let at = enc.len() - data.len() - 4;
             let mut lying = enc.clone();
             lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert_eq!(decode_message(&lying), Err(DecodeError::Truncated));
+            assert!(matches!(decode_message(&lying), Err(DecodeError::Malformed(_))));
             // Cutting the frame short of its declared payload: the
             // outer length is honest, the inner one now overruns it.
             let mut short = enc[..enc.len() - 1].to_vec();
             let outer = (short.len() - LEGACY_HEADER_LEN) as u32;
             short[1..5].copy_from_slice(&outer.to_le_bytes());
-            assert_eq!(decode_message(&short), Err(DecodeError::Truncated));
+            assert!(matches!(decode_message(&short), Err(DecodeError::Malformed(_))));
         }
+    }
+
+    #[test]
+    fn a_complete_frame_too_short_for_its_layout_is_damage() {
+        // A frame that is all here but whose body is shorter than its
+        // layout can never decode: waiting for more bytes would wedge
+        // the reader on it, so it is damage and the reader resyncs.
+        let ping = Message::Ping {
+            seq: 1,
+            timestamp_us: 2,
+        };
+        let drain = |reader: &mut FrameReader| {
+            let mut got = Vec::new();
+            for _ in 0..100 {
+                match reader.next_message() {
+                    Ok(Some(msg)) => got.push(msg),
+                    Ok(None) => break,
+                    Err(_) => assert!(reader.resync() > 0),
+                }
+            }
+            got
+        };
+        let mut legacy = FrameReader::new();
+        legacy.feed(&[MSG_SERVER_HELLO, 3, 0, 0, 0, 9, 9, 9]);
+        legacy.feed(&encode_message(&ping));
+        assert!(matches!(legacy.next_message(), Err(DecodeError::Malformed(_))));
+        let mut legacy = FrameReader::new();
+        legacy.feed(&[MSG_SERVER_HELLO, 3, 0, 0, 0, 0xEE, 0xEE, 0xEE]);
+        legacy.feed(&encode_message(&ping));
+        assert_eq!(drain(&mut legacy), [ping.clone()]);
+        // A revision-3 frame whose tag was flipped to a handshake tag
+        // reads as a legacy frame whose body is its seq and CRC.
+        let mut enc = FrameEncoder::with_revision(WIRE_REV_CACHE);
+        let mut flipped = enc.encode(&Message::CacheRef { hash: 0 });
+        flipped[0] = MSG_SERVER_HELLO;
+        let mut reader = FrameReader::with_revision(WIRE_REV_CACHE);
+        reader.feed(&flipped);
+        assert!(matches!(reader.next_message(), Err(DecodeError::Malformed(_))));
+        reader.feed(&enc.encode(&ping));
+        assert_eq!(drain(&mut reader), [ping]);
     }
 
     #[test]
