@@ -88,11 +88,6 @@ pub enum DisplayCommand {
 /// length prefix + command type byte).
 pub const COMMAND_HEADER_BYTES: u64 = 6;
 
-/// Bytes of a serialized rectangle.
-pub(crate) const RECT_BYTES: u64 = 16;
-/// Bytes of a serialized color.
-const COLOR_BYTES: u64 = 4;
-
 impl DisplayCommand {
     /// The on-screen rectangle this command writes.
     pub fn dest_rect(&self) -> Rect {
@@ -109,20 +104,11 @@ impl DisplayCommand {
         }
     }
 
-    /// The wire size of the command in bytes — the SRSF scheduling key.
+    /// The wire size of the command in bytes — the SRSF scheduling key:
+    /// its revision-1 frame's length, by arithmetic over its layout
+    /// (`crate::wire`).
     pub fn wire_size(&self) -> u64 {
-        COMMAND_HEADER_BYTES
-            + match self {
-                DisplayCommand::Raw { data, .. } => RECT_BYTES + 1 + 4 + data.len() as u64,
-                DisplayCommand::Copy { .. } => RECT_BYTES + 8,
-                DisplayCommand::Sfill { .. } => RECT_BYTES + COLOR_BYTES,
-                DisplayCommand::Pfill { tile, .. } => {
-                    RECT_BYTES + 8 + 4 + tile.pixels.len() as u64
-                }
-                DisplayCommand::Bitmap { bits, bg, .. } => {
-                    RECT_BYTES + COLOR_BYTES + 1 + bg.map_or(0, |_| COLOR_BYTES) + 4 + bits.len() as u64
-                }
-            }
+        crate::wire::command_len(self)
     }
 
     /// Short command name, for traces and reports.

@@ -245,21 +245,6 @@ impl Message {
         crate::wire::encoded_len(self)
     }
 
-    /// Whether this message flows server → client.
-    pub fn is_downstream(&self) -> bool {
-        !matches!(
-            self,
-            Message::ClientHello { .. }
-                | Message::Input(_)
-                | Message::Resize { .. }
-                | Message::SetView { .. }
-                | Message::Pong { .. }
-                | Message::RefreshRequest { .. }
-                | Message::CacheMiss { .. }
-                | Message::SessionResume { .. }
-        )
-    }
-
     /// The content-cache key for this message — the *name* a
     /// `CacheRef` carries: FNV-1a 64 of its final revision-1 frame —
     /// or `None` if it is not cacheable: only a `RAW`, `PFILL` or
@@ -273,43 +258,5 @@ impl Message {
     /// the process ([`crate::cache::ContentStore`]).
     pub fn cache_key(&self) -> Option<u64> {
         crate::cache::cacheable(self).map(crate::wire::display_frame_fnv)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn directionality() {
-        assert!(Message::ServerHello {
-            version: 1,
-            width: 1024,
-            height: 768,
-            depth: 24
-        }
-        .is_downstream());
-        assert!(!Message::Input(ProtocolInput::KeyPress { key: 13 }).is_downstream());
-        assert!(!Message::Resize {
-            viewport_width: 320,
-            viewport_height: 240
-        }
-        .is_downstream());
-        assert!(!Message::RefreshRequest { attempt: 1 }.is_downstream());
-        assert!(Message::CacheRef { hash: 0xDEAD }.is_downstream());
-        assert!(!Message::CacheMiss { hash: 0xDEAD }.is_downstream());
-        assert!(!Message::SessionResume {
-            session_id: 0xFEED,
-            client_id: 3,
-            last_seq: 99,
-            store_digest: 0xBEEF
-        }
-        .is_downstream());
-        assert!(Message::Audio {
-            seq: 0,
-            timestamp_us: 0,
-            data: Bytes::default()
-        }
-        .is_downstream());
     }
 }

@@ -23,8 +23,13 @@
 //!   message because the server only substitutes refs after the
 //!   handshake lands on revision 3.
 //!
-//! The complete byte-layout reference, negotiation state machine, and
-//! message-type table live in `docs/PROTOCOL.md`.
+//! Every body's layout is declared once, as a row of a `layout!` table
+//! (the messages, the display commands and the input kinds): its tag
+//! and its fields in wire order. Encode, decode, the frame length, the
+//! known tags and the handshake class are all derived from the rows,
+//! and each field type says once how it is written, read and sized.
+//! The negotiation state machine and the message-type tables are
+//! printed in `docs/PROTOCOL.md`.
 //!
 //! Multi-byte integers are little-endian. Rectangles are
 //! `x: i32, y: i32, w: u32, h: u32`; colors are `r, g, b, a` bytes.
@@ -33,13 +38,14 @@
 //! messages (the client feeds it whatever the transport delivers),
 //! verifying checksums and sequence continuity at revision 2.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use thinc_raster::{Color, Rect, YuvFormat};
 
 use crate::commands::{DisplayCommand, RawEncoding, Tile};
 pub use crate::crc::crc32;
 use crate::crc::{crc32_shift, crc32_update};
 use crate::message::{Message, ProtocolInput};
+use crate::payload::Bytes;
 
 /// Upper bound on a frame's declared payload length, in bytes.
 ///
@@ -118,411 +124,322 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Message type bytes.
-const MSG_SERVER_HELLO: u8 = 0x01;
-const MSG_CLIENT_HELLO: u8 = 0x02;
-const MSG_DISPLAY: u8 = 0x03;
-const MSG_VIDEO_INIT: u8 = 0x04;
-const MSG_VIDEO_DATA: u8 = 0x05;
-const MSG_VIDEO_MOVE: u8 = 0x06;
-const MSG_VIDEO_END: u8 = 0x07;
-const MSG_AUDIO: u8 = 0x08;
-const MSG_INPUT: u8 = 0x09;
-const MSG_RESIZE: u8 = 0x0A;
-const MSG_SET_VIEW: u8 = 0x0B;
-const MSG_CURSOR_SHAPE: u8 = 0x0C;
-const MSG_CURSOR_MOVE: u8 = 0x0D;
-const MSG_PING: u8 = 0x0E;
-const MSG_PONG: u8 = 0x0F;
-// 0x10–0x14 are display command bytes (separate namespace inside the
-// Display payload); the next free message tag sits above them.
-const MSG_REFRESH_REQUEST: u8 = 0x16;
-// Content-addressed cache messages (protocol revision 3).
-const MSG_CACHE_REF: u8 = 0x17;
-const MSG_CACHE_MISS: u8 = 0x18;
-// Warm-resume handshake extension (failover redial). Handshake-framed
-// — always revision-1 on the wire — so no protocol revision bump.
-const MSG_SESSION_RESUME: u8 = 0x19;
-
-// Display command type bytes.
-const CMD_RAW: u8 = 0x10;
-const CMD_COPY: u8 = 0x11;
-const CMD_SFILL: u8 = 0x12;
-const CMD_PFILL: u8 = 0x13;
-const CMD_BITMAP: u8 = 0x14;
-
-// Input type bytes.
-const IN_POINTER_MOVE: u8 = 0x20;
-const IN_BUTTON_PRESS: u8 = 0x21;
-const IN_BUTTON_RELEASE: u8 = 0x22;
-const IN_KEY_PRESS: u8 = 0x23;
-const IN_KEY_RELEASE: u8 = 0x24;
-
-fn put_rect(buf: &mut impl BufMut, r: &Rect) {
-    buf.put_i32_le(r.x);
-    buf.put_i32_le(r.y);
-    buf.put_u32_le(r.w);
-    buf.put_u32_le(r.h);
+/// One field of a message body: how it is written, read back and
+/// sized. A body is its fields in wire order with nothing between them,
+/// so a [`layout!`] row's field list is the whole of its layout.
+trait Field: Sized {
+    /// Appends the field's bytes.
+    fn put(&self, out: &mut impl BufMut);
+    /// Reads the field from the front of `buf`, advancing it. `buf` is
+    /// the rest of a frame that is all here, so a shortfall is damage.
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError>;
+    /// Bytes [`put`](Self::put) appends. (Not `len`, which would shadow
+    /// a [`Bytes`] payload's own length wherever the trait is in scope.)
+    fn wire_len(&self) -> u64;
 }
 
-fn get_rect(buf: &mut &[u8]) -> Result<Rect, DecodeError> {
-    if buf.remaining() < 16 {
-        return Err(DecodeError::Truncated);
-    }
-    let x = buf.get_i32_le();
-    let y = buf.get_i32_le();
-    let w = buf.get_u32_le();
-    let h = buf.get_u32_le();
-    Ok(Rect::new(x, y, w, h))
+/// A body shorter than its layout, inside a frame that is all here: no
+/// further bytes can complete it, so waiting would wedge the reader.
+const SHORT: DecodeError = DecodeError::Malformed("body shorter than its layout");
+
+/// The next `N` bytes of `buf`.
+fn take<'a, const N: usize>(buf: &mut &'a [u8]) -> Result<&'a [u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(SHORT)?;
+    *buf = rest;
+    Ok(head)
 }
 
-fn put_color(buf: &mut impl BufMut, c: Color) {
-    buf.put_u8(c.r);
-    buf.put_u8(c.g);
-    buf.put_u8(c.b);
-    buf.put_u8(c.a);
-}
-
-fn get_color(buf: &mut &[u8]) -> Result<Color, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(Color::rgba(buf.get_u8(), buf.get_u8(), buf.get_u8(), buf.get_u8()))
-}
-
-fn put_bytes(buf: &mut impl BufMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
-}
-
-fn encode_command(cmd: &DisplayCommand, buf: &mut impl BufMut) {
-    match cmd {
-        DisplayCommand::Raw { rect, encoding, data } => {
-            buf.put_u8(CMD_RAW);
-            put_rect(buf, rect);
-            buf.put_u8(match encoding {
-                RawEncoding::None => 0,
-                RawEncoding::PngLike => 1,
-            });
-            put_bytes(buf, data);
-        }
-        DisplayCommand::Copy {
-            src_rect,
-            dst_x,
-            dst_y,
-        } => {
-            buf.put_u8(CMD_COPY);
-            put_rect(buf, src_rect);
-            buf.put_i32_le(*dst_x);
-            buf.put_i32_le(*dst_y);
-        }
-        DisplayCommand::Sfill { rect, color } => {
-            buf.put_u8(CMD_SFILL);
-            put_rect(buf, rect);
-            put_color(buf, *color);
-        }
-        DisplayCommand::Pfill { rect, tile } => {
-            buf.put_u8(CMD_PFILL);
-            put_rect(buf, rect);
-            buf.put_u32_le(tile.width);
-            buf.put_u32_le(tile.height);
-            put_bytes(buf, &tile.pixels);
-        }
-        DisplayCommand::Bitmap { rect, bits, fg, bg } => {
-            buf.put_u8(CMD_BITMAP);
-            put_rect(buf, rect);
-            put_color(buf, *fg);
-            match bg {
-                Some(bg) => {
-                    buf.put_u8(1);
-                    put_color(buf, *bg);
-                }
-                None => buf.put_u8(0),
+macro_rules! int_fields {
+    ($($int:ty),+) => {$(
+        impl Field for $int {
+            fn put(&self, out: &mut impl BufMut) {
+                out.put_slice(&self.to_le_bytes());
             }
-            put_bytes(buf, bits);
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                take(buf).map(|bytes| Self::from_le_bytes(*bytes))
+            }
+            fn wire_len(&self) -> u64 {
+                std::mem::size_of::<Self>() as u64
+            }
         }
+    )+};
+}
+
+int_fields!(u8, u16, u32, i32, u64);
+
+impl Field for Rect {
+    fn put(&self, out: &mut impl BufMut) {
+        self.x.put(out);
+        self.y.put(out);
+        self.w.put(out);
+        self.h.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Rect::new(Field::get(buf)?, Field::get(buf)?, Field::get(buf)?, Field::get(buf)?))
+    }
+    fn wire_len(&self) -> u64 {
+        16
     }
 }
 
-fn decode_command(buf: &mut &[u8]) -> Result<DisplayCommand, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
+impl Field for Color {
+    fn put(&self, out: &mut impl BufMut) {
+        out.put_slice(&[self.r, self.g, self.b, self.a]);
     }
-    let tag = buf.get_u8();
-    match tag {
-        CMD_RAW => {
-            let rect = get_rect(buf)?;
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let encoding = match buf.get_u8() {
-                0 => RawEncoding::None,
-                1 => RawEncoding::PngLike,
-                _ => return Err(DecodeError::Malformed("raw encoding")),
-            };
-            let data = get_bytes(buf)?;
-            Ok(DisplayCommand::Raw {
-                rect,
-                encoding,
-                data: data.into(),
-            })
-        }
-        CMD_COPY => {
-            let src_rect = get_rect(buf)?;
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let dst_x = buf.get_i32_le();
-            let dst_y = buf.get_i32_le();
-            Ok(DisplayCommand::Copy {
-                src_rect,
-                dst_x,
-                dst_y,
-            })
-        }
-        CMD_SFILL => {
-            let rect = get_rect(buf)?;
-            let color = get_color(buf)?;
-            Ok(DisplayCommand::Sfill { rect, color })
-        }
-        CMD_PFILL => {
-            let rect = get_rect(buf)?;
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let width = buf.get_u32_le();
-            let height = buf.get_u32_le();
-            let pixels = get_bytes(buf)?;
-            Ok(DisplayCommand::Pfill {
-                rect,
-                tile: Tile {
-                    width,
-                    height,
-                    pixels,
-                },
-            })
-        }
-        CMD_BITMAP => {
-            let rect = get_rect(buf)?;
-            let fg = get_color(buf)?;
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let bg = match buf.get_u8() {
-                0 => None,
-                1 => Some(get_color(buf)?),
-                _ => return Err(DecodeError::Malformed("bitmap bg flag")),
-            };
-            let bits = get_bytes(buf)?;
-            Ok(DisplayCommand::Bitmap { rect, bits, fg, bg })
-        }
-        other => Err(DecodeError::UnknownType(other)),
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        take(buf).map(|&[r, g, b, a]| Color::rgba(r, g, b, a))
+    }
+    fn wire_len(&self) -> u64 {
+        4
     }
 }
 
-fn yuv_tag(f: YuvFormat) -> u8 {
-    match f {
-        YuvFormat::Yv12 => 0,
-        YuvFormat::Yuy2 => 1,
+/// A payload: a `u32` length, then that many bytes.
+fn put_payload(data: &[u8], out: &mut impl BufMut) {
+    (data.len() as u32).put(out);
+    out.put_slice(data);
+}
+
+impl Field for Vec<u8> {
+    fn put(&self, out: &mut impl BufMut) {
+        put_payload(self, out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let len = u32::get(buf)? as usize;
+        let (data, rest) = buf.split_at_checked(len).ok_or(SHORT)?;
+        *buf = rest;
+        Ok(data.to_vec())
+    }
+    fn wire_len(&self) -> u64 {
+        4 + self.len() as u64
     }
 }
 
-fn yuv_from_tag(t: u8) -> Result<YuvFormat, DecodeError> {
-    match t {
-        0 => Ok(YuvFormat::Yv12),
-        1 => Ok(YuvFormat::Yuy2),
-        _ => Err(DecodeError::Malformed("yuv format")),
+/// Laid out as a `Vec<u8>`; decoding copies the bytes into a new
+/// allocation.
+impl Field for Bytes {
+    fn put(&self, out: &mut impl BufMut) {
+        put_payload(self, out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Vec::get(buf).map(Bytes::from)
+    }
+    fn wire_len(&self) -> u64 {
+        4 + self.len() as u64
     }
 }
 
-/// Appends `msg`'s body bytes to `out` and returns its type tag.
-///
-/// This is the shared payload serializer behind both framings; the
-/// caller reserves header space first and patches it afterwards, so
-/// one reusable buffer serves every encode with zero per-call
-/// allocations once warm.
-fn encode_body(msg: &Message, payload: &mut Vec<u8>) -> u8 {
-    match msg {
-        Message::ServerHello {
-            version,
-            width,
-            height,
-            depth,
-        } => {
-            payload.put_u16_le(*version);
-            payload.put_u32_le(*width);
-            payload.put_u32_le(*height);
-            payload.put_u8(*depth);
-            MSG_SERVER_HELLO
+/// A flag byte (0 or 1), then the color if it is 1.
+impl Field for Option<Color> {
+    fn put(&self, out: &mut impl BufMut) {
+        u8::from(self.is_some()).put(out);
+        if let Some(color) = self {
+            color.put(out);
         }
-        Message::ClientHello {
-            version,
-            viewport_width,
-            viewport_height,
-        } => {
-            payload.put_u16_le(*version);
-            payload.put_u32_le(*viewport_width);
-            payload.put_u32_le(*viewport_height);
-            MSG_CLIENT_HELLO
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        match u8::get(buf)? {
+            0 => Ok(None),
+            1 => Color::get(buf).map(Some),
+            _ => Err(DecodeError::Malformed("bitmap bg flag")),
         }
-        Message::Display(cmd) => {
-            encode_command(cmd, payload);
-            MSG_DISPLAY
-        }
-        Message::VideoInit {
-            id,
-            format,
-            src_width,
-            src_height,
-            dst,
-        } => {
-            payload.put_u32_le(*id);
-            payload.put_u8(yuv_tag(*format));
-            payload.put_u32_le(*src_width);
-            payload.put_u32_le(*src_height);
-            put_rect(payload, dst);
-            MSG_VIDEO_INIT
-        }
-        Message::VideoData {
-            id,
-            seq,
-            timestamp_us,
-            data,
-        } => {
-            payload.put_u32_le(*id);
-            payload.put_u32_le(*seq);
-            payload.put_u64_le(*timestamp_us);
-            put_bytes(payload, data);
-            MSG_VIDEO_DATA
-        }
-        Message::VideoMove { id, dst } => {
-            payload.put_u32_le(*id);
-            put_rect(payload, dst);
-            MSG_VIDEO_MOVE
-        }
-        Message::VideoEnd { id } => {
-            payload.put_u32_le(*id);
-            MSG_VIDEO_END
-        }
-        Message::Audio {
-            seq,
-            timestamp_us,
-            data,
-        } => {
-            payload.put_u32_le(*seq);
-            payload.put_u64_le(*timestamp_us);
-            put_bytes(payload, data);
-            MSG_AUDIO
-        }
-        Message::Input(input) => {
-            match input {
-                ProtocolInput::PointerMove { x, y } => {
-                    payload.put_u8(IN_POINTER_MOVE);
-                    payload.put_i32_le(*x);
-                    payload.put_i32_le(*y);
-                }
-                ProtocolInput::ButtonPress { x, y, button } => {
-                    payload.put_u8(IN_BUTTON_PRESS);
-                    payload.put_i32_le(*x);
-                    payload.put_i32_le(*y);
-                    payload.put_u8(*button);
-                }
-                ProtocolInput::ButtonRelease { x, y, button } => {
-                    payload.put_u8(IN_BUTTON_RELEASE);
-                    payload.put_i32_le(*x);
-                    payload.put_i32_le(*y);
-                    payload.put_u8(*button);
-                }
-                ProtocolInput::KeyPress { key } => {
-                    payload.put_u8(IN_KEY_PRESS);
-                    payload.put_u32_le(*key);
-                }
-                ProtocolInput::KeyRelease { key } => {
-                    payload.put_u8(IN_KEY_RELEASE);
-                    payload.put_u32_le(*key);
+    }
+    fn wire_len(&self) -> u64 {
+        1 + self.map_or(0, |color| color.wire_len())
+    }
+}
+
+impl Field for Tile {
+    fn put(&self, out: &mut impl BufMut) {
+        self.width.put(out);
+        self.height.put(out);
+        self.pixels.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Tile {
+            width: Field::get(buf)?,
+            height: Field::get(buf)?,
+            pixels: Field::get(buf)?,
+        })
+    }
+    fn wire_len(&self) -> u64 {
+        8 + Field::wire_len(&self.pixels)
+    }
+}
+
+/// A one-byte code per variant.
+macro_rules! code_fields {
+    ($($ty:ident ($what:literal) { $($code:literal => $variant:ident),+ })+) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut impl BufMut) {
+                out.put_u8(match self { $($ty::$variant => $code),+ });
+            }
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                match u8::get(buf)? {
+                    $($code => Ok($ty::$variant),)+
+                    _ => Err(DecodeError::Malformed($what)),
                 }
             }
-            MSG_INPUT
+            fn wire_len(&self) -> u64 {
+                1
+            }
         }
-        Message::Resize {
-            viewport_width,
-            viewport_height,
-        } => {
-            payload.put_u32_le(*viewport_width);
-            payload.put_u32_le(*viewport_height);
-            MSG_RESIZE
-        }
-        Message::SetView { view } => {
-            put_rect(payload, view);
-            MSG_SET_VIEW
-        }
-        Message::CursorShape {
-            width,
-            height,
-            hot_x,
-            hot_y,
-            pixels,
-        } => {
-            payload.put_u32_le(*width);
-            payload.put_u32_le(*height);
-            payload.put_i32_le(*hot_x);
-            payload.put_i32_le(*hot_y);
-            put_bytes(payload, pixels);
-            MSG_CURSOR_SHAPE
-        }
-        Message::CursorMove { x, y } => {
-            payload.put_i32_le(*x);
-            payload.put_i32_le(*y);
-            MSG_CURSOR_MOVE
-        }
-        Message::Ping { seq, timestamp_us } => {
-            payload.put_u32_le(*seq);
-            payload.put_u64_le(*timestamp_us);
-            MSG_PING
-        }
-        Message::Pong { seq, timestamp_us } => {
-            payload.put_u32_le(*seq);
-            payload.put_u64_le(*timestamp_us);
-            MSG_PONG
-        }
-        Message::RefreshRequest { attempt } => {
-            payload.put_u32_le(*attempt);
-            MSG_REFRESH_REQUEST
-        }
-        Message::CacheRef { hash } => {
-            payload.put_u64_le(*hash);
-            MSG_CACHE_REF
-        }
-        Message::CacheMiss { hash } => {
-            payload.put_u64_le(*hash);
-            MSG_CACHE_MISS
-        }
-        Message::SessionResume {
-            session_id,
-            client_id,
-            last_seq,
-            store_digest,
-        } => {
-            payload.put_u64_le(*session_id);
-            payload.put_u32_le(*client_id);
-            payload.put_u32_le(*last_seq);
-            payload.put_u64_le(*store_digest);
-            MSG_SESSION_RESUME
-        }
+    )+};
+}
+
+code_fields! {
+    YuvFormat ("yuv format") { 0 => Yv12, 1 => Yuy2 }
+    RawEncoding ("raw encoding") { 0 => None, 1 => PngLike }
+}
+
+/// What a [`layout!`] table derives for its enum.
+trait Layout: Sized {
+    /// Every row's tag and the name of its constant, in row order.
+    #[cfg(test)]
+    const TAGS: &'static [(u8, &'static str)];
+    /// The variant's tag.
+    fn tag(&self) -> u8;
+    /// Appends the variant's fields in wire order.
+    fn put_body(&self, out: &mut impl BufMut);
+    /// Bytes [`put_body`](Self::put_body) appends.
+    fn body_len(&self) -> u64;
+    /// Reads the fields of the variant `tag` names.
+    fn get_body(tag: u8, buf: &mut &[u8]) -> Result<Self, DecodeError>;
+    /// Whether `tag` is a row of the table.
+    fn known(tag: u8) -> bool;
+    /// Whether `tag`'s row is a handshake message, which keeps
+    /// revision-1 framing at every negotiated revision (it must be
+    /// decodable before the revision is known).
+    fn handshake(tag: u8) -> bool;
+}
+
+/// A nested table is a field: its tag byte, then the variant's body.
+impl<T: Layout> Field for T {
+    fn put(&self, out: &mut impl BufMut) {
+        self.tag().put(out);
+        self.put_body(out);
     }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let tag = u8::get(buf)?;
+        Self::get_body(tag, buf)
+    }
+    fn wire_len(&self) -> u64 {
+        1 + self.body_len()
+    }
+}
+
+/// Declares an enum's wire layout, one row per variant: the tag
+/// constant and its byte, the variant, and its fields in wire order (a
+/// tuple variant holds one field, a nested table). A row that ends in
+/// `handshake` is one. Encode, decode, size, the known tags and the
+/// handshake class are all derived from the rows.
+macro_rules! layout {
+    ($ty:ident {
+        $($tag:ident = $byte:literal => $variant:ident
+            $({ $($field:ident),* })? $(($inner:ident))? $($handshake:ident)?,)+
+    }) => {
+        $(const $tag: u8 = $byte;)+
+
+        impl Layout for $ty {
+            #[cfg(test)]
+            const TAGS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($tag))),+];
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $($ty::$variant { .. } => $tag,)+
+                }
+            }
+
+            fn put_body(&self, out: &mut impl BufMut) {
+                match self {
+                    $($ty::$variant { $($($field,)*)? $(0: $inner)? } => {
+                        $($($field.put(out);)*)?
+                        $($inner.put(out);)?
+                    })+
+                }
+            }
+
+            fn body_len(&self) -> u64 {
+                match self {
+                    $($ty::$variant { $($($field,)*)? $(0: $inner)? } => {
+                        0 $($(+ Field::wire_len($field))*)? $(+ Field::wire_len($inner))?
+                    })+
+                }
+            }
+
+            fn get_body(tag: u8, buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                match tag {
+                    $($tag => {
+                        $($(let $field = Field::get(buf)?;)*)?
+                        $(let $inner = Field::get(buf)?;)?
+                        Ok($ty::$variant { $($($field,)*)? $(0: $inner)? })
+                    })+
+                    other => Err(DecodeError::UnknownType(other)),
+                }
+            }
+
+            fn known(tag: u8) -> bool {
+                matches!(tag, $($tag)|+)
+            }
+
+            fn handshake(tag: u8) -> bool {
+                match tag {
+                    $($tag => layout!(@handshake $($handshake)?),)+
+                    _ => false,
+                }
+            }
+        }
+    };
+    (@handshake) => { false };
+    (@handshake handshake) => { true };
+}
+
+// Message tags. 0x10–0x14 are display command bytes (a separate
+// namespace inside the Display body); the next free message tag sits
+// above them. The cache pair is revision 3; the warm-resume token is
+// handshake-framed, so it needed no revision.
+layout!(Message {
+    MSG_SERVER_HELLO = 0x01 => ServerHello { version, width, height, depth } handshake,
+    MSG_CLIENT_HELLO = 0x02 => ClientHello { version, viewport_width, viewport_height } handshake,
+    MSG_DISPLAY = 0x03 => Display(cmd),
+    MSG_VIDEO_INIT = 0x04 => VideoInit { id, format, src_width, src_height, dst },
+    MSG_VIDEO_DATA = 0x05 => VideoData { id, seq, timestamp_us, data },
+    MSG_VIDEO_MOVE = 0x06 => VideoMove { id, dst },
+    MSG_VIDEO_END = 0x07 => VideoEnd { id },
+    MSG_AUDIO = 0x08 => Audio { seq, timestamp_us, data },
+    MSG_INPUT = 0x09 => Input(input),
+    MSG_RESIZE = 0x0A => Resize { viewport_width, viewport_height },
+    MSG_SET_VIEW = 0x0B => SetView { view },
+    MSG_CURSOR_SHAPE = 0x0C => CursorShape { width, height, hot_x, hot_y, pixels },
+    MSG_CURSOR_MOVE = 0x0D => CursorMove { x, y },
+    MSG_PING = 0x0E => Ping { seq, timestamp_us },
+    MSG_PONG = 0x0F => Pong { seq, timestamp_us },
+    MSG_REFRESH_REQUEST = 0x16 => RefreshRequest { attempt },
+    MSG_CACHE_REF = 0x17 => CacheRef { hash },
+    MSG_CACHE_MISS = 0x18 => CacheMiss { hash },
+    MSG_SESSION_RESUME = 0x19 => SessionResume { session_id, client_id, last_seq, store_digest } handshake,
+});
+
+layout!(DisplayCommand {
+    CMD_RAW = 0x10 => Raw { rect, encoding, data },
+    CMD_COPY = 0x11 => Copy { src_rect, dst_x, dst_y },
+    CMD_SFILL = 0x12 => Sfill { rect, color },
+    CMD_PFILL = 0x13 => Pfill { rect, tile },
+    CMD_BITMAP = 0x14 => Bitmap { rect, fg, bg, bits },
+});
+
+layout!(ProtocolInput {
+    IN_POINTER_MOVE = 0x20 => PointerMove { x, y },
+    IN_BUTTON_PRESS = 0x21 => ButtonPress { x, y, button },
+    IN_BUTTON_RELEASE = 0x22 => ButtonRelease { x, y, button },
+    IN_KEY_PRESS = 0x23 => KeyPress { key },
+    IN_KEY_RELEASE = 0x24 => KeyRelease { key },
+});
+
+/// The revision-1 frame length of a display command, the scheduler's
+/// size key: header, command tag and body.
+pub(crate) fn command_len(cmd: &DisplayCommand) -> u64 {
+    LEGACY_HEADER_LEN as u64 + Field::wire_len(cmd)
 }
 
 /// An empty vector that `msg`'s frame fills exactly.
@@ -544,11 +461,18 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
 /// message. (To size a frame or key it, ask [`Message::wire_size`] and
 /// [`Message::cache_key`]: neither builds it.)
 pub fn encode_message_into(msg: &Message, out: &mut Vec<u8>) {
+    frame_into(msg, LEGACY_HEADER_LEN, out);
+}
+
+/// Writes `msg`'s frame into `out` (cleared first) behind a
+/// `header_len`-byte header whose tag and payload length are filled in
+/// and whose other bytes are zero.
+fn frame_into(msg: &Message, header_len: usize, out: &mut Vec<u8>) {
     out.clear();
-    out.resize(LEGACY_HEADER_LEN, 0);
-    let tag = encode_body(msg, out);
-    let len = (out.len() - LEGACY_HEADER_LEN) as u32;
-    out[0] = tag;
+    out.resize(header_len, 0);
+    msg.put_body(out);
+    let len = (out.len() - header_len) as u32;
+    out[0] = msg.tag();
     out[1..5].copy_from_slice(&len.to_le_bytes());
 }
 
@@ -573,9 +497,9 @@ fn display_frame_head(cmd: &DisplayCommand) -> (u64, &[u8]) {
         DisplayCommand::Copy { .. } | DisplayCommand::Sfill { .. } => &[],
     };
     let mut head = Head(crate::hash::FNV64_OFFSET, cmd.wire_size() as usize - payload.len());
-    head.put_u8(MSG_DISPLAY);
-    head.put_u32_le((cmd.wire_size() - LEGACY_HEADER_LEN as u64) as u32);
-    encode_command(cmd, &mut head);
+    MSG_DISPLAY.put(&mut head);
+    (Field::wire_len(cmd) as u32).put(&mut head);
+    cmd.put(&mut head);
     (head.0, payload)
 }
 
@@ -609,36 +533,12 @@ pub(crate) fn display_frame_id(cmd: &DisplayCommand) -> u64 {
 }
 
 /// The revision-1 encoded length of a message, by arithmetic: the
-/// header, the body's fixed fields, and the one length-prefixed field
-/// a body can end in. Nothing is encoded, so sizing a frame costs the
-/// same whatever it carries (`wire_size_is_the_encoded_length` holds
-/// it to [`encode_message`] for every variant).
+/// header and the sum of the body's field lengths. Nothing is encoded,
+/// so sizing a frame costs the same whatever it carries
+/// (`wire_size_is_the_encoded_length` holds it to [`encode_message`]
+/// for every variant).
 pub fn encoded_len(msg: &Message) -> u64 {
-    const RECT: u64 = crate::commands::RECT_BYTES;
-    let prefixed = |data: &[u8]| 4 + data.len() as u64;
-    let body = match msg {
-        // Counts its own header, as the scheduler's size key must.
-        Message::Display(cmd) => return cmd.wire_size(),
-        Message::ServerHello { .. } => 11,
-        Message::ClientHello { .. } => 10,
-        Message::VideoInit { .. } => 13 + RECT,
-        Message::VideoData { data, .. } => 16 + prefixed(data),
-        Message::VideoMove { .. } => 4 + RECT,
-        Message::VideoEnd { .. } | Message::RefreshRequest { .. } => 4,
-        Message::Audio { data, .. } => 12 + prefixed(data),
-        Message::Input(ProtocolInput::PointerMove { .. }) => 9,
-        Message::Input(
-            ProtocolInput::ButtonPress { .. } | ProtocolInput::ButtonRelease { .. },
-        ) => 10,
-        Message::Input(ProtocolInput::KeyPress { .. } | ProtocolInput::KeyRelease { .. }) => 5,
-        Message::Resize { .. } | Message::CursorMove { .. } => 8,
-        Message::SetView { .. } => RECT,
-        Message::CursorShape { pixels, .. } => 16 + prefixed(pixels),
-        Message::Ping { .. } | Message::Pong { .. } => 12,
-        Message::CacheRef { .. } | Message::CacheMiss { .. } => 8,
-        Message::SessionResume { .. } => 24,
-    };
-    LEGACY_HEADER_LEN as u64 + body
+    LEGACY_HEADER_LEN as u64 + msg.body_len()
 }
 
 /// Encodes a message as a revision-2 integrity frame carrying `seq`:
@@ -660,12 +560,7 @@ pub fn encode_message_seq(msg: &Message, seq: u32) -> Vec<u8> {
 /// payload's share is composed in from the register its allocation
 /// memoises — one pass per allocation instead of one per viewer.
 pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
-    out.clear();
-    out.resize(INTEGRITY_HEADER_LEN, 0);
-    let tag = encode_body(msg, out);
-    let len = (out.len() - INTEGRITY_HEADER_LEN) as u32;
-    out[0] = tag;
-    out[1..5].copy_from_slice(&len.to_le_bytes());
+    frame_into(msg, INTEGRITY_HEADER_LEN, out);
     out[5..9].copy_from_slice(&seq.to_le_bytes());
     let crc = crc32_update(!0, &out[..9]);
     let body = &out[INTEGRITY_HEADER_LEN..];
@@ -687,24 +582,6 @@ pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     out[9..13].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Whether `msg` is a handshake message, which keeps revision-1
-/// framing at every negotiated revision (it must be decodable before
-/// the revision is known).
-fn is_handshake(msg: &Message) -> bool {
-    matches!(
-        msg,
-        Message::ServerHello { .. }
-            | Message::ClientHello { .. }
-            | Message::SessionResume { .. }
-    )
-}
-
-/// Whether `tag` is a known top-level message type byte.
-fn known_message_tag(tag: u8) -> bool {
-    (MSG_SERVER_HELLO..=MSG_PONG).contains(&tag)
-        || (MSG_REFRESH_REQUEST..=MSG_SESSION_RESUME).contains(&tag)
-}
-
 /// Decodes one framed message from the front of `data`, returning the
 /// message and the number of bytes consumed. This is the revision-1
 /// (legacy) framing; revision-2 streams are split by a [`FrameReader`]
@@ -717,7 +594,7 @@ pub fn decode_message(data: &[u8]) -> Result<(Message, usize), DecodeError> {
     // Validate the header *before* waiting for the declared payload:
     // a corrupted header must fail fast, not leave the reader stalled
     // on (or buffering toward) a phantom payload that never arrives.
-    if !known_message_tag(tag) {
+    if !Message::known(tag) {
         return Err(DecodeError::UnknownType(tag));
     }
     let declared = u32::from_le_bytes([data[1], data[2], data[3], data[4]]);
@@ -728,234 +605,8 @@ pub fn decode_message(data: &[u8]) -> Result<(Message, usize), DecodeError> {
     if data.len() < LEGACY_HEADER_LEN + len {
         return Err(DecodeError::Truncated);
     }
-    let msg = decode_payload(tag, &data[LEGACY_HEADER_LEN..LEGACY_HEADER_LEN + len])
-        .map_err(short_body_is_damage)?;
+    let msg = Message::get_body(tag, &mut &data[LEGACY_HEADER_LEN..LEGACY_HEADER_LEN + len])?;
     Ok((msg, LEGACY_HEADER_LEN + len))
-}
-
-/// Inside a frame that is all here, a body too short for its layout is
-/// damage: no further bytes can complete it, so waiting would wedge
-/// the reader on it.
-fn short_body_is_damage(e: DecodeError) -> DecodeError {
-    match e {
-        DecodeError::Truncated => DecodeError::Malformed("body shorter than its layout"),
-        e => e,
-    }
-}
-
-/// Decodes a message body given its (already validated) type byte.
-fn decode_payload(tag: u8, payload: &[u8]) -> Result<Message, DecodeError> {
-    let mut buf = payload;
-    let msg = match tag {
-        MSG_SERVER_HELLO => {
-            if buf.remaining() < 11 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::ServerHello {
-                version: buf.get_u16_le(),
-                width: buf.get_u32_le(),
-                height: buf.get_u32_le(),
-                depth: buf.get_u8(),
-            }
-        }
-        MSG_CLIENT_HELLO => {
-            if buf.remaining() < 10 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::ClientHello {
-                version: buf.get_u16_le(),
-                viewport_width: buf.get_u32_le(),
-                viewport_height: buf.get_u32_le(),
-            }
-        }
-        MSG_DISPLAY => Message::Display(decode_command(&mut buf)?),
-        MSG_VIDEO_INIT => {
-            if buf.remaining() < 13 {
-                return Err(DecodeError::Truncated);
-            }
-            let id = buf.get_u32_le();
-            let format = yuv_from_tag(buf.get_u8())?;
-            let src_width = buf.get_u32_le();
-            let src_height = buf.get_u32_le();
-            let dst = get_rect(&mut buf)?;
-            Message::VideoInit {
-                id,
-                format,
-                src_width,
-                src_height,
-                dst,
-            }
-        }
-        MSG_VIDEO_DATA => {
-            if buf.remaining() < 16 {
-                return Err(DecodeError::Truncated);
-            }
-            let id = buf.get_u32_le();
-            let seq = buf.get_u32_le();
-            let timestamp_us = buf.get_u64_le();
-            let data = get_bytes(&mut buf)?.into();
-            Message::VideoData {
-                id,
-                seq,
-                timestamp_us,
-                data,
-            }
-        }
-        MSG_VIDEO_MOVE => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let id = buf.get_u32_le();
-            let dst = get_rect(&mut buf)?;
-            Message::VideoMove { id, dst }
-        }
-        MSG_VIDEO_END => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::VideoEnd {
-                id: buf.get_u32_le(),
-            }
-        }
-        MSG_AUDIO => {
-            if buf.remaining() < 12 {
-                return Err(DecodeError::Truncated);
-            }
-            let seq = buf.get_u32_le();
-            let timestamp_us = buf.get_u64_le();
-            let data = get_bytes(&mut buf)?.into();
-            Message::Audio {
-                seq,
-                timestamp_us,
-                data,
-            }
-        }
-        MSG_INPUT => {
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            let itag = buf.get_u8();
-            let input = match itag {
-                IN_POINTER_MOVE => {
-                    if buf.remaining() < 8 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    ProtocolInput::PointerMove {
-                        x: buf.get_i32_le(),
-                        y: buf.get_i32_le(),
-                    }
-                }
-                IN_BUTTON_PRESS | IN_BUTTON_RELEASE => {
-                    if buf.remaining() < 9 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let x = buf.get_i32_le();
-                    let y = buf.get_i32_le();
-                    let button = buf.get_u8();
-                    if itag == IN_BUTTON_PRESS {
-                        ProtocolInput::ButtonPress { x, y, button }
-                    } else {
-                        ProtocolInput::ButtonRelease { x, y, button }
-                    }
-                }
-                IN_KEY_PRESS | IN_KEY_RELEASE => {
-                    if buf.remaining() < 4 {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let key = buf.get_u32_le();
-                    if itag == IN_KEY_PRESS {
-                        ProtocolInput::KeyPress { key }
-                    } else {
-                        ProtocolInput::KeyRelease { key }
-                    }
-                }
-                other => return Err(DecodeError::UnknownType(other)),
-            };
-            Message::Input(input)
-        }
-        MSG_RESIZE => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::Resize {
-                viewport_width: buf.get_u32_le(),
-                viewport_height: buf.get_u32_le(),
-            }
-        }
-        MSG_SET_VIEW => Message::SetView {
-            view: get_rect(&mut buf)?,
-        },
-        MSG_CURSOR_SHAPE => {
-            if buf.remaining() < 16 {
-                return Err(DecodeError::Truncated);
-            }
-            let width = buf.get_u32_le();
-            let height = buf.get_u32_le();
-            let hot_x = buf.get_i32_le();
-            let hot_y = buf.get_i32_le();
-            let pixels = get_bytes(&mut buf)?;
-            Message::CursorShape {
-                width,
-                height,
-                hot_x,
-                hot_y,
-                pixels,
-            }
-        }
-        MSG_CURSOR_MOVE => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::CursorMove {
-                x: buf.get_i32_le(),
-                y: buf.get_i32_le(),
-            }
-        }
-        MSG_PING | MSG_PONG => {
-            if buf.remaining() < 12 {
-                return Err(DecodeError::Truncated);
-            }
-            let seq = buf.get_u32_le();
-            let timestamp_us = buf.get_u64_le();
-            if tag == MSG_PING {
-                Message::Ping { seq, timestamp_us }
-            } else {
-                Message::Pong { seq, timestamp_us }
-            }
-        }
-        MSG_REFRESH_REQUEST => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::RefreshRequest {
-                attempt: buf.get_u32_le(),
-            }
-        }
-        MSG_CACHE_REF | MSG_CACHE_MISS => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let hash = buf.get_u64_le();
-            if tag == MSG_CACHE_REF {
-                Message::CacheRef { hash }
-            } else {
-                Message::CacheMiss { hash }
-            }
-        }
-        MSG_SESSION_RESUME => {
-            if buf.remaining() < 24 {
-                return Err(DecodeError::Truncated);
-            }
-            Message::SessionResume {
-                session_id: buf.get_u64_le(),
-                client_id: buf.get_u32_le(),
-                last_seq: buf.get_u32_le(),
-                store_digest: buf.get_u64_le(),
-            }
-        }
-        other => return Err(DecodeError::UnknownType(other)),
-    };
-    Ok(msg)
 }
 
 /// Stamps outgoing frames at the negotiated wire revision.
@@ -1025,7 +676,7 @@ impl FrameEncoder {
     /// Frames `msg` at the negotiated revision, consuming a sequence
     /// number for revision-2 frames.
     pub fn encode(&mut self, msg: &Message) -> Vec<u8> {
-        if self.revision < WIRE_REV_INTEGRITY || is_handshake(msg) {
+        if self.revision < WIRE_REV_INTEGRITY || Message::handshake(msg.tag()) {
             encode_message(msg)
         } else {
             let seq = self.next_seq;
@@ -1199,10 +850,10 @@ impl FrameReader {
                 return Ok(None);
             }
             let tag = buf[0];
-            if !known_message_tag(tag) {
+            if !Message::known(tag) {
                 return Err(DecodeError::UnknownType(tag));
             }
-            if tag == MSG_SERVER_HELLO || tag == MSG_CLIENT_HELLO || tag == MSG_SESSION_RESUME {
+            if Message::handshake(tag) {
                 // Handshake frames always use legacy framing.
                 return match decode_message(buf) {
                     Ok((msg, consumed)) => {
@@ -1273,8 +924,7 @@ impl FrameReader {
                 self.last_seq = Some(seq);
                 self.first_seq = Some(seq);
             }
-            let msg = decode_payload(tag, &buf[INTEGRITY_HEADER_LEN..total])
-                .map_err(short_body_is_damage)?;
+            let msg = Message::get_body(tag, &mut &buf[INTEGRITY_HEADER_LEN..total])?;
             self.start += total;
             return Ok(Some(msg));
         }
@@ -1314,8 +964,7 @@ impl FrameReader {
 /// Whether `buf` could begin a valid frame: known message type byte
 /// and, if the length field is visible, a sane declared length.
 fn plausible_frame_start(buf: &[u8]) -> bool {
-    let tag_ok = known_message_tag(buf[0]);
-    if !tag_ok {
+    if !Message::known(buf[0]) {
         return false;
     }
     if buf.len() < 5 {
@@ -1530,7 +1179,7 @@ mod tests {
         let mut legacy = FrameReader::new();
         legacy.feed(&[MSG_SERVER_HELLO, 3, 0, 0, 0, 0xEE, 0xEE, 0xEE]);
         legacy.feed(&encode_message(&ping));
-        assert_eq!(drain(&mut legacy), [ping.clone()]);
+        assert_eq!(drain(&mut legacy), std::slice::from_ref(&ping));
         // A revision-3 frame whose tag was flipped to a handshake tag
         // reads as a legacy frame whose body is its seq and CRC.
         let mut enc = FrameEncoder::with_revision(WIRE_REV_CACHE);
@@ -1653,17 +1302,27 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_directionality() {
-        assert!(Message::Ping {
-            seq: 0,
-            timestamp_us: 0
-        }
-        .is_downstream());
-        assert!(!Message::Pong {
-            seq: 0,
-            timestamp_us: 0
-        }
-        .is_downstream());
+    fn the_doc_prints_every_layout_row() {
+        // Every tag row of docs/PROTOCOL.md's tables is a layout row
+        // with the same tag and name, and every layout row is printed
+        // there (a display command by its name after `CMD_`).
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let mut printed: Vec<(String, String)> = doc
+            .lines()
+            .filter(|line| line.starts_with("| `0x"))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').map(|c| c.trim().trim_matches('`')).collect();
+                (cells[1].to_owned(), cells[2].to_owned())
+            })
+            .collect();
+        let mut declared: Vec<(String, String)> = [Message::TAGS, DisplayCommand::TAGS, ProtocolInput::TAGS]
+            .concat()
+            .into_iter()
+            .map(|(tag, name)| (format!("0x{tag:02X}"), name.trim_start_matches("CMD_").to_owned()))
+            .collect();
+        printed.sort();
+        declared.sort();
+        assert_eq!(printed, declared, "docs/PROTOCOL.md §4 against the layout tables");
     }
 
     // ---- integrity framing (revision 2) ----
@@ -1671,7 +1330,7 @@ mod tests {
     fn non_handshake_samples() -> Vec<Message> {
         sample_messages()
             .into_iter()
-            .filter(|m| !is_handshake(m))
+            .filter(|m| !Message::handshake(m.tag()))
             .collect()
     }
 
