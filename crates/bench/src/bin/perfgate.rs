@@ -1043,6 +1043,21 @@ fn other_scale(key: &str, rows: &[Row]) -> bool {
         && !rows.iter().any(|r| r.key.split('.').next() == Some(group))
 }
 
+/// The threshold gated row `r` moved past against `base`, if it did.
+fn regressed(r: &Row, base: f64, threshold: f64) -> Option<f64> {
+    let (better, slack) = r.gate?;
+    let thr = match slack {
+        Exact => threshold,
+        Timing => threshold * 2.0,
+    };
+    let v = r.number();
+    let bad = match better {
+        Higher => v < base * (1.0 - thr),
+        Lower => v > base * (1.0 + thr),
+    };
+    bad.then_some(thr)
+}
+
 /// Everything the gate finds wrong: a gated row that regressed past
 /// its slack, a gated row with no baseline entry, and a baseline entry
 /// that no gated row produces. Either of the last two is a renamed or
@@ -1050,24 +1065,18 @@ fn other_scale(key: &str, rows: &[Row]) -> bool {
 fn gate(rows: &[Row], baseline: &[(String, f64)], threshold: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for r in rows {
-        let Some((better, slack)) = r.gate else { continue };
+        if r.gate.is_none() {
+            continue;
+        }
         let Some((_, base)) = baseline.iter().find(|(k, _)| *k == r.key) else {
             failures.push(format!("{}: no baseline entry (record it with --write-baseline)", r.key));
             continue;
         };
-        let thr = match slack {
-            Exact => threshold,
-            Timing => threshold * 2.0,
-        };
-        let v = r.number();
-        let bad = match better {
-            Higher => v < base * (1.0 - thr),
-            Lower => v > base * (1.0 + thr),
-        };
-        if bad {
+        if let Some(thr) = regressed(r, *base, threshold) {
             failures.push(format!(
-                "{}: measured {v:.4} vs baseline {base:.4} (threshold {:.0}%)",
+                "{}: measured {:.4} vs baseline {base:.4} (threshold {:.0}%)",
                 r.key,
+                r.number(),
                 thr * 100.0
             ));
         }
@@ -1080,10 +1089,13 @@ fn gate(rows: &[Row], baseline: &[(String, f64)], threshold: f64) -> Vec<String>
     failures
 }
 
-/// The baseline `--write-baseline` writes: every gated row's value, in
-/// the old file's order where it had the key, and the other fan-out
-/// scale's entries kept. Entries no row produces are dropped.
-fn rebaseline(rows: &[Row], old: &[(String, f64)]) -> Vec<(String, f64)> {
+/// The baseline `--write-baseline` writes: the old file, in its order,
+/// with this run's value for every gated row that fails its gate
+/// against it, and new rows appended. A row that passes keeps its old
+/// entry, so one run's noise never moves the bar of a row that did not
+/// move. The other fan-out scale's entries are kept; entries no row
+/// produces are dropped.
+fn rebaseline(rows: &[Row], old: &[(String, f64)], threshold: f64) -> Vec<(String, f64)> {
     let gated = || rows.iter().filter(|r| r.gate.is_some());
     let mut out: Vec<(String, f64)> = old
         .iter()
@@ -1092,7 +1104,8 @@ fn rebaseline(rows: &[Row], old: &[(String, f64)]) -> Vec<(String, f64)> {
         .collect();
     for r in gated() {
         match out.iter_mut().find(|(k, _)| *k == r.key) {
-            Some(e) => e.1 = r.number(),
+            Some(e) if regressed(r, e.1, threshold).is_some() => e.1 = r.number(),
+            Some(_) => {}
             None => out.push((r.key.clone(), r.number())),
         }
     }
@@ -1134,7 +1147,7 @@ fn main() {
 
     let baseline = std::fs::read_to_string(baseline_path).map(|t| parse_baseline(&t));
     if opts.write_baseline {
-        let pairs = rebaseline(&rows, &baseline.unwrap_or_default());
+        let pairs = rebaseline(&rows, &baseline.unwrap_or_default(), opts.threshold);
         std::fs::write(baseline_path, baseline_pairs_json(&pairs)).expect("write baseline");
         eprintln!("baseline written to {baseline_path}");
         return;
@@ -1217,10 +1230,29 @@ mod tests {
         old.push(("web.retired".into(), 1.0));
         let mut rows = rows();
         rows[1].value = Value::Num(30.0);
-        let new = rebaseline(&rows, &old);
+        let new = rebaseline(&rows, &old, 0.15);
         assert_eq!(gate(&rows, &new, 0.15), Vec::<String>::new());
         assert!(new.iter().any(|(k, v)| k == "fanout1024.hit_ratio" && *v == 0.5));
         assert!(!new.iter().any(|(k, _)| k == "web.retired"));
+    }
+
+    #[test]
+    fn rebaselining_moves_only_the_rows_that_fail_their_gate() {
+        let mut rows = rows();
+        // Far better than its baseline, and a little worse within its
+        // slack: both pass, so both keep their entries.
+        rows[0].value = Value::Num(12.3);
+        rows[3].value = Value::Num(0.95);
+        // Worse past its slack: recorded.
+        rows[1].value = Value::Num(30.0);
+        rows.push(row("web.new_row", 4.0).gated(Lower, Exact));
+        let new = rebaseline(&rows, &baseline(), 0.15);
+        let entry = |key: &str| new.iter().find(|(k, _)| k == key).map(|e| e.1);
+        assert_eq!(entry("kernel.crc32.speedup"), Some(8.0));
+        assert_eq!(entry("fanout256.hit_ratio"), Some(0.99));
+        assert_eq!(entry("web.avg_page_kb"), Some(30.0));
+        assert_eq!(entry("web.new_row"), Some(4.0));
+        assert_eq!(gate(&rows, &new, 0.15), Vec::<String>::new());
     }
 
     #[test]
