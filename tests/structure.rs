@@ -206,11 +206,22 @@ fn the_parser_reads_targets_and_filters_on_both_sides_of_the_separator() {
 /// Every line of `paths` that contains one of `needles`, as
 /// `path:line: text`.
 fn lines_naming(paths: &[PathBuf], needles: &[&str]) -> Vec<String> {
+    lines_where(paths, |line| needles.iter().any(|n| line.contains(n)))
+}
+
+/// Every line of `paths` that contains one of `words` as a whole word,
+/// as `path:line: text`.
+fn lines_naming_words(paths: &[PathBuf], words: &[&str]) -> Vec<String> {
+    lines_where(paths, |line| words.iter().any(|w| has_word(line, w)))
+}
+
+/// Every line of `paths` that `hit` holds for, as `path:line: text`.
+fn lines_where(paths: &[PathBuf], hit: impl Fn(&str) -> bool) -> Vec<String> {
     let mut hits = Vec::new();
     for path in paths {
         let bytes = fs::read(path).unwrap_or_default();
         for (i, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
-            if needles.iter().any(|n| line.contains(n)) {
+            if hit(line) {
                 let shown = path.strip_prefix(root()).unwrap_or(path).display();
                 hits.push(format!("{shown}:{}: {}", i + 1, line.trim()));
             }
@@ -234,16 +245,97 @@ fn the_report_replays_schedules_and_figures_builds_no_session() {
 
 #[test]
 fn one_viewer_path_and_no_second_client() {
-    let mut all = Vec::new();
-    for dir in ["crates", "tests", "examples"] {
-        files(&root().join(dir), &mut all);
-    }
+    let all = files_under(&["crates", "tests", "examples"]);
     assert!(all.len() >= 100, "only {} files under crates, tests and examples", all.len());
     let hits = lines_naming(&all, &[concat!("Headless", "Client"), concat!("Hardware", "Caps")]);
     assert!(
         hits.is_empty(),
         "PR 30 gave the harness one viewer, a StreamClient fed the wire through pump_wire; a \
          message-level second client or a second hardware capability set is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Whether `word` occurs in `line` with no identifier character
+/// (letter, digit, `_`) on either side.
+fn has_word(line: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    line.match_indices(word).any(|(at, _)| {
+        !ident(line[..at].chars().next_back()) && !ident(line[at + word.len()..].chars().next())
+    })
+}
+
+/// Every file under the repository directories `dirs`.
+fn files_under(dirs: &[&str]) -> Vec<PathBuf> {
+    let mut all = Vec::new();
+    for dir in dirs {
+        assert!(root().join(dir).is_dir(), "no {dir}");
+        files(&root().join(dir), &mut all);
+    }
+    all
+}
+
+#[test]
+fn whole_words_are_told_from_longer_identifiers() {
+    assert!(has_word("let fallbacks = 1;", "fallbacks"));
+    assert!(has_word("fallbacks", "fallbacks"));
+    assert!(!has_word("stats.raw_fallbacks += 1", "fallbacks"));
+    assert!(!has_word("cold_fallbacks2", "fallbacks"));
+    assert!(has_word("x.raw_fallbacks + fallbacks", "fallbacks"));
+    assert!(has_word("    quarantined: bool,", "quarantined: bool"));
+    assert!(!has_word("    not_quarantined: bool,", "quarantined: bool"));
+}
+
+#[test]
+fn no_caller_side_framing() {
+    let all = files_under(&["crates/chaos/src", "crates/bench/src", "tests", "examples"]);
+    let hits = lines_naming(&all, &[concat!("Frame", "Encoder")]);
+    assert!(
+        hits.is_empty(),
+        "PR 17 gave each viewer's end of the wire to its Delivery (per-viewer framing, uplink \
+         dispatch and the redial ladder); a harness that builds its own frame encoder is growing \
+         a second copy:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn no_replay_of_a_missed_frame() {
+    // Whole words: `raw_fallbacks` and `cold_fallbacks` count other
+    // things.
+    let all = files_under(&["crates/core/src", "crates/chaos/src"]);
+    let words = [
+        concat!("fall", "backs"),
+        concat!("fall", "backs_pending"),
+        concat!("ship_", "fallbacks"),
+        concat!("satisfy_", "cache_miss"),
+    ];
+    let hits = lines_naming_words(&all, &words);
+    assert!(
+        hits.is_empty(),
+        "PR 37 answered a cache miss from the screen (the entry is forgotten and the view owed \
+         as refresh debt); a queue of original payloads answering misses is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_phase_per_end() {
+    let all = files_under(&["crates/client/src", "crates/core/src"]);
+    let flags = [
+        concat!("needs_", "refresh: bool"),
+        concat!("resume_", "pending: bool"),
+        concat!("hello_", "awaited: bool"),
+        concat!("refresh_", "owed: bool"),
+        concat!("delta_", "owed: bool"),
+        concat!("quaran", "tined: bool"),
+    ];
+    let hits = lines_naming_words(&all, &flags);
+    assert!(
+        hits.is_empty(),
+        "PR 41 gave each end of a viewer's connection one phase value (the client's Link beside \
+         its display, the server's Phase per viewer) and one match over it, walked against \
+         docs/PROTOCOL.md section 3; a boolean phase flag is back beside them:\n{}",
         hits.join("\n")
     );
 }
