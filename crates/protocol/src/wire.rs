@@ -417,7 +417,8 @@ layout!(Message {
     MSG_REFRESH_REQUEST = 0x16 => RefreshRequest { attempt },
     MSG_CACHE_REF = 0x17 => CacheRef { hash },
     MSG_CACHE_MISS = 0x18 => CacheMiss { hash },
-    MSG_SESSION_RESUME = 0x19 => SessionResume { session_id, client_id, last_seq, store_digest } handshake,
+    MSG_SESSION_RESUME = 0x19 =>
+        SessionResume { session_id, client_id, last_seq, store_digest } handshake,
 });
 
 layout!(DisplayCommand {
@@ -1311,11 +1312,12 @@ mod tests {
             .lines()
             .filter(|line| line.starts_with("| `0x"))
             .map(|line| {
-                let cells: Vec<&str> = line.split('|').map(|c| c.trim().trim_matches('`')).collect();
-                (cells[1].to_owned(), cells[2].to_owned())
+                let cell = |i| line.split('|').nth(i).unwrap_or_default().trim().trim_matches('`');
+                (cell(1).to_owned(), cell(2).to_owned())
             })
             .collect();
-        let mut declared: Vec<(String, String)> = [Message::TAGS, DisplayCommand::TAGS, ProtocolInput::TAGS]
+        let tables = [Message::TAGS, DisplayCommand::TAGS, ProtocolInput::TAGS];
+        let mut declared: Vec<(String, String)> = tables
             .concat()
             .into_iter()
             .map(|(tag, name)| (format!("0x{tag:02X}"), name.trim_start_matches("CMD_").to_owned()))

@@ -11,9 +11,8 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use thinc_protocol::wire::{decode_message, encode_message, encode_message_seq};
-use thinc_protocol::WIRE_REV_INTEGRITY;
-use thinc_protocol::{DisplayCommand, FrameReader, Message, ProtocolInput, RawEncoding, Tile};
+use thinc_protocol::wire::{encode_message, encode_message_seq};
+use thinc_protocol::{DisplayCommand, Message, ProtocolInput, RawEncoding, Tile};
 use thinc_raster::{Color, Rect, YuvFormat};
 
 /// The sequence number row `i`'s revision-2 frame carries.
@@ -294,27 +293,8 @@ fn the_codec_reproduces_every_known_answer() {
             panic!("row {i}: {row}");
         };
         assert_eq!(*name, want_name, "row {i}");
-        let rev1_bytes = encode_message(msg);
-        assert_eq!(hex(&rev1_bytes), rev1, "{name}: revision-1 bytes");
-        let framed = encode_message_seq(msg, seq(i));
-        assert_eq!(hex(&framed), rev2, "{name}: revision-2 bytes");
-        // And the bytes decode back to the message at both revisions.
-        assert_eq!(
-            decode_message(&rev1_bytes),
-            Ok((msg.clone(), rev1_bytes.len())),
-            "{name}"
-        );
-        // (A handshake message keeps revision-1 framing on an integrity
-        // stream, so that is what the reader is fed.)
-        let handshake = matches!(
-            msg,
-            Message::ServerHello { .. }
-                | Message::ClientHello { .. }
-                | Message::SessionResume { .. }
-        );
-        let mut reader = FrameReader::with_revision(WIRE_REV_INTEGRITY);
-        reader.feed(if handshake { &rev1_bytes } else { &framed });
-        assert_eq!(reader.next_message(), Ok(Some(msg.clone())), "{name}");
+        assert_eq!(hex(&encode_message(msg)), rev1, "{name}: revision-1 bytes");
+        assert_eq!(hex(&encode_message_seq(msg, seq(i))), rev2, "{name}: revision-2 bytes");
     }
 }
 
