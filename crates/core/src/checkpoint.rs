@@ -185,8 +185,7 @@ impl TileDigests {
     pub fn of(screen: &Framebuffer) -> Self {
         let width = screen.width();
         let height = screen.height();
-        let cols = width.div_ceil(DIGEST_TILE).max(1);
-        let rows = height.div_ceil(DIGEST_TILE).max(1);
+        let (cols, rows) = Self::grid(width, height);
         let mut digests = Vec::with_capacity((cols * rows) as usize);
         for ty in 0..rows {
             for tx in 0..cols {
@@ -201,6 +200,12 @@ impl TileDigests {
             }
         }
         Self { width, height, cols, rows, digests }
+    }
+
+    /// The grid's columns and rows over a `width` × `height` screen:
+    /// the only grid a checkpoint of that screen may carry.
+    pub fn grid(width: u32, height: u32) -> (u32, u32) {
+        (width.div_ceil(DIGEST_TILE).max(1), height.div_ceil(DIGEST_TILE).max(1))
     }
 
     /// The session-space region whose tiles differ between `self`

@@ -861,6 +861,10 @@ impl SharedSession {
         let cursor_shape = if r.bool()? { Some(decode_checkpoint_message(r.bytes()?)?) } else { None };
         let tiles = {
             let (tw, th, cols, rows) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+            // Any other grid runs its tiles past the screen's edges.
+            if (cols, rows) != TileDigests::grid(tw, th) {
+                return Err(CheckpointError::Malformed("tile grid"));
+            }
             let n = u64::from(cols) * u64::from(rows);
             // Reads fail fast at the payload boundary, so a corrupt
             // count cannot balloon the allocation.
@@ -1961,6 +1965,27 @@ mod tests {
             let mut bad = image.clone();
             bad[byte] ^= 0x10;
             assert!(SharedSession::restore(&bad).is_err(), "flip at {byte}");
+        }
+    }
+
+    #[test]
+    fn a_forged_tile_grid_is_malformed() {
+        // A 64×48 screen is a 4×3 grid. A grid of 12×1 holds as many
+        // digests, but its tiles run past the screen's right edge and
+        // miss rows 16 to 48: the warm delta would be computed over a
+        // screen that is not this one.
+        let s = SharedSession::new(64, 48, PixelFormat::Rgb888, "host");
+        let image = s.checkpoint(&Framebuffer::new(64, 48, PixelFormat::Rgb888));
+        let mut payload = crate::checkpoint::open(&image).unwrap().to_vec();
+        let grid = [64u32, 48, 4, 3].map(u32::to_le_bytes).concat();
+        let at = payload.windows(grid.len()).position(|w| w == grid).expect("the tile grid");
+        for (cols, rows) in [(12u32, 1u32), (1, 12), (2, 6)] {
+            payload[at + 8..at + 16].copy_from_slice(&[cols, rows].map(u32::to_le_bytes).concat());
+            let forged = crate::checkpoint::seal(payload.clone());
+            assert!(
+                matches!(SharedSession::restore(&forged), Err(CheckpointError::Malformed(_))),
+                "a {cols}×{rows} grid over 64×48 restored"
+            );
         }
     }
 
