@@ -13,10 +13,12 @@
 use proptest::prelude::*;
 use thinc_net::tcp::TcpParams;
 use thinc_net::time::SimDuration;
+use thinc_protocol::codec::{to_bytes, Field};
 use thinc_protocol::wire::encode_message;
 use thinc_raster::Rect;
 use thinc_telemetry::ResilienceMetrics;
 
+use super::checkpoint::BufferRecord;
 use super::*;
 use crate::plane::WireForm;
 
@@ -343,12 +345,10 @@ fn a_restored_buffer_with_an_empty_store_delivers_what_a_warm_one_does() {
     buf.push(photo(400, 300), false); // Left pending for the image.
     assert!(store.len() > 0 && store.packed_held().0 > 0, "test wants a populated store");
 
-    let mut w = crate::checkpoint::Writer::new();
-    buf.encode_checkpoint(&mut w);
-    let image = w.into_inner();
-    let mut r = crate::checkpoint::Reader::new(&image);
-    let mut restored = ClientBuffer::decode_checkpoint(&mut r).unwrap();
-    assert!(r.exhausted());
+    let image = to_bytes(&buf.record());
+    let mut rest = &image[..];
+    let mut restored = ClientBuffer::from_record(BufferRecord::get(&mut rest).unwrap()).unwrap();
+    assert!(rest.is_empty());
     let enc = |msgs: Vec<Message>| msgs.iter().map(encode_message).collect::<Vec<_>>();
     let cold = enc(drain_fat(&mut restored, &mut FormStore::default()));
     assert_eq!(cold, enc(drain_fat(&mut buf, &mut store)));

@@ -12,7 +12,7 @@
 //! automatically evicted"). What a command looks like on the wire is
 //! `wire.rs`'s business; the checkpoint record is `checkpoint.rs`'s.
 
-mod checkpoint;
+pub(crate) mod checkpoint;
 mod wire;
 
 use std::collections::VecDeque;
@@ -22,12 +22,12 @@ use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
+use thinc_protocol::wire::RAW_FRAME_OVERHEAD;
 use thinc_raster::Region;
 pub use thinc_telemetry::BufferStats;
 use thinc_telemetry::{ProtocolMetrics, SchedulerMetrics};
 
-pub(crate) use self::checkpoint::decode_checkpoint_message;
-use self::wire::{CacheEngine, RAW_FRAME_OVERHEAD};
+use self::wire::CacheEngine;
 use crate::plane::{FlushPlan, FormStore, PlanRole, PlaneCounters, PlannedPart};
 use crate::queue::{classify, dependency_rects, CommandQueue, OverwriteClass, QueuedCommand};
 use crate::scheduler::{creates_dependency, place, queue_index, QueueSlot, NUM_QUEUES};
@@ -693,6 +693,8 @@ mod tests {
     use super::*;
     use thinc_net::tcp::TcpParams;
     use thinc_net::time::SimDuration;
+    use checkpoint::BufferRecord;
+    use thinc_protocol::codec::{to_bytes, Field};
     use thinc_protocol::wire::encode_message;
     use thinc_raster::{Color, Rect};
     use thinc_telemetry::ResilienceMetrics;
@@ -1263,17 +1265,13 @@ mod tests {
         assert!(!buf.is_empty(), "test wants a mid-flight remainder");
         buf.push(raw(0, 300, 120, 100), true);
 
-        let mut w = crate::checkpoint::Writer::new();
-        buf.encode_checkpoint(&mut w);
-        let image = w.into_inner();
-        let mut r = crate::checkpoint::Reader::new(&image);
-        let mut restored = ClientBuffer::decode_checkpoint(&mut r).unwrap();
-        assert!(r.exhausted(), "decoder must consume the whole image");
+        let image = to_bytes(&buf.record());
+        let mut rest = &image[..];
+        let mut restored = ClientBuffer::from_record(BufferRecord::get(&mut rest).unwrap()).unwrap();
+        assert!(rest.is_empty(), "decoder must consume the whole image");
 
         // Byte-exact re-checkpoint (the failover-fidelity invariant).
-        let mut w2 = crate::checkpoint::Writer::new();
-        restored.encode_checkpoint(&mut w2);
-        assert_eq!(image, w2.into_inner());
+        assert_eq!(image, to_bytes(&restored.record()));
 
         // And the restored buffer delivers the same remaining stream.
         assert_eq!(restored.pending_bytes(), buf.pending_bytes());
@@ -1295,13 +1293,11 @@ mod tests {
         let mut buf = ClientBuffer::new();
         buf.enable_cache(1024);
         buf.push(raw(0, 0, 8, 8), false);
-        let mut w = crate::checkpoint::Writer::new();
-        buf.encode_checkpoint(&mut w);
-        let image = w.into_inner();
+        let image = to_bytes(&buf.record());
         for cut in 0..image.len() {
-            let mut r = crate::checkpoint::Reader::new(&image[..cut]);
+            let mut rest = &image[..cut];
             assert!(
-                ClientBuffer::decode_checkpoint(&mut r).is_err() || !r.exhausted(),
+                BufferRecord::get(&mut rest).is_err() || !rest.is_empty(),
                 "truncation at {cut} must not decode cleanly"
             );
         }

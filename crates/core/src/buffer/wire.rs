@@ -16,6 +16,7 @@ use thinc_net::trace::{Direction, PacketTrace};
 use thinc_protocol::cache::{cache_id, ContentStore};
 use thinc_protocol::commands::{DisplayCommand, RawEncoding};
 use thinc_protocol::message::Message;
+use thinc_protocol::wire::RAW_FRAME_OVERHEAD;
 use thinc_telemetry::ResilienceMetrics;
 
 use super::ClientBuffer;
@@ -83,10 +84,6 @@ struct Attempt {
     /// stream that beats the payload) unless the pipe tightens it.
     cap: u64,
 }
-
-/// Wire bytes of a RAW frame around its payload: message header, rect,
-/// encoding tag, payload length.
-pub(super) const RAW_FRAME_OVERHEAD: u64 = thinc_protocol::commands::COMMAND_HEADER_BYTES + 16 + 1 + 4;
 
 /// RAW payloads below this are sent as they are: compressing them
 /// saves less than it costs.

@@ -22,14 +22,22 @@
 //! the payload. [`open`] enforces the exact total length, so *any*
 //! truncation, extension or bit flip of a valid checkpoint yields a
 //! typed [`CheckpointError`] — never a panic, never a silently wrong
-//! restore. The payload is a flat little-endian stream with no
-//! self-describing structure; the version field gates layout changes.
+//! restore. The version field gates layout changes.
 //!
-//! Like the chaos engine's JSON codec, everything here is hand-rolled
-//! and dependency-free.
+//! The payload is the session's record, and each block of it is a
+//! struct declared with [`thinc_protocol::record!`] beside the code
+//! that fills and reads it: its fields are the layout, in the wire
+//! codec's [`Field`] encodings, and encode and decode both walk them.
+//! What cannot be a field's own rule — a check that reads another
+//! field or the policy — is code beside the record, run on restore.
+//! `docs/ROBUSTNESS.md` prints every record's fields.
 
+use thinc_protocol::codec::{payload, BufMut, Field};
 use thinc_protocol::hash::fnv64;
-use thinc_raster::{Framebuffer, PixelFormat, Rect, Region};
+use thinc_protocol::message::Message;
+use thinc_protocol::wire::{decode_message, encode_message};
+use thinc_protocol::DecodeError;
+use thinc_raster::{Framebuffer, Rect, Region};
 
 /// Leading magic of every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"THNC";
@@ -58,13 +66,14 @@ pub enum CheckpointError {
     BadMagic,
     /// The image was written by an unknown layout version.
     UnsupportedVersion(u16),
-    /// The image is shorter (or longer) than its header promises, or
-    /// a field ran off the end of the payload.
+    /// The image is shorter (or longer) than its header promises.
     Truncated,
     /// The payload bytes do not match the header checksum.
     CrcMismatch,
-    /// The payload decoded structurally but carried an impossible
-    /// value (bad enum tag, malformed embedded message, ...).
+    /// The payload passed its checksum but is not a state this build
+    /// writes: a field that runs off the end of the payload, an
+    /// impossible value (bad code byte, malformed embedded message,
+    /// ...) or a check across fields that fails.
     Malformed(&'static str),
 }
 
@@ -83,6 +92,18 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// A field that does not decode. Every field of a record reports
+/// [`DecodeError::Malformed`], a count or length past the payload's end
+/// included.
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Malformed(what) => CheckpointError::Malformed(what),
+            _ => CheckpointError::Malformed("undecodable field"),
+        }
+    }
+}
 
 /// Seals `payload` into a versioned, CRC-guarded checkpoint image.
 pub fn seal(payload: Vec<u8>) -> Vec<u8> {
@@ -129,35 +150,6 @@ pub fn open(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     Ok(payload)
 }
 
-/// FNV-1a 64 digest over a sorted cache key set — the value a client
-/// folds into its resume token (over its store) and the server
-/// recomputes over its restored ledger. Equal digests mean the
-/// eviction mirror survived the failover; anything else cold-starts.
-pub fn cache_digest(sorted_keys: &[u64]) -> u64 {
-    thinc_protocol::cache::store_digest(sorted_keys)
-}
-
-/// Wire byte for a pixel format inside a checkpoint.
-pub(crate) fn format_to_u8(f: PixelFormat) -> u8 {
-    match f {
-        PixelFormat::Indexed8 => 0,
-        PixelFormat::Rgb565 => 1,
-        PixelFormat::Rgb888 => 2,
-        PixelFormat::Rgba8888 => 3,
-    }
-}
-
-/// Inverse of [`format_to_u8`]; anything else is malformed.
-pub(crate) fn format_from_u8(b: u8) -> Result<PixelFormat, CheckpointError> {
-    Ok(match b {
-        0 => PixelFormat::Indexed8,
-        1 => PixelFormat::Rgb565,
-        2 => PixelFormat::Rgb888,
-        3 => PixelFormat::Rgba8888,
-        _ => return Err(CheckpointError::Malformed("pixel format")),
-    })
-}
-
 /// Tile edge (pixels) of the screen digest grid.
 pub const DIGEST_TILE: u32 = 16;
 
@@ -172,40 +164,31 @@ pub struct TileDigests {
     pub width: u32,
     /// Screen height the grid was computed over.
     pub height: u32,
-    /// Grid columns (`ceil(width / DIGEST_TILE)`).
-    pub cols: u32,
-    /// Grid rows (`ceil(height / DIGEST_TILE)`).
-    pub rows: u32,
-    /// Row-major FNV-1a 64 digests, one per tile.
+    /// Row-major FNV-1a 64 digests, one per tile of the grid
+    /// (`ceil(width / DIGEST_TILE)` columns, `ceil(height /
+    /// DIGEST_TILE)` rows, at least one of each).
     pub digests: Vec<u64>,
 }
 
 impl TileDigests {
     /// Digests every `DIGEST_TILE`-edge tile of `screen`.
     pub fn of(screen: &Framebuffer) -> Self {
-        let width = screen.width();
-        let height = screen.height();
-        let (cols, rows) = Self::grid(width, height);
-        let mut digests = Vec::with_capacity((cols * rows) as usize);
+        let (width, height) = (screen.width(), screen.height());
+        let (cols, rows) = grid(width, height);
+        let mut tiles = Self { width, height, digests: Vec::with_capacity((cols * rows) as usize) };
         for ty in 0..rows {
             for tx in 0..cols {
-                let rect = Rect::new(
-                    (tx * DIGEST_TILE) as i32,
-                    (ty * DIGEST_TILE) as i32,
-                    DIGEST_TILE.min(width - tx * DIGEST_TILE),
-                    DIGEST_TILE.min(height - ty * DIGEST_TILE),
-                );
-                let (_, data) = screen.get_raw(&rect);
-                digests.push(fnv64(&data));
+                let (_, data) = screen.get_raw(&tiles.tile(tx, ty));
+                tiles.digests.push(fnv64(&data));
             }
         }
-        Self { width, height, cols, rows, digests }
+        tiles
     }
 
-    /// The grid's columns and rows over a `width` × `height` screen:
-    /// the only grid a checkpoint of that screen may carry.
-    pub fn grid(width: u32, height: u32) -> (u32, u32) {
-        (width.div_ceil(DIGEST_TILE).max(1), height.div_ceil(DIGEST_TILE).max(1))
+    /// The screen rectangle of the tile in column `tx`, row `ty`.
+    fn tile(&self, tx: u32, ty: u32) -> Rect {
+        let (x, y) = (tx * DIGEST_TILE, ty * DIGEST_TILE);
+        Rect::new(x as i32, y as i32, DIGEST_TILE.min(self.width - x), DIGEST_TILE.min(self.height - y))
     }
 
     /// The session-space region whose tiles differ between `self`
@@ -219,268 +202,68 @@ impl TileDigests {
         {
             return Region::from_rect(Rect::new(0, 0, live.width, live.height));
         }
+        let (cols, _) = grid(self.width, self.height);
         let mut delta = Region::new();
-        for ty in 0..self.rows {
-            for tx in 0..self.cols {
-                let i = (ty * self.cols + tx) as usize;
-                if self.digests[i] != live.digests[i] {
-                    delta.union_rect(&Rect::new(
-                        (tx * DIGEST_TILE) as i32,
-                        (ty * DIGEST_TILE) as i32,
-                        DIGEST_TILE.min(self.width - tx * DIGEST_TILE),
-                        DIGEST_TILE.min(self.height - ty * DIGEST_TILE),
-                    ));
-                }
+        for (i, (then, now)) in (0..).zip(self.digests.iter().zip(&live.digests)) {
+            if then != now {
+                delta.union_rect(&self.tile(i % cols, i / cols));
             }
         }
         delta
     }
 }
 
-/// Byte-stream writer for checkpoint payloads (little-endian, no
-/// self-description — the layout *is* the schema).
-#[derive(Debug, Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
+/// The digest grid's columns and rows over a `width` × `height` screen.
+fn grid(width: u32, height: u32) -> (u32, u32) {
+    (width.div_ceil(DIGEST_TILE).max(1), height.div_ceil(DIGEST_TILE).max(1))
 }
 
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Self::default()
+/// The screen's width and height, the grid's columns and rows, then
+/// the digests, row-major, with no count. A grid other than the one the
+/// width and height make is malformed: its tiles would run past the
+/// screen's edges.
+impl Field for TileDigests {
+    const MIN_LEN: u64 = 16;
+    fn put(&self, out: &mut impl BufMut) {
+        let (cols, rows) = grid(self.width, self.height);
+        [self.width, self.height, cols, rows].put(out);
+        u64::put_seq(&self.digests, out);
     }
-
-    pub(crate) fn into_inner(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-            None => self.bool(false),
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let [width, height, cols, rows] = <[u32; 4]>::get(buf)?;
+        if (cols, rows) != grid(width, height) {
+            return Err(DecodeError::Malformed("tile grid"));
         }
+        // Reads fail at the payload's end, so a grid larger than what
+        // is left stops there: what it reserves is in proportion to
+        // the digests that are present, never to the grid.
+        let digests = u64::get_seq((u64::from(cols) * u64::from(rows)) as usize, buf)?;
+        Ok(Self { width, height, digests })
     }
-
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    pub(crate) fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    pub(crate) fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            Some(s) => {
-                self.bool(true);
-                self.str(s);
-            }
-            None => self.bool(false),
-        }
-    }
-
-    pub(crate) fn rect(&mut self, r: &Rect) {
-        self.i32(r.x);
-        self.i32(r.y);
-        self.u32(r.w);
-        self.u32(r.h);
-    }
-
-    pub(crate) fn region(&mut self, r: &Region) {
-        // Written in *canonical* y-x banded form, which is a unique
-        // function of the pixel set. A live region's internal banding
-        // depends on the history of unions and subtractions that built
-        // it, so serializing it verbatim would make
-        // checkpoint(restore(c)) differ from c byte-for-byte even
-        // though the state is identical — the failover-fidelity
-        // invariant pins the canonical form instead.
-        let rects = canonical_bands(r.rects());
-        self.u32(rects.len() as u32);
-        for rect in &rects {
-            self.rect(rect);
-        }
+    fn wire_len(&self) -> u64 {
+        16 + 8 * self.digests.len() as u64
     }
 }
 
-/// The unique canonical y-x banding of a disjoint rectangle set:
-/// bands split at every distinct y-edge, x-spans merged within each
-/// band, vertically adjacent bands with identical x-spans coalesced.
-/// Two regions covering the same pixels always produce the same list.
-fn canonical_bands(rects: &[Rect]) -> Vec<Rect> {
-    if rects.is_empty() {
-        return Vec::new();
+/// A protocol message inside a record: its revision-1 frame as a byte
+/// payload, which the frame must fill exactly.
+pub(crate) struct Framed(pub(crate) Message);
+
+impl Field for Framed {
+    const MIN_LEN: u64 = 4;
+    fn put(&self, out: &mut impl BufMut) {
+        encode_message(&self.0).put(out);
     }
-    let mut ys: Vec<i32> = Vec::with_capacity(rects.len() * 2);
-    for r in rects {
-        ys.push(r.y);
-        ys.push(r.bottom());
-    }
-    ys.sort_unstable();
-    ys.dedup();
-    // (y0, y1, merged x-intervals) per occupied band.
-    type Band = (i32, i32, Vec<(i32, i32)>);
-    let mut groups: Vec<Band> = Vec::new();
-    for win in ys.windows(2) {
-        let (y0, y1) = (win[0], win[1]);
-        let mut xs: Vec<(i32, i32)> = rects
-            .iter()
-            .filter(|r| r.y < y1 && r.bottom() > y0)
-            .map(|r| (r.x, r.right()))
-            .collect();
-        if xs.is_empty() {
-            continue;
-        }
-        xs.sort_unstable();
-        let mut merged: Vec<(i32, i32)> = Vec::new();
-        for (a, b) in xs {
-            match merged.last_mut() {
-                Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        match groups.last_mut() {
-            Some(last) if last.1 == y0 && last.2 == merged => last.1 = y1,
-            _ => groups.push((y0, y1, merged)),
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let frame = payload(buf)?;
+        match decode_message(frame) {
+            Ok((msg, used)) if used == frame.len() => Ok(Self(msg)),
+            Ok(_) => Err(DecodeError::Malformed("trailing bytes inside embedded message")),
+            Err(_) => Err(DecodeError::Malformed("embedded message does not decode")),
         }
     }
-    let mut out = Vec::new();
-    for (y0, y1, xs) in groups {
-        for (a, b) in xs {
-            out.push(Rect::new(a, y0, (b - a) as u32, (y1 - y0) as u32));
-        }
-    }
-    out
-}
-
-/// Byte-stream reader mirroring [`Writer`]; every read is
-/// bounds-checked and fails with [`CheckpointError::Truncated`]
-/// rather than panicking.
-#[derive(Debug)]
-pub(crate) struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    /// Whether every payload byte was consumed — restores check this
-    /// so trailing garbage is detected even when the prefix parses.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.pos == self.data.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.data.len() - self.pos < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("bool tag")),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn i32(&mut self) -> Result<i32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn opt_u64(&mut self) -> Result<Option<u64>, CheckpointError> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
-    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, CheckpointError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CheckpointError::Malformed("utf-8 string"))
-    }
-
-    pub(crate) fn opt_str(&mut self) -> Result<Option<String>, CheckpointError> {
-        Ok(if self.bool()? { Some(self.str()?) } else { None })
-    }
-
-    pub(crate) fn rect(&mut self) -> Result<Rect, CheckpointError> {
-        let x = self.i32()?;
-        let y = self.i32()?;
-        let w = self.u32()?;
-        let h = self.u32()?;
-        Ok(Rect::new(x, y, w, h))
-    }
-
-    pub(crate) fn region(&mut self) -> Result<Region, CheckpointError> {
-        let n = self.u32()? as usize;
-        // A region over a screen holds at most a few thousand bands;
-        // cap the claimed count so a corrupted length can't balloon
-        // the allocation before the (inevitable) Truncated error.
-        if n > self.data.len() / 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut region = Region::new();
-        for _ in 0..n {
-            let r = self.rect()?;
-            region.union_rect(&r);
-        }
-        Ok(region)
+    fn wire_len(&self) -> u64 {
+        4 + self.0.wire_size()
     }
 }
 
@@ -527,42 +310,84 @@ mod tests {
         }
     }
 
+    /// `value` written, sized, read back and written again to the same
+    /// bytes, with nothing left over; every cut of it is an error.
+    fn round_trip<T: Field>(value: &T) {
+        let bytes = thinc_protocol::codec::to_bytes(value);
+        assert_eq!(value.wire_len(), bytes.len() as u64);
+        assert!(bytes.len() as u64 >= T::MIN_LEN);
+        let mut rest = &bytes[..];
+        let back = T::get(&mut rest).expect("a written field reads back");
+        assert!(rest.is_empty());
+        assert_eq!(thinc_protocol::codec::to_bytes(&back), bytes);
+        for cut in 0..bytes.len() {
+            assert!(T::get(&mut &bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
     #[test]
-    fn writer_reader_mirror() {
-        let mut w = Writer::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(0xDEAD_BEEF);
-        w.i32(-42);
-        w.u64(u64::MAX - 1);
-        w.f64(0.5);
-        w.opt_u64(Some(99));
-        w.opt_u64(None);
-        w.str("owner");
-        w.opt_str(Some("pw"));
-        w.opt_str(None);
-        w.rect(&Rect::new(-1, 2, 3, 4));
-        let mut region = Region::new();
-        region.union_rect(&Rect::new(0, 0, 10, 10));
-        region.union_rect(&Rect::new(20, 20, 5, 5));
-        w.region(&region);
-        let buf = w.into_inner();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.i32().unwrap(), -42);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap(), 0.5);
-        assert_eq!(r.opt_u64().unwrap(), Some(99));
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.str().unwrap(), "owner");
-        assert_eq!(r.opt_str().unwrap(), Some("pw".into()));
-        assert_eq!(r.opt_str().unwrap(), None);
-        assert_eq!(r.rect().unwrap(), Rect::new(-1, 2, 3, 4));
-        assert_eq!(r.region().unwrap(), region);
-        assert!(r.exhausted());
-        assert_eq!(r.u8(), Err(CheckpointError::Truncated));
+    fn every_record_field_round_trips() {
+        use crate::degradation::{DegradationConfig, DegradationLevel};
+        use crate::delivery::{Ladder, SessionKey};
+        use crate::scheduler::QueueSlot;
+        round_trip(&TileDigests::of(&Framebuffer::new(40, 20, PixelFormat::Rgb888)));
+        round_trip(&Framed(Message::CursorMove { x: -3, y: 4 }));
+        round_trip(&QueueSlot::Realtime);
+        round_trip(&QueueSlot::Normal(2));
+        round_trip(&SessionKey(vec![7; 256]));
+        round_trip(&Ladder(None));
+        for level in DegradationLevel::ALL {
+            round_trip(&level);
+            assert_eq!(thinc_protocol::codec::to_bytes(&level), [level.index() as u8]);
+            round_trip(&Ladder(Some(level)));
+        }
+        round_trip(&DegradationConfig::default());
+        // What the rows alone cannot say is refused on read.
+        let short_key = thinc_protocol::codec::to_bytes(&vec![7u8; 0]);
+        assert!(SessionKey::get(&mut &short_key[..]).is_err());
+        let mut framed = thinc_protocol::codec::to_bytes(&Framed(Message::VideoEnd { id: 1 }));
+        framed[0] += 1;
+        framed.push(0);
+        assert_eq!(
+            Framed::get(&mut &framed[..]).err(),
+            Some(DecodeError::Malformed("trailing bytes inside embedded message"))
+        );
+    }
+
+    #[test]
+    fn the_doc_prints_every_record() {
+        // docs/ROBUSTNESS.md's "Layout version 7" block names each
+        // record, then its fields in wire order; a continuation line
+        // is indented.
+        let doc = include_str!("../../../docs/ROBUSTNESS.md");
+        let block = doc
+            .split("**Layout version 7.**")
+            .nth(1)
+            .and_then(|rest| rest.split("```text\n").nth(1))
+            .and_then(|rest| rest.split("```").next())
+            .expect("the layout block");
+        let mut printed: Vec<(String, Vec<String>)> = Vec::new();
+        for line in block.lines() {
+            let mut words = line.split_whitespace().map(str::to_owned);
+            if !line.starts_with(' ') {
+                printed.push((words.next().expect("a record's name"), Vec::new()));
+            }
+            printed.last_mut().expect("a record's first line").1.extend(words);
+        }
+        let declared: Vec<(String, Vec<String>)> = [
+            ("SESSION", crate::session::SessionRecord::FIELDS),
+            ("MEMBER", crate::session::MemberRecord::FIELDS),
+            ("DEGRADATION", crate::degradation::DegradationConfig::FIELDS),
+            ("CLIENT", crate::delivery::ClientRecord::FIELDS),
+            ("BUFFER", crate::buffer::checkpoint::BufferRecord::FIELDS),
+            ("ENTRY", crate::buffer::checkpoint::EntryRecord::FIELDS),
+            ("LEDGER", crate::buffer::checkpoint::LedgerRecord::FIELDS),
+            ("LEDGER_ENTRY", crate::buffer::checkpoint::LedgerEntry::FIELDS),
+        ]
+        .iter()
+        .map(|(name, fields)| (name.to_string(), fields.iter().map(|f| f.to_string()).collect()))
+        .collect();
+        assert_eq!(printed, declared, "docs/ROBUSTNESS.md against the records");
     }
 
     #[test]
@@ -586,11 +411,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cache_digest_is_order_and_content_sensitive() {
-        assert_eq!(cache_digest(&[]), cache_digest(&[]));
-        assert_eq!(cache_digest(&[1, 2, 3]), cache_digest(&[1, 2, 3]));
-        assert_ne!(cache_digest(&[1, 2, 3]), cache_digest(&[1, 2, 4]));
-        assert_ne!(cache_digest(&[1, 2]), cache_digest(&[1, 2, 3]));
-    }
 }

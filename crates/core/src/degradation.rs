@@ -21,6 +21,8 @@
 //! epochs to step down, `promote_after` clear epochs to step up —
 //! keeps the controller from oscillating on bursty links.
 
+use thinc_protocol::record;
+
 /// Fidelity rungs, shallowest to deepest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationLevel {
@@ -45,12 +47,8 @@ impl DegradationLevel {
 
     /// Ladder index (0 = full fidelity).
     pub fn index(self) -> usize {
-        match self {
-            DegradationLevel::Full => 0,
-            DegradationLevel::Reduced => 1,
-            DegradationLevel::Degraded => 2,
-            DegradationLevel::Survival => 3,
-        }
+        // Declared shallowest first, as `ALL` lists them.
+        self as usize
     }
 
     /// Divisor applied to the client viewport for server-side
@@ -85,18 +83,26 @@ impl DegradationLevel {
     }
 }
 
-/// Controller policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationConfig {
-    /// Consecutive pressured epochs before stepping one level deeper.
-    pub degrade_after: u32,
-    /// Consecutive clear epochs before stepping one level back up.
-    pub promote_after: u32,
-    /// Fraction of the byte bound at which standing backlog counts as
-    /// pressure even without fresh fault events.
-    pub pressure_fraction: f64,
-    /// Deepest level the ladder may reach.
-    pub max_level: DegradationLevel,
+record! {
+    /// Controller policy knobs (a checkpoint records them as they are
+    /// declared).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DegradationConfig {
+        /// Consecutive pressured epochs before stepping one level deeper.
+        pub degrade_after: u32,
+        /// Consecutive clear epochs before stepping one level back up.
+        pub promote_after: u32,
+        /// Fraction of the byte bound at which standing backlog counts as
+        /// pressure even without fresh fault events.
+        pub pressure_fraction: f64,
+        /// Deepest level the ladder may reach.
+        pub max_level: DegradationLevel,
+    }
+}
+
+// A level crosses a checkpoint as its ladder index.
+thinc_protocol::code_fields! {
+    DegradationLevel ("degradation level") { 0 => Full, 1 => Reduced, 2 => Degraded, 3 => Survival }
 }
 
 impl Default for DegradationConfig {

@@ -26,17 +26,19 @@ use std::collections::VecDeque;
 use thinc_compress::Rc4;
 use thinc_net::fault::FaultStats;
 use thinc_net::tcp::TcpPipe;
-use thinc_net::time::{SimDuration, SimTime};
+use thinc_net::time::SimTime;
 use thinc_net::trace::{Direction, PacketTrace};
+use thinc_protocol::codec::{BufMut, Field};
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::Message;
-use thinc_protocol::wire::{encode_message, FrameEncoder};
-use thinc_protocol::{PROTOCOL_VERSION, WIRE_REV_CACHE, WIRE_REV_LEGACY};
+use thinc_protocol::wire::FrameEncoder;
+use thinc_protocol::{record, DecodeError, PROTOCOL_VERSION, WIRE_REV_CACHE, WIRE_REV_LEGACY};
 use thinc_raster::{Framebuffer, Rect, Region};
 use thinc_telemetry::{ProtocolMetrics, ResilienceMetrics};
 
-use crate::buffer::{decode_checkpoint_message, ClientBuffer};
-use crate::checkpoint::{CheckpointError, Reader, Writer};
+use crate::buffer::checkpoint::BufferRecord;
+use crate::buffer::ClientBuffer;
+use crate::checkpoint::{CheckpointError, Framed};
 use crate::degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };
@@ -76,57 +78,67 @@ impl DeliveryPolicy {
             degradation: None,
         }
     }
+}
 
-    /// Writes everything but the session geometry (which every image
-    /// carries in its own header).
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.opt_u64(self.av_bound.map(|n| n as u64));
-        w.bool(self.liveness.is_some());
-        if let Some(cfg) = self.liveness {
-            w.u64(cfg.timeout.0);
-            w.u64(cfg.ping_interval.0);
-        }
-        w.bool(self.degradation.is_some());
-        if let Some(cfg) = self.degradation {
-            w.u32(cfg.degrade_after);
-            w.u32(cfg.promote_after);
-            w.f64(cfg.pressure_fraction);
-            w.u8(cfg.max_level.index() as u8);
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode) for a session of the given
-    /// geometry.
-    pub(crate) fn decode(r: &mut Reader<'_>, session: (u32, u32)) -> Result<Self, CheckpointError> {
-        let av_bound = r.opt_u64()?.map(|n| n as usize);
-        let liveness = if r.bool()? {
-            Some(LivenessConfig {
-                timeout: SimDuration(r.u64()?),
-                ping_interval: SimDuration(r.u64()?),
-            })
-        } else {
-            None
-        };
-        let degradation = if r.bool()? {
-            Some(DegradationConfig {
-                degrade_after: r.u32()?,
-                promote_after: r.u32()?,
-                pressure_fraction: r.f64()?,
-                max_level: level_from_u8(r.u8()?)?,
-            })
-        } else {
-            None
-        };
-        Ok(Self { session, av_bound, liveness, degradation })
+record! {
+    /// A client's record: the framer (revision and next sequence
+    /// number), the session key, the announced viewport and zoom view,
+    /// what it is owed, its ladder level, the queued A/V, and the
+    /// buffer's raw internal state.
+    pub(crate) struct ClientRecord {
+        revision: u32,
+        next_seq: u32,
+        key: Option<SessionKey>,
+        viewport_w: u32,
+        viewport_h: u32,
+        view: Rect,
+        /// The phase: whether the full view is owed, then the debt.
+        owes_view: bool,
+        debt: Region,
+        ladder: Ladder,
+        av: Vec<Framed>,
+        buffer: BufferRecord,
     }
 }
 
-/// Decodes a degradation-ladder level from its checkpoint byte.
-fn level_from_u8(b: u8) -> Result<DegradationLevel, CheckpointError> {
-    DegradationLevel::ALL
-        .get(b as usize)
-        .copied()
-        .ok_or(CheckpointError::Malformed("degradation level"))
+/// A keyed viewer's RC4 key: 1 to 256 bytes, what RC4 takes.
+pub(crate) struct SessionKey(pub(crate) Vec<u8>);
+
+impl Field for SessionKey {
+    const MIN_LEN: u64 = 4;
+    fn put(&self, out: &mut impl BufMut) {
+        self.0.put(out);
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let key = Vec::get(buf)?;
+        if !(1..=256).contains(&key.len()) {
+            return Err(DecodeError::Malformed("session key length"));
+        }
+        Ok(Self(key))
+    }
+    fn wire_len(&self) -> u64 {
+        self.0.wire_len()
+    }
+}
+
+/// A viewer's ladder level: its byte, or 0xFF without a ladder.
+pub(crate) struct Ladder(pub(crate) Option<DegradationLevel>);
+
+impl Field for Ladder {
+    const MIN_LEN: u64 = 1;
+    fn put(&self, out: &mut impl BufMut) {
+        match self.0 {
+            Some(level) => level.put(out),
+            None => 0xFFu8.put(out),
+        }
+    }
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        if let Some((0xFF, rest)) = buf.split_first() {
+            *buf = rest;
+            return Ok(Self(None));
+        }
+        DegradationLevel::get(buf).map(|level| Self(Some(level)))
+    }
 }
 
 /// One round of commands as one scale class receives it: each command
@@ -790,99 +802,66 @@ impl Delivery {
         out
     }
 
-    /// Writes this client's record into a checkpoint image: the
-    /// framer (revision and next sequence number), the session key, the
-    /// announced viewport and zoom view, what it is owed, its ladder
-    /// level, the queued A/V, and the buffer's raw internal state.
-    /// Deliberately not captured (rebuilt fresh on decode): video
-    /// stream internals (streams re-announce on resync), telemetry,
-    /// and the liveness tracker with its probes — those are
-    /// incarnation-local: the restored standby's fresh tracker issues
-    /// its own pings, and a carried-over probe would draw a pong the
-    /// standby's reset telemetry never accounted for (breaking
-    /// pong ≤ ping conservation).
-    pub(crate) fn encode_checkpoint(&self, w: &mut Writer) {
-        w.u32(u32::from(self.encoder.revision()));
-        w.u32(self.encoder.next_seq());
-        w.bool(self.cipher.is_some());
-        if let Some(cipher) = &self.cipher {
-            w.bytes(&cipher.0);
+    /// This client's checkpoint record. Deliberately not captured
+    /// (rebuilt fresh on restore): video stream internals (streams
+    /// re-announce on resync), telemetry, and the liveness tracker with
+    /// its probes — those are incarnation-local: the restored standby's
+    /// fresh tracker issues its own pings, and a carried-over probe
+    /// would draw a pong the standby's reset telemetry never accounted
+    /// for (breaking pong ≤ ping conservation).
+    pub(crate) fn record(&self) -> ClientRecord {
+        let (owes_view, debt) = match &self.phase {
+            Phase::Owes(debt) | Phase::OwesDelta(debt) => (false, debt.clone()),
+            Phase::OwesView | Phase::Quarantined => (true, Region::new()),
+        };
+        ClientRecord {
+            revision: u32::from(self.encoder.revision()),
+            next_seq: self.encoder.next_seq(),
+            key: self.cipher.as_ref().map(|cipher| SessionKey(cipher.0.clone())),
+            viewport_w: self.viewport.0,
+            viewport_h: self.viewport.1,
+            view: self.scale.view,
+            owes_view,
+            debt,
+            ladder: Ladder(self.degradation.as_ref().map(DegradationController::level)),
+            av: self.av.iter().filter(|m| !matches!(m, Message::Ping { .. })).cloned().map(Framed).collect(),
+            buffer: self.buffer.record(),
         }
-        w.u32(self.viewport.0);
-        w.u32(self.viewport.1);
-        w.rect(&self.scale.view);
-        // The phase: whether the full view is owed, then the debt.
-        match &self.phase {
-            Phase::Owes(debt) | Phase::OwesDelta(debt) => {
-                w.bool(false);
-                w.region(debt);
-            }
-            Phase::OwesView | Phase::Quarantined => {
-                w.bool(true);
-                w.region(&Region::new());
-            }
-        }
-        w.u8(self.degradation.as_ref().map_or(0xFF, |c| c.level().index() as u8));
-        let av: Vec<&Message> = self
-            .av
-            .iter()
-            .filter(|m| !matches!(m, Message::Ping { .. }))
-            .collect();
-        w.u32(av.len() as u32);
-        for msg in av {
-            w.bytes(&encode_message(msg));
-        }
-        self.buffer.encode_checkpoint(w);
     }
 
-    /// Rebuilds a client from its
-    /// [`encode_checkpoint`](Self::encode_checkpoint) record under
+    /// Rebuilds a client from its [`record`](Self::record) under
     /// `policy`, with liveness restarted at `now` (a restored server
     /// must not inherit pre-crash silence), the ladder's hysteresis
     /// restarted clean at the recorded level, and the keystream
     /// restarted from the key (the client re-keys on reconnect).
-    pub(crate) fn decode_checkpoint(
-        r: &mut Reader<'_>,
+    pub(crate) fn from_record(
+        rec: ClientRecord,
         policy: DeliveryPolicy,
         now: SimTime,
     ) -> Result<Self, CheckpointError> {
-        let revision = u16::try_from(r.u32()?)
+        let revision = u16::try_from(rec.revision)
             .ok()
             .filter(|rev| (WIRE_REV_LEGACY..=PROTOCOL_VERSION).contains(rev))
             .ok_or(CheckpointError::Malformed("wire revision"))?;
-        let mut encoder = FrameEncoder::with_revision(revision);
-        encoder.set_next_seq(r.u32()?);
-        let key = if r.bool()? { Some(r.bytes()?) } else { None };
-        if key.is_some_and(|k| !(1..=256).contains(&k.len())) {
-            return Err(CheckpointError::Malformed("session key length"));
-        }
-        let viewport = (r.u32()?, r.u32()?);
-        let view = r.rect()?;
-        let owes_view = r.bool()?;
-        let debt = r.region()?;
-        // The full view supersedes the debt an image holds beside it.
-        let phase = if owes_view { Phase::OwesView } else { Phase::Owes(debt) };
-        let degradation = match (policy.degradation, r.u8()?) {
-            (Some(_), 0xFF) => return Err(CheckpointError::Malformed("missing degradation level")),
-            (Some(cfg), b) => Some(DegradationController::restore(cfg, level_from_u8(b)?)),
-            (None, 0xFF) => None,
-            (None, _) => return Err(CheckpointError::Malformed("orphan degradation level")),
+        let degradation = match (policy.degradation, rec.ladder.0) {
+            (Some(cfg), Some(level)) => Some(DegradationController::restore(cfg, level)),
+            (None, None) => None,
+            (Some(_), None) => return Err(CheckpointError::Malformed("missing degradation level")),
+            (None, Some(_)) => return Err(CheckpointError::Malformed("orphan degradation level")),
         };
-        let mut av = VecDeque::new();
-        for _ in 0..r.u32()? {
-            av.push_back(decode_checkpoint_message(r.bytes()?)?);
-        }
-        let mut d = Self::new(policy, ClientBuffer::decode_checkpoint(r)?, now);
+        let mut d = Self::new(policy, ClientBuffer::from_record(rec.buffer)?, now);
         let (sw, sh) = policy.session;
-        d.viewport = (viewport.0.clamp(1, sw.max(1)), viewport.1.clamp(1, sh.max(1)));
+        d.viewport = (rec.viewport_w.clamp(1, sw.max(1)), rec.viewport_h.clamp(1, sh.max(1)));
         d.degradation = degradation;
-        d.phase = phase;
-        d.av = av;
-        d.encoder = encoder;
-        if let Some(key) = key {
-            d.set_key(key);
+        // The full view supersedes the debt an image holds beside it.
+        d.phase = if rec.owes_view { Phase::OwesView } else { Phase::Owes(rec.debt) };
+        d.av = rec.av.into_iter().map(|m| m.0).collect();
+        d.encoder = FrameEncoder::with_revision(revision);
+        d.encoder.set_next_seq(rec.next_seq);
+        if let Some(SessionKey(key)) = rec.key {
+            d.set_key(&key);
         }
-        d.aim(view);
+        d.aim(rec.view);
         Ok(d)
     }
 }

@@ -80,7 +80,7 @@ pub mod translator;
 pub mod video;
 
 pub use buffer::ClientBuffer;
-pub use checkpoint::{cache_digest, CheckpointError, TileDigests};
+pub use checkpoint::{CheckpointError, TileDigests};
 pub use degradation::{
     DegradationConfig, DegradationController, DegradationLevel, EpochSignals,
 };

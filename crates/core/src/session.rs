@@ -32,21 +32,19 @@ use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
 use thinc_display::input::{InputEvent, InputTracker};
 use thinc_net::tcp::TcpPipe;
-use thinc_net::time::SimTime;
+use thinc_net::time::{SimDuration, SimTime};
 use thinc_net::trace::PacketTrace;
+use thinc_protocol::codec::{to_bytes, Field};
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::{Message, ProtocolInput};
-use thinc_protocol::wire::encode_message;
-use thinc_protocol::PROTOCOL_VERSION;
+use thinc_protocol::{record, PROTOCOL_VERSION};
 use thinc_raster::{Color, Framebuffer, PixelFormat, Point, Rect, YuvFrame};
 
 use crate::audio::VirtualAudioDriver;
-use crate::buffer::{decode_checkpoint_message, ClientBuffer};
-use crate::checkpoint::{
-    cache_digest, format_from_u8, format_to_u8, CheckpointError, Reader, TileDigests, Writer,
-};
+use crate::buffer::ClientBuffer;
+use crate::checkpoint::{CheckpointError, Framed, TileDigests};
 use crate::degradation::DegradationConfig;
-use crate::delivery::{Delivery, DeliveryPolicy, Phase, Rendition};
+use crate::delivery::{ClientRecord, Delivery, DeliveryPolicy, Phase, Rendition};
 use crate::liveness::{LivenessConfig, LivenessVerdict};
 use crate::plane::{FormStore, PlanRole, PlaneCounters, WirePlane};
 use crate::scaling::ScalePolicy;
@@ -247,6 +245,40 @@ impl std::fmt::Debug for SharedSession {
         f.debug_struct("SharedSession")
             .field("clients", &self.clients.len())
             .finish_non_exhaustive()
+    }
+}
+
+record! {
+    /// A session's checkpoint image: everything
+    /// [`checkpoint`](SharedSession::checkpoint) captures, in wire order.
+    pub(crate) struct SessionRecord {
+        width: u32,
+        height: u32,
+        format: PixelFormat,
+        session_id: u64,
+        owner: String,
+        password: Option<String>,
+        next_client: u32,
+        now: u64,
+        av_bound: Option<u64>,
+        /// The liveness timeout, then the ping interval.
+        liveness: Option<[u64; 2]>,
+        degradation: Option<DegradationConfig>,
+        buffer_bound: Option<u64>,
+        cache_budget: Option<u64>,
+        offscreen: bool,
+        cursor_shape: Option<Framed>,
+        tiles: TileDigests,
+        clients: Vec<MemberRecord>,
+    }
+}
+
+record! {
+    /// One viewer on the roster: its id and user, then its record.
+    pub(crate) struct MemberRecord {
+        id: u32,
+        user: String,
+        client: ClientRecord,
     }
 }
 
@@ -803,39 +835,29 @@ impl SharedSession {
     /// the delivery record itself leaves out (video stream internals,
     /// liveness trackers, telemetry).
     pub fn checkpoint(&self, screen: &Framebuffer) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.policy.session.0);
-        w.u32(self.policy.session.1);
-        w.u8(format_to_u8(self.format));
-        w.u64(self.session_id);
-        w.str(&self.auth.owner);
-        w.opt_str(self.auth.session_password.as_deref());
-        w.u32(self.next_client);
-        w.u64(self.now.0);
-        self.policy.encode(&mut w);
-        w.opt_u64(self.buffer_bound);
-        w.opt_u64(self.cache_budget);
-        w.bool(self.translator.offscreen_awareness());
-        w.bool(self.cursor_shape.is_some());
-        if let Some(shape) = &self.cursor_shape {
-            w.bytes(&encode_message(shape));
-        }
-        let tiles = TileDigests::of(screen);
-        w.u32(tiles.width);
-        w.u32(tiles.height);
-        w.u32(tiles.cols);
-        w.u32(tiles.rows);
-        for d in &tiles.digests {
-            w.u64(*d);
-        }
-        let live = || self.clients.iter().filter(|(_, m)| !m.delivery.quarantined());
-        w.u32(live().count() as u32);
-        for (id, m) in live() {
-            w.u32(id.0);
-            w.str(&m.user);
-            m.delivery.encode_checkpoint(&mut w);
-        }
-        crate::checkpoint::seal(w.into_inner())
+        let live = self.clients.iter().filter(|(_, m)| !m.delivery.quarantined());
+        let record = SessionRecord {
+            width: self.policy.session.0,
+            height: self.policy.session.1,
+            format: self.format,
+            session_id: self.session_id,
+            owner: self.auth.owner.clone(),
+            password: self.auth.session_password.clone(),
+            next_client: self.next_client,
+            now: self.now.0,
+            av_bound: self.policy.av_bound.map(|n| n as u64),
+            liveness: self.policy.liveness.map(|cfg| [cfg.timeout.0, cfg.ping_interval.0]),
+            degradation: self.policy.degradation,
+            buffer_bound: self.buffer_bound,
+            cache_budget: self.cache_budget,
+            offscreen: self.translator.offscreen_awareness(),
+            cursor_shape: self.cursor_shape.clone().map(Framed),
+            tiles: TileDigests::of(screen),
+            clients: live
+                .map(|(id, m)| MemberRecord { id: id.0, user: m.user.clone(), client: m.delivery.record() })
+                .collect(),
+        };
+        crate::checkpoint::seal(to_bytes(&record))
     }
 
     /// Rebuilds a session from a [`checkpoint`](Self::checkpoint)
@@ -845,68 +867,49 @@ impl SharedSession {
     /// restore leaves no partial state behind (the caller keeps its
     /// cold path).
     pub fn restore(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let r = &mut Reader::new(crate::checkpoint::open(bytes)?);
-        let width = r.u32()?;
-        let height = r.u32()?;
-        let format = format_from_u8(r.u8()?)?;
-        let session_id = r.u64()?;
-        let owner = r.str()?;
-        let session_password = r.opt_str()?;
-        let next_client = r.u32()?;
-        let now = SimTime(r.u64()?);
-        let policy = DeliveryPolicy::decode(r, (width, height))?;
-        let buffer_bound = r.opt_u64()?;
-        let cache_budget = r.opt_u64()?;
-        let translator = Translator::with_offscreen_awareness(r.bool()?);
-        let cursor_shape = if r.bool()? { Some(decode_checkpoint_message(r.bytes()?)?) } else { None };
-        let tiles = {
-            let (tw, th, cols, rows) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-            // Any other grid runs its tiles past the screen's edges.
-            if (cols, rows) != TileDigests::grid(tw, th) {
-                return Err(CheckpointError::Malformed("tile grid"));
-            }
-            let n = u64::from(cols) * u64::from(rows);
-            // Reads fail fast at the payload boundary, so a corrupt
-            // count cannot balloon the allocation.
-            let mut digests = Vec::new();
-            for _ in 0..n {
-                digests.push(r.u64()?);
-            }
-            TileDigests { width: tw, height: th, cols, rows, digests }
-        };
-        let n_clients = r.u32()?;
-        let mut clients: Vec<(ClientId, Member)> = Vec::new();
-        for _ in 0..n_clients {
-            let id = ClientId(r.u32()?);
-            // Lookups binary-search the roster, and the next attach
-            // takes `next_client`: ids must ascend and stay below it.
-            if clients.last().is_some_and(|(last, _)| *last >= id) || id.0 >= next_client {
-                return Err(CheckpointError::Malformed("client ids not ascending"));
-            }
-            let user = r.str()?;
-            let delivery = Delivery::decode_checkpoint(r, policy, now)?;
-            clients.push((id, Member::new(user, delivery)));
-        }
-        if !r.exhausted() {
+        let mut payload = crate::checkpoint::open(bytes)?;
+        let rec = SessionRecord::get(&mut payload)?;
+        if !payload.is_empty() {
             return Err(CheckpointError::Malformed("trailing bytes after checkpoint"));
         }
+        let policy = DeliveryPolicy {
+            session: (rec.width, rec.height),
+            av_bound: rec.av_bound.map(|n| n as usize),
+            liveness: rec.liveness.map(|[timeout, ping_interval]| LivenessConfig {
+                timeout: SimDuration(timeout),
+                ping_interval: SimDuration(ping_interval),
+            }),
+            degradation: rec.degradation,
+        };
+        let now = SimTime(rec.now);
+        let mut clients: Vec<(ClientId, Member)> = Vec::with_capacity(rec.clients.len());
+        for member in rec.clients {
+            let id = ClientId(member.id);
+            // Lookups binary-search the roster, and the next attach
+            // takes `next_client`: ids must ascend and stay below it.
+            if clients.last().is_some_and(|(last, _)| *last >= id) || id.0 >= rec.next_client {
+                return Err(CheckpointError::Malformed("client ids not ascending"));
+            }
+            let delivery = Delivery::from_record(member.client, policy, now)?;
+            clients.push((id, Member::new(member.user, delivery)));
+        }
         Ok(Self {
-            format,
-            auth: SessionAuth { owner, session_password },
-            translator,
+            format: rec.format,
+            auth: SessionAuth { owner: rec.owner, session_password: rec.password },
+            translator: Translator::with_offscreen_awareness(rec.offscreen),
             input: InputTracker::new(),
-            cursor_shape,
+            cursor_shape: rec.cursor_shape.map(|shape| shape.0),
             audio: None,
             clients,
-            next_client,
+            next_client: rec.next_client,
             now,
             policy,
-            buffer_bound,
-            cache_budget,
+            buffer_bound: rec.buffer_bound,
+            cache_budget: rec.cache_budget,
             forms: FormStore::default(),
             fanout: PlaneCounters::default(),
-            session_id,
-            restored_tiles: Some(tiles),
+            session_id: rec.session_id,
+            restored_tiles: Some(rec.tiles),
         })
     }
 
@@ -989,7 +992,7 @@ impl SharedSession {
             Message::CacheMiss { hash } => d.miss(hash),
             Message::RefreshRequest { .. } => return Heard::Resync,
             Message::SessionResume { session_id: sid, client_id, last_seq, store_digest }
-                if sid == session_id && client_id == id.0 && cache_digest(&d.buffer().cache_keys()) == store_digest =>
+                if sid == session_id && client_id == id.0 && thinc_protocol::store_digest(&d.buffer().cache_keys()) == store_digest =>
             {
                 d.resume(last_seq, restored);
                 return Heard::Resumed { warm: true };
@@ -1040,12 +1043,11 @@ fn contain<R>(f: impl FnOnce() -> R) -> Option<R> {
 /// geometry, so two sessions only collide when they are genuinely
 /// interchangeable from the client's perspective.
 fn compute_session_id(owner: &str, width: u32, height: u32, format: PixelFormat) -> u64 {
-    use thinc_protocol::hash::{fnv64, fnv64_update};
-    let mut h = fnv64(owner.as_bytes());
-    h = fnv64_update(h, &width.to_le_bytes());
-    h = fnv64_update(h, &height.to_le_bytes());
-    h = fnv64_update(h, &[format_to_u8(format)]);
-    h
+    let mut identity = owner.as_bytes().to_vec();
+    width.put(&mut identity);
+    height.put(&mut identity);
+    format.put(&mut identity);
+    thinc_protocol::hash::fnv64(&identity)
 }
 
 impl VideoDriver for SharedSession {
@@ -2013,7 +2015,7 @@ mod tests {
                 break;
             }
         }
-        let digest_before = crate::checkpoint::cache_digest(&s.viewer(owner).unwrap().buffer().cache_keys());
+        let digest_before = thinc_protocol::store_digest(&s.viewer(owner).unwrap().buffer().cache_keys());
         let image = s.checkpoint(store.screen());
 
         // The "server" dies; drawing continues against the live store

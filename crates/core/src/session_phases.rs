@@ -17,11 +17,10 @@ use thinc_net::time::SimTime;
 use thinc_net::trace::PacketTrace;
 use thinc_protocol::commands::DisplayCommand;
 use thinc_protocol::message::{Message, ProtocolInput};
-use thinc_protocol::PROTOCOL_VERSION;
+use thinc_protocol::{store_digest, PROTOCOL_VERSION};
 use thinc_raster::{Color, PixelFormat, Rect};
 
 use super::{ClientId, Credentials, Heard, SharedSession};
-use crate::checkpoint::cache_digest;
 use crate::delivery::Phase;
 
 const PHASES: [&str; 5] = ["in step", "owes debt", "owes delta", "owes view", "quarantined"];
@@ -77,7 +76,7 @@ fn token(s: &SharedSession) -> Message {
         session_id: s.session_id(),
         client_id: VIEWER.0,
         last_seq: 7,
-        store_digest: cache_digest(&keys),
+        store_digest: store_digest(&keys),
     }
 }
 

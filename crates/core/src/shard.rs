@@ -50,14 +50,6 @@ impl ShardedManager {
         Self { session, ids, links: Vec::new() }
     }
 
-    /// Rebuilds a manager from a [`SharedSession::checkpoint`] image.
-    /// Redialing clients' fresh links must be registered via
-    /// [`adopt_link`](Self::adopt_link), in id order, before the next
-    /// flush epoch.
-    pub fn restore(bytes: &[u8]) -> Result<Self, crate::checkpoint::CheckpointError> {
-        Ok(Self::new(SharedSession::restore(bytes)?, 1))
-    }
-
     /// The wrapped session, for reads.
     pub fn session(&self) -> &SharedSession {
         &self.session
@@ -233,7 +225,8 @@ mod tests {
         // A link adopted out of order would be paired with another
         // viewer's id by the next flush.
         let screen = thinc_raster::Framebuffer::new(64, 48, PixelFormat::Rgb888);
-        let mut m = ShardedManager::restore(&manager(3).session().checkpoint(&screen)).unwrap();
+        let restored = SharedSession::restore(&manager(3).session().checkpoint(&screen)).unwrap();
+        let mut m = ShardedManager::new(restored, 1);
         let second = m.session().client_ids()[1];
         m.adopt_link(second, link());
     }

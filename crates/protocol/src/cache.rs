@@ -420,6 +420,14 @@ mod tests {
     use thinc_raster::{Color, Rect};
 
     #[test]
+    fn store_digest_is_order_and_content_sensitive() {
+        assert_eq!(store_digest(&[]), store_digest(&[]));
+        assert_eq!(store_digest(&[1, 2, 3]), store_digest(&[1, 2, 3]));
+        assert_ne!(store_digest(&[1, 2, 3]), store_digest(&[1, 2, 4]));
+        assert_ne!(store_digest(&[1, 2]), store_digest(&[1, 2, 3]));
+    }
+
+    #[test]
     fn insert_get_touch() {
         let mut c: CacheLru<u32> = CacheLru::new(100);
         assert_eq!(c.insert(1, 40, 10), 0);

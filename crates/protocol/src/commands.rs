@@ -23,15 +23,17 @@ pub enum RawEncoding {
     PngLike,
 }
 
-/// A pixel tile for `PFILL`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tile {
-    /// Tile width in pixels.
-    pub width: u32,
-    /// Tile height in pixels.
-    pub height: u32,
-    /// Tightly packed pixel bytes in the session pixel format.
-    pub pixels: Vec<u8>,
+crate::record! {
+    /// A pixel tile for `PFILL`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Tile {
+        /// Tile width in pixels.
+        pub width: u32,
+        /// Tile height in pixels.
+        pub height: u32,
+        /// Tightly packed pixel bytes in the session pixel format.
+        pub pixels: Vec<u8>,
+    }
 }
 
 /// One THINC protocol display command.

@@ -19,6 +19,8 @@
 //! video streams (YUV data for the client's hardware scaler), audio,
 //! input events, and session control (handshake, viewport resize).
 //!
+//! - [`codec`]: the [`codec::Field`] trait every byte format is written
+//!   in, and the [`record!`] macro that declares a struct's layout,
 //! - [`commands`]: the display command objects and their wire sizes,
 //! - [`message`]: the full protocol message set,
 //! - [`wire`]: binary encoding/decoding with length-prefixed framing,
@@ -40,6 +42,7 @@
 //! doc is `docs/CACHE.md`.
 
 pub mod cache;
+pub mod codec;
 pub mod commands;
 pub mod crc;
 pub mod hash;

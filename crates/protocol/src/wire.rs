@@ -38,10 +38,8 @@
 //! messages (the client feeds it whatever the transport delivers),
 //! verifying checksums and sequence continuity at revision 2.
 
-use bytes::BufMut;
-use thinc_raster::{Color, Rect, YuvFormat};
-
-use crate::commands::{DisplayCommand, RawEncoding, Tile};
+use crate::codec::{BufMut, Field};
+use crate::commands::{DisplayCommand, Tile};
 pub use crate::crc::crc32;
 use crate::crc::{crc32_shift, crc32_update};
 use crate::message::{Message, ProtocolInput};
@@ -124,179 +122,56 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// One field of a message body: how it is written, read back and
-/// sized. A body is its fields in wire order with nothing between them,
-/// so a [`layout!`] row's field list is the whole of its layout.
-trait Field: Sized {
-    /// Appends the field's bytes.
-    fn put(&self, out: &mut impl BufMut);
-    /// Reads the field from the front of `buf`, advancing it. `buf` is
-    /// the rest of a frame that is all here, so a shortfall is damage.
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError>;
-    /// Bytes [`put`](Self::put) appends. (Not `len`, which would shadow
-    /// a [`Bytes`] payload's own length wherever the trait is in scope.)
-    fn wire_len(&self) -> u64;
+/// A variant's payload: its bytes (empty without one) and the shared
+/// allocation they are, if any (it memoises its CRC register and
+/// content id).
+type PayloadOf<'a> = (&'a [u8], Option<&'a Bytes>);
+
+/// A field a row may mark `payload`: the bytes its frame ends in.
+trait Payload {
+    fn payload(&self) -> PayloadOf<'_>;
 }
 
-/// A body shorter than its layout, inside a frame that is all here: no
-/// further bytes can complete it, so waiting would wedge the reader.
-const SHORT: DecodeError = DecodeError::Malformed("body shorter than its layout");
-
-/// The next `N` bytes of `buf`.
-fn take<'a, const N: usize>(buf: &mut &'a [u8]) -> Result<&'a [u8; N], DecodeError> {
-    let (head, rest) = buf.split_first_chunk().ok_or(SHORT)?;
-    *buf = rest;
-    Ok(head)
-}
-
-macro_rules! int_fields {
-    ($($int:ty),+) => {$(
-        impl Field for $int {
-            fn put(&self, out: &mut impl BufMut) {
-                out.put_slice(&self.to_le_bytes());
-            }
-            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-                take(buf).map(|bytes| Self::from_le_bytes(*bytes))
-            }
-            fn wire_len(&self) -> u64 {
-                std::mem::size_of::<Self>() as u64
-            }
-        }
-    )+};
-}
-
-int_fields!(u8, u16, u32, i32, u64);
-
-impl Field for Rect {
-    fn put(&self, out: &mut impl BufMut) {
-        self.x.put(out);
-        self.y.put(out);
-        self.w.put(out);
-        self.h.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Rect::new(Field::get(buf)?, Field::get(buf)?, Field::get(buf)?, Field::get(buf)?))
-    }
-    fn wire_len(&self) -> u64 {
-        16
+impl Payload for Bytes {
+    fn payload(&self) -> PayloadOf<'_> {
+        (self, Some(self))
     }
 }
 
-impl Field for Color {
-    fn put(&self, out: &mut impl BufMut) {
-        out.put_slice(&[self.r, self.g, self.b, self.a]);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        take(buf).map(|&[r, g, b, a]| Color::rgba(r, g, b, a))
-    }
-    fn wire_len(&self) -> u64 {
-        4
+impl Payload for Vec<u8> {
+    fn payload(&self) -> PayloadOf<'_> {
+        (self, None)
     }
 }
 
-/// A payload: a `u32` length, then that many bytes.
-fn put_payload(data: &[u8], out: &mut impl BufMut) {
-    (data.len() as u32).put(out);
-    out.put_slice(data);
-}
-
-impl Field for Vec<u8> {
-    fn put(&self, out: &mut impl BufMut) {
-        put_payload(self, out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        let len = u32::get(buf)? as usize;
-        let (data, rest) = buf.split_at_checked(len).ok_or(SHORT)?;
-        *buf = rest;
-        Ok(data.to_vec())
-    }
-    fn wire_len(&self) -> u64 {
-        4 + self.len() as u64
+/// A tile's pixels are the last of its fields.
+impl Payload for Tile {
+    fn payload(&self) -> PayloadOf<'_> {
+        (&self.pixels, None)
     }
 }
 
-/// Laid out as a `Vec<u8>`; decoding copies the bytes into a new
-/// allocation.
-impl Field for Bytes {
-    fn put(&self, out: &mut impl BufMut) {
-        put_payload(self, out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Vec::get(buf).map(Bytes::from)
-    }
-    fn wire_len(&self) -> u64 {
-        4 + self.len() as u64
-    }
+/// [`Field::MIN_LEN`] of the field `_pick` selects from a variant. The
+/// picker only names the field's type; it is never called.
+const fn min_len<E, T: Field>(_pick: fn(&E) -> Option<&T>) -> u64 {
+    T::MIN_LEN
 }
 
-/// A flag byte (0 or 1), then the color if it is 1.
-impl Field for Option<Color> {
-    fn put(&self, out: &mut impl BufMut) {
-        u8::from(self.is_some()).put(out);
-        if let Some(color) = self {
-            color.put(out);
-        }
+/// The fewest bytes the body of `tag`'s row takes, from `rows`.
+const fn min_body_len(rows: &[(u8, &str, u64)], tag: u8) -> u64 {
+    let mut i = 0;
+    while rows[i].0 != tag {
+        i += 1;
     }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::get(buf)? {
-            0 => Ok(None),
-            1 => Color::get(buf).map(Some),
-            _ => Err(DecodeError::Malformed("bitmap bg flag")),
-        }
-    }
-    fn wire_len(&self) -> u64 {
-        1 + self.map_or(0, |color| color.wire_len())
-    }
-}
-
-impl Field for Tile {
-    fn put(&self, out: &mut impl BufMut) {
-        self.width.put(out);
-        self.height.put(out);
-        self.pixels.put(out);
-    }
-    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Tile {
-            width: Field::get(buf)?,
-            height: Field::get(buf)?,
-            pixels: Field::get(buf)?,
-        })
-    }
-    fn wire_len(&self) -> u64 {
-        8 + Field::wire_len(&self.pixels)
-    }
-}
-
-/// A one-byte code per variant.
-macro_rules! code_fields {
-    ($($ty:ident ($what:literal) { $($code:literal => $variant:ident),+ })+) => {$(
-        impl Field for $ty {
-            fn put(&self, out: &mut impl BufMut) {
-                out.put_u8(match self { $($ty::$variant => $code),+ });
-            }
-            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-                match u8::get(buf)? {
-                    $($code => Ok($ty::$variant),)+
-                    _ => Err(DecodeError::Malformed($what)),
-                }
-            }
-            fn wire_len(&self) -> u64 {
-                1
-            }
-        }
-    )+};
-}
-
-code_fields! {
-    YuvFormat ("yuv format") { 0 => Yv12, 1 => Yuy2 }
-    RawEncoding ("raw encoding") { 0 => None, 1 => PngLike }
+    rows[i].2
 }
 
 /// What a [`layout!`] table derives for its enum.
 trait Layout: Sized {
-    /// Every row's tag and the name of its constant, in row order.
-    #[cfg(test)]
-    const TAGS: &'static [(u8, &'static str)];
+    /// Every row's tag, the name of its constant and the fewest bytes
+    /// its body takes (the sum of its fields' [`Field::MIN_LEN`]), in
+    /// row order.
+    const ROWS: &'static [(u8, &'static str, u64)];
     /// The variant's tag.
     fn tag(&self) -> u8;
     /// Appends the variant's fields in wire order.
@@ -311,10 +186,15 @@ trait Layout: Sized {
     /// revision-1 framing at every negotiated revision (it must be
     /// decodable before the revision is known).
     fn handshake(tag: u8) -> bool;
+    /// The field the variant's row marks `payload`, which its body
+    /// ends in (a nested table's, for a row that holds one).
+    fn payload(&self) -> PayloadOf<'_>;
 }
 
 /// A nested table is a field: its tag byte, then the variant's body.
 impl<T: Layout> Field for T {
+    /// The tag; a body may be empty.
+    const MIN_LEN: u64 = 1;
     fn put(&self, out: &mut impl BufMut) {
         self.tag().put(out);
         self.put_body(out);
@@ -330,19 +210,25 @@ impl<T: Layout> Field for T {
 
 /// Declares an enum's wire layout, one row per variant: the tag
 /// constant and its byte, the variant, and its fields in wire order (a
-/// tuple variant holds one field, a nested table). A row that ends in
-/// `handshake` is one. Encode, decode, size, the known tags and the
-/// handshake class are all derived from the rows.
+/// tuple variant holds one field, a nested table). A last field after
+/// `; payload` is the variant's payload, the bytes its frame ends in. A
+/// row that ends in `handshake` is one. Encode, decode, size, the
+/// payload, the known tags and the handshake class are all derived
+/// from the rows.
 macro_rules! layout {
     ($ty:ident {
         $($tag:ident = $byte:literal => $variant:ident
-            $({ $($field:ident),* })? $(($inner:ident))? $($handshake:ident)?,)+
+            $({ $($field:ident),* $(; payload $payload:ident)? })? $(($inner:ident))?
+            $($handshake:ident)?,)+
     }) => {
         $(const $tag: u8 = $byte;)+
 
         impl Layout for $ty {
-            #[cfg(test)]
-            const TAGS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($tag))),+];
+            const ROWS: &'static [(u8, &'static str, u64)] = &[$(($tag, stringify!($tag), 0
+                $($(+ layout!(@min $ty, $ty::$variant { $field, .. } => $field))*
+                    $(+ layout!(@min $ty, $ty::$variant { $payload, .. } => $payload))?)?
+                $(+ layout!(@min $ty, $ty::$variant($inner) => $inner))?
+            )),+];
 
             fn tag(&self) -> u8 {
                 match self {
@@ -352,8 +238,8 @@ macro_rules! layout {
 
             fn put_body(&self, out: &mut impl BufMut) {
                 match self {
-                    $($ty::$variant { $($($field,)*)? $(0: $inner)? } => {
-                        $($($field.put(out);)*)?
+                    $($ty::$variant { $($($field,)* $($payload,)?)? $(0: $inner)? } => {
+                        $($($field.put(out);)* $($payload.put(out);)?)?
                         $($inner.put(out);)?
                     })+
                 }
@@ -361,8 +247,9 @@ macro_rules! layout {
 
             fn body_len(&self) -> u64 {
                 match self {
-                    $($ty::$variant { $($($field,)*)? $(0: $inner)? } => {
-                        0 $($(+ Field::wire_len($field))*)? $(+ Field::wire_len($inner))?
+                    $($ty::$variant { $($($field,)* $($payload,)?)? $(0: $inner)? } => {
+                        0 $($(+ Field::wire_len($field))* $(+ Field::wire_len($payload))?)?
+                            $(+ Field::wire_len($inner))?
                     })+
                 }
             }
@@ -370,9 +257,9 @@ macro_rules! layout {
             fn get_body(tag: u8, buf: &mut &[u8]) -> Result<Self, DecodeError> {
                 match tag {
                     $($tag => {
-                        $($(let $field = Field::get(buf)?;)*)?
+                        $($(let $field = Field::get(buf)?;)* $(let $payload = Field::get(buf)?;)?)?
                         $(let $inner = Field::get(buf)?;)?
-                        Ok($ty::$variant { $($($field,)*)? $(0: $inner)? })
+                        Ok($ty::$variant { $($($field,)* $($payload,)?)? $(0: $inner)? })
                     })+
                     other => Err(DecodeError::UnknownType(other)),
                 }
@@ -388,10 +275,24 @@ macro_rules! layout {
                     _ => false,
                 }
             }
+
+            fn payload(&self) -> PayloadOf<'_> {
+                match self {
+                    $($ty::$variant { $($($payload,)?)? $(0: $inner,)? .. } => {
+                        layout!(@payload $($($payload)?)? $(nested $inner)?)
+                    })+
+                }
+            }
         }
     };
     (@handshake) => { false };
     (@handshake handshake) => { true };
+    (@min $ty:ident, $row:pat => $field:ident) => {
+        min_len(|v: &$ty| match v { $row => Some($field), _ => None })
+    };
+    (@payload) => { (&[], None) };
+    (@payload nested $inner:ident) => { Layout::payload($inner) };
+    (@payload $payload:ident) => { Payload::payload($payload) };
 }
 
 // Message tags. 0x10–0x14 are display command bytes (a separate
@@ -403,14 +304,14 @@ layout!(Message {
     MSG_CLIENT_HELLO = 0x02 => ClientHello { version, viewport_width, viewport_height } handshake,
     MSG_DISPLAY = 0x03 => Display(cmd),
     MSG_VIDEO_INIT = 0x04 => VideoInit { id, format, src_width, src_height, dst },
-    MSG_VIDEO_DATA = 0x05 => VideoData { id, seq, timestamp_us, data },
+    MSG_VIDEO_DATA = 0x05 => VideoData { id, seq, timestamp_us; payload data },
     MSG_VIDEO_MOVE = 0x06 => VideoMove { id, dst },
     MSG_VIDEO_END = 0x07 => VideoEnd { id },
-    MSG_AUDIO = 0x08 => Audio { seq, timestamp_us, data },
+    MSG_AUDIO = 0x08 => Audio { seq, timestamp_us; payload data },
     MSG_INPUT = 0x09 => Input(input),
     MSG_RESIZE = 0x0A => Resize { viewport_width, viewport_height },
     MSG_SET_VIEW = 0x0B => SetView { view },
-    MSG_CURSOR_SHAPE = 0x0C => CursorShape { width, height, hot_x, hot_y, pixels },
+    MSG_CURSOR_SHAPE = 0x0C => CursorShape { width, height, hot_x, hot_y; payload pixels },
     MSG_CURSOR_MOVE = 0x0D => CursorMove { x, y },
     MSG_PING = 0x0E => Ping { seq, timestamp_us },
     MSG_PONG = 0x0F => Pong { seq, timestamp_us },
@@ -422,11 +323,11 @@ layout!(Message {
 });
 
 layout!(DisplayCommand {
-    CMD_RAW = 0x10 => Raw { rect, encoding, data },
+    CMD_RAW = 0x10 => Raw { rect, encoding; payload data },
     CMD_COPY = 0x11 => Copy { src_rect, dst_x, dst_y },
     CMD_SFILL = 0x12 => Sfill { rect, color },
-    CMD_PFILL = 0x13 => Pfill { rect, tile },
-    CMD_BITMAP = 0x14 => Bitmap { rect, fg, bg, bits },
+    CMD_PFILL = 0x13 => Pfill { rect; payload tile },
+    CMD_BITMAP = 0x14 => Bitmap { rect, fg, bg; payload bits },
 });
 
 layout!(ProtocolInput {
@@ -436,6 +337,13 @@ layout!(ProtocolInput {
     IN_KEY_PRESS = 0x23 => KeyPress { key },
     IN_KEY_RELEASE = 0x24 => KeyRelease { key },
 });
+
+/// Wire bytes of a RAW command's revision-1 frame around its payload:
+/// the command header, then the fixed fields and the payload's length
+/// prefix — the least a RAW body can be, its row's fields being fixed
+/// but for the payload.
+pub const RAW_FRAME_OVERHEAD: u64 =
+    crate::commands::COMMAND_HEADER_BYTES + min_body_len(DisplayCommand::ROWS, CMD_RAW);
 
 /// The revision-1 frame length of a display command, the scheduler's
 /// size key: header, command tag and body.
@@ -480,8 +388,8 @@ fn frame_into(msg: &Message, header_len: usize, out: &mut Vec<u8>) {
 /// A display command's revision-1 frame split at its payload: the
 /// FNV-1a 64 state over everything before the payload (header, fixed
 /// fields, length prefix — hashed as they are produced, none of it
-/// built), and the payload, which is always the frame's last field.
-fn display_frame_head(cmd: &DisplayCommand) -> (u64, &[u8]) {
+/// built), and the payload its row marks.
+fn display_frame_head(cmd: &DisplayCommand) -> (u64, PayloadOf<'_>) {
     /// FNV state, and head bytes still to hash.
     struct Head(u64, usize);
     impl BufMut for Head {
@@ -491,13 +399,8 @@ fn display_frame_head(cmd: &DisplayCommand) -> (u64, &[u8]) {
             self.1 -= take;
         }
     }
-    let payload: &[u8] = match cmd {
-        DisplayCommand::Raw { data, .. } => data,
-        DisplayCommand::Pfill { tile, .. } => &tile.pixels,
-        DisplayCommand::Bitmap { bits, .. } => bits,
-        DisplayCommand::Copy { .. } | DisplayCommand::Sfill { .. } => &[],
-    };
-    let mut head = Head(crate::hash::FNV64_OFFSET, cmd.wire_size() as usize - payload.len());
+    let payload = cmd.payload();
+    let mut head = Head(crate::hash::FNV64_OFFSET, cmd.wire_size() as usize - payload.0.len());
     MSG_DISPLAY.put(&mut head);
     (Field::wire_len(cmd) as u32).put(&mut head);
     cmd.put(&mut head);
@@ -510,7 +413,7 @@ fn display_frame_head(cmd: &DisplayCommand) -> (u64, &[u8]) {
 /// in place. No frame is built; the value is
 /// `fnv64(&encode_message(&Message::Display(cmd)))`.
 pub(crate) fn display_frame_fnv(cmd: &DisplayCommand) -> u64 {
-    let (head, payload) = display_frame_head(cmd);
+    let (head, (payload, _)) = display_frame_head(cmd);
     crate::hash::fnv64_update(head, payload)
 }
 
@@ -518,17 +421,17 @@ pub(crate) fn display_frame_fnv(cmd: &DisplayCommand) -> u64 {
 /// the head's FNV state (a few dozen bytes) and
 /// [`content_id`](crate::hash::content_id) of the payload's bytes,
 /// mixed. A pure function of the frame bytes, at `content_id`'s speed
-/// instead of FNV's serial chain. A RAW's payload is read only once per
-/// allocation: an owned [`Bytes`](crate::Bytes) lends the id it
+/// instead of FNV's serial chain. A shared payload is read only once
+/// per allocation: an owned [`Bytes`](crate::Bytes) lends the id it
 /// memoises, which is `content_id` of its bytes, and a view — whose
 /// memoised id is derived from its root, and would tell it from a
 /// byte-equal copy — is read ([`Bytes::bytes_id`](crate::Bytes)).
 /// Never a wire value.
 pub(crate) fn display_frame_id(cmd: &DisplayCommand) -> u64 {
-    let (head, payload) = display_frame_head(cmd);
-    let payload = match cmd {
-        DisplayCommand::Raw { data, .. } => data.bytes_id(),
-        _ => crate::hash::content_id(payload),
+    let (head, (payload, shared)) = display_frame_head(cmd);
+    let payload = match shared {
+        Some(data) => data.bytes_id(),
+        None => crate::hash::content_id(payload),
     };
     crate::hash::content_id([head, payload].map(u64::to_le_bytes).as_flattened())
 }
@@ -555,24 +458,19 @@ pub fn encode_message_seq(msg: &Message, seq: u32) -> Vec<u8> {
 /// the allocation-free twin of [`encode_message_seq`].
 ///
 /// The CRC is the same value over the same bytes however it is
-/// reached: a RAW, video or audio body ends in its shared payload, so
-/// for payloads of [`CRC_COMPOSE_MIN`] bytes or more the register is
-/// run over the header and the body's fixed fields only, and the
-/// payload's share is composed in from the register its allocation
-/// memoises — one pass per allocation instead of one per viewer.
+/// reached: a body ends in the payload its row marks, so for a shared
+/// payload (a RAW's, video's or audio's) of [`CRC_COMPOSE_MIN`] bytes
+/// or more the register is run over the header and the body's fixed
+/// fields only, and the payload's share is composed in from the
+/// register its allocation memoises — one pass per allocation instead
+/// of one per viewer.
 pub fn encode_message_seq_into(msg: &Message, seq: u32, out: &mut Vec<u8>) {
     frame_into(msg, INTEGRITY_HEADER_LEN, out);
     out[5..9].copy_from_slice(&seq.to_le_bytes());
     let crc = crc32_update(!0, &out[..9]);
     let body = &out[INTEGRITY_HEADER_LEN..];
-    let shared = match msg {
-        Message::Display(DisplayCommand::Raw { data, .. })
-        | Message::VideoData { data, .. }
-        | Message::Audio { data, .. } => Some(data),
-        _ => None,
-    };
-    let crc = match shared {
-        Some(data) if data.len() >= CRC_COMPOSE_MIN => {
+    let crc = match msg.payload() {
+        (_, Some(data)) if data.len() >= CRC_COMPOSE_MIN => {
             let (fixed, payload) = body.split_at(body.len() - data.len());
             debug_assert_eq!(payload, data.as_slice(), "the body ends in its payload");
             crc32_shift(crc32_update(crc, fixed), payload.len()) ^ data.crc_from_zero()
@@ -977,6 +875,8 @@ fn plausible_frame_start(buf: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::RawEncoding;
+    use thinc_raster::{Color, Rect, YuvFormat};
 
     fn sample_messages() -> Vec<Message> {
         vec![
@@ -1210,6 +1110,34 @@ mod tests {
     }
 
     #[test]
+    fn raw_frame_overhead_is_a_raws_frame_around_its_payload() {
+        for len in [0, 1, 4096] {
+            let msg = Message::Display(DisplayCommand::Raw {
+                rect: Rect::new(-3, 7, 5, 6),
+                encoding: RawEncoding::PngLike,
+                data: vec![7; len].into(),
+            });
+            assert_eq!(RAW_FRAME_OVERHEAD, encoded_len(&msg) - len as u64);
+        }
+    }
+
+    #[test]
+    fn each_payload_is_the_end_of_its_frame() {
+        // The marked field is the frame's tail, and only a shared one
+        // lends its allocation to the CRC composition.
+        for msg in sample_messages() {
+            let frame = encode_message(&msg);
+            let (payload, shared) = msg.payload();
+            assert!(frame.ends_with(payload), "{msg:?}");
+            let composes = matches!(
+                msg,
+                Message::Display(DisplayCommand::Raw { .. }) | Message::VideoData { .. } | Message::Audio { .. }
+            );
+            assert_eq!(shared.is_some(), composes, "{msg:?}");
+        }
+    }
+
+    #[test]
     fn truncated_frames_wait_for_more() {
         let enc = encode_message(&sample_messages()[2]);
         for cut in 0..enc.len() {
@@ -1316,11 +1244,11 @@ mod tests {
                 (cell(1).to_owned(), cell(2).to_owned())
             })
             .collect();
-        let tables = [Message::TAGS, DisplayCommand::TAGS, ProtocolInput::TAGS];
+        let tables = [Message::ROWS, DisplayCommand::ROWS, ProtocolInput::ROWS];
         let mut declared: Vec<(String, String)> = tables
             .concat()
             .into_iter()
-            .map(|(tag, name)| (format!("0x{tag:02X}"), name.trim_start_matches("CMD_").to_owned()))
+            .map(|(tag, name, _)| (format!("0x{tag:02X}"), name.trim_start_matches("CMD_").to_owned()))
             .collect();
         printed.sort();
         declared.sort();

@@ -339,3 +339,46 @@ fn one_phase_per_end() {
         hits.join("\n")
     );
 }
+
+#[test]
+fn one_translating_video_driver_and_delivery_built_only_by_the_session() {
+    // ThincServer forwards to its session: a translator call, or a
+    // Delivery built or restored in server.rs, is a second façade
+    // growing back (ServerConfig::session builds the session through
+    // SharedSession's own constructors).
+    let server = [root().join("crates/core/src/server.rs")];
+    assert!(server[0].is_file(), "no {}", server[0].display());
+    let needles = [concat!("Translator", "::"), concat!("Delivery::", "new("), concat!("Delivery::", "from_record(")];
+    let hits = lines_naming(&server, &needles);
+    assert!(
+        hits.is_empty(),
+        "a single-client server is a session of one, and every Delivery is built and restored by \
+         SharedSession; server.rs translates or builds one itself:\n{}",
+        hits.join("\n")
+    );
+    let translating: Vec<String> = files_under(&["crates/core/src"])
+        .into_iter()
+        .filter(|path| {
+            let src = fs::read_to_string(path).unwrap_or_default();
+            src.contains(concat!("impl Video", "Driver for")) && src.contains(concat!("self.trans", "lator."))
+        })
+        .map(|path| path.strip_prefix(root()).unwrap_or(&path).display().to_string())
+        .collect();
+    assert_eq!(
+        translating,
+        ["crates/core/src/session.rs"],
+        "the session is the one VideoDriver that runs the translator"
+    );
+}
+
+#[test]
+fn the_core_declares_no_byte_codec_of_its_own() {
+    let core = files_under(&["crates/core/src"]);
+    let hits = lines_naming_words(&core, &[concat!("struct ", "Writer"), concat!("struct ", "Reader")]);
+    assert!(
+        hits.is_empty(),
+        "a checkpoint is records declared with thinc_protocol::record!, written in the wire \
+         codec's Field encodings; a byte writer or reader of the core's own is back:\n{}",
+        hits.join("\n")
+    );
+}
