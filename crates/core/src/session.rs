@@ -1748,6 +1748,27 @@ mod tests {
         });
     }
 
+    #[test]
+    fn a_lone_viewers_round_is_contained_and_counted() {
+        use crate::server::{ServerConfig, VIEWER};
+        use thinc_display::drawable::SCREEN;
+
+        let mut s = ServerConfig { width: 64, height: 64, ..ServerConfig::default() }.session();
+        s.poison_next_flush(VIEWER);
+        let out = silence_panics(|| sent(&mut s, VIEWER, SimTime(1_000)));
+        assert!(out.is_empty(), "a quarantined viewer delivers nothing");
+        assert!(s.client_quarantined(VIEWER));
+        assert_eq!(s.viewer(VIEWER).unwrap().resilience_metrics().panics_quarantined(), 1);
+        // A round of one is a round: what its codec did reaches the
+        // session's plane counters.
+        let peer = s.join("peer".into(), 64, 64);
+        let before = s.fanout_counters().encodes;
+        let store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
+        s.put_image(&store, SCREEN, Rect::new(0, 0, 32, 32), &[0x5a; 32 * 32 * 3]);
+        assert!(!sent(&mut s, peer, SimTime(2_000)).is_empty());
+        assert!(s.fanout_counters().encodes > before, "the compressible RAW was encoded");
+    }
+
     /// Runs a two-client cached session over clean links: the same
     /// tile is redrawn every round, so rounds after the first travel
     /// as cache references. Returns the per-client message streams,
