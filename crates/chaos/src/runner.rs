@@ -185,8 +185,8 @@ pub fn run(schedule: &Schedule) -> RunReport {
             ping_interval: PING_INTERVAL,
         })
         .with_degradation(DegradationConfig::default())
-        .with_buffer_bound(schedule.buffer_bound.max(4 * 1024))
-        .with_cache(schedule.cache_budget.max(4 * 1024));
+        .with_buffer_bound(schedule.buffer_bound.max(4 * 1024));
+    session.set_cache_budget(Some(schedule.cache_budget.max(4 * 1024)));
     session.auth_mut().enable_sharing("chaos");
     let mut r = Runner {
         manager: ShardedManager::new(session, 1),

@@ -392,8 +392,8 @@ fn what_one_round_learns_a_viewer_without_a_ledger_takes_in_the_next() {
     use thinc_raster::{Framebuffer, PixelFormat};
     // A budgeted session of two: the first viewer speaks revision 3,
     // the second revision 2, so it has no ledger.
-    let mut s = SharedSession::new(128, 128, PixelFormat::Rgb888, "host")
-        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let mut s = SharedSession::new(128, 128, PixelFormat::Rgb888, "host");
+    s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
     let (first, second) = (s.join("a".into(), 128, 128), s.join("b".into(), 128, 128));
     let hello = Message::ClientHello { version: 2, viewport_width: 128, viewport_height: 128 };
     s.handle_message(second, &hello, &Framebuffer::new(128, 128, PixelFormat::Rgb888));

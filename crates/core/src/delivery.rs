@@ -739,8 +739,8 @@ impl Delivery {
     /// The first half of a flush: everything that may still change
     /// what is queued — the degradation ladder's verdict
     /// on the epoch (a step re-bounds the buffer and re-aims the
-    /// scale) and the A/V bound. A session runs it for every viewer
-    /// before it asks the plane which of them are in the same state.
+    /// scale) and the A/V bound. A session runs it before it asks the
+    /// round's plans whether an earlier viewer was in the same state.
     /// A flush with something to send that finds the link down is a
     /// write the outage defers, counted on the pipe before the ladder
     /// reads it (the epoch is impaired either way).

@@ -427,9 +427,10 @@ pub(crate) enum PlanRole {
 }
 
 /// One flush round's plans, by state fingerprint; structural equality
-/// picks within a bucket. A round resolves all its viewers' roles in
-/// one serial pass, before any viewer flushes: serial, in id order, is
-/// what makes the leader the lowest id, who then flushes first.
+/// picks within a bucket. A round resolves each viewer's role just
+/// before that viewer flushes, in id order: so the leader is the lowest
+/// id, and it has flushed, publishing its plan, before any follower
+/// reads it.
 #[derive(Debug, Default)]
 pub(crate) struct WirePlane {
     plans: HashMap<u64, Vec<Rc<PlanSlot>>>,

@@ -27,6 +27,7 @@
 //! client, which is quarantined.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use thinc_display::drawable::{DrawableId, DrawableStore};
 use thinc_display::driver::VideoDriver;
@@ -144,27 +145,30 @@ impl Member {
         Self { user, delivery, poison_flush: false }
     }
 
-    /// The per-client flush body, borrowed one member at a time so the
-    /// flush round need not hold the session. `begin_flush` has
-    /// run, and `role` is what the round's plans made of the buffer it
-    /// left.
+    /// One member's part in a flush round, borrowed one member at a
+    /// time so the round need not hold the session: the first half of
+    /// the flush, then the member's role in the round's `plans` (none
+    /// in a round of one: nobody to share with), then the rest against
+    /// the session's form store.
     fn flush(
         &mut self,
         now: SimTime,
-        pipe: &mut TcpPipe,
-        trace: &mut PacketTrace,
+        link: (&mut TcpPipe, &mut PacketTrace),
+        plans: Option<&mut WirePlane>,
         store: &mut FormStore,
         counters: &mut PlaneCounters,
-        role: &PlanRole,
     ) -> Vec<(SimTime, Message)> {
         if self.delivery.quarantined() {
             return Vec::new();
         }
+        let (pipe, trace) = link;
+        self.delivery.begin_flush(now, pipe);
+        let role = plans.map_or(PlanRole::Alone, |plans| plans.resolve(self.delivery.buffer(), now));
         if self.poison_flush {
             self.poison_flush = false;
             panic!("injected poison: client flush panicked");
         }
-        self.delivery.flush_begun(now, pipe, trace, store, counters, role)
+        self.delivery.flush_begun(now, pipe, trace, store, counters, &role)
     }
 }
 
@@ -329,17 +333,6 @@ impl SharedSession {
         self
     }
 
-    /// Enables the content-addressed cache (protocol revision 3) for
-    /// every client attached from now on: each client buffer keeps a
-    /// per-client ledger with this byte budget and substitutes
-    /// [`Message::CacheRef`] for payloads that client already holds.
-    /// A client whose hello announces an older revision cannot resolve
-    /// references, and its ledger goes off.
-    pub fn with_cache(mut self, budget: u64) -> Self {
-        self.cache_budget = Some(budget);
-        self
-    }
-
     /// Returns the session unchanged; the argument is ignored. A
     /// session runs on its caller's thread. The method remains because
     /// the benchmark harness (`benchmark/src/fanout.rs`) calls it.
@@ -444,8 +437,8 @@ impl SharedSession {
 
     /// Evaluates a client's liveness at `now`: a silent client gets a
     /// ping queued on its A/V channel; silence past the timeout marks
-    /// it dead (its resources become reclaimable via
-    /// [`reap_dead`](Self::reap_dead)). Returns `Alive` for unknown
+    /// it dead, until it reconnects or is [detached](Self::detach).
+    /// Returns `Alive` for unknown
     /// clients or when liveness is disabled. The poll moves the
     /// session clock to `now`, and leaves the buffers' enqueue stamps
     /// alone: it is not a draw.
@@ -463,21 +456,6 @@ impl SharedSession {
     /// Whether a client has been declared dead.
     pub fn client_dead(&self, id: ClientId) -> bool {
         self.viewer(id).is_some_and(|d| d.is_dead())
-    }
-
-    /// Detaches every dead client, freeing its buffers (a dead
-    /// client's queues would otherwise accumulate updates forever).
-    /// Returns the reaped ids; a reaped client reconnects by
-    /// re-attaching and resyncing.
-    pub fn reap_dead(&mut self) -> Vec<ClientId> {
-        let dead: Vec<ClientId> = self
-            .clients
-            .iter()
-            .filter(|(_, m)| m.delivery.is_dead())
-            .map(|(id, _)| *id)
-            .collect();
-        self.clients.retain(|(_, m)| !m.delivery.is_dead());
-        dead
     }
 
     /// Detaches a client.
@@ -655,10 +633,13 @@ impl SharedSession {
         }
     }
 
-    /// Flushes one client's buffer over its own connection, against the
-    /// session's form store: a round of one. The flush moves the
-    /// session clock to `now`, and leaves the buffers' enqueue stamps
-    /// alone: it is not a draw.
+    /// Flushes one client's buffer over its own connection: a
+    /// [round](Self::flush_all) of one, which shares no plan. Like every
+    /// round it moves the session clock to `now` and leaves the
+    /// buffers' enqueue stamps alone (it is not a draw), contains a
+    /// panic to the client, which is quarantined, and adds its plane
+    /// counters to [`fanout_counters`](Self::fanout_counters). An
+    /// unknown client sends nothing.
     pub fn flush_client(
         &mut self,
         id: ClientId,
@@ -666,18 +647,11 @@ impl SharedSession {
         pipe: &mut TcpPipe,
         trace: &mut PacketTrace,
     ) -> Vec<(SimTime, Message)> {
-        self.now = now;
-        let Ok(at) = self.clients.binary_search_by_key(&id, |(cid, _)| *cid) else {
-            return Vec::new();
+        let members = match self.clients.binary_search_by_key(&id, |(cid, _)| *cid) {
+            Ok(at) => at..at + 1,
+            Err(_) => 0..0,
         };
-        let m = &mut self.clients[at].1;
-        if !m.delivery.quarantined() {
-            m.delivery.begin_flush(now, pipe);
-        }
-        let mut counters = PlaneCounters::default();
-        let out = m.flush(now, pipe, trace, &mut self.forms, &mut counters, &PlanRole::Alone);
-        self.forms.end_round(self.cache_budget);
-        out
+        self.round(now, members, [(pipe, trace)]).pop().map_or_else(Vec::new, |(_, msgs)| msgs)
     }
 
     /// Flushes **every** client's buffer, each over its own
@@ -686,15 +660,15 @@ impl SharedSession {
     /// single time, and clients whose buffers are in the same state
     /// flush once between them (see [`crate::plane`]).
     ///
-    /// A serial pre-pass, in id order, lets every member's ladder and
-    /// A/V bound have their say and then asks the round's plans which
-    /// members start from the same buffer state: the first in each
-    /// state leads its plan, the rest follow it. So the leader is the
-    /// lowest id, and with it who pays the codec (`codec_input_bytes`)
-    /// and who skips it. Every member then flushes in id order against
-    /// its own pipe and cache ledger, so a leader publishes its plan
-    /// before its followers read it. A panic in either step is
-    /// contained to its member.
+    /// Members flush one after another in id order. Each first lets its
+    /// ladder and A/V bound have their say, then asks the round's plans
+    /// whether an earlier member started from the same buffer state: if
+    /// so it follows that member's plan, if not it leads a plan of its
+    /// own. So the leader is the lowest id in its state, and with it who
+    /// pays the codec (`codec_input_bytes`) and who skips it, and a
+    /// leader has published its plan before a follower reads it. The
+    /// round moves the session clock to `now`; a panic is contained to
+    /// its member, which is quarantined.
     ///
     /// `links[i]` is the `(pipe, trace)` pair of the i-th attached
     /// client — the same order as attach/[`ClientId`] order, and the
@@ -715,28 +689,25 @@ impl SharedSession {
             self.clients.len(),
             "one (pipe, trace) link per attached client"
         );
-        let mut plans = WirePlane::default();
-        // `None`: the member panicked, here or in its flush.
-        let roles: Vec<Option<PlanRole>> = self
-            .clients
-            .iter_mut()
-            .zip(links.iter_mut())
-            .map(|((_, m), (pipe, _))| {
-                if m.delivery.quarantined() {
-                    return Some(PlanRole::Alone);
-                }
-                contain(|| {
-                    m.delivery.begin_flush(now, pipe);
-                    plans.resolve(m.delivery.buffer(), now)
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(roles.len());
-        let forms = &mut self.forms;
-        for (((id, m), (pipe, trace)), role) in self.clients.iter_mut().zip(links.iter_mut()).zip(roles) {
+        self.round(now, 0..self.clients.len(), links.iter_mut().map(|(pipe, trace)| (pipe, trace)))
+    }
+
+    /// The flush round, written once for both doors: the `members` in
+    /// id order, each over its link (resolving no plan in a round of
+    /// one), and then the form store's end of round.
+    fn round<'l>(
+        &mut self,
+        now: SimTime,
+        members: Range<usize>,
+        links: impl IntoIterator<Item = (&'l mut TcpPipe, &'l mut PacketTrace)>,
+    ) -> FlushOutput {
+        self.now = now;
+        let mut plans = (members.len() > 1).then(WirePlane::default);
+        let mut out = Vec::with_capacity(members.len());
+        for ((id, m), link) in self.clients[members].iter_mut().zip(links) {
             let mut counters = PlaneCounters::default();
-            let flushed =
-                role.and_then(|role| contain(|| m.flush(now, pipe, trace, forms, &mut counters, &role)));
+            let forms = &mut self.forms;
+            let flushed = contain(|| m.flush(now, link, plans.as_mut(), forms, &mut counters));
             // Panic containment: a client whose flush panicked is
             // quarantined — its partial output and counts are
             // discarded, the panic is counted in its resilience metrics,
@@ -779,11 +750,15 @@ impl SharedSession {
         }
     }
 
-    /// Changes the content-cache budget applied to clients attached
-    /// from now on (already-attached clients keep their ledgers — the
-    /// budget must stay in lockstep with each client's store for the
-    /// eviction mirror to hold). `None` disables the cache for future
-    /// attaches.
+    /// Sets the content-cache budget (protocol revision 3) for every
+    /// client attached from now on: each client buffer keeps a
+    /// per-client ledger with this byte budget and substitutes
+    /// [`Message::CacheRef`] for payloads that client already holds. A
+    /// client whose hello announces an older revision cannot resolve
+    /// references, and its ledger goes off. Already-attached clients
+    /// keep their ledgers (the budget must stay in lockstep with each
+    /// client's store for the eviction mirror to hold). `None` keeps
+    /// the cache off for future attaches.
     pub fn set_cache_budget(&mut self, budget: Option<u64>) {
         self.cache_budget = budget;
     }
@@ -1170,7 +1145,7 @@ mod tests {
     }
 
     #[test]
-    fn silent_peer_is_pinged_then_reaped_while_active_owner_survives() {
+    fn silent_peer_is_pinged_then_declared_dead_while_active_owner_survives() {
         use thinc_net::time::SimDuration;
         let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host").with_liveness(
             LivenessConfig {
@@ -1214,8 +1189,6 @@ mod tests {
         ));
         assert!(s.client_dead(peer));
         assert!(!s.client_dead(owner));
-        assert_eq!(s.reap_dead(), vec![peer]);
-        assert_eq!(s.client_count(), 1);
     }
 
     #[test]
@@ -1316,8 +1289,8 @@ mod tests {
 
     #[test]
     fn a_hello_below_revision_3_turns_a_budgeted_ledger_off() {
-        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+        s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
         let id = s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
         let cached = |s: &SharedSession| s.viewer(id).unwrap().buffer().cache_enabled();
         assert!(cached(&s), "attaching is the handshake");
@@ -1778,8 +1751,8 @@ mod tests {
         use thinc_display::drawable::SCREEN;
         use thinc_net::link::NetworkConfig;
 
-        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+        s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
         s.auth_mut().enable_sharing("pw");
         let owner = s
             .attach(&Credentials::Owner { user: "host".into() }, 64, 64)
@@ -1854,8 +1827,8 @@ mod tests {
     /// and the tile's frame as it was sent.
     fn cached_tile(viewport: u32, sent_at: Rect) -> (SharedSession, DrawableStore, ClientId, Message) {
         use thinc_display::drawable::SCREEN;
-        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-            .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+        s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
         let id = s.attach(&Credentials::Owner { user: "host".into() }, viewport, viewport).unwrap();
         let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
         let tile = crate::fixtures::noise(16 * 16 * 3, 7);

@@ -57,8 +57,8 @@ fn sent(s: &mut SharedSession) -> Vec<Message> {
 /// A one-viewer session in step with its screen (a white square in a
 /// blue field), checkpointed: its image, and the screen it was taken of.
 fn image() -> (Vec<u8>, DrawableStore) {
-    let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
-        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+    let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host");
+    s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
     s.attach(&Credentials::Owner { user: "host".into() }, 64, 64).unwrap();
     let mut store = DrawableStore::new(64, 64, PixelFormat::Rgb888);
     for (rect, color) in [(FULL, Color::rgb(40, 80, 120)), (Rect::new(0, 0, 16, 16), Color::WHITE)] {

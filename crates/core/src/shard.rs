@@ -6,9 +6,9 @@
 //! in client-id order beside the session's roster. A flush *epoch* is
 //! the session's clock set to the epoch time and one
 //! [`flush_all`](SharedSession::flush_all) over every link: one round
-//! of the session's form store, one serial plan pass, then every
-//! viewer's flush in client-id order on the caller's thread. Its output
-//! comes back in that order.
+//! of the session's form store, every viewer's flush in client-id
+//! order on the caller's thread, each resolving its plan as it starts.
+//! Its output comes back in that order.
 //!
 //! The manager once partitioned its roster into hash-keyed shards,
 //! flushed one after another on the caller's thread. No byte ever

@@ -22,8 +22,8 @@ use thinc_raster::{Color, PixelFormat, Rect};
 fn busy_session(salt: u64) -> (SharedSession, DrawableStore) {
     let mut s = SharedSession::new(64, 48, PixelFormat::Rgb888, "host")
         .with_buffer_bound(256 * 1024)
-        .with_cache(64 * 1024)
         .with_liveness(thinc_core::LivenessConfig::default());
+    s.set_cache_budget(Some(64 * 1024));
     s.auth_mut().enable_sharing("pw");
     s.attach(&Credentials::Owner { user: "host".into() }, 64, 48)
         .unwrap();

@@ -121,8 +121,8 @@ pub fn checkpointable_session() -> (SharedSession, DrawableStore, Vec<Vec<Messag
     let mut s = SharedSession::new(64, 64, PixelFormat::Rgb888, "host")
         .with_liveness(LivenessConfig::default())
         .with_degradation(DegradationConfig::default())
-        .with_buffer_bound(512 * 1024)
-        .with_cache(thinc_protocol::DEFAULT_CACHE_BUDGET);
+        .with_buffer_bound(512 * 1024);
+    s.set_cache_budget(Some(thinc_protocol::DEFAULT_CACHE_BUDGET));
     s.auth_mut().enable_sharing("pw");
     s.attach(&Credentials::Owner { user: "host".into() }, 64, 64)
         .unwrap();

@@ -372,6 +372,39 @@ fn one_translating_video_driver_and_delivery_built_only_by_the_session() {
 }
 
 #[test]
+fn one_flush_loop_and_one_flush_round() {
+    // Following a flush plan replaces where an entry's parts and a
+    // part's form come from, inside the one flush loop; a second
+    // `.materialize()` or `split_raw(` call site in the buffer is a
+    // second loop growing beside it (the property tests live in files
+    // of their own). A lone viewer and a whole roster flush through one
+    // round body, so the session begins a flush in one place.
+    let buffer: Vec<PathBuf> = ["mod.rs", "wire.rs", "checkpoint.rs"]
+        .iter()
+        .map(|file| root().join("crates/core/src/buffer").join(file))
+        .collect();
+    let session = [root().join("crates/core/src/session.rs")];
+    let rules = [
+        (&buffer[..], concat!(".materi", "alize()")),
+        (&buffer[..], concat!("split", "_raw(")),
+        (&session[..], concat!(".begin", "_flush(")),
+    ];
+    for (paths, needle) in rules {
+        for path in paths {
+            assert!(path.is_file(), "no {}", path.display());
+        }
+        let definition = format!("fn {needle}");
+        let calls = lines_where(paths, |line| line.contains(needle) && !line.contains(&definition));
+        assert_eq!(
+            calls.len(),
+            1,
+            "one call site of `{needle}` is one flush loop and one flush round; found:\n{}",
+            calls.join("\n")
+        );
+    }
+}
+
+#[test]
 fn the_core_declares_no_byte_codec_of_its_own() {
     let core = files_under(&["crates/core/src"]);
     let hits = lines_naming_words(&core, &[concat!("struct ", "Writer"), concat!("struct ", "Reader")]);
