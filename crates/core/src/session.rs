@@ -438,10 +438,9 @@ impl SharedSession {
     /// Evaluates a client's liveness at `now`: a silent client gets a
     /// ping queued on its A/V channel; silence past the timeout marks
     /// it dead, until it reconnects or is [detached](Self::detach).
-    /// Returns `Alive` for unknown
-    /// clients or when liveness is disabled. The poll moves the
-    /// session clock to `now`, and leaves the buffers' enqueue stamps
-    /// alone: it is not a draw.
+    /// Returns `Alive` for unknown clients or when liveness is
+    /// disabled. The poll moves the session clock to `now`, and leaves
+    /// the buffers' enqueue stamps alone: it is not a draw.
     pub fn poll_client_liveness(&mut self, id: ClientId, now: SimTime) -> LivenessVerdict {
         self.now = now;
         match self.member_mut(id).map(|m| &mut m.delivery) {
@@ -706,8 +705,7 @@ impl SharedSession {
         let mut out = Vec::with_capacity(members.len());
         for ((id, m), link) in self.clients[members].iter_mut().zip(links) {
             let mut counters = PlaneCounters::default();
-            let forms = &mut self.forms;
-            let flushed = contain(|| m.flush(now, link, plans.as_mut(), forms, &mut counters));
+            let flushed = contain(|| m.flush(now, link, plans.as_mut(), &mut self.forms, &mut counters));
             // Panic containment: a client whose flush panicked is
             // quarantined — its partial output and counts are
             // discarded, the panic is counted in its resilience metrics,
